@@ -79,9 +79,7 @@ def family_case_study(
     for report in family_reports:
         variants.append(report.sample.variant)
         alert_count += len(report.actionable_alerts)
-        for flow in report.capture.dns_lookups():
-            qname = str(flow.metadata.get("qname"))
-            nameserver = flow.dst
+        for nameserver, qname in report.capture.dns_questions():
             nameservers.append(nameserver)
             provider = nameserver_provider.get(nameserver)
             if provider is not None:
@@ -171,8 +169,8 @@ def spf_case_study(
         sandbox_report
         for sandbox_report in sandbox_reports
         if any(
-            flow.dst in spf_ips
-            for flow in sandbox_report.capture
+            dst in spf_ips
+            for dst in sandbox_report.capture.destinations()
         )
     ]
     alerts = [

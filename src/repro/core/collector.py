@@ -26,8 +26,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import (
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -52,6 +54,7 @@ from ..engine import (
 from ..net.network import NetworkError, SimulatedInternet
 from ..obs.events import STAGE1 as OBS_STAGE1
 from ..pipeline.errors import StageFailed
+from ..plan.shards import ReducedOutcome, reduce_outcomes
 from .correctness import CorrectRecordDatabase
 from .records import UndelegatedRecord, dedupe_urs
 
@@ -343,13 +346,7 @@ class ResponseCollector:
         wire counters.
         """
         tasks = self.build_ur_tasks(nameservers, domains, delegated_to)
-        outcomes = self.engine.execute(tasks)
-        collected: List[UndelegatedRecord] = []
-        for outcome in outcomes:
-            collected.extend(self.urs_from_outcome(outcome))
-        result = CollectionResult(undelegated=dedupe_urs(collected))
-        _fold_counters(result, outcomes)
-        return result
+        return fold_reduced(self.iter_reduced_urs(tasks))
 
     def build_ur_tasks(
         self,
@@ -398,26 +395,22 @@ class ResponseCollector:
         assert isinstance(nameserver, NameserverTarget)
         return self._extract_urs(nameserver, outcome.task.qname, response)
 
-    def iter_ur_outcomes(
+    def iter_reduced_urs(
         self, tasks: Sequence[QueryTask]
-    ) -> Iterator[Tuple[int, QueryOutcome]]:
-        """Stream the UR scan: ``(task_index, outcome)`` in completion
-        order, wrapping engine errors in :class:`CollectionFailure` so
-        the streaming path reports partial metrics exactly as the batch
+    ) -> Iterator[ReducedOutcome]:
+        """Stream the UR scan: one :class:`ReducedOutcome` per task
+        (``index`` is the task's position), in completion order,
+        wrapping engine errors in :class:`CollectionFailure` so the
+        streaming path reports partial metrics exactly as the batch
         path does."""
-        iterator = self.engine.execute_iter(tasks)
-        while True:
-            try:
-                item = next(iterator)
-            except StopIteration:
-                return
-            except CollectionFailure:
-                raise
-            except Exception as error:
-                raise CollectionFailure(
-                    "ur", error, self.engine.metrics
-                ) from error
-            yield item
+        try:
+            yield from reduce_outcomes(
+                self.engine, tasks, range(len(tasks)), self.urs_from_outcome
+            )
+        except Exception as error:
+            raise CollectionFailure(
+                "ur", error, self.engine.metrics
+            ) from error
 
     def _extract_urs(
         self,
@@ -563,20 +556,29 @@ class ResponseCollector:
             return None
 
 
-def _fold_counters(
-    result: CollectionResult, outcomes: Sequence[QueryOutcome]
-) -> None:
-    """Translate engine outcomes into the legacy wire counters."""
+def fold_reduced(outcomes: Iterable[ReducedOutcome]) -> CollectionResult:
+    """Fold a UR scan's reduced outcomes, taken in any order, into the
+    unique URs (in task order) and the wire counters; only outcomes
+    that carry URs are held on to until the end."""
     attempts = 0
     responses = 0
+    carrying: List[ReducedOutcome] = []
     for outcome in outcomes:
         attempts += outcome.attempts
         if outcome.answered:
             responses += 1
-    result.queries_sent = attempts
-    result.responses_seen = responses
-    # every sent attempt either produced the answer or timed out
-    result.timeouts = attempts - responses
+        if outcome.urs:
+            carrying.append(outcome)
+    carrying.sort(key=attrgetter("index"))
+    return CollectionResult(
+        undelegated=dedupe_urs(
+            [record for outcome in carrying for record in outcome.urs]
+        ),
+        queries_sent=attempts,
+        responses_seen=responses,
+        # every sent attempt either produced the answer or timed out
+        timeouts=attempts - responses,
+    )
 
 
 def select_target_nameservers(

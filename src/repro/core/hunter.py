@@ -48,7 +48,7 @@ from ..obs.events import (
 from ..pipeline.errors import SourceError
 from ..pipeline.resilience import SourceHealth, merge_health
 from ..plan.scanplan import ScanPlan, build_plan
-from ..plan.shards import ReducedOutcome, run_shard_scan
+from ..plan.shards import run_shard_scan
 from ..resilience import AimdController, DeadlineBudget, HedgeController
 from ..sandbox.ids import Severity
 from ..sandbox.sandbox import SandboxReport
@@ -59,6 +59,7 @@ from .collector import (
     DomainTarget,
     NameserverTarget,
     ResponseCollector,
+    fold_reduced,
 )
 from .correctness import (
     ALL_CONDITIONS,
@@ -66,7 +67,7 @@ from .correctness import (
     UniformityChecker,
 )
 from .parallel import Stage2Metrics
-from .records import ClassifiedUR, UndelegatedRecord, dedupe_urs
+from .records import ClassifiedUR, UndelegatedRecord
 from .report import DegradedSources, MeasurementReport, ReportAccumulator
 from .suspicion import SuspicionFilter, SuspicionOutcome
 
@@ -640,33 +641,10 @@ class URHunter:
         outcomes = run_shard_scan(
             self, plan, preamble.classification_epoch
         )
-        return self._fold_shard_outcomes(outcomes, preamble)
-
-    def _fold_shard_outcomes(
-        self,
-        outcomes: Sequence[ReducedOutcome],
-        preamble,
-    ) -> CollectionResult:
-        """Assemble the batch-shape :class:`CollectionResult` from the
-        merged shard outcomes (already sorted in global plan order)."""
-        collected: List[UndelegatedRecord] = []
-        attempts = 0
-        responses = 0
-        for outcome in outcomes:
-            attempts += outcome.attempts
-            if outcome.answered:
-                responses += 1
-            collected.extend(outcome.urs)
         # same emission point as the in-line path: the UR phase counters
         # were merged into the parent engine ledger by the shard runner
         self.collector.emit_phase("ur")
-        result = CollectionResult(
-            undelegated=dedupe_urs(collected),
-            queries_sent=attempts,
-            responses_seen=responses,
-            # every sent attempt either answered or timed out
-            timeouts=attempts - responses,
-        )
+        result = fold_reduced(outcomes)
         preamble.fold_into(result)
         result.metrics = self.engine.metrics
         return result

@@ -57,9 +57,11 @@ def ur_retrieval_flows(
     directly — the covert-channel retrievals (threat-model step ③)."""
     flows: List[FlowRecord] = []
     for report in sandbox_reports:
-        for flow in report.capture.dns_lookups():
-            if flow.dst in measured_nameservers:
-                flows.append(flow)
+        flows.extend(
+            report.capture.filter(
+                protocol=Protocol.DNS, dst=measured_nameservers
+            )
+        )
     return flows
 
 

@@ -140,11 +140,12 @@ class TransformNode(StageNode):
 class CollectorNode(StageNode):
     """Stage 1 as a source node: drive the scan engine lazily.
 
-    Pulls ``(task_index, outcome)`` pairs from the engine only while the
-    outbox has capacity — generator laziness *is* the backpressure — and
-    re-establishes batch record order with a reorder buffer keyed by the
-    next expected task index.  Outcomes are reduced to their UR lists on
-    arrival so buffered out-of-order work holds no response messages.
+    Pulls reduced outcomes (wire counters + URs, see
+    :func:`repro.plan.shards.reduce_outcomes`) from the engine only
+    while the outbox has capacity — generator laziness *is* the
+    backpressure — and re-establishes batch record order with a reorder
+    buffer keyed by the next expected task index, so buffered
+    out-of-order work holds no response messages.
     At end of stream the node assembles the same
     :class:`~repro.core.collector.CollectionResult` the batch path
     returns (checkpoints stay fingerprint-compatible).
@@ -163,18 +164,14 @@ class CollectorNode(StageNode):
         self.collector = collector
         self.preamble = preamble
         self.outbox = outbox
-        # ``payloads`` (shard mode) streams pre-reduced outcomes — the
-        # shard runner already executed the scan and merged the engine
-        # metrics, so the node only re-establishes record order.
-        self._reduced = payloads is not None
+        # ``payloads`` (shard mode): a scan the shard runner already
+        # executed and merged — the node only restores record order.
         if payloads is not None:
-            self._iter = iter(
-                [(outcome.index, outcome) for outcome in payloads]
-            )
+            self._iter = iter(payloads)
         else:
-            self._iter = collector.iter_ur_outcomes(tasks)
-        #: completed-but-early outcomes, reduced to UR lists
-        self._reorder: Dict[int, List[UndelegatedRecord]] = {}
+            self._iter = collector.iter_reduced_urs(tasks)
+        #: the URs of completed-but-early outcomes
+        self._reorder: Dict[int, Sequence[UndelegatedRecord]] = {}
         self._next_index = 0
         self._seen: Set[Tuple] = set()
         #: the full deduped record stream (the stage-1 checkpoint body)
@@ -197,15 +194,12 @@ class CollectorNode(StageNode):
             progress = True
         return progress
 
-    def _ingest(self, index: int, outcome) -> None:
+    def _ingest(self, outcome) -> None:
         # wire counters are order-independent sums — fold at arrival
         self._attempts += outcome.attempts
         if outcome.answered:
             self._responses += 1
-        if self._reduced:
-            self._reorder[index] = list(outcome.urs)
-        else:
-            self._reorder[index] = self.collector.urs_from_outcome(outcome)
+        self._reorder[outcome.index] = outcome.urs
         while self._next_index in self._reorder:
             for record in self._reorder.pop(self._next_index):
                 if record.key in self._seen:
@@ -219,12 +213,12 @@ class CollectorNode(StageNode):
         progress = self._flush()
         while not self._pending and not self.outbox.full and not self._exhausted:
             try:
-                index, outcome = next(self._iter)
+                outcome = next(self._iter)
             except StopIteration:
                 self._exhausted = True
                 break
             progress = True
-            self._ingest(index, outcome)
+            self._ingest(outcome)
             self._flush()
         if self._exhausted and not self._pending and not self._closed:
             assert not self._reorder, "engine left a gap in the task stream"

@@ -11,8 +11,8 @@ from .address import (
     same_slash24,
     slash24,
 )
-from .network import DNS_PORT, NetworkError, SimulatedInternet
-from .traffic import FlowRecord, Protocol, TrafficCapture
+from .network import NetworkError, SimulatedInternet
+from .traffic import DNS_PORT, FlowRecord, Protocol, TrafficCapture
 
 __all__ = [
     "AddressError",

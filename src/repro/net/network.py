@@ -23,9 +23,8 @@ from ..dns.wire import (
     encode_message,
 )
 from .scanpath import ScanPathMetrics
-from .traffic import FlowRecord, Protocol, TrafficCapture
+from .traffic import DnsSummary, Protocol, TrafficCapture
 
-DNS_PORT = 53
 #: classic UDP payload ceiling (RFC 1035 §4.2.1); larger responses are
 #: truncated and the client retries over TCP
 MAX_UDP_PAYLOAD = 512
@@ -163,6 +162,9 @@ class SimulatedInternet:
         #: same REFUSED body goes out whichever server is probed, so the
         #: per-server compiled caches share one pool for them
         self.refused_pool: Dict[object, tuple] = {}
+        #: capture summaries of responses by wire body (id stripped):
+        #: flows that got the same answer share one summary object
+        self._flow_summaries: Dict[bytes, DnsSummary] = {}
         #: counters for observability / benchmarks — all preinitialized
         #: so the schema is stable for tests and metrics documents
         self.stats: Dict[str, int] = {
@@ -400,31 +402,17 @@ class SimulatedInternet:
         capture = self.capture
         want_flow = capture.admit(Protocol.DNS)
         if want_flow:
-            # timestamp/metadata snapshot before any jitter, matching
-            # the eager construction point of the pre-lazy capture
+            # the flow's timestamp is the clock before any jitter
             flow_time = self._clock
             if query.questions:
                 first = query.questions[0]
-                base_meta: Dict[str, object] = {
-                    "qname": str(first.qname),
-                    "qtype": first.qtype,
-                }
+                qname, qtype = first.qname, first.qtype
             else:
-                base_meta = {"qname": None, "qtype": None}
+                qname = qtype = None
 
         def record_failure() -> None:
             if want_flow:
-                capture.record(
-                    FlowRecord(
-                        timestamp=flow_time,
-                        src=src_ip,
-                        dst=dst_ip,
-                        protocol=Protocol.DNS,
-                        dst_port=DNS_PORT,
-                        success=False,
-                        metadata=base_meta,
-                    )
-                )
+                capture.record_dns(flow_time, src_ip, dst_ip, qname, qtype)
 
         if entry is None or not entry.online or entry.dns is None:
             stats["dns_timeouts"] += 1
@@ -505,25 +493,30 @@ class SimulatedInternet:
             stats["wire_errors"] += 1
             raise NetworkError(f"response failed to decode: {exc}")
         if want_flow:
-            capture.record(
-                FlowRecord(
-                    timestamp=flow_time,
-                    src=src_ip,
-                    dst=dst_ip,
-                    protocol=Protocol.DNS,
-                    dst_port=DNS_PORT,
-                    payload_size=len(response_wire),
-                    metadata={
-                        **base_meta,
-                        "rcode": Rcode.to_text(decoded.header.rcode),
-                        "answers": [
-                            record.rdata.to_text()
-                            for record in decoded.answers
-                        ],
-                    },
-                )
-            )
+            capture.record_dns(
+                flow_time, src_ip, dst_ip, qname, qtype, len(response_wire),
+                self._flow_summary(response_wire, decoded),
+            )  # fmt: skip
         return decoded
+
+    def _flow_summary(self, wire: bytes, decoded: Message) -> DnsSummary:
+        """The capture's ``(rcode_text, answers_texts)`` of a response.
+
+        Memoised on ``wire[2:]``, the key of the codec's decode cache:
+        the two id bytes are all that tells repeated answers apart, and
+        nothing the summary reads.  FIFO-bounded like the codec; a body
+        seen again after eviction just gets an equal, unshared summary.
+        """
+        body = wire[2:]
+        summaries = self._flow_summaries
+        summary = summaries.get(body)
+        if summary is None:
+            answers = (record.rdata.to_text() for record in decoded.answers)
+            summary = (Rcode.to_text(decoded.header.rcode), tuple(answers))
+            if len(summaries) >= self.codec.max_entries:
+                summaries.pop(next(iter(summaries)))
+            summaries[body] = summary
+        return summary
 
     def open_channel(self, src_ip: str, dst_ip: str) -> "DnsChannel":
         """A reusable (src, dst) query path with cached destination
@@ -568,18 +561,10 @@ class SimulatedInternet:
             # Keep a payload excerpt so content-inspection (IDS
             # signatures) works on the capture, as it would on a pcap.
             merged_metadata.setdefault("payload", payload[:256])
-            self.capture.record(
-                FlowRecord(
-                    timestamp=self._clock,
-                    src=src_ip,
-                    dst=dst_ip,
-                    protocol=protocol,
-                    dst_port=dst_port,
-                    payload_size=len(payload),
-                    success=reachable,
-                    metadata=merged_metadata,
-                )
-            )
+            self.capture.record_fields(
+                self._clock, src_ip, dst_ip, protocol, dst_port,
+                len(payload), reachable, merged_metadata,
+            )  # fmt: skip
         if not reachable:
             self.stats["tcp_failures"] += 1
             return None

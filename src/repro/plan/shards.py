@@ -38,7 +38,8 @@ import os
 import random
 import signal
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..engine import create_engine
 from ..obs.events import RunTrace, _json_safe
@@ -48,6 +49,7 @@ from .scanplan import NameserverGroup, ScanPlan, Shard
 __all__ = [
     "CRASH_SHARD_ENV",
     "ReducedOutcome",
+    "reduce_outcomes",
     "GroupResult",
     "execute_group",
     "encode_group_result",
@@ -61,7 +63,7 @@ __all__ = [
 CRASH_SHARD_ENV = "URHUNTER_CRASH_SHARD"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReducedOutcome:
     """One UR query outcome, reduced to what the pipeline consumes.
 
@@ -74,6 +76,26 @@ class ReducedOutcome:
     attempts: int
     answered: bool
     urs: Tuple[Any, ...]
+
+
+def reduce_outcomes(
+    engine, tasks, indices, extract_urs
+) -> Iterator[ReducedOutcome]:
+    """Drive ``tasks`` and reduce each outcome the moment it completes.
+
+    Yields in the engine's *completion* order; ``indices[i]`` is the
+    scan-order index of ``tasks[i]``, so sorting by ``index`` restores
+    task order.  Each outcome and its response message are dropped
+    before the next task is driven: the in-line collector, the streaming
+    node and the group runner all fold this stream, never a list.
+    """
+    for position, outcome in engine.execute_iter(tasks):
+        yield ReducedOutcome(
+            index=indices[position],
+            attempts=outcome.attempts,
+            answered=outcome.answered,
+            urs=tuple(extract_urs(outcome)),
+        )
 
 
 @dataclass
@@ -144,16 +166,10 @@ def execute_group(
     engine = _group_engine(network, config)
     start = network.now
     tasks = [plan.ur_units[index].to_task() for index in group.unit_indices]
-    outcomes = engine.execute(tasks)
-    reduced = [
-        ReducedOutcome(
-            index=index,
-            attempts=outcome.attempts,
-            answered=outcome.answered,
-            urs=tuple(extract_urs(outcome)),
-        )
-        for index, outcome in zip(group.unit_indices, outcomes)
-    ]
+    reduced = sorted(
+        reduce_outcomes(engine, tasks, group.unit_indices, extract_urs),
+        key=attrgetter("index"),
+    )
     resilience = getattr(engine, "resilience", None)
     return GroupResult(
         group=group.index,
@@ -506,5 +522,5 @@ def run_shard_scan(hunter, plan: ScanPlan, epoch: float) -> List[ReducedOutcome]
         makespan = max(makespan, result.elapsed)
 
     network.set_clock(epoch + makespan)
-    outcomes.sort(key=lambda outcome: outcome.index)
+    outcomes.sort(key=attrgetter("index"))
     return outcomes

@@ -151,7 +151,9 @@ class IdsEngine:
     def inspect(self, capture: TrafficCapture) -> List[Alert]:
         """All alerts for every flow in ``capture``, in flow order."""
         alerts: List[Alert] = []
-        for flow in capture:
+        # one snapshot of views serves both kinds of rule
+        flows = capture.flows
+        for flow in flows:
             # DNS control-plane traffic is never alerted on by itself —
             # the whole point of the UR attack is that these lookups look
             # benign; alerts come from what the malware does next.
@@ -161,12 +163,8 @@ class IdsEngine:
                 alert = rule.evaluate(flow)
                 if alert is not None:
                     alerts.append(alert)
-        if self.capture_rules:
-            # stateful rules want a stable snapshot; only pay for the
-            # copy when any are installed
-            flows = capture.flows
-            for capture_rule in self.capture_rules:
-                alerts.extend(capture_rule(flows))
+        for capture_rule in self.capture_rules:
+            alerts.extend(capture_rule(flows))
         return alerts
 
     @staticmethod

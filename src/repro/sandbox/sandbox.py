@@ -43,22 +43,15 @@ class SandboxReport:
 
     def contacted_ips(self) -> Set[str]:
         """Every non-DNS destination the sample touched."""
-        return {
-            flow.dst
-            for flow in self.capture
-            if flow.protocol is not Protocol.DNS
-        }
+        return set(self.capture.destinations(exclude=Protocol.DNS))
 
     def dns_queries(self) -> List[str]:
         """Names the sample looked up, in order."""
-        return [
-            str(flow.metadata.get("qname"))
-            for flow in self.capture.dns_lookups()
-        ]
+        return [qname for _, qname in self.capture.dns_questions()]
 
     def queried_nameservers(self) -> Set[str]:
         """Nameserver IPs the sample queried directly."""
-        return {flow.dst for flow in self.capture.dns_lookups()}
+        return set(self.capture.destinations(Protocol.DNS))
 
 
 class Sandbox:

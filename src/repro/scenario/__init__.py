@@ -20,6 +20,7 @@ from .tranco import DEFAULT_PINS, TrancoEntry, TrancoList, generate_tranco
 from .world import (
     ATTACKER_PROVIDER_WEIGHTS,
     HEADLINE_HOSTING_WEIGHTS,
+    ScenarioError,
     World,
     build_world,
 )
@@ -35,6 +36,7 @@ __all__ = [
     "HEADLINE_HOSTING_WEIGHTS",
     "PlantedRecord",
     "ScenarioConfig",
+    "ScenarioError",
     "ShadowedDomain",
     "TrancoEntry",
     "TrancoList",

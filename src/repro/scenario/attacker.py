@@ -149,13 +149,19 @@ class Attacker:
         domain: str,
         c2_ip: str,
         is_registered: bool = True,
+        reuse_account_zone: bool = False,
     ) -> Optional[HostedZone]:
         """Host a UR zone with an A record pointing at a C2.
 
         Returns None when the provider's policy refuses the domain — the
         attacker just moves on (as Table 2's reserved lists force).
+        With ``reuse_account_zone`` a refusal falls back to the zone the
+        attacker's account already hosts for the domain (planted by an
+        earlier campaign), for campaigns that need this very domain.
         """
-        hosted = self._host(campaign, provider, domain, is_registered)
+        hosted = self._host(
+            campaign, provider, domain, is_registered, reuse_account_zone
+        )
         if hosted is None:
             return None
         provider.add_record(hosted, domain, "A", c2_ip)
@@ -204,6 +210,7 @@ class Attacker:
         provider: HostingProvider,
         domain: str,
         is_registered: bool,
+        reuse_account_zone: bool = False,
     ) -> Optional[HostedZone]:
         account = self.account_at(provider)
         existing = next(
@@ -222,7 +229,12 @@ class Attacker:
                 account, domain, is_registered=is_registered
             )
         except HostingError:
-            return None
+            zones = provider.hosted_zones(domain) if reuse_account_zone else ()
+            hosted = next(
+                (zone for zone in zones if zone.account is account), None
+            )
+            if hosted is None:
+                return None
         campaign.hosted_zones.append(hosted)
         return hosted
 

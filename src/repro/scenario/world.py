@@ -28,7 +28,7 @@ from ..dns.rdata import RRType
 from ..dns.resolver import OpenResolver, RecursiveResolver
 from ..dns.server import UnhostedPolicy
 from ..hosting.presets import build_headline_providers, make_longtail_provider
-from ..hosting.provider import HostingProvider
+from ..hosting.provider import HostedZone, HostingProvider
 from ..hosting.registry import DnsRoot
 from ..intel.aggregator import ThreatIntelAggregator
 from ..intel.ipinfo import HttpPage, IpInfoDatabase
@@ -119,6 +119,10 @@ CASE_STUDY_PROVIDERS = frozenset({"ClouDNS", "Namecheap", "CSC"})
 
 EMERDNS_IP = "198.18.200.1"
 AD_SERVER_IP = "198.18.100.1"
+
+
+class ScenarioError(RuntimeError):
+    """The configured world cannot be built."""
 
 
 @dataclass
@@ -760,18 +764,16 @@ class _WorldBuilder:
         for address in (darkiot_c2_old, darkiot_c2_new):
             self.ipinfo.register_host(address, cert_org=None)
             self._flag_ip_in_intel(address)
-        gitlab_zone = attacker.plant_a_record(
-            darkiot, cloudns, "api.gitlab.com", darkiot_c2_old
+        gitlab_zone = _plant_case_study(
+            attacker, darkiot, cloudns, "api.gitlab.com", darkiot_c2_old
         )
-        pastebin_zone = attacker.plant_a_record(
-            darkiot, cloudns, "raw.pastebin.com", darkiot_c2_new
+        pastebin_zone = _plant_case_study(
+            attacker, darkiot, cloudns, "raw.pastebin.com", darkiot_c2_new
         )
-        opennic_zone = attacker.plant_a_record(
-            darkiot, cloudns, "dark.libre", darkiot_c2_new,
+        opennic_zone = _plant_case_study(
+            attacker, darkiot, cloudns, "dark.libre", darkiot_c2_new,
             is_registered=False,
         )
-        assert gitlab_zone is not None and pastebin_zone is not None
-        assert opennic_zone is not None
         gitlab_target = UrTarget(
             "api.gitlab.com", gitlab_zone.nameserver_addresses()
         )
@@ -796,13 +798,12 @@ class _WorldBuilder:
         self.ipinfo.register_host(specter_c2, cert_org=None)
         # Deliberately NOT flagged in intel: IDS-only evidence, matching
         # the paper's "not flagged by 74 mainstream vendors".
-        ibm_zone = attacker.plant_a_record(
-            specter, cloudns, "ibm.com", specter_c2
+        ibm_zone = _plant_case_study(
+            attacker, specter, cloudns, "ibm.com", specter_c2
         )
-        github_zone = attacker.plant_a_record(
-            specter, cloudns, "api.github.com", specter_c2
+        github_zone = _plant_case_study(
+            attacker, specter, cloudns, "api.github.com", specter_c2
         )
-        assert ibm_zone is not None and github_zone is not None
         specter.samples.extend(
             make_specter_variants(
                 UrTarget("ibm.com", ibm_zone.nameserver_addresses()),
@@ -975,6 +976,23 @@ class _WorldBuilder:
             case_studies=self.case_studies,
             attacker_identities=attacker.all_planted_identities(),
         )
+
+
+def _plant_case_study(
+    attacker: Attacker, campaign: AttackerCampaign,
+    provider: HostingProvider, domain: str, c2_ip: str, **options,
+) -> HostedZone:  # fmt: skip
+    """Plant an A record a case study cannot do without — in the zone a
+    generic campaign of the same account already hosts, if need be."""
+    hosted = attacker.plant_a_record(
+        campaign, provider, domain, c2_ip, reuse_account_zone=True, **options
+    )
+    if hosted is None:
+        raise ScenarioError(
+            f"case study {campaign.name}: {provider.name} would not "
+            f"host {domain}"
+        )
+    return hosted
 
 
 def _nameservers_serving(

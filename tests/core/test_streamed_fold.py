@@ -1,0 +1,187 @@
+"""The streamed stage-1 fold against the list-based fold it replaced.
+
+``collect_urs`` and ``execute_group`` used to park every
+``QueryOutcome`` (response message attached) in a list and walk it once
+in task order.  Both now reduce each outcome as it completes and restore
+task order from the index.  The list-based folds are kept here, verbatim,
+as the reference: same URs in the same order, same wire counters, same
+clock and engine ledger — on a clean network, under 5 % loss, and with
+servers whose circuit opens.
+"""
+
+import random
+
+import pytest
+
+from repro.core import HunterConfig, URHunter
+from repro.core.collector import CollectionResult
+from repro.core.records import dedupe_urs
+from repro.plan import shards
+from repro.plan.shards import (
+    GroupResult,
+    ReducedOutcome,
+    encode_group_result,
+    group_fault_seed,
+    run_group_isolated,
+)
+from repro.scenario import build_world, small_config
+
+SEED = 7
+#: servers taken offline for the circuit-open input
+DEAD_SERVERS = 3
+
+
+def _clean(world):
+    pass
+
+
+def _lossy(world):
+    world.network.inject_faults(loss_rate=0.05, seed=SEED)
+
+
+def _circuit_open(world):
+    for target in world.nameserver_targets[:DEAD_SERVERS]:
+        world.network.set_online(target.address, False)
+
+
+INPUTS = [
+    pytest.param(_clean, id="clean"),
+    pytest.param(_lossy, id="loss-5pct"),
+    pytest.param(_circuit_open, id="circuit-open"),
+]
+
+
+def _hunter(prepare):
+    world = build_world(small_config(seed=SEED))
+    prepare(world)
+    return URHunter.from_world(world, HunterConfig())
+
+
+def _list_collect_urs(collector, nameservers, domains, delegated_to):
+    """``ResponseCollector.collect_urs`` as it was before streaming."""
+    tasks = collector.build_ur_tasks(nameservers, domains, delegated_to)
+    outcomes = collector.engine.execute(tasks)
+    collected = []
+    for outcome in outcomes:
+        collected.extend(collector.urs_from_outcome(outcome))
+    attempts = sum(outcome.attempts for outcome in outcomes)
+    responses = sum(1 for outcome in outcomes if outcome.answered)
+    return CollectionResult(
+        undelegated=dedupe_urs(collected),
+        queries_sent=attempts,
+        responses_seen=responses,
+        timeouts=attempts - responses,
+    )
+
+
+def _list_execute_group(network, config, plan, group, extract_urs):
+    """``execute_group`` as it was before streaming."""
+    engine = shards._group_engine(network, config)
+    start = network.now
+    tasks = [plan.ur_units[index].to_task() for index in group.unit_indices]
+    outcomes = engine.execute(tasks)
+    reduced = [
+        ReducedOutcome(
+            index=index,
+            attempts=outcome.attempts,
+            answered=outcome.answered,
+            urs=tuple(extract_urs(outcome)),
+        )
+        for index, outcome in zip(group.unit_indices, outcomes)
+    ]
+    resilience = getattr(engine, "resilience", None)
+    return GroupResult(
+        group=group.index,
+        server_ip=group.server_ip,
+        elapsed=network.now - start,
+        outcomes=reduced,
+        metrics=engine.metrics,
+        resilience=(
+            shards._encode_resilience(resilience)
+            if resilience is not None
+            else None
+        ),
+        events=engine.trace.raw_events(),
+    )
+
+
+@pytest.mark.parametrize("prepare", INPUTS)
+def test_collect_urs_equals_the_list_fold(prepare):
+    streamed_hunter = _hunter(prepare)
+    listed_hunter = _hunter(prepare)
+    streamed = streamed_hunter.collector.collect_urs(
+        streamed_hunter.nameservers,
+        streamed_hunter.domains,
+        streamed_hunter.delegated_to,
+    )
+    listed = _list_collect_urs(
+        listed_hunter.collector,
+        listed_hunter.nameservers,
+        listed_hunter.domains,
+        listed_hunter.delegated_to,
+    )
+    assert streamed.undelegated == listed.undelegated
+    assert streamed.undelegated, "the scan found no UR to order"
+    assert (
+        streamed.queries_sent,
+        streamed.responses_seen,
+        streamed.timeouts,
+    ) == (listed.queries_sent, listed.responses_seen, listed.timeouts)
+    assert streamed_hunter.network.now == listed_hunter.network.now
+    assert (
+        streamed_hunter.engine.metrics.to_dict()
+        == listed_hunter.engine.metrics.to_dict()
+    )
+    counters = streamed_hunter.engine.metrics.stage("ur")
+    if prepare is _lossy:
+        assert counters.retries > 0
+    if prepare is _circuit_open:
+        assert counters.skipped > 0
+
+
+@pytest.mark.parametrize("prepare", INPUTS)
+def test_execute_group_equals_the_list_fold(prepare):
+    streamed_hunter = _hunter(prepare)
+    listed_hunter = _hunter(prepare)
+    plan = streamed_hunter.plan
+    assert plan.plan_hash == listed_hunter.plan.plan_hash
+    epoch = streamed_hunter.network.now
+    skipped = 0
+    dead = {
+        target.address
+        for target in streamed_hunter.nameservers[:DEAD_SERVERS]
+    }
+    groups = [group for group in plan.groups if group.server_ip in dead]
+    groups += [
+        group for group in plan.groups if group.server_ip not in dead
+    ][:5]
+    for group in groups:
+        streamed = run_group_isolated(
+            streamed_hunter.network,
+            streamed_hunter.config,
+            plan,
+            group,
+            streamed_hunter.collector.urs_from_outcome,
+            epoch,
+            SEED,
+        )
+        network = listed_hunter.network
+        network.set_clock(epoch)
+        network._fault_rng = random.Random(
+            group_fault_seed(SEED, group.server_ip)
+        )
+        listed = _list_execute_group(
+            network,
+            listed_hunter.config,
+            plan,
+            group,
+            listed_hunter.collector.urs_from_outcome,
+        )
+        assert streamed.outcomes == listed.outcomes
+        assert [outcome.index for outcome in streamed.outcomes] == list(
+            group.unit_indices
+        )
+        assert encode_group_result(streamed) == encode_group_result(listed)
+        skipped += streamed.metrics.stage("ur").skipped
+    if prepare is _circuit_open:
+        assert skipped > 0

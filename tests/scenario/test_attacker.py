@@ -129,6 +129,46 @@ class TestPlanting:
         assert first is second
         assert len(campaign.hosted_zones) == 1
 
+    def test_second_campaign_moves_on_from_a_hosted_domain(self, env):
+        _, provider, _, attacker = env
+        (c2,) = attacker.stand_up_c2(1)
+        first = attacker.new_campaign("c1", ["PermissiveHost"])
+        attacker.plant_a_record(first, provider, "t.com", c2)
+        second = attacker.new_campaign("c2", ["PermissiveHost"])
+        assert attacker.plant_a_record(second, provider, "t.com", c2) is None
+        assert second.planted == [] and second.hosted_zones == []
+
+    def test_second_campaign_can_reuse_the_accounts_zone(self, env):
+        network, provider, strict, attacker = env
+        old_c2, new_c2 = attacker.stand_up_c2(2)
+        first = attacker.new_campaign("c1", ["PermissiveHost"])
+        hosted = attacker.plant_a_record(first, provider, "t.com", old_c2)
+        second = attacker.new_campaign("c2", ["PermissiveHost"])
+        reused = attacker.plant_a_record(
+            second, provider, "t.com", new_c2, reuse_account_zone=True
+        )
+        assert reused is hosted
+        assert second.hosted_zones == [hosted]
+        assert second.nameserver_ips() == first.nameserver_ips()
+        from repro.dns.message import Message
+
+        response = network.query_dns(
+            "10.9.9.9",
+            hosted.nameserver_addresses()[0],
+            Message.make_query("t.com", RRType.A),
+        )
+        assert {answer.rdata.address for answer in response.answers} == {
+            old_c2,
+            new_c2,
+        }
+        # nothing to fall back to: a policy refusal stays a refusal
+        assert (
+            attacker.plant_a_record(
+                second, strict, "trusted.com", new_c2, reuse_account_zone=True
+            )
+            is None
+        )
+
     def test_account_reused_per_provider(self, env):
         _, provider, _, attacker = env
         first = attacker.account_at(provider)
