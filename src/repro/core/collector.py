@@ -209,9 +209,9 @@ class ResponseCollector:
         #: is emitted as a deterministic ``collect.phase`` event
         self.trace = None
         #: optional :class:`repro.plan.scanplan.ScanPlan` — when set,
-        #: all three collections materialize their task lists from the
-        #: plan's pre-enumerated (and pre-shuffled) units instead of
-        #: generating queries inline; ``build_plan`` reproduces the
+        #: all three collections drive the plan's lazy task views over
+        #: its pre-enumerated (and pre-shuffled) unit columns instead
+        #: of generating queries inline; ``build_plan`` reproduces the
         #: inline enumeration draw for draw, so outputs are identical
         self.plan = None
 
@@ -353,10 +353,10 @@ class ResponseCollector:
         nameservers: Sequence[NameserverTarget],
         domains: Sequence[DomainTarget],
         delegated_to: Dict[Name, Set[str]],
-    ) -> List[QueryTask]:
+    ) -> Sequence[QueryTask]:
         """The UR scan matrix, in the randomized (ethics) query order.
 
-        Task-list order is the deterministic record order both execution
+        Task order is the deterministic record order both execution
         modes share: the batch path drains outcomes in this order, the
         streaming path re-establishes it with a reorder buffer.
         """
@@ -474,7 +474,9 @@ class ResponseCollector:
                         )
             self.rng.shuffle(tasks)
         successes = 0
-        for outcome in self.engine.execute(tasks):
+        # folded as each outcome completes: the profile is a union of
+        # sets, so completion order cannot show
+        for _, outcome in self.engine.execute_iter(tasks):
             response = outcome.response
             if response is None:
                 continue
@@ -523,7 +525,7 @@ class ResponseCollector:
                 for nameserver in nameservers
                 for qtype in self.query_types
             ]
-        for outcome in self.engine.execute(tasks):
+        for _, outcome in self.engine.execute_iter(tasks):
             response = outcome.response
             if response is None:
                 continue

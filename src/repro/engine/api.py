@@ -151,6 +151,12 @@ class QueryEngine(Protocol):
     Engines are interchangeable: the collector hands over the full task
     list (already randomized for ethics) and interprets the outcomes,
     never caring about scheduling, pacing, retries, or failures.
+
+    ``tasks`` is any ``Sequence[QueryTask]`` — a list, or a lazy view
+    such as :class:`repro.plan.scanplan.PlannedTasks` that builds a
+    task when indexed.  A sequence may also offer ``server_ips()``
+    (each position's server, in order, without building tasks); the
+    batched engine shards lanes from it when present.
     """
 
     #: short identifier ("sequential", "batched", ...)

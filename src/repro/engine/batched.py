@@ -1,14 +1,17 @@
 """The batched scan engine: sharded lanes over the virtual clock.
 
 The work matrix is sharded into one **lane per nameserver** (a lane is a
-FIFO of tasks for that server).  ``policy.max_concurrency`` models the
-worker pool of a real scanner: a worker is *held* by a lane awaiting a
-socket timeout or retry backoff, but a lane parked on a pacing token
-costs nothing (a rate-limit timer is free), so a free worker picks up
-the next server instead of idling.  A priority queue keyed by each
-lane's *ready time* decides what to send next, and virtual time only
-advances when every worker is blocked.  That single property is where
-all the throughput comes from: waits overlap instead of summing.
+FIFO of task *positions* for that server; the task itself is read from
+the caller's sequence only when it reaches the head of its lane, so a
+lazy task sequence is never materialized).  ``policy.max_concurrency``
+models the worker pool of a real scanner: a worker is *held* by a lane
+awaiting a socket timeout or retry backoff, but a lane parked on a
+pacing token costs nothing (a rate-limit timer is free), so a free
+worker picks up the next server instead of idling.  A priority queue
+keyed by each lane's *ready time* decides what to send next, and
+virtual time only advances when every worker is blocked.  That single
+property is where all the throughput comes from: waits overlap instead
+of summing.
 
 Fault tolerance on top:
 
@@ -30,6 +33,7 @@ and the overview benchmark.
 from __future__ import annotations
 
 import heapq
+from array import array
 from collections import deque
 from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -49,13 +53,27 @@ _HEDGE_SPENT = 2     # the hedge also failed; normal retry path
 
 
 class _Lane:
-    """The per-server shard: pending tasks plus retry state for the head."""
+    """The per-server shard: pending positions plus retry state for
+    the head."""
 
-    __slots__ = ("server_ip", "queue", "attempts", "hedge", "channel")
+    __slots__ = (
+        "server_ip",
+        "positions",
+        "cursor",
+        "task",
+        "attempts",
+        "hedge",
+        "channel",
+    )
 
     def __init__(self, server_ip: str, channel):
         self.server_ip = server_ip
-        self.queue: Deque[Tuple[int, QueryTask]] = deque()
+        #: positions (in the caller's task sequence) queued for this
+        #: server, in the caller's order; ``cursor`` is the head
+        self.positions = array("I")
+        self.cursor = 0
+        #: the head's task, read from the sequence on first visit
+        self.task: Optional[QueryTask] = None
         #: attempts already sent for the task at the head of the queue
         self.attempts = 0
         #: hedge state for the task at the head of the queue
@@ -63,6 +81,13 @@ class _Lane:
         #: the lane's pinned DNS path — host/fault lookups are resolved
         #: once per topology generation instead of once per query
         self.channel = channel
+
+    def advance(self) -> None:
+        """Drop the completed head; the next position becomes the head."""
+        self.cursor += 1
+        self.task = None
+        self.attempts = 0
+        self.hedge = _HEDGE_NONE
 
 
 class BatchedEngine:
@@ -139,25 +164,29 @@ class BatchedEngine:
             budget.begin(network.now)
 
         # Shard into lanes, preserving the caller's (randomized) order
-        # within each server.
+        # within each server.  Only positions are queued; a planned task
+        # sequence hands over its server column (``server_ips``) so not
+        # one task is built here.
+        server_ips = getattr(tasks, "server_ips", None)
         lanes: Dict[str, _Lane] = {}
-        lane_order: List[_Lane] = []
-        for index, task in enumerate(tasks):
-            lane = lanes.get(task.server_ip)
+        for position, server_ip in enumerate(
+            server_ips()
+            if server_ips is not None
+            else (task.server_ip for task in tasks)
+        ):
+            lane = lanes.get(server_ip)
             if lane is None:
-                lane = lanes[task.server_ip] = _Lane(
-                    task.server_ip,
-                    open_channel(scanner_ip, task.server_ip),
+                lane = lanes[server_ip] = _Lane(
+                    server_ip, open_channel(scanner_ip, server_ip)
                 )
-                lane_order.append(lane)
-            lane.queue.append((index, task))
+            lane.positions.append(position)
 
         # Two scheduler structures: lanes ready to send rotate through a
         # round-robin deque (the fast path — O(1), no timestamps), while
         # lanes waiting out pacing/backoff/timeout sit in a heap keyed by
         # their ready time.  The clock is only ticked when the ready
         # deque is empty: waits overlap instead of summing.
-        unopened = deque(lane_order)
+        unopened = deque(lanes.values())
         ready: Deque[_Lane] = deque()
         for _ in range(min(policy.max_concurrency, len(unopened))):
             ready.append(unopened.popleft())
@@ -191,11 +220,14 @@ class BatchedEngine:
                     # the run budget is spent: everything left will shed,
                     # so waiting out timers would only inflate the clock)
                     network.tick(ready_at - now)
-            if not lane.queue:
+            if lane.cursor == len(lane.positions):
                 if unopened:
                     ready.append(unopened.popleft())
                 continue
-            index, task = lane.queue[0]
+            index = lane.positions[lane.cursor]
+            task = lane.task
+            if task is None:
+                task = lane.task = tasks[index]
             if task.stage != stage_name:
                 stage_name = task.stage
                 counters = self.metrics.stage(stage_name)
@@ -210,7 +242,6 @@ class BatchedEngine:
             if budget is not None:
                 reason = budget.check(now, stage_name)
                 if reason is not None:
-                    lane.queue.popleft()
                     counters.shed += 1
                     resilience.note_shed(reason)
                     if budget.announce(stage_name, reason) and (
@@ -228,8 +259,7 @@ class BatchedEngine:
                         attempts=lane.attempts,
                         completed_at=now,
                     )
-                    lane.attempts = 0
-                    lane.hedge = _HEDGE_NONE
+                    lane.advance()
                     ready.append(lane)
                     continue
 
@@ -257,7 +287,6 @@ class BatchedEngine:
 
             # circuit breaking: skip without touching the wire while open
             if not breaker.allow(server_ip, now):
-                lane.queue.popleft()
                 counters.skipped += 1
                 yield index, QueryOutcome(
                     task=task,
@@ -265,8 +294,7 @@ class BatchedEngine:
                     attempts=lane.attempts,
                     completed_at=now,
                 )
-                lane.attempts = 0
-                lane.hedge = _HEDGE_NONE
+                lane.advance()
                 ready.append(lane)
                 continue
 
@@ -309,9 +337,7 @@ class BatchedEngine:
                     attempts=lane.attempts,
                     completed_at=now,
                 )
-                lane.queue.popleft()
-                lane.attempts = 0
-                lane.hedge = _HEDGE_NONE
+                lane.advance()
                 ready.append(lane)
                 continue
 
@@ -390,9 +416,7 @@ class BatchedEngine:
                     attempts=lane.attempts,
                     completed_at=lane_free_at,
                 )
-                lane.queue.popleft()
-                lane.attempts = 0
-                lane.hedge = _HEDGE_NONE
+                lane.advance()
             else:
                 counters.retries += 1
                 lane_free_at += policy.backoff_delay(lane.attempts)

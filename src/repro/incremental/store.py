@@ -72,18 +72,18 @@ def group_identity(plan: Any, group: Any) -> str:
     scan order — the same structural tuple the plan hash covers — so it
     is invariant under shard count, worker count, engine, execution
     mode, and dict iteration order, and stable across runs of the same
-    plan.
+    plan.  The digest is streamed from the plan's unit columns; its
+    input is byte-for-byte :func:`_digest` of ``{version, server,
+    units: [identity, ...]}`` (keys below are in sorted order).
     """
-    return _digest(
-        {
-            "version": STORE_FORMAT_VERSION,
-            "server": group.server_ip,
-            "units": [
-                plan.ur_units[index].identity()
-                for index in group.unit_indices
-            ],
-        }
+    digest = hashlib.sha256()
+    digest.update(
+        f'{{"server":{json.dumps(group.server_ip)},"units":['.encode()
     )
+    for piece in plan.ur_units.identity_json(group.unit_indices):
+        digest.update(piece.encode("utf-8"))
+    digest.update(f'],"version":{STORE_FORMAT_VERSION}}}'.encode())
+    return digest.hexdigest()
 
 
 def server_fingerprint(network: Any, server_ip: str) -> Optional[Dict[str, Any]]:

@@ -1,20 +1,24 @@
 """Scan-plan IR: stage 1 as an explicit, shardable, hashable plan.
 
 ``build_plan`` turns ``(world targets, HunterConfig)`` into a pure
-:class:`ScanPlan` — every stage-1 query enumerated as a typed
-:class:`QueryUnit`, UR units grouped per nameserver, the whole plan
-content-hashed so checkpoints and traces can prove which scan they
-belong to.  :mod:`repro.plan.shards` executes the plan's groups in
-isolation (locally or resumed from partial checkpoints) and
-:mod:`repro.plan.pool` distributes shards across worker processes.
+:class:`ScanPlan` — every stage-1 query enumerated as a row of a
+:class:`UnitColumns` (read back as a typed :class:`QueryUnit`, or as an
+engine task through the lazy :class:`PlannedTasks`), UR units grouped
+per nameserver, the whole plan content-hashed so checkpoints and traces
+can prove which scan they belong to.  :mod:`repro.plan.shards` executes
+the plan's groups in isolation (locally or resumed from partial
+checkpoints) and :mod:`repro.plan.pool` distributes shards across
+worker processes.
 """
 
 from .scanplan import (
     PLAN_FORMAT_VERSION,
     NameserverGroup,
+    PlannedTasks,
     QueryUnit,
     ScanPlan,
     Shard,
+    UnitColumns,
     build_plan,
 )
 from .shards import (
@@ -31,9 +35,11 @@ from .shards import (
 __all__ = [
     "PLAN_FORMAT_VERSION",
     "NameserverGroup",
+    "PlannedTasks",
     "QueryUnit",
     "ScanPlan",
     "Shard",
+    "UnitColumns",
     "build_plan",
     "CRASH_SHARD_ENV",
     "GroupResult",

@@ -71,23 +71,6 @@ def _replica(spec: WorldSpec, config) -> Any:
     return hunter
 
 
-def _executed_plan(hunter):
-    """The plan the worker will execute (pdns expansion included)."""
-    from .scanplan import build_plan
-
-    notes: List[str] = []
-    domains = hunter._expanded_domains(notes)
-    if domains == hunter.domains:
-        return hunter.plan
-    return build_plan(
-        hunter.nameservers,
-        domains,
-        hunter.delegated_to,
-        hunter.open_resolver_ips,
-        hunter.config,
-    )
-
-
 def _run_shard(
     spec: WorldSpec,
     config,
@@ -106,7 +89,8 @@ def _run_shard(
     from .shards import encode_group_result, run_group_isolated
 
     hunter = _replica(spec, config)
-    plan = _executed_plan(hunter)
+    # the plan stage 1 executes (pdns expansion included)
+    plan = hunter._executed_plan(hunter._expanded_domains([]))
     if plan.plan_hash != plan_hash:
         raise RuntimeError(
             "shard worker world diverged from the parent: plan hash "

@@ -165,9 +165,13 @@ def execute_group(
     """
     engine = _group_engine(network, config)
     start = network.now
-    tasks = [plan.ur_units[index].to_task() for index in group.unit_indices]
     reduced = sorted(
-        reduce_outcomes(engine, tasks, group.unit_indices, extract_urs),
+        reduce_outcomes(
+            engine,
+            plan.tasks("ur", group.unit_indices),
+            group.unit_indices,
+            extract_urs,
+        ),
         key=attrgetter("index"),
     )
     resilience = getattr(engine, "resilience", None)

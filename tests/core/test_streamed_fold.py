@@ -7,15 +7,24 @@ task order from the index.  The list-based folds are kept here, verbatim,
 as the reference: same URs in the same order, same wire counters, same
 clock and engine ledger — on a clean network, under 5 % loss, and with
 servers whose circuit opens.
+
+The two preamble folds (protective fingerprints, correct-record
+profiles) stream the same way; their list forms are kept here too and
+must leave the stage-1 checkpoint byte-identical.
 """
 
+import json
 import random
+import types
 
 import pytest
 
 from repro.core import HunterConfig, URHunter
-from repro.core.collector import CollectionResult
+from repro.core.collector import CollectionResult, ProtectiveFingerprint
 from repro.core.records import dedupe_urs
+from repro.dns.message import Rcode
+from repro.dns.rdata import A, MX, TXT, RRType
+from repro.pipeline.checkpoint import encode_stage1
 from repro.plan import shards
 from repro.plan.shards import (
     GroupResult,
@@ -78,7 +87,7 @@ def _list_execute_group(network, config, plan, group, extract_urs):
     """``execute_group`` as it was before streaming."""
     engine = shards._group_engine(network, config)
     start = network.now
-    tasks = [plan.ur_units[index].to_task() for index in group.unit_indices]
+    tasks = list(plan.tasks("ur", group.unit_indices))
     outcomes = engine.execute(tasks)
     reduced = [
         ReducedOutcome(
@@ -185,3 +194,75 @@ def test_execute_group_equals_the_list_fold(prepare):
         skipped += streamed.metrics.stage("ur").skipped
     if prepare is _circuit_open:
         assert skipped > 0
+
+
+def _list_collect_protective(collector, nameservers, probe_domain=None):
+    """``collect_protective_records`` as it was before streaming."""
+    fingerprints = {
+        nameserver.address: ProtectiveFingerprint(
+            nameserver_ip=nameserver.address
+        )
+        for nameserver in nameservers
+    }
+    tasks = collector.plan.tasks("protective")
+    for outcome in collector.engine.execute(tasks):
+        response = outcome.response
+        if response is None:
+            continue
+        if response.header.rcode != Rcode.NOERROR:
+            continue
+        fingerprint = fingerprints[outcome.task.server_ip]
+        for answer in response.answers:
+            if isinstance(answer.rdata, A):
+                fingerprint.records.add((RRType.A, answer.rdata.address))
+            elif isinstance(answer.rdata, TXT):
+                fingerprint.records.add((RRType.TXT, answer.rdata.value))
+    return fingerprints
+
+
+def _list_collect_correct(collector, domains, open_resolver_ips, correct_db):
+    """``collect_correct_records`` as it was before streaming."""
+    tasks = collector.plan.tasks("correct")
+    successes = 0
+    for outcome in collector.engine.execute(tasks):
+        response = outcome.response
+        if response is None:
+            continue
+        if response.header.rcode != Rcode.NOERROR:
+            continue
+        successes += 1
+        domain = outcome.task.qname
+        for answer in response.answers:
+            if isinstance(answer.rdata, A):
+                correct_db.observe_a(domain, answer.rdata.address)
+            elif isinstance(answer.rdata, TXT):
+                correct_db.observe_txt(domain, answer.rdata.value)
+            elif isinstance(answer.rdata, MX):
+                correct_db.observe_mx(domain, answer.rdata.to_text())
+    return successes
+
+
+@pytest.mark.parametrize("prepare", INPUTS[:2])
+def test_preamble_folds_leave_the_stage1_checkpoint_unchanged(prepare):
+    streamed_hunter = _hunter(prepare)
+    listed_hunter = _hunter(prepare)
+    collector = listed_hunter.collector
+    collector.collect_protective_records = types.MethodType(
+        _list_collect_protective, collector
+    )
+    collector.collect_correct_records = types.MethodType(
+        _list_collect_correct, collector
+    )
+    streamed = streamed_hunter.stage1_collect()
+    listed = listed_hunter.stage1_collect()
+    assert streamed.collection.correct_successes > 0
+    assert (
+        streamed.collection.correct_successes
+        == listed.collection.correct_successes
+    )
+    assert json.dumps(encode_stage1(streamed)) == json.dumps(
+        encode_stage1(listed)
+    )
+    assert streamed_hunter.network.now == listed_hunter.network.now
+    if prepare is _lossy:
+        assert streamed_hunter.engine.metrics.stage("correct").retries > 0
