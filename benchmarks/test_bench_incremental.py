@@ -29,7 +29,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.core import HunterConfig, URHunter
+from repro.core import URHunter
 from repro.dns.rdata import RRType
 from repro.incremental import GroupResultStore, PlanDiffer, server_fingerprint
 from repro.plan.shards import run_group_isolated
@@ -47,8 +47,6 @@ DIRTY_FRACTION = 0.10
 #: minimum simulated-clock speedup at the largest size (CI gate)
 SPEEDUP_FLOOR = 3.0
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_incremental.json"
-
-CONFIG = HunterConfig(shards=1)
 
 
 def _mutate(world, server_ips, count):
@@ -87,16 +85,9 @@ def _group_costs(hunter):
     """Virtual elapsed per nameserver group, keyed by group index."""
     plan = hunter.plan
     epoch = hunter.network.now
-    base_seed = getattr(hunter.network, "fault_seed", 0)
     return {
         group.index: run_group_isolated(
-            hunter.network,
-            hunter.config,
-            plan,
-            group,
-            hunter.collector.urs_from_outcome,
-            epoch,
-            base_seed,
+            hunter, plan, group, epoch, epoch
         ).elapsed
         for group in plan.groups
     }
@@ -139,7 +130,7 @@ def test_incremental_warm_rescan_speedup():
 
             # populate: a cold scan that fills the store
             world = build_world(factory())
-            hunter = URHunter.from_world(world, CONFIG)
+            hunter = URHunter.from_world(world)
             hunter.result_store = GroupResultStore(store_dir)
             start = time.perf_counter()
             hunter.stage1_collect()
@@ -151,7 +142,7 @@ def test_incremental_warm_rescan_speedup():
             # populated store; the execute-set's virtual cost is what a
             # warm re-scan actually pays
             world = build_world(factory())
-            hunter = URHunter.from_world(world, CONFIG)
+            hunter = URHunter.from_world(world)
             _mutate(world, cacheable, dirty)
             diff_store = GroupResultStore(store_dir)
             diff = PlanDiffer(diff_store).partition(
@@ -177,7 +168,7 @@ def test_incremental_warm_rescan_speedup():
             # identically mutated world (the partition above consumed
             # nothing: store slots only refresh when a run executes)
             world = build_world(factory())
-            warm_hunter = URHunter.from_world(world, CONFIG)
+            warm_hunter = URHunter.from_world(world)
             _mutate(world, cacheable, dirty)
             warm_store = GroupResultStore(store_dir)
             warm_hunter.result_store = warm_store
@@ -193,12 +184,12 @@ def test_incremental_warm_rescan_speedup():
                 # byte-identity spot check: a fresh warm full run must
                 # match a cold scan of the same mutated world
                 check_world = build_world(factory())
-                check_hunter = URHunter.from_world(check_world, CONFIG)
+                check_hunter = URHunter.from_world(check_world)
                 _mutate(check_world, cacheable, dirty)
                 check_hunter.result_store = GroupResultStore(store_dir)
                 warm_summary = check_hunter.run().summary()
                 cold_world = build_world(factory())
-                cold_hunter = URHunter.from_world(cold_world, CONFIG)
+                cold_hunter = URHunter.from_world(cold_world)
                 _mutate(cold_world, cacheable, dirty)
                 assert warm_summary == cold_hunter.run().summary()
 

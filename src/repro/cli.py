@@ -32,16 +32,17 @@ the loss ledger), ``--hedge-delay`` turns the first retry into a fast
 hedge, ``--aimd`` adapts send rate to timeout signals, and
 ``--chaos-script`` applies a declarative fault scenario before the run.
 
-Sharding options: ``--shards N`` partitions the stage-1 UR scan into N
-isolated shards (byte-identical report), ``--shard-workers K`` executes
-them across K worker processes.
+Sharding options: ``--shards N`` partitions the stage-1 UR scan's
+nameserver groups into N shards (byte-identical report for every N;
+omit for one shard), ``--shard-workers K`` executes them across K
+worker processes.
 
 Incremental options: ``--result-store DIR`` persists each nameserver
 group's merged stage-1 outcome content-addressed by its query units,
 zone serials, provider policy, and scan-shaping config; later runs
 replay unchanged groups from the store (byte-identical report) and
-re-execute only the dirty ones.  ``--no-incremental`` keeps the store
-untouched for one run; chaos/faulted runs bypass it automatically.
+re-execute only the dirty ones; chaos/faulted runs bypass it
+automatically.
 
 Observability options: ``--trace-out PATH`` streams the run's event bus
 (:mod:`repro.obs`) to a JSONL file, ``--metrics-out PATH`` writes the
@@ -261,9 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "partition the UR scan's nameserver groups into N isolated "
-            "shards; the merged report is byte-identical to an "
-            "unsharded run (omit for the legacy in-line scan)"
+            "partition the UR scan's nameserver groups into N shards — "
+            "the unit of partial checkpoints and of --shard-workers; "
+            "the report is byte-identical for every N (omit for one "
+            "shard)"
         ),
     )
     sharding.add_argument(
@@ -273,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K",
         help=(
             "execute shards across K worker processes (default 1: all "
-            "shards run in this process; needs --shards)"
+            "shards run in this process; at most one worker per shard)"
         ),
     )
     incremental = parser.add_argument_group(
@@ -288,16 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
             "replay unchanged groups on later runs (warm re-scan; the "
             "report stays byte-identical to a cold run; chaos/faulted "
             "runs bypass the store automatically)"
-        ),
-    )
-    incremental.add_argument(
-        "--incremental",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help=(
-            "replay stored group outcomes when --result-store is set "
-            "(default: on; --no-incremental executes every group and "
-            "leaves the store untouched)"
         ),
     )
     planning = parser.add_argument_group(
@@ -512,9 +504,8 @@ def _hunter_config(args: argparse.Namespace) -> HunterConfig:
         aimd=args.aimd,
         scan_cache=not args.no_scan_cache,
         capture_mode=args.capture_mode,
-        shards=args.shards or 0,
+        shards=args.shards or 1,
         shard_workers=args.shard_workers or 1,
-        incremental=args.incremental,
     )
     if args.mx:
         config.query_types = (RRType.A, RRType.TXT, RRType.MX)
@@ -607,8 +598,8 @@ def _write_metrics(
         execution=args.execution,
         stage2_workers=args.stage2_workers,
         channel_depth=args.channel_depth,
-        shards=args.shards or 0,
-        shard_workers=args.shard_workers or 1,
+        shards=hunter.config.shards,
+        shard_workers=hunter.config.shard_workers,
         flow_metrics=(
             flow_stats.to_metrics() if flow_stats is not None else None
         ),
@@ -650,7 +641,7 @@ def _plan_command(
     if args.plan_json:
         print(json.dumps(summary, indent=2, sort_keys=True))
         return EXIT_OK
-    print(hunter.plan.summary(shards=hunter.config.shards or 1))
+    print(hunter.plan.summary(shards=hunter.config.shards))
     if args.result_store:
         differ = PlanDiffer(GroupResultStore(args.result_store))
         providers = {
@@ -805,7 +796,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"# chaos: {script.name} ({installed} fault bindings)"
         )
 
-    if hunter_config.shards > 0 and hunter_config.shard_workers > 1:
+    if hunter_config.shard_workers > 1:
         # hand the shard pool a picklable recipe to rebuild this exact
         # world (scenario + loss faults + chaos) in worker processes
         from .plan.pool import WorldSpec

@@ -12,49 +12,37 @@ Three collections feed the pipeline:
    nowhere) is queried at every target nameserver; whatever comes back is
    that server's protective-record fingerprint.
 
-The collector only *builds* the query matrix and *interprets* responses;
-scheduling, pacing, retries, and failure accounting are delegated to a
-:class:`~repro.engine.api.QueryEngine` (see :mod:`repro.engine`), so a
-naive sequential scanner and the batched sharded scanner are
-interchangeable.
-
-Ethics controls from Appendix A are implemented: queries are issued in a
-randomized order and rate-limited per server against the virtual clock.
+The collector only *interprets* responses.  The query matrix — which
+queries, in which randomized (ethics, Appendix A) order — is a
+:class:`~repro.plan.scanplan.ScanPlan` every collection takes as input;
+scheduling, per-server pacing, retries, and failure accounting belong to
+a :class:`~repro.engine.api.QueryEngine` (see :mod:`repro.engine`); and
+the UR scan itself is executed by the plan's group runner
+(:func:`repro.plan.shards.run_shard_scan`), which the hunter hands to
+:meth:`ResponseCollector.collect_urs`.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..dns.message import Message, Rcode
-from ..dns.name import Name, name
+from ..dns.name import Name
 from ..dns.rdata import A, MX, TXT, RRType
 from ..engine import (
     DEFAULT_ENGINE,
     EnginePolicy,
     QueryEngine,
     QueryOutcome,
-    QueryTask,
     ScanMetrics,
     create_engine,
 )
 from ..net.network import NetworkError, SimulatedInternet
 from ..obs.events import STAGE1 as OBS_STAGE1
 from ..pipeline.errors import StageFailed
-from ..plan.shards import ReducedOutcome, reduce_outcomes
+from ..plan.scanplan import ScanPlan
+from ..plan.shards import ScanFold
 from .correctness import CorrectRecordDatabase
 from .records import UndelegatedRecord, dedupe_urs
 
@@ -118,10 +106,10 @@ class ProtectiveFingerprint:
 class CollectionResult:
     """Everything stage 1 produced.
 
-    Returned by :meth:`ResponseCollector.collect_urs` (UR fields and
-    counters populated) and :meth:`ResponseCollector.collect_all`
-    (protective fingerprints, the correct-record database, and the scan
-    metrics folded in as well).
+    Returned by :meth:`ResponseCollector.collect_urs`: the unique URs
+    and wire counters of the scan, with the preamble's protective
+    fingerprints and correct-record database and the engine's scan
+    metrics folded in.
     """
 
     undelegated: List[UndelegatedRecord] = field(default_factory=list)
@@ -132,7 +120,7 @@ class CollectionResult:
     responses_seen: int = 0
     queries_sent: int = 0
     timeouts: int = 0
-    #: successful responses folded into ``correct_db`` by collect_all
+    #: successful responses folded into ``correct_db`` by the preamble
     correct_successes: int = 0
     #: engine observability for the whole collection run
     metrics: Optional[ScanMetrics] = None
@@ -149,9 +137,9 @@ class CollectionPreamble:
     """Stage 1's eager prefix: everything the UR scan does not produce.
 
     Protective fingerprints and correct-record profiles are whole-corpus
-    inputs to classification, so they are collected up front in both
-    execution modes; the UR scan (batched or streamed) then completes
-    the :class:`CollectionResult` via :meth:`fold_into`.
+    inputs to classification, so they are collected up front; the UR
+    scan then completes the :class:`CollectionResult` via
+    :meth:`fold_into`.
     """
 
     protective: Dict[str, ProtectiveFingerprint]
@@ -175,13 +163,12 @@ DEFAULT_QUERY_TYPES = (RRType.A, RRType.TXT)
 
 
 class ResponseCollector:
-    """Builds the stage-1 query matrix and interprets the responses."""
+    """Drives a scan plan's collections and interprets the responses."""
 
     def __init__(
         self,
         network: SimulatedInternet,
         scanner_ip: str = "203.0.113.53",
-        rng: Optional[random.Random] = None,
         per_server_interval: float = 0.0,
         query_types: Sequence[int] = DEFAULT_QUERY_TYPES,
         engine: Optional[QueryEngine] = None,
@@ -190,7 +177,6 @@ class ResponseCollector:
     ):
         self.network = network
         self.scanner_ip = scanner_ip
-        self.rng = rng or random.Random(1)
         #: seconds of virtual time between queries to the same server
         #: (the paper averaged one query per server per 130 s)
         self.per_server_interval = per_server_interval
@@ -208,21 +194,13 @@ class ResponseCollector:
         #: optional repro.obs.RunTrace — each completed collection phase
         #: is emitted as a deterministic ``collect.phase`` event
         self.trace = None
-        #: optional :class:`repro.plan.scanplan.ScanPlan` — when set,
-        #: all three collections drive the plan's lazy task views over
-        #: its pre-enumerated (and pre-shuffled) unit columns instead
-        #: of generating queries inline; ``build_plan`` reproduces the
-        #: inline enumeration draw for draw, so outputs are identical
-        self.plan = None
 
     def emit_phase(self, phase: str) -> None:
         """Emit the completion event of one collection phase.
 
         Emitted *here* (not by the hunter after the fact) so breaker
-        trips raised mid-phase interleave identically with the phase
-        markers in both execution modes.  The counters come from the
-        engine's per-phase ledger, which both modes accumulate in the
-        same engine-schedule order.
+        trips raised mid-phase land before their phase marker.  The
+        counters come from the engine's per-phase ledger.
         """
         if self.trace is None:
             return
@@ -241,68 +219,26 @@ class ResponseCollector:
             "collect.phase", stage=OBS_STAGE1, phase=phase, **fields
         )
 
-    # -- the whole of stage 1 ---------------------------------------------
-
-    def collect_all(
-        self,
-        nameservers: Sequence[NameserverTarget],
-        domains: Sequence[DomainTarget],
-        delegated_to: Dict[Name, Set[str]],
-        open_resolver_ips: Sequence[str],
-        correct_db: CorrectRecordDatabase,
-        probe_domain: Union[str, Name] = "urhunter-probe-owned.net",
-    ) -> CollectionResult:
-        """Run all three stage-1 collections through the engine.
-
-        Order matches the paper's §4.1 narrative (protective → correct →
-        UR scan); the engine keeps one metrics object across the three
-        so the report sees the full scan accounting.
-        """
-        preamble = self.collect_preamble(
-            nameservers,
-            domains,
-            open_resolver_ips,
-            correct_db,
-            probe_domain=probe_domain,
-        )
-        result = self._guarded(
-            "ur", self.collect_urs, nameservers, domains, delegated_to
-        )
-        self.emit_phase("ur")
-        preamble.fold_into(result)
-        result.metrics = self.engine.metrics
-        return result
+    # -- the eager prefix ---------------------------------------------------
 
     def collect_preamble(
-        self,
-        nameservers: Sequence[NameserverTarget],
-        domains: Sequence[DomainTarget],
-        open_resolver_ips: Sequence[str],
-        correct_db: CorrectRecordDatabase,
-        probe_domain: Union[str, Name] = "urhunter-probe-owned.net",
+        self, plan: ScanPlan, correct_db: CorrectRecordDatabase
     ) -> "CollectionPreamble":
-        """The batch prefix of stage 1: protective + correct collections.
+        """The prefix of stage 1: protective + correct collections, in
+        the paper's §4.1 order.
 
-        Both execution modes run this eagerly — protective fingerprints
-        and correct-record profiles must be complete before the first UR
-        can be classified.  Resets the engine metrics, so the UR scan
-        that follows (eager or streamed) accumulates into the same
-        ledger.
+        Protective fingerprints and correct-record profiles must be
+        complete before the first UR can be classified.  Resets the
+        engine metrics, so the UR scan that follows accumulates into
+        the same ledger.
         """
         self.engine.metrics = ScanMetrics()
         protective = self._guarded(
-            "protective",
-            self.collect_protective_records,
-            nameservers,
-            probe_domain,
+            "protective", self.collect_protective_records, plan
         )
         self.emit_phase("protective")
         successes = self._guarded(
-            "correct",
-            self.collect_correct_records,
-            domains,
-            open_resolver_ips,
-            correct_db,
+            "correct", self.collect_correct_records, plan, correct_db
         )
         self.emit_phase("correct")
         return CollectionPreamble(
@@ -331,56 +267,28 @@ class ResponseCollector:
     # -- undelegated records ----------------------------------------------
 
     def collect_urs(
-        self,
-        nameservers: Sequence[NameserverTarget],
-        domains: Sequence[DomainTarget],
-        delegated_to: Dict[Name, Set[str]],
+        self, scan: Callable[[], ScanFold], preamble: CollectionPreamble
     ) -> CollectionResult:
-        """Query every nameserver for every non-delegated domain.
+        """The UR phase: every nameserver queried for every domain not
+        exactly delegated to it, completing the stage-1 result.
 
-        ``delegated_to`` maps each domain to the nameserver addresses it
-        is genuinely delegated to; those pairs are skipped ("excludes the
-        domains exactly delegated to the nameserver").
-
-        Returns a :class:`CollectionResult` with the unique URs and the
-        wire counters.
+        ``scan`` is the plan's group runner bound to its run
+        (:func:`repro.plan.shards.run_shard_scan`); it merges the
+        groups' accounting into this collector's engine ledger, so a
+        scan that dies mid-group raises :class:`CollectionFailure`
+        carrying the ledger up to the last completed group.
         """
-        tasks = self.build_ur_tasks(nameservers, domains, delegated_to)
-        return fold_reduced(self.iter_reduced_urs(tasks))
-
-    def build_ur_tasks(
-        self,
-        nameservers: Sequence[NameserverTarget],
-        domains: Sequence[DomainTarget],
-        delegated_to: Dict[Name, Set[str]],
-    ) -> Sequence[QueryTask]:
-        """The UR scan matrix, in the randomized (ethics) query order.
-
-        Task order is the deterministic record order both execution
-        modes share: the batch path drains outcomes in this order, the
-        streaming path re-establishes it with a reorder buffer.
-        """
-        if self.plan is not None:
-            return self.plan.tasks("ur")
-        tasks: List[QueryTask] = []
-        for nameserver in nameservers:
-            for target in domains:
-                if nameserver.address in delegated_to.get(
-                    target.domain, set()
-                ):
-                    continue
-                for qtype in self.query_types:
-                    tasks.append(
-                        QueryTask(
-                            server_ip=nameserver.address,
-                            qname=target.domain,
-                            qtype=qtype,
-                            stage="ur",
-                            tag=nameserver,
-                        )
-                    )
-        self.rng.shuffle(tasks)  # ethics: randomized query order
-        return tasks
+        fold = self._guarded("ur", scan)
+        self.emit_phase("ur")
+        result = CollectionResult(
+            undelegated=dedupe_urs(fold.records()),
+            queries_sent=fold.attempts,
+            responses_seen=fold.responses,
+            # every sent attempt either produced the answer or timed out
+            timeouts=fold.attempts - fold.responses,
+            metrics=self.engine.metrics,
+        )
+        return preamble.fold_into(result)
 
     def urs_from_outcome(
         self, outcome: QueryOutcome
@@ -394,23 +302,6 @@ class ResponseCollector:
         nameserver = outcome.task.tag
         assert isinstance(nameserver, NameserverTarget)
         return self._extract_urs(nameserver, outcome.task.qname, response)
-
-    def iter_reduced_urs(
-        self, tasks: Sequence[QueryTask]
-    ) -> Iterator[ReducedOutcome]:
-        """Stream the UR scan: one :class:`ReducedOutcome` per task
-        (``index`` is the task's position), in completion order,
-        wrapping engine errors in :class:`CollectionFailure` so the
-        streaming path reports partial metrics exactly as the batch
-        path does."""
-        try:
-            yield from reduce_outcomes(
-                self.engine, tasks, range(len(tasks)), self.urs_from_outcome
-            )
-        except Exception as error:
-            raise CollectionFailure(
-                "ur", error, self.engine.metrics
-            ) from error
 
     def _extract_urs(
         self,
@@ -444,10 +335,7 @@ class ResponseCollector:
     # -- correct records -----------------------------------------------------
 
     def collect_correct_records(
-        self,
-        domains: Sequence[DomainTarget],
-        open_resolver_ips: Sequence[str],
-        correct_db: CorrectRecordDatabase,
+        self, plan: ScanPlan, correct_db: CorrectRecordDatabase
     ) -> int:
         """Resolve each domain's A and TXT through every open resolver.
 
@@ -455,28 +343,10 @@ class ResponseCollector:
         database.  Manipulated resolvers contribute noise — exactly the
         imperfection the paper's vantage-point selection tolerates.
         """
-        if self.plan is not None:
-            tasks = self.plan.tasks("correct")
-        else:
-            tasks = []
-            for resolver_ip in open_resolver_ips:
-                for target in domains:
-                    for qtype in self.query_types:
-                        tasks.append(
-                            QueryTask(
-                                server_ip=resolver_ip,
-                                qname=target.domain,
-                                qtype=qtype,
-                                stage="correct",
-                                recursion_desired=True,
-                                tag=target,
-                            )
-                        )
-            self.rng.shuffle(tasks)
         successes = 0
         # folded as each outcome completes: the profile is a union of
         # sets, so completion order cannot show
-        for _, outcome in self.engine.execute_iter(tasks):
+        for _, outcome in self.engine.execute_iter(plan.tasks("correct")):
             response = outcome.response
             if response is None:
                 continue
@@ -496,36 +366,18 @@ class ResponseCollector:
     # -- protective records ------------------------------------------------------
 
     def collect_protective_records(
-        self,
-        nameservers: Sequence[NameserverTarget],
-        probe_domain: Union[str, Name] = "urhunter-probe-owned.net",
+        self, plan: ScanPlan
     ) -> Dict[str, ProtectiveFingerprint]:
         """Learn each nameserver's protective-record fingerprint.
 
-        The probe domain is ours and hosted nowhere, so any answer a
-        server gives for it is synthesized protective data.
+        The plan's probe domain is ours and hosted nowhere, so any
+        answer a server gives for it is synthesized protective data.
         """
-        probe_domain = name(probe_domain)
         fingerprints: Dict[str, ProtectiveFingerprint] = {
-            nameserver.address: ProtectiveFingerprint(
-                nameserver_ip=nameserver.address
-            )
-            for nameserver in nameservers
+            address: ProtectiveFingerprint(nameserver_ip=address)
+            for address in plan.protective_units.servers
         }
-        if self.plan is not None:
-            tasks = self.plan.tasks("protective")
-        else:
-            tasks = [
-                QueryTask(
-                    server_ip=nameserver.address,
-                    qname=probe_domain,
-                    qtype=qtype,
-                    stage="protective",
-                )
-                for nameserver in nameservers
-                for qtype in self.query_types
-            ]
-        for _, outcome in self.engine.execute_iter(tasks):
+        for _, outcome in self.engine.execute_iter(plan.tasks("protective")):
             response = outcome.response
             if response is None:
                 continue
@@ -556,31 +408,6 @@ class ResponseCollector:
             )
         except NetworkError:
             return None
-
-
-def fold_reduced(outcomes: Iterable[ReducedOutcome]) -> CollectionResult:
-    """Fold a UR scan's reduced outcomes, taken in any order, into the
-    unique URs (in task order) and the wire counters; only outcomes
-    that carry URs are held on to until the end."""
-    attempts = 0
-    responses = 0
-    carrying: List[ReducedOutcome] = []
-    for outcome in outcomes:
-        attempts += outcome.attempts
-        if outcome.answered:
-            responses += 1
-        if outcome.urs:
-            carrying.append(outcome)
-    carrying.sort(key=attrgetter("index"))
-    return CollectionResult(
-        undelegated=dedupe_urs(
-            [record for outcome in carrying for record in outcome.urs]
-        ),
-        queries_sent=attempts,
-        responses_seen=responses,
-        # every sent attempt either produced the answer or timed out
-        timeouts=attempts - responses,
-    )
 
 
 def select_target_nameservers(

@@ -16,7 +16,6 @@ Run :meth:`URHunter.run` to get a :class:`~repro.core.report.MeasurementReport`.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import (
     ClassVar,
@@ -59,7 +58,6 @@ from .collector import (
     DomainTarget,
     NameserverTarget,
     ResponseCollector,
-    fold_reduced,
 )
 from .correctness import (
     ALL_CONDITIONS,
@@ -208,20 +206,15 @@ class HunterConfig:
     #: "sampled" every Nth per protocol, "off" only counts (sandbox
     #: detonation happens at world build and always captures in full)
     capture_mode: str = "full"
-    #: shard-mode stage 1: partition the UR scan's nameserver groups
-    #: into this many shards, each executed in clock/RNG isolation and
-    #: merged back into one byte-identical report (0 = legacy in-line
-    #: scan; see repro.plan)
-    shards: int = 0
+    #: partition the UR scan's nameserver groups into this many shards
+    #: (the unit of partial checkpoints and of pooled execution); every
+    #: group runs in clock/RNG isolation whatever the count, so the
+    #: report is byte-identical across counts (see repro.plan)
+    shards: int = 1
     #: worker processes executing shards concurrently (1 = run every
     #: shard in this process; >1 needs a picklable world recipe, which
     #: the CLI provides)
     shard_workers: int = 1
-    #: replay unchanged nameserver groups from an attached
-    #: :class:`~repro.incremental.GroupResultStore` instead of
-    #: re-querying them (no-op without a store; the warm report is
-    #: byte-identical to a cold full scan — see repro.incremental)
-    incremental: bool = True
 
     #: knobs that do not change *what* the pipeline computes, only how
     #: fast — excluded from the checkpoint fingerprint so a run may be
@@ -237,7 +230,6 @@ class HunterConfig:
             "capture_mode",
             "shards",
             "shard_workers",
-            "incremental",
         }
     )
 
@@ -305,8 +297,8 @@ class HunterConfig:
                 f"unknown capture_mode {self.capture_mode!r} "
                 "(known: full, sampled, off)"
             )
-        if self.shards < 0:
-            raise ValueError(f"shards must be >= 0, got {self.shards}")
+        if self.shards < 1:
+            raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.shard_workers < 1:
             raise ValueError(
                 f"shard_workers must be >= 1, got {self.shard_workers}"
@@ -421,7 +413,6 @@ class URHunter:
         self.collector = ResponseCollector(
             network,
             scanner_ip=self.config.scanner_ip,
-            rng=random.Random(self.config.seed),
             per_server_interval=self.config.per_server_interval,
             query_types=self.config.query_types,
             engine=self.engine,
@@ -443,7 +434,7 @@ class URHunter:
         #: pooled execution off and shards run in this process)
         self.world_spec = None
         #: checkpoint store granting per-shard partial persistence
-        #: (set by the pipeline runner when sharding is on)
+        #: (set by the pipeline runner when there is more than one shard)
         self.shard_store = None
         #: incremental group result store (set by the CLI's
         #: ``--result-store`` or a longitudinal study); groups whose
@@ -547,10 +538,9 @@ class URHunter:
     def _plan_built(self, plan: ScanPlan) -> None:
         """Emit the deterministic ``plan.built`` event.
 
-        Emitted in every run — sharded or not — so the deterministic
-        trace section stays byte-identical across ``--shards`` values.
-        (The shard count itself is deliberately absent: it is a
-        performance knob, like worker counts.)
+        The shard count is deliberately absent: it is a performance
+        knob, like worker counts, and the deterministic trace section
+        is byte-identical across ``--shards`` values.
         """
         counts = plan.unit_counts()
         self._emit(
@@ -564,13 +554,18 @@ class URHunter:
         )
 
     def stage1_collect(self) -> Stage1Result:
-        """Stage 1: all three collections through the scan engine.
+        """Stage 1: the protective and correct collections through the
+        scan engine, then the UR scan through the plan's group runner.
+
+        The protective and correct collections are whole-corpus inputs
+        to classification, so they run once, eagerly; the UR scan is
+        :func:`repro.plan.shards.run_shard_scan` — the only executor,
+        in both execution modes and for every shard count.
 
         ``now`` is the collection's *classification epoch* — the virtual
         time pinned after the protective + correct collections, before
-        the UR scan.  Both execution modes classify against this clock
-        (streaming classifies records while the scan is still running),
-        so it is the value checkpoints carry.
+        the UR scan (every group's clock starts there), so it is the
+        value checkpoints carry.
         """
         self._emit(
             "stage.start",
@@ -579,22 +574,16 @@ class URHunter:
             domains=len(self.domains),
         )
         notes: List[str] = []
-        domains = self._expanded_domains(notes)
-        plan = self._executed_plan(domains)
+        plan = self._executed_plan(self._expanded_domains(notes))
         self._plan_built(plan)
-        self.collector.plan = plan
         correct_db = CorrectRecordDatabase(self.ipinfo)
-        if self.config.shards > 0 or self._incremental_ready():
-            collection = self._collect_sharded(domains, correct_db, plan)
-        else:
-            collection = self.collector.collect_all(
-                self.nameservers,
-                domains,
-                self.delegated_to,
-                self.open_resolver_ips,
-                correct_db,
-                probe_domain=self.config.probe_domain,
-            )
+        preamble = self.collector.collect_preamble(plan, correct_db)
+        collection = self.collector.collect_urs(
+            lambda: run_shard_scan(
+                self, plan, preamble.classification_epoch
+            ),
+            preamble,
+        )
         self.correct_db = correct_db
         self._emit("stage.end", stage=OBS_STAGE1, **_stage1_end(collection))
         return Stage1Result(
@@ -602,52 +591,6 @@ class URHunter:
             now=collection.classification_epoch,
             notes=tuple(notes),
         )
-
-    def _incremental_ready(self) -> bool:
-        """Whether the incremental group path should run at ``shards=0``.
-
-        True only when a result store is attached, the knob is on, and
-        the run is cacheable.  Faulted or chaos-scripted runs stay on
-        the legacy in-line path (byte-identical to pre-store behaviour);
-        the shard runner re-checks cacheability and bypasses the store
-        itself when ``--shards`` forced it onto the group path anyway.
-        """
-        if self.result_store is None or not self.config.incremental:
-            return False
-        from ..incremental import run_cacheable
-
-        return run_cacheable(self)[0]
-
-    def _collect_sharded(
-        self,
-        domains: Sequence[DomainTarget],
-        correct_db: CorrectRecordDatabase,
-        plan: ScanPlan,
-    ) -> CollectionResult:
-        """Shard-mode stage 1: eager preamble, then the shard runner.
-
-        The protective and correct collections are whole-corpus inputs
-        shared by every shard, so they run once in the parent (exactly
-        as the streaming mode's preamble does); the UR scan is then
-        executed group by group through :func:`repro.plan.shards`.
-        """
-        preamble = self.collector.collect_preamble(
-            self.nameservers,
-            domains,
-            self.open_resolver_ips,
-            correct_db,
-            probe_domain=self.config.probe_domain,
-        )
-        outcomes = run_shard_scan(
-            self, plan, preamble.classification_epoch
-        )
-        # same emission point as the in-line path: the UR phase counters
-        # were merged into the parent engine ledger by the shard runner
-        self.collector.emit_phase("ur")
-        result = fold_reduced(outcomes)
-        preamble.fold_into(result)
-        result.metrics = self.engine.metrics
-        return result
 
     def stage2_exclude(
         self, stage1: Stage1Result, validate: bool = True
@@ -835,15 +778,15 @@ class URHunter:
         resume_entries: Sequence[ClassifiedUR] = (),
         segment_start: int = 0,
     ) -> Tuple[Stage1Result, Stage2Result, Stage3Result]:
-        """Run all three stages as one record-level streaming dataflow.
+        """Run stage 1, then stages 2 and 3 as one record-level dataflow.
 
-        The collector, exclusion, and analysis stages become nodes of a
-        :class:`repro.flow.FlowGraph` connected by bounded channels of
-        ``config.channel_depth``; a record is classified while the scan
-        is still running, and only the final report (plus the stage-2
-        ledger the checkpoints need) is materialised.  Output is
-        byte-identical to the batch stages for any channel depth, worker
-        count, and fault schedule.
+        The collected records, the exclusion stage, and the analysis
+        stage become nodes of a :class:`repro.flow.FlowGraph` connected
+        by bounded channels of ``config.channel_depth``; a record is
+        analysed while later ones are still being classified, and only
+        the final report (plus the stage-2 ledger the checkpoints need)
+        is materialised.  Output is byte-identical to the batch stages
+        for any channel depth, worker count, and fault schedule.
 
         ``segment_size``/``segment_sink`` enable incremental segment
         checkpoints: every ``segment_size`` classified records the sink
@@ -856,52 +799,20 @@ class URHunter:
         # level would be a cycle.
         from ..flow import run_pipeline_flow
 
-        # Logical span markers: the flow interleaves the three stages, so
-        # the start/end events are emitted around (and after) the pump and
-        # rely on the trace's canonical ordering to land exactly where the
-        # batch mode puts them (see repro.obs.events.TraceEvent.sort_key).
-        self._emit(
-            "stage.start",
-            stage=OBS_STAGE1,
-            nameservers=len(self.nameservers),
-            domains=len(self.domains),
-        )
-        notes: List[str] = []
-        domains = self._expanded_domains(notes)
-        plan = self._executed_plan(domains)
-        self._plan_built(plan)
-        self.collector.plan = plan
-        correct_db = CorrectRecordDatabase(self.ipinfo)
-        preamble = self.collector.collect_preamble(
-            self.nameservers,
-            domains,
-            self.open_resolver_ips,
-            correct_db,
-            probe_domain=self.config.probe_domain,
-        )
-        self.correct_db = correct_db
-        suspicion = self._stage2_filter(preamble.protective)
+        # Stage 1 is the batch stage verbatim — the group runner owns
+        # clock/RNG isolation, so the scan completes before its records
+        # stream.  Stages 2 and 3 interleave in the flow, so their span
+        # markers are emitted after the pump and rely on the trace's
+        # canonical ordering to land exactly where the batch mode puts
+        # them (see repro.obs.events.TraceEvent.sort_key).
+        stage1 = self.stage1_collect()
+        suspicion = self._stage2_filter(stage1.collection.protective)
         analyzer = self._stage3_analyzer()
-        tasks = self.collector.build_ur_tasks(
-            self.nameservers, domains, self.delegated_to
-        )
-        # Shard mode runs the UR scan eagerly through the shard runner
-        # (it must own clock/RNG isolation); the collector node then
-        # streams the pre-reduced outcomes instead of driving the
-        # engine, and everything downstream is unchanged.
-        payloads = None
-        if self.config.shards > 0 or self._incremental_ready():
-            payloads = run_shard_scan(
-                self, plan, preamble.classification_epoch
-            )
         flow = run_pipeline_flow(
-            collector=self.collector,
-            tasks=tasks,
-            preamble=preamble,
-            payloads=payloads,
+            records=stage1.collection.undelegated,
             suspicion=suspicion,
             analyzer=analyzer,
-            now=preamble.classification_epoch,
+            now=stage1.now,
             channel_depth=self.config.channel_depth,
             segment_size=segment_size,
             segment_sink=segment_sink,
@@ -910,11 +821,6 @@ class URHunter:
             trace=self.trace,
         )
         self.last_flow_stats = flow.stats
-        stage1 = Stage1Result(
-            collection=flow.collection,
-            now=preamble.classification_epoch,
-            notes=tuple(notes),
-        )
         # The §4.2 validation runs after the flow drains, exactly where
         # the batch mode runs it (after classification, before the
         # stage-2 ledgers are snapshotted).
@@ -934,15 +840,12 @@ class URHunter:
             analysis=flow.analysis,
             source_health=self.intel.source_health(),
         )
-        # The remaining logical span markers (canonically ordered; fields
-        # match the batch emissions value-for-value).
-        self._emit(
-            "stage.end", stage=OBS_STAGE1, **_stage1_end(flow.collection)
-        )
+        # The stage-2/3 span markers (canonically ordered; fields match
+        # the batch emissions value-for-value).
         self._emit(
             "stage.start",
             stage=OBS_STAGE2,
-            records=len(flow.collection.undelegated),
+            records=len(stage1.collection.undelegated),
         )
         self._emit(
             "stage.end",

@@ -111,7 +111,10 @@ class BatchedEngine:
             failure_threshold=self.policy.circuit_failure_threshold,
             reset_interval=self.policy.circuit_reset_interval,
         )
-        self._query_cache: Dict[Tuple[object, int, bool], Message] = {}
+        #: query messages by (qname, qtype, rd), built once and re-sent;
+        #: engines scanning the same names may share one dict (the group
+        #: runner hands every group engine the parent's)
+        self.query_cache: Dict[Tuple[object, int, bool], Message] = {}
         #: optional repro.obs.RunTrace — breaker trips are emitted as
         #: deterministic ``breaker.trip`` events when attached
         self.trace = None
@@ -428,14 +431,14 @@ class BatchedEngine:
 
     def _query_for(self, task: QueryTask) -> Message:
         key = (task.qname, task.qtype, task.recursion_desired)
-        query = self._query_cache.get(key)
+        query = self.query_cache.get(key)
         if query is None:
             query = Message.make_query(
                 task.qname,
                 task.qtype,
                 recursion_desired=task.recursion_desired,
             )
-            self._query_cache[key] = query
+            self.query_cache[key] = query
         return query
 
     # -- diagnostics --------------------------------------------------------

@@ -41,7 +41,10 @@ class SequentialEngine:
         self.policy = policy or EnginePolicy()
         self.metrics = metrics if metrics is not None else ScanMetrics()
         self._limiter = RateLimiter(self.policy.per_server_interval)
-        self._query_cache: Dict[Tuple[object, int, bool], Message] = {}
+        #: query messages by (qname, qtype, rd), built once and re-sent;
+        #: engines scanning the same names may share one dict (the group
+        #: runner hands every group engine the parent's)
+        self.query_cache: Dict[Tuple[object, int, bool], Message] = {}
         #: optional repro.obs.RunTrace (budget.exhausted / hedge events)
         self.trace = None
         #: optional resilience controllers (attached by URHunter).  The
@@ -77,14 +80,14 @@ class SequentialEngine:
 
     def _query_for(self, task: QueryTask) -> Message:
         key = (task.qname, task.qtype, task.recursion_desired)
-        query = self._query_cache.get(key)
+        query = self.query_cache.get(key)
         if query is None:
             query = Message.make_query(
                 task.qname,
                 task.qtype,
                 recursion_desired=task.recursion_desired,
             )
-            self._query_cache[key] = query
+            self.query_cache[key] = query
         return query
 
     def _run_task(self, task: QueryTask) -> QueryOutcome:

@@ -1,11 +1,11 @@
 """Record-level streaming dataflow for the URHunter pipeline.
 
 The batch pipeline runs stage 1 → 2 → 3 with a whole-corpus barrier
-between stages.  This package re-expresses the same computation as a
-dataflow graph — collector → exclusion → analysis → report sink —
-connected by bounded channels, so a record is classified while the
-scan is still running and intermediate buffering stays at the
-configured channel depth.
+between stages.  This package re-expresses stages 2 and 3 as a
+dataflow graph — collected records → exclusion → analysis → report
+sink — connected by bounded channels, so a record is analysed while
+later ones are still being classified and intermediate buffering
+stays at the configured channel depth.
 
 The hard invariant (enforced by ``tests/flow``): for any channel
 depth, stage-2 worker count, and fault schedule, the streaming report
@@ -27,16 +27,10 @@ from ..core.analysis import (
     MaliciousAnalysisResult,
     MaliciousBehaviorAnalyzer,
 )
-from ..core.collector import (
-    CollectionPreamble,
-    CollectionResult,
-    ResponseCollector,
-)
 from ..core.parallel import Stage2Metrics
-from ..core.records import ClassifiedUR
+from ..core.records import ClassifiedUR, UndelegatedRecord
 from ..core.report import ReportAccumulator
 from ..core.suspicion import SuspicionFilter, SuspicionOutcome
-from ..engine.api import QueryTask
 from .channel import Channel, ChannelError
 from .graph import (
     ChannelStats,
@@ -77,7 +71,6 @@ __all__ = [
 class FlowResult:
     """Everything one streaming run produced, in batch-result shapes."""
 
-    collection: CollectionResult
     outcome: SuspicionOutcome
     metrics: Stage2Metrics
     analysis: MaliciousAnalysisResult
@@ -87,9 +80,7 @@ class FlowResult:
 
 
 def run_pipeline_flow(
-    collector: ResponseCollector,
-    tasks: Sequence[QueryTask],
-    preamble: CollectionPreamble,
+    records: Sequence[UndelegatedRecord],
     suspicion: SuspicionFilter,
     analyzer: MaliciousBehaviorAnalyzer,
     now: float,
@@ -99,29 +90,22 @@ def run_pipeline_flow(
     resume_entries: Sequence[ClassifiedUR] = (),
     segment_start: int = 0,
     trace=None,
-    payloads: Optional[Sequence] = None,
 ) -> FlowResult:
     """Assemble and pump the four-node pipeline graph.
 
-    The caller (``URHunter.run_flow``) has already run the stage-1
-    preamble (protective + correct collections) and built the stage-2
-    filter and stage-3 analyzer; this function owns only the dataflow.
-
-    ``payloads`` switches the collector node to pre-reduced mode: a
-    sequence of :class:`repro.plan.shards.ReducedOutcome` (from the
-    shard runner) is streamed instead of driving the scan engine —
-    everything downstream of the records channel is identical.
+    The caller (``URHunter.run_flow``) has already run stage 1 —
+    ``records`` are its unique URs in record order — and built the
+    stage-2 filter and stage-3 analyzer; this function owns only the
+    dataflow.
     """
-    records: Channel = Channel("records", channel_depth)
+    collected: Channel = Channel("records", channel_depth)
     classified: Channel = Channel("classified", channel_depth)
     reported: Channel = Channel("reported", channel_depth)
-    source = CollectorNode(
-        collector, tasks, preamble, records, payloads=payloads
-    )
+    source = CollectorNode(records, collected)
     exclude = SuspicionNode(
         suspicion,
         now,
-        records,
+        collected,
         classified,
         chunk_size=channel_depth,
         segment_size=segment_size,
@@ -133,13 +117,12 @@ def run_pipeline_flow(
     sink = ReportSink(reported)
     graph = FlowGraph(
         [source, exclude, analyze, sink],
-        [records, classified, reported],
+        [collected, classified, reported],
         trace=trace,
     )
     graph.run()
-    assert source.result is not None and analyze.analysis is not None
+    assert analyze.analysis is not None
     return FlowResult(
-        collection=source.result,
         outcome=SuspicionOutcome(classified=exclude.classified),
         metrics=exclude.metrics,
         analysis=analyze.analysis,

@@ -10,11 +10,10 @@ configured depth instead of whole-corpus lists.
 
 Determinism and byte-identity rest on three ordering rules:
 
-* **record order** — the collector node re-establishes the batch record
-  order (UR-task submission order) from the engine's completion-order
-  stream with a reorder buffer, and dedupes by unique-UR key in that
-  order, so downstream nodes see exactly the sequence the batch
-  pipeline iterates;
+* **record order** — stage 1 hands the source node its unique URs
+  already in planned scan order (the group runner's fold restores it),
+  so downstream nodes see exactly the sequence the batch pipeline
+  iterates;
 * **verdict order** — the exclusion node evaluates distinct UR keys in
   global first-occurrence order (chunked to keep worker shards busy)
   when memoization is eligible, and falls back to strict per-record
@@ -40,18 +39,12 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
 from ..core.analysis import (
     MaliciousAnalysisResult,
     MaliciousBehaviorAnalyzer,
-)
-from ..core.collector import (
-    CollectionPreamble,
-    CollectionResult,
-    ResponseCollector,
 )
 from ..core.correctness import CorrectnessVerdict
 from ..core.parallel import Stage2Metrics
@@ -65,7 +58,6 @@ from ..core.report import ReportAccumulator
 from ..core.suspicion import SuspicionFilter, UrKey
 from ..core.txt import classify_txt
 from ..dns.rdata import RRType
-from ..engine.api import QueryTask
 from ..pipeline.errors import CheckpointError
 from .channel import Channel
 
@@ -138,106 +130,33 @@ class TransformNode(StageNode):
 
 
 class CollectorNode(StageNode):
-    """Stage 1 as a source node: drive the scan engine lazily.
+    """Stage 1 as a source node: the collected URs, in record order.
 
-    Pulls reduced outcomes (wire counters + URs, see
-    :func:`repro.plan.shards.reduce_outcomes`) from the engine only
-    while the outbox has capacity — generator laziness *is* the
-    backpressure — and re-establishes batch record order with a reorder
-    buffer keyed by the next expected task index, so buffered
-    out-of-order work holds no response messages.
-    At end of stream the node assembles the same
-    :class:`~repro.core.collector.CollectionResult` the batch path
-    returns (checkpoints stay fingerprint-compatible).
+    The scan has already run (the group runner owns clock/RNG isolation,
+    so it cannot be driven lazily); the node only feeds its unique,
+    ordered records into the outbox as capacity allows.
     """
 
     name = "collect"
 
-    def __init__(
-        self,
-        collector: ResponseCollector,
-        tasks: Sequence[QueryTask],
-        preamble: CollectionPreamble,
-        outbox: Channel,
-        payloads: Optional[Sequence] = None,
-    ):
-        self.collector = collector
-        self.preamble = preamble
+    def __init__(self, records: Sequence[UndelegatedRecord], outbox: Channel):
         self.outbox = outbox
-        # ``payloads`` (shard mode): a scan the shard runner already
-        # executed and merged — the node only restores record order.
-        if payloads is not None:
-            self._iter = iter(payloads)
-        else:
-            self._iter = collector.iter_reduced_urs(tasks)
-        #: the URs of completed-but-early outcomes
-        self._reorder: Dict[int, Sequence[UndelegatedRecord]] = {}
-        self._next_index = 0
-        self._seen: Set[Tuple] = set()
-        #: the full deduped record stream (the stage-1 checkpoint body)
-        self.records: List[UndelegatedRecord] = []
-        self._pending: Deque[UndelegatedRecord] = deque()
-        self._attempts = 0
-        self._responses = 0
-        self._exhausted = False
+        self._iter = iter(records)
         self._closed = False
-        self.result: Optional[CollectionResult] = None
 
     @property
     def done(self) -> bool:
         return self._closed
 
-    def _flush(self) -> bool:
-        progress = False
-        while self._pending and not self.outbox.full:
-            self.outbox.put(self._pending.popleft())
-            progress = True
-        return progress
-
-    def _ingest(self, outcome) -> None:
-        # wire counters are order-independent sums — fold at arrival
-        self._attempts += outcome.attempts
-        if outcome.answered:
-            self._responses += 1
-        self._reorder[outcome.index] = outcome.urs
-        while self._next_index in self._reorder:
-            for record in self._reorder.pop(self._next_index):
-                if record.key in self._seen:
-                    continue
-                self._seen.add(record.key)
-                self.records.append(record)
-                self._pending.append(record)
-            self._next_index += 1
-
     def step(self) -> bool:
-        progress = self._flush()
-        while not self._pending and not self.outbox.full and not self._exhausted:
+        progress = False
+        while not self.outbox.full and not self._closed:
+            progress = True
             try:
-                outcome = next(self._iter)
+                self.outbox.put(next(self._iter))
             except StopIteration:
-                self._exhausted = True
-                break
-            progress = True
-            self._ingest(outcome)
-            self._flush()
-        if self._exhausted and not self._pending and not self._closed:
-            assert not self._reorder, "engine left a gap in the task stream"
-            # same emission point as the batch path: the UR collection
-            # phase is complete (trips during the scan already emitted)
-            self.collector.emit_phase("ur")
-            result = CollectionResult(
-                undelegated=self.records,
-                queries_sent=self._attempts,
-                responses_seen=self._responses,
-                # every sent attempt either answered or timed out
-                timeouts=self._attempts - self._responses,
-            )
-            self.preamble.fold_into(result)
-            result.metrics = self.collector.engine.metrics
-            self.result = result
-            self.outbox.close()
-            self._closed = True
-            progress = True
+                self.outbox.close()
+                self._closed = True
         return progress
 
 

@@ -17,9 +17,9 @@ Cache-safety rules (the byte-identity argument's load-bearing wall):
 
 * a run with **network faults** installed — a global loss profile,
   per-server profiles, or chaos fault windows — bypasses the store
-  entirely: fault draws consume the shared fault RNG, so replaying a
-  subset of groups would shift every later draw and silently change
-  the re-executed groups (see :func:`run_cacheable`);
+  entirely: the fault profile is not part of the state digest, so a
+  slot written under one profile could replay under another (see
+  :func:`run_cacheable`);
 * a run whose **stage-2/3 sources** may fault (Flaky wrappers with a
   plan that can fire) bypasses the store too — conservative, since a
   degraded run's provenance must reflect the calls it actually made;

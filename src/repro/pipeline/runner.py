@@ -173,9 +173,12 @@ class PipelineRunner:
         try:
             return fn(*args)
         except StageFailed as error:
+            # a collection failure names its own, finer stage
             if self.store is not None:
-                self.store.record_failure(stage, error)
-            self._emit("run.abort", stage=stage, error=type(error).__name__)
+                self.store.record_failure(error.stage, error)
+            self._emit(
+                "run.abort", stage=error.stage, error=type(error).__name__
+            )
             raise
         except Exception as error:
             if self.store is not None:
@@ -224,19 +227,20 @@ class PipelineRunner:
             )
         if self.store is not None:
             self.store.prepare(self._fingerprint(), resume=self.resume)
-            if self.hunter.config.shards > 0:
-                # grant the shard runner per-shard partial persistence
-                # (a shard completed before a crash is not re-scanned)
+            if self.hunter.config.shards > 1:
+                # grant the group runner per-shard partial persistence
+                # (a shard completed before a crash is not re-scanned;
+                # a single shard's partial would only duplicate the
+                # stage-1 checkpoint written right after it)
                 self.hunter.shard_store = self.store
             if self.resume:
                 # GC: a fresh run wiped the directory in prepare(); a
                 # resume keeps its usable segments/partials but prunes
                 # the ones no resume could ever load (stale plan/shard
                 # stamps, files superseded by a stage checkpoint)
-                config = self.hunter.config
                 pruned = self.store.prune_stale(
                     plan_hash=self.hunter.plan.plan_hash,
-                    shards=config.shards if config.shards > 0 else 1,
+                    shards=self.hunter.config.shards,
                     superseded_by=STAGE1,
                 )
                 if any(pruned.values()):

@@ -27,8 +27,8 @@ from .shards import (
     ReducedOutcome,
     decode_group_result,
     encode_group_result,
-    execute_group,
     fold_resilience,
+    run_group_isolated,
     run_shard_scan,
 )
 
@@ -46,7 +46,7 @@ __all__ = [
     "ReducedOutcome",
     "decode_group_result",
     "encode_group_result",
-    "execute_group",
     "fold_resilience",
+    "run_group_isolated",
     "run_shard_scan",
 ]

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["WorldSpec", "execute_shards_pooled"]
 
@@ -76,16 +76,13 @@ def _run_shard(
     config,
     plan_hash: str,
     epoch: float,
+    origin: float,
     shard_index: int,
-    shard_count: int,
-    only_groups: Optional[Tuple[int, ...]] = None,
+    groups: Tuple[int, ...],
 ) -> Tuple[int, List[Dict[str, Any]]]:
-    """Worker entry point: execute one shard, return encoded groups.
-
-    ``only_groups`` restricts execution to the named group indices (the
-    incremental path's dirty groups) — group isolation makes skipping
-    the replayed siblings side-effect free.
-    """
+    """Worker entry point: execute the named groups of one shard (the
+    ones no result store replays — group isolation makes skipping the
+    siblings side-effect free) and return them encoded."""
     from .shards import encode_group_result, run_group_isolated
 
     hunter = _replica(spec, config)
@@ -96,22 +93,12 @@ def _run_shard(
             "shard worker world diverged from the parent: plan hash "
             f"{plan.plan_hash} != {plan_hash}"
         )
-    shard = plan.shard(shard_count)[shard_index]
-    base_seed = getattr(hunter.network, "fault_seed", 0)
     payloads = [
         encode_group_result(
-            run_group_isolated(
-                hunter.network,
-                config,
-                plan,
-                group,
-                hunter.collector.urs_from_outcome,
-                epoch,
-                base_seed,
-            )
+            run_group_isolated(hunter, plan, group, epoch, origin)
         )
-        for group in shard.groups
-        if only_groups is None or group.index in only_groups
+        for group in plan.shard(config.shards)[shard_index].groups
+        if group.index in groups
     ]
     return shard_index, payloads
 
@@ -121,32 +108,20 @@ def execute_shards_pooled(
     config,
     plan_hash: str,
     epoch: float,
-    shard_indices: Sequence[int],
-    shard_count: Optional[int] = None,
-    only_groups: Optional[Dict[int, Tuple[int, ...]]] = None,
+    origin: float,
+    groups_by_shard: Dict[int, Tuple[int, ...]],
 ) -> Dict[int, List[Dict[str, Any]]]:
-    """Run the given shards across ``config.shard_workers`` processes.
-
-    ``shard_count`` defaults to ``config.shards`` (the incremental path
-    passes its effective count explicitly); ``only_groups`` optionally
-    maps a shard index to the group indices it should execute.
-    """
-    count = config.shards if shard_count is None else shard_count
-    workers = max(1, min(config.shard_workers, len(shard_indices)))
+    """Run the given shards' groups across ``config.shard_workers``
+    processes; ``origin`` anchors the group deadline budgets exactly as
+    the in-process runner does."""
+    workers = max(1, min(config.shard_workers, len(groups_by_shard)))
     results: Dict[int, List[Dict[str, Any]]] = {}
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(
-                _run_shard,
-                spec,
-                config,
-                plan_hash,
-                epoch,
-                index,
-                count,
-                None if only_groups is None else only_groups.get(index),
+                _run_shard, spec, config, plan_hash, epoch, origin, index, groups
             )
-            for index in shard_indices
+            for index, groups in groups_by_shard.items()
         ]
         for future in futures:
             index, payloads = future.result()

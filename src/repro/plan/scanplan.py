@@ -11,12 +11,12 @@ run can prove it is executing the *same* scan.
 
 Determinism contract
 --------------------
-``build_plan`` replays the exact enumeration and randomized (ethics)
-query order of :class:`~repro.core.collector.ResponseCollector`: one
-``random.Random(seed)`` shuffles the correct-record matrix first and
-the UR matrix second, matching the collector's historical draw
-sequence draw for draw.  The plan hash covers only structural query
-identity — ``(server_ip, qname, qtype, recursion_desired)`` per unit
+``build_plan`` owns the enumeration and the randomized (ethics) query
+order of stage 1: one ``random.Random(seed)`` shuffles the
+correct-record matrix first and the UR matrix second
+(``tests/plan/oracle.py`` is the order reference).  The plan hash
+covers only structural query identity —
+``(server_ip, qname, qtype, recursion_desired)`` per unit
 plus the scan knobs that shape the matrix — so it is invariant under
 shard count, worker count, engine choice, execution mode, and the
 iteration order of the world's dicts and sets.
@@ -437,10 +437,10 @@ def build_plan(
 
     ``config`` is duck-typed over :class:`~repro.core.hunter.HunterConfig`
     (``seed``, ``query_types``, ``probe_domain``, ``scanner_ip``); the
-    world inputs are the hunter's target lists.  The enumeration and
-    the two shuffles reproduce the collector's legacy draw sequence
-    exactly — protective units are never shuffled, the correct matrix
-    consumes the first shuffle, the UR matrix the second.
+    world inputs are the hunter's target lists.  Protective units are
+    never shuffled, the correct matrix consumes the first shuffle, the
+    UR matrix the second — an order plan hashes and stored group
+    identities depend on.
     """
     rng = random.Random(config.seed)
     query_types = tuple(config.query_types)

@@ -1,30 +1,30 @@
-"""Shard execution: run a scan plan's nameserver groups in isolation.
+"""The stage-1 UR executor: a scan plan's nameserver groups, in isolation.
 
-The byte-identity guarantee of ``--shards`` rests on one invariant:
-**a nameserver group's outcome is a pure function of the static world,
-the classification epoch, and the config** — never of which shard or
-worker ran it, or what ran before it.  :func:`execute_group` enforces
-that by construction:
+Every UR scan — batch or streamed, one shard or many, in this process or
+a worker pool — is :func:`run_shard_scan`.  Its guarantees rest on one
+invariant: **a group's outcome is a pure function of the static world,
+the run origin, the classification epoch, and the config** — never of
+which shard or worker ran it, or what ran before it:
 
-* the virtual clock is pinned to the classification epoch before each
-  group starts, and the parent clock is advanced afterwards by the
-  *maximum* group elapsed time (the makespan of a perfectly parallel
-  scan) — a partition-independent value;
-* the network fault RNG is reseeded per group from a stable hash of
-  ``(fault seed, nameserver address)``, so a faulted group draws the
-  same sequence no matter how groups are ordered or distributed (the
+* **one clock rule** — the virtual clock is pinned to the
+  classification epoch before each group, and the parent clock ends at
+  ``epoch + makespan`` (the longest group: a perfectly parallel scan);
+* **one fault-RNG rule** — the network fault RNG is reseeded per group
+  from a stable hash of ``(fault seed, nameserver address)`` (the
   parent RNG state is saved and restored around the scan);
-* every group gets a fresh engine, pacing/breaker state, and — when
-  configured — fresh deadline budget, hedge, and AIMD controllers, all
-  anchored at the epoch (this is how deadline budgets are apportioned:
-  each group measures its run deadline from the epoch).
+* every group gets a fresh engine, pacing/breaker state, hedge and AIMD
+  controllers, and a deadline budget whose run deadline is measured
+  from the *run origin* the parent budget pinned (the preamble counts
+  against it; no group is granted the whole budget again) — stage
+  deadlines anchor at the group's first task, as in any phase.
 
-Group results are reduced to :class:`ReducedOutcome` (wire counters
-plus extracted URs), serialized through the checkpoint codecs into
-per-shard partial files, and merged back in global plan order:
-``ScanMetrics`` via its in-place ``merge``, resilience counters via
-:func:`fold_resilience`, and the buffered engine trace events by
-replay into the parent trace in group-index order.
+A group is folded the moment it is in hand (:class:`ScanFold`: wire
+counters summed, only UR-carrying outcomes kept); its small ledgers —
+``ScanMetrics``, resilience counters, buffered engine trace events,
+elapsed time — wait for the merge into the parent objects in
+group-index order.  Results are JSON-encoded only at a persistence
+boundary (a result-store slot, a shard partial, the process-pool
+wire), and payloads read back from one decode into the same fold.
 
 Checkpoint codec imports stay inside functions:
 ``repro.pipeline.checkpoint`` imports ``repro.core.hunter``, which
@@ -39,19 +39,19 @@ import random
 import signal
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..engine import create_engine
 from ..obs.events import RunTrace, _json_safe
 from ..resilience import AimdController, DeadlineBudget, HedgeController
-from .scanplan import NameserverGroup, ScanPlan, Shard
+from .scanplan import NameserverGroup, ScanPlan
 
 __all__ = [
     "CRASH_SHARD_ENV",
     "ReducedOutcome",
-    "reduce_outcomes",
+    "ScanFold",
     "GroupResult",
-    "execute_group",
+    "run_group_isolated",
     "encode_group_result",
     "decode_group_result",
     "fold_resilience",
@@ -68,8 +68,8 @@ class ReducedOutcome:
     """One UR query outcome, reduced to what the pipeline consumes.
 
     ``index`` is the unit's position in :attr:`ScanPlan.ur_units` (the
-    global scan order), so merging sorted reduced outcomes reproduces
-    the unsharded outcome sequence exactly.
+    global scan order), so sorting reduced outcomes by it restores the
+    planned record order whatever order the groups ran in.
     """
 
     index: int
@@ -78,24 +78,32 @@ class ReducedOutcome:
     urs: Tuple[Any, ...]
 
 
-def reduce_outcomes(
-    engine, tasks, indices, extract_urs
-) -> Iterator[ReducedOutcome]:
-    """Drive ``tasks`` and reduce each outcome the moment it completes.
+class ScanFold:
+    """The UR scan's running fold over completed groups, in any order:
+    wire counters are summed and only the outcomes that carry URs are
+    held on to until the end."""
 
-    Yields in the engine's *completion* order; ``indices[i]`` is the
-    scan-order index of ``tasks[i]``, so sorting by ``index`` restores
-    task order.  Each outcome and its response message are dropped
-    before the next task is driven: the in-line collector, the streaming
-    node and the group runner all fold this stream, never a list.
-    """
-    for position, outcome in engine.execute_iter(tasks):
-        yield ReducedOutcome(
-            index=indices[position],
-            attempts=outcome.attempts,
-            answered=outcome.answered,
-            urs=tuple(extract_urs(outcome)),
-        )
+    __slots__ = ("attempts", "responses", "_carrying")
+
+    def __init__(self) -> None:
+        self.attempts = 0
+        self.responses = 0
+        self._carrying: List[ReducedOutcome] = []
+
+    def add(self, outcomes: Iterable[ReducedOutcome]) -> None:
+        for outcome in outcomes:
+            self.attempts += outcome.attempts
+            if outcome.answered:
+                self.responses += 1
+            if outcome.urs:
+                self._carrying.append(outcome)
+
+    def records(self) -> List[Any]:
+        """Every collected UR (duplicates included) in planned scan order."""
+        self._carrying.sort(key=attrgetter("index"))
+        return [
+            record for outcome in self._carrying for record in outcome.urs
+        ]
 
 
 @dataclass
@@ -120,26 +128,31 @@ def group_fault_seed(base_seed: int, server_ip: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _group_engine(network, config):
+def _group_engine(hunter, origin: float):
     """A fresh engine + resilience controllers for one group.
 
-    Mirrors the controller wiring of ``URHunter.__init__`` so a group
-    sheds, hedges, and adapts exactly as a dedicated single-group run
-    would.
+    Mirrors the controller wiring of ``URHunter.__init__``; the deadline
+    budget is anchored at ``origin`` — where the parent budget began the
+    run — not at the epoch the group's clock is pinned to.  Only the
+    query messages are shared with the parent engine: every group asks
+    the same (qname, qtype) questions, and a re-sent message keeps the
+    servers' compiled answers on their cheapest path.
     """
+    config = hunter.config
     engine = create_engine(
         config.engine,
-        network,
+        hunter.network,
         config.scanner_ip,
         policy=config.engine_policy(),
     )
+    engine.query_cache = hunter.engine.query_cache
     engine.trace = RunTrace()
     if config.run_deadline > 0 or config.stage_deadline > 0:
         engine.budget = DeadlineBudget(
             run_deadline=config.run_deadline,
             stage_deadline=config.stage_deadline,
         )
-        engine.budget.begin(network.now)
+        engine.budget.begin(origin)
     if config.hedge_delay > 0:
         engine.hedge = HedgeController(
             base_delay=config.hedge_delay, timeout=config.timeout
@@ -149,28 +162,34 @@ def _group_engine(network, config):
     return engine
 
 
-def execute_group(
-    network,
-    config,
-    plan: ScanPlan,
-    group: NameserverGroup,
-    extract_urs,
+def run_group_isolated(
+    hunter, plan: ScanPlan, group: NameserverGroup, epoch: float, origin: float
 ) -> GroupResult:
-    """Run one nameserver group against an already-pinned network.
+    """Pin the clock and fault RNG for one group, then execute it.
 
-    The caller is responsible for clock/RNG isolation (see
-    :func:`run_shard_scan` and the pool worker); this function only
-    executes and reduces.  ``extract_urs`` is the collector's
-    ``urs_from_outcome`` bound method.
+    Each outcome is reduced the moment it completes (its response
+    message is dropped before the next task is driven); sorting by
+    ``index`` restores task order from the engine's completion order.
     """
-    engine = _group_engine(network, config)
-    start = network.now
+    network = hunter.network
+    network.set_clock(epoch)
+    network._fault_rng = random.Random(
+        group_fault_seed(network.fault_seed, group.server_ip)
+    )
+    engine = _group_engine(hunter, origin)
+    extract_urs = hunter.collector.urs_from_outcome
+    indices = group.unit_indices
     reduced = sorted(
-        reduce_outcomes(
-            engine,
-            plan.tasks("ur", group.unit_indices),
-            group.unit_indices,
-            extract_urs,
+        (
+            ReducedOutcome(
+                index=indices[position],
+                attempts=outcome.attempts,
+                answered=outcome.answered,
+                urs=tuple(extract_urs(outcome)),
+            )
+            for position, outcome in engine.execute_iter(
+                plan.tasks("ur", indices)
+            )
         ),
         key=attrgetter("index"),
     )
@@ -178,7 +197,7 @@ def execute_group(
     return GroupResult(
         group=group.index,
         server_ip=group.server_ip,
-        elapsed=network.now - start,
+        elapsed=network.now - epoch,
         outcomes=reduced,
         metrics=engine.metrics,
         resilience=(
@@ -188,23 +207,6 @@ def execute_group(
         ),
         events=engine.trace.raw_events(),
     )
-
-
-def run_group_isolated(
-    network,
-    config,
-    plan: ScanPlan,
-    group: NameserverGroup,
-    extract_urs,
-    epoch: float,
-    base_seed: int,
-) -> GroupResult:
-    """Pin the clock and fault RNG for one group, then execute it."""
-    network.set_clock(epoch)
-    network._fault_rng = random.Random(
-        group_fault_seed(base_seed, group.server_ip)
-    )
-    return execute_group(network, config, plan, group, extract_urs)
 
 
 # -- serialization ---------------------------------------------------------
@@ -240,8 +242,8 @@ def fold_resilience(target, data: Dict[str, Any]) -> None:
 
 
 def encode_group_result(result: GroupResult) -> Dict[str, Any]:
-    """JSON-safe payload of one group (shard partial checkpoints and
-    the process-pool wire format share this encoding)."""
+    """JSON-safe payload of one group (result-store slots, shard
+    partial checkpoints and the process-pool wire share this encoding)."""
     from ..pipeline.checkpoint import encode_metrics, encode_record
 
     return {
@@ -310,17 +312,16 @@ def _emit_timing(trace, name: str, **fields) -> None:
 def _incremental_partition(
     hunter, plan: ScanPlan, trace
 ) -> Tuple[Dict[int, Dict[str, Any]], Dict[int, Any], Optional[Any]]:
-    """Consult the group result store, if one is active and safe.
+    """Consult the group result store, if one is attached and safe.
 
     Returns ``(replayed payloads by group, decisions by group, store)``
-    — all empty/None when no store is attached, ``--no-incremental`` is
-    set, or the run is not cacheable (network faults installed or
-    non-deterministic sources wired in), in which case the store is
-    bypassed entirely: never read, never written.
+    — all empty/None when no store is attached or the run is not
+    cacheable (network faults installed or non-deterministic sources
+    wired in), in which case the store is bypassed entirely: never
+    read, never written.
     """
-    result_store = getattr(hunter, "result_store", None)
-    config = hunter.config
-    if result_store is None or not getattr(config, "incremental", True):
+    result_store = hunter.result_store
+    if result_store is None:
         return {}, {}, None
     from ..incremental import PlanDiffer, run_cacheable
 
@@ -333,33 +334,24 @@ def _incremental_partition(
         target.address: target.provider for target in hunter.nameservers
     }
     diff = PlanDiffer(result_store).partition(
-        plan, hunter.network, config, providers
+        plan, hunter.network, hunter.config, providers
     )
     decisions: Dict[int, Any] = {}
     for decision in diff.decisions:
         decisions[decision.group] = decision
         if decision.action == "hit":
-            _emit_timing(
-                trace,
-                "incremental.hit",
-                group=decision.group,
-                server=decision.server_ip,
-            )
+            name, why = "incremental.hit", {}
         elif decision.reason == "stale":
-            _emit_timing(
-                trace,
-                "incremental.invalidate",
-                group=decision.group,
-                server=decision.server_ip,
-            )
+            name, why = "incremental.invalidate", {}
         else:
-            _emit_timing(
-                trace,
-                "incremental.miss",
-                group=decision.group,
-                server=decision.server_ip,
-                reason=decision.reason,
-            )
+            name, why = "incremental.miss", {"reason": decision.reason}
+        _emit_timing(
+            trace,
+            name,
+            group=decision.group,
+            server=decision.server_ip,
+            **why,
+        )
     _emit_timing(
         trace,
         "incremental.plan",
@@ -370,32 +362,32 @@ def _incremental_partition(
     return diff.replayed, decisions, result_store
 
 
-def run_shard_scan(hunter, plan: ScanPlan, epoch: float) -> List[ReducedOutcome]:
-    """Execute the plan's UR scan shard by shard and merge the results.
+def run_shard_scan(hunter, plan: ScanPlan, epoch: float) -> ScanFold:
+    """Execute the plan's UR scan group by group and fold the results.
 
-    Runs every shard (loading previously checkpointed partials where
-    available, replaying store hits where an incremental result store
-    is active), then folds metrics/resilience/trace events into the
-    hunter's parent objects and advances the parent clock by the
-    makespan.  Returns the reduced outcomes in global plan order.
+    Every group comes from exactly one source — a shard partial left by
+    a crashed run, a result-store hit, a pool worker, or an isolated
+    execution in this process — and is folded as soon as it is in hand.
+    The hunter's parent ledgers (engine metrics, resilience counters,
+    trace) then absorb the groups in group-index order — the order the
+    plan fixed, independent of shard membership — and the parent clock
+    ends at ``epoch + makespan``.  If a group raises, the groups that
+    did complete are still merged before the error propagates, so the
+    parent ledger a failure report carries is the scan up to that point.
     """
     network = hunter.network
     config = hunter.config
     trace = hunter.trace
-    # incremental runs take this path at --shards 0 too: one shard,
-    # which existing equivalence tests prove byte-identical to the
-    # legacy in-line scan
-    shard_count = config.shards if config.shards > 0 else 1
-    shards = plan.shard(shard_count)
-    store = getattr(hunter, "shard_store", None)
+    shard_count = config.shards
+    store = hunter.shard_store
 
     replayed, decisions, result_store = _incremental_partition(
         hunter, plan, trace
     )
-
     cached: Dict[int, List[Dict[str, Any]]] = {}
     if store is not None:
         cached = store.load_shard_partials(plan.plan_hash, shard_count)
+    shards = plan.shard(shard_count)
     pending = [
         shard
         for shard in shards
@@ -403,128 +395,121 @@ def run_shard_scan(hunter, plan: ScanPlan, epoch: float) -> List[ReducedOutcome]
         and any(group.index not in replayed for group in shard.groups)
     ]
 
-    pool_results: Optional[Dict[int, List[Dict[str, Any]]]] = None
-    if (
-        pending
-        and getattr(hunter, "world_spec", None) is not None
-        and config.shard_workers > 1
-    ):
+    # group budgets measure the run deadline from where the run began,
+    # not from the epoch every group's clock is pinned to
+    budget = hunter.engine.budget
+    origin = epoch if budget is None else budget.begin(epoch)
+
+    pooled: Dict[int, List[Dict[str, Any]]] = {}
+    if pending and hunter.world_spec is not None and config.shard_workers > 1:
         from .pool import execute_shards_pooled
 
-        only_groups = None
-        if replayed:
-            only_groups = {
+        pooled = execute_shards_pooled(
+            hunter.world_spec,
+            config,
+            plan.plan_hash,
+            epoch,
+            origin,
+            {
                 shard.index: tuple(
                     group.index
                     for group in shard.groups
                     if group.index not in replayed
                 )
                 for shard in pending
-            }
-        pool_results = execute_shards_pooled(
-            hunter.world_spec,
-            config,
-            plan.plan_hash,
-            epoch,
-            [shard.index for shard in pending],
-            shard_count=shard_count,
-            only_groups=only_groups,
+            },
         )
 
     # The per-group reseeding below clobbers the network fault RNG;
     # save the parent state so the post-scan pipeline (notably the
     # §4.2 delegated-sample queries) sees a partition-independent RNG.
     rng_state = network._fault_rng.getstate()
-    base_seed = getattr(network, "fault_seed", 0)
+    fold = ScanFold()
+    finished: Dict[int, GroupResult] = {}
 
-    shard_payloads: Dict[int, List[Dict[str, Any]]] = {}
-    for shard in shards:
-        if shard.index in cached:
-            shard_payloads[shard.index] = cached[shard.index]
+    def absorb(result: GroupResult) -> None:
+        fold.add(result.outcomes)
+        # folded: only the small ledgers wait for the ordered merge
+        result.outcomes = []
+        finished[result.group] = result
+
+    try:
+        for shard in shards:
+            if shard.index in cached:
+                payloads = cached.pop(shard.index)
+                _emit_timing(
+                    trace,
+                    "shard.loaded",
+                    shard=shard.index,
+                    groups=len(payloads),
+                )
+                for payload in payloads:
+                    absorb(decode_group_result(payload))
+                continue
             _emit_timing(
                 trace,
-                "shard.loaded",
+                "shard.start",
                 shard=shard.index,
-                groups=len(cached[shard.index]),
+                groups=len(shard.groups),
+                units=shard.unit_count,
             )
-            continue
-        _emit_timing(
-            trace,
-            "shard.start",
-            shard=shard.index,
-            groups=len(shard.groups),
-            units=shard.unit_count,
-        )
-        if pool_results is not None and shard.index in pool_results:
-            executed = pool_results[shard.index]
-        else:
-            executed = [
-                encode_group_result(
-                    run_group_isolated(
-                        network,
-                        config,
-                        plan,
-                        group,
-                        hunter.collector.urs_from_outcome,
-                        epoch,
-                        base_seed,
-                    )
+            from_pool = {
+                payload["group"]: payload
+                for payload in pooled.pop(shard.index, ())
+            }
+            partial: List[Dict[str, Any]] = []
+            for group in shard.groups:
+                fresh = group.index not in replayed
+                payload = (
+                    from_pool.get(group.index)
+                    if fresh
+                    else replayed.pop(group.index)
                 )
-                for group in shard.groups
-                if group.index not in replayed
-            ]
-        # merge replayed and freshly executed groups in shard order —
-        # the byte-identity invariant makes the interleave seamless
-        executed_by_group = {
-            payload["group"]: payload for payload in executed
-        }
-        payloads = [
-            replayed[group.index]
-            if group.index in replayed
-            else executed_by_group[group.index]
-            for group in shard.groups
-        ]
-        shard_payloads[shard.index] = payloads
-        if result_store is not None:
-            for payload in executed:
-                decision = decisions.get(payload["group"])
-                if decision is not None and decision.identity is not None:
+                if payload is not None:
+                    result = decode_group_result(payload)
+                else:
+                    result = run_group_isolated(
+                        hunter, plan, group, epoch, origin
+                    )
+                decision = decisions.get(group.index)
+                refresh = (
+                    fresh
+                    and decision is not None
+                    and decision.identity is not None
+                )
+                if payload is None and (refresh or store is not None):
+                    payload = encode_group_result(result)
+                if refresh:
                     result_store.put(
                         decision.identity, decision.digest, payload
                     )
-        if store is not None:
-            store.save_shard_partial(
-                shard.index, shard_count, plan.plan_hash, payloads
+                if store is not None:
+                    partial.append(payload)
+                absorb(result)
+            if store is not None:
+                store.save_shard_partial(
+                    shard.index, shard_count, plan.plan_hash, partial
+                )
+            _emit_timing(
+                trace,
+                "shard.merged",
+                shard=shard.index,
+                groups=len(shard.groups),
             )
-        _emit_timing(
-            trace, "shard.merged", shard=shard.index, groups=len(payloads)
-        )
-        _maybe_crash_shard(shard.index)
-
-    restored = random.Random()
-    restored.setstate(rng_state)
-    network._fault_rng = restored
-
-    # Merge in group-index order — the deterministic order the plan
-    # fixed, independent of shard membership or completion order.
-    by_group: Dict[int, Dict[str, Any]] = {}
-    for payloads in shard_payloads.values():
-        for payload in payloads:
-            by_group[payload["group"]] = payload
-    outcomes: List[ReducedOutcome] = []
-    makespan = 0.0
-    parent_resilience = getattr(hunter, "resilience", None)
-    for group_index in sorted(by_group):
-        result = decode_group_result(by_group[group_index])
-        if trace is not None:
-            for name, stage, fields in result.events:
-                trace.emit(name, stage=stage, **fields)
-        hunter.engine.metrics.merge(result.metrics)
-        if result.resilience and parent_resilience is not None:
-            fold_resilience(parent_resilience, result.resilience)
-        outcomes.extend(result.outcomes)
-        makespan = max(makespan, result.elapsed)
-
-    network.set_clock(epoch + makespan)
-    outcomes.sort(key=attrgetter("index"))
-    return outcomes
+            _maybe_crash_shard(shard.index)
+    finally:
+        restored = random.Random()
+        restored.setstate(rng_state)
+        network._fault_rng = restored
+        makespan = 0.0
+        for group_index in sorted(finished):
+            result = finished[group_index]
+            if trace is not None:
+                for name, stage, fields in result.events:
+                    trace.emit(name, stage=stage, **fields)
+            hunter.engine.metrics.merge(result.metrics)
+            if result.resilience and hunter.resilience is not None:
+                fold_resilience(hunter.resilience, result.resilience)
+            makespan = max(makespan, result.elapsed)
+        network.set_clock(epoch + makespan)
+    return fold

@@ -53,10 +53,13 @@ class DeadlineBudget:
         self._phase_starts: Dict[str, float] = {}
         self._announced: Set[str] = set()
 
-    def begin(self, now: float) -> None:
-        """Anchor the run origin; later calls are ignored."""
+    def begin(self, now: float) -> float:
+        """Anchor the run origin at ``now`` unless an earlier call already
+        did; returns the origin (the group runner anchors its per-group
+        budgets there)."""
         if self._run_start is None:
             self._run_start = now
+        return self._run_start
 
     def enter_phase(self, phase: str, now: float) -> None:
         """Anchor ``phase`` at its first task; later calls are ignored."""

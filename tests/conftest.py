@@ -3,7 +3,26 @@
 import pytest
 
 from repro.core import HunterConfig, URHunter
+from repro.intel.aggregator import ThreatIntelAggregator
+from repro.intel.ipinfo import IpInfoDatabase
+from repro.intel.vendor import SecurityVendor
 from repro.scenario import ScenarioConfig, build_world, small_config
+
+
+def bare_hunter(network, nameservers, domains, delegated_to=None, **knobs):
+    """A hunter over hand-built targets on a hand-built network: no
+    resolvers, empty intel — enough to drive stage 1 (its
+    ``build_plan``-made plan through the one executor)."""
+    return URHunter(
+        network,
+        nameservers,
+        domains,
+        delegated_to or {},
+        open_resolver_ips=(),
+        ipinfo=IpInfoDatabase(),
+        intel=ThreatIntelAggregator([SecurityVendor("unused")]),
+        config=HunterConfig(**knobs),
+    )
 
 
 @pytest.fixture(scope="session")

@@ -278,24 +278,17 @@ class TestResultStore:
         stats = json.loads((store / "store-stats.json").read_text())
         assert stats["hits"] == counters["hits"]
 
-    def test_no_incremental_leaves_the_store_alone(
+    def test_cold_store_run_prints_the_plain_report(
         self, tmp_path, capsys
     ):
+        """Attaching an empty store changes nothing on stdout — scan
+        metrics and latency line included — and populates the store."""
         store = tmp_path / "store"
         assert main(BASE + ["-q", "run"]) == 0
         plain = capsys.readouterr().out
+        assert "latency p50" in plain
         assert (
-            main(
-                BASE
-                + [
-                    "--result-store",
-                    str(store),
-                    "--no-incremental",
-                    "-q",
-                    "run",
-                ]
-            )
-            == 0
+            main(BASE + ["--result-store", str(store), "-q", "run"]) == 0
         )
         assert capsys.readouterr().out == plain
-        assert not list(store.glob("group-*.json"))
+        assert list(store.glob("group-*.json"))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import HunterConfig
 from repro.core.collector import (
     DomainTarget,
     NameserverTarget,
@@ -15,6 +16,9 @@ from repro.dns.server import AuthoritativeServer, make_protective_server
 from repro.dns.zone import zone_from_records
 from repro.intel.ipinfo import IpInfoDatabase
 from repro.net.network import SimulatedInternet
+from repro.plan import build_plan
+
+from ..conftest import bare_hunter
 
 NS_A = "10.0.0.1"  # hosts victim.com (delegated) and squat.com (UR)
 NS_B = "10.0.0.2"  # protective
@@ -56,12 +60,24 @@ def setup():
     return network, collector, nameservers, domains
 
 
+def plan_for(nameservers=(), domains=(), resolvers=(), **knobs):
+    return build_plan(
+        nameservers, domains, {}, resolvers, HunterConfig(**knobs)
+    )
+
+
+def stage1(network, nameservers, domains, delegated_to=None, **knobs):
+    return (
+        bare_hunter(network, nameservers, domains, delegated_to, **knobs)
+        .stage1_collect()
+        .collection
+    )
+
+
 class TestUrCollection:
     def test_urs_extracted_from_noerror(self, setup):
-        _, collector, nameservers, domains = setup
-        result = collector.collect_urs(
-            nameservers, domains, delegated_to={}
-        )
+        network, _, nameservers, domains = setup
+        result = stage1(network, nameservers, domains)
         keys = {(str(record.domain), record.nameserver_ip, record.rrtype)
                 for record in result.undelegated}
         assert ("squat.com", NS_A, RRType.A) in keys
@@ -70,8 +86,9 @@ class TestUrCollection:
         assert result.timeouts == 0
 
     def test_delegated_pairs_skipped(self, setup):
-        _, collector, nameservers, domains = setup
-        urs = collector.collect_urs(
+        network, _, nameservers, domains = setup
+        urs = stage1(
+            network,
             nameservers,
             domains,
             delegated_to={name("victim.com"): {NS_A}},
@@ -87,16 +104,14 @@ class TestUrCollection:
         )
 
     def test_refused_servers_yield_nothing(self, setup):
-        _, collector, nameservers, domains = setup
-        result = collector.collect_urs(
-            [NameserverTarget(NS_C, "HostC")], domains, {}
-        )
+        network, _, _, domains = setup
+        result = stage1(network, [NameserverTarget(NS_C, "HostC")], domains)
         assert result.undelegated == []
 
     def test_protective_answers_collected_as_urs(self, setup):
-        _, collector, nameservers, domains = setup
-        urs = collector.collect_urs(
-            [NameserverTarget(NS_B, "HostB")], domains, {}
+        network, _, _, domains = setup
+        urs = stage1(
+            network, [NameserverTarget(NS_B, "HostB")], domains
         ).undelegated
         # Both domains answered with the same protective A + TXT.
         a_records = [r for r in urs if r.rrtype == RRType.A]
@@ -104,22 +119,20 @@ class TestUrCollection:
         assert all(r.rdata_text == "203.0.113.250" for r in a_records)
 
     def test_dead_server_counts_timeouts(self, setup):
-        network, collector, _, domains = setup
+        network, _, _, domains = setup
         network.set_online(NS_A, False)
-        result = collector.collect_urs(
-            [NameserverTarget(NS_A, "HostA")], domains, {}
-        )
+        result = stage1(network, [NameserverTarget(NS_A, "HostA")], domains)
         assert result.undelegated == []
-        assert result.timeouts == result.queries_sent
+        assert result.timeouts == result.queries_sent > 0
 
     def test_unique_urs_deduped(self, setup):
-        _, collector, nameservers, domains = setup
-        urs = collector.collect_urs(nameservers, domains, {}).undelegated
+        network, _, nameservers, domains = setup
+        urs = stage1(network, nameservers, domains).undelegated
         assert len({record.key for record in urs}) == len(urs)
 
     def test_provider_attached(self, setup):
-        _, collector, nameservers, domains = setup
-        urs = collector.collect_urs(nameservers, domains, {}).undelegated
+        network, _, nameservers, domains = setup
+        urs = stage1(network, nameservers, domains).undelegated
         providers = {record.provider for record in urs}
         assert "HostA" in providers
 
@@ -127,19 +140,23 @@ class TestUrCollection:
 class TestProtectiveFingerprinting:
     def test_protective_server_fingerprinted(self, setup):
         _, collector, nameservers, _ = setup
-        fingerprints = collector.collect_protective_records(nameservers)
+        fingerprints = collector.collect_protective_records(
+            plan_for(nameservers)
+        )
         assert fingerprints[NS_B].matches(RRType.A, "203.0.113.250")
 
     def test_normal_server_empty_fingerprint(self, setup):
         _, collector, nameservers, _ = setup
-        fingerprints = collector.collect_protective_records(nameservers)
+        fingerprints = collector.collect_protective_records(
+            plan_for(nameservers)
+        )
         assert not fingerprints[NS_A].records
         assert not fingerprints[NS_C].records
 
     def test_probe_domain_used(self, setup):
         network, collector, nameservers, _ = setup
         collector.collect_protective_records(
-            nameservers, probe_domain="my-own-probe.net"
+            plan_for(nameservers, probe_domain="my-own-probe.net")
         )
         probed = [
             flow
@@ -168,8 +185,10 @@ class TestCorrectRecordCollection:
         ipinfo = IpInfoDatabase()
         database = CorrectRecordDatabase(ipinfo)
         successes = collector.collect_correct_records(
-            [DomainTarget(name("victim.com"), 1)],
-            ["10.50.0.1"],
+            plan_for(
+                domains=[DomainTarget(name("victim.com"), 1)],
+                resolvers=["10.50.0.1"],
+            ),
             database,
         )
         assert successes >= 1
@@ -179,30 +198,29 @@ class TestCorrectRecordCollection:
         _, collector, _, domains = setup
         database = CorrectRecordDatabase(IpInfoDatabase())
         successes = collector.collect_correct_records(
-            domains, ["10.200.0.1"], database
+            plan_for(domains=domains, resolvers=["10.200.0.1"]), database
         )
         assert successes == 0
 
 
 class TestRateLimiting:
     def test_interval_advances_virtual_clock(self, setup):
-        network, _, nameservers, domains = setup
-        collector = ResponseCollector(
-            network, scanner_ip="203.0.113.99", per_server_interval=130.0
-        )
+        network, _, _, domains = setup
         before = network.now
-        collector.collect_urs(
-            [NameserverTarget(NS_A, "HostA")], domains, {}
+        stage1(
+            network,
+            [NameserverTarget(NS_A, "HostA")],
+            domains,
+            scanner_ip="203.0.113.99",
+            per_server_interval=130.0,
         )
         # 4 queries to one server -> at least 3 inter-query gaps.
         assert network.now - before >= 3 * 130.0
 
     def test_no_interval_no_extra_delay(self, setup):
-        network, collector, _, domains = setup
+        network, _, _, domains = setup
         before = network.now
-        collector.collect_urs(
-            [NameserverTarget(NS_A, "HostA")], domains, {}
-        )
+        stage1(network, [NameserverTarget(NS_A, "HostA")], domains)
         assert network.now - before < 1.0
 
 
@@ -210,15 +228,15 @@ class TestTypedCollectionResult:
     def test_tuple_unpacking_shim_is_gone(self, setup):
         """The deprecated 4-tuple unpacking was removed: the typed
         result is deliberately not iterable."""
-        _, collector, nameservers, domains = setup
-        result = collector.collect_urs(nameservers, domains, {})
+        network, _, nameservers, domains = setup
+        result = stage1(network, nameservers, domains)
         with pytest.raises(TypeError):
             iter(result)
         assert not hasattr(result, "legacy_tuple")
 
     def test_wire_counters_consistent(self, setup):
-        _, collector, nameservers, domains = setup
-        result = collector.collect_urs(nameservers, domains, {})
+        network, _, nameservers, domains = setup
+        result = stage1(network, nameservers, domains)
         assert result.undelegated
         assert result.queries_sent >= result.responses_seen > 0
         assert result.timeouts == (
@@ -226,16 +244,9 @@ class TestTypedCollectionResult:
         )
 
     def test_collect_all_folds_everything(self, setup):
-        network, collector, nameservers, domains = setup
-        database = CorrectRecordDatabase(IpInfoDatabase())
-        result = collector.collect_all(
-            nameservers,
-            domains,
-            delegated_to={},
-            open_resolver_ips=[],
-            correct_db=database,
-        )
-        assert result.correct_db is database
+        network, _, nameservers, domains = setup
+        result = stage1(network, nameservers, domains)
+        assert isinstance(result.correct_db, CorrectRecordDatabase)
         assert set(result.protective) == {NS_A, NS_B, NS_C}
         assert result.metrics is not None
         assert result.metrics.stage("ur").queries > 0
@@ -244,16 +255,9 @@ class TestTypedCollectionResult:
     def test_collect_all_pins_classification_epoch(self, setup):
         """The classification clock is pinned after the protective +
         correct collections, before the UR scan starts."""
-        network, collector, nameservers, domains = setup
-        database = CorrectRecordDatabase(IpInfoDatabase())
-        result = collector.collect_all(
-            nameservers,
-            domains,
-            delegated_to={},
-            open_resolver_ips=[],
-            correct_db=database,
-        )
-        assert 0.0 < result.classification_epoch <= network.now
+        network, _, nameservers, domains = setup
+        result = stage1(network, nameservers, domains)
+        assert 0.0 < result.classification_epoch < network.now
 
 
 class TestQueryTypesApi:

@@ -191,6 +191,13 @@ class TestHunterConfigValidation:
         with pytest.raises(ValueError, match="timeout"):
             HunterConfig(timeout=0.0)
 
+    def test_zero_shards_rejected(self):
+        """One shard is the smallest scan there is: the in-line path
+        ``shards=0`` used to select is gone."""
+        assert HunterConfig().shards == 1
+        with pytest.raises(ValueError, match="shards must be >= 1"):
+            HunterConfig(shards=0)
+
     def test_engine_policy_carries_knobs(self):
         config = HunterConfig(
             max_concurrency=4,

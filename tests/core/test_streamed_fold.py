@@ -1,12 +1,13 @@
 """The streamed stage-1 fold against the list-based fold it replaced.
 
-``collect_urs`` and ``execute_group`` used to park every
-``QueryOutcome`` (response message attached) in a list and walk it once
-in task order.  Both now reduce each outcome as it completes and restore
-task order from the index.  The list-based folds are kept here, verbatim,
-as the reference: same URs in the same order, same wire counters, same
-clock and engine ledger — on a clean network, under 5 % loss, and with
-servers whose circuit opens.
+The UR scan used to park every ``QueryOutcome`` (response message
+attached) in a list and walk it once in task order.  ``run_group_isolated``
+now reduces each outcome as it completes, ``run_shard_scan`` folds each
+group as it completes, and task order is restored from the index.  The
+list-based folds are kept here as the reference — every group's
+outcomes parked, then one walk in task order: same URs in the same
+order, same wire counters, same clock and engine ledger — on a clean
+network, under 5 % loss, and with servers whose circuit opens.
 
 The two preamble folds (protective fingerprints, correct-record
 profiles) stream the same way; their list forms are kept here too and
@@ -20,7 +21,11 @@ import types
 import pytest
 
 from repro.core import HunterConfig, URHunter
-from repro.core.collector import CollectionResult, ProtectiveFingerprint
+from repro.core.collector import (
+    CollectionPreamble,
+    CollectionResult,
+    ProtectiveFingerprint,
+)
 from repro.core.records import dedupe_urs
 from repro.dns.message import Rcode
 from repro.dns.rdata import A, MX, TXT, RRType
@@ -32,6 +37,7 @@ from repro.plan.shards import (
     encode_group_result,
     group_fault_seed,
     run_group_isolated,
+    run_shard_scan,
 )
 from repro.scenario import build_world, small_config
 
@@ -66,13 +72,29 @@ def _hunter(prepare):
     return URHunter.from_world(world, HunterConfig())
 
 
-def _list_collect_urs(collector, nameservers, domains, delegated_to):
-    """``ResponseCollector.collect_urs`` as it was before streaming."""
-    tasks = collector.build_ur_tasks(nameservers, domains, delegated_to)
-    outcomes = collector.engine.execute(tasks)
+def _list_collect_urs(hunter, plan, epoch):
+    """The UR scan as one list: every group executed under the runner's
+    clock and RNG rules with its outcomes parked, then a single walk in
+    task order."""
+    network = hunter.network
+    rng_state = network._fault_rng.getstate()
+    outcomes = []
+    makespan = 0.0
+    for group in plan.groups:
+        network.set_clock(epoch)
+        network._fault_rng = random.Random(
+            group_fault_seed(network.fault_seed, group.server_ip)
+        )
+        result = _list_execute_group(hunter, plan, group)
+        outcomes.extend(result.outcomes)
+        hunter.engine.metrics.merge(result.metrics)
+        makespan = max(makespan, result.elapsed)
+    network._fault_rng.setstate(rng_state)
+    network.set_clock(epoch + makespan)
+    outcomes.sort(key=lambda outcome: outcome.index)
     collected = []
     for outcome in outcomes:
-        collected.extend(collector.urs_from_outcome(outcome))
+        collected.extend(outcome.urs)
     attempts = sum(outcome.attempts for outcome in outcomes)
     responses = sum(1 for outcome in outcomes if outcome.answered)
     return CollectionResult(
@@ -83,9 +105,11 @@ def _list_collect_urs(collector, nameservers, domains, delegated_to):
     )
 
 
-def _list_execute_group(network, config, plan, group, extract_urs):
-    """``execute_group`` as it was before streaming."""
-    engine = shards._group_engine(network, config)
+def _list_execute_group(hunter, plan, group):
+    """A pinned group's execution as it was before streaming."""
+    network = hunter.network
+    extract_urs = hunter.collector.urs_from_outcome
+    engine = shards._group_engine(hunter, network.now)
     start = network.now
     tasks = list(plan.tasks("ur", group.unit_indices))
     outcomes = engine.execute(tasks)
@@ -118,17 +142,14 @@ def _list_execute_group(network, config, plan, group, extract_urs):
 def test_collect_urs_equals_the_list_fold(prepare):
     streamed_hunter = _hunter(prepare)
     listed_hunter = _hunter(prepare)
+    epoch = streamed_hunter.network.now
     streamed = streamed_hunter.collector.collect_urs(
-        streamed_hunter.nameservers,
-        streamed_hunter.domains,
-        streamed_hunter.delegated_to,
+        lambda: run_shard_scan(
+            streamed_hunter, streamed_hunter.plan, epoch
+        ),
+        CollectionPreamble({}, None, 0, epoch),
     )
-    listed = _list_collect_urs(
-        listed_hunter.collector,
-        listed_hunter.nameservers,
-        listed_hunter.domains,
-        listed_hunter.delegated_to,
-    )
+    listed = _list_collect_urs(listed_hunter, listed_hunter.plan, epoch)
     assert streamed.undelegated == listed.undelegated
     assert streamed.undelegated, "the scan found no UR to order"
     assert (
@@ -166,26 +187,14 @@ def test_execute_group_equals_the_list_fold(prepare):
     ][:5]
     for group in groups:
         streamed = run_group_isolated(
-            streamed_hunter.network,
-            streamed_hunter.config,
-            plan,
-            group,
-            streamed_hunter.collector.urs_from_outcome,
-            epoch,
-            SEED,
+            streamed_hunter, plan, group, epoch, epoch
         )
         network = listed_hunter.network
         network.set_clock(epoch)
         network._fault_rng = random.Random(
-            group_fault_seed(SEED, group.server_ip)
+            group_fault_seed(network.fault_seed, group.server_ip)
         )
-        listed = _list_execute_group(
-            network,
-            listed_hunter.config,
-            plan,
-            group,
-            listed_hunter.collector.urs_from_outcome,
-        )
+        listed = _list_execute_group(listed_hunter, plan, group)
         assert streamed.outcomes == listed.outcomes
         assert [outcome.index for outcome in streamed.outcomes] == list(
             group.unit_indices
@@ -196,15 +205,13 @@ def test_execute_group_equals_the_list_fold(prepare):
         assert skipped > 0
 
 
-def _list_collect_protective(collector, nameservers, probe_domain=None):
+def _list_collect_protective(collector, plan):
     """``collect_protective_records`` as it was before streaming."""
     fingerprints = {
-        nameserver.address: ProtectiveFingerprint(
-            nameserver_ip=nameserver.address
-        )
-        for nameserver in nameservers
+        address: ProtectiveFingerprint(nameserver_ip=address)
+        for address in plan.protective_units.servers
     }
-    tasks = collector.plan.tasks("protective")
+    tasks = plan.tasks("protective")
     for outcome in collector.engine.execute(tasks):
         response = outcome.response
         if response is None:
@@ -220,9 +227,9 @@ def _list_collect_protective(collector, nameservers, probe_domain=None):
     return fingerprints
 
 
-def _list_collect_correct(collector, domains, open_resolver_ips, correct_db):
+def _list_collect_correct(collector, plan, correct_db):
     """``collect_correct_records`` as it was before streaming."""
-    tasks = collector.plan.tasks("correct")
+    tasks = plan.tasks("correct")
     successes = 0
     for outcome in collector.engine.execute(tasks):
         response = outcome.response

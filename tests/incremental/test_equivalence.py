@@ -5,9 +5,8 @@ replays stored group outcomes produces the same report summary, trace
 deterministic section, and metrics deterministic section as a cold
 full scan — across batch/stream execution, shard counts, and the
 process pool — both on an unchanged world and after zone mutations
-dirty a subset of groups.  Chaos/faulted runs and ``--no-incremental``
-must bypass the store entirely and stay byte-identical to the
-store-less behavior.
+dirty a subset of groups.  Chaos/faulted runs must bypass the store
+entirely and stay byte-identical to the store-less behavior.
 """
 
 import json
@@ -51,14 +50,13 @@ def mutate_zones(world, count=3):
 
 def run(
     store=None,
-    shards=0,
+    shards=1,
     execution="batch",
     loss=0.0,
     chaos=None,
     workers=1,
     world_spec=None,
     mutate=None,
-    incremental=True,
 ):
     """One full measurement; returns the three byte-compared surfaces."""
     world = build_world(small_config(seed=SEED))
@@ -67,10 +65,7 @@ def run(
     if loss:
         world.network.inject_faults(loss_rate=loss, seed=SEED)
     config = HunterConfig(
-        execution=execution,
-        shards=shards,
-        shard_workers=workers,
-        incremental=incremental,
+        execution=execution, shards=shards, shard_workers=workers
     )
     hunter = URHunter.from_world(world, config)
     if chaos:
@@ -135,13 +130,6 @@ class TestWarmEqualsCold:
         assert surfaces == cold
         assert store.stats["hits"] > 0
 
-    def test_no_incremental_executes_everything(
-        self, cold, populated, store_dir
-    ):
-        store = GroupResultStore(store_dir)
-        assert run(store=store, incremental=False) == cold
-        assert all(value == 0 for value in store.stats.values())
-
 
 class TestMutationInvalidates:
     def test_warm_after_mutation_matches_cold_on_mutated_world(
@@ -170,33 +158,25 @@ class TestMutationInvalidates:
 
 class TestFaultedRunsBypass:
     def test_loss_run_matches_storeless_and_stores_nothing(self, tmp_path):
-        baseline = run(loss=LOSS, shards=1)
+        baseline = run(loss=LOSS)
         store = GroupResultStore(tmp_path / "store")
-        assert run(store=store, loss=LOSS, shards=1) == baseline
+        assert run(store=store, loss=LOSS) == baseline
         assert store.stats["bypassed_runs"] == 1
         assert store.identities() == []
 
     def test_chaos_run_matches_storeless(self, tmp_path):
-        baseline = run(chaos=CHAOS, shards=1)
+        baseline = run(chaos=CHAOS)
         store = GroupResultStore(tmp_path / "store")
-        assert run(store=store, chaos=CHAOS, shards=1) == baseline
+        assert run(store=store, chaos=CHAOS) == baseline
         assert store.stats["bypassed_runs"] == 1
         assert store.identities() == []
-
-    def test_legacy_inline_faulted_run_ignores_the_store(self, tmp_path):
-        # shards=0 + faults keeps the pre-plan inline scan: the store
-        # must stay untouched and the run byte-identical to pre-store
-        baseline = run(loss=LOSS)
-        store = GroupResultStore(tmp_path / "store")
-        assert run(store=store, loss=LOSS) == baseline
-        assert all(value == 0 for value in store.stats.values())
 
     def test_populated_store_never_leaks_into_a_faulted_run(
         self, populated, store_dir
     ):
-        baseline = run(loss=LOSS, shards=1)
+        baseline = run(loss=LOSS)
         store = GroupResultStore(store_dir)
-        assert run(store=store, loss=LOSS, shards=1) == baseline
+        assert run(store=store, loss=LOSS) == baseline
         assert store.stats["hits"] == 0
         assert store.stats["bypassed_runs"] == 1
 
@@ -206,21 +186,13 @@ class TestLongitudinalWarmRuns:
         def churn(world, index):
             mutate_zones(world, count=2)
 
-        # both studies pin shards=1 so every round takes the group
-        # path: the legacy inline scan advances the clock query by
-        # query while the group path advances it by the shard makespan,
-        # so mixing paths would start round 1 at different epochs
-        config = HunterConfig(shards=1)
         baseline = LongitudinalStudy(
-            build_world(small_config(seed=SEED)),
-            config=config,
-            mutate=churn,
+            build_world(small_config(seed=SEED)), mutate=churn
         )
         baseline.run(rounds=2)
         store = GroupResultStore(tmp_path / "store")
         warm = LongitudinalStudy(
             build_world(small_config(seed=SEED)),
-            config=config,
             mutate=churn,
             result_store=store,
         )

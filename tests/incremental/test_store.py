@@ -75,14 +75,13 @@ class TestConfigFingerprint:
         assert scan_config_fingerprint(HunterConfig(retries=5)) != base
 
     def test_perf_knobs_do_not_invalidate(self):
-        # execution mode, worker counts, sharding, and the incremental
-        # switch itself never change a group's computed outcome
+        # execution mode, worker counts, and sharding never change a
+        # group's computed outcome
         base = scan_config_fingerprint(HunterConfig())
         for config in (
             HunterConfig(execution="stream"),
             HunterConfig(shards=4, shard_workers=2),
             HunterConfig(stage2_workers=8),
-            HunterConfig(incremental=False),
         ):
             assert scan_config_fingerprint(config) == base
 

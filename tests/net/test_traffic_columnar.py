@@ -88,7 +88,7 @@ def test_small_scan_views_equal_the_eager_list(mode, interval):
     capture = install_eager_oracle(world.network)
     exchanges = world.network.stats["dns_queries"]
     marker = len(capture)
-    hunter.collector.collect_protective_records(hunter.nameservers)
+    hunter.collector.collect_protective_records(hunter.plan)
     midway = len(capture)
     hunter.stage1_collect()
     exchanges = world.network.stats["dns_queries"] - exchanges

@@ -81,19 +81,17 @@ class TestTruncation:
 class TestPipelineWithBigRecords:
     def test_collector_retrieves_truncated_urs(self, big_zone_network):
         """Stage 1 must not lose URs behind UDP truncation."""
-        from repro.core.collector import (
-            DomainTarget,
-            NameserverTarget,
-            ResponseCollector,
-        )
+        from repro.core.collector import DomainTarget, NameserverTarget
         from repro.dns.name import name
 
-        collector = ResponseCollector(big_zone_network)
-        result = collector.collect_urs(
+        from ..conftest import bare_hunter
+
+        hunter = bare_hunter(
+            big_zone_network,
             [NameserverTarget("10.0.0.1", "BigHost")],
             [DomainTarget(name("big.example"), 1)],
-            {},
         )
+        result = hunter.stage1_collect().collection
         txt_urs = [
             record
             for record in result.undelegated

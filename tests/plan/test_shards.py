@@ -1,24 +1,23 @@
 """Sharded stage-1 equivalence: the merged run is byte-identical.
 
-The acceptance invariant of the shard runner: for every shard count,
+The acceptance invariant of the group runner: for every shard count,
 worker count, and execution mode, the report summary, the trace's
 deterministic section, and the metrics document's deterministic
-section are byte-identical to the single-shard baseline — clean,
-faulted, and resumed from on-disk shard partials.  A clean sharded run
-additionally matches the legacy in-line scan exactly; faulted runs
-only promise shard-count invariance (the per-group fault-RNG
-isolation necessarily draws losses in a different order than the
-legacy single-stream scan).
+section are byte-identical to the single-shard default — clean,
+faulted, and resumed from on-disk shard partials.
 """
 
+import itertools
 import json
 
 import pytest
 
 from repro.core import HunterConfig, URHunter
+from repro.core.collector import CollectionFailure
 from repro.obs import RunTrace
 from repro.obs.metrics import build_metrics_document
-from repro.pipeline import CheckpointStore
+from repro.pipeline import CheckpointStore, PipelineRunner
+from repro.plan import shards as shard_runner
 from repro.plan.pool import WorldSpec
 from repro.resilience.scenario import apply_scenario, load_scenario
 from repro.scenario import build_world, small_config
@@ -62,11 +61,6 @@ def run(
 
 
 @pytest.fixture(scope="module")
-def clean_legacy():
-    return run(0)
-
-
-@pytest.fixture(scope="module")
 def clean_s1():
     return run(1)
 
@@ -82,11 +76,6 @@ def faulted_s1():
 
 
 class TestCleanEquivalence:
-    def test_single_shard_matches_the_legacy_scan(
-        self, clean_legacy, clean_s1
-    ):
-        assert clean_s1 == clean_legacy
-
     def test_invariant_under_shard_count(self, clean_s1, clean_s2):
         assert clean_s2 == clean_s1
 
@@ -116,7 +105,7 @@ class TestCleanEquivalence:
 
 class TestFaultedEquivalence:
     """Loss and chaos schedules: shard-count and execution-mode
-    invariant (baseline shards=1, per the module docstring)."""
+    invariant."""
 
     def test_loss_invariant_under_shard_count(self, faulted_s1):
         assert run(4, loss=LOSS) == faulted_s1
@@ -129,6 +118,55 @@ class TestFaultedEquivalence:
 
     def test_chaos_invariant_under_shard_count(self):
         assert run(4, chaos=CHAOS) == run(1, chaos=CHAOS)
+
+
+class TestGroupFailure:
+    """A group whose engine dies mid-scan keeps its provenance: the
+    failure names the UR collection and carries the parent ledger
+    merged up to the last completed group."""
+
+    COMPLETED = 3
+
+    @pytest.mark.parametrize("execution", ["batch", "stream"])
+    def test_failure_names_the_collection_and_keeps_the_ledger(
+        self, execution, tmp_path, monkeypatch
+    ):
+        world = build_world(small_config(seed=SEED))
+        hunter = URHunter.from_world(
+            world, HunterConfig(execution=execution)
+        )
+        build_engine = shard_runner._group_engine
+        built = itertools.count()
+
+        def dying_engine(hunter, origin):
+            engine = build_engine(hunter, origin)
+            if next(built) == self.COMPLETED:
+
+                def execute_iter(tasks):
+                    raise RuntimeError("engine blew up")
+                    yield
+
+                engine.execute_iter = execute_iter
+            return engine
+
+        monkeypatch.setattr(shard_runner, "_group_engine", dying_engine)
+        runner = PipelineRunner(hunter, store=CheckpointStore(str(tmp_path)))
+        with pytest.raises(CollectionFailure) as caught:
+            runner.run()
+        failure = caught.value
+        assert failure.stage == "stage1-collect/ur"
+        assert failure.collection == "ur"
+        assert isinstance(failure.cause, RuntimeError)
+        # clean network: one query per unit of the groups that finished
+        finished = sum(
+            len(group.unit_indices)
+            for group in hunter.plan.groups[: self.COMPLETED]
+        )
+        assert failure.metrics.stage("ur").queries == finished > 0
+        assert failure.metrics.stage("protective").queries > 0
+        recorded = json.loads((tmp_path / "failure.json").read_text())
+        assert recorded["stage"] == "stage1-collect/ur"
+        assert recorded["error"] == "CollectionFailure"
 
 
 class TestShardResume:

@@ -32,13 +32,7 @@ def test_paper_scale_seed_builds_with_fn_rate_zero(seed):
     # only, so the UR scan (most of a paper-scale run) is left out
     hunter = URHunter.from_world(world, HunterConfig(capture_mode="off"))
     correct_db = CorrectRecordDatabase(hunter.ipinfo)
-    preamble = hunter.collector.collect_preamble(
-        hunter.nameservers,
-        hunter.domains,
-        hunter.open_resolver_ips,
-        correct_db,
-        probe_domain=hunter.config.probe_domain,
-    )
+    preamble = hunter.collector.collect_preamble(hunter.plan, correct_db)
     hunter.correct_db = correct_db
     stage1 = Stage1Result(
         collection=preamble.fold_into(CollectionResult()),
