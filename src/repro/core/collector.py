@@ -17,9 +17,13 @@ queries, in which randomized (ethics, Appendix A) order — is a
 :class:`~repro.plan.scanplan.ScanPlan` every collection takes as input;
 scheduling, per-server pacing, retries, and failure accounting belong to
 a :class:`~repro.engine.api.QueryEngine` (see :mod:`repro.engine`); and
-the UR scan itself is executed by the plan's group runner
-(:func:`repro.plan.shards.run_shard_scan`), which the hunter hands to
-:meth:`ResponseCollector.collect_urs`.
+every collection is executed by the plan's group runner
+(:mod:`repro.plan.shards`) as isolated per-server groups — the
+protective and correct collections through
+:func:`~repro.plan.shards.run_collection_groups`, the UR scan through
+:func:`~repro.plan.shards.run_shard_scan`, which the hunter hands to
+:meth:`ResponseCollector.collect_urs`.  The collector's own engine
+sends nothing: it is the ledger the groups merge into.
 """
 
 from __future__ import annotations
@@ -38,11 +42,11 @@ from ..engine import (
     ScanMetrics,
     create_engine,
 )
-from ..net.network import NetworkError, SimulatedInternet
+from ..net.network import SimulatedInternet
 from ..obs.events import STAGE1 as OBS_STAGE1
 from ..pipeline.errors import StageFailed
 from ..plan.scanplan import ScanPlan
-from ..plan.shards import ScanFold
+from ..plan.shards import ScanFold, run_collection_groups
 from .correctness import CorrectRecordDatabase
 from .records import UndelegatedRecord, dedupe_urs
 
@@ -200,7 +204,8 @@ class ResponseCollector:
 
         Emitted *here* (not by the hunter after the fact) so breaker
         trips raised mid-phase land before their phase marker.  The
-        counters come from the engine's per-phase ledger.
+        counters come from the engine's per-phase ledger, once the
+        phase's groups have been merged into it.
         """
         if self.trace is None:
             return
@@ -230,7 +235,9 @@ class ResponseCollector:
         Protective fingerprints and correct-record profiles must be
         complete before the first UR can be classified.  Resets the
         engine metrics, so the UR scan that follows accumulates into
-        the same ledger.
+        the same ledger.  Each collection ends at its start plus its
+        longest server group, so the classification epoch is
+        ``origin + makespan(protective) + makespan(correct)``.
         """
         self.engine.metrics = ScanMetrics()
         protective = self._guarded(
@@ -344,14 +351,16 @@ class ResponseCollector:
         imperfection the paper's vantage-point selection tolerates.
         """
         successes = 0
+
         # folded as each outcome completes: the profile is a union of
         # sets, so completion order cannot show
-        for _, outcome in self.engine.execute_iter(plan.tasks("correct")):
+        def fold(outcome: QueryOutcome) -> None:
+            nonlocal successes
             response = outcome.response
             if response is None:
-                continue
+                return
             if response.header.rcode != Rcode.NOERROR:
-                continue
+                return
             successes += 1
             domain = outcome.task.qname
             for answer in response.answers:
@@ -361,6 +370,8 @@ class ResponseCollector:
                     correct_db.observe_txt(domain, answer.rdata.value)
                 elif isinstance(answer.rdata, MX):
                     correct_db.observe_mx(domain, answer.rdata.to_text())
+
+        run_collection_groups(self, plan, "correct", fold)
         return successes
 
     # -- protective records ------------------------------------------------------
@@ -377,12 +388,13 @@ class ResponseCollector:
             address: ProtectiveFingerprint(nameserver_ip=address)
             for address in plan.protective_units.servers
         }
-        for _, outcome in self.engine.execute_iter(plan.tasks("protective")):
+
+        def fold(outcome: QueryOutcome) -> None:
             response = outcome.response
             if response is None:
-                continue
+                return
             if response.header.rcode != Rcode.NOERROR:
-                continue
+                return
             fingerprint = fingerprints[outcome.task.server_ip]
             for answer in response.answers:
                 if isinstance(answer.rdata, A):
@@ -393,21 +405,9 @@ class ResponseCollector:
                     fingerprint.records.add(
                         (RRType.TXT, answer.rdata.value)
                     )
+
+        run_collection_groups(self, plan, "protective", fold)
         return fingerprints
-
-    # -- internals -----------------------------------------------------------
-
-    def _query(
-        self, server_ip: str, domain: Name, qtype: int
-    ) -> Optional[Message]:
-        """One ad-hoc query outside the engine (kept for extensions)."""
-        query = Message.make_query(domain, qtype, recursion_desired=False)
-        try:
-            return self.network.query_dns_auto(
-                self.scanner_ip, server_ip, query
-            )
-        except NetworkError:
-            return None
 
 
 def select_target_nameservers(

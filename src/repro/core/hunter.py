@@ -4,8 +4,10 @@ Wires the three stages together exactly as §4 describes:
 
 1. :class:`~repro.core.collector.ResponseCollector` gathers URs, correct
    records (open resolvers + passive DNS) and protective fingerprints —
-   driven through a pluggable :class:`~repro.engine.api.QueryEngine`
-   (sequential or batched, selected by :attr:`HunterConfig.engine`);
+   every collection as isolated per-server groups
+   (:mod:`repro.plan.shards`), each on a fresh pluggable
+   :class:`~repro.engine.api.QueryEngine` (sequential or batched,
+   selected by :attr:`HunterConfig.engine`);
 2. :class:`~repro.core.suspicion.SuspicionFilter` excludes correct and
    protective records;
 3. :class:`~repro.core.analysis.MaliciousBehaviorAnalyzer` fuses threat
@@ -30,12 +32,14 @@ from typing import (
     runtime_checkable,
 )
 
+from ..dns.message import Message, Rcode
 from ..dns.name import Name
+from ..dns.rdata import A, TXT, RRType
 from ..engine import ENGINE_REGISTRY, DEFAULT_ENGINE, EnginePolicy, create_engine
 from ..intel.aggregator import ThreatIntelAggregator
 from ..intel.ipinfo import IpInfoDatabase
 from ..intel.pdns import PassiveDnsStore
-from ..net.network import SimulatedInternet
+from ..net.network import NetworkError, SimulatedInternet
 from ..net.traffic import CaptureMode
 from ..obs.events import (
     STAGE1 as OBS_STAGE1,
@@ -47,7 +51,12 @@ from ..obs.events import (
 from ..pipeline.errors import SourceError
 from ..pipeline.resilience import SourceHealth, merge_health
 from ..plan.scanplan import ScanPlan, build_plan
-from ..plan.shards import run_shard_scan
+from ..plan.shards import (
+    GroupResult,
+    isolated_phase,
+    pin_group,
+    run_shard_scan,
+)
 from ..resilience import AimdController, DeadlineBudget, HedgeController
 from ..sandbox.ids import Severity
 from ..sandbox.sandbox import SandboxReport
@@ -554,8 +563,9 @@ class URHunter:
         )
 
     def stage1_collect(self) -> Stage1Result:
-        """Stage 1: the protective and correct collections through the
-        scan engine, then the UR scan through the plan's group runner.
+        """Stage 1: the protective and correct collections, then the UR
+        scan — each through the plan's group runner
+        (:mod:`repro.plan.shards`), one isolated group per server.
 
         The protective and correct collections are whole-corpus inputs
         to classification, so they run once, eagerly; the UR scan is
@@ -563,9 +573,10 @@ class URHunter:
         in both execution modes and for every shard count.
 
         ``now`` is the collection's *classification epoch* — the virtual
-        time pinned after the protective + correct collections, before
-        the UR scan (every group's clock starts there), so it is the
-        value checkpoints carry.
+        time pinned after the protective + correct collections (the run
+        origin plus their two makespans), before the UR scan (every
+        group's clock starts there), so it is the value checkpoints
+        carry.
         """
         self._emit(
             "stage.start",
@@ -864,50 +875,71 @@ class URHunter:
 
     def _delegated_records_sample(self) -> List[UndelegatedRecord]:
         """§4.2 validation input: the *delegated* records of the targets,
-        packaged in UR form so they can ride the same exclusion stage."""
-        from ..dns.rdata import A, TXT, RRType
-        from ..dns.message import Message, Rcode
-        from ..net.network import NetworkError
+        packaged in UR form so they can ride the same exclusion stage.
 
-        samples: List[UndelegatedRecord] = []
+        Ad-hoc exchanges, no engine and no retry — but under stage 1's
+        isolation rule: the queries aimed at one nameserver form a
+        group pinned to the sample's start, and the clock ends at
+        ``start + makespan``.  The sample keeps the targets' order.
+        """
+        network = self.network
+        scanner_ip = self.config.scanner_ip
         nameserver_by_ip = {
             target.address: target for target in self.nameservers
         }
-        for target in self.domains:
-            for address in self.delegated_to.get(target.domain, set()):
+        queries = [
+            (target.domain, address, qtype)
+            for target in self.domains
+            for address in self.delegated_to.get(target.domain, ())
+            for qtype in (RRType.A, RRType.TXT)
+        ]
+        by_server: Dict[str, List[int]] = {}
+        for position, (_, address, _) in enumerate(queries):
+            by_server.setdefault(address, []).append(position)
+        answered: Dict[int, List[UndelegatedRecord]] = {}
+        start = network.now
+        with isolated_phase(self, "sample", start) as finished:
+            for group, (address, positions) in enumerate(by_server.items()):
+                pin_group(network, start, "sample", address)
                 info = nameserver_by_ip.get(address)
                 provider = info.provider if info is not None else "unknown"
-                for qtype in (RRType.A, RRType.TXT):
+                for position in positions:
+                    domain, _, qtype = queries[position]
                     query = Message.make_query(
-                        target.domain, qtype, recursion_desired=False
+                        domain, qtype, recursion_desired=False
                     )
                     try:
-                        response = self.network.query_dns_auto(
-                            self.config.scanner_ip, address, query
+                        response = network.query_dns_auto(
+                            scanner_ip, address, query
                         )
                     except NetworkError:
                         continue
                     if response.header.rcode != Rcode.NOERROR:
                         continue
-                    for answer in response.answers:
-                        if isinstance(answer.rdata, A):
-                            rdata_text: Optional[str] = answer.rdata.address
-                        elif isinstance(answer.rdata, TXT):
-                            rdata_text = answer.rdata.value
-                        else:
-                            rdata_text = None
-                        if rdata_text is None:
-                            continue
-                        samples.append(
-                            UndelegatedRecord(
-                                domain=target.domain,
-                                nameserver_ip=address,
-                                provider=provider,
-                                rrtype=answer.rrtype,
-                                rdata_text=rdata_text,
-                            )
+                    answered[position] = [
+                        UndelegatedRecord(
+                            domain=domain,
+                            nameserver_ip=address,
+                            provider=provider,
+                            rrtype=answer.rrtype,
+                            rdata_text=(
+                                answer.rdata.address
+                                if isinstance(answer.rdata, A)
+                                else answer.rdata.value
+                            ),
                         )
-        return samples
+                        for answer in response.answers
+                        if isinstance(answer.rdata, (A, TXT))
+                    ]
+                # no engine, so no ledger: only the elapsed time merges
+                finished.append(
+                    GroupResult(group, address, network.now - start)
+                )
+        return [
+            record
+            for position in sorted(answered)
+            for record in answered[position]
+        ]
 
 
 def recover_pdns_subdomains(

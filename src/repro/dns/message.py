@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, List, Optional, Tuple, Union
 
 from .name import Name, name
-from .rdata import Rdata, RRClass, RRType
+from .rdata import NS, A, Rdata, RRClass, RRType
 
 
 class Rcode:
@@ -226,8 +226,6 @@ class Message:
 
     def referral_targets(self) -> List[Name]:
         """NS targets from the authority section (delegation referral)."""
-        from .rdata import NS  # local import to avoid cycle at module load
-
         return [
             record.rdata.target
             for record in self.authorities
@@ -236,8 +234,6 @@ class Message:
 
     def glue_address(self, server_name: Union[str, Name]) -> Optional[str]:
         """IPv4 glue for ``server_name`` from the additional section."""
-        from .rdata import A
-
         server_name = name(server_name)
         for record in self.additionals:
             if record.owner == server_name and isinstance(record.rdata, A):

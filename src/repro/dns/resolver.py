@@ -16,9 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+# the module, not its names: repro.net imports repro.dns.message, so
+# whichever package is imported first finds the other mid-import here
+from ..net import network as _net
 from .message import Message, Rcode, ResourceRecord
 from .name import Name, name
-from .rdata import CNAME, RRType
+from .rdata import A, CNAME, RRType
 from .zone import LookupStatus  # noqa: F401  (re-exported for tests)
 
 MAX_REFERRALS = 24
@@ -60,6 +63,7 @@ class RecursiveResolver:
         network: "object",
         root_hints: List[str],
         cache_enabled: bool = True,
+        query_cache: Optional[Dict[Tuple[Name, int], Message]] = None,
     ):
         if not root_hints:
             raise ValueError("a resolver needs at least one root hint")
@@ -68,6 +72,16 @@ class RecursiveResolver:
         self.root_hints = list(root_hints)
         self.cache_enabled = cache_enabled
         self._cache: Dict[Tuple[Name, int], CacheEntry] = {}
+        #: upstream query messages by (qname, qtype), built once and
+        #: re-sent: a repeated message keeps the authoritative servers'
+        #: compiled answers on their cheapest path.  Resolvers walking
+        #: the same names may be given one dict to share (the world
+        #: builder does that for the open resolvers)
+        self.query_cache: Dict[Tuple[Name, int], Message] = (
+            {} if query_cache is None else query_cache
+        )
+        #: one pinned DNS path per upstream server
+        self._channels: Dict[str, _net.DnsChannel] = {}
         self.stats = ResolverStats()
 
     # -- public API -----------------------------------------------------
@@ -90,8 +104,6 @@ class RecursiveResolver:
 
     def lookup_a(self, qname: Union[str, Name]) -> List[str]:
         """Convenience: resolve A records, returning address strings."""
-        from .rdata import A
-
         response = self.resolve(qname, RRType.A)
         return [
             record.rdata.address
@@ -230,14 +242,22 @@ class RecursiveResolver:
     def _query_any(
         self, servers: List[str], qname: Name, qtype: int
     ) -> Optional[Message]:
-        from ..net.network import NetworkError
-
+        query = self.query_cache.get((qname, qtype))
+        if query is None:
+            query = self.query_cache[(qname, qtype)] = Message.make_query(
+                qname, qtype, recursion_desired=False
+            )
+        channels = self._channels
         for server in servers:
-            query = Message.make_query(qname, qtype, recursion_desired=False)
+            channel = channels.get(server)
+            if channel is None:
+                channel = channels[server] = self.network.open_channel(
+                    self.address, server
+                )
             try:
                 self.stats.upstream_queries += 1
-                return self.network.query_dns_auto(self.address, server, query)
-            except NetworkError:
+                return channel.query_auto(query)
+            except _net.NetworkError:
                 continue
         return None
 
@@ -294,8 +314,11 @@ class OpenResolver(RecursiveResolver):
         root_hints: List[str],
         rewriter: Optional[ResponseRewriter] = None,
         country: str = "US",
+        query_cache: Optional[Dict[Tuple[Name, int], Message]] = None,
     ):
-        super().__init__(address, network, root_hints)
+        super().__init__(
+            address, network, root_hints, query_cache=query_cache
+        )
         self.rewriter = rewriter
         self.country = country
 
@@ -322,8 +345,6 @@ class StubResolver:
         return self.network.query_dns_auto(self.address, self.recursive_ip, query)
 
     def lookup_a(self, qname: Union[str, Name]) -> List[str]:
-        from .rdata import A
-
         response = self.resolve(qname, RRType.A)
         return [
             record.rdata.address

@@ -3,8 +3,11 @@
 Reads a file written by :meth:`~repro.obs.events.RunTrace.finalize`
 and prints, per stage, the span markers and body events in canonical
 order, followed by an event-name counter block and (when present) the
-timing section.  The renderer is deterministic: two traces with equal
-deterministic sections summarize to equal text.
+virtual-time table — one ``phase.makespan`` line per stage-1 phase:
+where the simulated seconds went, and which server set each phase's
+length — and the rest of the timing section.  The renderer is
+deterministic: two traces with equal deterministic sections summarize
+to equal text up to the timing lines.
 """
 
 from __future__ import annotations
@@ -99,6 +102,20 @@ def summarize_trace(source: Union[str, Path]) -> str:
             f"{name}={count}" for name, count in sorted(counters.items())
         )
     )
+    phases = [e for e in timing if e["event"] == "phase.makespan"]
+    timing = [e for e in timing if e["event"] != "phase.makespan"]
+    if phases:
+        total = sum(event["makespan"] for event in phases)
+        lines.append(
+            f"virtual time: {total:.2f}s in {len(phases)} phases "
+            "(each as long as its slowest server)"
+        )
+        for event in phases:
+            lines.append(
+                f"  {event['phase']:<10} {event['makespan']:>9.2f}s  "
+                f"groups={event['groups']} "
+                f"critical={event['critical_server']}"
+            )
     if timing:
         lines.append("timing:")
         for event in timing:

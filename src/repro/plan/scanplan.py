@@ -177,6 +177,19 @@ class UnitColumns(Sequence[QueryUnit]):
             map(self.server_index.__getitem__, indices),
         )
 
+    def lanes(self) -> Dict[str, array]:
+        """Unit indices per server address, read off the server column
+        alone: keyed in server-table order (table rows naming one
+        address share its lane), each lane in planned scan order.
+        Servers without a unit have no lane."""
+        lanes: Dict[str, array] = {
+            address: array("I") for address in self.servers
+        }
+        servers = self.servers
+        for index, row in enumerate(self.server_index):
+            lanes[servers[row]].append(index)
+        return {address: lane for address, lane in lanes.items() if lane}
+
     def identity_json(
         self, indices: Optional[Sequence[int]] = None
     ) -> Iterator[str]:
@@ -501,20 +514,16 @@ def build_plan(
         tags_by_server=True,
     )
 
-    # group UR units per nameserver, keyed in first-appearance order of
-    # the shuffled scan so grouping is as deterministic as the shuffle
-    order: Dict[str, array] = {}
-    for index, server_row in enumerate(ur.server_index):
-        address = addresses[server_row]
-        indices = order.get(address)
-        if indices is None:
-            indices = order[address] = array("I")
-        indices.append(index)
+    # one UR group per nameserver lane, numbered in first-appearance
+    # order of the shuffled scan (a lane's first unit index) so grouping
+    # is as deterministic as the shuffle
     groups = tuple(
         NameserverGroup(
             index=group_index, server_ip=server_ip, unit_indices=indices
         )
-        for group_index, (server_ip, indices) in enumerate(order.items())
+        for group_index, (server_ip, indices) in enumerate(
+            sorted(ur.lanes().items(), key=lambda lane: lane[1][0])
+        )
     )
 
     digest = hashlib.sha256()

@@ -1,28 +1,39 @@
-"""The stage-1 UR executor: a scan plan's nameserver groups, in isolation.
+"""The stage-1 executor: every collection as per-server groups, in isolation.
 
-Every UR scan — batch or streamed, one shard or many, in this process or
-a worker pool — is :func:`run_shard_scan`.  Its guarantees rest on one
-invariant: **a group's outcome is a pure function of the static world,
-the run origin, the classification epoch, and the config** — never of
-which shard or worker ran it, or what ran before it:
+Every stage-1 query — the protective and correct collections
+(:func:`run_collection_groups`), the UR scan (:func:`run_shard_scan`:
+batch or streamed, one shard or many, in this process or a worker
+pool) and the §4.2 delegated sample — runs in a *group*: the queries
+aimed at one server, which never wait on any other server's.  The
+guarantees rest on one invariant: **a group's outcome is a pure
+function of the static world, the run origin, the phase start, and the
+config** — never of which shard or worker ran it, or what ran before
+it (:func:`isolated_phase`, :func:`pin_group`):
 
-* **one clock rule** — the virtual clock is pinned to the
-  classification epoch before each group, and the parent clock ends at
-  ``epoch + makespan`` (the longest group: a perfectly parallel scan);
+* **one clock rule** — the virtual clock is pinned to the phase start
+  before each group, and the parent clock ends the phase at
+  ``start + makespan`` (the longest group: a perfectly parallel
+  phase); the UR scan's start is the classification epoch,
+  ``origin + makespan(protective) + makespan(correct)``;
 * **one fault-RNG rule** — the network fault RNG is reseeded per group
-  from a stable hash of ``(fault seed, nameserver address)`` (the
-  parent RNG state is saved and restored around the scan);
+  from a stable hash of ``(fault seed, phase, server address)``, so a
+  server's groups in different phases draw independent faults (the
+  parent RNG state is saved and restored around the phase);
 * every group gets a fresh engine, pacing/breaker state, hedge and AIMD
   controllers, and a deadline budget whose run deadline is measured
-  from the *run origin* the parent budget pinned (the preamble counts
+  from the *run origin* the parent budget pinned (earlier phases count
   against it; no group is granted the whole budget again) — stage
   deadlines anchor at the group's first task, as in any phase.
 
-A group is folded the moment it is in hand (:class:`ScanFold`: wire
-counters summed, only UR-carrying outcomes kept); its small ledgers —
-``ScanMetrics``, resilience counters, buffered engine trace events,
-elapsed time — wait for the merge into the parent objects in
-group-index order.  Results are JSON-encoded only at a persistence
+The parent engine sends nothing: it is the ledger the groups merge
+into, the origin of the run deadline, and the shared query-message
+cache.  A group is folded the moment it is in hand (the UR scan's
+:class:`ScanFold`: wire counters summed, only UR-carrying outcomes
+kept; the preamble's fingerprint and profile folds, outcome by
+outcome); its small ledgers — ``ScanMetrics``, resilience counters,
+buffered engine trace events, elapsed time — wait for the merge into
+the parent objects in group order.  Only UR groups are sharded, pooled
+or stored; their results are JSON-encoded only at a persistence
 boundary (a result-store slot, a shard partial, the process-pool
 wire), and payloads read back from one decode into the same fold.
 
@@ -37,11 +48,21 @@ import hashlib
 import os
 import random
 import signal
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
-from ..engine import create_engine
+from ..engine import ScanMetrics, create_engine
 from ..obs.events import RunTrace, _json_safe
 from ..resilience import AimdController, DeadlineBudget, HedgeController
 from .scanplan import NameserverGroup, ScanPlan
@@ -51,6 +72,9 @@ __all__ = [
     "ReducedOutcome",
     "ScanFold",
     "GroupResult",
+    "pin_group",
+    "isolated_phase",
+    "run_collection_groups",
     "run_group_isolated",
     "encode_group_result",
     "decode_group_result",
@@ -108,74 +132,198 @@ class ScanFold:
 
 @dataclass
 class GroupResult:
-    """Everything one isolated nameserver-group execution produced."""
+    """Everything one isolated server-group execution produced: how
+    long it took, and — for a group driven by an engine — its UR
+    outcomes and the engine's ledger (empty by default)."""
 
     group: int
     server_ip: str
     elapsed: float
-    outcomes: List[ReducedOutcome]
-    metrics: Any
-    resilience: Optional[Dict[str, Any]]
+    outcomes: List[ReducedOutcome] = field(default_factory=list)
+    metrics: Any = field(default_factory=ScanMetrics)
+    resilience: Optional[Dict[str, Any]] = None
     #: buffered deterministic engine events as (name, stage, fields)
-    events: List[Tuple[str, Optional[str], Dict[str, Any]]]
+    events: List[Tuple[str, Optional[str], Dict[str, Any]]] = field(
+        default_factory=list
+    )
 
 
-def group_fault_seed(base_seed: int, server_ip: str) -> int:
-    """Stable per-group fault-RNG seed — partition-independent."""
+def group_fault_seed(
+    base_seed: int, server_ip: str, phase: str = "ur"
+) -> int:
+    """Stable per-group fault-RNG seed — partition-independent.
+
+    The phase is part of the seed, so a server's groups in different
+    phases draw independent faults; the UR seed keeps its pre-phase
+    spelling (stored and pooled UR groups replay under it).
+    """
+    salt = "" if phase == "ur" else f"{phase}:"
     digest = hashlib.sha256(
-        f"urhunter-shard-group:{base_seed}:{server_ip}".encode("utf-8")
+        f"urhunter-shard-group:{base_seed}:{salt}{server_ip}".encode()
     ).digest()
     return int.from_bytes(digest[:8], "big")
 
 
-def _group_engine(hunter, origin: float):
-    """A fresh engine + resilience controllers for one group.
-
-    Mirrors the controller wiring of ``URHunter.__init__``; the deadline
-    budget is anchored at ``origin`` — where the parent budget began the
-    run — not at the epoch the group's clock is pinned to.  Only the
-    query messages are shared with the parent engine: every group asks
-    the same (qname, qtype) questions, and a re-sent message keeps the
-    servers' compiled answers on their cheapest path.
-    """
-    config = hunter.config
-    engine = create_engine(
-        config.engine,
-        hunter.network,
-        config.scanner_ip,
-        policy=config.engine_policy(),
+def pin_group(network, start: float, phase: str, server_ip: str) -> None:
+    """Start one group: the clock at the phase start, the fault RNG
+    reseeded from ``(fault seed, phase, server address)``."""
+    network.set_clock(start)
+    network._fault_rng = random.Random(
+        group_fault_seed(network.fault_seed, server_ip, phase)
     )
-    engine.query_cache = hunter.engine.query_cache
+
+
+@contextmanager
+def isolated_phase(
+    scan, phase: str, start: float
+) -> Iterator[List[GroupResult]]:
+    """One stage-1 phase of isolated groups, from ``start``.
+
+    ``scan`` is whoever owns the parent ``network``, ``engine`` and
+    ``trace`` (the hunter, or its collector).  The body pins each group
+    (:func:`pin_group`) and appends every group it has in hand to the
+    yielded list.  On the way out — also when a group raised, so a
+    failure report carries the phase up to that point — the parent
+    fault RNG is restored (whatever runs next sees a
+    partition-independent RNG), the parent engine ledger, resilience
+    counters and trace absorb the groups in ``group`` order, the parent
+    clock ends at ``start + makespan``, and one ``phase.makespan``
+    timing event says which server set it.
+    """
+    network = scan.network
+    rng_state = network._fault_rng.getstate()
+    finished: List[GroupResult] = []
+    try:
+        yield finished
+    finally:
+        restored = random.Random()
+        restored.setstate(rng_state)
+        network._fault_rng = restored
+        engine, trace = scan.engine, scan.trace
+        resilience = getattr(engine, "resilience", None)
+        makespan, critical = 0.0, None
+        finished.sort(key=attrgetter("group"))
+        for result in finished:
+            if trace is not None:
+                for name, stage, fields in result.events:
+                    trace.emit(name, stage=stage, **fields)
+            engine.metrics.merge(result.metrics)
+            if result.resilience and resilience is not None:
+                fold_resilience(resilience, result.resilience)
+            if critical is None or result.elapsed > makespan:
+                makespan, critical = result.elapsed, result.server_ip
+        network.set_clock(start + makespan)
+        _emit_timing(
+            trace,
+            "phase.makespan",
+            phase=phase,
+            groups=len(finished),
+            makespan=makespan,
+            critical_server=critical,
+        )
+
+
+def _group_engine(scan, origin: float):
+    """A fresh engine + resilience controllers for one group: the
+    parent engine's kind, policy and controller settings, none of its
+    state.
+
+    The deadline budget is anchored at ``origin`` — where the parent
+    budget began the run — not at the phase start the group's clock is
+    pinned to.  Only the query messages are shared with the parent
+    engine: every group asks the same (qname, qtype) questions, and a
+    re-sent message keeps the servers' compiled answers on their
+    cheapest path.
+    """
+    parent = scan.engine
+    engine = create_engine(
+        parent.name, scan.network, parent.scanner_ip, policy=parent.policy
+    )
+    engine.query_cache = parent.query_cache
     engine.trace = RunTrace()
-    if config.run_deadline > 0 or config.stage_deadline > 0:
+    if parent.budget is not None:
         engine.budget = DeadlineBudget(
-            run_deadline=config.run_deadline,
-            stage_deadline=config.stage_deadline,
+            run_deadline=parent.budget.run_deadline,
+            stage_deadline=parent.budget.stage_deadline,
         )
         engine.budget.begin(origin)
-    if config.hedge_delay > 0:
+    if parent.hedge is not None:
         engine.hedge = HedgeController(
-            base_delay=config.hedge_delay, timeout=config.timeout
+            base_delay=parent.hedge.base_delay, timeout=parent.hedge.timeout
         )
-    if config.aimd:
-        engine.aimd = AimdController(timeout=config.timeout)
+    if parent.aimd is not None:
+        engine.aimd = AimdController(timeout=parent.aimd.timeout)
     return engine
+
+
+def _run_origin(engine, start: float) -> float:
+    """Where group budgets measure the run deadline from: where the
+    run began, not the phase start every group's clock is pinned to."""
+    return start if engine.budget is None else engine.budget.begin(start)
+
+
+def _group_result(
+    engine, group: int, server_ip: str, elapsed: float, outcomes
+) -> GroupResult:
+    resilience = getattr(engine, "resilience", None)
+    return GroupResult(
+        group=group,
+        server_ip=server_ip,
+        elapsed=elapsed,
+        outcomes=outcomes,
+        metrics=engine.metrics,
+        resilience=(
+            _encode_resilience(resilience)
+            if resilience is not None
+            else None
+        ),
+        events=engine.trace.raw_events(),
+    )
+
+
+def run_collection_groups(
+    scan, plan: ScanPlan, collection: str, fold: Callable[[Any], None]
+) -> None:
+    """Execute a preamble collection (``"protective"``/``"correct"``)
+    as one isolated group per server, in server-table order.
+
+    The groups are the lanes of the collection's server column (unit
+    indices only — a task exists while its outcome is being folded).
+    ``fold`` takes each :class:`~repro.engine.api.QueryOutcome` as it
+    completes.  The phase starts at the parent clock and ends at
+    ``start + makespan`` (:func:`isolated_phase`).
+    """
+    network = scan.network
+    start = network.now
+    origin = _run_origin(scan.engine, start)
+    with isolated_phase(scan, collection, start) as finished:
+        for index, (server_ip, lane) in enumerate(
+            plan.units(collection).lanes().items()
+        ):
+            pin_group(network, start, collection, server_ip)
+            engine = _group_engine(scan, origin)
+            for _, outcome in engine.execute_iter(
+                plan.tasks(collection, lane)
+            ):
+                fold(outcome)
+            finished.append(
+                _group_result(
+                    engine, index, server_ip, network.now - start, []
+                )
+            )
 
 
 def run_group_isolated(
     hunter, plan: ScanPlan, group: NameserverGroup, epoch: float, origin: float
 ) -> GroupResult:
-    """Pin the clock and fault RNG for one group, then execute it.
+    """Pin the clock and fault RNG for one UR group, then execute it.
 
     Each outcome is reduced the moment it completes (its response
     message is dropped before the next task is driven); sorting by
     ``index`` restores task order from the engine's completion order.
     """
     network = hunter.network
-    network.set_clock(epoch)
-    network._fault_rng = random.Random(
-        group_fault_seed(network.fault_seed, group.server_ip)
-    )
+    pin_group(network, epoch, "ur", group.server_ip)
     engine = _group_engine(hunter, origin)
     extract_urs = hunter.collector.urs_from_outcome
     indices = group.unit_indices
@@ -193,19 +341,8 @@ def run_group_isolated(
         ),
         key=attrgetter("index"),
     )
-    resilience = getattr(engine, "resilience", None)
-    return GroupResult(
-        group=group.index,
-        server_ip=group.server_ip,
-        elapsed=network.now - epoch,
-        outcomes=reduced,
-        metrics=engine.metrics,
-        resilience=(
-            _encode_resilience(resilience)
-            if resilience is not None
-            else None
-        ),
-        events=engine.trace.raw_events(),
+    return _group_result(
+        engine, group.index, group.server_ip, network.now - epoch, reduced
     )
 
 
@@ -368,14 +505,12 @@ def run_shard_scan(hunter, plan: ScanPlan, epoch: float) -> ScanFold:
     Every group comes from exactly one source — a shard partial left by
     a crashed run, a result-store hit, a pool worker, or an isolated
     execution in this process — and is folded as soon as it is in hand.
-    The hunter's parent ledgers (engine metrics, resilience counters,
-    trace) then absorb the groups in group-index order — the order the
-    plan fixed, independent of shard membership — and the parent clock
-    ends at ``epoch + makespan``.  If a group raises, the groups that
-    did complete are still merged before the error propagates, so the
-    parent ledger a failure report carries is the scan up to that point.
+    The phase (:func:`isolated_phase`) then merges the groups' ledgers
+    into the hunter's in group-index order — the order the plan fixed,
+    independent of shard membership — and ends the parent clock at
+    ``epoch + makespan``, also when a group raises: the parent ledger a
+    failure report carries is the scan up to that point.
     """
-    network = hunter.network
     config = hunter.config
     trace = hunter.trace
     shard_count = config.shards
@@ -395,10 +530,7 @@ def run_shard_scan(hunter, plan: ScanPlan, epoch: float) -> ScanFold:
         and any(group.index not in replayed for group in shard.groups)
     ]
 
-    # group budgets measure the run deadline from where the run began,
-    # not from the epoch every group's clock is pinned to
-    budget = hunter.engine.budget
-    origin = epoch if budget is None else budget.begin(epoch)
+    origin = _run_origin(hunter.engine, epoch)
 
     pooled: Dict[int, List[Dict[str, Any]]] = {}
     if pending and hunter.world_spec is not None and config.shard_workers > 1:
@@ -420,20 +552,15 @@ def run_shard_scan(hunter, plan: ScanPlan, epoch: float) -> ScanFold:
             },
         )
 
-    # The per-group reseeding below clobbers the network fault RNG;
-    # save the parent state so the post-scan pipeline (notably the
-    # §4.2 delegated-sample queries) sees a partition-independent RNG.
-    rng_state = network._fault_rng.getstate()
     fold = ScanFold()
-    finished: Dict[int, GroupResult] = {}
+    with isolated_phase(hunter, "ur", epoch) as finished:
 
-    def absorb(result: GroupResult) -> None:
-        fold.add(result.outcomes)
-        # folded: only the small ledgers wait for the ordered merge
-        result.outcomes = []
-        finished[result.group] = result
+        def absorb(result: GroupResult) -> None:
+            fold.add(result.outcomes)
+            # folded: only the small ledgers wait for the ordered merge
+            result.outcomes = []
+            finished.append(result)
 
-    try:
         for shard in shards:
             if shard.index in cached:
                 payloads = cached.pop(shard.index)
@@ -497,19 +624,4 @@ def run_shard_scan(hunter, plan: ScanPlan, epoch: float) -> ScanFold:
                 groups=len(shard.groups),
             )
             _maybe_crash_shard(shard.index)
-    finally:
-        restored = random.Random()
-        restored.setstate(rng_state)
-        network._fault_rng = restored
-        makespan = 0.0
-        for group_index in sorted(finished):
-            result = finished[group_index]
-            if trace is not None:
-                for name, stage, fields in result.events:
-                    trace.emit(name, stage=stage, **fields)
-            hunter.engine.metrics.merge(result.metrics)
-            if result.resilience and hunter.resilience is not None:
-                fold_resilience(hunter.resilience, result.resilience)
-            makespan = max(makespan, result.elapsed)
-        network.set_clock(epoch + makespan)
     return fold

@@ -468,6 +468,9 @@ class _WorldBuilder:
         countries = ("US", "DE", "BR", "IN", "JP", "ZA", "FR", "KR")
         resolvers: List[OpenResolver] = []
         addresses: List[str] = []
+        # every vantage point walks the same names: one upstream query
+        # message per question for the lot, not one per resolver
+        query_cache: Dict[Tuple[Name, int], Message] = {}
         self.ipinfo.register_host(AD_SERVER_IP, cert_org="AdTech Inc")
         manipulated_budget = int(
             round(
@@ -486,6 +489,7 @@ class _WorldBuilder:
                 self.root.root_addresses,
                 rewriter=rewriter,
                 country=countries[index % len(countries)],
+                query_cache=query_cache,
             )
             self.network.register_dns_host(address, resolver)
             resolvers.append(resolver)

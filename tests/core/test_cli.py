@@ -196,6 +196,13 @@ class TestObservability:
         out = capsys.readouterr().out
         for marker in ("stage1-collect", "stage2-exclude", "run.end"):
             assert marker in out
+        # where the virtual time went: one line per stage-1 phase
+        table = out[out.index("virtual time:"):].splitlines()
+        assert "in 4 phases" in table[0]
+        assert [line.split()[0] for line in table[1:5]] == [
+            "protective", "correct", "ur", "sample",
+        ]
+        assert all("critical=10." in line for line in table[1:5])
 
     def test_trace_summarize_missing_file(self, capsys):
         assert main(["trace", "summarize", "/nonexistent/t.jsonl"]) == 2

@@ -10,8 +10,10 @@ order, same wire counters, same clock and engine ledger — on a clean
 network, under 5 % loss, and with servers whose circuit opens.
 
 The two preamble folds (protective fingerprints, correct-record
-profiles) stream the same way; their list forms are kept here too and
-must leave the stage-1 checkpoint byte-identical.
+profiles) stream the same way, one server group at a time; their list
+forms — every group executed under the same clock and RNG rules, its
+outcomes parked — are kept here too and must leave the stage-1
+checkpoint byte-identical.
 """
 
 import json
@@ -205,14 +207,44 @@ def test_execute_group_equals_the_list_fold(prepare):
         assert skipped > 0
 
 
+def _list_run_groups(collector, plan, collection):
+    """A preamble collection as one list: every server group executed
+    under the runner's clock and RNG rules with its outcomes parked,
+    then handed back in planned scan order."""
+    network = collector.network
+    units = plan.units(collection)
+    by_server = {}
+    for index, unit in enumerate(units):
+        by_server.setdefault(unit.server_ip, []).append(index)
+    start = network.now
+    rng_state = network._fault_rng.getstate()
+    parked = {}
+    makespan = 0.0
+    for server_ip in dict.fromkeys(units.servers):
+        indices = by_server.get(server_ip)
+        if not indices:
+            continue
+        network.set_clock(start)
+        network._fault_rng = random.Random(
+            group_fault_seed(network.fault_seed, server_ip, collection)
+        )
+        engine = shards._group_engine(collector, start)
+        outcomes = engine.execute([units.task(index) for index in indices])
+        parked.update(zip(indices, outcomes))
+        collector.engine.metrics.merge(engine.metrics)
+        makespan = max(makespan, network.now - start)
+    network._fault_rng.setstate(rng_state)
+    network.set_clock(start + makespan)
+    return [parked[index] for index in sorted(parked)]
+
+
 def _list_collect_protective(collector, plan):
     """``collect_protective_records`` as it was before streaming."""
     fingerprints = {
         address: ProtectiveFingerprint(nameserver_ip=address)
         for address in plan.protective_units.servers
     }
-    tasks = plan.tasks("protective")
-    for outcome in collector.engine.execute(tasks):
+    for outcome in _list_run_groups(collector, plan, "protective"):
         response = outcome.response
         if response is None:
             continue
@@ -229,9 +261,8 @@ def _list_collect_protective(collector, plan):
 
 def _list_collect_correct(collector, plan, correct_db):
     """``collect_correct_records`` as it was before streaming."""
-    tasks = plan.tasks("correct")
     successes = 0
-    for outcome in collector.engine.execute(tasks):
+    for outcome in _list_run_groups(collector, plan, "correct"):
         response = outcome.response
         if response is None:
             continue
@@ -271,5 +302,9 @@ def test_preamble_folds_leave_the_stage1_checkpoint_unchanged(prepare):
         encode_stage1(listed)
     )
     assert streamed_hunter.network.now == listed_hunter.network.now
+    assert (
+        streamed_hunter.engine.metrics.to_dict()
+        == listed_hunter.engine.metrics.to_dict()
+    )
     if prepare is _lossy:
         assert streamed_hunter.engine.metrics.stage("correct").retries > 0

@@ -141,6 +141,57 @@ class TestCache:
         assert resolver.stats.upstream_queries > upstream_before
 
 
+class TestUpstreamFastLane:
+    """One query message per question and one pinned channel per
+    upstream server — the same exchanges, fewer objects."""
+
+    def test_requeries_resend_the_same_message(self, tree):
+        network, root, _ = tree
+        resolver = RecursiveResolver(
+            "10.99.0.2", network, root.root_addresses, cache_enabled=False
+        )
+        resolver.resolve("example.com", RRType.A)
+        walk = resolver.stats.upstream_queries
+        exchanges = network.stats["dns_queries"]
+        messages = dict(resolver.query_cache)
+        assert list(messages) == [(name("example.com"), RRType.A)]
+        assert len(resolver._channels) == walk == 3  # root, TLD, zone
+        resolver.resolve("example.com", RRType.A)
+        # the second walk costs exactly what the first did
+        assert resolver.stats.upstream_queries == 2 * walk
+        assert network.stats["dns_queries"] == 2 * exchanges
+        assert resolver.query_cache == messages
+        assert len(resolver._channels) == walk
+
+    def test_channels_follow_host_changes(self, tree):
+        network, _, resolver = tree
+        assert resolver.lookup_a("example.com") == ["192.0.2.10"]
+        resolver.flush_cache()
+        network.set_online("10.10.0.1", False)
+        with pytest.raises(ResolutionError):
+            resolver.resolve("example.com", RRType.A)
+        moved = AuthoritativeServer("ns1.example.com")
+        moved.load_zone(
+            zone_from_records(
+                "example.com", [("example.com", "A", "192.0.2.99")]
+            )
+        )
+        network.register_dns_host("10.10.0.1", moved)
+        network.set_online("10.10.0.1", True)
+        assert resolver.lookup_a("example.com") == ["192.0.2.99"]
+
+    def test_a_worlds_open_resolvers_share_their_messages(
+        self, small_world
+    ):
+        hosts = small_world.network.dns_hosts()
+        caches = {
+            id(hosts[address].query_cache)
+            for address in small_world.open_resolver_ips
+        }
+        assert len(small_world.open_resolver_ips) > 1
+        assert len(caches) == 1
+
+
 class TestAsDnsService:
     def test_answers_recursive_clients(self, tree):
         network, _, resolver = tree

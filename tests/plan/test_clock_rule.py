@@ -1,0 +1,222 @@
+"""The one clock rule of stage 1, for every collection and the sample.
+
+Every stage-1 query runs in a per-server group pinned to its phase's
+start; a phase lasts as long as its slowest server.  So a group run on
+its own equals its slice of the full preamble, the preamble does not
+depend on the order servers are listed in, on the shard count or on the
+execution mode, the classification epoch is the sum of the two preamble
+makespans, and a whole run's virtual time is small and exactly
+repeatable — re-serialising any collection multiplies it.
+"""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from repro.core import HunterConfig, URHunter
+from repro.core.correctness import CorrectRecordDatabase
+from repro.pipeline.checkpoint import encode_stage1
+from repro.plan import shards
+from repro.scenario import build_world, small_config
+
+SEED = 7
+#: virtual seconds of the small-scale seed-7 run: 0.06 protective +
+#: 4.21 correct + 3.16 UR + 0.24 sample (42.13 when the preamble and
+#: the sample ran one exchange after another)
+SMALL_RUN_VIRTUAL_S = 7.67
+
+
+def _clean(world):
+    pass
+
+
+def _lossy(world):
+    world.network.inject_faults(loss_rate=0.05, seed=SEED)
+
+
+INPUTS = [
+    pytest.param(_clean, id="clean"),
+    pytest.param(_lossy, id="loss-5pct"),
+]
+
+
+def _hunter(prepare=_clean, permute=None, **knobs):
+    world = build_world(small_config(seed=SEED))
+    prepare(world)
+    if permute is not None:
+        rng = random.Random(permute)
+        rng.shuffle(world.open_resolver_ips)
+        rng.shuffle(world.nameserver_targets)
+    return URHunter.from_world(world, HunterConfig(**knobs))
+
+
+def _summary(outcome):
+    response = outcome.response
+    return (
+        outcome.task.qname.to_text(),
+        outcome.task.qtype,
+        outcome.status.value,
+        outcome.attempts,
+        outcome.completed_at,
+        None
+        if response is None
+        else (
+            response.header.rcode,
+            [record.to_text() for record in response.answers],
+        ),
+    )
+
+
+def _record_groups(monkeypatch):
+    """Every group result the runner builds, in build order."""
+    results = []
+    build = shards._group_result
+
+    def recording(*args):
+        result = build(*args)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(shards, "_group_result", recording)
+    return results
+
+
+@pytest.mark.parametrize("prepare", INPUTS)
+def test_resolver_group_alone_equals_its_slice(prepare, monkeypatch):
+    results = _record_groups(monkeypatch)
+    full = _hunter(prepare)
+    plan, collector, network = full.plan, full.collector, full.network
+    shards.run_collection_groups(
+        collector, plan, "protective", lambda outcome: None
+    )
+    start = network.now
+    del results[:]
+    sliced = {}
+    shards.run_collection_groups(
+        collector,
+        plan,
+        "correct",
+        lambda outcome: sliced.setdefault(
+            outcome.task.server_ip, []
+        ).append(_summary(outcome)),
+    )
+    ledgers = {result.server_ip: result for result in results}
+    lanes = plan.correct_units.lanes()
+    assert list(ledgers) == list(lanes) == list(full.open_resolver_ips)
+
+    # a fresh world, no protective phase, the groups in reverse order
+    alone = _hunter(prepare)
+    network = alone.network
+    for server_ip in reversed(lanes):
+        shards.pin_group(network, start, "correct", server_ip)
+        engine = shards._group_engine(alone.collector, start)
+        outcomes = [
+            _summary(outcome)
+            for _, outcome in engine.execute_iter(
+                alone.plan.tasks("correct", lanes[server_ip])
+            )
+        ]
+        assert outcomes == sliced[server_ip]
+        assert network.now - start == ledgers[server_ip].elapsed
+        assert (
+            engine.metrics.to_dict()
+            == ledgers[server_ip].metrics.to_dict()
+        )
+    if prepare is _lossy:
+        assert full.engine.metrics.stage("correct").retries > 0
+
+
+def _preamble(hunter):
+    """The byte-compared preamble surfaces of one stage-1 run."""
+    origin = hunter.network.now
+    stage1 = hunter.stage1_collect()
+    encoded = encode_stage1(stage1)
+    encoded["protective"] = sorted(
+        encoded["protective"], key=json.dumps
+    )
+    return (
+        json.dumps(encoded, sort_keys=True),
+        stage1.collection.correct_successes,
+        stage1.collection.classification_epoch - origin,
+        json.dumps(hunter.engine.metrics.to_dict(), sort_keys=True),
+    )
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return _preamble(_hunter())
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        pytest.param({"shards": 4}, id="shards-4"),
+        pytest.param({"execution": "stream"}, id="stream"),
+        pytest.param({"shards": 4, "execution": "stream"}, id="stream-4"),
+    ],
+)
+def test_preamble_invariant_under_shards_and_execution(reference, knobs):
+    assert _preamble(_hunter(**knobs)) == reference
+
+
+@pytest.mark.parametrize("permute", [1, 2])
+def test_preamble_invariant_under_server_order(reference, permute):
+    """Resolvers and nameservers listed in another order: another plan
+    (each server draws another slice of the shuffle), the same
+    fingerprints, profiles, epoch and merged ledger."""
+    hunter = _hunter(permute=permute)
+    assert hunter.plan.plan_hash != _hunter().plan.plan_hash
+    permuted = _preamble(hunter)
+    # the UR list follows the plan's order; everything else must match
+    encoded, baseline = json.loads(permuted[0]), json.loads(reference[0])
+    for document in (encoded, baseline):
+        document["undelegated"] = sorted(
+            document["undelegated"], key=json.dumps
+        )
+    assert encoded == baseline
+    assert permuted[1:] == reference[1:]
+
+
+def test_classification_epoch_is_the_sum_of_the_preamble_makespans(
+    monkeypatch,
+):
+    results = _record_groups(monkeypatch)
+    hunter = _hunter()
+    origin = hunter.network.now
+    preamble = hunter.collector.collect_preamble(
+        hunter.plan, CorrectRecordDatabase(hunter.ipinfo)
+    )
+    groups = len(hunter.plan.protective_units.lanes())
+    protective = max(result.elapsed for result in results[:groups])
+    correct = max(result.elapsed for result in results[groups:])
+    assert len(results) == groups + len(hunter.open_resolver_ips)
+    assert 0 < protective < correct
+    assert preamble.classification_epoch == origin + protective + correct
+    assert hunter.network.now == preamble.classification_epoch
+
+
+def test_small_scale_run_takes_its_pinned_virtual_seconds():
+    """Deterministic, so exact: a collection that goes back to one
+    exchange after another fails this by 5x or more, not by noise."""
+    hunter = _hunter()
+    origin = hunter.network.now
+    hunter.run()
+    assert round(hunter.network.now - origin, 6) == SMALL_RUN_VIRTUAL_S
+
+
+def test_fault_seeds_differ_per_phase_and_the_ur_seed_keeps_its_spelling():
+    # one nameserver is a protective, a UR and a sample group: the same
+    # seed in all three would lose the same packets in every phase
+    address = "10.0.0.1"
+    seeds = {
+        phase: shards.group_fault_seed(SEED, address, phase)
+        for phase in ("protective", "correct", "ur", "sample")
+    }
+    assert len(set(seeds.values())) == len(seeds)
+    # stored and pooled UR groups were executed under this seed
+    legacy = hashlib.sha256(
+        f"urhunter-shard-group:{SEED}:{address}".encode()
+    ).digest()
+    assert seeds["ur"] == int.from_bytes(legacy[:8], "big")

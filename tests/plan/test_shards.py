@@ -121,9 +121,10 @@ class TestFaultedEquivalence:
 
 
 class TestGroupFailure:
-    """A group whose engine dies mid-scan keeps its provenance: the
-    failure names the UR collection and carries the parent ledger
-    merged up to the last completed group."""
+    """A group whose engine dies mid-phase keeps its provenance: the
+    failure names the collection and carries the parent ledger merged
+    up to the last completed group — UR groups and the preamble's
+    resolver groups alike."""
 
     COMPLETED = 3
 
@@ -131,22 +132,35 @@ class TestGroupFailure:
     def test_failure_names_the_collection_and_keeps_the_ledger(
         self, execution, tmp_path, monkeypatch
     ):
+        self.check("ur", execution, tmp_path, monkeypatch)
+
+    @pytest.mark.parametrize("execution", ["batch", "stream"])
+    def test_resolver_group_failure_names_the_correct_collection(
+        self, execution, tmp_path, monkeypatch
+    ):
+        self.check("correct", execution, tmp_path, monkeypatch)
+
+    def check(self, collection, execution, tmp_path, monkeypatch):
         world = build_world(small_config(seed=SEED))
         hunter = URHunter.from_world(
             world, HunterConfig(execution=execution)
         )
         build_engine = shard_runner._group_engine
-        built = itertools.count()
+        started = itertools.count()
 
-        def dying_engine(hunter, origin):
-            engine = build_engine(hunter, origin)
-            if next(built) == self.COMPLETED:
+        def dying_engine(scan, origin):
+            engine = build_engine(scan, origin)
+            execute_iter = engine.execute_iter
 
-                def execute_iter(tasks):
+            def counted(tasks):
+                if (
+                    tasks.units.collection == collection
+                    and next(started) == self.COMPLETED
+                ):
                     raise RuntimeError("engine blew up")
-                    yield
+                return execute_iter(tasks)
 
-                engine.execute_iter = execute_iter
+            engine.execute_iter = counted
             return engine
 
         monkeypatch.setattr(shard_runner, "_group_engine", dying_engine)
@@ -154,18 +168,23 @@ class TestGroupFailure:
         with pytest.raises(CollectionFailure) as caught:
             runner.run()
         failure = caught.value
-        assert failure.stage == "stage1-collect/ur"
-        assert failure.collection == "ur"
+        assert failure.stage == f"stage1-collect/{collection}"
+        assert failure.collection == collection
         assert isinstance(failure.cause, RuntimeError)
         # clean network: one query per unit of the groups that finished
-        finished = sum(
-            len(group.unit_indices)
-            for group in hunter.plan.groups[: self.COMPLETED]
+        plan = hunter.plan
+        if collection == "ur":
+            groups = [group.unit_indices for group in plan.groups]
+        else:
+            groups = list(plan.correct_units.lanes().values())
+            assert "ur" not in failure.metrics.stages
+        finished = sum(len(group) for group in groups[: self.COMPLETED])
+        assert failure.metrics.stage(collection).queries == finished > 0
+        assert failure.metrics.stage("protective").queries == len(
+            plan.protective_units
         )
-        assert failure.metrics.stage("ur").queries == finished > 0
-        assert failure.metrics.stage("protective").queries > 0
         recorded = json.loads((tmp_path / "failure.json").read_text())
-        assert recorded["stage"] == "stage1-collect/ur"
+        assert recorded["stage"] == f"stage1-collect/{collection}"
         assert recorded["error"] == "CollectionFailure"
 
 

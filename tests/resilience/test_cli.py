@@ -94,16 +94,28 @@ class TestChaosRun:
         assert run_end["unaccounted"] == 0
 
     def test_run_deadline_sheds_and_reports(self, capsys):
-        # the run takes 39.7 virtual seconds — 36.6 of preamble, then
-        # the longest nameserver group — so 37 cuts every group short
-        code = _run(
-            [
-                "--scale", "small", "--seed", "7",
-                "--run-deadline", "37",
-                "-q", "run",
-            ]
-        )
-        assert code == cli.EXIT_OK
-        out = capsys.readouterr().out
-        # shed queries surface in the scan metrics block
-        assert "shed:" in out
+        # every phase lasts as long as its slowest server: 0.06 sim-s
+        # of protective probes + 4.21 of correct records, then 3.16 for
+        # the longest nameserver group — so a 5 s run deadline lets the
+        # preamble through and cuts every group short 0.73 s in
+        for mode in (
+            [],
+            ["--shards", "4"],
+            ["--execution", "stream"],
+            ["--shards", "4", "--shard-workers", "2"],
+        ):
+            code = _run(
+                [
+                    "--scale", "small", "--seed", "7",
+                    "--run-deadline", "5",
+                    *mode,
+                    "-q", "run",
+                ]
+            )
+            assert code == cli.EXIT_OK
+            out = capsys.readouterr().out
+            # shed queries surface in the scan metrics block: 2,885 of
+            # the 13,482 UR queries, however the groups are sharded,
+            # streamed or pooled
+            assert "shed: 2,885" in out, mode
+            assert "[correct] q=752 r=752" in out, mode
