@@ -2,9 +2,10 @@
 
 Times stage 1 (the full three-collection scan through the engine) twice
 per scenario size — once with the fast lane disabled
-(``scan_cache=False``, every exchange encoded, decoded, and captured
-from scratch) and once with it enabled (compiled zone answers,
-id-agnostic wire-codec memoization, ``capture_mode="off"``) — and
+(``network.scan_cache_enabled = False``, every exchange encoded,
+decoded, and captured from scratch) and once with it enabled (compiled
+zone answers, id-agnostic wire-codec memoization,
+``capture_mode="off"``) — and
 records wall clock plus the fast lane's hit/miss counters into
 ``BENCH_scanpath.json`` at the repo root so CI can track both claims
 across commits:
@@ -53,10 +54,13 @@ def _stage1_fingerprint(stage1):
     }
 
 
-def _measure(scenario_factory, config: HunterConfig):
+def _measure(scenario_factory, scan_cache: bool, capture_mode: str):
     """One stage-1 collection; returns (fingerprint, wall_s, hunter)."""
     world = build_world(scenario_factory())
-    hunter = URHunter.from_world(world, config)
+    world.network.scan_cache_enabled = scan_cache
+    hunter = URHunter.from_world(
+        world, HunterConfig(capture_mode=capture_mode)
+    )
     start = time.perf_counter()
     stage1 = hunter.stage1_collect()
     wall = time.perf_counter() - start
@@ -84,10 +88,10 @@ def test_scanpath_fast_lane():
     banner("scan path: naive query path vs compiled fast lane")
     for label, factory in SIZES:
         naive_fp, naive_wall, _ = _measure(
-            factory, HunterConfig(scan_cache=False, capture_mode="full")
+            factory, scan_cache=False, capture_mode="full"
         )
         fast_fp, fast_wall, hunter = _measure(
-            factory, HunterConfig(scan_cache=True, capture_mode="off")
+            factory, scan_cache=True, capture_mode="off"
         )
         # the fast lane must be an invisible re-expression
         assert fast_fp == naive_fp

@@ -89,7 +89,6 @@ from .analysis import (
     overview_funnel,
 )
 from .core import HunterConfig, URHunter
-from .engine import DEFAULT_ENGINE, ENGINE_REGISTRY
 from .defense import evaluate_defenses
 from .dns.rdata import RRType
 from .hosting import TABLE2_PROVIDERS
@@ -161,20 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also sweep MX records (the paper's future-work extension)",
     )
     engine = parser.add_argument_group(
-        "scan engine", "stage-1 collection scheduling and fault tolerance"
-    )
-    engine.add_argument(
-        "--engine",
-        choices=sorted(ENGINE_REGISTRY),
-        default=DEFAULT_ENGINE,
-        help=f"query engine driving stage 1 (default: {DEFAULT_ENGINE})",
-    )
-    engine.add_argument(
-        "--max-concurrency",
-        type=int,
-        default=8,
-        metavar="N",
-        help="worker lanes the batched engine keeps in flight (default 8)",
+        "scan engine", "stage-1 collection fault tolerance and capture"
     )
     engine.add_argument(
         "--retries",
@@ -198,15 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "inject uniform query loss with probability P in [0, 1) "
             "(deterministic per --seed; default 0, no loss)"
-        ),
-    )
-    engine.add_argument(
-        "--no-scan-cache",
-        action="store_true",
-        help=(
-            "disable the scan-path fast lane (compiled zone answers + "
-            "wire-codec memoization); the naive reference path produces "
-            "byte-identical output, just slower"
         ),
     )
     engine.add_argument(
@@ -316,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     stage2 = parser.add_argument_group(
-        "stage 2", "exclusion-stage parallelism and caching"
+        "stage 2", "exclusion-stage parallelism"
     )
     stage2.add_argument(
         "--stage2-workers",
@@ -326,14 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "worker threads for stage-2 classification (default 1; "
             "the report is byte-identical across worker counts)"
-        ),
-    )
-    stage2.add_argument(
-        "--no-stage2-memoize",
-        action="store_true",
-        help=(
-            "disable per-key verdict memoization and classify every "
-            "record independently (debugging aid)"
         ),
     )
     resilience = parser.add_argument_group(
@@ -490,19 +459,15 @@ def _scenario(args: argparse.Namespace) -> ScenarioConfig:
 
 def _hunter_config(args: argparse.Namespace) -> HunterConfig:
     config = HunterConfig(
-        engine=args.engine,
-        max_concurrency=args.max_concurrency,
         retries=args.retries,
         timeout=args.timeout,
         stage2_workers=args.stage2_workers,
-        stage2_memoize=not args.no_stage2_memoize,
         execution=args.execution,
         channel_depth=args.channel_depth,
         run_deadline=args.run_deadline or 0.0,
         stage_deadline=args.stage_deadline or 0.0,
         hedge_delay=args.hedge_delay or 0.0,
         aimd=args.aimd,
-        scan_cache=not args.no_scan_cache,
         capture_mode=args.capture_mode,
         shards=args.shards or 1,
         shard_workers=args.shard_workers or 1,
@@ -614,13 +579,15 @@ def _write_metrics(
 
 
 def _plan_command(
-    args: argparse.Namespace, hunter: URHunter, reporter: Reporter
+    args: argparse.Namespace,
+    hunter: URHunter,
+    reporter: Reporter,
+    result_store,
 ) -> int:
     """Handle ``repro plan``: text summary, ``--json`` dump, ``--diff``
     against a saved dump, and — with ``--result-store`` — the would-
     replay/would-execute explanation for a warm run."""
     from .incremental import (
-        GroupResultStore,
         PlanDiffer,
         PlanSummaryError,
         diff_plan_summaries,
@@ -642,8 +609,8 @@ def _plan_command(
         print(json.dumps(summary, indent=2, sort_keys=True))
         return EXIT_OK
     print(hunter.plan.summary(shards=hunter.config.shards))
-    if args.result_store:
-        differ = PlanDiffer(GroupResultStore(args.result_store))
+    if result_store is not None:
+        differ = PlanDiffer(result_store)
         providers = {
             target.address: target.provider
             for target in hunter.nameservers
@@ -743,10 +710,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as error:
         reporter.error(f"error: {error}")
         return EXIT_USAGE
+    result_store = None
+    if args.result_store:
+        from .incremental import GroupResultStore, StoreFormatError
+
+        try:
+            result_store = GroupResultStore(args.result_store)
+        except StoreFormatError as error:
+            reporter.error(f"error: {error}")
+            return EXIT_USAGE
     reporter.info(
         f"# scenario: scale={args.scale} seed={args.seed} "
         f"post_disclosure={args.post_disclosure} mx={args.mx} "
-        f"engine={args.engine} loss_rate={args.loss_rate}"
+        f"loss_rate={args.loss_rate}"
     )
     world = build_world(_scenario(args))
     if args.loss_rate:
@@ -772,7 +748,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "plan":
         # pure plan inspection: the plan was built in the constructor,
         # before any packet moved — print and leave
-        return _plan_command(args, hunter, reporter)
+        return _plan_command(args, hunter, reporter, result_store)
 
     try:
         _apply_faults(args, world, hunter)
@@ -808,12 +784,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             chaos_script=args.chaos_script or None,
         )
 
-    result_store = None
-    if args.result_store:
-        from .incremental import GroupResultStore
-
-        result_store = GroupResultStore(args.result_store)
-        hunter.result_store = result_store
+    hunter.result_store = result_store
 
     trace = RunTrace(args.trace_out) if args.trace_out else None
     if trace is not None:

@@ -15,8 +15,8 @@ Three collections feed the pipeline:
 The collector only *interprets* responses.  The query matrix — which
 queries, in which randomized (ethics, Appendix A) order — is a
 :class:`~repro.plan.scanplan.ScanPlan` every collection takes as input;
-scheduling, per-server pacing, retries, and failure accounting belong to
-a :class:`~repro.engine.api.QueryEngine` (see :mod:`repro.engine`); and
+per-server pacing, retries, and failure accounting belong to the
+:class:`~repro.engine.batched.BatchedEngine` (see :mod:`repro.engine`); and
 every collection is executed by the plan's group runner
 (:mod:`repro.plan.shards`) as isolated per-server groups — the
 protective and correct collections through
@@ -34,14 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from ..dns.message import Message, Rcode
 from ..dns.name import Name
 from ..dns.rdata import A, MX, TXT, RRType
-from ..engine import (
-    DEFAULT_ENGINE,
-    EnginePolicy,
-    QueryEngine,
-    QueryOutcome,
-    ScanMetrics,
-    create_engine,
-)
+from ..engine import BatchedEngine, EnginePolicy, QueryOutcome, ScanMetrics
 from ..net.network import SimulatedInternet
 from ..obs.events import STAGE1 as OBS_STAGE1
 from ..pipeline.errors import StageFailed
@@ -175,9 +168,7 @@ class ResponseCollector:
         scanner_ip: str = "203.0.113.53",
         per_server_interval: float = 0.0,
         query_types: Sequence[int] = DEFAULT_QUERY_TYPES,
-        engine: Optional[QueryEngine] = None,
-        policy: Optional[EnginePolicy] = None,
-        engine_name: str = DEFAULT_ENGINE,
+        engine: Optional[BatchedEngine] = None,
     ):
         self.network = network
         self.scanner_ip = scanner_ip
@@ -186,14 +177,12 @@ class ResponseCollector:
         self.per_server_interval = per_server_interval
         self.query_types = tuple(query_types)
         if engine is None:
-            if policy is None:
-                policy = EnginePolicy(
-                    per_server_interval=per_server_interval
-                )
-            engine = create_engine(
-                engine_name, network, scanner_ip, policy=policy
+            engine = BatchedEngine(
+                network,
+                scanner_ip,
+                policy=EnginePolicy(per_server_interval=per_server_interval),
             )
-        self.engine: QueryEngine = engine
+        self.engine = engine
         network.register_stub(scanner_ip)
         #: optional repro.obs.RunTrace — each completed collection phase
         #: is emitted as a deterministic ``collect.phase`` event

@@ -5,9 +5,8 @@ Wires the three stages together exactly as §4 describes:
 1. :class:`~repro.core.collector.ResponseCollector` gathers URs, correct
    records (open resolvers + passive DNS) and protective fingerprints —
    every collection as isolated per-server groups
-   (:mod:`repro.plan.shards`), each on a fresh pluggable
-   :class:`~repro.engine.api.QueryEngine` (sequential or batched,
-   selected by :attr:`HunterConfig.engine`);
+   (:mod:`repro.plan.shards`), each on a fresh
+   :class:`~repro.engine.batched.BatchedEngine`;
 2. :class:`~repro.core.suspicion.SuspicionFilter` excludes correct and
    protective records;
 3. :class:`~repro.core.analysis.MaliciousBehaviorAnalyzer` fuses threat
@@ -35,7 +34,7 @@ from typing import (
 from ..dns.message import Message, Rcode
 from ..dns.name import Name
 from ..dns.rdata import A, TXT, RRType
-from ..engine import ENGINE_REGISTRY, DEFAULT_ENGINE, EnginePolicy, create_engine
+from ..engine import BatchedEngine, EnginePolicy
 from ..intel.aggregator import ThreatIntelAggregator
 from ..intel.ipinfo import IpInfoDatabase
 from ..intel.pdns import PassiveDnsStore
@@ -174,10 +173,6 @@ class HunterConfig:
     #: expand the target set with subdomains recovered from passive DNS
     #: (the paper's §6 future-work direction)
     expand_pdns_subdomains: bool = False
-    #: which scan engine drives stage 1 (see repro.engine.ENGINE_REGISTRY)
-    engine: str = DEFAULT_ENGINE
-    #: worker lanes the batched engine keeps in flight
-    max_concurrency: int = 8
     #: per-query retry budget after a timeout
     retries: int = 2
     #: virtual seconds a lost query costs before giving up
@@ -185,9 +180,6 @@ class HunterConfig:
     #: worker threads for stage-2 classification (output is byte-identical
     #: across worker counts; see repro.core.parallel)
     stage2_workers: int = 1
-    #: memoize uniformity verdicts per distinct (domain, rrtype, rdata)
-    #: key when the sources are deterministic
-    stage2_memoize: bool = True
     #: dataflow mode: "batch" runs each stage to completion before the
     #: next starts; "stream" flows records through bounded channels so
     #: classification overlaps the scan (byte-identical output)
@@ -207,10 +199,6 @@ class HunterConfig:
     #: AIMD adaptive per-server/per-provider send credit (no-op until
     #: the first failure)
     aimd: bool = False
-    #: serve compiled zone answers and memoized wire codec results on
-    #: the simulated network (the scan-path fast lane; output is
-    #: byte-identical either way — False keeps the naive reference path)
-    scan_cache: bool = True
     #: scan-phase traffic-capture fidelity: "full" stores every flow,
     #: "sampled" every Nth per protocol, "off" only counts (sandbox
     #: detonation happens at world build and always captures in full)
@@ -227,15 +215,13 @@ class HunterConfig:
 
     #: knobs that do not change *what* the pipeline computes, only how
     #: fast — excluded from the checkpoint fingerprint so a run may be
-    #: resumed under a different worker count, memoization setting, or
-    #: execution mode (batch and streaming reports are byte-identical)
+    #: resumed under a different worker count or execution mode (batch
+    #: and streaming reports are byte-identical)
     FINGERPRINT_EXCLUDE: ClassVar[FrozenSet[str]] = frozenset(
         {
             "stage2_workers",
-            "stage2_memoize",
             "execution",
             "channel_depth",
-            "scan_cache",
             "capture_mode",
             "shards",
             "shard_workers",
@@ -257,15 +243,6 @@ class HunterConfig:
             )
         if not self.query_types:
             raise ValueError("query_types must name at least one RR type")
-        if self.engine not in ENGINE_REGISTRY:
-            raise ValueError(
-                f"unknown engine {self.engine!r} "
-                f"(known: {', '.join(sorted(ENGINE_REGISTRY))})"
-            )
-        if self.max_concurrency < 1:
-            raise ValueError(
-                f"max_concurrency must be >= 1, got {self.max_concurrency}"
-            )
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.timeout <= 0:
@@ -316,7 +293,6 @@ class HunterConfig:
     def engine_policy(self) -> EnginePolicy:
         """The engine policy implied by this configuration."""
         return EnginePolicy(
-            max_concurrency=self.max_concurrency,
             retries=self.retries,
             timeout=self.timeout,
             per_server_interval=self.per_server_interval,
@@ -387,24 +363,20 @@ class URHunter:
         self.pdns = pdns
         self.sandbox_reports = list(sandbox_reports)
         self.config = config or HunterConfig()
-        # Scan-path fast-lane knobs apply to the shared network: the
-        # compiled/memoized caches are byte-identity-preserving, and the
-        # capture mode only thins the *scan-phase* flow store (sandbox
-        # detonation happens at world-build time, before this runs).
-        network.scan_cache_enabled = self.config.scan_cache
+        # The capture mode only thins the *scan-phase* flow store
+        # (sandbox detonation happens at world-build time, before this
+        # runs).
         capture = getattr(network, "capture", None)
         if capture is not None and hasattr(capture, "mode"):
             capture.mode = CaptureMode(self.config.capture_mode)
-        self.engine = create_engine(
-            self.config.engine,
+        self.engine = BatchedEngine(
             network,
             self.config.scanner_ip,
             policy=self.config.engine_policy(),
         )
-        # Resilience controllers attach by duck typing so the QueryEngine
-        # protocol stays minimal; every mechanism is a deterministic
-        # no-op on a healthy world (clean runs are byte-identical to a
-        # config with all of these off).
+        # Every resilience mechanism is a deterministic no-op on a
+        # healthy world (clean runs are byte-identical to a config with
+        # all of these off).
         if self.config.run_deadline > 0 or self.config.stage_deadline > 0:
             self.engine.budget = DeadlineBudget(
                 run_deadline=self.config.run_deadline,
@@ -417,8 +389,8 @@ class URHunter:
             )
         if self.config.aimd:
             self.engine.aimd = AimdController(timeout=self.config.timeout)
-        #: the engine's resilience counters (None for engines without them)
-        self.resilience = getattr(self.engine, "resilience", None)
+        #: the engine's resilience counters
+        self.resilience = self.engine.resilience
         self.collector = ResponseCollector(
             network,
             scanner_ip=self.config.scanner_ip,
@@ -661,7 +633,6 @@ class URHunter:
             checker,
             protective,
             workers=self.config.stage2_workers,
-            memoize=self.config.stage2_memoize,
         )
         self.last_filter = suspicion
         if self.trace is not None:
@@ -723,9 +694,7 @@ class URHunter:
         # The resilience snapshot only joins the report once a mechanism
         # actually fired — a healthy run renders byte-identically to a
         # run without resilience configured.
-        resilience = self.resilience
-        if resilience is not None and not resilience.active:
-            resilience = None
+        resilience = self.resilience if self.resilience.active else None
         notes = stage1.notes
         if resilience is not None and resilience.shed_total:
             # shed queries degrade coverage: surface them next to the

@@ -92,6 +92,10 @@ class SuspicionFilter:
       once — optionally across ``workers`` threads — and fans the
       verdict back out in the original record order.
 
+    A run selects between them from what it can observe
+    (``checker.memoizable``); ``memoize=False`` forces the naive path —
+    the reference tests hold the grouped one to.
+
     ``last_metrics`` carries the :class:`Stage2Metrics` of the most
     recent :meth:`classify` call.
     """

@@ -1,71 +1,30 @@
-"""Pluggable scan engines for stage-1 collection.
+"""The stage-1 scan engine.
 
-The :class:`~repro.engine.api.QueryEngine` protocol decouples *what* the
-collector asks from *how* queries are scheduled, paced, retried, and
-accounted.  :func:`create_engine` is the registry front door.
+:class:`~repro.engine.batched.BatchedEngine` drives the collector's
+:class:`~repro.engine.api.QueryTask` values over the simulated internet
+— pacing, retries, circuit breaking and accounting — so the collector
+only says *what* to ask and interprets the outcomes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
-
-from ..net.network import SimulatedInternet
-from .api import (
-    EnginePolicy,
-    OutcomeStatus,
-    QueryEngine,
-    QueryOutcome,
-    QueryTask,
-)
+from .api import EnginePolicy, OutcomeStatus, QueryOutcome, QueryTask
 from .batched import BatchedEngine
 from .breaker import CircuitBreaker, CircuitState
 from .metrics import LatencyHistogram, ScanMetrics, StageCounters
 from .ratelimit import RateLimiter, TokenBucket
-from .sequential import SequentialEngine
-
-_EngineFactory = Callable[..., QueryEngine]
-
-ENGINE_REGISTRY: Dict[str, _EngineFactory] = {
-    "sequential": SequentialEngine,
-    "batched": BatchedEngine,
-}
-
-#: the engine used when nothing is configured
-DEFAULT_ENGINE = "batched"
-
-
-def create_engine(
-    name: str,
-    network: SimulatedInternet,
-    scanner_ip: str,
-    policy: Optional[EnginePolicy] = None,
-    metrics: Optional[ScanMetrics] = None,
-) -> QueryEngine:
-    """Instantiate a registered engine by name."""
-    try:
-        factory = ENGINE_REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(ENGINE_REGISTRY))
-        raise ValueError(f"unknown engine {name!r} (known: {known})")
-    return factory(network, scanner_ip, policy=policy, metrics=metrics)
-
 
 __all__ = [
     "BatchedEngine",
     "CircuitBreaker",
     "CircuitState",
-    "DEFAULT_ENGINE",
-    "ENGINE_REGISTRY",
     "EnginePolicy",
     "LatencyHistogram",
     "OutcomeStatus",
-    "QueryEngine",
     "QueryOutcome",
     "QueryTask",
     "RateLimiter",
     "ScanMetrics",
-    "SequentialEngine",
     "StageCounters",
     "TokenBucket",
-    "create_engine",
 ]

@@ -1,37 +1,24 @@
-"""The pluggable scan-engine API.
+"""The scan engine's task, outcome and policy types.
 
 Stage 1 of the pipeline is, at heart, a work matrix: (nameserver ×
 domain × qtype) cells, each one DNS query.  The paper's URHunter pushed
-~17.8M such cells through 8,941 nameservers under strict pacing; this
-module defines the contract any scheduler of that matrix must satisfy so
-the collector can stay agnostic of *how* queries are driven.
-
-A :class:`QueryEngine` receives a list of :class:`QueryTask` and returns
-one :class:`QueryOutcome` per task.  Policy knobs (retries, timeout,
-backoff, pacing, circuit breaking, concurrency) live in
-:class:`EnginePolicy`; observability lives in
-:class:`~repro.engine.metrics.ScanMetrics`.  Two implementations ship:
-:class:`~repro.engine.sequential.SequentialEngine` (the naive baseline)
-and :class:`~repro.engine.batched.BatchedEngine` (sharded lanes).
+~17.8M such cells through 8,941 nameservers under strict pacing.  The
+collector says *what* to ask as :class:`QueryTask` values and reads one
+:class:`QueryOutcome` per task back; *how* a query is paced, retried
+and accounted is :class:`~repro.engine.batched.BatchedEngine`'s, under
+the knobs of :class:`EnginePolicy` (retries, timeout, backoff, pacing,
+circuit breaking), with observability in
+:class:`~repro.engine.metrics.ScanMetrics`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import (
-    Iterator,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    runtime_checkable,
-)
+from typing import Optional
 
 from ..dns.message import Message
 from ..dns.name import Name
-from .metrics import ScanMetrics
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -81,15 +68,13 @@ class QueryOutcome:
 
 @dataclass
 class EnginePolicy:
-    """Fault-tolerance and pacing policy shared by all engines.
+    """Fault-tolerance and pacing policy of the scan engine.
 
     Defaults are conservative: a couple of retries with exponential
     backoff, no pacing (``per_server_interval=0``), and a circuit
     breaker that opens after five consecutive failures.
     """
 
-    #: worker lanes the batched engine may keep in flight at once
-    max_concurrency: int = 8
     #: re-sends after the first attempt times out
     retries: int = 2
     #: virtual seconds a lost query costs before the scanner gives up
@@ -107,10 +92,6 @@ class EnginePolicy:
     circuit_reset_interval: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.max_concurrency < 1:
-            raise ValueError(
-                f"max_concurrency must be >= 1, got {self.max_concurrency}"
-            )
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.timeout <= 0:
@@ -142,42 +123,3 @@ class EnginePolicy:
     def backoff_delay(self, attempt: int) -> float:
         """Wait before retry number ``attempt`` (1-based)."""
         return self.backoff_base * (self.backoff_factor ** (attempt - 1))
-
-
-@runtime_checkable
-class QueryEngine(Protocol):
-    """Anything that can drive a batch of tasks over the network.
-
-    Engines are interchangeable: the collector hands over the full task
-    list (already randomized for ethics) and interprets the outcomes,
-    never caring about scheduling, pacing, retries, or failures.
-
-    ``tasks`` is any ``Sequence[QueryTask]`` — a list, or a lazy view
-    such as :class:`repro.plan.scanplan.PlannedTasks` that builds a
-    task when indexed.  A sequence may also offer ``server_ips()``
-    (each position's server, in order, without building tasks); the
-    batched engine shards lanes from it when present.
-    """
-
-    #: short identifier ("sequential", "batched", ...)
-    name: str
-    #: cumulative observability counters across execute() calls
-    metrics: ScanMetrics
-
-    def execute(self, tasks: Sequence[QueryTask]) -> List[QueryOutcome]:
-        """Drive every task to completion; outcomes in task order."""
-        ...
-
-    def execute_iter(
-        self, tasks: Sequence[QueryTask]
-    ) -> Iterator[Tuple[int, QueryOutcome]]:
-        """Drive tasks lazily, yielding ``(task_index, outcome)`` pairs.
-
-        Outcomes are yielded in *completion* order, which for a
-        concurrent engine differs from task order; the index lets a
-        streaming consumer re-establish the deterministic task order
-        with a reorder buffer.  Not advancing the generator pauses the
-        scan — laziness is the backpressure mechanism of the streaming
-        dataflow.  Exactly one pair is yielded per task.
-        """
-        ...

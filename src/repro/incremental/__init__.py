@@ -26,6 +26,7 @@ from .differ import (
 from .store import (
     STORE_FORMAT_VERSION,
     GroupResultStore,
+    StoreFormatError,
     group_identity,
     scan_config_fingerprint,
     server_fingerprint,
@@ -40,6 +41,7 @@ __all__ = [
     "PlanDiff",
     "PlanDiffer",
     "PlanSummaryError",
+    "StoreFormatError",
     "diff_plan_summaries",
     "group_identity",
     "load_plan_summary",

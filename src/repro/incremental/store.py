@@ -27,9 +27,12 @@ virtual days later composes byte-identically — that is the whole point
 of the warm run.
 
 Writes are atomic (temp file + ``os.replace``), mirroring the
-checkpoint store.  This module is a leaf: it imports nothing from the
-rest of :mod:`repro`, so the plan layer can import it lazily without
-cycles.
+checkpoint store.  A directory written under another
+:data:`STORE_FORMAT_VERSION` is refused when it is opened
+(:class:`StoreFormatError`): its slots are named and keyed differently,
+so reading on would be a silent all-miss run.  This module is a leaf:
+it imports nothing from the rest of :mod:`repro`, so the plan layer can
+import it lazily without cycles.
 """
 
 from __future__ import annotations
@@ -37,11 +40,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 __all__ = [
     "STORE_FORMAT_VERSION",
+    "StoreFormatError",
     "GroupResultStore",
     "group_identity",
     "server_fingerprint",
@@ -49,15 +54,23 @@ __all__ = [
     "state_digest",
 ]
 
-#: bumped whenever the stored payload or key derivation changes — a
-#: version bump orphans every old slot (safe: orphans read as misses)
-STORE_FORMAT_VERSION = 1
+#: bumped whenever the stored payload or key derivation changes — every
+#: identity and digest hashes it in, so no slot of another version can
+#: ever match (2: the scan-shaping knobs went from 13 to 11)
+STORE_FORMAT_VERSION = 2
 
 #: per-group result files: ``group-<identity>.json``
 GROUP_PREFIX = "group-"
 
 #: the store's run-counter sidecar (CI uploads it as an artifact)
 STATS_FILE = "store-stats.json"
+
+#: how every file ``GroupResultStore._write`` produces begins
+_FORMAT_HEAD = re.compile(rb'\A\{\s*"format":\s*(\d+)')
+
+
+class StoreFormatError(Exception):
+    """The directory holds a result store of another format version."""
 
 
 def _digest(payload: Any) -> str:
@@ -130,8 +143,6 @@ SCAN_SHAPING_KNOBS = (
     "scanner_ip",
     "probe_domain",
     "query_types",
-    "engine",
-    "max_concurrency",
     "retries",
     "timeout",
     "per_server_interval",
@@ -141,12 +152,26 @@ SCAN_SHAPING_KNOBS = (
     "aimd",
 )
 
+#: the ``HunterConfig`` fields that are neither scan-shaping nor in
+#: ``FINGERPRINT_EXCLUDE``: they act on the plan (whose units the group
+#: identity already hashes) or on stages 2/3 only.  Every field is in
+#: exactly one of the three (asserted by a test), so a new one cannot
+#: be left out of the fingerprint by forgetting it.
+PLAN_OR_LATER_STAGE_KNOBS = (
+    "expand_pdns_subdomains",
+    "enabled_conditions",
+    "min_severity",
+    "use_intel",
+    "use_ids",
+    "use_cohost_join",
+)
+
 
 def scan_config_fingerprint(config: Any) -> str:
     """Digest of the scan-shaping config knobs (see the tuple above)."""
     knobs: Dict[str, Any] = {}
     for knob in SCAN_SHAPING_KNOBS:
-        value = getattr(config, knob, None)
+        value = getattr(config, knob)
         if isinstance(value, tuple):
             value = [int(item) for item in value]
         knobs[knob] = value
@@ -179,6 +204,18 @@ class GroupResultStore:
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
+        for stored in (
+            self.path / STATS_FILE,
+            *self.path.glob(f"{GROUP_PREFIX}*.json"),
+        ):
+            found = self._stored_format(stored)
+            if found is not None and found != STORE_FORMAT_VERSION:
+                raise StoreFormatError(
+                    f"result store {self.path} was written in store "
+                    f"format {found} ({stored.name}); this build reads "
+                    f"and writes format {STORE_FORMAT_VERSION} — point "
+                    "--result-store at a fresh directory"
+                )
         #: run-scoped counters (reset per process, persisted on demand)
         self.stats: Dict[str, int] = {
             "hits": 0,
@@ -262,6 +299,19 @@ class GroupResultStore:
         return target
 
     # -- raw io ------------------------------------------------------------
+
+    @staticmethod
+    def _stored_format(path: Path) -> Optional[int]:
+        """The ``format`` a store file was written under, read off its
+        first bytes (:meth:`_write` puts the key first); None for a
+        missing, torn or foreign file — :meth:`get` reads those as a
+        miss."""
+        try:
+            with path.open("rb") as handle:
+                head = _FORMAT_HEAD.match(handle.read(64))
+        except OSError:
+            return None
+        return int(head.group(1)) if head else None
 
     @staticmethod
     def _write(path: Path, payload: Dict[str, Any]) -> None:

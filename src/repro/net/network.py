@@ -155,8 +155,8 @@ class SimulatedInternet:
         #: memoized wire codec shared by every transaction on this network
         self.codec = WireCodecCache(self.scanpath)
         #: master switch for the fast lane (compiled answers + codec
-        #: memoization).  Output is byte-identical either way; the naive
-        #: path is kept as the correctness reference (--no-scan-cache).
+        #: memoization).  Output is byte-identical either way; tests set
+        #: it False to reach the naive path, the correctness reference.
         self.scan_cache_enabled = True
         #: network-wide pool of unhosted-REFUSED answer templates: the
         #: same REFUSED body goes out whichever server is probed, so the
@@ -520,8 +520,7 @@ class SimulatedInternet:
 
     def open_channel(self, src_ip: str, dst_ip: str) -> "DnsChannel":
         """A reusable (src, dst) query path with cached destination
-        lookups — the per-server grouping the batched engine's lanes
-        ride on."""
+        lookups — the engine opens one per server it queries."""
         return DnsChannel(self, src_ip, dst_ip)
 
     def query_dns_auto(
@@ -575,8 +574,8 @@ class SimulatedInternet:
 class DnsChannel:
     """A pinned (src, dst) DNS path with destination lookups hoisted out.
 
-    Each batched-engine lane opens one channel to its nameserver and
-    sends the whole burst through it, amortizing the host-entry and
+    The scan engine opens one channel per nameserver and sends all of
+    that server's queries through it, amortizing the host-entry and
     fault-profile resolution that :meth:`SimulatedInternet.query_dns`
     performs per call.  Cached lookups revalidate against the network's
     topology generation, which is bumped on every host registration and

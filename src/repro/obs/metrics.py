@@ -195,7 +195,7 @@ def build_metrics_document(
     if flow_metrics is not None:
         timing["flow_channels"] = flow_metrics.to_dict()
     if scan_path is not None:
-        # hit/miss tallies vary with --no-scan-cache/--capture-mode,
+        # hit/miss tallies vary with the fast lane and --capture-mode,
         # which by contract leave the deterministic section untouched
         timing["scan_path"] = scan_path.to_dict()
     if incremental is not None:

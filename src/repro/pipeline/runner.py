@@ -216,7 +216,7 @@ class PipelineRunner:
         # Anchor any deadline budget at the runner's start so "run
         # deadline" measures the whole pipeline, not just the first
         # engine call (the engine's own begin() is idempotent).
-        budget = getattr(self.hunter.engine, "budget", None)
+        budget = self.hunter.engine.budget
         if budget is not None:
             budget.begin(self.hunter.network.now)
         streaming = self.hunter.config.execution == "stream"

@@ -170,13 +170,6 @@ class UnitColumns(Sequence[QueryUnit]):
             None if self.tags is None else self.tags[self._tag_index[index]],
         )
 
-    def server_ips(self, indices: Sequence[int]) -> Iterator[str]:
-        """The server column alone, for the units at ``indices``."""
-        return map(
-            self.servers.__getitem__,
-            map(self.server_index.__getitem__, indices),
-        )
-
     def lanes(self) -> Dict[str, array]:
         """Unit indices per server address, read off the server column
         alone: keyed in server-table order (table rows naming one
@@ -233,9 +226,7 @@ class PlannedTasks(Sequence[QueryTask]):
 
     Position ``i`` is unit ``indices[i]`` (default: every unit, in
     scan order).  A task exists only while its reader holds it, so
-    handing the engine 36M planned queries costs nothing up front;
-    :meth:`server_ips` lets the batched engine shard positions into
-    lanes without building a single task.
+    handing the engine 36M planned queries costs nothing up front.
     """
 
     __slots__ = ("units", "indices")
@@ -254,9 +245,6 @@ class PlannedTasks(Sequence[QueryTask]):
 
     def __iter__(self) -> Iterator[QueryTask]:
         return map(self.units.task, self.indices)
-
-    def server_ips(self) -> Iterator[str]:
-        return self.units.server_ips(self.indices)
 
 
 @dataclass(frozen=True)

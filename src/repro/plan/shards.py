@@ -62,7 +62,7 @@ from typing import (
     Tuple,
 )
 
-from ..engine import ScanMetrics, create_engine
+from ..engine import BatchedEngine, ScanMetrics
 from ..obs.events import RunTrace, _json_safe
 from ..resilience import AimdController, DeadlineBudget, HedgeController
 from .scanplan import NameserverGroup, ScanPlan
@@ -200,7 +200,6 @@ def isolated_phase(
         restored.setstate(rng_state)
         network._fault_rng = restored
         engine, trace = scan.engine, scan.trace
-        resilience = getattr(engine, "resilience", None)
         makespan, critical = 0.0, None
         finished.sort(key=attrgetter("group"))
         for result in finished:
@@ -208,8 +207,8 @@ def isolated_phase(
                 for name, stage, fields in result.events:
                     trace.emit(name, stage=stage, **fields)
             engine.metrics.merge(result.metrics)
-            if result.resilience and resilience is not None:
-                fold_resilience(resilience, result.resilience)
+            if result.resilience:
+                fold_resilience(engine.resilience, result.resilience)
             if critical is None or result.elapsed > makespan:
                 makespan, critical = result.elapsed, result.server_ip
         network.set_clock(start + makespan)
@@ -225,8 +224,7 @@ def isolated_phase(
 
 def _group_engine(scan, origin: float):
     """A fresh engine + resilience controllers for one group: the
-    parent engine's kind, policy and controller settings, none of its
-    state.
+    parent engine's policy and controller settings, none of its state.
 
     The deadline budget is anchored at ``origin`` — where the parent
     budget began the run — not at the phase start the group's clock is
@@ -236,8 +234,8 @@ def _group_engine(scan, origin: float):
     cheapest path.
     """
     parent = scan.engine
-    engine = create_engine(
-        parent.name, scan.network, parent.scanner_ip, policy=parent.policy
+    engine = BatchedEngine(
+        scan.network, parent.scanner_ip, policy=parent.policy
     )
     engine.query_cache = parent.query_cache
     engine.trace = RunTrace()
@@ -265,18 +263,13 @@ def _run_origin(engine, start: float) -> float:
 def _group_result(
     engine, group: int, server_ip: str, elapsed: float, outcomes
 ) -> GroupResult:
-    resilience = getattr(engine, "resilience", None)
     return GroupResult(
         group=group,
         server_ip=server_ip,
         elapsed=elapsed,
         outcomes=outcomes,
         metrics=engine.metrics,
-        resilience=(
-            _encode_resilience(resilience)
-            if resilience is not None
-            else None
-        ),
+        resilience=_encode_resilience(engine.resilience),
         events=engine.trace.raw_events(),
     )
 
@@ -319,28 +312,25 @@ def run_group_isolated(
     """Pin the clock and fault RNG for one UR group, then execute it.
 
     Each outcome is reduced the moment it completes (its response
-    message is dropped before the next task is driven); sorting by
-    ``index`` restores task order from the engine's completion order.
+    message is dropped before the next task is driven); the engine
+    yields in task order, so the reduced outcomes are in ``index`` order.
     """
     network = hunter.network
     pin_group(network, epoch, "ur", group.server_ip)
     engine = _group_engine(hunter, origin)
     extract_urs = hunter.collector.urs_from_outcome
     indices = group.unit_indices
-    reduced = sorted(
-        (
-            ReducedOutcome(
-                index=indices[position],
-                attempts=outcome.attempts,
-                answered=outcome.answered,
-                urs=tuple(extract_urs(outcome)),
-            )
-            for position, outcome in engine.execute_iter(
-                plan.tasks("ur", indices)
-            )
-        ),
-        key=attrgetter("index"),
-    )
+    reduced = [
+        ReducedOutcome(
+            index=indices[position],
+            attempts=outcome.attempts,
+            answered=outcome.answered,
+            urs=tuple(extract_urs(outcome)),
+        )
+        for position, outcome in engine.execute_iter(
+            plan.tasks("ur", indices)
+        )
+    ]
     return _group_result(
         engine, group.index, group.server_ip, network.now - epoch, reduced
     )

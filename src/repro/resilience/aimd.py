@@ -1,9 +1,9 @@
 """AIMD adaptive send credit per nameserver and provider.
 
-The batched engine keeps one lane per nameserver, so "lane width" for a
-single server is binary; the continuous dual of width is *send credit*:
-a factor in ``(floor, 1.0]`` that stretches the inter-send interval for
-a server (and its provider aggregate) as failures accumulate.  Credit
+The engine sends to a nameserver one query at a time, so there is no
+window to narrow; the continuous dual of a window is *send credit*: a
+factor in ``(floor, 1.0]`` that stretches the inter-send interval for a
+server (and its provider aggregate) as failures accumulate.  Credit
 is cut multiplicatively on timeout/SERVFAIL and restored additively on
 success — classic AIMD, expressed as pacing rather than parallelism.
 
@@ -14,9 +14,9 @@ The effective extra interval for a send is::
 so full credit (the starting state, and the steady state on a healthy
 world) adds exactly zero delay — AIMD is a strict no-op until the first
 failure, which keeps clean runs byte-identical to a no-resilience
-baseline.  AIMD waits park the lane without holding a worker, exactly
-like :class:`~repro.engine.ratelimit.TokenBucket` pacing, and compose
-with it by taking the *later* of the two ready times.  Circuit-breaker
+baseline.  AIMD waits are waited out exactly like
+:class:`~repro.engine.ratelimit.TokenBucket` pacing, and compose with
+it by taking the *later* of the two ready times.  Circuit-breaker
 trips still win: the breaker is consulted after pacing and skips the
 task outright.
 """

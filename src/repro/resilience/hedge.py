@@ -5,8 +5,8 @@ first attempt and takes whichever answers first.  Under the simulated
 internet failure is known the moment the transaction resolves, so the
 same latency win is expressed on the retry path: instead of charging a
 timed-out first attempt the full ``timeout + backoff`` window before
-retrying, the engine parks the lane for only the much shorter *hedge
-delay* and fires the second attempt immediately after.  The retry *is*
+retrying, the engine waits only the much shorter *hedge delay* and
+fires the second attempt immediately after.  The retry *is*
 the hedge — loss accounting is unchanged (a hedge is a retry: one more
 query sent, one more timeout if it also fails).
 

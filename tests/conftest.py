@@ -25,6 +25,21 @@ def bare_hunter(network, nameservers, domains, delegated_to=None, **knobs):
     )
 
 
+def naive_stage2(hunter: URHunter) -> URHunter:
+    """Route the hunter's stage 2 (batch or stream) through the
+    reference path, ``SuspicionFilter(memoize=False)``: every record
+    evaluated on its own, no verdict memo."""
+    build = hunter._stage2_filter
+
+    def build_naive(protective):
+        suspicion = build(protective)
+        suspicion.memoize = False
+        return suspicion
+
+    hunter._stage2_filter = build_naive
+    return hunter
+
+
 @pytest.fixture(scope="session")
 def small_world():
     """One deterministic small world shared across the suite."""

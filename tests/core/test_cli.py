@@ -37,8 +37,6 @@ class TestParser:
 
     def test_engine_defaults(self):
         args = build_parser().parse_args(["run"])
-        assert args.engine == "batched"
-        assert args.max_concurrency == 8
         assert args.retries == 2
         assert args.timeout == 5.0
         assert args.loss_rate == 0.0
@@ -46,10 +44,6 @@ class TestParser:
     def test_engine_flags(self):
         args = build_parser().parse_args(
             [
-                "--engine",
-                "sequential",
-                "--max-concurrency",
-                "16",
                 "--retries",
                 "4",
                 "--timeout",
@@ -59,15 +53,29 @@ class TestParser:
                 "run",
             ]
         )
-        assert args.engine == "sequential"
-        assert args.max_concurrency == 16
         assert args.retries == 4
         assert args.timeout == 2.5
         assert args.loss_rate == 0.1
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["--engine", "warp", "run"])
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            "--engine=batched",
+            "--max-concurrency=8",
+            "--no-scan-cache",
+            "--no-stage2-memoize",
+        ],
+    )
+    def test_deleted_flags_are_unknown_arguments(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([flag, "run"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_help_describes_one_engine(self):
+        text = build_parser().format_help()
+        for word in ("batched", "sequential", "lanes"):
+            assert word not in text
 
 
 BASE = ["--scale", "small", "--seed", "9"]
@@ -96,21 +104,21 @@ class TestCommands:
         assert "scan engine metrics:" in out
         assert "[ur]" in out
 
-    def test_run_sequential_engine(self, capsys):
-        assert main(BASE + ["--engine", "sequential", "run"]) == 0
-        assert "unique_urs" in capsys.readouterr().out
-
     def test_run_with_injected_loss(self, capsys):
         assert main(BASE + ["--loss-rate", "0.05", "run"]) == 0
-        out = capsys.readouterr().out
-        assert "retries:" in out
+        captured = capsys.readouterr()
+        assert "retries:" in captured.out
+        assert (
+            "# scenario: scale=small seed=9 post_disclosure=False "
+            "mx=False loss_rate=0.05\n"
+        ) in captured.err
 
     def test_bad_loss_rate_rejected(self, capsys):
         assert main(BASE + ["--loss-rate", "1.5", "run"]) == 2
 
     def test_bad_engine_knob_exits_cleanly(self, capsys):
-        assert main(BASE + ["--max-concurrency", "0", "run"]) == 2
-        assert "max_concurrency" in capsys.readouterr().err
+        assert main(BASE + ["--retries", "-1", "run"]) == 2
+        assert "retries" in capsys.readouterr().err
 
     def test_figures(self, capsys):
         assert main(BASE + ["figures"]) == 0

@@ -14,6 +14,7 @@ from repro.dns.name import name
 from repro.dns.rdata import RRType
 from repro.dns.server import AuthoritativeServer, make_protective_server
 from repro.dns.zone import zone_from_records
+from repro.engine import BatchedEngine
 from repro.intel.ipinfo import IpInfoDatabase
 from repro.net.network import SimulatedInternet
 from repro.plan import build_plan
@@ -276,19 +277,14 @@ class TestQueryTypesApi:
 
 class TestEngineSelection:
     def test_default_engine_is_batched(self, setup):
-        _, collector, _, _ = setup
-        assert collector.engine.name == "batched"
-
-    def test_engine_name_selects_implementation(self, setup):
         network, _, _, _ = setup
-        collector = ResponseCollector(network, engine_name="sequential")
-        assert collector.engine.name == "sequential"
+        collector = ResponseCollector(network, per_server_interval=130.0)
+        assert type(collector.engine) is BatchedEngine
+        assert collector.engine.policy.per_server_interval == 130.0
 
     def test_explicit_engine_wins(self, setup):
-        from repro.engine import SequentialEngine
-
         network, _, _, _ = setup
-        engine = SequentialEngine(network, "203.0.113.53")
+        engine = BatchedEngine(network, "203.0.113.53")
         collector = ResponseCollector(network, engine=engine)
         assert collector.engine is engine
 

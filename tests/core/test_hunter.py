@@ -26,6 +26,12 @@ class TestPipelineInvariants:
         for category in ("correct", "protective", "unknown", "malicious"):
             assert counts[category] > 0, f"no {category} URs in scenario"
 
+    def test_scan_metrics_attached_to_report(self, small_report):
+        metrics = small_report.scan_metrics
+        # the report's headline counters cover the UR sweep only
+        assert metrics.stage("ur").queries == small_report.queries_sent
+        assert set(metrics.stages) == {"protective", "correct", "ur"}
+
     def test_queries_tracked(self, small_report):
         assert small_report.queries_sent > 0
         assert small_report.responses_seen > 0
@@ -179,13 +185,7 @@ class TestHunterConfigValidation:
         with pytest.raises(ValueError, match="query_types"):
             HunterConfig(query_types=())
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            HunterConfig(engine="quantum")
-
     def test_bad_engine_knobs_rejected(self):
-        with pytest.raises(ValueError, match="max_concurrency"):
-            HunterConfig(max_concurrency=0)
         with pytest.raises(ValueError, match="retries"):
             HunterConfig(retries=-1)
         with pytest.raises(ValueError, match="timeout"):
@@ -200,13 +200,11 @@ class TestHunterConfigValidation:
 
     def test_engine_policy_carries_knobs(self):
         config = HunterConfig(
-            max_concurrency=4,
             retries=1,
             timeout=2.5,
             per_server_interval=130.0,
         )
         policy = config.engine_policy()
-        assert policy.max_concurrency == 4
         assert policy.retries == 1
         assert policy.timeout == 2.5
         assert policy.per_server_interval == 130.0
@@ -218,13 +216,10 @@ class TestWorldLikeProtocol:
 
         assert isinstance(small_world, WorldLike)
 
-    def test_engine_choice_reaches_collector(self, small_world):
-        hunter = URHunter.from_world(
-            small_world, HunterConfig(engine="sequential")
-        )
-        assert hunter.engine.name == "sequential"
-        assert hunter.collector.engine is hunter.engine
-
     def test_default_engine_is_batched(self, small_world):
+        from repro.engine.batched import BatchedEngine
+
         hunter = URHunter.from_world(small_world)
-        assert hunter.engine.name == "batched"
+        assert type(hunter.engine) is BatchedEngine
+        assert hunter.collector.engine is hunter.engine
+        assert hunter.resilience is hunter.engine.resilience

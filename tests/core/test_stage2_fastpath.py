@@ -16,11 +16,20 @@ from repro.pipeline import FaultPlan, FlakyIPInfo, FlakyPassiveDNS
 from repro.pipeline.checkpoint import config_fingerprint
 from repro.scenario import build_world, small_config
 
+from ..conftest import naive_stage2
 
-def _run(config: HunterConfig, seed: int = 7, faults: bool = False):
+
+def _run(
+    config: HunterConfig,
+    seed: int = 7,
+    faults: bool = False,
+    naive: bool = False,
+):
     """One full measurement over a fresh small world."""
     world = build_world(small_config(seed=seed))
     hunter = URHunter.from_world(world, config)
+    if naive:
+        naive_stage2(hunter)
     if faults:
         if world.pdns is not None:
             hunter.pdns = FlakyPassiveDNS(
@@ -55,16 +64,18 @@ class TestByteIdentity:
         assert _classification(one) == _classification(four)
 
     def test_memoized_vs_naive_same_classification(self):
-        _, memoized = _run(HunterConfig(stage2_memoize=True))
-        _, naive = _run(HunterConfig(stage2_memoize=False))
+        _, memoized = _run(HunterConfig())
+        _, naive = _run(HunterConfig(), naive=True)
+        assert memoized.stage2_metrics.memoized
+        assert not naive.stage2_metrics.memoized
         assert _classification(memoized) == _classification(naive)
         assert memoized.false_negative_rate == naive.false_negative_rate
 
     def test_chaos_run_identical_to_naive_path(self):
         """Fault-injected sources force the exact per-record path, so a
         memoize-enabled chaos run is byte-identical to a disabled one."""
-        _, enabled = _run(HunterConfig(stage2_memoize=True), faults=True)
-        _, disabled = _run(HunterConfig(stage2_memoize=False), faults=True)
+        _, enabled = _run(HunterConfig(), faults=True)
+        _, disabled = _run(HunterConfig(), faults=True, naive=True)
         assert enabled.summary() == disabled.summary()
         assert _classification(enabled) == _classification(disabled)
 
@@ -146,9 +157,6 @@ class TestCheckpointFingerprint:
     def test_perf_knobs_excluded_from_fingerprint(self):
         base = config_fingerprint(HunterConfig())
         assert config_fingerprint(HunterConfig(stage2_workers=8)) == base
-        assert (
-            config_fingerprint(HunterConfig(stage2_memoize=False)) == base
-        )
         # execution mode is a perf knob too: batch and stream assemble
         # byte-identical stage results, so their checkpoints interchange
         assert config_fingerprint(HunterConfig(execution="stream")) == base

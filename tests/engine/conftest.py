@@ -1,4 +1,4 @@
-"""Shared fixtures: a tiny network both engines can be pointed at."""
+"""Shared fixtures: a tiny network the engine can be pointed at."""
 
 import pytest
 

@@ -1,4 +1,4 @@
-"""Behavioral tests for both engines over the simulated internet."""
+"""Behavioral tests for the scan engine over the simulated internet."""
 
 import pytest
 
@@ -10,15 +10,11 @@ from repro.engine import (
     EnginePolicy,
     OutcomeStatus,
     QueryTask,
-    SequentialEngine,
-    create_engine,
 )
 from repro.engine.breaker import CircuitState
 from repro.net.traffic import Protocol
 
 from .conftest import NS_DEAD, NS_LIVE, NS_LIVE2, SCANNER
-
-ENGINES = ("sequential", "batched")
 
 
 def _task(server_ip, qtype=RRType.A, stage="ur"):
@@ -31,9 +27,8 @@ def _task(server_ip, qtype=RRType.A, stage="ur"):
 
 
 class TestAnsweredPath:
-    @pytest.mark.parametrize("engine_name", ENGINES)
-    def test_single_answer(self, network, engine_name):
-        engine = create_engine(engine_name, network, SCANNER)
+    def test_single_answer(self, network):
+        engine = BatchedEngine(network, SCANNER)
         [outcome] = engine.execute([_task(NS_LIVE)])
         assert outcome.status is OutcomeStatus.ANSWERED
         assert outcome.answered
@@ -44,9 +39,8 @@ class TestAnsweredPath:
         assert counters.responses == 1
         assert engine.metrics.latency.total == 1
 
-    @pytest.mark.parametrize("engine_name", ENGINES)
-    def test_outcomes_in_task_order(self, network, engine_name):
-        engine = create_engine(engine_name, network, SCANNER)
+    def test_outcomes_in_task_order(self, network):
+        engine = BatchedEngine(network, SCANNER)
         tasks = [
             _task(NS_LIVE),
             _task(NS_LIVE2),
@@ -57,14 +51,12 @@ class TestAnsweredPath:
         assert [outcome.task for outcome in outcomes] == tasks
         assert all(outcome.answered for outcome in outcomes)
 
-    @pytest.mark.parametrize("engine_name", ENGINES)
-    def test_empty_task_list(self, network, engine_name):
-        engine = create_engine(engine_name, network, SCANNER)
+    def test_empty_task_list(self, network):
+        engine = BatchedEngine(network, SCANNER)
         assert engine.execute([]) == []
 
-    @pytest.mark.parametrize("engine_name", ENGINES)
-    def test_stage_buckets_kept_apart(self, network, engine_name):
-        engine = create_engine(engine_name, network, SCANNER)
+    def test_stage_buckets_kept_apart(self, network):
+        engine = BatchedEngine(network, SCANNER)
         engine.execute(
             [
                 _task(NS_LIVE, stage="protective"),
@@ -77,20 +69,8 @@ class TestAnsweredPath:
 
 
 class TestRetryAndTimeout:
-    def test_sequential_clock_accounting(self, network):
+    def test_dead_server_clock_accounting(self, network):
         """A dead server costs (retries+1) timeouts plus the backoffs."""
-        policy = EnginePolicy(
-            retries=2, timeout=5.0, backoff_base=0.5, backoff_factor=2.0
-        )
-        engine = SequentialEngine(network, SCANNER, policy=policy)
-        before = network.now
-        [outcome] = engine.execute([_task(NS_DEAD)])
-        assert outcome.status is OutcomeStatus.GAVE_UP
-        assert outcome.attempts == 3
-        # 3 x 5s timeouts + 0.5s + 1.0s backoffs (plus wire latency)
-        assert network.now - before == pytest.approx(16.5, abs=0.1)
-
-    def test_batched_single_lane_matches_sequential_cost(self, network):
         policy = EnginePolicy(
             retries=2, timeout=5.0, backoff_base=0.5, backoff_factor=2.0
         )
@@ -99,14 +79,12 @@ class TestRetryAndTimeout:
         [outcome] = engine.execute([_task(NS_DEAD)])
         assert outcome.status is OutcomeStatus.GAVE_UP
         assert outcome.attempts == 3
+        # 3 x 5s timeouts + 0.5s + 1.0s backoffs (plus wire latency)
         assert network.now - before == pytest.approx(16.5, abs=0.1)
 
-    @pytest.mark.parametrize("engine_name", ENGINES)
-    def test_timeouts_counted_per_attempt(self, network, engine_name):
+    def test_timeouts_counted_per_attempt(self, network):
         policy = EnginePolicy(retries=1, circuit_failure_threshold=100)
-        engine = create_engine(
-            engine_name, network, SCANNER, policy=policy
-        )
+        engine = BatchedEngine(network, SCANNER, policy=policy)
         engine.execute([_task(NS_DEAD), _task(NS_DEAD, qtype=RRType.TXT)])
         counters = engine.metrics.stage("ur")
         assert counters.queries == 4
@@ -114,31 +92,23 @@ class TestRetryAndTimeout:
         assert counters.retries == 2
         assert counters.giveups == 2
 
-    def test_batched_timeouts_overlap_across_lanes(self, make_network):
-        """Many dead servers: waits overlap instead of summing."""
-
-        def cost(concurrency):
-            network = make_network()
-            for index in range(8):
-                address = f"10.8.0.{index + 1}"
-                network.register_stub(address)
-                network.set_online(address, False)
-            policy = EnginePolicy(
-                retries=0,
-                timeout=5.0,
-                max_concurrency=concurrency,
-                circuit_failure_threshold=100,
-            )
-            engine = BatchedEngine(network, SCANNER, policy=policy)
-            tasks = [_task(f"10.8.0.{index + 1}") for index in range(8)]
-            before = network.now
-            engine.execute(tasks)
-            return network.now - before
-
-        # 8 lanes wait out their 5s timeouts concurrently ...
-        assert cost(8) == pytest.approx(5.0, abs=0.2)
-        # ... a single worker pays them one after the other.
-        assert cost(1) == pytest.approx(40.0, abs=0.5)
+    def test_give_up_is_yielded_before_its_timeout_is_waited_out(
+        self, network
+    ):
+        policy = EnginePolicy(retries=0, timeout=5.0)
+        engine = BatchedEngine(network, SCANNER, policy=policy)
+        before = network.now
+        stream = engine.execute_iter([_task(NS_DEAD), _task(NS_LIVE)])
+        index, outcome = next(stream)
+        assert (index, outcome.status) == (0, OutcomeStatus.GAVE_UP)
+        assert network.now - before < 1.0
+        assert outcome.completed_at == pytest.approx(before + 5.0, abs=0.1)
+        # nothing overlaps inside one engine call: the next server's
+        # task starts once the timeout has passed (a phase of isolated
+        # groups overlaps them — tests/plan/test_clock_rule.py)
+        index, outcome = next(stream)
+        assert (index, outcome.status) == (1, OutcomeStatus.ANSWERED)
+        assert network.now - before == pytest.approx(5.0, abs=0.1)
 
 
 class TestCircuitBreaking:
@@ -181,25 +151,12 @@ class TestCircuitBreaking:
         assert all(outcome.answered for outcome in second)
         assert engine.circuit_state(NS_LIVE) is CircuitState.CLOSED
 
-    def test_sequential_has_no_breaker(self, network):
-        """The baseline pays full price for every dead-server task."""
-        policy = EnginePolicy(retries=0, circuit_failure_threshold=1)
-        engine = SequentialEngine(network, SCANNER, policy=policy)
-        outcomes = engine.execute([_task(NS_DEAD) for _ in range(4)])
-        assert all(
-            outcome.status is OutcomeStatus.GAVE_UP for outcome in outcomes
-        )
-        assert engine.metrics.stage("ur").queries == 4
-
 
 class TestPacing:
-    @pytest.mark.parametrize("engine_name", ENGINES)
-    def test_per_server_gap_never_violated(self, network, engine_name):
+    def test_per_server_gap_never_violated(self, network):
         interval = 130.0
         policy = EnginePolicy(per_server_interval=interval)
-        engine = create_engine(
-            engine_name, network, SCANNER, policy=policy
-        )
+        engine = BatchedEngine(network, SCANNER, policy=policy)
         tasks = [
             _task(server, qtype=qtype)
             for server in (NS_LIVE, NS_LIVE2)
@@ -219,27 +176,17 @@ class TestPacing:
             ]
             assert all(gap >= interval - 1e-6 for gap in gaps)
 
-    def test_batched_overlaps_pacing_waits(self, make_network):
-        """Two servers paced at 130s: lanes interleave, a single worker
-        would not have to — but the serial stream still pays more."""
-
-        def virtual_cost(engine_name):
-            network = make_network()
-            policy = EnginePolicy(per_server_interval=130.0)
-            engine = create_engine(
-                engine_name, network, SCANNER, policy=policy
-            )
-            tasks = []
-            for _ in range(3):
-                tasks.append(_task(NS_LIVE))
-                tasks.append(_task(NS_LIVE2))
-            before = network.now
-            engine.execute(tasks)
-            return network.now - before
-
-        batched = virtual_cost("batched")
-        sequential = virtual_cost("sequential")
-        # 3 tokens per server -> 2 gaps: the batched engine finishes in
-        # ~2 intervals; pacing waits overlap across the two lanes.
-        assert batched == pytest.approx(260.0, abs=1.0)
-        assert batched <= sequential + 1e-6
+    def test_pacing_is_keyed_by_server(self, network):
+        """Two servers paced at 130s, alternating: each server's bucket
+        refills while the other is served, so 3 tokens per server cost
+        2 intervals, not 5 — and every second of it is accounted."""
+        engine = BatchedEngine(
+            network, SCANNER, policy=EnginePolicy(per_server_interval=130.0)
+        )
+        tasks = [_task(NS_LIVE), _task(NS_LIVE2)] * 3
+        before = network.now
+        engine.execute(tasks)
+        assert network.now - before == pytest.approx(260.0, abs=1.0)
+        assert engine.metrics.stage("ur").rate_limit_wait == pytest.approx(
+            260.0, abs=1.0
+        )

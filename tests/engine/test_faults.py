@@ -1,11 +1,11 @@
-"""Fault injection in the simulated network, and how engines ride it."""
+"""Fault injection in the simulated network, and how the engine rides it."""
 
 import pytest
 
 from repro.dns.message import Message
 from repro.dns.name import name
 from repro.dns.rdata import RRType
-from repro.engine import EnginePolicy, QueryTask, create_engine
+from repro.engine import BatchedEngine, EnginePolicy, QueryTask
 from repro.net.network import FaultProfile, NetworkError
 
 from .conftest import NS_LIVE, NS_LIVE2, SCANNER
@@ -95,12 +95,11 @@ class TestFlappingServer:
 
 
 class TestEnginesUnderLoss:
-    @pytest.mark.parametrize("engine_name", ("sequential", "batched"))
-    def test_retries_recover_most_losses(self, make_network, engine_name):
+    def test_retries_recover_most_losses(self, make_network):
         net = make_network()
         net.inject_faults(loss_rate=0.3, seed=9)
         policy = EnginePolicy(retries=4, circuit_failure_threshold=50)
-        engine = create_engine(engine_name, net, SCANNER, policy=policy)
+        engine = BatchedEngine(net, SCANNER, policy=policy)
         tasks = [
             QueryTask(
                 server_ip=server,
@@ -122,11 +121,8 @@ class TestEnginesUnderLoss:
         def run():
             net = make_network()
             net.inject_faults(loss_rate=0.4, seed=21)
-            engine = create_engine(
-                "batched",
-                net,
-                SCANNER,
-                policy=EnginePolicy(retries=2),
+            engine = BatchedEngine(
+                net, SCANNER, policy=EnginePolicy(retries=2)
             )
             outcomes = engine.execute(
                 [

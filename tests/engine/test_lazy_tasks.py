@@ -1,11 +1,11 @@
-"""A lazy task sequence drives the engines exactly as its list does.
+"""A lazy task sequence drives the engine exactly as its list does.
 
-The batched engine queues *positions* per lane and reads a task from
-the caller's sequence only when it reaches the head of its lane, so the
-plan's :class:`~repro.plan.scanplan.PlannedTasks` view is never
-materialized.  Handing either engine the view or ``list(view)`` must
-give the same ``(index, outcome)`` stream, clock and ledger — clean,
-under loss with hedging and AIMD pacing, and with circuits that open.
+The engine reads a task from the caller's sequence only after the
+previous outcome was yielded, so the plan's
+:class:`~repro.plan.scanplan.PlannedTasks` view is never materialized.
+Handing the engine the view or ``list(view)`` must give the same
+``(index, outcome)`` stream, clock and ledger — clean, under loss with
+hedging and AIMD pacing, and with circuits that open.
 """
 
 import pytest
@@ -40,11 +40,9 @@ INPUTS = [
 ]
 
 
-def _stream(prepare, engine_name, materialize):
+def _stream(prepare, materialize):
     world = build_world(small_config(seed=SEED))
-    hunter = URHunter.from_world(
-        world, HunterConfig(engine=engine_name, **prepare(world))
-    )
+    hunter = URHunter.from_world(world, HunterConfig(**prepare(world)))
     tasks = hunter.plan.tasks("ur")
     if materialize:
         tasks = list(tasks)
@@ -70,13 +68,12 @@ def _stream(prepare, engine_name, materialize):
     return stream, hunter
 
 
-@pytest.mark.parametrize("engine_name", ["batched", "sequential"])
 @pytest.mark.parametrize("prepare", INPUTS)
-def test_lazy_sequence_and_list_give_identical_streams(prepare, engine_name):
-    lazy, lazy_hunter = _stream(prepare, engine_name, materialize=False)
-    listed, listed_hunter = _stream(prepare, engine_name, materialize=True)
+def test_lazy_sequence_and_list_give_identical_streams(prepare):
+    lazy, lazy_hunter = _stream(prepare, materialize=False)
+    listed, listed_hunter = _stream(prepare, materialize=True)
     assert lazy == listed
-    assert sorted(row[0] for row in lazy) == list(
+    assert [row[0] for row in lazy] == list(
         range(len(lazy_hunter.plan.ur_units))
     )
     assert lazy_hunter.network.now == listed_hunter.network.now
@@ -87,28 +84,30 @@ def test_lazy_sequence_and_list_give_identical_streams(prepare, engine_name):
     counters = lazy_hunter.engine.metrics.stage("ur")
     if prepare is _lossy:
         assert counters.retries > 0
-        if engine_name == "batched":
-            assert lazy_hunter.resilience.hedges_fired > 0
-    if prepare is _circuit_open and engine_name == "batched":
+        assert lazy_hunter.resilience.hedges_fired > 0
+    if prepare is _circuit_open:
         assert counters.skipped > 0
 
 
-def test_batched_lanes_hold_positions_not_tasks():
-    """Mid-scan, the engine has read at most one task per lane beyond
-    the ones already completed."""
+def test_tasks_are_read_one_at_a_time_in_task_order():
+    """``execute_iter`` yields index 0, 1, 2, ... and reads task ``n``
+    only once outcome ``n - 1`` was pulled: a paused consumer pauses
+    the scan, and no second task exists while one is being driven."""
     world = build_world(small_config(seed=SEED))
-    hunter = URHunter.from_world(world, HunterConfig())
-    reads = []
+    world.network.inject_faults(loss_rate=0.05, seed=SEED)
+    hunter = URHunter.from_world(world, HunterConfig(hedge_delay=0.5))
+    built = []
 
     class Counting(type(hunter.plan.tasks("ur"))):
-        def __getitem__(self, position):
-            reads.append(position)
-            return super().__getitem__(position)
+        def __iter__(self):
+            for position, task in enumerate(super().__iter__()):
+                built.append(position)
+                yield task
 
-    tasks = Counting(hunter.plan.ur_units)
-    stream = hunter.engine.execute_iter(tasks)
-    for completed in range(1, 101):
-        next(stream)
-        assert len(reads) <= completed + len(hunter.plan.groups)
+    stream = hunter.engine.execute_iter(Counting(hunter.plan.ur_units))
+    for expected in range(200):
+        index, outcome = next(stream)
+        assert index == expected
+        assert built == list(range(expected + 1))
+    assert hunter.engine.metrics.stage("ur").retries > 0
     stream.close()
-    assert len(reads) < len(tasks) // 10

@@ -1,17 +1,8 @@
-"""Tests for the engine API surface: policy validation and the registry."""
+"""Tests for the engine API surface: policy validation."""
 
 import pytest
 
-from repro.engine import (
-    DEFAULT_ENGINE,
-    ENGINE_REGISTRY,
-    BatchedEngine,
-    EnginePolicy,
-    QueryEngine,
-    SequentialEngine,
-    create_engine,
-)
-from repro.net.network import SimulatedInternet
+from repro.engine import EnginePolicy
 
 
 class TestEnginePolicyValidation:
@@ -23,7 +14,6 @@ class TestEnginePolicyValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"max_concurrency": 0},
             {"retries": -1},
             {"timeout": 0.0},
             {"timeout": -3.0},
@@ -45,23 +35,3 @@ class TestEnginePolicyValidation:
             1.0,
             2.0,
         ]
-
-
-class TestRegistry:
-    def test_default_engine_registered(self):
-        assert DEFAULT_ENGINE in ENGINE_REGISTRY
-
-    def test_both_engines_registered(self):
-        assert ENGINE_REGISTRY["sequential"] is SequentialEngine
-        assert ENGINE_REGISTRY["batched"] is BatchedEngine
-
-    def test_unknown_engine_rejected(self):
-        network = SimulatedInternet()
-        with pytest.raises(ValueError, match="sequential"):
-            create_engine("warp-drive", network, "203.0.113.53")
-
-    def test_created_engines_satisfy_protocol(self, network):
-        for name in ENGINE_REGISTRY:
-            engine = create_engine(name, network, "203.0.113.53")
-            assert isinstance(engine, QueryEngine)
-            assert engine.name == name

@@ -17,6 +17,7 @@ from repro.pipeline import (
     FlakyVendor,
 )
 
+from ..conftest import naive_stage2
 from .conftest import make_world, stream_hunter
 
 DEPTHS = (1, 2, 16)
@@ -56,11 +57,11 @@ class TestStreamEqualsBatch:
     def test_memoization_off_still_identical(self):
         # memoization state is itself printed in the summary, so the
         # comparison is against a batch run with the same knob
-        batch = URHunter.from_world(
-            make_world(), HunterConfig(stage2_memoize=False)
-        )
-        stream = stream_hunter(stage2_memoize=False)
-        assert stream.run().summary() == batch.run().summary()
+        batch = naive_stage2(URHunter.from_world(make_world()))
+        stream = naive_stage2(stream_hunter())
+        summary = batch.run().summary()
+        assert "memoization: off" in summary
+        assert stream.run().summary() == summary
 
     def test_channels_stay_bounded(self):
         hunter = stream_hunter(depth=2)

@@ -9,15 +9,18 @@ the world is unchanged, invalidation on every mutation class.
 """
 
 import json
+from dataclasses import fields
 
 import pytest
 
+from repro.cli import EXIT_USAGE, main
 from repro.core import HunterConfig, URHunter
 from repro.dns.rdata import A
 from repro.incremental import (
     STORE_FORMAT_VERSION,
     GroupResultStore,
     PlanSummaryError,
+    StoreFormatError,
     diff_plan_summaries,
     group_identity,
     load_plan_summary,
@@ -27,9 +30,43 @@ from repro.incremental import (
     server_fingerprint,
     state_digest,
 )
+from repro.incremental.store import (
+    PLAN_OR_LATER_STAGE_KNOBS,
+    SCAN_SHAPING_KNOBS,
+)
 from repro.scenario import build_world, small_config
 
 SEED = 7
+
+#: a store directory exactly as the format-1 build left it (bytes typed
+#: here, not produced by code that may change): one slot and the stats
+#: sidecar, both ``json.dump(..., indent=1)`` with ``format`` first
+FORMAT_1_SLOT = """{
+ "format": 1,
+ "identity": "0c9d2c4a",
+ "digest": "5e1f77b0",
+ "group": {
+  "group": 0,
+  "server": "10.1.0.1",
+  "elapsed": 0.02,
+  "outcomes": [],
+  "metrics": {},
+  "resilience": null,
+  "events": []
+ }
+}
+"""
+FORMAT_1_STATS = """{
+ "format": 1,
+ "slots": 1,
+ "hits": 0,
+ "misses": 1,
+ "invalidated": 0,
+ "stored": 1,
+ "uncacheable": 0,
+ "bypassed_runs": 0
+}
+"""
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +188,72 @@ class TestStateDigest:
         assert state_digest(identity, server, "GoDaddy", other_fp) != base
         bumped = dict(server, generation=server["generation"] + 1)
         assert state_digest(identity, bumped, "GoDaddy", config_fp) != base
+
+
+class TestConfigPartition:
+    def test_every_config_field_is_in_exactly_one_list(self):
+        """A new ``HunterConfig`` field must be filed as scan-shaping,
+        fingerprint-excluded, or plan/later-stage — it cannot be left
+        out of the store key by being forgotten."""
+        listed = (
+            list(SCAN_SHAPING_KNOBS)
+            + sorted(HunterConfig.FINGERPRINT_EXCLUDE)
+            + list(PLAN_OR_LATER_STAGE_KNOBS)
+        )
+        assert len(listed) == len(set(listed))
+        assert set(listed) == {field.name for field in fields(HunterConfig)}
+        assert len(SCAN_SHAPING_KNOBS) == 11
+        assert len(HunterConfig.FINGERPRINT_EXCLUDE) == 6
+
+    def test_fingerprint_reads_knobs_strictly(self):
+        """A knob the config does not carry raises; it is never hashed
+        as ``null`` (silent under-keying)."""
+        with pytest.raises(AttributeError, match="seed"):
+            scan_config_fingerprint(object())
+
+
+class TestFormatRefusal:
+    @pytest.mark.parametrize(
+        "files",
+        [
+            {"group-0c9d2c4a.json": FORMAT_1_SLOT},
+            {"store-stats.json": FORMAT_1_STATS},
+        ],
+        ids=["slot", "stats"],
+    )
+    def test_parent_format_store_is_refused_at_open(self, tmp_path, files):
+        assert STORE_FORMAT_VERSION == 2
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        with pytest.raises(StoreFormatError) as refusal:
+            GroupResultStore(tmp_path)
+        message = str(refusal.value)
+        assert str(tmp_path) in message
+        assert "format 1" in message and "format 2" in message
+
+    def test_cli_exits_as_unusable_input_and_leaves_the_store_alone(
+        self, tmp_path, capsys
+    ):
+        (tmp_path / "group-0c9d2c4a.json").write_text(FORMAT_1_SLOT)
+        (tmp_path / "store-stats.json").write_text(FORMAT_1_STATS)
+        argv = ["--scale", "small", "--result-store", str(tmp_path)]
+        for command in ("run", "plan"):
+            assert main(argv + [command]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"error: result store {tmp_path}" in captured.err
+        assert {
+            path.name: path.read_text() for path in tmp_path.iterdir()
+        } == {
+            "group-0c9d2c4a.json": FORMAT_1_SLOT,
+            "store-stats.json": FORMAT_1_STATS,
+        }
+
+    def test_own_format_store_reopens(self, tmp_path):
+        store = GroupResultStore(tmp_path)
+        store.put("aaa", "d", {"group": 1})
+        store.write_stats()
+        assert GroupResultStore(tmp_path).get("aaa", "d") == {"group": 1}
 
 
 class TestStoreSlots:

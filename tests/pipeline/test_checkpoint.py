@@ -1,6 +1,7 @@
 """Tests for the checkpoint codecs and the CheckpointStore."""
 
 import json
+from dataclasses import dataclass
 
 import pytest
 
@@ -189,6 +190,25 @@ class TestCheckpointStore:
         CheckpointStore(tmp_path).prepare("fp-one", resume=False)
         with pytest.raises(CheckpointError, match="fingerprint"):
             CheckpointStore(tmp_path).prepare("fp-two", resume=True)
+
+    def test_checkpoint_of_a_config_with_engine_knobs_is_refused(
+        self, tmp_path
+    ):
+        """The parent build stamped ``engine`` and ``max_concurrency``
+        into every manifest: such a checkpoint does not resume here."""
+
+        @dataclass
+        class ParentConfig(HunterConfig):
+            engine: str = "batched"
+            max_concurrency: int = 8
+
+        CheckpointStore(tmp_path).prepare(
+            config_fingerprint(ParentConfig()), resume=False
+        )
+        with pytest.raises(CheckpointError, match="fingerprint mismatch"):
+            CheckpointStore(tmp_path).prepare(
+                config_fingerprint(HunterConfig()), resume=True
+            )
 
     def test_resume_matching_fingerprint_keeps_stages(self, tmp_path):
         store = CheckpointStore(tmp_path)

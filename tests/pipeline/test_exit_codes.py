@@ -50,7 +50,7 @@ class TestExitCodes:
         assert "requires --checkpoint-dir" in capsys.readouterr().err
 
     def test_bad_engine_config_is_usage_error(self, capsys):
-        code = main(SMALL + ["--max-concurrency", "0", "run"])
+        code = main(SMALL + ["--timeout", "0", "run"])
         assert code == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
 

@@ -16,10 +16,16 @@ import random
 import pytest
 
 from repro.core import HunterConfig, URHunter
+from repro.core.collector import DomainTarget, NameserverTarget
 from repro.core.correctness import CorrectRecordDatabase
+from repro.dns.name import name
+from repro.dns.rdata import RRType
+from repro.net.network import SimulatedInternet
 from repro.pipeline.checkpoint import encode_stage1
 from repro.plan import shards
 from repro.scenario import build_world, small_config
+
+from ..conftest import bare_hunter
 
 SEED = 7
 #: virtual seconds of the small-scale seed-7 run: 0.06 protective +
@@ -197,13 +203,85 @@ def test_classification_epoch_is_the_sum_of_the_preamble_makespans(
     assert hunter.network.now == preamble.classification_epoch
 
 
+def test_dead_servers_time_out_side_by_side(monkeypatch):
+    """Overlap across servers is the phase's: eight dead nameservers
+    cost one 5 s timeout of virtual time, though their groups spent
+    40 s between them."""
+    results = _record_groups(monkeypatch)
+    network = SimulatedInternet()
+    nameservers = []
+    for index in range(8):
+        address = f"10.8.0.{index + 1}"
+        network.register_stub(address)
+        network.set_online(address, False)
+        nameservers.append(NameserverTarget(address, "DeadHost"))
+    hunter = bare_hunter(
+        network,
+        nameservers,
+        [DomainTarget(name("victim.test"), 1)],
+        query_types=(RRType.A,),
+        retries=0,
+    )
+    start = network.now
+    shards.run_collection_groups(
+        hunter.collector, hunter.plan, "protective", lambda outcome: None
+    )
+    assert len(results) == 8
+    assert network.now - start == pytest.approx(5.0, abs=0.2)
+    assert sum(r.elapsed for r in results) == pytest.approx(40.0, abs=0.5)
+    assert hunter.engine.metrics.stage("protective").giveups == 8
+
+
+def _pinned_run(prepare=_clean, **knobs):
+    hunter = _hunter(prepare, **knobs)
+    origin = hunter.network.now
+    hunter.run()
+    return hunter, round(hunter.network.now - origin, 6)
+
+
 def test_small_scale_run_takes_its_pinned_virtual_seconds():
     """Deterministic, so exact: a collection that goes back to one
     exchange after another fails this by 5x or more, not by noise."""
-    hunter = _hunter()
-    origin = hunter.network.now
-    hunter.run()
-    assert round(hunter.network.now - origin, 6) == SMALL_RUN_VIRTUAL_S
+    assert _pinned_run()[1] == SMALL_RUN_VIRTUAL_S
+
+
+def test_lossy_hedged_aimd_run_keeps_its_pinned_schedule():
+    """Exact figures of the multi-lane scheduler this loop replaced
+    (read at 652cd8e): a drifted last digit means a wait was
+    re-associated, a drifted count means a send or a fault die moved."""
+    hunter, virtual_s = _pinned_run(_lossy, hedge_delay=0.5, aimd=True)
+    metrics = hunter.engine.metrics
+    assert virtual_s == 59.5125
+    assert hunter.resilience.aimd_wait == 1089.065624984214
+    assert hunter.resilience.aimd_cuts == 792
+    assert hunter.resilience.hedges_fired == 745
+    assert (metrics.queries, metrics.retries) == (15314, 788)
+    assert {
+        phase: counters.giveups
+        for phase, counters in metrics.stages.items()
+    } == {"protective": 0, "correct": 0, "ur": 4}
+
+
+def test_paced_run_accounts_its_pinned_rate_limit_wait():
+    """Appendix A's one query per server per 130 s, to the last bit."""
+    hunter, virtual_s = _pinned_run(per_server_interval=130.0)
+    assert virtual_s == 24310.36
+    assert {
+        phase: counters.rate_limit_wait
+        for phase, counters in hunter.engine.metrics.stages.items()
+    } == {
+        "protective": 18978.51999999862,
+        "correct": 96676.76999995974,
+        "ur": 1733543.4999998729,
+    }
+
+
+def test_run_deadline_sheds_its_pinned_count():
+    hunter, virtual_s = _pinned_run(run_deadline=5.0)
+    assert virtual_s == 5.27
+    assert hunter.engine.metrics.stage("ur").shed == 2885
+    assert hunter.engine.metrics.queries == 11641
+    assert hunter.resilience.shed == {"shed:deadline-run": 2885}
 
 
 def test_fault_seeds_differ_per_phase_and_the_ur_seed_keeps_its_spelling():

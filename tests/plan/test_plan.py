@@ -65,10 +65,6 @@ class TestHashInvariance:
             varied = make_hunter(shards=shards, shard_workers=workers)
             assert varied.plan.plan_hash == plan.plan_hash
 
-    def test_invariant_under_engine_choice(self, plan):
-        varied = make_hunter(engine="sequential")
-        assert varied.plan.plan_hash == plan.plan_hash
-
     def test_invariant_under_execution_mode(self, plan):
         varied = make_hunter(execution="stream", channel_depth=3)
         assert varied.plan.plan_hash == plan.plan_hash
@@ -165,7 +161,10 @@ class TestShardPartition:
 
     def test_groups_are_single_nameserver(self, plan):
         for group in plan.groups:
-            servers = set(plan.ur_units.server_ips(group.unit_indices))
+            servers = {
+                task.server_ip
+                for task in plan.tasks("ur", group.unit_indices)
+            }
             assert servers == {group.server_ip}
 
     def test_invalid_shard_count_raises(self, plan):

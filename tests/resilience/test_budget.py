@@ -11,7 +11,6 @@ from repro.engine import (
     EnginePolicy,
     OutcomeStatus,
     QueryTask,
-    SequentialEngine,
 )
 from repro.obs import RunTrace
 from repro.resilience import DeadlineBudget
@@ -82,8 +81,8 @@ class TestEngineShedding:
     """Once the budget is spent, queued tasks shed deterministically and
     land in the loss ledger — never silently dropped."""
 
-    def _run(self, network, engine_cls, **budget_knobs):
-        engine = engine_cls(
+    def _run(self, network, **budget_knobs):
+        engine = BatchedEngine(
             network, SCANNER, EnginePolicy(per_server_interval=0.0)
         )
         engine.budget = DeadlineBudget(**budget_knobs)
@@ -92,15 +91,10 @@ class TestEngineShedding:
         outcomes = engine.execute([_task(NS_LIVE) for _ in range(5)])
         return engine, outcomes, trace
 
-    @pytest.mark.parametrize(
-        "engine_cls", (BatchedEngine, SequentialEngine)
-    )
-    def test_exhausted_budget_sheds_the_tail(self, make_network, engine_cls):
+    def test_exhausted_budget_sheds_the_tail(self, make_network):
         # the first answer charges ~20ms of latency, far past a 1ms
-        # budget — everything still queued on the lane must shed
-        engine, outcomes, trace = self._run(
-            make_network(), engine_cls, run_deadline=0.001
-        )
+        # budget — every task after it must shed
+        engine, outcomes, trace = self._run(make_network(), run_deadline=0.001)
         statuses = [outcome.status for outcome in outcomes]
         assert statuses[0] is OutcomeStatus.ANSWERED
         assert all(s is OutcomeStatus.SHED for s in statuses[1:])
@@ -112,13 +106,8 @@ class TestEngineShedding:
         assert engine.resilience.shed == {"shed:deadline-run": 4}
         assert engine.resilience.active
 
-    @pytest.mark.parametrize(
-        "engine_cls", (BatchedEngine, SequentialEngine)
-    )
-    def test_budget_exhausted_announced_once(self, make_network, engine_cls):
-        _, _, trace = self._run(
-            make_network(), engine_cls, run_deadline=0.001
-        )
+    def test_budget_exhausted_announced_once(self, make_network):
+        _, _, trace = self._run(make_network(), run_deadline=0.001)
         events = [
             json.loads(line)
             for line in trace.deterministic_lines()
@@ -128,24 +117,8 @@ class TestEngineShedding:
         assert events[0]["reason"] == "deadline-run"
         assert events[0]["phase"] == "ur"
 
-    @pytest.mark.parametrize(
-        "engine_cls", (BatchedEngine, SequentialEngine)
-    )
-    def test_generous_budget_sheds_nothing(self, make_network, engine_cls):
-        engine, outcomes, _ = self._run(
-            make_network(), engine_cls, run_deadline=1e6
-        )
+    def test_generous_budget_sheds_nothing(self, make_network):
+        engine, outcomes, _ = self._run(make_network(), run_deadline=1e6)
         assert all(o.status is OutcomeStatus.ANSWERED for o in outcomes)
         assert engine.metrics.stage("ur").shed == 0
         assert not engine.resilience.active
-
-    def test_both_engines_shed_identically(self, make_network):
-        results = []
-        for engine_cls in (BatchedEngine, SequentialEngine):
-            engine, outcomes, _ = self._run(
-                make_network(), engine_cls, run_deadline=0.001
-            )
-            results.append(
-                [(o.status, o.task.server_ip) for o in outcomes]
-            )
-        assert results[0] == results[1]

@@ -11,7 +11,6 @@ from repro.engine import (
     EnginePolicy,
     OutcomeStatus,
     QueryTask,
-    SequentialEngine,
 )
 from repro.net.network import FaultProfile
 from repro.obs import RunTrace
@@ -58,14 +57,14 @@ class TestHedgeControllerUnit:
 class _HedgeHarness:
     """One lossy-window server run with hedging attached."""
 
-    def __init__(self, make_network, engine_cls, outage, delay=0.25):
+    def __init__(self, make_network, outage, delay=0.25):
         self.network = make_network()
         if outage > 0:
             # outage: loss window [0, outage) on the live server
             self.network.add_fault_window(
                 NS_LIVE, FaultProfile(loss_rate=1.0, duration=outage)
             )
-        self.engine = engine_cls(
+        self.engine = BatchedEngine(
             self.network,
             SCANNER,
             EnginePolicy(per_server_interval=0.0, retries=2),
@@ -83,15 +82,11 @@ class _HedgeHarness:
         ]
 
 
-ENGINES = (BatchedEngine, SequentialEngine)
-
-
 class TestEngineHedging:
-    @pytest.mark.parametrize("engine_cls", ENGINES)
-    def test_hedge_wins_when_outage_is_short(self, make_network, engine_cls):
+    def test_hedge_wins_when_outage_is_short(self, make_network):
         # first attempt at t=0 drops; the 0.25s hedge lands after the
         # 0.1s outage window closes — a win, not a 5s timeout park
-        harness = _HedgeHarness(make_network, engine_cls, outage=0.1)
+        harness = _HedgeHarness(make_network, outage=0.1)
         [outcome] = harness.outcomes
         assert outcome.status is OutcomeStatus.ANSWERED
         resilience = harness.engine.resilience
@@ -103,9 +98,8 @@ class TestEngineHedging:
         # the whole exchange stayed far below one timeout window
         assert harness.network.now < 1.0
 
-    @pytest.mark.parametrize("engine_cls", ENGINES)
-    def test_hedge_is_accounted_as_a_retry(self, make_network, engine_cls):
-        harness = _HedgeHarness(make_network, engine_cls, outage=0.1)
+    def test_hedge_is_accounted_as_a_retry(self, make_network):
+        harness = _HedgeHarness(make_network, outage=0.1)
         counters = harness.engine.metrics.stage("ur")
         assert counters.queries == 2
         assert counters.responses == 1
@@ -114,12 +108,9 @@ class TestEngineHedging:
         # loss ledger closes: queries == responses + timeouts
         assert counters.queries == counters.responses + counters.timeouts
 
-    @pytest.mark.parametrize("engine_cls", ENGINES)
-    def test_hedge_wasted_when_outage_outlasts_it(
-        self, make_network, engine_cls
-    ):
+    def test_hedge_wasted_when_outage_outlasts_it(self, make_network):
         # outage covers the hedge too; only the post-timeout retry lands
-        harness = _HedgeHarness(make_network, engine_cls, outage=4.0)
+        harness = _HedgeHarness(make_network, outage=4.0)
         [outcome] = harness.outcomes
         assert outcome.status is OutcomeStatus.ANSWERED
         resilience = harness.engine.resilience
@@ -128,23 +119,7 @@ class TestEngineHedging:
         assert resilience.hedges_wasted == 1
         assert harness.events("hedge.wasted")
 
-    @pytest.mark.parametrize("engine_cls", ENGINES)
-    def test_no_hedge_on_healthy_server(self, make_network, engine_cls):
-        harness = _HedgeHarness(make_network, engine_cls, outage=0.0)
+    def test_no_hedge_on_healthy_server(self, make_network):
+        harness = _HedgeHarness(make_network, outage=0.0)
         assert harness.engine.resilience.hedges_fired == 0
         assert not harness.engine.resilience.active
-
-    def test_both_engines_hedge_identically(self, make_network):
-        counters = []
-        for engine_cls in ENGINES:
-            harness = _HedgeHarness(make_network, engine_cls, outage=0.1)
-            resilience = harness.engine.resilience
-            counters.append(
-                (
-                    resilience.hedges_fired,
-                    resilience.hedges_won,
-                    resilience.hedges_wasted,
-                    harness.engine.metrics.stage("ur").queries,
-                )
-            )
-        assert counters[0] == counters[1]
