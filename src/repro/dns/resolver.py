@@ -3,7 +3,11 @@
 The recursive resolver implements real iterative resolution: it walks from
 the root hints through TLD referrals to authoritative servers, follows glue
 (and resolves glueless NS targets), chases CNAMEs, and caches by TTL against
-the network's virtual clock.
+the network's virtual clock — answers, and the zone cuts it was referred
+across, so the next name under ``.com`` starts at ``.com``'s servers and
+not at the root.  Both caches live on one timeline only: pinning the
+clock (:meth:`~repro.net.network.SimulatedInternet.set_clock`) empties
+them.
 
 Open resolvers are recursive resolvers exposed publicly; URHunter's stage 1
 uses a worldwide set of them to learn *correct records*.  A small fraction
@@ -20,8 +24,8 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 # whichever package is imported first finds the other mid-import here
 from ..net import network as _net
 from .message import Message, Rcode, ResourceRecord
-from .name import Name, name
-from .rdata import A, CNAME, RRType
+from .name import ROOT, Name, name
+from .rdata import A, CNAME, NS, RRType
 from .zone import LookupStatus  # noqa: F401  (re-exported for tests)
 
 MAX_REFERRALS = 24
@@ -40,12 +44,32 @@ class CacheEntry:
 
 
 @dataclass
+class ZoneCut:
+    """A delegation learned from a referral: whom to ask at or below
+    ``zone``, until ``expires`` on the network's virtual clock."""
+
+    zone: Name
+    servers: List[str]
+    expires: float
+
+
+@dataclass
 class ResolverStats:
-    """Counters exposed for tests and benchmarks."""
+    """Counters exposed for tests and benchmarks.
+
+    ``upstream_queries`` per lookup is explained by the cut cache's
+    three: a walk that found a cached cut to start at
+    (``delegation_hits``), cuts found past their TTL on the way there
+    (``delegation_expired``), and cuts dropped because their servers
+    failed (``delegation_evicted``).
+    """
 
     queries_received: int = 0
     upstream_queries: int = 0
     cache_hits: int = 0
+    delegation_hits: int = 0
+    delegation_expired: int = 0
+    delegation_evicted: int = 0
     failures: int = 0
 
 
@@ -70,8 +94,16 @@ class RecursiveResolver:
         self.address = address
         self.network = network
         self.root_hints = list(root_hints)
+        #: False: no answer is cached and no cut either — every lookup
+        #: walks from the root hints (the oracle the caches are tested
+        #: against)
         self.cache_enabled = cache_enabled
         self._cache: Dict[Tuple[Name, int], CacheEntry] = {}
+        #: zone cuts by the zone's lowered labels (suffix slices of a
+        #: qname's labels key the closest-cut lookup)
+        self._cuts: Dict[Tuple[str, ...], ZoneCut] = {}
+        #: the network clock generation the caches were filled under
+        self._clock_generation = network.clock_generation
         #: upstream query messages by (qname, qtype), built once and
         #: re-sent: a repeated message keeps the authoritative servers'
         #: compiled answers on their cheapest path.  Resolvers walking
@@ -94,6 +126,11 @@ class RecursiveResolver:
         :class:`ResolutionError`.
         """
         qname = name(qname)
+        generation = self.network.clock_generation
+        if generation != self._clock_generation:
+            # the clock was pinned: expiries taken before mean nothing now
+            self._clock_generation = generation
+            self.flush_cache()
         cached = self._cache_get(qname, qtype)
         if cached is not None:
             self.stats.cache_hits += 1
@@ -198,46 +235,113 @@ class RecursiveResolver:
             current_name = chain_end
 
     def _walk_referrals(self, qname: Name, qtype: int) -> Message:
-        servers = list(self.root_hints)
-        visited: List[str] = []
+        """Follow referrals from the closest known cut down to an answer.
+
+        Servers that fail (silent, or an rcode a zone's servers never
+        give) are dropped from the cut cache; when they *came* from the
+        cache the walk starts over one cut further up, so a cached cut
+        costs a lookup at most its own failed exchange, never the
+        answer.
+        """
+        zone, servers, cached = self._closest_cut(qname)
         for _ in range(MAX_REFERRALS):
             response = self._query_any(servers, qname, qtype)
-            if response is None:
-                raise ResolutionError(
-                    f"no nameserver answered for {qname} "
-                    f"(tried {', '.join(visited) or 'none'})"
-                )
-            if response.header.rcode == Rcode.NXDOMAIN:
-                return response
-            if response.header.rcode != Rcode.NOERROR:
+            if response is None or response.header.rcode not in (
+                Rcode.NOERROR,
+                Rcode.NXDOMAIN,
+            ):
+                if self._cuts.pop(zone.lowered_labels, None) is not None:
+                    self.stats.delegation_evicted += 1
+                if cached:
+                    zone, servers, cached = self._closest_cut(qname)
+                    continue
+                if response is None:
+                    raise ResolutionError(
+                        f"no nameserver of {zone.to_text()} answered for "
+                        f"{qname} (tried {', '.join(servers)})"
+                    )
                 raise ResolutionError(
                     f"upstream returned {Rcode.to_text(response.header.rcode)}"
                     f" for {qname}"
                 )
             if response.answers or not response.is_referral():
                 return response
-            # Referral: find addresses for the delegated nameservers.
-            next_servers: List[str] = []
-            for target in response.referral_targets():
-                glue = response.glue_address(target)
-                if glue is not None:
-                    next_servers.append(glue)
-            if not next_servers:
-                # Glueless delegation: resolve the NS targets' A records.
-                for target in response.referral_targets():
-                    try:
-                        next_servers.extend(self.lookup_a(target))
-                    except ResolutionError:
-                        continue
-                    if next_servers:
-                        break
-            if not next_servers:
-                raise ResolutionError(
-                    f"cannot find addresses for delegation of {qname}"
-                )
-            visited.extend(servers[:1])
-            servers = next_servers
+            zone, servers = self._follow_referral(zone, response, qname)
+            cached = False
         raise ResolutionError(f"referral loop resolving {qname}")
+
+    def _closest_cut(self, qname: Name) -> Tuple[Name, List[str], bool]:
+        """Where a walk for ``qname`` starts: ``(zone, servers, cached)``
+        of the deepest unexpired cut at or above it, else the root hints."""
+        cuts = self._cuts
+        if cuts:
+            now = self.network.now
+            labels = qname.lowered_labels
+            for offset in range(len(labels)):
+                cut = cuts.get(labels[offset:])
+                if cut is None:
+                    continue
+                if now < cut.expires:
+                    self.stats.delegation_hits += 1
+                    return cut.zone, cut.servers, True
+                del cuts[labels[offset:]]
+                self.stats.delegation_expired += 1
+        return ROOT, self.root_hints, False
+
+    def _follow_referral(
+        self, zone: Name, response: Message, qname: Name
+    ) -> Tuple[Name, List[str]]:
+        """The zone a referral from ``zone``'s servers delegates and the
+        addresses of its nameservers (glue first, else resolved).
+
+        The cut is remembered only when the referral is in bailiwick:
+        one NS owner, strictly below the zone that referred and at or
+        above ``qname``.  It lives as long as the shortest-lived record
+        it was built from: the NS rrset, the glue used, or — for a
+        glueless delegation — the cached address answer.
+        """
+        delegation = [
+            record
+            for record in response.authorities
+            if isinstance(record.rdata, NS)
+        ]
+        owner = delegation[0].owner
+        now = self.network.now
+        expires = now + min(record.ttl for record in delegation)
+        servers: List[str] = []
+        for record in delegation:
+            for glue in response.additionals:
+                if glue.owner == record.rdata.target and isinstance(
+                    glue.rdata, A
+                ):
+                    servers.append(glue.rdata.address)
+                    expires = min(expires, now + glue.ttl)
+                    break
+        if not servers:
+            # Glueless delegation: resolve the NS targets' A records.
+            for record in delegation:
+                target = record.rdata.target
+                try:
+                    servers.extend(self.lookup_a(target))
+                except ResolutionError:
+                    continue
+                if servers:
+                    resolved = self._cache.get((target, RRType.A))
+                    if resolved is not None:
+                        expires = min(expires, resolved.expires)
+                    break
+        if not servers:
+            raise ResolutionError(
+                f"cannot find addresses for delegation of {qname}"
+            )
+        if (
+            self.cache_enabled
+            and all(record.owner == owner for record in delegation)
+            and owner.is_proper_subdomain_of(zone)
+            and qname.is_subdomain_of(owner)
+        ):
+            self._cuts[owner.lowered_labels] = ZoneCut(owner, servers, expires)
+        return owner, servers
 
     def _query_any(
         self, servers: List[str], qname: Name, qtype: int
@@ -292,7 +396,9 @@ class RecursiveResolver:
         )
 
     def flush_cache(self) -> None:
+        """Forget every cached answer and zone cut."""
         self._cache.clear()
+        self._cuts.clear()
 
 
 ResponseRewriter = Callable[[Message], Message]

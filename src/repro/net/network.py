@@ -148,6 +148,9 @@ class SimulatedInternet:
     def __init__(self, latency: float = 0.01):
         self._hosts: Dict[str, _HostEntry] = {}
         self._clock = 0.0
+        #: bumped by :meth:`set_clock`; a resolver cache entry is valid
+        #: only under the generation it was learned in
+        self.clock_generation = 0
         self.latency = latency
         self.capture = TrafficCapture()
         #: scan-path fast-lane hit/miss counters (timing-only telemetry)
@@ -298,10 +301,19 @@ class SimulatedInternet:
         advanced to ``epoch + makespan`` afterwards.  Unlike
         :meth:`tick` this may move the clock backwards — it rewinds to
         a previously observed instant, it never invents time.
+
+        TTL expiries taken on the old timeline mean nothing on the new
+        one, so **no resolver cache entry (answer or zone cut) survives
+        a pin**: every :class:`~repro.dns.resolver.RecursiveResolver`
+        on this network — registered or not, in this process or a pool
+        worker's replica — compares :attr:`clock_generation` in
+        ``resolve()`` and starts cold.  Every group of every phase
+        therefore finds the same (empty) caches whatever ran before it.
         """
         if seconds < 0:
             raise ValueError(f"clock must be >= 0, got {seconds}")
         self._clock = float(seconds)
+        self.clock_generation += 1
         return self._clock
 
     # -- host registry ------------------------------------------------------

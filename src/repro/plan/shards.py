@@ -19,6 +19,13 @@ it (:func:`isolated_phase`, :func:`pin_group`):
   from a stable hash of ``(fault seed, phase, server address)``, so a
   server's groups in different phases draw independent faults (the
   parent RNG state is saved and restored around the phase);
+* **one cache-lifetime rule** — no resolver cache entry (answer or
+  zone cut) survives a clock pin: ``set_clock`` bumps the network's
+  clock generation and every resolver — the open resolvers, the
+  recursive nameservers' shared fallback, a pool worker's replicas —
+  drops its caches on its next lookup.  Every group of every phase
+  starts cold, so the groups behind one shared resolver all pay the
+  same, and a replica that ran other shards before answers the same;
 * every group gets a fresh engine, pacing/breaker state, hedge and AIMD
   controllers, and a deadline budget whose run deadline is measured
   from the *run origin* the parent budget pinned (earlier phases count
@@ -165,8 +172,9 @@ def group_fault_seed(
 
 
 def pin_group(network, start: float, phase: str, server_ip: str) -> None:
-    """Start one group: the clock at the phase start, the fault RNG
-    reseeded from ``(fault seed, phase, server address)``."""
+    """Start one group: the clock at the phase start (which empties
+    every resolver cache on the network), the fault RNG reseeded from
+    ``(fault seed, phase, server address)``."""
     network.set_clock(start)
     network._fault_rng = random.Random(
         group_fault_seed(network.fault_seed, server_ip, phase)

@@ -6,12 +6,15 @@ its own equals its slice of the full preamble, the preamble does not
 depend on the order servers are listed in, on the shard count or on the
 execution mode, the classification epoch is the sum of the two preamble
 makespans, and a whole run's virtual time is small and exactly
-repeatable — re-serialising any collection multiplies it.
+repeatable — re-serialising any collection multiplies it.  Every group
+starts with every resolver cache empty (pinning the clock empties
+them), so a group's payload does not depend on what ran before it.
 """
 
 import hashlib
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -20,18 +23,20 @@ from repro.core.collector import DomainTarget, NameserverTarget
 from repro.core.correctness import CorrectRecordDatabase
 from repro.dns.name import name
 from repro.dns.rdata import RRType
+from repro.dns.server import UnhostedPolicy
 from repro.net.network import SimulatedInternet
 from repro.pipeline.checkpoint import encode_stage1
 from repro.plan import shards
-from repro.scenario import build_world, small_config
+from repro.scenario import ScenarioConfig, build_world, small_config
 
 from ..conftest import bare_hunter
 
 SEED = 7
-#: virtual seconds of the small-scale seed-7 run: 0.06 protective +
-#: 4.21 correct + 3.16 UR + 0.24 sample (42.13 when the preamble and
-#: the sample ran one exchange after another)
-SMALL_RUN_VIRTUAL_S = 7.67
+#: virtual seconds of the small-scale seed-7 run: 0.05 protective +
+#: 2.64 correct + 2.00 UR + 0.24 sample (7.67 while every resolver
+#: lookup re-walked root and TLD; 42.13 when the preamble and the
+#: sample ran one exchange after another)
+SMALL_RUN_VIRTUAL_S = 4.93
 
 
 def _clean(world):
@@ -134,6 +139,98 @@ def test_resolver_group_alone_equals_its_slice(prepare, monkeypatch):
         assert full.engine.metrics.stage("correct").retries > 0
 
 
+@pytest.mark.parametrize(
+    "prepare, knobs",
+    [
+        pytest.param(_clean, {}, id="clean"),
+        pytest.param(
+            _lossy, {"hedge_delay": 0.5, "aimd": True}, id="loss-hedge-aimd"
+        ),
+    ],
+)
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        pytest.param(small_config(seed=SEED), id="small"),
+        pytest.param(
+            ScenarioConfig(seed=SEED), id="default", marks=pytest.mark.slow
+        ),
+    ],
+)
+def test_group_payloads_do_not_depend_on_execution_order(
+    scenario, prepare, knobs
+):
+    """One world, one process: every correct-collection and UR group
+    executed in plan order, reversed, and shuffled across the two
+    phases.  A group's payload — elapsed, ledger, events, outcomes — is
+    the same bytes every time, whatever ran before it.
+
+    Half the long-tail nameservers are misconfigured recursives here
+    (one at this seed's stock setting): they answer through one shared
+    fallback resolver, whose caches the first such group used to warm
+    for all the others.
+    """
+    world = build_world(replace(scenario, misconfigured_recursive_fraction=0.5))
+    prepare(world)
+    hunter = URHunter.from_world(world, HunterConfig(**knobs))
+    plan, network = hunter.plan, hunter.network
+    origin = network.now
+    epoch = origin + 3.0
+    lanes = plan.correct_units.lanes()
+
+    def correct_group(server_ip):
+        shards.pin_group(network, origin, "correct", server_ip)
+        engine = shards._group_engine(hunter.collector, origin)
+        outcomes = [
+            _summary(outcome)
+            for _, outcome in engine.execute_iter(
+                plan.tasks("correct", lanes[server_ip])
+            )
+        ]
+        result = shards._group_result(
+            engine, 0, server_ip, network.now - origin, []
+        )
+        return [outcomes, shards.encode_group_result(result)]
+
+    def ur_group(group):
+        return shards.encode_group_result(
+            shards.run_group_isolated(hunter, plan, group, epoch, origin)
+        )
+
+    jobs = [
+        (("correct", server_ip), correct_group, server_ip)
+        for server_ip in lanes
+    ]
+    jobs += [(("ur", group.index), ur_group, group) for group in plan.groups]
+    shuffled = list(jobs)
+    random.Random(SEED).shuffle(shuffled)
+    payloads = [
+        {
+            key: json.dumps(run(target), sort_keys=True)
+            for key, run, target in order
+        }
+        for order in (jobs, jobs[::-1], shuffled)
+    ]
+    assert payloads[1] == payloads[0]
+    assert payloads[2] == payloads[0]
+
+    hosts = network.dns_hosts()
+    costs = [
+        payload["elapsed"] / sum(
+            counters["queries"]
+            for counters in payload["metrics"]["stages"].values()
+        )
+        for payload in map(ur_group, plan.groups)
+        if hosts[payload["server"]].unhosted_policy is UnhostedPolicy.RECURSIVE
+    ]
+    assert len(costs) > 4
+    if prepare is _clean:
+        # every recursive group pays for its own cold resolver: about
+        # 28 sim-ms a query each, not 45 for the first and 10 for the rest
+        assert max(costs) < 1.05 * min(costs)
+        assert min(costs) > 0.02
+
+
 def _preamble(hunter):
     """The byte-compared preamble surfaces of one stage-1 run."""
     origin = hunter.network.now
@@ -167,22 +264,44 @@ def test_preamble_invariant_under_shards_and_execution(reference, knobs):
     assert _preamble(_hunter(**knobs)) == reference
 
 
+def _latency_buckets_folded(encoded_stage1):
+    """The stage-1 document with the latency histogram reduced to its
+    observation count, and the summed latency beside it.
+
+    A resolver pays for a zone cut on the first name it looks up under
+    it, so *which* query carries the extra exchanges follows the order
+    the plan visits names in; how many exchanges the phase costs in all
+    does not.
+    """
+    document = json.loads(encoded_stage1)
+    document["undelegated"] = sorted(document["undelegated"], key=json.dumps)
+    latency = document["metrics"]["latency"]
+    assert sum(latency.pop("counts")) == latency["total"]
+    return document, latency.pop("sum")
+
+
 @pytest.mark.parametrize("permute", [1, 2])
 def test_preamble_invariant_under_server_order(reference, permute):
     """Resolvers and nameservers listed in another order: another plan
     (each server draws another slice of the shuffle), the same
-    fingerprints, profiles, epoch and merged ledger."""
+    fingerprints, profiles, epoch and merged ledger — two of the 14,526
+    latencies land in a neighbouring bucket (303/82 <-> 305/80), the
+    count and the total do not move."""
     hunter = _hunter(permute=permute)
     assert hunter.plan.plan_hash != _hunter().plan.plan_hash
     permuted = _preamble(hunter)
     # the UR list follows the plan's order; everything else must match
-    encoded, baseline = json.loads(permuted[0]), json.loads(reference[0])
-    for document in (encoded, baseline):
-        document["undelegated"] = sorted(
-            document["undelegated"], key=json.dumps
-        )
+    encoded, latency_sum = _latency_buckets_folded(permuted[0])
+    baseline, baseline_sum = _latency_buckets_folded(reference[0])
     assert encoded == baseline
-    assert permuted[1:] == reference[1:]
+    assert latency_sum == pytest.approx(baseline_sum, rel=1e-12)
+    assert permuted[1:3] == reference[1:3]
+    ledger, baseline = json.loads(permuted[3]), json.loads(reference[3])
+    for document in (ledger, baseline):
+        # bucket-upper-bound estimates: they follow the bucket counts
+        for estimate in ("p50", "p90", "p99"):
+            del document["latency"][estimate]
+    assert ledger == baseline
 
 
 def test_classification_epoch_is_the_sum_of_the_preamble_makespans(
@@ -246,16 +365,18 @@ def test_small_scale_run_takes_its_pinned_virtual_seconds():
 
 
 def test_lossy_hedged_aimd_run_keeps_its_pinned_schedule():
-    """Exact figures of the multi-lane scheduler this loop replaced
-    (read at 652cd8e): a drifted last digit means a wait was
-    re-associated, a drifted count means a send or a fault die moved."""
+    """Exact figures of the single-lane loop: a drifted last digit
+    means a wait was re-associated, a drifted count means a send or a
+    fault die moved.  (Re-read when the resolvers began to remember
+    zone cuts: fewer upstream exchanges draw fewer fault dice, so every
+    later draw of a group shifts — 59.5125 sim-s / 792 cuts before.)"""
     hunter, virtual_s = _pinned_run(_lossy, hedge_delay=0.5, aimd=True)
     metrics = hunter.engine.metrics
-    assert virtual_s == 59.5125
-    assert hunter.resilience.aimd_wait == 1089.065624984214
-    assert hunter.resilience.aimd_cuts == 792
-    assert hunter.resilience.hedges_fired == 745
-    assert (metrics.queries, metrics.retries) == (15314, 788)
+    assert virtual_s == 64.775
+    assert hunter.resilience.aimd_wait == 1084.4606249849312
+    assert hunter.resilience.aimd_cuts == 788
+    assert hunter.resilience.hedges_fired == 742
+    assert (metrics.queries, metrics.retries) == (15310, 784)
     assert {
         phase: counters.giveups
         for phase, counters in metrics.stages.items()
@@ -265,23 +386,28 @@ def test_lossy_hedged_aimd_run_keeps_its_pinned_schedule():
 def test_paced_run_accounts_its_pinned_rate_limit_wait():
     """Appendix A's one query per server per 130 s, to the last bit."""
     hunter, virtual_s = _pinned_run(per_server_interval=130.0)
-    assert virtual_s == 24310.36
+    assert virtual_s == 24310.35
+    # a query that cost fewer upstream exchanges leaves more of its
+    # 130 s to wait out: the resolver phases wait longer than they did
+    # while every lookup walked from the root (96676.77 / 1733543.50)
     assert {
         phase: counters.rate_limit_wait
         for phase, counters in hunter.engine.metrics.stages.items()
     } == {
         "protective": 18978.51999999862,
-        "correct": 96676.76999995974,
-        "ur": 1733543.4999998729,
+        "correct": 96683.04999996559,
+        "ur": 1733544.0299998734,
     }
 
 
 def test_run_deadline_sheds_its_pinned_count():
-    hunter, virtual_s = _pinned_run(run_deadline=5.0)
-    assert virtual_s == 5.27
-    assert hunter.engine.metrics.stage("ur").shed == 2885
-    assert hunter.engine.metrics.queries == 11641
-    assert hunter.resilience.shed == {"shed:deadline-run": 2885}
+    # the preamble ends 2.69 sim-s in (0.05 + 2.64): a 3 s run deadline
+    # cuts every UR group 0.31 s in, and the sample adds its 0.24
+    hunter, virtual_s = _pinned_run(run_deadline=3.0)
+    assert virtual_s == 3.24
+    assert hunter.engine.metrics.stage("ur").shed == 8980
+    assert hunter.engine.metrics.queries == 5546
+    assert hunter.resilience.shed == {"shed:deadline-run": 8980}
 
 
 def test_fault_seeds_differ_per_phase_and_the_ur_seed_keeps_its_spelling():

@@ -20,7 +20,7 @@ from repro.pipeline import CheckpointStore, PipelineRunner
 from repro.plan import shards as shard_runner
 from repro.plan.pool import WorldSpec
 from repro.resilience.scenario import apply_scenario, load_scenario
-from repro.scenario import build_world, small_config
+from repro.scenario import ScenarioConfig, build_world, small_config
 
 SEED = 7
 LOSS = 0.15
@@ -35,13 +35,15 @@ def run(
     workers=1,
     world_spec=None,
     store=None,
+    scenario=None,
+    **knobs,
 ):
     """One full measurement; returns the three byte-compared surfaces."""
-    world = build_world(small_config(seed=SEED))
+    world = build_world(scenario or small_config(seed=SEED))
     if loss:
         world.network.inject_faults(loss_rate=loss, seed=SEED)
     config = HunterConfig(
-        execution=execution, shards=shards, shard_workers=workers
+        execution=execution, shards=shards, shard_workers=workers, **knobs
     )
     hunter = URHunter.from_world(world, config)
     if chaos:
@@ -233,3 +235,41 @@ class TestProcessPool:
             loss_seed=SEED,
         )
         assert run(2, loss=LOSS, workers=2, world_spec=spec) == faulted_s1
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "faults, knobs",
+        [
+            pytest.param(
+                {"loss_rate": 0.05, "loss_seed": SEED},
+                {"hedge_delay": 0.5, "aimd": True},
+                id="loss-hedge-aimd",
+            ),
+            pytest.param(
+                {"chaos_script": CHAOS},
+                {"hedge_delay": 0.25, "aimd": True},
+                id="storm",
+            ),
+        ],
+    )
+    def test_pooled_faulted_runs_are_reproducible_at_default_scale(
+        self, faults, knobs
+    ):
+        """Each worker executes its shards over its own world replica,
+        and which shards land on which worker varies run to run.  While
+        the recursive nameservers' fallback resolver kept its caches
+        across groups, a replica's answers — and under loss every later
+        fault draw — depended on what it had run before: the same
+        command printed different reports.  (Default scale, seed 11:
+        small worlds have one recursive nameserver and hid it.)"""
+        scenario = ScenarioConfig(seed=11)
+        spec = WorldSpec(scenario=scenario, **faults)
+        inputs = dict(
+            scenario=scenario,
+            loss=faults.get("loss_rate", 0.0),
+            chaos=faults.get("chaos_script"),
+            **knobs,
+        )
+        in_process = run(4, **inputs)
+        for _ in range(2):
+            assert run(4, workers=2, world_spec=spec, **inputs) == in_process
