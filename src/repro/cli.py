@@ -29,7 +29,7 @@ stage, and the ``--*-fault-rate`` knobs inject seeded data-source faults
 for chaos testing.  ``--run-deadline``/``--stage-deadline`` bound the
 run in virtual seconds (exhausted budgets shed remaining queries into
 the loss ledger), ``--hedge-delay`` turns the first retry into a fast
-hedge, ``--aimd`` adapts send rate to timeout signals, and
+hedge, ``--aimd`` adapts the per-server send rate to timeouts, and
 ``--chaos-script`` applies a declarative fault scenario before the run.
 
 Sharding options: ``--shards N`` partitions the stage-1 UR scan's
@@ -385,9 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--aimd",
         action="store_true",
         help=(
-            "adapt per-server/per-provider send rate on timeout signals "
-            "(additive recovery, multiplicative cut; no-op on healthy "
-            "runs)"
+            "adapt the per-server send rate on timeouts: a cut halves "
+            "it, an answer restores a quarter (no-op on healthy runs). "
+            "The rate is the lane's own -- the configured per-server "
+            "pacing, or unpaced the server's observed round trip -- so "
+            "this trades scan time for politeness in proportion to the "
+            "configured pacing"
         ),
     )
     resilience.add_argument(

@@ -388,7 +388,7 @@ class URHunter:
                 timeout=self.config.timeout,
             )
         if self.config.aimd:
-            self.engine.aimd = AimdController(timeout=self.config.timeout)
+            self.engine.aimd = AimdController()
         #: the engine's resilience counters
         self.resilience = self.engine.resilience
         self.collector = ResponseCollector(

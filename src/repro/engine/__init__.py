@@ -11,6 +11,7 @@ from __future__ import annotations
 from .api import EnginePolicy, OutcomeStatus, QueryOutcome, QueryTask
 from .batched import BatchedEngine
 from .breaker import CircuitBreaker, CircuitState
+from .latency import ServerLatency
 from .metrics import LatencyHistogram, ScanMetrics, StageCounters
 from .ratelimit import RateLimiter, TokenBucket
 
@@ -25,6 +26,7 @@ __all__ = [
     "QueryTask",
     "RateLimiter",
     "ScanMetrics",
+    "ServerLatency",
     "StageCounters",
     "TokenBucket",
 ]

@@ -16,7 +16,10 @@ every wait:
   without touching the wire;
 * **pacing** — the per-server token bucket and, when attached, the AIMD
   send credit say when the next send may go; the loop waits for the
-  later of the two;
+  later of the two.  AIMD stretches the lane's own healthy interval —
+  the larger of ``policy.per_server_interval`` and the server's
+  observed mean answer latency — never a fraction of the timeout: the
+  timeout (or the hedge delay) is already waited out below, once;
 * **circuit breaker** — after ``policy.circuit_failure_threshold``
   consecutive failures a server's circuit opens and its tasks are
   ``SKIPPED``; after ``policy.circuit_reset_interval`` virtual seconds
@@ -42,6 +45,7 @@ from ..obs.events import STAGE1 as OBS_STAGE1
 from ..resilience.metrics import ResilienceMetrics
 from .api import EnginePolicy, OutcomeStatus, QueryOutcome, QueryTask
 from .breaker import CircuitBreaker, CircuitState
+from .latency import ServerLatency
 from .metrics import ScanMetrics
 from .ratelimit import RateLimiter
 
@@ -80,6 +84,9 @@ class BatchedEngine:
         self.budget = None  # repro.resilience.DeadlineBudget
         self.hedge = None   # repro.resilience.HedgeController
         self.aimd = None    # repro.resilience.AimdController
+        #: each server's mean answer latency, observed while a hedge or
+        #: AIMD controller is attached — both derive their waits from it
+        self.observed = ServerLatency()
         #: deterministic counters for the resilience layer
         self.resilience = ResilienceMetrics()
 
@@ -112,6 +119,8 @@ class BatchedEngine:
         budget = self.budget
         hedge = self.hedge
         aimd = self.aimd
+        observed = self.observed
+        interval = policy.per_server_interval
         resilience = self.resilience
         wait_until = self._wait_until
         if budget is not None:
@@ -136,7 +145,6 @@ class BatchedEngine:
                 channel = channels[server_ip] = network.open_channel(
                     self.scanner_ip, server_ip
                 )
-            provider = getattr(task.tag, "provider", None)
             #: attempts already sent for this task
             attempts = 0
             #: the in-flight attempt is the hedge
@@ -176,9 +184,13 @@ class BatchedEngine:
                     )
                     send_ready = token_ready
                     if aimd is not None:
-                        aimd_ready = aimd.ready_at(server_ip, provider, now)
-                        if aimd_ready > send_ready:
-                            send_ready = aimd_ready
+                        # what the lane does when healthy: its pacing,
+                        # or unpaced the round trip it has seen answered
+                        healthy = max(interval, observed.mean(server_ip))
+                        send_ready = max(
+                            token_ready,
+                            aimd.ready_at(server_ip, now, healthy),
+                        )
                     if send_ready > now:
                         pace_wait = token_ready - now
                         if pace_wait > 0:
@@ -218,13 +230,13 @@ class BatchedEngine:
                 if response is not None:
                     breaker.record_success(server_ip)
                     if aimd is not None:
-                        aimd.on_success(server_ip, provider)
-                    if hedge is not None:
-                        hedge.observe(server_ip, now - sent_at)
-                        if hedging:
-                            hedge.won += 1
-                            resilience.hedges_won += 1
-                            self._emit("hedge.won", task)
+                        aimd.on_success(server_ip)
+                    if hedge is not None or aimd is not None:
+                        observed.observe(server_ip, now - sent_at)
+                    if hedging:
+                        hedge.won += 1
+                        resilience.hedges_won += 1
+                        self._emit("hedge.won", task)
                     counters.responses += 1
                     latency.record(now - sent_at)
                     yield index, QueryOutcome(
@@ -240,7 +252,7 @@ class BatchedEngine:
                 counters.timeouts += 1
                 if breaker.record_failure(server_ip, now):
                     self._emit("breaker.trip", task)
-                if aimd is not None and aimd.on_failure(server_ip, provider):
+                if aimd is not None and aimd.on_failure(server_ip):
                     resilience.aimd_cuts += 1
                     self._emit("aimd.cut", task)
 
@@ -250,7 +262,7 @@ class BatchedEngine:
                 # attempt — the retry *is* the hedge, so loss accounting
                 # is unchanged
                 if hedge is not None and attempts == 1 and policy.retries >= 1:
-                    delay = hedge.delay(server_ip)
+                    delay = hedge.delay(observed.mean(server_ip))
                     latency.record(now - sent_at + delay)
                     counters.retries += 1
                     hedging = True

@@ -258,7 +258,7 @@ def _group_engine(scan, origin: float):
             base_delay=parent.hedge.base_delay, timeout=parent.hedge.timeout
         )
     if parent.aimd is not None:
-        engine.aimd = AimdController(timeout=parent.aimd.timeout)
+        engine.aimd = AimdController()
     return engine
 
 

@@ -10,7 +10,7 @@ failure at runtime:
 * :class:`~repro.resilience.hedge.HedgeController` — hedged second
   attempts after a per-server delay derived from observed latency;
 * :class:`~repro.resilience.aimd.AimdController` — additive-increase /
-  multiplicative-decrease send credit per server and provider;
+  multiplicative-decrease send credit per server;
 * :class:`~repro.resilience.metrics.ResilienceMetrics` — the
   :class:`~repro.obs.metrics.MetricsSnapshot` aggregating all of it.
 

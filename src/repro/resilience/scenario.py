@@ -300,8 +300,9 @@ BUNDLED_SCENARIOS: Tuple[ScenarioScript, ...] = (
         name="provider-outage",
         seed=11,
         description=(
-            "Cloudflare's authoritative fleet goes dark for a window "
-            "mid-scan, then recovers"
+            "Cloudflare's authoritative fleet is dark from the first "
+            "query on; the 4000 s window outlives a run of about a "
+            "virtual minute, so no group sees it recover"
         ),
         windows=(
             FaultWindow(
@@ -329,7 +330,10 @@ BUNDLED_SCENARIOS: Tuple[ScenarioScript, ...] = (
     ScenarioScript(
         name="regional-partition",
         seed=17,
-        description="every US-hosted nameserver unreachable for a window",
+        description=(
+            "every US-hosted nameserver unreachable for the whole scan "
+            "(the 6000 s window outlives the run)"
+        ),
         windows=(
             FaultWindow(
                 kind="regional-partition",

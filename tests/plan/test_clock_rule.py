@@ -369,11 +369,14 @@ def test_lossy_hedged_aimd_run_keeps_its_pinned_schedule():
     means a wait was re-associated, a drifted count means a send or a
     fault die moved.  (Re-read when the resolvers began to remember
     zone cuts: fewer upstream exchanges draw fewer fault dice, so every
-    later draw of a group shifts — 59.5125 sim-s / 792 cuts before.)"""
+    later draw of a group shifts — 59.5125 sim-s / 792 cuts before.
+    Re-read again when AIMD began to stretch the lane's own round trip
+    instead of parking a fraction of the timeout: 64.775 sim-s and
+    1084.46 s of AIMD wait before, every count below unmoved.)"""
     hunter, virtual_s = _pinned_run(_lossy, hedge_delay=0.5, aimd=True)
     metrics = hunter.engine.metrics
-    assert virtual_s == 64.775
-    assert hunter.resilience.aimd_wait == 1084.4606249849312
+    assert virtual_s == 35.569934
+    assert hunter.resilience.aimd_wait == 3.733363994397223
     assert hunter.resilience.aimd_cuts == 788
     assert hunter.resilience.hedges_fired == 742
     assert (metrics.queries, metrics.retries) == (15310, 784)
@@ -398,6 +401,20 @@ def test_paced_run_accounts_its_pinned_rate_limit_wait():
         "correct": 96683.04999996559,
         "ur": 1733544.0299998734,
     }
+
+
+def test_paced_lossy_aimd_run_pays_its_pinned_politeness():
+    """Where AIMD bites: under 130 s pacing a cut doubles a 130 s gap,
+    so 5 % loss costs a fifth more scan time (26910.34 sim-s without
+    ``aimd``, and with it while its wait was a fraction of the timeout
+    and hid inside the token bucket's gap: 801 cuts, 0.0 s waited)."""
+    hunter, virtual_s = _pinned_run(
+        _lossy, per_server_interval=130.0, aimd=True
+    )
+    assert virtual_s == 32183.387619
+    assert hunter.resilience.aimd_wait == 164166.80210630305
+    assert hunter.resilience.aimd_cuts == 804
+    assert _pinned_run(_lossy, per_server_interval=130.0)[1] == 26910.34
 
 
 def test_run_deadline_sheds_its_pinned_count():

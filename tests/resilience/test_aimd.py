@@ -25,54 +25,64 @@ def _task(server_ip, qtype=RRType.A, stage="ur"):
 
 class TestAimdControllerUnit:
     def test_full_credit_means_no_delay(self):
-        aimd = AimdController(timeout=5.0)
-        assert aimd.ready_at("10.0.0.1", None, 7.0) == 7.0
+        aimd = AimdController()
+        assert aimd.ready_at("10.0.0.1", 7.0, 0.025) == 7.0
         aimd.note_send("10.0.0.1", 7.0)
         # still full credit: back-to-back sends allowed
-        assert aimd.ready_at("10.0.0.1", None, 7.0) == 7.0
+        assert aimd.ready_at("10.0.0.1", 7.0, 0.025) == 7.0
 
     def test_multiplicative_cut_spaces_sends(self):
-        aimd = AimdController(timeout=5.0)
+        aimd = AimdController()
         aimd.note_send("10.0.0.1", 0.0)
-        assert aimd.on_failure("10.0.0.1", None)
-        # credit 0.5 -> extra interval (1 - 0.5) * 5.0 * 0.5 = 1.25s
-        assert aimd.ready_at("10.0.0.1", None, 0.0) == pytest.approx(1.25)
+        assert aimd.on_failure("10.0.0.1")
+        # credit 0.5 -> half the rate: one 25 ms round trip becomes two,
+        # and a 130 s paced gap becomes 260 s
+        assert aimd.ready_at("10.0.0.1", 0.0, 0.025) == pytest.approx(0.05)
+        assert aimd.ready_at("10.0.0.1", 0.0, 130.0) == pytest.approx(260.0)
+        assert aimd.on_failure("10.0.0.1")
+        assert aimd.ready_at("10.0.0.1", 0.0, 0.025) == pytest.approx(0.1)
+
+    def test_no_interval_means_no_wait(self):
+        # nothing observed and no pacing set: a server that never
+        # answered is the breaker's, AIMD adds nothing at any credit
+        aimd = AimdController()
+        aimd.note_send("10.0.0.1", 3.0)
+        for _ in range(5):
+            aimd.on_failure("10.0.0.1")
+        assert aimd.ready_at("10.0.0.1", 3.0, 0.0) == 3.0
 
     def test_additive_recovery_restores_full_credit(self):
-        aimd = AimdController(timeout=5.0)
-        aimd.on_failure("10.0.0.1", None)
+        aimd = AimdController()
+        aimd.on_failure("10.0.0.1")
         for _ in range(2):
-            aimd.on_success("10.0.0.1", None)
+            aimd.on_success("10.0.0.1")
         aimd.note_send("10.0.0.1", 0.0)
-        assert aimd.ready_at("10.0.0.1", None, 0.0) == 0.0
+        assert aimd.ready_at("10.0.0.1", 0.0, 0.025) == 0.0
 
     def test_credit_never_falls_below_floor(self):
-        aimd = AimdController(timeout=5.0)
+        aimd = AimdController()
         for _ in range(50):
-            aimd.on_failure("10.0.0.1", None)
+            aimd.on_failure("10.0.0.1")
         aimd.note_send("10.0.0.1", 0.0)
-        # floored credit: the wait is bounded, not unbounded backoff
-        wait = aimd.ready_at("10.0.0.1", None, 0.0)
-        assert wait <= (1.0 - 1.0 / 16.0) * 5.0 * 0.5 + 1e-9
+        # floored credit: the wait is bounded at 16 healthy intervals,
+        # not unbounded backoff
+        assert aimd.credit("10.0.0.1") == 1.0 / 16.0
+        assert aimd.ready_at("10.0.0.1", 0.0, 0.025) == pytest.approx(0.4)
 
-    def test_provider_cut_slows_sibling_servers(self):
-        aimd = AimdController(timeout=5.0)
-        aimd.on_failure("10.0.0.1", "Cloudflare")
-        # a different server under the same provider inherits the
-        # provider-level cut
+    def test_credit_is_per_server(self):
+        aimd = AimdController()
+        aimd.on_failure("10.0.0.1")
         aimd.note_send("10.0.0.2", 0.0)
-        assert aimd.ready_at("10.0.0.2", "Cloudflare", 0.0) > 0.0
-        # but an unrelated provider does not
-        aimd.note_send("10.0.0.3", 0.0)
-        assert aimd.ready_at("10.0.0.3", "Amazon", 0.0) == 0.0
+        assert aimd.credit("10.0.0.2") == 1.0
+        assert aimd.ready_at("10.0.0.2", 0.0, 0.025) == 0.0
 
     def test_repeat_failure_reporting(self):
-        aimd = AimdController(timeout=5.0)
-        assert aimd.on_failure("10.0.0.1", None)
+        aimd = AimdController()
+        assert aimd.on_failure("10.0.0.1")
         # already at the floor after enough cuts: no new cut reported
         for _ in range(10):
-            aimd.on_failure("10.0.0.1", None)
-        assert not aimd.on_failure("10.0.0.1", None)
+            aimd.on_failure("10.0.0.1")
+        assert not aimd.on_failure("10.0.0.1")
 
 
 class TestEngineComposition:
@@ -82,7 +92,7 @@ class TestEngineComposition:
             SCANNER,
             EnginePolicy(per_server_interval=interval, retries=1),
         )
-        engine.aimd = AimdController(timeout=5.0)
+        engine.aimd = AimdController()
         engine.trace = RunTrace()
         return engine
 
@@ -126,7 +136,7 @@ class TestEngineComposition:
                 EnginePolicy(per_server_interval=2.0, retries=1),
             )
             if with_aimd:
-                engine.aimd = AimdController(timeout=5.0)
+                engine.aimd = AimdController()
             engine.execute([_task(NS_LIVE) for _ in range(4)])
             return network.now, engine.metrics.stage("ur").rate_limit_wait
 

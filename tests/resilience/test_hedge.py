@@ -12,6 +12,7 @@ from repro.engine import (
     OutcomeStatus,
     QueryTask,
 )
+from repro.engine.latency import ServerLatency
 from repro.net.network import FaultProfile
 from repro.obs import RunTrace
 from repro.resilience import HedgeController
@@ -31,27 +32,29 @@ def _task(server_ip, qtype=RRType.A, stage="ur"):
 class TestHedgeControllerUnit:
     def test_base_delay_used_before_observations(self):
         hedge = HedgeController(base_delay=0.25, timeout=5.0)
-        assert hedge.delay("10.0.0.1") == pytest.approx(0.25)
+        assert hedge.delay(ServerLatency().mean("10.0.0.1")) == (
+            pytest.approx(0.25)
+        )
 
     def test_delay_tracks_observed_latency(self):
         hedge = HedgeController(base_delay=0.05, timeout=5.0)
+        observed = ServerLatency()
         for _ in range(4):
-            hedge.observe("10.0.0.1", 0.2)
+            observed.observe("10.0.0.1", 0.2)
         # 3x the observed mean, well above the floor
-        assert hedge.delay("10.0.0.1") == pytest.approx(0.6)
+        assert hedge.delay(observed.mean("10.0.0.1")) == pytest.approx(0.6)
         # a server never observed still gets the floor
-        assert hedge.delay("10.0.0.2") == pytest.approx(0.05)
+        assert hedge.delay(observed.mean("10.0.0.2")) == pytest.approx(0.05)
 
     def test_delay_capped_below_timeout_fraction(self):
         hedge = HedgeController(base_delay=0.05, timeout=5.0)
-        hedge.observe("10.0.0.1", 100.0)
-        assert hedge.delay("10.0.0.1") < 2.5
+        assert hedge.delay(100.0) < 2.5
 
     def test_floor_clamped_below_ceiling(self):
         # a base delay at/above timeout/2 would never hedge usefully;
         # the controller clamps rather than crossing the timeout
         hedge = HedgeController(base_delay=4.0, timeout=5.0)
-        assert hedge.delay("10.0.0.1") < 2.5
+        assert hedge.delay(0.0) < 2.5
 
 
 class _HedgeHarness:
