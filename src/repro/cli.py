@@ -24,25 +24,28 @@ Shared options: ``--seed``, ``--scale {small,default,paper}``,
 ``--post-disclosure``, ``--mx`` (future-work MX sweep).
 
 Resilience options: ``--checkpoint-dir`` writes per-stage JSON
-checkpoints, ``--resume`` continues a killed run from the last completed
-stage, and the ``--*-fault-rate`` knobs inject seeded data-source faults
-for chaos testing.  ``--run-deadline``/``--stage-deadline`` bound the
+checkpoints (and, under ``groups/``, every UR nameserver group as it
+completes), ``--resume`` continues a killed run from the last completed
+stage — a killed stage 1 from its last completed group — and the
+``--*-fault-rate`` knobs inject seeded data-source faults for chaos
+testing.  ``--run-deadline``/``--stage-deadline`` bound the
 run in virtual seconds (exhausted budgets shed remaining queries into
 the loss ledger), ``--hedge-delay`` turns the first retry into a fast
 hedge, ``--aimd`` adapts the per-server send rate to timeouts, and
 ``--chaos-script`` applies a declarative fault scenario before the run.
 
 Sharding options: ``--shards N`` partitions the stage-1 UR scan's
-nameserver groups into N shards (byte-identical report for every N;
-omit for one shard), ``--shard-workers K`` executes them across K
-worker processes.
+nameserver groups into N shards, the batches handed to pool workers
+(byte-identical report for every N; omit for one shard),
+``--shard-workers K`` executes them across K worker processes.
 
 Incremental options: ``--result-store DIR`` persists each nameserver
-group's merged stage-1 outcome content-addressed by its query units,
-zone serials, provider policy, and scan-shaping config; later runs
-replay unchanged groups from the store (byte-identical report) and
-re-execute only the dirty ones; chaos/faulted runs bypass it
-automatically.
+group's merged stage-1 outcome content-addressed by its query units and
+keyed by everything else it is a function of — zone serials, provider
+policy, scan-shaping config, the fault profiles installed on its server
+and the time anchors they or a run deadline read; later runs replay
+unchanged groups from the store (byte-identical report) and re-execute
+only the dirty ones, clean, lossy and chaos runs alike.
 
 Observability options: ``--trace-out PATH`` streams the run's event bus
 (:mod:`repro.obs`) to a JSONL file, ``--metrics-out PATH`` writes the
@@ -240,9 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "partition the UR scan's nameserver groups into N shards — "
-            "the unit of partial checkpoints and of --shard-workers; "
-            "the report is byte-identical for every N (omit for one "
-            "shard)"
+            "the batches --shard-workers hands to its processes; the "
+            "report is byte-identical for every N (omit for one shard)"
         ),
     )
     sharding.add_argument(
@@ -265,8 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "persist per-nameserver-group stage-1 outcomes in DIR and "
             "replay unchanged groups on later runs (warm re-scan; the "
-            "report stays byte-identical to a cold run; chaos/faulted "
-            "runs bypass the store automatically)"
+            "report stays byte-identical to a cold run; a group is "
+            "keyed by its server's state, the scan config and the "
+            "faults injected on it, so lossy and chaos runs replay "
+            "their own slots and never another profile's)"
         ),
     )
     planning = parser.add_argument_group(
@@ -311,14 +315,18 @@ def build_parser() -> argparse.ArgumentParser:
     resilience.add_argument(
         "--checkpoint-dir",
         metavar="DIR",
-        help="write per-stage JSON checkpoints into DIR",
+        help=(
+            "write per-stage JSON checkpoints into DIR, and every UR "
+            "nameserver group as it completes into DIR/groups"
+        ),
     )
     resilience.add_argument(
         "--resume",
         action="store_true",
         help=(
             "resume from the checkpoints in --checkpoint-dir, "
-            "re-running only stages without a completed snapshot"
+            "re-running only stages without a completed snapshot (and "
+            "of a killed stage 1 only the groups it had not completed)"
         ),
     )
     resilience.add_argument(
@@ -589,7 +597,9 @@ def _plan_command(
 ) -> int:
     """Handle ``repro plan``: text summary, ``--json`` dump, ``--diff``
     against a saved dump, and — with ``--result-store`` — the would-
-    replay/would-execute explanation for a warm run."""
+    replay/would-execute explanation for a warm run (no scan has run,
+    so there is no epoch yet: groups whose key reads the clock are
+    listed as ``time-anchored``)."""
     from .incremental import (
         PlanDiffer,
         PlanSummaryError,
@@ -748,11 +758,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     hunter = URHunter.from_world(world, hunter_config)
 
-    if args.command == "plan":
-        # pure plan inspection: the plan was built in the constructor,
-        # before any packet moved — print and leave
-        return _plan_command(args, hunter, reporter, result_store)
-
     try:
         _apply_faults(args, world, hunter)
     except ValueError as error:
@@ -774,6 +779,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         reporter.info(
             f"# chaos: {script.name} ({installed} fault bindings)"
         )
+
+    if args.command == "plan":
+        # pure plan inspection: the plan was built in the constructor
+        # and no packet has moved; the faults a run under these flags
+        # would scan under are installed, so the replay forecast keys
+        # exactly as that run will
+        return _plan_command(args, hunter, reporter, result_store)
 
     if hunter_config.shard_workers > 1:
         # hand the shard pool a picklable recipe to rebuild this exact

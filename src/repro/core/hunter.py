@@ -196,17 +196,17 @@ class HunterConfig:
     #: many virtual seconds instead of the full timeout + backoff window
     #: (0 = hedging off)
     hedge_delay: float = 0.0
-    #: AIMD adaptive per-server/per-provider send credit (no-op until
-    #: the first failure)
+    #: AIMD adaptive per-server send credit (no-op until the first
+    #: failure)
     aimd: bool = False
     #: scan-phase traffic-capture fidelity: "full" stores every flow,
     #: "sampled" every Nth per protocol, "off" only counts (sandbox
     #: detonation happens at world build and always captures in full)
     capture_mode: str = "full"
     #: partition the UR scan's nameserver groups into this many shards
-    #: (the unit of partial checkpoints and of pooled execution); every
-    #: group runs in clock/RNG isolation whatever the count, so the
-    #: report is byte-identical across counts (see repro.plan)
+    #: (the batches handed to pool workers); every group runs in
+    #: clock/RNG isolation whatever the count, so the report is
+    #: byte-identical across counts (see repro.plan)
     shards: int = 1
     #: worker processes executing shards concurrently (1 = run every
     #: shard in this process; >1 needs a picklable world recipe, which
@@ -414,13 +414,12 @@ class URHunter:
         #: (set by the CLI when ``--shard-workers`` > 1; None keeps
         #: pooled execution off and shards run in this process)
         self.world_spec = None
-        #: checkpoint store granting per-shard partial persistence
-        #: (set by the pipeline runner when there is more than one shard)
-        self.shard_store = None
-        #: incremental group result store (set by the CLI's
-        #: ``--result-store`` or a longitudinal study); groups whose
-        #: world state is unchanged replay from it instead of
-        #: re-querying — see :mod:`repro.incremental`
+        #: group result store (set by the CLI's ``--result-store``, a
+        #: longitudinal study, or — under ``<checkpoint-dir>/groups`` —
+        #: by a checkpointing pipeline runner); every executed group is
+        #: stored as it folds, and a group whose inputs are unchanged
+        #: replays from it instead of re-querying — see
+        #: :mod:`repro.incremental`
         self.result_store = None
         # Populated by run(); kept for inspection and tests.
         self.correct_db: Optional[CorrectRecordDatabase] = None

@@ -21,13 +21,13 @@ from .differ import (
     load_plan_summary,
     plan_summary_json,
     render_plan_diff,
-    run_cacheable,
 )
 from .store import (
     STORE_FORMAT_VERSION,
     GroupResultStore,
     StoreFormatError,
     group_identity,
+    group_state,
     scan_config_fingerprint,
     server_fingerprint,
     state_digest,
@@ -44,10 +44,10 @@ __all__ = [
     "StoreFormatError",
     "diff_plan_summaries",
     "group_identity",
+    "group_state",
     "load_plan_summary",
     "plan_summary_json",
     "render_plan_diff",
-    "run_cacheable",
     "scan_config_fingerprint",
     "server_fingerprint",
     "state_digest",

@@ -13,20 +13,14 @@ Two consumers share this module:
   :func:`diff_plan_summaries` reports added/removed/changed groups
   between two dumps.
 
-Cache-safety rules (the byte-identity argument's load-bearing wall):
-
-* a run with **network faults** installed — a global loss profile,
-  per-server profiles, or chaos fault windows — bypasses the store
-  entirely: the fault profile is not part of the state digest, so a
-  slot written under one profile could replay under another (see
-  :func:`run_cacheable`);
-* a run whose **stage-2/3 sources** may fault (Flaky wrappers with a
-  plan that can fire) bypasses the store too — conservative, since a
-  degraded run's provenance must reflect the calls it actually made;
-* a **group** is only cacheable when its server address resolves to an
-  authoritative server whose answer-relevant state is observable (see
-  :func:`~repro.incremental.store.server_fingerprint`); recursive-
-  fallback servers never cache.
+Cache safety rests on one key: a group replays only when its state
+digest — its identity plus :func:`~repro.incremental.store.group_state`,
+everything its outcome is a function of — equals the stored one.  A run
+under injected loss, a chaos window or a run deadline therefore keys
+(and replays) its own slots, and never reads another profile's; a group
+is left out of the store only when its server's answer-relevant state
+is not observable (recursive-fallback servers, see
+:func:`~repro.incremental.store.server_fingerprint`).
 """
 
 from __future__ import annotations
@@ -34,15 +28,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
-from .store import (
-    GroupResultStore,
-    group_identity,
-    scan_config_fingerprint,
-    server_fingerprint,
-    state_digest,
-)
+from .store import GroupResultStore, group_identity, group_state, state_digest
 
 __all__ = [
     "PLAN_SUMMARY_VERSION",
@@ -50,7 +38,6 @@ __all__ = [
     "PlanDiff",
     "PlanDiffer",
     "PlanSummaryError",
-    "run_cacheable",
     "plan_summary_json",
     "load_plan_summary",
     "diff_plan_summaries",
@@ -59,52 +46,6 @@ __all__ = [
 
 #: bumped whenever the ``repro plan --json`` layout changes
 PLAN_SUMMARY_VERSION = 1
-
-
-# -- cache safety -----------------------------------------------------------
-
-
-def _network_is_clean(network: Any) -> bool:
-    """No installed fault state that could touch a scan query."""
-    if getattr(network, "_global_faults", None) is not None:
-        return False
-    if getattr(network, "_server_faults", None):
-        return False
-    if getattr(network, "_fault_windows", None):
-        return False
-    return True
-
-
-def _source_deterministic(source: Any) -> bool:
-    """True unless the source declares (or implies) fault potential."""
-    if source is None:
-        return True
-    flag = getattr(source, "deterministic", None)
-    if flag is not None:
-        return bool(flag)
-    plan = getattr(source, "plan", None)
-    if plan is not None and hasattr(plan, "never_faults"):
-        return bool(plan.never_faults)
-    return True
-
-
-def run_cacheable(hunter: Any) -> Tuple[bool, Optional[str]]:
-    """Whether this run may populate or hit the result store.
-
-    Returns ``(cacheable, reason)`` — the reason names the first
-    violated rule (for the bypass note and ``repro plan`` output).
-    """
-    if not _network_is_clean(hunter.network):
-        return False, "network-faults"
-    if not _source_deterministic(getattr(hunter, "pdns", None)):
-        return False, "nondeterministic-source:pdns"
-    if not _source_deterministic(getattr(hunter, "stage2_ipinfo", None)):
-        return False, "nondeterministic-source:ipinfo"
-    intel = getattr(hunter, "intel", None)
-    for vendor in getattr(intel, "vendors", ()):
-        if not _source_deterministic(vendor):
-            return False, f"nondeterministic-source:{vendor.name}"
-    return True, None
 
 
 # -- per-group partitioning -------------------------------------------------
@@ -116,13 +57,14 @@ class GroupDecision:
 
     group: int
     server_ip: str
-    #: content address of the group (None when uncacheable)
+    #: content address of the group (None when it has no digest)
     identity: Optional[str]
-    #: full state digest (None when uncacheable)
+    #: full state digest (None for ``uncacheable`` / ``time-anchored``)
     digest: Optional[str]
     #: ``hit`` (replay from store) or ``execute`` (shard runner)
     action: str
-    #: ``stored`` | ``miss`` | ``stale`` | ``uncacheable``
+    #: ``stored`` | ``miss`` | ``stale`` | ``uncacheable`` |
+    #: ``time-anchored`` (the key needs an epoch and none was given)
     reason: str
 
 
@@ -149,78 +91,56 @@ class PlanDiffer:
     def __init__(self, store: GroupResultStore):
         self.store = store
 
-    def decide(
-        self, plan: Any, group: Any, network: Any, config_fp: str, provider: str
-    ) -> Tuple[GroupDecision, Optional[Dict[str, Any]]]:
-        """One group's decision plus its stored payload on a hit."""
-        server = server_fingerprint(network, group.server_ip)
-        if server is None:
-            self.store.stats["uncacheable"] += 1
-            return (
-                GroupDecision(
-                    group=group.index,
-                    server_ip=group.server_ip,
-                    identity=None,
-                    digest=None,
-                    action="execute",
-                    reason="uncacheable",
-                ),
-                None,
-            )
-        identity = group_identity(plan, group)
-        digest = state_digest(identity, server, provider, config_fp)
-        payload = self.store.get(identity, digest)
-        if payload is not None:
-            reason = "stored"
-            action = "hit"
-        else:
-            # the store already counted miss vs invalidate; re-derive
-            # the reason from the slot's existence for the decision
-            reason = (
-                "stale"
-                if self.store._group_file(identity).exists()
-                else "miss"
-            )
-            action = "execute"
-        return (
-            GroupDecision(
-                group=group.index,
-                server_ip=group.server_ip,
-                identity=identity,
-                digest=digest,
-                action=action,
-                reason=reason,
-            ),
-            payload,
-        )
-
     def partition(
         self,
         plan: Any,
         network: Any,
         config: Any,
         providers: Optional[Dict[str, str]] = None,
+        epoch: Optional[float] = None,
+        origin: Optional[float] = None,
     ) -> PlanDiff:
         """Decide every group of ``plan`` against the store.
 
-        ``providers`` maps server address to provider name (the policy
-        fingerprint component); missing entries key as ``"unknown"``.
+        ``providers`` maps server address to provider name (missing
+        entries key as ``"unknown"``).  ``epoch`` / ``origin`` are the
+        classification epoch and the run origin of the scan about to
+        execute (:func:`~repro.incremental.store.group_state`); without
+        an epoch — a plan inspected before its scan has run — the
+        groups whose key reads the clock are ``time-anchored`` and
+        execute.
         """
-        config_fp = scan_config_fingerprint(config)
         providers = providers or {}
         decisions: List[GroupDecision] = []
         replayed: Dict[int, Dict[str, Any]] = {}
         for group in plan.groups:
-            decision, payload = self.decide(
-                plan,
-                group,
+            state, reason = group_state(
                 network,
-                config_fp,
+                config,
+                group.server_ip,
                 providers.get(group.server_ip, "unknown"),
+                epoch,
+                origin,
             )
-            decisions.append(decision)
-            if payload is not None:
-                replayed[group.index] = payload
+            identity = digest = None
+            if reason == "uncacheable":
+                self.store.stats["uncacheable"] += 1
+            elif state is not None:
+                identity = group_identity(plan, group)
+                digest = state_digest(identity, state)
+                payload, reason = self.store.get(identity, digest)
+                if payload is not None:
+                    replayed[group.index] = payload
+            decisions.append(
+                GroupDecision(
+                    group=group.index,
+                    server_ip=group.server_ip,
+                    identity=identity,
+                    digest=digest,
+                    action="hit" if group.index in replayed else "execute",
+                    reason=reason,
+                )
+            )
         return PlanDiff(decisions=decisions, replayed=replayed)
 
 

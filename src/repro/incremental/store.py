@@ -10,21 +10,22 @@ a two-level key:
 * the **identity** — a digest over the group's :class:`QueryUnit`
   identities (server, qname, qtype, RD bit) — names the file, so one
   group maps to one slot across runs of the same plan;
-* the **state digest** — a digest over the identity *plus* everything
-  that may change a group's answers between runs: the serving
-  :class:`~repro.dns.server.AuthoritativeServer`'s generation stamp and
-  per-zone serials, its unhosted policy and protective records, its
-  online bit, and the scan-shaping config fingerprint — decides whether
-  the slot may be replayed.
+* the **state digest** — a digest over the identity *plus*
+  :func:`group_state`, everything else a group's outcome is a function
+  of: the serving nameserver's answer-relevant state, the provider, the
+  scan-shaping config, the fault profiles installed on that server, and
+  the time anchors a fault window or a run deadline reads — decides
+  whether the slot may be replayed.
 
 A stored digest equal to the current one is a **hit** (replay, no
 queries); a stored file under a different digest is an **invalidate**
 (the world moved — re-execute and overwrite); no file is a **miss**.
-The classification epoch is deliberately *not* part of the digest:
-group results carry only epoch-relative values (elapsed times, latency
-deltas, clock-free deterministic events), so a group replayed thirty
-virtual days later composes byte-identically — that is the whole point
-of the warm run.
+The classification epoch joins the digest only where the group reads
+the clock (a flap, a bounded fault window, a run deadline): everything
+else a group result carries is epoch-relative (elapsed times, latency
+deltas, clock-free deterministic events), so a clean or uniformly lossy
+group replayed thirty virtual days later composes byte-identically —
+that is the whole point of the warm run.
 
 Writes are atomic (temp file + ``os.replace``), mirroring the
 checkpoint store.  A directory written under another
@@ -42,7 +43,7 @@ import json
 import os
 import re
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 __all__ = [
     "STORE_FORMAT_VERSION",
@@ -51,13 +52,15 @@ __all__ = [
     "group_identity",
     "server_fingerprint",
     "scan_config_fingerprint",
+    "group_state",
     "state_digest",
 ]
 
 #: bumped whenever the stored payload or key derivation changes — every
 #: identity and digest hashes it in, so no slot of another version can
-#: ever match (2: the scan-shaping knobs went from 13 to 11)
-STORE_FORMAT_VERSION = 2
+#: ever match (2: the scan-shaping knobs went from 13 to 11; 3: fault
+#: profiles and time anchors joined the state digest)
+STORE_FORMAT_VERSION = 3
 
 #: per-group result files: ``group-<identity>.json``
 GROUP_PREFIX = "group-"
@@ -65,7 +68,8 @@ GROUP_PREFIX = "group-"
 #: the store's run-counter sidecar (CI uploads it as an artifact)
 STATS_FILE = "store-stats.json"
 
-#: how every file ``GroupResultStore._write`` produces begins
+#: how every file ``GroupResultStore._write`` produces begins (``\s*``:
+#: formats 1 and 2 were indented, and must be recognised to be refused)
 _FORMAT_HEAD = re.compile(rb'\A\{\s*"format":\s*(\d+)')
 
 
@@ -178,18 +182,79 @@ def scan_config_fingerprint(config: Any) -> str:
     return _digest({"version": STORE_FORMAT_VERSION, "knobs": knobs})
 
 
-def state_digest(
-    identity: str, server: Dict[str, Any], provider: str, config_fp: str
-) -> str:
-    """The full replay-safety digest of one group slot."""
-    return _digest(
-        {
-            "version": STORE_FORMAT_VERSION,
-            "identity": identity,
-            "server": server,
-            "provider": provider,
-            "config": config_fp,
+def group_state(
+    network: Any,
+    config: Any,
+    server_ip: str,
+    provider: str,
+    epoch: Optional[float] = None,
+    origin: Optional[float] = None,
+) -> Tuple[Optional[Dict[str, Any]], Optional[str]]:
+    """Everything a UR group's outcome is a function of, its query units
+    (the identity) aside — the group runner's purity invariant as data.
+
+    * ``server`` — :func:`server_fingerprint`: what the nameserver answers;
+    * ``provider`` — stamped on every record the group yields;
+    * ``config`` — :func:`scan_config_fingerprint`: how the engine asks;
+    * ``faults`` — the network's base fault seed (every group reseeds
+      from it) and every profile a query to this server is evaluated
+      against (:meth:`SimulatedInternet.fault_profiles`).  Empty when
+      none is installed: the fault RNG is then never drawn, so the group
+      shares its slot with a clean run whatever faults other servers
+      carry.  A profile that reads the clock — a flap phase, a window
+      that opens or closes — is keyed with its ``start`` relative to
+      ``epoch``, where the group's clock is pinned; uniform loss and
+      jitter never read it, so their slots are epoch-free;
+    * ``deadline_offset`` — ``epoch - origin`` under a run deadline: how
+      much of the budget the preamble had spent when the group started.
+
+    ``epoch`` is the classification epoch and ``origin`` where the run
+    deadline is measured from (the epoch itself by default).  Returns
+    ``(state, None)``, or ``(None, reason)`` when no digest can be
+    taken: ``"uncacheable"`` (no server fingerprint) or
+    ``"time-anchored"`` (an input reads the clock and no ``epoch`` was
+    given — a plan inspected before its scan has run).
+    """
+    server = server_fingerprint(network, server_ip)
+    if server is None:
+        return None, "uncacheable"
+    profiles = network.fault_profiles(server_ip)
+    timed = [
+        profile.flap_down > 0 or profile.start > 0 or profile.duration > 0
+        for profile in profiles
+    ]
+    if epoch is None and (config.run_deadline > 0 or any(timed)):
+        return None, "time-anchored"
+    state: Dict[str, Any] = {
+        "server": server,
+        "provider": provider,
+        "config": scan_config_fingerprint(config),
+        "faults": {},
+    }
+    if profiles:
+        state["faults"] = {
+            "seed": network.fault_seed,
+            "profiles": [
+                {
+                    "loss": profile.loss_rate,
+                    "jitter": profile.latency_jitter,
+                    "flap": [profile.flap_up, profile.flap_down],
+                    "duration": profile.duration,
+                    "start": profile.start - epoch if reads_clock else None,
+                }
+                for profile, reads_clock in zip(profiles, timed)
+            ],
         }
+    if config.run_deadline > 0:
+        state["deadline_offset"] = 0.0 if origin is None else epoch - origin
+    return state, None
+
+
+def state_digest(identity: str, state: Dict[str, Any]) -> str:
+    """The full replay-safety digest of one group slot: its identity
+    plus its :func:`group_state`."""
+    return _digest(
+        {"version": STORE_FORMAT_VERSION, "identity": identity, **state}
     )
 
 
@@ -198,8 +263,8 @@ class GroupResultStore:
 
     Payloads are the JSON-safe dicts produced by
     :func:`~repro.plan.shards.encode_group_result` — the same encoding
-    shard partials and the process-pool wire format use — so replaying
-    a slot is exactly the merge path a freshly executed group takes.
+    the process-pool wire format uses — so replaying a slot is exactly
+    the merge path a freshly executed group takes.
     """
 
     def __init__(self, path: Union[str, Path]):
@@ -223,7 +288,6 @@ class GroupResultStore:
             "invalidated": 0,
             "stored": 0,
             "uncacheable": 0,
-            "bypassed_runs": 0,
         }
 
     def _group_file(self, identity: str) -> Path:
@@ -233,31 +297,30 @@ class GroupResultStore:
 
     def get(
         self, identity: str, digest: str
-    ) -> Optional[Dict[str, Any]]:
-        """The stored payload when the slot matches ``digest``, else None.
-
-        Counts a hit, a miss (no slot), or an invalidate (stale slot —
-        the caller re-executes and :meth:`put` overwrites it).
+    ) -> Tuple[Optional[Dict[str, Any]], str]:
+        """``(payload, "stored")`` when the slot matches ``digest``, else
+        ``(None, why)``: ``"miss"`` (no readable slot) or ``"stale"``
+        (a slot under another digest — the caller re-executes and
+        :meth:`put` overwrites it).  Counts a hit, a miss, or an
+        invalidate accordingly.
         """
         path = self._group_file(identity)
         try:
             with path.open("r", encoding="utf-8") as handle:
                 slot = json.load(handle)
-        except FileNotFoundError:
-            self.stats["misses"] += 1
-            return None
         except (OSError, json.JSONDecodeError):
-            # a torn or unreadable slot degrades to a miss, never an abort
+            # no slot; a torn or unreadable one degrades to a miss too,
+            # never an abort
             self.stats["misses"] += 1
-            return None
+            return None, "miss"
         if (
             slot.get("format") != STORE_FORMAT_VERSION
             or slot.get("digest") != digest
         ):
             self.stats["invalidated"] += 1
-            return None
+            return None, "stale"
         self.stats["hits"] += 1
-        return slot["group"]
+        return slot["group"], "stored"
 
     def put(
         self, identity: str, digest: str, payload: Dict[str, Any]
@@ -315,8 +378,9 @@ class GroupResultStore:
 
     @staticmethod
     def _write(path: Path, payload: Dict[str, Any]) -> None:
+        # compact and in one piece: ``json.dump`` and any ``indent`` run
+        # the pure-Python encoder, ``dumps`` without one the C encoder
         tmp = path.with_suffix(".tmp")
         with tmp.open("w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1)
-            handle.write("\n")
+            handle.write(json.dumps(payload, separators=(",", ":")) + "\n")
         os.replace(tmp, path)

@@ -263,17 +263,13 @@ class SimulatedInternet:
             return None
         return self._server_faults.get(address, self._global_faults)
 
-    def _active_faults(self, address: str, now: float) -> List[FaultProfile]:
-        """Every profile that applies to ``address`` at ``now``.
-
-        Active windows first (insertion order), then the static profile
-        — so with no windows installed behaviour is exactly the
-        pre-window fault path.
-        """
-        profiles: List[FaultProfile] = []
-        for window in self._fault_windows.get(address, ()):
-            if window.active_at(now):
-                profiles.append(window)
+    def fault_profiles(self, address: str) -> List[FaultProfile]:
+        """Every profile a query to ``address`` is evaluated against, in
+        evaluation order: its windows (insertion order; each applies
+        while :meth:`FaultProfile.active_at`), then the static profile
+        (per-server, else global).  Empty means the fault RNG is never
+        drawn for this address."""
+        profiles = list(self._fault_windows.get(address, ()))
         static = self._fault_profile(address)
         if static is not None:
             profiles.append(static)

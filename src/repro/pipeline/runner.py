@@ -12,7 +12,9 @@ three named stages —
 killed mid-stage resumes from the last *completed* stage: completed
 stages are decoded from their checkpoints without re-querying anything
 (the scan engine's live metrics stay at zero), and the first missing
-stage onward runs live.  Once any stage runs live, downstream
+stage onward runs live — stage 1 replaying, from the group result
+store under the checkpoint directory, every UR group the killed run
+had finished.  Once any stage runs live, downstream
 checkpoints from the earlier run are invalidated — they were derived
 from state that no longer exists.
 
@@ -35,6 +37,7 @@ from typing import Any, Dict, Optional, Tuple
 from ..core.hunter import Stage1Result, Stage2Result, Stage3Result, URHunter
 from ..core.records import ClassifiedUR
 from ..core.report import MeasurementReport
+from ..incremental import GroupResultStore
 from ..obs.events import run_end_fields
 from .checkpoint import (
     CheckpointStore,
@@ -227,24 +230,20 @@ class PipelineRunner:
             )
         if self.store is not None:
             self.store.prepare(self._fingerprint(), resume=self.resume)
-            if self.hunter.config.shards > 1:
-                # grant the group runner per-shard partial persistence
-                # (a shard completed before a crash is not re-scanned;
-                # a single shard's partial would only duplicate the
-                # stage-1 checkpoint written right after it)
-                self.hunter.shard_store = self.store
-            if self.resume:
-                # GC: a fresh run wiped the directory in prepare(); a
-                # resume keeps its usable segments/partials but prunes
-                # the ones no resume could ever load (stale plan/shard
-                # stamps, files superseded by a stage checkpoint)
-                pruned = self.store.prune_stale(
-                    plan_hash=self.hunter.plan.plan_hash,
-                    shards=self.hunter.config.shards,
-                    superseded_by=STAGE1,
+            if self.hunter.result_store is None:
+                # stage 1's resume medium: every UR group is durable the
+                # moment it folds, and a resumed scan replays the ones a
+                # killed run completed (a store the caller attached
+                # serves the same way, and is never wiped)
+                self.hunter.result_store = GroupResultStore(
+                    self.store.groups_path
                 )
-                if any(pruned.values()):
-                    self._emit_timing("checkpoint.pruned", **pruned)
+            if self.resume and self.store.has(STAGE1):
+                # GC: the staged resume path never reads segments a
+                # crashed stream left next to a stage-1 snapshot
+                segments = self.store.clear_segments()
+                if segments:
+                    self._emit_timing("checkpoint.pruned", segments=segments)
         self._emit("run.start", fingerprint=self._fingerprint())
         if streaming and not (
             self.resume
@@ -285,8 +284,6 @@ class PipelineRunner:
             executed.append(STAGE1)
             if self.store is not None:
                 self.store.save(STAGE1, encode_stage1(stage1))
-                # the stage-1 snapshot supersedes any shard partials
-                self.store.clear_shard_partials()
                 self._emit("checkpoint.save", stage=STAGE1)
         if stop_after == STAGE1:
             self._emit("run.stopped", after=STAGE1)
@@ -442,8 +439,6 @@ class PipelineRunner:
         executed = (STAGE1, STAGE2, STAGE3)
         if store is not None:
             store.save(STAGE1, encode_stage1(stage1))
-            # the stage-1 snapshot supersedes any shard partials
-            store.clear_shard_partials()
             self._emit("checkpoint.save", stage=STAGE1)
             store.save(STAGE2, encode_stage2(stage2, validated=validate))
             self._emit("checkpoint.save", stage=STAGE2, validated=validate)

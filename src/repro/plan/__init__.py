@@ -6,9 +6,9 @@
 engine task through the lazy :class:`PlannedTasks`), UR units grouped
 per nameserver, the whole plan content-hashed so checkpoints and traces
 can prove which scan they belong to.  :mod:`repro.plan.shards` executes
-the plan's groups in isolation (locally or resumed from partial
-checkpoints) and :mod:`repro.plan.pool` distributes shards across
-worker processes.
+the plan's groups in isolation (locally or replayed from a result
+store) and :mod:`repro.plan.pool` distributes shards across worker
+processes.
 """
 
 from .scanplan import (

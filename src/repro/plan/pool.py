@@ -13,8 +13,8 @@ worker agree on every planned query).
 
 Workers execute whole shards and return the same JSON-safe group
 payloads the local path produces
-(:func:`repro.plan.shards.encode_group_result`), so pooled, local,
-and checkpoint-resumed shards merge through one code path.  A
+(:func:`repro.plan.shards.encode_group_result`), so pooled, local
+and store-replayed groups merge through one code path.  A
 per-process cache keeps the rebuilt world across shards handed to the
 same worker.
 

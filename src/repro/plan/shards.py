@@ -41,8 +41,11 @@ outcome); its small ledgers — ``ScanMetrics``, resilience counters,
 buffered engine trace events, elapsed time — wait for the merge into
 the parent objects in group order.  Only UR groups are sharded, pooled
 or stored; their results are JSON-encoded only at a persistence
-boundary (a result-store slot, a shard partial, the process-pool
-wire), and payloads read back from one decode into the same fold.
+boundary (a result-store slot, the process-pool wire), and payloads
+read back from one decode into the same fold.  The invariant is also
+the result store's key: :func:`repro.incremental.store.group_state`
+spells out each input, so a stored group — from an earlier run, or
+from this run before it was killed — replays whenever they all match.
 
 Checkpoint codec imports stay inside functions:
 ``repro.pipeline.checkpoint`` imports ``repro.core.hunter``, which
@@ -90,7 +93,7 @@ __all__ = [
 ]
 
 #: set to a shard index to SIGTERM the run right after that shard's
-#: partial checkpoint is saved (kill-and-resume tests)
+#: groups are folded and stored (kill-and-resume tests)
 CRASH_SHARD_ENV = "URHUNTER_CRASH_SHARD"
 
 
@@ -377,8 +380,8 @@ def fold_resilience(target, data: Dict[str, Any]) -> None:
 
 
 def encode_group_result(result: GroupResult) -> Dict[str, Any]:
-    """JSON-safe payload of one group (result-store slots, shard
-    partial checkpoints and the process-pool wire share this encoding)."""
+    """JSON-safe payload of one group (result-store slots and the
+    process-pool wire share this encoding)."""
     from ..pipeline.checkpoint import encode_metrics, encode_record
 
     return {
@@ -445,41 +448,35 @@ def _emit_timing(trace, name: str, **fields) -> None:
 
 
 def _incremental_partition(
-    hunter, plan: ScanPlan, trace
-) -> Tuple[Dict[int, Dict[str, Any]], Dict[int, Any], Optional[Any]]:
-    """Consult the group result store, if one is attached and safe.
+    hunter, plan: ScanPlan, epoch: float, origin: float
+) -> Tuple[Dict[int, Dict[str, Any]], Dict[int, Any]]:
+    """Consult the group result store, if one is attached.
 
-    Returns ``(replayed payloads by group, decisions by group, store)``
-    — all empty/None when no store is attached or the run is not
-    cacheable (network faults installed or non-deterministic sources
-    wired in), in which case the store is bypassed entirely: never
-    read, never written.
+    Returns ``(replayed payloads by group, decisions by group of the
+    groups to store once executed)`` — both empty without a store.
     """
     result_store = hunter.result_store
     if result_store is None:
-        return {}, {}, None
-    from ..incremental import PlanDiffer, run_cacheable
+        return {}, {}
+    from ..incremental import PlanDiffer
 
-    cacheable, reason = run_cacheable(hunter)
-    if not cacheable:
-        result_store.stats["bypassed_runs"] += 1
-        _emit_timing(trace, "incremental.bypass", reason=reason)
-        return {}, {}, None
+    trace = hunter.trace
     providers = {
         target.address: target.provider for target in hunter.nameservers
     }
     diff = PlanDiffer(result_store).partition(
-        plan, hunter.network, hunter.config, providers
+        plan, hunter.network, hunter.config, providers, epoch, origin
     )
-    decisions: Dict[int, Any] = {}
+    dirty: Dict[int, Any] = {}
     for decision in diff.decisions:
-        decisions[decision.group] = decision
         if decision.action == "hit":
             name, why = "incremental.hit", {}
         elif decision.reason == "stale":
             name, why = "incremental.invalidate", {}
         else:
             name, why = "incremental.miss", {"reason": decision.reason}
+        if decision.action != "hit" and decision.identity is not None:
+            dirty[decision.group] = decision
         _emit_timing(
             trace,
             name,
@@ -494,42 +491,33 @@ def _incremental_partition(
         hits=diff.hits,
         dirty=diff.dirty,
     )
-    return diff.replayed, decisions, result_store
+    return diff.replayed, dirty
 
 
 def run_shard_scan(hunter, plan: ScanPlan, epoch: float) -> ScanFold:
     """Execute the plan's UR scan group by group and fold the results.
 
-    Every group comes from exactly one source — a shard partial left by
-    a crashed run, a result-store hit, a pool worker, or an isolated
-    execution in this process — and is folded as soon as it is in hand.
-    The phase (:func:`isolated_phase`) then merges the groups' ledgers
-    into the hunter's in group-index order — the order the plan fixed,
+    Every group comes from exactly one source — a result-store hit, a
+    pool worker, or an isolated execution in this process — and is
+    folded, and stored if a result store is attached, as soon as it is
+    in hand: a killed run resumes from its stored groups.  The phase
+    (:func:`isolated_phase`) then merges the groups' ledgers into the
+    hunter's in group-index order — the order the plan fixed,
     independent of shard membership — and ends the parent clock at
     ``epoch + makespan``, also when a group raises: the parent ledger a
     failure report carries is the scan up to that point.
     """
     config = hunter.config
     trace = hunter.trace
-    shard_count = config.shards
-    store = hunter.shard_store
+    origin = _run_origin(hunter.engine, epoch)
+    replayed, dirty = _incremental_partition(hunter, plan, epoch, origin)
+    shards = plan.shard(config.shards)
 
-    replayed, decisions, result_store = _incremental_partition(
-        hunter, plan, trace
-    )
-    cached: Dict[int, List[Dict[str, Any]]] = {}
-    if store is not None:
-        cached = store.load_shard_partials(plan.plan_hash, shard_count)
-    shards = plan.shard(shard_count)
     pending = [
         shard
         for shard in shards
-        if shard.index not in cached
-        and any(group.index not in replayed for group in shard.groups)
+        if any(group.index not in replayed for group in shard.groups)
     ]
-
-    origin = _run_origin(hunter.engine, epoch)
-
     pooled: Dict[int, List[Dict[str, Any]]] = {}
     if pending and hunter.world_spec is not None and config.shard_workers > 1:
         from .pool import execute_shards_pooled
@@ -552,25 +540,7 @@ def run_shard_scan(hunter, plan: ScanPlan, epoch: float) -> ScanFold:
 
     fold = ScanFold()
     with isolated_phase(hunter, "ur", epoch) as finished:
-
-        def absorb(result: GroupResult) -> None:
-            fold.add(result.outcomes)
-            # folded: only the small ledgers wait for the ordered merge
-            result.outcomes = []
-            finished.append(result)
-
         for shard in shards:
-            if shard.index in cached:
-                payloads = cached.pop(shard.index)
-                _emit_timing(
-                    trace,
-                    "shard.loaded",
-                    shard=shard.index,
-                    groups=len(payloads),
-                )
-                for payload in payloads:
-                    absorb(decode_group_result(payload))
-                continue
             _emit_timing(
                 trace,
                 "shard.start",
@@ -582,13 +552,9 @@ def run_shard_scan(hunter, plan: ScanPlan, epoch: float) -> ScanFold:
                 payload["group"]: payload
                 for payload in pooled.pop(shard.index, ())
             }
-            partial: List[Dict[str, Any]] = []
             for group in shard.groups:
-                fresh = group.index not in replayed
-                payload = (
-                    from_pool.get(group.index)
-                    if fresh
-                    else replayed.pop(group.index)
+                payload = replayed.pop(group.index, None) or from_pool.get(
+                    group.index
                 )
                 if payload is not None:
                     result = decode_group_result(payload)
@@ -596,25 +562,17 @@ def run_shard_scan(hunter, plan: ScanPlan, epoch: float) -> ScanFold:
                     result = run_group_isolated(
                         hunter, plan, group, epoch, origin
                     )
-                decision = decisions.get(group.index)
-                refresh = (
-                    fresh
-                    and decision is not None
-                    and decision.identity is not None
-                )
-                if payload is None and (refresh or store is not None):
-                    payload = encode_group_result(result)
-                if refresh:
-                    result_store.put(
-                        decision.identity, decision.digest, payload
+                decision = dirty.get(group.index)
+                if decision is not None:
+                    hunter.result_store.put(
+                        decision.identity,
+                        decision.digest,
+                        payload or encode_group_result(result),
                     )
-                if store is not None:
-                    partial.append(payload)
-                absorb(result)
-            if store is not None:
-                store.save_shard_partial(
-                    shard.index, shard_count, plan.plan_hash, partial
-                )
+                fold.add(result.outcomes)
+                # folded: only the small ledgers wait for the ordered merge
+                result.outcomes = []
+                finished.append(result)
             _emit_timing(
                 trace,
                 "shard.merged",

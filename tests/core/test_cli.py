@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -270,6 +271,45 @@ class TestPlanCommand:
         out = capsys.readouterr().out
         assert "would replay" in out
         assert "would execute" in out
+
+    def test_plan_forecast_agrees_with_the_run(self, tmp_path, capsys):
+        """``plan --result-store`` keys each group exactly as ``run``
+        under the same flags will: against a clean-populated store a
+        lossy plan promises no replay (it used to promise all 139), and
+        once the lossy run has stored its own slots, every one."""
+        store = tmp_path / "store"
+        flags = ["--result-store", str(store), "-q"]
+        assert main(BASE + flags + ["run"]) == 0
+
+        def forecast_then_hits(extra):
+            capsys.readouterr()
+            assert main(BASE + extra + flags + ["plan"]) == 0
+            forecast = re.search(
+                r"result store: (\d+) groups would replay",
+                capsys.readouterr().out,
+            )
+            assert main(BASE + extra + flags + ["run"]) == 0
+            stats = json.loads((store / "store-stats.json").read_text())
+            return int(forecast.group(1)), stats["hits"]
+
+        lossy = ["--loss-rate", "0.05"]
+        assert forecast_then_hits([]) == (139, 139)
+        assert forecast_then_hits(lossy) == (0, 0)
+        assert forecast_then_hits(lossy) == (139, 139)
+
+    def test_plan_names_the_groups_whose_key_needs_an_epoch(
+        self, tmp_path, capsys
+    ):
+        argv = BASE + ["--result-store", str(tmp_path / "store"), "-q"]
+        for flags in (
+            ["--run-deadline", "20"],
+            ["--chaos-script", "tail-latency-storm"],
+        ):
+            assert main(argv + flags + ["plan"]) == 0
+            assert (
+                "result store: 0 groups would replay, 140 would execute "
+                "(139 time-anchored, 1 uncacheable)"
+            ) in capsys.readouterr().out
 
 
 class TestResultStore:

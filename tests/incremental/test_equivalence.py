@@ -5,11 +5,12 @@ replays stored group outcomes produces the same report summary, trace
 deterministic section, and metrics deterministic section as a cold
 full scan — across batch/stream execution, shard counts, and the
 process pool — both on an unchanged world and after zone mutations
-dirty a subset of groups.  Chaos/faulted runs must bypass the store
-entirely and stay byte-identical to the store-less behavior.
+dirty a subset of groups.  Lossy and chaos runs replay too, each from
+the slots its own fault profile keyed and never from another's.
 """
 
 import json
+import shutil
 
 import pytest
 
@@ -48,24 +49,27 @@ def mutate_zones(world, count=3):
     assert mutated == count
 
 
-def run(
+def measure(
     store=None,
     shards=1,
     execution="batch",
     loss=0.0,
+    fault_seed=SEED,
     chaos=None,
     workers=1,
     world_spec=None,
     mutate=None,
+    **knobs,
 ):
-    """One full measurement; returns the three byte-compared surfaces."""
+    """One full measurement; returns the three byte-compared surfaces
+    and the hunter that produced them."""
     world = build_world(small_config(seed=SEED))
     if mutate is not None:
         mutate(world)
     if loss:
-        world.network.inject_faults(loss_rate=loss, seed=SEED)
+        world.network.inject_faults(loss_rate=loss, seed=fault_seed)
     config = HunterConfig(
-        execution=execution, shards=shards, shard_workers=workers
+        execution=execution, shards=shards, shard_workers=workers, **knobs
     )
     hunter = URHunter.from_world(world, config)
     if chaos:
@@ -76,11 +80,17 @@ def run(
     hunter.attach_trace(trace)
     report = hunter.run()
     doc = build_metrics_document(report, fingerprint="pinned")
-    return (
+    surfaces = (
         report.summary(),
         trace.deterministic_lines(),
         json.dumps(doc["deterministic"], sort_keys=True),
     )
+    return surfaces, hunter
+
+
+def run(**inputs):
+    """One full measurement; returns the three byte-compared surfaces."""
+    return measure(**inputs)[0]
 
 
 @pytest.fixture(scope="module")
@@ -155,30 +165,93 @@ class TestMutationInvalidates:
         assert store.stats["invalidated"] == store.stats["misses"] == 0
         assert store.stats["hits"] > 0
 
+    def test_run_deadline_keys_the_budget_the_preamble_spent(self, tmp_path):
+        """The run deadline is measured from the run origin, so how much
+        of it is left at the epoch is an input of every group.  With
+        one hosting nameserver dead the open resolvers wait out their
+        timeouts and the preamble takes 31.18 sim-s instead of 3.15:
+        the deadline of 20 has passed and every UR query is shed —
+        slots stored on the clean world (nothing shed) must not
+        replay."""
 
-class TestFaultedRunsBypass:
-    def test_loss_run_matches_storeless_and_stores_nothing(self, tmp_path):
-        baseline = run(loss=LOSS)
-        store = GroupResultStore(tmp_path / "store")
-        assert run(store=store, loss=LOSS) == baseline
-        assert store.stats["bypassed_runs"] == 1
-        assert store.identities() == []
+        def offline(world):
+            world.network.set_online("10.0.0.1", False)
 
-    def test_chaos_run_matches_storeless(self, tmp_path):
-        baseline = run(chaos=CHAOS)
-        store = GroupResultStore(tmp_path / "store")
-        assert run(store=store, chaos=CHAOS) == baseline
-        assert store.stats["bypassed_runs"] == 1
-        assert store.identities() == []
-
-    def test_populated_store_never_leaks_into_a_faulted_run(
-        self, populated, store_dir
-    ):
-        baseline = run(loss=LOSS)
-        store = GroupResultStore(store_dir)
-        assert run(store=store, loss=LOSS) == baseline
+        run(store=GroupResultStore(tmp_path), run_deadline=20)
+        baseline, bare = measure(mutate=offline, run_deadline=20)
+        store = GroupResultStore(tmp_path)
+        surfaces, warm = measure(
+            store=store, mutate=offline, run_deadline=20
+        )
+        assert surfaces == baseline
+        assert (
+            warm.resilience.shed_total
+            == bare.resilience.shed_total
+            > bare.engine.metrics.stage("ur").shed
+            == len(bare.plan.ur_units)
+        )
         assert store.stats["hits"] == 0
-        assert store.stats["bypassed_runs"] == 1
+        assert store.stats["invalidated"] == store.stats["stored"] > 0
+
+
+FAULTS = {"loss": {"loss": LOSS}, "storm": {"chaos": CHAOS}}
+MODES = {
+    "batch": {},
+    "stream": {"shards": 4, "execution": "stream"},
+    "pool": {"shards": 4, "workers": 2},
+}
+
+
+@pytest.fixture(scope="module")
+def storeless():
+    """The store-less run under each fault profile, computed once."""
+    return {name: run(**faults) for name, faults in FAULTS.items()}
+
+
+class TestFaultedRunsReplay:
+    """A faulted run keys its own slots: it populates, replays, and
+    stays byte-identical to the store-less run in every mode."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("faults", FAULTS)
+    def test_replay_equals_storeless(self, tmp_path, storeless, faults, mode):
+        inputs = dict(FAULTS[faults], **MODES[mode])
+        if mode == "pool":
+            inputs["world_spec"] = WorldSpec(
+                scenario=small_config(seed=SEED),
+                loss_rate=inputs.get("loss", 0.0),
+                loss_seed=SEED,
+                chaos_script=inputs.get("chaos"),
+            )
+        cold = GroupResultStore(tmp_path)
+        assert run(store=cold, **inputs) == storeless[faults]
+        assert cold.stats["stored"] == cold.stats["misses"] > 0
+        warm = GroupResultStore(tmp_path)
+        assert run(store=warm, **inputs) == storeless[faults]
+        assert warm.stats["hits"] == cold.stats["stored"]
+        assert warm.stats["misses"] == warm.stats["invalidated"] == 0
+        assert warm.stats["stored"] == 0
+
+    @pytest.mark.parametrize(
+        "other",
+        [{"loss": 0.05}, {"loss": LOSS, "fault_seed": SEED + 1}, {}],
+        ids=["other-rate", "other-seed", "clean"],
+    )
+    def test_no_cross_profile_replay(self, tmp_path, other):
+        run(store=GroupResultStore(tmp_path), loss=LOSS)
+        store = GroupResultStore(tmp_path)
+        assert run(store=store, **other) == run(**other)
+        assert store.stats["hits"] == 0
+        assert store.stats["invalidated"] == store.stats["stored"] > 0
+
+    def test_clean_slot_does_not_hit_under_loss(
+        self, tmp_path, populated, store_dir, storeless
+    ):
+        shutil.copytree(store_dir, tmp_path / "store")
+        store = GroupResultStore(tmp_path / "store")
+        assert run(store=store, loss=LOSS) == storeless["loss"]
+        assert store.stats["hits"] == 0
+        assert store.stats["invalidated"] == store.stats["stored"] > 0
 
 
 class TestLongitudinalWarmRuns:

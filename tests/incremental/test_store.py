@@ -23,6 +23,7 @@ from repro.incremental import (
     StoreFormatError,
     diff_plan_summaries,
     group_identity,
+    group_state,
     load_plan_summary,
     plan_summary_json,
     render_plan_diff,
@@ -34,15 +35,16 @@ from repro.incremental.store import (
     PLAN_OR_LATER_STAGE_KNOBS,
     SCAN_SHAPING_KNOBS,
 )
+from repro.net.network import FaultProfile
 from repro.scenario import build_world, small_config
 
 SEED = 7
 
-#: a store directory exactly as the format-1 build left it (bytes typed
+#: a store directory exactly as the format-2 build left it (bytes typed
 #: here, not produced by code that may change): one slot and the stats
 #: sidecar, both ``json.dump(..., indent=1)`` with ``format`` first
-FORMAT_1_SLOT = """{
- "format": 1,
+FORMAT_2_SLOT = """{
+ "format": 2,
  "identity": "0c9d2c4a",
  "digest": "5e1f77b0",
  "group": {
@@ -56,8 +58,8 @@ FORMAT_1_SLOT = """{
  }
 }
 """
-FORMAT_1_STATS = """{
- "format": 1,
+FORMAT_2_STATS = """{
+ "format": 2,
  "slots": 1,
  "hits": 0,
  "misses": 1,
@@ -172,22 +174,109 @@ class TestServerFingerprint:
 
 
 class TestStateDigest:
-    def test_every_component_invalidates(self, world, hunter):
-        for group in hunter.plan.groups:
-            server = server_fingerprint(world.network, group.server_ip)
-            if server is not None:
-                break
-        identity = group_identity(hunter.plan, group)
-        config_fp = scan_config_fingerprint(HunterConfig())
-        base = state_digest(identity, server, "GoDaddy", config_fp)
-        assert base == state_digest(
-            identity, server, "GoDaddy", config_fp
+    @staticmethod
+    def digest(hunter, group, config=None, provider="GoDaddy", **anchors):
+        state, reason = group_state(
+            hunter.network,
+            config or HunterConfig(),
+            group.server_ip,
+            provider,
+            **anchors,
         )
-        assert state_digest(identity, server, "NameSilo", config_fp) != base
-        other_fp = scan_config_fingerprint(HunterConfig(timeout=9.0))
-        assert state_digest(identity, server, "GoDaddy", other_fp) != base
-        bumped = dict(server, generation=server["generation"] + 1)
-        assert state_digest(identity, bumped, "GoDaddy", config_fp) != base
+        assert reason is None
+        return state_digest(group_identity(hunter.plan, group), state)
+
+    def test_every_component_invalidates(self):
+        world = build_world(small_config(seed=SEED))
+        network = world.network
+        hunter = URHunter.from_world(world)
+        group, other = [
+            group
+            for group in hunter.plan.groups
+            if server_fingerprint(network, group.server_ip) is not None
+        ][:2]
+        server = group.server_ip
+        seen = [self.digest(hunter, group)]
+        assert seen[0] == self.digest(hunter, group)
+        # a clean group reads no clock: the epoch is not an input
+        assert seen[0] == self.digest(hunter, group, epoch=86_400.0)
+
+        def moved(**inputs):
+            """The digest now differs from every one taken before."""
+            digest = self.digest(hunter, group, **inputs)
+            assert digest not in seen
+            seen.append(digest)
+
+        moved(provider="NameSilo")
+        moved(config=HunterConfig(timeout=9.0))
+        network.dns_hosts()[server].zones[0].add(
+            network.dns_hosts()[server].zones[0].origin,
+            A("203.0.113.99"),
+            ttl=60,
+        )
+        moved()
+        # faults on another server only: the fault RNG is never drawn
+        # for this group, whatever its seed
+        network.set_server_faults(other.server_ip, loss_rate=0.5)
+        network.add_fault_window(
+            other.server_ip, FaultProfile(loss_rate=0.5, start=10.0)
+        )
+        network.seed_faults(99)
+        assert self.digest(hunter, group) == seen[-1]
+        network.clear_faults()
+        # global loss: keyed by rate and seed, and still epoch-free
+        network.inject_faults(loss_rate=0.15, seed=SEED)
+        moved()
+        assert seen[-1] == self.digest(hunter, group, epoch=86_400.0)
+        network.inject_faults(loss_rate=0.05, seed=SEED)
+        moved()
+        network.inject_faults(loss_rate=0.05, seed=SEED + 1)
+        moved()
+        network.inject_faults(
+            loss_rate=0.05, latency_jitter=0.01, seed=SEED + 1
+        )
+        moved()
+        # a per-server profile replaces the global one for this server
+        network.set_server_faults(server, loss_rate=0.25)
+        moved()
+        # a profile that reads the clock anchors the key at the epoch
+        network.set_server_faults(server, flap_up=5.0, flap_down=1.0)
+        assert group_state(network, HunterConfig(), server, "GoDaddy") == (
+            None,
+            "time-anchored",
+        )
+        moved(epoch=100.0)
+        moved(epoch=103.0)
+        network.clear_faults()
+        network.add_fault_window(
+            server, FaultProfile(loss_rate=0.5, start=150.0, duration=20.0)
+        )
+        moved(epoch=100.0)
+        # ... at the window's distance from the epoch, wherever both sit
+        network.clear_faults()
+        network.add_fault_window(
+            server, FaultProfile(loss_rate=0.5, start=250.0, duration=20.0)
+        )
+        assert self.digest(hunter, group, epoch=200.0) == seen[-1]
+        moved(epoch=201.0)
+        network.clear_faults()
+        # a run deadline is measured from the run origin
+        deadline = HunterConfig(run_deadline=20.0)
+        assert group_state(network, deadline, server, "GoDaddy") == (
+            None,
+            "time-anchored",
+        )
+        moved(config=deadline, epoch=100.0, origin=97.0)
+        moved(config=deadline, epoch=100.0, origin=70.0)
+        assert seen[-1] == self.digest(
+            hunter, group, config=deadline, epoch=130.0, origin=100.0
+        )
+        assert len(set(seen)) == len(seen)
+
+    def test_unobservable_server_has_no_state(self, world):
+        assert group_state(
+            world.network, HunterConfig(), "198.51.100.254", "GoDaddy"
+        ) == (None, "uncacheable")
 
 
 class TestConfigPartition:
@@ -216,26 +305,26 @@ class TestFormatRefusal:
     @pytest.mark.parametrize(
         "files",
         [
-            {"group-0c9d2c4a.json": FORMAT_1_SLOT},
-            {"store-stats.json": FORMAT_1_STATS},
+            {"group-0c9d2c4a.json": FORMAT_2_SLOT},
+            {"store-stats.json": FORMAT_2_STATS},
         ],
         ids=["slot", "stats"],
     )
     def test_parent_format_store_is_refused_at_open(self, tmp_path, files):
-        assert STORE_FORMAT_VERSION == 2
+        assert STORE_FORMAT_VERSION == 3
         for name, text in files.items():
             (tmp_path / name).write_text(text)
         with pytest.raises(StoreFormatError) as refusal:
             GroupResultStore(tmp_path)
         message = str(refusal.value)
         assert str(tmp_path) in message
-        assert "format 1" in message and "format 2" in message
+        assert "format 2" in message and "format 3" in message
 
     def test_cli_exits_as_unusable_input_and_leaves_the_store_alone(
         self, tmp_path, capsys
     ):
-        (tmp_path / "group-0c9d2c4a.json").write_text(FORMAT_1_SLOT)
-        (tmp_path / "store-stats.json").write_text(FORMAT_1_STATS)
+        (tmp_path / "group-0c9d2c4a.json").write_text(FORMAT_2_SLOT)
+        (tmp_path / "store-stats.json").write_text(FORMAT_2_STATS)
         argv = ["--scale", "small", "--result-store", str(tmp_path)]
         for command in ("run", "plan"):
             assert main(argv + [command]) == EXIT_USAGE
@@ -245,21 +334,24 @@ class TestFormatRefusal:
         assert {
             path.name: path.read_text() for path in tmp_path.iterdir()
         } == {
-            "group-0c9d2c4a.json": FORMAT_1_SLOT,
-            "store-stats.json": FORMAT_1_STATS,
+            "group-0c9d2c4a.json": FORMAT_2_SLOT,
+            "store-stats.json": FORMAT_2_STATS,
         }
 
     def test_own_format_store_reopens(self, tmp_path):
         store = GroupResultStore(tmp_path)
         store.put("aaa", "d", {"group": 1})
         store.write_stats()
-        assert GroupResultStore(tmp_path).get("aaa", "d") == {"group": 1}
+        assert GroupResultStore(tmp_path).get("aaa", "d") == (
+            {"group": 1},
+            "stored",
+        )
 
 
 class TestStoreSlots:
     def test_empty_store_misses(self, tmp_path):
         store = GroupResultStore(tmp_path / "store")
-        assert store.get("abc", "digest") is None
+        assert store.get("abc", "digest") == (None, "miss")
         assert store.stats["misses"] == 1
         assert store.stats["hits"] == 0
 
@@ -267,20 +359,19 @@ class TestStoreSlots:
         store = GroupResultStore(tmp_path / "store")
         payload = {"group": 3, "responses": ["..."]}
         store.put("abc", "digest-1", payload)
-        assert store.get("abc", "digest-1") == payload
+        assert store.get("abc", "digest-1") == (payload, "stored")
         assert store.stats == {
             "hits": 1,
             "misses": 0,
             "invalidated": 0,
             "stored": 1,
             "uncacheable": 0,
-            "bypassed_runs": 0,
         }
 
     def test_stale_digest_invalidates(self, tmp_path):
         store = GroupResultStore(tmp_path / "store")
         store.put("abc", "digest-1", {"group": 3})
-        assert store.get("abc", "digest-2") is None
+        assert store.get("abc", "digest-2") == (None, "stale")
         assert store.stats["invalidated"] == 1
 
     def test_foreign_format_invalidates(self, tmp_path):
@@ -295,13 +386,13 @@ class TestStoreSlots:
                 }
             )
         )
-        assert store.get("abc", "digest-1") is None
+        assert store.get("abc", "digest-1") == (None, "stale")
         assert store.stats["invalidated"] == 1
 
     def test_torn_slot_degrades_to_a_miss(self, tmp_path):
         store = GroupResultStore(tmp_path)
         (tmp_path / "group-abc.json").write_text('{"format": 1, "dig')
-        assert store.get("abc", "digest-1") is None
+        assert store.get("abc", "digest-1") == (None, "miss")
         assert store.stats["misses"] == 1
 
     def test_identities_are_sorted(self, tmp_path):

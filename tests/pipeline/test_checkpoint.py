@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.core import HunterConfig
+from repro.core import HunterConfig, URHunter
 from repro.core.collector import ProtectiveFingerprint
 from repro.core.correctness import CorrectRecordDatabase
 from repro.core.records import (
@@ -18,7 +18,12 @@ from repro.dns.name import name
 from repro.dns.rdata import RRType
 from repro.engine.metrics import ScanMetrics
 from repro.intel.ipinfo import IpInfoDatabase
-from repro.pipeline import CheckpointError, SourceHealth
+from repro.pipeline import (
+    STAGE1,
+    CheckpointError,
+    PipelineRunner,
+    SourceHealth,
+)
 from repro.pipeline.checkpoint import (
     CheckpointStore,
     config_fingerprint,
@@ -36,7 +41,10 @@ from repro.pipeline.checkpoint import (
     encode_metrics,
     encode_profiles,
     encode_record,
+    encode_segment,
 )
+
+from .conftest import make_world
 
 
 def sample_record(rdata="10.0.0.1"):
@@ -176,10 +184,31 @@ class TestCheckpointStore:
     def test_fresh_prepare_clears_stale_files(self, tmp_path):
         stale = tmp_path / "stage1-collect.json"
         stale.write_text("{}")
+        slot = tmp_path / "groups" / "group-abc.json"
+        slot.parent.mkdir()
+        slot.write_text("{}")
         store = CheckpointStore(tmp_path)
         store.prepare("fp", resume=False)
         assert not stale.exists()
+        assert not slot.exists()
         assert (tmp_path / "manifest.json").exists()
+
+    def test_resume_keeps_the_group_slots(self, tmp_path):
+        CheckpointStore(tmp_path).prepare("fp", resume=False)
+        slot = tmp_path / "groups" / "group-abc.json"
+        slot.parent.mkdir()
+        slot.write_text("{}")
+        CheckpointStore(tmp_path).prepare("fp", resume=True)
+        assert slot.exists()
+
+    def test_parent_format_checkpoint_does_not_resume(self, tmp_path):
+        """Format 4 kept stage-1 partials as ``shard-part-*.json``,
+        which nothing reads any more."""
+        (tmp_path / "manifest.json").write_text(
+            '{\n "format": 4,\n "fingerprint": "fp"\n}\n'
+        )
+        with pytest.raises(CheckpointError, match="checkpoint format 4 != 5"):
+            CheckpointStore(tmp_path).prepare("fp", resume=True)
 
     def test_resume_without_manifest_fails(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -269,55 +298,31 @@ class TestCheckpointStore:
 
 
 class TestPruneStale:
-    """Checkpoint-directory GC: crashed runs leave segments/partials
-    behind by design; prune_stale removes only the unusable subset."""
-
-    PLAN = "a" * 64
-
-    def _store(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.prepare("fp", resume=False)
-        return store
-
-    def test_mismatched_partials_are_pruned(self, tmp_path):
-        store = self._store(tmp_path)
-        store.save_shard_partial(0, 2, self.PLAN, [])
-        store.save_shard_partial(1, 4, self.PLAN, [])
-        store.save_shard_partial(2, 2, "b" * 64, [])
-        (tmp_path / "shard-part-00003.json").write_text("{torn")
-        pruned = store.prune_stale(plan_hash=self.PLAN, shards=2)
-        assert pruned == {"segments": 0, "partials": 3}
-        assert [path.name for path in tmp_path.glob("shard-part-*")] == [
-            "shard-part-00000.json"
-        ]
-
-    def test_matching_partials_survive(self, tmp_path):
-        store = self._store(tmp_path)
-        store.save_shard_partial(0, 2, self.PLAN, [])
-        store.save_shard_partial(1, 2, self.PLAN, [])
-        pruned = store.prune_stale(plan_hash=self.PLAN, shards=2)
-        assert pruned == {"segments": 0, "partials": 0}
-        assert store.load_shard_partials(self.PLAN, 2) != {}
+    """Checkpoint-directory GC on resume: the segments a crashed stream
+    leaves behind are its resume medium until a stage-1 snapshot
+    supersedes them (the staged resume path never reads them)."""
 
     def test_superseding_stage_prunes_everything(self, tmp_path):
-        store = self._store(tmp_path)
-        store.save_segment(0, {"classified": []})
-        store.save_segment(1, {"classified": []})
-        store.save_shard_partial(0, 2, self.PLAN, [])
-        store.save("stage1-collect", {"records": []})
-        pruned = store.prune_stale(
-            plan_hash=self.PLAN, shards=2, superseded_by="stage1-collect"
+        store = CheckpointStore(tmp_path)
+        PipelineRunner(URHunter.from_world(make_world()), store=store).run(
+            stop_after=STAGE1
         )
-        assert pruned == {"segments": 2, "partials": 1}
+        store.save_segment(0, encode_segment(0, []))
+        store.save_segment(1, encode_segment(1, []))
+        PipelineRunner(
+            URHunter.from_world(make_world()),
+            store=CheckpointStore(tmp_path),
+            resume=True,
+        ).run()
         assert list(tmp_path.glob("stream-seg-*")) == []
-        assert list(tmp_path.glob("shard-part-*")) == []
-        assert store.has("stage1-collect")
+        assert store.has(STAGE1)
 
     def test_segments_survive_without_superseding_stage(self, tmp_path):
-        store = self._store(tmp_path)
-        store.save_segment(0, {"classified": []})
-        pruned = store.prune_stale(
-            plan_hash=self.PLAN, shards=2, superseded_by="stage1-collect"
+        hunter = URHunter.from_world(
+            make_world(), HunterConfig(execution="stream")
         )
-        assert pruned == {"segments": 0, "partials": 0}
-        assert len(list(tmp_path.glob("stream-seg-*"))) == 1
+        store = CheckpointStore(tmp_path)
+        runner = PipelineRunner(hunter, store=store, resume=True)
+        store.prepare(runner._fingerprint(), resume=False)
+        store.save_segment(0, encode_segment(0, []))
+        assert runner.run().resumed == ("segments:1",)

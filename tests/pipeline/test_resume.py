@@ -5,6 +5,7 @@ must produce a byte-identical report, with the resumed stages doing zero
 live queries.
 """
 
+import json
 import os
 import signal
 import subprocess
@@ -171,33 +172,83 @@ class TestKillAndResumeSubprocess:
         assert resumed.stdout == baseline.stdout
         assert b"resumed from checkpoint" in resumed.stderr
 
+    def test_sigterm_after_the_scan_then_resume_replays_its_groups(
+        self, tmp_path
+    ):
+        """SIGTERM with every UR group folded and no stage-1 checkpoint
+        yet, on a lossy run at the default one shard: the resumed run
+        replays the groups from ``<checkpoint-dir>/groups``."""
+
+        def cli(directory, *flags, env=None):
+            return subprocess.run(
+                CLI
+                + ["--loss-rate", "0.05"]
+                + ["--checkpoint-dir", str(tmp_path / directory)]
+                + ["--trace-out", str(tmp_path / f"{directory}.jsonl")]
+                + [*flags, "run"],
+                capture_output=True,
+                env=env or cli_env(),
+                cwd=REPO_ROOT,
+                timeout=120,
+            )
+
+        def trace(directory, section):
+            lines = (tmp_path / f"{directory}.jsonl").read_text().splitlines()
+            return [
+                line
+                for line in lines
+                if ('"section":"timing"' in line) == (section == "timing")
+            ]
+
+        baseline = cli("base")
+        assert baseline.returncode == 0, baseline.stderr.decode()
+        crashed = cli(
+            "ckpt", env=dict(cli_env(), URHUNTER_CRASH_SHARD="0")
+        )
+        assert crashed.returncode in (-signal.SIGTERM, 143)
+        assert list((tmp_path / "ckpt" / "groups").glob("group-*.json"))
+        assert not (tmp_path / "ckpt" / f"{STAGE1}.json").exists()
+        resumed = cli("ckpt", "--resume")
+        assert resumed.returncode == 0, resumed.stderr.decode()
+        assert resumed.stdout == baseline.stdout
+        deterministic = trace("ckpt", "deterministic")
+        assert deterministic == trace("base", "deterministic")
+        assert '"unaccounted":0' in deterministic[-1]
+        (planned,) = [
+            json.loads(line)
+            for line in trace("ckpt", "timing")
+            if '"event":"incremental.plan"' in line
+        ]
+        assert planned["hits"] == planned["groups"] - 1 > 0
+
 
 class TestPrunedEvent:
-    """Resumes garbage-collect unusable segment/partial files and
-    announce it with a ``checkpoint.pruned`` timing event."""
+    """Resumes garbage-collect superseded segment files and announce it
+    with a ``checkpoint.pruned`` timing event."""
 
-    def test_resume_prunes_stale_partials_and_emits(self, tmp_path):
+    def test_resume_prunes_superseded_segments_and_emits(self, tmp_path):
         from repro.obs import RunTrace
 
         store = CheckpointStore(tmp_path)
         PipelineRunner(
             URHunter.from_world(make_world()), store=store
         ).run()
-        # a crashed earlier run under a different plan left this behind
-        store.save_shard_partial(0, 2, "0" * 64, [])
+        # a stream that crashed between its stage-1 snapshot and its
+        # last step left this behind
+        store.save_segment(0, {"index": 0, "classified": []})
         hunter = URHunter.from_world(make_world())
         trace = RunTrace()
         hunter.attach_trace(trace)
         PipelineRunner(
             hunter, store=CheckpointStore(tmp_path), resume=True
         ).run()
-        assert list(tmp_path.glob("shard-part-*")) == []
+        assert list(tmp_path.glob("stream-seg-*")) == []
         (pruned,) = [
             event
             for event in trace.timing_events()
             if event["event"] == "checkpoint.pruned"
         ]
-        assert pruned["partials"] >= 1
+        assert pruned["segments"] == 1
 
     def test_clean_resume_emits_nothing(self, tmp_path):
         from repro.obs import RunTrace

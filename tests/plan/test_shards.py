@@ -4,7 +4,7 @@ The acceptance invariant of the group runner: for every shard count,
 worker count, and execution mode, the report summary, the trace's
 deterministic section, and the metrics document's deterministic
 section are byte-identical to the single-shard default — clean,
-faulted, and resumed from on-disk shard partials.
+faulted, and resumed from the groups a killed run had stored.
 """
 
 import itertools
@@ -14,6 +14,7 @@ import pytest
 
 from repro.core import HunterConfig, URHunter
 from repro.core.collector import CollectionFailure
+from repro.incremental import GroupResultStore
 from repro.obs import RunTrace
 from repro.obs.metrics import build_metrics_document
 from repro.pipeline import CheckpointStore, PipelineRunner
@@ -27,18 +28,21 @@ LOSS = 0.15
 CHAOS = "tail-latency-storm"
 
 
-def run(
+def measure(
     shards,
     execution="batch",
     loss=0.0,
     chaos=None,
     workers=1,
     world_spec=None,
-    store=None,
+    checkpoints=None,
+    resume=False,
     scenario=None,
     **knobs,
 ):
-    """One full measurement; returns the three byte-compared surfaces."""
+    """One full measurement — through a checkpointing pipeline runner
+    when ``checkpoints`` names a directory; returns the three
+    byte-compared surfaces and the hunter that produced them."""
     world = build_world(scenario or small_config(seed=SEED))
     if loss:
         world.network.inject_faults(loss_rate=loss, seed=SEED)
@@ -49,17 +53,27 @@ def run(
     if chaos:
         apply_scenario(load_scenario(chaos), world, hunter)
     hunter.world_spec = world_spec
-    if store is not None:
-        hunter.shard_store = store
     trace = RunTrace()
     hunter.attach_trace(trace)
-    report = hunter.run()
+    if checkpoints is None:
+        report = hunter.run()
+    else:
+        runner = PipelineRunner(
+            hunter, store=CheckpointStore(checkpoints), resume=resume
+        )
+        report = runner.run().report
     doc = build_metrics_document(report, fingerprint="pinned")
-    return (
+    surfaces = (
         report.summary(),
         trace.deterministic_lines(),
         json.dumps(doc["deterministic"], sort_keys=True),
     )
+    return surfaces, hunter
+
+
+def run(shards, **inputs):
+    """One full measurement; returns the three byte-compared surfaces."""
+    return measure(shards, **inputs)[0]
 
 
 @pytest.fixture(scope="module")
@@ -191,36 +205,80 @@ class TestGroupFailure:
 
 
 class TestShardResume:
-    """Partials persist per shard; a fresh hunter over the same store
-    re-executes only the missing shards and merges byte-identically."""
+    """Every group is stored under ``<checkpoint-dir>/groups`` as it
+    folds; a resumed run over the same directory re-executes only the
+    missing ones and merges byte-identically."""
 
     def test_resume_from_partial_store(self, tmp_path, clean_s1):
-        store = CheckpointStore(str(tmp_path))
-        store.prepare("shard-resume", resume=False)
-        first = run(2, store=store)
-        assert first == clean_s1
-        partials = sorted(
-            path.name for path in tmp_path.glob("shard-part-*.json")
+        uninterrupted = run(2, checkpoints=tmp_path)
+        assert (uninterrupted[0], uninterrupted[2]) == (
+            clean_s1[0],
+            clean_s1[2],
         )
-        assert partials == [
-            "shard-part-00000.json",
-            "shard-part-00001.json",
-        ]
-        # simulate a crash that only persisted shard 0
-        (tmp_path / "shard-part-00001.json").unlink()
-        resumed = run(2, store=CheckpointStore(str(tmp_path)))
-        assert resumed == clean_s1
+        slots = sorted((tmp_path / "groups").glob("group-*.json"))
+        assert len(slots) == 145
+        # simulate a crash that persisted only every other group and
+        # never reached the stage-1 checkpoint
+        for path in slots[::2] + list(tmp_path.glob("stage*.json")):
+            path.unlink()
+        resumed, hunter = measure(2, checkpoints=tmp_path, resume=True)
+        assert resumed == uninterrupted
+        assert hunter.result_store.stats["hits"] == len(slots[1::2])
+        assert len(list((tmp_path / "groups").glob("group-*.json"))) == 145
 
-    def test_mismatched_partials_are_ignored(self, tmp_path, clean_s1):
-        store = CheckpointStore(str(tmp_path))
-        store.prepare("shard-stale", resume=False)
-        stale = tmp_path / "shard-part-00000.json"
-        stale.write_text(
-            json.dumps(
-                {"shard": 0, "shards": 2, "plan": "0" * 64, "groups": []}
-            )
+    @pytest.mark.parametrize(
+        "shards, loss", [(1, 0.0), (4, LOSS)], ids=["s1-clean", "s4-lossy"]
+    )
+    def test_killed_scan_resumes_from_its_stored_groups(
+        self, shards, loss, tmp_path, monkeypatch
+    ):
+        """The kill seam fires once shard 0 is folded — at one shard,
+        after the whole scan and before its stage-1 checkpoint, where a
+        crash used to cost a full re-scan."""
+        inputs = {"loss": loss}
+        uninterrupted, fresh = measure(
+            shards, checkpoints=tmp_path / "base", **inputs
         )
-        assert run(2, store=store) == clean_s1
+
+        class Killed(BaseException):
+            """Like the seam's SIGTERM, nothing gets to handle it."""
+
+        def kill(index):
+            raise Killed(index)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(shard_runner, "_maybe_crash_shard", kill)
+            with pytest.raises(Killed):
+                run(shards, checkpoints=tmp_path / "ckpt", **inputs)
+        assert not (tmp_path / "ckpt" / "stage1-collect.json").exists()
+        resumed, hunter = measure(
+            shards, checkpoints=tmp_path / "ckpt", resume=True, **inputs
+        )
+        assert resumed == uninterrupted
+        stats = hunter.result_store.stats
+        assert stats["hits"] > 0
+        assert stats["invalidated"] == 0
+        if shards == 1:
+            # the kill came after the last group
+            assert stats["misses"] == 0
+        live = hunter.network.stats["dns_queries"]
+        assert live < fresh.network.stats["dns_queries"]
+
+    def test_a_user_store_is_the_resume_medium_and_is_never_wiped(
+        self, tmp_path
+    ):
+        def checkpointed():
+            world = build_world(small_config(seed=SEED))
+            hunter = URHunter.from_world(world)
+            hunter.result_store = GroupResultStore(tmp_path / "mine")
+            store = CheckpointStore(tmp_path / "ckpt")
+            PipelineRunner(hunter, store=store).run()
+            return hunter.result_store.stats
+
+        assert checkpointed()["stored"] == 145
+        assert not (tmp_path / "ckpt" / "groups").exists()
+        # a fresh run wipes the checkpoint directory, not the caller's store
+        assert checkpointed()["hits"] == 145
 
 
 class TestProcessPool:
