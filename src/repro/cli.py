@@ -30,9 +30,11 @@ stage — a killed stage 1 from its last completed group — and the
 ``--*-fault-rate`` knobs inject seeded data-source faults for chaos
 testing.  ``--run-deadline``/``--stage-deadline`` bound the
 run in virtual seconds (exhausted budgets shed remaining queries into
-the loss ledger), ``--hedge-delay`` turns the first retry into a fast
-hedge, ``--aimd`` adapts the per-server send rate to timeouts, and
-``--chaos-script`` applies a declarative fault scenario before the run.
+the loss ledger), ``--hedge-delay`` reads every retry timer from the
+server's measured round trip (its value: the hedge timer of an
+unmeasured server, its ceiling afterwards), ``--aimd`` adapts the
+per-server send rate to timeouts, and ``--chaos-script`` applies a
+declarative fault scenario before the run.
 
 Sharding options: ``--shards N`` partitions the stage-1 UR scan's
 nameserver groups into N shards, the batches handed to pool workers
@@ -384,9 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help=(
-            "after a first failed attempt, hedge the retry after this "
-            "many virtual seconds instead of a full timeout+backoff "
-            "(must be below --timeout; omit to disable hedging)"
+            "retry on the server's measured round trip (SRTT + 4 RTTVAR, "
+            "doubled per expiry, at most --timeout), not timeout+backoff; "
+            "SECONDS is the hedge timer of an unmeasured server and its "
+            "ceiling afterwards (below --timeout; omit to disable hedging)"
         ),
     )
     resilience.add_argument(

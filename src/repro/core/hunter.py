@@ -56,7 +56,7 @@ from ..plan.shards import (
     pin_group,
     run_shard_scan,
 )
-from ..resilience import AimdController, DeadlineBudget, HedgeController
+from ..resilience import AimdController, DeadlineBudget
 from ..sandbox.ids import Severity
 from ..sandbox.sandbox import SandboxReport
 from .analysis import MaliciousAnalysisResult, MaliciousBehaviorAnalyzer
@@ -192,9 +192,10 @@ class HunterConfig:
     run_deadline: float = 0.0
     #: virtual-seconds budget per pipeline phase (0 = unlimited)
     stage_deadline: float = 0.0
-    #: base hedge delay: after a first failed attempt, retry after this
-    #: many virtual seconds instead of the full timeout + backoff window
-    #: (0 = hedging off)
+    #: hedging: retry on the server's measured round trip (SRTT + 4
+    #: RTTVAR, doubled per expiry, at most ``timeout``) instead of
+    #: timeout + backoff; the value is the hedge timer of a server that
+    #: has not answered yet and its ceiling afterwards (0 = off)
     hedge_delay: float = 0.0
     #: AIMD adaptive per-server send credit (no-op until the first
     #: failure)
@@ -382,11 +383,7 @@ class URHunter:
                 run_deadline=self.config.run_deadline,
                 stage_deadline=self.config.stage_deadline,
             )
-        if self.config.hedge_delay > 0:
-            self.engine.hedge = HedgeController(
-                base_delay=self.config.hedge_delay,
-                timeout=self.config.timeout,
-            )
+        self.engine.hedge_delay = self.config.hedge_delay
         if self.config.aimd:
             self.engine.aimd = AimdController()
         #: the engine's resilience counters

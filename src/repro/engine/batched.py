@@ -18,17 +18,21 @@ every wait:
   send credit say when the next send may go; the loop waits for the
   later of the two.  AIMD stretches the lane's own healthy interval —
   the larger of ``policy.per_server_interval`` and the server's
-  observed mean answer latency — never a fraction of the timeout: the
-  timeout (or the hedge delay) is already waited out below, once;
+  smoothed round trip — never a fraction of the timeout: the retry
+  timer is already waited out below, once;
 * **circuit breaker** — after ``policy.circuit_failure_threshold``
   consecutive failures a server's circuit opens and its tasks are
   ``SKIPPED``; after ``policy.circuit_reset_interval`` virtual seconds
   one half-open probe decides whether sending resumes;
 * **send** — an answer ends the task; a timeout is retried up to
-  ``policy.retries`` times with exponential backoff (the first retry
-  after only the hedge delay when a hedge controller is attached), and
-  a task out of retries is yielded as ``GAVE_UP`` *before* its last
-  timeout is waited out.
+  ``policy.retries`` times, and a task out of retries is yielded as
+  ``GAVE_UP`` *before* its last timer is waited out.  Bare, every
+  expiry waits ``policy.timeout`` and a retry its exponential backoff
+  on top.  With ``hedge_delay`` set there is one timer, the server's
+  :meth:`~repro.engine.latency.ServerLatency.rto`: the first expiry
+  waits ``min(hedge_delay, rto)`` and fires the hedge, the k-th later
+  one ``min(timeout, rto * 2**(k-1))`` — the doubling is the backoff;
+  an unmeasured server gets ``hedge_delay``, then ``timeout``.
 
 Every wait goes through :meth:`BatchedEngine._wait_until`, which ticks
 the clock forward unless the run budget is already spent — everything
@@ -82,10 +86,12 @@ class BatchedEngine:
         #: are strict no-ops when None, and deterministic no-ops on a
         #: healthy world when attached)
         self.budget = None  # repro.resilience.DeadlineBudget
-        self.hedge = None   # repro.resilience.HedgeController
         self.aimd = None    # repro.resilience.AimdController
-        #: each server's mean answer latency, observed while a hedge or
-        #: AIMD controller is attached — both derive their waits from it
+        #: the hedge timer of an unmeasured server and its ceiling
+        #: afterwards (0 = hedging off: bare timeout + backoff)
+        self.hedge_delay = 0.0
+        #: each server's round-trip estimate, fed on every answer while
+        #: hedging or AIMD is on; both read their waits from it
         self.observed = ServerLatency()
         #: deterministic counters for the resilience layer
         self.resilience = ResilienceMetrics()
@@ -117,7 +123,9 @@ class BatchedEngine:
         breaker = self._breaker
         latency = self.metrics.latency
         budget = self.budget
-        hedge = self.hedge
+        # a task that may not retry has no hedge to fire
+        hedge_delay = self.hedge_delay if policy.retries >= 1 else 0.0
+        timeout = policy.timeout
         aimd = self.aimd
         observed = self.observed
         interval = policy.per_server_interval
@@ -186,7 +194,7 @@ class BatchedEngine:
                     if aimd is not None:
                         # what the lane does when healthy: its pacing,
                         # or unpaced the round trip it has seen answered
-                        healthy = max(interval, observed.mean(server_ip))
+                        healthy = max(interval, observed.srtt(server_ip))
                         send_ready = max(
                             token_ready,
                             aimd.ready_at(server_ip, now, healthy),
@@ -220,25 +228,35 @@ class BatchedEngine:
                     aimd.note_send(server_ip, now)
                 attempts += 1
                 counters.queries += 1
+                # the retransmission timer in force for this attempt
+                timer = timeout
+                if hedge_delay:
+                    rto = observed.rto(server_ip)
+                    if attempts == 1:
+                        timer = min(hedge_delay, rto)
+                    else:
+                        timer = min(timeout, rto * 2 ** (attempts - 2))
                 sent_at = now
                 try:
                     response = channel.query_auto(self._query_for(task))
                 except NetworkError:
                     response = None
                 now = network.now
+                round_trip = now - sent_at
 
                 if response is not None:
                     breaker.record_success(server_ip)
                     if aimd is not None:
                         aimd.on_success(server_ip)
-                    if hedge is not None or aimd is not None:
-                        observed.observe(server_ip, now - sent_at)
+                    if round_trip > timer:
+                        resilience.spurious_retransmits += 1
+                    if hedge_delay or aimd is not None:
+                        observed.observe(server_ip, round_trip)
                     if hedging:
-                        hedge.won += 1
                         resilience.hedges_won += 1
                         self._emit("hedge.won", task)
                     counters.responses += 1
-                    latency.record(now - sent_at)
+                    latency.record(round_trip)
                     yield index, QueryOutcome(
                         task=task,
                         status=OutcomeStatus.ANSWERED,
@@ -256,28 +274,22 @@ class BatchedEngine:
                     resilience.aimd_cuts += 1
                     self._emit("aimd.cut", task)
 
-                # hedging: instead of waiting out the first attempt's
-                # full timeout + backoff window, wait only the (much
-                # shorter) per-server hedge delay and fire the second
-                # attempt — the retry *is* the hedge, so loss accounting
-                # is unchanged
-                if hedge is not None and attempts == 1 and policy.retries >= 1:
-                    delay = hedge.delay(observed.mean(server_ip))
-                    latency.record(now - sent_at + delay)
+                latency.record(round_trip + timer)
+                free_at = now + timer
+                # the second attempt fires when the first one's hedge
+                # timer expires — the retry *is* the hedge, so loss
+                # accounting is unchanged
+                if hedge_delay and attempts == 1:
                     counters.retries += 1
                     hedging = True
-                    hedge.fired += 1
                     resilience.hedges_fired += 1
                     self._emit("hedge.fired", task)
-                    wait_until(now + delay)
+                    wait_until(free_at)
                     continue
                 if hedging:
                     hedging = False
-                    hedge.wasted += 1
                     resilience.hedges_wasted += 1
                     self._emit("hedge.wasted", task)
-                latency.record(now - sent_at + policy.timeout)
-                free_at = now + policy.timeout
                 if attempts > policy.retries:
                     counters.giveups += 1
                     yield index, QueryOutcome(
@@ -289,7 +301,10 @@ class BatchedEngine:
                     wait_until(free_at)
                     break
                 counters.retries += 1
-                wait_until(free_at + policy.backoff_delay(attempts))
+                # a timer doubled on expiry is its own backoff
+                if not hedge_delay:
+                    free_at += policy.backoff_delay(attempts)
+                wait_until(free_at)
 
     # -- internals ---------------------------------------------------------
 

@@ -59,8 +59,9 @@ __all__ = [
 #: bumped whenever the stored payload or key derivation changes — every
 #: identity and digest hashes it in, so no slot of another version can
 #: ever match (2: the scan-shaping knobs went from 13 to 11; 3: fault
-#: profiles and time anchors joined the state digest)
-STORE_FORMAT_VERSION = 3
+#: profiles and time anchors joined the state digest; 4: a hedged
+#: group's ``elapsed`` and latency histogram hold estimator-timed waits)
+STORE_FORMAT_VERSION = 4
 
 #: per-group result files: ``group-<identity>.json``
 GROUP_PREFIX = "group-"

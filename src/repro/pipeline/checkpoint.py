@@ -53,8 +53,10 @@ from .resilience import SourceHealth
 #: v3: ``shed`` joined the per-stage scan counters; v4: the scan-plan
 #: hash joined the manifest fingerprint and per-shard partial files
 #: were added; v5: the partials gave way to a group result store under
-#: ``groups/``, and files are written compact)
-FORMAT_VERSION = 5
+#: ``groups/``, and files are written compact; v6: retry waits under
+#: hedging are read from the round-trip estimator — the stage-1 clock
+#: and latency histogram of a hedged run mean something else)
+FORMAT_VERSION = 6
 
 
 # -- generic json helpers ---------------------------------------------------

@@ -23,14 +23,17 @@ it (:func:`isolated_phase`, :func:`pin_group`):
   zone cut) survives a clock pin: ``set_clock`` bumps the network's
   clock generation and every resolver — the open resolvers, the
   recursive nameservers' shared fallback, a pool worker's replicas —
-  drops its caches on its next lookup.  Every group of every phase
-  starts cold, so the groups behind one shared resolver all pay the
-  same, and a replica that ran other shards before answers the same;
-* every group gets a fresh engine, pacing/breaker state, hedge and AIMD
-  controllers, and a deadline budget whose run deadline is measured
-  from the *run origin* the parent budget pinned (earlier phases count
-  against it; no group is granted the whole budget again) — stage
-  deadlines anchor at the group's first task, as in any phase.
+  drops its caches on its next lookup (a collection group's own
+  server when the group finishes: its next lookup may never come).
+  Every group of every phase starts cold, so the groups behind one
+  shared resolver all pay the same, and a replica that ran other
+  shards before answers the same;
+* every group gets a fresh engine, pacing/breaker state, round-trip
+  estimator and AIMD controller, and a deadline budget whose run
+  deadline is measured from the *run origin* the parent budget pinned
+  (earlier phases count against it; no group is granted the whole
+  budget again) — stage deadlines anchor at the group's first task, as
+  in any phase.
 
 The parent engine sends nothing: it is the ledger the groups merge
 into, the origin of the run deadline, and the shared query-message
@@ -74,7 +77,7 @@ from typing import (
 
 from ..engine import BatchedEngine, ScanMetrics
 from ..obs.events import RunTrace, _json_safe
-from ..resilience import AimdController, DeadlineBudget, HedgeController
+from ..resilience import AimdController, DeadlineBudget
 from .scanplan import NameserverGroup, ScanPlan
 
 __all__ = [
@@ -256,10 +259,7 @@ def _group_engine(scan, origin: float):
             stage_deadline=parent.budget.stage_deadline,
         )
         engine.budget.begin(origin)
-    if parent.hedge is not None:
-        engine.hedge = HedgeController(
-            base_delay=parent.hedge.base_delay, timeout=parent.hedge.timeout
-        )
+    engine.hedge_delay = parent.hedge_delay
     if parent.aimd is not None:
         engine.aimd = AimdController()
     return engine
@@ -300,6 +300,7 @@ def run_collection_groups(
     network = scan.network
     start = network.now
     origin = _run_origin(scan.engine, start)
+    services = network.dns_hosts()
     with isolated_phase(scan, collection, start) as finished:
         for index, (server_ip, lane) in enumerate(
             plan.units(collection).lanes().items()
@@ -310,6 +311,11 @@ def run_collection_groups(
                 plan.tasks(collection, lane)
             ):
                 fold(outcome)
+            # a resolver's caches die with its group: the lazy flush on
+            # its next lookup never comes once its only group is over
+            flush = getattr(services.get(server_ip), "flush_cache", None)
+            if flush is not None:
+                flush()
             finished.append(
                 _group_result(
                     engine, index, server_ip, network.now - start, []
@@ -359,6 +365,7 @@ def _encode_resilience(resilience) -> Dict[str, Any]:
         "shed": dict(resilience.shed),
         "aimd_cuts": resilience.aimd_cuts,
         "aimd_wait": resilience.aimd_wait,
+        "spurious_retransmits": resilience.spurious_retransmits,
     }
 
 
@@ -375,6 +382,7 @@ def fold_resilience(target, data: Dict[str, Any]) -> None:
     target.hedges_wasted += data.get("hedges_wasted", 0)
     target.aimd_cuts += data.get("aimd_cuts", 0)
     target.aimd_wait += data.get("aimd_wait", 0.0)
+    target.spurious_retransmits += data.get("spurious_retransmits", 0)
     for key, count in data.get("shed", {}).items():
         target.shed[key] = target.shed.get(key, 0) + count
 

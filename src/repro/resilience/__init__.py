@@ -7,8 +7,8 @@ failure at runtime:
 
 * :class:`~repro.resilience.budget.DeadlineBudget` — per-run and
   per-stage virtual-clock deadlines with deterministic load shedding;
-* :class:`~repro.resilience.hedge.HedgeController` — hedged second
-  attempts after a per-server delay derived from observed latency;
+* hedging is the engine's own timer rule, read from
+  :class:`~repro.engine.latency.ServerLatency`;
 * :class:`~repro.resilience.aimd.AimdController` — additive-increase /
   multiplicative-decrease send credit per server;
 * :class:`~repro.resilience.metrics.ResilienceMetrics` — the
@@ -29,12 +29,10 @@ keeping clean runs byte-identical to a no-resilience baseline.
 
 from .aimd import AimdController
 from .budget import DeadlineBudget
-from .hedge import HedgeController
 from .metrics import ResilienceMetrics
 
 __all__ = [
     "AimdController",
     "DeadlineBudget",
-    "HedgeController",
     "ResilienceMetrics",
 ]

@@ -12,7 +12,7 @@ Below full credit the next send to a server may go no earlier than::
 
 where ``interval`` is what the lane does when healthy — the engine
 passes the larger of its configured per-server pacing and the server's
-observed mean answer latency.  Halving the credit therefore halves the
+smoothed round trip.  Halving the credit therefore halves the
 send rate: an unpaced lane pays one extra round trip after a loss, a
 paced lane doubles its next gap.  The rule has no timeout term on
 purpose: a wait anchored on the timeout was paid *on top of* the
@@ -46,14 +46,13 @@ _CREDIT_FLOOR = 1.0 / 16.0
 class AimdController:
     """Additive-increase / multiplicative-decrease send credit."""
 
-    __slots__ = ("_credit", "_last_send", "cuts")
+    __slots__ = ("_credit", "_last_send")
 
     def __init__(self) -> None:
         # server -> credit; missing key means full credit (1.0)
         self._credit: Dict[str, float] = {}
         # server -> virtual time of its last send
         self._last_send: Dict[str, float] = {}
-        self.cuts = 0
 
     def credit(self, server_ip: str) -> float:
         return self._credit.get(server_ip, 1.0)
@@ -92,5 +91,4 @@ class AimdController:
         if credit <= _CREDIT_FLOOR:
             return False
         self._credit[server_ip] = max(credit * _CUT_FACTOR, _CREDIT_FLOOR)
-        self.cuts += 1
         return True

@@ -23,7 +23,7 @@ class ResilienceMetrics:
     heading = "resilience metrics:"
 
     __slots__ = ("hedges_fired", "hedges_won", "hedges_wasted", "shed",
-                 "aimd_cuts", "aimd_wait")
+                 "aimd_cuts", "aimd_wait", "spurious_retransmits")
 
     def __init__(self) -> None:
         self.hedges_fired = 0
@@ -33,10 +33,15 @@ class ResilienceMetrics:
         self.shed: Dict[str, int] = {}
         self.aimd_cuts = 0
         self.aimd_wait = 0.0
+        #: answered attempts whose round trip outlasted the timer they
+        #: were sent under — a real scanner would have re-sent
+        self.spurious_retransmits = 0
 
     @property
     def active(self) -> bool:
-        """True once any resilience mechanism actually did something."""
+        """True once any resilience mechanism actually did something
+        (``spurious_retransmits`` is an observation, not an action: a
+        clean run whose resolvers answer unevenly stays inactive)."""
         return bool(
             self.hedges_fired
             or self.hedges_won
@@ -63,6 +68,7 @@ class ResilienceMetrics:
             "shed_total": self.shed_total,
             "aimd_cuts": self.aimd_cuts,
             "aimd_wait": round(self.aimd_wait, 6),
+            "spurious_retransmits": self.spurious_retransmits,
         }
 
     def merge(self, other: "ResilienceMetrics") -> "ResilienceMetrics":
@@ -72,6 +78,9 @@ class ResilienceMetrics:
         merged.hedges_wasted = self.hedges_wasted + other.hedges_wasted
         merged.aimd_cuts = self.aimd_cuts + other.aimd_cuts
         merged.aimd_wait = self.aimd_wait + other.aimd_wait
+        merged.spurious_retransmits = (
+            self.spurious_retransmits + other.spurious_retransmits
+        )
         for source in (self.shed, other.shed):
             for key, count in source.items():
                 merged.shed[key] = merged.shed.get(key, 0) + count
@@ -81,6 +90,7 @@ class ResilienceMetrics:
         lines = [
             f"{indent}hedges: fired={self.hedges_fired} "
             f"won={self.hedges_won} wasted={self.hedges_wasted}",
+            f"{indent}spurious retransmits: {self.spurious_retransmits}",
             f"{indent}aimd: cuts={self.aimd_cuts} "
             f"wait={self.aimd_wait:.2f}s",
             f"{indent}shed: {self.shed_total}",

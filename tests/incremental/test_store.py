@@ -13,7 +13,7 @@ from dataclasses import fields
 
 import pytest
 
-from repro.cli import EXIT_USAGE, main
+from repro.cli import EXIT_ABORTED, EXIT_USAGE, main
 from repro.core import HunterConfig, URHunter
 from repro.dns.rdata import A
 from repro.incremental import (
@@ -69,6 +69,18 @@ FORMAT_2_STATS = """{
  "bypassed_runs": 0
 }
 """
+
+#: and as the format-3 build (the parent of format 4) left one: compact
+FORMAT_3_SLOT = (
+    '{"format":3,"identity":"0092313204e3f520","digest":"cebe64d5fee393ab",'
+    '"group":{"group":72,"server":"10.1.0.30","elapsed":0.92,"outcomes":'
+    '[{"index":110,"attempts":1,"answered":true,"urs":[]}],"metrics":{},'
+    '"resilience":null,"events":[]}}'
+)
+FORMAT_3_STATS = (
+    '{"format":3,"slots":145,"hits":0,"misses":145,"invalidated":0,'
+    '"stored":145,"uncacheable":1}'
+)
 
 
 @pytest.fixture(scope="module")
@@ -303,28 +315,32 @@ class TestConfigPartition:
 
 class TestFormatRefusal:
     @pytest.mark.parametrize(
-        "files",
+        "files, written",
         [
-            {"group-0c9d2c4a.json": FORMAT_2_SLOT},
-            {"store-stats.json": FORMAT_2_STATS},
+            ({"group-0092313204e3f520.json": FORMAT_3_SLOT}, 3),
+            ({"store-stats.json": FORMAT_3_STATS}, 3),
+            ({"group-0c9d2c4a.json": FORMAT_2_SLOT}, 2),
+            ({"store-stats.json": FORMAT_2_STATS}, 2),
         ],
-        ids=["slot", "stats"],
+        ids=["slot", "stats", "format-2-slot", "format-2-stats"],
     )
-    def test_parent_format_store_is_refused_at_open(self, tmp_path, files):
-        assert STORE_FORMAT_VERSION == 3
+    def test_parent_format_store_is_refused_at_open(
+        self, tmp_path, files, written
+    ):
+        assert STORE_FORMAT_VERSION == 4
         for name, text in files.items():
             (tmp_path / name).write_text(text)
         with pytest.raises(StoreFormatError) as refusal:
             GroupResultStore(tmp_path)
         message = str(refusal.value)
         assert str(tmp_path) in message
-        assert "format 2" in message and "format 3" in message
+        assert f"format {written}" in message and "format 4" in message
 
     def test_cli_exits_as_unusable_input_and_leaves_the_store_alone(
         self, tmp_path, capsys
     ):
-        (tmp_path / "group-0c9d2c4a.json").write_text(FORMAT_2_SLOT)
-        (tmp_path / "store-stats.json").write_text(FORMAT_2_STATS)
+        (tmp_path / "group-0092313204e3f520.json").write_text(FORMAT_3_SLOT)
+        (tmp_path / "store-stats.json").write_text(FORMAT_3_STATS)
         argv = ["--scale", "small", "--result-store", str(tmp_path)]
         for command in ("run", "plan"):
             assert main(argv + [command]) == EXIT_USAGE
@@ -334,9 +350,32 @@ class TestFormatRefusal:
         assert {
             path.name: path.read_text() for path in tmp_path.iterdir()
         } == {
-            "group-0c9d2c4a.json": FORMAT_2_SLOT,
-            "store-stats.json": FORMAT_2_STATS,
+            "group-0092313204e3f520.json": FORMAT_3_SLOT,
+            "store-stats.json": FORMAT_3_STATS,
         }
+
+    def test_parent_checkpoint_groups_are_refused_never_all_missed(
+        self, tmp_path, capsys
+    ):
+        """``<checkpoint-dir>/groups`` as the parent build left it: the
+        manifest refuses the resume before a slot is looked at, and the
+        slots refuse to open as a store on their own."""
+        groups = tmp_path / "groups"
+        groups.mkdir()
+        files = {
+            tmp_path / "manifest.json": '{"format":5,"fingerprint":"fp"}',
+            groups / "group-0092313204e3f520.json": FORMAT_3_SLOT,
+        }
+        for path, text in files.items():
+            path.write_text(text)
+        argv = ["--scale", "small", "--checkpoint-dir", str(tmp_path)]
+        assert main(argv + ["--resume", "run"]) == EXIT_ABORTED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot resume: checkpoint format 5 != 6" in captured.err
+        assert all(path.read_text() == text for path, text in files.items())
+        with pytest.raises(StoreFormatError, match="store format 3"):
+            GroupResultStore(groups)
 
     def test_own_format_store_reopens(self, tmp_path):
         store = GroupResultStore(tmp_path)

@@ -202,12 +202,12 @@ class TestCheckpointStore:
         assert slot.exists()
 
     def test_parent_format_checkpoint_does_not_resume(self, tmp_path):
-        """Format 4 kept stage-1 partials as ``shard-part-*.json``,
-        which nothing reads any more."""
+        """A format-5 stage-1 snapshot carries a clock and a latency
+        histogram whose hedged waits were 0.5 s / 5 s parks."""
         (tmp_path / "manifest.json").write_text(
-            '{\n "format": 4,\n "fingerprint": "fp"\n}\n'
+            '{"format":5,"fingerprint":"fp"}'
         )
-        with pytest.raises(CheckpointError, match="checkpoint format 4 != 5"):
+        with pytest.raises(CheckpointError, match="checkpoint format 5 != 6"):
             CheckpointStore(tmp_path).prepare("fp", resume=True)
 
     def test_resume_without_manifest_fails(self, tmp_path):

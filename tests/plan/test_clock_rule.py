@@ -23,6 +23,7 @@ from repro.core.collector import DomainTarget, NameserverTarget
 from repro.core.correctness import CorrectRecordDatabase
 from repro.dns.name import name
 from repro.dns.rdata import RRType
+from repro.dns.resolver import RecursiveResolver
 from repro.dns.server import UnhostedPolicy
 from repro.net.network import SimulatedInternet
 from repro.pipeline.checkpoint import encode_stage1
@@ -264,6 +265,22 @@ def test_preamble_invariant_under_shards_and_execution(reference, knobs):
     assert _preamble(_hunter(**knobs)) == reference
 
 
+def test_a_resolvers_caches_die_with_its_group():
+    """The lazy flush on a resolver's next lookup never comes once its
+    only group is over: after the collections no registered resolver
+    holds an answer or a zone cut to the end of the run."""
+    hunter = _hunter()
+    hunter.stage1_collect()
+    resolvers = [
+        service
+        for service in hunter.network.dns_hosts().values()
+        if isinstance(service, RecursiveResolver)
+    ]
+    assert len(resolvers) > 4
+    assert sum(r.stats.upstream_queries for r in resolvers) > 0
+    assert not any(r._cache or r._cuts for r in resolvers)
+
+
 def _latency_buckets_folded(encoded_stage1):
     """The stage-1 document with the latency histogram reduced to its
     observation count, and the summed latency beside it.
@@ -372,13 +389,18 @@ def test_lossy_hedged_aimd_run_keeps_its_pinned_schedule():
     later draw of a group shifts — 59.5125 sim-s / 792 cuts before.
     Re-read again when AIMD began to stretch the lane's own round trip
     instead of parking a fraction of the timeout: 64.775 sim-s and
-    1084.46 s of AIMD wait before, every count below unmoved.)"""
+    1084.46 s of AIMD wait before, every count below unmoved.  Re-read
+    when every retry timer began to read the round-trip estimator
+    instead of 0.5 s / 5 s + backoff: 35.569934 sim-s and
+    3.733363994397223 s of AIMD wait before, every count unmoved — the
+    clean run takes 4.93.)"""
     hunter, virtual_s = _pinned_run(_lossy, hedge_delay=0.5, aimd=True)
     metrics = hunter.engine.metrics
-    assert virtual_s == 35.569934
-    assert hunter.resilience.aimd_wait == 3.733363994397223
+    assert virtual_s == 7.276227
+    assert hunter.resilience.aimd_wait == 4.1640487088589
     assert hunter.resilience.aimd_cuts == 788
     assert hunter.resilience.hedges_fired == 742
+    assert hunter.resilience.spurious_retransmits == 15
     assert (metrics.queries, metrics.retries) == (15310, 784)
     assert {
         phase: counters.giveups
@@ -407,7 +429,11 @@ def test_paced_lossy_aimd_run_pays_its_pinned_politeness():
     """Where AIMD bites: under 130 s pacing a cut doubles a 130 s gap,
     so 5 % loss costs a fifth more scan time (26910.34 sim-s without
     ``aimd``, and with it while its wait was a fraction of the timeout
-    and hid inside the token bucket's gap: 801 cuts, 0.0 s waited)."""
+    and hid inside the token bucket's gap: 801 cuts, 0.0 s waited).
+    Re-read when AIMD's healthy interval began to read the smoothed
+    round trip instead of the running mean: nothing moved — under
+    pacing the interval is the 130 s; unpaced, the same lossy run with
+    ``aimd`` alone went 138.118816 -> 138.039131 sim-s."""
     hunter, virtual_s = _pinned_run(
         _lossy, per_server_interval=130.0, aimd=True
     )
@@ -415,6 +441,23 @@ def test_paced_lossy_aimd_run_pays_its_pinned_politeness():
     assert hunter.resilience.aimd_wait == 164166.80210630305
     assert hunter.resilience.aimd_cuts == 804
     assert _pinned_run(_lossy, per_server_interval=130.0)[1] == 26910.34
+
+
+def test_unhedged_lossy_runs_keep_the_bare_retry_path():
+    """Without ``hedge_delay`` every expiry is timeout + backoff, as it
+    always was: 137.77 sim-s bare; ``aimd`` alone keeps every count and
+    stretches the smoothed round trip (138.118816 sim-s / 3.733364 s of
+    wait while it read the running mean)."""
+    bare, bare_s = _pinned_run(_lossy)
+    paced, paced_s = _pinned_run(_lossy, aimd=True)
+    assert bare_s == 137.77
+    assert paced_s == 138.039131
+    assert paced.resilience.aimd_wait == 3.5168944731121883
+    assert paced.resilience.aimd_cuts == 788
+    for hunter in (bare, paced):
+        metrics = hunter.engine.metrics
+        assert (metrics.queries, metrics.retries) == (15310, 784)
+        assert hunter.resilience.spurious_retransmits == 0
 
 
 def test_run_deadline_sheds_its_pinned_count():

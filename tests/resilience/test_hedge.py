@@ -1,4 +1,5 @@
-"""Hedged retries: unit behaviour plus engine-level fire/win/waste."""
+"""Hedged retries: the timer read off the lane, plus engine-level
+fire/win/waste."""
 
 import json
 
@@ -12,12 +13,11 @@ from repro.engine import (
     OutcomeStatus,
     QueryTask,
 )
-from repro.engine.latency import ServerLatency
+from repro.engine.latency import CLOCK_GRANULARITY, ServerLatency
 from repro.net.network import FaultProfile
 from repro.obs import RunTrace
-from repro.resilience import HedgeController
 
-from .conftest import NS_LIVE, SCANNER
+from .conftest import NS_LIVE, NS_LIVE2, SCANNER, run_lane
 
 
 def _task(server_ip, qtype=RRType.A, stage="ur"):
@@ -29,32 +29,76 @@ def _task(server_ip, qtype=RRType.A, stage="ur"):
     )
 
 
+def _parks(engine, server):
+    """The wait between learning each send's fate and the next send:
+    after a lost send on an unpaced lane, the retry timer that was in
+    force."""
+    return [
+        later - earlier - engine.network.latency
+        for earlier, later in zip(server.arrivals, server.arrivals[1:])
+    ]
+
+
 class TestHedgeControllerUnit:
+    """The hedge timer and the retry timer behind it, read off the
+    lane: ``min(configured, SRTT + max(G, 4 RTTVAR))``."""
+
     def test_base_delay_used_before_observations(self):
-        hedge = HedgeController(base_delay=0.25, timeout=5.0)
-        assert hedge.delay(ServerLatency().mean("10.0.0.1")) == (
-            pytest.approx(0.25)
-        )
+        # no answer yet: the configured hedge delay, then the timeout
+        engine, server, _ = run_lane([True, True, False], hedge_delay=0.25)
+        assert _parks(engine, server) == pytest.approx([0.25, 5.0])
 
     def test_delay_tracks_observed_latency(self):
-        hedge = HedgeController(base_delay=0.05, timeout=5.0)
+        # four answers in 0.2 s: SRTT 0.2, RTTVAR 0.1 * (3/4)**3
+        rto = 0.2 + 4 * 0.1 * 0.75**3
+        engine, server, outcomes = run_lane(
+            [False] * 4 + [True] * 3,
+            delays=[0.19] * 4,
+            tasks=5,
+            hedge_delay=0.5,
+        )
         observed = ServerLatency()
         for _ in range(4):
-            observed.observe("10.0.0.1", 0.2)
-        # 3x the observed mean, well above the floor
-        assert hedge.delay(observed.mean("10.0.0.1")) == pytest.approx(0.6)
-        # a server never observed still gets the floor
-        assert hedge.delay(observed.mean("10.0.0.2")) == pytest.approx(0.05)
+            observed.observe(NS_LIVE, 0.2)
+        assert observed.srtt(NS_LIVE) == pytest.approx(0.2)
+        assert observed.rto(NS_LIVE) == pytest.approx(rto)
+        # the hedge fires at the timer, the retry waits it again, and
+        # the give-up its double: the doubling is the backoff
+        assert _parks(engine, server)[4:] == pytest.approx([rto, rto])
+        assert outcomes[-1].status is OutcomeStatus.GAVE_UP
+        assert outcomes[-1].completed_at - server.arrivals[-1] == (
+            pytest.approx(2 * rto)
+        )
 
-    def test_delay_capped_below_timeout_fraction(self):
-        hedge = HedgeController(base_delay=0.05, timeout=5.0)
-        assert hedge.delay(100.0) < 2.5
+    def test_delay_capped_at_hedge_delay_then_timeout(self):
+        # a server three seconds away: the timer would be nine
+        engine, server, _ = run_lane(
+            [False, True, True, False],
+            delays=[2.99],
+            tasks=2,
+            hedge_delay=0.25,
+        )
+        assert _parks(engine, server)[1:] == pytest.approx([0.25, 5.0])
 
     def test_floor_clamped_below_ceiling(self):
-        # a base delay at/above timeout/2 would never hedge usefully;
-        # the controller clamps rather than crossing the timeout
-        hedge = HedgeController(base_delay=4.0, timeout=5.0)
-        assert hedge.delay(0.0) < 2.5
+        # the granularity floor never lifts the hedge timer above the
+        # configured delay
+        assert 0.004 < CLOCK_GRANULARITY
+        engine, server, _ = run_lane(
+            [False, True, False], tasks=2, hedge_delay=0.004
+        )
+        assert _parks(engine, server)[1] == pytest.approx(0.004)
+
+    def test_steady_server_keeps_the_granularity_margin(self):
+        observed = ServerLatency()
+        for _ in range(64):
+            observed.observe(NS_LIVE, 0.025)
+        assert observed.rto(NS_LIVE) == pytest.approx(
+            0.025 + CLOCK_GRANULARITY
+        )
+        # nothing observed: no estimate, so any ceiling wins the min
+        assert observed.rto(NS_LIVE2) == float("inf")
+        assert observed.srtt(NS_LIVE2) == 0.0
 
 
 class _HedgeHarness:
@@ -72,7 +116,7 @@ class _HedgeHarness:
             SCANNER,
             EnginePolicy(per_server_interval=0.0, retries=2),
         )
-        self.engine.hedge = HedgeController(base_delay=delay, timeout=5.0)
+        self.engine.hedge_delay = delay
         self.trace = RunTrace()
         self.engine.trace = self.trace
         self.outcomes = self.engine.execute([_task(NS_LIVE)])
@@ -126,3 +170,12 @@ class TestEngineHedging:
         harness = _HedgeHarness(make_network, outage=0.0)
         assert harness.engine.resilience.hedges_fired == 0
         assert not harness.engine.resilience.active
+
+    def test_pure_loss_counts_no_spurious_retransmit(self):
+        # a steady server under loss alone: hedges fire, and no answer
+        # ever outlasts the timer it was sent under
+        losses = [send % 3 == 1 for send in range(60)]
+        engine, _, outcomes = run_lane(losses, tasks=30, hedge_delay=0.25)
+        assert all(outcome.answered for outcome in outcomes)
+        assert engine.resilience.hedges_fired > 0
+        assert engine.resilience.spurious_retransmits == 0
