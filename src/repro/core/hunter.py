@@ -39,7 +39,6 @@ from ..intel.aggregator import ThreatIntelAggregator
 from ..intel.ipinfo import IpInfoDatabase
 from ..intel.pdns import PassiveDnsStore
 from ..net.network import NetworkError, SimulatedInternet
-from ..net.traffic import CaptureMode
 from ..obs.events import (
     STAGE1 as OBS_STAGE1,
     STAGE2 as OBS_STAGE2,
@@ -200,10 +199,6 @@ class HunterConfig:
     #: AIMD adaptive per-server send credit (no-op until the first
     #: failure)
     aimd: bool = False
-    #: scan-phase traffic-capture fidelity: "full" stores every flow,
-    #: "sampled" every Nth per protocol, "off" only counts (sandbox
-    #: detonation happens at world build and always captures in full)
-    capture_mode: str = "full"
     #: partition the UR scan's nameserver groups into this many shards
     #: (the batches handed to pool workers); every group runs in
     #: clock/RNG isolation whatever the count, so the report is
@@ -223,7 +218,6 @@ class HunterConfig:
             "stage2_workers",
             "execution",
             "channel_depth",
-            "capture_mode",
             "shards",
             "shard_workers",
         }
@@ -278,11 +272,6 @@ class HunterConfig:
                 f"hedge_delay ({self.hedge_delay}) must be below the "
                 f"engine timeout ({self.timeout}) — a hedge that fires "
                 "after the timeout is a plain retry"
-            )
-        if self.capture_mode not in ("full", "sampled", "off"):
-            raise ValueError(
-                f"unknown capture_mode {self.capture_mode!r} "
-                "(known: full, sampled, off)"
             )
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
@@ -364,12 +353,6 @@ class URHunter:
         self.pdns = pdns
         self.sandbox_reports = list(sandbox_reports)
         self.config = config or HunterConfig()
-        # The capture mode only thins the *scan-phase* flow store
-        # (sandbox detonation happens at world-build time, before this
-        # runs).
-        capture = getattr(network, "capture", None)
-        if capture is not None and hasattr(capture, "mode"):
-            capture.mode = CaptureMode(self.config.capture_mode)
         self.engine = BatchedEngine(
             network,
             self.config.scanner_ip,

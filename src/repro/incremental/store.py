@@ -27,8 +27,8 @@ deltas, clock-free deterministic events), so a clean or uniformly lossy
 group replayed thirty virtual days later composes byte-identically —
 that is the whole point of the warm run.
 
-Writes are atomic (temp file + ``os.replace``), mirroring the
-checkpoint store.  A directory written under another
+Writes are atomic (:func:`atomic_write`, shared with the checkpoint
+store).  A directory written under another
 :data:`STORE_FORMAT_VERSION` is refused when it is opened
 (:class:`StoreFormatError`): its slots are named and keyed differently,
 so reading on would be a silent all-miss run.  This module is a leaf:
@@ -42,13 +42,16 @@ import hashlib
 import json
 import os
 import re
+import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, TextIO, Tuple, Union
 
 __all__ = [
     "STORE_FORMAT_VERSION",
     "StoreFormatError",
     "GroupResultStore",
+    "atomic_write",
     "group_identity",
     "server_fingerprint",
     "scan_config_fingerprint",
@@ -76,6 +79,28 @@ _FORMAT_HEAD = re.compile(rb'\A\{\s*"format":\s*(\d+)')
 
 class StoreFormatError(Exception):
     """The directory holds a result store of another format version."""
+
+
+@contextmanager
+def atomic_write(path: Path) -> Iterator[TextIO]:
+    """A text handle whose content becomes ``path`` when the block ends
+    cleanly — a reader sees the previous file or the new one, never a
+    torn one.  The content is staged in a file of the writer's own
+    (``mkstemp`` beside the target), so two writers of one slot cannot
+    truncate each other's staging file: each ``os.replace`` installs a
+    whole payload and the last one wins.  If the block raises, the
+    staging file is removed and ``path`` is left as it was.
+    """
+    fd, staged = tempfile.mkstemp(
+        dir=path.parent, prefix=f"{path.name}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            yield handle
+        os.replace(staged, path)
+    except BaseException:
+        os.unlink(staged)
+        raise
 
 
 def _digest(payload: Any) -> str:
@@ -381,7 +406,5 @@ class GroupResultStore:
     def _write(path: Path, payload: Dict[str, Any]) -> None:
         # compact and in one piece: ``json.dump`` and any ``indent`` run
         # the pure-Python encoder, ``dumps`` without one the C encoder
-        tmp = path.with_suffix(".tmp")
-        with tmp.open("w", encoding="utf-8") as handle:
+        with atomic_write(path) as handle:
             handle.write(json.dumps(payload, separators=(",", ":")) + "\n")
-        os.replace(tmp, path)

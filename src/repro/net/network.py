@@ -12,8 +12,11 @@ runs or a transaction charges latency — keeping every run deterministic.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Protocol as TypingProtocol, Sequence
+from typing import (
+    Dict, Iterator, List, Optional, Protocol as TypingProtocol, Sequence,
+)  # fmt: skip
 
 from ..dns.message import Message, Rcode
 from ..dns.wire import (
@@ -23,7 +26,7 @@ from ..dns.wire import (
     encode_message,
 )
 from .scanpath import ScanPathMetrics
-from .traffic import DnsSummary, Protocol, TrafficCapture
+from .traffic import DNS_PORT, FlowRecord, Protocol, TrafficCapture
 
 #: classic UDP payload ceiling (RFC 1035 §4.2.1); larger responses are
 #: truncated and the client retries over TCP
@@ -152,7 +155,9 @@ class SimulatedInternet:
         #: only under the generation it was learned in
         self.clock_generation = 0
         self.latency = latency
-        self.capture = TrafficCapture()
+        #: the capture an open :meth:`capturing` block named; with none
+        #: open, flows are counted in :attr:`stats` and not built
+        self._tap: Optional[TrafficCapture] = None
         #: scan-path fast-lane hit/miss counters (timing-only telemetry)
         self.scanpath = ScanPathMetrics()
         #: memoized wire codec shared by every transaction on this network
@@ -165,9 +170,6 @@ class SimulatedInternet:
         #: same REFUSED body goes out whichever server is probed, so the
         #: per-server compiled caches share one pool for them
         self.refused_pool: Dict[object, tuple] = {}
-        #: capture summaries of responses by wire body (id stripped):
-        #: flows that got the same answer share one summary object
-        self._flow_summaries: Dict[bytes, DnsSummary] = {}
         #: counters for observability / benchmarks — all preinitialized
         #: so the schema is stable for tests and metrics documents
         self.stats: Dict[str, int] = {
@@ -353,6 +355,21 @@ class SimulatedInternet:
             if entry.dns is not None
         }
 
+    # -- traffic capture --------------------------------------------------
+
+    @contextmanager
+    def capturing(self, capture: TrafficCapture) -> Iterator[TrafficCapture]:
+        """Record every flow observed while the block runs into
+        ``capture`` — the exchanges a resolver makes on the caller's
+        behalf included.  One tap is open at a time: an inner block
+        takes over and hands back to the outer one when it ends."""
+        previous = self._tap
+        self._tap = capture
+        try:
+            yield capture
+        finally:
+            self._tap = previous
+
     # -- transport ----------------------------------------------------------
 
     def query_dns(
@@ -407,25 +424,13 @@ class SimulatedInternet:
         self._clock += self.latency
         stats = self.stats
         stats["dns_queries"] += 1
-        capture = self.capture
-        want_flow = capture.admit(Protocol.DNS)
-        if want_flow:
-            # the flow's timestamp is the clock before any jitter
-            flow_time = self._clock
-            if query.questions:
-                first = query.questions[0]
-                qname, qtype = first.qname, first.qtype
-            else:
-                qname = qtype = None
-
-        def record_failure() -> None:
-            if want_flow:
-                capture.record_dns(flow_time, src_ip, dst_ip, qname, qtype)
-
+        # an open tap gets one row per transaction, stamped now (before
+        # any jitter) and written when the transaction ends
+        flow = None
+        if self._tap is not None:
+            flow = (self._tap, self._clock, src_ip, dst_ip, query)
         if entry is None or not entry.online or entry.dns is None:
-            stats["dns_timeouts"] += 1
-            record_failure()
-            raise NetworkError(f"no DNS service at {dst_ip}")
+            raise self._unanswered(flow, f"no DNS service at {dst_ip}")
         if windows or static is not None:
             now = self._clock
             profiles = [
@@ -435,18 +440,18 @@ class SimulatedInternet:
                 profiles.append(static)
             for faults in profiles:
                 if faults.flapped_down(self._clock):
-                    stats["dns_timeouts"] += 1
                     stats["flap_drops"] += 1
-                    record_failure()
-                    raise NetworkError(f"host {dst_ip} is flapping (down)")
+                    raise self._unanswered(
+                        flow, f"host {dst_ip} is flapping (down)"
+                    )
                 if (
                     faults.loss_rate > 0
                     and self._fault_rng.random() < faults.loss_rate
                 ):
-                    stats["dns_timeouts"] += 1
                     stats["injected_losses"] += 1
-                    record_failure()
-                    raise NetworkError(f"query to {dst_ip} lost (injected)")
+                    raise self._unanswered(
+                        flow, f"query to {dst_ip} lost (injected)"
+                    )
                 if faults.latency_jitter > 0:
                     self._clock += (
                         self._fault_rng.random() * faults.latency_jitter
@@ -474,9 +479,9 @@ class SimulatedInternet:
             decoded_query, src_ip, self, query_key=query_key
         )
         if response is None:
-            stats["dns_timeouts"] += 1
-            record_failure()
-            raise NetworkError(f"DNS service at {dst_ip} dropped the query")
+            raise self._unanswered(
+                flow, f"DNS service at {dst_ip} dropped the query"
+            )
         response_wire = (
             getattr(response, "compiled_wire", None) if fast else None
         )
@@ -500,31 +505,42 @@ class SimulatedInternet:
         except WireError as exc:
             stats["wire_errors"] += 1
             raise NetworkError(f"response failed to decode: {exc}")
-        if want_flow:
-            capture.record_dns(
-                flow_time, src_ip, dst_ip, qname, qtype, len(response_wire),
-                self._flow_summary(response_wire, decoded),
-            )  # fmt: skip
+        if flow is not None:
+            self._record_dns(*flow, len(response_wire), decoded)
         return decoded
 
-    def _flow_summary(self, wire: bytes, decoded: Message) -> DnsSummary:
-        """The capture's ``(rcode_text, answers_texts)`` of a response.
+    def _unanswered(self, flow: Optional[tuple], reason: str) -> NetworkError:
+        """Count a query nothing answered, write its failed row if a tap
+        is open, and hand back the error to raise."""
+        self.stats["dns_timeouts"] += 1
+        if flow is not None:
+            self._record_dns(*flow)
+        return NetworkError(reason)
 
-        Memoised on ``wire[2:]``, the key of the codec's decode cache:
-        the two id bytes are all that tells repeated answers apart, and
-        nothing the summary reads.  FIFO-bounded like the codec; a body
-        seen again after eviction just gets an equal, unshared summary.
-        """
-        body = wire[2:]
-        summaries = self._flow_summaries
-        summary = summaries.get(body)
-        if summary is None:
-            answers = (record.rdata.to_text() for record in decoded.answers)
-            summary = (Rcode.to_text(decoded.header.rcode), tuple(answers))
-            if len(summaries) >= self.codec.max_entries:
-                summaries.pop(next(iter(summaries)))
-            summaries[body] = summary
-        return summary
+    def _record_dns(
+        self, tap: TrafficCapture, timestamp: float, src_ip: str,
+        dst_ip: str, query: Message, size: int = 0,
+        response: Optional[Message] = None,
+    ) -> None:  # fmt: skip
+        """One DNS transaction into ``tap``; without a ``response`` the
+        row is a failure and has no ``rcode``/``answers`` keys."""
+        first = query.questions[0] if query.questions else None
+        metadata: Dict[str, object] = {
+            "qname": None if first is None else str(first.qname),
+            "qtype": None if first is None else first.qtype,
+        }
+        if response is not None:
+            metadata["rcode"] = Rcode.to_text(response.header.rcode)
+            metadata["answers"] = [
+                record.rdata.to_text() for record in response.answers
+            ]
+        tap.record(
+            FlowRecord(
+                timestamp, src_ip, dst_ip, Protocol.DNS, DNS_PORT, size,
+                response is not None, metadata,
+            )  # fmt: skip
+        )
+        self.scanpath.flows_recorded += 1
 
     def open_channel(self, src_ip: str, dst_ip: str) -> "DnsChannel":
         """A reusable (src, dst) query path with cached destination
@@ -553,9 +569,9 @@ class SimulatedInternet:
     ) -> Optional[bytes]:
         """Open a TCP exchange; returns the response bytes or None.
 
-        A connection to an unregistered or offline address fails (records
-        an unsuccessful flow and returns None) — malware beaconing to a
-        dead C2 looks exactly like this in the capture.
+        A connection to an unregistered or offline address fails (an
+        unsuccessful flow under an open tap, and None) — malware
+        beaconing to a dead C2 looks exactly like this in the capture.
         """
         self._clock += self.latency
         self.stats["tcp_connects"] += 1
@@ -563,15 +579,18 @@ class SimulatedInternet:
         reachable = (
             entry is not None and entry.online and entry.tcp is not None
         )
-        if self.capture.admit(protocol):
+        if self._tap is not None:
             merged_metadata = dict(metadata or {})
             # Keep a payload excerpt so content-inspection (IDS
             # signatures) works on the capture, as it would on a pcap.
             merged_metadata.setdefault("payload", payload[:256])
-            self.capture.record_fields(
-                self._clock, src_ip, dst_ip, protocol, dst_port,
-                len(payload), reachable, merged_metadata,
-            )  # fmt: skip
+            self._tap.record(
+                FlowRecord(
+                    self._clock, src_ip, dst_ip, protocol, dst_port,
+                    len(payload), reachable, merged_metadata,
+                )  # fmt: skip
+            )
+            self.scanpath.flows_recorded += 1
         if not reachable:
             self.stats["tcp_failures"] += 1
             return None

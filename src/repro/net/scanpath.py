@@ -1,7 +1,7 @@
 """Scan-path fast-lane counters behind the one MetricsSnapshot API.
 
-The fast lane (compiled zone answers, wire-codec memoization, lazy
-traffic capture) is a pure re-expression of the naive query path:
+The fast lane (compiled zone answers, wire-codec memoization) is a pure
+re-expression of the naive query path:
 reports, traces, and deterministic metrics are byte-identical with the
 lane on or off.  Its *effectiveness*, however, legitimately varies with
 the cache settings — hit counts differ between a fast and a naive run
@@ -13,8 +13,9 @@ byte-compared report surface.
 :class:`~repro.obs.metrics.MetricsSnapshot` protocol (name / to_dict /
 merge / summary) without importing it; the live instance hangs off
 :class:`~repro.net.network.SimulatedInternet` and is incremented by the
-wire codec and the authoritative servers, while flow-capture figures
-are folded in at snapshot time.
+wire codec, the authoritative servers and the transport (one
+``flows_recorded`` per row written into an open tap); ``flows_skipped``
+is derived at snapshot time.
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ class ScanPathMetrics:
       id-agnostic encode cache;
     * ``decode_*`` — response wire decodes served from the bounded
       byte-keyed cache;
-    * ``flows_*`` — capture records materialized vs. counted only
-      (``CaptureMode`` sampling / count-only).
+    * ``flows_*`` — flows written into a capture a reader opened
+      (``SimulatedInternet.capturing``) vs. the rest of the DNS
+      transactions and TCP connects, which are only counted.
     """
 
     name = "scan_path"
@@ -70,12 +72,10 @@ class ScanPathMetrics:
         live = getattr(network, "scanpath", None)
         if live is not None:
             snapshot.merge(live)
-        capture = getattr(network, "capture", None)
-        if capture is not None:
-            snapshot.flows_recorded += len(capture)
-            skipped = getattr(capture, "skipped", None)
-            if callable(skipped):
-                snapshot.flows_skipped += skipped()
+        stats = getattr(network, "stats", None)
+        if stats is not None:
+            observed = stats["dns_queries"] + stats["tcp_connects"]
+            snapshot.flows_skipped = observed - snapshot.flows_recorded
         return snapshot
 
     # -- MetricsSnapshot protocol ----------------------------------------

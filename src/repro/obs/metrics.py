@@ -31,8 +31,9 @@ from typing import Any, Dict, List, Optional, Protocol, Tuple, runtime_checkable
 #: bumped whenever the metrics.json layout changes
 #: (v2: ``shed`` counters in the scan-engine block and the optional
 #: ``resilience`` deterministic section; v3: optional ``scan_path``
-#: timing block — cache hit rates depend on the scan-cache/capture-mode
-#: knobs, so they live outside the byte-compared section; v4: optional
+#: timing block — cache hit rates depend on the scan-cache test seam
+#: and flow counts on who opened a tap, so they live outside the
+#: byte-compared section; v4: optional
 #: ``incremental`` timing block with the group-result-store counters —
 #: hit/miss tallies depend on what an earlier run left in the store,
 #: so they can never join the byte-compared section)
@@ -195,8 +196,8 @@ def build_metrics_document(
     if flow_metrics is not None:
         timing["flow_channels"] = flow_metrics.to_dict()
     if scan_path is not None:
-        # hit/miss tallies vary with the fast lane and --capture-mode,
-        # which by contract leave the deterministic section untouched
+        # hit/miss tallies vary with the fast-lane seam and flow counts
+        # with open taps; neither may touch the deterministic section
         timing["scan_path"] = scan_path.to_dict()
     if incremental is not None:
         # group-result-store counters: a warm run's hits depend on what

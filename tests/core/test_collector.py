@@ -17,6 +17,7 @@ from repro.dns.zone import zone_from_records
 from repro.engine import BatchedEngine
 from repro.intel.ipinfo import IpInfoDatabase
 from repro.net.network import SimulatedInternet
+from repro.net.traffic import TrafficCapture
 from repro.plan import build_plan
 
 from ..conftest import bare_hunter
@@ -156,13 +157,14 @@ class TestProtectiveFingerprinting:
 
     def test_probe_domain_used(self, setup):
         network, collector, nameservers, _ = setup
-        collector.collect_protective_records(
-            plan_for(nameservers, probe_domain="my-own-probe.net")
-        )
+        with network.capturing(TrafficCapture()) as capture:
+            collector.collect_protective_records(
+                plan_for(nameservers, probe_domain="my-own-probe.net")
+            )
         probed = [
-            flow
-            for flow in network.capture.dns_lookups()
-            if flow.metadata.get("qname") == "my-own-probe.net"
+            qname
+            for _, qname in capture.dns_questions()
+            if qname == "my-own-probe.net"
         ]
         assert probed
 

@@ -18,6 +18,7 @@ checkpoint byte-identical.
 
 import json
 import random
+import tracemalloc
 import types
 
 import pytest
@@ -308,3 +309,26 @@ def test_preamble_folds_leave_the_stage1_checkpoint_unchanged(prepare):
     )
     if prepare is _lossy:
         assert streamed_hunter.engine.metrics.stage("correct").retries > 0
+
+
+# -- memory ceiling ----------------------------------------------------------
+
+#: tracemalloc peak of the small-scale stage 1 (seed 7) with the streamed
+#: folds and the index-only engine lanes, plus 15 %; no flow is stored
+#: (the scanner opens no tap — 7.16 MiB with the 17,430-row columnar
+#: log; the eager flow list + outcome list peaked at 21.57 MiB)
+STAGE1_PEAK_CEILING = 6.13 * 1.15 * 2**20
+
+
+def test_small_scale_stage1_peak_stays_under_its_ceiling():
+    world = build_world(small_config(seed=SEED))
+    hunter = URHunter.from_world(world)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        hunter.stage1_collect()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= STAGE1_PEAK_CEILING

@@ -12,7 +12,7 @@ from repro.engine import (
     QueryTask,
 )
 from repro.engine.breaker import CircuitState
-from repro.net.traffic import Protocol
+from repro.net.traffic import Protocol, TrafficCapture
 
 from .conftest import NS_DEAD, NS_LIVE, NS_LIVE2, SCANNER
 
@@ -163,8 +163,9 @@ class TestPacing:
             for qtype in (RRType.A, RRType.TXT)
             for _ in range(2)
         ]
-        engine.execute(tasks)
-        flows = network.capture.filter(protocol=Protocol.DNS, src=SCANNER)
+        with network.capturing(TrafficCapture()) as capture:
+            engine.execute(tasks)
+        flows = capture.filter(protocol=Protocol.DNS, src=SCANNER)
         for server in (NS_LIVE, NS_LIVE2):
             stamps = sorted(
                 flow.timestamp for flow in flows if flow.dst == server

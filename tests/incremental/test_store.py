@@ -36,6 +36,11 @@ from repro.incremental.store import (
     SCAN_SHAPING_KNOBS,
 )
 from repro.net.network import FaultProfile
+from repro.pipeline.checkpoint import (
+    FORMAT_VERSION,
+    CheckpointStore,
+    config_fingerprint,
+)
 from repro.scenario import build_world, small_config
 
 SEED = 7
@@ -304,13 +309,51 @@ class TestConfigPartition:
         assert len(listed) == len(set(listed))
         assert set(listed) == {field.name for field in fields(HunterConfig)}
         assert len(SCAN_SHAPING_KNOBS) == 11
-        assert len(HunterConfig.FINGERPRINT_EXCLUDE) == 6
+        assert len(HunterConfig.FINGERPRINT_EXCLUDE) == 5
+        assert len(fields(HunterConfig)) == 22
 
     def test_fingerprint_reads_knobs_strictly(self):
         """A knob the config does not carry raises; it is never hashed
         as ``null`` (silent under-keying)."""
         with pytest.raises(AttributeError, match="seed"):
             scan_config_fingerprint(object())
+
+
+class TestKeysOfTheParentBuild:
+    """Deleting a fingerprint-excluded field moves no key: literals
+    taken at ``dea10b1`` (small scale, seed 7), so a result store or a
+    checkpoint directory that build wrote opens and replays here."""
+
+    def test_formats_did_not_move(self):
+        assert (STORE_FORMAT_VERSION, FORMAT_VERSION) == (4, 6)
+
+    def test_config_fingerprint(self, hunter, tmp_path):
+        assert config_fingerprint(HunterConfig()) == (
+            "3bc0ff15970ecaa51e926def5cf8186af5780c837adbe91061dc2571e015e823"
+        )
+        stamped = config_fingerprint(
+            HunterConfig(), extra={"plan": hunter.plan.plan_hash}
+        )
+        (tmp_path / "manifest.json").write_text(
+            '{"format":6,"fingerprint":"bb99dcbbbbca00a1a519b660d232bb9f'
+            'e1856140a0d9766e2ed7b972abf53711"}\n'
+        )
+        CheckpointStore(tmp_path).prepare(stamped, resume=True)
+
+    def test_group_identity_and_state_digest(self, world, hunter):
+        group = hunter.plan.groups[0]
+        identity = group_identity(hunter.plan, group)
+        assert (group.server_ip, identity) == (
+            "10.0.0.4",
+            "872bf6fdeab690ba7125ad3996d1c965e202318d210dd2f2a9a6a5653bfb0a35",
+        )
+        state, reason = group_state(
+            world.network, HunterConfig(), group.server_ip, "GoDaddy"
+        )
+        assert reason is None
+        assert state_digest(identity, state) == (
+            "d14ba6d7f679a02aca7f3dc4af2594761c0a525f873d4fa2ebbcce33889fd178"
+        )
 
 
 class TestFormatRefusal:
@@ -450,6 +493,85 @@ class TestStoreSlots:
         assert payload["slots"] == 1
         assert payload["hits"] == 1
         assert payload["stored"] == 1
+
+
+def _slot_writers(directory):
+    """One slot of each store, keyed by the encoder its store uses:
+    ``(write(payload), slot path, payload of the stored document)``."""
+    results = GroupResultStore(directory)
+    checkpoints = CheckpointStore(directory)
+    return {
+        "dumps": (
+            lambda payload: results.put("abc", "digest", payload),
+            directory / "group-abc.json",
+            lambda document: document["group"],
+        ),
+        "dump": (
+            lambda payload: checkpoints.save("stage1-collect", payload),
+            directory / "stage1-collect.json",
+            lambda document: document,
+        ),
+    }
+
+
+both_encoders = pytest.mark.parametrize("encoder", ["dumps", "dump"])
+
+
+class TestAtomicWrites:
+    """Both stores stage a write in a file of the writer's own."""
+
+    @both_encoders
+    def test_two_interleaved_writers_of_one_slot_both_succeed(
+        self, tmp_path, monkeypatch, encoder
+    ):
+        write, slot, payload_of = _slot_writers(tmp_path)[encoder]
+        encode = getattr(json, encoder)
+        other_writer = [{"writer": "second"}]
+
+        def encode_after_the_other_writer(*args, **kwargs):
+            # the first writer has opened its staging file and written
+            # nothing yet; the second now does its whole write
+            if other_writer:
+                write(other_writer.pop())
+            return encode(*args, **kwargs)
+
+        monkeypatch.setattr(json, encoder, encode_after_the_other_writer)
+        write({"writer": "first"})
+        monkeypatch.undo()
+        assert payload_of(json.loads(slot.read_text())) in (
+            {"writer": "first"},
+            {"writer": "second"},
+        )
+        assert [path.name for path in tmp_path.iterdir()] == [slot.name]
+
+    @both_encoders
+    def test_a_failed_write_leaves_no_file_behind(self, tmp_path, encoder):
+        write, slot, payload_of = _slot_writers(tmp_path)[encoder]
+        with pytest.raises(TypeError):
+            write({"ok": 1, "not json": object()})
+        assert list(tmp_path.iterdir()) == []
+        write({"ok": 1})
+        with pytest.raises(TypeError):
+            write({"ok": 2, "not json": object()})
+        assert payload_of(json.loads(slot.read_text())) == {"ok": 1}
+        assert [path.name for path in tmp_path.iterdir()] == [slot.name]
+
+    def test_stale_staging_files_are_neither_read_nor_counted(self, tmp_path):
+        groups = tmp_path / "groups"
+        groups.mkdir()
+        for directory in (tmp_path, groups):
+            for name in ("group-abc.json.k3x9.tmp", "group-abc.tmp"):
+                (directory / name).write_text('{"format": 1, "dig')
+        (tmp_path / "manifest.json.k3x9.tmp").write_text('{"format": 5')
+        store = GroupResultStore(tmp_path)
+        assert store.identities() == []
+        assert store.get("abc", "digest") == (None, "miss")
+        assert json.loads(store.write_stats().read_text())["slots"] == 0
+        checkpoints = CheckpointStore(tmp_path)
+        checkpoints.prepare("fp", resume=False)
+        checkpoints.prepare("fp", resume=True)
+        assert not checkpoints.has("group-abc")
+        assert GroupResultStore(groups).identities() == []
 
 
 class TestPlanSummary:

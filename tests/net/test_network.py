@@ -7,7 +7,7 @@ from repro.dns.rdata import A, RRType
 from repro.dns.server import AuthoritativeServer
 from repro.dns.zone import zone_from_records
 from repro.net.network import NetworkError, SimulatedInternet
-from repro.net.traffic import Protocol
+from repro.net.traffic import Protocol, TrafficCapture
 
 
 @pytest.fixture
@@ -100,10 +100,13 @@ class TestDnsTransport:
 
     def test_flows_captured_with_metadata(self, network_with_server):
         network, _ = network_with_server
-        network.query_dns(
-            "10.9.9.9", "10.0.0.1", Message.make_query("test.net", RRType.A)
-        )
-        flows = network.capture.dns_lookups()
+        with network.capturing(TrafficCapture()) as capture:
+            network.query_dns(
+                "10.9.9.9",
+                "10.0.0.1",
+                Message.make_query("test.net", RRType.A),
+            )
+        flows = capture.flows
         assert len(flows) == 1
         assert flows[0].metadata["qname"] == "test.net"
         assert flows[0].metadata["rcode"] == "NOERROR"
@@ -111,13 +114,14 @@ class TestDnsTransport:
 
     def test_failed_flow_marked_unsuccessful(self, network):
         network.register_stub("10.0.0.9")
-        with pytest.raises(NetworkError):
-            network.query_dns(
-                "10.9.9.9",
-                "10.0.0.9",
-                Message.make_query("x.net", RRType.A),
-            )
-        assert not network.capture.flows[-1].success
+        with network.capturing(TrafficCapture()) as capture:
+            with pytest.raises(NetworkError):
+                network.query_dns(
+                    "10.9.9.9",
+                    "10.0.0.9",
+                    Message.make_query("x.net", RRType.A),
+                )
+        assert not capture.flows[-1].success
 
     def test_registry_introspection(self, network_with_server):
         network, server = network_with_server
@@ -143,31 +147,35 @@ class TestTcpTransport:
         assert network.stats["tcp_failures"] == 1
 
     def test_failed_connect_still_captured(self, network):
-        network.connect_tcp("10.9.9.9", "10.8.8.8", 80, b"x")
-        flow = network.capture.flows[-1]
+        with network.capturing(TrafficCapture()) as capture:
+            network.connect_tcp("10.9.9.9", "10.8.8.8", 80, b"x")
+        flow = capture.flows[-1]
         assert flow.dst == "10.8.8.8"
         assert not flow.success
 
     def test_payload_excerpt_in_metadata(self, network):
         network.register_tcp_host("10.1.1.1", _Echo())
-        network.connect_tcp("10.9.9.9", "10.1.1.1", 80, b"A" * 500)
-        flow = network.capture.flows[-1]
+        with network.capturing(TrafficCapture()) as capture:
+            network.connect_tcp("10.9.9.9", "10.1.1.1", 80, b"A" * 500)
+        flow = capture.flows[-1]
         assert flow.metadata["payload"] == b"A" * 256
         assert flow.payload_size == 500
 
     def test_protocol_tagging(self, network):
         network.register_tcp_host("10.1.1.1", _Echo())
-        network.connect_tcp(
-            "10.9.9.9", "10.1.1.1", 25, b"EHLO", protocol=Protocol.SMTP
-        )
-        assert network.capture.flows[-1].protocol is Protocol.SMTP
+        with network.capturing(TrafficCapture()) as capture:
+            network.connect_tcp(
+                "10.9.9.9", "10.1.1.1", 25, b"EHLO", protocol=Protocol.SMTP
+            )
+        assert capture.flows[-1].protocol is Protocol.SMTP
 
     def test_custom_metadata_preserved(self, network):
         network.register_tcp_host("10.1.1.1", _Echo())
-        network.connect_tcp(
-            "10.9.9.9", "10.1.1.1", 80, b"x", metadata={"k": "v"}
-        )
-        assert network.capture.flows[-1].metadata["k"] == "v"
+        with network.capturing(TrafficCapture()) as capture:
+            network.connect_tcp(
+                "10.9.9.9", "10.1.1.1", 80, b"x", metadata={"k": "v"}
+            )
+        assert capture.flows[-1].metadata["k"] == "v"
 
 
 def _fault_query():

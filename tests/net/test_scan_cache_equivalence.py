@@ -63,6 +63,8 @@ def test_naive_path_reproduces_the_fast_lane(faulted):
     # reference path never read one
     assert fast_hits > 10_000
     assert naive_hits == 0
+    lane = ScanPathMetrics.from_network(fast_hunter.network)
+    assert lane.compiled_hits > 0 and lane.query_hits > 0
     if faulted:
         assert fast_hunter.resilience.hedges_fired > 0
         assert fast_hunter.engine.metrics.retries > 0

@@ -81,9 +81,14 @@ class TestTrafficCapture:
 
     def test_dns_lookups(self):
         capture = TrafficCapture()
-        capture.record(_flow(protocol=Protocol.DNS))
+        capture.record(
+            FlowRecord(
+                1.0, "10.9.9.9", "10.0.0.1", Protocol.DNS, 53,
+                metadata={"qname": "example.com"},
+            )  # fmt: skip
+        )
         capture.record(_flow(protocol=Protocol.TCP))
-        assert len(capture.dns_lookups()) == 1
+        assert list(capture.dns_questions()) == [("10.0.0.1", "example.com")]
 
     def test_extend_and_clear(self):
         capture = TrafficCapture()

@@ -30,7 +30,7 @@ def test_paper_scale_seed_builds_with_fn_rate_zero(seed):
         assert world.case_studies[family].planted
     # the §4.2 validation reads the protective and correct collections
     # only, so the UR scan (most of a paper-scale run) is left out
-    hunter = URHunter.from_world(world, HunterConfig(capture_mode="off"))
+    hunter = URHunter.from_world(world)
     correct_db = CorrectRecordDatabase(hunter.ipinfo)
     preamble = hunter.collector.collect_preamble(hunter.plan, correct_db)
     hunter.correct_db = correct_db
