@@ -121,11 +121,10 @@ class CollectionResult:
     correct_successes: int = 0
     #: engine observability for the whole collection run
     metrics: Optional[ScanMetrics] = None
-    #: virtual time pinned after the protective + correct collections,
-    #: before the UR scan — stage 2's classification clock in both the
-    #: batch and streaming execution modes (streaming classifies records
-    #: while the scan is still running, so the clock cannot depend on
-    #: when the scan *ends*)
+    #: the scan start — virtual time after the protective probes, where
+    #: the correct collection and the UR scan are both pinned — and
+    #: stage 2's classification clock in both the batch and streaming
+    #: execution modes (the clock cannot depend on when the scan *ends*)
     classification_epoch: float = 0.0
 
 
@@ -142,7 +141,8 @@ class CollectionPreamble:
     protective: Dict[str, ProtectiveFingerprint]
     correct_db: CorrectRecordDatabase
     correct_successes: int
-    #: virtual time when the preamble finished — the classification clock
+    #: the scan start (after the protective probes) — the classification
+    #: clock
     classification_epoch: float
 
     def fold_into(self, result: CollectionResult) -> CollectionResult:
@@ -224,15 +224,18 @@ class ResponseCollector:
         Protective fingerprints and correct-record profiles must be
         complete before the first UR can be classified.  Resets the
         engine metrics, so the UR scan that follows accumulates into
-        the same ledger.  Each collection ends at its start plus its
-        longest server group, so the classification epoch is
-        ``origin + makespan(protective) + makespan(correct)``.
+        the same ledger.  The protective probes end at the *scan start*
+        ``origin + makespan(protective)`` — the classification epoch —
+        and the correct collection starts there; the UR scan is pinned
+        to it too, side by side with the correct collection (open
+        resolvers and target nameservers are disjoint servers).
         """
         self.engine.metrics = ScanMetrics()
         protective = self._guarded(
             "protective", self.collect_protective_records, plan
         )
         self.emit_phase("protective")
+        scan_start = self.network.now
         successes = self._guarded(
             "correct", self.collect_correct_records, plan, correct_db
         )
@@ -241,7 +244,7 @@ class ResponseCollector:
             protective=protective,
             correct_db=correct_db,
             correct_successes=successes,
-            classification_epoch=self.network.now,
+            classification_epoch=scan_start,
         )
 
     def _guarded(self, collection: str, fn, *args):

@@ -82,9 +82,14 @@ class Stage1Result:
     """Everything stage 1 (collection) handed to stage 2."""
 
     collection: CollectionResult
-    #: virtual time when collection finished — stage 2's pdns window and
-    #: classification clock, checkpointed so a resumed run reproduces it
+    #: the scan start (the collection's classification epoch) — stage
+    #: 2's pdns window and classification clock, checkpointed so a
+    #: resumed run reproduces it
     now: float
+    #: virtual time when collection finished, ``now`` plus the longer of
+    #: the correct collection and the UR scan — where stage 2's §4.2
+    #: sample starts, so a resumed run pins its clock here
+    end: float
     #: degradation notes accumulated during collection
     notes: Tuple[str, ...] = ()
 
@@ -425,6 +430,7 @@ class URHunter:
         self.collector.trace = trace
         if trace is not None:
             trace.bind_plan(self.plan.plan_hash)
+            trace.origin = self.network.now
 
     def _emit(self, name: str, stage: Optional[str] = None, **fields) -> None:
         if self.trace is not None:
@@ -514,20 +520,20 @@ class URHunter:
         )
 
     def stage1_collect(self) -> Stage1Result:
-        """Stage 1: the protective and correct collections, then the UR
-        scan — each through the plan's group runner
-        (:mod:`repro.plan.shards`), one isolated group per server.
+        """Stage 1: the protective probes, then the correct collection
+        and the UR scan side by side — each through the plan's group
+        runner (:mod:`repro.plan.shards`), one isolated group per server.
 
         The protective and correct collections are whole-corpus inputs
         to classification, so they run once, eagerly; the UR scan is
         :func:`repro.plan.shards.run_shard_scan` — the only executor,
         in both execution modes and for every shard count.
 
-        ``now`` is the collection's *classification epoch* — the virtual
-        time pinned after the protective + correct collections (the run
-        origin plus their two makespans), before the UR scan (every
-        group's clock starts there), so it is the value checkpoints
-        carry.
+        ``now`` is the collection's *classification epoch*, the scan
+        start: the run origin plus the protective makespan, where every
+        correct and UR group's clock is pinned.  Stage 1 ends at
+        ``now + max(makespan(correct), makespan(ur))``, ``end``.
+        Checkpoints carry both.
         """
         self._emit(
             "stage.start",
@@ -551,6 +557,7 @@ class URHunter:
         return Stage1Result(
             collection=collection,
             now=collection.classification_epoch,
+            end=self.network.now,
             notes=tuple(notes),
         )
 

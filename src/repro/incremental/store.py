@@ -20,12 +20,13 @@ a two-level key:
 A stored digest equal to the current one is a **hit** (replay, no
 queries); a stored file under a different digest is an **invalidate**
 (the world moved — re-execute and overwrite); no file is a **miss**.
-The classification epoch joins the digest only where the group reads
-the clock (a flap, a bounded fault window, a run deadline): everything
-else a group result carries is epoch-relative (elapsed times, latency
-deltas, clock-free deterministic events), so a clean or uniformly lossy
-group replayed thirty virtual days later composes byte-identically —
-that is the whole point of the warm run.
+The classification epoch (the scan start every UR group is pinned to)
+joins the digest only where the group reads the clock (a flap, a
+bounded fault window, a run deadline): everything else a group result
+carries is epoch-relative (elapsed times, latency deltas, clock-free
+deterministic events), so a clean or uniformly lossy group replayed
+thirty virtual days later, or pinned at any other epoch, composes
+byte-identically — that is the whole point of the warm run.
 
 Writes are atomic (:func:`atomic_write`, shared with the checkpoint
 store).  A directory written under another
@@ -232,9 +233,12 @@ def group_state(
       ``epoch``, where the group's clock is pinned; uniform loss and
       jitter never read it, so their slots are epoch-free;
     * ``deadline_offset`` — ``epoch - origin`` under a run deadline: how
-      much of the budget the preamble had spent when the group started.
+      much of the budget the protective probes had spent when the group
+      started.
 
-    ``epoch`` is the classification epoch and ``origin`` where the run
+    ``epoch`` is the classification epoch — the scan start, after the
+    protective probes, where every UR group (and, side by side, every
+    correct-collection group) is pinned — and ``origin`` where the run
     deadline is measured from (the epoch itself by default).  Returns
     ``(state, None)``, or ``(None, reason)`` when no digest can be
     taken: ``"uncacheable"`` (no server fingerprint) or

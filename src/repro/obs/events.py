@@ -149,6 +149,10 @@ class RunTrace:
         self._events: List[TraceEvent] = []
         self._timing: List[TraceEvent] = []
         self._plan_hash: Optional[str] = None
+        #: virtual time the traced run began at — a ``phase.makespan``
+        #: event's ``start`` is measured from it (the hunter the trace is
+        #: attached to sets it)
+        self.origin = 0.0
 
     def bind_plan(self, plan_hash: str) -> None:
         """Stamp the scan-plan content hash into the trace header.

@@ -3,9 +3,11 @@
 Reads a file written by :meth:`~repro.obs.events.RunTrace.finalize`
 and prints, per stage, the span markers and body events in canonical
 order, followed by an event-name counter block and (when present) the
-virtual-time table — one ``phase.makespan`` line per stage-1 phase:
-where the simulated seconds went, and which server set each phase's
-length — and the rest of the timing section.  The renderer is
+virtual-time table — one ``phase.makespan`` line per phase with its
+window on the run's clock: where the simulated seconds went, and which
+server set each phase's length; phases that ran side by side overlap,
+so the total is the latest end, not the sum — and the rest of the
+timing section.  The renderer is
 deterministic: two traces with equal deterministic sections summarize
 to equal text up to the timing lines.
 """
@@ -105,14 +107,17 @@ def summarize_trace(source: Union[str, Path]) -> str:
     phases = [e for e in timing if e["event"] == "phase.makespan"]
     timing = [e for e in timing if e["event"] != "phase.makespan"]
     if phases:
-        total = sum(event["makespan"] for event in phases)
+        # phases may run side by side: the run lasts until the last ends
+        total = max(event["start"] + event["makespan"] for event in phases)
         lines.append(
             f"virtual time: {total:.2f}s in {len(phases)} phases "
             "(each as long as its slowest server)"
         )
         for event in phases:
+            start = event["start"]
             lines.append(
                 f"  {event['phase']:<10} {event['makespan']:>9.2f}s  "
+                f"[{start:.2f}, {start + event['makespan']:.2f}]  "
                 f"groups={event['groups']} "
                 f"critical={event['critical_server']}"
             )

@@ -17,8 +17,9 @@ uninterrupted run:
 * insertion-ordered mappings (``ip_verdicts``, per-source health) are
   serialized as **lists of entries**, because their order is meaningful
   (first-seen order drives report iteration) and must round-trip;
-* the stage-1 virtual timestamp ``now`` rides in the checkpoint so a
-  resumed stage 2 classifies against the same clock the live run did.
+* the stage-1 virtual timestamps ride in the checkpoint: ``now`` so a
+  resumed stage 2 classifies against the same clock the live run did,
+  ``end`` so its §4.2 sample starts where the live run's did.
 
 Writes are atomic (:func:`~repro.incremental.store.atomic_write`) so a
 crash mid-write leaves either the previous checkpoint or none, never a
@@ -56,8 +57,11 @@ from .resilience import SourceHealth
 #: were added; v5: the partials gave way to a group result store under
 #: ``groups/``, and files are written compact; v6: retry waits under
 #: hedging are read from the round-trip estimator — the stage-1 clock
-#: and latency histogram of a hedged run mean something else)
-FORMAT_VERSION = 6
+#: and latency histogram of a hedged run mean something else; v7: the
+#: correct collection and the UR scan run side by side — stage-1
+#: ``now`` is the scan start, not the end of the preamble, and the
+#: stage's ``end`` is added)
+FORMAT_VERSION = 7
 
 
 # -- generic json helpers ---------------------------------------------------
@@ -352,6 +356,7 @@ def encode_stage1(stage1: Stage1Result) -> Dict[str, Any]:
         "correct_successes": collection.correct_successes,
         "metrics": encode_metrics(collection.metrics),
         "now": stage1.now,
+        "end": stage1.end,
         "notes": list(stage1.notes),
     }
 
@@ -378,6 +383,7 @@ def decode_stage1(
     return Stage1Result(
         collection=collection,
         now=payload["now"],
+        end=payload["end"],
         notes=tuple(payload["notes"]),
     )
 

@@ -11,7 +11,8 @@ three named stages —
 :class:`~repro.pipeline.checkpoint.CheckpointStore` is attached).  A run
 killed mid-stage resumes from the last *completed* stage: completed
 stages are decoded from their checkpoints without re-querying anything
-(the scan engine's live metrics stay at zero), and the first missing
+(the scan engine's live metrics stay at zero, and the virtual clock is
+pinned to where the live stage 1 ended), and the first missing
 stage onward runs live — stage 1 replaying, from the group result
 store under the checkpoint directory, every UR group the killed run
 had finished.  Once any stage runs live, downstream
@@ -270,8 +271,10 @@ class PipelineRunner:
             stage1 = decode_stage1(
                 self.store.load(STAGE1), self.hunter.ipinfo
             )
-            # stage 2 reads the profiles through the hunter
+            # stage 2 reads the profiles through the hunter, and its
+            # §4.2 sample starts where the live stage 1 ended
             self.hunter.correct_db = stage1.collection.correct_db
+            self.hunter.network.set_clock(stage1.end)
             resumed.append(STAGE1)
             self._emit(
                 "stage.resumed",

@@ -441,7 +441,8 @@ def build_plan(
     world inputs are the hunter's target lists.  Protective units are
     never shuffled, the correct matrix consumes the first shuffle, the
     UR matrix the second — an order plan hashes and stored group
-    identities depend on.
+    identities depend on.  Raises :class:`ValueError` naming any
+    address that is both an open resolver and a UR-scanned nameserver.
     """
     rng = random.Random(config.seed)
     query_types = tuple(config.query_types)
@@ -513,6 +514,17 @@ def build_plan(
             sorted(ur.lanes().items(), key=lambda lane: lane[1][0])
         )
     )
+    # the correct collection and the UR scan run side by side from one
+    # clock pin, so a server in both would be sent two lanes at once
+    shared = sorted(
+        set(resolvers).intersection(group.server_ip for group in groups)
+    )
+    if shared:
+        raise ValueError(
+            "the correct collection and the UR scan run side by side, so "
+            "no server may be in both: open resolver(s) "
+            f"{', '.join(shared)} are also target nameservers"
+        )
 
     digest = hashlib.sha256()
     for piece in _canonical_json(

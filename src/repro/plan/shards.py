@@ -13,8 +13,12 @@ it (:func:`isolated_phase`, :func:`pin_group`):
 * **one clock rule** — the virtual clock is pinned to the phase start
   before each group, and the parent clock ends the phase at
   ``start + makespan`` (the longest group: a perfectly parallel
-  phase); the UR scan's start is the classification epoch,
-  ``origin + makespan(protective) + makespan(correct)``;
+  phase), or where it already stood if that is later — a phase never
+  moves time backwards.  The protective probes run first; the correct
+  collection and the UR scan query disjoint servers (open resolvers,
+  target nameservers) and both start at the *scan start*
+  ``S = origin + makespan(protective)``, the classification epoch, so
+  stage 1 ends at ``S + max(makespan(correct), makespan(ur))``;
 * **one fault-RNG rule** — the network fault RNG is reseeded per group
   from a stable hash of ``(fault seed, phase, server address)``, so a
   server's groups in different phases draw independent faults (the
@@ -31,9 +35,9 @@ it (:func:`isolated_phase`, :func:`pin_group`):
 * every group gets a fresh engine, pacing/breaker state, round-trip
   estimator and AIMD controller, and a deadline budget whose run
   deadline is measured from the *run origin* the parent budget pinned
-  (earlier phases count against it; no group is granted the whole
-  budget again) — stage deadlines anchor at the group's first task, as
-  in any phase.
+  (the protective probes count against it; no group is granted the
+  whole budget again) — stage deadlines anchor at the group's first
+  task, as in any phase.
 
 The parent engine sends nothing: it is the ledger the groups merge
 into, the origin of the run deadline, and the shared query-message
@@ -201,10 +205,15 @@ def isolated_phase(
     fault RNG is restored (whatever runs next sees a
     partition-independent RNG), the parent engine ledger, resilience
     counters and trace absorb the groups in ``group`` order, the parent
-    clock ends at ``start + makespan``, and one ``phase.makespan``
-    timing event says which server set it.
+    clock ends at ``start + makespan`` or at the clock found on entry,
+    whichever is later (a phase that started side by side with an
+    earlier, longer one leaves that one's end in place), and one
+    ``phase.makespan`` timing event places the phase on the run's
+    clock — its ``start`` from the trace's run origin — and says which
+    server set its length.
     """
     network = scan.network
+    entered = network.now
     rng_state = network._fault_rng.getstate()
     finished: List[GroupResult] = []
     try:
@@ -225,15 +234,16 @@ def isolated_phase(
                 fold_resilience(engine.resilience, result.resilience)
             if critical is None or result.elapsed > makespan:
                 makespan, critical = result.elapsed, result.server_ip
-        network.set_clock(start + makespan)
-        _emit_timing(
-            trace,
-            "phase.makespan",
-            phase=phase,
-            groups=len(finished),
-            makespan=makespan,
-            critical_server=critical,
-        )
+        network.set_clock(max(start + makespan, entered))
+        if trace is not None:
+            trace.emit_timing(
+                "phase.makespan",
+                phase=phase,
+                start=start - trace.origin,
+                groups=len(finished),
+                makespan=makespan,
+                critical_server=critical,
+            )
 
 
 def _group_engine(scan, origin: float):
@@ -295,7 +305,9 @@ def run_collection_groups(
     indices only — a task exists while its outcome is being folded).
     ``fold`` takes each :class:`~repro.engine.api.QueryOutcome` as it
     completes.  The phase starts at the parent clock and ends at
-    ``start + makespan`` (:func:`isolated_phase`).
+    ``start + makespan`` (:func:`isolated_phase`): the correct
+    collection starts where the protective probes ended, the scan
+    start the UR scan is pinned to as well.
     """
     network = scan.network
     start = network.now
@@ -512,8 +524,10 @@ def run_shard_scan(hunter, plan: ScanPlan, epoch: float) -> ScanFold:
     (:func:`isolated_phase`) then merges the groups' ledgers into the
     hunter's in group-index order — the order the plan fixed,
     independent of shard membership — and ends the parent clock at
-    ``epoch + makespan``, also when a group raises: the parent ledger a
-    failure report carries is the scan up to that point.
+    ``epoch + makespan`` or where the correct collection, which ran
+    side by side from the same epoch, left it, also when a group
+    raises: the parent ledger a failure report carries is the scan up
+    to that point.
     """
     config = hunter.config
     trace = hunter.trace

@@ -605,7 +605,7 @@ def _measurement(scenario, **knobs):
         stage1, stage2, hunter.stage3_analyze(stage2)
     )
     encoded = encode_stage1(stage1)
-    del encoded["metrics"], encoded["now"]
+    del encoded["metrics"], encoded["now"], encoded["end"]
     full = render_full_report(
         report,
         sandbox_reports=world.sandbox_reports,

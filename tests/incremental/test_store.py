@@ -321,11 +321,17 @@ class TestConfigPartition:
 
 class TestKeysOfTheParentBuild:
     """Deleting a fingerprint-excluded field moves no key: literals
-    taken at ``dea10b1`` (small scale, seed 7), so a result store or a
-    checkpoint directory that build wrote opens and replays here."""
+    taken at ``dea10b1`` (small scale, seed 7), so a result store that
+    build wrote opens and replays here.  Running the correct collection
+    and the UR scan side by side moved no key either: a clean UR group
+    never reads the clock, and a time-anchored key hashes its distance
+    from the epoch the group is pinned to.  Only the checkpoint format
+    moved (stage-1 ``now`` is the scan start; v6 is refused at open),
+    not the configuration fingerprint its manifest carries."""
 
     def test_formats_did_not_move(self):
-        assert (STORE_FORMAT_VERSION, FORMAT_VERSION) == (4, 6)
+        assert STORE_FORMAT_VERSION == 4
+        assert FORMAT_VERSION == 7
 
     def test_config_fingerprint(self, hunter, tmp_path):
         assert config_fingerprint(HunterConfig()) == (
@@ -335,7 +341,7 @@ class TestKeysOfTheParentBuild:
             HunterConfig(), extra={"plan": hunter.plan.plan_hash}
         )
         (tmp_path / "manifest.json").write_text(
-            '{"format":6,"fingerprint":"bb99dcbbbbca00a1a519b660d232bb9f'
+            '{"format":7,"fingerprint":"bb99dcbbbbca00a1a519b660d232bb9f'
             'e1856140a0d9766e2ed7b972abf53711"}\n'
         )
         CheckpointStore(tmp_path).prepare(stamped, resume=True)
@@ -400,9 +406,10 @@ class TestFormatRefusal:
     def test_parent_checkpoint_groups_are_refused_never_all_missed(
         self, tmp_path, capsys
     ):
-        """``<checkpoint-dir>/groups`` as the parent build left it: the
-        manifest refuses the resume before a slot is looked at, and the
-        slots refuse to open as a store on their own."""
+        """``<checkpoint-dir>/groups`` as the last store-format-3 build
+        left it: the manifest refuses the resume before a slot is
+        looked at, and the slots refuse to open as a store on their
+        own."""
         groups = tmp_path / "groups"
         groups.mkdir()
         files = {
@@ -415,7 +422,7 @@ class TestFormatRefusal:
         assert main(argv + ["--resume", "run"]) == EXIT_ABORTED
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "cannot resume: checkpoint format 5 != 6" in captured.err
+        assert "cannot resume: checkpoint format 5 != 7" in captured.err
         assert all(path.read_text() == text for path, text in files.items())
         with pytest.raises(StoreFormatError, match="store format 3"):
             GroupResultStore(groups)

@@ -202,12 +202,31 @@ class TestCheckpointStore:
         assert slot.exists()
 
     def test_parent_format_checkpoint_does_not_resume(self, tmp_path):
-        """A format-5 stage-1 snapshot carries a clock and a latency
-        histogram whose hedged waits were 0.5 s / 5 s parks."""
+        """A format-6 stage-1 snapshot's ``now`` is the end of the
+        preamble (protective + correct), not the scan start, and it has
+        no ``end`` to pin a resumed clock to; format 5's hedged waits
+        were 0.5 s / 5 s parks.  Both are refused before a stage file is
+        read, and left as they were."""
+        files = {
+            "manifest.json": '{"format":6,"fingerprint":"fp"}',
+            "stage1-collect.json": (
+                '{"undelegated":[],"protective":[],"profiles":[],'
+                '"responses_seen":0,"queries_sent":0,"timeouts":0,'
+                '"correct_successes":0,"metrics":null,'
+                '"now":1000003.1500000004,"notes":[]}'
+            ),
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        with pytest.raises(CheckpointError, match="checkpoint format 6 != 7"):
+            CheckpointStore(tmp_path).prepare("fp", resume=True)
+        assert {
+            path.name: path.read_text() for path in tmp_path.iterdir()
+        } == files
         (tmp_path / "manifest.json").write_text(
             '{"format":5,"fingerprint":"fp"}'
         )
-        with pytest.raises(CheckpointError, match="checkpoint format 5 != 6"):
+        with pytest.raises(CheckpointError, match="checkpoint format 5 != 7"):
             CheckpointStore(tmp_path).prepare("fp", resume=True)
 
     def test_resume_without_manifest_fails(self, tmp_path):

@@ -15,6 +15,8 @@ from pathlib import Path
 import pytest
 
 from repro.core import URHunter
+from repro.obs import RunTrace
+from repro.obs.events import STAGE2 as OBS_STAGE2, STAGE3 as OBS_STAGE3
 from repro.pipeline import (
     CheckpointStore,
     PipelineRunner,
@@ -22,6 +24,11 @@ from repro.pipeline import (
     STAGE2,
     STAGE3,
     STAGE_ORDER,
+)
+from repro.resilience.scenario import (
+    FaultWindow,
+    ScenarioScript,
+    apply_scenario,
 )
 
 from .conftest import make_world
@@ -125,6 +132,58 @@ class TestInProcessResume:
         assert replay.queries == live.queries
         assert replay.timeouts == live.timeouts
         assert replay.summary() == live.summary()
+
+
+class TestResumedClock:
+    """A run resumed after stage 1 pins the clock where the live stage 1
+    ended, so its §4.2 sample starts where the uninterrupted run's did
+    and reads the same fault windows."""
+
+    #: a loss storm over every target nameserver from 2.6 s to 3.6 s into
+    #: the run, after every UR group has ended (small scale, seed 7): it
+    #: stretches the last lookups of the correct collection to 2.89 s
+    #: and the sample from 0.24 s to 0.70 s — 3.59 s in all, not 2.93
+    STORM = ScenarioScript(
+        name="sample-storm",
+        seed=13,
+        windows=(
+            FaultWindow(kind="tail-latency-storm", start=2.6, duration=1.0),
+        ),
+    )
+
+    def _runner(self, path, resume=False):
+        world = make_world()
+        hunter = URHunter.from_world(world)
+        apply_scenario(self.STORM, world, hunter)
+        hunter.attach_trace(RunTrace())
+        return PipelineRunner(
+            hunter, store=CheckpointStore(path), resume=resume
+        )
+
+    @staticmethod
+    def _after_stage1(runner):
+        """The deterministic events of stages 2 and 3, unnumbered."""
+        return [
+            {key: value for key, value in event.items() if key != "seq"}
+            for event in runner.hunter.trace.events()
+            if event.get("stage") in (OBS_STAGE2, OBS_STAGE3)
+        ]
+
+    def test_resumed_run_reads_the_uninterrupted_clock(self, tmp_path):
+        live = self._runner(tmp_path / "live")
+        origin = live.hunter.network.now
+        report = live.run().report
+        elapsed = live.hunter.network.now - origin
+
+        self._runner(tmp_path / "halted").run(stop_after=STAGE1)
+        resumed = self._runner(tmp_path / "halted", resume=True)
+        origin = resumed.hunter.network.now
+        replay = resumed.run()
+        assert replay.resumed == (STAGE1,)
+        assert round(elapsed, 6) == 3.59263
+        assert resumed.hunter.network.now - origin == elapsed
+        assert replay.report.summary() == report.summary()
+        assert self._after_stage1(resumed) == self._after_stage1(live)
 
 
 class TestKillAndResumeSubprocess:

@@ -1,14 +1,17 @@
 """The one clock rule of stage 1, for every collection and the sample.
 
 Every stage-1 query runs in a per-server group pinned to its phase's
-start; a phase lasts as long as its slowest server.  So a group run on
-its own equals its slice of the full preamble, the preamble does not
-depend on the order servers are listed in, on the shard count or on the
-execution mode, the classification epoch is the sum of the two preamble
-makespans, and a whole run's virtual time is small and exactly
-repeatable — re-serialising any collection multiplies it.  Every group
-starts with every resolver cache empty (pinning the clock empties
-them), so a group's payload does not depend on what ran before it.
+start; a phase lasts as long as its slowest server and never moves the
+clock backwards.  The correct collection and the UR scan query disjoint
+servers and are both pinned at the scan start, the run origin plus the
+protective makespan, so stage 1 lasts protective + max(correct, UR).
+So a group run on its own equals its slice of the full preamble, the
+preamble does not depend on the order servers are listed in, on the
+shard count or on the execution mode, and a whole run's virtual time is
+small and exactly repeatable — re-serialising any collection multiplies
+it.  Every group starts with every resolver cache empty (pinning the
+clock empties them), so a group's payload does not depend on what ran
+before it.
 """
 
 import hashlib
@@ -20,7 +23,6 @@ import pytest
 
 from repro.core import HunterConfig, URHunter
 from repro.core.collector import DomainTarget, NameserverTarget
-from repro.core.correctness import CorrectRecordDatabase
 from repro.dns.name import name
 from repro.dns.rdata import RRType
 from repro.dns.resolver import RecursiveResolver
@@ -34,10 +36,11 @@ from ..conftest import bare_hunter
 
 SEED = 7
 #: virtual seconds of the small-scale seed-7 run: 0.05 protective +
-#: 2.64 correct + 2.00 UR + 0.24 sample (7.67 while every resolver
+#: max(2.64 correct, 2.00 UR) + 0.24 sample (4.93 while the UR scan
+#: waited for the correct collection to end; 7.67 while every resolver
 #: lookup re-walked root and TLD; 42.13 when the preamble and the
 #: sample ran one exchange after another)
-SMALL_RUN_VIRTUAL_S = 4.93
+SMALL_RUN_VIRTUAL_S = 2.93
 
 
 def _clean(world):
@@ -321,22 +324,56 @@ def test_preamble_invariant_under_server_order(reference, permute):
     assert ledger == baseline
 
 
-def test_classification_epoch_is_the_sum_of_the_preamble_makespans(
-    monkeypatch,
-):
+def test_correct_and_ur_groups_are_pinned_at_the_scan_start(monkeypatch):
+    """Every correct and every UR group starts at the scan start
+    ``S = origin + makespan(protective)``, the classification epoch;
+    stage 1 ends at ``S + max(makespan(correct), makespan(ur))`` — the
+    correct collection's end here, so the UR phase, shorter and entered
+    later, leaves the clock where it found it."""
     results = _record_groups(monkeypatch)
+    pins = []
+    pin = shards.pin_group
+
+    def recording(network, start, phase, server_ip):
+        pins.append((phase, start))
+        pin(network, start, phase, server_ip)
+
+    monkeypatch.setattr(shards, "pin_group", recording)
     hunter = _hunter()
     origin = hunter.network.now
-    preamble = hunter.collector.collect_preamble(
-        hunter.plan, CorrectRecordDatabase(hunter.ipinfo)
+    stage1 = hunter.stage1_collect()
+    plan = hunter.plan
+    counts = [
+        len(plan.protective_units.lanes()),
+        len(hunter.open_resolver_ips),
+        len(plan.groups),
+    ]
+    assert len(results) == len(pins) == sum(counts)
+    phases = {"protective": [], "correct": [], "ur": []}
+    for (phase, start), result in zip(pins, results):
+        phases[phase].append((start, result.elapsed))
+    assert [len(groups) for groups in phases.values()] == counts
+    makespan = {
+        phase: max(elapsed for _, elapsed in groups)
+        for phase, groups in phases.items()
+    }
+    scan_start = origin + makespan["protective"]
+    assert {start for start, _ in phases["protective"]} == {origin}
+    assert {start for start, _ in phases["correct"]} == {scan_start}
+    assert {start for start, _ in phases["ur"]} == {scan_start}
+    assert stage1.now == stage1.collection.classification_epoch == scan_start
+    assert 0 < makespan["protective"] < makespan["ur"] < makespan["correct"]
+    assert stage1.end == hunter.network.now == scan_start + max(
+        makespan["correct"], makespan["ur"]
     )
-    groups = len(hunter.plan.protective_units.lanes())
-    protective = max(result.elapsed for result in results[:groups])
-    correct = max(result.elapsed for result in results[groups:])
-    assert len(results) == groups + len(hunter.open_resolver_ips)
-    assert 0 < protective < correct
-    assert preamble.classification_epoch == origin + protective + correct
-    assert hunter.network.now == preamble.classification_epoch
+
+    # the rule on its own: a phase never moves the parent clock back
+    network = hunter.network
+    for elapsed, end in ((1.0, 10.0), (7.0, 12.0)):
+        network.set_clock(10.0)
+        with shards.isolated_phase(hunter, "ur", 5.0) as finished:
+            finished.append(shards.GroupResult(0, "10.0.0.1", elapsed))
+        assert network.now == end
 
 
 def test_dead_servers_time_out_side_by_side(monkeypatch):
@@ -392,11 +429,13 @@ def test_lossy_hedged_aimd_run_keeps_its_pinned_schedule():
     1084.46 s of AIMD wait before, every count below unmoved.  Re-read
     when every retry timer began to read the round-trip estimator
     instead of 0.5 s / 5 s + backoff: 35.569934 sim-s and
-    3.733363994397223 s of AIMD wait before, every count unmoved — the
-    clean run takes 4.93.)"""
+    3.733363994397223 s of AIMD wait before, every count unmoved.
+    Re-read when the UR scan began to run side by side with the correct
+    collection: 7.276227 sim-s before, the AIMD wait and every count
+    unmoved — the clean run takes 2.93.)"""
     hunter, virtual_s = _pinned_run(_lossy, hedge_delay=0.5, aimd=True)
     metrics = hunter.engine.metrics
-    assert virtual_s == 7.276227
+    assert virtual_s == 4.8253
     assert hunter.resilience.aimd_wait == 4.1640487088589
     assert hunter.resilience.aimd_cuts == 788
     assert hunter.resilience.hedges_fired == 742
@@ -409,9 +448,11 @@ def test_lossy_hedged_aimd_run_keeps_its_pinned_schedule():
 
 
 def test_paced_run_accounts_its_pinned_rate_limit_wait():
-    """Appendix A's one query per server per 130 s, to the last bit."""
+    """Appendix A's one query per server per 130 s, to the last bit
+    (24310.35 sim-s while the UR scan waited for the correct collection;
+    every phase's wait unmoved)."""
     hunter, virtual_s = _pinned_run(per_server_interval=130.0)
-    assert virtual_s == 24310.35
+    assert virtual_s == 12220.34
     # a query that cost fewer upstream exchanges leaves more of its
     # 130 s to wait out: the resolver phases wait longer than they did
     # while every lookup walked from the root (96676.77 / 1733543.50)
@@ -427,31 +468,35 @@ def test_paced_run_accounts_its_pinned_rate_limit_wait():
 
 def test_paced_lossy_aimd_run_pays_its_pinned_politeness():
     """Where AIMD bites: under 130 s pacing a cut doubles a 130 s gap,
-    so 5 % loss costs a fifth more scan time (26910.34 sim-s without
+    so 5 % loss costs a fifth more scan time (13780.26 sim-s without
     ``aimd``, and with it while its wait was a fraction of the timeout
     and hid inside the token bucket's gap: 801 cuts, 0.0 s waited).
     Re-read when AIMD's healthy interval began to read the smoothed
     round trip instead of the running mean: nothing moved — under
     pacing the interval is the 130 s; unpaced, the same lossy run with
-    ``aimd`` alone went 138.118816 -> 138.039131 sim-s."""
+    ``aimd`` alone went 138.118816 -> 138.039131 sim-s.  Re-read when
+    the UR scan began to run side by side with the correct collection:
+    32183.387619 / 26910.34 sim-s before, the wait and the cuts
+    unmoved."""
     hunter, virtual_s = _pinned_run(
         _lossy, per_server_interval=130.0, aimd=True
     )
-    assert virtual_s == 32183.387619
+    assert virtual_s == 16943.593333
     assert hunter.resilience.aimd_wait == 164166.80210630305
     assert hunter.resilience.aimd_cuts == 804
-    assert _pinned_run(_lossy, per_server_interval=130.0)[1] == 26910.34
+    assert _pinned_run(_lossy, per_server_interval=130.0)[1] == 13780.26
 
 
 def test_unhedged_lossy_runs_keep_the_bare_retry_path():
     """Without ``hedge_delay`` every expiry is timeout + backoff, as it
-    always was: 137.77 sim-s bare; ``aimd`` alone keeps every count and
+    always was: 79.3 sim-s bare; ``aimd`` alone keeps every count and
     stretches the smoothed round trip (138.118816 sim-s / 3.733364 s of
-    wait while it read the running mean)."""
+    wait while it read the running mean; 137.77 / 138.039131 sim-s while
+    the UR scan waited for the correct collection)."""
     bare, bare_s = _pinned_run(_lossy)
     paced, paced_s = _pinned_run(_lossy, aimd=True)
-    assert bare_s == 137.77
-    assert paced_s == 138.039131
+    assert bare_s == 79.3
+    assert paced_s == 79.353333
     assert paced.resilience.aimd_wait == 3.5168944731121883
     assert paced.resilience.aimd_cuts == 788
     for hunter in (bare, paced):
@@ -461,13 +506,23 @@ def test_unhedged_lossy_runs_keep_the_bare_retry_path():
 
 
 def test_run_deadline_sheds_its_pinned_count():
-    # the preamble ends 2.69 sim-s in (0.05 + 2.64): a 3 s run deadline
-    # cuts every UR group 0.31 s in, and the sample adds its 0.24
-    hunter, virtual_s = _pinned_run(run_deadline=3.0)
-    assert virtual_s == 3.24
+    # the UR groups start at the scan start, 0.05 sim-s in (the
+    # protective probes), and the shortest runs 0.70 s: a 3 s deadline
+    # no longer cuts one, a deadline under 0.75 s cuts them all.  0.36 s
+    # cuts every UR group 0.31 s in — where the 3 s deadline cut them
+    # while they started 2.69 s in, after the correct collection — so
+    # the UR scan sheds its 8,980 again; the correct groups, side by
+    # side, are cut 0.31 s into their 2.64 s and shed 695 of 752 too.
+    # Once spent, the budget stops the timers ticking: stage 1 ends
+    # 0.38 s in, and the sample adds its 0.24.  (3.24 sim-s and 8,980
+    # shed, 5,546 sent, with the 3 s deadline before.)
+    hunter, virtual_s = _pinned_run(run_deadline=0.36)
+    assert virtual_s == 0.62
     assert hunter.engine.metrics.stage("ur").shed == 8980
-    assert hunter.engine.metrics.queries == 5546
-    assert hunter.resilience.shed == {"shed:deadline-run": 8980}
+    assert hunter.engine.metrics.stage("correct").shed == 695
+    assert hunter.engine.metrics.queries == 4851
+    assert hunter.resilience.shed == {"shed:deadline-run": 9675}
+    assert _pinned_run(run_deadline=3.0)[0].resilience.shed == {}
 
 
 def test_fault_seeds_differ_per_phase_and_the_ur_seed_keeps_its_spelling():

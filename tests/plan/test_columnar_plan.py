@@ -177,6 +177,13 @@ ADDRESSES = [f"10.0.{index // 4}.{index % 4}" for index in range(10)] + [
     'quo"te\\slash',
     "caf\u00e9::1",
 ]
+#: open resolvers come from a pool of their own: the correct collection
+#: and the UR scan run side by side, so ``build_plan`` refuses a server
+#: in both (``test_plan.TestSideBySideColumns``)
+RESOLVER_ADDRESSES = [f"10.9.0.{index}" for index in range(4)] + [
+    'res"olver\\',
+    "caf\u00e9::53",
+]
 DOMAINS = [
     name(f"{label}.example") for label in ("a", "b", "shop", "_x", "y" * 40)
 ] + [name("deep.sub.example.org")]
@@ -214,7 +221,7 @@ query_type_lists = st.lists(
     nameservers=nameserver_lists,
     domains=domain_lists,
     delegated_to=delegations,
-    resolvers=st.lists(st.sampled_from(ADDRESSES), max_size=4),
+    resolvers=st.lists(st.sampled_from(RESOLVER_ADDRESSES), max_size=4),
     query_types=query_type_lists,
     seed=st.integers(0, 2**32),
 )

@@ -14,6 +14,8 @@ import random
 import pytest
 
 from repro.core import HunterConfig, URHunter
+from repro.core.collector import DomainTarget, NameserverTarget
+from repro.dns.name import name
 from repro.plan.scanplan import build_plan
 from repro.scenario import build_world, small_config
 
@@ -176,3 +178,35 @@ class TestShardPartition:
             shards=4
         )
         assert plan.plan_hash in plan.summary()
+
+
+class TestSideBySideColumns:
+    """The correct collection and the UR scan run side by side from one
+    clock pin, so no server may be in both columns."""
+
+    NAMESERVERS = [
+        NameserverTarget(f"10.9.0.{host}", "HandBuilt") for host in (1, 2, 3)
+    ]
+    DOMAINS = [DomainTarget(name("victim.test"), 1)]
+
+    def test_an_open_resolver_that_is_a_target_nameserver_is_refused(self):
+        with pytest.raises(ValueError, match=r"10\.9\.0\.2 are also") as error:
+            build_plan(
+                self.NAMESERVERS,
+                self.DOMAINS,
+                {},
+                ["10.9.0.2", "10.9.0.9"],
+                HunterConfig(),
+            )
+        assert "10.9.0.9" not in str(error.value)
+
+    def test_a_nameserver_left_out_of_the_ur_scan_may_resolve(self):
+        # every target domain is delegated to it: it has no UR lane
+        plan = build_plan(
+            self.NAMESERVERS,
+            self.DOMAINS,
+            {name("victim.test"): {"10.9.0.2"}},
+            ["10.9.0.2"],
+            HunterConfig(),
+        )
+        assert "10.9.0.2" not in {group.server_ip for group in plan.groups}

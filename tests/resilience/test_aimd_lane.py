@@ -221,8 +221,9 @@ def test_storm_decomposition_aimd_never_costs_a_second_timeout(storm):
     the hedge just shortened (it read 346.1 against hedge alone's
     212.9, and 516.6 against bare 449.2, while its wait was a fraction
     of the timeout).  Since the hedged lane's parks are round-trip
-    sized too, AIMD's stretch shows beside them (51.6 against 41.5
-    sim-s): what it may cost is what it waited, not a share of the
+    sized too, AIMD's stretch shows beside them (45.9 against 35.9
+    sim-s; 51.6 against 41.5 while the UR scan waited for the correct
+    collection): what it may cost is what it waited, not a share of the
     hedged time."""
     bare_s, bare, _ = storm["bare"]
     hedge_s, hedge, _ = storm["hedge"]

@@ -95,9 +95,12 @@ class TestChaosRun:
 
     def test_run_deadline_sheds_and_reports(self, capsys):
         # every phase lasts as long as its slowest server: 0.05 sim-s
-        # of protective probes + 2.64 of correct records, then 2.00 for
-        # the longest nameserver group — so a 3 s run deadline lets the
-        # preamble through and cuts every group short 0.31 s in
+        # of protective probes, then the correct records (2.64) and the
+        # UR groups (0.70 to 2.00) side by side from the scan start — so
+        # a 3 s run deadline cuts nothing, and 0.36 s cuts every UR
+        # group and every open resolver's group short 0.31 s in (a 3 s
+        # deadline did that to the UR groups alone while they started
+        # 2.69 s in, after the correct collection)
         for mode in (
             [],
             ["--shards", "4"],
@@ -107,7 +110,7 @@ class TestChaosRun:
             code = _run(
                 [
                     "--scale", "small", "--seed", "7",
-                    "--run-deadline", "3",
+                    "--run-deadline", "0.36",
                     *mode,
                     "-q", "run",
                 ]
@@ -115,7 +118,8 @@ class TestChaosRun:
             assert code == cli.EXIT_OK
             out = capsys.readouterr().out
             # shed queries surface in the scan metrics block: 8,980 of
-            # the 13,482 UR queries, however the groups are sharded,
-            # streamed or pooled
-            assert "shed: 8,980" in out, mode
-            assert "[correct] q=752 r=752" in out, mode
+            # the 13,482 UR queries and 695 of the 752 correct-record
+            # lookups, however the groups are sharded, streamed or pooled
+            assert "shed: 9,675" in out, mode
+            assert "[correct] q=57 r=57" in out, mode
+            assert "shed=695" in out and "shed=8,980" in out, mode

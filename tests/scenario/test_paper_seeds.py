@@ -37,6 +37,7 @@ def test_paper_scale_seed_builds_with_fn_rate_zero(seed):
     stage1 = Stage1Result(
         collection=preamble.fold_into(CollectionResult()),
         now=preamble.classification_epoch,
+        end=hunter.network.now,
     )
     assert hunter.stage2_exclude(stage1, validate=True).fn_rate == 0.0
 
