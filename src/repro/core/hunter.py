@@ -51,6 +51,7 @@ from ..pipeline.resilience import SourceHealth, merge_health
 from ..plan.scanplan import ScanPlan, build_plan
 from ..plan.shards import (
     GroupResult,
+    end_group,
     isolated_phase,
     pin_group,
     run_shard_scan,
@@ -834,7 +835,8 @@ class URHunter:
 
         Ad-hoc exchanges, no engine and no retry — but under stage 1's
         isolation rule: the queries aimed at one nameserver form a
-        group pinned to the sample's start, and the clock ends at
+        group pinned to the sample's start that ends like any other
+        (:func:`~repro.plan.shards.end_group`), and the clock ends at
         ``start + makespan``.  The sample keeps the targets' order.
         """
         network = self.network
@@ -886,6 +888,7 @@ class URHunter:
                         for answer in response.answers
                         if isinstance(answer.rdata, (A, TXT))
                     ]
+                end_group(network, address)
                 # no engine, so no ledger: only the elapsed time merges
                 finished.append(
                     GroupResult(group, address, network.now - start)

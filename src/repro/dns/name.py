@@ -69,7 +69,9 @@ class Name:
         ``""`` and ``"."`` both denote the root.  Results are interned:
         the pipeline parses the same domain text over and over (every
         record, checkpoint, and report round-trip), and Name is
-        immutable, so equal texts may safely share one instance.
+        immutable, so equal texts may safely share one instance — the
+        same one the wire decoder returns for those labels
+        (:func:`interned`).
         """
         return _parse_interned(text)
 
@@ -215,6 +217,26 @@ ROOT = Name(())
 
 
 @functools.lru_cache(maxsize=65536)
+def _intern(labels: Tuple[str, ...]) -> Name:
+    return Name(labels)
+
+
+def interned(labels: Tuple[str, ...]) -> Name:
+    """The one shared :class:`Name` for an exact label tuple.
+
+    The wire decoder and :meth:`Name.from_text` both go through here,
+    so a name held by many decoded messages — in the codec's decode
+    cache, the resolver caches, the collected records — is one object.
+    The key is the exact labels: ``Ex.COM`` and ``ex.com`` are equal
+    names but distinct objects, each keeping its own spelling.  A label
+    is validated the first time its tuple is seen; a raised
+    :class:`NameError_` is never cached (``lru_cache`` stores only
+    results).
+    """
+    return _intern(labels) if labels else ROOT
+
+
+@functools.lru_cache(maxsize=65536)
 def _parse_interned(text: str) -> Name:
     """The uncached parse behind :meth:`Name.from_text`.
 
@@ -231,7 +253,7 @@ def _parse_interned(text: str) -> Name:
     labels = text.split(".")
     if any(not label for label in labels):
         raise NameError_(f"empty label in name: {text!r}")
-    return Name(labels)
+    return interned(tuple(labels))
 
 
 def name(value: Union[str, Name]) -> Name:

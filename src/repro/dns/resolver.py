@@ -38,9 +38,13 @@ class ResolutionError(RuntimeError):
 
 @dataclass
 class CacheEntry:
+    """A cached lookup: the sections a hit hands back as the miss did —
+    answers, and authorities (a negative answer's SOA, RFC 2308 §5)."""
+
     expires: float
     records: Tuple[ResourceRecord, ...]
     rcode: int
+    authorities: Tuple[ResourceRecord, ...] = ()
 
 
 @dataclass
@@ -381,6 +385,7 @@ class RecursiveResolver:
             is_response=True, rcode=entry.rcode, recursion_available=True
         )
         message.answers = list(entry.records)
+        message.authorities = list(entry.authorities)
         return message
 
     def _cache_put(self, qname: Name, qtype: int, response: Message) -> None:
@@ -393,6 +398,7 @@ class RecursiveResolver:
             expires=self.network.now + ttl,
             records=tuple(response.answers),
             rcode=response.header.rcode,
+            authorities=tuple(response.authorities),
         )
 
     def flush_cache(self) -> None:

@@ -38,7 +38,8 @@ class _CompiledAnswer:
     validators: ``zone.serial`` for zone-backed answers (bumped by
     ``Zone.add``/``Zone.remove``), and the unhosted-policy snapshot for
     synthesized answers.  Entries never survive ``load_zone``/
-    ``unload_zone`` — those clear the whole cache.
+    ``unload_zone`` — those clear the whole cache — nor the end of a
+    stage-1 group aimed at the server (``flush_cache``).
     """
 
     __slots__ = ("template", "wire", "zone", "serial", "policy", "extras")
@@ -98,7 +99,8 @@ class AuthoritativeServer:
         #: counters for tests/observability
         self.query_count = 0
         #: compiled answer cache (scan-path fast lane); flushed whenever
-        #: the zone map changes
+        #: the zone map changes and when a group that queried this
+        #: server ends (:meth:`flush_cache`)
         self._compiled: Dict[object, _CompiledAnswer] = {}
         #: REFUSED-template pool used only when the network offers no
         #: shared ``refused_pool`` (bare-harness tests)
@@ -125,6 +127,14 @@ class AuthoritativeServer:
         self.generation += 1
         self._compiled.clear()
         return True
+
+    def flush_cache(self) -> None:
+        """Forget every compiled answer (a group ends: the server's
+        next question may never come).  ``generation`` stays: nothing
+        that can change an answer changed, so no result-store key
+        moves."""
+        self._compiled.clear()
+        self._refused_fallback.clear()
 
     def zone_for(self, qname: Union[str, Name]) -> Optional[Zone]:
         """The closest enclosing hosted zone for ``qname``, if any."""

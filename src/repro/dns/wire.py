@@ -13,7 +13,7 @@ import struct
 from typing import Dict, List, Tuple
 
 from .message import Header, Message, Question, ResourceRecord
-from .name import MAX_LABEL_LENGTH, Name, NameError_
+from .name import MAX_LABEL_LENGTH, Name, NameError_, interned
 from .rdata import (
     CNAME,
     MX,
@@ -102,7 +102,7 @@ class _Decoder:
         labels, next_offset = self._read_name_at(self.offset)
         self.offset = next_offset
         try:
-            return Name(labels)
+            return interned(tuple(labels))
         except NameError_ as exc:
             raise WireError(f"invalid name on the wire: {exc}") from exc
 

@@ -27,11 +27,14 @@ it (:func:`isolated_phase`, :func:`pin_group`):
   zone cut) survives a clock pin: ``set_clock`` bumps the network's
   clock generation and every resolver — the open resolvers, the
   recursive nameservers' shared fallback, a pool worker's replicas —
-  drops its caches on its next lookup (a collection group's own
-  server when the group finishes: its next lookup may never come).
-  Every group of every phase starts cold, so the groups behind one
-  shared resolver all pay the same, and a replica that ran other
-  shards before answers the same;
+  drops its caches on its next lookup.  And every executed group —
+  protective, correct, UR or §4.2 sample — ends with
+  :func:`end_group`: the server it queried drops its caches at once
+  (a resolver's answers and cuts, an authoritative server's compiled
+  answers), since its next question may never come.  Every group of
+  every phase starts cold, so the groups behind one shared resolver
+  all pay the same, and a replica that ran other shards before
+  answers the same;
 * every group gets a fresh engine, pacing/breaker state, round-trip
   estimator and AIMD controller, and a deadline budget whose run
   deadline is measured from the *run origin* the parent budget pinned
@@ -90,6 +93,7 @@ __all__ = [
     "ScanFold",
     "GroupResult",
     "pin_group",
+    "end_group",
     "isolated_phase",
     "run_collection_groups",
     "run_group_isolated",
@@ -246,6 +250,16 @@ def isolated_phase(
             )
 
 
+def end_group(network, server_ip: str) -> None:
+    """End one group: the server it queried drops its caches — a
+    resolver's answers and zone cuts, an authoritative server's
+    compiled answers.  Its next question may never come, so nothing
+    compiled for one group is held for a later one."""
+    flush = getattr(network.dns_hosts().get(server_ip), "flush_cache", None)
+    if flush is not None:
+        flush()
+
+
 def _group_engine(scan, origin: float):
     """A fresh engine + resilience controllers for one group: the
     parent engine's policy and controller settings, none of its state.
@@ -312,7 +326,6 @@ def run_collection_groups(
     network = scan.network
     start = network.now
     origin = _run_origin(scan.engine, start)
-    services = network.dns_hosts()
     with isolated_phase(scan, collection, start) as finished:
         for index, (server_ip, lane) in enumerate(
             plan.units(collection).lanes().items()
@@ -323,11 +336,7 @@ def run_collection_groups(
                 plan.tasks(collection, lane)
             ):
                 fold(outcome)
-            # a resolver's caches die with its group: the lazy flush on
-            # its next lookup never comes once its only group is over
-            flush = getattr(services.get(server_ip), "flush_cache", None)
-            if flush is not None:
-                flush()
+            end_group(network, server_ip)
             finished.append(
                 _group_result(
                     engine, index, server_ip, network.now - start, []
@@ -360,6 +369,7 @@ def run_group_isolated(
             plan.tasks("ur", indices)
         )
     ]
+    end_group(network, group.server_ip)
     return _group_result(
         engine, group.index, group.server_ip, network.now - epoch, reduced
     )

@@ -16,6 +16,7 @@ outcomes parked — are kept here too and must leave the stage-1
 checkpoint byte-identical.
 """
 
+import gc
 import json
 import random
 import tracemalloc
@@ -313,11 +314,17 @@ def test_preamble_folds_leave_the_stage1_checkpoint_unchanged(prepare):
 
 # -- memory ceiling ----------------------------------------------------------
 
-#: tracemalloc peak of the small-scale stage 1 (seed 7) with the streamed
-#: folds and the index-only engine lanes, plus 15 %; no flow is stored
-#: (the scanner opens no tap — 7.16 MiB with the 17,430-row columnar
-#: log; the eager flow list + outcome list peaked at 21.57 MiB)
-STAGE1_PEAK_CEILING = 6.13 * 1.15 * 2**20
+#: tracemalloc peak of the small-scale stage 1 (seed 7), plus 15 %:
+#: every group drops its server's compiled answers when it ends and
+#: decoded names are interned (6.13 MiB while the target servers kept
+#: their compiled answers to the end of the run; 7.16 MiB with the
+#: 17,430-row columnar flow log; the eager flow list + outcome list
+#: peaked at 21.57 MiB)
+STAGE1_PEAK_CEILING = 3.07 * 1.15 * 2**20
+#: what stage 1 leaves live once it returns (its result, the bounded
+#: codec caches), plus 15 % — 5.78 MiB while compiled answers
+#: outlived their groups
+STAGE1_RETAINED_CEILING = 2.44 * 1.15 * 2**20
 
 
 def test_small_scale_stage1_peak_stays_under_its_ceiling():
@@ -327,8 +334,12 @@ def test_small_scale_stage1_peak_stays_under_its_ceiling():
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        hunter.stage1_collect()
+        stage1 = hunter.stage1_collect()
         peak = tracemalloc.get_traced_memory()[1] - before
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+    assert stage1.collection.undelegated
     assert peak <= STAGE1_PEAK_CEILING
+    assert retained <= STAGE1_RETAINED_CEILING

@@ -159,6 +159,29 @@ class TestCache:
         resolver.resolve("example.com", RRType.A)
         assert resolver.stats.upstream_queries > upstream_before
 
+    @pytest.mark.parametrize(
+        "qname, qtype, rcode",
+        [
+            ("missing.example.com", RRType.A, Rcode.NXDOMAIN),
+            ("example.com", RRType.TXT, Rcode.NOERROR),
+        ],
+        ids=["nxdomain", "nodata"],
+    )
+    def test_negative_hit_returns_the_sections_of_the_miss(
+        self, tree, qname, qtype, rcode
+    ):
+        """RFC 2308 §5: a cached negative answer keeps its SOA."""
+        _, _, resolver = tree
+        miss = resolver.resolve(qname, qtype)
+        hit = resolver.resolve(qname, qtype)
+        assert resolver.stats.cache_hits == 1
+        assert miss.header.rcode == hit.header.rcode == rcode
+        assert [record.rrtype for record in miss.authorities] == [RRType.SOA]
+        assert (hit.answers, hit.authorities) == (
+            miss.answers,
+            miss.authorities,
+        )
+
     def test_flush(self, tree):
         _, _, resolver = tree
         resolver.resolve("example.com", RRType.A)

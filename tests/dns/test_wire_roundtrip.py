@@ -146,6 +146,41 @@ class TestSeededRoundtrip:
             assert encode_message(decode_message(wire)) == wire, f"case {case}"
 
 
+class TestInternedNames:
+    """Decoded names are shared per exact label tuple, spelling kept."""
+
+    @staticmethod
+    def _qname(text: str) -> Name:
+        wire = encode_message(Message.make_query(text, RRType.A))
+        return decode_message(wire).questions[0].qname
+
+    def test_two_decodes_share_one_name(self):
+        assert self._qname("www.example.com") is self._qname(
+            "www.example.com"
+        )
+
+    def test_from_text_is_the_decoded_name(self):
+        assert Name.from_text("Ex.COM") is self._qname("Ex.COM")
+        assert Name.from_text("Ex.COM.") is self._qname("Ex.COM")
+
+    def test_spellings_stay_distinct_and_encode_as_spelled(self):
+        lower, upper = self._qname("ex.com"), self._qname("Ex.COM")
+        assert lower == upper and lower is not upper
+        wires = [
+            encode_message(Message.make_query(decoded, RRType.A, message_id=1))
+            for decoded in (lower, upper)
+        ]
+        assert b"\x02ex\x03com\x00" in wires[0]
+        assert b"\x02Ex\x03COM\x00" in wires[1]
+
+    def test_a_bad_label_fails_every_decode(self):
+        wire = encode_message(Message.make_query("abc.example", RRType.A))
+        bad = wire.replace(b"\x03abc", b"\x03a c")
+        for _ in range(3):
+            with pytest.raises(WireError):
+                decode_message(bad)
+
+
 class TestWireCodecCache:
     def _query(self, message_id=7, qname="www.example.com"):
         return Message.make_query(qname, RRType.A, message_id=message_id)
