@@ -145,7 +145,7 @@ class Name:
         """
         if self.is_root:
             raise NameError_("the root name has no parent")
-        return Name(self._labels[1:])
+        return interned(self._labels[1:])
 
     def ancestors(self) -> Iterator["Name"]:
         """Yield every proper ancestor, nearest first, ending at the root.
@@ -179,21 +179,21 @@ class Name:
         return self._labels[: len(self) - len(origin)]
 
     def prepend(self, *labels: str) -> "Name":
-        """Return a new name with ``labels`` added on the left."""
-        return Name(tuple(labels) + self._labels)
+        """The name with ``labels`` added on the left (interned)."""
+        return interned(tuple(labels) + self._labels)
 
     def split(self, depth: int) -> Tuple["Name", "Name"]:
         """Split into (prefix, suffix) where the suffix has ``depth`` labels."""
         if depth < 0 or depth > len(self):
             raise NameError_(f"cannot split {self} at depth {depth}")
         cut = len(self) - depth
-        return Name(self._labels[:cut]), Name(self._labels[cut:])
+        return interned(self._labels[:cut]), interned(self._labels[cut:])
 
     def tld(self) -> Optional["Name"]:
         """The rightmost label as a name, or None for the root."""
         if self.is_root:
             return None
-        return Name(self._labels[-1:])
+        return interned(self._labels[-1:])
 
 
 def _validate_label(label: str) -> None:
@@ -224,9 +224,11 @@ def _intern(labels: Tuple[str, ...]) -> Name:
 def interned(labels: Tuple[str, ...]) -> Name:
     """The one shared :class:`Name` for an exact label tuple.
 
-    The wire decoder and :meth:`Name.from_text` both go through here,
-    so a name held by many decoded messages — in the codec's decode
-    cache, the resolver caches, the collected records — is one object.
+    The wire and RDATA decoders, :meth:`Name.from_text` and the derived
+    names (:meth:`Name.parent`, :meth:`~Name.prepend`, :meth:`~Name.split`,
+    :meth:`~Name.tld`) all go through here, so a name held by many
+    decoded messages and zone keys — in the codec's decode cache, the
+    resolver caches, the collected records — is one object.
     The key is the exact labels: ``Ex.COM`` and ``ex.com`` are equal
     names but distinct objects, each keeping its own spelling.  A label
     is validated the first time its tuple is seen; a raised

@@ -18,7 +18,7 @@ import struct
 from dataclasses import dataclass
 from typing import ClassVar, Dict, List, Tuple, Type, Union
 
-from .name import Name, name
+from .name import Name, interned, name
 
 
 class RdataError(ValueError):
@@ -183,7 +183,7 @@ def _decode_name_uncompressed(data: bytes) -> Name:
         offset += length
     if offset != len(data):
         raise RdataError("trailing bytes after name in RDATA")
-    return Name(labels)
+    return interned(tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -294,7 +294,7 @@ class SOA(Rdata):
                 length = data[offset]
                 offset += 1
                 if length == 0:
-                    return Name(labels), offset
+                    return interned(tuple(labels)), offset
                 labels.append(data[offset : offset + length].decode("ascii"))
                 offset += length
 

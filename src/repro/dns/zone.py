@@ -85,18 +85,25 @@ class Zone:
 
         A relative owner (not under the origin) is interpreted as relative
         to the origin, zone-file style: ``add("www", A("1.2.3.4"))``.
+
+        Only a CNAME add scans the zone (for the owner's other types);
+        every other add probes just its own key and the owner's CNAME
+        key, so building a zone is linear in its records.
         """
         owner = self._absolute(owner)
         record = ResourceRecord(owner, rdata, ttl)
         key = (owner, rdata.rrtype)
-        if rdata.rrtype == RRType.CNAME and self._rrsets.get(key):
-            raise ZoneError(f"duplicate CNAME at {owner}")
-        existing_types = {
-            rrtype for (existing, rrtype) in self._rrsets if existing == owner
-        }
-        if rdata.rrtype == RRType.CNAME and existing_types - {RRType.CNAME}:
-            raise ZoneError(f"CNAME cannot coexist with other data at {owner}")
-        if RRType.CNAME in existing_types and rdata.rrtype != RRType.CNAME:
+        if rdata.rrtype == RRType.CNAME:
+            if self._rrsets.get(key):
+                raise ZoneError(f"duplicate CNAME at {owner}")
+            if any(
+                existing == owner and rrtype != RRType.CNAME
+                for existing, rrtype in self._rrsets
+            ):
+                raise ZoneError(
+                    f"CNAME cannot coexist with other data at {owner}"
+                )
+        elif (owner, RRType.CNAME) in self._rrsets:
             raise ZoneError(f"{owner} already has a CNAME")
         bucket = self._rrsets.setdefault(key, [])
         if record not in bucket:
@@ -119,16 +126,15 @@ class Zone:
     ) -> int:
         """Remove records at ``owner`` (all types when ``rrtype`` is None).
 
-        Returns the number of records removed.
+        Returns the number of records removed.  A typed remove pops its
+        one key; only an untyped remove scans the zone.
         """
         owner = self._absolute(owner)
-        removed = 0
-        for key in list(self._rrsets):
-            if key[0] != owner:
-                continue
-            if rrtype is not None and key[1] != rrtype:
-                continue
-            removed += len(self._rrsets.pop(key))
+        if rrtype is not None:
+            removed = len(self._rrsets.pop((owner, rrtype), ()))
+        else:
+            owned = [key for key in self._rrsets if key[0] == owner]
+            removed = sum(len(self._rrsets.pop(key)) for key in owned)
         if removed:
             self.serial += 1
         return removed

@@ -104,6 +104,10 @@ class HostingProvider:
         self._rng = rng or random.Random(0)
         self._accounts: Dict[str, Account] = {}
         self._zones: List[HostedZone] = []
+        #: the same zones by domain, in hosting order: the duplicate,
+        #: allocation, loading and retrieval rules read only one domain's
+        #: zones, so hosting a zone costs O(zones of that domain)
+        self._by_domain: Dict[Name, List[HostedZone]] = {}
         self._account_counter = itertools.count(1)
         self._zone_counter = itertools.count(1)
         self.delegation_lookup: Optional[DelegationLookup] = None
@@ -199,6 +203,7 @@ class HostingProvider:
         if self._should_serve(hosted):
             self._load_everywhere(hosted)
         self._zones.append(hosted)
+        self._by_domain.setdefault(domain, []).append(hosted)
         return hosted
 
     def _check_domain_supported(
@@ -234,7 +239,7 @@ class HostingProvider:
             )
 
     def _check_duplicates(self, account: Account, domain: Name) -> None:
-        existing = [entry for entry in self._zones if entry.domain == domain]
+        existing = self._by_domain.get(domain, ())
         if not existing:
             return
         same_account = [
@@ -279,9 +284,8 @@ class HostingProvider:
             # Ensure distinct sets across users for the same domain.
             conflicting = {
                 entry.address
-                for hosted in self._zones
-                if hosted.domain == domain
-                and hosted.account.account_id != account.account_id
+                for hosted in self._by_domain.get(domain, ())
+                if hosted.account.account_id != account.account_id
                 for entry in hosted.nameservers
             }
             if any(entry.address in conflicting for entry in chosen):
@@ -303,8 +307,7 @@ class HostingProvider:
         if policy.exhaustible_pool:
             exclude = {
                 entry.address
-                for hosted in self._zones
-                if hosted.domain == domain
+                for hosted in self._by_domain.get(domain, ())
                 for entry in hosted.nameservers
             }
         candidates = [
@@ -431,10 +434,14 @@ class HostingProvider:
         self._load_everywhere(hosted)
 
     def delete_zone(self, hosted: HostedZone) -> None:
-        """Remove a hosted zone entirely."""
+        """Remove a hosted zone entirely (matched by identity: equality
+        would deep-compare whole zones)."""
         self._unload_everywhere(hosted)
-        if hosted in self._zones:
-            self._zones.remove(hosted)
+        if _remove_identical(self._zones, hosted):
+            siblings = self._by_domain[hosted.domain]
+            _remove_identical(siblings, hosted)
+            if not siblings:
+                del self._by_domain[hosted.domain]
 
     def retrieve_domain(
         self, claimant: Account, domain: Union[str, Name]
@@ -466,9 +473,8 @@ class HostingProvider:
             )
         evicted = [
             hosted
-            for hosted in self._zones
-            if hosted.domain == domain
-            and hosted.account.account_id != claimant.account_id
+            for hosted in self._by_domain.get(domain, ())
+            if hosted.account.account_id != claimant.account_id
         ]
         for hosted in evicted:
             self.delete_zone(hosted)
@@ -491,7 +497,7 @@ class HostingProvider:
             if current is not None and current is not hosted.zone:
                 other_assigned = any(
                     other.zone is current and entry in other.nameservers
-                    for other in self._zones
+                    for other in self._by_domain.get(hosted.domain, ())
                     if other is not hosted
                 )
                 if other_assigned and id(entry.server) not in assigned:
@@ -505,9 +511,8 @@ class HostingProvider:
         for entry in targets:
             other_zones = [
                 other
-                for other in self._zones
+                for other in self._by_domain.get(hosted.domain, ())
                 if other is not hosted
-                and other.domain == hosted.domain
                 and (
                     self.policy.serves_fleet_wide
                     or entry in other.nameservers
@@ -525,8 +530,7 @@ class HostingProvider:
     ) -> List[HostedZone]:
         if domain is None:
             return list(self._zones)
-        target = name(domain)
-        return [entry for entry in self._zones if entry.domain == target]
+        return list(self._by_domain.get(name(domain), ()))
 
     def nameserver_addresses(self) -> List[str]:
         return [entry.address for entry in self.pool]
@@ -547,6 +551,14 @@ class HostingProvider:
             f"HostingProvider({self.name!r}, pool={len(self.pool)}, "
             f"zones={len(self._zones)})"
         )
+
+
+def _remove_identical(entries: List[HostedZone], hosted: HostedZone) -> bool:
+    for index, entry in enumerate(entries):
+        if entry is hosted:
+            del entries[index]
+            return True
+    return False
 
 
 def _slugify(value: str) -> str:

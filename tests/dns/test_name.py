@@ -9,6 +9,8 @@ from repro.dns.name import (
     Name,
     NameError_,
     ROOT,
+    _intern,
+    interned,
     name,
 )
 
@@ -165,6 +167,47 @@ class TestRelations:
     def test_tld(self):
         assert name("www.example.com").tld() == name("com")
         assert ROOT.tld() is None
+
+
+class TestInternedDerivations:
+    """parent/prepend/split/tld hand out the shared interned names."""
+
+    def test_derived_names_are_the_interned_objects(self):
+        base = name("Www.Example.COM")
+        parent = base.parent()
+        assert parent is interned(("Example", "COM"))
+        assert str(parent) == "Example.COM"
+        child = base.prepend("API")
+        assert child is interned(("API", "Www", "Example", "COM"))
+        assert str(child) == "API.Www.Example.COM"
+        prefix, suffix = base.split(2)
+        assert prefix is interned(("Www",))
+        assert suffix is interned(("Example", "COM"))
+        assert base.tld() is interned(("COM",))
+        assert str(base.tld()) == "COM"
+
+    def test_derived_name_is_the_parsed_name(self):
+        assert name("www.example.com").parent() is name("example.com")
+        assert name("example.com").prepend("www") is name("www.example.com")
+        assert name("example").parent() is ROOT
+        assert name("a.b").split(0)[1] is ROOT
+
+    def test_case_variants_stay_distinct_objects(self):
+        lower = name("www.example.com").parent()
+        upper = name("www.EXAMPLE.com").parent()
+        assert lower == upper
+        assert lower is not upper
+        assert str(upper) == "EXAMPLE.com"
+
+    def test_invalid_prepended_label_raises_and_is_not_cached(self):
+        base = name("example.com")
+        before = _intern.cache_info()
+        for _ in range(2):
+            with pytest.raises(NameError_):
+                base.prepend("bad label")
+        after = _intern.cache_info()
+        assert after.hits == before.hits
+        assert after.misses == before.misses + 2
 
 
 class TestImmutability:

@@ -89,6 +89,81 @@ class TestMutation:
         assert zone.serial == serial_before
 
 
+class _CountingDict(dict):
+    """A dict that counts every walk over its keys, values or items."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+    def keys(self):
+        self.iterations += 1
+        return super().keys()
+
+    def values(self):
+        self.iterations += 1
+        return super().values()
+
+    def items(self):
+        self.iterations += 1
+        return super().items()
+
+
+def _counting(zone):
+    zone._rrsets = _CountingDict(zone._rrsets)
+    return zone._rrsets
+
+
+class TestCostContract:
+    """Set-up is linear: only CNAME adds and untyped removes scan."""
+
+    def test_non_cname_adds_and_typed_removes_never_iterate(self, zone):
+        rrsets = _counting(zone)
+        zone.add("api", A("192.0.2.3"))
+        zone.add("api", TXT.from_value("hello"))
+        zone.add("api", A("192.0.2.3"))
+        zone.add("new.example.com", A("192.0.2.4"))
+        with pytest.raises(ZoneError):
+            zone.add("www", A("192.0.2.5"))
+        assert zone.remove("api", RRType.A) == 2
+        assert zone.remove("api", RRType.MX) == 0
+        assert zone.remove("missing", RRType.A) == 0
+        assert rrsets.iterations == 0
+
+    def test_cname_add_and_untyped_remove_still_scan(self, zone):
+        rrsets = _counting(zone)
+        zone.add("alias", CNAME(name("example.com")))
+        assert rrsets.iterations == 1
+        assert zone.remove("api") == 1
+        assert rrsets.iterations == 2
+
+    def test_cname_after_data_conflicts_across_case(self):
+        z = Zone("example.com")
+        z.add("WWW.example.com", A("10.0.0.1"))
+        with pytest.raises(ZoneError, match="coexist"):
+            z.add("www.example.com", CNAME(name("example.com")))
+
+    def test_data_after_cname_conflicts_across_case(self):
+        z = Zone("example.com")
+        z.add("www.example.com", CNAME(name("example.com")))
+        with pytest.raises(ZoneError, match="already has a CNAME"):
+            z.add("WWW.example.com", A("10.0.0.1"))
+
+    def test_duplicate_add_keeps_serial(self, zone):
+        serial = zone.serial
+        zone.add("api", A("192.0.2.2"))
+        assert zone.serial == serial
+
+    def test_typed_remove_of_absent_type_keeps_serial(self, zone):
+        serial = zone.serial
+        assert zone.remove("api", RRType.TXT) == 0
+        assert zone.serial == serial
+
+
 class TestLookup:
     def test_exact_match(self, zone):
         result = zone.lookup("example.com", RRType.A)

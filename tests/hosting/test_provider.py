@@ -387,6 +387,70 @@ class TestRetrieval:
         assert provider.hosted_zones("victim.com") == []
 
 
+class TestDomainIndex:
+    """``_by_domain`` mirrors ``_zones`` through every mutation."""
+
+    @staticmethod
+    def assert_index_matches(provider):
+        expected = {}
+        for hosted in provider._zones:
+            expected.setdefault(hosted.domain, []).append(id(hosted))
+        actual = {
+            domain: [id(hosted) for hosted in zones]
+            for domain, zones in provider._by_domain.items()
+        }
+        assert actual == expected
+
+    def test_host_delete_rehost_retrieve(self):
+        _, provider = make_provider(
+            HostingPolicy(
+                supports_retrieval=True,
+                duplicates_cross_user=True,
+                ns_allocation=NsAllocation.ACCOUNT_FIXED,
+                pool_size=8,
+            )
+        )
+        owner, first, second = (provider.create_account() for _ in range(3))
+        owned = provider.host_zone(owner, "victim.com", is_registered=True)
+        unrelated = provider.host_zone(owner, "other.com", is_registered=True)
+        squatted = provider.host_zone(first, "victim.com", is_registered=True)
+        provider.host_zone(second, "victim.com", is_registered=True)
+        self.assert_index_matches(provider)
+
+        provider.delete_zone(squatted)
+        self.assert_index_matches(provider)
+        assert all(
+            hosted is not squatted
+            for hosted in provider.hosted_zones("victim.com")
+        )
+
+        again = provider.host_zone(first, "victim.com", is_registered=True)
+        self.assert_index_matches(provider)
+        assert provider.hosted_zones("victim.com")[-1] is again
+
+        provider.delegation_lookup = lambda domain: [
+            entry.hostname for entry in owned.nameservers
+        ]
+        evicted = provider.retrieve_domain(owner, "victim.com")
+        self.assert_index_matches(provider)
+        assert {hosted.account.account_id for hosted in evicted} == {
+            first.account_id,
+            second.account_id,
+        }
+        assert provider.hosted_zones("victim.com") == [owned]
+        assert provider.hosted_zones("other.com") == [unrelated]
+
+    def test_delete_matches_by_identity(self):
+        _, provider = make_provider()
+        hosted = provider.host_zone(
+            provider.create_account(), "victim.com", is_registered=True
+        )
+        provider.delete_zone(hosted)
+        provider.delete_zone(hosted)  # a second delete is a no-op
+        assert provider.hosted_zones() == []
+        self.assert_index_matches(provider)
+
+
 class TestFleetWideServing:
     def test_zone_served_from_whole_pool(self):
         network, provider = make_provider(
