@@ -13,7 +13,7 @@ Commands mirror the paper's evaluation artifacts:
   invariant checker (all bundled scripts, or one via
   ``--chaos-script``);
 * ``plan``       — print the deterministic stage-1 scan-plan summary
-  (unit counts, nameserver groups, shard partition) without running
+  (unit counts, nameserver groups) without running
   a single query; ``--json`` dumps it machine-readably, ``--diff
   OLD.json`` compares against a saved dump, and ``--result-store``
   explains which groups a warm run would replay vs re-execute;
@@ -35,11 +35,6 @@ server's measured round trip (its value: the hedge timer of an
 unmeasured server, its ceiling afterwards), ``--aimd`` adapts the
 per-server send rate to timeouts, and ``--chaos-script`` applies a
 declarative fault scenario before the run.
-
-Sharding options: ``--shards N`` partitions the stage-1 UR scan's
-nameserver groups into N shards, the batches handed to pool workers
-(byte-identical report for every N; omit for one shard),
-``--shard-workers K`` executes them across K worker processes.
 
 Incremental options: ``--result-store DIR`` persists each nameserver
 group's merged stage-1 outcome content-addressed by its query units and
@@ -223,30 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
             "with --execution stream and --checkpoint-dir: persist an "
             "incremental segment every N classified records "
             "(omit for stage checkpoints only; N must be >= 1)"
-        ),
-    )
-    sharding = parser.add_argument_group(
-        "sharding", "stage-1 scan-plan partitioning and worker pool"
-    )
-    sharding.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "partition the UR scan's nameserver groups into N shards — "
-            "the batches --shard-workers hands to its processes; the "
-            "report is byte-identical for every N (omit for one shard)"
-        ),
-    )
-    sharding.add_argument(
-        "--shard-workers",
-        type=int,
-        default=None,
-        metavar="K",
-        help=(
-            "execute shards across K worker processes (default 1: all "
-            "shards run in this process; at most one worker per shard)"
         ),
     )
     incremental = parser.add_argument_group(
@@ -472,8 +443,6 @@ def _hunter_config(args: argparse.Namespace) -> HunterConfig:
         stage_deadline=args.stage_deadline or 0.0,
         hedge_delay=args.hedge_delay or 0.0,
         aimd=args.aimd,
-        shards=args.shards or 1,
-        shard_workers=args.shard_workers or 1,
     )
     if args.mx:
         config.query_types = (RRType.A, RRType.TXT, RRType.MX)
@@ -566,8 +535,6 @@ def _write_metrics(
         execution=args.execution,
         stage2_workers=args.stage2_workers,
         channel_depth=args.channel_depth,
-        shards=hunter.config.shards,
-        shard_workers=hunter.config.shard_workers,
         flow_metrics=(
             flow_stats.to_metrics() if flow_stats is not None else None
         ),
@@ -613,7 +580,7 @@ def _plan_command(
     if args.plan_json:
         print(json.dumps(summary, indent=2, sort_keys=True))
         return EXIT_OK
-    print(hunter.plan.summary(shards=hunter.config.shards))
+    print(hunter.plan.summary())
     if result_store is not None:
         differ = PlanDiffer(result_store)
         providers = {
@@ -699,8 +666,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ("--run-deadline", args.run_deadline),
         ("--stage-deadline", args.stage_deadline),
         ("--hedge-delay", args.hedge_delay),
-        ("--shards", args.shards),
-        ("--shard-workers", args.shard_workers),
     ):
         if value is not None and value <= 0:
             reporter.error(
@@ -778,18 +743,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # would scan under are installed, so the replay forecast keys
         # exactly as that run will
         return _plan_command(args, hunter, reporter, result_store)
-
-    if hunter_config.shard_workers > 1:
-        # hand the shard pool a picklable recipe to rebuild this exact
-        # world (scenario + loss faults + chaos) in worker processes
-        from .plan.pool import WorldSpec
-
-        hunter.world_spec = WorldSpec(
-            scenario=_scenario(args),
-            loss_rate=args.loss_rate or 0.0,
-            loss_seed=args.seed,
-            chaos_script=args.chaos_script or None,
-        )
 
     hunter.result_store = result_store
 

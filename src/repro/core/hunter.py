@@ -205,28 +205,20 @@ class HunterConfig:
     #: AIMD adaptive per-server send credit (no-op until the first
     #: failure)
     aimd: bool = False
-    #: partition the UR scan's nameserver groups into this many shards
-    #: (the batches handed to pool workers); every group runs in
-    #: clock/RNG isolation whatever the count, so the report is
-    #: byte-identical across counts (see repro.plan)
-    shards: int = 1
-    #: worker processes executing shards concurrently (1 = run every
-    #: shard in this process; >1 needs a picklable world recipe, which
-    #: the CLI provides)
-    shard_workers: int = 1
+
+    #: every stage-1 group runs in this process, one after another;
+    #: ``benchmarks/e2e`` still reads these two for its metrics
+    #: document.  Not fields: the constructor rejects them and no
+    #: fingerprint sees them
+    shards: ClassVar[int] = 1
+    shard_workers: ClassVar[int] = 1
 
     #: knobs that do not change *what* the pipeline computes, only how
     #: fast — excluded from the checkpoint fingerprint so a run may be
     #: resumed under a different worker count or execution mode (batch
     #: and streaming reports are byte-identical)
     FINGERPRINT_EXCLUDE: ClassVar[FrozenSet[str]] = frozenset(
-        {
-            "stage2_workers",
-            "execution",
-            "channel_depth",
-            "shards",
-            "shard_workers",
-        }
+        {"stage2_workers", "execution", "channel_depth"}
     )
 
     def __post_init__(self) -> None:
@@ -278,12 +270,6 @@ class HunterConfig:
                 f"hedge_delay ({self.hedge_delay}) must be below the "
                 f"engine timeout ({self.timeout}) — a hedge that fires "
                 "after the timeout is a plain retry"
-            )
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.shard_workers < 1:
-            raise ValueError(
-                f"shard_workers must be >= 1, got {self.shard_workers}"
             )
 
     def engine_policy(self) -> EnginePolicy:
@@ -396,10 +382,6 @@ class URHunter:
             self.open_resolver_ips,
             self.config,
         )
-        #: picklable world recipe for the process-pool shard runner
-        #: (set by the CLI when ``--shard-workers`` > 1; None keeps
-        #: pooled execution off and shards run in this process)
-        self.world_spec = None
         #: group result store (set by the CLI's ``--result-store``, a
         #: longitudinal study, or — under ``<checkpoint-dir>/groups`` —
         #: by a checkpointing pipeline runner); every executed group is
@@ -490,7 +472,7 @@ class URHunter:
         Identical to :attr:`plan` unless pdns expansion grew the target
         list at run time — in which case the plan is rebuilt over the
         expanded targets (still a pure function of the expanded world,
-        so both execution modes and every shard count agree on it).
+        so both execution modes agree on it).
         """
         if list(domains) == self.domains:
             return self.plan
@@ -503,12 +485,7 @@ class URHunter:
         )
 
     def _plan_built(self, plan: ScanPlan) -> None:
-        """Emit the deterministic ``plan.built`` event.
-
-        The shard count is deliberately absent: it is a performance
-        knob, like worker counts, and the deterministic trace section
-        is byte-identical across ``--shards`` values.
-        """
+        """Emit the deterministic ``plan.built`` event."""
         counts = plan.unit_counts()
         self._emit(
             "plan.built",
@@ -528,7 +505,7 @@ class URHunter:
         The protective and correct collections are whole-corpus inputs
         to classification, so they run once, eagerly; the UR scan is
         :func:`repro.plan.shards.run_shard_scan` — the only executor,
-        in both execution modes and for every shard count.
+        in both execution modes.
 
         ``now`` is the collection's *classification epoch*, the scan
         start: the run origin plus the protective makespan, where every

@@ -5,8 +5,8 @@ plan over a slowly changing world.  This package adds the reuse layer
 on top of the scan-plan IR (:mod:`repro.plan`): a content-addressed
 :class:`GroupResultStore` persisting each nameserver group's merged
 outcome, and a :class:`PlanDiffer` partitioning the current plan into
-``hit`` (replay from store) vs ``execute`` (run through the shard
-runner).  The shard runner's clock/RNG pinning guarantees replayed and
+``hit`` (replay from store) vs ``execute`` (run through the group
+runner).  The group runner's clock/RNG pinning guarantees replayed and
 re-executed groups compose into byte-identical reports, traces, and
 deterministic metrics versus a cold full scan — see DESIGN §15.
 """

@@ -5,7 +5,7 @@ Two consumers share this module:
 * the **incremental scan path** — :class:`PlanDiffer` partitions the
   current :class:`~repro.plan.scanplan.ScanPlan` against a
   :class:`~repro.incremental.store.GroupResultStore` into groups that
-  replay (``hit``) and groups that execute through the shard runner
+  replay (``hit``) and groups that execute through the group runner
   (``execute``), with a reason per decision;
 * the **``repro plan --diff`` command** — :func:`plan_summary_json`
   dumps a plan's deterministic summary (per-group identities included)
@@ -61,7 +61,7 @@ class GroupDecision:
     identity: Optional[str]
     #: full state digest (None for ``uncacheable`` / ``time-anchored``)
     digest: Optional[str]
-    #: ``hit`` (replay from store) or ``execute`` (shard runner)
+    #: ``hit`` (replay from store) or ``execute`` (group runner)
     action: str
     #: ``stored`` | ``miss`` | ``stale`` | ``uncacheable`` |
     #: ``time-anchored`` (the key needs an epoch and none was given)

@@ -114,9 +114,9 @@ def group_identity(plan: Any, group: Any) -> str:
 
     Derived from the group's :class:`QueryUnit` identities in planned
     scan order — the same structural tuple the plan hash covers — so it
-    is invariant under shard count, worker count, engine, execution
-    mode, and dict iteration order, and stable across runs of the same
-    plan.  The digest is streamed from the plan's unit columns; its
+    is invariant under worker count, engine, execution mode, the order
+    groups run in, and dict iteration order, and stable across runs of
+    the same plan.  The digest is streamed from the plan's unit columns; its
     input is byte-for-byte :func:`_digest` of ``{version, server,
     units: [identity, ...]}`` (keys below are in sorted order).
     """
@@ -292,9 +292,8 @@ class GroupResultStore:
     """One directory of per-group result files plus run counters.
 
     Payloads are the JSON-safe dicts produced by
-    :func:`~repro.plan.shards.encode_group_result` — the same encoding
-    the process-pool wire format uses — so replaying a slot is exactly
-    the merge path a freshly executed group takes.
+    :func:`~repro.plan.shards.encode_group_result`, and a replayed slot
+    is decoded into the same fold a freshly executed group takes.
     """
 
     def __init__(self, path: Union[str, Path]):
@@ -330,22 +329,25 @@ class GroupResultStore:
     ) -> Tuple[Optional[Dict[str, Any]], str]:
         """``(payload, "stored")`` when the slot matches ``digest``, else
         ``(None, why)``: ``"miss"`` (no readable slot) or ``"stale"``
-        (a slot under another digest — the caller re-executes and
-        :meth:`put` overwrites it).  Counts a hit, a miss, or an
-        invalidate accordingly.
+        (a slot under another digest, or one without a group payload —
+        the caller re-executes and :meth:`put` overwrites it).  Counts a
+        hit, a miss, or an invalidate accordingly.
         """
         path = self._group_file(identity)
         try:
             with path.open("r", encoding="utf-8") as handle:
                 slot = json.load(handle)
         except (OSError, json.JSONDecodeError):
-            # no slot; a torn or unreadable one degrades to a miss too,
-            # never an abort
+            slot = None
+        if not isinstance(slot, dict):
+            # no slot; a torn, unreadable or non-object one degrades to
+            # a miss too, never an abort
             self.stats["misses"] += 1
             return None, "miss"
         if (
             slot.get("format") != STORE_FORMAT_VERSION
             or slot.get("digest") != digest
+            or not isinstance(slot.get("group"), dict)
         ):
             self.stats["invalidated"] += 1
             return None, "stale"

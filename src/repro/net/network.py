@@ -188,7 +188,7 @@ class SimulatedInternet:
         self._fault_windows: Dict[str, List[FaultProfile]] = {}
         self._fault_rng = random.Random(0)
         #: the base seed the fault RNG was last (re)seeded from — the
-        #: anchor the shard runner derives its per-group seeds from
+        #: anchor the group runner derives its per-group seeds from
         self.fault_seed = 0
         #: bumped whenever the host registry or fault profiles change;
         #: DnsChannel instances revalidate their cached lookups against it
@@ -294,7 +294,7 @@ class SimulatedInternet:
     def set_clock(self, seconds: float) -> float:
         """Pin the virtual clock to an absolute time.
 
-        The shard runner's isolation primitive: every nameserver group
+        The group runner's isolation primitive: every nameserver group
         starts at the classification epoch, and the parent clock is
         advanced to ``epoch + makespan`` afterwards.  Unlike
         :meth:`tick` this may move the clock backwards — it rewinds to

@@ -48,7 +48,8 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 #: (v2: resilience events — hedge.*, aimd.cut, budget.exhausted — and
 #: the ``shed`` counter on run.end; v3: the scan-plan hash in the
 #: header when a plan is bound, the ``plan.built`` deterministic event,
-#: and the ``shard.*`` timing events)
+#: and the ``shard.*`` timing events, since dropped with the shards —
+#: timing events carry no format promise)
 TRACE_FORMAT_VERSION = 3
 
 #: logical stage tags — string-equal to the pipeline runner's stage
@@ -158,8 +159,8 @@ class RunTrace:
         """Stamp the scan-plan content hash into the trace header.
 
         The hash is a pure function of (world, config), so stamping it
-        keeps the header byte-identical across shard counts, worker
-        counts, engines, and execution modes — while proving which scan
+        keeps the header byte-identical across worker counts, engines,
+        and execution modes — while proving which scan
         the trace describes.
         """
         self._plan_hash = plan_hash
@@ -206,7 +207,7 @@ class RunTrace:
     ) -> List[Tuple[str, Optional[str], Dict[str, Any]]]:
         """Deterministic events as (name, stage, fields), emission order.
 
-        The shard runner buffers a group engine's events on a private
+        The group runner buffers a group engine's events on a private
         trace and replays them into the parent via :meth:`emit`; raw
         tuples (not canonicalized dicts) keep the replay loss-free.
         """

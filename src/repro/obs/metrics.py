@@ -183,8 +183,8 @@ def build_metrics_document(
         context["stage2_workers"] = stage2_workers
     if channel_depth is not None:
         context["channel_depth"] = channel_depth
-    # shard knobs are performance context, like worker counts — the
-    # deterministic section is byte-identical across every value
+    # recorded only for callers that still pass them: every group runs
+    # in one process (see ``HunterConfig.shards``)
     if shards is not None:
         context["shards"] = shards
     if shard_workers is not None:

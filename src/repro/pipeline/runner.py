@@ -123,8 +123,8 @@ class PipelineRunner:
         extra: Dict[str, Any] = {
             # the scan-plan hash pins the planned query matrix: a
             # checkpoint may only be resumed against the same plan
-            # (shard count and worker count are deliberately NOT part
-            # of it — they are performance knobs)
+            # (worker counts are deliberately NOT part of it — they
+            # are performance knobs)
             "plan": self.hunter.plan.plan_hash,
         }
         if self.scenario_fingerprint is not None:

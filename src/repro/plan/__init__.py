@@ -1,4 +1,4 @@
-"""Scan-plan IR: stage 1 as an explicit, shardable, hashable plan.
+"""Scan-plan IR: stage 1 as an explicit, hashable plan.
 
 ``build_plan`` turns ``(world targets, HunterConfig)`` into a pure
 :class:`ScanPlan` — every stage-1 query enumerated as a row of a
@@ -6,9 +6,8 @@
 engine task through the lazy :class:`PlannedTasks`), UR units grouped
 per nameserver, the whole plan content-hashed so checkpoints and traces
 can prove which scan they belong to.  :mod:`repro.plan.shards` executes
-the plan's groups in isolation (locally or replayed from a result
-store) and :mod:`repro.plan.pool` distributes shards across worker
-processes.
+the plan's groups in isolation, in this process, each one run or
+replayed from a result store.
 """
 
 from .scanplan import (
@@ -17,12 +16,11 @@ from .scanplan import (
     PlannedTasks,
     QueryUnit,
     ScanPlan,
-    Shard,
     UnitColumns,
     build_plan,
 )
 from .shards import (
-    CRASH_SHARD_ENV,
+    CRASH_GROUP_ENV,
     GroupResult,
     ReducedOutcome,
     decode_group_result,
@@ -38,10 +36,9 @@ __all__ = [
     "PlannedTasks",
     "QueryUnit",
     "ScanPlan",
-    "Shard",
     "UnitColumns",
     "build_plan",
-    "CRASH_SHARD_ENV",
+    "CRASH_GROUP_ENV",
     "GroupResult",
     "ReducedOutcome",
     "decode_group_result",

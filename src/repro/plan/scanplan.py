@@ -1,4 +1,4 @@
-"""The scan-plan IR: stage 1 as an explicit, shardable query plan.
+"""The scan-plan IR: stage 1 as an explicit, hashable query plan.
 
 A :class:`ScanPlan` is a *pure, deterministic* value computed from the
 measurement world and the :class:`~repro.core.hunter.HunterConfig`
@@ -6,7 +6,7 @@ before a single packet moves: every stage-1 query — protective probe,
 correct-record resolution, UR scan — is enumerated as a typed
 :class:`QueryUnit`, UR units are grouped per target nameserver into
 :class:`NameserverGroup`\\ s, and the whole plan carries a stable
-content hash that checkpoints and traces stamp so a resumed or sharded
+content hash that checkpoints and traces stamp so a resumed or replayed
 run can prove it is executing the *same* scan.
 
 Determinism contract
@@ -18,8 +18,8 @@ correct-record matrix first and the UR matrix second
 covers only structural query identity —
 ``(server_ip, qname, qtype, recursion_desired)`` per unit
 plus the scan knobs that shape the matrix — so it is invariant under
-shard count, worker count, engine choice, execution mode, and the
-iteration order of the world's dicts and sets.
+worker count, engine choice, execution mode, and the iteration order
+of the world's dicts and sets.
 
 Storage
 -------
@@ -55,7 +55,6 @@ __all__ = [
     "UnitColumns",
     "PlannedTasks",
     "NameserverGroup",
-    "Shard",
     "ScanPlan",
     "build_plan",
 ]
@@ -249,7 +248,8 @@ class PlannedTasks(Sequence[QueryTask]):
 
 @dataclass(frozen=True)
 class NameserverGroup:
-    """All UR units aimed at one nameserver — the sharding atom.
+    """All UR units aimed at one nameserver — the unit of execution,
+    storage and resumption.
 
     ``unit_indices`` (an ``array('I')``) index into
     :attr:`ScanPlan.ur_units` (the global, shuffled scan order), so
@@ -263,19 +263,6 @@ class NameserverGroup:
     index: int
     server_ip: str
     unit_indices: array
-
-
-@dataclass(frozen=True)
-class Shard:
-    """A round-robin bundle of nameserver groups for one worker."""
-
-    index: int
-    count: int
-    groups: Tuple[NameserverGroup, ...]
-
-    @property
-    def unit_count(self) -> int:
-        return sum(len(group.unit_indices) for group in self.groups)
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,24 +303,7 @@ class ScanPlan:
             "ur": len(self.ur_units),
         }
 
-    def shard(self, count: int) -> List[Shard]:
-        """Partition the nameserver groups into ``count`` shards.
-
-        Round-robin by group index: every group lands in exactly one
-        shard, shard membership depends only on (plan, count), and the
-        union over shards is the whole plan.
-        """
-        if count < 1:
-            raise ValueError(f"shard count must be >= 1, got {count}")
-        buckets: List[List[NameserverGroup]] = [[] for _ in range(count)]
-        for group in self.groups:
-            buckets[group.index % count].append(group)
-        return [
-            Shard(index=index, count=count, groups=tuple(bucket))
-            for index, bucket in enumerate(buckets)
-        ]
-
-    def summary(self, shards: int = 1) -> str:
+    def summary(self) -> str:
         """Deterministic human-readable plan summary (``repro plan``)."""
         counts = self.unit_counts()
         lines = [
@@ -347,13 +317,6 @@ class ScanPlan:
             f"  ur units: {counts['ur']}",
             f"  nameserver groups: {len(self.groups)}",
         ]
-        partition = self.shard(shards)
-        lines.append(f"  shards: {shards}")
-        for shard in partition:
-            lines.append(
-                f"    shard {shard.index}: {len(shard.groups)} groups, "
-                f"{shard.unit_count} units"
-            )
         return "\n".join(lines)
 
 

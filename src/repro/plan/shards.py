@@ -1,14 +1,14 @@
 """The stage-1 executor: every collection as per-server groups, in isolation.
 
 Every stage-1 query — the protective and correct collections
-(:func:`run_collection_groups`), the UR scan (:func:`run_shard_scan`:
-batch or streamed, one shard or many, in this process or a worker
-pool) and the §4.2 delegated sample — runs in a *group*: the queries
-aimed at one server, which never wait on any other server's.  The
-guarantees rest on one invariant: **a group's outcome is a pure
-function of the static world, the run origin, the phase start, and the
-config** — never of which shard or worker ran it, or what ran before
-it (:func:`isolated_phase`, :func:`pin_group`):
+(:func:`run_collection_groups`), the UR scan (:func:`run_shard_scan`,
+batch or streamed) and the §4.2 delegated sample — runs in a *group*:
+the queries aimed at one server, which never wait on any other
+server's.  All groups run in this process, one after another; the
+virtual clock models them as parallel.  The guarantees rest on one
+invariant: **a group's outcome is a pure function of the static world,
+the run origin, the phase start, and the config** — never of what ran
+before it (:func:`isolated_phase`, :func:`pin_group`):
 
 * **one clock rule** — the virtual clock is pinned to the phase start
   before each group, and the parent clock ends the phase at
@@ -25,16 +25,14 @@ it (:func:`isolated_phase`, :func:`pin_group`):
   parent RNG state is saved and restored around the phase);
 * **one cache-lifetime rule** — no resolver cache entry (answer or
   zone cut) survives a clock pin: ``set_clock`` bumps the network's
-  clock generation and every resolver — the open resolvers, the
-  recursive nameservers' shared fallback, a pool worker's replicas —
-  drops its caches on its next lookup.  And every executed group —
-  protective, correct, UR or §4.2 sample — ends with
-  :func:`end_group`: the server it queried drops its caches at once
-  (a resolver's answers and cuts, an authoritative server's compiled
-  answers), since its next question may never come.  Every group of
-  every phase starts cold, so the groups behind one shared resolver
-  all pay the same, and a replica that ran other shards before
-  answers the same;
+  clock generation and every resolver — the open resolvers and the
+  recursive nameservers' shared fallback — drops its caches on its
+  next lookup.  And every executed group — protective, correct, UR or
+  §4.2 sample — ends with :func:`end_group`: the server it queried
+  drops its caches at once (a resolver's answers and cuts, an
+  authoritative server's compiled answers), since its next question
+  may never come.  Every group of every phase starts cold, so the
+  groups behind one shared resolver all pay the same, in any order;
 * every group gets a fresh engine, pacing/breaker state, round-trip
   estimator and AIMD controller, and a deadline budget whose run
   deadline is measured from the *run origin* the parent budget pinned
@@ -49,10 +47,10 @@ cache.  A group is folded the moment it is in hand (the UR scan's
 kept; the preamble's fingerprint and profile folds, outcome by
 outcome); its small ledgers — ``ScanMetrics``, resilience counters,
 buffered engine trace events, elapsed time — wait for the merge into
-the parent objects in group order.  Only UR groups are sharded, pooled
-or stored; their results are JSON-encoded only at a persistence
-boundary (a result-store slot, the process-pool wire), and payloads
-read back from one decode into the same fold.  The invariant is also
+the parent objects in group order.  Only UR groups are stored; their
+results are JSON-encoded only at the persistence boundary (a
+result-store slot), and payloads read back from one decode into the
+same fold.  The invariant is also
 the result store's key: :func:`repro.incremental.store.group_state`
 spells out each input, so a stored group — from an earlier run, or
 from this run before it was killed — replays whenever they all match.
@@ -88,7 +86,7 @@ from ..resilience import AimdController, DeadlineBudget
 from .scanplan import NameserverGroup, ScanPlan
 
 __all__ = [
-    "CRASH_SHARD_ENV",
+    "CRASH_GROUP_ENV",
     "ReducedOutcome",
     "ScanFold",
     "GroupResult",
@@ -103,9 +101,9 @@ __all__ = [
     "run_shard_scan",
 ]
 
-#: set to a shard index to SIGTERM the run right after that shard's
-#: groups are folded and stored (kill-and-resume tests)
-CRASH_SHARD_ENV = "URHUNTER_CRASH_SHARD"
+#: set to a UR group index to SIGTERM the run right after that group is
+#: folded and stored (kill-and-resume tests)
+CRASH_GROUP_ENV = "URHUNTER_CRASH_GROUP"
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,11 +170,11 @@ class GroupResult:
 def group_fault_seed(
     base_seed: int, server_ip: str, phase: str = "ur"
 ) -> int:
-    """Stable per-group fault-RNG seed — partition-independent.
+    """Stable per-group fault-RNG seed — independent of run order.
 
     The phase is part of the seed, so a server's groups in different
     phases draw independent faults; the UR seed keeps its pre-phase
-    spelling (stored and pooled UR groups replay under it).
+    spelling, salt included (stored UR groups replay under it).
     """
     salt = "" if phase == "ur" else f"{phase}:"
     digest = hashlib.sha256(
@@ -206,8 +204,8 @@ def isolated_phase(
     (:func:`pin_group`) and appends every group it has in hand to the
     yielded list.  On the way out — also when a group raised, so a
     failure report carries the phase up to that point — the parent
-    fault RNG is restored (whatever runs next sees a
-    partition-independent RNG), the parent engine ledger, resilience
+    fault RNG is restored (whatever runs next sees an RNG the groups
+    did not draw from), the parent engine ledger, resilience
     counters and trace absorb the groups in ``group`` order, the parent
     clock ends at ``start + makespan`` or at the clock found on entry,
     whichever is later (a phase that started side by side with an
@@ -410,8 +408,7 @@ def fold_resilience(target, data: Dict[str, Any]) -> None:
 
 
 def encode_group_result(result: GroupResult) -> Dict[str, Any]:
-    """JSON-safe payload of one group (result-store slots and the
-    process-pool wire share this encoding)."""
+    """JSON-safe payload of one group, as a result-store slot holds it."""
     from ..pipeline.checkpoint import encode_metrics, encode_record
 
     return {
@@ -466,8 +463,8 @@ def decode_group_result(payload: Dict[str, Any]) -> GroupResult:
 # -- orchestration ---------------------------------------------------------
 
 
-def _maybe_crash_shard(index: int) -> None:
-    target = os.environ.get(CRASH_SHARD_ENV)
+def _maybe_crash_group(index: int) -> None:
+    target = os.environ.get(CRASH_GROUP_ENV)
     if target is not None and int(target) == index:
         os.kill(os.getpid(), signal.SIGTERM)
 
@@ -527,89 +524,37 @@ def _incremental_partition(
 def run_shard_scan(hunter, plan: ScanPlan, epoch: float) -> ScanFold:
     """Execute the plan's UR scan group by group and fold the results.
 
-    Every group comes from exactly one source — a result-store hit, a
-    pool worker, or an isolated execution in this process — and is
-    folded, and stored if a result store is attached, as soon as it is
-    in hand: a killed run resumes from its stored groups.  The phase
-    (:func:`isolated_phase`) then merges the groups' ledgers into the
-    hunter's in group-index order — the order the plan fixed,
-    independent of shard membership — and ends the parent clock at
+    The groups run in index order, the order the plan fixed.  Each one
+    comes from exactly one source — a result-store hit or an isolated
+    execution — and is folded, and stored if a result store is
+    attached, as soon as it is in hand: a killed run resumes from its
+    stored groups.  The phase (:func:`isolated_phase`) then merges the
+    groups' ledgers into the hunter's and ends the parent clock at
     ``epoch + makespan`` or where the correct collection, which ran
     side by side from the same epoch, left it, also when a group
     raises: the parent ledger a failure report carries is the scan up
     to that point.
     """
-    config = hunter.config
-    trace = hunter.trace
     origin = _run_origin(hunter.engine, epoch)
     replayed, dirty = _incremental_partition(hunter, plan, epoch, origin)
-    shards = plan.shard(config.shards)
-
-    pending = [
-        shard
-        for shard in shards
-        if any(group.index not in replayed for group in shard.groups)
-    ]
-    pooled: Dict[int, List[Dict[str, Any]]] = {}
-    if pending and hunter.world_spec is not None and config.shard_workers > 1:
-        from .pool import execute_shards_pooled
-
-        pooled = execute_shards_pooled(
-            hunter.world_spec,
-            config,
-            plan.plan_hash,
-            epoch,
-            origin,
-            {
-                shard.index: tuple(
-                    group.index
-                    for group in shard.groups
-                    if group.index not in replayed
-                )
-                for shard in pending
-            },
-        )
-
     fold = ScanFold()
     with isolated_phase(hunter, "ur", epoch) as finished:
-        for shard in shards:
-            _emit_timing(
-                trace,
-                "shard.start",
-                shard=shard.index,
-                groups=len(shard.groups),
-                units=shard.unit_count,
-            )
-            from_pool = {
-                payload["group"]: payload
-                for payload in pooled.pop(shard.index, ())
-            }
-            for group in shard.groups:
-                payload = replayed.pop(group.index, None) or from_pool.get(
-                    group.index
+        for group in plan.groups:
+            payload = replayed.pop(group.index, None)
+            if payload is not None:
+                result = decode_group_result(payload)
+            else:
+                result = run_group_isolated(hunter, plan, group, epoch, origin)
+            decision = dirty.get(group.index)
+            if decision is not None:
+                hunter.result_store.put(
+                    decision.identity,
+                    decision.digest,
+                    payload or encode_group_result(result),
                 )
-                if payload is not None:
-                    result = decode_group_result(payload)
-                else:
-                    result = run_group_isolated(
-                        hunter, plan, group, epoch, origin
-                    )
-                decision = dirty.get(group.index)
-                if decision is not None:
-                    hunter.result_store.put(
-                        decision.identity,
-                        decision.digest,
-                        payload or encode_group_result(result),
-                    )
-                fold.add(result.outcomes)
-                # folded: only the small ledgers wait for the ordered merge
-                result.outcomes = []
-                finished.append(result)
-            _emit_timing(
-                trace,
-                "shard.merged",
-                shard=shard.index,
-                groups=len(shard.groups),
-            )
-            _maybe_crash_shard(shard.index)
+            fold.add(result.outcomes)
+            # folded: only the small ledgers wait for the ordered merge
+            result.outcomes = []
+            finished.append(result)
+            _maybe_crash_group(group.index)
     return fold

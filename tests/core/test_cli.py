@@ -65,6 +65,8 @@ class TestParser:
             "--max-concurrency=8",
             "--no-scan-cache",
             "--no-stage2-memoize",
+            "--shards=2",
+            "--shard-workers=2",
         ],
     )
     def test_deleted_flags_are_unknown_arguments(self, flag, capsys):

@@ -192,11 +192,13 @@ class TestHunterConfigValidation:
             HunterConfig(timeout=0.0)
 
     def test_zero_shards_rejected(self):
-        """One shard is the smallest scan there is: the in-line path
-        ``shards=0`` used to select is gone."""
-        assert HunterConfig().shards == 1
-        with pytest.raises(ValueError, match="shards must be >= 1"):
-            HunterConfig(shards=0)
+        """Every group runs in this process: the shard knobs are
+        constants, not fields, so the constructor takes no value for
+        them — zero or any other."""
+        assert HunterConfig().shards == HunterConfig().shard_workers == 1
+        for knob in ({"shards": 0}, {"shards": 2}, {"shard_workers": 2}):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                HunterConfig(**knob)
 
     def test_engine_policy_carries_knobs(self):
         config = HunterConfig(

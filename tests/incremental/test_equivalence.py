@@ -3,9 +3,8 @@
 The acceptance invariant of the incremental layer: a warm run that
 replays stored group outcomes produces the same report summary, trace
 deterministic section, and metrics deterministic section as a cold
-full scan — across batch/stream execution, shard counts, and the
-process pool — both on an unchanged world and after zone mutations
-dirty a subset of groups.  Lossy and chaos runs replay too, each from
+full scan — in batch and stream execution — both on an unchanged world
+and after zone mutations dirty a subset of groups.  Lossy and chaos runs replay too, each from
 the slots its own fault profile keyed and never from another's.
 """
 
@@ -20,7 +19,6 @@ from repro.dns.rdata import RRType
 from repro.incremental import GroupResultStore, server_fingerprint
 from repro.obs import RunTrace
 from repro.obs.metrics import build_metrics_document
-from repro.plan.pool import WorldSpec
 from repro.resilience.scenario import apply_scenario, load_scenario
 from repro.scenario import build_world, small_config
 
@@ -51,13 +49,10 @@ def mutate_zones(world, count=3):
 
 def measure(
     store=None,
-    shards=1,
     execution="batch",
     loss=0.0,
     fault_seed=SEED,
     chaos=None,
-    workers=1,
-    world_spec=None,
     mutate=None,
     **knobs,
 ):
@@ -68,13 +63,11 @@ def measure(
         mutate(world)
     if loss:
         world.network.inject_faults(loss_rate=loss, seed=fault_seed)
-    config = HunterConfig(
-        execution=execution, shards=shards, shard_workers=workers, **knobs
+    hunter = URHunter.from_world(
+        world, HunterConfig(execution=execution, **knobs)
     )
-    hunter = URHunter.from_world(world, config)
     if chaos:
         apply_scenario(load_scenario(chaos), world, hunter)
-    hunter.world_spec = world_spec
     hunter.result_store = store
     trace = RunTrace()
     hunter.attach_trace(trace)
@@ -125,20 +118,11 @@ class TestWarmEqualsCold:
         assert store.stats["misses"] == store.stats["stored"] == 0
         assert store.stats["hits"] > 0
 
-    def test_warm_streaming_sharded(self, cold, populated, store_dir):
+    def test_warm_streaming(self, cold, populated, store_dir):
         store = GroupResultStore(store_dir)
-        assert run(store=store, execution="stream", shards=2) == cold
+        assert run(store=store, execution="stream") == cold
         assert store.stats["hits"] > 0
         assert store.stats["stored"] == 0
-
-    def test_warm_process_pool(self, cold, populated, store_dir):
-        store = GroupResultStore(store_dir)
-        spec = WorldSpec(scenario=small_config(seed=SEED))
-        surfaces = run(
-            store=store, shards=2, workers=2, world_spec=spec
-        )
-        assert surfaces == cold
-        assert store.stats["hits"] > 0
 
 
 class TestMutationInvalidates:
@@ -195,11 +179,7 @@ class TestMutationInvalidates:
 
 
 FAULTS = {"loss": {"loss": LOSS}, "storm": {"chaos": CHAOS}}
-MODES = {
-    "batch": {},
-    "stream": {"shards": 4, "execution": "stream"},
-    "pool": {"shards": 4, "workers": 2},
-}
+MODES = {"batch": {}, "stream": {"execution": "stream"}}
 
 
 @pytest.fixture(scope="module")
@@ -216,13 +196,6 @@ class TestFaultedRunsReplay:
     @pytest.mark.parametrize("faults", FAULTS)
     def test_replay_equals_storeless(self, tmp_path, storeless, faults, mode):
         inputs = dict(FAULTS[faults], **MODES[mode])
-        if mode == "pool":
-            inputs["world_spec"] = WorldSpec(
-                scenario=small_config(seed=SEED),
-                loss_rate=inputs.get("loss", 0.0),
-                loss_seed=SEED,
-                chaos_script=inputs.get("chaos"),
-            )
         cold = GroupResultStore(tmp_path)
         assert run(store=cold, **inputs) == storeless[faults]
         assert cold.stats["stored"] == cold.stats["misses"] > 0

@@ -131,12 +131,11 @@ class TestConfigFingerprint:
         assert scan_config_fingerprint(HunterConfig(retries=5)) != base
 
     def test_perf_knobs_do_not_invalidate(self):
-        # execution mode, worker counts, and sharding never change a
-        # group's computed outcome
+        # execution mode and worker counts never change a group's
+        # computed outcome
         base = scan_config_fingerprint(HunterConfig())
         for config in (
             HunterConfig(execution="stream"),
-            HunterConfig(shards=4, shard_workers=2),
             HunterConfig(stage2_workers=8),
         ):
             assert scan_config_fingerprint(config) == base
@@ -309,8 +308,12 @@ class TestConfigPartition:
         assert len(listed) == len(set(listed))
         assert set(listed) == {field.name for field in fields(HunterConfig)}
         assert len(SCAN_SHAPING_KNOBS) == 11
-        assert len(HunterConfig.FINGERPRINT_EXCLUDE) == 5
-        assert len(fields(HunterConfig)) == 22
+        assert HunterConfig.FINGERPRINT_EXCLUDE == {
+            "stage2_workers",
+            "execution",
+            "channel_depth",
+        }
+        assert len(fields(HunterConfig)) == 20
 
     def test_fingerprint_reads_knobs_strictly(self):
         """A knob the config does not carry raises; it is never hashed
@@ -322,12 +325,14 @@ class TestConfigPartition:
 class TestKeysOfTheParentBuild:
     """Deleting a fingerprint-excluded field moves no key: literals
     taken at ``dea10b1`` (small scale, seed 7), so a result store that
-    build wrote opens and replays here.  Running the correct collection
-    and the UR scan side by side moved no key either: a clean UR group
-    never reads the clock, and a time-anchored key hashes its distance
-    from the epoch the group is pinned to.  Only the checkpoint format
-    moved (stage-1 ``now`` is the scan start; v6 is refused at open),
-    not the configuration fingerprint its manifest carries."""
+    build wrote opens and replays here.  Both default config digests
+    held when ``shards`` and ``shard_workers`` stopped being fields.
+    Running the correct collection and the UR scan side by side moved
+    no key either: a clean UR group never reads the clock, and a
+    time-anchored key hashes its distance from the epoch the group is
+    pinned to.  Only the checkpoint format moved (stage-1 ``now`` is
+    the scan start; v6 is refused at open), not the configuration
+    fingerprint its manifest carries."""
 
     def test_formats_did_not_move(self):
         assert STORE_FORMAT_VERSION == 4
@@ -345,6 +350,11 @@ class TestKeysOfTheParentBuild:
             'e1856140a0d9766e2ed7b972abf53711"}\n'
         )
         CheckpointStore(tmp_path).prepare(stamped, resume=True)
+
+    def test_scan_config_fingerprint(self):
+        assert scan_config_fingerprint(HunterConfig()) == (
+            "48819f44f69b9b8052288b9136891bf389dcef062a8a66f41f7e71ea7718a0f8"
+        )
 
     def test_group_identity_and_state_digest(self, world, hunter):
         group = hunter.plan.groups[0]
@@ -483,6 +493,32 @@ class TestStoreSlots:
         (tmp_path / "group-abc.json").write_text('{"format": 1, "dig')
         assert store.get("abc", "digest-1") == (None, "miss")
         assert store.stats["misses"] == 1
+
+    @pytest.mark.parametrize(
+        "body, why, counter",
+        [
+            ("null", "miss", "misses"),
+            ("[]", "miss", "misses"),
+            ('"x"', "miss", "misses"),
+            (
+                f'{{"format":{STORE_FORMAT_VERSION},"digest":"digest-1"}}',
+                "stale",
+                "invalidated",
+            ),
+        ],
+        ids=["null", "array", "string", "no-group"],
+    )
+    def test_a_slot_that_holds_no_group_never_aborts(
+        self, tmp_path, body, why, counter
+    ):
+        """Valid JSON that is not a slot object reads as a miss; a slot
+        whose digest matches but that carries no group payload reads as
+        stale, and the run re-executes and overwrites it."""
+        store = GroupResultStore(tmp_path)
+        (tmp_path / "group-abc.json").write_text(body)
+        assert store.get("abc", "digest-1") == (None, why)
+        assert store.stats[counter] == 1
+        assert store.stats["hits"] == 0
 
     def test_identities_are_sorted(self, tmp_path):
         store = GroupResultStore(tmp_path)

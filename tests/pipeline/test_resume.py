@@ -25,6 +25,7 @@ from repro.pipeline import (
     STAGE3,
     STAGE_ORDER,
 )
+from repro.plan import CRASH_GROUP_ENV
 from repro.resilience.scenario import (
     FaultWindow,
     ScenarioScript,
@@ -41,6 +42,7 @@ def cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     env.pop("URHUNTER_CRASH_STAGE", None)
+    env.pop(CRASH_GROUP_ENV, None)
     return env
 
 
@@ -234,9 +236,10 @@ class TestKillAndResumeSubprocess:
     def test_sigterm_after_the_scan_then_resume_replays_its_groups(
         self, tmp_path
     ):
-        """SIGTERM with every UR group folded and no stage-1 checkpoint
-        yet, on a lossy run at the default one shard: the resumed run
-        replays the groups from ``<checkpoint-dir>/groups``."""
+        """SIGTERM once the last UR group is folded and stored, with no
+        stage-1 checkpoint yet, on a lossy run: the resumed run replays
+        the groups from ``<checkpoint-dir>/groups``."""
+        last = len(URHunter.from_world(make_world()).plan.groups) - 1
 
         def cli(directory, *flags, env=None):
             return subprocess.run(
@@ -261,9 +264,7 @@ class TestKillAndResumeSubprocess:
 
         baseline = cli("base")
         assert baseline.returncode == 0, baseline.stderr.decode()
-        crashed = cli(
-            "ckpt", env=dict(cli_env(), URHUNTER_CRASH_SHARD="0")
-        )
+        crashed = cli("ckpt", env={**cli_env(), CRASH_GROUP_ENV: str(last)})
         assert crashed.returncode in (-signal.SIGTERM, 143)
         assert list((tmp_path / "ckpt" / "groups").glob("group-*.json"))
         assert not (tmp_path / "ckpt" / f"{STAGE1}.json").exists()

@@ -5,9 +5,10 @@ as a frozen :class:`QueryUnit` (dict-backed, ~165 B and ~2.8 objects
 each), shuffled the *lists of units*, hashed the whole plan through one
 ``json.dumps`` of every unit's identity list, and ``group_identity``
 digested a group the same way.  Everything below is that code, verbatim
-(imports aside; ``Shard`` and the format versions are unchanged and come
-from ``src``), so the columnar plan can be compared with it unit for
-unit, group for group, and digest for digest.
+(imports aside — the format versions are unchanged and come from
+``src`` — and less the shard partition, deleted from both), so the
+columnar plan can be compared with it unit for unit, group for group,
+and digest for digest.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from repro.dns.name import Name, name
 from repro.engine.api import QueryTask
 from repro.incremental.store import STORE_FORMAT_VERSION
-from repro.plan.scanplan import PLAN_FORMAT_VERSION, Shard
+from repro.plan.scanplan import PLAN_FORMAT_VERSION
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ class QueryUnit:
 
 @dataclass(frozen=True)
 class NameserverGroup:
-    """All UR units aimed at one nameserver — the sharding atom.
+    """All UR units aimed at one nameserver — the unit of execution.
 
     ``unit_indices`` index into :attr:`ScanPlan.ur_units` (the global,
     shuffled scan order), so merging group results back into one
@@ -115,24 +116,7 @@ class ScanPlan:
             "ur": len(self.ur_units),
         }
 
-    def shard(self, count: int) -> List[Shard]:
-        """Partition the nameserver groups into ``count`` shards.
-
-        Round-robin by group index: every group lands in exactly one
-        shard, shard membership depends only on (plan, count), and the
-        union over shards is the whole plan.
-        """
-        if count < 1:
-            raise ValueError(f"shard count must be >= 1, got {count}")
-        buckets: List[List[NameserverGroup]] = [[] for _ in range(count)]
-        for group in self.groups:
-            buckets[group.index % count].append(group)
-        return [
-            Shard(index=index, count=count, groups=tuple(bucket))
-            for index, bucket in enumerate(buckets)
-        ]
-
-    def summary(self, shards: int = 1) -> str:
+    def summary(self) -> str:
         """Deterministic human-readable plan summary (``repro plan``)."""
         counts = self.unit_counts()
         lines = [
@@ -146,13 +130,6 @@ class ScanPlan:
             f"  ur units: {counts['ur']}",
             f"  nameserver groups: {len(self.groups)}",
         ]
-        partition = self.shard(shards)
-        lines.append(f"  shards: {shards}")
-        for shard in partition:
-            lines.append(
-                f"    shard {shard.index}: {len(shard.groups)} groups, "
-                f"{shard.unit_count} units"
-            )
         return "\n".join(lines)
 
 

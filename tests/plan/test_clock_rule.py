@@ -6,8 +6,8 @@ clock backwards.  The correct collection and the UR scan query disjoint
 servers and are both pinned at the scan start, the run origin plus the
 protective makespan, so stage 1 lasts protective + max(correct, UR).
 So a group run on its own equals its slice of the full preamble, the
-preamble does not depend on the order servers are listed in, on the
-shard count or on the execution mode, and a whole run's virtual time is
+preamble does not depend on the order servers are listed in or on the
+execution mode, and a whole run's virtual time is
 small and exactly repeatable — re-serialising any collection multiplies
 it.  Every group starts with every resolver cache empty (pinning the
 clock empties them), so a group's payload does not depend on what ran
@@ -256,16 +256,8 @@ def reference():
     return _preamble(_hunter())
 
 
-@pytest.mark.parametrize(
-    "knobs",
-    [
-        pytest.param({"shards": 4}, id="shards-4"),
-        pytest.param({"execution": "stream"}, id="stream"),
-        pytest.param({"shards": 4, "execution": "stream"}, id="stream-4"),
-    ],
-)
-def test_preamble_invariant_under_shards_and_execution(reference, knobs):
-    assert _preamble(_hunter(**knobs)) == reference
+def test_preamble_invariant_under_streaming_execution(reference):
+    assert _preamble(_hunter(execution="stream")) == reference
 
 
 def test_a_resolvers_caches_die_with_its_group():

@@ -102,8 +102,7 @@ def assert_same_plan(plan, expected, monkeypatch=None):
             )
         ]
         assert {task.server_ip for task in group_tasks} == {group.server_ip}
-    for shards in (1, 4):
-        assert plan.summary(shards) == expected.summary(shards)
+    assert plan.summary() == expected.summary()
     if monkeypatch is not None:
         document = differ.plan_summary_json(plan)
         monkeypatch.setattr(differ, "group_identity", oracle.group_identity)

@@ -2,11 +2,11 @@
 
 The plan hash is the identity contract of stage 1: a pure function of
 the world fingerprint and the scan-shaping config knobs, invariant
-under shard count, worker count, engine choice, execution mode, and
-the iteration order of the world's dicts and sets.  These tests pin
-that contract — a hash that moved under an execution knob would let a
-sharded run silently execute a different scan than the one the
-checkpoint fingerprint promises.
+under worker count, engine choice, execution mode, and the iteration
+order of the world's dicts and sets.  These tests pin that contract — a
+hash that moved under an execution knob would let a resumed run
+silently execute a different scan than the one the checkpoint
+fingerprint promises.
 """
 
 import random
@@ -61,11 +61,6 @@ class TestHashPurity:
 
 class TestHashInvariance:
     """Execution knobs must never leak into the plan identity."""
-
-    def test_invariant_under_shard_and_worker_counts(self, plan):
-        for shards, workers in ((1, 1), (2, 1), (4, 2)):
-            varied = make_hunter(shards=shards, shard_workers=workers)
-            assert varied.plan.plan_hash == plan.plan_hash
 
     def test_invariant_under_execution_mode(self, plan):
         varied = make_hunter(execution="stream", channel_depth=3)
@@ -137,21 +132,16 @@ class TestEnumerationContract:
 
 
 class TestShardPartition:
-    def test_union_is_the_whole_plan_and_disjoint(self, plan):
-        for count in (1, 2, 3, 4, 7):
-            indices = [
-                group.index
-                for shard in plan.shard(count)
-                for group in shard.groups
-            ]
-            assert sorted(indices) == list(range(len(plan.groups)))
+    """The nameserver groups partition the UR units: each unit in
+    exactly one group, each group aimed at one server, numbered in the
+    order the group runner walks them."""
 
-    def test_membership_depends_only_on_plan_and_count(self, plan):
-        again = make_hunter(shards=4, shard_workers=2).plan
-        layout = lambda p: [  # noqa: E731
-            [g.index for g in s.groups] for s in p.shard(4)
-        ]
-        assert layout(plan) == layout(again)
+    def test_union_is_the_whole_plan_and_disjoint(self, plan):
+        assert [group.index for group in plan.groups] == list(
+            range(len(plan.groups))
+        )
+        servers = [group.server_ip for group in plan.groups]
+        assert len(set(servers)) == len(servers)
 
     def test_groups_cover_all_ur_units_once(self, plan):
         indices = sorted(
@@ -169,14 +159,8 @@ class TestShardPartition:
             }
             assert servers == {group.server_ip}
 
-    def test_invalid_shard_count_raises(self, plan):
-        with pytest.raises(ValueError):
-            plan.shard(0)
-
     def test_summary_is_deterministic(self, plan):
-        assert plan.summary(shards=4) == make_hunter().plan.summary(
-            shards=4
-        )
+        assert plan.summary() == make_hunter().plan.summary()
         assert plan.plan_hash in plan.summary()
 
 

@@ -1,10 +1,9 @@
-"""Sharded stage-1 equivalence: the merged run is byte-identical.
+"""Stage-1 group runner equivalence: the merged run is byte-identical.
 
-The acceptance invariant of the group runner: for every shard count,
-worker count, and execution mode, the report summary, the trace's
-deterministic section, and the metrics document's deterministic
-section are byte-identical to the single-shard default — clean,
-faulted, and resumed from the groups a killed run had stored.
+The acceptance invariant of the group runner: for every execution mode
+the report summary, the trace's deterministic section, and the metrics
+document's deterministic section are byte-identical to the batch run —
+clean, faulted, and resumed from the groups a killed run had stored.
 """
 
 import itertools
@@ -19,40 +18,28 @@ from repro.obs import RunTrace
 from repro.obs.metrics import build_metrics_document
 from repro.pipeline import CheckpointStore, PipelineRunner
 from repro.plan import shards as shard_runner
-from repro.plan.pool import WorldSpec
-from repro.resilience.scenario import apply_scenario, load_scenario
-from repro.scenario import ScenarioConfig, build_world, small_config
+from repro.scenario import build_world, small_config
 
 SEED = 7
 LOSS = 0.15
-CHAOS = "tail-latency-storm"
 
 
 def measure(
-    shards,
     execution="batch",
     loss=0.0,
-    chaos=None,
-    workers=1,
-    world_spec=None,
     checkpoints=None,
     resume=False,
-    scenario=None,
     **knobs,
 ):
     """One full measurement — through a checkpointing pipeline runner
     when ``checkpoints`` names a directory; returns the three
     byte-compared surfaces and the hunter that produced them."""
-    world = build_world(scenario or small_config(seed=SEED))
+    world = build_world(small_config(seed=SEED))
     if loss:
         world.network.inject_faults(loss_rate=loss, seed=SEED)
-    config = HunterConfig(
-        execution=execution, shards=shards, shard_workers=workers, **knobs
+    hunter = URHunter.from_world(
+        world, HunterConfig(execution=execution, **knobs)
     )
-    hunter = URHunter.from_world(world, config)
-    if chaos:
-        apply_scenario(load_scenario(chaos), world, hunter)
-    hunter.world_spec = world_spec
     trace = RunTrace()
     hunter.attach_trace(trace)
     if checkpoints is None:
@@ -71,69 +58,54 @@ def measure(
     return surfaces, hunter
 
 
-def run(shards, **inputs):
+def run(**inputs):
     """One full measurement; returns the three byte-compared surfaces."""
-    return measure(shards, **inputs)[0]
+    return measure(**inputs)[0]
 
 
 @pytest.fixture(scope="module")
-def clean_s1():
-    return run(1)
+def clean():
+    return run()
 
 
 @pytest.fixture(scope="module")
-def clean_s2():
-    return run(2)
-
-
-@pytest.fixture(scope="module")
-def faulted_s1():
-    return run(1, loss=LOSS)
+def faulted():
+    return run(loss=LOSS)
 
 
 class TestCleanEquivalence:
-    def test_invariant_under_shard_count(self, clean_s1, clean_s2):
-        assert clean_s2 == clean_s1
+    def test_invariant_under_streaming_execution(self, clean):
+        assert run(execution="stream") == clean
 
-    def test_invariant_under_streaming_execution(self, clean_s1):
-        assert run(2, execution="stream") == clean_s1
-
-    def test_plan_built_event_names_the_hash(self, clean_s1):
+    def test_plan_built_event_names_the_hash(self, clean):
         world = build_world(small_config(seed=SEED))
         hunter = URHunter.from_world(world)
         (built,) = [
             json.loads(line)
-            for line in clean_s1[1]
+            for line in clean[1]
             if '"event":"plan.built"' in line
         ]
         assert built["hash"] == hunter.plan.plan_hash
         assert built["groups"] == len(hunter.plan.groups)
         assert built["ur"] == len(hunter.plan.ur_units)
 
-    def test_run_end_accounts_for_every_query(self, clean_s2):
+    def test_run_end_accounts_for_every_query(self, clean):
         (run_end,) = [
             json.loads(line)
-            for line in clean_s2[1]
+            for line in clean[1]
             if '"event":"run.end"' in line
         ]
         assert run_end["unaccounted"] == 0
 
 
 class TestFaultedEquivalence:
-    """Loss and chaos schedules: shard-count and execution-mode
-    invariant."""
+    """A loss schedule: execution-mode invariant."""
 
-    def test_loss_invariant_under_shard_count(self, faulted_s1):
-        assert run(4, loss=LOSS) == faulted_s1
+    def test_loss_invariant_under_streaming_execution(self, faulted):
+        assert run(loss=LOSS, execution="stream") == faulted
 
-    def test_loss_invariant_under_streaming_execution(self, faulted_s1):
-        assert run(2, loss=LOSS, execution="stream") == faulted_s1
-
-    def test_loss_actually_bites(self, faulted_s1, clean_s1):
-        assert faulted_s1 != clean_s1
-
-    def test_chaos_invariant_under_shard_count(self):
-        assert run(4, chaos=CHAOS) == run(1, chaos=CHAOS)
+    def test_loss_actually_bites(self, faulted, clean):
+        assert faulted != clean
 
 
 class TestGroupFailure:
@@ -209,58 +181,58 @@ class TestShardResume:
     folds; a resumed run over the same directory re-executes only the
     missing ones and merges byte-identically."""
 
-    def test_resume_from_partial_store(self, tmp_path, clean_s1):
-        uninterrupted = run(2, checkpoints=tmp_path)
-        assert (uninterrupted[0], uninterrupted[2]) == (
-            clean_s1[0],
-            clean_s1[2],
-        )
+    def test_resume_from_partial_store(self, tmp_path, clean):
+        uninterrupted = run(checkpoints=tmp_path)
+        assert (uninterrupted[0], uninterrupted[2]) == (clean[0], clean[2])
         slots = sorted((tmp_path / "groups").glob("group-*.json"))
         assert len(slots) == 145
         # simulate a crash that persisted only every other group and
         # never reached the stage-1 checkpoint
         for path in slots[::2] + list(tmp_path.glob("stage*.json")):
             path.unlink()
-        resumed, hunter = measure(2, checkpoints=tmp_path, resume=True)
+        resumed, hunter = measure(checkpoints=tmp_path, resume=True)
         assert resumed == uninterrupted
         assert hunter.result_store.stats["hits"] == len(slots[1::2])
         assert len(list((tmp_path / "groups").glob("group-*.json"))) == 145
 
-    @pytest.mark.parametrize(
-        "shards, loss", [(1, 0.0), (4, LOSS)], ids=["s1-clean", "s4-lossy"]
-    )
+    @pytest.mark.parametrize("loss", [0.0, LOSS], ids=["clean", "lossy"])
+    @pytest.mark.parametrize("killed_after", ["first", "last"])
     def test_killed_scan_resumes_from_its_stored_groups(
-        self, shards, loss, tmp_path, monkeypatch
+        self, killed_after, loss, tmp_path, monkeypatch
     ):
-        """The kill seam fires once shard 0 is folded — at one shard,
-        after the whole scan and before its stage-1 checkpoint, where a
-        crash used to cost a full re-scan."""
-        inputs = {"loss": loss}
+        """The kill seam fires once one group is folded and stored: the
+        first, or the last — after the whole scan and before its
+        stage-1 checkpoint, where a crash used to cost a full re-scan."""
         uninterrupted, fresh = measure(
-            shards, checkpoints=tmp_path / "base", **inputs
+            loss=loss, checkpoints=tmp_path / "base"
         )
+        groups = len(fresh.plan.groups)
+        target = 0 if killed_after == "first" else groups - 1
 
         class Killed(BaseException):
             """Like the seam's SIGTERM, nothing gets to handle it."""
 
         def kill(index):
-            raise Killed(index)
+            if index == target:
+                raise Killed(index)
 
         with monkeypatch.context() as patch:
-            patch.setattr(shard_runner, "_maybe_crash_shard", kill)
+            patch.setattr(shard_runner, "_maybe_crash_group", kill)
             with pytest.raises(Killed):
-                run(shards, checkpoints=tmp_path / "ckpt", **inputs)
+                run(loss=loss, checkpoints=tmp_path / "ckpt")
         assert not (tmp_path / "ckpt" / "stage1-collect.json").exists()
         resumed, hunter = measure(
-            shards, checkpoints=tmp_path / "ckpt", resume=True, **inputs
+            loss=loss, checkpoints=tmp_path / "ckpt", resume=True
         )
         assert resumed == uninterrupted
         stats = hunter.result_store.stats
-        assert stats["hits"] > 0
         assert stats["invalidated"] == 0
-        if shards == 1:
-            # the kill came after the last group
-            assert stats["misses"] == 0
+        if killed_after == "first":
+            # group 0 is cacheable at this seed: it alone replays
+            assert (stats["hits"], stats["misses"]) == (1, groups - 2)
+        else:
+            # every group but the uncacheable recursive one replays
+            assert (stats["hits"], stats["misses"]) == (groups - 1, 0)
         live = hunter.network.stats["dns_queries"]
         assert live < fresh.network.stats["dns_queries"]
 
@@ -279,55 +251,3 @@ class TestShardResume:
         assert not (tmp_path / "ckpt" / "groups").exists()
         # a fresh run wipes the checkpoint directory, not the caller's store
         assert checkpointed()["hits"] == 145
-
-
-class TestProcessPool:
-    def test_pooled_shards_match_in_process(self, clean_s2):
-        spec = WorldSpec(scenario=small_config(seed=SEED))
-        assert run(2, workers=2, world_spec=spec) == clean_s2
-
-    def test_pooled_faulted_shards_match_in_process(self, faulted_s1):
-        spec = WorldSpec(
-            scenario=small_config(seed=SEED),
-            loss_rate=LOSS,
-            loss_seed=SEED,
-        )
-        assert run(2, loss=LOSS, workers=2, world_spec=spec) == faulted_s1
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize(
-        "faults, knobs",
-        [
-            pytest.param(
-                {"loss_rate": 0.05, "loss_seed": SEED},
-                {"hedge_delay": 0.5, "aimd": True},
-                id="loss-hedge-aimd",
-            ),
-            pytest.param(
-                {"chaos_script": CHAOS},
-                {"hedge_delay": 0.25, "aimd": True},
-                id="storm",
-            ),
-        ],
-    )
-    def test_pooled_faulted_runs_are_reproducible_at_default_scale(
-        self, faults, knobs
-    ):
-        """Each worker executes its shards over its own world replica,
-        and which shards land on which worker varies run to run.  While
-        the recursive nameservers' fallback resolver kept its caches
-        across groups, a replica's answers — and under loss every later
-        fault draw — depended on what it had run before: the same
-        command printed different reports.  (Default scale, seed 11:
-        small worlds have one recursive nameserver and hid it.)"""
-        scenario = ScenarioConfig(seed=11)
-        spec = WorldSpec(scenario=scenario, **faults)
-        inputs = dict(
-            scenario=scenario,
-            loss=faults.get("loss_rate", 0.0),
-            chaos=faults.get("chaos_script"),
-            **knobs,
-        )
-        in_process = run(4, **inputs)
-        for _ in range(2):
-            assert run(4, workers=2, world_spec=spec, **inputs) == in_process

@@ -101,12 +101,7 @@ class TestChaosRun:
         # group and every open resolver's group short 0.31 s in (a 3 s
         # deadline did that to the UR groups alone while they started
         # 2.69 s in, after the correct collection)
-        for mode in (
-            [],
-            ["--shards", "4"],
-            ["--execution", "stream"],
-            ["--shards", "4", "--shard-workers", "2"],
-        ):
+        for mode in ([], ["--execution", "stream"]):
             code = _run(
                 [
                     "--scale", "small", "--seed", "7",
@@ -119,7 +114,7 @@ class TestChaosRun:
             out = capsys.readouterr().out
             # shed queries surface in the scan metrics block: 8,980 of
             # the 13,482 UR queries and 695 of the 752 correct-record
-            # lookups, however the groups are sharded, streamed or pooled
+            # lookups, batch or streamed
             assert "shed: 9,675" in out, mode
             assert "[correct] q=57 r=57" in out, mode
             assert "shed=695" in out and "shed=8,980" in out, mode
