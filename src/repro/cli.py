@@ -186,40 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(deterministic per --seed; default 0, no loss)"
         ),
     )
-    execution = parser.add_argument_group(
-        "execution", "batch vs streaming dataflow"
-    )
-    execution.add_argument(
-        "--execution",
-        choices=("batch", "stream"),
-        default="batch",
-        help=(
-            "run the three stages as a whole-corpus batch or as one "
-            "record-level streaming dataflow (default: batch; the "
-            "report is byte-identical either way)"
-        ),
-    )
-    execution.add_argument(
-        "--channel-depth",
-        type=int,
-        default=64,
-        metavar="N",
-        help=(
-            "bounded-channel capacity between streaming stages "
-            "(default 64; smaller = tighter memory, more scheduling)"
-        ),
-    )
-    execution.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "with --execution stream and --checkpoint-dir: persist an "
-            "incremental segment every N classified records "
-            "(omit for stage checkpoints only; N must be >= 1)"
-        ),
-    )
     incremental = parser.add_argument_group(
         "incremental", "group-result store and warm re-scans"
     )
@@ -257,19 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
             "with 'plan': diff the current plan against a saved --json "
             "dump (added/removed/changed groups); exits 2 on malformed "
             "input"
-        ),
-    )
-    stage2 = parser.add_argument_group(
-        "stage 2", "exclusion-stage parallelism"
-    )
-    stage2.add_argument(
-        "--stage2-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "worker threads for stage-2 classification (default 1; "
-            "the report is byte-identical across worker counts)"
         ),
     )
     resilience = parser.add_argument_group(
@@ -436,9 +389,6 @@ def _hunter_config(args: argparse.Namespace) -> HunterConfig:
     config = HunterConfig(
         retries=args.retries,
         timeout=args.timeout,
-        stage2_workers=args.stage2_workers,
-        execution=args.execution,
-        channel_depth=args.channel_depth,
         run_deadline=args.run_deadline or 0.0,
         stage_deadline=args.stage_deadline or 0.0,
         hedge_delay=args.hedge_delay or 0.0,
@@ -524,20 +474,12 @@ def _write_metrics(
     report,
     runner: PipelineRunner,
     hunter: URHunter,
-    args: argparse.Namespace,
     incremental=None,
 ) -> None:
     """Write the consolidated ``--metrics-out`` document."""
-    flow_stats = hunter.last_flow_stats
     document = build_metrics_document(
         report,
         fingerprint=runner._fingerprint(),
-        execution=args.execution,
-        stage2_workers=args.stage2_workers,
-        channel_depth=args.channel_depth,
-        flow_metrics=(
-            flow_stats.to_metrics() if flow_stats is not None else None
-        ),
         scan_path=ScanPathMetrics.from_network(hunter.network),
         incremental=incremental,
     )
@@ -615,7 +557,7 @@ def _plan_command(
 
 def _chaos_command(args: argparse.Namespace, reporter: Reporter) -> int:
     """Handle ``repro chaos``: replay scenarios through the invariant
-    checker (small worlds, the full batch/stream matrix)."""
+    checker (small worlds, each scenario replayed twice)."""
     from .resilience.invariants import (
         InvariantViolation,
         check_clean_baseline,
@@ -662,7 +604,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     # explicit non-positive values on count/duration knobs are always a
     # mistake (omit the flag to disable the feature) — reject loudly
     for option, value in (
-        ("--checkpoint-every", args.checkpoint_every),
         ("--run-deadline", args.run_deadline),
         ("--stage-deadline", args.stage_deadline),
         ("--hedge-delay", args.hedge_delay),
@@ -759,7 +700,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         store=store,
         resume=args.resume,
         scenario_fingerprint=_scenario_fingerprint(args),
-        checkpoint_every=args.checkpoint_every or 0,
     )
     needs_validation = args.command in ("run", "validate")
     try:
@@ -795,7 +735,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             report,
             runner,
             hunter,
-            args,
             incremental=(
                 result_store.stats if result_store is not None else None
             ),
@@ -817,7 +756,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         perf = report.stage2_metrics
         reporter.info(
             f"# stage-2 perf: {perf.records_per_s:,.0f} records/s  "
-            f"workers={perf.workers}  wall={perf.wall_s * 1000:.1f}ms"
+            f"wall={perf.wall_s * 1000:.1f}ms"
         )
 
     if args.command == "run":

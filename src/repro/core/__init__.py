@@ -34,7 +34,7 @@ from .longitudinal import (
     Snapshot,
     diff_reports,
 )
-from .parallel import Stage2Executor, Stage2Metrics
+from .parallel import Stage2Metrics
 from .records import (
     ClassifiedUR,
     IpVerdict,
@@ -76,7 +76,6 @@ __all__ = [
     "ProtectiveFingerprint",
     "ReportDiff",
     "ResponseCollector",
-    "Stage2Executor",
     "Stage2Metrics",
     "SuspicionFilter",
     "Snapshot",

@@ -180,10 +180,8 @@ class MaliciousBehaviorAnalyzer:
 
         ``ip_verdicts`` is the shared first-seen ledger: new addresses
         are looked up (in the entry's IP order) and appended, known ones
-        are reused — the per-entry unit both the batch loop and the
-        streaming analysis node drive, so intel lookups happen in the
-        identical order either way.  Returns the refined entry and
-        whether it counted toward ``txt_without_ip``.
+        are reused.  Returns the refined entry and whether it counted
+        toward ``txt_without_ip``.
         """
         ips = self.corresponding_ips(entry.record, a_index)
         if not ips:

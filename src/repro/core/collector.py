@@ -123,8 +123,8 @@ class CollectionResult:
     metrics: Optional[ScanMetrics] = None
     #: the scan start — virtual time after the protective probes, where
     #: the correct collection and the UR scan are both pinned — and
-    #: stage 2's classification clock in both the batch and streaming
-    #: execution modes (the clock cannot depend on when the scan *ends*)
+    #: stage 2's classification clock (the clock cannot depend on when
+    #: the scan *ends*)
     classification_epoch: float = 0.0
 
 

@@ -17,7 +17,7 @@ Run :meth:`URHunter.run` to get a :class:`~repro.core.report.MeasurementReport`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import (
     ClassVar,
     Dict,
@@ -74,7 +74,7 @@ from .correctness import (
 )
 from .parallel import Stage2Metrics
 from .records import ClassifiedUR, UndelegatedRecord
-from .report import DegradedSources, MeasurementReport, ReportAccumulator
+from .report import DegradedSources, MeasurementReport
 from .suspicion import SuspicionFilter, SuspicionOutcome
 
 
@@ -182,16 +182,6 @@ class HunterConfig:
     retries: int = 2
     #: virtual seconds a lost query costs before giving up
     timeout: float = 5.0
-    #: worker threads for stage-2 classification (output is byte-identical
-    #: across worker counts; see repro.core.parallel)
-    stage2_workers: int = 1
-    #: dataflow mode: "batch" runs each stage to completion before the
-    #: next starts; "stream" flows records through bounded channels so
-    #: classification overlaps the scan (byte-identical output)
-    execution: str = "batch"
-    #: bounded-channel capacity (and stage-2 chunk size) of the
-    #: streaming dataflow
-    channel_depth: int = 64
     #: virtual-seconds budget for the whole run; once exhausted the
     #: engine sheds not-yet-sent queries (0 = unlimited)
     run_deadline: float = 0.0
@@ -205,6 +195,8 @@ class HunterConfig:
     #: AIMD adaptive per-server send credit (no-op until the first
     #: failure)
     aimd: bool = False
+    #: benchmarks/e2e reads this; ROADMAP item 1 deletes it
+    execution: InitVar[str] = "batch"
 
     #: every stage-1 group runs in this process, one after another;
     #: ``benchmarks/e2e`` still reads these two for its metrics
@@ -212,16 +204,17 @@ class HunterConfig:
     #: fingerprint sees them
     shards: ClassVar[int] = 1
     shard_workers: ClassVar[int] = 1
+    #: benchmarks/e2e reads this; ROADMAP item 1 deletes it
+    stage2_workers: ClassVar[int] = 1
+    #: benchmarks/e2e reads this; ROADMAP item 1 deletes it
+    channel_depth: ClassVar[int] = 64
 
-    #: knobs that do not change *what* the pipeline computes, only how
-    #: fast — excluded from the checkpoint fingerprint so a run may be
-    #: resumed under a different worker count or execution mode (batch
-    #: and streaming reports are byte-identical)
-    FINGERPRINT_EXCLUDE: ClassVar[FrozenSet[str]] = frozenset(
-        {"stage2_workers", "execution", "channel_depth"}
-    )
-
-    def __post_init__(self) -> None:
+    def __post_init__(self, execution: str) -> None:
+        if execution not in ("batch", "stream"):
+            raise ValueError(
+                f"unknown execution mode {execution!r} "
+                "(known: batch, stream)"
+            )
         unknown = frozenset(self.enabled_conditions) - ALL_CONDITIONS
         if unknown:
             raise ValueError(
@@ -240,19 +233,6 @@ class HunterConfig:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {self.timeout}")
-        if self.stage2_workers < 1:
-            raise ValueError(
-                f"stage2_workers must be >= 1, got {self.stage2_workers}"
-            )
-        if self.execution not in ("batch", "stream"):
-            raise ValueError(
-                f"unknown execution mode {self.execution!r} "
-                "(known: batch, stream)"
-            )
-        if self.channel_depth < 1:
-            raise ValueError(
-                f"channel_depth must be >= 1, got {self.channel_depth}"
-            )
         if self.run_deadline < 0:
             raise ValueError(
                 f"run_deadline must be >= 0, got {self.run_deadline}"
@@ -282,7 +262,7 @@ class HunterConfig:
 
 
 def _stage1_end(collection: CollectionResult) -> Dict[str, object]:
-    """stage.end fields for stage 1 — identical in both execution modes."""
+    """stage.end fields for stage 1."""
     return {
         "records": len(collection.undelegated),
         "queries": collection.queries_sent,
@@ -320,6 +300,9 @@ def _stage3_end(analysis: MaliciousAnalysisResult) -> Dict[str, object]:
 
 class URHunter:
     """The measurement framework (paper §4)."""
+
+    #: benchmarks/e2e reads this; ROADMAP item 1 deletes it
+    last_flow_stats = None
 
     def __init__(
         self,
@@ -398,8 +381,6 @@ class URHunter:
         #: injection hook); stage 1 keeps using ``self.ipinfo`` so the
         #: correct-record profiles stay intact
         self.stage2_ipinfo: Optional[IpInfoDatabase] = None
-        #: channel-occupancy statistics of the last streaming run
-        self.last_flow_stats = None
         #: the run-scoped event bus (see repro.obs); stage spans,
         #: collection progress, and degradation transitions are emitted
         #: through it when attached
@@ -471,8 +452,7 @@ class URHunter:
 
         Identical to :attr:`plan` unless pdns expansion grew the target
         list at run time — in which case the plan is rebuilt over the
-        expanded targets (still a pure function of the expanded world,
-        so both execution modes agree on it).
+        expanded targets (still a pure function of the expanded world).
         """
         if list(domains) == self.domains:
             return self.plan
@@ -504,8 +484,7 @@ class URHunter:
 
         The protective and correct collections are whole-corpus inputs
         to classification, so they run once, eagerly; the UR scan is
-        :func:`repro.plan.shards.run_shard_scan` — the only executor,
-        in both execution modes.
+        :func:`repro.plan.shards.run_shard_scan`.
 
         ``now`` is the collection's *classification epoch*, the scan
         start: the run origin plus the protective makespan, where every
@@ -578,7 +557,7 @@ class URHunter:
         )
 
     def _stage2_filter(self, protective) -> SuspicionFilter:
-        """Build the stage-2 checker + filter (shared by both modes)."""
+        """Build the stage-2 checker + filter."""
         if self.correct_db is None:
             # resumed run: the correct-record profiles arrived with the
             # checkpoint inside stage1.collection's database reference
@@ -593,18 +572,19 @@ class URHunter:
             ipinfo=self.stage2_ipinfo,
         )
         self.last_checker = checker
-        suspicion = SuspicionFilter(
-            checker,
-            protective,
-            workers=self.config.stage2_workers,
-        )
+        suspicion = SuspicionFilter(checker, protective)
         self.last_filter = suspicion
         if self.trace is not None:
             checker.guard.bind_trace(self.trace, OBS_STAGE2)
         return suspicion
 
-    def _stage3_analyzer(self) -> MaliciousBehaviorAnalyzer:
-        """Build the stage-3 analyzer (shared by both modes)."""
+    def stage3_analyze(self, stage2: Stage2Result) -> Stage3Result:
+        """Stage 3: malicious behaviour analysis on the suspicious set."""
+        self._emit(
+            "stage.start",
+            stage=OBS_STAGE3,
+            suspicious=len(stage2.outcome.suspicious),
+        )
         analyzer = MaliciousBehaviorAnalyzer(
             self.intel,
             self.sandbox_reports,
@@ -616,16 +596,6 @@ class URHunter:
         self.last_analyzer = analyzer
         if self.trace is not None:
             self.intel.guard.bind_trace(self.trace, OBS_STAGE3)
-        return analyzer
-
-    def stage3_analyze(self, stage2: Stage2Result) -> Stage3Result:
-        """Stage 3: malicious behaviour analysis on the suspicious set."""
-        self._emit(
-            "stage.start",
-            stage=OBS_STAGE3,
-            suspicious=len(stage2.outcome.suspicious),
-        )
-        analyzer = self._stage3_analyzer()
         analysis = analyzer.analyze(stage2.outcome.suspicious)
         self._emit("stage.end", stage=OBS_STAGE3, **_stage3_end(analysis))
         return Stage3Result(
@@ -641,20 +611,22 @@ class URHunter:
     ) -> MeasurementReport:
         """Assemble the final report, including degradation provenance.
 
-        The :class:`~repro.core.report.ReportAccumulator` defines the
-        canonical entry order (clean stage-2 entries, then the refined
-        stage-3 entries, each in record order); the streaming sink folds
-        the same accumulator incrementally, which is what makes the two
-        execution modes byte-identical.
+        Entry order: the clean (correct and protective) stage-2 entries,
+        then the refined stage-3 entries, each in record order.
         """
-        accumulator = ReportAccumulator()
-        for entry in stage2.outcome.classified:
-            if not entry.is_suspicious:
-                accumulator.add(entry)
-        for entry in stage3.analysis.classified:
-            accumulator.add(entry)
-        classified: List[ClassifiedUR] = accumulator.classified()
-        unverifiable = accumulator.unverifiable
+        classified: List[ClassifiedUR] = [
+            entry
+            for entry in stage2.outcome.classified
+            if not entry.is_suspicious
+        ]
+        classified.extend(stage3.analysis.classified)
+        unverifiable = sum(
+            1
+            for entry in classified
+            if any(
+                reason.startswith("unverifiable") for reason in entry.reasons
+            )
+        )
         # The resilience snapshot only joins the report once a mechanism
         # actually fired — a healthy run renders byte-identically to a
         # run without resilience configured.
@@ -692,117 +664,21 @@ class URHunter:
     def run(self, validate: bool = True) -> MeasurementReport:
         """Execute all three stages and build the report.
 
-        ``config.execution`` selects the dataflow: ``"batch"`` runs each
-        stage to completion before the next, ``"stream"`` flows records
-        through bounded channels (:meth:`run_flow`) — the reports are
-        byte-identical.  With ``validate`` the §4.2 zero-false-negative
-        check also runs (delegated records of the target domains through
-        the exclusion stage).  For checkpointed, resumable execution
-        wrap the hunter in :class:`repro.pipeline.PipelineRunner`
-        instead.
+        With ``validate`` the §4.2 zero-false-negative check also runs
+        (delegated records of the target domains through the exclusion
+        stage).  For checkpointed, resumable execution wrap the hunter
+        in :class:`repro.pipeline.PipelineRunner` instead.
         """
         self._emit("run.start", fingerprint=self._config_fingerprint())
-        if self.config.execution == "stream":
-            stage1, stage2, stage3 = self.run_flow(validate=validate)
-        else:
-            stage1 = self.stage1_collect()
-            stage2 = self.stage2_exclude(stage1, validate=validate)
-            stage3 = self.stage3_analyze(stage2)
+        stage1 = self.stage1_collect()
+        stage2 = self.stage2_exclude(stage1, validate=validate)
+        stage3 = self.stage3_analyze(stage2)
         report = self.build_report(stage1, stage2, stage3)
         self._emit("run.end", **run_end_fields(report))
         return report
 
-    # -- streaming dataflow -------------------------------------------------
-
-    def run_flow(
-        self,
-        validate: bool = True,
-        segment_size: int = 0,
-        segment_sink=None,
-        resume_entries: Sequence[ClassifiedUR] = (),
-        segment_start: int = 0,
-    ) -> Tuple[Stage1Result, Stage2Result, Stage3Result]:
-        """Run stage 1, then stages 2 and 3 as one record-level dataflow.
-
-        The collected records, the exclusion stage, and the analysis
-        stage become nodes of a :class:`repro.flow.FlowGraph` connected
-        by bounded channels of ``config.channel_depth``; a record is
-        analysed while later ones are still being classified, and only
-        the final report (plus the stage-2 ledger the checkpoints need)
-        is materialised.  Output is byte-identical to the batch stages
-        for any channel depth, worker count, and fault schedule.
-
-        ``segment_size``/``segment_sink`` enable incremental segment
-        checkpoints: every ``segment_size`` classified records the sink
-        receives ``(segment_index, entries)``.  ``resume_entries``
-        replays previously checkpointed classifications (the scan is
-        re-driven — it is deterministic — but stage 2 skips the replayed
-        prefix); ``segment_start`` numbers the first *new* segment.
-        """
-        # Lazy import: repro.flow imports core submodules, so the module
-        # level would be a cycle.
-        from ..flow import run_pipeline_flow
-
-        # Stage 1 is the batch stage verbatim — the group runner owns
-        # clock/RNG isolation, so the scan completes before its records
-        # stream.  Stages 2 and 3 interleave in the flow, so their span
-        # markers are emitted after the pump and rely on the trace's
-        # canonical ordering to land exactly where the batch mode puts
-        # them (see repro.obs.events.TraceEvent.sort_key).
-        stage1 = self.stage1_collect()
-        suspicion = self._stage2_filter(stage1.collection.protective)
-        analyzer = self._stage3_analyzer()
-        flow = run_pipeline_flow(
-            records=stage1.collection.undelegated,
-            suspicion=suspicion,
-            analyzer=analyzer,
-            now=stage1.now,
-            channel_depth=self.config.channel_depth,
-            segment_size=segment_size,
-            segment_sink=segment_sink,
-            resume_entries=resume_entries,
-            segment_start=segment_start,
-            trace=self.trace,
-        )
-        self.last_flow_stats = flow.stats
-        # The §4.2 validation runs after the flow drains, exactly where
-        # the batch mode runs it (after classification, before the
-        # stage-2 ledgers are snapshotted).
-        fn_rate: Optional[float] = None
-        if validate:
-            fn_rate = suspicion.false_negative_rate(
-                self._delegated_records_sample(), now=stage1.now
-            )
-        stage2 = Stage2Result(
-            outcome=flow.outcome,
-            fn_rate=fn_rate,
-            source_health=suspicion.checker.source_health(),
-            skipped_conditions=dict(suspicion.checker.skipped_conditions),
-            metrics=flow.metrics,
-        )
-        stage3 = Stage3Result(
-            analysis=flow.analysis,
-            source_health=self.intel.source_health(),
-        )
-        # The stage-2/3 span markers (canonically ordered; fields match
-        # the batch emissions value-for-value).
-        self._emit(
-            "stage.start",
-            stage=OBS_STAGE2,
-            records=len(stage1.collection.undelegated),
-        )
-        self._emit(
-            "stage.end",
-            stage=OBS_STAGE2,
-            **_stage2_end(flow.outcome, flow.metrics, fn_rate),
-        )
-        self._emit(
-            "stage.start",
-            stage=OBS_STAGE3,
-            suspicious=len(flow.outcome.suspicious),
-        )
-        self._emit("stage.end", stage=OBS_STAGE3, **_stage3_end(flow.analysis))
-        return stage1, stage2, stage3
+    #: benchmarks/e2e reads this; ROADMAP item 1 deletes it
+    run_flow = run
 
     # -- validation helper --------------------------------------------------
 

@@ -1,56 +1,31 @@
-"""Parallel stage-2 execution and its observability block.
-
-Stage 2 (exclusion) is embarrassingly parallel *across distinct UR
-keys*: every record sharing a ``(domain, rrtype, rdata)`` key receives
-the same verdict, so the unit of work is the distinct key, not the
-record.  :class:`Stage2Executor` shards distinct keys across a thread
-pool (workers share the uniformity checker; the
-:class:`~repro.pipeline.resilience.SourceGuard` and the store caches
-are lock-protected) and returns results keyed by UR key — fan-out back
-to records happens in the caller's original record order, which makes
-reports **byte-identical across worker counts**.
+"""Stage 2's observability block.
 
 :class:`Stage2Metrics` mirrors the engine's
 :class:`~repro.engine.metrics.ScanMetrics` idiom for stage 2: dedup
 factor, verdict/auxiliary cache hit rates, throughput, and
 per-condition timings.  ``summary()`` deliberately prints only the
-deterministic counters — wall-clock figures would break the resume and
-worker-count byte-identity guarantees the pipeline tests enforce — the
-timing fields ride in the dataclass (and the benchmark JSON) instead.
+deterministic counters — wall-clock figures would break the resume
+byte-identity guarantee the pipeline tests enforce — the timing fields
+ride in the dataclass (and the metrics document's timing section)
+instead.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    ClassVar,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
-
-K = TypeVar("K")
-V = TypeVar("V")
-W = TypeVar("W")
+from typing import Any, ClassVar, Dict
 
 
 @dataclass
 class Stage2Metrics:
-    """What stage 2 did: volume, dedup, caching, parallelism, timing.
+    """What stage 2 did: volume, dedup, caching, timing.
 
     Implements the :class:`repro.obs.metrics.MetricsSnapshot` protocol.
     The deterministic/timing split is load-bearing: ``to_dict()`` and
-    ``summary()`` carry only counters that are byte-identical across
-    worker counts and execution modes, while ``timing_dict()`` and
-    ``timing_summary()`` carry the wall clock, worker context, and the
-    scheduling-dependent store-cache counters.
+    ``summary()`` carry only counters that are byte-identical between a
+    live and a resumed run, while ``timing_dict()`` and
+    ``timing_summary()`` carry the wall clock and the store-cache
+    counters.
     """
 
     #: MetricsSnapshot protocol identity
@@ -68,8 +43,6 @@ class Stage2Metrics:
     cache_hits: int = 0
     #: distinct evaluations actually performed
     cache_misses: int = 0
-    #: worker threads the executor used
-    workers: int = 1
     #: whether the memoized fast path was eligible (deterministic sources)
     memoized: bool = False
     #: wall-clock seconds of the whole classification pass
@@ -106,13 +79,12 @@ class Stage2Metrics:
         )
 
     def merge(self, other: "Stage2Metrics") -> None:
-        """Fold another pass's counters into this one (shard/run merge)."""
+        """Fold another pass's counters into this one."""
         self.records += other.records
         self.protective_matches += other.protective_matches
         self.distinct_keys += other.distinct_keys
         self.cache_hits += other.cache_hits
         self.cache_misses += other.cache_misses
-        self.workers = max(self.workers, other.workers)
         # a merged pass is memoized only if every constituent was
         self.memoized = self.memoized and other.memoized
         self.wall_s += other.wall_s
@@ -137,9 +109,8 @@ class Stage2Metrics:
         }
 
     def timing_dict(self) -> Dict[str, Any]:
-        """Wall-clock + scheduling-dependent counters — never byte-compared."""
+        """Wall-clock and store-cache counters — never byte-compared."""
         return {
-            "workers": self.workers,
             "wall_s": self.wall_s,
             "records_per_s": self.records_per_s,
             "condition_s": dict(sorted(self.condition_s.items())),
@@ -152,11 +123,9 @@ class Stage2Metrics:
     def summary(self, indent: str = "") -> str:
         """Deterministic counters only — safe for byte-compared reports.
 
-        Wall-clock figures, the worker count, and the store-cache
-        counters (whose exact values are scheduling-dependent under
-        concurrent workers) live in :meth:`timing_summary` instead, so
-        this text is byte-identical across worker counts and across
-        live/resumed runs.
+        Wall-clock figures and the store-cache counters live in
+        :meth:`timing_summary` instead, so this text is byte-identical
+        across live and resumed runs.
         """
         mode = "on" if self.memoized else "off"
         return "\n".join(
@@ -172,10 +141,9 @@ class Stage2Metrics:
         )
 
     def timing_summary(self, indent: str = "") -> str:
-        """Wall-clock + scheduling-dependent view — diagnostics only."""
+        """Wall-clock and store-cache view — diagnostics only."""
         lines = [
-            f"{indent}workers: {self.workers}  wall: "
-            f"{self.wall_s * 1000:.1f}ms  throughput: "
+            f"{indent}wall: {self.wall_s * 1000:.1f}ms  throughput: "
             f"{self.records_per_s:,.0f} records/s"
         ]
         aux_total = (
@@ -198,74 +166,3 @@ class Stage2Metrics:
                 f"{self.condition_s[condition] * 1000:.2f}ms"
             )
         return "\n".join(lines)
-
-
-class Stage2Executor:
-    """Shards independent stage-2 evaluations across a worker pool.
-
-    Threads by default: the workload is dominated by shared in-memory
-    lookups, so threads avoid serializing the world across processes
-    while the guard/caches stay lock-protected.  Results come back as a
-    mapping keyed by the work item's key — callers re-assemble output in
-    their own deterministic order, so the merged result is independent
-    of worker count and scheduling.
-    """
-
-    def __init__(self, workers: int = 1, reporter: Optional[Any] = None):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        #: optional repro.obs.Reporter — shard dispatch goes to its
-        #: debug level instead of ad-hoc stderr prints
-        self.reporter = reporter
-
-    def map_keys(
-        self,
-        items: Sequence[Tuple[K, W]],
-        fn: Callable[[W], V],
-    ) -> Dict[K, Tuple[V, float]]:
-        """Evaluate ``fn`` over ``items`` (unique-key work units).
-
-        Returns ``{key: (result, elapsed_seconds)}``.  With one worker
-        (or one item) everything runs inline; otherwise items are dealt
-        round-robin into per-worker shards.
-        """
-        results: Dict[K, Tuple[V, float]] = {}
-        if self.workers == 1 or len(items) <= 1:
-            for key, work in items:
-                results[key] = self._timed(fn, work)
-            return results
-        shards: List[List[Tuple[K, W]]] = [
-            list(items[index :: self.workers])
-            for index in range(self.workers)
-        ]
-        if self.reporter is not None:
-            self.reporter.debug(
-                f"# stage-2: dispatching {len(items):,} keys across "
-                f"{sum(1 for shard in shards if shard)} worker shards"
-            )
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            futures = [
-                pool.submit(self._run_shard, shard, fn)
-                for shard in shards
-                if shard
-            ]
-            for future in futures:
-                results.update(future.result())
-        return results
-
-    @staticmethod
-    def _timed(
-        fn: Callable[[W], V], work: W
-    ) -> Tuple[V, float]:
-        start = time.perf_counter()
-        value = fn(work)
-        return value, time.perf_counter() - start
-
-    @classmethod
-    def _run_shard(
-        cls,
-        shard: Sequence[Tuple[K, W]],
-        fn: Callable[[W], V],
-    ) -> Dict[K, Tuple[V, float]]:
-        return {key: cls._timed(fn, work) for key, work in shard}

@@ -103,47 +103,6 @@ class DegradedSources:
         return "\n".join(lines)
 
 
-class ReportAccumulator:
-    """Folds classified URs in arrival order into the canonical report
-    order.
-
-    The canonical ``MeasurementReport.classified`` order is: every
-    non-suspicious entry (stage-2 record order) followed by every
-    refined suspicious entry (stage-3 record order).  The streaming
-    dataflow delivers the two interleaved — a record refined early
-    arrives between still-unrefined neighbours — so the accumulator
-    partitions on arrival and concatenates at the end, which reproduces
-    the batch order exactly because each partition preserves its own
-    arrival order.  The batch path uses the same accumulator (fed
-    sequentially), making it the single source of truth for report
-    ordering.
-    """
-
-    def __init__(self) -> None:
-        self._clean: List[ClassifiedUR] = []
-        self._refined: List[ClassifiedUR] = []
-        #: entries whose verdict rests on an incomplete evidence base
-        self.unverifiable = 0
-
-    def add(self, entry: ClassifiedUR) -> None:
-        """Fold one final entry (non-suspicious, or stage-3 refined)."""
-        if entry.category in (URCategory.CORRECT, URCategory.PROTECTIVE):
-            self._clean.append(entry)
-        else:
-            self._refined.append(entry)
-        if any(
-            reason.startswith("unverifiable") for reason in entry.reasons
-        ):
-            self.unverifiable += 1
-
-    def __len__(self) -> int:
-        return len(self._clean) + len(self._refined)
-
-    def classified(self) -> List[ClassifiedUR]:
-        """The canonical report order (see class docstring)."""
-        return [*self._clean, *self._refined]
-
-
 @dataclass(frozen=True)
 class TypeStats:
     """One row of Table 1 (A, TXT, or Total)."""
@@ -456,8 +415,8 @@ class MeasurementReport:
         """Every attached metric holder behind the one snapshot API.
 
         Registration order is presentation order; the rendered text is
-        byte-identical to the pre-registry bespoke blocks (enforced by
-        the streaming/batch report-identity tests).
+        byte-identical to the pre-registry bespoke blocks (the report
+        text is a byte-compared surface).
         """
         registry = MetricRegistry()
         if self.scan_metrics is not None:

@@ -22,7 +22,7 @@ from ..dns.name import Name
 from ..dns.rdata import RRType
 from .collector import ProtectiveFingerprint
 from .correctness import CorrectnessVerdict, UniformityChecker
-from .parallel import Stage2Executor, Stage2Metrics
+from .parallel import Stage2Metrics
 from .records import ClassifiedUR, URCategory, UndelegatedRecord
 from .txt import classify_txt
 
@@ -89,8 +89,8 @@ class SuspicionFilter:
       chaos runs behave exactly as they would without the fast path;
     * the **grouped path** (``memoize=True`` and deterministic sources)
       deduplicates records by :data:`UrKey`, evaluates each distinct key
-      once — optionally across ``workers`` threads — and fans the
-      verdict back out in the original record order.
+      once, in first-occurrence order, and fans the verdict back out in
+      the original record order.
 
     A run selects between them from what it can observe
     (``checker.memoizable``); ``memoize=False`` forces the naive path —
@@ -104,12 +104,10 @@ class SuspicionFilter:
         self,
         checker: UniformityChecker,
         protective: Dict[str, ProtectiveFingerprint],
-        workers: int = 1,
         memoize: bool = True,
     ):
         self.checker = checker
         self.protective = protective
-        self.executor = Stage2Executor(workers)
         self.memoize = memoize
         self.last_metrics: Optional[Stage2Metrics] = None
 
@@ -118,7 +116,7 @@ class SuspicionFilter:
     ) -> SuspicionOutcome:
         """Label every UR protective / correct / unknown (=suspicious)."""
         records = list(records)
-        metrics = Stage2Metrics(workers=self.executor.workers)
+        metrics = Stage2Metrics()
         started = time.perf_counter()
         if self.memoize and self.checker.memoizable:
             metrics.memoized = True
@@ -161,27 +159,25 @@ class SuspicionFilter:
                 pending.setdefault(key, record)
         metrics.distinct_keys = len(pending)
 
-        # pass 2: one evaluation per distinct key, sharded over workers;
-        # cross-call memo hits (e.g. the FN validation re-using the main
-        # pass's verdicts) are counted by the checker itself
+        # pass 2: one evaluation per distinct key, in first-occurrence
+        # order; cross-call memo hits (e.g. the FN validation re-using
+        # the main pass's verdicts) are counted by the checker itself
         hits_before = self.checker.memo_hits
         misses_before = self.checker.memo_misses
-        results = self.executor.map_keys(
-            list(pending.items()),
-            lambda record: self.checker.check_cached(record, now),
-        )
-        fresh = self.checker.memo_misses - misses_before
-        metrics.cache_misses = fresh
+        verdicts: Dict[UrKey, CorrectnessVerdict] = {}
+        for key, record in pending.items():
+            started = time.perf_counter()
+            verdict = verdicts[key] = self.checker.check_cached(record, now)
+            metrics.attribute(
+                verdict.matched_condition or "survived-exclusion",
+                time.perf_counter() - started,
+            )
+        metrics.cache_misses = self.checker.memo_misses - misses_before
         metrics.cache_hits = (self.checker.memo_hits - hits_before) + (
             sum(needs_verdict) - len(pending)
         )
-        for key, (verdict, elapsed) in results.items():
-            metrics.attribute(
-                verdict.matched_condition or "survived-exclusion", elapsed
-            )
 
-        # pass 3: deterministic fan-out in the original record order —
-        # output is independent of worker count and scheduling
+        # pass 3: fan-out in the original record order
         classified: List[ClassifiedUR] = []
         for record, checked in zip(records, needs_verdict):
             txt_category: Optional[str] = None
@@ -197,7 +193,7 @@ class SuspicionFilter:
                     )
                 )
                 continue
-            verdict, _ = results[
+            verdict = verdicts[
                 (record.domain, record.rrtype, record.rdata_text)
             ]
             classified.append(

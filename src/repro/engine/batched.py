@@ -111,8 +111,7 @@ class BatchedEngine:
         task when read; a task is read only after the previous outcome
         was yielded, so at most one exists at a time.  The generator
         only advances (and the virtual clock only ticks) when the
-        consumer pulls: not pulling pauses the scan, which is the
-        backpressure mechanism of the streaming dataflow.
+        consumer pulls: not pulling pauses the scan.
         """
         if not tasks:
             return
@@ -163,7 +162,7 @@ class BatchedEngine:
 
                 # deadline budgets: shed a task whose next attempt has
                 # not been sent yet (a pure function of the virtual
-                # clock, so batch and stream shed identically)
+                # clock, so every replay sheds identically)
                 if budget is not None:
                     reason = budget.check(now, stage_name)
                     if reason is not None:

@@ -114,8 +114,8 @@ def group_identity(plan: Any, group: Any) -> str:
 
     Derived from the group's :class:`QueryUnit` identities in planned
     scan order — the same structural tuple the plan hash covers — so it
-    is invariant under worker count, engine, execution mode, the order
-    groups run in, and dict iteration order, and stable across runs of
+    is invariant under the order groups run in and dict iteration
+    order, and stable across runs of
     the same plan.  The digest is streamed from the plan's unit columns; its
     input is byte-for-byte :func:`_digest` of ``{version, server,
     units: [identity, ...]}`` (keys below are in sorted order).
@@ -183,11 +183,11 @@ SCAN_SHAPING_KNOBS = (
     "aimd",
 )
 
-#: the ``HunterConfig`` fields that are neither scan-shaping nor in
-#: ``FINGERPRINT_EXCLUDE``: they act on the plan (whose units the group
-#: identity already hashes) or on stages 2/3 only.  Every field is in
-#: exactly one of the three (asserted by a test), so a new one cannot
-#: be left out of the fingerprint by forgetting it.
+#: the ``HunterConfig`` fields that are not scan-shaping: they act on
+#: the plan (whose units the group identity already hashes) or on
+#: stages 2/3 only.  Every field is in exactly one of the two (asserted
+#: by a test), so a new one cannot be left out of the fingerprint by
+#: forgetting it.
 PLAN_OR_LATER_STAGE_KNOBS = (
     "expand_pdns_subdomains",
     "enabled_conditions",

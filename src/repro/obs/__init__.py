@@ -6,22 +6,21 @@ single spine every telemetry surface reports through:
 
 * :class:`RunTrace` — a run-scoped event bus.  Deterministic,
   timing-free events (stage spans, collection progress, checkpoint
-  writes/loads, degraded-source transitions, circuit-breaker trips,
-  segment replay) buffer in memory and serialize to a JSONL sink
-  (``--trace-out``).  The deterministic section is **byte-identical**
-  across execution modes, worker counts, and channel depths; wall-clock
-  readings ride in a separate, explicitly non-deterministic timing
-  section.
+  writes/loads, degraded-source transitions, circuit-breaker trips)
+  buffer in memory and serialize to a JSONL sink (``--trace-out``).
+  The deterministic section is **byte-identical** between a live run
+  and a resumed or warm one; wall-clock readings ride in a separate,
+  explicitly non-deterministic timing section.
 * :class:`MetricsSnapshot` / :class:`MetricRegistry` — the one protocol
   all metric holders implement (engine ``ScanMetrics``, stage-2
-  ``Stage2Metrics``, flow channel stats, source-guard health) and the
-  registry that renders and aggregates them uniformly.
+  ``Stage2Metrics``, source-guard health) and the registry that
+  renders and aggregates them uniformly.
 * :class:`Reporter` — leveled operator messaging on stderr
   (``-q``/``-v``), keeping stdout machine-readable.
 * :func:`summarize_trace` — the ``repro trace summarize`` renderer.
 
 This package imports nothing from the rest of :mod:`repro`, so any
-layer (engine, core, pipeline, flow, CLI) may import it freely.
+layer (engine, core, pipeline, CLI) may import it freely.
 """
 
 from .events import (

@@ -2,15 +2,11 @@
 
 Every structured thing the pipeline does — a stage starting or ending,
 a collection phase completing, a checkpoint written or loaded, a data
-source degrading, a circuit breaker tripping, a segment replayed — is
-emitted as a :class:`TraceEvent` on one :class:`RunTrace`.
+source degrading, a circuit breaker tripping — is emitted as a
+:class:`TraceEvent` on one :class:`RunTrace`.
 
-**Determinism is the design center.**  The batch and streaming
-execution modes do the same logical work in different chronological
-orders (streaming interleaves stage-2 classification with the stage-1
-scan), so raw emission order cannot be a byte-compared surface.
-Instead every event carries a logical *stage* tag and the trace
-canonicalizes at read time: events sort by
+**Determinism is the design center.**  Every event carries a logical
+*stage* tag and the trace canonicalizes at read time: events sort by
 
     ``(stage rank, sub-rank, emission id)``
 
@@ -22,20 +18,14 @@ span-open markers (``stage.start``, ``stage.resumed``,
 preserves chronological order — and because every body-event producer
 (the collector's phase accounting, the single-threaded fault path of
 stage 2, the record-ordered stage 3) is itself deterministic, the
-canonical stream is byte-identical between ``--execution batch`` and
-``--execution stream`` and across ``--stage2-workers`` /
-``--channel-depth`` (enforced by ``tests/obs/test_equivalence.py``).
+canonical stream is byte-identical between a live run and one resumed
+from checkpoints (``tests/pipeline/test_resume.py``), and between a
+cold run and a warm one (``tests/incremental/test_equivalence.py``).
 
 Wall-clock readings never enter deterministic events; they go through
 :meth:`RunTrace.emit_timing` into a separate section whose lines are
 marked ``"section": "timing"`` (the timing-leakage tests key off the
 absence of that marker).
-
-Segment events (``segment.save``/``segment.replay``) only exist in
-streaming runs with ``--checkpoint-every`` > 0, so strict cross-*mode*
-identity is specified at ``checkpoint_every=0``; cross-depth and
-cross-worker identity holds with segments too (segment boundaries fall
-on the canonical classified-record order).
 """
 
 from __future__ import annotations
@@ -159,9 +149,8 @@ class RunTrace:
         """Stamp the scan-plan content hash into the trace header.
 
         The hash is a pure function of (world, config), so stamping it
-        keeps the header byte-identical across worker counts, engines,
-        and execution modes — while proving which scan
-        the trace describes.
+        keeps the header byte-identical across runs of the same scan —
+        while proving which scan the trace describes.
         """
         self._plan_hash = plan_hash
 

@@ -1,12 +1,11 @@
 """One metrics API: the snapshot protocol, the registry, the document.
 
-Before this module the reproduction had four disjoint telemetry
-surfaces — engine :class:`~repro.engine.metrics.ScanMetrics`, stage-2
-:class:`~repro.core.parallel.Stage2Metrics`, flow channel occupancy,
-and the :class:`~repro.pipeline.resilience.SourceGuard` health ledgers
-— each with its own rendering and aggregation conventions.  They now
-all implement one :class:`MetricsSnapshot` protocol and report through
-one :class:`MetricRegistry`.
+The telemetry surfaces — engine
+:class:`~repro.engine.metrics.ScanMetrics`, stage-2
+:class:`~repro.core.parallel.Stage2Metrics`, and the
+:class:`~repro.pipeline.resilience.SourceGuard` health ledgers — all
+implement one :class:`MetricsSnapshot` protocol and report through one
+:class:`MetricRegistry`.
 
 :func:`build_metrics_document` assembles the consolidated
 ``--metrics-out metrics.json``.  Its schema is versioned
@@ -14,11 +13,11 @@ one :class:`MetricRegistry`.
 the ``summary()`` / ``timing_summary()`` split the byte-identity tests
 already enforce:
 
-* ``deterministic`` — counters that are byte-identical across
-  execution modes, worker counts, and channel depths (and therefore
-  safe to diff in CI);
-* ``timing`` — wall-clock figures, worker/scheduling context, and
-  channel occupancy, all of which legitimately vary run to run.
+* ``deterministic`` — counters that are byte-identical across runs of
+  the same scenario and fault schedule, live, resumed or warm (and
+  therefore safe to diff in CI);
+* ``timing`` — wall-clock figures and cache and store tallies, which
+  legitimately vary run to run.
 
 This module imports nothing from the rest of :mod:`repro`; snapshot
 holders and the report are duck-typed against the protocol.
@@ -129,11 +128,9 @@ def build_metrics_document(
 
     ``report`` is duck-typed over
     :class:`~repro.core.report.MeasurementReport`.  The ``deterministic``
-    section is byte-identical across execution modes and worker counts
-    for the same scenario and fault schedule; everything that may vary
-    (wall clock, worker context, channel occupancy — occupancy depends
-    on channel depth and exists only in streaming runs) goes under
-    ``timing``.
+    section is byte-identical across runs of the same scenario and
+    fault schedule; everything that may vary (wall clock, cache and
+    store tallies) goes under ``timing``.
     """
     deterministic: Dict[str, Any] = {
         "report": {
@@ -177,6 +174,7 @@ def build_metrics_document(
 
     timing: Dict[str, Any] = {}
     context: Dict[str, Any] = {}
+    # benchmarks/e2e reads this; ROADMAP item 1 deletes it
     if execution is not None:
         context["execution"] = execution
     if stage2_workers is not None:

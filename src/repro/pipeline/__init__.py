@@ -43,7 +43,6 @@ _LAZY_RUNNER = {
     "STAGE2",
     "STAGE3",
     "STAGE_ORDER",
-    "STREAM_STAGE",
 }
 _LAZY_CHECKPOINT = {"CheckpointStore", "config_fingerprint"}
 
@@ -74,7 +73,6 @@ __all__ = [
     "STAGE2",
     "STAGE3",
     "STAGE_ORDER",
-    "STREAM_STAGE",
     "SourceError",
     "SourceGuard",
     "SourceHealth",

@@ -60,8 +60,9 @@ from .resilience import SourceHealth
 #: and latency histogram of a hedged run mean something else; v7: the
 #: correct collection and the UR scan run side by side — stage-1
 #: ``now`` is the scan start, not the end of the preamble, and the
-#: stage's ``end`` is added)
-FORMAT_VERSION = 7
+#: stage's ``end`` is added; v8: the stage-2 metrics drop ``workers``
+#: and stream segments are gone)
+FORMAT_VERSION = 8
 
 
 # -- generic json helpers ---------------------------------------------------
@@ -90,20 +91,12 @@ def _jsonify(value: Any) -> Any:
 def config_fingerprint(
     config: Any, extra: Optional[Dict[str, Any]] = None
 ) -> str:
-    """A stable digest of the run configuration.
+    """A stable digest of the run configuration — every field of it.
 
     ``extra`` lets callers fold in anything else that must match between
     the checkpointing run and the resuming run (e.g. a scenario seed).
-    Knobs the config names in ``FINGERPRINT_EXCLUDE`` (performance
-    settings that cannot change results, like the stage-2 worker count)
-    are dropped, so a checkpoint may be resumed under a different value.
     """
-    jsonified = _jsonify(config)
-    excluded = getattr(config, "FINGERPRINT_EXCLUDE", frozenset())
-    if isinstance(jsonified, dict):
-        for knob in excluded:
-            jsonified.pop(knob, None)
-    payload = {"config": jsonified, "extra": _jsonify(extra or {})}
+    payload = {"config": _jsonify(config), "extra": _jsonify(extra or {})}
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -301,7 +294,6 @@ def encode_stage2_metrics(
         "distinct_keys": metrics.distinct_keys,
         "cache_hits": metrics.cache_hits,
         "cache_misses": metrics.cache_misses,
-        "workers": metrics.workers,
         "memoized": metrics.memoized,
         "pdns_cache_hits": metrics.pdns_cache_hits,
         "pdns_cache_misses": metrics.pdns_cache_misses,
@@ -420,26 +412,6 @@ def decode_stage2(payload: Dict[str, Any]) -> Stage2Result:
     )
 
 
-def encode_segment(
-    index: int, entries: List[ClassifiedUR]
-) -> Dict[str, Any]:
-    """One incremental stream segment: a slice of stage-2 classifications.
-
-    Segments carry only the classified entries (stage 3 is always
-    recomputed at end of stream, and the scan itself is re-driven on
-    resume — it is deterministic), indexed so a resume can verify the
-    on-disk prefix is contiguous.
-    """
-    return {
-        "index": index,
-        "classified": [encode_classified(entry) for entry in entries],
-    }
-
-
-def decode_segment(payload: Dict[str, Any]) -> List[ClassifiedUR]:
-    return [decode_classified(item) for item in payload["classified"]]
-
-
 def encode_stage3(stage3: Stage3Result) -> Dict[str, Any]:
     analysis = stage3.analysis
     return {
@@ -481,8 +453,6 @@ class CheckpointStore:
 
     MANIFEST = "manifest.json"
     FAILURE = "failure.json"
-    #: incremental stream-segment files: ``stream-seg-00042.json``
-    SEGMENT_PREFIX = "stream-seg-"
     #: the runner-owned group result store, stage 1's resume medium
     #: (:class:`repro.incremental.GroupResultStore` slots)
     GROUPS = "groups"
@@ -490,11 +460,8 @@ class CheckpointStore:
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
 
-    def _stage_file(self, stage: str) -> Path:
+    def stage_file(self, stage: str) -> Path:
         return self.path / f"{stage}.json"
-
-    def _segment_file(self, index: int) -> Path:
-        return self.path / f"{self.SEGMENT_PREFIX}{index:05d}.json"
 
     @property
     def groups_path(self) -> Path:
@@ -542,55 +509,27 @@ class CheckpointStore:
     # -- stage persistence ---------------------------------------------------
 
     def has(self, stage: str) -> bool:
-        return self._stage_file(stage).exists()
+        return self.stage_file(stage).exists()
 
     def load(self, stage: str) -> Dict[str, Any]:
-        path = self._stage_file(stage)
+        path = self.stage_file(stage)
         if not path.exists():
             raise CheckpointError(f"no checkpoint for stage {stage!r}")
         return self._read(path)
 
     def save(self, stage: str, payload: Dict[str, Any]) -> None:
-        self._write(self._stage_file(stage), payload)
+        self._write(self.stage_file(stage), payload)
+
+    #: benchmarks/e2e reads this; ROADMAP item 1 deletes it
+    save_segment = save
 
     def invalidate_from(self, stages: List[str]) -> None:
         """Drop checkpoints for ``stages`` (a live re-run upstream makes
         downstream snapshots inconsistent)."""
         for stage in stages:
-            path = self._stage_file(stage)
+            path = self.stage_file(stage)
             if path.exists():
                 path.unlink()
-
-    # -- stream segments -----------------------------------------------------
-
-    def save_segment(self, index: int, payload: Dict[str, Any]) -> None:
-        """Persist one incremental stream segment (atomic, like stages)."""
-        self._write(self._segment_file(index), payload)
-
-    def load_segments(self) -> List[Dict[str, Any]]:
-        """All segment payloads, index order, contiguity enforced.
-
-        A gap means a segment file was lost — replaying past it would
-        silently misalign the resumed classification stream, so it is a
-        :class:`CheckpointError` instead.
-        """
-        paths = sorted(self.path.glob(f"{self.SEGMENT_PREFIX}*.json"))
-        payloads = [self._read(path) for path in paths]
-        for position, payload in enumerate(payloads):
-            if payload.get("index") != position:
-                raise CheckpointError(
-                    "stream segments not contiguous: expected index "
-                    f"{position}, found {payload.get('index')!r}"
-                )
-        return payloads
-
-    def clear_segments(self) -> int:
-        """Drop all segments (the full stage checkpoints supersede
-        them); returns how many there were."""
-        paths = list(self.path.glob(f"{self.SEGMENT_PREFIX}*.json"))
-        for path in paths:
-            path.unlink()
-        return len(paths)
 
     # -- failure provenance ---------------------------------------------------
 
@@ -621,11 +560,17 @@ class CheckpointStore:
     def _read(path: Path) -> Dict[str, Any]:
         try:
             with path.open("r", encoding="utf-8") as handle:
-                return json.load(handle)
+                payload = json.load(handle)
         except (OSError, json.JSONDecodeError) as error:
             raise CheckpointError(
                 f"unreadable checkpoint file {path}: {error}"
             ) from error
+        if not isinstance(payload, dict):
+            raise CheckpointError(
+                f"malformed checkpoint file {path}: expected a JSON "
+                f"object, found {type(payload).__name__}"
+            )
+        return payload
 
     def _write(self, path: Path, payload: Dict[str, Any]) -> None:
         # compact, and streamed: a stage snapshot is the largest object

@@ -25,7 +25,9 @@ absorbed by the stage itself (degraded run, see
 :class:`~repro.core.report.DegradedSources`); an exception escaping a
 stage is recorded in the checkpoint directory (``failure.json``) and
 re-raised as :class:`~repro.pipeline.errors.StageFailed`, leaving every
-completed checkpoint behind for a later ``--resume``.
+completed checkpoint behind for a later ``--resume``.  A checkpoint
+that does not decode is a :class:`~repro.pipeline.errors.CheckpointError`
+naming its file.
 """
 
 from __future__ import annotations
@@ -36,38 +38,29 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from ..core.hunter import Stage1Result, Stage2Result, Stage3Result, URHunter
-from ..core.records import ClassifiedUR
 from ..core.report import MeasurementReport
 from ..incremental import GroupResultStore
 from ..obs.events import run_end_fields
 from .checkpoint import (
     CheckpointStore,
     config_fingerprint,
-    decode_segment,
     decode_stage1,
     decode_stage2,
     decode_stage3,
-    encode_segment,
     encode_stage1,
     encode_stage2,
     encode_stage3,
 )
-from .errors import StageFailed
+from .errors import CheckpointError, StageFailed
 
 STAGE1 = "stage1-collect"
 STAGE2 = "stage2-exclude"
 STAGE3 = "stage3-analyze"
 STAGE_ORDER: Tuple[str, ...] = (STAGE1, STAGE2, STAGE3)
-#: the fused streaming dataflow, for failure provenance
-STREAM_STAGE = "stream-flow"
 
 #: set this to a stage name to make the runner kill its own process at
 #: that stage's start — the kill-and-resume smoke test's crash hook
 CRASH_ENV = "URHUNTER_CRASH_STAGE"
-#: set this to a segment index to make a streaming runner kill its own
-#: process right after persisting that segment — the mid-stream
-#: kill-and-resume test's crash hook
-CRASH_SEGMENT_ENV = "URHUNTER_CRASH_SEGMENT"
 
 
 @dataclass
@@ -101,21 +94,15 @@ class PipelineRunner:
         store: Optional[CheckpointStore] = None,
         resume: bool = False,
         scenario_fingerprint: Optional[str] = None,
+        # benchmarks/e2e reads this; ROADMAP item 1 deletes it
         checkpoint_every: int = 0,
     ):
         if resume and store is None:
             raise ValueError("resume requires a checkpoint store")
-        if checkpoint_every < 0:
-            raise ValueError(
-                f"checkpoint_every must be >= 0, got {checkpoint_every}"
-            )
         self.hunter = hunter
         self.store = store
         self.resume = resume
         self.scenario_fingerprint = scenario_fingerprint
-        #: streaming runs persist a segment every N classified records
-        #: (0 disables incremental segments)
-        self.checkpoint_every = checkpoint_every
 
     # -- helpers -----------------------------------------------------------
 
@@ -123,8 +110,6 @@ class PipelineRunner:
         extra: Dict[str, Any] = {
             # the scan-plan hash pins the planned query matrix: a
             # checkpoint may only be resumed against the same plan
-            # (worker counts are deliberately NOT part of it — they
-            # are performance knobs)
             "plan": self.hunter.plan.plan_hash,
         }
         if self.scenario_fingerprint is not None:
@@ -136,19 +121,12 @@ class PipelineRunner:
 
         The runner owns the run-level events (``run.start``/``run.end``/
         ``run.stopped``/``run.abort``) plus resume provenance
-        (``checkpoint.load``/``stage.resumed``/``segment.replay``) and
-        artifact seals (``checkpoint.save``/``segment.save``); the hunter
-        owns the stage spans.
+        (``checkpoint.load``/``stage.resumed``) and artifact seals
+        (``checkpoint.save``); the hunter owns the stage spans.
         """
         trace = self.hunter.trace
         if trace is not None:
             trace.emit(name, stage=stage, **fields)
-
-    def _emit_timing(self, name: str, **fields) -> None:
-        """Emit a timing-section event (run-to-run variant provenance)."""
-        trace = self.hunter.trace
-        if trace is not None:
-            trace.emit_timing(name, **fields)
 
     @staticmethod
     def _maybe_crash(stage: str) -> None:
@@ -156,16 +134,21 @@ class PipelineRunner:
         if os.environ.get(CRASH_ENV) == stage:
             os.kill(os.getpid(), signal.SIGTERM)
 
-    @staticmethod
-    def _maybe_crash_segment(index: int) -> None:
-        """Segment crash hook (see :data:`CRASH_SEGMENT_ENV`)."""
-        target = os.environ.get(CRASH_SEGMENT_ENV)
-        if target is not None and int(target) == index:
-            os.kill(os.getpid(), signal.SIGTERM)
-
     def _downstream(self, stage: str) -> Tuple[str, ...]:
         index = STAGE_ORDER.index(stage)
         return STAGE_ORDER[index:]
+
+    def _decode(self, stage: str, decode, payload: Dict[str, Any], *args):
+        """Decode one stage checkpoint; a payload of the wrong shape is
+        refused like an unreadable file, as a :class:`CheckpointError`
+        naming it."""
+        try:
+            return decode(payload, *args)
+        except (AttributeError, KeyError, TypeError, ValueError) as error:
+            raise CheckpointError(
+                f"malformed checkpoint file {self.store.stage_file(stage)}: "
+                f"{type(error).__name__}: {error}"
+            ) from error
 
     def _run_live(self, stage: str, fn, *args):
         """Execute one stage live, recording failure provenance."""
@@ -201,16 +184,6 @@ class PipelineRunner:
         and including it are written, the report is not built (the
         returned result carries ``report=None``).  Used by tests and by
         operators splitting a long scan across maintenance windows.
-        Batch execution only: the streaming dataflow fuses the stages,
-        so there is no between-stages point to stop at.
-
-        With ``config.execution == "stream"`` the three stages run as
-        one record-level dataflow (:meth:`URHunter.run_flow`), with
-        incremental segment checkpoints every ``checkpoint_every``
-        classified records.  Exception: when completed *stage*
-        checkpoints from an earlier (batch or finished-stream) run are
-        available to resume, the staged path is used so they are
-        honoured — output is byte-identical either way.
         """
         if stop_after is not None and stop_after not in STAGE_ORDER:
             raise ValueError(
@@ -223,12 +196,6 @@ class PipelineRunner:
         budget = self.hunter.engine.budget
         if budget is not None:
             budget.begin(self.hunter.network.now)
-        streaming = self.hunter.config.execution == "stream"
-        if streaming and stop_after is not None:
-            raise ValueError(
-                "stop_after is incompatible with streaming execution: "
-                "the dataflow fuses the stages"
-            )
         if self.store is not None:
             self.store.prepare(self._fingerprint(), resume=self.resume)
             if self.hunter.result_store is None:
@@ -239,25 +206,13 @@ class PipelineRunner:
                 self.hunter.result_store = GroupResultStore(
                     self.store.groups_path
                 )
-            if self.resume and self.store.has(STAGE1):
-                # GC: the staged resume path never reads segments a
-                # crashed stream left next to a stage-1 snapshot
-                segments = self.store.clear_segments()
-                if segments:
-                    self._emit_timing("checkpoint.pruned", segments=segments)
         self._emit("run.start", fingerprint=self._fingerprint())
-        if streaming and not (
-            self.resume
-            and self.store is not None
-            and self.store.has(STAGE1)
-        ):
-            return self._run_stream(validate)
         return self._run_staged(validate, stop_after)
 
     def _run_staged(
         self, validate: bool, stop_after: Optional[str]
     ) -> PipelineResult:
-        """The batch path: three stages, a checkpoint after each."""
+        """Three stages, a checkpoint after each."""
         resumed: list = []
         executed: list = []
         # Once any stage runs live, later checkpoints no longer describe
@@ -268,8 +223,11 @@ class PipelineRunner:
         stage1: Optional[Stage1Result] = None
         if trust_checkpoints and self.store.has(STAGE1):
             self._emit("checkpoint.load", stage=STAGE1)
-            stage1 = decode_stage1(
-                self.store.load(STAGE1), self.hunter.ipinfo
+            stage1 = self._decode(
+                STAGE1,
+                decode_stage1,
+                self.store.load(STAGE1),
+                self.hunter.ipinfo,
             )
             # stage 2 reads the profiles through the hunter, and its
             # §4.2 sample starts where the live stage 1 ended
@@ -308,7 +266,7 @@ class PipelineRunner:
                     stage=STAGE2,
                     validated=bool(payload.get("validated", False)),
                 )
-                stage2 = decode_stage2(payload)
+                stage2 = self._decode(STAGE2, decode_stage2, payload)
                 resumed.append(STAGE2)
                 self._emit(
                     "stage.resumed",
@@ -340,7 +298,9 @@ class PipelineRunner:
         stage3: Optional[Stage3Result] = None
         if trust_checkpoints and self.store.has(STAGE3):
             self._emit("checkpoint.load", stage=STAGE3)
-            stage3 = decode_stage3(self.store.load(STAGE3))
+            stage3 = self._decode(
+                STAGE3, decode_stage3, self.store.load(STAGE3)
+            )
             resumed.append(STAGE3)
             self._emit(
                 "stage.resumed",
@@ -370,95 +330,4 @@ class PipelineRunner:
             report=report,
             resumed=tuple(resumed),
             executed=tuple(executed),
-        )
-
-    # -- the streaming path -------------------------------------------------
-
-    def _run_stream(self, validate: bool) -> PipelineResult:
-        """The streaming path: one fused dataflow, segment checkpoints.
-
-        A resumed run replays any contiguous segment prefix left by a
-        crashed stream (the scan is re-driven — it is deterministic —
-        but stage-2 classification skips the replayed records), then
-        continues live.  On success all three *stage* checkpoints are
-        written exactly as the batch path writes them — streaming
-        assembles byte-identical stage results — and the segments are
-        superseded and cleared.
-        """
-        store = self.store
-        resumed: list = []
-        resume_entries: list[ClassifiedUR] = []
-        segment_start = 0
-        if self.resume and store is not None:
-            for payload in store.load_segments():
-                resume_entries.extend(decode_segment(payload))
-                segment_start += 1
-            if segment_start:
-                resumed.append(f"segments:{segment_start}")
-                self._emit(
-                    "segment.replay",
-                    stage=STAGE2,
-                    segments=segment_start,
-                    records=len(resume_entries),
-                )
-        segment_sink = None
-        if store is not None and self.checkpoint_every > 0:
-            def segment_sink(index: int, entries: list) -> None:
-                store.save_segment(index, encode_segment(index, entries))
-                self._emit(
-                    "segment.save",
-                    stage=STAGE2,
-                    index=index,
-                    records=len(entries),
-                )
-                self._maybe_crash_segment(index)
-        self._maybe_crash(STAGE1)
-        if store is not None:
-            # going live: stage snapshots of any earlier run no longer
-            # describe this run's state (segments are the resume medium)
-            store.invalidate_from(list(STAGE_ORDER))
-        try:
-            stage1, stage2, stage3 = self.hunter.run_flow(
-                validate=validate,
-                segment_size=self.checkpoint_every,
-                segment_sink=segment_sink,
-                resume_entries=resume_entries,
-                segment_start=segment_start,
-            )
-        except StageFailed as error:
-            if store is not None:
-                store.record_failure(error.stage, error)
-            self._emit(
-                "run.abort", stage=error.stage, error=type(error).__name__
-            )
-            raise
-        except Exception as error:
-            if store is not None:
-                store.record_failure(STREAM_STAGE, error)
-            self._emit(
-                "run.abort", stage=STREAM_STAGE, error=type(error).__name__
-            )
-            raise StageFailed(STREAM_STAGE, error) from error
-        executed = (STAGE1, STAGE2, STAGE3)
-        if store is not None:
-            store.save(STAGE1, encode_stage1(stage1))
-            self._emit("checkpoint.save", stage=STAGE1)
-            store.save(STAGE2, encode_stage2(stage2, validated=validate))
-            self._emit("checkpoint.save", stage=STAGE2, validated=validate)
-            store.save(STAGE3, encode_stage3(stage3))
-            self._emit("checkpoint.save", stage=STAGE3)
-            store.clear_segments()
-        report = self.hunter.build_report(stage1, stage2, stage3)
-        if store is not None:
-            store.clear_failure()
-        self._emit(
-            "run.end",
-            resumed=list(resumed),
-            executed=list(executed),
-            **run_end_fields(report),
-        )
-        return PipelineResult(
-            report=report,
-            resumed=tuple(resumed),
-            executed=executed,
         )

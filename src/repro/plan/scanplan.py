@@ -18,8 +18,8 @@ correct-record matrix first and the UR matrix second
 covers only structural query identity —
 ``(server_ip, qname, qtype, recursion_desired)`` per unit
 plus the scan knobs that shape the matrix — so it is invariant under
-worker count, engine choice, execution mode, and the iteration order
-of the world's dicts and sets.
+the order groups run in and the iteration order of the world's dicts
+and sets.
 
 Storage
 -------

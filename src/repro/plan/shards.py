@@ -1,8 +1,8 @@
 """The stage-1 executor: every collection as per-server groups, in isolation.
 
 Every stage-1 query — the protective and correct collections
-(:func:`run_collection_groups`), the UR scan (:func:`run_shard_scan`,
-batch or streamed) and the §4.2 delegated sample — runs in a *group*:
+(:func:`run_collection_groups`), the UR scan (:func:`run_shard_scan`)
+and the §4.2 delegated sample — runs in a *group*:
 the queries aimed at one server, which never wait on any other
 server's.  All groups run in this process, one after another; the
 virtual clock models them as parallel.  The guarantees rest on one

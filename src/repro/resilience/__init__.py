@@ -16,13 +16,13 @@ failure at runtime:
 
 The chaos-scenario harness lives in the heavier submodules
 :mod:`repro.resilience.scenario` (declarative time-windowed fault
-scripts) and :mod:`repro.resilience.invariants` (the batch/stream
-robustness contract checker); import those by path — they pull in the
-pipeline layers and must stay out of the engine's import graph.
+scripts) and :mod:`repro.resilience.invariants` (the robustness
+contract checker); import those by path — they pull in the pipeline
+layers and must stay out of the engine's import graph.
 
 Design center, as everywhere in this reproduction: **determinism**.
 Every adaptive decision is a pure function of the virtual clock and the
-engine schedule, so batch and streaming runs shed, hedge, and back off
+engine schedule, so every replay of a run sheds, hedges, and backs off
 identically — and a healthy world makes every mechanism a strict no-op,
 keeping clean runs byte-identical to a no-resilience baseline.
 """

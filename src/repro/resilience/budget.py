@@ -4,8 +4,8 @@ A :class:`DeadlineBudget` bounds how much *simulated* time a run (and
 each pipeline stage within it) may spend on the wire.  Once a deadline
 passes, engines stop issuing queries that have not yet been sent and
 yield them back as ``SHED`` outcomes instead.  Shedding is a pure
-function of the virtual clock and the engine schedule, so batch and
-stream executions shed the exact same tasks — and a budget of ``0.0``
+function of the virtual clock and the engine schedule, so every
+replay of a run sheds the exact same tasks — and a budget of ``0.0``
 (the default) never exhausts.
 
 Shed queries are *not* silently dropped: the engine counts them in a

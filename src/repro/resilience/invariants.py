@@ -1,17 +1,17 @@
 """Robustness contracts replayed over chaos scenarios.
 
 The checker runs one :class:`~repro.resilience.scenario.ScenarioScript`
-through a matrix of execution modes and asserts the contracts the
-resilience layer promises:
+:data:`REPLAYS` times and asserts the contracts the resilience layer
+promises:
 
-* **determinism under chaos** — batch and stream produce byte-identical
-  report summaries for any worker count / channel depth, because every
-  fault is driven by the seeded virtual clock, never by wall time;
+* **determinism under chaos** — every replay produces a byte-identical
+  report summary, because every fault is driven by the seeded virtual
+  clock, never by wall time;
 * **degradation is accounted** — every run ends with
   ``unaccounted == 0``: shed, timed-out, and given-up queries all land
   in a named counter, nothing vanishes;
-* **no stalls** — faulted streaming runs still drain (the flow pump
-  finishes; a stall raises and fails the check);
+* **no crashes** — a faulted run completes (an exception escaping it
+  fails the check);
 * **clean runs are untouched** — with no faults injected, a
   resilience-enabled run is byte-identical to a resilience-disabled
   one: budgets that never expire, hedges that never fire, and AIMD at
@@ -33,13 +33,9 @@ from ..pipeline import PipelineRunner
 from ..scenario import build_world, small_config
 from .scenario import ScenarioScript, apply_scenario
 
-#: (execution, stage2_workers, channel_depth) — the replay matrix; one
-#: batch anchor plus stream configs that must not change a single byte
-MATRIX: Tuple[Tuple[str, int, int], ...] = (
-    ("batch", 1, 64),
-    ("stream", 1, 8),
-    ("stream", 4, 64),
-)
+#: how many times a scenario is replayed from a fresh world; every
+#: replay must match the first byte for byte
+REPLAYS = 2
 
 #: resilience knobs the chaos replays run with
 RESILIENCE_KNOBS = dict(hedge_delay=0.25, aimd=True)
@@ -51,15 +47,15 @@ class InvariantViolation(AssertionError):
 
 @dataclass
 class ScenarioVerdict:
-    """What one scenario's replay established."""
+    """What one scenario's replays established."""
 
     scenario: str
-    #: per-config labels, e.g. "batch/w1/d64"
-    configs: List[str] = field(default_factory=list)
+    #: per-replay labels, e.g. "replay-1"
+    replays: List[str] = field(default_factory=list)
     statuses: List[str] = field(default_factory=list)
-    #: run.end unaccounted per config (all must be zero)
+    #: run.end unaccounted per replay (all must be zero)
     unaccounted: List[int] = field(default_factory=list)
-    #: shed/hedge/aimd activity of the first config (determinism makes
+    #: shed/hedge/aimd activity of the first replay (determinism makes
     #: the others identical)
     resilience: Dict[str, object] = field(default_factory=dict)
     identical: bool = False
@@ -67,7 +63,7 @@ class ScenarioVerdict:
     def summary(self) -> str:
         status = sorted(set(self.statuses))
         return (
-            f"{self.scenario}: {len(self.configs)} configs, "
+            f"{self.scenario}: {len(self.replays)} replays, "
             f"status={'/'.join(status)}, "
             f"identical={'yes' if self.identical else 'NO'}, "
             f"max-unaccounted={max(self.unaccounted, default=0)}"
@@ -75,24 +71,13 @@ class ScenarioVerdict:
 
 
 def _run_once(
-    scenario: Optional[ScenarioScript],
-    seed: int,
-    execution: str,
-    workers: int,
-    depth: int,
-    resilience: bool,
+    scenario: Optional[ScenarioScript], seed: int, resilience: bool
 ) -> Tuple[str, str, int, Dict[str, object]]:
     """One full pipeline run; returns (summary, status, unaccounted,
     resilience-metrics-dict)."""
     world = build_world(small_config(seed=seed))
     knobs = dict(RESILIENCE_KNOBS) if resilience else {}
-    config = HunterConfig(
-        execution=execution,
-        stage2_workers=workers,
-        channel_depth=depth,
-        **knobs,
-    )
-    hunter = URHunter.from_world(world, config)
+    hunter = URHunter.from_world(world, HunterConfig(**knobs))
     trace = RunTrace()
     hunter.attach_trace(trace)
     if scenario is not None:
@@ -105,9 +90,7 @@ def _run_once(
         if event.get("event") == "run.end":
             run_end = event
     if run_end is None:
-        raise InvariantViolation(
-            f"{execution}/w{workers}/d{depth}: trace has no run.end"
-        )
+        raise InvariantViolation("trace has no run.end")
     metrics = report.resilience_metrics
     return (
         report.summary(),
@@ -120,23 +103,21 @@ def _run_once(
 def check_scenario(
     scenario: ScenarioScript, seed: int = 7
 ) -> ScenarioVerdict:
-    """Replay ``scenario`` across :data:`MATRIX`; raise on any breach."""
+    """Replay ``scenario`` :data:`REPLAYS` times; raise on any breach."""
     verdict = ScenarioVerdict(scenario=scenario.name)
     summaries: List[str] = []
-    for execution, workers, depth in MATRIX:
-        label = f"{execution}/w{workers}/d{depth}"
+    for replay in range(1, REPLAYS + 1):
+        label = f"replay-{replay}"
         try:
             summary, status, unaccounted, metrics = _run_once(
-                scenario, seed, execution, workers, depth, resilience=True
+                scenario, seed, resilience=True
             )
-        except InvariantViolation:
-            raise
-        except Exception as error:  # a stall or crash is itself a breach
+        except Exception as error:  # a crash is itself a breach
             raise InvariantViolation(
                 f"{scenario.name} [{label}]: run raised "
                 f"{type(error).__name__}: {error}"
             ) from error
-        verdict.configs.append(label)
+        verdict.replays.append(label)
         verdict.statuses.append(status)
         verdict.unaccounted.append(unaccounted)
         if not summaries:
@@ -156,12 +137,12 @@ def check_scenario(
     if not verdict.identical:
         diverging = [
             label
-            for label, s in zip(verdict.configs, summaries)
+            for label, s in zip(verdict.replays, summaries)
             if s != summaries[0]
         ]
         raise InvariantViolation(
-            f"{scenario.name}: report summaries diverge across the "
-            f"matrix (differs: {', '.join(diverging)})"
+            f"{scenario.name}: report summaries diverge across replays "
+            f"(differs: {', '.join(diverging)})"
         )
     return verdict
 
@@ -169,10 +150,10 @@ def check_scenario(
 def check_clean_baseline(seed: int = 7) -> None:
     """On a healthy world, resilience on ≡ resilience off, byte for byte."""
     with_summary, with_status, _, with_metrics = _run_once(
-        None, seed, "batch", 1, 64, resilience=True
+        None, seed, resilience=True
     )
     without_summary, without_status, _, _ = _run_once(
-        None, seed, "batch", 1, 64, resilience=False
+        None, seed, resilience=False
     )
     if with_summary != without_summary:
         raise InvariantViolation(

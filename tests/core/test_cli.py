@@ -67,6 +67,10 @@ class TestParser:
             "--no-stage2-memoize",
             "--shards=2",
             "--shard-workers=2",
+            "--execution=stream",
+            "--stage2-workers=2",
+            "--channel-depth=8",
+            "--checkpoint-every=5",
         ],
     )
     def test_deleted_flags_are_unknown_arguments(self, flag, capsys):

@@ -1,5 +1,7 @@
 """End-to-end tests for URHunter over the shared small world."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import HunterConfig, URCategory, URHunter
@@ -199,6 +201,19 @@ class TestHunterConfigValidation:
         for knob in ({"shards": 0}, {"shards": 2}, {"shard_workers": 2}):
             with pytest.raises(TypeError, match="unexpected keyword"):
                 HunterConfig(**knob)
+
+    def test_deleted_execution_knobs(self):
+        """Stages 2 and 3 run one way.  ``execution`` is still accepted
+        (``benchmarks/e2e`` passes it) and dropped; the worker count and
+        the channel depth are constants, not fields."""
+        assert HunterConfig(execution="stream").execution == "batch"
+        with pytest.raises(ValueError, match="execution mode"):
+            HunterConfig(execution="x")
+        for knob in ({"stage2_workers": 2}, {"channel_depth": 8}):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                HunterConfig(**knob)
+        assert len(dataclasses.fields(HunterConfig)) == 17
+        assert not hasattr(HunterConfig, "FINGERPRINT_EXCLUDE")
 
     def test_engine_policy_carries_knobs(self):
         config = HunterConfig(

@@ -1,16 +1,15 @@
-"""Stage-2 fast path: memoization, parallelism, and byte-identity.
+"""Stage-2 fast path: memoization and byte-identity.
 
-The optimized exclusion stage (indexed stores + verdict memo + worker
-threads) must be invisible in the output: every configuration — naive,
-memoized, one worker, four workers, chaos-degraded — produces the same
-classifications, and the byte-compared report text is identical across
-worker counts.
+The optimized exclusion stage (indexed stores + verdict memo) must be
+invisible in the output: every configuration — naive, memoized,
+chaos-degraded — produces the same classifications.
 """
 
 import pytest
 
 from repro.core import HunterConfig, URHunter
-from repro.core.parallel import Stage2Executor, Stage2Metrics
+from repro.core.parallel import Stage2Metrics
+from repro.core.suspicion import SuspicionFilter
 from repro.core.txt import _CLASSIFIERS, TxtCategory, classify_txt
 from repro.pipeline import FaultPlan, FlakyIPInfo, FlakyPassiveDNS
 from repro.pipeline.checkpoint import config_fingerprint
@@ -57,9 +56,12 @@ def _classification(report):
 
 
 class TestByteIdentity:
-    def test_workers_1_vs_4_byte_identical_report(self):
-        _, one = _run(HunterConfig(stage2_workers=1))
-        _, four = _run(HunterConfig(stage2_workers=4))
+    def test_workers_1_vs_4_byte_identical_report(self, monkeypatch):
+        """``HunterConfig.stage2_workers`` survives only as a constant
+        ``benchmarks/e2e`` reads: nothing in a run reads it."""
+        _, one = _run(HunterConfig())
+        monkeypatch.setattr(HunterConfig, "stage2_workers", 4)
+        _, four = _run(HunterConfig())
         assert one.summary() == four.summary()
         assert _classification(one) == _classification(four)
 
@@ -79,9 +81,10 @@ class TestByteIdentity:
         assert enabled.summary() == disabled.summary()
         assert _classification(enabled) == _classification(disabled)
 
-    def test_chaos_workers_do_not_change_output(self):
-        _, one = _run(HunterConfig(stage2_workers=1), faults=True)
-        _, four = _run(HunterConfig(stage2_workers=4), faults=True)
+    def test_chaos_workers_do_not_change_output(self, monkeypatch):
+        _, one = _run(HunterConfig(), faults=True)
+        monkeypatch.setattr(HunterConfig, "stage2_workers", 4)
+        _, four = _run(HunterConfig(), faults=True)
         assert one.summary() == four.summary()
 
 
@@ -121,10 +124,8 @@ class TestMetrics:
         assert "dedup" in report.summary()
 
     def test_summary_excludes_scheduling_dependent_fields(self):
-        metrics = Stage2Metrics(records=10, wall_s=1.5, workers=4)
+        metrics = Stage2Metrics(records=10, wall_s=1.5)
         assert "wall" not in metrics.summary()
-        assert "workers" not in metrics.summary()
-        assert "workers: 4" in metrics.timing_summary()
         assert "wall: 1500.0ms" in metrics.timing_summary()
 
     def test_condition_attribution(self):
@@ -139,33 +140,22 @@ class TestMetrics:
 
 
 class TestExecutor:
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(ValueError):
-            Stage2Executor(0)
+    """Stage 2 evaluates its distinct keys inline: no constructor takes
+    a worker count."""
 
-    def test_map_keys_inline_and_threaded_agree(self):
-        items = [(index, index) for index in range(37)]
-        inline = Stage2Executor(1).map_keys(items, lambda n: n * n)
-        threaded = Stage2Executor(4).map_keys(items, lambda n: n * n)
-        assert {k: v for k, (v, _) in inline.items()} == {
-            k: v for k, (v, _) in threaded.items()
-        }
-        assert len(threaded) == len(items)
+    def test_rejects_bad_worker_count(self):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            HunterConfig(stage2_workers=0)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            SuspicionFilter(None, {}, workers=0)
 
 
 class TestCheckpointFingerprint:
     def test_perf_knobs_excluded_from_fingerprint(self):
+        # ``execution`` is accepted for benchmarks/e2e and dropped: it
+        # is not a field, so no fingerprint sees it
         base = config_fingerprint(HunterConfig())
-        assert config_fingerprint(HunterConfig(stage2_workers=8)) == base
-        # execution mode is a perf knob too: batch and stream assemble
-        # byte-identical stage results, so their checkpoints interchange
         assert config_fingerprint(HunterConfig(execution="stream")) == base
-        assert (
-            config_fingerprint(
-                HunterConfig(execution="stream", channel_depth=1)
-            )
-            == base
-        )
 
     def test_semantic_knobs_still_fingerprinted(self):
         base = config_fingerprint(HunterConfig())

@@ -1,8 +1,13 @@
-"""Incremental segment checkpoints: mid-stream crash → resume →
-byte-identical output, plus batch↔stream checkpoint interchange.
+"""Resume granularity of a streaming-configured run: the stage-1 group
+plus each stage boundary, interchangeable with batch checkpoints.
+
+A run configured for streaming writes the batch run's files — a stage
+checkpoint after each stage, and each stage-1 group result as soon as
+it is folded — and no stream segment.  A crash mid-scan resumes from
+the stored groups; a finished run resumes from its stage checkpoints,
+whichever way the resuming run is configured.
 """
 
-import json
 import os
 import signal
 import subprocess
@@ -11,7 +16,10 @@ from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.core import URHunter
+from repro.incremental.store import GROUP_PREFIX
+from repro.obs import RunTrace
 from repro.pipeline import (
     CheckpointStore,
     PipelineRunner,
@@ -19,36 +27,47 @@ from repro.pipeline import (
     STAGE_ORDER,
     StageFailed,
 )
-from repro.pipeline.runner import CRASH_SEGMENT_ENV
+from repro.plan import CRASH_GROUP_ENV
 
 from .conftest import make_world, stream_hunter
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 CLI = [sys.executable, "-m", "repro", "--scale", "small"]
-STREAM_ARGS = ["--execution", "stream", "--checkpoint-every", "5"]
+#: the group after which the crash tests kill the scan
+CRASH_AFTER = 1
 
 
 def cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     env.pop("URHUNTER_CRASH_STAGE", None)
-    env.pop(CRASH_SEGMENT_ENV, None)
+    env.pop(CRASH_GROUP_ENV, None)
     return env
 
 
 def segment_files(directory: Path):
-    return sorted(directory.glob(f"{CheckpointStore.SEGMENT_PREFIX}*"))
+    """Stream segments, which no run writes any more."""
+    return sorted(directory.glob("stream-seg*"))
+
+
+def group_files(directory: Path):
+    return sorted((directory / "groups").glob(f"{GROUP_PREFIX}*.json"))
 
 
 class TestRunnerStreamValidation:
     def test_stop_after_rejected_for_streaming(self):
-        runner = PipelineRunner(stream_hunter())
-        with pytest.raises(ValueError, match="fuses the stages"):
-            runner.run(stop_after=STAGE1)
+        """The fused ``stream-flow`` stage is gone: naming it is refused
+        like any unknown stage, and nothing runs."""
+        hunter = stream_hunter()
+        with pytest.raises(ValueError, match="unknown stage 'stream-flow'"):
+            PipelineRunner(hunter).run(stop_after="stream-flow")
+        assert hunter.engine.metrics.queries == 0
 
-    def test_negative_checkpoint_every_rejected(self):
-        with pytest.raises(ValueError, match="checkpoint_every"):
-            PipelineRunner(stream_hunter(), checkpoint_every=-1)
+    def test_negative_checkpoint_every_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["--checkpoint-every", "-1", "run"])
+        assert exit_info.value.code == cli.EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
 
 
 class TestSegmentLifecycle:
@@ -62,52 +81,59 @@ class TestSegmentLifecycle:
         ).run()
         assert result.executed == STAGE_ORDER
         assert result.report.summary() == batch_summary
-        # segments were the in-flight medium; the stage checkpoints
-        # replace them on success
+        # the stage checkpoints and the stored groups are the only
+        # resume medium
         assert segment_files(tmp_path) == []
+        assert group_files(tmp_path)
         for stage in STAGE_ORDER:
             assert (tmp_path / f"{stage}.json").exists()
 
     def test_crash_after_segment_then_resume(
         self, tmp_path, monkeypatch, batch_summary
     ):
-        def explode(index: int) -> None:
-            if index == 1:
-                raise RuntimeError("injected mid-stream crash")
+        import repro.plan.shards as shards
 
-        monkeypatch.setattr(
-            PipelineRunner, "_maybe_crash_segment", staticmethod(explode)
-        )
-        with pytest.raises(StageFailed, match="stream-flow"):
+        def explode(index: int) -> None:
+            if index == CRASH_AFTER:
+                raise RuntimeError("injected mid-scan crash")
+
+        monkeypatch.setattr(shards, "_maybe_crash_group", explode)
+        with pytest.raises(StageFailed, match="stage1"):
             PipelineRunner(
                 stream_hunter(),
                 store=CheckpointStore(tmp_path),
                 checkpoint_every=5,
             ).run()
-        # segments 0 and 1 were persisted before the crash; no stage
+        # groups 0 and 1 were stored before the crash; no stage
         # checkpoint exists yet
-        assert len(segment_files(tmp_path)) == 2
+        assert len(group_files(tmp_path)) == CRASH_AFTER + 1
         assert not (tmp_path / f"{STAGE1}.json").exists()
-        failure = json.loads((tmp_path / "failure.json").read_text())
-        assert failure["stage"] == "stream-flow"
+        assert (tmp_path / "failure.json").exists()
 
         monkeypatch.undo()
+        hunter = stream_hunter()
+        trace = RunTrace()
+        hunter.attach_trace(trace)
         resumed = PipelineRunner(
-            stream_hunter(),
+            hunter,
             store=CheckpointStore(tmp_path),
             resume=True,
             checkpoint_every=5,
         ).run()
-        assert "segments:2" in resumed.resumed
+        (planned,) = [
+            event
+            for event in trace.timing_events()
+            if event["event"] == "incremental.plan"
+        ]
+        assert planned["hits"] == CRASH_AFTER + 1
         assert resumed.report.summary() == batch_summary
         assert segment_files(tmp_path) == []
         assert not (tmp_path / "failure.json").exists()
 
 
 class TestMixedModeResume:
-    """Stage checkpoints interchange between execution modes: the
-    fingerprint treats execution/channel_depth as perf knobs because the
-    persisted stage results are byte-identical."""
+    """Stage checkpoints interchange between the two configurations:
+    ``execution`` is not a field, so no fingerprint sees it."""
 
     def test_stream_resumes_batch_checkpoints(
         self, tmp_path, batch_summary
@@ -141,9 +167,9 @@ class TestMixedModeResume:
 
 
 class TestMidStreamKillAndResumeSubprocess:
-    """The CI smoke test: SIGTERM right after a segment is persisted,
-    resume, compare stdout byte-for-byte against an uninterrupted
-    *batch* run — one subprocess matrix covers both invariants."""
+    """The CLI smoke test: SIGTERM right after a mid-scan group is
+    stored, resume, compare stdout byte-for-byte against an
+    uninterrupted run."""
 
     def test_sigterm_after_segment_then_resume(self, tmp_path):
         baseline = subprocess.run(
@@ -157,9 +183,9 @@ class TestMidStreamKillAndResumeSubprocess:
 
         ckpt = tmp_path / "ckpt"
         crash_env = cli_env()
-        crash_env[CRASH_SEGMENT_ENV] = "1"
+        crash_env[CRASH_GROUP_ENV] = str(CRASH_AFTER)
         crashed = subprocess.run(
-            CLI + STREAM_ARGS + ["--checkpoint-dir", str(ckpt), "run"],
+            CLI + ["--checkpoint-dir", str(ckpt), "run"],
             capture_output=True,
             env=crash_env,
             cwd=REPO_ROOT,
@@ -167,13 +193,11 @@ class TestMidStreamKillAndResumeSubprocess:
         )
         # killed by SIGTERM: raw -15 or shell-style 143
         assert crashed.returncode in (-signal.SIGTERM, 143)
-        assert len(segment_files(ckpt)) == 2
+        assert len(group_files(ckpt)) == CRASH_AFTER + 1
         assert not (ckpt / f"{STAGE1}.json").exists()
 
         resumed = subprocess.run(
-            CLI
-            + STREAM_ARGS
-            + ["--checkpoint-dir", str(ckpt), "--resume", "run"],
+            CLI + ["--checkpoint-dir", str(ckpt), "--resume", "run"],
             capture_output=True,
             env=cli_env(),
             cwd=REPO_ROOT,
@@ -181,5 +205,4 @@ class TestMidStreamKillAndResumeSubprocess:
         )
         assert resumed.returncode == 0, resumed.stderr.decode()
         assert resumed.stdout == baseline.stdout
-        assert b"segments:2" in resumed.stderr
         assert segment_files(ckpt) == []

@@ -131,14 +131,10 @@ class TestConfigFingerprint:
         assert scan_config_fingerprint(HunterConfig(retries=5)) != base
 
     def test_perf_knobs_do_not_invalidate(self):
-        # execution mode and worker counts never change a group's
-        # computed outcome
+        # ``execution`` is accepted for benchmarks/e2e and dropped: it
+        # never reaches a group's key
         base = scan_config_fingerprint(HunterConfig())
-        for config in (
-            HunterConfig(execution="stream"),
-            HunterConfig(stage2_workers=8),
-        ):
-            assert scan_config_fingerprint(config) == base
+        assert scan_config_fingerprint(HunterConfig(execution="stream")) == base
 
 
 class TestServerFingerprint:
@@ -297,23 +293,16 @@ class TestStateDigest:
 
 class TestConfigPartition:
     def test_every_config_field_is_in_exactly_one_list(self):
-        """A new ``HunterConfig`` field must be filed as scan-shaping,
-        fingerprint-excluded, or plan/later-stage — it cannot be left
-        out of the store key by being forgotten."""
-        listed = (
-            list(SCAN_SHAPING_KNOBS)
-            + sorted(HunterConfig.FINGERPRINT_EXCLUDE)
-            + list(PLAN_OR_LATER_STAGE_KNOBS)
-        )
+        """A new ``HunterConfig`` field must be filed as scan-shaping
+        or plan/later-stage — it cannot be left out of the store key by
+        being forgotten, and no field is excluded from the checkpoint
+        fingerprint."""
+        listed = list(SCAN_SHAPING_KNOBS) + list(PLAN_OR_LATER_STAGE_KNOBS)
         assert len(listed) == len(set(listed))
         assert set(listed) == {field.name for field in fields(HunterConfig)}
         assert len(SCAN_SHAPING_KNOBS) == 11
-        assert HunterConfig.FINGERPRINT_EXCLUDE == {
-            "stage2_workers",
-            "execution",
-            "channel_depth",
-        }
-        assert len(fields(HunterConfig)) == 20
+        assert not hasattr(HunterConfig, "FINGERPRINT_EXCLUDE")
+        assert len(fields(HunterConfig)) == 17
 
     def test_fingerprint_reads_knobs_strictly(self):
         """A knob the config does not carry raises; it is never hashed
@@ -330,13 +319,14 @@ class TestKeysOfTheParentBuild:
     Running the correct collection and the UR scan side by side moved
     no key either: a clean UR group never reads the clock, and a
     time-anchored key hashes its distance from the epoch the group is
-    pinned to.  Only the checkpoint format moved (stage-1 ``now`` is
-    the scan start; v6 is refused at open), not the configuration
-    fingerprint its manifest carries."""
+    pinned to.  Only the checkpoint format moved (v8: the stage-2
+    metrics lost ``workers``; v7 is refused at open), not the
+    configuration fingerprint its manifest carries: the fields that
+    stopped being fields were the ones it already excluded."""
 
     def test_formats_did_not_move(self):
         assert STORE_FORMAT_VERSION == 4
-        assert FORMAT_VERSION == 7
+        assert FORMAT_VERSION == 8
 
     def test_config_fingerprint(self, hunter, tmp_path):
         assert config_fingerprint(HunterConfig()) == (
@@ -346,7 +336,7 @@ class TestKeysOfTheParentBuild:
             HunterConfig(), extra={"plan": hunter.plan.plan_hash}
         )
         (tmp_path / "manifest.json").write_text(
-            '{"format":7,"fingerprint":"bb99dcbbbbca00a1a519b660d232bb9f'
+            '{"format":8,"fingerprint":"bb99dcbbbbca00a1a519b660d232bb9f'
             'e1856140a0d9766e2ed7b972abf53711"}\n'
         )
         CheckpointStore(tmp_path).prepare(stamped, resume=True)
@@ -432,7 +422,7 @@ class TestFormatRefusal:
         assert main(argv + ["--resume", "run"]) == EXIT_ABORTED
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "cannot resume: checkpoint format 5 != 7" in captured.err
+        assert "cannot resume: checkpoint format 5 != 8" in captured.err
         assert all(path.read_text() == text for path, text in files.items())
         with pytest.raises(StoreFormatError, match="store format 3"):
             GroupResultStore(groups)

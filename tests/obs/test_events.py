@@ -39,8 +39,7 @@ class TestCanonicalOrdering:
 
     def test_sub_ranks_within_one_stage(self):
         """Open markers < body < stage.end < checkpoint.save, however
-        they were emitted chronologically (the streaming mode emits the
-        logical span markers after the flow drains)."""
+        they were emitted chronologically."""
         trace = RunTrace()
         trace.emit("source.degraded", stage=STAGE2, source="pdns")
         trace.emit("checkpoint.save", stage=STAGE2)
@@ -63,15 +62,15 @@ class TestCanonicalOrdering:
 
     def test_resume_markers_rank_as_span_open(self):
         trace = RunTrace()
-        trace.emit("segment.replay", stage=STAGE2, segments=2)
+        trace.emit("source.degraded", stage=STAGE2, source="pdns")
         trace.emit("checkpoint.load", stage=STAGE2)
         trace.emit("stage.resumed", stage=STAGE2)
         names = [event["event"] for event in trace.events()]
-        # load + resumed are span-open (rank 0); replay is a body event
+        # load + resumed are span-open (rank 0); the rest is body
         assert names == [
             "checkpoint.load",
             "stage.resumed",
-            "segment.replay",
+            "source.degraded",
         ]
 
     def test_unknown_stage_ranks_between_stage3_and_run_end(self):

@@ -219,9 +219,3 @@ class TestMetricsSchema:
         for token in ("wall_s", "records_per_s", "condition_s"):
             assert token not in json.dumps(metrics_doc["deterministic"])
         assert "wall_s" in json.dumps(metrics_doc["timing"])
-
-    def test_timing_context_names_the_execution_knobs(self, metrics_doc):
-        context = metrics_doc["timing"]["context"]
-        assert {"execution", "stage2_workers", "channel_depth"} <= set(
-            context
-        )

@@ -20,9 +20,12 @@ from repro.engine.metrics import ScanMetrics
 from repro.intel.ipinfo import IpInfoDatabase
 from repro.pipeline import (
     STAGE1,
+    STAGE2,
+    STAGE3,
     CheckpointError,
     PipelineRunner,
     SourceHealth,
+    StageFailed,
 )
 from repro.pipeline.checkpoint import (
     CheckpointStore,
@@ -41,7 +44,6 @@ from repro.pipeline.checkpoint import (
     encode_metrics,
     encode_profiles,
     encode_record,
-    encode_segment,
 )
 
 from .conftest import make_world
@@ -218,7 +220,7 @@ class TestCheckpointStore:
         }
         for name, text in files.items():
             (tmp_path / name).write_text(text)
-        with pytest.raises(CheckpointError, match="checkpoint format 6 != 7"):
+        with pytest.raises(CheckpointError, match="checkpoint format 6 != 8"):
             CheckpointStore(tmp_path).prepare("fp", resume=True)
         assert {
             path.name: path.read_text() for path in tmp_path.iterdir()
@@ -226,7 +228,7 @@ class TestCheckpointStore:
         (tmp_path / "manifest.json").write_text(
             '{"format":5,"fingerprint":"fp"}'
         )
-        with pytest.raises(CheckpointError, match="checkpoint format 5 != 7"):
+        with pytest.raises(CheckpointError, match="checkpoint format 5 != 8"):
             CheckpointStore(tmp_path).prepare("fp", resume=True)
 
     def test_resume_without_manifest_fails(self, tmp_path):
@@ -291,6 +293,14 @@ class TestCheckpointStore:
         with pytest.raises(CheckpointError, match="unreadable"):
             store.load("stage1-collect")
 
+    @pytest.mark.parametrize("body", ["null", "[]", '"x"', "3"])
+    def test_payload_that_is_not_an_object_raises(self, tmp_path, body):
+        store = CheckpointStore(tmp_path)
+        store.prepare("fp", resume=False)
+        (tmp_path / "stage1-collect.json").write_text(body)
+        with pytest.raises(CheckpointError, match="expected a JSON object"):
+            store.load("stage1-collect")
+
     def test_failure_provenance(self, tmp_path):
         store = CheckpointStore(tmp_path)
         store.prepare("fp", resume=False)
@@ -317,31 +327,50 @@ class TestCheckpointStore:
 
 
 class TestPruneStale:
-    """Checkpoint-directory GC on resume: the segments a crashed stream
-    leaves behind are its resume medium until a stage-1 snapshot
-    supersedes them (the staged resume path never reads them)."""
+    """Checkpoint-directory clean-up on resume: a stage that runs live
+    drops its own old snapshot and every one derived from it, while the
+    stage-1 groups a crashed run stored stay behind as its resume
+    medium until a fresh run wipes them."""
 
     def test_superseding_stage_prunes_everything(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        PipelineRunner(URHunter.from_world(make_world()), store=store).run(
-            stop_after=STAGE1
-        )
-        store.save_segment(0, encode_segment(0, []))
-        store.save_segment(1, encode_segment(1, []))
-        PipelineRunner(
+        PipelineRunner(URHunter.from_world(make_world()), store=store).run()
+        store.stage_file(STAGE1).unlink()
+        result = PipelineRunner(
             URHunter.from_world(make_world()),
             store=CheckpointStore(tmp_path),
             resume=True,
-        ).run()
-        assert list(tmp_path.glob("stream-seg-*")) == []
+        ).run(stop_after=STAGE1)
+        assert result.executed == (STAGE1,)
         assert store.has(STAGE1)
+        assert not store.has(STAGE2) and not store.has(STAGE3)
 
-    def test_segments_survive_without_superseding_stage(self, tmp_path):
-        hunter = URHunter.from_world(
-            make_world(), HunterConfig(execution="stream")
-        )
+    def test_segments_survive_without_superseding_stage(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.plan.shards as shards
+
+        def explode(index: int) -> None:
+            raise RuntimeError(f"injected crash after group {index}")
+
+        monkeypatch.setattr(shards, "_maybe_crash_group", explode)
         store = CheckpointStore(tmp_path)
-        runner = PipelineRunner(hunter, store=store, resume=True)
-        store.prepare(runner._fingerprint(), resume=False)
-        store.save_segment(0, encode_segment(0, []))
-        assert runner.run().resumed == ("segments:1",)
+        with pytest.raises(StageFailed):
+            PipelineRunner(
+                URHunter.from_world(make_world()), store=store
+            ).run()
+        monkeypatch.undo()
+        (group,) = store.groups_path.glob("group-*.json")
+        stored = group.read_text()
+        assert not store.has(STAGE1)
+
+        result = PipelineRunner(
+            URHunter.from_world(make_world()),
+            store=CheckpointStore(tmp_path),
+            resume=True,
+        ).run(stop_after=STAGE1)
+        assert result.executed == (STAGE1,)
+        assert group.read_text() == stored
+        # a fresh run supersedes everything the crashed one left
+        store.prepare("fresh", resume=False)
+        assert list(store.groups_path.glob("group-*.json")) == []

@@ -6,6 +6,9 @@
 * 3 — pipeline aborted.
 """
 
+import json
+import shutil
+
 import pytest
 
 from repro.cli import (
@@ -17,6 +20,14 @@ from repro.cli import (
 )
 
 SMALL = ["--scale", "small"]
+
+
+@pytest.fixture(scope="module")
+def checkpointed(tmp_path_factory):
+    """A completed small run's checkpoint directory (all three stages)."""
+    directory = tmp_path_factory.mktemp("checkpointed")
+    assert main(SMALL + ["--checkpoint-dir", str(directory), "run"]) == 0
+    return directory
 
 
 class TestExitCodes:
@@ -88,6 +99,60 @@ class TestExitCodes:
         )
         assert code == EXIT_ABORTED
         assert "fingerprint mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, body",
+        [
+            ("manifest.json", "null"),
+            ("manifest.json", "[]"),
+            ("stage1-collect.json", "null"),
+            ("stage1-collect.json", "[]"),
+            ("stage1-collect.json", '{"undelegated": []}'),
+            ("stage2-exclude.json", "null"),
+            ("stage3-analyze.json", "null"),
+            ("stage3-analyze.json", "{}"),
+        ],
+    )
+    def test_malformed_checkpoint_is_refused_naming_the_file(
+        self, checkpointed, tmp_path, capsys, name, body
+    ):
+        """Valid JSON of the wrong shape is refused like an unreadable
+        file: exit 3, one ``error:`` line naming it, no traceback."""
+        directory = tmp_path / "ckpt"
+        shutil.copytree(checkpointed, directory)
+        (directory / name).write_text(body)
+        code = main(
+            SMALL + ["--checkpoint-dir", str(directory), "--resume", "run"]
+        )
+        assert code == EXIT_ABORTED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [
+            line for line in captured.err.splitlines()
+            if line.startswith("error:")
+        ]
+        assert len(errors) == 1 and str(directory / name) in errors[0]
+        assert "Traceback" not in captured.err
+
+    def test_previous_format_checkpoint_is_refused(
+        self, checkpointed, tmp_path, capsys
+    ):
+        """A directory stamped with format 7, the last one that held
+        stream segments, is refused whole: exit 3, one ``error:`` line."""
+        directory = tmp_path / "ckpt"
+        shutil.copytree(checkpointed, directory)
+        manifest_path = directory / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format"] = 7
+        manifest_path.write_text(json.dumps(manifest))
+        code = main(
+            SMALL + ["--checkpoint-dir", str(directory), "--resume", "run"]
+        )
+        assert code == EXIT_ABORTED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "checkpoint format 7 != 8" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_checkpointed_run_then_resume_both_exit_zero(
         self, tmp_path, capsys

@@ -283,36 +283,10 @@ class TestKillAndResumeSubprocess:
 
 
 class TestPrunedEvent:
-    """Resumes garbage-collect superseded segment files and announce it
-    with a ``checkpoint.pruned`` timing event."""
-
-    def test_resume_prunes_superseded_segments_and_emits(self, tmp_path):
-        from repro.obs import RunTrace
-
-        store = CheckpointStore(tmp_path)
-        PipelineRunner(
-            URHunter.from_world(make_world()), store=store
-        ).run()
-        # a stream that crashed between its stage-1 snapshot and its
-        # last step left this behind
-        store.save_segment(0, {"index": 0, "classified": []})
-        hunter = URHunter.from_world(make_world())
-        trace = RunTrace()
-        hunter.attach_trace(trace)
-        PipelineRunner(
-            hunter, store=CheckpointStore(tmp_path), resume=True
-        ).run()
-        assert list(tmp_path.glob("stream-seg-*")) == []
-        (pruned,) = [
-            event
-            for event in trace.timing_events()
-            if event["event"] == "checkpoint.pruned"
-        ]
-        assert pruned["segments"] == 1
+    """A resume has no superseded files to garbage-collect, and says
+    nothing about it."""
 
     def test_clean_resume_emits_nothing(self, tmp_path):
-        from repro.obs import RunTrace
-
         store = CheckpointStore(tmp_path)
         PipelineRunner(
             URHunter.from_world(make_world()), store=store

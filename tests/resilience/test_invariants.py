@@ -28,7 +28,7 @@ class TestScenarioReplay:
         assert verdict.identical
         assert set(verdict.statuses) <= {"clean", "degraded"}
         assert all(count == 0 for count in verdict.unaccounted)
-        assert len(verdict.configs) == 3
+        assert len(verdict.replays) == 2
         summary = verdict.summary()
         assert "identical=yes" in summary
 
