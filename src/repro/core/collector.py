@@ -41,7 +41,7 @@ from ..pipeline.errors import StageFailed
 from ..plan.scanplan import ScanPlan
 from ..plan.shards import ScanFold, run_collection_groups
 from .correctness import CorrectRecordDatabase
-from .records import UndelegatedRecord, dedupe_urs
+from .records import UndelegatedRecord
 
 
 class CollectionFailure(StageFailed):
@@ -280,7 +280,7 @@ class ResponseCollector:
         fold = self._guarded("ur", scan)
         self.emit_phase("ur")
         result = CollectionResult(
-            undelegated=dedupe_urs(fold.records()),
+            undelegated=fold.records(),
             queries_sent=fold.attempts,
             responses_seen=fold.responses,
             # every sent attempt either produced the answer or timed out

@@ -31,7 +31,7 @@ class URCategory(enum.Enum):
         return self in (URCategory.MALICIOUS, URCategory.UNKNOWN)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UndelegatedRecord:
     """One record collected from a nameserver it was never delegated to."""
 

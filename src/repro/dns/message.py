@@ -48,7 +48,7 @@ class Opcode:
     UPDATE = 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Question:
     """A question section entry."""
 
@@ -63,7 +63,7 @@ class Question:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourceRecord:
     """A complete resource record (owner, type, class, TTL, RDATA)."""
 
@@ -86,7 +86,7 @@ class ResourceRecord:
         return self.to_text()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Header:
     """The fixed DNS header."""
 

@@ -227,7 +227,7 @@ def interned(labels: Tuple[str, ...]) -> Name:
     The wire and RDATA decoders, :meth:`Name.from_text` and the derived
     names (:meth:`Name.parent`, :meth:`~Name.prepend`, :meth:`~Name.split`,
     :meth:`~Name.tld`) all go through here, so a name held by many
-    decoded messages and zone keys — in the codec's decode cache, the
+    decoded messages and zone keys — in the codec's answer templates, the
     resolver caches, the collected records — is one object.
     The key is the exact labels: ``Ex.COM`` and ``ex.com`` are equal
     names but distinct objects, each keeping its own spelling.  A label

@@ -1,7 +1,8 @@
 """DNS resource data (RDATA) types.
 
-Each record type the library uses is a small immutable dataclass with a
-presentation-format parser/renderer and a wire-format encoder/decoder.
+Each record type the library uses is a small frozen, slotted dataclass
+with a presentation-format parser/renderer and a wire-format
+encoder/decoder.
 A registry maps RR type codes to classes so :mod:`repro.dns.wire` can
 dispatch generically.
 
@@ -69,7 +70,7 @@ class RRClass:
     ANY = 255
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rdata:
     """Base class for RDATA values.
 
@@ -94,7 +95,7 @@ class Rdata:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class A(Rdata):
     """An IPv4 address record."""
 
@@ -125,7 +126,7 @@ class A(Rdata):
         return cls(text.strip())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AAAA(Rdata):
     """An IPv6 address record."""
 
@@ -186,7 +187,7 @@ def _decode_name_uncompressed(data: bytes) -> Name:
     return interned(tuple(labels))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NS(Rdata):
     """A nameserver record delegating to ``target``."""
 
@@ -209,7 +210,7 @@ class NS(Rdata):
         return cls(name(text.strip()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CNAME(Rdata):
     """A canonical-name alias record."""
 
@@ -232,7 +233,7 @@ class CNAME(Rdata):
         return cls(name(text.strip()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PTR(Rdata):
     """A pointer record (reverse DNS)."""
 
@@ -255,7 +256,7 @@ class PTR(Rdata):
         return cls(name(text.strip()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SOA(Rdata):
     """A start-of-authority record."""
 
@@ -327,7 +328,7 @@ class SOA(Rdata):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MX(Rdata):
     """A mail-exchanger record."""
 
@@ -363,7 +364,7 @@ class MX(Rdata):
         return cls(int(parts[0]), name(parts[1]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TXT(Rdata):
     """A text record: one or more character strings.
 

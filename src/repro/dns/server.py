@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from .message import Message, Rcode, ResourceRecord
 from .name import Name, name
 from .rdata import NS, RRType, Rdata
-from .wire import WireError, _with_message_id, encode_message
+from .wire import WireError, _with_message_id, encode_answer
 from .zone import LookupStatus, Zone
 
 MAX_CNAME_CHAIN = 8
@@ -32,9 +32,11 @@ _MESSAGE_ID = struct.Struct("!H")
 class _CompiledAnswer:
     """A prebuilt response for one (question, header-flags) shape.
 
-    ``template`` is the fully built response message and ``wire`` its
-    encoding; serving a hit is a dict lookup plus (at most) a header
-    swap and a 2-byte message-id patch.  Staleness is caught by the
+    ``template`` is the wire codec's template for the response (see
+    :func:`~repro.dns.wire.encode_answer`: the decode of ``wire``,
+    sharing the zone's records) and ``wire`` its encoding; serving a
+    hit is a dict lookup, a clone under the querier's id and a 2-byte
+    wire patch.  Staleness is caught by the
     validators: ``zone.serial`` for zone-backed answers (bumped by
     ``Zone.add``/``Zone.remove``), and the unhosted-policy snapshot for
     synthesized answers.  Entries never survive ``load_zone``/
@@ -58,6 +60,7 @@ class _CompiledAnswer:
         self.serial = zone.serial if zone is not None else 0
         self.policy = policy
         self.extras = extras
+
 
 # Resolvers are imported lazily to avoid a module cycle
 # (resolver -> server for tests, server -> resolver for fallback typing).
@@ -200,6 +203,10 @@ class AuthoritativeServer:
         compiled under one message id serves any other id with a header
         swap and a 2-byte wire patch.
 
+        A compiled response is a fresh clone of the template with its
+        wire attached as ``compiled_wire``; the transport takes the
+        wire off and hands the clone on as the decoded answer.
+
         Unhosted ``REFUSED`` answers are special-cased into a
         network-wide pool: their body depends only on the query, not on
         which server refused it, and a scan sends the same question to
@@ -239,22 +246,12 @@ class AuthoritativeServer:
             response = self._answer_from_zone(query, zone)
         if metrics is not None:
             metrics.compiled_misses += 1
-        codec = getattr(network, "codec", None)
-        try:
-            # the shared codec cache makes this nearly free when the
-            # same answer body already went to another prober
-            wire = (
-                codec.encode(response)
-                if codec is not None
-                else encode_message(response)
-            )
-        except WireError:
-            # unencodable answers surface their error on the transport's
-            # own encode, exactly as on the naive path
+        compiled = self._compile(response, network)
+        if compiled is None:
             return response
-        response.compiled_wire = wire
+        template, wire = compiled
         self._compiled[key] = _CompiledAnswer(
-            template=response,
+            template=template,
             wire=wire,
             zone=zone,
             policy=self.unhosted_policy,
@@ -267,15 +264,39 @@ class AuthoritativeServer:
                 )
             ),
         )
-        return response
+        return self._serve_template(
+            template, wire, response.header.message_id
+        )
+
+    @staticmethod
+    def _compile(
+        response: Message, network: object
+    ) -> Optional[Tuple[Message, bytes]]:
+        """``(template, wire)`` for a freshly built answer, or None when
+        it cannot be compiled: an unencodable answer, or a wire that
+        does not decode, surfaces its error on the transport's own
+        codec call, exactly as on the naive path."""
+        codec = getattr(network, "codec", None)
+        try:
+            # the shared codec hands back the template it already holds
+            # when the same answer body went to another prober
+            wire, template = (
+                codec.encode(response)
+                if codec is not None
+                else encode_answer(response)
+            )
+        except WireError:
+            return None
+        if template is None:
+            return None
+        return template, wire
 
     @staticmethod
     def _serve_template(
         template: Message, wire: bytes, message_id: int
     ) -> Message:
-        """Serve a compiled template under the querier's message id."""
-        if message_id == template.header.message_id:
-            return template
+        """A clone of a compiled template under the querier's message
+        id, its wire attached for the transport."""
         response = _with_message_id(template, message_id)
         response.compiled_wire = _MESSAGE_ID.pack(message_id) + wire[2:]
         return response
@@ -304,20 +325,16 @@ class AuthoritativeServer:
         if metrics is not None:
             metrics.compiled_misses += 1
         response = query.make_response(rcode=Rcode.REFUSED)
-        codec = getattr(network, "codec", None)
-        try:
-            wire = (
-                codec.encode(response)
-                if codec is not None
-                else encode_message(response)
-            )
-        except WireError:
+        compiled = self._compile(response, network)
+        if compiled is None:
             return response
-        response.compiled_wire = wire
         if len(pool) >= 65536:
             pool.pop(next(iter(pool)))
-        pool[key] = (response, wire)
-        return response
+        pool[key] = compiled
+        template, wire = compiled
+        return self._serve_template(
+            template, wire, response.header.message_id
+        )
 
     def _compiled_fresh(self, entry: _CompiledAnswer) -> bool:
         if entry.zone is not None:

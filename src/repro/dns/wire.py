@@ -10,7 +10,7 @@ in the name-bearing RDATA types that RFC 3597 classifies as "well-known"
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .message import Header, Message, Question, ResourceRecord
 from .name import MAX_LABEL_LENGTH, Name, NameError_, interned
@@ -316,16 +316,25 @@ _MESSAGE_ID = struct.Struct("!H")
 
 
 def _with_message_id(template: Message, message_id: int) -> Message:
-    """A clone of ``template`` under a different message id.
+    """A clone of ``template`` (see :func:`clone_message`) under
+    ``message_id``.
 
-    Runs once per cache hit, so it bypasses both ``dataclasses.replace``
-    and the frozen ``Header.__init__``: copying the field dict and
-    overwriting ``message_id`` is equivalent (``Header`` has no slots)
-    and several times cheaper at scan volume.
+    Runs once per cache hit.  The header is rebuilt positionally, not
+    through ``dataclasses.replace`` (which walks the field list per
+    call), and kept as it is when the id already matches.
     """
-    header = object.__new__(Header)
-    header.__dict__.update(template.header.__dict__)
-    header.__dict__["message_id"] = message_id
+    header = template.header
+    if header.message_id != message_id:
+        header = Header(
+            message_id,
+            header.is_response,
+            header.opcode,
+            header.authoritative,
+            header.truncated,
+            header.recursion_desired,
+            header.recursion_available,
+            header.rcode,
+        )
     return Message(
         header=header,
         questions=list(template.questions),
@@ -375,16 +384,63 @@ def _section_key(records) -> Tuple:
     )
 
 
-class WireCodecCache:
-    """Bounded memoization for the simulator's hot encode/decode paths.
+def _message_key(message: Message) -> Tuple:
+    """The structural identity of ``message`` sans id: flags, questions
+    and every record section, names as exact label tuples."""
+    return (
+        message.header.flags_word(),
+        tuple(
+            (question.qname.labels, question.qtype, question.qclass)
+            for question in message.questions
+        ),
+        _section_key(message.answers),
+        _section_key(message.authorities),
+        _section_key(message.additionals),
+    )
 
-    Three caches, all structural (recomputed keys per call, so callers
-    never need to treat messages as frozen) and all **id-agnostic** —
+
+def encode_answer(
+    message: Message, key: Optional[Tuple] = None
+) -> Tuple[bytes, Optional[Message]]:
+    """``message``'s wire and a *template* for its decode.
+
+    The template is what :func:`decode_message` makes of the wire, as
+    a message nobody else holds and nobody may mutate (serve it through
+    :func:`clone_message` or :func:`_with_message_id`).  When the
+    decode has the original's header and exact-case structural key
+    (``key``, if the caller already computed it), the template is a
+    clone of the original, so it shares the original's records (a
+    zone's, for an authoritative answer) instead of holding decoded
+    copies.  Otherwise it is the decode itself: compression pointers
+    fold names (owners, RDATA targets) that differ only in case into
+    the first spelling.
+
+    An encode error propagates.  A wire that does not decode comes
+    back with no template, so the caller's own decode reports it.
+    """
+    wire = encode_message(message)
+    try:
+        decoded = decode_message(wire)
+    except WireError:
+        return wire, None
+    if decoded.header == message.header and _message_key(decoded) == (
+        key if key is not None else _message_key(message)
+    ):
+        return wire, clone_message(message)
+    return wire, decoded
+
+
+class WireCodecCache:
+    """Bounded, id-agnostic memoization for the simulator's hot wire
+    paths.
+
+    Two caches, both structural (recomputed keys per call, so callers
+    never need to treat messages as frozen) and both **id-agnostic** —
     the message id occupies exactly the first two wire bytes and the
-    ``message_id`` header field, so a template cached under one id
+    ``message_id`` header field, so an entry cached under one id
     serves any other via a 2-byte patch and a header swap.  Without
     this the caches would be useless: resolvers mint a fresh id per
-    internal query, and response wires differing only in id would never
+    internal query, and wires differing only in id would never
     collide.
 
     * the **query round-trip cache** maps a record-free message's
@@ -393,33 +449,31 @@ class WireCodecCache:
       per-query encode→decode round trip to a dict hit (the first
       occurrence proved the round trip is the identity, so the original
       message object can stand in for its own decode);
-    * the **encode cache** maps a full message's structural key (flags,
-      questions, all record sections, names as exact label tuples) to
-      its wire — sound because the encoder is deterministic and
-      compression canonical, so equal structure means equal bytes;
-    * the **decode cache** maps ``wire[2:]`` (everything after the id)
-      to the parsed message, deduplicating the many near-identical
-      responses a scan provokes (REFUSED / protective answers repeat
-      across servers and ids).
+    * the **answer cache** holds one entry per answer: a full
+      message's structural key (flags, questions, all record sections,
+      names as exact label tuples) maps to ``(id, wire, template)``,
+      the template being :func:`encode_answer`'s decode of that wire.
+      Equal structure means equal bytes (the encoder is deterministic
+      and compression canonical), so a hit is the wire and the decode
+      at once.  Authoritative servers keep the same template in their
+      compiled answers, so each answer is held once.
 
-    All caches only ever store *successful* codec results — a
+    Both caches only ever store *successful* codec results — a
     malformed message pays full price every time, so ``wire_errors``
-    accounting is cache-transparent.  Hits return shallow clones;
-    templates never escape.  Eviction is FIFO at ``max_entries``.
+    accounting is cache-transparent.  Templates never escape: callers
+    hand out clones.  Eviction is FIFO at ``max_entries``.
     """
 
     __slots__ = (
         "_query_cache",
-        "_encode_cache",
-        "_decode_cache",
+        "_answer_cache",
         "max_entries",
         "metrics",
     )
 
     def __init__(self, metrics=None, max_entries: int = 8192):
         self._query_cache: Dict[object, Tuple[int, bytes]] = {}
-        self._encode_cache: Dict[object, Tuple[int, bytes]] = {}
-        self._decode_cache: Dict[bytes, Message] = {}
+        self._answer_cache: Dict[object, Tuple[int, bytes, Message]] = {}
         self.max_entries = max_entries
         #: duck-typed counter holder (repro.net.scanpath.ScanPathMetrics)
         self.metrics = metrics
@@ -475,64 +529,44 @@ class WireCodecCache:
             cache.pop(next(iter(cache)))
         cache[key] = (query.header.message_id, wire)
 
-    def encode(self, message: Message) -> bytes:
-        """Memoized :func:`encode_message`; failures propagate uncached.
+    def encode(self, message: Message) -> Tuple[bytes, Optional[Message]]:
+        """Memoized :func:`encode_answer`: ``message``'s wire (under its
+        own id) and the shared template of its decode.
 
         Responses to a scan are massively repetitive *modulo the
         question echo and the message id*: the same REFUSED or
         protective answer goes to every prober.  The structural key
-        makes those a single encode plus 2-byte patches.
+        makes those a single encode and decode plus 2-byte patches.
+        An encode error propagates; a wire that does not decode is
+        returned with no template and is not cached.
         """
-        key = (
-            message.header.flags_word(),
-            tuple(
-                (question.qname.labels, question.qtype, question.qclass)
-                for question in message.questions
-            ),
-            _section_key(message.answers),
-            _section_key(message.authorities),
-            _section_key(message.additionals),
-        )
-        cache = self._encode_cache
+        key = _message_key(message)
+        cache = self._answer_cache
         cached = cache.get(key)
         metrics = self.metrics
         message_id = message.header.message_id
         if cached is not None:
             if metrics is not None:
                 metrics.encode_hits += 1
-            cached_id, wire = cached
-            if message_id == cached_id:
-                return wire
-            return _MESSAGE_ID.pack(message_id) + wire[2:]
+            cached_id, wire, template = cached
+            if message_id != cached_id:
+                wire = _MESSAGE_ID.pack(message_id) + wire[2:]
+            return wire, template
         if metrics is not None:
             metrics.encode_misses += 1
-        wire = encode_message(message)
-        if len(cache) >= self.max_entries:
-            cache.pop(next(iter(cache)))
-        cache[key] = (message_id, wire)
-        return wire
+        wire, template = encode_answer(message, key)
+        if template is not None:
+            if len(cache) >= self.max_entries:
+                cache.pop(next(iter(cache)))
+            cache[key] = (message_id, wire, template)
+        return wire, template
 
     def decode(self, wire: bytes) -> Message:
-        """Memoized :func:`decode_message`; failures are never cached."""
-        cache = self._decode_cache
-        template = cache.get(wire[2:])
-        metrics = self.metrics
-        if template is not None:
-            if metrics is not None:
-                metrics.decode_hits += 1
-            message_id = _MESSAGE_ID.unpack_from(wire)[0]
-            if message_id == template.header.message_id:
-                return clone_message(template)
-            return _with_message_id(template, message_id)
-        if metrics is not None:
-            metrics.decode_misses += 1
-        decoded = decode_message(wire)
-        if len(cache) >= self.max_entries:
-            cache.pop(next(iter(cache)))
-        cache[wire[2:]] = decoded
-        return clone_message(decoded)
+        """Plain :func:`decode_message`.  Nothing caches decodes: an
+        encoded answer's decode is its :meth:`encode` template, and the
+        transport decodes truncated and naive-lane wires itself."""
+        return decode_message(wire)
 
     def clear(self) -> None:
         self._query_cache.clear()
-        self._encode_cache.clear()
-        self._decode_cache.clear()
+        self._answer_cache.clear()

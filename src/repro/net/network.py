@@ -22,6 +22,7 @@ from ..dns.message import Message, Rcode
 from ..dns.wire import (
     WireCodecCache,
     WireError,
+    _with_message_id,
     decode_message,
     encode_message,
 )
@@ -166,9 +167,9 @@ class SimulatedInternet:
         #: memoization).  Output is byte-identical either way; tests set
         #: it False to reach the naive path, the correctness reference.
         self.scan_cache_enabled = True
-        #: network-wide pool of unhosted-REFUSED answer templates: the
-        #: same REFUSED body goes out whichever server is probed, so the
-        #: per-server compiled caches share one pool for them
+        #: network-wide pool of unhosted-REFUSED ``(template, wire)``
+        #: answers: the same REFUSED body goes out whichever server is
+        #: probed, so the per-server compiled caches share one pool
         self.refused_pool: Dict[object, tuple] = {}
         #: counters for observability / benchmarks — all preinitialized
         #: so the schema is stable for tests and metrics documents
@@ -482,14 +483,23 @@ class SimulatedInternet:
             raise self._unanswered(
                 flow, f"DNS service at {dst_ip} dropped the query"
             )
-        response_wire = (
-            getattr(response, "compiled_wire", None) if fast else None
-        )
-        if response_wire is None:
-            if fast:
-                response_wire = self.codec.encode(response)
+        # ``decoded`` stays None until something stands in for the
+        # decode of ``response_wire``: a compiled answer is already a
+        # fresh clone of its codec template (its wire attached), and a
+        # codec entry's template is cloned under the response's id
+        decoded = None
+        if not fast:
+            response_wire = encode_message(response)
+        else:
+            response_wire = response.__dict__.pop("compiled_wire", None)
+            if response_wire is not None:
+                decoded = response
             else:
-                response_wire = encode_message(response)
+                response_wire, template = self.codec.encode(response)
+                if template is not None:
+                    decoded = _with_message_id(
+                        template, response.header.message_id
+                    )
         if transport == "udp" and len(response_wire) > MAX_UDP_PAYLOAD:
             stats["truncated_responses"] += 1
             truncated = Message(
@@ -497,14 +507,13 @@ class SimulatedInternet:
                 questions=list(response.questions),
             )
             response_wire = encode_message(truncated)
-        try:
-            if fast:
-                decoded = self.codec.decode(response_wire)
-            else:
+            decoded = None
+        if decoded is None:
+            try:
                 decoded = decode_message(response_wire)
-        except WireError as exc:
-            stats["wire_errors"] += 1
-            raise NetworkError(f"response failed to decode: {exc}")
+            except WireError as exc:
+                stats["wire_errors"] += 1
+                raise NetworkError(f"response failed to decode: {exc}")
         if flow is not None:
             self._record_dns(*flow, len(response_wire), decoded)
         return decoded

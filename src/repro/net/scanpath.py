@@ -29,8 +29,6 @@ _COUNTERS = (
     "query_misses",
     "encode_hits",
     "encode_misses",
-    "decode_hits",
-    "decode_misses",
     "flows_recorded",
     "flows_skipped",
 )
@@ -44,9 +42,7 @@ class ScanPathMetrics:
     * ``query_*`` — query-side encode→decode round trips served from
       the wire codec's structural cache;
     * ``encode_*`` — response encodes served from the structural
-      id-agnostic encode cache;
-    * ``decode_*`` — response wire decodes served from the bounded
-      byte-keyed cache;
+      id-agnostic answer cache (a hit is the wire and its decode);
     * ``flows_*`` — flows written into a capture a reader opened
       (``SimulatedInternet.capturing``) vs. the rest of the DNS
       transactions and TCP connects, which are only counted.
@@ -108,9 +104,6 @@ class ScanPathMetrics:
             f"{indent}wire encodes:      {self.encode_hits} hits / "
             f"{self.encode_misses} misses "
             f"({rate(self.encode_hits, self.encode_misses)})",
-            f"{indent}wire decodes:      {self.decode_hits} hits / "
-            f"{self.decode_misses} misses "
-            f"({rate(self.decode_hits, self.decode_misses)})",
             f"{indent}capture records:   {self.flows_recorded} stored / "
             f"{self.flows_skipped} skipped",
         ]

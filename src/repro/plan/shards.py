@@ -44,9 +44,10 @@ The parent engine sends nothing: it is the ledger the groups merge
 into, the origin of the run deadline, and the shared query-message
 cache.  A group is folded the moment it is in hand (the UR scan's
 :class:`ScanFold`: wire counters summed, only UR-carrying outcomes
-kept; the preamble's fingerprint and profile folds, outcome by
-outcome); its small ledgers — ``ScanMetrics``, resilience counters,
-buffered engine trace events, elapsed time — wait for the merge into
+kept, their URs deduped per group; the preamble's fingerprint and
+profile folds, outcome by outcome); its small ledgers —
+``ScanMetrics``, resilience counters, buffered engine trace events,
+elapsed time — wait for the merge into
 the parent objects in group order.  Only UR groups are stored; their
 results are JSON-encoded only at the persistence boundary (a
 result-store slot), and payloads read back from one decode into the
@@ -67,7 +68,7 @@ import os
 import random
 import signal
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import (
     Any,
@@ -124,7 +125,8 @@ class ReducedOutcome:
 class ScanFold:
     """The UR scan's running fold over completed groups, in any order:
     wire counters are summed and only the outcomes that carry URs are
-    held on to until the end."""
+    held on to until the end, each group's URs deduped as it is
+    folded."""
 
     __slots__ = ("attempts", "responses", "_carrying")
 
@@ -134,15 +136,33 @@ class ScanFold:
         self._carrying: List[ReducedOutcome] = []
 
     def add(self, outcomes: Iterable[ReducedOutcome]) -> None:
+        """Fold one group's outcomes, which arrive in ``index`` order.
+
+        A record whose unique-UR key the group already produced is
+        dropped.  The key carries the server address, and a group is
+        one server's, so no key spans two groups: the group's first
+        occurrences are the scan's.
+        """
+        seen = set()
         for outcome in outcomes:
             self.attempts += outcome.attempts
             if outcome.answered:
                 self.responses += 1
-            if outcome.urs:
+            if not outcome.urs:
+                continue
+            unique = []
+            for record in outcome.urs:
+                key = record.key
+                if key not in seen:
+                    seen.add(key)
+                    unique.append(record)
+            if len(unique) < len(outcome.urs):
+                outcome = replace(outcome, urs=tuple(unique))
+            if unique:
                 self._carrying.append(outcome)
 
     def records(self) -> List[Any]:
-        """Every collected UR (duplicates included) in planned scan order."""
+        """Every unique UR in planned scan order."""
         self._carrying.sort(key=attrgetter("index"))
         return [
             record for outcome in self._carrying for record in outcome.urs

@@ -9,6 +9,11 @@ outcomes parked, then one walk in task order: same URs in the same
 order, same wire counters, same clock and engine ledger — on a clean
 network, under 5 % loss, and with servers whose circuit opens.
 
+The fold dedupes each group's URs as it folds them; the whole-scan
+``dedupe_urs`` over every record in index order is the reference, on
+scans where one server answers with duplicate records (clean, 5 %
+loss, a chaos script).
+
 The two preamble folds (protective fingerprints, correct-record
 profiles) stream the same way, one server group at a time; their list
 forms — every group executed under the same clock and RNG rules, its
@@ -21,6 +26,7 @@ import json
 import random
 import tracemalloc
 import types
+from operator import attrgetter
 
 import pytest
 
@@ -30,19 +36,23 @@ from repro.core.collector import (
     CollectionResult,
     ProtectiveFingerprint,
 )
-from repro.core.records import dedupe_urs
+from repro.core.records import UndelegatedRecord, dedupe_urs
 from repro.dns.message import Rcode
+from repro.dns.name import name
 from repro.dns.rdata import A, MX, TXT, RRType
+from repro.dns.server import UnhostedPolicy
 from repro.pipeline.checkpoint import encode_stage1
 from repro.plan import shards
 from repro.plan.shards import (
     GroupResult,
     ReducedOutcome,
+    ScanFold,
     encode_group_result,
     group_fault_seed,
     run_group_isolated,
     run_shard_scan,
 )
+from repro.resilience.scenario import apply_scenario, load_scenario
 from repro.scenario import build_world, small_config
 
 SEED = 7
@@ -209,6 +219,93 @@ def test_execute_group_equals_the_list_fold(prepare):
         assert skipped > 0
 
 
+def _duplicating(world):
+    """One REFUSED target turns protective with the same A record
+    listed twice: each of its answers carries a duplicate UR."""
+    for target in world.nameserver_targets:
+        server = world.network.dns_hosts()[target.address]
+        if getattr(server, "unhosted_policy", None) is UnhostedPolicy.REFUSED:
+            server.unhosted_policy = UnhostedPolicy.PROTECTIVE
+            server.protective_records = [(RRType.A, A("198.18.0.1"))] * 2
+            return
+    raise AssertionError("no REFUSED target to duplicate")
+
+
+@pytest.mark.parametrize("mode", ["clean", "lossy", "chaos"])
+def test_per_group_dedupe_equals_the_whole_scan_dedupe(mode, monkeypatch):
+    world = build_world(small_config(seed=SEED))
+    _duplicating(world)
+    if mode == "lossy":
+        world.network.inject_faults(loss_rate=0.05, seed=SEED)
+    hunter = URHunter.from_world(world, HunterConfig())
+    if mode == "chaos":
+        apply_scenario(load_scenario("tail-latency-storm"), world, hunter)
+    folded = []
+    add = ScanFold.add
+
+    def capturing(fold, outcomes):
+        outcomes = list(outcomes)
+        folded.extend(outcomes)
+        add(fold, outcomes)
+
+    monkeypatch.setattr(ScanFold, "add", capturing)
+    undelegated = hunter.stage1_collect().collection.undelegated
+    folded.sort(key=attrgetter("index"))
+    collected = [record for outcome in folded for record in outcome.urs]
+    assert len(collected) > len(undelegated), "no duplicate was dropped"
+    assert undelegated == dedupe_urs(collected)
+
+
+def test_fold_keeps_each_groups_first_occurrences_in_index_order():
+    def record(domain, server, address):
+        return UndelegatedRecord(
+            name(domain), server, "prov", RRType.A, address
+        )
+
+    one, two = "10.0.0.1", "10.0.0.2"
+    fold = ScanFold()
+    fold.add(
+        [
+            ReducedOutcome(3, 1, True, (record("a.example", two, "1.1.1.1"),)),
+            ReducedOutcome(
+                5,
+                2,
+                True,
+                (
+                    record("b.example", two, "2.2.2.2"),
+                    record("A.example", two, "1.1.1.1"),
+                ),
+            ),
+        ]
+    )
+    fold.add(
+        [
+            ReducedOutcome(0, 1, False, ()),
+            ReducedOutcome(
+                1,
+                1,
+                True,
+                (
+                    record("a.example", one, "1.1.1.1"),
+                    record("a.example", one, "1.1.1.1"),
+                ),
+            ),
+            ReducedOutcome(4, 1, True, (record("a.example", one, "1.1.1.1"),)),
+        ]
+    )
+    everything = [
+        record("a.example", one, "1.1.1.1"),
+        record("a.example", one, "1.1.1.1"),
+        record("a.example", two, "1.1.1.1"),
+        record("a.example", one, "1.1.1.1"),
+        record("b.example", two, "2.2.2.2"),
+        record("A.example", two, "1.1.1.1"),
+    ]
+    assert fold.records() == dedupe_urs(everything)
+    assert [r.domain.labels[0] for r in fold.records()] == ["a", "a", "b"]
+    assert (fold.attempts, fold.responses) == (6, 4)
+
+
 def _list_run_groups(collector, plan, collection):
     """A preamble collection as one list: every server group executed
     under the runner's clock and RNG rules with its outcomes parked,
@@ -315,16 +412,18 @@ def test_preamble_folds_leave_the_stage1_checkpoint_unchanged(prepare):
 # -- memory ceiling ----------------------------------------------------------
 
 #: tracemalloc peak of the small-scale stage 1 (seed 7), plus 15 %:
-#: every group drops its server's compiled answers when it ends and
-#: decoded names are interned (6.13 MiB while the target servers kept
-#: their compiled answers to the end of the run; 7.16 MiB with the
-#: 17,430-row columnar flow log; the eager flow list + outcome list
-#: peaked at 21.57 MiB)
-STAGE1_PEAK_CEILING = 3.07 * 1.15 * 2**20
+#: each answer is held once (slotted DNS values, one codec entry per
+#: answer whose template the compiled answers share) and URs are
+#: deduped per group (3.07 MiB with a decode cache beside the encode
+#: cache and one whole-scan dedupe set; 6.13 MiB while the target
+#: servers kept their compiled answers to the end of the run; 7.16 MiB
+#: with the 17,430-row columnar flow log; the eager flow list + outcome
+#: list peaked at 21.57 MiB)
+STAGE1_PEAK_CEILING = 2.19 * 1.15 * 2**20
 #: what stage 1 leaves live once it returns (its result, the bounded
-#: codec caches), plus 15 % — 5.78 MiB while compiled answers
-#: outlived their groups
-STAGE1_RETAINED_CEILING = 2.44 * 1.15 * 2**20
+#: codec caches), plus 15 % — 2.44 MiB with the decode cache, 5.78 MiB
+#: while compiled answers outlived their groups
+STAGE1_RETAINED_CEILING = 1.58 * 1.15 * 2**20
 
 
 def test_small_scale_stage1_peak_stays_under_its_ceiling():

@@ -6,7 +6,8 @@ Two invariants anchor the fast lane:
 * ``decode(encode(m)) == m`` for any well-formed message — the codec
   loses nothing the simulator cares about;
 * ``encode(decode(w)) == w`` for any wire produced by our encoder —
-  compression is canonical, so memoizing on wire bytes is sound.
+  compression is canonical, so an answer template (the decode of a
+  wire) re-encodes to the bytes it stands for.
 
 Plus the compiled-answer cache's staleness story: zone mutations bump
 ``Zone.serial``, zone map changes bump ``AuthoritativeServer.generation``,
@@ -14,7 +15,9 @@ and both are observed here.
 """
 
 import random
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
+from typing import ClassVar
 
 import pytest
 
@@ -29,6 +32,7 @@ from repro.dns.rdata import (
     SOA,
     TXT,
     A,
+    Rdata,
     RRType,
 )
 from repro.dns.server import AuthoritativeServer, UnhostedPolicy
@@ -47,6 +51,17 @@ CASES = 60
 
 _LABEL_POOL = ("www", "mail", "ns1", "cdn", "api", "x", "very-long-label")
 _TLD_POOL = ("com", "net", "org", "io")
+
+
+@dataclass(frozen=True, slots=True)
+class _Opaque(Rdata):
+    """RDATA of a type the decoder does not know: it encodes, but its
+    wire fails to decode."""
+
+    rrtype: ClassVar[int] = 99
+
+    def to_wire(self) -> bytes:
+        return b"\x00"
 
 
 def _random_name(rng: random.Random) -> Name:
@@ -216,48 +231,89 @@ class TestWireCodecCache:
         # so a re-spelled qname must not hit.
         assert cache.query_hit(self._query(qname="WWW.example.com")) is None
 
+    def _answer(self, message_id=9, address="192.0.2.1"):
+        response = self._query(message_id=message_id).make_response()
+        response.answers.append(
+            ResourceRecord(name("www.example.com"), A(address))
+        )
+        return response
+
     def test_encode_cache_is_id_agnostic_and_exact(self):
         metrics = ScanPathMetrics()
         cache = WireCodecCache(metrics)
-        response = self._query(message_id=9).make_response()
-        response.answers.append(
-            ResourceRecord(name("www.example.com"), A("192.0.2.1"))
-        )
-        first = cache.encode(response)
+        response = self._answer()
+        first, template = cache.encode(response)
         assert first == encode_message(response)
         patched = clone_message(response)
-        patched.header = Header(
-            **{**response.header.__dict__, "message_id": 77}
-        )
-        assert cache.encode(patched) == encode_message(patched)
+        patched.header = replace(response.header, message_id=77)
+        wire, again = cache.encode(patched)
+        assert wire == encode_message(patched)
+        assert again is template
         assert metrics.encode_misses == 1
         assert metrics.encode_hits == 1
         # a different answer body must miss, not collide
-        other = clone_message(response)
-        other.answers = [
-            ResourceRecord(name("www.example.com"), A("192.0.2.2"))
-        ]
-        assert cache.encode(other) == encode_message(other)
+        other = self._answer(address="192.0.2.2")
+        assert cache.encode(other)[0] == encode_message(other)
         assert metrics.encode_misses == 2
 
-    def test_decode_cache_returns_clones_and_counts(self):
-        metrics = ScanPathMetrics()
-        cache = WireCodecCache(metrics)
+    def test_template_is_the_decode_sharing_the_original_records(self):
+        cache = WireCodecCache()
+        response = self._answer()
+        wire, template = cache.encode(response)
+        assert template == decode_message(wire)
+        assert template.answers[0] is response.answers[0]
+        # the producer mutating its lists afterwards leaves it alone
+        response.answers.clear()
+        assert template == decode_message(wire)
+
+    def test_case_folded_owner_makes_the_decode_the_template(self):
+        # compression points the second owner at the first spelling
+        response = self._query(qname="WWW.example.com").make_response()
+        for owner, address in (
+            ("WWW.example.com", "192.0.2.1"),
+            ("www.example.com", "192.0.2.2"),
+        ):
+            response.answers.append(ResourceRecord(name(owner), A(address)))
+        wire, template = WireCodecCache().encode(response)
+        decoded = decode_message(wire)
+        assert [r.owner.labels for r in template.answers] == [
+            r.owner.labels for r in decoded.answers
+        ]
+        assert template.answers[1].owner.labels[0] == "WWW"
+
+    def test_decode_is_uncached_and_failures_are_not_cached(self):
+        cache = WireCodecCache()
         wire = encode_message(self._query())
         first = cache.decode(wire)
-        first.answers.append("garbage")
-        second = cache.decode(wire)
-        assert second == self._query()
-        assert metrics.decode_misses == 1
-        assert metrics.decode_hits == 1
+        assert first == decode_message(wire)
+        assert cache.decode(wire) is not first
+        with pytest.raises(WireError):
+            cache.decode(b"\x00\x01")
 
-    def test_decode_failures_are_not_cached(self):
+    def test_undecodable_answers_are_not_cached(self):
+        metrics = ScanPathMetrics()
+        cache = WireCodecCache(metrics)
+        response = self._answer()
+        response.answers.append(
+            ResourceRecord(name("www.example.com"), _Opaque())
+        )
+        for misses in (1, 2):
+            wire, template = cache.encode(response)
+            assert template is None
+            assert wire == encode_message(response)
+            assert metrics.encode_misses == misses
+        assert cache._answer_cache == {}
+
+    def test_encode_errors_propagate_uncached(self):
         cache = WireCodecCache()
-        with pytest.raises(WireError):
-            cache.decode(b"\x00\x01")
-        with pytest.raises(WireError):
-            cache.decode(b"\x00\x01")
-        assert cache._decode_cache == {}
+        response = self._answer()
+        response.answers.append(
+            ResourceRecord(name("www.example.com"), TXT(("x" * 255,) * 300))
+        )
+        for _ in range(2):
+            with pytest.raises(WireError, match="RDATA too long"):
+                cache.encode(response)
+        assert cache._answer_cache == {}
 
     def test_messages_with_records_are_not_query_cached(self):
         cache = WireCodecCache()

@@ -1,13 +1,20 @@
 """The names the frozen ``benchmarks/e2e`` harness still reads.
 
 ``benchmarks/e2e/runner.py`` imports, rebinds, wraps or reads each name
-below; stages 2 and 3 no longer use any of them.  This test touches
-every one the way the harness does, so none is deleted while the
-harness still reads it; it goes when they do (ROADMAP item 1).
+below; stages 2 and 3 no longer use any of them, and nothing calls
+``WireCodecCache.decode``.  This test touches every one the way the
+harness does, so none is deleted while the harness still reads it; the
+stage-2/3 names go when the harness stops reading them (ROADMAP item 1).
 """
 
+from collections import Counter
+
 import repro.core.hunter as hunter_module
+import repro.dns.wire as wire
+import repro.net.network as network
 from repro.core import HunterConfig, URHunter
+from repro.dns.message import Message
+from repro.dns.rdata import RRType
 from repro.obs import build_metrics_document
 from repro.pipeline import CheckpointStore, PipelineRunner
 from repro.pipeline.checkpoint import config_fingerprint
@@ -91,3 +98,44 @@ def test_checkpoint_every_changes_no_checkpoint_byte(tmp_path):
         }
 
     assert files(tmp_path / "every", 200) == files(tmp_path / "none", 0)
+
+
+def test_wrapped_codec_names_are_the_ones_the_transport_calls(monkeypatch):
+    """With ``--trace 1`` the harness wraps the codec cache's four
+    methods and the transport module's two codec functions by name: the
+    transport must reach them through those names, and the uncached
+    ``WireCodecCache.decode`` alias must stay callable yet unused."""
+    calls = Counter()
+
+    def counting(label, function):
+        def counted(*args, **kwargs):
+            calls[label] += 1
+            return function(*args, **kwargs)
+
+        return counted
+
+    codec = wire.WireCodecCache
+    for attribute in ("encode", "decode", "query_hit", "query_store"):
+        monkeypatch.setattr(
+            codec, attribute, counting(attribute, getattr(codec, attribute))
+        )
+    for attribute in ("encode_message", "decode_message"):
+        assert getattr(network, attribute) is getattr(wire, attribute)
+        monkeypatch.setattr(
+            network,
+            attribute,
+            counting(f"network.{attribute}", getattr(network, attribute)),
+        )
+    hunter = URHunter.from_world(build_world(small_config(seed=7)))
+    hunter.stage1_collect()
+    for label in (
+        "encode",
+        "query_hit",
+        "query_store",
+        "network.encode_message",
+        "network.decode_message",
+    ):
+        assert calls[label] > 0, label
+    assert calls["decode"] == 0
+    query = wire.encode_message(Message.make_query("fence.example", RRType.A))
+    assert codec().decode(query) == wire.decode_message(query)
