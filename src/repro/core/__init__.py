@@ -38,7 +38,10 @@ from .parallel import Stage2Metrics
 from .records import (
     ClassifiedUR,
     IpVerdict,
+    ReportEntries,
     URCategory,
+    URTable,
+    URVerdicts,
     UndelegatedRecord,
     dedupe_urs,
 )
@@ -75,6 +78,7 @@ __all__ = [
     "NameserverTarget",
     "ProtectiveFingerprint",
     "ReportDiff",
+    "ReportEntries",
     "ResponseCollector",
     "Stage2Metrics",
     "SuspicionFilter",
@@ -83,6 +87,8 @@ __all__ = [
     "TxtCategory",
     "TypeStats",
     "URCategory",
+    "URTable",
+    "URVerdicts",
     "URHunter",
     "UndelegatedRecord",
     "UniformityChecker",

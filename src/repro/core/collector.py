@@ -41,7 +41,7 @@ from ..pipeline.errors import StageFailed
 from ..plan.scanplan import ScanPlan
 from ..plan.shards import ScanFold, run_collection_groups
 from .correctness import CorrectRecordDatabase
-from .records import UndelegatedRecord
+from .records import UndelegatedRecord, URTable
 
 
 class CollectionFailure(StageFailed):
@@ -84,7 +84,7 @@ class DomainTarget:
     rank: int
 
 
-@dataclass
+@dataclass(slots=True)
 class ProtectiveFingerprint:
     """The protective records a nameserver serves for unhosted domains.
 
@@ -104,12 +104,12 @@ class CollectionResult:
     """Everything stage 1 produced.
 
     Returned by :meth:`ResponseCollector.collect_urs`: the unique URs
-    and wire counters of the scan, with the preamble's protective
-    fingerprints and correct-record database and the engine's scan
-    metrics folded in.
+    (a :class:`~repro.core.records.URTable`) and wire counters of the
+    scan, with the preamble's protective fingerprints and
+    correct-record database and the engine's scan metrics folded in.
     """
 
-    undelegated: List[UndelegatedRecord] = field(default_factory=list)
+    undelegated: Sequence[UndelegatedRecord] = field(default_factory=URTable)
     correct_db: Optional[CorrectRecordDatabase] = None
     protective: Dict[str, ProtectiveFingerprint] = field(
         default_factory=dict

@@ -16,7 +16,6 @@ pointing at parked/redirect pages.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
@@ -166,7 +165,6 @@ class UniformityChecker:
         # per nameserver serving them, so each is evaluated once and the
         # verdict fanned back out (see check_cached)
         self._memo: Dict[Tuple, CorrectnessVerdict] = {}
-        self._memo_lock = threading.Lock()
         #: memo accounting, read by Stage2Metrics
         self.memo_hits = 0
         self.memo_misses = 0
@@ -209,15 +207,13 @@ class UniformityChecker:
             now,
             self.guard.degraded_events,
         )
-        with self._memo_lock:
-            hit = self._memo.get(key)
-            if hit is not None:
-                self.memo_hits += 1
-                return hit
+        hit = self._memo.get(key)
+        if hit is not None:
+            self.memo_hits += 1
+            return hit
         verdict = self.check(record, now)
-        with self._memo_lock:
-            self.memo_misses += 1
-            self._memo[key] = verdict
+        self.memo_misses += 1
+        self._memo[key] = verdict
         return verdict
 
     def _note_skips(self, conditions: Tuple[str, ...]) -> None:

@@ -73,7 +73,12 @@ from .correctness import (
     UniformityChecker,
 )
 from .parallel import Stage2Metrics
-from .records import ClassifiedUR, UndelegatedRecord
+from .records import (
+    ReportEntries,
+    UndelegatedRecord,
+    is_unverifiable,
+    reasons_of,
+)
 from .report import DegradedSources, MeasurementReport
 from .suspicion import SuspicionFilter, SuspicionOutcome
 
@@ -612,21 +617,14 @@ class URHunter:
         """Assemble the final report, including degradation provenance.
 
         Entry order: the clean (correct and protective) stage-2 entries,
-        then the refined stage-3 entries, each in record order.
+        then the refined stage-3 entries, each in record order — a
+        :class:`~repro.core.records.ReportEntries` view over stage 2's
+        verdict columns and stage 3's entries.
         """
-        classified: List[ClassifiedUR] = [
-            entry
-            for entry in stage2.outcome.classified
-            if not entry.is_suspicious
-        ]
-        classified.extend(stage3.analysis.classified)
-        unverifiable = sum(
-            1
-            for entry in classified
-            if any(
-                reason.startswith("unverifiable") for reason in entry.reasons
-            )
+        classified = ReportEntries(
+            stage2.outcome.classified, stage3.analysis.classified
         )
+        unverifiable = sum(map(is_unverifiable, reasons_of(classified)))
         # The resilience snapshot only joins the report once a mechanism
         # actually fired — a healthy run renders byte-identically to a
         # run without resilience configured.

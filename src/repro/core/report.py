@@ -21,7 +21,15 @@ from ..engine.metrics import ScanMetrics
 from ..obs.metrics import MetricRegistry
 from ..pipeline.resilience import SourceHealth
 from .parallel import Stage2Metrics
-from .records import ClassifiedUR, IpVerdict, URCategory
+from .records import (
+    ClassifiedUR,
+    IpVerdict,
+    URCategory,
+    categories_of,
+    is_unverifiable,
+    reasons_of,
+    select,
+)
 from .txt import TxtCategory
 
 
@@ -103,6 +111,11 @@ class DegradedSources:
         return "\n".join(lines)
 
 
+_SUSPICIOUS = tuple(
+    category for category in URCategory if category.is_suspicious
+)
+
+
 @dataclass(frozen=True)
 class TypeStats:
     """One row of Table 1 (A, TXT, or Total)."""
@@ -146,9 +159,14 @@ class TypeStats:
 
 @dataclass
 class MeasurementReport:
-    """End-to-end URHunter output."""
+    """End-to-end URHunter output.
 
-    classified: List[ClassifiedUR]
+    ``classified`` is any sequence of entries; a run's is a
+    :class:`~repro.core.records.ReportEntries` view, which builds each
+    entry as it is read.
+    """
+
+    classified: Sequence[ClassifiedUR]
     ip_verdicts: Dict[str, IpVerdict]
     queries_sent: int = 0
     responses_seen: int = 0
@@ -172,25 +190,24 @@ class MeasurementReport:
     @property
     def unverifiable(self) -> List[ClassifiedUR]:
         """URs whose verdict rests on an incomplete evidence base."""
+        entries = self.classified
         return [
-            entry
-            for entry in self.classified
-            if any(
-                reason.startswith("unverifiable")
-                for reason in entry.reasons
-            )
+            entries[index]
+            for index, reasons in enumerate(reasons_of(entries))
+            if is_unverifiable(reasons)
         ]
 
     # -- basic partitions ---------------------------------------------------
+    #
+    # read off the verdict columns where ``classified`` is a view: only
+    # the selected entries are built
 
     def by_category(self, category: URCategory) -> List[ClassifiedUR]:
-        return [
-            entry for entry in self.classified if entry.category is category
-        ]
+        return select(self.classified, (category,))
 
     @property
     def suspicious(self) -> List[ClassifiedUR]:
-        return [entry for entry in self.classified if entry.is_suspicious]
+        return select(self.classified, _SUSPICIOUS)
 
     @property
     def malicious(self) -> List[ClassifiedUR]:
@@ -200,8 +217,8 @@ class MeasurementReport:
         counts: Dict[str, int] = {
             category.value: 0 for category in URCategory
         }
-        for entry in self.classified:
-            counts[entry.category.value] += 1
+        for category in categories_of(self.classified):
+            counts[category.value] += 1
         return counts
 
     # -- Table 1 --------------------------------------------------------------

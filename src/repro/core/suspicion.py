@@ -23,35 +23,39 @@ from ..dns.rdata import RRType
 from .collector import ProtectiveFingerprint
 from .correctness import CorrectnessVerdict, UniformityChecker
 from .parallel import Stage2Metrics
-from .records import ClassifiedUR, URCategory, UndelegatedRecord
+from .records import (
+    ClassifiedUR,
+    URCategory,
+    URTable,
+    URVerdicts,
+    UndelegatedRecord,
+    is_unverifiable,
+)
 from .txt import classify_txt
 
 
 @dataclass
 class SuspicionOutcome:
-    """Stage-2 output: every UR labeled, suspicious ones surfaced."""
+    """Stage-2 output: every UR labeled, suspicious ones surfaced.
 
-    classified: List[ClassifiedUR]
+    ``classified`` is the verdict columns beside the classified rows
+    (:class:`~repro.core.records.URVerdicts`); the partitions build
+    only their own entries.
+    """
+
+    classified: URVerdicts
 
     @property
     def suspicious(self) -> List[ClassifiedUR]:
-        return [entry for entry in self.classified if entry.is_suspicious]
+        return self.classified.select(_SUSPICIOUS)
 
     @property
     def correct(self) -> List[ClassifiedUR]:
-        return [
-            entry
-            for entry in self.classified
-            if entry.category is URCategory.CORRECT
-        ]
+        return self.classified.select((URCategory.CORRECT,))
 
     @property
     def protective(self) -> List[ClassifiedUR]:
-        return [
-            entry
-            for entry in self.classified
-            if entry.category is URCategory.PROTECTIVE
-        ]
+        return self.classified.select((URCategory.PROTECTIVE,))
 
     @property
     def unverifiable(self) -> List[ClassifiedUR]:
@@ -59,24 +63,29 @@ class SuspicionOutcome:
         (a condition's data source was down) — degraded, not definitive."""
         return [
             entry
-            for entry in self.classified
-            if entry.is_suspicious
-            and any(
-                reason.startswith("unverifiable") for reason in entry.reasons
-            )
+            for entry in self.suspicious
+            if is_unverifiable(entry.reasons)
         ]
 
     def counts(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
-        for entry in self.classified:
-            out[entry.category.value] = out.get(entry.category.value, 0) + 1
+        for category in self.classified.categories():
+            out[category.value] = out.get(category.value, 0) + 1
         return out
 
+
+_SUSPICIOUS = tuple(
+    category for category in URCategory if category.is_suspicious
+)
+_PROTECTIVE = (URCategory.PROTECTIVE, ("protective-fingerprint",))
 
 #: the memoization identity of one UR: every record sharing it receives
 #: the same uniformity verdict (the nameserver is deliberately absent —
 #: protective fingerprints are checked per server, before this key)
 UrKey = Tuple[Name, int, str]
+
+#: one row's verdict: category, reasons, TXT category
+_Verdict = Tuple[URCategory, Tuple[str, ...], Optional[str]]
 
 
 class SuspicionFilter:
@@ -88,13 +97,15 @@ class SuspicionFilter:
       used when a data source is fault-injected (non-deterministic), so
       chaos runs behave exactly as they would without the fast path;
     * the **grouped path** (``memoize=True`` and deterministic sources)
-      deduplicates records by :data:`UrKey`, evaluates each distinct key
-      once, in first-occurrence order, and fans the verdict back out in
-      the original record order.
+      deduplicates the table's rows by :data:`UrKey`, evaluates each
+      distinct key once, in first-occurrence order, and fans the
+      verdict back out in row order (every row of one key shares its
+      reasons tuple).
 
     A run selects between them from what it can observe
     (``checker.memoizable``); ``memoize=False`` forces the naive path —
-    the reference tests hold the grouped one to.
+    the reference tests hold the grouped one to.  Either fills the
+    verdict columns of one :class:`~repro.core.records.URVerdicts`.
 
     ``last_metrics`` carries the :class:`Stage2Metrics` of the most
     recent :meth:`classify` call.
@@ -114,49 +125,72 @@ class SuspicionFilter:
     def classify(
         self, records: Iterable[UndelegatedRecord], now: float = 0.0
     ) -> SuspicionOutcome:
-        """Label every UR protective / correct / unknown (=suspicious)."""
-        records = list(records)
+        """Label every UR protective / correct / unknown (=suspicious).
+
+        ``records`` is read as a :class:`~repro.core.records.URTable`
+        (stage 1's is used as it is; any other iterable is tabled
+        first).
+        """
+        table = records if isinstance(records, URTable) else URTable(records)
+        verdicts = URVerdicts(table)
         metrics = Stage2Metrics()
         started = time.perf_counter()
         if self.memoize and self.checker.memoizable:
             metrics.memoized = True
-            classified = self._classify_grouped(records, now, metrics)
+            self._classify_grouped(table, verdicts, now, metrics)
         else:
-            classified = [
-                self._classify_one(record, now) for record in records
-            ]
-        metrics.records = len(records)
-        metrics.protective_matches = sum(
-            1
-            for entry in classified
-            if entry.category is URCategory.PROTECTIVE
+            for record in table:
+                verdicts.append(*self._classify_one(record, now))
+        metrics.records = len(table)
+        metrics.protective_matches = len(
+            verdicts.rows_in((URCategory.PROTECTIVE,))
         )
         metrics.wall_s = time.perf_counter() - started
         self._harvest_store_caches(metrics)
         self.last_metrics = metrics
-        return SuspicionOutcome(classified=classified)
+        return SuspicionOutcome(classified=verdicts)
 
     # -- the grouped fast path ---------------------------------------------
 
     def _classify_grouped(
         self,
-        records: List[UndelegatedRecord],
+        table: URTable,
+        verdicts: URVerdicts,
         now: float,
         metrics: Stage2Metrics,
-    ) -> List[ClassifiedUR]:
+    ) -> None:
+        rdatas = table.rdatas
+        fingerprints = [
+            self.protective.get(address) for address, _, _ in table.servers
+        ]
+        # a key's domain is its Name-equality class (the row of the
+        # first table domain equal to it, whatever its case), its rdata
+        # the exact text
+        canonical: Dict[Name, int] = {}
+        domain_keys = [
+            canonical.setdefault(domain, row)
+            for row, domain in enumerate(table.domains)
+        ]
+        columns = (
+            table.domain_index,
+            table.server_index,
+            table.rrtypes,
+            table.rdata_index,
+        )
+
         # pass 1: protective short-circuits, and the distinct keys that
-        # still need a uniformity verdict (first-occurrence order)
-        pending: Dict[UrKey, UndelegatedRecord] = {}
-        needs_verdict: List[bool] = []
-        for record in records:
-            fingerprint = self.protective.get(record.nameserver_ip)
-            protective = fingerprint is not None and fingerprint.matches(
-                record.rrtype, record.rdata_text
-            )
-            needs_verdict.append(not protective)
-            if not protective:
-                key = (record.domain, record.rrtype, record.rdata_text)
-                pending.setdefault(key, record)
+        # still need a uniformity verdict (first-occurrence rows)
+        pending: Dict[Tuple[int, int, int], int] = {}
+        protective = bytearray()
+        for row, (domain, server, rrtype, rdata) in enumerate(zip(*columns)):
+            fingerprint = fingerprints[server]
+            if fingerprint is not None and fingerprint.matches(
+                rrtype, rdatas[rdata]
+            ):
+                protective.append(1)
+                continue
+            protective.append(0)
+            pending.setdefault((domain_keys[domain], rrtype, rdata), row)
         metrics.distinct_keys = len(pending)
 
         # pass 2: one evaluation per distinct key, in first-occurrence
@@ -164,42 +198,38 @@ class SuspicionFilter:
         # the main pass's verdicts) are counted by the checker itself
         hits_before = self.checker.memo_hits
         misses_before = self.checker.memo_misses
-        verdicts: Dict[UrKey, CorrectnessVerdict] = {}
-        for key, record in pending.items():
+        by_key: Dict[Tuple[int, int, int], Tuple] = {}
+        for key, row in pending.items():
             started = time.perf_counter()
-            verdict = verdicts[key] = self.checker.check_cached(record, now)
+            verdict = self.checker.check_cached(table[row], now)
             metrics.attribute(
                 verdict.matched_condition or "survived-exclusion",
                 time.perf_counter() - started,
             )
+            by_key[key] = self._from_verdict(verdict)
         metrics.cache_misses = self.checker.memo_misses - misses_before
         metrics.cache_hits = (self.checker.memo_hits - hits_before) + (
-            sum(needs_verdict) - len(pending)
+            len(protective) - sum(protective) - len(pending)
         )
 
-        # pass 3: fan-out in the original record order
-        classified: List[ClassifiedUR] = []
-        for record, checked in zip(records, needs_verdict):
+        # pass 3: fan-out in row order
+        txt_categories: Dict[int, str] = {}
+        for (domain, _, rrtype, rdata), is_protective in zip(
+            zip(*columns), protective
+        ):
             txt_category: Optional[str] = None
-            if record.rrtype == RRType.TXT:
-                txt_category = classify_txt(record.rdata_text)
-            if not checked:
-                classified.append(
-                    ClassifiedUR(
-                        record=record,
-                        category=URCategory.PROTECTIVE,
-                        reasons=("protective-fingerprint",),
-                        txt_category=txt_category,
+            if rrtype == RRType.TXT:
+                txt_category = txt_categories.get(rdata)
+                if txt_category is None:
+                    txt_category = txt_categories[rdata] = classify_txt(
+                        rdatas[rdata]
                     )
-                )
-                continue
-            verdict = verdicts[
-                (record.domain, record.rrtype, record.rdata_text)
-            ]
-            classified.append(
-                self._from_verdict(record, verdict, txt_category)
+            category, reasons = (
+                _PROTECTIVE
+                if is_protective
+                else by_key[(domain_keys[domain], rrtype, rdata)]
             )
-        return classified
+            verdicts.append(category, reasons, txt_category)
 
     def _harvest_store_caches(self, metrics: Stage2Metrics) -> None:
         """Copy auxiliary-store cache counters when the stores keep them."""
@@ -215,7 +245,7 @@ class SuspicionFilter:
 
     def _classify_one(
         self, record: UndelegatedRecord, now: float
-    ) -> ClassifiedUR:
+    ) -> _Verdict:
         txt_category: Optional[str] = None
         if record.rrtype == RRType.TXT:
             txt_category = classify_txt(record.rdata_text)
@@ -224,30 +254,21 @@ class SuspicionFilter:
         if fingerprint is not None and fingerprint.matches(
             record.rrtype, record.rdata_text
         ):
-            return ClassifiedUR(
-                record=record,
-                category=URCategory.PROTECTIVE,
-                reasons=("protective-fingerprint",),
-                txt_category=txt_category,
-            )
+            return (*_PROTECTIVE, txt_category)
 
         verdict = self.checker.check(record, now)
-        return self._from_verdict(record, verdict, txt_category)
+        return (*self._from_verdict(verdict), txt_category)
 
     @staticmethod
     def _from_verdict(
-        record: UndelegatedRecord,
         verdict: CorrectnessVerdict,
-        txt_category: Optional[str],
-    ) -> ClassifiedUR:
-        """One verdict → one classified UR (shared by both paths)."""
+    ) -> Tuple[URCategory, Tuple[str, ...]]:
+        """One verdict → a category and its reasons (shared by both
+        paths)."""
         if verdict.is_correct:
-            reason = verdict.matched_condition or "uniformity"
-            return ClassifiedUR(
-                record=record,
-                category=URCategory.CORRECT,
-                reasons=(reason,),
-                txt_category=txt_category,
+            return (
+                URCategory.CORRECT,
+                (verdict.matched_condition or "uniformity",),
             )
         reasons = ["survived-exclusion"]
         if verdict.degraded_conditions:
@@ -256,12 +277,7 @@ class SuspicionFilter:
             reasons.append(
                 "unverifiable:" + "+".join(sorted(verdict.degraded_conditions))
             )
-        return ClassifiedUR(
-            record=record,
-            category=URCategory.UNKNOWN,
-            reasons=tuple(reasons),
-            txt_category=txt_category,
-        )
+        return URCategory.UNKNOWN, tuple(reasons)
 
     def false_negative_rate(
         self,

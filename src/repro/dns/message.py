@@ -141,15 +141,24 @@ def next_message_id() -> int:
     return next(_id_counter) & 0xFFFF
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
-    """A full DNS message with the four standard sections."""
+    """A full DNS message with the four standard sections.
+
+    ``compiled_wire`` is not part of the message: an authoritative
+    server's compiled answer carries its wire there for the transport,
+    which reads and resets it (``SimulatedInternet._transact``) before
+    the message goes on.
+    """
 
     header: Header = field(default_factory=Header)
     questions: List[Question] = field(default_factory=list)
     answers: List[ResourceRecord] = field(default_factory=list)
     authorities: List[ResourceRecord] = field(default_factory=list)
     additionals: List[ResourceRecord] = field(default_factory=list)
+    compiled_wire: Optional[bytes] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # -- constructors ---------------------------------------------------
 
@@ -211,17 +220,6 @@ class Message:
             record.rdata
             for record in self.answers
             if rrtype is None or record.rrtype == rrtype
-        ]
-
-    def answers_for(
-        self, owner: Union[str, Name], rrtype: int
-    ) -> List[ResourceRecord]:
-        """Answer records matching an owner name and type."""
-        owner = name(owner)
-        return [
-            record
-            for record in self.answers
-            if record.owner == owner and record.rrtype == rrtype
         ]
 
     def referral_targets(self) -> List[Name]:

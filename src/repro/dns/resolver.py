@@ -402,9 +402,11 @@ class RecursiveResolver:
         )
 
     def flush_cache(self) -> None:
-        """Forget every cached answer and zone cut."""
+        """Forget every cached answer and zone cut, and the upstream
+        channels (stateless lookups a later query reopens)."""
         self._cache.clear()
         self._cuts.clear()
+        self._channels.clear()
 
 
 ResponseRewriter = Callable[[Message], Message]

@@ -299,25 +299,13 @@ def roundtrip(message: Message) -> Message:
 # -- memoization ---------------------------------------------------------------
 
 
-def clone_message(template: Message) -> Message:
-    """A shallow copy safe to hand to callers: fresh section lists,
-    shared frozen records/header.  Callers may rebind or extend the
-    lists without corrupting the cached template."""
-    return Message(
-        header=template.header,
-        questions=list(template.questions),
-        answers=list(template.answers),
-        authorities=list(template.authorities),
-        additionals=list(template.additionals),
-    )
-
-
 _MESSAGE_ID = struct.Struct("!H")
 
 
 def _with_message_id(template: Message, message_id: int) -> Message:
-    """A clone of ``template`` (see :func:`clone_message`) under
-    ``message_id``.
+    """A clone of ``template`` under ``message_id``: fresh section
+    lists, the frozen header and records shared, so the caller may
+    rebind or extend the lists without touching the template.
 
     Runs once per cache hit.  The header is rebuilt positionally, not
     through ``dataclasses.replace`` (which walks the field list per
@@ -350,16 +338,16 @@ def _rdata_key(rdata: Rdata):
     Frozen rdata objects are hashable, but the name-bearing types hash
     through :class:`Name`, whose equality is case-insensitive — two
     spellings that encode differently would collide.  Expand their
-    names to exact label tuples instead; opaque types (addresses, TXT)
-    hash their strings case-exactly already.
+    names to exact label tuples instead (a single-name type's key is
+    the target's own label tuple); opaque types (addresses, TXT) hash
+    their strings case-exactly already.
     """
     if isinstance(rdata, (NS, CNAME, PTR)):
-        return (rdata.rrtype, rdata.target.labels)
+        return rdata.target.labels
     if isinstance(rdata, MX):
-        return (RRType.MX, rdata.preference, rdata.exchange.labels)
+        return (rdata.preference, rdata.exchange.labels)
     if isinstance(rdata, SOA):
         return (
-            RRType.SOA,
             rdata.mname.labels,
             rdata.rname.labels,
             rdata.serial,
@@ -371,31 +359,54 @@ def _rdata_key(rdata: Rdata):
     return rdata
 
 
-def _section_key(records) -> Tuple:
-    return tuple(
-        (
-            record.owner.labels,
-            record.rrtype,
-            record.rrclass,
-            record.ttl,
-            _rdata_key(record.rdata),
-        )
-        for record in records
-    )
-
-
 def _message_key(message: Message) -> Tuple:
-    """The structural identity of ``message`` sans id: flags, questions
-    and every record section, names as exact label tuples."""
-    return (
-        message.header.flags_word(),
-        tuple(
-            (question.qname.labels, question.qtype, question.qclass)
-            for question in message.questions
-        ),
-        _section_key(message.answers),
-        _section_key(message.authorities),
-        _section_key(message.additionals),
+    """The structural identity of ``message`` sans id, as one flat
+    tuple: the flags word and the four section counts, then three
+    fields per question (exact qname labels, type, class) and five per
+    record (exact owner labels, type, class, TTL, :func:`_rdata_key`).
+
+    The counts come first, so every field sits at a position they fix:
+    two messages share a key only when each section holds the same
+    questions or records in the same order.  A record's key fields are
+    read under its type, so equal labels in, say, an NS target and a
+    SOA name cannot collide.
+    """
+    header = message.header
+    questions = message.questions
+    answers = message.answers
+    authorities = message.authorities
+    additionals = message.additionals
+    key = [
+        header.flags_word(),
+        len(questions),
+        len(answers),
+        len(authorities),
+        len(additionals),
+    ]
+    for question in questions:
+        key += (question.qname.labels, question.qtype, question.qclass)
+    for section in (answers, authorities, additionals):
+        for record in section:
+            key += (
+                record.owner.labels,
+                record.rrtype,
+                record.rrclass,
+                record.ttl,
+                _rdata_key(record.rdata),
+            )
+    return tuple(key)
+
+
+def _template(message: Message) -> Message:
+    """``message``'s parts as a template: its header and records shared,
+    each section a tuple (no list over-allocation, and nothing can
+    append to it)."""
+    return Message(
+        header=message.header,
+        questions=tuple(message.questions),
+        answers=tuple(message.answers),
+        authorities=tuple(message.authorities),
+        additionals=tuple(message.additionals),
     )
 
 
@@ -405,15 +416,14 @@ def encode_answer(
     """``message``'s wire and a *template* for its decode.
 
     The template is what :func:`decode_message` makes of the wire, as
-    a message nobody else holds and nobody may mutate (serve it through
-    :func:`clone_message` or :func:`_with_message_id`).  When the
+    a message nobody else holds, its sections tuples (serve it through
+    :func:`_with_message_id`, which hands out list clones).  When the
     decode has the original's header and exact-case structural key
-    (``key``, if the caller already computed it), the template is a
-    clone of the original, so it shares the original's records (a
-    zone's, for an authoritative answer) instead of holding decoded
-    copies.  Otherwise it is the decode itself: compression pointers
-    fold names (owners, RDATA targets) that differ only in case into
-    the first spelling.
+    (``key``, if the caller already computed it), the template holds
+    the original's records (a zone's, for an authoritative answer)
+    instead of decoded copies.  Otherwise it holds the decode's:
+    compression pointers fold names (owners, RDATA targets) that
+    differ only in case into the first spelling.
 
     An encode error propagates.  A wire that does not decode comes
     back with no template, so the caller's own decode reports it.
@@ -426,8 +436,8 @@ def encode_answer(
     if decoded.header == message.header and _message_key(decoded) == (
         key if key is not None else _message_key(message)
     ):
-        return wire, clone_message(message)
-    return wire, decoded
+        return wire, _template(message)
+    return wire, _template(decoded)
 
 
 class WireCodecCache:
@@ -450,9 +460,11 @@ class WireCodecCache:
       occurrence proved the round trip is the identity, so the original
       message object can stand in for its own decode);
     * the **answer cache** holds one entry per answer: a full
-      message's structural key (flags, questions, all record sections,
-      names as exact label tuples) maps to ``(id, wire, template)``,
-      the template being :func:`encode_answer`'s decode of that wire.
+      message's structural key (:func:`_message_key`: one flat tuple of
+      flags, section counts, questions and records, names as exact
+      label tuples) maps to ``(id, wire, template)``, the template
+      being :func:`encode_answer`'s tuple-sectioned decode of that
+      wire.
       Equal structure means equal bytes (the encoder is deterministic
       and compression canonical), so a hit is the wire and the decode
       at once.  Authoritative servers keep the same template in their

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import ipaddress
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -134,11 +133,9 @@ class IpInfoDatabase:
         # rebuilt on first lookup after a register_prefix
         self._prefix_index: Optional[Dict[int, Dict[int, _PrefixInfo]]] = None
         self._index_lengths: Tuple[int, ...] = ()
-        # LRU of assembled metadata for non-host addresses; locked because
-        # stage-2 workers share the database across threads
+        # LRU of assembled metadata for non-host addresses
         self._cache_size = cache_size
         self._cache: "OrderedDict[str, IpMetadata]" = OrderedDict()
-        self._cache_lock = threading.Lock()
         #: metadata-cache accounting (stage-2 observability)
         self.cache_hits = 0
         self.cache_misses = 0
@@ -159,8 +156,7 @@ class IpInfoDatabase:
         )
         # a new prefix can change any cached or indexed answer
         self._prefix_index = None
-        with self._cache_lock:
-            self._cache.clear()
+        self._cache.clear()
 
     def register_host(
         self,
@@ -183,8 +179,7 @@ class IpInfoDatabase:
         )
         self._hosts[address] = meta
         # the host override supersedes any cached prefix-derived answer
-        with self._cache_lock:
-            self._cache.pop(address, None)
+        self._cache.pop(address, None)
         return meta
 
     # -- lookup ---------------------------------------------------------
@@ -236,22 +231,20 @@ class IpInfoDatabase:
         if hit is not None:
             return hit
         if self._cache_size:
-            with self._cache_lock:
-                cached = self._cache.get(address)
-                if cached is not None:
-                    self.cache_hits += 1
-                    self._cache.move_to_end(address)
-                    return cached
-                self.cache_misses += 1
+            cached = self._cache.get(address)
+            if cached is not None:
+                self.cache_hits += 1
+                self._cache.move_to_end(address)
+                return cached
+            self.cache_misses += 1
         asn, as_name, country = self._prefix_defaults(address)
         meta = IpMetadata(
             address=address, asn=asn, as_name=as_name, country=country
         )
         if self._cache_size:
-            with self._cache_lock:
-                self._cache[address] = meta
-                while len(self._cache) > self._cache_size:
-                    self._cache.popitem(last=False)
+            self._cache[address] = meta
+            while len(self._cache) > self._cache_size:
+                self._cache.popitem(last=False)
         return meta
 
     def asn(self, address: str) -> int:

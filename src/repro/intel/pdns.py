@@ -32,7 +32,7 @@ from ..dns.rdata import RRType
 SIX_YEARS = 6 * 365 * 24 * 3600.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PdnsObservation:
     """One historical (domain, rrtype, rdata) sighting."""
 

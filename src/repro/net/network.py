@@ -485,14 +485,16 @@ class SimulatedInternet:
             )
         # ``decoded`` stays None until something stands in for the
         # decode of ``response_wire``: a compiled answer is already a
-        # fresh clone of its codec template (its wire attached), and a
-        # codec entry's template is cloned under the response's id
+        # fresh clone of its codec template (its wire attached, taken
+        # off here), and a codec entry's template is cloned under the
+        # response's id
         decoded = None
         if not fast:
             response_wire = encode_message(response)
         else:
-            response_wire = response.__dict__.pop("compiled_wire", None)
+            response_wire = response.compiled_wire
             if response_wire is not None:
+                response.compiled_wire = None
                 decoded = response
             else:
                 response_wire, template = self.codec.encode(response)

@@ -40,7 +40,14 @@ from ..core.collector import CollectionResult, ProtectiveFingerprint
 from ..core.correctness import CorrectRecordDatabase
 from ..core.hunter import Stage1Result, Stage2Result, Stage3Result
 from ..core.parallel import Stage2Metrics
-from ..core.records import ClassifiedUR, IpVerdict, URCategory, UndelegatedRecord
+from ..core.records import (
+    ClassifiedUR,
+    IpVerdict,
+    URCategory,
+    URTable,
+    URVerdicts,
+    UndelegatedRecord,
+)
 from ..core.suspicion import SuspicionOutcome
 from ..dns.name import Name, name
 from ..engine.metrics import LatencyHistogram, ScanMetrics, StageCounters
@@ -358,9 +365,9 @@ def decode_stage1(
 ) -> Stage1Result:
     correct_db = decode_profiles(payload["profiles"], ipinfo)
     collection = CollectionResult(
-        undelegated=[
+        undelegated=URTable(
             decode_record(item) for item in payload["undelegated"]
-        ],
+        ),
         correct_db=correct_db,
         protective={
             item["nameserver_ip"]: decode_fingerprint(item)
@@ -401,9 +408,9 @@ def encode_stage2(stage2: Stage2Result, validated: bool) -> Dict[str, Any]:
 def decode_stage2(payload: Dict[str, Any]) -> Stage2Result:
     return Stage2Result(
         outcome=SuspicionOutcome(
-            classified=[
+            classified=URVerdicts.from_entries(
                 decode_classified(item) for item in payload["classified"]
-            ]
+            )
         ),
         fn_rate=payload["fn_rate"],
         source_health=decode_health(payload["source_health"]),

@@ -20,7 +20,6 @@ whatever evidence survives.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar, Dict, Optional, Tuple
 
@@ -209,9 +208,6 @@ class SourceGuard:
         #: cache key: any change in source availability invalidates
         #: every verdict cached under the previous state.
         self.degraded_events = 0
-        # stage-2 workers share one guard across threads; the lock keeps
-        # the ledgers, breaker clock, and limiter state consistent
-        self._lock = threading.Lock()
         #: optional repro.obs.RunTrace + the logical stage tag its
         #: events carry; bound by the hunter before each guarded stage
         self.trace = None
@@ -222,9 +218,9 @@ class SourceGuard:
         trips are emitted as deterministic events tagged ``stage``.
 
         Emission order is deterministic because every degradation
-        producer runs the record-ordered single-threaded path: fault
-        injection makes the sources non-deterministic, which disables
-        the memoized (worker-parallel) stage-2 fast path.
+        producer runs the record-ordered path: fault injection makes the
+        sources non-deterministic, which disables the memoized stage-2
+        fast path.
         """
         self.trace = trace
         self.trace_stage = stage
@@ -299,55 +295,54 @@ class SourceGuard:
         propagate — the guard shields against flaky dependencies, not
         against bugs.
         """
-        with self._lock:
-            self._clock += 1.0
-            ledger = self.health(source)
-            ledger.calls += 1
-            was_degraded = ledger.degraded
-            if not self.breaker.allow(source, self._clock):
-                ledger.skipped += 1
-                self._note_degraded(
-                    source, ledger, was_degraded, "circuit-open"
-                )
-                return False, None
-            if self.limiter.ready_at(source, self._clock) > self._clock:
-                ledger.skipped += 1
-                self._note_degraded(
-                    source, ledger, was_degraded, "rate-limit-cooldown"
-                )
-                return False, None
-            attempt = 0
-            while True:
-                try:
-                    value = fn(*args, **kwargs)
-                except SourceError as error:
-                    if isinstance(error, SourceRateLimited):
-                        ledger.rate_limited += 1
-                        self._note_degraded(
-                            source, ledger, was_degraded, "rate-limited"
-                        )
-                        # deliberate cool-down debit (may go negative),
-                        # not a paced send — take() would raise here
-                        self.limiter.penalize(source, self._clock)
-                    attempt += 1
-                    if attempt <= self.retries:
-                        ledger.retries += 1
-                        ledger.backoff_wait += self.backoff_base * (
-                            self.backoff_factor ** (attempt - 1)
-                        )
-                        continue
-                    ledger.failures += 1
+        self._clock += 1.0
+        ledger = self.health(source)
+        ledger.calls += 1
+        was_degraded = ledger.degraded
+        if not self.breaker.allow(source, self._clock):
+            ledger.skipped += 1
+            self._note_degraded(
+                source, ledger, was_degraded, "circuit-open"
+            )
+            return False, None
+        if self.limiter.ready_at(source, self._clock) > self._clock:
+            ledger.skipped += 1
+            self._note_degraded(
+                source, ledger, was_degraded, "rate-limit-cooldown"
+            )
+            return False, None
+        attempt = 0
+        while True:
+            try:
+                value = fn(*args, **kwargs)
+            except SourceError as error:
+                if isinstance(error, SourceRateLimited):
+                    ledger.rate_limited += 1
                     self._note_degraded(
-                        source, ledger, was_degraded, "retries-exhausted"
+                        source, ledger, was_degraded, "rate-limited"
                     )
-                    if self.breaker.record_failure(source, self._clock):
-                        self._emit(
-                            "breaker.trip", scope="source", source=source
-                        )
-                    return False, None
-                self.breaker.record_success(source)
-                ledger.successes += 1
-                return True, value
+                    # deliberate cool-down debit (may go negative),
+                    # not a paced send — take() would raise here
+                    self.limiter.penalize(source, self._clock)
+                attempt += 1
+                if attempt <= self.retries:
+                    ledger.retries += 1
+                    ledger.backoff_wait += self.backoff_base * (
+                        self.backoff_factor ** (attempt - 1)
+                    )
+                    continue
+                ledger.failures += 1
+                self._note_degraded(
+                    source, ledger, was_degraded, "retries-exhausted"
+                )
+                if self.breaker.record_failure(source, self._clock):
+                    self._emit(
+                        "breaker.trip", scope="source", source=source
+                    )
+                return False, None
+            self.breaker.record_success(source)
+            ledger.successes += 1
+            return True, value
 
 
 def merge_health(

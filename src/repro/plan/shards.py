@@ -43,9 +43,9 @@ before it (:func:`isolated_phase`, :func:`pin_group`):
 The parent engine sends nothing: it is the ledger the groups merge
 into, the origin of the run deadline, and the shared query-message
 cache.  A group is folded the moment it is in hand (the UR scan's
-:class:`ScanFold`: wire counters summed, only UR-carrying outcomes
-kept, their URs deduped per group; the preamble's fingerprint and
-profile folds, outcome by outcome); its small ledgers —
+:class:`ScanFold`: wire counters summed, the URs appended to one UR
+table, deduped per group; the preamble's fingerprint and profile
+folds, outcome by outcome); its small ledgers —
 ``ScanMetrics``, resilience counters, buffered engine trace events,
 elapsed time — wait for the merge into
 the parent objects in group order.  Only UR groups are stored; their
@@ -67,8 +67,9 @@ import hashlib
 import os
 import random
 import signal
+from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import (
     Any,
@@ -124,16 +125,20 @@ class ReducedOutcome:
 
 class ScanFold:
     """The UR scan's running fold over completed groups, in any order:
-    wire counters are summed and only the outcomes that carry URs are
-    held on to until the end, each group's URs deduped as it is
-    folded."""
+    wire counters are summed and each group's unique URs are appended
+    to one :class:`~repro.core.records.URTable` as they are folded,
+    with the planned index of the outcome that carried them."""
 
-    __slots__ = ("attempts", "responses", "_carrying")
+    __slots__ = ("attempts", "responses", "_table", "_indices")
 
     def __init__(self) -> None:
+        # inside: repro.core imports this module
+        from ..core.records import URTable
+
         self.attempts = 0
         self.responses = 0
-        self._carrying: List[ReducedOutcome] = []
+        self._table = URTable()
+        self._indices = array("I")
 
     def add(self, outcomes: Iterable[ReducedOutcome]) -> None:
         """Fold one group's outcomes, which arrive in ``index`` order.
@@ -144,29 +149,27 @@ class ScanFold:
         occurrences are the scan's.
         """
         seen = set()
+        table = self._table
+        indices = self._indices
         for outcome in outcomes:
             self.attempts += outcome.attempts
             if outcome.answered:
                 self.responses += 1
-            if not outcome.urs:
-                continue
-            unique = []
             for record in outcome.urs:
                 key = record.key
                 if key not in seen:
                     seen.add(key)
-                    unique.append(record)
-            if len(unique) < len(outcome.urs):
-                outcome = replace(outcome, urs=tuple(unique))
-            if unique:
-                self._carrying.append(outcome)
+                    table.append(record)
+                    indices.append(outcome.index)
 
-    def records(self) -> List[Any]:
-        """Every unique UR in planned scan order."""
-        self._carrying.sort(key=attrgetter("index"))
-        return [
-            record for outcome in self._carrying for record in outcome.urs
-        ]
+    def records(self) -> Any:
+        """Every unique UR in planned scan order, as a sealed
+        :class:`~repro.core.records.URTable` (the sort is stable: one
+        outcome's records keep their answer order)."""
+        indices = self._indices
+        return self._table.take(
+            sorted(range(len(indices)), key=indices.__getitem__)
+        )
 
 
 @dataclass

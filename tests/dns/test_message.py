@@ -102,11 +102,6 @@ class TestAccessors:
         assert len(response.answer_rdatas(RRType.A)) == 2
         assert len(response.answer_rdatas()) == 3
 
-    def test_answers_for(self):
-        response = self._response_with_answers()
-        assert len(response.answers_for("EXAMPLE.com", RRType.A)) == 2
-        assert response.answers_for("other.com", RRType.A) == []
-
     def test_referral_detection(self):
         query = Message.make_query("www.example.com", RRType.A)
         referral = query.make_response()

@@ -39,7 +39,8 @@ from repro.dns.server import AuthoritativeServer, UnhostedPolicy
 from repro.dns.wire import (
     WireCodecCache,
     WireError,
-    clone_message,
+    _message_key,
+    _with_message_id,
     decode_message,
     encode_message,
 )
@@ -244,8 +245,9 @@ class TestWireCodecCache:
         response = self._answer()
         first, template = cache.encode(response)
         assert first == encode_message(response)
-        patched = clone_message(response)
-        patched.header = replace(response.header, message_id=77)
+        patched = replace(
+            response, header=replace(response.header, message_id=77)
+        )
         wire, again = cache.encode(patched)
         assert wire == encode_message(patched)
         assert again is template
@@ -260,11 +262,20 @@ class TestWireCodecCache:
         cache = WireCodecCache()
         response = self._answer()
         wire, template = cache.encode(response)
-        assert template == decode_message(wire)
+        decoded = decode_message(wire)
+
+        def same_as_decode():
+            # a template holds its sections as tuples, a decode as lists
+            return template.header == decoded.header and [
+                tuple(section) for section in _sections(decoded)
+            ] == list(_sections(template))
+
+        assert all(type(section) is tuple for section in _sections(template))
+        assert same_as_decode()
         assert template.answers[0] is response.answers[0]
         # the producer mutating its lists afterwards leaves it alone
         response.answers.clear()
-        assert template == decode_message(wire)
+        assert same_as_decode()
 
     def test_case_folded_owner_makes_the_decode_the_template(self):
         # compression points the second owner at the first spelling
@@ -333,12 +344,116 @@ class TestWireCodecCache:
         assert cache.query_hit(queries[0]) is None
         assert cache.query_hit(queries[2]) is not None
 
-    def test_clone_message_shares_frozen_parts_only(self):
-        message = self._query().make_response()
-        clone = clone_message(message)
-        assert clone == message
-        assert clone.questions is not message.questions
-        assert clone.header is message.header
+
+
+class TestFlatAnswerKey:
+    """The answer cache's key is one flat tuple; its section counts
+    come first, so no two distinct answers share an entry."""
+
+    @staticmethod
+    def _response(**sections):
+        header = Header(message_id=3, is_response=True, authoritative=True)
+        return Message(header=header, **sections)
+
+    def _assert_distinct_entries(self, *messages):
+        wires = [encode_message(message) for message in messages]
+        assert len(set(wires)) == len(messages)
+        assert len({_message_key(m) for m in messages}) == len(messages)
+        cache = WireCodecCache()
+        for _ in range(2):  # misses, then hits
+            for message, wire in zip(messages, wires):
+                got, template = cache.encode(message)
+                assert got == wire
+                served = _with_message_id(template, message.header.message_id)
+                assert encode_message(served) == wire
+        assert len(cache._answer_cache) == len(messages)
+
+    def test_a_record_moved_between_sections(self):
+        one = ResourceRecord(name("www.example.com"), A("192.0.2.1"))
+        two = ResourceRecord(name("www.example.com"), A("192.0.2.2"))
+        self._assert_distinct_entries(
+            self._response(answers=[one, two]),
+            self._response(answers=[one], authorities=[two]),
+            self._response(authorities=[one, two]),
+            self._response(authorities=[one], additionals=[two]),
+            self._response(answers=[two], additionals=[one]),
+        )
+
+    def test_question_and_record_boundaries(self):
+        question = Question(name("www.example.com"), RRType.A)
+        record = ResourceRecord(name("www.example.com"), A("192.0.2.1"))
+        self._assert_distinct_entries(
+            self._response(questions=[question]),
+            self._response(questions=[question, question]),
+            self._response(answers=[record]),
+            self._response(questions=[question], answers=[record]),
+            self._response(questions=[question, question], answers=[record]),
+        )
+
+    def test_equal_labels_in_name_bearing_rdata(self):
+        owner = name("example.com")
+        target = name("ns1.example.com")
+        soa = SOA(
+            mname=target, rname=target, serial=1, refresh=2, retry=3,
+            expire=4, minimum=5,
+        )  # fmt: skip
+        self._assert_distinct_entries(
+            *(
+                self._response(authorities=[ResourceRecord(owner, rdata)])
+                for rdata in (
+                    NS(target),
+                    CNAME(target),
+                    PTR(target),
+                    MX(0, target),
+                    soa,
+                )
+            )
+        )
+
+    def test_equal_keys_only_for_equal_wires(self):
+        rng = random.Random(SEED ^ 0x0F1A7)
+        by_key = {}
+        for _ in range(CASES * 4):
+            message = _random_message(rng)
+            message.header = replace(message.header, message_id=0)
+            wire = encode_message(message)
+            assert by_key.setdefault(_message_key(message), wire) == wire
+            # every record moved one section on is another answer
+            sections = list(_sections(message))[1:]
+            for index, section in enumerate(sections):
+                if not section:
+                    continue
+                moved = [list(part) for part in sections]
+                moved[(index + 1) % 3].append(moved[index].pop())
+                other = Message(
+                    message.header, list(message.questions), *moved
+                )
+                assert _message_key(other) != _message_key(message)
+
+    def test_a_served_clone_cannot_mutate_its_template(self):
+        record = ResourceRecord(name("www.example.com"), A("192.0.2.1"))
+        question = Question(name("www.example.com"), RRType.A)
+        response = self._response(questions=[question], answers=[record])
+        cache = WireCodecCache()
+        wire, template = cache.encode(response)
+        served = _with_message_id(template, 99)
+        served.answers.append(record)
+        served.questions.clear()
+        served.header = replace(served.header, rcode=Rcode.SERVFAIL)
+        assert template.answers == (record,)
+        assert template.questions == (question,)
+        assert cache.encode(response) == (wire, template)
+        again = _with_message_id(template, 3)
+        assert encode_message(again) == wire
+
+
+def _sections(message):
+    return (
+        message.questions,
+        message.answers,
+        message.authorities,
+        message.additionals,
+    )
 
 
 def _fast_network():
@@ -364,6 +479,22 @@ class TestCompiledAnswerCache:
         assert network.scanpath.compiled_hits == 1
         assert first == second
         assert encode_message(second) == second.compiled_wire
+
+    def test_a_served_clone_cannot_mutate_its_template(self):
+        server, _ = self._server()
+        network = _fast_network()
+        query = Message.make_query("www.victim.example", RRType.A, message_id=5)
+        first = server.handle_dns_query(query, "198.51.100.1", network)
+        wire = first.compiled_wire
+        first.answers.clear()
+        first.questions.append(Question(name("x.example"), RRType.TXT))
+        second = server.handle_dns_query(query, "198.51.100.1", network)
+        assert network.scanpath.compiled_hits == 1
+        assert second.answer_rdatas() == [A("192.0.2.10")]
+        assert second.compiled_wire == wire
+        assert encode_message(second) == wire
+        (entry,) = server._compiled.values()
+        assert type(entry.template.answers) is tuple
 
     def test_message_id_patch_matches_full_encode(self):
         server, _ = self._server()
