@@ -15,6 +15,7 @@ Paper values:
 import pytest
 
 from repro.analysis import all_case_studies
+from repro.net.traffic import Protocol
 
 from .conftest import banner
 
@@ -78,7 +79,7 @@ def test_darkiot_emerdns_shift(benchmark, bench_world):
             if report.sample.family != "Dark.IoT":
                 continue
             out.setdefault(report.sample.variant, set()).update(
-                report.queried_nameservers()
+                report.capture.destinations(Protocol.DNS)
             )
         return out
 

@@ -26,7 +26,8 @@ PAPER_TABLE2 = {
 
 def _probe(world):
     return build_table2(
-        [world.providers[provider_name] for provider_name in TABLE2_PROVIDERS]
+        [world.providers[provider_name] for provider_name in TABLE2_PROVIDERS],
+        world.root,
     )
 
 

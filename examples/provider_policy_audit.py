@@ -8,18 +8,23 @@ matrix, before and after the paper's disclosure-driven mitigations.
 """
 
 from repro.analysis import build_table2
-from repro.hosting import TABLE2_PROVIDERS, build_headline_providers
+from repro.hosting import TABLE2_PROVIDERS, DnsRoot, build_headline_providers
 from repro.net import PrefixPlanner, SimulatedInternet
 
 
 def probe(post_disclosure: bool) -> str:
     network = SimulatedInternet()
     planner = PrefixPlanner()
+    root = DnsRoot(network)
     providers = build_headline_providers(
         network, planner, post_disclosure=post_disclosure
     )
+    for provider in providers.values():
+        # providers verify ownership and grant retrieval from the registry
+        provider.delegation_lookup = root.delegation_of
     table = build_table2(
-        [providers[provider_name] for provider_name in TABLE2_PROVIDERS]
+        [providers[provider_name] for provider_name in TABLE2_PROVIDERS],
+        root,
     )
     return table.text
 

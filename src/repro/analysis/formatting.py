@@ -107,9 +107,5 @@ def render_stacked_shares(
     return "\n".join(lines)
 
 
-def format_pct(value: float, digits: int = 2) -> str:
-    return f"{value:.{digits}f}%"
-
-
 def format_count_with_pct(count: int, pct: float) -> str:
     return f"{count:,} ({pct:.2f}%)"

@@ -5,17 +5,18 @@ Table 1 reads a :class:`~repro.core.report.MeasurementReport`.  Table 2 is
 an *active experiment*: it probes live providers with test accounts the
 way Appendix C describes (two accounts, ~30 domains, eTLD and unregistered
 candidates, duplicate hosting attempts, retrieval attempts) and reports
-what the provider allowed.
+what the provider allowed.  No cell reads the provider's policy back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, FrozenSet, List, Sequence
 
 from ..core.report import MeasurementReport, TypeStats
-from ..hosting.policy import PolicyProbeResult
-from ..hosting.provider import HostingError, HostingProvider
+from ..hosting.policy import NsAllocation, PolicyProbeResult
+from ..hosting.provider import HostedZone, HostingError, HostingProvider
+from ..hosting.registry import DnsRoot
 from .formatting import format_count_with_pct, render_table
 
 #: probe domains per Appendix C: top-100-style SLDs, eTLDs, unregistered
@@ -33,6 +34,14 @@ PROBE_UNREGISTERED = (
     "probe-unregistered-c.org",
 )
 PROBE_SUBDOMAINS = ("api.probe-popular-a.com", "cdn.probe-popular-b.net")
+#: three zones per account whose assigned nameserver sets reveal the
+#: allocation strategy
+PROBE_ALLOCATION = (
+    ("probe-alloc-a1.com", "probe-alloc-a2.net", "probe-alloc-a3.org"),
+    ("probe-alloc-b1.com", "probe-alloc-b2.net", "probe-alloc-b3.org"),
+)
+#: registered to the measurer for the retrieval attempt
+PROBE_RETRIEVAL = "probe-retrieval.com"
 
 
 @dataclass
@@ -97,29 +106,49 @@ def build_table1(report: MeasurementReport) -> Table1:
 # ---------------------------------------------------------------------------
 
 
-def probe_provider(provider: HostingProvider) -> PolicyProbeResult:
+def infer_allocation(
+    nameserver_sets: Sequence[Sequence[FrozenSet[str]]],
+) -> NsAllocation:
+    """The allocation strategy behind each account's zones' nameserver
+    sets: one set everywhere is global-fixed, one set per account is
+    account-fixed, anything else is random."""
+    if len({ns for sets in nameserver_sets for ns in sets}) == 1:
+        return NsAllocation.GLOBAL_FIXED
+    if all(len(set(sets)) == 1 for sets in nameserver_sets):
+        return NsAllocation.ACCOUNT_FIXED
+    return NsAllocation.RANDOM
+
+
+def probe_provider(
+    provider: HostingProvider, root: DnsRoot
+) -> PolicyProbeResult:
     """Actively probe one provider with two throwaway accounts.
 
     Mirrors the Appendix C process: try hosting popular SLDs, eTLDs,
     subdomains and unregistered domains; try duplicate hosting from both
-    accounts; try owner retrieval.  Every hosted zone is deleted
-    afterwards (the paper's ethics appendix).
+    accounts; compare the nameservers each account's zones receive; try
+    owner retrieval of a domain ``root`` delegates to the provider.
+    Every hosted zone and the probe delegation are removed afterwards
+    (the paper's ethics appendix).
     """
     first = provider.create_account(paid=True)
     second = provider.create_account(paid=True)
-    created = []
+    created: List[HostedZone] = []
 
-    def attempt(account, domain: str, is_registered: bool = True) -> bool:
+    def host(account, domain: str, is_registered: bool = True):
         try:
             hosted = provider.host_zone(
                 account, domain, is_registered=is_registered
             )
         except HostingError:
-            return False
+            return None
         created.append(hosted)
         # Harmless probe records, as in the paper's ethics protocol.
         provider.add_record(hosted, domain, "A", "127.0.0.1")
-        return True
+        return hosted
+
+    def attempt(account, domain: str, is_registered: bool = True) -> bool:
+        return host(account, domain, is_registered) is not None
 
     allows_sld = any(
         attempt(first, domain) for domain in PROBE_SLDS
@@ -147,7 +176,34 @@ def probe_provider(provider: HostingProvider) -> PolicyProbeResult:
         for hosted in created
     )
 
-    no_retrieval = not provider.policy.supports_retrieval
+    nameserver_sets = [
+        [
+            frozenset(entry.address for entry in hosted.nameservers)
+            for hosted in (host(account, domain) for domain in domains)
+            if hosted is not None
+        ]
+        for account, domains in zip((first, second), PROBE_ALLOCATION)
+    ]
+    ns_allocation = infer_allocation(nameserver_sets)
+
+    # Retrieval: the measurer delegates a domain to the first account's
+    # assigned servers, then the second account claims it.
+    no_retrieval = True
+    squatted = host(first, PROBE_RETRIEVAL)
+    if squatted is not None:
+        if not root.is_registered(PROBE_RETRIEVAL):
+            root.register(PROBE_RETRIEVAL, registrant="measurer")
+        root.delegate(
+            PROBE_RETRIEVAL,
+            [(entry.hostname, entry.address) for entry in squatted.nameservers],
+        )
+        try:
+            no_retrieval = not provider.retrieve_domain(
+                second, PROBE_RETRIEVAL
+            )
+        except HostingError:
+            pass
+        root.undelegate(PROBE_RETRIEVAL)
 
     notes = set()
     if provider.policy.reserved:
@@ -163,7 +219,7 @@ def probe_provider(provider: HostingProvider) -> PolicyProbeResult:
 
     return PolicyProbeResult(
         provider=provider.name,
-        ns_allocation=provider.policy.ns_allocation,
+        ns_allocation=ns_allocation,
         hosts_without_verification=hosts_without_verification,
         allows_unregistered=allows_unregistered,
         allows_subdomain=allows_subdomain,
@@ -185,10 +241,13 @@ class Table2:
 
 
 def build_table2(
-    providers: Sequence[HostingProvider],
+    providers: Sequence[HostingProvider], root: DnsRoot
 ) -> Table2:
-    """Probe every provider and render the hosting-strategy matrix."""
-    results = [probe_provider(provider) for provider in providers]
+    """Probe every provider and render the hosting-strategy matrix.
+
+    ``root`` is the registry the providers' ``delegation_lookup`` reads.
+    """
+    results = [probe_provider(provider, root) for provider in providers]
     results.sort(key=lambda result: result.provider)
 
     def mark(value: bool) -> str:

@@ -649,7 +649,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "table2":
         table = build_table2(
-            [world.providers[provider] for provider in TABLE2_PROVIDERS]
+            [world.providers[provider] for provider in TABLE2_PROVIDERS],
+            world.root,
         )
         print(table.text)
         return EXIT_OK

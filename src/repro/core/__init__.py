@@ -7,7 +7,6 @@ from .collector import (
     NameserverTarget,
     ProtectiveFingerprint,
     ResponseCollector,
-    select_target_nameservers,
 )
 from .correctness import (
     ALL_CONDITIONS,
@@ -51,8 +50,6 @@ from .txt import (
     TxtCategory,
     classify_txt,
     extract_ips,
-    is_email_related,
-    spf_mechanisms,
 )
 
 __all__ = [
@@ -97,8 +94,5 @@ __all__ = [
     "dedupe_urs",
     "diff_reports",
     "extract_ips",
-    "is_email_related",
     "recover_pdns_subdomains",
-    "select_target_nameservers",
-    "spf_mechanisms",
 ]

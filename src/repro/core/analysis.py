@@ -41,13 +41,6 @@ class MaliciousAnalysisResult:
     def malicious(self) -> List[ClassifiedUR]:
         return [entry for entry in self.classified if entry.is_malicious]
 
-    def malicious_ips(self) -> List[IpVerdict]:
-        return [
-            verdict
-            for verdict in self.ip_verdicts.values()
-            if verdict.is_malicious
-        ]
-
     @property
     def partial_ip_verdicts(self) -> int:
         """IPs whose intel verdict covers only part of the vendor fleet."""

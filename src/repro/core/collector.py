@@ -400,28 +400,3 @@ class ResponseCollector:
 
         run_collection_groups(self, plan, "protective", fold)
         return fingerprints
-
-
-def select_target_nameservers(
-    hosting_counts: Dict[str, int],
-    nameserver_info: Dict[str, Tuple[str, Optional[Name]]],
-    min_hosted: int = 50,
-) -> List[NameserverTarget]:
-    """§4.1's nameserver selection: servers hosting > ``min_hosted`` of the
-    top list.
-
-    ``hosting_counts`` maps nameserver address → number of top-list
-    domains delegated to it; ``nameserver_info`` maps address →
-    (provider, hostname).
-    """
-    selected = []
-    for address, count in sorted(hosting_counts.items()):
-        if count < min_hosted:
-            continue
-        provider, hostname = nameserver_info.get(address, ("unknown", None))
-        selected.append(
-            NameserverTarget(
-                address=address, provider=provider, hostname=hostname
-            )
-        )
-    return selected

@@ -95,12 +95,6 @@ class CorrectRecordDatabase:
     def observe_mx(self, domain: Union[str, Name], value: str) -> None:
         self.profile(domain).mx_values.add(value)
 
-    def has_profile(self, domain: Union[str, Name]) -> bool:
-        profile = self._profiles.get(name(domain))
-        return profile is not None and bool(
-            profile.ips or profile.txt_values
-        )
-
     def domains(self) -> List[Name]:
         if self._domains_cache is None:
             self._domains_cache = sorted(self._profiles)

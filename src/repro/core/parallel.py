@@ -13,25 +13,18 @@ instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict
+from typing import Any, Dict
 
 
 @dataclass
 class Stage2Metrics:
     """What stage 2 did: volume, dedup, caching, timing.
 
-    Implements the :class:`repro.obs.metrics.MetricsSnapshot` protocol.
     The deterministic/timing split is load-bearing: ``to_dict()`` and
     ``summary()`` carry only counters that are byte-identical between a
-    live and a resumed run, while ``timing_dict()`` and
-    ``timing_summary()`` carry the wall clock and the store-cache
-    counters.
+    live and a resumed run, while ``timing_dict()`` carries the wall
+    clock and the store-cache counters.
     """
-
-    #: MetricsSnapshot protocol identity
-    name: ClassVar[str] = "stage2-exclusion"
-    #: heading the unified renderer prints (legacy report text)
-    heading: ClassVar[str] = "stage-2 exclusion metrics:"
 
     #: candidate URs classified (including protective short-circuits)
     records: int = 0
@@ -78,23 +71,6 @@ class Stage2Metrics:
             self.condition_s.get(condition, 0.0) + seconds
         )
 
-    def merge(self, other: "Stage2Metrics") -> None:
-        """Fold another pass's counters into this one."""
-        self.records += other.records
-        self.protective_matches += other.protective_matches
-        self.distinct_keys += other.distinct_keys
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        # a merged pass is memoized only if every constituent was
-        self.memoized = self.memoized and other.memoized
-        self.wall_s += other.wall_s
-        for condition, seconds in other.condition_s.items():
-            self.attribute(condition, seconds)
-        self.pdns_cache_hits += other.pdns_cache_hits
-        self.pdns_cache_misses += other.pdns_cache_misses
-        self.ipinfo_cache_hits += other.ipinfo_cache_hits
-        self.ipinfo_cache_misses += other.ipinfo_cache_misses
-
     def to_dict(self) -> Dict[str, Any]:
         """Deterministic counters only (see class docstring)."""
         return {
@@ -124,7 +100,7 @@ class Stage2Metrics:
         """Deterministic counters only — safe for byte-compared reports.
 
         Wall-clock figures and the store-cache counters live in
-        :meth:`timing_summary` instead, so this text is byte-identical
+        :meth:`timing_dict` instead, so this text is byte-identical
         across live and resumed runs.
         """
         mode = "on" if self.memoized else "off"
@@ -139,30 +115,3 @@ class Stage2Metrics:
                 f"memoization: {mode}",
             ]
         )
-
-    def timing_summary(self, indent: str = "") -> str:
-        """Wall-clock and store-cache view — diagnostics only."""
-        lines = [
-            f"{indent}wall: {self.wall_s * 1000:.1f}ms  throughput: "
-            f"{self.records_per_s:,.0f} records/s"
-        ]
-        aux_total = (
-            self.pdns_cache_hits
-            + self.pdns_cache_misses
-            + self.ipinfo_cache_hits
-            + self.ipinfo_cache_misses
-        )
-        if aux_total:
-            lines.append(
-                f"{indent}store caches: pdns {self.pdns_cache_hits:,}"
-                f"/{self.pdns_cache_hits + self.pdns_cache_misses:,}  "
-                f"ipinfo {self.ipinfo_cache_hits:,}"
-                f"/{self.ipinfo_cache_hits + self.ipinfo_cache_misses:,}"
-                " (hits/calls)"
-            )
-        for condition in sorted(self.condition_s):
-            lines.append(
-                f"{indent}  [{condition}] "
-                f"{self.condition_s[condition] * 1000:.2f}ms"
-            )
-        return "\n".join(lines)

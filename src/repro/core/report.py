@@ -18,7 +18,6 @@ from dataclasses import field
 from ..dns.name import Name
 from ..dns.rdata import RRType
 from ..engine.metrics import ScanMetrics
-from ..obs.metrics import MetricRegistry
 from ..pipeline.resilience import SourceHealth
 from .parallel import Stage2Metrics
 from .records import (
@@ -423,23 +422,14 @@ class MeasurementReport:
             lines.append(
                 f"validation FN rate:      {self.false_negative_rate:.4f}"
             )
-        lines.extend(self.metric_registry().render_lines(indent="  "))
+        for heading, block in (
+            ("scan engine metrics:", self.scan_metrics),
+            ("stage-2 exclusion metrics:", self.stage2_metrics),
+            ("resilience metrics:", self.resilience_metrics),
+        ):
+            if block is not None:
+                lines.append(heading)
+                lines.append(block.summary(indent="  "))
         if self.is_degraded:
             lines.append(self.degraded.summary())
         return "\n".join(lines)
-
-    def metric_registry(self) -> MetricRegistry:
-        """Every attached metric holder behind the one snapshot API.
-
-        Registration order is presentation order; the rendered text is
-        byte-identical to the pre-registry bespoke blocks (the report
-        text is a byte-compared surface).
-        """
-        registry = MetricRegistry()
-        if self.scan_metrics is not None:
-            registry.register(self.scan_metrics)
-        if self.stage2_metrics is not None:
-            registry.register(self.stage2_metrics)
-        if self.resilience_metrics is not None:
-            registry.register(self.resilience_metrics)
-        return registry

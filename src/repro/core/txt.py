@@ -12,7 +12,7 @@ example), so this module also extracts those.
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 
 class TxtCategory:
@@ -104,11 +104,6 @@ def classify_txt(value: str) -> str:
     return TxtCategory.OTHER  # unreachable: the combined scan matched
 
 
-def is_email_related(value: str) -> bool:
-    """True for SPF/DMARC/DKIM values (the §5.2 statistic's numerator)."""
-    return classify_txt(value) in TxtCategory.EMAIL_RELATED
-
-
 def extract_ips(value: str) -> List[str]:
     """Every IPv4 address embedded anywhere in a TXT value.
 
@@ -124,11 +119,3 @@ def extract_ips(value: str) -> List[str]:
         if address not in found:
             found.append(address)
     return found
-
-
-def spf_mechanisms(value: str) -> Optional[List[str]]:
-    """The mechanism list of an SPF record, or None for non-SPF values."""
-    if classify_txt(value) != TxtCategory.SPF:
-        return None
-    parts = value.split()
-    return parts[1:]  # drop the v=spf1 version tag

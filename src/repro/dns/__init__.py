@@ -30,7 +30,6 @@ from .rdata import (
     RRClass,
     RRType,
     rdata_from_text,
-    rdata_from_wire,
 )
 from .message import (
     Header,
@@ -43,7 +42,7 @@ from .message import (
 )
 from .wire import WireError, decode_message, encode_message, roundtrip
 from .zone import LookupResult, LookupStatus, Zone, ZoneError, zone_from_records
-from .server import AuthoritativeServer, UnhostedPolicy, make_protective_server
+from .server import AuthoritativeServer, UnhostedPolicy
 from .resolver import (
     OpenResolver,
     RecursiveResolver,
@@ -88,10 +87,8 @@ __all__ = [
     "ZoneError",
     "decode_message",
     "encode_message",
-    "make_protective_server",
     "name",
     "rdata_from_text",
-    "rdata_from_wire",
     "roundtrip",
     "rrset",
     "zone_from_records",

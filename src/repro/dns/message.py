@@ -214,14 +214,6 @@ class Message:
     def rcode(self) -> int:
         return self.header.rcode
 
-    def answer_rdatas(self, rrtype: Optional[int] = None) -> List[Rdata]:
-        """RDATA of answer records, optionally filtered by type."""
-        return [
-            record.rdata
-            for record in self.answers
-            if rrtype is None or record.rrtype == rrtype
-        ]
-
     def referral_targets(self) -> List[Name]:
         """NS targets from the authority section (delegation referral)."""
         return [
@@ -230,14 +222,6 @@ class Message:
             if isinstance(record.rdata, NS)
         ]
 
-    def glue_address(self, server_name: Union[str, Name]) -> Optional[str]:
-        """IPv4 glue for ``server_name`` from the additional section."""
-        server_name = name(server_name)
-        for record in self.additionals:
-            if record.owner == server_name and isinstance(record.rdata, A):
-                return record.rdata.address
-        return None
-
     def is_referral(self) -> bool:
         """True for a NOERROR response that only delegates elsewhere."""
         return (
@@ -245,12 +229,6 @@ class Message:
             and not self.answers
             and bool(self.referral_targets())
         )
-
-    def all_records(self) -> Iterable[ResourceRecord]:
-        """All resource records across the three record sections."""
-        yield from self.answers
-        yield from self.authorities
-        yield from self.additionals
 
     def summary(self) -> str:
         """One-line human-readable summary, for logs and debugging."""

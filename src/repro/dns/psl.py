@@ -117,10 +117,6 @@ class PublicSuffixList:
         prefix = domain.relativize(suffix)
         return suffix.prepend(prefix[-1])
 
-    def is_registrable(self, domain: Union[str, Name]) -> bool:
-        """True when ``domain`` is exactly an eTLD+1."""
-        return self.registrable_domain(domain) == name(domain)
-
 
 #: Shared default instance used when callers do not supply their own.
 DEFAULT_PSL = PublicSuffixList()

@@ -1,8 +1,8 @@
 """DNS resource data (RDATA) types.
 
 Each record type the library uses is a small frozen, slotted dataclass
-with a presentation-format parser/renderer and a wire-format
-encoder/decoder.
+with a presentation-format parser/renderer; the opaque types also carry
+their wire-format encoder/decoder.
 A registry maps RR type codes to classes so :mod:`repro.dns.wire` can
 dispatch generically.
 
@@ -15,11 +15,10 @@ SPF case study rides on TXT.
 from __future__ import annotations
 
 import ipaddress
-import struct
 from dataclasses import dataclass
 from typing import ClassVar, Dict, List, Tuple, Type, Union
 
-from .name import Name, interned, name
+from .name import Name, name
 
 
 class RdataError(ValueError):
@@ -74,18 +73,14 @@ class RRClass:
 class Rdata:
     """Base class for RDATA values.
 
-    Subclasses set :attr:`rrtype` and implement ``to_wire`` /
-    ``from_wire`` / ``to_text`` / ``from_text``.
+    Subclasses set :attr:`rrtype` and implement ``to_text`` /
+    ``from_text``.  The opaque types (A, AAAA, TXT) also implement
+    ``to_wire`` / ``from_wire``; :mod:`repro.dns.wire` encodes the
+    name-bearing ones (NS, CNAME, PTR, SOA, MX) itself, with name
+    compression.
     """
 
     rrtype: ClassVar[int] = 0
-
-    def to_wire(self) -> bytes:
-        raise NotImplementedError
-
-    @classmethod
-    def from_wire(cls, data: bytes) -> "Rdata":
-        raise NotImplementedError
 
     def to_text(self) -> str:
         raise NotImplementedError
@@ -158,35 +153,6 @@ class AAAA(Rdata):
         return cls(text.strip())
 
 
-def _encode_name_uncompressed(target: Name) -> bytes:
-    out = bytearray()
-    for label in target.labels:
-        raw = label.encode("ascii")
-        out.append(len(raw))
-        out.extend(raw)
-    out.append(0)
-    return bytes(out)
-
-
-def _decode_name_uncompressed(data: bytes) -> Name:
-    labels: List[str] = []
-    offset = 0
-    while True:
-        if offset >= len(data):
-            raise RdataError("truncated name in RDATA")
-        length = data[offset]
-        offset += 1
-        if length == 0:
-            break
-        if length > 63:
-            raise RdataError("compression pointers not allowed inside RDATA here")
-        labels.append(data[offset : offset + length].decode("ascii"))
-        offset += length
-    if offset != len(data):
-        raise RdataError("trailing bytes after name in RDATA")
-    return interned(tuple(labels))
-
-
 @dataclass(frozen=True, slots=True)
 class NS(Rdata):
     """A nameserver record delegating to ``target``."""
@@ -194,13 +160,6 @@ class NS(Rdata):
     target: Name
 
     rrtype: ClassVar[int] = RRType.NS
-
-    def to_wire(self) -> bytes:
-        return _encode_name_uncompressed(self.target)
-
-    @classmethod
-    def from_wire(cls, data: bytes) -> "NS":
-        return cls(_decode_name_uncompressed(data))
 
     def to_text(self) -> str:
         return self.target.to_text(trailing_dot=True)
@@ -218,13 +177,6 @@ class CNAME(Rdata):
 
     rrtype: ClassVar[int] = RRType.CNAME
 
-    def to_wire(self) -> bytes:
-        return _encode_name_uncompressed(self.target)
-
-    @classmethod
-    def from_wire(cls, data: bytes) -> "CNAME":
-        return cls(_decode_name_uncompressed(data))
-
     def to_text(self) -> str:
         return self.target.to_text(trailing_dot=True)
 
@@ -240,13 +192,6 @@ class PTR(Rdata):
     target: Name
 
     rrtype: ClassVar[int] = RRType.PTR
-
-    def to_wire(self) -> bytes:
-        return _encode_name_uncompressed(self.target)
-
-    @classmethod
-    def from_wire(cls, data: bytes) -> "PTR":
-        return cls(_decode_name_uncompressed(data))
 
     def to_text(self) -> str:
         return self.target.to_text(trailing_dot=True)
@@ -269,44 +214,6 @@ class SOA(Rdata):
     minimum: int = 300
 
     rrtype: ClassVar[int] = RRType.SOA
-
-    def to_wire(self) -> bytes:
-        return (
-            _encode_name_uncompressed(self.mname)
-            + _encode_name_uncompressed(self.rname)
-            + struct.pack(
-                "!IIIII",
-                self.serial,
-                self.refresh,
-                self.retry,
-                self.expire,
-                self.minimum,
-            )
-        )
-
-    @classmethod
-    def from_wire(cls, data: bytes) -> "SOA":
-        # Names inside SOA are variable-length; walk them.
-        def read_name(offset: int) -> Tuple[Name, int]:
-            labels: List[str] = []
-            while True:
-                if offset >= len(data):
-                    raise RdataError("truncated SOA")
-                length = data[offset]
-                offset += 1
-                if length == 0:
-                    return interned(tuple(labels)), offset
-                labels.append(data[offset : offset + length].decode("ascii"))
-                offset += length
-
-        mname, offset = read_name(0)
-        rname, offset = read_name(offset)
-        if len(data) - offset != 20:
-            raise RdataError("bad SOA fixed fields")
-        serial, refresh, retry, expire, minimum = struct.unpack(
-            "!IIIII", data[offset:]
-        )
-        return cls(mname, rname, serial, refresh, retry, expire, minimum)
 
     def to_text(self) -> str:
         return (
@@ -340,18 +247,6 @@ class MX(Rdata):
     def __post_init__(self) -> None:
         if not 0 <= self.preference <= 0xFFFF:
             raise RdataError(f"MX preference out of range: {self.preference}")
-
-    def to_wire(self) -> bytes:
-        return struct.pack("!H", self.preference) + _encode_name_uncompressed(
-            self.exchange
-        )
-
-    @classmethod
-    def from_wire(cls, data: bytes) -> "MX":
-        if len(data) < 3:
-            raise RdataError("truncated MX")
-        (preference,) = struct.unpack("!H", data[:2])
-        return cls(preference, _decode_name_uncompressed(data[2:]))
 
     def to_text(self) -> str:
         return f"{self.preference} {self.exchange.to_text(trailing_dot=True)}"
@@ -494,11 +389,3 @@ def rdata_from_text(rrtype: Union[int, str], text: str) -> Rdata:
     if cls is None:
         raise RdataError(f"unsupported RR type {RRType.to_text(code)}")
     return cls.from_text(text)
-
-
-def rdata_from_wire(rrtype: int, data: bytes) -> Rdata:
-    """Decode RDATA wire bytes for a given type."""
-    cls = RDATA_CLASSES.get(rrtype)
-    if cls is None:
-        raise RdataError(f"unsupported RR type {RRType.to_text(rrtype)}")
-    return cls.from_wire(data)

@@ -433,25 +433,3 @@ class AuthoritativeServer:
                 continue
             for glue in zone.rrset(rdata.target, RRType.A):
                 response.additionals.append(glue)
-
-
-def make_protective_server(
-    hostname: Union[str, Name],
-    warning_ip: str,
-    warning_text: str = "this domain is not hosted here",
-) -> AuthoritativeServer:
-    """A server that answers unhosted names with protective records.
-
-    Mirrors the ClouDNS-style behaviour the paper's stage 1 must learn and
-    exclude: an A record pointing at a warning site plus an explanatory TXT.
-    """
-    from .rdata import A, TXT
-
-    return AuthoritativeServer(
-        hostname,
-        unhosted_policy=UnhostedPolicy.PROTECTIVE,
-        protective_records=[
-            (RRType.A, A(warning_ip)),
-            (RRType.TXT, TXT.from_value(warning_text)),
-        ],
-    )

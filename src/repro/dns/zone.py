@@ -169,11 +169,6 @@ class Zone:
         owner = self._absolute(owner)
         return tuple(self._rrsets.get((owner, rrtype), ()))
 
-    def owners(self) -> Iterator[Name]:
-        """All owner names with data, in canonical order."""
-        seen = sorted({owner for owner, _ in self._rrsets})
-        return iter(seen)
-
     def records(self) -> Iterator[ResourceRecord]:
         """Every record in the zone."""
         for bucket in self._rrsets.values():
@@ -181,10 +176,6 @@ class Zone:
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._rrsets.values())
-
-    def has_owner(self, owner: Union[str, Name]) -> bool:
-        owner = self._absolute(owner)
-        return any(existing == owner for existing, _ in self._rrsets)
 
     def _owner_exists_or_has_descendants(self, owner: Name) -> bool:
         """True when ``owner`` is an empty non-terminal or has data."""

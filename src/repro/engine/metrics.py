@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 #: histogram bucket upper bounds in seconds (last bucket is +inf)
 DEFAULT_BUCKETS = (
@@ -131,16 +131,10 @@ class StageCounters:
 class ScanMetrics:
     """Per-stage counters plus a global latency histogram.
 
-    Implements the :class:`repro.obs.metrics.MetricsSnapshot` protocol:
     ``to_dict()`` exposes only deterministic counters (latency is over
     *virtual* seconds, so it is deterministic too) and ``summary()``
     renders the block the byte-compared report embeds.
     """
-
-    #: MetricsSnapshot protocol identity
-    name: ClassVar[str] = "scan-engine"
-    #: heading the unified renderer prints (legacy report text)
-    heading: ClassVar[str] = "scan engine metrics:"
 
     stages: Dict[str, StageCounters] = field(default_factory=dict)
     latency: LatencyHistogram = field(default_factory=LatencyHistogram)

@@ -385,54 +385,6 @@ class HostingProvider:
         """Add a record through the portal (zone serial bumps, servers see it)."""
         hosted.zone.add_text(owner, rrtype, text, ttl)
 
-    def remove_record(
-        self,
-        hosted: HostedZone,
-        owner: Union[str, Name],
-        rrtype: Optional[int] = None,
-    ) -> int:
-        return hosted.zone.remove(owner, rrtype)
-
-    def export_zone(self, hosted: HostedZone) -> str:
-        """Export a hosted zone in master-file format (portal download)."""
-        from ..dns.zonefile import render_zone
-
-        return render_zone(hosted.zone)
-
-    def import_zone(
-        self,
-        account: Account,
-        text: str,
-        is_registered: Optional[bool] = None,
-    ) -> HostedZone:
-        """Host a zone from master-file text (portal upload).
-
-        The file's ``$ORIGIN`` names the domain; SOA and NS records in
-        the file are ignored because the provider manages its own apex
-        (exactly what real portals do on import).
-        """
-        from ..dns.rdata import RRType
-        from ..dns.zonefile import parse_zone
-
-        parsed = parse_zone(text)
-        hosted = self.host_zone(
-            account, parsed.origin, is_registered=is_registered
-        )
-        for record in parsed.records():
-            if record.rrtype in (RRType.SOA, RRType.NS):
-                continue
-            hosted.zone.add(record.owner, record.rdata, record.ttl)
-        return hosted
-
-    def sync_all_nameservers(self, hosted: HostedZone) -> None:
-        """Serve ``hosted`` from every pool nameserver (paid feature)."""
-        if not self.policy.paid_sync_all_nameservers:
-            raise HostingError(f"{self.name} does not offer full-pool sync")
-        if not hosted.account.paid:
-            raise HostingError("full-pool sync requires a paid account")
-        hosted.nameservers = list(self.pool)
-        self._load_everywhere(hosted)
-
     def delete_zone(self, hosted: HostedZone) -> None:
         """Remove a hosted zone entirely (matched by identity: equality
         would deep-compare whole zones)."""

@@ -39,10 +39,6 @@ class Registration:
     nameservers: List[Tuple[Name, str]] = field(default_factory=list)
     registered_at: float = 0.0
 
-    @property
-    def is_delegated(self) -> bool:
-        return bool(self.nameservers)
-
 
 class DnsRoot:
     """The root of the simulated DNS: root servers plus TLD registries.
@@ -126,13 +122,6 @@ class DnsRoot:
 
     def tlds(self) -> List[Name]:
         return sorted(self._tld_zones)
-
-    def tld_zone(self, tld: Union[str, Name]) -> Zone:
-        tld = name(tld)
-        zone = self._tld_zones.get(tld)
-        if zone is None:
-            raise RegistryError(f"unknown TLD {tld}")
-        return zone
 
     # -- registration / delegation --------------------------------------------
 

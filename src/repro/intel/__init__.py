@@ -10,7 +10,6 @@ from .ipinfo import (
 )
 from .pdns import SIX_YEARS, PassiveDnsStore, PdnsObservation
 from .vendor import (
-    IntelTag,
     SecurityVendor,
     VendorVerdict,
     default_vendor_fleet,
@@ -19,7 +18,6 @@ from .vendor import (
 __all__ = [
     "HttpPage",
     "IntelReport",
-    "IntelTag",
     "IpInfoDatabase",
     "IpMetadata",
     "PAGE_KEYWORDS",

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..pipeline.resilience import SourceGuard, SourceHealth
 from .vendor import SecurityVendor
@@ -89,17 +89,6 @@ class ThreatIntelAggregator:
         """A cheap fingerprint of the fleet's update state."""
         return sum(getattr(vendor, "version", 0) for vendor in self.vendors)
 
-    def cache_clear(self) -> None:
-        self._cache.clear()
-
-    def cache_info(self) -> Dict[str, int]:
-        return {
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
-            "size": len(self._cache),
-            "max_size": self.cache_size,
-        }
-
     # -- the merged verdict ------------------------------------------------
 
     def report(self, address: str) -> IntelReport:
@@ -156,31 +145,8 @@ class ThreatIntelAggregator:
     def tags(self, address: str) -> FrozenSet[str]:
         return self.report(address).tags
 
-    def bulk_report(self, addresses: Iterable[str]) -> Dict[str, IntelReport]:
-        return {address: self.report(address) for address in addresses}
-
-    def union_blacklist(self) -> List[str]:
-        """Every address flagged by at least one *reachable* vendor."""
-        seen: Dict[str, None] = {}
-        for vendor in self.vendors:
-            source = f"vendor:{vendor.name}"
-            ok, blacklist = self.guard.try_call(source, vendor.blacklist)
-            if not ok:
-                continue
-            for address in blacklist:
-                seen.setdefault(address, None)
-        return list(seen)
-
     # -- degradation observability -----------------------------------------
 
     def source_health(self) -> Dict[str, SourceHealth]:
         """Per-vendor health ledgers (see ``DegradedSources``)."""
         return self.guard.snapshot()
-
-    def dead_vendors(self) -> List[str]:
-        """Vendors whose circuit is currently open."""
-        return sorted(
-            name
-            for name, ledger in self.source_health().items()
-            if ledger.dead
-        )

@@ -12,19 +12,6 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional
 
 
-class IntelTag:
-    """Canonical tag vocabulary (Figure 3(d))."""
-
-    TROJAN = "Trojan"
-    SCANNER = "Scanner"
-    MALWARE = "Malware"
-    CC = "C&C"
-    BOTNET = "Botnet"
-    OTHER = "Other"
-
-    ALL = (TROJAN, SCANNER, OTHER, MALWARE, CC, BOTNET)
-
-
 @dataclass
 class VendorVerdict:
     """One vendor's view of one IP."""

@@ -5,11 +5,9 @@ from .address import (
     AddressPool,
     Prefix,
     PrefixPlanner,
-    in_prefix,
     int_to_ip,
     ip_to_int,
     same_slash24,
-    slash24,
 )
 from .network import NetworkError, SimulatedInternet
 from .traffic import DNS_PORT, FlowRecord, Protocol, TrafficCapture
@@ -25,9 +23,7 @@ __all__ = [
     "Protocol",
     "SimulatedInternet",
     "TrafficCapture",
-    "in_prefix",
     "int_to_ip",
     "ip_to_int",
     "same_slash24",
-    "slash24",
 ]

@@ -34,24 +34,9 @@ def int_to_ip(value: int) -> IPv4:
     return str(ipaddress.IPv4Address(value))
 
 
-def slash24(address: IPv4) -> str:
-    """The /24 prefix containing ``address``, as ``a.b.c.0/24``."""
-    network = ipaddress.IPv4Network(f"{address}/24", strict=False)
-    return str(network)
-
-
 def same_slash24(first: IPv4, second: IPv4) -> bool:
     """True when two addresses share a /24."""
     return ip_to_int(first) >> 8 == ip_to_int(second) >> 8
-
-
-def in_prefix(address: IPv4, prefix: str) -> bool:
-    """True when ``address`` falls inside CIDR ``prefix``."""
-    try:
-        network = ipaddress.IPv4Network(prefix, strict=False)
-    except ValueError as exc:
-        raise AddressError(f"invalid prefix {prefix!r}") from exc
-    return ipaddress.IPv4Address(address) in network
 
 
 @dataclass
@@ -139,9 +124,6 @@ class AddressPool:
             self.allocated.add(address)
             return address
         raise AddressError(f"address pool {self.label!r} exhausted")
-
-    def allocate_many(self, count: int) -> List[IPv4]:
-        return [self.allocate() for _ in range(count)]
 
     def contains(self, address: IPv4) -> bool:
         return any(prefix.contains(address) for prefix in self.prefixes)

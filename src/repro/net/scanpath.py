@@ -1,4 +1,4 @@
-"""Scan-path fast-lane counters behind the one MetricsSnapshot API.
+"""Scan-path fast-lane counters.
 
 The fast lane (compiled zone answers, wire-codec memoization) is a pure
 re-expression of the naive query path:
@@ -9,9 +9,8 @@ by construction — so these counters live exclusively in the ``timing``
 section of the metrics document and are never registered on the
 byte-compared report surface.
 
-:class:`ScanPathMetrics` implements the structural
-:class:`~repro.obs.metrics.MetricsSnapshot` protocol (name / to_dict /
-merge / summary) without importing it; the live instance hangs off
+:class:`ScanPathMetrics` has ``to_dict`` and ``merge``; the live
+instance hangs off
 :class:`~repro.net.network.SimulatedInternet` and is incremented by the
 wire codec, the authoritative servers and the transport (one
 ``flows_recorded`` per row written into an open tap); ``flows_skipped``
@@ -48,9 +47,6 @@ class ScanPathMetrics:
       transactions and TCP connects, which are only counted.
     """
 
-    name = "scan_path"
-    heading = "scan-path fast lane:"
-
     __slots__ = _COUNTERS
 
     def __init__(self) -> None:
@@ -74,8 +70,6 @@ class ScanPathMetrics:
             snapshot.flows_skipped = observed - snapshot.flows_recorded
         return snapshot
 
-    # -- MetricsSnapshot protocol ----------------------------------------
-
     def to_dict(self) -> Dict[str, Any]:
         return {counter: getattr(self, counter) for counter in _COUNTERS}
 
@@ -86,25 +80,3 @@ class ScanPathMetrics:
                 counter,
                 getattr(self, counter) + getattr(other, counter, 0),
             )
-
-    def summary(self, indent: str = "") -> str:
-        def rate(hits: int, misses: int) -> str:
-            total = hits + misses
-            if total == 0:
-                return "n/a"
-            return f"{100.0 * hits / total:.1f}%"
-
-        lines = [
-            f"{indent}compiled answers:  {self.compiled_hits} hits / "
-            f"{self.compiled_misses} builds "
-            f"({rate(self.compiled_hits, self.compiled_misses)})",
-            f"{indent}query round trips: {self.query_hits} hits / "
-            f"{self.query_misses} misses "
-            f"({rate(self.query_hits, self.query_misses)})",
-            f"{indent}wire encodes:      {self.encode_hits} hits / "
-            f"{self.encode_misses} misses "
-            f"({rate(self.encode_hits, self.encode_misses)})",
-            f"{indent}capture records:   {self.flows_recorded} stored / "
-            f"{self.flows_skipped} skipped",
-        ]
-        return "\n".join(lines)

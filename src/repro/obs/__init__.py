@@ -1,4 +1,4 @@
-"""Unified observability: run-event bus, stage spans, one metrics API.
+"""Unified observability: run-event bus, stage spans, the metrics document.
 
 The reproduction's conclusions rest on loss-free accounting (the paper
 tracks ~17.8M queries across 8,941 nameservers); this package is the
@@ -11,10 +11,8 @@ single spine every telemetry surface reports through:
   The deterministic section is **byte-identical** between a live run
   and a resumed or warm one; wall-clock readings ride in a separate,
   explicitly non-deterministic timing section.
-* :class:`MetricsSnapshot` / :class:`MetricRegistry` — the one protocol
-  all metric holders implement (engine ``ScanMetrics``, stage-2
-  ``Stage2Metrics``, source-guard health) and the registry that
-  renders and aggregates them uniformly.
+* :func:`build_metrics_document` — the versioned ``--metrics-out``
+  document, deterministic and timing sections apart.
 * :class:`Reporter` — leveled operator messaging on stderr
   (``-q``/``-v``), keeping stdout machine-readable.
 * :func:`summarize_trace` — the ``repro trace summarize`` renderer.
@@ -33,8 +31,6 @@ from .events import (
 )
 from .metrics import (
     METRICS_FORMAT_VERSION,
-    MetricRegistry,
-    MetricsSnapshot,
     build_metrics_document,
 )
 from .reporter import Reporter, Verbosity
@@ -42,8 +38,6 @@ from .summarize import summarize_trace
 
 __all__ = [
     "METRICS_FORMAT_VERSION",
-    "MetricRegistry",
-    "MetricsSnapshot",
     "Reporter",
     "RunTrace",
     "STAGE1",

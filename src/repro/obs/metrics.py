@@ -1,16 +1,9 @@
-"""One metrics API: the snapshot protocol, the registry, the document.
-
-The telemetry surfaces — engine
-:class:`~repro.engine.metrics.ScanMetrics`, stage-2
-:class:`~repro.core.parallel.Stage2Metrics`, and the
-:class:`~repro.pipeline.resilience.SourceGuard` health ledgers — all
-implement one :class:`MetricsSnapshot` protocol and report through one
-:class:`MetricRegistry`.
+"""The consolidated metrics document.
 
 :func:`build_metrics_document` assembles the consolidated
 ``--metrics-out metrics.json``.  Its schema is versioned
 (:data:`METRICS_FORMAT_VERSION`) and split into two sections mirroring
-the ``summary()`` / ``timing_summary()`` split the byte-identity tests
+the ``to_dict()`` / ``timing_dict()`` split the byte-identity tests
 already enforce:
 
 * ``deterministic`` — counters that are byte-identical across runs of
@@ -19,13 +12,13 @@ already enforce:
 * ``timing`` — wall-clock figures and cache and store tallies, which
   legitimately vary run to run.
 
-This module imports nothing from the rest of :mod:`repro`; snapshot
-holders and the report are duck-typed against the protocol.
+This module imports nothing from the rest of :mod:`repro`; the report
+and its metric holders are duck-typed (each holder has ``to_dict()``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import Any, Dict, Optional
 
 #: bumped whenever the metrics.json layout changes
 #: (v2: ``shed`` counters in the scan-engine block and the optional
@@ -37,78 +30,6 @@ from typing import Any, Dict, List, Optional, Protocol, Tuple, runtime_checkable
 #: hit/miss tallies depend on what an earlier run left in the store,
 #: so they can never join the byte-compared section)
 METRICS_FORMAT_VERSION = 4
-
-
-@runtime_checkable
-class MetricsSnapshot(Protocol):
-    """What every metric holder exposes: a name, a dict, a merge.
-
-    ``to_dict()`` returns only **deterministic** counters — anything
-    wall-clock or scheduling-dependent belongs in a separate,
-    holder-specific timing view (e.g. ``timing_dict()``), never here.
-    ``merge()`` folds another snapshot of the same kind into this one
-    (shard aggregation).  ``summary()`` renders the human-readable
-    block the report embeds; the text is part of the byte-compared
-    report surface and must stay deterministic too.
-    """
-
-    name: str
-
-    def to_dict(self) -> Dict[str, Any]: ...
-
-    def merge(self, other: Any) -> None: ...
-
-    def summary(self, indent: str = "") -> str: ...
-
-
-class MetricRegistry:
-    """Aggregates heterogeneous snapshots behind the one protocol.
-
-    Registration order is presentation order — the report registers the
-    scan-engine block before the stage-2 block, reproducing the legacy
-    layout byte for byte through :meth:`render_lines`.
-    """
-
-    def __init__(self) -> None:
-        self._snapshots: List[MetricsSnapshot] = []
-
-    def register(self, snapshot: MetricsSnapshot) -> MetricsSnapshot:
-        for attribute in ("name", "to_dict", "merge", "summary"):
-            if not hasattr(snapshot, attribute):
-                raise TypeError(
-                    f"{type(snapshot).__name__} does not implement "
-                    f"MetricsSnapshot (missing {attribute!r})"
-                )
-        self._snapshots.append(snapshot)
-        return snapshot
-
-    def snapshots(self) -> Tuple[MetricsSnapshot, ...]:
-        return tuple(self._snapshots)
-
-    def get(self, name: str) -> Optional[MetricsSnapshot]:
-        for snapshot in self._snapshots:
-            if snapshot.name == name:
-                return snapshot
-        return None
-
-    def to_dict(self) -> Dict[str, Dict[str, Any]]:
-        """Deterministic counters of every registered snapshot."""
-        return {
-            snapshot.name: snapshot.to_dict()
-            for snapshot in self._snapshots
-        }
-
-    def render_lines(self, indent: str = "  ") -> List[str]:
-        """The single renderer replacing the bespoke ``summary()`` call
-        sites: one heading plus one summary block per snapshot."""
-        lines: List[str] = []
-        for snapshot in self._snapshots:
-            heading = getattr(
-                snapshot, "heading", f"{snapshot.name} metrics:"
-            )
-            lines.append(heading)
-            lines.append(snapshot.summary(indent=indent))
-        return lines
 
 
 def build_metrics_document(

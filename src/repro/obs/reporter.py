@@ -15,7 +15,9 @@ Levels:
   recovery hints operators must not miss.
 * :meth:`Reporter.info` — shown at normal verbosity and above; progress
   banners and per-run diagnostics (``# scenario: ...``).
-* :meth:`Reporter.debug` — shown only with ``-v``; scheduling detail.
+
+``-v`` selects :attr:`Verbosity.VERBOSE`; no message is written at that
+level yet, so it shows what normal verbosity shows.
 
 The stream is resolved at call time (default ``sys.stderr``) so pytest
 capture and stream redirection work without re-wiring the reporter.
@@ -67,9 +69,4 @@ class Reporter:
     def info(self, message: Any) -> None:
         """Routine diagnostics; hidden by ``--quiet``."""
         if self.verbosity >= Verbosity.NORMAL:
-            self._write(message)
-
-    def debug(self, message: Any) -> None:
-        """Scheduling/tracing detail; shown only with ``--verbose``."""
-        if self.verbosity >= Verbosity.VERBOSE:
             self._write(message)

@@ -32,7 +32,6 @@ from .faults import FaultPlan, FlakyIPInfo, FlakyPassiveDNS, FlakyVendor
 from .resilience import (
     SourceGuard,
     SourceHealth,
-    SourcesSnapshot,
     merge_health,
 )
 
@@ -78,7 +77,6 @@ __all__ = [
     "SourceHealth",
     "SourceRateLimited",
     "SourceTimeout",
-    "SourcesSnapshot",
     "StageFailed",
     "config_fingerprint",
     "merge_health",

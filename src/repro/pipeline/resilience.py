@@ -20,8 +20,8 @@ whatever evidence survives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..engine.breaker import CircuitBreaker, CircuitState
 from ..engine.ratelimit import RateLimiter
@@ -103,60 +103,6 @@ class SourceHealth:
         if self.state != CircuitState.CLOSED.value:
             parts.append(f"circuit={self.state}")
         return " ".join(parts)
-
-
-@dataclass
-class SourcesSnapshot:
-    """The guard's health ledgers behind the one metrics protocol.
-
-    Implements :class:`repro.obs.metrics.MetricsSnapshot` so source
-    degradation reports through the same :class:`MetricRegistry` as the
-    engine and stage-2 blocks.  Obtained from
-    :meth:`SourceGuard.metrics_snapshot`.
-    """
-
-    name: ClassVar[str] = "sources"
-    heading: ClassVar[str] = "source health:"
-
-    sources: Dict[str, SourceHealth] = field(default_factory=dict)
-    degraded_events: int = 0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "degraded_events": self.degraded_events,
-            "sources": {
-                source: ledger.to_dict()
-                for source, ledger in sorted(self.sources.items())
-            },
-        }
-
-    def merge(self, other: "SourcesSnapshot") -> None:
-        for source, ledger in other.sources.items():
-            existing = self.sources.get(source)
-            if existing is None:
-                self.sources[source] = SourceHealth(
-                    name=ledger.name,
-                    calls=ledger.calls,
-                    successes=ledger.successes,
-                    failures=ledger.failures,
-                    retries=ledger.retries,
-                    rate_limited=ledger.rate_limited,
-                    skipped=ledger.skipped,
-                    backoff_wait=ledger.backoff_wait,
-                    state=ledger.state,
-                )
-            else:
-                existing.merge(ledger)
-        self.degraded_events += other.degraded_events
-
-    def summary(self, indent: str = "") -> str:
-        lines = [
-            f"{indent}[{source}] {ledger.describe()}"
-            for source, ledger in sorted(self.sources.items())
-        ]
-        if not lines:
-            lines = [f"{indent}(no guarded calls)"]
-        return "\n".join(lines)
 
 
 class SourceGuard:
@@ -261,22 +207,6 @@ class SourceGuard:
                 state=self.breaker.state(source).value,
             )
         return out
-
-    def metrics_snapshot(self) -> SourcesSnapshot:
-        """The ledgers as one :class:`MetricsSnapshot` (see obs)."""
-        return SourcesSnapshot(
-            sources=self.snapshot(), degraded_events=self.degraded_events
-        )
-
-    @property
-    def degraded_sources(self) -> Tuple[str, ...]:
-        return tuple(
-            sorted(
-                source
-                for source, ledger in self._health.items()
-                if ledger.degraded
-            )
-        )
 
     # -- the guarded call --------------------------------------------------
 

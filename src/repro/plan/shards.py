@@ -416,9 +416,8 @@ def fold_resilience(target, data: Dict[str, Any]) -> None:
     """Fold encoded group counters into the parent's metrics in place.
 
     In place because the hunter and its engine alias one
-    :class:`~repro.resilience.metrics.ResilienceMetrics` instance —
-    the protocol ``merge`` returns a new object and would silently
-    break that aliasing.
+    :class:`~repro.resilience.metrics.ResilienceMetrics` instance; a
+    fold into a new object would silently break that aliasing.
     """
     target.hedges_fired += data.get("hedges_fired", 0)
     target.hedges_won += data.get("hedges_won", 0)

@@ -11,8 +11,8 @@ failure at runtime:
   :class:`~repro.engine.latency.ServerLatency`;
 * :class:`~repro.resilience.aimd.AimdController` — additive-increase /
   multiplicative-decrease send credit per server;
-* :class:`~repro.resilience.metrics.ResilienceMetrics` — the
-  :class:`~repro.obs.metrics.MetricsSnapshot` aggregating all of it.
+* :class:`~repro.resilience.metrics.ResilienceMetrics` — the counters
+  of all of it.
 
 The chaos-scenario harness lives in the heavier submodules
 :mod:`repro.resilience.scenario` (declarative time-windowed fault

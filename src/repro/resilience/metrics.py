@@ -1,12 +1,9 @@
-"""Resilience metrics snapshot: hedges, sheds, AIMD activity.
+"""Resilience metrics: hedges, sheds, AIMD activity.
 
-:class:`ResilienceMetrics` implements the
-:class:`~repro.obs.metrics.MetricsSnapshot` protocol so it plugs into
-the same :class:`~repro.obs.metrics.MetricRegistry` as the scan-engine
-and stage-2 snapshots.  It is registered (and rendered, and included in
-the metrics document) only when :attr:`active` — a healthy run with
-resilience enabled produces no counters and therefore byte-identical
-reports to a run without resilience.
+:class:`ResilienceMetrics` is attached to the report (and rendered,
+and included in the metrics document) only when :attr:`active` — a
+healthy run with resilience enabled produces no counters and therefore
+byte-identical reports to a run without resilience.
 """
 
 from __future__ import annotations
@@ -18,9 +15,6 @@ __all__ = ["ResilienceMetrics"]
 
 class ResilienceMetrics:
     """Deterministic counters for the adaptive resilience layer."""
-
-    name = "resilience"
-    heading = "resilience metrics:"
 
     __slots__ = ("hedges_fired", "hedges_won", "hedges_wasted", "shed",
                  "aimd_cuts", "aimd_wait", "spurious_retransmits")
@@ -70,21 +64,6 @@ class ResilienceMetrics:
             "aimd_wait": round(self.aimd_wait, 6),
             "spurious_retransmits": self.spurious_retransmits,
         }
-
-    def merge(self, other: "ResilienceMetrics") -> "ResilienceMetrics":
-        merged = ResilienceMetrics()
-        merged.hedges_fired = self.hedges_fired + other.hedges_fired
-        merged.hedges_won = self.hedges_won + other.hedges_won
-        merged.hedges_wasted = self.hedges_wasted + other.hedges_wasted
-        merged.aimd_cuts = self.aimd_cuts + other.aimd_cuts
-        merged.aimd_wait = self.aimd_wait + other.aimd_wait
-        merged.spurious_retransmits = (
-            self.spurious_retransmits + other.spurious_retransmits
-        )
-        for source in (self.shed, other.shed):
-            for key, count in source.items():
-                merged.shed[key] = merged.shed.get(key, 0) + count
-        return merged
 
     def summary(self, indent: str = "") -> str:
         lines = [

@@ -108,9 +108,6 @@ class ScenarioScript:
             "windows": [window.to_dict() for window in self.windows],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     @classmethod
     def from_dict(cls, raw: Dict[str, Any]) -> "ScenarioScript":
         extra = set(raw) - {"name", "seed", "description", "windows"}

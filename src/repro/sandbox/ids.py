@@ -123,13 +123,6 @@ def all_of(*predicates: FlowPredicate) -> FlowPredicate:
     return predicate
 
 
-def any_of(*predicates: FlowPredicate) -> FlowPredicate:
-    def predicate(flow: FlowRecord) -> bool:
-        return any(item(flow) for item in predicates)
-
-    return predicate
-
-
 class IdsEngine:
     """Evaluates rules over a capture; the sandbox's detection backend."""
 

@@ -9,11 +9,11 @@ evidence URHunter's stage 3 consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Iterable, List, Optional
 
 from ..net.network import SimulatedInternet
-from ..net.traffic import Protocol, TrafficCapture
-from .ids import Alert, IdsEngine, Severity
+from ..net.traffic import TrafficCapture
+from .ids import Alert, IdsEngine
 from .malware import MalwareSample, SandboxEnvironment
 from .rules import default_capture_rules, default_rules
 
@@ -33,25 +33,9 @@ class SandboxReport:
         excluding connectivity checks)."""
         return IdsEngine.actionable(self.alerts)
 
-    def alerted_ips(self, min_severity: Severity = Severity.MEDIUM) -> Set[str]:
-        """Destination IPs of alerts at or above ``min_severity``."""
-        return {
-            alert.dst
-            for alert in self.actionable_alerts
-            if alert.severity >= min_severity
-        }
-
-    def contacted_ips(self) -> Set[str]:
-        """Every non-DNS destination the sample touched."""
-        return set(self.capture.destinations(exclude=Protocol.DNS))
-
     def dns_queries(self) -> List[str]:
         """Names the sample looked up, in order."""
         return [qname for _, qname in self.capture.dns_questions()]
-
-    def queried_nameservers(self) -> Set[str]:
-        """Nameserver IPs the sample queried directly."""
-        return set(self.capture.destinations(Protocol.DNS))
 
 
 class Sandbox:
@@ -93,17 +77,3 @@ class Sandbox:
         self, samples: Iterable[MalwareSample]
     ) -> List[SandboxReport]:
         return [self.run(sample) for sample in samples]
-
-    # -- corpus-level views ---------------------------------------------------
-
-    def alerts_by_destination(self) -> Dict[str, List[Alert]]:
-        """Actionable alerts across all runs, grouped by destination IP."""
-        grouped: Dict[str, List[Alert]] = {}
-        for report in self.reports:
-            for alert in report.actionable_alerts:
-                grouped.setdefault(alert.dst, []).append(alert)
-        return grouped
-
-    def malicious_traffic_ips(self) -> Set[str]:
-        """IPs with IDS-confirmed malicious traffic (URHunter condition 2)."""
-        return set(self.alerts_by_destination())

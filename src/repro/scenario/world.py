@@ -152,18 +152,6 @@ class World:
     #: ground truth: (domain, rrtype, rdata) triples the attacker planted
     attacker_identities: Set[Tuple[Name, int, str]]
 
-    def provider_of_nameserver(self, address: str) -> Optional[str]:
-        for target in self.nameserver_targets:
-            if target.address == address:
-                return target.provider
-        return None
-
-    def is_attacker_record(
-        self, domain: Name, rrtype: int, rdata_text: str
-    ) -> bool:
-        """Ground-truth check used by precision/recall tests."""
-        return (domain, rrtype, rdata_text) in self.attacker_identities
-
 
 def build_world(config: Optional[ScenarioConfig] = None) -> World:
     """Assemble a complete simulated world from ``config``."""
@@ -375,6 +363,9 @@ class _WorldBuilder:
                     continue
             ns_set = provider.nameserver_set_for_delegation(hosted)
             self.root.delegate(domain, ns_set)
+            if provider.policy.verification.blocks_urs:
+                # hosting verified the zone before this delegation existed
+                provider.recheck_verification(hosted)
             self.pdns.observe_delegation(
                 domain, [str(ns) for ns, _ in ns_set], now
             )

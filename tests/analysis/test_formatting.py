@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.formatting import (
     format_count_with_pct,
-    format_pct,
     render_bar_chart,
     render_stacked_shares,
     render_table,
@@ -83,9 +82,5 @@ class TestRenderStacked:
 
 
 class TestScalarFormats:
-    def test_format_pct(self):
-        assert format_pct(25.414) == "25.41%"
-        assert format_pct(25.414, digits=1) == "25.4%"
-
     def test_format_count_with_pct(self):
         assert format_count_with_pct(401718, 25.41) == "401,718 (25.41%)"

@@ -208,7 +208,9 @@ class TestAnalyze:
         result = analyzer.analyze(entries)
         assert set(result.ip_verdicts) == {INTEL_IP, IDS_IP}
         assert len(result.malicious) == 2
-        assert len(result.malicious_ips()) == 2
+        assert all(
+            verdict.is_malicious for verdict in result.ip_verdicts.values()
+        )
 
     def test_reason_records_evidence_source(self, analyzer):
         entries = [suspicious_a("v.com", "10.0.0.1", BOTH_IP)]

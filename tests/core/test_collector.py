@@ -7,12 +7,11 @@ from repro.core.collector import (
     DomainTarget,
     NameserverTarget,
     ResponseCollector,
-    select_target_nameservers,
 )
 from repro.core.correctness import CorrectRecordDatabase
 from repro.dns.name import name
-from repro.dns.rdata import RRType
-from repro.dns.server import AuthoritativeServer, make_protective_server
+from repro.dns.rdata import A, TXT, RRType
+from repro.dns.server import AuthoritativeServer, UnhostedPolicy
 from repro.dns.zone import zone_from_records
 from repro.engine import BatchedEngine
 from repro.intel.ipinfo import IpInfoDatabase
@@ -45,7 +44,15 @@ def setup():
     )
     network.register_dns_host(NS_A, server_a)
     network.register_dns_host(
-        NS_B, make_protective_server("ns-b.host.net", "203.0.113.250")
+        NS_B,
+        AuthoritativeServer(
+            "ns-b.host.net",
+            unhosted_policy=UnhostedPolicy.PROTECTIVE,
+            protective_records=[
+                (RRType.A, A("203.0.113.250")),
+                (RRType.TXT, TXT.from_value("this domain is not hosted here")),
+            ],
+        ),
     )
     network.register_dns_host(NS_C, AuthoritativeServer("ns-c.host.net"))
 
@@ -289,21 +296,3 @@ class TestEngineSelection:
         engine = BatchedEngine(network, "203.0.113.53")
         collector = ResponseCollector(network, engine=engine)
         assert collector.engine is engine
-
-
-class TestNameserverSelection:
-    def test_threshold_applied(self):
-        counts = {"10.0.0.1": 100, "10.0.0.2": 10}
-        info = {
-            "10.0.0.1": ("BigHost", name("ns1.big.net")),
-            "10.0.0.2": ("SmallHost", None),
-        }
-        selected = select_target_nameservers(counts, info, min_hosted=50)
-        assert [target.address for target in selected] == ["10.0.0.1"]
-        assert selected[0].provider == "BigHost"
-
-    def test_missing_info_defaults(self):
-        selected = select_target_nameservers(
-            {"10.0.0.9": 60}, {}, min_hosted=50
-        )
-        assert selected[0].provider == "unknown"

@@ -205,10 +205,6 @@ class TestDatabase:
         assert "US" in profile.countries
         assert "victim.com Inc" in profile.cert_orgs
 
-    def test_has_profile(self, database):
-        assert database.has_profile(DOMAIN)
-        assert not database.has_profile("empty.com")
-
     def test_domains_sorted(self, database):
         database.observe_a("aaa.com", LEGIT_IP)
         domains = database.domains()

@@ -7,8 +7,6 @@ from repro.core.txt import (
     TxtCategory,
     classify_txt,
     extract_ips,
-    is_email_related,
-    spf_mechanisms,
 )
 
 
@@ -42,11 +40,6 @@ class TestClassification:
         # An SPF record containing "verify" in a macro is still SPF.
         assert classify_txt("v=spf1 exists:verify.%{i}.x -all") == TxtCategory.SPF
 
-    def test_email_related(self):
-        assert is_email_related("v=spf1 -all")
-        assert is_email_related("v=DMARC1; p=none")
-        assert not is_email_related("cmd=blob")
-
 
 class TestIpExtraction:
     def test_spf_ip4_mechanisms(self):
@@ -70,15 +63,6 @@ class TestIpExtraction:
     def test_boundary_values(self):
         assert extract_ips("x 255.255.255.255 y") == ["255.255.255.255"]
         assert extract_ips("x 0.0.0.0 y") == ["0.0.0.0"]
-
-
-class TestSpfMechanisms:
-    def test_mechanisms_extracted(self):
-        mechanisms = spf_mechanisms("v=spf1 ip4:1.2.3.4 include:x.y -all")
-        assert mechanisms == ["ip4:1.2.3.4", "include:x.y", "-all"]
-
-    def test_non_spf_returns_none(self):
-        assert spf_mechanisms("v=DMARC1; p=none") is None
 
 
 @given(st.text(max_size=300))

@@ -61,11 +61,6 @@ class TestRegistrableDomain:
         assert DEFAULT_PSL.registrable_domain("gov.cn") is None
         assert DEFAULT_PSL.registrable_domain("com") is None
 
-    def test_is_registrable(self):
-        assert DEFAULT_PSL.is_registrable("example.com")
-        assert not DEFAULT_PSL.is_registrable("www.example.com")
-        assert not DEFAULT_PSL.is_registrable("com")
-
 
 class TestIsPublicSuffix:
     @pytest.mark.parametrize(

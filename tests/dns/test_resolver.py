@@ -262,7 +262,7 @@ class TestDelegationCache:
 
     def test_a_cut_lives_as_long_as_its_shortest_lived_record(self, tree):
         network, root, resolver = tree
-        com = root.tld_zone("com")
+        com = root.ensure_tld("com")
         com.remove("ns1.example.com", RRType.A)
         com.add("ns1.example.com", A("10.10.0.1"), ttl=60)
         resolver.resolve("example.com", RRType.A)

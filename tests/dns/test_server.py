@@ -8,9 +8,19 @@ from repro.dns.rdata import A, RRType, TXT
 from repro.dns.server import (
     AuthoritativeServer,
     UnhostedPolicy,
-    make_protective_server,
 )
 from repro.dns.zone import Zone, zone_from_records
+
+
+def protective_server(hostname, warning_ip):
+    return AuthoritativeServer(
+        hostname,
+        unhosted_policy=UnhostedPolicy.PROTECTIVE,
+        protective_records=[
+            (RRType.A, A(warning_ip)),
+            (RRType.TXT, TXT.from_value("this domain is not hosted here")),
+        ],
+    )
 
 
 @pytest.fixture
@@ -78,7 +88,9 @@ class TestAuthoritativeAnswers:
     def test_referral_with_glue(self, server):
         response = ask(server, "deep.child.example.com")
         assert response.is_referral()
-        assert response.glue_address("ns1.child.example.com") == "10.5.5.5"
+        assert [
+            (record.owner, record.rdata) for record in response.additionals
+        ] == [(name("ns1.child.example.com"), A("10.5.5.5"))]
 
     def test_no_question_formerr(self, server):
         response = server.handle_dns_query(Message(), "1.2.3.4", None)
@@ -96,7 +108,7 @@ class TestUnhostedBehaviour:
         assert response.header.rcode == Rcode.REFUSED
 
     def test_protective_records(self):
-        srv = make_protective_server("ns1.prot.net", "203.0.113.200")
+        srv = protective_server("ns1.prot.net", "203.0.113.200")
         response = ask(srv, "any-domain.org")
         assert response.header.rcode == Rcode.NOERROR
         assert response.answers[0].rdata == A("203.0.113.200")
@@ -104,12 +116,12 @@ class TestUnhostedBehaviour:
         assert response.answers[0].owner == name("any-domain.org")
 
     def test_protective_txt(self):
-        srv = make_protective_server("ns1.prot.net", "203.0.113.200")
+        srv = protective_server("ns1.prot.net", "203.0.113.200")
         response = ask(srv, "any-domain.org", RRType.TXT)
         assert isinstance(response.answers[0].rdata, TXT)
 
     def test_protective_nodata_for_other_types(self):
-        srv = make_protective_server("ns1.prot.net", "203.0.113.200")
+        srv = protective_server("ns1.prot.net", "203.0.113.200")
         response = ask(srv, "any-domain.org", RRType.MX)
         assert response.header.rcode == Rcode.NOERROR
         assert response.answers == []

@@ -490,7 +490,7 @@ class TestCompiledAnswerCache:
         first.questions.append(Question(name("x.example"), RRType.TXT))
         second = server.handle_dns_query(query, "198.51.100.1", network)
         assert network.scanpath.compiled_hits == 1
-        assert second.answer_rdatas() == [A("192.0.2.10")]
+        assert [record.rdata for record in second.answers] == [A("192.0.2.10")]
         assert second.compiled_wire == wire
         assert encode_message(second) == wire
         (entry,) = server._compiled.values()
@@ -518,13 +518,13 @@ class TestCompiledAnswerCache:
         network = _fast_network()
         query = Message.make_query("www.victim.example", RRType.A, message_id=5)
         before = server.handle_dns_query(query, "198.51.100.1", network)
-        assert before.answer_rdatas() == [A("192.0.2.10")]
+        assert [record.rdata for record in before.answers] == [A("192.0.2.10")]
         serial_before = zone.serial
         zone.remove("www", RRType.A)
         zone.add("www", A("203.0.113.99"))
         assert zone.serial > serial_before
         after = server.handle_dns_query(query, "198.51.100.1", network)
-        assert after.answer_rdatas() == [A("203.0.113.99")]
+        assert [record.rdata for record in after.answers] == [A("203.0.113.99")]
         assert network.scanpath.compiled_misses == 2
 
     def test_zone_map_changes_bump_generation_and_flush(self):
@@ -550,7 +550,7 @@ class TestCompiledAnswerCache:
         server.protective_records = [(RRType.A, A("198.18.0.1"))]
         protective = server.handle_dns_query(query, "198.51.100.1", network)
         assert protective.rcode == Rcode.NOERROR
-        assert protective.answer_rdatas() == [A("198.18.0.1")]
+        assert [record.rdata for record in protective.answers] == [A("198.18.0.1")]
 
     def test_naive_and_compiled_answers_encode_identically(self):
         rng = random.Random(SEED)

@@ -227,16 +227,8 @@ class TestLookup:
 
 
 class TestIntrospection:
-    def test_owners_sorted(self, zone):
-        owners = list(zone.owners())
-        assert owners == sorted(owners)
-
     def test_len_counts_records(self, zone):
         assert len(zone) == len(list(zone.records()))
-
-    def test_has_owner(self, zone):
-        assert zone.has_owner("api.example.com")
-        assert not zone.has_owner("zzz.example.com")
 
     def test_nameserver_targets(self):
         z = Zone("example.com")

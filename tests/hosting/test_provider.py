@@ -57,14 +57,6 @@ class TestHosting:
             hosted.nameservers
         )
 
-    def test_remove_record(self):
-        _, provider = make_provider()
-        hosted = provider.host_zone(
-            provider.create_account(), "victim.com", is_registered=True
-        )
-        provider.add_record(hosted, "victim.com", "A", "203.0.113.1")
-        assert provider.remove_record(hosted, "victim.com", RRType.A) == 1
-
     def test_delete_zone_stops_serving(self):
         network, provider = make_provider()
         hosted = provider.host_zone(
@@ -495,39 +487,3 @@ class TestFleetWideServing:
         attacker_ns = attacker_zone.nameserver_addresses()[0]
         response = query(network, attacker_ns, "victim.com")
         assert response.answers[0].rdata.address == "6.6.6.6"
-
-
-class TestPaidSync:
-    def test_sync_requires_policy_and_payment(self):
-        _, provider = make_provider(
-            HostingPolicy(
-                paid_sync_all_nameservers=False, pool_size=4
-            )
-        )
-        hosted = provider.host_zone(
-            provider.create_account(paid=True), "v.com", is_registered=True
-        )
-        with pytest.raises(HostingError):
-            provider.sync_all_nameservers(hosted)
-
-    def test_sync_spreads_to_pool(self):
-        network, provider = make_provider(
-            HostingPolicy(
-                paid_sync_all_nameservers=True,
-                ns_allocation=NsAllocation.ACCOUNT_FIXED,
-                nameservers_per_zone=2,
-                pool_size=6,
-            )
-        )
-        free_hosted = provider.host_zone(
-            provider.create_account(paid=False), "f.com", is_registered=True
-        )
-        with pytest.raises(HostingError):
-            provider.sync_all_nameservers(free_hosted)
-        hosted = provider.host_zone(
-            provider.create_account(paid=True), "v.com", is_registered=True
-        )
-        provider.sync_all_nameservers(hosted)
-        assert len(hosted.nameservers) == len(provider.pool)
-        for entry in provider.pool:
-            assert entry.server.hosts_zone("v.com")

@@ -4,7 +4,7 @@ import pytest
 
 from repro.dns.message import Message
 from repro.dns.name import name
-from repro.dns.rdata import RRType
+from repro.dns.rdata import A, RRType
 from repro.dns.resolver import RecursiveResolver
 from repro.hosting.registry import DnsRoot, RegistryError
 from repro.net.address import PrefixPlanner
@@ -43,16 +43,12 @@ class TestTlds:
         # TLD server is authoritative for its own NS records.
         assert response.answers
 
-    def test_unknown_tld_zone(self, root):
-        with pytest.raises(RegistryError):
-            root.tld_zone("nope")
-
 
 class TestRegistration:
     def test_register(self, root):
         registration = root.register("example.com", "alice")
         assert registration.registrant == "alice"
-        assert not registration.is_delegated
+        assert not registration.nameservers
         assert root.is_registered("example.com")
 
     def test_double_registration_rejected(self, root):
@@ -121,7 +117,9 @@ class TestDelegation:
         response = network.query_dns("9.9.9.9", tld_address, query)
         assert response.is_referral()
         # In-bailiwick target carries glue.
-        assert response.glue_address("ns1.example.com") == "10.0.0.1"
+        assert [
+            (record.owner, record.rdata) for record in response.additionals
+        ] == [(name("ns1.example.com"), A("10.0.0.1"))]
 
 
 class TestConnectProvider:

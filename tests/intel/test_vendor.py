@@ -4,7 +4,6 @@ import pytest
 
 from repro.intel.aggregator import ThreatIntelAggregator
 from repro.intel.vendor import (
-    IntelTag,
     SecurityVendor,
     default_vendor_fleet,
 )
@@ -13,9 +12,9 @@ from repro.intel.vendor import (
 class TestSecurityVendor:
     def test_flag_and_query(self):
         vendor = SecurityVendor("VT")
-        vendor.flag("6.6.6.6", [IntelTag.TROJAN])
+        vendor.flag("6.6.6.6", ["Trojan"])
         assert vendor.is_malicious("6.6.6.6")
-        assert vendor.tags("6.6.6.6") == {IntelTag.TROJAN}
+        assert vendor.tags("6.6.6.6") == {"Trojan"}
 
     def test_unflagged_address(self):
         vendor = SecurityVendor("VT")
@@ -24,9 +23,9 @@ class TestSecurityVendor:
 
     def test_tags_merge_on_reflag(self):
         vendor = SecurityVendor("VT")
-        vendor.flag("6.6.6.6", [IntelTag.TROJAN])
-        vendor.flag("6.6.6.6", [IntelTag.CC])
-        assert vendor.tags("6.6.6.6") == {IntelTag.TROJAN, IntelTag.CC}
+        vendor.flag("6.6.6.6", ["Trojan"])
+        vendor.flag("6.6.6.6", ["C&C"])
+        assert vendor.tags("6.6.6.6") == {"Trojan", "C&C"}
 
     def test_first_seen_preserved(self):
         vendor = SecurityVendor("VT")
@@ -67,9 +66,9 @@ class TestAggregator:
     @pytest.fixture
     def fleet(self):
         fleet = default_vendor_fleet(4)
-        fleet[0].flag("6.6.6.6", [IntelTag.TROJAN])
-        fleet[1].flag("6.6.6.6", [IntelTag.BOTNET])
-        fleet[2].flag("7.7.7.7", [IntelTag.SCANNER])
+        fleet[0].flag("6.6.6.6", ["Trojan"])
+        fleet[1].flag("6.6.6.6", ["Botnet"])
+        fleet[2].flag("7.7.7.7", ["Scanner"])
         return fleet
 
     def test_requires_vendors(self):
@@ -81,7 +80,7 @@ class TestAggregator:
         report = aggregator.report("6.6.6.6")
         assert report.is_malicious
         assert report.vendor_count == 2
-        assert report.tags == {IntelTag.TROJAN, IntelTag.BOTNET}
+        assert report.tags == {"Trojan", "Botnet"}
         assert report.flagging_vendors == {"VirusTotal", "QAX"}
 
     def test_clean_address(self, fleet):
@@ -95,16 +94,6 @@ class TestAggregator:
         assert aggregator.is_flagged("7.7.7.7")
         assert aggregator.vendor_count("7.7.7.7") == 1
         assert not aggregator.is_flagged("9.9.9.9")
-
-    def test_union_blacklist(self, fleet):
-        aggregator = ThreatIntelAggregator(fleet)
-        assert set(aggregator.union_blacklist()) == {"6.6.6.6", "7.7.7.7"}
-
-    def test_bulk_report(self, fleet):
-        aggregator = ThreatIntelAggregator(fleet)
-        reports = aggregator.bulk_report(["6.6.6.6", "9.9.9.9"])
-        assert reports["6.6.6.6"].is_malicious
-        assert not reports["9.9.9.9"].is_malicious
 
 
 class CountingVendor(SecurityVendor):
@@ -123,7 +112,7 @@ class TestAggregatorCache:
     @pytest.fixture
     def vendor(self):
         vendor = CountingVendor("VT")
-        vendor.flag("6.6.6.6", [IntelTag.TROJAN])
+        vendor.flag("6.6.6.6", ["Trojan"])
         return vendor
 
     def test_report_is_memoized(self, vendor):
@@ -132,9 +121,8 @@ class TestAggregatorCache:
         second = aggregator.report("6.6.6.6")
         assert first == second
         assert vendor.reads == 1
-        info = aggregator.cache_info()
-        assert info["hits"] == 1
-        assert info["misses"] == 1
+        assert aggregator.cache_hits == 1
+        assert aggregator.cache_misses == 1
 
     def test_query_helpers_share_one_probe(self, vendor):
         # is_flagged + vendor_count + tags used to cost three vendor
@@ -142,7 +130,7 @@ class TestAggregatorCache:
         aggregator = ThreatIntelAggregator([vendor])
         assert aggregator.is_flagged("6.6.6.6")
         assert aggregator.vendor_count("6.6.6.6") == 1
-        assert aggregator.tags("6.6.6.6") == {IntelTag.TROJAN}
+        assert aggregator.tags("6.6.6.6") == {"Trojan"}
         assert vendor.reads == 1
 
     def test_flag_invalidates_cached_verdict(self, vendor):
@@ -162,19 +150,13 @@ class TestAggregatorCache:
         aggregator = ThreatIntelAggregator([vendor], cache_size=2)
         for address in ("1.1.1.1", "2.2.2.2", "3.3.3.3"):
             aggregator.report(address)
-        info = aggregator.cache_info()
-        assert info["size"] == 2
-        assert info["max_size"] == 2
-        # the oldest entry was evicted: re-reading it is a miss
+        # the newest entry stays: re-reading it is a hit
         reads_before = vendor.reads
+        aggregator.report("3.3.3.3")
+        assert vendor.reads == reads_before
+        # the oldest entry was evicted: re-reading it is a miss
         aggregator.report("1.1.1.1")
         assert vendor.reads == reads_before + 1
-
-    def test_cache_clear(self, vendor):
-        aggregator = ThreatIntelAggregator([vendor])
-        aggregator.report("6.6.6.6")
-        aggregator.cache_clear()
-        assert aggregator.cache_info()["size"] == 0
 
     def test_cache_size_validation(self, vendor):
         with pytest.raises(ValueError):

@@ -8,11 +8,9 @@ from repro.net.address import (
     AddressPool,
     Prefix,
     PrefixPlanner,
-    in_prefix,
     int_to_ip,
     ip_to_int,
     same_slash24,
-    slash24,
 )
 
 
@@ -34,18 +32,9 @@ class TestConversions:
         with pytest.raises(AddressError):
             int_to_ip(2**32)
 
-    def test_slash24(self):
-        assert slash24("192.0.2.77") == "192.0.2.0/24"
-
     def test_same_slash24(self):
         assert same_slash24("10.1.2.3", "10.1.2.200")
         assert not same_slash24("10.1.2.3", "10.1.3.3")
-
-    def test_in_prefix(self):
-        assert in_prefix("10.1.2.3", "10.1.0.0/16")
-        assert not in_prefix("10.2.0.1", "10.1.0.0/16")
-        with pytest.raises(AddressError):
-            in_prefix("10.1.1.1", "not-a-prefix")
 
 
 class TestPrefix:
@@ -88,11 +77,6 @@ class TestAddressPool:
         second = pool.allocate()
         assert first.startswith("10.0.0.")
         assert second.startswith("10.0.1.")
-
-    def test_allocate_many(self):
-        pool = AddressPool.from_cidrs("p", "10.0.0.0/24")
-        assert len(pool.allocate_many(5)) == 5
-        assert len(pool.allocated) == 5
 
     def test_contains(self):
         pool = AddressPool.from_cidrs("p", "10.0.0.0/24")

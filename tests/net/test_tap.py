@@ -144,14 +144,16 @@ def test_detonation_views_equal_the_eager_list():
     for report in reports:
         flows = list(report.capture)
         assert flows == report.capture.flows
-        assert report.contacted_ips() == {
+        assert set(report.capture.destinations(exclude=Protocol.DNS)) == {
             flow.dst for flow in flows if flow.protocol is not Protocol.DNS
         }
         lookups = [flow for flow in flows if flow.protocol is Protocol.DNS]
         assert report.dns_queries() == [
             str(flow.metadata.get("qname")) for flow in lookups
         ]
-        assert report.queried_nameservers() == {flow.dst for flow in lookups}
+        assert set(report.capture.destinations(Protocol.DNS)) == {
+            flow.dst for flow in lookups
+        }
     every_flow = [flow for report in reports for flow in report.capture]
     failures = [flow for flow in every_flow if not flow.success]
     assert failures, "no failure row exercised"

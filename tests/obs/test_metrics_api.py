@@ -1,16 +1,9 @@
-"""The one MetricsSnapshot protocol across all three metric holders."""
+"""The report's metric blocks and the consolidated metrics document."""
 
 import pytest
 
 from repro.core import URHunter
-from repro.core.parallel import Stage2Metrics
-from repro.engine.metrics import ScanMetrics
-from repro.obs.metrics import (
-    MetricRegistry,
-    MetricsSnapshot,
-    build_metrics_document,
-)
-from repro.pipeline.resilience import SourceGuard, SourcesSnapshot
+from repro.obs.metrics import build_metrics_document
 from repro.scenario import build_world, small_config
 
 
@@ -20,100 +13,26 @@ def report():
     return URHunter.from_world(world).run()
 
 
-class TestProtocolConformance:
-    """Every retrofitted holder satisfies the runtime-checkable protocol."""
-
-    def test_scan_metrics(self):
-        assert isinstance(ScanMetrics(), MetricsSnapshot)
-        assert ScanMetrics.name == "scan-engine"
-
-    def test_stage2_metrics(self):
-        assert isinstance(Stage2Metrics(), MetricsSnapshot)
-        assert Stage2Metrics.name == "stage2-exclusion"
-
-    def test_sources_snapshot(self):
-        assert isinstance(SourcesSnapshot(), MetricsSnapshot)
-        assert SourcesSnapshot.name == "sources"
-
+class TestReportBlocks:
     def test_to_dict_returns_plain_data(self, report):
         for snapshot in (report.scan_metrics, report.stage2_metrics):
             data = snapshot.to_dict()
             assert isinstance(data, dict) and data
 
-
-class TestMerge:
-    def test_stage2_merge_sums_counters(self):
-        a = Stage2Metrics(records=10, cache_hits=4, cache_misses=6,
-                          distinct_keys=6, memoized=True)
-        b = Stage2Metrics(records=5, cache_hits=1, cache_misses=4,
-                          distinct_keys=4, memoized=True)
-        a.merge(b)
-        assert a.records == 15
-        assert a.cache_hits == 5
-
-    def test_sources_merge_folds_ledgers(self):
-        guard_a, guard_b = SourceGuard(), SourceGuard()
-        guard_a.health("pdns").calls = 3
-        guard_b.health("pdns").calls = 2
-        guard_b.health("ipinfo").calls = 1
-        merged = guard_a.metrics_snapshot()
-        merged.merge(guard_b.metrics_snapshot())
-        assert merged.sources["pdns"].calls == 5
-        assert merged.sources["ipinfo"].calls == 1
-
-
-class TestRegistry:
-    def test_registration_is_validated(self):
-        registry = MetricRegistry()
-        with pytest.raises(TypeError, match="does not implement"):
-            registry.register(object())
-
-    def test_get_by_name(self):
-        registry = MetricRegistry()
-        scan = registry.register(ScanMetrics())
-        assert registry.get("scan-engine") is scan
-        assert registry.get("nope") is None
-
-    def test_render_matches_legacy_report_blocks(self, report):
-        """The single renderer reproduces the bespoke summary() layout
-        byte for byte — the report's summary() text is a CI-diffed
-        surface and must not move."""
-        expected = [
-            "scan engine metrics:",
-            report.scan_metrics.summary(indent="  "),
-            "stage-2 exclusion metrics:",
-            report.stage2_metrics.summary(indent="  "),
-        ]
-        lines = report.metric_registry().render_lines(indent="  ")
-        assert lines == expected
-
-    def test_report_summary_embeds_registry_rendering(self, report):
-        rendered = "\n".join(
-            report.metric_registry().render_lines(indent="  ")
+    def test_summary_renders_each_block_under_its_heading(self, report):
+        """The report's summary() text is a CI-diffed surface: each
+        attached metric holder prints as its heading plus its own
+        summary, in a fixed order."""
+        blocks = "\n".join(
+            [
+                "scan engine metrics:",
+                report.scan_metrics.summary(indent="  "),
+                "stage-2 exclusion metrics:",
+                report.stage2_metrics.summary(indent="  "),
+            ]
         )
-        assert rendered in report.summary()
-
-    def test_generic_heading_fallback(self):
-        class Bare:
-            name = "bare"
-
-            def to_dict(self):
-                return {}
-
-            def merge(self, other):
-                pass
-
-            def summary(self, indent=""):
-                return f"{indent}(nothing)"
-
-        registry = MetricRegistry()
-        registry.register(Bare())
-        assert registry.render_lines() == ["bare metrics:", "  (nothing)"]
-
-    def test_registry_to_dict_keys_by_snapshot_name(self, report):
-        registry = report.metric_registry()
-        data = registry.to_dict()
-        assert set(data) == {"scan-engine", "stage2-exclusion"}
+        assert report.summary().endswith(blocks)
+        assert "resilience metrics:" not in report.summary()
 
 
 class TestMetricsDocument:

@@ -11,13 +11,12 @@ def lines(stream: io.StringIO):
 
 
 class TestLevels:
-    def test_normal_shows_info_hides_debug(self):
+    def test_normal_shows_every_level(self):
         stream = io.StringIO()
         reporter = Reporter(Verbosity.NORMAL, stream=stream)
         reporter.error("e")
         reporter.warn("w")
         reporter.info("i")
-        reporter.debug("d")
         assert lines(stream) == ["e", "w", "i"]
 
     def test_quiet_keeps_errors_and_warnings(self):
@@ -28,15 +27,13 @@ class TestLevels:
         reporter.error("error: boom")
         reporter.warn("warning: degraded")
         reporter.info("# scenario: ...")
-        reporter.debug("# detail")
         assert lines(stream) == ["error: boom", "warning: degraded"]
 
-    def test_verbose_shows_everything(self):
+    def test_verbose_shows_info(self):
         stream = io.StringIO()
         reporter = Reporter(Verbosity.VERBOSE, stream=stream)
         reporter.info("i")
-        reporter.debug("d")
-        assert lines(stream) == ["i", "d"]
+        assert lines(stream) == ["i"]
 
 
 class TestStreamBinding:
@@ -59,10 +56,9 @@ class TestStreamBinding:
         reporter.error("a")
         reporter.warn("b")
         reporter.info("c")
-        reporter.debug("d")
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == ["a", "b", "c", "d"]
+        assert captured.err.splitlines() == ["a", "b", "c"]
 
 
 class TestVerbosityCoercion:

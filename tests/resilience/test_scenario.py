@@ -1,6 +1,8 @@
 """Scenario scripts: parsing, round-trips, and compilation onto the
 simulator's fault hooks."""
 
+import json
+
 import pytest
 
 from repro.resilience.scenario import (
@@ -23,7 +25,8 @@ def world():
 class TestScriptParsing:
     def test_bundled_scripts_round_trip_through_json(self):
         for script in BUNDLED_SCENARIOS:
-            assert ScenarioScript.from_json(script.to_json()) == script
+            text = json.dumps(script.to_dict())
+            assert ScenarioScript.from_json(text) == script
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ScenarioError, match="unknown fault window"):
@@ -59,7 +62,7 @@ class TestLoadScenario:
 
     def test_json_path_loads(self, tmp_path):
         path = tmp_path / "custom.json"
-        path.write_text(BUNDLED_SCENARIOS[0].to_json())
+        path.write_text(json.dumps(BUNDLED_SCENARIOS[0].to_dict()))
         assert load_scenario(str(path)) == BUNDLED_SCENARIOS[0]
 
 

@@ -96,7 +96,7 @@ class TestDarkIot:
         assert len(samples) == 2
         report = sandbox.run(samples[0])
         assert "api.gitlab.com" in report.dns_queries()
-        assert C2_IP in report.contacted_ips()
+        assert C2_IP in report.capture.destinations(exclude=Protocol.DNS)
         assert report.actionable_alerts
 
     def test_2021_falls_back_to_emerdns(self, world):
@@ -105,8 +105,8 @@ class TestDarkIot:
         sandbox = Sandbox(world, victim_ip="10.99.0.1")
         samples = make_darkiot_2021_variants(ur("api.gitlab.com"), EMER_NS)
         report = sandbox.run(samples[0])
-        assert EMER_NS in report.queried_nameservers()
-        assert C2_IP in report.contacted_ips()
+        assert EMER_NS in report.capture.destinations(Protocol.DNS)
+        assert C2_IP in report.capture.destinations(exclude=Protocol.DNS)
         assert any("EmerDNS" in note for note in report.notes)
 
     def test_2023_variant_abandons_emerdns(self, sandbox):
@@ -114,8 +114,8 @@ class TestDarkIot:
             ur("raw.pastebin.com"), ur("dark.libre")
         )
         report = sandbox.run(sample)
-        assert EMER_NS not in report.queried_nameservers()
-        assert C2_IP in report.contacted_ips()
+        assert EMER_NS not in report.capture.destinations(Protocol.DNS)
+        assert C2_IP in report.capture.destinations(exclude=Protocol.DNS)
 
     def test_2023_opennic_via_cloudns_when_pastebin_gone(self, world):
         # Remove the pastebin zone; the OpenNIC UR on the same provider
@@ -127,7 +127,7 @@ class TestDarkIot:
             ur("raw.pastebin.com"), ur("dark.libre")
         )
         report = sandbox.run(sample)
-        assert C2_IP in report.contacted_ips()
+        assert C2_IP in report.capture.destinations(exclude=Protocol.DNS)
         assert any("EmerDNS abandoned" in note for note in report.notes)
 
     def test_dormant_without_any_c2(self, world):
@@ -138,7 +138,7 @@ class TestDarkIot:
         report = sandbox.run(
             make_darkiot_2023_variant(ur("raw.pastebin.com"), ur("dark.libre"))
         )
-        assert report.contacted_ips() == set()
+        assert report.capture.destinations(exclude=Protocol.DNS) == []
         assert any("dormant" in note for note in report.notes)
 
 
@@ -160,7 +160,7 @@ class TestSpfCampaign:
     def test_micropsia_reads_spf_and_beacons(self, sandbox):
         samples = make_micropsia_samples(ur("speedtest.net"))
         report = sandbox.run(samples[0])
-        assert C2_IP in report.contacted_ips()
+        assert C2_IP in report.capture.destinations(exclude=Protocol.DNS)
         categories = [a.category for a in report.actionable_alerts]
         assert AlertCategory.CC in categories
 
@@ -181,7 +181,7 @@ class TestSpfCampaign:
         world.dns_hosts()[UR_NS].unload_zone("speedtest.net")
         sandbox = Sandbox(world, victim_ip="10.99.0.1")
         report = sandbox.run(make_micropsia_samples(ur("speedtest.net"))[0])
-        assert report.contacted_ips() == set()
+        assert report.capture.destinations(exclude=Protocol.DNS) == []
 
 
 class TestGenericFamilies:
@@ -195,7 +195,7 @@ class TestGenericFamilies:
             make_generic_scanner(1, ur("trusted.com"), sweep_size=10)
         )
         # The sweep plus the report connection.
-        assert len(report.contacted_ips()) == 11
+        assert len(report.capture.destinations(exclude=Protocol.DNS)) == 11
         categories = [a.category for a in report.actionable_alerts]
         assert AlertCategory.OTHER in categories
 
@@ -218,7 +218,7 @@ class TestGenericFamilies:
         world.dns_hosts()[UR_NS].unload_zone("trusted.com")
         sandbox = Sandbox(world, victim_ip="10.99.0.1")
         report = sandbox.run(make_generic_trojan(1, ur("trusted.com")))
-        assert report.contacted_ips() == set()
+        assert report.capture.destinations(exclude=Protocol.DNS) == []
 
     def test_benign_updater_no_actionable_alerts(self, world):
         from repro.dns.resolver import RecursiveResolver

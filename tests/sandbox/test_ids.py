@@ -10,7 +10,6 @@ from repro.sandbox.ids import (
     IdsRule,
     Severity,
     all_of,
-    any_of,
     payload_contains,
     port_is,
     protocol_is,
@@ -67,8 +66,6 @@ class TestPredicates:
         both = all_of(port_is(25), protocol_is(Protocol.SMTP))
         assert both(flow(port=25, protocol=Protocol.SMTP))
         assert not both(flow(port=25))
-        either = any_of(port_is(25), port_is(80))
-        assert either(flow(port=80))
 
 
 class TestEngine:

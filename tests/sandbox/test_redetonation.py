@@ -10,6 +10,7 @@ with or does can thin what a detonation sees.
 import dataclasses
 
 from repro.core import HunterConfig, URHunter
+from repro.net.traffic import Protocol
 from repro.sandbox.sandbox import Sandbox
 from repro.scenario import build_world, small_config
 
@@ -27,7 +28,8 @@ def _observed(report, victim=None):
         for alert in report.alerts
     ]
     questions = report.dns_queries() if victim is None else None
-    return flows, alerts, report.contacted_ips(), questions
+    contacted = set(report.capture.destinations(exclude=Protocol.DNS))
+    return flows, alerts, contacted, questions
 
 
 def test_a_detonation_records_the_same_traffic_whenever_it_runs():

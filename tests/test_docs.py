@@ -1,6 +1,7 @@
-"""Command-line flags spelled in prose are flags the CLI accepts."""
+"""Command-line flags, modules and file paths spelled in prose exist."""
 
 import argparse
+import importlib
 import re
 from pathlib import Path
 
@@ -45,3 +46,47 @@ def test_every_flag_in_prose_is_accepted_by_the_cli(document):
     accepted = accepted_flags(build_parser())
     assert not REMOVED & accepted
     assert sorted(spelled - accepted - OTHER_PROGRAMS - REMOVED) == []
+
+
+#: documents whose module names and file paths must resolve
+MAPS = ["README.md", "DESIGN.md"]
+
+_MODULE = re.compile(r"`(repro(?:\.\w+)+)`")
+_PATH = re.compile(r"`((?:[\w-]+/)+[\w-]+\.py)`")
+
+
+def resolves(dotted):
+    """Import the longest module prefix of ``dotted``; the rest must be
+    attributes of it."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attribute in parts[cut:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+@pytest.mark.parametrize("document", MAPS)
+def test_every_module_in_prose_exists(document):
+    named = set(_MODULE.findall((ROOT / document).read_text()))
+    assert sorted(dotted for dotted in named if not resolves(dotted)) == []
+
+
+@pytest.mark.parametrize("document", MAPS)
+def test_every_file_path_in_prose_exists(document):
+    """A path names a file from the repository root or, for a package
+    module such as ``dns/wire.py``, from ``src/repro``."""
+    named = set(_PATH.findall((ROOT / document).read_text()))
+    missing = [
+        path
+        for path in named
+        if not (ROOT / path).is_file()
+        and not (ROOT / "src" / "repro" / path).is_file()
+    ]
+    assert sorted(missing) == []
