@@ -5,7 +5,7 @@ across nameservers, a prefix-heavy IP-metadata database, a deep
 passive-DNS history — and times classification twice per size:
 
 * **naive**: linear prefix scans, full-history scans, no verdict memo
-  (``indexed=False`` stores + ``memoize=False`` filter);
+  (the equivalence tests' reference stores + ``memoize=False`` filter);
 * **indexed**: the length-bucketed prefix index, the generation-cached
   pdns store, and per-key verdict memoization.
 
@@ -28,6 +28,9 @@ from repro.dns.rdata import RRType
 from repro.intel.ipinfo import IpInfoDatabase
 from repro.intel.pdns import PassiveDnsStore
 
+from tests.intel.test_ipinfo_index import NaiveIpInfoDatabase
+from tests.intel.test_pdns_index import NaivePassiveDnsStore
+
 from .conftest import banner
 
 #: (distinct UR keys, duplication across nameservers) per step
@@ -44,9 +47,7 @@ def _record_address(index: int) -> str:
 
 def _build_workload(n_keys: int, duplication: int, indexed: bool):
     """A self-contained stage-2 exclusion problem of the given size."""
-    ipinfo = IpInfoDatabase(
-        indexed=indexed, cache_size=4096 if indexed else 0
-    )
+    ipinfo = IpInfoDatabase() if indexed else NaiveIpInfoDatabase()
     # the profile block: one home network every domain resolves into
     ipinfo.register_prefix("10.0.0.0/8", 100, "HOME", "US")
     # a prefix-dense internet so the naive longest-match scan has to work
@@ -57,7 +58,7 @@ def _build_workload(n_keys: int, duplication: int, indexed: bool):
             f"AS{1_000 + i}",
             "JP",
         )
-    pdns = PassiveDnsStore(indexed=indexed)
+    pdns = PassiveDnsStore() if indexed else NaivePassiveDnsStore()
     correct_db = CorrectRecordDatabase(ipinfo)
     records = []
     for key in range(n_keys):

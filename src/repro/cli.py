@@ -46,8 +46,8 @@ only the dirty ones, clean, lossy and chaos runs alike.
 
 Observability options: ``--trace-out PATH`` streams the run's event bus
 (:mod:`repro.obs`) to a JSONL file, ``--metrics-out PATH`` writes the
-consolidated metrics document, and ``-q``/``-v`` tune stderr verbosity
-(stdout stays machine-readable at every level).
+consolidated metrics document, and ``-q`` silences routine stderr
+diagnostics (stdout stays machine-readable either way).
 
 Exit codes (stable contract, relied on by CI):
 
@@ -355,12 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="suppress routine stderr diagnostics (errors/warnings stay)",
     )
-    observability.add_argument(
-        "-v",
-        "--verbose",
-        action="store_true",
-        help="show scheduling/debug detail on stderr",
-    )
     parser.add_argument(
         "command",
         choices=(
@@ -459,14 +453,6 @@ def _trace_command(argv: List[str], reporter: Reporter) -> int:
         reporter.error(f"error: {error}")
         return EXIT_USAGE
     return EXIT_OK
-
-
-def _verbosity(args: argparse.Namespace) -> Verbosity:
-    if args.quiet:
-        return Verbosity.QUIET
-    if args.verbose:
-        return Verbosity.VERBOSE
-    return Verbosity.NORMAL
 
 
 def _write_metrics(
@@ -594,10 +580,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if arg_list and arg_list[0] == "trace":
         return _trace_command(arg_list[1:], Reporter())
     args = build_parser().parse_args(arg_list)
-    reporter = Reporter(_verbosity(args))
-    if args.quiet and args.verbose:
-        reporter.error("error: --quiet and --verbose are mutually exclusive")
-        return EXIT_USAGE
+    reporter = Reporter(Verbosity.QUIET if args.quiet else Verbosity.NORMAL)
     if args.resume and not args.checkpoint_dir:
         reporter.error("error: --resume requires --checkpoint-dir")
         return EXIT_USAGE

@@ -54,11 +54,14 @@ class Name:
             raise NameError_(
                 f"name too long: {wire_length} octets > {MAX_NAME_LENGTH}"
             )
+        lower = tuple(label.lower() for label in labels)
         object.__setattr__(self, "_labels", labels)
+        # an all-lowercase name (nearly every name a run holds) shares
+        # its one label tuple instead of keeping an equal copy
         object.__setattr__(
-            self, "_lower", tuple(label.lower() for label in labels)
+            self, "_lower", labels if lower == labels else lower
         )
-        object.__setattr__(self, "_hash", hash(self._lower))
+        object.__setattr__(self, "_hash", hash(lower))
 
     # -- construction ---------------------------------------------------
 

@@ -94,9 +94,9 @@ class AuthoritativeServer:
         #: protective RDATA by rrtype, synthesized at the queried owner name
         self.protective_records = list(protective_records or [])
         self.recursive_fallback = recursive_fallback
-        self._zones: Dict[Name, Zone] = {}
-        #: suffix index: lowered origin labels -> zone, so the closest
-        #: enclosing zone is found in O(labels) instead of O(zones)
+        #: the one zone map, in load order: lowered origin labels ->
+        #: zone, so the closest enclosing zone is a suffix probe per
+        #: label instead of a scan of every zone
         self._origin_index: Dict[Tuple[str, ...], Zone] = {}
         self.addresses: List[str] = []
         #: counters for tests/observability
@@ -116,17 +116,15 @@ class AuthoritativeServer:
 
     def load_zone(self, zone: Zone) -> None:
         """Serve ``zone``; replaces any existing zone at the same origin."""
-        self._zones[zone.origin] = zone
         self._origin_index[zone.origin.lowered_labels] = zone
         self.generation += 1
         self._compiled.clear()
 
     def unload_zone(self, origin: Union[str, Name]) -> bool:
         """Stop serving the zone at ``origin``; True when it existed."""
-        removed = self._zones.pop(name(origin), None)
+        removed = self._origin_index.pop(name(origin).lowered_labels, None)
         if removed is None:
             return False
-        del self._origin_index[removed.origin.lowered_labels]
         self.generation += 1
         self._compiled.clear()
         return True
@@ -151,15 +149,15 @@ class AuthoritativeServer:
         return None
 
     def hosts_zone(self, origin: Union[str, Name]) -> bool:
-        return name(origin) in self._zones
+        return name(origin).lowered_labels in self._origin_index
 
     def zone_at(self, origin: Union[str, Name]) -> Optional[Zone]:
         """The zone loaded exactly at ``origin``, if any."""
-        return self._zones.get(name(origin))
+        return self._origin_index.get(name(origin).lowered_labels)
 
     @property
     def zones(self) -> List[Zone]:
-        return list(self._zones.values())
+        return list(self._origin_index.values())
 
     # -- DnsService protocol -------------------------------------------------
 
@@ -325,7 +323,9 @@ class AuthoritativeServer:
         if metrics is not None:
             metrics.compiled_misses += 1
         response = query.make_response(rcode=Rcode.REFUSED)
-        compiled = self._compile(response, network)
+        # the pool is this body's one cache: the codec's answer cache
+        # would only hold a second copy that nothing ever hits
+        compiled = self._compile(response, None)
         if compiled is None:
             return response
         if len(pool) >= 65536:

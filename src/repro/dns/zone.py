@@ -54,13 +54,15 @@ class LookupResult:
 class Zone:
     """The contents of one authoritative zone.
 
-    Records are indexed by (owner, rrtype).  The zone origin must own a
-    SOA record before the zone is served; :meth:`ensure_soa` installs a
-    default one, which mirrors how hosting portals auto-create SOA/NS.
+    Records are indexed by (owner, rrtype), each RRset one immutable
+    tuple that :meth:`rrset` and :meth:`copy` share rather than copy.
+    The zone origin must own a SOA record before the zone is served;
+    :meth:`ensure_soa` installs a default one, which mirrors how hosting
+    portals auto-create SOA/NS.
     """
 
     origin: Name
-    _rrsets: Dict[Tuple[Name, int], List[ResourceRecord]] = field(
+    _rrsets: Dict[Tuple[Name, int], Tuple[ResourceRecord, ...]] = field(
         default_factory=dict
     )
     #: bumped by :meth:`add`/:meth:`remove`; doubles as the generation
@@ -105,9 +107,9 @@ class Zone:
                 )
         elif (owner, RRType.CNAME) in self._rrsets:
             raise ZoneError(f"{owner} already has a CNAME")
-        bucket = self._rrsets.setdefault(key, [])
+        bucket = self._rrsets.get(key, ())
         if record not in bucket:
-            bucket.append(record)
+            self._rrsets[key] = bucket + (record,)
             self.serial += 1
         return record
 
@@ -167,7 +169,7 @@ class Zone:
     ) -> Tuple[ResourceRecord, ...]:
         """The RRset at (owner, rrtype), possibly empty."""
         owner = self._absolute(owner)
-        return tuple(self._rrsets.get((owner, rrtype), ()))
+        return self._rrsets.get((owner, rrtype), ())
 
     def records(self) -> Iterator[ResourceRecord]:
         """Every record in the zone."""
@@ -187,7 +189,7 @@ class Zone:
         """The NS RRset delegating ``owner``, when below the origin apex."""
         if owner == self.origin:
             return ()
-        return tuple(self._rrsets.get((owner, RRType.NS), ()))
+        return self._rrsets.get((owner, RRType.NS), ())
 
     # -- lookup -----------------------------------------------------------
 
@@ -254,11 +256,9 @@ class Zone:
         ]
 
     def copy(self) -> "Zone":
-        """A deep-enough copy (records are immutable, buckets are not)."""
+        """An independent copy sharing the immutable record tuples."""
         clone = Zone(self.origin)
-        clone._rrsets = {
-            key: list(bucket) for key, bucket in self._rrsets.items()
-        }
+        clone._rrsets = dict(self._rrsets)
         clone.serial = self.serial
         return clone
 

@@ -12,8 +12,8 @@ keeps an interval index bucketed by prefix length (longest-prefix match
 becomes ≤ 33 dict probes, one per distinct registered length) plus an
 LRU cache of assembled :class:`IpMetadata`, so the four per-field
 helpers (``asn``/``country``/``cert_org``/``http``) share one cached
-lookup instead of four scans.  ``indexed=False`` / ``cache_size=0``
-keep the naive path alive for benchmarking and equivalence testing.
+lookup instead of four scans (``cache_size=0`` turns the cache off).
+The O(prefixes) reference scan lives in the equivalence tests.
 """
 
 from __future__ import annotations
@@ -123,12 +123,11 @@ class IpInfoDatabase:
     #: (fault-injecting wrappers advertise ``False`` instead)
     deterministic = True
 
-    def __init__(self, indexed: bool = True, cache_size: int = 4096) -> None:
+    def __init__(self, cache_size: int = 4096) -> None:
         if cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {cache_size}")
         self._prefixes: List[_PrefixInfo] = []
         self._hosts: Dict[str, IpMetadata] = {}
-        self._indexed = indexed
         # lazy longest-prefix-match index: {prefixlen: {masked_int: info}},
         # rebuilt on first lookup after a register_prefix
         self._prefix_index: Optional[Dict[int, Dict[int, _PrefixInfo]]] = None
@@ -184,27 +183,12 @@ class IpInfoDatabase:
 
     # -- lookup ---------------------------------------------------------
 
-    def _prefix_scan(self, address: str) -> Tuple[int, str, str]:
-        """The reference O(prefixes) longest-prefix match."""
-        packed = ipaddress.IPv4Address(address)
-        best: Optional[_PrefixInfo] = None
-        for info in self._prefixes:
-            if packed in info.network:
-                if best is None or (
-                    info.network.prefixlen > best.network.prefixlen
-                ):
-                    best = info
-        if best is None:
-            return (self.UNKNOWN_ASN, "UNKNOWN", "ZZ")
-        return (best.asn, best.as_name, best.country)
-
     def _build_index(self) -> None:
         index: Dict[int, Dict[int, _PrefixInfo]] = {}
         for info in self._prefixes:
             bucket = index.setdefault(info.network.prefixlen, {})
-            # setdefault: the scan keeps the *first* registration of a
-            # duplicate network (strictly-greater replacement rule), so
-            # the index must too
+            # setdefault: the *first* registration of a duplicate
+            # network wins
             bucket.setdefault(int(info.network.network_address), info)
         self._prefix_index = index
         # longest first: the first bucket hit is the longest match
@@ -212,8 +196,6 @@ class IpInfoDatabase:
 
     def _prefix_defaults(self, address: str) -> Tuple[int, str, str]:
         as_int = ip_to_int(address)  # validates
-        if not self._indexed:
-            return self._prefix_scan(address)
         if self._prefix_index is None:
             self._build_index()
         for prefixlen in self._index_lengths:

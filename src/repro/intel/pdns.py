@@ -13,12 +13,12 @@ This store is time-windowed so the six-year horizon is explicit.
 Performance: stage 2 queries the store once per candidate UR — at paper
 scale (~8,941 nameservers × 2K domains) a full scan of every observation
 per query dominates exclusion wall-clock time.  The store therefore
-maintains two incremental indexes — ``domain → observations`` and
-``(domain, rrtype) → observations`` — plus a generation-stamped cache of
-windowed query results (lazily invalidated on ingest).  Index buckets
-preserve global insertion order, so every query returns *exactly* what
-the naive full scan would, in the same order; ``indexed=False`` keeps
-the naive scan alive for benchmarking and equivalence testing.
+keeps one index, ``domain → observations`` in first-sighting order (a
+paper-scale world's largest bucket holds 17), and filters a domain's
+bucket by rrtype and window per query, behind a generation-stamped
+cache of query results (lazily invalidated on ingest).  Each
+observation is held once; the O(observations) reference scan lives in
+the equivalence tests, not here.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ class PdnsObservation:
     last_seen: float
 
 
-#: key of one observation inside the store and its index buckets
-_ObsKey = Tuple[Name, int, str]
-
-
 class PassiveDnsStore:
     """An append-only passive-DNS database with windowed queries."""
 
@@ -54,17 +50,12 @@ class PassiveDnsStore:
     #: (fault-injecting wrappers advertise ``False`` instead)
     deterministic = True
 
-    def __init__(self, horizon: float = SIX_YEARS, indexed: bool = True):
+    def __init__(self, horizon: float = SIX_YEARS):
         self.horizon = horizon
-        self._observations: Dict[_ObsKey, PdnsObservation] = {}
-        self._indexed = indexed
-        # incremental indexes: buckets keep global insertion order, so an
-        # indexed query reproduces the naive scan's order exactly
-        self._by_domain: Dict[Name, Dict[_ObsKey, PdnsObservation]] = {}
-        self._by_domain_type: Dict[
-            Tuple[Name, int], Dict[_ObsKey, PdnsObservation]
-        ] = {}
-        self._domains: Set[Name] = set()
+        #: the one index: each domain's observations in first-sighting
+        #: order, one per distinct (rrtype, rdata_text)
+        self._by_domain: Dict[Name, Tuple[PdnsObservation, ...]] = {}
+        self._count = 0
         # lazy invalidation: ingest bumps the generation, the next query
         # notices the mismatch and drops the stale result cache
         self._generation = 0
@@ -84,36 +75,39 @@ class PassiveDnsStore:
         rdata_text: str,
         timestamp: float,
     ) -> None:
-        """Record a sighting, widening first/last-seen as needed."""
+        """Record a sighting, widening first/last-seen as needed.
+
+        A repeat sighting of (domain, rrtype, rdata_text) rewrites its
+        observation in place — widened window, this call's spelling of
+        ``domain``, same position — so queries keep first-sighting
+        order.
+        """
         domain = name(domain)
-        key = (domain, rrtype, rdata_text)
-        existing = self._observations.get(key)
-        if existing is None:
-            observation = PdnsObservation(
-                domain=domain,
-                rrtype=rrtype,
-                rdata_text=rdata_text,
-                first_seen=timestamp,
-                last_seen=timestamp,
-            )
+        bucket = self._by_domain.get(domain, ())
+        position = next(
+            (
+                position
+                for position, seen in enumerate(bucket)
+                if seen.rrtype == rrtype and seen.rdata_text == rdata_text
+            ),
+            len(bucket),
+        )
+        first_seen = last_seen = timestamp
+        if position < len(bucket):
+            first_seen = min(bucket[position].first_seen, timestamp)
+            last_seen = max(bucket[position].last_seen, timestamp)
         else:
-            observation = PdnsObservation(
-                domain=domain,
-                rrtype=rrtype,
-                rdata_text=rdata_text,
-                first_seen=min(existing.first_seen, timestamp),
-                last_seen=max(existing.last_seen, timestamp),
-            )
-        self._observations[key] = observation
-        if not self._indexed:
-            return
-        # dict assignment preserves a key's position, so updating an
-        # existing bucket entry keeps insertion order == scan order
-        self._by_domain.setdefault(domain, {})[key] = observation
-        self._by_domain_type.setdefault((domain, rrtype), {})[
-            key
-        ] = observation
-        self._domains.add(domain)
+            self._count += 1
+        observation = PdnsObservation(
+            domain=domain,
+            rrtype=rrtype,
+            rdata_text=rdata_text,
+            first_seen=first_seen,
+            last_seen=last_seen,
+        )
+        self._by_domain[domain] = (
+            bucket[:position] + (observation,) + bucket[position + 1 :]
+        )
         self._generation += 1
 
     def observe_delegation(
@@ -138,18 +132,6 @@ class PassiveDnsStore:
             and observation.first_seen <= now
         )
 
-    def _history_scan(
-        self, domain: Name, now: float, rrtype: Optional[int]
-    ) -> List[PdnsObservation]:
-        """The reference O(total observations) implementation."""
-        return [
-            observation
-            for observation in self._observations.values()
-            if observation.domain == domain
-            and (rrtype is None or observation.rrtype == rrtype)
-            and self._in_window(observation, now)
-        ]
-
     def _fresh_cache(self) -> None:
         """Lazily drop memoized query results after an ingest."""
         if self._cache_generation != self._generation:
@@ -165,8 +147,6 @@ class PassiveDnsStore:
     ) -> List[PdnsObservation]:
         """Observations for ``domain`` within the horizon ending at ``now``."""
         domain = name(domain)
-        if not self._indexed:
-            return self._history_scan(domain, now, rrtype)
         self._fresh_cache()
         cache_key = (domain, rrtype, now)
         cached = self._history_cache.get(cache_key)
@@ -174,14 +154,11 @@ class PassiveDnsStore:
             self.cache_hits += 1
             return list(cached)
         self.cache_misses += 1
-        if rrtype is None:
-            bucket = self._by_domain.get(domain)
-        else:
-            bucket = self._by_domain_type.get((domain, rrtype))
         result: Tuple[PdnsObservation, ...] = tuple(
             observation
-            for observation in (bucket.values() if bucket else ())
-            if self._in_window(observation, now)
+            for observation in self._by_domain.get(domain, ())
+            if (rrtype is None or observation.rrtype == rrtype)
+            and self._in_window(observation, now)
         )
         self._history_cache[cache_key] = result
         return list(result)
@@ -191,11 +168,6 @@ class PassiveDnsStore:
     ) -> Set[str]:
         """The set of historical rdata texts for (domain, rrtype)."""
         domain = name(domain)
-        if not self._indexed:
-            return {
-                observation.rdata_text
-                for observation in self._history_scan(domain, now, rrtype)
-            }
         self._fresh_cache()
         cache_key = (domain, rrtype, now)
         cached = self._rdata_cache.get(cache_key)
@@ -227,12 +199,7 @@ class PassiveDnsStore:
         }
 
     def domains(self) -> Set[Name]:
-        if self._indexed:
-            return set(self._domains)
-        return {
-            observation.domain
-            for observation in self._observations.values()
-        }
+        return set(self._by_domain)
 
     def __len__(self) -> int:
-        return len(self._observations)
+        return self._count

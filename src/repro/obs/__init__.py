@@ -14,7 +14,7 @@ single spine every telemetry surface reports through:
 * :func:`build_metrics_document` — the versioned ``--metrics-out``
   document, deterministic and timing sections apart.
 * :class:`Reporter` — leveled operator messaging on stderr
-  (``-q``/``-v``), keeping stdout machine-readable.
+  (``-q``), keeping stdout machine-readable.
 * :func:`summarize_trace` — the ``repro trace summarize`` renderer.
 
 This package imports nothing from the rest of :mod:`repro`, so any

@@ -4,8 +4,8 @@ The CLI used to scatter ``print(..., file=sys.stderr)`` around its main
 function; every operator-facing message now goes through one
 :class:`Reporter`, which enforces the contract the byte-compared
 transcripts rely on: **stdout carries machine-readable output only**,
-stderr carries human diagnostics, and ``-q``/``-v`` select how much of
-the latter the operator sees.
+stderr carries human diagnostics, and ``-q`` hides the routine part of
+the latter.
 
 Levels:
 
@@ -13,11 +13,8 @@ Levels:
   the exit code also reports.
 * :meth:`Reporter.warn` — always shown; degraded-run banners and
   recovery hints operators must not miss.
-* :meth:`Reporter.info` — shown at normal verbosity and above; progress
-  banners and per-run diagnostics (``# scenario: ...``).
-
-``-v`` selects :attr:`Verbosity.VERBOSE`; no message is written at that
-level yet, so it shows what normal verbosity shows.
+* :meth:`Reporter.info` — shown at normal verbosity; progress banners
+  and per-run diagnostics (``# scenario: ...``).
 
 The stream is resolved at call time (default ``sys.stderr``) so pytest
 capture and stream redirection work without re-wiring the reporter.
@@ -35,7 +32,6 @@ class Verbosity(enum.IntEnum):
 
     QUIET = 0
     NORMAL = 1
-    VERBOSE = 2
 
 
 class Reporter:

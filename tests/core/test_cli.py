@@ -196,12 +196,12 @@ class TestObservability:
         assert "warning: degraded" in capsys.readouterr().err
 
     def test_verbose_shows_scenario_banner(self, capsys):
-        assert main(BASE + ["-v", "run"]) == 0
-        assert "# scenario" in capsys.readouterr().err
-
-    def test_quiet_and_verbose_conflict(self, capsys):
-        assert main(BASE + ["-q", "-v", "run"]) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
+        """``-v`` is gone: the banner shows at normal verbosity, and the
+        old flag is an unknown argument."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(BASE + ["-v", "run"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: -v" in capsys.readouterr().err
 
     def test_trace_summarize(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"

@@ -93,6 +93,14 @@ class TestEquality:
         table = {name("A.com"): 1}
         assert table[name("a.COM")] == 1
 
+    def test_lowercase_name_keeps_one_label_tuple(self):
+        lower = Name(("www", "example", "com"))
+        assert lower.lowered_labels is lower.labels
+        mixed = Name(("WWW", "example", "com"))
+        assert mixed.labels == ("WWW", "example", "com")
+        assert mixed.lowered_labels == lower.labels
+        assert mixed == lower and hash(mixed) == hash(lower)
+
 
 class TestOrdering:
     def test_canonical_order_by_reversed_labels(self):

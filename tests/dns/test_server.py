@@ -10,6 +10,7 @@ from repro.dns.server import (
     UnhostedPolicy,
 )
 from repro.dns.zone import Zone, zone_from_records
+from repro.net.network import SimulatedInternet
 
 
 def protective_server(hostname, warning_ip):
@@ -107,6 +108,22 @@ class TestUnhostedBehaviour:
         response = ask(server, "unhosted.net")
         assert response.header.rcode == Rcode.REFUSED
 
+    def test_refused_pool_is_the_one_cache_of_a_refusal(self):
+        """The network-wide pool serves every server's REFUSED for a
+        question; the codec's answer cache keeps no second copy."""
+        network = SimulatedInternet()
+        for address in ("192.0.2.1", "192.0.2.2"):
+            network.register_dns_host(
+                address, AuthoritativeServer("ns1.host.net")
+            )
+            query = Message.make_query("unhosted.net", RRType.A, message_id=7)
+            response = network.query_dns("198.51.100.9", address, query)
+            assert response.header.rcode == Rcode.REFUSED
+        assert len(network.refused_pool) == 1
+        assert network.scanpath.compiled_hits == 1
+        assert network.scanpath.encode_misses == 0
+        assert network.codec._answer_cache == {}
+
     def test_protective_records(self):
         srv = protective_server("ns1.prot.net", "203.0.113.200")
         response = ask(srv, "any-domain.org")
@@ -179,6 +196,21 @@ class TestZoneManagement:
     def test_hosts_zone(self, server):
         assert server.hosts_zone("example.com")
         assert not server.hosts_zone("other.com")
+
+    def test_zone_map_keeps_load_order_across_case(self):
+        srv = AuthoritativeServer("ns1.host.net")
+        first = zone_from_records("a.com", [("a.com", "A", "1.1.1.1")])
+        other = zone_from_records("B.com", [("B.com", "A", "2.2.2.2")])
+        again = zone_from_records("A.COM", [("A.COM", "A", "3.3.3.3")])
+        for zone in (first, other, again):
+            srv.load_zone(zone)
+        # a reload replaces the zone in its first load position
+        assert srv.zones == [again, other]
+        assert srv.zone_at("a.com") is again
+        assert srv.hosts_zone("b.COM")
+        assert srv.unload_zone("b.com")
+        assert srv.zones == [again]
+        assert not srv.hosts_zone("B.com")
 
     def test_reloading_replaces(self):
         srv = AuthoritativeServer("ns1.host.net")

@@ -242,6 +242,15 @@ class TestIntrospection:
         assert zone.rrset("new.example.com", RRType.A) == ()
         assert clone.rrset("new.example.com", RRType.A) != ()
 
+    def test_copy_shares_rrset_tuples_until_one_side_adds(self, zone):
+        api = zone.rrset("api", RRType.A)
+        assert zone.rrset("api", RRType.A) is api
+        clone = zone.copy()
+        assert clone.rrset("api", RRType.A) is api
+        clone.add("api", A("192.0.2.3"))
+        assert zone.rrset("api", RRType.A) is api
+        assert len(clone.rrset("api", RRType.A)) == 2
+
 
 class TestZoneFromRecords:
     def test_builds_all_entries(self):

@@ -1,11 +1,12 @@
-"""Equivalence tests: the indexed IpInfoDatabase vs the naive prefix scan.
+"""Equivalence tests: the indexed IpInfoDatabase vs a naive prefix scan.
 
 Longest-prefix match through the length-bucketed index, the metadata
 LRU, and the registration-invalidates-cache rules must all be invisible:
-every lookup returns exactly what the O(prefixes) reference scan does,
-including the first-registration tie-break for duplicate networks.
+every lookup returns exactly what the O(prefixes) reference scan below
+does, including the first-registration tie-break for duplicate networks.
 """
 
+import ipaddress
 import random
 
 import pytest
@@ -31,11 +32,30 @@ def _random_address(rng):
     )
 
 
+class NaiveIpInfoDatabase(IpInfoDatabase):
+    """The reference model: no metadata cache, and every prefix lookup
+    a scan of all registrations (a later one replaces the best match
+    only when strictly longer)."""
+
+    def __init__(self):
+        super().__init__(cache_size=0)
+
+    def _prefix_defaults(self, address):
+        packed = ipaddress.IPv4Address(address)
+        best = None
+        for info in self._prefixes:
+            if packed in info.network and (
+                best is None
+                or info.network.prefixlen > best.network.prefixlen
+            ):
+                best = info
+        if best is None:
+            return (self.UNKNOWN_ASN, "UNKNOWN", "ZZ")
+        return (best.asn, best.as_name, best.country)
+
+
 def _mirror_databases():
-    return (
-        IpInfoDatabase(indexed=True),
-        IpInfoDatabase(indexed=False, cache_size=0),
-    )
+    return IpInfoDatabase(), NaiveIpInfoDatabase()
 
 
 class TestPrefixIndexEquivalence:
@@ -107,7 +127,7 @@ class TestPrefixIndexEquivalence:
 
 class TestMetadataCache:
     def test_four_helpers_share_one_lookup(self):
-        db = IpInfoDatabase(indexed=True)
+        db = IpInfoDatabase()
         db.register_prefix("10.0.0.0/8", 100, "WIDE", "US")
         db.asn("10.1.2.3")
         db.country("10.1.2.3")
@@ -118,7 +138,7 @@ class TestMetadataCache:
         assert db.cache_hits == 3
 
     def test_lru_evicts_oldest_entry(self):
-        db = IpInfoDatabase(indexed=True, cache_size=2)
+        db = IpInfoDatabase(cache_size=2)
         db.register_prefix("10.0.0.0/8", 100, "WIDE", "US")
         db.lookup("10.0.0.1")
         db.lookup("10.0.0.2")
@@ -132,7 +152,7 @@ class TestMetadataCache:
         assert db.cache_misses == misses_before + 1
 
     def test_cache_disabled_still_correct(self):
-        db = IpInfoDatabase(indexed=True, cache_size=0)
+        db = IpInfoDatabase(cache_size=0)
         db.register_prefix("10.0.0.0/8", 100, "WIDE", "US")
         assert db.asn("10.1.2.3") == 100
         assert db.cache_hits == 0
@@ -143,7 +163,7 @@ class TestMetadataCache:
             IpInfoDatabase(cache_size=-1)
 
     def test_invalid_address_still_raises(self):
-        db = IpInfoDatabase(indexed=True)
+        db = IpInfoDatabase()
         db.register_prefix("10.0.0.0/8", 100, "WIDE", "US")
         with pytest.raises(ValueError):
             db.lookup("not-an-ip")

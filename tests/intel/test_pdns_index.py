@@ -1,9 +1,10 @@
-"""Equivalence tests: the indexed PassiveDnsStore vs the naive scan.
+"""Equivalence tests: the indexed PassiveDnsStore vs a naive scan.
 
-The indexed store must return *exactly* what the reference
-O(observations) implementation returns — same elements, same order —
-under any interleaving of ingest and query, including queries whose
-cached results an ingest must invalidate.
+The indexed store must return *exactly* what a reference
+O(observations) model returns — same elements, same order — under any
+interleaving of ingest and query, including queries whose cached
+results an ingest must invalidate.  The model below is that reference:
+one flat observation list, widened in place, filtered by a full scan.
 """
 
 import random
@@ -12,17 +13,67 @@ import pytest
 
 from repro.dns.name import name
 from repro.dns.rdata import RRType
-from repro.intel.pdns import PassiveDnsStore
+from repro.intel.pdns import SIX_YEARS, PassiveDnsStore, PdnsObservation
 
 DOMAINS = [f"dom{i}.example" for i in range(12)]
 RRTYPES = (RRType.A, RRType.TXT, RRType.NS, RRType.MX)
 RDATA = [f"198.51.100.{i}" for i in range(8)] + ["v=spf1 -all", "token"]
 
 
+class NaivePassiveDnsStore(PassiveDnsStore):
+    """The reference model: every observation in one list, in
+    first-sighting order, and every query a scan of all of them.  The
+    store's delegation and membership helpers run on top unchanged."""
+
+    def __init__(self, horizon=SIX_YEARS):
+        super().__init__(horizon=horizon)
+        self._observations = []
+
+    def observe(self, domain, rrtype, rdata_text, timestamp):
+        domain = name(domain)
+        for position, existing in enumerate(self._observations):
+            if (existing.domain, existing.rrtype, existing.rdata_text) == (
+                domain,
+                rrtype,
+                rdata_text,
+            ):
+                self._observations[position] = PdnsObservation(
+                    domain=domain,
+                    rrtype=rrtype,
+                    rdata_text=rdata_text,
+                    first_seen=min(existing.first_seen, timestamp),
+                    last_seen=max(existing.last_seen, timestamp),
+                )
+                return
+        self._observations.append(
+            PdnsObservation(domain, rrtype, rdata_text, timestamp, timestamp)
+        )
+
+    def history(self, domain, now, rrtype=None):
+        domain = name(domain)
+        return [
+            observation
+            for observation in self._observations
+            if observation.domain == domain
+            and (rrtype is None or observation.rrtype == rrtype)
+            and observation.last_seen >= now - self.horizon
+            and observation.first_seen <= now
+        ]
+
+    def historical_rdata(self, domain, rrtype, now):
+        return {obs.rdata_text for obs in self.history(domain, now, rrtype)}
+
+    def domains(self):
+        return {observation.domain for observation in self._observations}
+
+    def __len__(self):
+        return len(self._observations)
+
+
 def _mirror_stores(horizon=1_000.0):
     return (
-        PassiveDnsStore(horizon=horizon, indexed=True),
-        PassiveDnsStore(horizon=horizon, indexed=False),
+        PassiveDnsStore(horizon=horizon),
+        NaivePassiveDnsStore(horizon=horizon),
     )
 
 
@@ -112,6 +163,25 @@ class TestIngestAfterQueryInvalidation:
 
 
 class TestIndexedQueryInterface:
+    def test_repeat_sighting_keeps_its_place_and_takes_the_new_spelling(
+        self,
+    ):
+        indexed, naive = _mirror_stores()
+        for store in (indexed, naive):
+            store.observe("Dom7.Example", RRType.A, "198.51.100.1", 10.0)
+            store.observe("dom7.example", RRType.A, "198.51.100.2", 20.0)
+            store.observe("dom7.example", RRType.A, "198.51.100.1", 30.0)
+        fast = indexed.history("DOM7.example", 100.0)
+        assert fast == naive.history("DOM7.example", 100.0)
+        assert [
+            (str(obs.domain), obs.rdata_text, obs.first_seen, obs.last_seen)
+            for obs in fast
+        ] == [
+            ("dom7.example", "198.51.100.1", 10.0, 30.0),
+            ("dom7.example", "198.51.100.2", 20.0, 20.0),
+        ]
+        assert len(indexed) == len(naive) == 2
+
     def test_record_in_history_matches_naive(self):
         indexed, naive = _mirror_stores()
         for store in (indexed, naive):
@@ -134,7 +204,7 @@ class TestIndexedQueryInterface:
         ) == naive.historical_nameservers("dom3.example", 100.0)
 
     def test_returned_collections_are_copies(self):
-        store = PassiveDnsStore(indexed=True)
+        store = PassiveDnsStore()
         store.observe("dom4.example", RRType.A, "198.51.100.9", 1.0)
         first = store.history("dom4.example", 10.0)
         first.append("garbage")

@@ -29,12 +29,6 @@ class TestLevels:
         reporter.info("# scenario: ...")
         assert lines(stream) == ["error: boom", "warning: degraded"]
 
-    def test_verbose_shows_info(self):
-        stream = io.StringIO()
-        reporter = Reporter(Verbosity.VERBOSE, stream=stream)
-        reporter.info("i")
-        assert lines(stream) == ["i"]
-
 
 class TestStreamBinding:
     def test_default_stream_is_resolved_at_call_time(self, capsys):
@@ -52,7 +46,7 @@ class TestStreamBinding:
         assert lines(stream) == ["directed"]
 
     def test_nothing_ever_goes_to_stdout(self, capsys):
-        reporter = Reporter(Verbosity.VERBOSE)
+        reporter = Reporter(Verbosity.NORMAL)
         reporter.error("a")
         reporter.warn("b")
         reporter.info("c")
@@ -63,5 +57,5 @@ class TestStreamBinding:
 
 class TestVerbosityCoercion:
     def test_accepts_plain_ints(self):
-        assert Reporter(2).verbosity is Verbosity.VERBOSE
+        assert Reporter(1).verbosity is Verbosity.NORMAL
         assert Reporter(0).verbosity is Verbosity.QUIET
