@@ -23,10 +23,11 @@ Commands mirror the paper's evaluation artifacts:
 Shared options: ``--seed``, ``--scale {small,default,paper}``,
 ``--post-disclosure``, ``--mx`` (future-work MX sweep).
 
-Resilience options: ``--checkpoint-dir`` writes per-stage JSON
-checkpoints (and, under ``groups/``, every UR nameserver group as it
-completes), ``--resume`` continues a killed run from the last completed
-stage — a killed stage 1 from its last completed group — and the
+Resilience options: ``--checkpoint-dir`` writes the stage-1 JSON
+checkpoint (and, under ``groups/``, every UR nameserver group as it
+completes), ``--resume`` continues a killed run from stage 1's snapshot
+— a killed stage 1 from its last completed group — and re-runs stages
+2 and 3, and the
 ``--*-fault-rate`` knobs inject seeded data-source faults for chaos
 testing.  ``--run-deadline``/``--stage-deadline`` bound the
 run in virtual seconds (exhausted budgets shed remaining queries into
@@ -232,17 +233,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint-dir",
         metavar="DIR",
         help=(
-            "write per-stage JSON checkpoints into DIR, and every UR "
-            "nameserver group as it completes into DIR/groups"
+            "checkpoint stage 1 into DIR: every UR nameserver group as "
+            "it completes into DIR/groups, then the finished stage as "
+            "DIR/stage1-collect.json"
         ),
     )
     resilience.add_argument(
         "--resume",
         action="store_true",
         help=(
-            "resume from the checkpoints in --checkpoint-dir, "
-            "re-running only stages without a completed snapshot (and "
-            "of a killed stage 1 only the groups it had not completed)"
+            "resume from the stage-1 checkpoint in --checkpoint-dir (of "
+            "a killed stage 1, re-run only the groups it had not "
+            "completed); stages 2 and 3 always re-run"
         ),
     )
     resilience.add_argument(

@@ -380,18 +380,6 @@ class URVerdicts(_VerdictRows):
         self.txt_index = array("B")
         self._ids: Tuple[Dict, Dict] = ({}, {})
 
-    @classmethod
-    def from_entries(cls, entries: Iterable[ClassifiedUR]) -> "URVerdicts":
-        """The verdict columns (and their table) of stage-2 entries."""
-        table = URTable()
-        verdicts = cls(table)
-        for entry in entries:
-            if entry.corresponding_ips:
-                raise ValueError("a stage-2 entry names no corresponding IP")
-            table.append(entry.record)
-            verdicts.append(entry.category, entry.reasons, entry.txt_category)
-        return verdicts
-
     def __len__(self) -> int:
         return len(self.codes)
 

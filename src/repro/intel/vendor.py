@@ -65,13 +65,6 @@ class SecurityVendor:
     def verdict(self, address: str) -> Optional[VendorVerdict]:
         return self._verdicts.get(address)
 
-    def blacklist(self) -> List[str]:
-        return [
-            address
-            for address, verdict in self._verdicts.items()
-            if verdict.malicious
-        ]
-
     def __len__(self) -> int:
         return len(self._verdicts)
 

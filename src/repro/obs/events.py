@@ -59,7 +59,7 @@ _SUB_CLOSE = frozenset({"stage.end"})
 _SUB_SEAL = frozenset({"checkpoint.save"})
 
 #: run-level terminators (sort after every stage)
-_RUN_END = frozenset({"run.end", "run.abort", "run.stopped"})
+_RUN_END = frozenset({"run.end", "run.abort"})
 
 
 def _json_safe(value: Any) -> Any:

@@ -7,10 +7,11 @@ Layered on top of :class:`repro.core.hunter.URHunter`:
   circuit breaker + rate-limit cool-down) and :class:`SourceHealth`;
 * :mod:`~repro.pipeline.faults` — seeded fault injection for vendors,
   passive DNS, and IP metadata;
-* :mod:`~repro.pipeline.checkpoint` — JSON stage checkpoints;
+* :mod:`~repro.pipeline.checkpoint` — the JSON stage-1 checkpoint;
 * :mod:`~repro.pipeline.runner` — :class:`PipelineRunner`, which
-  executes the three stages as named, individually checkpointed steps
-  and resumes a killed run from the last completed stage.
+  executes the three stages as named steps, checkpoints stage 1 (the
+  scan), and resumes a killed run from stage 1's snapshot or its
+  completed groups, re-running stages 2 and 3 live.
 
 The first three are import-light and loaded eagerly (they are used by
 :mod:`repro.intel` and :mod:`repro.core`); the checkpoint store and the
@@ -41,7 +42,6 @@ _LAZY_RUNNER = {
     "STAGE1",
     "STAGE2",
     "STAGE3",
-    "STAGE_ORDER",
 }
 _LAZY_CHECKPOINT = {"CheckpointStore", "config_fingerprint"}
 
@@ -71,7 +71,6 @@ __all__ = [
     "STAGE1",
     "STAGE2",
     "STAGE3",
-    "STAGE_ORDER",
     "SourceError",
     "SourceGuard",
     "SourceHealth",

@@ -1,22 +1,24 @@
-"""Stage checkpoints: durable, resumable snapshots of pipeline state.
+"""The stage-1 checkpoint: a durable, resumable snapshot of the scan.
 
-Each completed stage is serialized to one JSON file inside a checkpoint
-directory, next to a ``manifest.json`` carrying a fingerprint of the
+Stage 1 — the rate-limited scan — is the one stage worth persisting.
+Its result is serialized to ``stage1-collect.json`` inside a checkpoint
+directory, beside the per-group slots of a killed scan (``groups/``)
+and a ``manifest.json`` carrying a fingerprint of the
 :class:`~repro.core.hunter.HunterConfig` (plus an optional scenario
-fingerprint supplied by the caller).  A resumed run first verifies the
-fingerprint — resuming a checkpoint produced under a different
-configuration would silently mix incompatible intermediate state, so a
-mismatch raises :class:`~repro.pipeline.errors.CheckpointError` instead.
+fingerprint supplied by the caller).  Stages 2 and 3 are never
+snapshotted: they are cheap offline joins over stage 1's result, and a
+resume recomputes them faster than it could read them back.  A resumed
+run first verifies the fingerprint — resuming a checkpoint produced
+under a different configuration would silently mix incompatible
+intermediate state, so a mismatch raises
+:class:`~repro.pipeline.errors.CheckpointError` instead.
 
 Determinism notes, because resume is verified *byte-for-byte* against an
 uninterrupted run:
 
-* every set-valued field (tags, profile facts, protective fingerprints)
-  is serialized as a **sorted** list — set iteration order is hash-seed
+* every set-valued field (profile facts, protective fingerprints) is
+  serialized as a **sorted** list — set iteration order is hash-seed
   dependent and does not survive process boundaries;
-* insertion-ordered mappings (``ip_verdicts``, per-source health) are
-  serialized as **lists of entries**, because their order is meaningful
-  (first-seen order drives report iteration) and must round-trip;
 * the stage-1 virtual timestamps ride in the checkpoint: ``now`` so a
   resumed stage 2 classifies against the same clock the live run did,
   ``end`` so its §4.2 sample starts where the live run's did.
@@ -35,26 +37,15 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from ..core.analysis import MaliciousAnalysisResult
 from ..core.collector import CollectionResult, ProtectiveFingerprint
 from ..core.correctness import CorrectRecordDatabase
-from ..core.hunter import Stage1Result, Stage2Result, Stage3Result
-from ..core.parallel import Stage2Metrics
-from ..core.records import (
-    ClassifiedUR,
-    IpVerdict,
-    URCategory,
-    URTable,
-    URVerdicts,
-    UndelegatedRecord,
-)
-from ..core.suspicion import SuspicionOutcome
+from ..core.hunter import Stage1Result
+from ..core.records import URTable, UndelegatedRecord
 from ..dns.name import Name, name
 from ..engine.metrics import LatencyHistogram, ScanMetrics, StageCounters
 from ..incremental.store import atomic_write
 from ..intel.ipinfo import IpInfoDatabase
 from .errors import CheckpointError
-from .resilience import SourceHealth
 
 #: checkpoint format version; bump when the payload schema changes
 #: (v2: stage-1 ``now`` became the classification epoch, stage-2
@@ -68,7 +59,8 @@ from .resilience import SourceHealth
 #: correct collection and the UR scan run side by side — stage-1
 #: ``now`` is the scan start, not the end of the preamble, and the
 #: stage's ``end`` is added; v8: the stage-2 metrics drop ``workers``
-#: and stream segments are gone)
+#: and stream segments are gone; the stage-2/3 snapshots a v8 run
+#: wrote are never read)
 FORMAT_VERSION = 8
 
 
@@ -140,52 +132,6 @@ def decode_record(payload: Dict[str, Any]) -> UndelegatedRecord:
             else None
         ),
         ttl=payload["ttl"],
-    )
-
-
-def encode_classified(entry: ClassifiedUR) -> Dict[str, Any]:
-    return {
-        "record": encode_record(entry.record),
-        "category": entry.category.value,
-        "reasons": list(entry.reasons),
-        "corresponding_ips": list(entry.corresponding_ips),
-        "txt_category": entry.txt_category,
-    }
-
-
-def decode_classified(payload: Dict[str, Any]) -> ClassifiedUR:
-    return ClassifiedUR(
-        record=decode_record(payload["record"]),
-        category=URCategory(payload["category"]),
-        reasons=tuple(payload["reasons"]),
-        corresponding_ips=tuple(payload["corresponding_ips"]),
-        txt_category=payload["txt_category"],
-    )
-
-
-def encode_ip_verdict(verdict: IpVerdict) -> Dict[str, Any]:
-    return {
-        "address": verdict.address,
-        "intel_flagged": verdict.intel_flagged,
-        "ids_flagged": verdict.ids_flagged,
-        "vendor_count": verdict.vendor_count,
-        # sorted: frozensets do not iterate deterministically across
-        # processes, and resume must reproduce the report byte-for-byte
-        "tags": sorted(verdict.tags),
-        "alert_categories": list(verdict.alert_categories),
-        "intel_partial": verdict.intel_partial,
-    }
-
-
-def decode_ip_verdict(payload: Dict[str, Any]) -> IpVerdict:
-    return IpVerdict(
-        address=payload["address"],
-        intel_flagged=payload["intel_flagged"],
-        ids_flagged=payload["ids_flagged"],
-        vendor_count=payload["vendor_count"],
-        tags=frozenset(payload["tags"]),
-        alert_categories=tuple(payload["alert_categories"]),
-        intel_partial=payload["intel_partial"],
     )
 
 
@@ -282,55 +228,6 @@ def decode_metrics(
     return metrics
 
 
-def encode_stage2_metrics(
-    metrics: Optional[Stage2Metrics],
-) -> Optional[Dict[str, Any]]:
-    """Deterministic stage-2 counters only.
-
-    The wall-clock fields (``wall_s``, ``condition_s``) are deliberately
-    *not* checkpointed: they leak host timing into payloads that must be
-    reproducible, and a resumed run could not honestly restore them
-    anyway.  ``decode_stage2_metrics`` leaves them at their dataclass
-    defaults (0.0 / empty).
-    """
-    if metrics is None:
-        return None
-    return {
-        "records": metrics.records,
-        "protective_matches": metrics.protective_matches,
-        "distinct_keys": metrics.distinct_keys,
-        "cache_hits": metrics.cache_hits,
-        "cache_misses": metrics.cache_misses,
-        "memoized": metrics.memoized,
-        "pdns_cache_hits": metrics.pdns_cache_hits,
-        "pdns_cache_misses": metrics.pdns_cache_misses,
-        "ipinfo_cache_hits": metrics.ipinfo_cache_hits,
-        "ipinfo_cache_misses": metrics.ipinfo_cache_misses,
-    }
-
-
-def decode_stage2_metrics(
-    payload: Optional[Dict[str, Any]],
-) -> Optional[Stage2Metrics]:
-    if payload is None:
-        return None
-    return Stage2Metrics(**payload)
-
-
-def encode_health(health: Dict[str, SourceHealth]) -> List[Dict[str, Any]]:
-    return [
-        dataclasses.asdict(ledger) for ledger in health.values()
-    ]
-
-
-def decode_health(payload: List[Dict[str, Any]]) -> Dict[str, SourceHealth]:
-    out: Dict[str, SourceHealth] = {}
-    for item in payload:
-        ledger = SourceHealth(**item)
-        out[ledger.name] = ledger
-    return out
-
-
 # -- stage codecs -----------------------------------------------------------
 
 
@@ -387,76 +284,12 @@ def decode_stage1(
     )
 
 
-def encode_stage2(stage2: Stage2Result, validated: bool) -> Dict[str, Any]:
-    return {
-        "classified": [
-            encode_classified(entry)
-            for entry in stage2.outcome.classified
-        ],
-        "fn_rate": stage2.fn_rate,
-        "source_health": encode_health(stage2.source_health),
-        "skipped_conditions": dict(
-            sorted(stage2.skipped_conditions.items())
-        ),
-        "metrics": encode_stage2_metrics(stage2.metrics),
-        # resume honesty: a checkpoint written by a validate=False run
-        # must not satisfy a validate=True resume
-        "validated": validated,
-    }
-
-
-def decode_stage2(payload: Dict[str, Any]) -> Stage2Result:
-    return Stage2Result(
-        outcome=SuspicionOutcome(
-            classified=URVerdicts.from_entries(
-                decode_classified(item) for item in payload["classified"]
-            )
-        ),
-        fn_rate=payload["fn_rate"],
-        source_health=decode_health(payload["source_health"]),
-        skipped_conditions=dict(payload["skipped_conditions"]),
-        metrics=decode_stage2_metrics(payload.get("metrics")),
-    )
-
-
-def encode_stage3(stage3: Stage3Result) -> Dict[str, Any]:
-    analysis = stage3.analysis
-    return {
-        "classified": [
-            encode_classified(entry) for entry in analysis.classified
-        ],
-        # a list, not a sorted mapping: first-seen order is the report's
-        # iteration order and must survive the round-trip
-        "ip_verdicts": [
-            encode_ip_verdict(verdict)
-            for verdict in analysis.ip_verdicts.values()
-        ],
-        "txt_without_ip": analysis.txt_without_ip,
-        "source_health": encode_health(stage3.source_health),
-    }
-
-
-def decode_stage3(payload: Dict[str, Any]) -> Stage3Result:
-    verdicts = [decode_ip_verdict(item) for item in payload["ip_verdicts"]]
-    return Stage3Result(
-        analysis=MaliciousAnalysisResult(
-            classified=[
-                decode_classified(item) for item in payload["classified"]
-            ],
-            ip_verdicts={
-                verdict.address: verdict for verdict in verdicts
-            },
-            txt_without_ip=payload["txt_without_ip"],
-        ),
-        source_health=decode_health(payload["source_health"]),
-    )
-
-
 # -- the store --------------------------------------------------------------
 
 
 class CheckpointStore:
-    """One directory of per-stage JSON checkpoints plus a manifest."""
+    """One directory holding the stage-1 JSON checkpoint, its group
+    slots and a manifest."""
 
     MANIFEST = "manifest.json"
     FAILURE = "failure.json"
@@ -480,8 +313,9 @@ class CheckpointStore:
         """Open the store for a run.
 
         A fresh run wipes stale stage files and group slots and stamps
-        a new manifest; a resumed run demands an existing manifest with
-        a matching configuration fingerprint.
+        a new manifest, so a live stage 1 never finds an old snapshot of
+        its own; a resumed run demands an existing manifest with a
+        matching configuration fingerprint.
         """
         self.path.mkdir(parents=True, exist_ok=True)
         manifest_path = self.path / self.MANIFEST
@@ -530,14 +364,6 @@ class CheckpointStore:
     #: benchmarks/e2e reads this; ROADMAP item 1 deletes it
     save_segment = save
 
-    def invalidate_from(self, stages: List[str]) -> None:
-        """Drop checkpoints for ``stages`` (a live re-run upstream makes
-        downstream snapshots inconsistent)."""
-        for stage in stages:
-            path = self.stage_file(stage)
-            if path.exists():
-                path.unlink()
-
     # -- failure provenance ---------------------------------------------------
 
     def record_failure(self, stage: str, error: BaseException) -> None:
@@ -580,10 +406,9 @@ class CheckpointStore:
         return payload
 
     def _write(self, path: Path, payload: Dict[str, Any]) -> None:
-        # compact, and streamed: a stage snapshot is the largest object
-        # a run serialises and is written at the run's memory peak,
-        # where ``dumps`` would hold it twice more (+5.7 MiB at default
-        # scale for 0.15 s saved)
+        # compact, and streamed: the stage-1 snapshot is the largest
+        # object a run serialises, and ``dumps`` would hold it twice
+        # more
         try:
             with atomic_write(path) as handle:
                 json.dump(payload, handle, separators=(",", ":"))

@@ -99,7 +99,7 @@ class FaultPlan:
 class FlakyVendor:
     """A :class:`~repro.intel.vendor.SecurityVendor` that sometimes fails.
 
-    Read paths (``is_malicious``, ``tags``, ``verdict``, ``blacklist``)
+    Read paths (``is_malicious``, ``tags``, ``verdict``)
     consult the fault plan; write paths used by world construction
     (``flag``, ``clear``) pass through.
     """
@@ -131,10 +131,6 @@ class FlakyVendor:
     def verdict(self, address: str):
         self.plan.check(self._source)
         return self.inner.verdict(address)
-
-    def blacklist(self) -> List[str]:
-        self.plan.check(self._source)
-        return self.inner.blacklist()
 
     def flag(self, address: str, tags=(), timestamp: float = 0.0) -> None:
         self.inner.flag(address, tags, timestamp=timestamp)

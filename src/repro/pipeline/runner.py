@@ -1,32 +1,31 @@
-"""The resilient pipeline runner: staged, checkpointed, resumable.
+"""The resilient pipeline runner: staged, resumable from stage 1.
 
 :class:`PipelineRunner` executes :class:`~repro.core.hunter.URHunter` as
 three named stages —
 
 * ``stage1-collect`` — all three response collections,
 * ``stage2-exclude`` — uniformity checking + suspicion filtering,
-* ``stage3-analyze`` — malicious-behaviour analysis,
+* ``stage3-analyze`` — malicious-behaviour analysis.
 
-— writing a JSON checkpoint after each one (when a
-:class:`~repro.pipeline.checkpoint.CheckpointStore` is attached).  A run
-killed mid-stage resumes from the last *completed* stage: completed
-stages are decoded from their checkpoints without re-querying anything
-(the scan engine's live metrics stay at zero, and the virtual clock is
-pinned to where the live stage 1 ended), and the first missing
-stage onward runs live — stage 1 replaying, from the group result
-store under the checkpoint directory, every UR group the killed run
-had finished.  Once any stage runs live, downstream
-checkpoints from the earlier run are invalidated — they were derived
-from state that no longer exists.
+Only stage 1, the rate-limited scan, is checkpointed (when a
+:class:`~repro.pipeline.checkpoint.CheckpointStore` is attached): every
+UR group is stored under ``groups/`` as it folds, and the finished stage
+as ``stage1-collect.json``.  A resumed run decodes that file without
+re-querying anything (the scan engine's live metrics stay at zero, and
+the virtual clock is pinned to where the live stage 1 ended), or, when
+stage 1 was killed, re-runs it replaying every UR group the killed run
+had finished.  Stages 2 and 3 are offline joins over stage 1's result:
+they always run live, on a resume as on a fresh run — recomputing them
+is cheaper than writing and reading back their snapshots.
 
 Failure semantics follow the shared taxonomy in
 :mod:`repro.pipeline.errors`: a source-level outage inside a stage is
 absorbed by the stage itself (degraded run, see
 :class:`~repro.core.report.DegradedSources`); an exception escaping a
 stage is recorded in the checkpoint directory (``failure.json``) and
-re-raised as :class:`~repro.pipeline.errors.StageFailed`, leaving every
-completed checkpoint behind for a later ``--resume``.  A checkpoint
-that does not decode is a :class:`~repro.pipeline.errors.CheckpointError`
+re-raised as :class:`~repro.pipeline.errors.StageFailed`, leaving the
+stage-1 checkpoint behind for a later ``--resume``.  A checkpoint that
+does not decode is a :class:`~repro.pipeline.errors.CheckpointError`
 naming its file.
 """
 
@@ -37,7 +36,7 @@ import signal
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from ..core.hunter import Stage1Result, Stage2Result, Stage3Result, URHunter
+from ..core.hunter import Stage1Result, URHunter
 from ..core.report import MeasurementReport
 from ..incremental import GroupResultStore
 from ..obs.events import run_end_fields
@@ -45,18 +44,13 @@ from .checkpoint import (
     CheckpointStore,
     config_fingerprint,
     decode_stage1,
-    decode_stage2,
-    decode_stage3,
     encode_stage1,
-    encode_stage2,
-    encode_stage3,
 )
 from .errors import CheckpointError, StageFailed
 
 STAGE1 = "stage1-collect"
 STAGE2 = "stage2-exclude"
 STAGE3 = "stage3-analyze"
-STAGE_ORDER: Tuple[str, ...] = (STAGE1, STAGE2, STAGE3)
 
 #: set this to a stage name to make the runner kill its own process at
 #: that stage's start — the kill-and-resume smoke test's crash hook
@@ -67,7 +61,7 @@ CRASH_ENV = "URHUNTER_CRASH_STAGE"
 class PipelineResult:
     """What one runner invocation did and produced."""
 
-    report: Optional[MeasurementReport]
+    report: MeasurementReport
     #: stages decoded from checkpoints (no live work)
     resumed: Tuple[str, ...] = ()
     #: stages executed live this invocation
@@ -76,9 +70,7 @@ class PipelineResult:
     @property
     def status(self) -> str:
         """``clean`` or ``degraded`` (aborted runs raise instead)."""
-        if self.report is not None and self.report.is_degraded:
-            return "degraded"
-        return "clean"
+        return "degraded" if self.report.is_degraded else "clean"
 
 
 class PipelineRunner:
@@ -120,8 +112,8 @@ class PipelineRunner:
         """Emit on the hunter's event bus, if one is attached.
 
         The runner owns the run-level events (``run.start``/``run.end``/
-        ``run.stopped``/``run.abort``) plus resume provenance
-        (``checkpoint.load``/``stage.resumed``) and artifact seals
+        ``run.abort``) plus stage 1's resume provenance
+        (``checkpoint.load``/``stage.resumed``) and artifact seal
         (``checkpoint.save``); the hunter owns the stage spans.
         """
         trace = self.hunter.trace
@@ -134,29 +126,9 @@ class PipelineRunner:
         if os.environ.get(CRASH_ENV) == stage:
             os.kill(os.getpid(), signal.SIGTERM)
 
-    def _downstream(self, stage: str) -> Tuple[str, ...]:
-        index = STAGE_ORDER.index(stage)
-        return STAGE_ORDER[index:]
-
-    def _decode(self, stage: str, decode, payload: Dict[str, Any], *args):
-        """Decode one stage checkpoint; a payload of the wrong shape is
-        refused like an unreadable file, as a :class:`CheckpointError`
-        naming it."""
-        try:
-            return decode(payload, *args)
-        except (AttributeError, KeyError, TypeError, ValueError) as error:
-            raise CheckpointError(
-                f"malformed checkpoint file {self.store.stage_file(stage)}: "
-                f"{type(error).__name__}: {error}"
-            ) from error
-
     def _run_live(self, stage: str, fn, *args):
         """Execute one stage live, recording failure provenance."""
         self._maybe_crash(stage)
-        if self.store is not None:
-            # a live re-run invalidates this stage's old snapshot and
-            # everything derived from it
-            self.store.invalidate_from(list(self._downstream(stage)))
         try:
             return fn(*args)
         except StageFailed as error:
@@ -175,21 +147,8 @@ class PipelineRunner:
 
     # -- the run -----------------------------------------------------------
 
-    def run(
-        self, validate: bool = True, stop_after: Optional[str] = None
-    ) -> PipelineResult:
-        """Execute (or resume) the pipeline.
-
-        ``stop_after`` names a stage to halt after — checkpoints up to
-        and including it are written, the report is not built (the
-        returned result carries ``report=None``).  Used by tests and by
-        operators splitting a long scan across maintenance windows.
-        """
-        if stop_after is not None and stop_after not in STAGE_ORDER:
-            raise ValueError(
-                f"unknown stage {stop_after!r} "
-                f"(known: {', '.join(STAGE_ORDER)})"
-            )
+    def run(self, validate: bool = True) -> PipelineResult:
+        """Execute (or resume) the pipeline."""
         # Anchor any deadline budget at the runner's start so "run
         # deadline" measures the whole pipeline, not just the first
         # engine call (the engine's own begin() is idempotent).
@@ -207,116 +166,22 @@ class PipelineRunner:
                     self.store.groups_path
                 )
         self._emit("run.start", fingerprint=self._fingerprint())
-        return self._run_staged(validate, stop_after)
-
-    def _run_staged(
-        self, validate: bool, stop_after: Optional[str]
-    ) -> PipelineResult:
-        """Three stages, a checkpoint after each."""
-        resumed: list = []
-        executed: list = []
-        # Once any stage runs live, later checkpoints no longer describe
-        # this run's state and must not be loaded.
-        trust_checkpoints = self.resume and self.store is not None
-
-        # -- stage 1: collection ------------------------------------------
-        stage1: Optional[Stage1Result] = None
-        if trust_checkpoints and self.store.has(STAGE1):
-            self._emit("checkpoint.load", stage=STAGE1)
-            stage1 = self._decode(
-                STAGE1,
-                decode_stage1,
-                self.store.load(STAGE1),
-                self.hunter.ipinfo,
-            )
-            # stage 2 reads the profiles through the hunter, and its
-            # §4.2 sample starts where the live stage 1 ended
-            self.hunter.correct_db = stage1.collection.correct_db
-            self.hunter.network.set_clock(stage1.end)
-            resumed.append(STAGE1)
-            self._emit(
-                "stage.resumed",
-                stage=STAGE1,
-                records=len(stage1.collection.undelegated),
-            )
+        resumed: Tuple[str, ...] = ()
+        if self.resume and self.store.has(STAGE1):
+            stage1 = self._load_stage1()
+            resumed = (STAGE1,)
         else:
-            trust_checkpoints = False
             stage1 = self._run_live(STAGE1, self.hunter.stage1_collect)
-            executed.append(STAGE1)
             if self.store is not None:
                 self.store.save(STAGE1, encode_stage1(stage1))
                 self._emit("checkpoint.save", stage=STAGE1)
-        if stop_after == STAGE1:
-            self._emit("run.stopped", after=STAGE1)
-            return PipelineResult(
-                report=None,
-                resumed=tuple(resumed),
-                executed=tuple(executed),
-            )
-
-        # -- stage 2: exclusion -------------------------------------------
-        stage2: Optional[Stage2Result] = None
-        if trust_checkpoints and self.store.has(STAGE2):
-            payload = self.store.load(STAGE2)
-            # a checkpoint written without validation cannot satisfy a
-            # validating resume — fall through to a live re-run
-            if payload.get("validated", False) or not validate:
-                self._emit(
-                    "checkpoint.load",
-                    stage=STAGE2,
-                    validated=bool(payload.get("validated", False)),
-                )
-                stage2 = self._decode(STAGE2, decode_stage2, payload)
-                resumed.append(STAGE2)
-                self._emit(
-                    "stage.resumed",
-                    stage=STAGE2,
-                    records=len(stage2.outcome.classified),
-                )
-        if stage2 is None:
-            trust_checkpoints = False
-            stage2 = self._run_live(
-                STAGE2, self.hunter.stage2_exclude, stage1, validate
-            )
-            executed.append(STAGE2)
-            if self.store is not None:
-                self.store.save(
-                    STAGE2, encode_stage2(stage2, validated=validate)
-                )
-                self._emit(
-                    "checkpoint.save", stage=STAGE2, validated=validate
-                )
-        if stop_after == STAGE2:
-            self._emit("run.stopped", after=STAGE2)
-            return PipelineResult(
-                report=None,
-                resumed=tuple(resumed),
-                executed=tuple(executed),
-            )
-
-        # -- stage 3: analysis --------------------------------------------
-        stage3: Optional[Stage3Result] = None
-        if trust_checkpoints and self.store.has(STAGE3):
-            self._emit("checkpoint.load", stage=STAGE3)
-            stage3 = self._decode(
-                STAGE3, decode_stage3, self.store.load(STAGE3)
-            )
-            resumed.append(STAGE3)
-            self._emit(
-                "stage.resumed",
-                stage=STAGE3,
-                refined=len(stage3.analysis.classified),
-            )
-        else:
-            stage3 = self._run_live(
-                STAGE3, self.hunter.stage3_analyze, stage2
-            )
-            executed.append(STAGE3)
-            if self.store is not None:
-                self.store.save(STAGE3, encode_stage3(stage3))
-                self._emit("checkpoint.save", stage=STAGE3)
-
-        # -- report (cheap, deterministic; never checkpointed) -------------
+        executed = (STAGE1, STAGE2, STAGE3)[len(resumed):]
+        # stages 2 and 3 are offline joins over what stage 1 collected:
+        # they always run live, and are never snapshotted
+        stage2 = self._run_live(
+            STAGE2, self.hunter.stage2_exclude, stage1, validate
+        )
+        stage3 = self._run_live(STAGE3, self.hunter.stage3_analyze, stage2)
         report = self.hunter.build_report(stage1, stage2, stage3)
         if self.store is not None:
             self.store.clear_failure()
@@ -327,7 +192,30 @@ class PipelineRunner:
             **run_end_fields(report),
         )
         return PipelineResult(
-            report=report,
-            resumed=tuple(resumed),
-            executed=tuple(executed),
+            report=report, resumed=resumed, executed=executed
         )
+
+    def _load_stage1(self) -> Stage1Result:
+        """Stage 1 from its snapshot, with the hunter and the clock set
+        as the live stage 1 left them.  A payload of the wrong shape is
+        refused like an unreadable file, as a :class:`CheckpointError`
+        naming it."""
+        self._emit("checkpoint.load", stage=STAGE1)
+        payload = self.store.load(STAGE1)
+        try:
+            stage1 = decode_stage1(payload, self.hunter.ipinfo)
+        except (AttributeError, KeyError, TypeError, ValueError) as error:
+            raise CheckpointError(
+                f"malformed checkpoint file {self.store.stage_file(STAGE1)}: "
+                f"{type(error).__name__}: {error}"
+            ) from error
+        # stage 2 reads the profiles through the hunter, and its §4.2
+        # sample starts where the live stage 1 ended
+        self.hunter.correct_db = stage1.collection.correct_db
+        self.hunter.network.set_clock(stage1.end)
+        self._emit(
+            "stage.resumed",
+            stage=STAGE1,
+            records=len(stage1.collection.undelegated),
+        )
+        return stage1

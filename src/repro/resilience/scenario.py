@@ -66,14 +66,6 @@ class FaultWindow:
         if self.start < 0 or self.duration < 0:
             raise ScenarioError("window start/duration must be >= 0")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "start": self.start,
-            "duration": self.duration,
-            "params": dict(self.params),
-        }
-
     @classmethod
     def from_dict(cls, raw: Dict[str, Any]) -> "FaultWindow":
         extra = set(raw) - {"kind", "start", "duration", "params"}
@@ -99,14 +91,6 @@ class ScenarioScript:
     seed: int = 0
     description: str = ""
     windows: Tuple[FaultWindow, ...] = ()
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "description": self.description,
-            "windows": [window.to_dict() for window in self.windows],
-        }
 
     @classmethod
     def from_dict(cls, raw: Dict[str, Any]) -> "ScenarioScript":

@@ -33,10 +33,6 @@ class SandboxReport:
         excluding connectivity checks)."""
         return IdsEngine.actionable(self.alerts)
 
-    def dns_queries(self) -> List[str]:
-        """Names the sample looked up, in order."""
-        return [qname for _, qname in self.capture.dns_questions()]
-
 
 class Sandbox:
     """A detonation environment with a fixed victim address and IDS."""

@@ -88,6 +88,17 @@ class TestURTable:
             hash(URTable())
 
 
+def _verdicts(entries):
+    """Verdict columns written the way stage 2 writes them: a table row,
+    then its verdict."""
+    table = URTable()
+    verdicts = URVerdicts(table)
+    for entry in entries:
+        table.append(entry.record)
+        verdicts.append(entry.category, entry.reasons, entry.txt_category)
+    return verdicts
+
+
 class TestVerdictViews:
     def _entries(self):
         categories = (
@@ -111,7 +122,7 @@ class TestVerdictViews:
 
     def test_verdicts_equal_their_entries(self):
         entries = self._entries()
-        verdicts = URVerdicts.from_entries(entries)
+        verdicts = _verdicts(entries)
         assert verdicts == entries
         assert verdicts[2] == entries[2]
         assert verdicts.select([URCategory.UNKNOWN]) == [
@@ -122,10 +133,9 @@ class TestVerdictViews:
         assert verdicts[1].reasons is verdicts[3].reasons
 
     def test_a_stage2_entry_names_no_corresponding_ip(self):
-        entry = self._entries()[0]
-        entry.corresponding_ips = ("192.0.2.1",)
-        with pytest.raises(ValueError):
-            URVerdicts.from_entries([entry])
+        verdicts = _verdicts(self._entries())
+        assert [entry.corresponding_ips for entry in verdicts] == [()] * 4
+        assert verdicts.select(list(URCategory)) == list(verdicts)
 
     def test_report_entries_are_the_clean_rows_then_the_refined(self):
         entries = self._entries()
@@ -134,7 +144,7 @@ class TestVerdictViews:
             for entry in entries
             if entry.is_suspicious
         ]
-        report = ReportEntries(URVerdicts.from_entries(entries), refined)
+        report = ReportEntries(_verdicts(entries), refined)
         expected = [entries[0], entries[2], *refined]
         assert list(report) == expected
         assert report == expected

@@ -1,11 +1,11 @@
 """Resume granularity of a streaming-configured run: the stage-1 group
-plus each stage boundary, interchangeable with batch checkpoints.
+plus the stage-1 boundary, interchangeable with batch checkpoints.
 
-A run configured for streaming writes the batch run's files — a stage
-checkpoint after each stage, and each stage-1 group result as soon as
-it is folded — and no stream segment.  A crash mid-scan resumes from
-the stored groups; a finished run resumes from its stage checkpoints,
-whichever way the resuming run is configured.
+A run configured for streaming writes the batch run's files — the
+stage-1 checkpoint, and each stage-1 group result as soon as it is
+folded — and no stream segment.  A crash mid-scan resumes from the
+stored groups; a finished run resumes from its stage-1 checkpoint and
+re-runs stages 2 and 3, whichever way the resuming run is configured.
 """
 
 import os
@@ -24,7 +24,8 @@ from repro.pipeline import (
     CheckpointStore,
     PipelineRunner,
     STAGE1,
-    STAGE_ORDER,
+    STAGE2,
+    STAGE3,
     StageFailed,
 )
 from repro.plan import CRASH_GROUP_ENV
@@ -55,14 +56,6 @@ def group_files(directory: Path):
 
 
 class TestRunnerStreamValidation:
-    def test_stop_after_rejected_for_streaming(self):
-        """The fused ``stream-flow`` stage is gone: naming it is refused
-        like any unknown stage, and nothing runs."""
-        hunter = stream_hunter()
-        with pytest.raises(ValueError, match="unknown stage 'stream-flow'"):
-            PipelineRunner(hunter).run(stop_after="stream-flow")
-        assert hunter.engine.metrics.queries == 0
-
     def test_negative_checkpoint_every_rejected(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["--checkpoint-every", "-1", "run"])
@@ -79,14 +72,16 @@ class TestSegmentLifecycle:
             store=CheckpointStore(tmp_path),
             checkpoint_every=5,
         ).run()
-        assert result.executed == STAGE_ORDER
+        assert result.executed == (STAGE1, STAGE2, STAGE3)
         assert result.report.summary() == batch_summary
-        # the stage checkpoints and the stored groups are the only
+        # the stage-1 checkpoint and the stored groups are the only
         # resume medium
         assert segment_files(tmp_path) == []
         assert group_files(tmp_path)
-        for stage in STAGE_ORDER:
-            assert (tmp_path / f"{stage}.json").exists()
+        assert sorted(path.name for path in tmp_path.glob("*.json")) == [
+            "manifest.json",
+            f"{STAGE1}.json",
+        ]
 
     def test_crash_after_segment_then_resume(
         self, tmp_path, monkeypatch, batch_summary
@@ -132,7 +127,7 @@ class TestSegmentLifecycle:
 
 
 class TestMixedModeResume:
-    """Stage checkpoints interchange between the two configurations:
+    """The stage-1 checkpoint interchanges between the two configurations:
     ``execution`` is not a field, so no fingerprint sees it."""
 
     def test_stream_resumes_batch_checkpoints(
@@ -146,8 +141,8 @@ class TestMixedModeResume:
         replay = PipelineRunner(
             replayer, store=CheckpointStore(tmp_path), resume=True
         ).run()
-        assert replay.resumed == STAGE_ORDER
-        assert replay.executed == ()
+        assert replay.resumed == (STAGE1,)
+        assert replay.executed == (STAGE2, STAGE3)
         assert replayer.engine.metrics.queries == 0
         assert replay.report.summary() == batch_summary
 
@@ -161,7 +156,7 @@ class TestMixedModeResume:
         replay = PipelineRunner(
             replayer, store=CheckpointStore(tmp_path), resume=True
         ).run()
-        assert replay.resumed == STAGE_ORDER
+        assert replay.resumed == (STAGE1,)
         assert replayer.engine.metrics.queries == 0
         assert replay.report.summary() == batch_summary
 

@@ -43,7 +43,13 @@ class TestSecurityVendor:
         vendor = SecurityVendor("VT")
         vendor.flag("6.6.6.6")
         vendor.flag("7.7.7.7")
-        assert set(vendor.blacklist()) == {"6.6.6.6", "7.7.7.7"}
+        vendor.flag("8.8.8.8")
+        vendor.clear("8.8.8.8")
+        assert [
+            address
+            for address in ("6.6.6.6", "7.7.7.7", "8.8.8.8")
+            if vendor.is_malicious(address)
+        ] == ["6.6.6.6", "7.7.7.7"]
         assert len(vendor) == 2
 
 

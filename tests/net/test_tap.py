@@ -148,7 +148,7 @@ def test_detonation_views_equal_the_eager_list():
             flow.dst for flow in flows if flow.protocol is not Protocol.DNS
         }
         lookups = [flow for flow in flows if flow.protocol is Protocol.DNS]
-        assert report.dns_queries() == [
+        assert [qname for _, qname in report.capture.dns_questions()] == [
             str(flow.metadata.get("qname")) for flow in lookups
         ]
         assert set(report.capture.destinations(Protocol.DNS)) == {

@@ -8,12 +8,7 @@ import pytest
 from repro.core import HunterConfig, URHunter
 from repro.core.collector import ProtectiveFingerprint
 from repro.core.correctness import CorrectRecordDatabase
-from repro.core.records import (
-    ClassifiedUR,
-    IpVerdict,
-    URCategory,
-    UndelegatedRecord,
-)
+from repro.core.records import UndelegatedRecord
 from repro.dns.name import name
 from repro.dns.rdata import RRType
 from repro.engine.metrics import ScanMetrics
@@ -24,26 +19,21 @@ from repro.pipeline import (
     STAGE3,
     CheckpointError,
     PipelineRunner,
-    SourceHealth,
     StageFailed,
 )
 from repro.pipeline.checkpoint import (
     CheckpointStore,
     config_fingerprint,
-    decode_classified,
     decode_fingerprint,
-    decode_health,
-    decode_ip_verdict,
     decode_metrics,
     decode_profiles,
     decode_record,
-    encode_classified,
+    decode_stage1,
     encode_fingerprint,
-    encode_health,
-    encode_ip_verdict,
     encode_metrics,
     encode_profiles,
     encode_record,
+    encode_stage1,
 )
 
 from .conftest import make_world
@@ -76,32 +66,6 @@ class TestCodecs:
         )
         assert decode_record(encode_record(record)) == record
 
-    def test_classified_round_trip(self):
-        entry = ClassifiedUR(
-            record=sample_record(),
-            category=URCategory.MALICIOUS,
-            reasons=("survived-exclusion", "ip-intel"),
-            corresponding_ips=("10.0.0.1",),
-            txt_category=None,
-        )
-        decoded = decode_classified(encode_classified(entry))
-        assert decoded == entry
-        assert decoded.category is URCategory.MALICIOUS
-
-    def test_ip_verdict_round_trip_sorts_tags(self):
-        verdict = IpVerdict(
-            address="10.0.0.1",
-            intel_flagged=True,
-            ids_flagged=False,
-            vendor_count=2,
-            tags=frozenset({"trojan", "cc", "botnet"}),
-            alert_categories=("Malware C2",),
-            intel_partial=True,
-        )
-        payload = encode_ip_verdict(verdict)
-        assert payload["tags"] == ["botnet", "cc", "trojan"]
-        assert decode_ip_verdict(payload) == verdict
-
     def test_protective_fingerprint_round_trip(self):
         fingerprint = ProtectiveFingerprint(
             nameserver_ip="192.0.2.1",
@@ -125,6 +89,15 @@ class TestCodecs:
         assert copy.countries == original.countries
         assert copy.txt_values == original.txt_values
 
+    def test_stage1_round_trip(self):
+        hunter = URHunter.from_world(make_world())
+        stage1 = hunter.stage1_collect()
+        payload = encode_stage1(stage1)
+        decoded = decode_stage1(json.loads(json.dumps(payload)), hunter.ipinfo)
+        assert encode_stage1(decoded) == payload
+        assert decoded.collection.undelegated == stage1.collection.undelegated
+        assert (decoded.now, decoded.end) == (stage1.now, stage1.end)
+
     def test_metrics_round_trip(self):
         metrics = ScanMetrics()
         counters = metrics.stage("ur")
@@ -144,16 +117,6 @@ class TestCodecs:
     def test_metrics_none_round_trip(self):
         assert encode_metrics(None) is None
         assert decode_metrics(None) is None
-
-    def test_health_round_trip(self):
-        health = {
-            "pdns": SourceHealth(
-                name="pdns", calls=5, failures=2, state="open"
-            )
-        }
-        decoded = decode_health(encode_health(health))
-        assert decoded["pdns"] == health["pdns"]
-        assert decoded["pdns"].dead
 
 
 class TestConfigFingerprint:
@@ -273,18 +236,7 @@ class TestCheckpointStore:
         store = CheckpointStore(tmp_path)
         store.prepare("fp", resume=False)
         with pytest.raises(CheckpointError, match="no checkpoint"):
-            store.load("stage2-exclude")
-
-    def test_invalidate_from_drops_downstream(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.prepare("fp", resume=False)
-        store.save("stage1-collect", {})
-        store.save("stage2-exclude", {})
-        store.save("stage3-analyze", {})
-        store.invalidate_from(["stage2-exclude", "stage3-analyze"])
-        assert store.has("stage1-collect")
-        assert not store.has("stage2-exclude")
-        assert not store.has("stage3-analyze")
+            store.load("stage1-collect")
 
     def test_corrupt_checkpoint_raises(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -327,22 +279,22 @@ class TestCheckpointStore:
 
 
 class TestPruneStale:
-    """Checkpoint-directory clean-up on resume: a stage that runs live
-    drops its own old snapshot and every one derived from it, while the
-    stage-1 groups a crashed run stored stay behind as its resume
-    medium until a fresh run wipes them."""
+    """Checkpoint-directory clean-up: a directory only ever holds the
+    stage-1 snapshot and the stage-1 groups a crashed run stored, which
+    stay behind as its resume medium until a fresh run wipes them."""
 
-    def test_superseding_stage_prunes_everything(self, tmp_path):
+    def test_resume_without_stage1_file_rewrites_only_stage1(self, tmp_path):
         store = CheckpointStore(tmp_path)
         PipelineRunner(URHunter.from_world(make_world()), store=store).run()
+        snapshot = store.stage_file(STAGE1).read_text()
         store.stage_file(STAGE1).unlink()
         result = PipelineRunner(
             URHunter.from_world(make_world()),
             store=CheckpointStore(tmp_path),
             resume=True,
-        ).run(stop_after=STAGE1)
-        assert result.executed == (STAGE1,)
-        assert store.has(STAGE1)
+        ).run()
+        assert result.executed == (STAGE1, STAGE2, STAGE3)
+        assert store.stage_file(STAGE1).read_text() == snapshot
         assert not store.has(STAGE2) and not store.has(STAGE3)
 
     def test_segments_survive_without_superseding_stage(
@@ -368,9 +320,22 @@ class TestPruneStale:
             URHunter.from_world(make_world()),
             store=CheckpointStore(tmp_path),
             resume=True,
-        ).run(stop_after=STAGE1)
-        assert result.executed == (STAGE1,)
+        ).run()
+        assert result.executed == (STAGE1, STAGE2, STAGE3)
         assert group.read_text() == stored
         # a fresh run supersedes everything the crashed one left
         store.prepare("fresh", resume=False)
         assert list(store.groups_path.glob("group-*.json")) == []
+
+    def test_fresh_run_wipes_stage2_and_stage3_files_it_finds(self, tmp_path):
+        """A directory an older build wrote holds stage-2/3 snapshots;
+        a fresh run over it removes them with the rest."""
+        for stage in (STAGE2, STAGE3):
+            (tmp_path / f"{stage}.json").write_text("{}")
+        PipelineRunner(
+            URHunter.from_world(make_world()), store=CheckpointStore(tmp_path)
+        ).run()
+        assert sorted(path.name for path in tmp_path.glob("*.json")) == [
+            "manifest.json",
+            f"{STAGE1}.json",
+        ]

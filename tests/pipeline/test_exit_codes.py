@@ -24,7 +24,8 @@ SMALL = ["--scale", "small"]
 
 @pytest.fixture(scope="module")
 def checkpointed(tmp_path_factory):
-    """A completed small run's checkpoint directory (all three stages)."""
+    """A completed small run's checkpoint directory (stage 1 and its
+    groups)."""
     directory = tmp_path_factory.mktemp("checkpointed")
     assert main(SMALL + ["--checkpoint-dir", str(directory), "run"]) == 0
     return directory
@@ -108,9 +109,6 @@ class TestExitCodes:
             ("stage1-collect.json", "null"),
             ("stage1-collect.json", "[]"),
             ("stage1-collect.json", '{"undelegated": []}'),
-            ("stage2-exclude.json", "null"),
-            ("stage3-analyze.json", "null"),
-            ("stage3-analyze.json", "{}"),
         ],
     )
     def test_malformed_checkpoint_is_refused_naming_the_file(

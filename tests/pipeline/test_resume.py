@@ -1,12 +1,19 @@
-"""Resume semantics: checkpointed stages replay without re-scanning.
+"""Resume semantics: stage 1 replays without re-scanning, and stages 2
+and 3 always run live.
 
-The acceptance bar (ISSUE, PR 2): a run killed after stage 1 and resumed
-must produce a byte-identical report, with the resumed stages doing zero
-live queries.
+The acceptance bar: a run resumed from the stage-1 checkpoint, from the
+groups of a killed stage 1, or from a completed directory produces a
+byte-identical report, and its stage 1 sends no query.  Only stage 1 is
+written out — a checkpoint directory holds ``manifest.json``,
+``stage1-collect.json`` and ``groups/`` — and a stage-2 or stage-3
+file found in it is never read.
 """
 
+import contextlib
+import io
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -14,8 +21,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import EXIT_OK, main
 from repro.core import URHunter
-from repro.obs import RunTrace
+from repro.obs import RunTrace, build_metrics_document
 from repro.obs.events import STAGE2 as OBS_STAGE2, STAGE3 as OBS_STAGE3
 from repro.pipeline import (
     CheckpointStore,
@@ -23,7 +31,7 @@ from repro.pipeline import (
     STAGE1,
     STAGE2,
     STAGE3,
-    STAGE_ORDER,
+    StageFailed,
 )
 from repro.plan import CRASH_GROUP_ENV
 from repro.resilience.scenario import (
@@ -35,7 +43,15 @@ from repro.resilience.scenario import (
 from .conftest import make_world
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-CLI = [sys.executable, "-m", "repro", "--scale", "small"]
+SMALL = ["--scale", "small"]
+CLI = [sys.executable, "-m", "repro", *SMALL]
+#: loss on the scan plus every data-source fault knob
+FAULTED = [
+    "--loss-rate", "0.05",
+    "--intel-fault-rate", "0.2",
+    "--pdns-fault-rate", "0.2",
+    "--ipinfo-fault-rate", "0.2",
+]
 
 
 def cli_env():
@@ -46,14 +62,51 @@ def cli_env():
     return env
 
 
-class TestInProcessResume:
-    def test_stage_order_constants(self):
-        assert STAGE_ORDER == (STAGE1, STAGE2, STAGE3)
+def cli(*args, env=None):
+    return subprocess.run(
+        CLI + list(args),
+        capture_output=True,
+        env=env or cli_env(),
+        cwd=REPO_ROOT,
+        timeout=120,
+    )
 
+
+def in_process(*args):
+    """``repro --scale small ARGS`` in this process: exit code, stdout,
+    stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(
+        stderr
+    ):
+        code = main(SMALL + list(args))
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def checkpoint_files(directory: Path):
+    return sorted(path.name for path in directory.iterdir())
+
+
+def deterministic(report):
+    """The report's byte-compared surfaces: the summary and the
+    metrics document's deterministic block."""
+    document = build_metrics_document(report)["deterministic"]
+    return report.summary(), json.dumps(document, sort_keys=True)
+
+
+def run(path, resume=False, validate=True, hunter=None):
+    hunter = hunter or URHunter.from_world(make_world())
+    result = PipelineRunner(
+        hunter, store=CheckpointStore(path), resume=resume
+    ).run(validate=validate)
+    return hunter, result
+
+
+class TestInProcessResume:
     def test_runner_without_store_matches_plain_run(self, baseline_report):
         hunter = URHunter.from_world(make_world())
         result = PipelineRunner(hunter).run()
-        assert result.executed == STAGE_ORDER
+        assert result.executed == (STAGE1, STAGE2, STAGE3)
         assert result.resumed == ()
         assert result.report.summary() == baseline_report.summary()
 
@@ -62,78 +115,102 @@ class TestInProcessResume:
         with pytest.raises(ValueError, match="checkpoint store"):
             PipelineRunner(hunter, resume=True)
 
-    def test_unknown_stop_after_rejected(self):
-        hunter = URHunter.from_world(make_world())
-        with pytest.raises(ValueError, match="unknown stage"):
-            PipelineRunner(hunter).run(stop_after="stage9-profit")
+    def test_checkpoint_dir_holds_stage1_and_groups_only(self, tmp_path):
+        run(tmp_path)
+        expected = ["groups", "manifest.json", f"{STAGE1}.json"]
+        assert checkpoint_files(tmp_path) == expected
+        assert list((tmp_path / "groups").glob("group-*.json"))
+        run(tmp_path, resume=True)
+        assert checkpoint_files(tmp_path) == expected
 
-    def test_stop_resume_is_byte_identical_with_zero_queries(
+    def test_full_resume_replays_all_stages(self, tmp_path, baseline_report):
+        run(tmp_path)
+        replayer, replay = run(tmp_path, resume=True)
+        assert replay.resumed == (STAGE1,)
+        assert replay.executed == (STAGE2, STAGE3)
+        # stage 1 did not re-send a single query
+        assert replayer.engine.metrics.queries == 0
+        assert deterministic(replay.report) == deterministic(baseline_report)
+
+    def test_second_resume_is_byte_identical_with_zero_queries(
         self, tmp_path, baseline_report
     ):
-        first = URHunter.from_world(make_world())
-        halted = PipelineRunner(
-            first, store=CheckpointStore(tmp_path)
-        ).run(stop_after=STAGE1)
-        assert halted.report is None
-        assert halted.executed == (STAGE1,)
-
-        second = URHunter.from_world(make_world())
-        resumed = PipelineRunner(
-            second, store=CheckpointStore(tmp_path), resume=True
-        ).run()
-        assert resumed.resumed == (STAGE1,)
-        assert resumed.executed == (STAGE2, STAGE3)
-        # the resumed stage did not re-send a single query
-        assert second.engine.metrics.queries == 0
-        assert resumed.report.summary() == baseline_report.summary()
-
-    def test_full_resume_replays_all_stages(
-        self, tmp_path, baseline_report
-    ):
-        store = CheckpointStore(tmp_path)
-        PipelineRunner(
-            URHunter.from_world(make_world()), store=store
-        ).run()
-        replayer = URHunter.from_world(make_world())
-        replay = PipelineRunner(
-            replayer, store=CheckpointStore(tmp_path), resume=True
-        ).run()
-        assert replay.resumed == STAGE_ORDER
-        assert replay.executed == ()
+        run(tmp_path)
+        snapshot = (tmp_path / f"{STAGE1}.json").read_bytes()
+        run(tmp_path, resume=True)
+        replayer, replay = run(tmp_path, resume=True)
+        assert replay.resumed == (STAGE1,)
         assert replayer.engine.metrics.queries == 0
         assert replay.report.summary() == baseline_report.summary()
+        assert (tmp_path / f"{STAGE1}.json").read_bytes() == snapshot
 
-    def test_unvalidated_checkpoint_cannot_satisfy_validating_resume(
-        self, tmp_path
+    def test_resume_validates_whatever_the_checkpointing_run_did(
+        self, tmp_path, baseline_report
     ):
-        PipelineRunner(
-            URHunter.from_world(make_world()),
-            store=CheckpointStore(tmp_path),
-        ).run(validate=False)
-        resume = PipelineRunner(
-            URHunter.from_world(make_world()),
-            store=CheckpointStore(tmp_path),
-            resume=True,
-        ).run(validate=True)
-        # stage 2 re-ran to compute the FN rate the checkpoint lacked
-        assert STAGE2 in resume.executed
-        assert resume.report.false_negative_rate is not None
+        """Stage 2 runs live on every resume, so a validating resume of
+        a run made without validation computes the FN rate itself."""
+        _, unvalidated = run(tmp_path, validate=False)
+        assert unvalidated.report.false_negative_rate is None
+        _, resumed = run(tmp_path, resume=True, validate=True)
+        assert resumed.executed == (STAGE2, STAGE3)
+        assert resumed.report.false_negative_rate is not None
+        assert resumed.report.summary() == baseline_report.summary()
 
     def test_scan_metrics_survive_resume(self, tmp_path, baseline_report):
-        store = CheckpointStore(tmp_path)
-        PipelineRunner(
-            URHunter.from_world(make_world()), store=store
-        ).run(stop_after=STAGE1)
-        resumed = PipelineRunner(
-            URHunter.from_world(make_world()),
-            store=CheckpointStore(tmp_path),
-            resume=True,
-        ).run()
+        run(tmp_path)
+        _, resumed = run(tmp_path, resume=True)
         live = baseline_report.scan_metrics
         replay = resumed.report.scan_metrics
         assert replay.queries == live.queries
         assert replay.timeouts == live.timeouts
         assert replay.summary() == live.summary()
+
+    def test_stage2_failure_on_resume_keeps_the_stage1_checkpoint(
+        self, tmp_path, monkeypatch, baseline_report
+    ):
+        run(tmp_path)
+        snapshot = (tmp_path / f"{STAGE1}.json").read_bytes()
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("stage 2 exploded")
+
+        monkeypatch.setattr(URHunter, "stage2_exclude", explode)
+        with pytest.raises(StageFailed, match="stage 2 exploded"):
+            run(tmp_path, resume=True)
+        assert CheckpointStore(tmp_path).last_failure()["stage"] == STAGE2
+        monkeypatch.undo()
+
+        _, resumed = run(tmp_path, resume=True)
+        assert resumed.report.summary() == baseline_report.summary()
+        assert (tmp_path / f"{STAGE1}.json").read_bytes() == snapshot
+        assert CheckpointStore(tmp_path).last_failure() is None
+
+
+class TestCheckpointEvents:
+    """``checkpoint.save``, ``checkpoint.load`` and ``stage.resumed``
+    name stage 1 only."""
+
+    @staticmethod
+    def _stages(trace, name):
+        return [
+            event["stage"]
+            for event in trace.events()
+            if event["event"] == name
+        ]
+
+    def test_only_stage1_is_sealed_and_loaded(self, tmp_path):
+        live = URHunter.from_world(make_world())
+        live.attach_trace(RunTrace())
+        run(tmp_path, hunter=live)
+        assert self._stages(live.trace, "checkpoint.save") == [STAGE1]
+        assert self._stages(live.trace, "checkpoint.load") == []
+
+        resumed = URHunter.from_world(make_world())
+        resumed.attach_trace(RunTrace())
+        run(tmp_path, resume=True, hunter=resumed)
+        assert self._stages(resumed.trace, "checkpoint.save") == []
+        assert self._stages(resumed.trace, "checkpoint.load") == [STAGE1]
+        assert self._stages(resumed.trace, "stage.resumed") == [STAGE1]
 
 
 class TestResumedClock:
@@ -172,13 +249,12 @@ class TestResumedClock:
         ]
 
     def test_resumed_run_reads_the_uninterrupted_clock(self, tmp_path):
-        live = self._runner(tmp_path / "live")
+        live = self._runner(tmp_path)
         origin = live.hunter.network.now
         report = live.run().report
         elapsed = live.hunter.network.now - origin
 
-        self._runner(tmp_path / "halted").run(stop_after=STAGE1)
-        resumed = self._runner(tmp_path / "halted", resume=True)
+        resumed = self._runner(tmp_path, resume=True)
         origin = resumed.hunter.network.now
         replay = resumed.run()
         assert replay.resumed == (STAGE1,)
@@ -188,70 +264,139 @@ class TestResumedClock:
         assert self._after_stage1(resumed) == self._after_stage1(live)
 
 
-class TestKillAndResumeSubprocess:
-    """The CI smoke test, in miniature: SIGTERM mid-stage-2, resume,
-    compare stdout byte-for-byte against an uninterrupted run."""
+class TestStrayStageFiles:
+    """A directory an older build wrote holds stage-2 and stage-3
+    snapshots; a resume never opens them, whatever they hold."""
 
-    def test_sigterm_then_resume_byte_identical(self, tmp_path):
-        baseline = subprocess.run(
-            CLI + ["--checkpoint-dir", str(tmp_path / "base"), "run"],
-            capture_output=True,
-            env=cli_env(),
-            cwd=REPO_ROOT,
-            timeout=120,
+    @pytest.fixture(scope="class")
+    def completed(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("completed")
+        code, stdout, _ = in_process(
+            "--checkpoint-dir", str(directory), "run"
+        )
+        assert code == EXIT_OK
+        return directory, stdout
+
+    @pytest.mark.parametrize(
+        "files",
+        [
+            {STAGE2: "{not json", STAGE3: "\x00garbage"},
+            {STAGE2: "null"},
+            {STAGE3: "null"},
+            {STAGE3: "{}"},
+        ],
+        ids=["garbage-in-both", "stage2-null", "stage3-null", "stage3-empty"],
+    )
+    def test_stray_stage2_and_stage3_files_are_never_read(
+        self, completed, tmp_path, files
+    ):
+        source, baseline = completed
+        directory = tmp_path / "ckpt"
+        shutil.copytree(source, directory)
+        for stage, body in files.items():
+            (directory / f"{stage}.json").write_text(body)
+        code, stdout, stderr = in_process(
+            "--checkpoint-dir", str(directory), "--resume", "run"
+        )
+        assert code == EXIT_OK, stderr
+        assert stdout == baseline
+        for stage, body in files.items():
+            assert (directory / f"{stage}.json").read_text() == body
+
+
+class TestKillAndResumeSubprocess:
+    """The CI smoke test, in miniature: SIGTERM at a stage's start,
+    resume, compare stdout byte-for-byte against an uninterrupted run."""
+
+    @staticmethod
+    def _kill_and_resume(tmp_path, stage, *flags):
+        baseline = cli(
+            *flags, "--checkpoint-dir", str(tmp_path / "base"), "run"
         )
         assert baseline.returncode == 0, baseline.stderr.decode()
-
-        crash_env = cli_env()
-        crash_env["URHUNTER_CRASH_STAGE"] = STAGE2
-        crashed = subprocess.run(
-            CLI + ["--checkpoint-dir", str(tmp_path / "ckpt"), "run"],
-            capture_output=True,
-            env=crash_env,
-            cwd=REPO_ROOT,
-            timeout=120,
+        ckpt = tmp_path / "ckpt"
+        crashed = cli(
+            *flags,
+            "--checkpoint-dir",
+            str(ckpt),
+            "run",
+            env={**cli_env(), "URHUNTER_CRASH_STAGE": stage},
         )
         # killed by SIGTERM: raw -15 or shell-style 143
         assert crashed.returncode in (-signal.SIGTERM, 143)
-        assert (tmp_path / "ckpt" / f"{STAGE1}.json").exists()
-        assert not (tmp_path / "ckpt" / f"{STAGE2}.json").exists()
-
-        resumed = subprocess.run(
-            CLI
-            + [
-                "--checkpoint-dir",
-                str(tmp_path / "ckpt"),
-                "--resume",
-                "run",
-            ],
-            capture_output=True,
-            env=cli_env(),
-            cwd=REPO_ROOT,
-            timeout=120,
+        assert (ckpt / f"{STAGE1}.json").exists()
+        resumed = cli(
+            *flags, "--checkpoint-dir", str(ckpt), "--resume", "run"
         )
         assert resumed.returncode == 0, resumed.stderr.decode()
         assert resumed.stdout == baseline.stdout
         assert b"resumed from checkpoint" in resumed.stderr
+        assert checkpoint_files(ckpt) == checkpoint_files(tmp_path / "base")
+        return ckpt, baseline
 
-    def test_sigterm_after_the_scan_then_resume_replays_its_groups(
-        self, tmp_path
-    ):
-        """SIGTERM once the last UR group is folded and stored, with no
-        stage-1 checkpoint yet, on a lossy run: the resumed run replays
-        the groups from ``<checkpoint-dir>/groups``."""
-        last = len(URHunter.from_world(make_world()).plan.groups) - 1
+    def test_sigterm_then_resume_byte_identical(self, tmp_path):
+        self._kill_and_resume(tmp_path, STAGE2)
 
-        def cli(directory, *flags, env=None):
-            return subprocess.run(
-                CLI
-                + ["--loss-rate", "0.05"]
-                + ["--checkpoint-dir", str(tmp_path / directory)]
-                + ["--trace-out", str(tmp_path / f"{directory}.jsonl")]
-                + [*flags, "run"],
-                capture_output=True,
-                env=env or cli_env(),
-                cwd=REPO_ROOT,
-                timeout=120,
+    def test_sigterm_in_stage3_then_resume_byte_identical(self, tmp_path):
+        self._kill_and_resume(tmp_path, STAGE3)
+
+    def test_faulted_resume_is_byte_identical(self, tmp_path):
+        """Loss on the scan and faults on every data source: stage 2
+        draws its source faults afresh on the resume and must draw the
+        uninterrupted run's; a second resume of the now-complete
+        directory reads the same."""
+        ckpt, baseline = self._kill_and_resume(tmp_path, STAGE2, *FAULTED)
+        again = cli(*FAULTED, "--checkpoint-dir", str(ckpt), "--resume", "run")
+        assert again.returncode == 0, again.stderr.decode()
+        assert again.stdout == baseline.stdout
+
+    #: the stage-1 snapshot does not carry the engine's resilience
+    #: ledger (hedges, AIMD cuts, shed queries), so a resume from it
+    #: prints no "resilience metrics:" block; carrying it changes the
+    #: stage-1 format
+    NO_RESILIENCE_LEDGER = pytest.mark.xfail(
+        strict=True, reason="stage-1 snapshot drops the resilience ledger"
+    )
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            pytest.param(
+                ["--chaos-script", "tail-latency-storm"], id="chaos"
+            ),
+            pytest.param(
+                ["--loss-rate", "0.05", "--hedge-delay", "0.5", "--aimd"],
+                id="hedged-aimd",
+                marks=NO_RESILIENCE_LEDGER,
+            ),
+            pytest.param(
+                ["--run-deadline", "0.36"],
+                id="deadline",
+                marks=NO_RESILIENCE_LEDGER,
+            ),
+        ],
+    )
+    def test_shaped_run_resumes_byte_identical(self, tmp_path, flags):
+        self._kill_and_resume(tmp_path, STAGE2, *flags)
+
+    @staticmethod
+    def _kill_after_group(tmp_path, group, *flags):
+        """SIGTERM once UR group ``group`` is folded and stored, with no
+        stage-1 checkpoint yet; the resumed run replays the groups from
+        ``<checkpoint-dir>/groups`` and must print the uninterrupted
+        run's stdout and deterministic trace.  Returns the resume's
+        ``incremental.plan`` event."""
+
+        def traced(directory, *extra, env=None):
+            return cli(
+                *flags,
+                "--checkpoint-dir",
+                str(tmp_path / directory),
+                "--trace-out",
+                str(tmp_path / f"{directory}.jsonl"),
+                *extra,
+                "run",
+                env=env,
             )
 
         def trace(directory, section):
@@ -262,24 +407,46 @@ class TestKillAndResumeSubprocess:
                 if ('"section":"timing"' in line) == (section == "timing")
             ]
 
-        baseline = cli("base")
+        baseline = traced("base")
         assert baseline.returncode == 0, baseline.stderr.decode()
-        crashed = cli("ckpt", env={**cli_env(), CRASH_GROUP_ENV: str(last)})
+        crashed = traced(
+            "ckpt", env={**cli_env(), CRASH_GROUP_ENV: str(group)}
+        )
         assert crashed.returncode in (-signal.SIGTERM, 143)
         assert list((tmp_path / "ckpt" / "groups").glob("group-*.json"))
         assert not (tmp_path / "ckpt" / f"{STAGE1}.json").exists()
-        resumed = cli("ckpt", "--resume")
+        resumed = traced("ckpt", "--resume")
         assert resumed.returncode == 0, resumed.stderr.decode()
         assert resumed.stdout == baseline.stdout
         deterministic = trace("ckpt", "deterministic")
         assert deterministic == trace("base", "deterministic")
         assert '"unaccounted":0' in deterministic[-1]
+        assert checkpoint_files(tmp_path / "ckpt") == checkpoint_files(
+            tmp_path / "base"
+        )
         (planned,) = [
             json.loads(line)
             for line in trace("ckpt", "timing")
             if '"event":"incremental.plan"' in line
         ]
+        return planned
+
+    def test_sigterm_after_the_scan_then_resume_replays_its_groups(
+        self, tmp_path
+    ):
+        """Killed after the last UR group, on a lossy run: every group
+        but the recursive nameserver's replays."""
+        last = len(URHunter.from_world(make_world()).plan.groups) - 1
+        planned = self._kill_after_group(
+            tmp_path, last, "--loss-rate", "0.05"
+        )
         assert planned["hits"] == planned["groups"] - 1 > 0
+
+    def test_faulted_sigterm_after_first_group_then_resume(self, tmp_path):
+        """Killed after UR group 0 with every fault knob on: one group
+        replays, and stages 2 and 3 draw the same source faults."""
+        planned = self._kill_after_group(tmp_path, 0, *FAULTED)
+        assert planned["hits"] == 1
 
 
 class TestPrunedEvent:
@@ -287,16 +454,11 @@ class TestPrunedEvent:
     nothing about it."""
 
     def test_clean_resume_emits_nothing(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        PipelineRunner(
-            URHunter.from_world(make_world()), store=store
-        ).run(stop_after=STAGE1)
+        run(tmp_path)
         hunter = URHunter.from_world(make_world())
         trace = RunTrace()
         hunter.attach_trace(trace)
-        PipelineRunner(
-            hunter, store=CheckpointStore(tmp_path), resume=True
-        ).run()
+        run(tmp_path, resume=True, hunter=hunter)
         assert [
             event
             for event in trace.timing_events()

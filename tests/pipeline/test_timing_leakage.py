@@ -2,7 +2,7 @@
 
 Two surfaces are byte-compared across runs (CI resume transcripts, the
 warm-vs-cold equivalence suite): ``MeasurementReport.summary()`` and
-the JSON checkpoints.  Wall-clock readings vary run to run, so any
+the JSON checkpoint files.  Wall-clock readings vary run to run, so any
 timing figure on either surface would break the comparisons — timing
 belongs exclusively to :meth:`Stage2Metrics.timing_dict`, which goes
 to the metrics document's timing section only.
@@ -14,8 +14,7 @@ import pytest
 
 from repro.core import URHunter
 from repro.obs import RunTrace, build_metrics_document
-from repro.pipeline import CheckpointStore, PipelineRunner, STAGE_ORDER
-from repro.pipeline.checkpoint import encode_stage2, encode_stage2_metrics
+from repro.pipeline import CheckpointStore, PipelineRunner
 
 from .conftest import make_world
 
@@ -48,18 +47,15 @@ class TestNoTimingLeakage:
 
     def test_stage_checkpoints_have_no_wall_clock(self, checkpointed_run):
         directory, _ = checkpointed_run
-        for stage in STAGE_ORDER:
-            blob = (directory / f"{stage}.json").read_text()
+        files = sorted(directory.glob("*.json"))
+        assert [path.name for path in files] == [
+            "manifest.json",
+            "stage1-collect.json",
+        ]
+        for path in files:
+            blob = path.read_text()
             for token in ("wall_s", "condition_s"):
-                assert token not in blob, f"{stage} leaks {token}"
-
-    def test_encode_stage2_metrics_drops_timing_fields(
-        self, checkpointed_run
-    ):
-        _, report = checkpointed_run
-        payload = encode_stage2_metrics(report.stage2_metrics)
-        assert payload is not None
-        assert not {"wall_s", "condition_s"} & payload.keys()
+                assert token not in blob, f"{path.name} leaks {token}"
 
     def test_segment_payload_has_no_wall_clock(self, checkpointed_run):
         """Stage 1's in-flight resume medium, one result file per UR
@@ -71,16 +67,6 @@ class TestNoTimingLeakage:
             blob = path.read_text()
             for token in ("wall_s", "condition_s"):
                 assert token not in blob, f"{path.name} leaks {token}"
-
-    def test_full_stage2_payload_round_trips_without_timing(
-        self, checkpointed_run
-    ):
-        _, report = checkpointed_run
-        hunter = URHunter.from_world(make_world())
-        stage1 = hunter.stage1_collect()
-        stage2 = hunter.stage2_exclude(stage1, validate=True)
-        blob = json.dumps(encode_stage2(stage2, validated=True))
-        assert "wall_s" not in blob and "condition_s" not in blob
 
 
 class TestTraceAndMetricsDocLeakage:

@@ -1,6 +1,7 @@
 """Scenario scripts: parsing, round-trips, and compilation onto the
 simulator's fault hooks."""
 
+import dataclasses
 import json
 
 import pytest
@@ -25,7 +26,7 @@ def world():
 class TestScriptParsing:
     def test_bundled_scripts_round_trip_through_json(self):
         for script in BUNDLED_SCENARIOS:
-            text = json.dumps(script.to_dict())
+            text = json.dumps(dataclasses.asdict(script))
             assert ScenarioScript.from_json(text) == script
 
     def test_unknown_kind_rejected(self):
@@ -62,7 +63,7 @@ class TestLoadScenario:
 
     def test_json_path_loads(self, tmp_path):
         path = tmp_path / "custom.json"
-        path.write_text(json.dumps(BUNDLED_SCENARIOS[0].to_dict()))
+        path.write_text(json.dumps(dataclasses.asdict(BUNDLED_SCENARIOS[0])))
         assert load_scenario(str(path)) == BUNDLED_SCENARIOS[0]
 
 

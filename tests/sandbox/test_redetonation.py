@@ -27,7 +27,9 @@ def _observed(report, victim=None):
         (alert.sid, alert.severity, dataclasses.astuple(alert.flow)[1:])
         for alert in report.alerts
     ]
-    questions = report.dns_queries() if victim is None else None
+    questions = (
+        list(report.capture.dns_questions()) if victim is None else None
+    )
     contacted = set(report.capture.destinations(exclude=Protocol.DNS))
     return flows, alerts, contacted, questions
 
