@@ -145,17 +145,21 @@ def test_incremental_warm_rescan_speedup():
             hunter = URHunter.from_world(world)
             _mutate(world, cacheable, dirty)
             diff_store = GroupResultStore(store_dir)
-            diff = PlanDiffer(diff_store).partition(
-                hunter.plan,
-                hunter.network,
-                hunter.config,
-                providers=_providers(hunter),
-            )
+            # each stored payload is dropped as soon as it is read
+            decisions = [
+                decision
+                for decision, _ in PlanDiffer(diff_store).partition(
+                    hunter.plan,
+                    hunter.network,
+                    hunter.config,
+                    providers=_providers(hunter),
+                )
+            ]
             costs = _group_costs(hunter)
             cold_virtual = sum(costs.values())
             warm_virtual = sum(
                 costs[decision.group]
-                for decision in diff.decisions
+                for decision in decisions
                 if decision.action == "execute"
             )
             speedup = (

@@ -23,11 +23,11 @@ Commands mirror the paper's evaluation artifacts:
 Shared options: ``--seed``, ``--scale {small,default,paper}``,
 ``--post-disclosure``, ``--mx`` (future-work MX sweep).
 
-Resilience options: ``--checkpoint-dir`` writes the stage-1 JSON
-checkpoint (and, under ``groups/``, every UR nameserver group as it
-completes), ``--resume`` continues a killed run from stage 1's snapshot
-— a killed stage 1 from its last completed group — and re-runs stages
-2 and 3, and the
+Resilience options: ``--checkpoint-dir`` stores every UR nameserver
+group of stage 1 under ``groups/`` as it completes, ``--resume``
+re-runs the pipeline over that directory — each stored group replays
+instead of re-querying its server, the preamble and stages 2 and 3 run
+live — and the
 ``--*-fault-rate`` knobs inject seeded data-source faults for chaos
 testing.  ``--run-deadline``/``--stage-deadline`` bound the
 run in virtual seconds (exhausted budgets shed remaining queries into
@@ -234,17 +234,15 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help=(
             "checkpoint stage 1 into DIR: every UR nameserver group as "
-            "it completes into DIR/groups, then the finished stage as "
-            "DIR/stage1-collect.json"
+            "it completes, into DIR/groups"
         ),
     )
     resilience.add_argument(
         "--resume",
         action="store_true",
         help=(
-            "resume from the stage-1 checkpoint in --checkpoint-dir (of "
-            "a killed stage 1, re-run only the groups it had not "
-            "completed); stages 2 and 3 always re-run"
+            "resume from --checkpoint-dir: every stored UR group "
+            "replays, the rest of stage 1 and stages 2 and 3 re-run"
         ),
     )
     resilience.add_argument(
@@ -517,11 +515,15 @@ def _plan_command(
             target.address: target.provider
             for target in hunter.nameservers
         }
-        diff = differ.partition(
-            hunter.plan, hunter.network, hunter.config, providers
-        )
+        # each stored payload is dropped as soon as it is read
+        decisions = [
+            decision
+            for decision, _ in differ.partition(
+                hunter.plan, hunter.network, hunter.config, providers
+            )
+        ]
         reasons: dict = {}
-        for decision in diff.decisions:
+        for decision in decisions:
             if decision.action == "execute":
                 reasons[decision.reason] = (
                     reasons.get(decision.reason, 0) + 1
@@ -530,12 +532,13 @@ def _plan_command(
             f"{count} {reason}"
             for reason, count in sorted(reasons.items())
         )
+        dirty = sum(reasons.values())
         print(
-            f"result store: {diff.hits} groups would replay, "
-            f"{diff.dirty} would execute"
+            f"result store: {len(decisions) - dirty} groups would "
+            f"replay, {dirty} would execute"
             + (f" ({detail})" if detail else "")
         )
-        for decision in diff.decisions:
+        for decision in decisions:
             # stale groups are the actionable ones: their nameserver
             # state moved since the stored outcome was written
             if decision.reason == "stale":
@@ -725,9 +728,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 result_store.stats if result_store is not None else None
             ),
         )
-    if result.resumed:
+    if args.resume:
         reporter.info(
-            f"# resumed from checkpoint: {', '.join(result.resumed)}"
+            "# resumed from checkpoint: "
+            f"{hunter.result_store.stats['hits']} UR groups replayed"
         )
     if report.is_degraded:
         degraded = report.degraded

@@ -46,6 +46,7 @@ from ..obs.events import (
     RunTrace,
     run_end_fields,
 )
+from ..pipeline.checkpoint import config_fingerprint
 from ..pipeline.errors import SourceError
 from ..pipeline.resilience import SourceHealth, merge_health
 from ..plan.scanplan import ScanPlan, build_plan
@@ -89,12 +90,11 @@ class Stage1Result:
 
     collection: CollectionResult
     #: the scan start (the collection's classification epoch) — stage
-    #: 2's pdns window and classification clock, checkpointed so a
-    #: resumed run reproduces it
+    #: 2's pdns window and classification clock
     now: float
     #: virtual time when collection finished, ``now`` plus the longer of
     #: the correct collection and the UR scan — where stage 2's §4.2
-    #: sample starts, so a resumed run pins its clock here
+    #: sample starts
     end: float
     #: degradation notes accumulated during collection
     notes: Tuple[str, ...] = ()
@@ -200,7 +200,7 @@ class HunterConfig:
     #: AIMD adaptive per-server send credit (no-op until the first
     #: failure)
     aimd: bool = False
-    #: benchmarks/e2e reads this; ROADMAP item 1 deletes it
+    #: benchmarks/e2e reads this; ROADMAP item 2 deletes it
     execution: InitVar[str] = "batch"
 
     #: every stage-1 group runs in this process, one after another;
@@ -209,9 +209,9 @@ class HunterConfig:
     #: fingerprint sees them
     shards: ClassVar[int] = 1
     shard_workers: ClassVar[int] = 1
-    #: benchmarks/e2e reads this; ROADMAP item 1 deletes it
+    #: benchmarks/e2e reads this; ROADMAP item 2 deletes it
     stage2_workers: ClassVar[int] = 1
-    #: benchmarks/e2e reads this; ROADMAP item 1 deletes it
+    #: benchmarks/e2e reads this; ROADMAP item 2 deletes it
     channel_depth: ClassVar[int] = 64
 
     def __post_init__(self, execution: str) -> None:
@@ -306,7 +306,7 @@ def _stage3_end(analysis: MaliciousAnalysisResult) -> Dict[str, object]:
 class URHunter:
     """The measurement framework (paper §4)."""
 
-    #: benchmarks/e2e reads this; ROADMAP item 1 deletes it
+    #: benchmarks/e2e reads this; ROADMAP item 2 deletes it
     last_flow_stats = None
 
     def __init__(
@@ -406,9 +406,6 @@ class URHunter:
             self.trace.emit(name, stage=stage, **fields)
 
     def _config_fingerprint(self) -> str:
-        # lazy import: repro.pipeline.checkpoint imports this module
-        from ..pipeline.checkpoint import config_fingerprint
-
         return config_fingerprint(
             self.config, extra={"plan": self.plan.plan_hash}
         )
@@ -494,8 +491,9 @@ class URHunter:
         ``now`` is the collection's *classification epoch*, the scan
         start: the run origin plus the protective makespan, where every
         correct and UR group's clock is pinned.  Stage 1 ends at
-        ``now + max(makespan(correct), makespan(ur))``, ``end``.
-        Checkpoints carry both.
+        ``now + max(makespan(correct), makespan(ur))``, ``end``.  A
+        resumed run executes this same method, its stored UR groups
+        replaying, so it reaches the same ``now`` and ``end``.
         """
         self._emit(
             "stage.start",
@@ -529,8 +527,8 @@ class URHunter:
         """Stage 2: exclusion of correct and protective records.
 
         Both classification and the §4.2 false-negative validation use
-        ``stage1.now`` as the clock — the checkpointed collection
-        timestamp — so a resumed run reproduces the live run exactly.
+        ``stage1.now``, the collection's classification epoch, as the
+        clock.
         """
         self._emit(
             "stage.start",
@@ -564,11 +562,8 @@ class URHunter:
     def _stage2_filter(self, protective) -> SuspicionFilter:
         """Build the stage-2 checker + filter."""
         if self.correct_db is None:
-            # resumed run: the correct-record profiles arrived with the
-            # checkpoint inside stage1.collection's database reference
             raise RuntimeError(
-                "stage 2 requires correct_db; run stage1_collect "
-                "or restore it from a checkpoint first"
+                "stage 2 requires correct_db; run stage1_collect first"
             )
         checker = UniformityChecker(
             self.correct_db,
@@ -675,7 +670,7 @@ class URHunter:
         self._emit("run.end", **run_end_fields(report))
         return report
 
-    #: benchmarks/e2e reads this; ROADMAP item 1 deletes it
+    #: benchmarks/e2e reads this; ROADMAP item 2 deletes it
     run_flow = run
 
     # -- validation helper --------------------------------------------------

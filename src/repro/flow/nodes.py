@@ -1,4 +1,4 @@
-"""benchmarks/e2e reads this; ROADMAP item 1 deletes it."""
+"""benchmarks/e2e reads this; ROADMAP item 2 deletes it."""
 
 
 class TransformNode:

@@ -4,8 +4,8 @@ The longitudinal workload the paper cares about re-runs the same scan
 plan over a slowly changing world.  This package adds the reuse layer
 on top of the scan-plan IR (:mod:`repro.plan`): a content-addressed
 :class:`GroupResultStore` persisting each nameserver group's merged
-outcome, and a :class:`PlanDiffer` partitioning the current plan into
-``hit`` (replay from store) vs ``execute`` (run through the group
+outcome, and a :class:`PlanDiffer` deciding, group by group in plan
+order, ``hit`` (replay from store) vs ``execute`` (run through the group
 runner).  The group runner's clock/RNG pinning guarantees replayed and
 re-executed groups compose into byte-identical reports, traces, and
 deterministic metrics versus a cold full scan — see DESIGN §15.
@@ -14,7 +14,6 @@ deterministic metrics versus a cold full scan — see DESIGN §15.
 from .differ import (
     PLAN_SUMMARY_VERSION,
     GroupDecision,
-    PlanDiff,
     PlanDiffer,
     PlanSummaryError,
     diff_plan_summaries,
@@ -38,7 +37,6 @@ __all__ = [
     "STORE_FORMAT_VERSION",
     "GroupDecision",
     "GroupResultStore",
-    "PlanDiff",
     "PlanDiffer",
     "PlanSummaryError",
     "StoreFormatError",

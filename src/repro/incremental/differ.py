@@ -28,14 +28,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 from .store import GroupResultStore, group_identity, group_state, state_digest
 
 __all__ = [
     "PLAN_SUMMARY_VERSION",
     "GroupDecision",
-    "PlanDiff",
     "PlanDiffer",
     "PlanSummaryError",
     "plan_summary_json",
@@ -68,23 +67,6 @@ class GroupDecision:
     reason: str
 
 
-@dataclass
-class PlanDiff:
-    """The partition of a plan against a store."""
-
-    decisions: List[GroupDecision]
-    #: decoded-payload map for the ``hit`` groups, by group index
-    replayed: Dict[int, Dict[str, Any]]
-
-    @property
-    def hits(self) -> int:
-        return len(self.replayed)
-
-    @property
-    def dirty(self) -> int:
-        return len(self.decisions) - len(self.replayed)
-
-
 class PlanDiffer:
     """Partition a plan's groups into store hits and dirty executions."""
 
@@ -99,20 +81,21 @@ class PlanDiffer:
         providers: Optional[Dict[str, str]] = None,
         epoch: Optional[float] = None,
         origin: Optional[float] = None,
-    ) -> PlanDiff:
-        """Decide every group of ``plan`` against the store.
+    ) -> Iterator[Tuple[GroupDecision, Optional[Dict[str, Any]]]]:
+        """Decide every group of ``plan`` against the store, lazily.
 
-        ``providers`` maps server address to provider name (missing
-        entries key as ``"unknown"``).  ``epoch`` / ``origin`` are the
-        classification epoch and the run origin of the scan about to
-        execute (:func:`~repro.incremental.store.group_state`); without
-        an epoch — a plan inspected before its scan has run — the
-        groups whose key reads the clock are ``time-anchored`` and
-        execute.
+        Yields ``(decision, payload)`` per group in plan order; the
+        payload is the stored group of a ``hit``, read from its slot
+        only when the group's turn comes, and None otherwise — no map
+        of payloads is ever built.  ``providers`` maps server address
+        to provider name (missing entries key as ``"unknown"``).
+        ``epoch`` / ``origin`` are the classification epoch and the run
+        origin of the scan about to execute
+        (:func:`~repro.incremental.store.group_state`); without an
+        epoch — a plan inspected before its scan has run — the groups
+        whose key reads the clock are ``time-anchored`` and execute.
         """
         providers = providers or {}
-        decisions: List[GroupDecision] = []
-        replayed: Dict[int, Dict[str, Any]] = {}
         for group in plan.groups:
             state, reason = group_state(
                 network,
@@ -122,26 +105,22 @@ class PlanDiffer:
                 epoch,
                 origin,
             )
-            identity = digest = None
+            identity = digest = payload = None
             if reason == "uncacheable":
                 self.store.stats["uncacheable"] += 1
             elif state is not None:
                 identity = group_identity(plan, group)
                 digest = state_digest(identity, state)
                 payload, reason = self.store.get(identity, digest)
-                if payload is not None:
-                    replayed[group.index] = payload
-            decisions.append(
-                GroupDecision(
-                    group=group.index,
-                    server_ip=group.server_ip,
-                    identity=identity,
-                    digest=digest,
-                    action="hit" if group.index in replayed else "execute",
-                    reason=reason,
-                )
+            decision = GroupDecision(
+                group=group.index,
+                server_ip=group.server_ip,
+                identity=identity,
+                digest=digest,
+                action="execute" if payload is None else "hit",
+                reason=reason,
             )
-        return PlanDiff(decisions=decisions, replayed=replayed)
+            yield decision, payload
 
 
 # -- plan summary JSON (repro plan --json / --diff) -------------------------

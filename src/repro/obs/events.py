@@ -1,8 +1,8 @@
 """The run-scoped event bus: deterministic trace events + JSONL sink.
 
 Every structured thing the pipeline does — a stage starting or ending,
-a collection phase completing, a checkpoint written or loaded, a data
-source degrading, a circuit breaker tripping — is emitted as a
+a collection phase completing, a data source degrading, a circuit
+breaker tripping — is emitted as a
 :class:`TraceEvent` on one :class:`RunTrace`.
 
 **Determinism is the design center.**  Every event carries a logical
@@ -12,15 +12,15 @@ source degrading, a circuit breaker tripping — is emitted as a
 
 where the stage rank orders ``run.start`` → stage 1 → stage 2 →
 stage 3 → ``run.end``, and the sub-rank orders, within one stage,
-span-open markers (``stage.start``, ``stage.resumed``,
-``checkpoint.load``) before body events before ``stage.end`` before
-``checkpoint.save``.  Within one (stage, sub-rank) cell the emission id
-preserves chronological order — and because every body-event producer
-(the collector's phase accounting, the single-threaded fault path of
-stage 2, the record-ordered stage 3) is itself deterministic, the
-canonical stream is byte-identical between a live run and one resumed
-from checkpoints (``tests/pipeline/test_resume.py``), and between a
-cold run and a warm one (``tests/incremental/test_equivalence.py``).
+``stage.start`` before body events before ``stage.end``.  Within one
+(stage, sub-rank) cell the emission id preserves chronological order —
+and because every body-event producer (the collector's phase
+accounting, the group runner's ordered merge, the single-threaded fault
+path of stage 2, the record-ordered stage 3) is itself deterministic,
+the canonical stream is byte-identical between a live run and one
+resumed from its checkpoint directory
+(``tests/pipeline/test_resume.py``), and between a cold run and a warm
+one (``tests/incremental/test_equivalence.py``).
 
 Wall-clock readings never enter deterministic events; they go through
 :meth:`RunTrace.emit_timing` into a separate section whose lines are
@@ -39,8 +39,10 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 #: the ``shed`` counter on run.end; v3: the scan-plan hash in the
 #: header when a plan is bound, the ``plan.built`` deterministic event,
 #: and the ``shard.*`` timing events, since dropped with the shards —
-#: timing events carry no format promise)
-TRACE_FORMAT_VERSION = 3
+#: timing events carry no format promise; v4: ``stage.resumed``,
+#: ``checkpoint.load`` and ``checkpoint.save`` are gone with the stage-1
+#: snapshot, and ``run.end`` drops ``resumed`` and ``executed``)
+TRACE_FORMAT_VERSION = 4
 
 #: logical stage tags — string-equal to the pipeline runner's stage
 #: names so checkpoints, failure provenance, and trace events share one
@@ -50,13 +52,6 @@ STAGE2 = "stage2-exclude"
 STAGE3 = "stage3-analyze"
 
 _STAGE_RANKS = {STAGE1: 1, STAGE2: 2, STAGE3: 3}
-
-#: events that open a stage span (or stand in for one on resume)
-_SUB_OPEN = frozenset({"stage.start", "stage.resumed", "checkpoint.load"})
-#: events that close a stage span
-_SUB_CLOSE = frozenset({"stage.end"})
-#: events sealing a stage's artifact after the span closed
-_SUB_SEAL = frozenset({"checkpoint.save"})
 
 #: run-level terminators (sort after every stage)
 _RUN_END = frozenset({"run.end", "run.abort"})
@@ -107,12 +102,10 @@ class TraceEvent:
         if self.name in _RUN_END:
             return (9, 0, self.emission_id)
         rank = _STAGE_RANKS.get(self.stage or "", 8)
-        if self.name in _SUB_OPEN:
+        if self.name == "stage.start":
             sub = 0
-        elif self.name in _SUB_CLOSE:
+        elif self.name == "stage.end":
             sub = 2
-        elif self.name in _SUB_SEAL:
-            sub = 3
         else:
             sub = 1
         return (rank, sub, self.emission_id)

@@ -95,7 +95,7 @@ def build_metrics_document(
 
     timing: Dict[str, Any] = {}
     context: Dict[str, Any] = {}
-    # benchmarks/e2e reads this; ROADMAP item 1 deletes it
+    # benchmarks/e2e reads this; ROADMAP item 2 deletes it
     if execution is not None:
         context["execution"] = execution
     if stage2_workers is not None:

@@ -7,16 +7,17 @@ Layered on top of :class:`repro.core.hunter.URHunter`:
   circuit breaker + rate-limit cool-down) and :class:`SourceHealth`;
 * :mod:`~repro.pipeline.faults` — seeded fault injection for vendors,
   passive DNS, and IP metadata;
-* :mod:`~repro.pipeline.checkpoint` — the JSON stage-1 checkpoint;
+* :mod:`~repro.pipeline.checkpoint` — the checkpoint directory: a
+  manifest over stage 1's UR group slots;
 * :mod:`~repro.pipeline.runner` — :class:`PipelineRunner`, which
   executes the three stages as named steps, checkpoints stage 1 (the
-  scan), and resumes a killed run from stage 1's snapshot or its
-  completed groups, re-running stages 2 and 3 live.
+  scan) group by group, and resumes any run by re-running stage 1
+  over its stored groups, then stages 2 and 3 live.
 
 The first three are import-light and loaded eagerly (they are used by
 :mod:`repro.intel` and :mod:`repro.core`); the checkpoint store and the
-runner depend on :mod:`repro.core` and are loaded lazily to keep the
-package cycle-free.
+runner are loaded lazily (the runner depends on :mod:`repro.core`) to
+keep the package cycle-free.
 """
 
 from __future__ import annotations

@@ -50,15 +50,12 @@ folds, outcome by outcome); its small ledgers —
 elapsed time — wait for the merge into
 the parent objects in group order.  Only UR groups are stored; their
 results are JSON-encoded only at the persistence boundary (a
-result-store slot), and payloads read back from one decode into the
-same fold.  The invariant is also
+result-store slot), and a stored slot is read and decoded into the
+same fold only when its group's turn comes.  The invariant is also
 the result store's key: :func:`repro.incremental.store.group_state`
 spells out each input, so a stored group — from an earlier run, or
-from this run before it was killed — replays whenever they all match.
-
-Checkpoint codec imports stay inside functions:
-``repro.pipeline.checkpoint`` imports ``repro.core.hunter``, which
-imports this package, so a module-level import would be a cycle.
+from the run a ``--resume`` continues — replays whenever they all
+match.
 """
 
 from __future__ import annotations
@@ -82,7 +79,13 @@ from typing import (
     Tuple,
 )
 
-from ..engine import BatchedEngine, ScanMetrics
+from ..dns.name import name
+from ..engine import (
+    BatchedEngine,
+    LatencyHistogram,
+    ScanMetrics,
+    StageCounters,
+)
 from ..obs.events import RunTrace, _json_safe
 from ..resilience import AimdController, DeadlineBudget
 from .scanplan import NameserverGroup, ScanPlan
@@ -97,6 +100,10 @@ __all__ = [
     "isolated_phase",
     "run_collection_groups",
     "run_group_isolated",
+    "encode_record",
+    "decode_record",
+    "encode_metrics",
+    "decode_metrics",
     "encode_group_result",
     "decode_group_result",
     "fold_resilience",
@@ -252,8 +259,8 @@ def isolated_phase(
         finished.sort(key=attrgetter("group"))
         for result in finished:
             if trace is not None:
-                for name, stage, fields in result.events:
-                    trace.emit(name, stage=stage, **fields)
+                for event, stage, fields in result.events:
+                    trace.emit(event, stage=stage, **fields)
             engine.metrics.merge(result.metrics)
             if result.resilience:
                 fold_resilience(engine.resilience, result.resilience)
@@ -429,10 +436,80 @@ def fold_resilience(target, data: Dict[str, Any]) -> None:
         target.shed[key] = target.shed.get(key, 0) + count
 
 
+def encode_record(record) -> Dict[str, Any]:
+    """JSON-safe form of one :class:`~repro.core.records.UndelegatedRecord`."""
+    return {
+        "domain": record.domain.to_text(),
+        "nameserver_ip": record.nameserver_ip,
+        "provider": record.provider,
+        "rrtype": record.rrtype,
+        "rdata_text": record.rdata_text,
+        "nameserver_name": (
+            record.nameserver_name.to_text()
+            if record.nameserver_name is not None
+            else None
+        ),
+        "ttl": record.ttl,
+    }
+
+
+def decode_record(payload: Dict[str, Any]):
+    # inside: repro.core imports this module
+    from ..core.records import UndelegatedRecord
+
+    return UndelegatedRecord(
+        domain=name(payload["domain"]),
+        nameserver_ip=payload["nameserver_ip"],
+        provider=payload["provider"],
+        rrtype=payload["rrtype"],
+        rdata_text=payload["rdata_text"],
+        nameserver_name=(
+            name(payload["nameserver_name"])
+            if payload["nameserver_name"] is not None
+            else None
+        ),
+        ttl=payload["ttl"],
+    )
+
+
+def encode_metrics(metrics: ScanMetrics) -> Dict[str, Any]:
+    return {
+        "stages": {
+            stage: {
+                "queries": counters.queries,
+                "responses": counters.responses,
+                "timeouts": counters.timeouts,
+                "retries": counters.retries,
+                "giveups": counters.giveups,
+                "skipped": counters.skipped,
+                "shed": counters.shed,
+                "rate_limit_wait": counters.rate_limit_wait,
+            }
+            for stage, counters in sorted(metrics.stages.items())
+        },
+        "latency": {
+            "bounds": list(metrics.latency.bounds),
+            "counts": list(metrics.latency.counts),
+            "total": metrics.latency.total,
+            "sum": metrics.latency.sum,
+        },
+    }
+
+
+def decode_metrics(payload: Dict[str, Any]) -> ScanMetrics:
+    metrics = ScanMetrics()
+    for stage, counters in payload["stages"].items():
+        metrics.stages[stage] = StageCounters(**counters)
+    latency = LatencyHistogram(tuple(payload["latency"]["bounds"]))
+    latency.counts = list(payload["latency"]["counts"])
+    latency.total = payload["latency"]["total"]
+    latency.sum = payload["latency"]["sum"]
+    metrics.latency = latency
+    return metrics
+
+
 def encode_group_result(result: GroupResult) -> Dict[str, Any]:
     """JSON-safe payload of one group, as a result-store slot holds it."""
-    from ..pipeline.checkpoint import encode_metrics, encode_record
-
     return {
         "group": result.group,
         "server": result.server_ip,
@@ -449,15 +526,13 @@ def encode_group_result(result: GroupResult) -> Dict[str, Any]:
         "metrics": encode_metrics(result.metrics),
         "resilience": result.resilience,
         "events": [
-            [name, stage, _json_safe(fields)]
-            for name, stage, fields in result.events
+            [event, stage, _json_safe(fields)]
+            for event, stage, fields in result.events
         ],
     }
 
 
 def decode_group_result(payload: Dict[str, Any]) -> GroupResult:
-    from ..pipeline.checkpoint import decode_metrics, decode_record
-
     return GroupResult(
         group=payload["group"],
         server_ip=payload["server"],
@@ -476,8 +551,8 @@ def decode_group_result(payload: Dict[str, Any]) -> GroupResult:
         metrics=decode_metrics(payload["metrics"]),
         resilience=payload.get("resilience"),
         events=[
-            (name, stage, dict(fields))
-            for name, stage, fields in payload.get("events", [])
+            (event, stage, dict(fields))
+            for event, stage, fields in payload.get("events", [])
         ],
     )
 
@@ -496,84 +571,83 @@ def _emit_timing(trace, name: str, **fields) -> None:
         trace.emit_timing(name, **fields)
 
 
-def _incremental_partition(
+def _stored_groups(
     hunter, plan: ScanPlan, epoch: float, origin: float
-) -> Tuple[Dict[int, Dict[str, Any]], Dict[int, Any]]:
-    """Consult the group result store, if one is attached.
+) -> Iterator[Tuple[NameserverGroup, Any, Optional[Dict[str, Any]]]]:
+    """Every UR group of ``plan`` in index order, with its result-store
+    decision and, for a hit, the stored payload — read from its slot
+    only when the group's turn comes (``None, None`` without a store).
 
-    Returns ``(replayed payloads by group, decisions by group of the
-    groups to store once executed)`` — both empty without a store.
+    One timing event per decision; once the last group is out, one
+    ``incremental.plan`` event counts the hits.
     """
     result_store = hunter.result_store
     if result_store is None:
-        return {}, {}
+        for group in plan.groups:
+            yield group, None, None
+        return
     from ..incremental import PlanDiffer
 
     trace = hunter.trace
     providers = {
         target.address: target.provider for target in hunter.nameservers
     }
-    diff = PlanDiffer(result_store).partition(
+    decisions = PlanDiffer(result_store).partition(
         plan, hunter.network, hunter.config, providers, epoch, origin
     )
-    dirty: Dict[int, Any] = {}
-    for decision in diff.decisions:
-        if decision.action == "hit":
-            name, why = "incremental.hit", {}
+    hits = 0
+    for group, (decision, payload) in zip(plan.groups, decisions):
+        if payload is not None:
+            hits += 1
+            event, why = "incremental.hit", {}
         elif decision.reason == "stale":
-            name, why = "incremental.invalidate", {}
+            event, why = "incremental.invalidate", {}
         else:
-            name, why = "incremental.miss", {"reason": decision.reason}
-        if decision.action != "hit" and decision.identity is not None:
-            dirty[decision.group] = decision
+            event, why = "incremental.miss", {"reason": decision.reason}
         _emit_timing(
-            trace,
-            name,
-            group=decision.group,
-            server=decision.server_ip,
-            **why,
+            trace, event, group=group.index, server=group.server_ip, **why
         )
+        yield group, decision, payload
     _emit_timing(
         trace,
         "incremental.plan",
-        groups=len(diff.decisions),
-        hits=diff.hits,
-        dirty=diff.dirty,
+        groups=len(plan.groups),
+        hits=hits,
+        dirty=len(plan.groups) - hits,
     )
-    return diff.replayed, dirty
 
 
 def run_shard_scan(hunter, plan: ScanPlan, epoch: float) -> ScanFold:
     """Execute the plan's UR scan group by group and fold the results.
 
     The groups run in index order, the order the plan fixed.  Each one
-    comes from exactly one source — a result-store hit or an isolated
-    execution — and is folded, and stored if a result store is
-    attached, as soon as it is in hand: a killed run resumes from its
-    stored groups.  The phase (:func:`isolated_phase`) then merges the
-    groups' ledgers into the hunter's and ends the parent clock at
-    ``epoch + makespan`` or where the correct collection, which ran
-    side by side from the same epoch, left it, also when a group
-    raises: the parent ledger a failure report carries is the scan up
-    to that point.
+    comes from exactly one source — a result-store hit, decoded from
+    its slot just before it folds, or an isolated execution — and is
+    folded, and stored if a result store is attached, as soon as it is
+    in hand: a killed run resumes from its stored groups, and no more
+    than one group's payload is held at a time.  The phase
+    (:func:`isolated_phase`) then merges the groups' ledgers into the
+    hunter's and ends the parent clock at ``epoch + makespan`` or where
+    the correct collection, which ran side by side from the same epoch,
+    left it, also when a group raises: the parent ledger a failure
+    report carries is the scan up to that point.
     """
     origin = _run_origin(hunter.engine, epoch)
-    replayed, dirty = _incremental_partition(hunter, plan, epoch, origin)
     fold = ScanFold()
     with isolated_phase(hunter, "ur", epoch) as finished:
-        for group in plan.groups:
-            payload = replayed.pop(group.index, None)
+        for group, decision, payload in _stored_groups(
+            hunter, plan, epoch, origin
+        ):
             if payload is not None:
                 result = decode_group_result(payload)
             else:
                 result = run_group_isolated(hunter, plan, group, epoch, origin)
-            decision = dirty.get(group.index)
-            if decision is not None:
-                hunter.result_store.put(
-                    decision.identity,
-                    decision.digest,
-                    payload or encode_group_result(result),
-                )
+                if decision is not None and decision.identity is not None:
+                    hunter.result_store.put(
+                        decision.identity,
+                        decision.digest,
+                        encode_group_result(result),
+                    )
             fold.add(result.outcomes)
             # folded: only the small ledgers wait for the ordered merge
             result.outcomes = []

@@ -40,6 +40,36 @@ def naive_stage2(hunter: URHunter) -> URHunter:
     return hunter
 
 
+def record_executed_groups(monkeypatch):
+    """Every UR group that runs live — sends its queries — instead of
+    replaying from a store, in execution order."""
+    import repro.plan.shards as shards
+
+    executed = []
+    execute = shards.run_group_isolated
+
+    def recording(hunter, plan, group, *args):
+        executed.append(group)
+        return execute(hunter, plan, group, *args)
+
+    monkeypatch.setattr(shards, "run_group_isolated", recording)
+    return executed
+
+
+def assert_only_uncacheable_groups_sent(hunter, executed):
+    """A resume over a complete checkpoint directory: every cacheable UR
+    group replayed from its slot, and only the groups whose server state
+    is not observable ran live (the preamble always does)."""
+    from repro.incremental import server_fingerprint
+
+    stats = hunter.result_store.stats
+    assert stats["hits"] > 0
+    assert stats["misses"] == stats["invalidated"] == stats["stored"] == 0
+    assert len(executed) == stats["uncacheable"]
+    for group in executed:
+        assert server_fingerprint(hunter.network, group.server_ip) is None
+
+
 @pytest.fixture(scope="session")
 def small_world():
     """One deterministic small world shared across the suite."""

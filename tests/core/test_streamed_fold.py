@@ -41,7 +41,7 @@ from repro.dns.message import Rcode
 from repro.dns.name import name
 from repro.dns.rdata import A, MX, TXT, RRType
 from repro.dns.server import UnhostedPolicy
-from repro.pipeline.checkpoint import encode_stage1
+from ..stage1_oracle import encode_stage1
 from repro.plan import shards
 from repro.plan.shards import (
     GroupResult,

@@ -26,7 +26,7 @@ from repro.dns.server import AuthoritativeServer
 from repro.dns.zone import zone_from_records
 from repro.hosting.registry import DnsRoot
 from repro.net.network import SimulatedInternet
-from repro.pipeline.checkpoint import encode_stage1
+from ..stage1_oracle import encode_stage1
 from repro.scenario import ScenarioConfig, build_world, small_config
 
 

@@ -1,11 +1,11 @@
-"""Resume granularity of a streaming-configured run: the stage-1 group
-plus the stage-1 boundary, interchangeable with batch checkpoints.
+"""Resume granularity of a streaming-configured run: the stage-1
+group, interchangeable with batch checkpoints.
 
-A run configured for streaming writes the batch run's files — the
-stage-1 checkpoint, and each stage-1 group result as soon as it is
-folded — and no stream segment.  A crash mid-scan resumes from the
-stored groups; a finished run resumes from its stage-1 checkpoint and
-re-runs stages 2 and 3, whichever way the resuming run is configured.
+A run configured for streaming writes the batch run's files — each
+stage-1 group result as soon as it is folded — and no stream segment.
+A crash mid-scan, and a finished run alike, resume by re-running stage
+1 over the stored groups and re-running stages 2 and 3, whichever way
+the resuming run is configured.
 """
 
 import os
@@ -23,13 +23,14 @@ from repro.obs import RunTrace
 from repro.pipeline import (
     CheckpointStore,
     PipelineRunner,
-    STAGE1,
-    STAGE2,
-    STAGE3,
     StageFailed,
 )
 from repro.plan import CRASH_GROUP_ENV
 
+from ..conftest import (
+    assert_only_uncacheable_groups_sent,
+    record_executed_groups,
+)
 from .conftest import make_world, stream_hunter
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -72,15 +73,12 @@ class TestSegmentLifecycle:
             store=CheckpointStore(tmp_path),
             checkpoint_every=5,
         ).run()
-        assert result.executed == (STAGE1, STAGE2, STAGE3)
         assert result.report.summary() == batch_summary
-        # the stage-1 checkpoint and the stored groups are the only
-        # resume medium
+        # the stored groups are the only resume medium
         assert segment_files(tmp_path) == []
         assert group_files(tmp_path)
         assert sorted(path.name for path in tmp_path.glob("*.json")) == [
             "manifest.json",
-            f"{STAGE1}.json",
         ]
 
     def test_crash_after_segment_then_resume(
@@ -99,10 +97,8 @@ class TestSegmentLifecycle:
                 store=CheckpointStore(tmp_path),
                 checkpoint_every=5,
             ).run()
-        # groups 0 and 1 were stored before the crash; no stage
-        # checkpoint exists yet
+        # groups 0 and 1 were stored before the crash
         assert len(group_files(tmp_path)) == CRASH_AFTER + 1
-        assert not (tmp_path / f"{STAGE1}.json").exists()
         assert (tmp_path / "failure.json").exists()
 
         monkeypatch.undo()
@@ -127,37 +123,36 @@ class TestSegmentLifecycle:
 
 
 class TestMixedModeResume:
-    """The stage-1 checkpoint interchanges between the two configurations:
+    """The stored groups interchange between the two configurations:
     ``execution`` is not a field, so no fingerprint sees it."""
 
     def test_stream_resumes_batch_checkpoints(
-        self, tmp_path, batch_summary
+        self, tmp_path, monkeypatch, batch_summary
     ):
         PipelineRunner(
             URHunter.from_world(make_world()),
             store=CheckpointStore(tmp_path),
         ).run()
+        executed = record_executed_groups(monkeypatch)
         replayer = stream_hunter()
         replay = PipelineRunner(
             replayer, store=CheckpointStore(tmp_path), resume=True
         ).run()
-        assert replay.resumed == (STAGE1,)
-        assert replay.executed == (STAGE2, STAGE3)
-        assert replayer.engine.metrics.queries == 0
+        assert_only_uncacheable_groups_sent(replayer, executed)
         assert replay.report.summary() == batch_summary
 
     def test_batch_resumes_stream_checkpoints(
-        self, tmp_path, batch_summary
+        self, tmp_path, monkeypatch, batch_summary
     ):
         PipelineRunner(
             stream_hunter(), store=CheckpointStore(tmp_path)
         ).run()
+        executed = record_executed_groups(monkeypatch)
         replayer = URHunter.from_world(make_world())
         replay = PipelineRunner(
             replayer, store=CheckpointStore(tmp_path), resume=True
         ).run()
-        assert replay.resumed == (STAGE1,)
-        assert replayer.engine.metrics.queries == 0
+        assert_only_uncacheable_groups_sent(replayer, executed)
         assert replay.report.summary() == batch_summary
 
 
@@ -189,7 +184,6 @@ class TestMidStreamKillAndResumeSubprocess:
         # killed by SIGTERM: raw -15 or shell-style 143
         assert crashed.returncode in (-signal.SIGTERM, 143)
         assert len(group_files(ckpt)) == CRASH_AFTER + 1
-        assert not (ckpt / f"{STAGE1}.json").exists()
 
         resumed = subprocess.run(
             CLI + ["--checkpoint-dir", str(ckpt), "--resume", "run"],

@@ -19,6 +19,7 @@ from repro.dns.rdata import A
 from repro.incremental import (
     STORE_FORMAT_VERSION,
     GroupResultStore,
+    PlanDiffer,
     PlanSummaryError,
     StoreFormatError,
     diff_plan_summaries,
@@ -540,8 +541,8 @@ def _slot_writers(directory):
             lambda document: document["group"],
         ),
         "dump": (
-            lambda payload: checkpoints.save("stage1-collect", payload),
-            directory / "stage1-collect.json",
+            lambda payload: checkpoints.save("manifest.json", payload),
+            directory / "manifest.json",
             lambda document: document,
         ),
     }
@@ -603,8 +604,44 @@ class TestAtomicWrites:
         checkpoints = CheckpointStore(tmp_path)
         checkpoints.prepare("fp", resume=False)
         checkpoints.prepare("fp", resume=True)
-        assert not checkpoints.has("group-abc")
+        assert [path.name for path in tmp_path.glob("*.json")] == [
+            "manifest.json"
+        ]
         assert GroupResultStore(groups).identities() == []
+
+
+class TestPartition:
+    """``PlanDiffer.partition`` decides one group at a time, in plan
+    order, and reads a slot only when its group is asked for."""
+
+    def test_each_slot_is_read_when_its_group_is_asked_for(self, tmp_path):
+        populating = URHunter.from_world(build_world(small_config(seed=SEED)))
+        populating.result_store = GroupResultStore(tmp_path)
+        populating.stage1_collect()
+        hunter = URHunter.from_world(build_world(small_config(seed=SEED)))
+        store = GroupResultStore(tmp_path)
+        providers = {
+            target.address: target.provider for target in hunter.nameservers
+        }
+        decisions = PlanDiffer(store).partition(
+            hunter.plan, hunter.network, hunter.config, providers
+        )
+        assert store.stats["hits"] == 0
+        decision, payload = next(decisions)
+        assert (decision.group, decision.action) == (0, "hit")
+        assert payload["group"] == 0
+        assert store.stats["hits"] == 1
+        rest = list(decisions)
+        assert [decision.group for decision, _ in rest] == list(
+            range(1, len(hunter.plan.groups))
+        )
+        assert all(
+            (payload is None) == (decision.action == "execute")
+            for decision, payload in rest
+        )
+        assert store.stats["hits"] == 1 + sum(
+            payload is not None for _, payload in rest
+        )
 
 
 class TestPlanSummary:

@@ -154,9 +154,9 @@ def runner_trace(
 
 
 class TestRunnerEquivalence:
-    """The runner adds run/checkpoint provenance events; the invariant
-    must survive them (``execution`` is not a field, so the fingerprint
-    in ``run.start`` never sees it, and ``checkpoint_every`` writes
+    """The runner adds run provenance events; the invariant must survive
+    them (``execution`` is not a field, so the fingerprint in
+    ``run.start`` never sees it, and ``checkpoint_every`` writes
     nothing)."""
 
     def test_batch_vs_stream_with_store(self, tmp_path):
@@ -165,7 +165,7 @@ class TestRunnerEquivalence:
             tmp_path / "stream", "stream", workers=4, depth=9
         )
         assert batch == stream
-        assert any("checkpoint.save" in line for line in batch)
+        assert any("run.start" in line for line in batch)
 
     def test_stream_segments_invariant_across_depth_and_workers(
         self, tmp_path

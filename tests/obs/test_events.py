@@ -38,20 +38,14 @@ class TestCanonicalOrdering:
         assert stages == [STAGE1, STAGE2, STAGE3]
 
     def test_sub_ranks_within_one_stage(self):
-        """Open markers < body < stage.end < checkpoint.save, however
-        they were emitted chronologically."""
+        """stage.start < body < stage.end, however they were emitted
+        chronologically."""
         trace = RunTrace()
         trace.emit("source.degraded", stage=STAGE2, source="pdns")
-        trace.emit("checkpoint.save", stage=STAGE2)
         trace.emit("stage.end", stage=STAGE2)
         trace.emit("stage.start", stage=STAGE2)
         names = [event["event"] for event in trace.events()]
-        assert names == [
-            "stage.start",
-            "source.degraded",
-            "stage.end",
-            "checkpoint.save",
-        ]
+        assert names == ["stage.start", "source.degraded", "stage.end"]
 
     def test_emission_order_breaks_ties_within_a_cell(self):
         trace = RunTrace()
@@ -59,19 +53,6 @@ class TestCanonicalOrdering:
         trace.emit("breaker.trip", stage=STAGE1, server="b")
         servers = [event["server"] for event in trace.events()]
         assert servers == ["a", "b"]
-
-    def test_resume_markers_rank_as_span_open(self):
-        trace = RunTrace()
-        trace.emit("source.degraded", stage=STAGE2, source="pdns")
-        trace.emit("checkpoint.load", stage=STAGE2)
-        trace.emit("stage.resumed", stage=STAGE2)
-        names = [event["event"] for event in trace.events()]
-        # load + resumed are span-open (rank 0); the rest is body
-        assert names == [
-            "checkpoint.load",
-            "stage.resumed",
-            "source.degraded",
-        ]
 
     def test_unknown_stage_ranks_between_stage3_and_run_end(self):
         trace = RunTrace()

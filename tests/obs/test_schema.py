@@ -29,8 +29,9 @@ from repro.obs import METRICS_FORMAT_VERSION, TRACE_FORMAT_VERSION
 #: "plan.built" deterministic event, and "shard.*" timing events;
 #: metrics v4: optional "incremental" timing block — group-result-store
 #: hit/miss counters depend on prior-run state, so timing, never
-#: deterministic)
-PINNED_TRACE_FORMAT = 3
+#: deterministic; trace v4: no checkpoint or stage-resumed events, and
+#: "run.end" without "resumed"/"executed")
+PINNED_TRACE_FORMAT = 4
 PINNED_METRICS_FORMAT = 4
 
 #: every run.end must account for queries with exactly these counters
@@ -184,6 +185,14 @@ class TestTraceSchema:
         ]
         assert RUN_END_REQUIRED <= set(run_end)
         assert run_end["unaccounted"] == 0
+
+    def test_run_end_carries_the_loss_ledger_only(self, trace_lines):
+        """Trace v4: a resume runs every stage, so ``run.end`` no longer
+        names resumed and executed stages."""
+        (run_end,) = [
+            line for line in trace_lines if line["event"] == "run.end"
+        ]
+        assert set(run_end) == RUN_END_REQUIRED
 
     def test_stage_spans_are_balanced(self, trace_lines):
         opens = sum(

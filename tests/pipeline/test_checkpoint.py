@@ -1,4 +1,4 @@
-"""Tests for the checkpoint codecs and the CheckpointStore."""
+"""Tests for the checkpoint store and the group slot codecs."""
 
 import json
 from dataclasses import dataclass
@@ -6,13 +6,11 @@ from dataclasses import dataclass
 import pytest
 
 from repro.core import HunterConfig, URHunter
-from repro.core.collector import ProtectiveFingerprint
-from repro.core.correctness import CorrectRecordDatabase
 from repro.core.records import UndelegatedRecord
 from repro.dns.name import name
 from repro.dns.rdata import RRType
 from repro.engine.metrics import ScanMetrics
-from repro.intel.ipinfo import IpInfoDatabase
+from repro.incremental import GroupResultStore
 from repro.pipeline import (
     STAGE1,
     STAGE2,
@@ -21,21 +19,22 @@ from repro.pipeline import (
     PipelineRunner,
     StageFailed,
 )
-from repro.pipeline.checkpoint import (
-    CheckpointStore,
-    config_fingerprint,
-    decode_fingerprint,
+from repro.pipeline.checkpoint import CheckpointStore, config_fingerprint
+from repro.plan.shards import (
+    GroupResult,
+    ReducedOutcome,
+    decode_group_result,
     decode_metrics,
-    decode_profiles,
     decode_record,
-    decode_stage1,
-    encode_fingerprint,
+    encode_group_result,
     encode_metrics,
-    encode_profiles,
     encode_record,
-    encode_stage1,
 )
 
+from ..conftest import (
+    assert_only_uncacheable_groups_sent,
+    record_executed_groups,
+)
 from .conftest import make_world
 
 
@@ -66,38 +65,6 @@ class TestCodecs:
         )
         assert decode_record(encode_record(record)) == record
 
-    def test_protective_fingerprint_round_trip(self):
-        fingerprint = ProtectiveFingerprint(
-            nameserver_ip="192.0.2.1",
-            records={(RRType.A, "127.0.0.1"), (RRType.TXT, "parked")},
-        )
-        decoded = decode_fingerprint(encode_fingerprint(fingerprint))
-        assert decoded.nameserver_ip == fingerprint.nameserver_ip
-        assert decoded.records == fingerprint.records
-
-    def test_profiles_round_trip(self):
-        ipinfo = IpInfoDatabase()
-        ipinfo.register_prefix("10.0.0.0/8", 64500, "TestNet", "US")
-        database = CorrectRecordDatabase(ipinfo)
-        database.observe_a("victim.example", "10.0.0.1")
-        database.observe_txt("victim.example", "v=spf1 -all")
-        decoded = decode_profiles(encode_profiles(database), ipinfo)
-        original = database.profile("victim.example")
-        copy = decoded.profile("victim.example")
-        assert copy.ips == original.ips
-        assert copy.asns == original.asns
-        assert copy.countries == original.countries
-        assert copy.txt_values == original.txt_values
-
-    def test_stage1_round_trip(self):
-        hunter = URHunter.from_world(make_world())
-        stage1 = hunter.stage1_collect()
-        payload = encode_stage1(stage1)
-        decoded = decode_stage1(json.loads(json.dumps(payload)), hunter.ipinfo)
-        assert encode_stage1(decoded) == payload
-        assert decoded.collection.undelegated == stage1.collection.undelegated
-        assert (decoded.now, decoded.end) == (stage1.now, stage1.end)
-
     def test_metrics_round_trip(self):
         metrics = ScanMetrics()
         counters = metrics.stage("ur")
@@ -114,9 +81,26 @@ class TestCodecs:
         )
         assert decoded.summary() == metrics.summary()
 
-    def test_metrics_none_round_trip(self):
-        assert encode_metrics(None) is None
-        assert decode_metrics(None) is None
+    def test_group_result_round_trips_through_its_slot_json(self):
+        metrics = ScanMetrics()
+        metrics.stage("ur").queries = 3
+        result = GroupResult(
+            group=4,
+            server_ip="192.0.2.1",
+            elapsed=0.25,
+            outcomes=[
+                ReducedOutcome(3, 1, True, (sample_record(),)),
+                ReducedOutcome(9, 2, False, ()),
+            ],
+            metrics=metrics,
+            resilience={"hedges_fired": 1, "shed": {"ur": 2}},
+            events=[("breaker.trip", STAGE1, {"server": "192.0.2.1"})],
+        )
+        payload = encode_group_result(result)
+        decoded = decode_group_result(json.loads(json.dumps(payload)))
+        assert encode_group_result(decoded) == payload
+        assert decoded.outcomes == result.outcomes
+        assert decoded.events == result.events
 
 
 class TestConfigFingerprint:
@@ -223,35 +207,25 @@ class TestCheckpointStore:
                 config_fingerprint(HunterConfig()), resume=True
             )
 
-    def test_resume_matching_fingerprint_keeps_stages(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.prepare("fp", resume=False)
-        store.save("stage1-collect", {"x": 1})
-        resumed = CheckpointStore(tmp_path)
-        resumed.prepare("fp", resume=True)
-        assert resumed.has("stage1-collect")
-        assert resumed.load("stage1-collect") == {"x": 1}
-
-    def test_load_missing_stage_raises(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.prepare("fp", resume=False)
-        with pytest.raises(CheckpointError, match="no checkpoint"):
-            store.load("stage1-collect")
+    def test_resume_never_opens_a_stage1_snapshot(self, tmp_path):
+        """A directory the previous build wrote holds
+        ``stage1-collect.json``: a resume keeps it as it is, unread."""
+        CheckpointStore(tmp_path).prepare("fp", resume=False)
+        snapshot = tmp_path / f"{STAGE1}.json"
+        snapshot.write_text("{not json")
+        CheckpointStore(tmp_path).prepare("fp", resume=True)
+        assert snapshot.read_text() == "{not json"
 
     def test_corrupt_checkpoint_raises(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.prepare("fp", resume=False)
-        (tmp_path / "stage1-collect.json").write_text("{not json")
+        (tmp_path / "manifest.json").write_text("{not json")
         with pytest.raises(CheckpointError, match="unreadable"):
-            store.load("stage1-collect")
+            CheckpointStore(tmp_path).prepare("fp", resume=True)
 
     @pytest.mark.parametrize("body", ["null", "[]", '"x"', "3"])
     def test_payload_that_is_not_an_object_raises(self, tmp_path, body):
-        store = CheckpointStore(tmp_path)
-        store.prepare("fp", resume=False)
-        (tmp_path / "stage1-collect.json").write_text(body)
+        (tmp_path / "manifest.json").write_text(body)
         with pytest.raises(CheckpointError, match="expected a JSON object"):
-            store.load("stage1-collect")
+            CheckpointStore(tmp_path).prepare("fp", resume=True)
 
     def test_failure_provenance(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -269,33 +243,40 @@ class TestCheckpointStore:
     def test_writes_are_atomic_json(self, tmp_path):
         store = CheckpointStore(tmp_path)
         store.prepare("fp", resume=False)
-        store.save("stage1-collect", {"records": [1, 2, 3]})
+        store.save("failure.json", {"records": [1, 2, 3]})
         # no temp file left behind, and the file is valid JSON
         assert list(tmp_path.glob("*.tmp")) == []
-        payload = json.loads(
-            (tmp_path / "stage1-collect.json").read_text()
-        )
+        payload = json.loads((tmp_path / "failure.json").read_text())
         assert payload == {"records": [1, 2, 3]}
 
 
 class TestPruneStale:
     """Checkpoint-directory clean-up: a directory only ever holds the
-    stage-1 snapshot and the stage-1 groups a crashed run stored, which
-    stay behind as its resume medium until a fresh run wipes them."""
+    manifest and the stage-1 groups a run stored, which stay behind as
+    its resume medium until a fresh run wipes them."""
 
-    def test_resume_without_stage1_file_rewrites_only_stage1(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        PipelineRunner(URHunter.from_world(make_world()), store=store).run()
-        snapshot = store.stage_file(STAGE1).read_text()
-        store.stage_file(STAGE1).unlink()
-        result = PipelineRunner(
-            URHunter.from_world(make_world()),
-            store=CheckpointStore(tmp_path),
-            resume=True,
+    def test_resume_rewrites_nothing(self, tmp_path, monkeypatch):
+        def files():
+            return {
+                path.relative_to(tmp_path).as_posix(): path.read_bytes()
+                for path in sorted(tmp_path.rglob("*"))
+                if path.is_file()
+            }
+
+        PipelineRunner(
+            URHunter.from_world(make_world()), store=CheckpointStore(tmp_path)
         ).run()
-        assert result.executed == (STAGE1, STAGE2, STAGE3)
-        assert store.stage_file(STAGE1).read_text() == snapshot
-        assert not store.has(STAGE2) and not store.has(STAGE3)
+        written = files()
+        assert [name for name in written if "/" not in name] == [
+            "manifest.json"
+        ]
+        executed = record_executed_groups(monkeypatch)
+        hunter = URHunter.from_world(make_world())
+        PipelineRunner(
+            hunter, store=CheckpointStore(tmp_path), resume=True
+        ).run()
+        assert_only_uncacheable_groups_sent(hunter, executed)
+        assert files() == written
 
     def test_segments_survive_without_superseding_stage(
         self, tmp_path, monkeypatch
@@ -314,28 +295,61 @@ class TestPruneStale:
         monkeypatch.undo()
         (group,) = store.groups_path.glob("group-*.json")
         stored = group.read_text()
-        assert not store.has(STAGE1)
 
-        result = PipelineRunner(
-            URHunter.from_world(make_world()),
-            store=CheckpointStore(tmp_path),
-            resume=True,
+        hunter = URHunter.from_world(make_world())
+        PipelineRunner(
+            hunter, store=CheckpointStore(tmp_path), resume=True
         ).run()
-        assert result.executed == (STAGE1, STAGE2, STAGE3)
+        assert hunter.result_store.stats["hits"] == 1
         assert group.read_text() == stored
         # a fresh run supersedes everything the crashed one left
         store.prepare("fresh", resume=False)
         assert list(store.groups_path.glob("group-*.json")) == []
 
-    def test_fresh_run_wipes_stage2_and_stage3_files_it_finds(self, tmp_path):
-        """A directory an older build wrote holds stage-2/3 snapshots;
-        a fresh run over it removes them with the rest."""
-        for stage in (STAGE2, STAGE3):
+    def test_fresh_run_wipes_stage_files_it_finds(self, tmp_path):
+        """A directory an older build wrote holds stage snapshots; a
+        fresh run over it removes them with the rest, and writes
+        none."""
+        for stage in (STAGE1, STAGE2, STAGE3):
             (tmp_path / f"{stage}.json").write_text("{}")
         PipelineRunner(
             URHunter.from_world(make_world()), store=CheckpointStore(tmp_path)
         ).run()
         assert sorted(path.name for path in tmp_path.glob("*.json")) == [
             "manifest.json",
-            f"{STAGE1}.json",
         ]
+
+
+class TestLazySlots:
+    """A stored group is read from its slot only when its turn comes:
+    no payload waits in memory for a group that has not yet run."""
+
+    def test_each_slot_is_read_after_the_previous_group_folds(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.plan.shards import ScanFold
+
+        populating = URHunter.from_world(make_world())
+        populating.result_store = GroupResultStore(tmp_path)
+        populating.stage1_collect()
+        log = []
+        get, add = GroupResultStore.get, ScanFold.add
+
+        def reading(store, identity, digest):
+            log.append("get")
+            return get(store, identity, digest)
+
+        def folding(fold, outcomes):
+            log.append("fold")
+            return add(fold, outcomes)
+
+        monkeypatch.setattr(GroupResultStore, "get", reading)
+        monkeypatch.setattr(ScanFold, "add", folding)
+        hunter = URHunter.from_world(make_world())
+        hunter.result_store = GroupResultStore(tmp_path)
+        hunter.stage1_collect()
+        assert log.count("get") == hunter.result_store.stats["hits"] > 1
+        # no two reads without a fold between them: group i's slot is
+        # opened only once group i - 1 is folded
+        assert "get,get" not in ",".join(log)
+        assert log[-1] == "fold"

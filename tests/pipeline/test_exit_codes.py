@@ -106,9 +106,6 @@ class TestExitCodes:
         [
             ("manifest.json", "null"),
             ("manifest.json", "[]"),
-            ("stage1-collect.json", "null"),
-            ("stage1-collect.json", "[]"),
-            ("stage1-collect.json", '{"undelegated": []}'),
         ],
     )
     def test_malformed_checkpoint_is_refused_naming_the_file(

@@ -1,12 +1,12 @@
-"""Resume semantics: stage 1 replays without re-scanning, and stages 2
-and 3 always run live.
+"""Resume semantics: one path — stage 1 re-runs over its stored UR
+groups, and stages 2 and 3 always run live.
 
-The acceptance bar: a run resumed from the stage-1 checkpoint, from the
-groups of a killed stage 1, or from a completed directory produces a
-byte-identical report, and its stage 1 sends no query.  Only stage 1 is
-written out — a checkpoint directory holds ``manifest.json``,
-``stage1-collect.json`` and ``groups/`` — and a stage-2 or stage-3
-file found in it is never read.
+The acceptance bar: a run resumed from the groups of a killed stage 1,
+of a run killed in a later stage, or of a completed directory produces
+a byte-identical report and deterministic trace; every cacheable UR
+group replays from its slot, and only the preamble and the uncacheable
+groups send.  A checkpoint directory holds ``manifest.json`` and
+``groups/``; a stage snapshot an older build left in it is never read.
 """
 
 import contextlib
@@ -40,6 +40,10 @@ from repro.resilience.scenario import (
     apply_scenario,
 )
 
+from ..conftest import (
+    assert_only_uncacheable_groups_sent,
+    record_executed_groups,
+)
 from .conftest import make_world
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -72,6 +76,20 @@ def cli(*args, env=None):
     )
 
 
+def traced(tmp_path, directory, *args, env=None):
+    """``repro --scale small ARGS run`` checkpointing into
+    ``tmp_path/directory`` and tracing to ``tmp_path/directory.jsonl``."""
+    return cli(
+        *args,
+        "--checkpoint-dir",
+        str(tmp_path / directory),
+        "--trace-out",
+        str(tmp_path / f"{directory}.jsonl"),
+        "run",
+        env=env,
+    )
+
+
 def in_process(*args):
     """``repro --scale small ARGS`` in this process: exit code, stdout,
     stderr."""
@@ -85,6 +103,23 @@ def in_process(*args):
 
 def checkpoint_files(directory: Path):
     return sorted(path.name for path in directory.iterdir())
+
+
+def deterministic_trace(path: Path):
+    """The byte-compared section of a ``--trace-out`` file."""
+    return [
+        line
+        for line in path.read_text().splitlines()
+        if '"section":"timing"' not in line
+    ]
+
+
+def group_slots(directory: Path):
+    """Every stored UR group slot, by name, with its bytes."""
+    return {
+        path.name: path.read_bytes()
+        for path in sorted((directory / "groups").glob("group-*.json"))
+    }
 
 
 def deterministic(report):
@@ -106,8 +141,6 @@ class TestInProcessResume:
     def test_runner_without_store_matches_plain_run(self, baseline_report):
         hunter = URHunter.from_world(make_world())
         result = PipelineRunner(hunter).run()
-        assert result.executed == (STAGE1, STAGE2, STAGE3)
-        assert result.resumed == ()
         assert result.report.summary() == baseline_report.summary()
 
     def test_resume_requires_store(self):
@@ -115,34 +148,36 @@ class TestInProcessResume:
         with pytest.raises(ValueError, match="checkpoint store"):
             PipelineRunner(hunter, resume=True)
 
-    def test_checkpoint_dir_holds_stage1_and_groups_only(self, tmp_path):
+    def test_checkpoint_dir_holds_the_manifest_and_groups_only(
+        self, tmp_path
+    ):
         run(tmp_path)
-        expected = ["groups", "manifest.json", f"{STAGE1}.json"]
+        expected = ["groups", "manifest.json"]
         assert checkpoint_files(tmp_path) == expected
         assert list((tmp_path / "groups").glob("group-*.json"))
         run(tmp_path, resume=True)
         assert checkpoint_files(tmp_path) == expected
 
-    def test_full_resume_replays_all_stages(self, tmp_path, baseline_report):
-        run(tmp_path)
-        replayer, replay = run(tmp_path, resume=True)
-        assert replay.resumed == (STAGE1,)
-        assert replay.executed == (STAGE2, STAGE3)
-        # stage 1 did not re-send a single query
-        assert replayer.engine.metrics.queries == 0
-        assert deterministic(replay.report) == deterministic(baseline_report)
-
-    def test_second_resume_is_byte_identical_with_zero_queries(
-        self, tmp_path, baseline_report
+    def test_full_resume_replays_every_cacheable_group(
+        self, tmp_path, monkeypatch, baseline_report
     ):
         run(tmp_path)
-        snapshot = (tmp_path / f"{STAGE1}.json").read_bytes()
-        run(tmp_path, resume=True)
+        executed = record_executed_groups(monkeypatch)
         replayer, replay = run(tmp_path, resume=True)
-        assert replay.resumed == (STAGE1,)
-        assert replayer.engine.metrics.queries == 0
+        assert_only_uncacheable_groups_sent(replayer, executed)
+        assert deterministic(replay.report) == deterministic(baseline_report)
+
+    def test_second_resume_is_byte_identical(
+        self, tmp_path, monkeypatch, baseline_report
+    ):
+        run(tmp_path)
+        slots = group_slots(tmp_path)
+        run(tmp_path, resume=True)
+        executed = record_executed_groups(monkeypatch)
+        replayer, replay = run(tmp_path, resume=True)
+        assert_only_uncacheable_groups_sent(replayer, executed)
         assert replay.report.summary() == baseline_report.summary()
-        assert (tmp_path / f"{STAGE1}.json").read_bytes() == snapshot
+        assert group_slots(tmp_path) == slots
 
     def test_resume_validates_whatever_the_checkpointing_run_did(
         self, tmp_path, baseline_report
@@ -152,7 +187,6 @@ class TestInProcessResume:
         _, unvalidated = run(tmp_path, validate=False)
         assert unvalidated.report.false_negative_rate is None
         _, resumed = run(tmp_path, resume=True, validate=True)
-        assert resumed.executed == (STAGE2, STAGE3)
         assert resumed.report.false_negative_rate is not None
         assert resumed.report.summary() == baseline_report.summary()
 
@@ -169,7 +203,7 @@ class TestInProcessResume:
         self, tmp_path, monkeypatch, baseline_report
     ):
         run(tmp_path)
-        snapshot = (tmp_path / f"{STAGE1}.json").read_bytes()
+        slots = group_slots(tmp_path)
 
         def explode(*args, **kwargs):
             raise RuntimeError("stage 2 exploded")
@@ -182,41 +216,50 @@ class TestInProcessResume:
 
         _, resumed = run(tmp_path, resume=True)
         assert resumed.report.summary() == baseline_report.summary()
-        assert (tmp_path / f"{STAGE1}.json").read_bytes() == snapshot
+        assert group_slots(tmp_path) == slots
         assert CheckpointStore(tmp_path).last_failure() is None
 
 
-class TestCheckpointEvents:
-    """``checkpoint.save``, ``checkpoint.load`` and ``stage.resumed``
-    name stage 1 only."""
+class TestResumeNotice:
+    def test_stderr_counts_the_replayed_groups(self, tmp_path):
+        """A resume says on stderr how many UR groups replayed from the
+        checkpoint directory; stdout stays the uninterrupted run's."""
+        checkpoint = ["--checkpoint-dir", str(tmp_path)]
+        code, live, _ = in_process(*checkpoint, "run")
+        assert code == EXIT_OK
+        code, stdout, stderr = in_process(*checkpoint, "--resume", "run")
+        assert code == EXIT_OK
+        assert stdout == live
+        groups = len(list((tmp_path / "groups").glob("group-*.json")))
+        assert (
+            f"# resumed from checkpoint: {groups} UR groups replayed"
+            in stderr.splitlines()
+        )
 
-    @staticmethod
-    def _stages(trace, name):
-        return [
-            event["stage"]
-            for event in trace.events()
-            if event["event"] == name
-        ]
 
-    def test_only_stage1_is_sealed_and_loaded(self, tmp_path):
+class TestResumedTrace:
+    """A resume is the uninterrupted run, event for event: stage 1 runs
+    its span again (its UR groups replaying their buffered events), and
+    no checkpoint event stands in for it."""
+
+    def test_resuming_a_completed_directory_writes_the_uninterrupted_trace(
+        self, tmp_path
+    ):
         live = URHunter.from_world(make_world())
         live.attach_trace(RunTrace())
         run(tmp_path, hunter=live)
-        assert self._stages(live.trace, "checkpoint.save") == [STAGE1]
-        assert self._stages(live.trace, "checkpoint.load") == []
-
         resumed = URHunter.from_world(make_world())
         resumed.attach_trace(RunTrace())
         run(tmp_path, resume=True, hunter=resumed)
-        assert self._stages(resumed.trace, "checkpoint.save") == []
-        assert self._stages(resumed.trace, "checkpoint.load") == [STAGE1]
-        assert self._stages(resumed.trace, "stage.resumed") == [STAGE1]
+        lines = resumed.trace.deterministic_lines()
+        assert lines == live.trace.deterministic_lines()
+        assert not [line for line in lines if "checkpoint." in line]
 
 
 class TestResumedClock:
-    """A run resumed after stage 1 pins the clock where the live stage 1
-    ended, so its §4.2 sample starts where the uninterrupted run's did
-    and reads the same fault windows."""
+    """A resumed stage 1 ends where the live one did, so its §4.2
+    sample starts where the uninterrupted run's did and reads the same
+    fault windows."""
 
     #: a loss storm over every target nameserver from 2.6 s to 3.6 s into
     #: the run, after every UR group has ended (small scale, seed 7): it
@@ -257,7 +300,6 @@ class TestResumedClock:
         resumed = self._runner(tmp_path, resume=True)
         origin = resumed.hunter.network.now
         replay = resumed.run()
-        assert replay.resumed == (STAGE1,)
         assert round(elapsed, 6) == 3.59263
         assert resumed.hunter.network.now - origin == elapsed
         assert replay.report.summary() == report.summary()
@@ -265,8 +307,8 @@ class TestResumedClock:
 
 
 class TestStrayStageFiles:
-    """A directory an older build wrote holds stage-2 and stage-3
-    snapshots; a resume never opens them, whatever they hold."""
+    """A directory an older build wrote holds stage snapshots; a resume
+    never opens them, whatever they hold."""
 
     @pytest.fixture(scope="class")
     def completed(self, tmp_path_factory):
@@ -284,8 +326,19 @@ class TestStrayStageFiles:
             {STAGE2: "null"},
             {STAGE3: "null"},
             {STAGE3: "{}"},
+            {STAGE1: "null"},
+            {STAGE1: "[]"},
+            {STAGE1: '{"undelegated": []}'},
         ],
-        ids=["garbage-in-both", "stage2-null", "stage3-null", "stage3-empty"],
+        ids=[
+            "garbage-in-both",
+            "stage2-null",
+            "stage3-null",
+            "stage3-empty",
+            "stage1-null",
+            "stage1-list",
+            "stage1-partial",
+        ],
     )
     def test_stray_stage2_and_stage3_files_are_never_read(
         self, completed, tmp_path, files
@@ -310,26 +363,27 @@ class TestKillAndResumeSubprocess:
 
     @staticmethod
     def _kill_and_resume(tmp_path, stage, *flags):
-        baseline = cli(
-            *flags, "--checkpoint-dir", str(tmp_path / "base"), "run"
-        )
+        """Kill at ``stage``'s start, resume, and compare stdout and the
+        deterministic trace with an uninterrupted checkpointed run's."""
+
+        baseline = traced(tmp_path, "base", *flags)
         assert baseline.returncode == 0, baseline.stderr.decode()
         ckpt = tmp_path / "ckpt"
-        crashed = cli(
+        crashed = traced(
+            tmp_path,
+            "ckpt",
             *flags,
-            "--checkpoint-dir",
-            str(ckpt),
-            "run",
             env={**cli_env(), "URHUNTER_CRASH_STAGE": stage},
         )
         # killed by SIGTERM: raw -15 or shell-style 143
         assert crashed.returncode in (-signal.SIGTERM, 143)
-        assert (ckpt / f"{STAGE1}.json").exists()
-        resumed = cli(
-            *flags, "--checkpoint-dir", str(ckpt), "--resume", "run"
-        )
+        assert list((ckpt / "groups").glob("group-*.json"))
+        resumed = traced(tmp_path, "ckpt", *flags, "--resume")
         assert resumed.returncode == 0, resumed.stderr.decode()
         assert resumed.stdout == baseline.stdout
+        assert deterministic_trace(tmp_path / "ckpt.jsonl") == (
+            deterministic_trace(tmp_path / "base.jsonl")
+        )
         assert b"resumed from checkpoint" in resumed.stderr
         assert checkpoint_files(ckpt) == checkpoint_files(tmp_path / "base")
         return ckpt, baseline
@@ -350,14 +404,6 @@ class TestKillAndResumeSubprocess:
         assert again.returncode == 0, again.stderr.decode()
         assert again.stdout == baseline.stdout
 
-    #: the stage-1 snapshot does not carry the engine's resilience
-    #: ledger (hedges, AIMD cuts, shed queries), so a resume from it
-    #: prints no "resilience metrics:" block; carrying it changes the
-    #: stage-1 format
-    NO_RESILIENCE_LEDGER = pytest.mark.xfail(
-        strict=True, reason="stage-1 snapshot drops the resilience ledger"
-    )
-
     @pytest.mark.parametrize(
         "flags",
         [
@@ -367,13 +413,8 @@ class TestKillAndResumeSubprocess:
             pytest.param(
                 ["--loss-rate", "0.05", "--hedge-delay", "0.5", "--aimd"],
                 id="hedged-aimd",
-                marks=NO_RESILIENCE_LEDGER,
             ),
-            pytest.param(
-                ["--run-deadline", "0.36"],
-                id="deadline",
-                marks=NO_RESILIENCE_LEDGER,
-            ),
+            pytest.param(["--run-deadline", "0.36"], id="deadline"),
         ],
     )
     def test_shaped_run_resumes_byte_identical(self, tmp_path, flags):
@@ -381,52 +422,37 @@ class TestKillAndResumeSubprocess:
 
     @staticmethod
     def _kill_after_group(tmp_path, group, *flags):
-        """SIGTERM once UR group ``group`` is folded and stored, with no
-        stage-1 checkpoint yet; the resumed run replays the groups from
-        ``<checkpoint-dir>/groups`` and must print the uninterrupted
-        run's stdout and deterministic trace.  Returns the resume's
-        ``incremental.plan`` event."""
+        """SIGTERM once UR group ``group`` is folded and stored; the
+        resumed run replays the groups from ``<checkpoint-dir>/groups``
+        and must print the uninterrupted run's stdout and deterministic
+        trace.  Returns the resume's ``incremental.plan`` event."""
 
-        def traced(directory, *extra, env=None):
-            return cli(
-                *flags,
-                "--checkpoint-dir",
-                str(tmp_path / directory),
-                "--trace-out",
-                str(tmp_path / f"{directory}.jsonl"),
-                *extra,
-                "run",
-                env=env,
-            )
-
-        def trace(directory, section):
+        def timing(directory):
             lines = (tmp_path / f"{directory}.jsonl").read_text().splitlines()
-            return [
-                line
-                for line in lines
-                if ('"section":"timing"' in line) == (section == "timing")
-            ]
+            return [line for line in lines if '"section":"timing"' in line]
 
-        baseline = traced("base")
+        baseline = traced(tmp_path, "base", *flags)
         assert baseline.returncode == 0, baseline.stderr.decode()
         crashed = traced(
-            "ckpt", env={**cli_env(), CRASH_GROUP_ENV: str(group)}
+            tmp_path,
+            "ckpt",
+            *flags,
+            env={**cli_env(), CRASH_GROUP_ENV: str(group)},
         )
         assert crashed.returncode in (-signal.SIGTERM, 143)
         assert list((tmp_path / "ckpt" / "groups").glob("group-*.json"))
-        assert not (tmp_path / "ckpt" / f"{STAGE1}.json").exists()
-        resumed = traced("ckpt", "--resume")
+        resumed = traced(tmp_path, "ckpt", *flags, "--resume")
         assert resumed.returncode == 0, resumed.stderr.decode()
         assert resumed.stdout == baseline.stdout
-        deterministic = trace("ckpt", "deterministic")
-        assert deterministic == trace("base", "deterministic")
+        deterministic = deterministic_trace(tmp_path / "ckpt.jsonl")
+        assert deterministic == deterministic_trace(tmp_path / "base.jsonl")
         assert '"unaccounted":0' in deterministic[-1]
         assert checkpoint_files(tmp_path / "ckpt") == checkpoint_files(
             tmp_path / "base"
         )
         (planned,) = [
             json.loads(line)
-            for line in trace("ckpt", "timing")
+            for line in timing("ckpt")
             if '"event":"incremental.plan"' in line
         ]
         return planned

@@ -48,10 +48,7 @@ class TestNoTimingLeakage:
     def test_stage_checkpoints_have_no_wall_clock(self, checkpointed_run):
         directory, _ = checkpointed_run
         files = sorted(directory.glob("*.json"))
-        assert [path.name for path in files] == [
-            "manifest.json",
-            "stage1-collect.json",
-        ]
+        assert [path.name for path in files] == ["manifest.json"]
         for path in files:
             blob = path.read_text()
             for token in ("wall_s", "condition_s"):

@@ -28,7 +28,7 @@ from repro.dns.rdata import RRType
 from repro.dns.resolver import RecursiveResolver
 from repro.dns.server import UnhostedPolicy
 from repro.net.network import SimulatedInternet
-from repro.pipeline.checkpoint import encode_stage1
+from ..stage1_oracle import encode_stage1
 from repro.plan import shards
 from repro.scenario import ScenarioConfig, build_world, small_config
 

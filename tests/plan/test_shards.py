@@ -201,8 +201,8 @@ class TestShardResume:
         self, killed_after, loss, tmp_path, monkeypatch
     ):
         """The kill seam fires once one group is folded and stored: the
-        first, or the last — after the whole scan and before its
-        stage-1 checkpoint, where a crash used to cost a full re-scan."""
+        first, or the last — after the whole scan, where a crash used
+        to cost a full re-scan."""
         uninterrupted, fresh = measure(
             loss=loss, checkpoints=tmp_path / "base"
         )

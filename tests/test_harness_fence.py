@@ -4,7 +4,7 @@
 below; stages 2 and 3 no longer use any of them, and nothing calls
 ``WireCodecCache.decode``.  This test touches every one the way the
 harness does, so none is deleted while the harness still reads it; the
-stage-2/3 names go when the harness stops reading them (ROADMAP item 1).
+stage-2/3 names go when the harness stops reading them (ROADMAP item 2).
 """
 
 from collections import Counter
