@@ -23,19 +23,22 @@ Commands mirror the paper's evaluation artifacts:
 Shared options: ``--seed``, ``--scale {small,default,paper}``,
 ``--post-disclosure``, ``--mx`` (future-work MX sweep).
 
+The run flags are read once, into a :class:`~repro.runspec.RunSpec`.
+Fault options: ``--chaos-script`` applies a declarative fault scenario
+before the run; ``--loss-rate`` and the ``--*-fault-rate`` knobs
+(seeded by ``--fault-seed``) are sugar for its ``loss`` and
+``source-flaky`` windows.
+
 Resilience options: ``--checkpoint-dir`` stores every UR nameserver
 group of stage 1 under ``groups/`` as it completes, ``--resume``
 re-runs the pipeline over that directory — each stored group replays
 instead of re-querying its server, the preamble and stages 2 and 3 run
-live — and the
-``--*-fault-rate`` knobs inject seeded data-source faults for chaos
-testing.  ``--run-deadline``/``--stage-deadline`` bound the
+live.  ``--run-deadline``/``--stage-deadline`` bound the
 run in virtual seconds (exhausted budgets shed remaining queries into
 the loss ledger), ``--hedge-delay`` reads every retry timer from the
 server's measured round trip (its value: the hedge timer of an
-unmeasured server, its ceiling afterwards), ``--aimd`` adapts the
-per-server send rate to timeouts, and ``--chaos-script`` applies a
-declarative fault scenario before the run.
+unmeasured server, its ceiling afterwards), and ``--aimd`` adapts the
+per-server send rate to timeouts.
 
 Incremental options: ``--result-store DIR`` persists each nameserver
 group's merged stage-1 outcome content-addressed by its query units and
@@ -89,11 +92,9 @@ from .analysis import (
     figure3d,
     overview_funnel,
 )
-from .core import HunterConfig, URHunter
+from .core import URHunter
 from .defense import evaluate_defenses
-from .dns.rdata import RRType
 from .hosting import TABLE2_PROVIDERS
-from .intel.aggregator import ThreatIntelAggregator
 from .net.scanpath import ScanPathMetrics
 from .obs import (
     Reporter,
@@ -106,26 +107,13 @@ from .obs.summarize import TraceFormatError
 from .pipeline import (
     CheckpointError,
     CheckpointStore,
-    FaultPlan,
-    FlakyIPInfo,
-    FlakyPassiveDNS,
-    FlakyVendor,
     PipelineError,
     PipelineRunner,
     StageFailed,
 )
-from .scenario import (
-    ScenarioConfig,
-    build_world,
-    paper_scale_config,
-    small_config,
-)
-
-_SCALES = {
-    "small": small_config,
-    "default": lambda seed: ScenarioConfig(seed=seed),
-    "paper": paper_scale_config,
-}
+from .resilience.scenario import BUNDLED_SCENARIOS, ScenarioError
+from .runspec import SCALES, RunSpec
+from .scenario import build_world
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--scale",
-        choices=sorted(_SCALES),
+        choices=sorted(SCALES),
         default="default",
         help="scenario size (default: default)",
     )
@@ -183,7 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         metavar="P",
         help=(
-            "inject uniform query loss with probability P in [0, 1) "
+            "inject uniform query loss with probability P in [0, 1): "
+            "a network-wide 'loss' window ahead of --chaos-script's "
             "(deterministic per --seed; default 0, no loss)"
         ),
     )
@@ -250,28 +239,40 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         metavar="P",
-        help="inject threat-intel vendor faults with probability P",
+        help=(
+            "inject threat-intel vendor faults with probability P: a "
+            "'source-flaky' window on source intel"
+        ),
     )
     resilience.add_argument(
         "--pdns-fault-rate",
         type=float,
         default=0.0,
         metavar="P",
-        help="inject passive-DNS faults with probability P",
+        help=(
+            "inject passive-DNS faults with probability P: a "
+            "'source-flaky' window on source pdns"
+        ),
     )
     resilience.add_argument(
         "--ipinfo-fault-rate",
         type=float,
         default=0.0,
         metavar="P",
-        help="inject IP-metadata faults with probability P",
+        help=(
+            "inject IP-metadata faults with probability P: a "
+            "'source-flaky' window on source ipinfo"
+        ),
     )
     resilience.add_argument(
         "--fault-seed",
         type=int,
         default=0,
         metavar="N",
-        help="RNG seed for the injected data-source faults (default 0)",
+        help=(
+            "seed of the 'source-flaky' windows the --*-fault-rate "
+            "flags compile to (default 0)"
+        ),
     )
     resilience.add_argument(
         "--run-deadline",
@@ -324,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "apply a chaos scenario before the run: a bundled name "
-            "(see the 'chaos' command) or a JSON script path"
+            "(see the 'chaos' command) or a JSON script path; the "
+            "fault-rate flags' windows run ahead of its own"
         ),
     )
     observability = parser.add_argument_group(
@@ -373,71 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scenario(args: argparse.Namespace) -> ScenarioConfig:
-    config = _SCALES[args.scale](args.seed)
-    config.post_disclosure = args.post_disclosure
-    return config
-
-
-def _hunter_config(args: argparse.Namespace) -> HunterConfig:
-    config = HunterConfig(
-        retries=args.retries,
-        timeout=args.timeout,
-        run_deadline=args.run_deadline or 0.0,
-        stage_deadline=args.stage_deadline or 0.0,
-        hedge_delay=args.hedge_delay or 0.0,
-        aimd=args.aimd,
-    )
-    if args.mx:
-        config.query_types = (RRType.A, RRType.TXT, RRType.MX)
-    return config
-
-
-def _scenario_fingerprint(args: argparse.Namespace) -> str:
-    """Everything outside HunterConfig that shapes the measurement —
-    resuming under a different world must be rejected, not merged."""
-    return (
-        f"scale={args.scale},seed={args.seed},"
-        f"post={args.post_disclosure},mx={args.mx},"
-        f"loss={args.loss_rate},intel={args.intel_fault_rate},"
-        f"pdns={args.pdns_fault_rate},ipinfo={args.ipinfo_fault_rate},"
-        f"fseed={args.fault_seed},chaos={args.chaos_script}"
-    )
-
-
-def _apply_faults(args: argparse.Namespace, world, hunter: URHunter) -> None:
-    """Wrap the stage-2/3 data sources in seeded fault injectors."""
-    if args.intel_fault_rate:
-        vendors = [
-            FlakyVendor(
-                vendor,
-                FaultPlan(
-                    seed=args.fault_seed + index,
-                    error_rate=args.intel_fault_rate,
-                ),
-            )
-            for index, vendor in enumerate(world.vendors)
-        ]
-        hunter.intel = ThreatIntelAggregator(vendors)
-    if args.pdns_fault_rate and world.pdns is not None:
-        hunter.pdns = FlakyPassiveDNS(
-            world.pdns,
-            FaultPlan(
-                seed=args.fault_seed + 101,
-                error_rate=args.pdns_fault_rate,
-            ),
-        )
-    if args.ipinfo_fault_rate:
-        # stage 2 only: stage-1 profile building keeps the clean source
-        hunter.stage2_ipinfo = FlakyIPInfo(
-            world.ipinfo,
-            FaultPlan(
-                seed=args.fault_seed + 202,
-                error_rate=args.ipinfo_fault_rate,
-            ),
-        )
-
-
 def _trace_command(argv: List[str], reporter: Reporter) -> int:
     """Handle ``repro trace summarize FILE`` (dispatched before the main
     parser: the trace tools need no scenario options)."""
@@ -455,32 +392,12 @@ def _trace_command(argv: List[str], reporter: Reporter) -> int:
     return EXIT_OK
 
 
-def _write_metrics(
-    path: str,
-    report,
-    runner: PipelineRunner,
-    hunter: URHunter,
-    incremental=None,
-) -> None:
-    """Write the consolidated ``--metrics-out`` document."""
-    document = build_metrics_document(
-        report,
-        fingerprint=runner._fingerprint(),
-        scan_path=ScanPathMetrics.from_network(hunter.network),
-        incremental=incremental,
-    )
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n"
-    )
-
-
 def _plan_command(
     args: argparse.Namespace,
     hunter: URHunter,
     reporter: Reporter,
     result_store,
+    providers,
 ) -> int:
     """Handle ``repro plan``: text summary, ``--json`` dump, ``--diff``
     against a saved dump, and — with ``--result-store`` — the would-
@@ -511,10 +428,6 @@ def _plan_command(
     print(hunter.plan.summary())
     if result_store is not None:
         differ = PlanDiffer(result_store)
-        providers = {
-            target.address: target.provider
-            for target in hunter.nameservers
-        }
         # each stored payload is dropped as soon as it is read
         decisions = [
             decision
@@ -546,33 +459,25 @@ def _plan_command(
     return EXIT_OK
 
 
-def _chaos_command(args: argparse.Namespace, reporter: Reporter) -> int:
-    """Handle ``repro chaos``: replay scenarios through the invariant
+def _chaos_command(spec: RunSpec, reporter: Reporter) -> int:
+    """Handle ``repro chaos``: replay the run's fault script — every
+    bundled scenario when it has no windows — through the invariant
     checker (small worlds, each scenario replayed twice)."""
     from .resilience.invariants import (
         InvariantViolation,
         check_clean_baseline,
         check_scenario,
     )
-    from .resilience.scenario import (
-        BUNDLED_SCENARIOS,
-        ScenarioError,
-        load_scenario,
-    )
 
-    if args.chaos_script:
-        try:
-            scripts = [load_scenario(args.chaos_script)]
-        except ScenarioError as error:
-            reporter.error(f"error: {error}")
-            return EXIT_USAGE
-    else:
-        scripts = list(BUNDLED_SCENARIOS)
+    scripts = (
+        [spec.faults] if spec.faults.windows else list(BUNDLED_SCENARIOS)
+    )
+    seed = spec.scenario.seed
     try:
-        check_clean_baseline(seed=args.seed)
+        check_clean_baseline(seed=seed)
         print("clean-baseline: resilience on == off (byte-identical)")
         for script in scripts:
-            verdict = check_scenario(script, seed=args.seed)
+            verdict = check_scenario(script, seed=seed)
             print(verdict.summary())
     except InvariantViolation as error:
         reporter.error(f"error: invariant violated: {error}")
@@ -589,26 +494,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.resume and not args.checkpoint_dir:
         reporter.error("error: --resume requires --checkpoint-dir")
         return EXIT_USAGE
-    # explicit non-positive values on count/duration knobs are always a
-    # mistake (omit the flag to disable the feature) — reject loudly
-    for option, value in (
-        ("--run-deadline", args.run_deadline),
-        ("--stage-deadline", args.stage_deadline),
-        ("--hedge-delay", args.hedge_delay),
-    ):
-        if value is not None and value <= 0:
-            reporter.error(
-                f"error: {option} must be > 0, got {value} "
-                f"(omit the flag to disable)"
-            )
-            return EXIT_USAGE
-    if args.command == "chaos":
-        return _chaos_command(args, reporter)
     try:
-        hunter_config = _hunter_config(args)
+        spec = RunSpec.from_args(args)
     except ValueError as error:
         reporter.error(f"error: {error}")
         return EXIT_USAGE
+    if args.command == "chaos":
+        return _chaos_command(spec, reporter)
     result_store = None
     if args.result_store:
         from .incremental import GroupResultStore, StoreFormatError
@@ -623,56 +515,38 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"post_disclosure={args.post_disclosure} mx={args.mx} "
         f"loss_rate={args.loss_rate}"
     )
-    world = build_world(_scenario(args))
-    if args.loss_rate:
-        if not 0.0 <= args.loss_rate < 1.0:
-            reporter.error(
-                f"error: --loss-rate must be in [0, 1), "
-                f"got {args.loss_rate}"
-            )
-            return EXIT_USAGE
-        world.network.inject_faults(
-            loss_rate=args.loss_rate, seed=args.seed
+    if spec.faults.windows:
+        reporter.info(
+            f"# faults: {spec.faults.name} "
+            f"({len(spec.faults.windows)} windows)"
         )
-
     if args.command == "table2":
+        # active probing of the providers: no hunter, no faults
+        world = build_world(spec.scenario)
         table = build_table2(
             [world.providers[provider] for provider in TABLE2_PROVIDERS],
             world.root,
         )
         print(table.text)
         return EXIT_OK
-
-    hunter = URHunter.from_world(world, hunter_config)
-
     try:
-        _apply_faults(args, world, hunter)
-    except ValueError as error:
+        world, hunter = spec.build()
+    except ScenarioError as error:
         reporter.error(f"error: {error}")
         return EXIT_USAGE
-    if args.chaos_script:
-        from .resilience.scenario import (
-            ScenarioError,
-            apply_scenario,
-            load_scenario,
-        )
 
-        try:
-            script = load_scenario(args.chaos_script)
-            installed = apply_scenario(script, world, hunter)
-        except ScenarioError as error:
-            reporter.error(f"error: {error}")
-            return EXIT_USAGE
-        reporter.info(
-            f"# chaos: {script.name} ({installed} fault bindings)"
-        )
-
+    nameserver_provider = {
+        target.address: target.provider
+        for target in world.nameserver_targets
+    }
     if args.command == "plan":
         # pure plan inspection: the plan was built in the constructor
         # and no packet has moved; the faults a run under these flags
         # would scan under are installed, so the replay forecast keys
         # exactly as that run will
-        return _plan_command(args, hunter, reporter, result_store)
+        return _plan_command(
+            args, hunter, reporter, result_store, nameserver_provider
+        )
 
     hunter.result_store = result_store
 
@@ -680,15 +554,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if trace is not None:
         hunter.attach_trace(trace)
     store = (
-        CheckpointStore(args.checkpoint_dir)
-        if args.checkpoint_dir
-        else None
+        CheckpointStore(args.checkpoint_dir) if args.checkpoint_dir else None
     )
     runner = PipelineRunner(
         hunter,
         store=store,
         resume=args.resume,
-        scenario_fingerprint=_scenario_fingerprint(args),
+        scenario_fingerprint=spec.fingerprint(),
     )
     needs_validation = args.command in ("run", "validate")
     try:
@@ -719,15 +591,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{stats['stored']} stored"
         )
     if args.metrics_out:
-        _write_metrics(
-            args.metrics_out,
+        document = build_metrics_document(
             report,
-            runner,
-            hunter,
-            incremental=(
-                result_store.stats if result_store is not None else None
-            ),
+            fingerprint=runner._fingerprint(),
+            scan_path=ScanPathMetrics.from_network(hunter.network),
+            incremental=None if result_store is None else result_store.stats,
         )
+        target = Path(args.metrics_out)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        text = json.dumps(document, indent=2, sort_keys=True)
+        target.write_text(text + "\n")
     if args.resume:
         reporter.info(
             "# resumed from checkpoint: "
@@ -753,10 +626,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.full:
             from .analysis import render_full_report
 
-            nameserver_provider = {
-                target.address: target.provider
-                for target in world.nameserver_targets
-            }
             print(
                 render_full_report(
                     report,
@@ -785,10 +654,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(figure.text)
             print(compare_to_paper(figure.series, paper))
     elif args.command == "casestudies":
-        nameserver_provider = {
-            target.address: target.provider
-            for target in world.nameserver_targets
-        }
         cases = all_case_studies(
             report, world.sandbox_reports, nameserver_provider
         )

@@ -6,7 +6,8 @@ and it persists one way: every UR nameserver group is written to
 slot), and a resumed stage 1 replays each stored group instead of
 re-querying its server.  Beside the slots sits a ``manifest.json``
 carrying a fingerprint of the :class:`~repro.core.hunter.HunterConfig`
-(plus an optional scenario fingerprint supplied by the caller), and,
+(plus an optional scenario fingerprint supplied by the caller — the
+CLI's is :meth:`repro.runspec.RunSpec.fingerprint`), and,
 after an aborted run, ``failure.json``.  Stages 2 and 3 are never
 written out: they are cheap offline joins over stage 1's result, and a
 resume recomputes them faster than it could read them back.  A resumed
@@ -46,8 +47,9 @@ from .errors import CheckpointError
 #: ``now`` is the scan start, not the end of the preamble, and the
 #: stage's ``end`` is added; v8: the stage-2 metrics drop ``workers``
 #: and stream segments are gone; the ``stage1-collect.json`` and
-#: stage-2/3 snapshots a v8 run wrote are never read)
-FORMAT_VERSION = 8
+#: stage-2/3 snapshots a v8 run wrote are never read; v9: the manifest
+#: fingerprint digests the run spec, a chaos script's content included)
+FORMAT_VERSION = 9
 
 
 # -- generic json helpers ---------------------------------------------------

@@ -96,17 +96,34 @@ class FaultPlan:
         raise SourceTimeout(source)
 
 
-class FlakyVendor:
+class _Flaky:
+    """A wrapped source and the plan its reads consult."""
+
+    def __init__(self, inner, plan: FaultPlan):
+        self.inner = inner
+        self.plan = plan
+
+    @property
+    def deterministic(self) -> bool:
+        """Memoization-safe only when the plan can never fault."""
+        return self.plan.never_faults and getattr(
+            self.inner, "deterministic", False
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}({self.inner!r}, "
+            f"faults={self.plan.faults})"
+        )
+
+
+class FlakyVendor(_Flaky):
     """A :class:`~repro.intel.vendor.SecurityVendor` that sometimes fails.
 
     Read paths (``is_malicious``, ``tags``, ``verdict``)
     consult the fault plan; write paths used by world construction
     (``flag``, ``clear``) pass through.
     """
-
-    def __init__(self, vendor, plan: FaultPlan):
-        self.inner = vendor
-        self.plan = plan
 
     @property
     def name(self) -> str:
@@ -141,25 +158,11 @@ class FlakyVendor:
     def __len__(self) -> int:
         return len(self.inner)
 
-    def __repr__(self) -> str:
-        return f"FlakyVendor({self.inner!r}, faults={self.plan.faults})"
 
-
-class FlakyPassiveDNS:
+class FlakyPassiveDNS(_Flaky):
     """A :class:`~repro.intel.pdns.PassiveDnsStore` behind a flaky API."""
 
     SOURCE = "pdns"
-
-    def __init__(self, pdns, plan: FaultPlan):
-        self.inner = pdns
-        self.plan = plan
-
-    @property
-    def deterministic(self) -> bool:
-        """Memoization-safe only when the plan can never fault."""
-        return self.plan.never_faults and getattr(
-            self.inner, "deterministic", False
-        )
 
     @property
     def horizon(self) -> float:
@@ -198,25 +201,11 @@ class FlakyPassiveDNS:
     def __len__(self) -> int:
         return len(self.inner)
 
-    def __repr__(self) -> str:
-        return f"FlakyPassiveDNS({self.inner!r}, faults={self.plan.faults})"
 
-
-class FlakyIPInfo:
+class FlakyIPInfo(_Flaky):
     """An :class:`~repro.intel.ipinfo.IpInfoDatabase` behind a flaky API."""
 
     SOURCE = "ipinfo"
-
-    def __init__(self, ipinfo, plan: FaultPlan):
-        self.inner = ipinfo
-        self.plan = plan
-
-    @property
-    def deterministic(self) -> bool:
-        """Memoization-safe only when the plan can never fault."""
-        return self.plan.never_faults and getattr(
-            self.inner, "deterministic", False
-        )
 
     def lookup(self, address: str):
         self.plan.check(self.SOURCE)
@@ -244,6 +233,3 @@ class FlakyIPInfo:
 
     def known_hosts(self) -> List[str]:
         return self.inner.known_hosts()
-
-    def __repr__(self) -> str:
-        return f"FlakyIPInfo({self.inner!r}, faults={self.plan.faults})"

@@ -27,11 +27,12 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..core import HunterConfig, URHunter
+from ..core import HunterConfig
 from ..obs import RunTrace
 from ..pipeline import PipelineRunner
-from ..scenario import build_world, small_config
-from .scenario import ScenarioScript, apply_scenario
+from ..runspec import RunSpec
+from ..scenario import small_config
+from .scenario import ScenarioScript
 
 #: how many times a scenario is replayed from a fresh world; every
 #: replay must match the first byte for byte
@@ -55,9 +56,6 @@ class ScenarioVerdict:
     statuses: List[str] = field(default_factory=list)
     #: run.end unaccounted per replay (all must be zero)
     unaccounted: List[int] = field(default_factory=list)
-    #: shed/hedge/aimd activity of the first replay (determinism makes
-    #: the others identical)
-    resilience: Dict[str, object] = field(default_factory=dict)
     identical: bool = False
 
     def summary(self) -> str:
@@ -75,13 +73,14 @@ def _run_once(
 ) -> Tuple[str, str, int, Dict[str, object]]:
     """One full pipeline run; returns (summary, status, unaccounted,
     resilience-metrics-dict)."""
-    world = build_world(small_config(seed=seed))
     knobs = dict(RESILIENCE_KNOBS) if resilience else {}
-    hunter = URHunter.from_world(world, HunterConfig(**knobs))
+    _, hunter = RunSpec(
+        scenario=small_config(seed=seed),
+        scan=HunterConfig(**knobs),
+        faults=scenario or ScenarioScript(name="clean"),
+    ).build()
     trace = RunTrace()
     hunter.attach_trace(trace)
-    if scenario is not None:
-        apply_scenario(scenario, world, hunter)
     result = PipelineRunner(hunter).run(validate=False)
     report = result.report
     run_end = None
@@ -109,7 +108,7 @@ def check_scenario(
     for replay in range(1, REPLAYS + 1):
         label = f"replay-{replay}"
         try:
-            summary, status, unaccounted, metrics = _run_once(
+            summary, status, unaccounted, _ = _run_once(
                 scenario, seed, resilience=True
             )
         except Exception as error:  # a crash is itself a breach
@@ -120,8 +119,6 @@ def check_scenario(
         verdict.replays.append(label)
         verdict.statuses.append(status)
         verdict.unaccounted.append(unaccounted)
-        if not summaries:
-            verdict.resilience = metrics
         summaries.append(summary)
         if status not in ("clean", "degraded"):
             raise InvariantViolation(

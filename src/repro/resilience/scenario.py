@@ -1,14 +1,15 @@
-"""Declarative chaos scenarios compiled onto the simulator's fault hooks.
+"""Declarative fault scenarios compiled onto the simulator's fault hooks.
 
 A :class:`ScenarioScript` is a small, seeded, JSON-serialisable
-description of *correlated* failures — not independent per-host coin
-flips but the shapes that actually break scanners in the field: a whole
+description of the faults a run meets: *correlated* failures — a whole
 provider going dark, a tail-latency storm across every nameserver, a
-regional partition, browned-out open resolvers, a flapping intel
-vendor.  :func:`apply_scenario` compiles the script onto the existing
-primitives (:class:`~repro.net.network.FaultProfile` windows on the
+regional partition, browned-out open resolvers — and the uniform ones
+the CLI's rate flags spell (``loss``, ``source-flaky``).
+:func:`apply_scenario`, the one place a run's faults are installed,
+compiles the script onto the existing primitives
+(:class:`~repro.net.network.FaultProfile` windows on the
 :class:`~repro.net.network.SimulatedInternet`, ``Flaky*`` wrappers on
-the stage-2/3 sources) so the chaos layer adds **no new failure
+the stage-2/3 sources), so the chaos layer adds **no new failure
 mechanics** — only coordination.
 
 Import this module by its full path (``repro.resilience.scenario``):
@@ -22,34 +23,63 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..net.network import FaultProfile
-from ..pipeline.faults import FaultPlan, FlakyVendor
-
-#: window kinds the compiler understands
-KINDS = (
-    "provider-outage",
-    "tail-latency-storm",
-    "regional-partition",
-    "resolver-brownout",
-    "intel-vendor-flap",
+from ..pipeline.faults import (
+    FaultPlan,
+    FlakyIPInfo,
+    FlakyPassiveDNS,
+    FlakyVendor,
 )
+
+#: every window kind the compiler understands, with each param it takes
+#: and that param's default
+KINDS: Dict[str, Dict[str, Any]] = {
+    # the network-wide uniform loss of ``--loss-rate``
+    "loss": {"loss_rate": 0.0},
+    "provider-outage": {"provider": "Cloudflare", "loss_rate": 1.0},
+    # mostly *loss* (timeout parks), a little jitter: the shape where
+    # hedged retries win — pure jitter would charge hedges equally
+    "tail-latency-storm": {"loss_rate": 0.45, "jitter": 0.05},
+    "regional-partition": {"country": "US", "loss_rate": 1.0},
+    "resolver-brownout": {"loss_rate": 0.6},
+    # one stage-2/3 data source behind a seeded FaultPlan, the
+    # ``--*-fault-rate`` flags' shape; no ``seed`` = the script's seed
+    "source-flaky": {"source": None, "error_rate": 0.0, "seed": None},
+}
+
+#: the sources a ``source-flaky`` window can fault
+SOURCES = ("intel", "pdns", "ipinfo")
 
 
 class ScenarioError(ValueError):
     """A script that cannot be parsed or compiled."""
 
 
+def _check_keys(raw, allowed, what: str, required: str = "") -> None:
+    """Refuse keys of ``raw`` outside ``allowed``, and a missing
+    ``required`` one."""
+    extra = set(raw) - set(allowed)
+    if extra:
+        raise ScenarioError(
+            f"unknown {what}: {', '.join(sorted(extra))} "
+            f"(allowed: {', '.join(sorted(allowed))})"
+        )
+    if required and required not in raw:
+        raise ScenarioError(f"missing {required!r}")
+
+
 @dataclass(frozen=True)
 class FaultWindow:
-    """One time-windowed correlated fault.
+    """One fault, time-windowed where its kind reads the clock.
 
     ``start``/``duration`` are virtual seconds **relative to the moment
     the scenario is applied** (the world's clock does not start at
-    zero); ``duration == 0`` means open-ended.  ``params`` carries the
-    kind-specific knobs — unknown keys are rejected at compile time so
-    a typo'd scenario fails loudly instead of silently running clean.
+    zero); ``duration == 0`` means open-ended, and ``loss`` and
+    ``source-flaky`` windows always are.  ``params`` carries the
+    kind-specific knobs (:data:`KINDS`), checked here, when the script
+    loads, so a typo'd scenario fails before any world is built.
     """
 
     kind: str
@@ -58,23 +88,48 @@ class FaultWindow:
     params: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ScenarioError(
-                f"unknown fault window kind {self.kind!r} "
-                f"(expected one of {', '.join(KINDS)})"
-            )
-        if self.start < 0 or self.duration < 0:
-            raise ScenarioError("window start/duration must be >= 0")
+        try:
+            defaults = KINDS.get(self.kind)
+            if defaults is None:
+                raise ValueError(
+                    f"unknown fault window kind "
+                    f"(expected one of {', '.join(KINDS)})"
+                )
+            _check_keys(self.params, defaults, "params")
+            if self.kind not in _TARGETS and (self.start or self.duration):
+                raise ValueError(
+                    "not on the network clock; start and duration must be 0"
+                )
+            settings = self.settings
+            if self.kind == "source-flaky":
+                if settings["source"] not in SOURCES:
+                    raise ValueError(
+                        f"source must be one of {', '.join(SOURCES)}, "
+                        f"got {settings['source']!r}"
+                    )
+                _fault_plan(settings, int(settings["seed"] or 0))
+            elif self.kind == "loss" and not (
+                0.0 <= float(settings["loss_rate"]) < 1.0
+            ):
+                # a network that drops every packet leaves nothing to scan
+                raise ValueError(
+                    f"loss_rate must be in [0, 1), "
+                    f"got {settings['loss_rate']}"
+                )
+            else:
+                _profile(self, settings, 0.0)
+        except (TypeError, ValueError) as error:
+            raise ScenarioError(f"{self.kind}: {error}") from None
+
+    @property
+    def settings(self) -> Dict[str, Any]:
+        """Every param of the kind: the given ones over the defaults."""
+        return {**KINDS[self.kind], **self.params}
 
     @classmethod
     def from_dict(cls, raw: Dict[str, Any]) -> "FaultWindow":
-        extra = set(raw) - {"kind", "start", "duration", "params"}
-        if extra:
-            raise ScenarioError(
-                f"unknown window keys: {', '.join(sorted(extra))}"
-            )
-        if "kind" not in raw:
-            raise ScenarioError("window needs a 'kind'")
+        allowed = ("kind", "start", "duration", "params")
+        _check_keys(raw, allowed, "window keys", "kind")
         return cls(
             kind=raw["kind"],
             start=float(raw.get("start", 0.0)),
@@ -94,13 +149,8 @@ class ScenarioScript:
 
     @classmethod
     def from_dict(cls, raw: Dict[str, Any]) -> "ScenarioScript":
-        extra = set(raw) - {"name", "seed", "description", "windows"}
-        if extra:
-            raise ScenarioError(
-                f"unknown script keys: {', '.join(sorted(extra))}"
-            )
-        if "name" not in raw:
-            raise ScenarioError("scenario needs a 'name'")
+        allowed = ("name", "seed", "description", "windows")
+        _check_keys(raw, allowed, "script keys", "name")
         return cls(
             name=str(raw["name"]),
             seed=int(raw.get("seed", 0)),
@@ -125,30 +175,23 @@ class ScenarioScript:
 # -- the compiler ------------------------------------------------------------
 
 
-def _param(
-    window: FaultWindow, allowed: Dict[str, Any]
-) -> Dict[str, Any]:
-    """Validate ``window.params`` against ``allowed`` (defaults)."""
-    extra = set(window.params) - set(allowed)
-    if extra:
-        raise ScenarioError(
-            f"{window.kind}: unknown params "
-            f"{', '.join(sorted(extra))} "
-            f"(allowed: {', '.join(sorted(allowed))})"
-        )
-    merged = dict(allowed)
-    merged.update(window.params)
-    return merged
+def _profile(
+    window: FaultWindow, settings: Dict[str, Any], base: float
+) -> FaultProfile:
+    return FaultProfile(
+        start=base + window.start,
+        duration=window.duration,
+        loss_rate=float(settings["loss_rate"]),
+        latency_jitter=float(settings.get("jitter", 0.0)),
+    )
 
 
-def _profile(window: FaultWindow, base: float, **knobs: float) -> FaultProfile:
-    return FaultProfile(start=base + window.start,
-                        duration=window.duration, **knobs)
+def _fault_plan(settings: Dict[str, Any], seed: int) -> FaultPlan:
+    return FaultPlan(seed=seed, error_rate=float(settings["error_rate"]))
 
 
-def _compile_provider_outage(window, world, base) -> List[Tuple[str, FaultProfile]]:
-    params = _param(window, {"provider": "Cloudflare", "loss_rate": 1.0})
-    provider = params["provider"]
+def _provider_outage(settings, world) -> List[str]:
+    provider = settings["provider"]
     addresses = [
         target.address
         for target in world.nameserver_targets
@@ -159,27 +202,11 @@ def _compile_provider_outage(window, world, base) -> List[Tuple[str, FaultProfil
             f"provider-outage: no nameservers for provider "
             f"{provider!r} in this world"
         )
-    profile = _profile(window, base, loss_rate=float(params["loss_rate"]))
-    return [(address, profile) for address in addresses]
+    return addresses
 
 
-def _compile_tail_latency_storm(window, world, base):
-    # mostly *loss* (timeout parks), a little jitter: the shape where
-    # hedged retries win — pure jitter would charge hedges equally
-    params = _param(window, {"loss_rate": 0.45, "jitter": 0.05})
-    profile = _profile(
-        window,
-        base,
-        loss_rate=float(params["loss_rate"]),
-        latency_jitter=float(params["jitter"]),
-    )
-    addresses = sorted({t.address for t in world.nameserver_targets})
-    return [(address, profile) for address in addresses]
-
-
-def _compile_regional_partition(window, world, base):
-    params = _param(window, {"country": "US", "loss_rate": 1.0})
-    country = params["country"]
+def _regional_partition(settings, world) -> List[str]:
+    country = settings["country"]
     addresses = sorted(
         {
             target.address
@@ -194,84 +221,78 @@ def _compile_regional_partition(window, world, base):
         if not fallback:
             raise ScenarioError("regional-partition: world has no nameservers")
         addresses = [fallback[0]]
-    profile = _profile(window, base, loss_rate=float(params["loss_rate"]))
-    return [(address, profile) for address in addresses]
+    return addresses
 
 
-def _compile_resolver_brownout(window, world, base):
-    params = _param(window, {"loss_rate": 0.6})
-    profile = _profile(window, base, loss_rate=float(params["loss_rate"]))
-    return [
-        (address, profile) for address in sorted(world.open_resolver_ips)
-    ]
-
-
-_NETWORK_COMPILERS = {
-    "provider-outage": _compile_provider_outage,
-    "tail-latency-storm": _compile_tail_latency_storm,
-    "regional-partition": _compile_regional_partition,
-    "resolver-brownout": _compile_resolver_brownout,
+#: the hosts each clock-windowed kind targets
+_TARGETS = {
+    "provider-outage": _provider_outage,
+    "tail-latency-storm": lambda settings, world: sorted(
+        {t.address for t in world.nameserver_targets}
+    ),
+    "regional-partition": _regional_partition,
+    "resolver-brownout": lambda settings, world: sorted(
+        world.open_resolver_ips
+    ),
 }
 
 
-def apply_scenario(script: ScenarioScript, world, hunter=None) -> int:
+def _install_source(
+    settings: Dict[str, Any], seed: int, world, hunter
+) -> None:
+    """Wrap one of ``hunter``'s data sources, built afresh from the
+    world's clean one (a later window on the same source replaces an
+    earlier one).  Vendor ``i`` is seeded ``seed + i``, pdns
+    ``seed + 101``, ipinfo ``seed + 202``."""
+    source = settings["source"]
+    if source == "intel":
+        vendors = [
+            FlakyVendor(vendor, _fault_plan(settings, seed + index))
+            for index, vendor in enumerate(world.vendors)
+        ]
+        # late import: the aggregator lives above the resilience layer
+        from ..intel.aggregator import ThreatIntelAggregator
+
+        hunter.intel = ThreatIntelAggregator(vendors)
+    elif source == "pdns" and world.pdns is not None:
+        plan = _fault_plan(settings, seed + 101)
+        hunter.pdns = FlakyPassiveDNS(world.pdns, plan)
+    elif source == "ipinfo":
+        # stage 2 only: stage-1 profile building keeps the clean source
+        plan = _fault_plan(settings, seed + 202)
+        hunter.stage2_ipinfo = FlakyIPInfo(world.ipinfo, plan)
+
+
+def apply_scenario(script: ScenarioScript, world, hunter=None) -> None:
     """Compile ``script`` onto ``world`` (and ``hunter``'s sources).
 
-    Network-level windows become :meth:`SimulatedInternet.add_fault_window`
-    entries anchored at the *current* virtual clock; intel windows wrap
-    ``hunter.intel`` in seeded :class:`FlakyVendor` injectors (when a
-    hunter is given).  Returns the number of (address, profile) /
-    vendor-wrap bindings installed — zero means the script compiled to
-    nothing, which is almost certainly a mistake worth surfacing.
+    The network's fault RNG is seeded with ``script.seed``.  A ``loss``
+    window is the network-wide profile
+    (:meth:`SimulatedInternet.inject_faults`, seeded the same); every
+    other network window becomes
+    :meth:`SimulatedInternet.add_fault_window` entries anchored at the
+    *current* virtual clock; ``source-flaky`` windows wrap the hunter's
+    source in a ``Flaky*`` injector seeded by the window's ``seed``,
+    else ``script.seed`` (when a hunter is given).
     """
     network = world.network
     network.seed_faults(script.seed)
     base = network.now
-    installed = 0
     for window in script.windows:
-        compiler = _NETWORK_COMPILERS.get(window.kind)
-        if compiler is not None:
-            for address, profile in compiler(window, world, base):
+        settings = window.settings
+        if window.kind == "loss":
+            network.inject_faults(
+                loss_rate=float(settings["loss_rate"]), seed=script.seed
+            )
+        elif window.kind == "source-flaky":
+            if hunter is not None:
+                seed = settings["seed"]
+                seed = script.seed if seed is None else int(seed)
+                _install_source(settings, seed, world, hunter)
+        else:
+            profile = _profile(window, settings, base)
+            for address in _TARGETS[window.kind](settings, world):
                 network.add_fault_window(address, profile)
-                installed += 1
-            continue
-        # intel-vendor-flap: the source guard owns time-domain behaviour,
-        # so the window's start/duration map onto fail_first (error the
-        # first N calls) rather than the virtual clock.
-        params = _param(
-            window,
-            {
-                "error_rate": 0.5,
-                "ratelimit_share": 0.5,
-                "fail_first": 0,
-                "vendors": 0,  # 0 = all
-            },
-        )
-        if hunter is None:
-            continue
-        count = int(params["vendors"]) or len(world.vendors)
-        wrapped = []
-        for index, vendor in enumerate(world.vendors):
-            if index < count:
-                wrapped.append(
-                    FlakyVendor(
-                        vendor,
-                        FaultPlan(
-                            seed=script.seed + index,
-                            error_rate=float(params["error_rate"]),
-                            ratelimit_share=float(params["ratelimit_share"]),
-                            fail_first=int(params["fail_first"]),
-                        ),
-                    )
-                )
-                installed += 1
-            else:
-                wrapped.append(vendor)
-        # late import: the aggregator lives above the resilience layer
-        from ..intel.aggregator import ThreatIntelAggregator
-
-        hunter.intel = ThreatIntelAggregator(wrapped)
-    return installed
 
 
 # -- bundled scenarios -------------------------------------------------------
@@ -347,18 +368,14 @@ BUNDLED_SCENARIOS: Tuple[ScenarioScript, ...] = (
         ),
         windows=(
             FaultWindow(
-                kind="intel-vendor-flap",
-                params={"error_rate": 0.5, "ratelimit_share": 0.5},
+                kind="source-flaky",
+                params={"source": "intel", "error_rate": 0.5},
             ),
         ),
     ),
 )
 
 _BUNDLED_BY_NAME = {script.name: script for script in BUNDLED_SCENARIOS}
-
-
-def bundled_scenario_names() -> List[str]:
-    return [script.name for script in BUNDLED_SCENARIOS]
 
 
 def load_scenario(name_or_path: str) -> ScenarioScript:
@@ -370,6 +387,6 @@ def load_scenario(name_or_path: str) -> ScenarioScript:
     if not path.exists():
         raise ScenarioError(
             f"unknown scenario {name_or_path!r} (bundled: "
-            f"{', '.join(bundled_scenario_names())}; or pass a JSON path)"
+            f"{', '.join(_BUNDLED_BY_NAME)}; or pass a JSON path)"
         )
     return ScenarioScript.from_json(path.read_text())

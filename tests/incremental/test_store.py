@@ -323,11 +323,13 @@ class TestKeysOfTheParentBuild:
     pinned to.  Only the checkpoint format moved (v8: the stage-2
     metrics lost ``workers``; v7 is refused at open), not the
     configuration fingerprint its manifest carries: the fields that
-    stopped being fields were the ones it already excluded."""
+    stopped being fields were the ones it already excluded.  v9 moved
+    the format alone again: the CLI's scenario fingerprint became a
+    digest of the run spec, and a bare config digest did not move."""
 
     def test_formats_did_not_move(self):
         assert STORE_FORMAT_VERSION == 4
-        assert FORMAT_VERSION == 8
+        assert FORMAT_VERSION == 9
 
     def test_config_fingerprint(self, hunter, tmp_path):
         assert config_fingerprint(HunterConfig()) == (
@@ -337,7 +339,7 @@ class TestKeysOfTheParentBuild:
             HunterConfig(), extra={"plan": hunter.plan.plan_hash}
         )
         (tmp_path / "manifest.json").write_text(
-            '{"format":8,"fingerprint":"bb99dcbbbbca00a1a519b660d232bb9f'
+            '{"format":9,"fingerprint":"bb99dcbbbbca00a1a519b660d232bb9f'
             'e1856140a0d9766e2ed7b972abf53711"}\n'
         )
         CheckpointStore(tmp_path).prepare(stamped, resume=True)
@@ -423,7 +425,7 @@ class TestFormatRefusal:
         assert main(argv + ["--resume", "run"]) == EXIT_ABORTED
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "cannot resume: checkpoint format 5 != 8" in captured.err
+        assert "cannot resume: checkpoint format 5 != 9" in captured.err
         assert all(path.read_text() == text for path, text in files.items())
         with pytest.raises(StoreFormatError, match="store format 3"):
             GroupResultStore(groups)

@@ -167,7 +167,7 @@ class TestCheckpointStore:
         }
         for name, text in files.items():
             (tmp_path / name).write_text(text)
-        with pytest.raises(CheckpointError, match="checkpoint format 6 != 8"):
+        with pytest.raises(CheckpointError, match="checkpoint format 6 != 9"):
             CheckpointStore(tmp_path).prepare("fp", resume=True)
         assert {
             path.name: path.read_text() for path in tmp_path.iterdir()
@@ -175,7 +175,7 @@ class TestCheckpointStore:
         (tmp_path / "manifest.json").write_text(
             '{"format":5,"fingerprint":"fp"}'
         )
-        with pytest.raises(CheckpointError, match="checkpoint format 5 != 8"):
+        with pytest.raises(CheckpointError, match="checkpoint format 5 != 9"):
             CheckpointStore(tmp_path).prepare("fp", resume=True)
 
     def test_resume_without_manifest_fails(self, tmp_path):

@@ -101,6 +101,40 @@ class TestExitCodes:
         assert code == EXIT_ABORTED
         assert "fingerprint mismatch" in capsys.readouterr().err
 
+    def test_resume_refuses_an_edited_chaos_script(self, tmp_path, capsys):
+        """The manifest pins the script's content, not its path: the
+        same ``--chaos-script`` argument over an edited file is another
+        run, and resuming it would mix the two."""
+        script = tmp_path / "brownout.json"
+
+        def write_script(loss_rate):
+            script.write_text(
+                json.dumps(
+                    {
+                        "name": "brownout",
+                        "windows": [
+                            {
+                                "kind": "resolver-brownout",
+                                "params": {"loss_rate": loss_rate},
+                            }
+                        ],
+                    }
+                )
+            )
+
+        argv = SMALL + [
+            "--chaos-script", str(script),
+            "--checkpoint-dir", str(tmp_path / "ckpt"),
+        ]
+        write_script(0.2)
+        assert main(argv + ["run"]) == EXIT_OK
+        write_script(0.9)
+        capsys.readouterr()
+        assert main(argv + ["--resume", "run"]) == EXIT_ABORTED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "fingerprint mismatch" in captured.err
+
     @pytest.mark.parametrize(
         "name, body",
         [
@@ -132,13 +166,14 @@ class TestExitCodes:
     def test_previous_format_checkpoint_is_refused(
         self, checkpointed, tmp_path, capsys
     ):
-        """A directory stamped with format 7, the last one that held
-        stream segments, is refused whole: exit 3, one ``error:`` line."""
+        """A directory stamped with format 8, whose manifest fingerprint
+        hashed the CLI flags' spelling (a chaos script by its path, not
+        its content), is refused whole: exit 3, one ``error:`` line."""
         directory = tmp_path / "ckpt"
         shutil.copytree(checkpointed, directory)
         manifest_path = directory / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["format"] = 7
+        manifest["format"] = 8
         manifest_path.write_text(json.dumps(manifest))
         code = main(
             SMALL + ["--checkpoint-dir", str(directory), "--resume", "run"]
@@ -146,7 +181,7 @@ class TestExitCodes:
         assert code == EXIT_ABORTED
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "checkpoint format 7 != 8" in captured.err
+        assert "checkpoint format 8 != 9" in captured.err
         assert "Traceback" not in captured.err
 
     def test_checkpointed_run_then_resume_both_exit_zero(

@@ -49,6 +49,9 @@ from .conftest import make_world
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SMALL = ["--scale", "small"]
 CLI = [sys.executable, "-m", "repro", *SMALL]
+#: the windows ``--loss-rate 0.05 --intel-fault-rate 0.2
+#: --pdns-fault-rate 0.2`` compile to, as a chaos script
+FLAG_FAULTS_SCRIPT = REPO_ROOT / "examples" / "chaos" / "flag-faults.json"
 #: loss on the scan plus every data-source fault knob
 FAULTED = [
     "--loss-rate", "0.05",
@@ -405,20 +408,38 @@ class TestKillAndResumeSubprocess:
         assert again.stdout == baseline.stdout
 
     @pytest.mark.parametrize(
-        "flags",
+        "flags, same_as",
         [
             pytest.param(
-                ["--chaos-script", "tail-latency-storm"], id="chaos"
+                ["--chaos-script", "tail-latency-storm"], None, id="chaos"
             ),
             pytest.param(
                 ["--loss-rate", "0.05", "--hedge-delay", "0.5", "--aimd"],
+                None,
                 id="hedged-aimd",
             ),
-            pytest.param(["--run-deadline", "0.36"], id="deadline"),
+            pytest.param(["--run-deadline", "0.36"], None, id="deadline"),
+            # the committed script of the windows these flags compile to
+            pytest.param(
+                ["--chaos-script", str(FLAG_FAULTS_SCRIPT)],
+                [
+                    "--loss-rate", "0.05",
+                    "--intel-fault-rate", "0.2",
+                    "--pdns-fault-rate", "0.2",
+                ],
+                id="flags-as-script",
+            ),
         ],
     )
-    def test_shaped_run_resumes_byte_identical(self, tmp_path, flags):
-        self._kill_and_resume(tmp_path, STAGE2, *flags)
+    def test_shaped_run_resumes_byte_identical(
+        self, tmp_path, flags, same_as
+    ):
+        """``same_as``: flags whose plain run prints the same stdout."""
+        _, baseline = self._kill_and_resume(tmp_path, STAGE2, *flags)
+        if same_as is not None:
+            twin = cli(*same_as, "run")
+            assert twin.returncode == 0, twin.stderr.decode()
+            assert twin.stdout == baseline.stdout
 
     @staticmethod
     def _kill_after_group(tmp_path, group, *flags):

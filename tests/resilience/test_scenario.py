@@ -12,9 +12,9 @@ from repro.resilience.scenario import (
     ScenarioError,
     ScenarioScript,
     apply_scenario,
-    bundled_scenario_names,
     load_scenario,
 )
+from repro.pipeline import FlakyVendor
 from repro.scenario import build_world, small_config
 
 
@@ -45,6 +45,40 @@ class TestScriptParsing:
         with pytest.raises(ScenarioError):
             FaultWindow(kind="provider-outage", start=-1.0)
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("loss", {"loss_rate": 0.1}),
+            ("source-flaky", {"source": "intel", "error_rate": 1.0}),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "timing", [{"start": 100.0}, {"duration": 5.0}]
+    )
+    def test_open_ended_kinds_reject_a_time_window(
+        self, kind, params, timing
+    ):
+        """``loss`` and ``source-flaky`` faults are not on the network
+        clock: a window on them would be ignored, so it is refused."""
+        with pytest.raises(ScenarioError, match="start and duration"):
+            FaultWindow.from_dict({"kind": kind, "params": params, **timing})
+
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("source-flaky", {"source": "dns"}, "source must be one of"),
+            ("source-flaky", {}, "source must be one of"),
+            ("source-flaky", {"source": "pdns", "error_rate": 2}, "error_rate"),
+            ("source-flaky", {"source": "intel", "vendors": 3}, "unknown"),
+            ("loss", {"loss_rate": 1.0}, r"loss_rate must be in \[0, 1\)"),
+            ("tail-latency-storm", {"jitter": -1}, "latency_jitter"),
+            ("resolver-brownout", {"loss_rate": "most"}, "could not convert"),
+        ],
+    )
+    def test_bad_param_values_rejected_at_load(self, kind, params, message):
+        with pytest.raises(ScenarioError, match=message):
+            FaultWindow(kind=kind, params=params)
+
     def test_invalid_json_rejected(self):
         with pytest.raises(ScenarioError, match="invalid scenario JSON"):
             ScenarioScript.from_json("{nope")
@@ -54,7 +88,7 @@ class TestScriptParsing:
 
 class TestLoadScenario:
     def test_bundled_names_resolve(self):
-        for name in bundled_scenario_names():
+        for name in (script.name for script in BUNDLED_SCENARIOS):
             assert load_scenario(name).name == name
 
     def test_unknown_name_lists_the_bundle(self):
@@ -68,17 +102,9 @@ class TestLoadScenario:
 
 
 class TestCompilation:
-    def test_unknown_params_rejected_at_compile_time(self, world):
-        script = ScenarioScript(
-            name="typo",
-            windows=(
-                FaultWindow(
-                    kind="provider-outage", params={"provider_": "x"}
-                ),
-            ),
-        )
+    def test_unknown_params_rejected_at_load_time(self):
         with pytest.raises(ScenarioError, match="unknown params"):
-            apply_scenario(script, world)
+            FaultWindow(kind="provider-outage", params={"provider_": "x"})
 
     def test_unknown_provider_rejected(self, world):
         script = ScenarioScript(
@@ -95,25 +121,21 @@ class TestCompilation:
 
     def test_provider_outage_targets_only_that_provider(self, world):
         world.network.clear_faults()
-        script = load_scenario("provider-outage")
-        installed = apply_scenario(script, world)
+        apply_scenario(load_scenario("provider-outage"), world)
         expected = {
             target.address
             for target in world.nameserver_targets
             if target.provider == "Cloudflare"
         }
-        assert installed == len(expected)
         assert set(world.network._fault_windows) == expected
         world.network.clear_faults()
 
     def test_storm_covers_every_nameserver(self, world):
         world.network.clear_faults()
-        installed = apply_scenario(
-            load_scenario("tail-latency-storm"), world
-        )
-        assert installed == len(
-            {target.address for target in world.nameserver_targets}
-        )
+        apply_scenario(load_scenario("tail-latency-storm"), world)
+        assert set(world.network._fault_windows) == {
+            target.address for target in world.nameserver_targets
+        }
         world.network.clear_faults()
 
     def test_brownout_targets_open_resolvers(self, world):
@@ -147,9 +169,13 @@ class TestCompilation:
             intel = None
 
         hunter = _HunterStub()
-        installed = apply_scenario(
-            load_scenario("intel-vendor-flap"), world, hunter
-        )
-        assert installed == len(world.vendors)
+        apply_scenario(load_scenario("intel-vendor-flap"), world, hunter)
         assert hunter.intel is not None
         assert hunter.intel is not world.intel
+        assert len(hunter.intel.vendors) == len(world.vendors)
+        assert all(
+            isinstance(vendor, FlakyVendor) for vendor in hunter.intel.vendors
+        )
+        # no window seed: vendor i is seeded by the script's seed + i
+        seeds = [vendor.plan.seed for vendor in hunter.intel.vendors]
+        assert seeds == [23 + index for index in range(len(seeds))]
