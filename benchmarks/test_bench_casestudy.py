@@ -79,7 +79,8 @@ def test_darkiot_emerdns_shift(benchmark, bench_world):
             if report.sample.family != "Dark.IoT":
                 continue
             out.setdefault(report.sample.variant, set()).update(
-                report.capture.destinations(Protocol.DNS)
+                flow.dst for flow in report.capture
+                if flow.protocol is Protocol.DNS
             )
         return out
 

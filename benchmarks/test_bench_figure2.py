@@ -17,7 +17,7 @@ from .conftest import banner
 
 
 def test_figure2(benchmark, bench_report):
-    figure = benchmark(figure2, bench_report, 5)
+    figure = benchmark(figure2, bench_report)
 
     banner("Figure 2: UR categories among the top 5 providers")
     print(figure.text)

@@ -38,7 +38,9 @@ def main() -> None:
 
     # ① The attacker hosts trusted.com at Cloudflare — which they do not
     #   own — and points it at their C2 server.
-    cloudflare = make_cloudflare(network, planner.pool("cloudflare"))
+    cloudflare = make_cloudflare(
+        network, planner.pool("cloudflare"), post_disclosure=False
+    )
     root.connect_provider(cloudflare)
     attacker_account = cloudflare.create_account()
     ur_zone = cloudflare.host_zone(

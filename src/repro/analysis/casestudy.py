@@ -136,16 +136,18 @@ class SpfCaseStudy:
         )
 
 
+#: the domain of the paper's SPF case study
+SPF_CASE_DOMAIN = "speedtest.net"
+
+
 def spf_case_study(
-    report: MeasurementReport,
-    sandbox_reports: Sequence[SandboxReport],
-    domain: str = "speedtest.net",
+    report: MeasurementReport, sandbox_reports: Sequence[SandboxReport]
 ) -> Optional[SpfCaseStudy]:
     """Reconstruct the SPF case study from measurement + sandbox data."""
     spf_entries = [
         entry
         for entry in report.classified
-        if str(entry.record.domain) == domain
+        if str(entry.record.domain) == SPF_CASE_DOMAIN
         and entry.record.rrtype == RRType.TXT
         and entry.is_suspicious
         and classify_txt(entry.record.rdata_text) == "spf"
@@ -193,7 +195,7 @@ def spf_case_study(
         if sandbox_report.sample.vendor_detections == 0
     )
     return SpfCaseStudy(
-        domain=domain,
+        domain=SPF_CASE_DOMAIN,
         nameserver_count=len(nameservers),
         provider_count=len(providers),
         providers=providers,

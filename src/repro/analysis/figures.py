@@ -62,14 +62,18 @@ class Figure2:
     text: str
 
 
-def figure2(report: MeasurementReport, top: int = 5) -> Figure2:
+#: providers Figure 2 shows, by UR count
+FIGURE2_TOP = 5
+
+
+def figure2(report: MeasurementReport) -> Figure2:
     """Figure 2: categories and proportions of URs, top providers."""
-    rows = report.provider_category_mix(top=top)
+    rows = report.provider_category_mix(top=FIGURE2_TOP)
     text = render_stacked_shares(
         {provider: counts for provider, counts in rows},
         order=_CATEGORY_ORDER,
         title=(
-            f"Figure 2: UR categories among the top {top} providers "
+            f"Figure 2: UR categories among the top {FIGURE2_TOP} providers "
             "by UR count"
         ),
     )

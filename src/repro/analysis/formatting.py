@@ -45,13 +45,14 @@ def render_table(
     return "\n".join(lines)
 
 
-def render_bar_chart(
-    series: Dict[str, float],
-    title: str = "",
-    width: int = 40,
-    unit: str = "%",
-) -> str:
-    """Render a horizontal bar chart (one bar per key)."""
+#: characters of the longest bar in a bar chart
+BAR_WIDTH = 40
+#: characters of every row of a stacked-shares chart
+STACK_WIDTH = 50
+
+
+def render_bar_chart(series: Dict[str, float], title: str = "") -> str:
+    """Render a horizontal bar chart of percentages (one bar per key)."""
     lines: List[str] = []
     if title:
         lines.append(title)
@@ -61,10 +62,10 @@ def render_bar_chart(
     peak = max(series.values()) or 1.0
     label_width = max(len(key) for key in series)
     for key, value in series.items():
-        bar = "#" * max(1, int(round(width * value / peak))) if value else ""
-        lines.append(
-            f"{key.ljust(label_width)} | {bar} {value:.2f}{unit}"
+        bar = (
+            "#" * max(1, int(round(BAR_WIDTH * value / peak))) if value else ""
         )
+        lines.append(f"{key.ljust(label_width)} | {bar} {value:.2f}%")
     return "\n".join(lines)
 
 
@@ -72,12 +73,12 @@ def render_stacked_shares(
     rows: Dict[str, Dict[str, int]],
     order: Sequence[str],
     title: str = "",
-    width: int = 50,
 ) -> str:
     """Render per-row stacked category proportions (Figure 2 style).
 
     ``rows`` maps a label to {category: count}; ``order`` fixes the
-    category ordering; each row is normalized to ``width`` characters.
+    category ordering; each row is normalized to :data:`STACK_WIDTH`
+    characters.
     """
     glyphs = {"correct": "c", "protective": "p", "unknown": "?", "malicious": "M"}
     lines: List[str] = []
@@ -95,10 +96,10 @@ def render_stacked_shares(
         bar = ""
         for category in order:
             share = counts.get(category, 0) / total
-            bar += glyphs.get(category, "?") * int(round(width * share))
+            bar += glyphs.get(category, "?") * int(round(STACK_WIDTH * share))
         lines.append(
-            f"{label.ljust(label_width)} | {bar[:width].ljust(width)} "
-            f"n={total}"
+            f"{label.ljust(label_width)} | "
+            f"{bar[:STACK_WIDTH].ljust(STACK_WIDTH)} n={total}"
         )
     legend = ", ".join(
         f"{glyphs.get(category, '?')}={category}" for category in order

@@ -44,14 +44,13 @@ def render_full_report(
     sandbox_reports: Sequence[SandboxReport] = (),
     nameserver_provider: Optional[Dict[str, str]] = None,
     world: Optional["object"] = None,
-    title: str = "URHunter measurement report",
 ) -> str:
     """Render the complete evaluation document.
 
     ``sandbox_reports`` + ``nameserver_provider`` enable the case-study
     section; ``world`` enables the ground-truth section.
     """
-    parts = [title, _RULE]
+    parts = ["URHunter measurement report", _RULE]
 
     # §5.1 overview
     parts.append(_section("Overview (paper §5.1)"))

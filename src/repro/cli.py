@@ -485,6 +485,29 @@ def _chaos_command(spec: RunSpec, reporter: Reporter) -> int:
     return EXIT_OK
 
 
+def _make_output_directories(args: argparse.Namespace) -> Optional[str]:
+    """Create the directories a run writes into -- the two stores and
+    the parents of the trace and metrics files -- before any work, so a
+    path that cannot be one is a usage error rather than a failure after
+    the run.  Returns the problem, or None."""
+    directories = (
+        ("--checkpoint-dir", args.checkpoint_dir),
+        ("--result-store", args.result_store),
+        ("--trace-out", args.trace_out and Path(args.trace_out).parent),
+        ("--metrics-out", args.metrics_out and Path(args.metrics_out).parent),
+    )
+    for flag, directory in directories:
+        if not directory:
+            continue
+        try:
+            Path(directory).mkdir(parents=True, exist_ok=True)
+        except OSError as error:
+            return f"{flag}: cannot create directory {directory}: " + (
+                error.strerror or str(error)
+            )
+    return None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     arg_list = list(sys.argv[1:] if argv is None else argv)
     if arg_list and arg_list[0] == "trace":
@@ -501,6 +524,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
     if args.command == "chaos":
         return _chaos_command(spec, reporter)
+    if args.command not in ("table2", "plan"):
+        # table2 writes nothing and plan only reads the result store
+        problem = _make_output_directories(args)
+        if problem is not None:
+            reporter.error(f"error: {problem}")
+            return EXIT_USAGE
     result_store = None
     if args.result_store:
         from .incremental import GroupResultStore, StoreFormatError
@@ -597,10 +626,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             scan_path=ScanPathMetrics.from_network(hunter.network),
             incremental=None if result_store is None else result_store.stats,
         )
-        target = Path(args.metrics_out)
-        target.parent.mkdir(parents=True, exist_ok=True)
         text = json.dumps(document, indent=2, sort_keys=True)
-        target.write_text(text + "\n")
+        Path(args.metrics_out).write_text(text + "\n")
     if args.resume:
         reporter.info(
             "# resumed from checkpoint: "

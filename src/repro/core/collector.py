@@ -34,8 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from ..dns.message import Message, Rcode
 from ..dns.name import Name
 from ..dns.rdata import A, MX, TXT, RRType
-from ..engine import BatchedEngine, EnginePolicy, QueryOutcome, ScanMetrics
-from ..net.network import SimulatedInternet
+from ..engine import BatchedEngine, QueryOutcome, ScanMetrics
 from ..obs.events import STAGE1 as OBS_STAGE1
 from ..pipeline.errors import StageFailed
 from ..plan.scanplan import ScanPlan
@@ -164,26 +163,13 @@ class ResponseCollector:
 
     def __init__(
         self,
-        network: SimulatedInternet,
-        scanner_ip: str = "203.0.113.53",
-        per_server_interval: float = 0.0,
+        engine: BatchedEngine,
         query_types: Sequence[int] = DEFAULT_QUERY_TYPES,
-        engine: Optional[BatchedEngine] = None,
     ):
-        self.network = network
-        self.scanner_ip = scanner_ip
-        #: seconds of virtual time between queries to the same server
-        #: (the paper averaged one query per server per 130 s)
-        self.per_server_interval = per_server_interval
-        self.query_types = tuple(query_types)
-        if engine is None:
-            engine = BatchedEngine(
-                network,
-                scanner_ip,
-                policy=EnginePolicy(per_server_interval=per_server_interval),
-            )
         self.engine = engine
-        network.register_stub(scanner_ip)
+        self.network = engine.network
+        self.query_types = tuple(query_types)
+        self.network.register_stub(engine.scanner_ip)
         #: optional repro.obs.RunTrace — each completed collection phase
         #: is emitted as a deterministic ``collect.phase`` event
         self.trace = None

@@ -143,7 +143,6 @@ class UniformityChecker:
         pdns: Optional[PassiveDnsStore] = None,
         enabled_conditions: FrozenSet[str] = ALL_CONDITIONS,
         ipinfo: Optional[IpInfoDatabase] = None,
-        guard: Optional[SourceGuard] = None,
     ):
         unknown = enabled_conditions - ALL_CONDITIONS
         if unknown:
@@ -152,7 +151,7 @@ class UniformityChecker:
         self.pdns = pdns
         self.enabled = enabled_conditions
         self.ipinfo = ipinfo if ipinfo is not None else database.ipinfo
-        self.guard = guard or SourceGuard()
+        self.guard = SourceGuard()
         #: condition name -> number of records it could not be checked for
         self.skipped_conditions: Dict[str, int] = {}
         # verdict memo: distinct (domain, rrtype, rdata) keys repeat once

@@ -321,7 +321,6 @@ class URHunter:
         pdns: Optional[PassiveDnsStore] = None,
         sandbox_reports: Sequence[SandboxReport] = (),
         config: Optional[HunterConfig] = None,
-        trace: Optional[RunTrace] = None,
     ):
         self.network = network
         self.nameservers = list(nameservers)
@@ -352,11 +351,7 @@ class URHunter:
         #: the engine's resilience counters
         self.resilience = self.engine.resilience
         self.collector = ResponseCollector(
-            network,
-            scanner_ip=self.config.scanner_ip,
-            per_server_interval=self.config.per_server_interval,
-            query_types=self.config.query_types,
-            engine=self.engine,
+            self.engine, query_types=self.config.query_types
         )
         #: the stage-1 scan plan of the *configured* targets; a pure
         #: value of (world, config), built before any packet moves —
@@ -388,9 +383,8 @@ class URHunter:
         self.stage2_ipinfo: Optional[IpInfoDatabase] = None
         #: the run-scoped event bus (see repro.obs); stage spans,
         #: collection progress, and degradation transitions are emitted
-        #: through it when attached
+        #: through it when attached (:meth:`attach_trace`)
         self.trace: Optional[RunTrace] = None
-        self.attach_trace(trace)
 
     def attach_trace(self, trace: Optional[RunTrace]) -> None:
         """Wire one event bus through the hunter, engine, and collector."""

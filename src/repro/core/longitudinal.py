@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..dns.name import Name
-from .hunter import HunterConfig, URHunter
+from .hunter import URHunter
 from .records import ClassifiedUR, URCategory
 from .report import MeasurementReport
 
@@ -100,18 +100,10 @@ class LongitudinalStudy:
     def __init__(
         self,
         world: "object",
-        config: Optional[HunterConfig] = None,
         mutate: Optional[WorldMutation] = None,
-        result_store: "object" = None,
     ):
         self.world = world
-        self.config = config
         self.mutate = mutate
-        #: optional :class:`~repro.incremental.GroupResultStore` shared
-        #: across rounds: round 0 runs cold and populates it, later
-        #: rounds replay every group the mutation hook left untouched —
-        #: the workload the store exists for
-        self.result_store = result_store
         self.snapshots: List[Snapshot] = []
 
     def run(
@@ -126,8 +118,7 @@ class LongitudinalStudy:
                 self.world.network.tick(interval)
                 if self.mutate is not None:
                     self.mutate(self.world, index)
-            hunter = URHunter.from_world(self.world, self.config)
-            hunter.result_store = self.result_store
+            hunter = URHunter.from_world(self.world)
             report = hunter.run(validate=False)
             self.snapshots.append(
                 Snapshot(

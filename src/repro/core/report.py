@@ -114,6 +114,9 @@ _SUSPICIOUS = tuple(
     category for category in URCategory if category.is_suspicious
 )
 
+#: the paper's flagging-vendor-count buckets (Figure 3(b))
+VENDOR_COUNT_BUCKETS = ((1, 2), (3, 4), (5, 6), (7, 11))
+
 
 @dataclass(frozen=True)
 class TypeStats:
@@ -312,15 +315,13 @@ class MeasurementReport:
 
     # -- Figure 3(b) -------------------------------------------------------------
 
-    def vendor_count_histogram(
-        self, buckets: Sequence[Tuple[int, int]] = ((1, 2), (3, 4), (5, 6), (7, 11)),
-    ) -> Dict[str, int]:
+    def vendor_count_histogram(self) -> Dict[str, int]:
         """Histogram of per-IP flagging-vendor counts, paper's buckets."""
-        histogram = {f"{low}-{high}": 0 for low, high in buckets}
+        histogram = {f"{low}-{high}": 0 for low, high in VENDOR_COUNT_BUCKETS}
         for verdict in self.ip_verdicts.values():
             if not verdict.intel_flagged:
                 continue
-            for low, high in buckets:
+            for low, high in VENDOR_COUNT_BUCKETS:
                 if low <= verdict.vendor_count <= high:
                     histogram[f"{low}-{high}"] += 1
                     break

@@ -86,9 +86,13 @@ def score_defense(
     )
 
 
-def synthesize_benign_direct_flows(
-    world: "object", per_client: int = 3, clients: int = 5
-) -> List[FlowRecord]:
+#: benign clients the defense evaluation synthesizes ...
+BENIGN_CLIENTS = 5
+#: ... and the direct lookups each of them makes
+BENIGN_QUERIES_PER_CLIENT = 3
+
+
+def synthesize_benign_direct_flows(world: "object") -> List[FlowRecord]:
     """Benign direct-to-public-DNS traffic (Google Public DNS users).
 
     This is the collateral-damage population §3 describes: blocking
@@ -99,12 +103,13 @@ def synthesize_benign_direct_flows(
 
     public = sorted(DEFAULT_RESOLVER_ALLOWLIST)
     domains = [
-        str(entry.domain) for entry in world.tranco.top(per_client)
+        str(entry.domain)
+        for entry in world.tranco.top(BENIGN_QUERIES_PER_CLIENT)
     ]
     flows: List[FlowRecord] = []
-    for client_index in range(clients):
+    for client_index in range(BENIGN_CLIENTS):
         client = f"198.18.60.{client_index + 1}"
-        for query_index in range(per_client):
+        for query_index in range(BENIGN_QUERIES_PER_CLIENT):
             flows.append(
                 FlowRecord(
                     timestamp=float(query_index),
@@ -120,23 +125,18 @@ def synthesize_benign_direct_flows(
     return flows
 
 
-def evaluate_defenses(
-    world: "object",
-    benign_direct_flows: Sequence[FlowRecord] = (),
-) -> Dict[str, DefenseScore]:
+def evaluate_defenses(world: "object") -> Dict[str, DefenseScore]:
     """Run both defense classes over the world's malicious DNS traffic.
 
-    ``benign_direct_flows`` lets callers inject legitimate
-    direct-to-public-resolver traffic (e.g. users of Google Public DNS)
-    to expose the direct-resolution monitor's collateral damage.
+    Synthesized legitimate direct-to-public-resolver traffic (users of
+    Google Public DNS) exposes the direct-resolution monitor's
+    collateral damage.
     """
     measured = {
         target.address for target in world.nameserver_targets
     }
     malicious = ur_retrieval_flows(world.sandbox_reports, measured)
-    benign = list(benign_direct_flows)
-    if not benign:
-        benign = synthesize_benign_direct_flows(world)
+    benign = synthesize_benign_direct_flows(world)
     all_flows = malicious + benign
 
     reputation = ReputationDetector(

@@ -95,7 +95,7 @@ class DirectResolutionMonitor:
     """Flags DNS traffic that does not follow the recursive process.
 
     ``approved_resolvers`` is the organisation's resolver set; DNS flows
-    from monitored clients to any other port-53 endpoint are direct
+    from any client to any other port-53 endpoint are direct
     resolutions.  With ``allowlist`` the monitor tolerates well-known
     public resolvers (fewer false positives, but an attacker hosting URs
     on an allowlisted operator would slip through — the centralization
@@ -106,20 +106,14 @@ class DirectResolutionMonitor:
         self,
         approved_resolvers: Iterable[str],
         allowlist: Iterable[str] = (),
-        monitored_clients: Optional[Iterable[str]] = None,
     ):
         self.approved: Set[str] = set(approved_resolvers)
         self.allowlist: Set[str] = set(allowlist)
-        self.monitored: Optional[Set[str]] = (
-            set(monitored_clients) if monitored_clients is not None else None
-        )
 
     def inspect(self, flows: Sequence[FlowRecord]) -> List[Detection]:
         detections: List[Detection] = []
         for flow in flows:
             if flow.protocol is not Protocol.DNS:
-                continue
-            if self.monitored is not None and flow.src not in self.monitored:
                 continue
             if flow.dst in self.approved or flow.dst in self.allowlist:
                 continue

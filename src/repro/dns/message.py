@@ -168,14 +168,11 @@ class Message:
         qname: Union[str, Name],
         qtype: int,
         recursion_desired: bool = True,
-        message_id: Optional[int] = None,
     ) -> "Message":
         """Build a standard query for ``qname``/``qtype``."""
         return cls(
             header=Header(
-                message_id=(
-                    message_id if message_id is not None else next_message_id()
-                ),
+                message_id=next_message_id(),
                 recursion_desired=recursion_desired,
             ),
             questions=[Question(name(qname), qtype)],
@@ -245,10 +242,8 @@ class Message:
 
 
 def rrset(
-    owner: Union[str, Name],
-    rdatas: Iterable[Rdata],
-    ttl: int = 300,
+    owner: Union[str, Name], rdatas: Iterable[Rdata]
 ) -> Tuple[ResourceRecord, ...]:
-    """Build a tuple of records sharing an owner and TTL."""
+    """Build a tuple of records sharing an owner (at the default TTL)."""
     owner = name(owner)
-    return tuple(ResourceRecord(owner, rdata, ttl) for rdata in rdatas)
+    return tuple(ResourceRecord(owner, rdata) for rdata in rdatas)

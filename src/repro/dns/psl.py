@@ -8,12 +8,12 @@ can claim eTLDs to shadow entire namespaces.
 We embed a snapshot of the public suffix list covering the suffixes that
 appear in the paper plus a representative sample, and support the standard
 algorithm (longest matching rule, wildcard rules, exception rules) from
-https://publicsuffix.org/list/.  Callers may also load a custom rule set.
+https://publicsuffix.org/list/.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Set, Union
+from typing import Optional, Set, Union
 
 from .name import Name, name
 
@@ -50,11 +50,11 @@ class PublicSuffixList:
     True
     """
 
-    def __init__(self, rules: Optional[Iterable[str]] = None):
+    def __init__(self) -> None:
         self._exact: Set[Name] = set()
         self._wildcards: Set[Name] = set()
         self._exceptions: Set[Name] = set()
-        for rule in rules if rules is not None else DEFAULT_RULES:
+        for rule in DEFAULT_RULES:
             self.add_rule(rule)
 
     def add_rule(self, rule: str) -> None:
@@ -118,5 +118,5 @@ class PublicSuffixList:
         return suffix.prepend(prefix[-1])
 
 
-#: Shared default instance used when callers do not supply their own.
+#: The one instance the program reads.
 DEFAULT_PSL = PublicSuffixList()

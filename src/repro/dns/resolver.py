@@ -91,7 +91,6 @@ class RecursiveResolver:
         network: "object",
         root_hints: List[str],
         cache_enabled: bool = True,
-        query_cache: Optional[Dict[Tuple[Name, int], Message]] = None,
     ):
         if not root_hints:
             raise ValueError("a resolver needs at least one root hint")
@@ -111,11 +110,9 @@ class RecursiveResolver:
         #: upstream query messages by (qname, qtype), built once and
         #: re-sent: a repeated message keeps the authoritative servers'
         #: compiled answers on their cheapest path.  Resolvers walking
-        #: the same names may be given one dict to share (the world
-        #: builder does that for the open resolvers)
-        self.query_cache: Dict[Tuple[Name, int], Message] = (
-            {} if query_cache is None else query_cache
-        )
+        #: the same names may share one dict (the world builder hands
+        #: the open resolvers one)
+        self.query_cache: Dict[Tuple[Name, int], Message] = {}
         #: one pinned DNS path per upstream server
         self._channels: Dict[str, _net.DnsChannel] = {}
         self.stats = ResolverStats()
@@ -428,11 +425,8 @@ class OpenResolver(RecursiveResolver):
         root_hints: List[str],
         rewriter: Optional[ResponseRewriter] = None,
         country: str = "US",
-        query_cache: Optional[Dict[Tuple[Name, int], Message]] = None,
     ):
-        super().__init__(
-            address, network, root_hints, query_cache=query_cache
-        )
+        super().__init__(address, network, root_hints)
         self.rewriter = rewriter
         self.country = country
 

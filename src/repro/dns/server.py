@@ -82,18 +82,16 @@ class AuthoritativeServer:
     multi-homed nameservers, common among hosting providers).
     """
 
-    def __init__(
-        self,
-        hostname: Union[str, Name],
-        unhosted_policy: UnhostedPolicy = UnhostedPolicy.REFUSED,
-        protective_records: Optional[List[Tuple[int, Rdata]]] = None,
-        recursive_fallback: Optional[ResolveCallable] = None,
-    ):
+    def __init__(self, hostname: Union[str, Name]):
         self.hostname = name(hostname)
-        self.unhosted_policy = unhosted_policy
+        #: how names with no zone here are answered; the hosting
+        #: provider or the world deploying the server sets this and the
+        #: two attributes below
+        self.unhosted_policy = UnhostedPolicy.REFUSED
         #: protective RDATA by rrtype, synthesized at the queried owner name
-        self.protective_records = list(protective_records or [])
-        self.recursive_fallback = recursive_fallback
+        self.protective_records: List[Tuple[int, Rdata]] = []
+        #: the lookup a RECURSIVE server answers unhosted names with
+        self.recursive_fallback: Optional[ResolveCallable] = None
         #: the one zone map, in load order: lowered origin labels ->
         #: zone, so the closest enclosing zone is a suffix probe per
         #: label instead of a scan of every zone

@@ -53,17 +53,17 @@ class _Encoder:
     def write_u32(self, value: int) -> None:
         self.buffer.extend(struct.pack("!I", value))
 
-    def write_name(self, target: Name, compress: bool = True) -> None:
-        """Write a possibly-compressed domain name."""
+    def write_name(self, target: Name) -> None:
+        """Write a domain name, compressed against the names before it."""
         labels = tuple(label.lower() for label in target.labels)
         index = 0
         while index < len(labels):
             suffix = labels[index:]
-            known = self._offsets.get(suffix) if compress else None
+            known = self._offsets.get(suffix)
             if known is not None:
                 self.write_u16(0xC000 | known)
                 return
-            if compress and len(self.buffer) <= MAX_POINTER_OFFSET:
+            if len(self.buffer) <= MAX_POINTER_OFFSET:
                 self._offsets[suffix] = len(self.buffer)
             raw = target.labels[index].encode("ascii")
             self.buffer.append(len(raw))
@@ -440,6 +440,10 @@ def encode_answer(
     return wire, _template(decoded)
 
 
+#: entries each :class:`WireCodecCache` map holds before evicting
+CODEC_CACHE_ENTRIES = 8192
+
+
 class WireCodecCache:
     """Bounded, id-agnostic memoization for the simulator's hot wire
     paths.
@@ -473,20 +477,14 @@ class WireCodecCache:
     Both caches only ever store *successful* codec results — a
     malformed message pays full price every time, so ``wire_errors``
     accounting is cache-transparent.  Templates never escape: callers
-    hand out clones.  Eviction is FIFO at ``max_entries``.
+    hand out clones.  Eviction is FIFO at :data:`CODEC_CACHE_ENTRIES`.
     """
 
-    __slots__ = (
-        "_query_cache",
-        "_answer_cache",
-        "max_entries",
-        "metrics",
-    )
+    __slots__ = ("_query_cache", "_answer_cache", "metrics")
 
-    def __init__(self, metrics=None, max_entries: int = 8192):
+    def __init__(self, metrics=None):
         self._query_cache: Dict[object, Tuple[int, bytes]] = {}
         self._answer_cache: Dict[object, Tuple[int, bytes, Message]] = {}
-        self.max_entries = max_entries
         #: duck-typed counter holder (repro.net.scanpath.ScanPathMetrics)
         self.metrics = metrics
 
@@ -537,7 +535,7 @@ class WireCodecCache:
         if key is None:
             return
         cache = self._query_cache
-        if len(cache) >= self.max_entries:
+        if len(cache) >= CODEC_CACHE_ENTRIES:
             cache.pop(next(iter(cache)))
         cache[key] = (query.header.message_id, wire)
 
@@ -568,7 +566,7 @@ class WireCodecCache:
             metrics.encode_misses += 1
         wire, template = encode_answer(message, key)
         if template is not None:
-            if len(cache) >= self.max_entries:
+            if len(cache) >= CODEC_CACHE_ENTRIES:
                 cache.pop(next(iter(cache)))
             cache[key] = (message_id, wire, template)
         return wire, template

@@ -77,23 +77,26 @@ class Zone:
 
     # -- mutation ---------------------------------------------------------
 
-    def add(
-        self,
-        owner: Union[str, Name],
-        rdata: Rdata,
-        ttl: int = 300,
-    ) -> ResourceRecord:
-        """Add one record; the owner must be at or under the origin.
+    def add(self, owner: Union[str, Name], rdata: Rdata) -> ResourceRecord:
+        """Add one record at the default TTL; the owner must be at or
+        under the origin.
 
         A relative owner (not under the origin) is interpreted as relative
         to the origin, zone-file style: ``add("www", A("1.2.3.4"))``.
+        """
+        record = ResourceRecord(self._absolute(owner), rdata)
+        self.insert(record)
+        return record
+
+    def insert(self, record: ResourceRecord) -> None:
+        """Add one whole record (its owner absolute, under the origin).
 
         Only a CNAME add scans the zone (for the owner's other types);
         every other add probes just its own key and the owner's CNAME
         key, so building a zone is linear in its records.
         """
-        owner = self._absolute(owner)
-        record = ResourceRecord(owner, rdata, ttl)
+        owner = record.owner
+        rdata = record.rdata
         key = (owner, rdata.rrtype)
         if rdata.rrtype == RRType.CNAME:
             if self._rrsets.get(key):
@@ -111,17 +114,15 @@ class Zone:
         if record not in bucket:
             self._rrsets[key] = bucket + (record,)
             self.serial += 1
-        return record
 
     def add_text(
         self,
         owner: Union[str, Name],
         rrtype: Union[int, str],
         text: str,
-        ttl: int = 300,
     ) -> ResourceRecord:
         """Add a record from presentation text (zone-file style)."""
-        return self.add(owner, rdata_from_text(rrtype, text), ttl)
+        return self.add(owner, rdata_from_text(rrtype, text))
 
     def remove(
         self, owner: Union[str, Name], rrtype: Optional[int] = None
@@ -141,18 +142,17 @@ class Zone:
             self.serial += 1
         return removed
 
-    def ensure_soa(
-        self, primary: Union[str, Name], contact: Optional[str] = None
-    ) -> None:
+    def ensure_soa(self, primary: Union[str, Name]) -> None:
         """Install a default SOA at the origin if absent."""
         if self.rrset(self.origin, RRType.SOA):
             return
-        contact_name = (
-            name(contact) if contact else self.origin.prepend("hostmaster")
-        )
         self.add(
             self.origin,
-            SOA(mname=name(primary), rname=contact_name, serial=self.serial),
+            SOA(
+                mname=name(primary),
+                rname=self.origin.prepend("hostmaster"),
+                serial=self.serial,
+            ),
         )
 
     # -- accessors --------------------------------------------------------

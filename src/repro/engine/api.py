@@ -6,8 +6,8 @@ domain × qtype) cells, each one DNS query.  The paper's URHunter pushed
 collector says *what* to ask as :class:`QueryTask` values and reads one
 :class:`QueryOutcome` per task back; *how* a query is paced, retried
 and accounted is :class:`~repro.engine.batched.BatchedEngine`'s, under
-the knobs of :class:`EnginePolicy` (retries, timeout, backoff, pacing,
-circuit breaking), with observability in
+the knobs of :class:`EnginePolicy` (retries, timeout, pacing) and the
+fixed :func:`backoff_delay`, with observability in
 :class:`~repro.engine.metrics.ScanMetrics`.
 """
 
@@ -66,60 +66,41 @@ class QueryOutcome:
         return self.status is OutcomeStatus.ANSWERED
 
 
+#: the first retry waits this many virtual seconds ...
+BACKOFF_BASE = 0.5
+#: ... and each further retry multiplies the wait by this factor
+BACKOFF_FACTOR = 2.0
+
+
+def backoff_delay(attempt: int) -> float:
+    """Wait before retry number ``attempt`` (1-based)."""
+    return BACKOFF_BASE * (BACKOFF_FACTOR ** (attempt - 1))
+
+
 @dataclass
 class EnginePolicy:
     """Fault-tolerance and pacing policy of the scan engine.
 
     Defaults are conservative: a couple of retries with exponential
-    backoff, no pacing (``per_server_interval=0``), and a circuit
-    breaker that opens after five consecutive failures.
+    backoff (:func:`backoff_delay`) and no pacing
+    (``per_server_interval=0``).
     """
 
     #: re-sends after the first attempt times out
     retries: int = 2
     #: virtual seconds a lost query costs before the scanner gives up
     timeout: float = 5.0
-    #: first retry waits this long ...
-    backoff_base: float = 0.5
-    #: ... and each further retry multiplies the wait by this factor
-    backoff_factor: float = 2.0
     #: minimum virtual seconds between queries to one server (ethics
     #: pacing; the paper averaged one query per server per 130 s)
     per_server_interval: float = 0.0
-    #: consecutive failures that open a server's circuit
-    circuit_failure_threshold: int = 5
-    #: virtual seconds an open circuit waits before a half-open probe
-    circuit_reset_interval: float = 60.0
 
     def __post_init__(self) -> None:
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {self.timeout}")
-        if self.backoff_base < 0:
-            raise ValueError(
-                f"backoff_base must be >= 0, got {self.backoff_base}"
-            )
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
         if self.per_server_interval < 0:
             raise ValueError(
                 "per_server_interval must be >= 0, "
                 f"got {self.per_server_interval}"
             )
-        if self.circuit_failure_threshold < 1:
-            raise ValueError(
-                "circuit_failure_threshold must be >= 1, "
-                f"got {self.circuit_failure_threshold}"
-            )
-        if self.circuit_reset_interval < 0:
-            raise ValueError(
-                "circuit_reset_interval must be >= 0, "
-                f"got {self.circuit_reset_interval}"
-            )
-
-    def backoff_delay(self, attempt: int) -> float:
-        """Wait before retry number ``attempt`` (1-based)."""
-        return self.backoff_base * (self.backoff_factor ** (attempt - 1))

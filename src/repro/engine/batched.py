@@ -20,10 +20,10 @@ every wait:
   the larger of ``policy.per_server_interval`` and the server's
   smoothed round trip — never a fraction of the timeout: the retry
   timer is already waited out below, once;
-* **circuit breaker** — after ``policy.circuit_failure_threshold``
+* **circuit breaker** — after the breaker's ``failure_threshold``
   consecutive failures a server's circuit opens and its tasks are
-  ``SKIPPED``; after ``policy.circuit_reset_interval`` virtual seconds
-  one half-open probe decides whether sending resumes;
+  ``SKIPPED``; after its ``reset_interval`` virtual seconds one
+  half-open probe decides whether sending resumes;
 * **send** — an answer ends the task; a timeout is retried up to
   ``policy.retries`` times, and a task out of retries is yielded as
   ``GAVE_UP`` *before* its last timer is waited out.  Bare, every
@@ -47,8 +47,14 @@ from ..dns.message import Message
 from ..net.network import DnsChannel, NetworkError, SimulatedInternet
 from ..obs.events import STAGE1 as OBS_STAGE1
 from ..resilience.metrics import ResilienceMetrics
-from .api import EnginePolicy, OutcomeStatus, QueryOutcome, QueryTask
-from .breaker import CircuitBreaker, CircuitState
+from .api import (
+    EnginePolicy,
+    OutcomeStatus,
+    QueryOutcome,
+    QueryTask,
+    backoff_delay,
+)
+from .breaker import CircuitBreaker
 from .latency import ServerLatency
 from .metrics import ScanMetrics
 from .ratelimit import RateLimiter
@@ -62,18 +68,14 @@ class BatchedEngine:
         network: SimulatedInternet,
         scanner_ip: str,
         policy: Optional[EnginePolicy] = None,
-        metrics: Optional[ScanMetrics] = None,
     ):
         self.network = network
         self.scanner_ip = scanner_ip
         self.policy = policy or EnginePolicy()
         #: cumulative observability counters across execute() calls
-        self.metrics = metrics if metrics is not None else ScanMetrics()
+        self.metrics = ScanMetrics()
         self._limiter = RateLimiter(self.policy.per_server_interval)
-        self._breaker = CircuitBreaker(
-            failure_threshold=self.policy.circuit_failure_threshold,
-            reset_interval=self.policy.circuit_reset_interval,
-        )
+        self.breaker = CircuitBreaker()
         #: query messages by (qname, qtype, rd), built once and re-sent;
         #: engines scanning the same names may share one dict (the group
         #: runner hands every group engine the parent's)
@@ -119,7 +121,7 @@ class BatchedEngine:
         policy = self.policy
         limiter = self._limiter
         pacing = limiter.enabled
-        breaker = self._breaker
+        breaker = self.breaker
         latency = self.metrics.latency
         budget = self.budget
         # a task that may not retry has no hedge to fire
@@ -302,7 +304,7 @@ class BatchedEngine:
                 counters.retries += 1
                 # a timer doubled on expiry is its own backoff
                 if not hedge_delay:
-                    free_at += policy.backoff_delay(attempts)
+                    free_at += backoff_delay(attempts)
                 wait_until(free_at)
 
     # -- internals ---------------------------------------------------------
@@ -340,9 +342,3 @@ class BatchedEngine:
             )
             self.query_cache[key] = query
         return query
-
-    # -- diagnostics --------------------------------------------------------
-
-    def circuit_state(self, server_ip: str) -> CircuitState:
-        """Expose breaker state for tests and reporting."""
-        return self._breaker.state(server_ip)

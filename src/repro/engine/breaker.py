@@ -31,7 +31,11 @@ class _Circuit:
 
 @dataclass
 class CircuitBreaker:
-    """Per-server circuits with a shared threshold and reset interval."""
+    """Per-server circuits with a shared threshold and reset interval.
+
+    The defaults are the scan engine's; the stage-2/3
+    :class:`~repro.pipeline.resilience.SourceGuard` sets its own.
+    """
 
     failure_threshold: int = 5
     reset_interval: float = 60.0

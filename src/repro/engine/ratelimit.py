@@ -14,30 +14,26 @@ from typing import Dict
 class TokenBucket:
     """A single server's pacing bucket.
 
-    ``burst`` tokens are available immediately; afterwards one token
-    regenerates every ``interval`` virtual seconds.
+    It holds at most one token, available immediately; afterwards one
+    token regenerates every ``interval`` virtual seconds.
     """
 
-    __slots__ = ("interval", "capacity", "tokens", "updated_at")
+    __slots__ = ("interval", "tokens", "updated_at")
 
-    def __init__(self, interval: float, burst: int = 1):
+    def __init__(self, interval: float):
         if interval < 0:
             raise ValueError(f"interval must be >= 0, got {interval}")
-        if burst < 1:
-            raise ValueError(f"burst must be >= 1, got {burst}")
         self.interval = interval
-        self.capacity = float(burst)
-        self.tokens = float(burst)
+        self.tokens = 1.0
         self.updated_at = 0.0
 
     def _refill(self, now: float) -> None:
         if self.interval <= 0:
-            self.tokens = self.capacity
+            self.tokens = 1.0
             return
         if now > self.updated_at:
             self.tokens = min(
-                self.capacity,
-                self.tokens + (now - self.updated_at) / self.interval,
+                1.0, self.tokens + (now - self.updated_at) / self.interval
             )
         self.updated_at = max(self.updated_at, now)
 
@@ -88,9 +84,8 @@ class TokenBucket:
 class RateLimiter:
     """Token buckets keyed by server address."""
 
-    def __init__(self, interval: float, burst: int = 1):
+    def __init__(self, interval: float):
         self.interval = interval
-        self.burst = burst
         self._buckets: Dict[str, TokenBucket] = {}
 
     @property
@@ -100,9 +95,7 @@ class RateLimiter:
     def _bucket(self, server_ip: str) -> TokenBucket:
         bucket = self._buckets.get(server_ip)
         if bucket is None:
-            bucket = self._buckets[server_ip] = TokenBucket(
-                self.interval, self.burst
-            )
+            bucket = self._buckets[server_ip] = TokenBucket(self.interval)
         return bucket
 
     def ready_at(self, server_ip: str, now: float) -> float:

@@ -65,7 +65,8 @@ class VerificationMode(enum.Enum):
 class HostingPolicy:
     """The full policy surface probed by Table 2.
 
-    Defaults model the permissive industry norm the paper found.
+    Defaults model the permissive industry norm the paper found; every
+    provider hosts ordinary registrable domains (SLDs).
     """
 
     #: ownership-verification posture
@@ -82,8 +83,6 @@ class HostingPolicy:
     allows_subdomains: bool = False
     #: subdomain hosting is a paid feature (Cloudflare)
     subdomains_require_payment: bool = False
-    #: accept ordinary registrable domains
-    allows_sld: bool = True
     #: accept public suffixes (gov.cn-style eTLDs)
     allows_etld: bool = True
     #: domains the provider refuses to host (reserved / blacklist)

@@ -14,7 +14,7 @@ diversity.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict
 
 from ..net.address import AddressPool, PrefixPlanner
 from ..net.network import SimulatedInternet
@@ -61,7 +61,7 @@ def _provider(
 def make_cloudflare(
     network: SimulatedInternet,
     pool: AddressPool,
-    post_disclosure: bool = False,
+    post_disclosure: bool,
 ) -> HostingProvider:
     """Cloudflare: account-fixed NS pairs, paid subdomains & full-pool sync.
 
@@ -90,9 +90,7 @@ def make_cloudflare(
 
 
 def make_amazon(
-    network: SimulatedInternet,
-    pool: AddressPool,
-    pool_size: int = 40,
+    network: SimulatedInternet, pool: AddressPool
 ) -> HostingProvider:
     """Amazon Route 53: 4 random nameservers per zone from a large pool.
 
@@ -104,7 +102,7 @@ def make_amazon(
         verification=VerificationMode.NONE,
         ns_allocation=NsAllocation.RANDOM,
         nameservers_per_zone=4,
-        pool_size=pool_size,
+        pool_size=40,
         allows_unregistered=True,
         allows_subdomains=True,
         allows_etld=True,
@@ -164,7 +162,7 @@ def make_godaddy(
 def make_tencent(
     network: SimulatedInternet,
     pool: AddressPool,
-    post_disclosure: bool = False,
+    post_disclosure: bool,
 ) -> HostingProvider:
     """Tencent Cloud (DNSPod): account-fixed; post-disclosure it fully
     adopted mitigation option (1), verifying TLD delegation."""
@@ -192,7 +190,7 @@ def make_tencent(
 def make_alibaba(
     network: SimulatedInternet,
     pool: AddressPool,
-    post_disclosure: bool = False,
+    post_disclosure: bool,
 ) -> HostingProvider:
     """Alibaba Cloud: global-fixed announced pair, but a wider pool also
     answers (the hidden hichina.com servers); post-disclosure it partially
@@ -393,12 +391,10 @@ def build_headline_providers(
     network: SimulatedInternet,
     planner: PrefixPlanner,
     post_disclosure: bool = False,
-    names: Optional[List[str]] = None,
 ) -> Dict[str, HostingProvider]:
-    """Instantiate the named providers, each with its own address pool."""
+    """Instantiate every headline provider, each with its own address pool."""
     providers: Dict[str, HostingProvider] = {}
-    for display_name in names or list(HEADLINE_BUILDERS):
-        builder = HEADLINE_BUILDERS[display_name]
+    for display_name, builder in HEADLINE_BUILDERS.items():
         pool = planner.pool(display_name)
         if display_name in ("Cloudflare", "Tencent Cloud", "Alibaba Cloud"):
             providers[display_name] = builder(

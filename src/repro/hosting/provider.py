@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..dns.name import Name, name
-from ..dns.psl import DEFAULT_PSL, PublicSuffixList
+from ..dns.psl import DEFAULT_PSL
 from ..dns.rdata import A, NS, SOA, TXT, RRType
 from ..dns.server import AuthoritativeServer, UnhostedPolicy
 from ..dns.zone import Zone
@@ -93,14 +93,11 @@ class HostingProvider:
         network: SimulatedInternet,
         address_pool: AddressPool,
         ns_domain: Optional[str] = None,
-        psl: PublicSuffixList = DEFAULT_PSL,
         rng: Optional[random.Random] = None,
-        protective_ip: Optional[str] = None,
     ):
         self.name = provider_name
         self.policy = policy
         self.network = network
-        self.psl = psl
         self._rng = rng or random.Random(0)
         self._accounts: Dict[str, Account] = {}
         self._zones: List[HostedZone] = []
@@ -116,7 +113,8 @@ class HostingProvider:
 
         ns_domain = ns_domain or _slugify(provider_name) + "-dns.com"
         self.ns_domain = name(ns_domain)
-        self.protective_ip = protective_ip
+        #: the warning-site address every protective record points at
+        self.protective_ip: Optional[str] = None
         self.pool: List[Nameserver] = []
         for index in range(policy.pool_size):
             hostname = self.ns_domain.prepend(f"ns{index + 1}")
@@ -124,12 +122,10 @@ class HostingProvider:
             server = AuthoritativeServer(hostname)
             if policy.protective_records:
                 server.unhosted_policy = UnhostedPolicy.PROTECTIVE
-                warning_ip = protective_ip or address_pool.allocate()
-                if protective_ip is None:
-                    protective_ip = warning_ip
-                    self.protective_ip = warning_ip
+                if self.protective_ip is None:
+                    self.protective_ip = address_pool.allocate()
                 server.protective_records = [
-                    (RRType.A, A(warning_ip)),
+                    (RRType.A, A(self.protective_ip)),
                     (
                         RRType.TXT,
                         TXT.from_value(
@@ -216,17 +212,14 @@ class HostingProvider:
             raise HostingError(
                 f"{self.name} refuses reserved domain {domain}"
             )
-        if self.psl.is_public_suffix(domain):
+        if DEFAULT_PSL.is_public_suffix(domain):
             if not self.policy.allows_etld:
                 raise HostingError(f"{self.name} does not host eTLDs")
             return
-        registrable = self.psl.registrable_domain(domain)
+        registrable = DEFAULT_PSL.registrable_domain(domain)
         if registrable is None:
             raise HostingError(f"{domain} has no registrable form")
-        if domain == registrable:
-            if not self.policy.allows_sld:
-                raise HostingError(f"{self.name} does not host SLDs")
-        else:
+        if domain != registrable:
             if not self.policy.allows_subdomains:
                 raise HostingError(f"{self.name} does not host subdomains")
             if self.policy.subdomains_require_payment and not account.paid:
@@ -380,10 +373,9 @@ class HostingProvider:
         owner: Union[str, Name],
         rrtype: Union[int, str],
         text: str,
-        ttl: int = 300,
     ) -> None:
         """Add a record through the portal (zone serial bumps, servers see it)."""
-        hosted.zone.add_text(owner, rrtype, text, ttl)
+        hosted.zone.add_text(owner, rrtype, text)
 
     def delete_zone(self, hosted: HostedZone) -> None:
         """Remove a hosted zone entirely (matched by identity: equality

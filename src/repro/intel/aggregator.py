@@ -26,10 +26,13 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from ..pipeline.resilience import SourceGuard, SourceHealth
 from .vendor import SecurityVendor
+
+#: reports the aggregator's LRU memo keeps
+CACHE_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -57,26 +60,14 @@ class IntelReport:
 
 
 class ThreatIntelAggregator:
-    """Aggregates verdicts across a fleet of :class:`SecurityVendor`.
+    """Aggregates verdicts across a fleet of :class:`SecurityVendor`,
+    every vendor call through one :class:`SourceGuard` of its own."""
 
-    ``guard`` defaults to a fresh :class:`SourceGuard`; inject one to
-    share failure thresholds with other pipeline components or to
-    tighten/loosen the retry budget.
-    """
-
-    def __init__(
-        self,
-        vendors: Sequence[SecurityVendor],
-        guard: Optional[SourceGuard] = None,
-        cache_size: int = 4096,
-    ):
+    def __init__(self, vendors: Sequence[SecurityVendor]):
         if not vendors:
             raise ValueError("an aggregator needs at least one vendor")
-        if cache_size < 1:
-            raise ValueError(f"cache_size must be >= 1, got {cache_size}")
         self.vendors = list(vendors)
-        self.guard = guard or SourceGuard()
-        self.cache_size = cache_size
+        self.guard = SourceGuard()
         self._cache: "OrderedDict[str, Tuple[int, IntelReport]]" = (
             OrderedDict()
         )
@@ -103,7 +94,7 @@ class ThreatIntelAggregator:
         report = self._query_vendors(address)
         self._cache[address] = (version, report)
         self._cache.move_to_end(address)
-        while len(self._cache) > self.cache_size:
+        while len(self._cache) > CACHE_ENTRIES:
             self._cache.popitem(last=False)
         return report
 

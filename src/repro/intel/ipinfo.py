@@ -68,11 +68,11 @@ class HttpPage:
         )
 
     @classmethod
-    def redirect(cls, location: str = "https://example.invalid/") -> "HttpPage":
+    def redirect(cls) -> "HttpPage":
         return cls(
             status=301,
             title="Redirecting",
-            body=f"Redirecting you to {location} ...",
+            body="Redirecting you to https://example.invalid/ ...",
             kind=PageKind.REDIRECT,
         )
 

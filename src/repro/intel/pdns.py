@@ -50,8 +50,7 @@ class PassiveDnsStore:
     #: (fault-injecting wrappers advertise ``False`` instead)
     deterministic = True
 
-    def __init__(self, horizon: float = SIX_YEARS):
-        self.horizon = horizon
+    def __init__(self) -> None:
         #: the one index: each domain's observations in first-sighting
         #: order, one per distinct (rrtype, rdata_text)
         self._by_domain: Dict[Name, Tuple[PdnsObservation, ...]] = {}
@@ -128,7 +127,7 @@ class PassiveDnsStore:
         self, observation: PdnsObservation, now: float
     ) -> bool:
         return (
-            observation.last_seen >= now - self.horizon
+            observation.last_seen >= now - SIX_YEARS
             and observation.first_seen <= now
         )
 

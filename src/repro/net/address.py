@@ -137,23 +137,22 @@ class PrefixPlanner:
     operator — mirroring how real AS-level data behaves.
     """
 
-    def __init__(self, base_octet: int = 10):
-        if not 1 <= base_octet <= 223:
-            raise AddressError(f"base octet out of range: {base_octet}")
-        self._base = base_octet
+    #: first octet of the first /16 handed out
+    BASE_OCTET = 10
+
+    def __init__(self) -> None:
         self._next_block = 0
 
     def next_slash16(self, label: Optional[str] = None) -> str:
         """The next unused /16, as a CIDR string."""
         block = self._next_block
         self._next_block += 1
-        first_octet = self._base + (block >> 8)
+        first_octet = self.BASE_OCTET + (block >> 8)
         second_octet = block & 0xFF
         if first_octet > 223:
             raise AddressError("prefix planner exhausted the address space")
         return f"{first_octet}.{second_octet}.0.0/16"
 
-    def pool(self, label: str, blocks: int = 1) -> AddressPool:
-        """Allocate a pool backed by ``blocks`` consecutive /16s."""
-        cidrs = [self.next_slash16(label) for _ in range(blocks)]
-        return AddressPool.from_cidrs(label, cidrs)
+    def pool(self, label: str) -> AddressPool:
+        """Allocate a pool backed by the next unused /16."""
+        return AddressPool.from_cidrs(label, [self.next_slash16(label)])

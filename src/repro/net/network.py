@@ -145,17 +145,19 @@ class FaultProfile:
 class SimulatedInternet:
     """Registry plus transport for all simulated hosts.
 
-    All exchanges are synchronous request/response; latency is charged to
-    the virtual clock per transaction.
+    All exchanges are synchronous request/response; :attr:`latency` is
+    charged to the virtual clock per transaction.
     """
 
-    def __init__(self, latency: float = 0.01):
+    #: virtual seconds one transaction charges the clock
+    latency = 0.01
+
+    def __init__(self) -> None:
         self._hosts: Dict[str, _HostEntry] = {}
         self._clock = 0.0
         #: bumped by :meth:`set_clock`; a resolver cache entry is valid
         #: only under the generation it was learned in
         self.clock_generation = 0
-        self.latency = latency
         #: the capture an open :meth:`capturing` block named; with none
         #: open, flows are counted in :attr:`stats` and not built
         self._tap: Optional[TrafficCapture] = None
@@ -197,20 +199,13 @@ class SimulatedInternet:
 
     # -- failure injection --------------------------------------------------
 
-    def inject_faults(
-        self,
-        loss_rate: float = 0.0,
-        latency_jitter: float = 0.0,
-        seed: int = 0,
-    ) -> None:
-        """Apply a network-wide fault profile (deterministic via ``seed``).
+    def inject_faults(self, loss_rate: float = 0.0, seed: int = 0) -> None:
+        """Apply a network-wide loss rate (deterministic via ``seed``).
 
         Per-server profiles from :meth:`set_server_faults` take
         precedence over the global one.
         """
-        profile = FaultProfile(
-            loss_rate=loss_rate, latency_jitter=latency_jitter
-        )
+        profile = FaultProfile(loss_rate=loss_rate)
         self._global_faults = profile if profile.active else None
         self._fault_rng = random.Random(seed)
         self.fault_seed = seed
@@ -576,7 +571,6 @@ class SimulatedInternet:
         dst_port: int,
         payload: bytes = b"",
         protocol: Protocol = Protocol.TCP,
-        metadata: Optional[Dict[str, object]] = None,
     ) -> Optional[bytes]:
         """Open a TCP exchange; returns the response bytes or None.
 
@@ -591,14 +585,12 @@ class SimulatedInternet:
             entry is not None and entry.online and entry.tcp is not None
         )
         if self._tap is not None:
-            merged_metadata = dict(metadata or {})
             # Keep a payload excerpt so content-inspection (IDS
             # signatures) works on the capture, as it would on a pcap.
-            merged_metadata.setdefault("payload", payload[:256])
             self._tap.record(
                 FlowRecord(
                     self._clock, src_ip, dst_ip, protocol, dst_port,
-                    len(payload), reachable, merged_metadata,
+                    len(payload), reachable, {"payload": payload[:256]},
                 )  # fmt: skip
             )
             self.scanpath.flows_recorded += 1

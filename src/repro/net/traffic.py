@@ -16,8 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Collection, Dict, Iterable, Iterator, List, Optional, Tuple,
-    Union,
+    Collection, Dict, Iterable, Iterator, List, Optional, Tuple, Union,
 )  # fmt: skip
 
 
@@ -95,9 +94,7 @@ class TrafficCapture:
 
     def filter(
         self,
-        predicate: Optional[Callable[[FlowRecord], bool]] = None,
         protocol: Optional[Protocol] = None,
-        src: Optional[str] = None,
         dst: Union[str, Collection[str], None] = None,
     ) -> List[FlowRecord]:
         """Flows matching every supplied criterion; ``dst`` is one
@@ -108,26 +105,12 @@ class TrafficCapture:
             flow
             for flow in self._flows
             if (protocol is None or flow.protocol is protocol)
-            and (src is None or flow.src == src)
             and (dst is None or flow.dst in dst)
-            and (predicate is None or predicate(flow))
         ]
 
-    def destinations(
-        self,
-        protocol: Optional[Protocol] = None,
-        exclude: Optional[Protocol] = None,
-    ) -> List[str]:
-        """Distinct destination IPs, in first-seen order, of one
-        protocol's flows or of every protocol but ``exclude``."""
-        return list(
-            dict.fromkeys(
-                flow.dst
-                for flow in self._flows
-                if flow.protocol is not exclude
-                and (protocol is None or flow.protocol is protocol)
-            )
-        )
+    def destinations(self) -> List[str]:
+        """Distinct destination IPs of every flow, in first-seen order."""
+        return list(dict.fromkeys(flow.dst for flow in self._flows))
 
     def dns_questions(self) -> Iterator[Tuple[str, str]]:
         """``(dst, qname text)`` of every DNS flow, in order."""

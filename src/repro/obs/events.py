@@ -246,7 +246,7 @@ class RunTrace:
         return self.sink_path
 
 
-def run_end_fields(report: Any, status: Optional[str] = None) -> Dict[str, Any]:
+def run_end_fields(report: Any) -> Dict[str, Any]:
     """The loss-accounting fields of a ``run.end`` event.
 
     ``unaccounted`` is the invariant CI greps for: every sent attempt
@@ -271,8 +271,7 @@ def run_end_fields(report: Any, status: Optional[str] = None) -> Dict[str, Any]:
         skipped = 0
         shed = 0
     return {
-        "status": status
-        or ("degraded" if report.is_degraded else "clean"),
+        "status": "degraded" if report.is_degraded else "clean",
         "classified": len(report.classified),
         "suspicious": len(report.suspicious),
         "queries": queries,

@@ -24,8 +24,6 @@ that type, so a genuine programming error still surfaces as a crash.
 
 from __future__ import annotations
 
-from typing import Optional
-
 
 class PipelineError(Exception):
     """Base of everything the resilient pipeline can raise."""
@@ -51,26 +49,21 @@ class StageFailed(PipelineError):
 class SourceError(PipelineError):
     """One call to an external data source failed (transiently)."""
 
-    def __init__(self, source: str, message: Optional[str] = None):
-        super().__init__(message or f"source {source!r} unavailable")
+    #: what happened to the call, as the message words it
+    outcome = "unavailable"
+
+    def __init__(self, source: str):
+        super().__init__(f"source {source!r} {self.outcome}")
         self.source = source
 
 
 class SourceTimeout(SourceError):
     """The source did not answer within its deadline."""
 
-    def __init__(self, source: str, timeout: Optional[float] = None):
-        detail = f" after {timeout}s" if timeout is not None else ""
-        super().__init__(source, f"source {source!r} timed out{detail}")
-        self.timeout = timeout
+    outcome = "timed out"
 
 
 class SourceRateLimited(SourceError):
     """The source refused the call with a rate-limit response."""
 
-    def __init__(self, source: str, retry_after: Optional[float] = None):
-        detail = (
-            f" (retry after {retry_after}s)" if retry_after is not None else ""
-        )
-        super().__init__(source, f"source {source!r} rate-limited{detail}")
-        self.retry_after = retry_after
+    outcome = "rate-limited"

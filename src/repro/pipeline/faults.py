@@ -20,78 +20,38 @@ from typing import FrozenSet, List, Optional, Set, Union
 from .errors import SourceRateLimited, SourceTimeout
 
 
+#: share of injected faults that are rate-limit errors; the rest time out
+RATELIMIT_SHARE = 0.5
+
+
 class FaultPlan:
     """A deterministic schedule of faults for one wrapped source.
 
-    Three knobs compose:
-
-    * ``dead`` — every call fails (a vendor outage);
-    * ``fail_first`` — the first N calls fail, later ones succeed
-      (a transient outage that retries ride out);
-    * ``error_rate`` — each call independently fails with this
-      probability, drawn from a ``seed``-keyed RNG (background flakiness).
-
-    ``ratelimit_share`` of injected faults are rate-limit errors, the
-    rest timeouts.
+    Each call independently fails with probability ``error_rate``, drawn
+    from a ``seed``-keyed RNG (background flakiness); a
+    :data:`RATELIMIT_SHARE` of the injected faults are rate-limit
+    errors, the rest timeouts.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        error_rate: float = 0.0,
-        ratelimit_share: float = 0.5,
-        fail_first: int = 0,
-        dead: bool = False,
-    ):
+    def __init__(self, seed: int = 0, error_rate: float = 0.0):
         if not 0.0 <= error_rate <= 1.0:
             raise ValueError(
                 f"error_rate must be in [0, 1], got {error_rate}"
             )
-        if not 0.0 <= ratelimit_share <= 1.0:
-            raise ValueError(
-                f"ratelimit_share must be in [0, 1], got {ratelimit_share}"
-            )
-        if fail_first < 0:
-            raise ValueError(f"fail_first must be >= 0, got {fail_first}")
         self.seed = seed
         self.error_rate = error_rate
-        self.ratelimit_share = ratelimit_share
-        self.fail_first = fail_first
-        self.dead = dead
         self._rng = random.Random(seed)
         #: calls checked / faults injected, for assertions and reports
         self.calls = 0
         self.faults = 0
 
-    @property
-    def never_faults(self) -> bool:
-        """True when this plan can provably never inject a fault.
-
-        Only such a plan leaves its wrapped source *deterministic*
-        (call-count independent), which is what stage 2's verdict memo
-        requires before it may skip repeat source calls.
-        """
-        return (
-            not self.dead
-            and self.fail_first == 0
-            and self.error_rate == 0.0
-        )
-
     def check(self, source: str) -> None:
         """Raise the scheduled fault for this call, if any."""
         self.calls += 1
-        fault = (
-            self.dead
-            or self.calls <= self.fail_first
-            or (
-                self.error_rate > 0.0
-                and self._rng.random() < self.error_rate
-            )
-        )
-        if not fault:
+        if self.error_rate == 0.0 or self._rng.random() >= self.error_rate:
             return
         self.faults += 1
-        if self._rng.random() < self.ratelimit_share:
+        if self._rng.random() < RATELIMIT_SHARE:
             raise SourceRateLimited(source)
         raise SourceTimeout(source)
 
@@ -105,8 +65,10 @@ class _Flaky:
 
     @property
     def deterministic(self) -> bool:
-        """Memoization-safe only when the plan can never fault."""
-        return self.plan.never_faults and getattr(
+        """Memoization-safe only when the plan can never fault: only
+        then is the wrapped source call-count independent, which stage
+        2's verdict memo requires before it may skip repeat calls."""
+        return self.plan.error_rate == 0.0 and getattr(
             self.inner, "deterministic", False
         )
 
@@ -163,10 +125,6 @@ class FlakyPassiveDNS(_Flaky):
     """A :class:`~repro.intel.pdns.PassiveDnsStore` behind a flaky API."""
 
     SOURCE = "pdns"
-
-    @property
-    def horizon(self) -> float:
-        return self.inner.horizon
 
     # reads: fault-injected ------------------------------------------------
 

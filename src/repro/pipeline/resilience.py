@@ -20,12 +20,23 @@ whatever evidence survives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from ..engine.api import backoff_delay
 from ..engine.breaker import CircuitBreaker, CircuitState
 from ..engine.ratelimit import RateLimiter
 from .errors import SourceError, SourceRateLimited
+
+#: re-attempts of a call after a SourceError, each waiting the scan
+#: engine's exponential backoff
+RETRIES = 2
+#: consecutive exhausted-retry failures that open a source's circuit
+FAILURE_THRESHOLD = 3
+#: guarded calls an open circuit waits before a half-open probe
+RESET_INTERVAL = 16.0
+#: guarded calls a source is skipped for after a rate-limit response
+RATELIMIT_COOLDOWN = 8.0
 
 
 @dataclass
@@ -109,44 +120,19 @@ class SourceGuard:
     """Retry-with-backoff plus a per-source circuit breaker.
 
     The guard has no wall clock; its "time" is a monotonic call counter,
-    so a ``reset_interval`` of 16 means an open circuit re-probes after
-    16 further guarded calls (to any source).  That keeps behaviour
-    fully deterministic under test and under the simulator.
+    so a :data:`RESET_INTERVAL` of 16 means an open circuit re-probes
+    after 16 further guarded calls (to any source).  That keeps
+    behaviour fully deterministic under test and under the simulator.
     """
 
-    def __init__(
-        self,
-        retries: int = 2,
-        failure_threshold: int = 3,
-        reset_interval: float = 16.0,
-        backoff_base: float = 0.5,
-        backoff_factor: float = 2.0,
-        ratelimit_cooldown: float = 8.0,
-    ):
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        if backoff_base < 0:
-            raise ValueError(
-                f"backoff_base must be >= 0, got {backoff_base}"
-            )
-        if backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {backoff_factor}"
-            )
-        if ratelimit_cooldown < 0:
-            raise ValueError(
-                f"ratelimit_cooldown must be >= 0, got {ratelimit_cooldown}"
-            )
-        self.retries = retries
-        self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
+    def __init__(self) -> None:
         self.breaker = CircuitBreaker(
-            failure_threshold=failure_threshold,
-            reset_interval=reset_interval,
+            failure_threshold=FAILURE_THRESHOLD,
+            reset_interval=RESET_INTERVAL,
         )
         #: post-rate-limit cool-down: a 429 drains the source's token and
         #: calls made before it regenerates are skipped, not sent
-        self.limiter = RateLimiter(interval=ratelimit_cooldown)
+        self.limiter = RateLimiter(interval=RATELIMIT_COOLDOWN)
         self._clock = 0.0
         self._health: Dict[str, SourceHealth] = {}
         #: monotone counter of degradation events (failures, skips,
@@ -195,16 +181,8 @@ class SourceGuard:
         """A copy of every ledger with its live circuit state stamped in."""
         out: Dict[str, SourceHealth] = {}
         for source, ledger in self._health.items():
-            out[source] = SourceHealth(
-                name=ledger.name,
-                calls=ledger.calls,
-                successes=ledger.successes,
-                failures=ledger.failures,
-                retries=ledger.retries,
-                rate_limited=ledger.rate_limited,
-                skipped=ledger.skipped,
-                backoff_wait=ledger.backoff_wait,
-                state=self.breaker.state(source).value,
+            out[source] = replace(
+                ledger, state=self.breaker.state(source).value
             )
         return out
 
@@ -255,11 +233,9 @@ class SourceGuard:
                     # not a paced send — take() would raise here
                     self.limiter.penalize(source, self._clock)
                 attempt += 1
-                if attempt <= self.retries:
+                if attempt <= RETRIES:
                     ledger.retries += 1
-                    ledger.backoff_wait += self.backoff_base * (
-                        self.backoff_factor ** (attempt - 1)
-                    )
+                    ledger.backoff_wait += backoff_delay(attempt)
                     continue
                 ledger.failures += 1
                 self._note_degraded(
@@ -284,17 +260,7 @@ def merge_health(
         for source, ledger in snapshot.items():
             existing = merged.get(source)
             if existing is None:
-                merged[source] = SourceHealth(
-                    name=ledger.name,
-                    calls=ledger.calls,
-                    successes=ledger.successes,
-                    failures=ledger.failures,
-                    retries=ledger.retries,
-                    rate_limited=ledger.rate_limited,
-                    skipped=ledger.skipped,
-                    backoff_wait=ledger.backoff_wait,
-                    state=ledger.state,
-                )
+                merged[source] = replace(ledger)
             else:
                 existing.merge(ledger)
     return merged

@@ -389,4 +389,10 @@ def load_scenario(name_or_path: str) -> ScenarioScript:
             f"unknown scenario {name_or_path!r} (bundled: "
             f"{', '.join(_BUNDLED_BY_NAME)}; or pass a JSON path)"
         )
-    return ScenarioScript.from_json(path.read_text())
+    try:
+        text = path.read_text()
+    except OSError as error:
+        raise ScenarioError(
+            f"cannot read scenario {name_or_path!r}: {error.strerror}"
+        ) from error
+    return ScenarioScript.from_json(text)

@@ -77,10 +77,12 @@ def _txt_via_urs(
 # ---------------------------------------------------------------------------
 
 
+#: the OpenNIC domain Dark.IoT falls back to through EmerDNS
+DARKIOT_OPENNIC_DOMAIN = "dark.libre"
+
+
 def make_darkiot_2021_variants(
-    gitlab_ur: UrTarget,
-    emerdns_resolver_ip: str,
-    opennic_domain: str = "dark.libre",
+    gitlab_ur: UrTarget, emerdns_resolver_ip: str
 ) -> List[MalwareSample]:
     """The two 2021-12-12 variants: ClouDNS UR + EmerDNS fallback."""
 
@@ -95,11 +97,11 @@ def make_darkiot_2021_variants(
         if c2 is None:
             # Fallback: the OpenNIC domain via the EmerDNS resolver.
             response = env.resolve_at(
-                emerdns_resolver_ip, opennic_domain, RRType.A
+                emerdns_resolver_ip, DARKIOT_OPENNIC_DOMAIN, RRType.A
             )
             addresses = env.extract_a(response)
             c2 = addresses[0] if addresses else None
-            env.note(f"fell back to EmerDNS for {opennic_domain}")
+            env.note(f"fell back to EmerDNS for {DARKIOT_OPENNIC_DOMAIN}")
         if c2 is None:
             env.note("no C2 found; sample went dormant")
             return
@@ -308,9 +310,7 @@ def make_tesla_samples(
 # ---------------------------------------------------------------------------
 
 
-def make_generic_trojan(
-    index: int, ur: UrTarget, port: int = 8080
-) -> MalwareSample:
+def make_generic_trojan(index: int, ur: UrTarget) -> MalwareSample:
     """A run-of-the-mill trojan wired to one UR."""
 
     def behaviour(sample: MalwareSample, env: SandboxEnvironment) -> None:
@@ -319,7 +319,7 @@ def make_generic_trojan(
             return
         env.connect(
             c2,
-            port,
+            8080,
             b"POST /gate.php HTTP/1.1\r\nX-Trojan-Session: "
             + sample.sample_id.encode(),
             protocol=Protocol.HTTP,
@@ -337,19 +337,18 @@ def make_generic_trojan(
     )
 
 
-def make_generic_scanner(
-    index: int, ur: UrTarget, sweep_size: int = 10
-) -> MalwareSample:
+def make_generic_scanner(index: int, ur: UrTarget) -> MalwareSample:
     """Reconnaissance malware: resolves its controller via a UR, then
-    sweeps a /24 around it (the paper: scanning is 41% of flagged IPs)."""
+    sweeps ten hosts of the /24 around it (the paper: scanning is 41% of
+    flagged IPs)."""
 
     def behaviour(sample: MalwareSample, env: SandboxEnvironment) -> None:
         base = _first_a_via_urs(env, ur)
         if base is None:
             return
         prefix = base.rsplit(".", 1)[0]
-        for host in range(1, sweep_size + 1):
-            env.connect(f"{prefix}.{200 + host}", 445, b"\x00probe")
+        for host in range(201, 211):
+            env.connect(f"{prefix}.{host}", 445, b"\x00probe")
         env.connect(base, 445, b"\x00probe-report")
 
     return MalwareSample(
@@ -364,9 +363,7 @@ def make_generic_scanner(
     )
 
 
-def make_generic_exfil(
-    index: int, ur: UrTarget, port: int = 443
-) -> MalwareSample:
+def make_generic_exfil(index: int, ur: UrTarget) -> MalwareSample:
     """Spyware exfiltrating stolen data to a UR-provided server."""
 
     def behaviour(sample: MalwareSample, env: SandboxEnvironment) -> None:
@@ -375,7 +372,7 @@ def make_generic_exfil(
             return
         env.connect(
             c2,
-            port,
+            443,
             b"EXFIL-BEGIN X-Stolen-Data: password-dump chunk=1",
         )
 
@@ -391,17 +388,15 @@ def make_generic_exfil(
     )
 
 
-def make_generic_c2(
-    index: int, ur: UrTarget, port: int = 6667
-) -> MalwareSample:
+def make_generic_c2(index: int, ur: UrTarget) -> MalwareSample:
     """Bot holding a long-lived C2 channel through a UR."""
 
     def behaviour(sample: MalwareSample, env: SandboxEnvironment) -> None:
         c2 = _first_a_via_urs(env, ur)
         if c2 is None:
             return
-        env.connect(c2, port, b"BOT-REGISTER id=" + sample.sample_id.encode())
-        env.connect(c2, port, b"C2-HEARTBEAT seq=1")
+        env.connect(c2, 6667, b"BOT-REGISTER id=" + sample.sample_id.encode())
+        env.connect(c2, 6667, b"C2-HEARTBEAT seq=1")
 
     return MalwareSample(
         sample_id=f"bot-{index:05d}",

@@ -130,11 +130,9 @@ class IdsEngine:
         self,
         rules: Iterable[IdsRule],
         capture_rules: Iterable[CaptureRule] = (),
-        engine_name: str = "Suricata",
     ):
         self.rules = list(rules)
         self.capture_rules = list(capture_rules)
-        self.engine_name = engine_name
         seen_sids = set()
         for rule in self.rules:
             if rule.sid in seen_sids:

@@ -42,14 +42,11 @@ class Sandbox:
         network: SimulatedInternet,
         victim_ip: str,
         default_resolver_ip: Optional[str] = None,
-        ids: Optional[IdsEngine] = None,
     ):
         self.network = network
         self.victim_ip = victim_ip
         self.default_resolver_ip = default_resolver_ip
-        self.ids = ids or IdsEngine(
-            default_rules(), default_capture_rules()
-        )
+        self.ids = IdsEngine(default_rules(), default_capture_rules())
         network.register_stub(victim_ip)
         self.reports: List[SandboxReport] = []
 

@@ -131,15 +131,13 @@ class Attacker:
 
     # -- provider interaction -----------------------------------------------
 
-    def account_at(
-        self, provider: HostingProvider, paid: bool = False
-    ) -> Account:
-        """One account per (attacker, provider); reused across campaigns."""
-        key = provider.name + ("/paid" if paid else "")
-        account = self._accounts.get(key)
+    def account_at(self, provider: HostingProvider) -> Account:
+        """One free account per (attacker, provider); reused across
+        campaigns."""
+        account = self._accounts.get(provider.name)
         if account is None:
-            account = provider.create_account(paid=paid)
-            self._accounts[key] = account
+            account = provider.create_account()
+            self._accounts[provider.name] = account
         return account
 
     def plant_a_record(
@@ -184,10 +182,10 @@ class Attacker:
         domain: str,
         value: str,
         embedded_ips: Sequence[str] = (),
-        is_registered: bool = True,
     ) -> Optional[HostedZone]:
-        """Host a UR zone with a TXT record (command blob or SPF masquerade)."""
-        hosted = self._host(campaign, provider, domain, is_registered)
+        """Host a UR zone with a TXT record (command blob or SPF
+        masquerade) for a registered domain."""
+        hosted = self._host(campaign, provider, domain, True)
         if hosted is None:
             return None
         provider.add_record(hosted, domain, "TXT", f'"{value}"')

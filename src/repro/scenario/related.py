@@ -43,17 +43,14 @@ class DanglingTakeover:
 
 
 def create_dangling_delegation(
-    root: DnsRoot,
-    provider: HostingProvider,
-    domain: str,
-    registrant: str = "negligent-owner",
+    root: DnsRoot, provider: HostingProvider, domain: str
 ) -> None:
     """Set up the vulnerable state: a registered domain delegated to
     ``provider`` whose zone was deleted there (e.g. an expired trial)."""
     owner = provider.create_account()
     hosted = provider.host_zone(owner, domain, is_registered=True)
     if not root.is_registered(domain):
-        root.register(domain, registrant)
+        root.register(domain, "negligent-owner")
     root.delegate(domain, provider.nameserver_set_for_delegation(hosted))
     # The owner abandons the hosting; the delegation stays.
     provider.delete_zone(hosted)

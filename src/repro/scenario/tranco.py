@@ -97,22 +97,22 @@ class TrancoList:
 
 
 def generate_tranco(
-    size: int,
-    rng: Optional[random.Random] = None,
-    pins: Optional[Dict[str, int]] = None,
+    size: int, rng: Optional[random.Random] = None
 ) -> TrancoList:
     """Generate a deterministic ranked list of ``size`` domains.
 
-    Pinned domains whose paper rank exceeds ``size`` are folded into the
-    last decile so every case-study target exists in small scenarios.
+    The :data:`DEFAULT_PINS` domains whose paper rank exceeds ``size``
+    are folded into the last decile so every case-study target exists
+    in small scenarios.
     """
     rng = rng or random.Random(42)
-    pins = dict(DEFAULT_PINS if pins is None else pins)
 
     rank_to_domain: Dict[int, Name] = {}
     used: set = set()
     overflow: List[str] = []
-    for domain_text, rank in sorted(pins.items(), key=lambda item: item[1]):
+    for domain_text, rank in sorted(
+        DEFAULT_PINS.items(), key=lambda item: item[1]
+    ):
         if rank <= size:
             rank_to_domain[rank] = name(domain_text)
         else:

@@ -480,8 +480,8 @@ class _WorldBuilder:
                 self.root.root_addresses,
                 rewriter=rewriter,
                 country=countries[index % len(countries)],
-                query_cache=query_cache,
             )
+            resolver.query_cache = query_cache
             self.network.register_dns_host(address, resolver)
             resolvers.append(resolver)
             addresses.append(address)

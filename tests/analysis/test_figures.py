@@ -17,7 +17,7 @@ from repro.analysis.figures import (
 
 class TestFigure2:
     def test_top_providers_by_volume(self, small_report):
-        figure = figure2(small_report, top=5)
+        figure = figure2(small_report)
         totals = [sum(counts.values()) for _, counts in figure.rows]
         assert totals == sorted(totals, reverse=True)
         assert len(figure.rows) <= 5
@@ -26,12 +26,12 @@ class TestFigure2:
         # At the small test scale Cloudflare's fleet-wide correct URs put
         # it near the top; full dominance (paper Figure 2) shows at the
         # benchmark scale.
-        figure = figure2(small_report, top=5)
+        figure = figure2(small_report)
         top_names = [provider for provider, _ in figure.rows[:3]]
         assert "Cloudflare" in top_names
 
     def test_cloudns_is_protective_heavy(self, small_report):
-        figure = figure2(small_report, top=5)
+        figure = figure2(small_report)
         by_name = dict(figure.rows)
         cloudns = by_name.get("ClouDNS")
         assert cloudns is not None

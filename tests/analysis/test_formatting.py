@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.formatting import (
+    BAR_WIDTH,
     format_count_with_pct,
     render_bar_chart,
     render_stacked_shares,
@@ -34,12 +35,12 @@ class TestRenderTable:
 
 class TestRenderBarChart:
     def test_bars_scale_to_peak(self):
-        text = render_bar_chart({"big": 100.0, "small": 50.0}, width=10)
+        text = render_bar_chart({"big": 100.0, "small": 50.0})
         lines = text.splitlines()
         big_bar = lines[0].count("#")
         small_bar = lines[1].count("#")
-        assert big_bar == 10
-        assert small_bar == 5
+        assert big_bar == BAR_WIDTH
+        assert small_bar == BAR_WIDTH // 2
 
     def test_values_printed(self):
         text = render_bar_chart({"x": 41.67})
@@ -60,10 +61,9 @@ class TestRenderStacked:
         text = render_stacked_shares(
             {"P1": {"correct": 3, "malicious": 1}},
             order=self.ORDER,
-            width=40,
         )
-        assert "c" * 30 in text
-        assert "n=4" in text
+        # 3 of 4 is 37.5 of 50 characters, rounded half to even
+        assert "| " + "c" * 38 + "M" * 12 + " n=4" in text
 
     def test_legend_included(self):
         text = render_stacked_shares(

@@ -47,12 +47,11 @@ class TestFullReport:
     def test_ground_truth_summary(self, full_text):
         assert "precision=" in full_text
 
+    def test_title_heads_the_report(self, full_text):
+        assert full_text.startswith("URHunter measurement report\n")
+
     def test_minimal_invocation(self, small_report):
         text = render_full_report(small_report)
         assert "Table 1" in text
         assert "Case studies" not in text
         assert "Ground truth" not in text
-
-    def test_custom_title(self, small_report):
-        text = render_full_report(small_report, title="December sweep")
-        assert text.startswith("December sweep")

@@ -1,8 +1,11 @@
 """Shared fixtures: a small world + its measurement, built once."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import HunterConfig, URHunter
+from repro.dns.message import Message
 from repro.intel.aggregator import ThreatIntelAggregator
 from repro.intel.ipinfo import IpInfoDatabase
 from repro.intel.vendor import SecurityVendor
@@ -23,6 +26,13 @@ def bare_hunter(network, nameservers, domains, delegated_to=None, **knobs):
         intel=ThreatIntelAggregator([SecurityVendor("unused")]),
         config=HunterConfig(**knobs),
     )
+
+
+def query_with_id(qname, qtype, message_id):
+    """``Message.make_query`` under a pinned message id."""
+    query = Message.make_query(qname, qtype)
+    query.header = dataclasses.replace(query.header, message_id=message_id)
+    return query
 
 
 def naive_stage2(hunter: URHunter) -> URHunter:

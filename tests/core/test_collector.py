@@ -43,17 +43,13 @@ def setup():
         )
     )
     network.register_dns_host(NS_A, server_a)
-    network.register_dns_host(
-        NS_B,
-        AuthoritativeServer(
-            "ns-b.host.net",
-            unhosted_policy=UnhostedPolicy.PROTECTIVE,
-            protective_records=[
-                (RRType.A, A("203.0.113.250")),
-                (RRType.TXT, TXT.from_value("this domain is not hosted here")),
-            ],
-        ),
-    )
+    server_b = AuthoritativeServer("ns-b.host.net")
+    server_b.unhosted_policy = UnhostedPolicy.PROTECTIVE
+    server_b.protective_records = [
+        (RRType.A, A("203.0.113.250")),
+        (RRType.TXT, TXT.from_value("this domain is not hosted here")),
+    ]
+    network.register_dns_host(NS_B, server_b)
     network.register_dns_host(NS_C, AuthoritativeServer("ns-c.host.net"))
 
     nameservers = [
@@ -65,7 +61,7 @@ def setup():
         DomainTarget(name("victim.com"), 1),
         DomainTarget(name("squat.com"), 2),
     ]
-    collector = ResponseCollector(network)
+    collector = ResponseCollector(BatchedEngine(network, "203.0.113.53"))
     return network, collector, nameservers, domains
 
 
@@ -279,20 +275,25 @@ class TestQueryTypesApi:
     def test_query_types_tracks_override(self, setup):
         network, _, _, _ = setup
         collector = ResponseCollector(
-            network, query_types=(RRType.A, RRType.TXT, RRType.MX)
+            BatchedEngine(network, "203.0.113.53"),
+            query_types=(RRType.A, RRType.TXT, RRType.MX),
         )
         assert collector.query_types == (RRType.A, RRType.TXT, RRType.MX)
 
 
 class TestEngineSelection:
     def test_default_engine_is_batched(self, setup):
-        network, _, _, _ = setup
-        collector = ResponseCollector(network, per_server_interval=130.0)
-        assert type(collector.engine) is BatchedEngine
-        assert collector.engine.policy.per_server_interval == 130.0
+        network, _, nameservers, domains = setup
+        hunter = bare_hunter(
+            network, nameservers, domains, per_server_interval=130.0
+        )
+        assert type(hunter.collector.engine) is BatchedEngine
+        assert hunter.collector.engine is hunter.engine
+        assert hunter.engine.policy.per_server_interval == 130.0
 
-    def test_explicit_engine_wins(self, setup):
+    def test_collector_drives_the_engine_it_is_given(self, setup):
         network, _, _, _ = setup
         engine = BatchedEngine(network, "203.0.113.53")
-        collector = ResponseCollector(network, engine=engine)
+        collector = ResponseCollector(engine)
         assert collector.engine is engine
+        assert collector.network is network

@@ -61,10 +61,6 @@ class TestMakeQuery:
         second = Message.make_query("a.com", RRType.A)
         assert first.header.message_id != second.header.message_id
 
-    def test_explicit_id(self):
-        query = Message.make_query("a.com", RRType.A, message_id=1234)
-        assert query.header.message_id == 1234
-
 
 class TestMakeResponse:
     def test_echoes_id_and_question(self):
@@ -121,13 +117,13 @@ class TestAccessors:
 
 class TestRrsetHelper:
     def test_shared_owner_and_ttl(self):
-        records = rrset("a.com", [A("1.1.1.1"), A("2.2.2.2")], ttl=60)
+        records = rrset("a.com", [A("1.1.1.1"), A("2.2.2.2")])
         assert all(record.owner == name("a.com") for record in records)
-        assert all(record.ttl == 60 for record in records)
+        assert all(record.ttl == 300 for record in records)
 
     def test_record_text(self):
-        (record,) = rrset("a.com", [A("1.1.1.1")], ttl=60)
-        assert record.to_text() == "a.com. 60 IN A 1.1.1.1"
+        (record,) = rrset("a.com", [A("1.1.1.1")])
+        assert record.to_text() == "a.com. 300 IN A 1.1.1.1"
 
 
 class TestQuestion:

@@ -264,7 +264,7 @@ class TestDelegationCache:
         network, root, resolver = tree
         com = root.ensure_tld("com")
         com.remove("ns1.example.com", RRType.A)
-        com.add("ns1.example.com", A("10.10.0.1"), ttl=60)
+        com.insert(ResourceRecord(name("ns1.example.com"), A("10.10.0.1"), 60))
         resolver.resolve("example.com", RRType.A)
         network.tick(60)
         # the NS rrset has 240 s left, the glue none: ask com again
@@ -287,7 +287,9 @@ class TestDelegationCache:
         root.delegate("hosted.org", [(name("ns1.example.com"), "10.10.0.1")])
         example = server.zone_at("example.com")
         example.remove("ns1", RRType.A)
-        example.add("ns1", A("10.10.0.1"), ttl=120)
+        example.insert(
+            ResourceRecord(name("ns1.example.com"), A("10.10.0.1"), 120)
+        )
 
         assert resolver.lookup_a("ns1.example.com") == ["10.10.0.1"]
         network.tick(100)
@@ -466,9 +468,13 @@ class TestNeverStalePastTtl:
     def test_added_record_is_seen_once_the_answer_expires(self, tree):
         network, _, resolver = tree
         zone = _zone(network, "10.10.0.1", "example.com")
-        zone.add("short", A("192.0.2.50"), ttl=60)
+        zone.insert(
+            ResourceRecord(name("short.example.com"), A("192.0.2.50"), 60)
+        )
         assert resolver.lookup_a("short.example.com") == ["192.0.2.50"]
-        zone.add("short", A("192.0.2.51"), ttl=60)
+        zone.insert(
+            ResourceRecord(name("short.example.com"), A("192.0.2.51"), 60)
+        )
         network.tick(59)
         assert resolver.lookup_a("short.example.com") == ["192.0.2.50"]
         network.tick(1.5)

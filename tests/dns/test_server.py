@@ -12,16 +12,24 @@ from repro.dns.server import (
 from repro.dns.zone import Zone, zone_from_records
 from repro.net.network import SimulatedInternet
 
+from ..conftest import query_with_id
+
 
 def protective_server(hostname, warning_ip):
-    return AuthoritativeServer(
-        hostname,
-        unhosted_policy=UnhostedPolicy.PROTECTIVE,
-        protective_records=[
-            (RRType.A, A(warning_ip)),
-            (RRType.TXT, TXT.from_value("this domain is not hosted here")),
-        ],
-    )
+    server = AuthoritativeServer(hostname)
+    server.unhosted_policy = UnhostedPolicy.PROTECTIVE
+    server.protective_records = [
+        (RRType.A, A(warning_ip)),
+        (RRType.TXT, TXT.from_value("this domain is not hosted here")),
+    ]
+    return server
+
+
+def recursive_server(fallback):
+    server = AuthoritativeServer("ns1.mis.net")
+    server.unhosted_policy = UnhostedPolicy.RECURSIVE
+    server.recursive_fallback = fallback
+    return server
 
 
 @pytest.fixture
@@ -116,7 +124,7 @@ class TestUnhostedBehaviour:
             network.register_dns_host(
                 address, AuthoritativeServer("ns1.host.net")
             )
-            query = Message.make_query("unhosted.net", RRType.A, message_id=7)
+            query = query_with_id("unhosted.net", RRType.A, 7)
             response = network.query_dns("198.51.100.9", address, query)
             assert response.header.rcode == Rcode.REFUSED
         assert len(network.refused_pool) == 1
@@ -151,22 +159,14 @@ class TestUnhostedBehaviour:
             ).ResourceRecord(name("real.net"), A("198.51.100.77"))
         )
 
-        srv = AuthoritativeServer(
-            "ns1.mis.net",
-            unhosted_policy=UnhostedPolicy.RECURSIVE,
-            recursive_fallback=lambda qname, qtype: answer,
-        )
+        srv = recursive_server(lambda qname, qtype: answer)
         response = ask(srv, "real.net")
         assert response.header.rcode == Rcode.NOERROR
         assert response.answers[0].rdata == A("198.51.100.77")
         assert response.header.recursion_available
 
     def test_recursive_fallback_failure_servfail(self):
-        srv = AuthoritativeServer(
-            "ns1.mis.net",
-            unhosted_policy=UnhostedPolicy.RECURSIVE,
-            recursive_fallback=lambda qname, qtype: None,
-        )
+        srv = recursive_server(lambda qname, qtype: None)
         response = ask(srv, "real.net")
         assert response.header.rcode == Rcode.SERVFAIL
 

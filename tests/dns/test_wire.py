@@ -8,9 +8,11 @@ from repro.dns.name import name
 from repro.dns.rdata import A, CNAME, MX, NS, RRType, SOA, TXT
 from repro.dns.wire import WireError, decode_message, encode_message, roundtrip
 
+from ..conftest import query_with_id
+
 
 def _sample_response():
-    query = Message.make_query("www.example.com", RRType.A, message_id=99)
+    query = query_with_id("www.example.com", RRType.A, 99)
     response = query.make_response(authoritative=True)
     response.answers.append(
         ResourceRecord(name("www.example.com"), CNAME(name("example.com")))
@@ -178,7 +180,7 @@ _hostname = st.lists(
     st.integers(min_value=0, max_value=0xFFFF),
 )
 def test_any_query_roundtrips(qname, qtype, message_id):
-    query = Message.make_query(qname, qtype, message_id=message_id)
+    query = query_with_id(qname, qtype, message_id)
     decoded = roundtrip(query)
     assert decoded.question.qname == qname
     assert decoded.question.qtype == qtype

@@ -37,6 +37,7 @@ from repro.dns.rdata import (
 )
 from repro.dns.server import AuthoritativeServer, UnhostedPolicy
 from repro.dns.wire import (
+    CODEC_CACHE_ENTRIES,
     WireCodecCache,
     WireError,
     _message_key,
@@ -46,6 +47,8 @@ from repro.dns.wire import (
 )
 from repro.dns.zone import Zone
 from repro.net.scanpath import ScanPathMetrics
+
+from ..conftest import query_with_id
 
 SEED = 0x52F1C0DE
 CASES = 60
@@ -183,7 +186,7 @@ class TestInternedNames:
         lower, upper = self._qname("ex.com"), self._qname("Ex.COM")
         assert lower == upper and lower is not upper
         wires = [
-            encode_message(Message.make_query(decoded, RRType.A, message_id=1))
+            encode_message(query_with_id(decoded, RRType.A, 1))
             for decoded in (lower, upper)
         ]
         assert b"\x02ex\x03com\x00" in wires[0]
@@ -199,7 +202,7 @@ class TestInternedNames:
 
 class TestWireCodecCache:
     def _query(self, message_id=7, qname="www.example.com"):
-        return Message.make_query(qname, RRType.A, message_id=message_id)
+        return query_with_id(qname, RRType.A, message_id)
 
     def test_query_roundtrip_hit_after_store(self):
         metrics = ScanPathMetrics()
@@ -336,9 +339,11 @@ class TestWireCodecCache:
         assert cache.query_hit(response) is None
 
     def test_fifo_bound_evicts_oldest(self):
-        cache = WireCodecCache(max_entries=2)
-        queries = [self._query(message_id=i, qname=f"q{i}.example.com")
-                   for i in range(3)]
+        cache = WireCodecCache()
+        queries = [
+            self._query(message_id=i, qname=f"q{i}.example.com")
+            for i in range(CODEC_CACHE_ENTRIES + 1)
+        ]
         for query in queries:
             cache.query_store(query, encode_message(query))
         assert cache.query_hit(queries[0]) is None
@@ -472,7 +477,7 @@ class TestCompiledAnswerCache:
     def test_hit_counts_and_identical_answers(self):
         server, _ = self._server()
         network = _fast_network()
-        query = Message.make_query("www.victim.example", RRType.A, message_id=5)
+        query = query_with_id("www.victim.example", RRType.A, 5)
         first = server.handle_dns_query(query, "198.51.100.1", network)
         second = server.handle_dns_query(query, "198.51.100.1", network)
         assert network.scanpath.compiled_misses == 1
@@ -483,7 +488,7 @@ class TestCompiledAnswerCache:
     def test_a_served_clone_cannot_mutate_its_template(self):
         server, _ = self._server()
         network = _fast_network()
-        query = Message.make_query("www.victim.example", RRType.A, message_id=5)
+        query = query_with_id("www.victim.example", RRType.A, 5)
         first = server.handle_dns_query(query, "198.51.100.1", network)
         wire = first.compiled_wire
         first.answers.clear()
@@ -500,12 +505,12 @@ class TestCompiledAnswerCache:
         server, _ = self._server()
         network = _fast_network()
         server.handle_dns_query(
-            Message.make_query("www.victim.example", RRType.A, message_id=5),
+            query_with_id("www.victim.example", RRType.A, 5),
             "198.51.100.1",
             network,
         )
         patched = server.handle_dns_query(
-            Message.make_query("www.victim.example", RRType.A, message_id=900),
+            query_with_id("www.victim.example", RRType.A, 900),
             "198.51.100.1",
             network,
         )
@@ -516,7 +521,7 @@ class TestCompiledAnswerCache:
     def test_zone_mutation_invalidates_via_serial(self):
         server, zone = self._server()
         network = _fast_network()
-        query = Message.make_query("www.victim.example", RRType.A, message_id=5)
+        query = query_with_id("www.victim.example", RRType.A, 5)
         before = server.handle_dns_query(query, "198.51.100.1", network)
         assert [record.rdata for record in before.answers] == [A("192.0.2.10")]
         serial_before = zone.serial
@@ -530,7 +535,7 @@ class TestCompiledAnswerCache:
     def test_zone_map_changes_bump_generation_and_flush(self):
         server, _ = self._server()
         network = _fast_network()
-        query = Message.make_query("www.victim.example", RRType.A, message_id=5)
+        query = query_with_id("www.victim.example", RRType.A, 5)
         server.handle_dns_query(query, "198.51.100.1", network)
         assert server._compiled
         generation = server.generation
@@ -543,7 +548,7 @@ class TestCompiledAnswerCache:
     def test_policy_change_invalidates_unhosted_answers(self):
         server, _ = self._server()
         network = _fast_network()
-        query = Message.make_query("other.example", RRType.A, message_id=5)
+        query = query_with_id("other.example", RRType.A, 5)
         refused = server.handle_dns_query(query, "198.51.100.1", network)
         assert refused.rcode == Rcode.REFUSED
         server.unhosted_policy = UnhostedPolicy.PROTECTIVE
@@ -564,7 +569,7 @@ class TestCompiledAnswerCache:
             )
             qtype = rng.choice((RRType.A, RRType.TXT, RRType.SOA))
             mid = rng.randint(0, 0xFFFF)
-            query = Message.make_query(qname, qtype, message_id=mid)
+            query = query_with_id(qname, qtype, mid)
             fast_answer = server.handle_dns_query(query, "198.51.100.1", fast)
             naive_answer = server.handle_dns_query(query, "198.51.100.1", naive)
             assert encode_message(fast_answer) == encode_message(naive_answer)

@@ -11,7 +11,7 @@ from repro.engine import (
     OutcomeStatus,
     QueryTask,
 )
-from repro.engine.breaker import CircuitState
+from repro.engine.breaker import CircuitBreaker, CircuitState
 from repro.net.traffic import Protocol, TrafficCapture
 
 from .conftest import NS_DEAD, NS_LIVE, NS_LIVE2, SCANNER
@@ -71,9 +71,7 @@ class TestAnsweredPath:
 class TestRetryAndTimeout:
     def test_dead_server_clock_accounting(self, network):
         """A dead server costs (retries+1) timeouts plus the backoffs."""
-        policy = EnginePolicy(
-            retries=2, timeout=5.0, backoff_base=0.5, backoff_factor=2.0
-        )
+        policy = EnginePolicy(retries=2, timeout=5.0)
         engine = BatchedEngine(network, SCANNER, policy=policy)
         before = network.now
         [outcome] = engine.execute([_task(NS_DEAD)])
@@ -83,8 +81,9 @@ class TestRetryAndTimeout:
         assert network.now - before == pytest.approx(16.5, abs=0.1)
 
     def test_timeouts_counted_per_attempt(self, network):
-        policy = EnginePolicy(retries=1, circuit_failure_threshold=100)
+        policy = EnginePolicy(retries=1)
         engine = BatchedEngine(network, SCANNER, policy=policy)
+        engine.breaker = CircuitBreaker(failure_threshold=100)
         engine.execute([_task(NS_DEAD), _task(NS_DEAD, qtype=RRType.TXT)])
         counters = engine.metrics.stage("ur")
         assert counters.queries == 4
@@ -113,8 +112,9 @@ class TestRetryAndTimeout:
 
 class TestCircuitBreaking:
     def test_circuit_opens_and_skips(self, network):
-        policy = EnginePolicy(retries=0, circuit_failure_threshold=5)
+        policy = EnginePolicy(retries=0)
         engine = BatchedEngine(network, SCANNER, policy=policy)
+        assert engine.breaker.failure_threshold == 5
         tasks = [
             _task(NS_DEAD, qtype=qtype)
             for qtype in (RRType.A, RRType.TXT)
@@ -124,22 +124,21 @@ class TestCircuitBreaking:
         statuses = [outcome.status for outcome in outcomes]
         assert statuses.count(OutcomeStatus.GAVE_UP) == 5
         assert statuses.count(OutcomeStatus.SKIPPED) == 5
-        assert engine.circuit_state(NS_DEAD) is CircuitState.OPEN
+        assert engine.breaker.state(NS_DEAD) is CircuitState.OPEN
         counters = engine.metrics.stage("ur")
         assert counters.queries == 5  # the wire was spared 5 sends
         assert counters.skipped == 5
 
     def test_circuit_recovers_after_reset(self, network):
         """OPEN -> HALF_OPEN probe -> CLOSED once the server heals."""
-        policy = EnginePolicy(
-            retries=0,
-            circuit_failure_threshold=3,
-            circuit_reset_interval=60.0,
-        )
+        policy = EnginePolicy(retries=0)
         engine = BatchedEngine(network, SCANNER, policy=policy)
+        engine.breaker = CircuitBreaker(
+            failure_threshold=3, reset_interval=60.0
+        )
         network.set_online(NS_LIVE, False)
         first = engine.execute([_task(NS_LIVE) for _ in range(5)])
-        assert engine.circuit_state(NS_LIVE) is CircuitState.OPEN
+        assert engine.breaker.state(NS_LIVE) is CircuitState.OPEN
         assert [outcome.status for outcome in first[3:]] == [
             OutcomeStatus.SKIPPED,
             OutcomeStatus.SKIPPED,
@@ -149,7 +148,7 @@ class TestCircuitBreaking:
         network.tick(60.0)
         second = engine.execute([_task(NS_LIVE) for _ in range(3)])
         assert all(outcome.answered for outcome in second)
-        assert engine.circuit_state(NS_LIVE) is CircuitState.CLOSED
+        assert engine.breaker.state(NS_LIVE) is CircuitState.CLOSED
 
 
 class TestPacing:
@@ -165,7 +164,11 @@ class TestPacing:
         ]
         with network.capturing(TrafficCapture()) as capture:
             engine.execute(tasks)
-        flows = capture.filter(protocol=Protocol.DNS, src=SCANNER)
+        flows = [
+            flow
+            for flow in capture.filter(protocol=Protocol.DNS)
+            if flow.src == SCANNER
+        ]
         for server in (NS_LIVE, NS_LIVE2):
             stamps = sorted(
                 flow.timestamp for flow in flows if flow.dst == server

@@ -6,6 +6,7 @@ from repro.dns.message import Message
 from repro.dns.name import name
 from repro.dns.rdata import RRType
 from repro.engine import BatchedEngine, EnginePolicy, QueryTask
+from repro.engine.breaker import CircuitBreaker
 from repro.net.network import FaultProfile, NetworkError
 
 from .conftest import NS_LIVE, NS_LIVE2, SCANNER
@@ -77,7 +78,7 @@ class TestLatencyJitter:
     def test_jitter_stretches_the_clock(self, make_network):
         plain, jittered = make_network(), make_network()
         plain.query_dns(SCANNER, NS_LIVE, _query())
-        jittered.inject_faults(latency_jitter=2.0, seed=5)
+        jittered.set_server_faults(NS_LIVE, latency_jitter=2.0)
         jittered.query_dns(SCANNER, NS_LIVE, _query())
         assert jittered.now > plain.now
 
@@ -98,8 +99,9 @@ class TestEnginesUnderLoss:
     def test_retries_recover_most_losses(self, make_network):
         net = make_network()
         net.inject_faults(loss_rate=0.3, seed=9)
-        policy = EnginePolicy(retries=4, circuit_failure_threshold=50)
+        policy = EnginePolicy(retries=4)
         engine = BatchedEngine(net, SCANNER, policy=policy)
+        engine.breaker = CircuitBreaker(failure_threshold=50)
         tasks = [
             QueryTask(
                 server_ip=server,

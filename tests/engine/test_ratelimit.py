@@ -21,12 +21,13 @@ class TestTokenBucket:
         bucket.take(0.0)
         assert bucket.ready_at(40.0) == pytest.approx(100.0)
 
-    def test_burst_allows_back_to_back(self):
-        bucket = TokenBucket(100.0, burst=3)
-        for _ in range(3):
-            assert bucket.ready_at(0.0) == 0.0
-            bucket.take(0.0)
-        assert bucket.ready_at(0.0) == pytest.approx(100.0)
+    def test_idle_time_banks_one_token_only(self):
+        bucket = TokenBucket(100.0)
+        bucket.take(0.0)
+        # a long idle spell refills one token, never more
+        assert bucket.ready_at(10_000.0) == 10_000.0
+        bucket.take(10_000.0)
+        assert bucket.ready_at(10_000.0) == pytest.approx(10_100.0)
 
     def test_zero_interval_never_waits(self):
         bucket = TokenBucket(0.0)
@@ -37,8 +38,6 @@ class TestTokenBucket:
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError):
             TokenBucket(-1.0)
-        with pytest.raises(ValueError):
-            TokenBucket(1.0, burst=0)
 
 
 class TestRateLimiter:

@@ -33,13 +33,15 @@ class TestTable2Matrix:
 
     def test_cloudflare(self, env):
         network, planner = env
-        provider = make_cloudflare(network, planner.pool("cf"))
+        provider = make_cloudflare(
+            network, planner.pool("cf"), post_disclosure=False
+        )
         policy = provider.policy
         assert policy.ns_allocation is NsAllocation.ACCOUNT_FIXED
         assert policy.hosts_without_verification
         assert not policy.allows_unregistered
         assert policy.allows_subdomains and policy.subdomains_require_payment
-        assert policy.allows_sld and policy.allows_etld
+        assert policy.allows_etld
         assert not policy.duplicates_single_user
         assert policy.duplicates_cross_user
         assert policy.supports_retrieval  # "No retrieval" column is ✘
@@ -70,7 +72,9 @@ class TestTable2Matrix:
 
     def test_tencent_pre_and_post_disclosure(self, env):
         network, planner = env
-        before = make_tencent(network, planner.pool("t1"))
+        before = make_tencent(
+            network, planner.pool("t1"), post_disclosure=False
+        )
         assert before.policy.hosts_without_verification
         after = make_tencent(
             network, planner.pool("t2"), post_disclosure=True
@@ -93,7 +97,9 @@ class TestTable2Matrix:
 
     def test_alibaba_serves_fleet_wide(self, env):
         network, planner = env
-        provider = make_alibaba(network, planner.pool("ali"))
+        provider = make_alibaba(
+            network, planner.pool("ali"), post_disclosure=False
+        )
         assert provider.policy.serves_fleet_wide
 
     def test_cloudflare_expanded_blacklist(self, env):

@@ -17,14 +17,14 @@ from repro.net.address import PrefixPlanner
 from repro.net.network import SimulatedInternet
 
 
-def make_provider(policy=None, pool_blocks=1, provider_name="TestHost"):
+def make_provider(policy=None, provider_name="TestHost"):
     network = SimulatedInternet()
     planner = PrefixPlanner()
     provider = HostingProvider(
         provider_name,
         policy or HostingPolicy(),
         network,
-        planner.pool(provider_name, blocks=pool_blocks),
+        planner.pool(provider_name),
         rng=random.Random(5),
     )
     return network, provider
@@ -138,13 +138,6 @@ class TestDomainTypePolicy:
             provider.create_account(), "brand-new.com", is_registered=False
         )
         assert hosted.domain == name("brand-new.com")
-
-    def test_sld_refused_when_disallowed(self):
-        _, provider = make_provider(HostingPolicy(allows_sld=False))
-        with pytest.raises(HostingError):
-            provider.host_zone(
-                provider.create_account(), "victim.com", is_registered=True
-            )
 
 
 class TestNsAllocation:

@@ -181,7 +181,7 @@ class TestServerFingerprint:
                 break
         service = fresh.network.dns_hosts()[group.server_ip]
         zone = service.zones[0]
-        zone.add(zone.origin, A("203.0.113.99"), ttl=60)
+        zone.add(zone.origin, A("203.0.113.99"))
         after = server_fingerprint(fresh.network, group.server_ip)
         assert after != before
 
@@ -223,9 +223,7 @@ class TestStateDigest:
         moved(provider="NameSilo")
         moved(config=HunterConfig(timeout=9.0))
         network.dns_hosts()[server].zones[0].add(
-            network.dns_hosts()[server].zones[0].origin,
-            A("203.0.113.99"),
-            ttl=60,
+            network.dns_hosts()[server].zones[0].origin, A("203.0.113.99")
         )
         moved()
         # faults on another server only: the fault RNG is never drawn
@@ -245,12 +243,10 @@ class TestStateDigest:
         moved()
         network.inject_faults(loss_rate=0.05, seed=SEED + 1)
         moved()
-        network.inject_faults(
-            loss_rate=0.05, latency_jitter=0.01, seed=SEED + 1
-        )
-        moved()
         # a per-server profile replaces the global one for this server
         network.set_server_faults(server, loss_rate=0.25)
+        moved()
+        network.set_server_faults(server, loss_rate=0.25, latency_jitter=0.01)
         moved()
         # a profile that reads the clock anchors the key at the epoch
         network.set_server_faults(server, flap_up=5.0, flap_down=1.0)

@@ -83,7 +83,7 @@ class TestHttpPage:
         assert page.contains_keywords(PAGE_KEYWORDS[PageKind.PARKED])
 
     def test_redirect_page_matches_keywords(self):
-        page = HttpPage.redirect("https://elsewhere.example/")
+        page = HttpPage.redirect()
         assert page.contains_keywords(PAGE_KEYWORDS[PageKind.REDIRECT])
 
     def test_warning_page_mentions_provider(self):

@@ -32,10 +32,11 @@ class TestObservation:
 
 class TestWindowing:
     def test_horizon_excludes_ancient_records(self):
-        store = PassiveDnsStore(horizon=100.0)
+        store = PassiveDnsStore()
         store.observe("example.com", RRType.A, "192.0.2.1", 10.0)
         assert store.history("example.com", now=50.0)
-        assert not store.history("example.com", now=500.0)
+        assert store.history("example.com", now=10.0 + SIX_YEARS)
+        assert not store.history("example.com", now=11.0 + SIX_YEARS)
 
     def test_future_observations_excluded(self):
         store = PassiveDnsStore()
@@ -44,7 +45,6 @@ class TestWindowing:
 
     def test_six_year_default(self):
         store = PassiveDnsStore()
-        assert store.horizon == SIX_YEARS
         two_years = 2 * 365 * 24 * 3600.0
         store.observe("example.com", RRType.A, "192.0.2.1", 0.0)
         assert store.record_in_history(

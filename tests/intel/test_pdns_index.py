@@ -25,8 +25,8 @@ class NaivePassiveDnsStore(PassiveDnsStore):
     first-sighting order, and every query a scan of all of them.  The
     store's delegation and membership helpers run on top unchanged."""
 
-    def __init__(self, horizon=SIX_YEARS):
-        super().__init__(horizon=horizon)
+    def __init__(self):
+        super().__init__()
         self._observations = []
 
     def observe(self, domain, rrtype, rdata_text, timestamp):
@@ -56,7 +56,7 @@ class NaivePassiveDnsStore(PassiveDnsStore):
             for observation in self._observations
             if observation.domain == domain
             and (rrtype is None or observation.rrtype == rrtype)
-            and observation.last_seen >= now - self.horizon
+            and observation.last_seen >= now - SIX_YEARS
             and observation.first_seen <= now
         ]
 
@@ -70,11 +70,8 @@ class NaivePassiveDnsStore(PassiveDnsStore):
         return len(self._observations)
 
 
-def _mirror_stores(horizon=1_000.0):
-    return (
-        PassiveDnsStore(horizon=horizon),
-        NaivePassiveDnsStore(horizon=horizon),
-    )
+def _mirror_stores():
+    return PassiveDnsStore(), NaivePassiveDnsStore()
 
 
 def _assert_equivalent(indexed, naive, domain, now, rrtype):
@@ -97,12 +94,12 @@ class TestRandomizedInterleavings:
                 domain = rng.choice(DOMAINS)
                 rrtype = rng.choice(RRTYPES)
                 rdata = rng.choice(RDATA)
-                stamp = rng.uniform(0.0, 3_000.0)
+                stamp = rng.uniform(0.0, 3.0) * SIX_YEARS
                 indexed.observe(domain, rrtype, rdata, stamp)
                 naive.observe(domain, rrtype, rdata, stamp)
             else:
                 domain = rng.choice(DOMAINS + ["never-seen.example"])
-                now = rng.uniform(0.0, 3_500.0)
+                now = rng.uniform(0.0, 3.5) * SIX_YEARS
                 rrtype = rng.choice(RRTYPES + (None,))
                 _assert_equivalent(indexed, naive, domain, now, rrtype)
         assert len(indexed) == len(naive)
@@ -151,15 +148,16 @@ class TestIngestAfterQueryInvalidation:
         ]
 
     def test_widening_timestamps_refreshes_window_answers(self):
-        indexed, naive = _mirror_stores(horizon=50.0)
+        indexed, naive = _mirror_stores()
+        now = 50.0 + SIX_YEARS
         for store in (indexed, naive):
             store.observe("dom0.example", RRType.A, "198.51.100.1", 10.0)
-        # out of window at now=100 (last_seen 10 < 100 - 50)
-        assert indexed.history("dom0.example", 100.0) == []
+        # out of window (last_seen 10 < now - SIX_YEARS = 50)
+        assert indexed.history("dom0.example", now) == []
         for store in (indexed, naive):
             store.observe("dom0.example", RRType.A, "198.51.100.1", 90.0)
-        _assert_equivalent(indexed, naive, "dom0.example", 100.0, RRType.A)
-        assert len(indexed.history("dom0.example", 100.0)) == 1
+        _assert_equivalent(indexed, naive, "dom0.example", now, RRType.A)
+        assert len(indexed.history("dom0.example", now)) == 1
 
 
 class TestIndexedQueryInterface:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.intel.aggregator import ThreatIntelAggregator
+from repro.intel.aggregator import CACHE_ENTRIES, ThreatIntelAggregator
 from repro.intel.vendor import (
     SecurityVendor,
     default_vendor_fleet,
@@ -153,20 +153,28 @@ class TestAggregatorCache:
         assert not aggregator.is_flagged("6.6.6.6")
 
     def test_lru_eviction_bounds_the_cache(self, vendor):
-        aggregator = ThreatIntelAggregator([vendor], cache_size=2)
-        for address in ("1.1.1.1", "2.2.2.2", "3.3.3.3"):
+        aggregator = ThreatIntelAggregator([vendor])
+        addresses = [
+            f"10.{index >> 16}.{(index >> 8) & 255}.{index & 255}"
+            for index in range(CACHE_ENTRIES + 1)
+        ]
+        for address in addresses:
             aggregator.report(address)
         # the newest entry stays: re-reading it is a hit
         reads_before = vendor.reads
-        aggregator.report("3.3.3.3")
+        aggregator.report(addresses[-1])
         assert vendor.reads == reads_before
         # the oldest entry was evicted: re-reading it is a miss
-        aggregator.report("1.1.1.1")
+        aggregator.report(addresses[0])
         assert vendor.reads == reads_before + 1
 
-    def test_cache_size_validation(self, vendor):
-        with pytest.raises(ValueError):
-            ThreatIntelAggregator([vendor], cache_size=0)
+    def test_each_aggregator_has_its_own_guard(self, vendor):
+        first = ThreatIntelAggregator([vendor])
+        second = ThreatIntelAggregator([vendor])
+        assert first.guard is not second.guard
+        first.report("6.6.6.6")
+        assert first.source_health()
+        assert not second.source_health()
 
     def test_failed_vendor_excluded_from_quorum(self):
         from repro.pipeline import FaultPlan, FlakyVendor
@@ -176,7 +184,7 @@ class TestAggregatorCache:
         broken = SecurityVendor("VT")
         broken.flag("6.6.6.6")
         aggregator = ThreatIntelAggregator(
-            [FlakyVendor(broken, FaultPlan(dead=True)), healthy]
+            [FlakyVendor(broken, FaultPlan(error_rate=1.0)), healthy]
         )
         report = aggregator.report("6.6.6.6")
         assert report.is_malicious

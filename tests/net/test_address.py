@@ -114,12 +114,24 @@ class TestPrefixPlanner:
 
     def test_pool_helper(self):
         planner = PrefixPlanner()
-        pool = planner.pool("x", blocks=2)
-        assert len(pool.prefixes) == 2
+        pool = planner.pool("x")
+        assert len(pool.prefixes) == 1
 
-    def test_invalid_base_octet(self):
+    def test_pools_take_consecutive_blocks(self):
+        planner = PrefixPlanner()
+        first, second = planner.pool("a"), planner.pool("b")
+        assert first.allocate() == "10.0.0.1"
+        assert second.allocate() == "10.1.0.1"
+
+    def test_planner_exhaustion_raises(self):
+        planner = PrefixPlanner()
+        # the last /16 below class D (223.255.0.0/16) is handed out ...
+        for _ in range((224 - PrefixPlanner.BASE_OCTET) * 256 - 1):
+            planner.next_slash16()
+        assert planner.next_slash16() == "223.255.0.0/16"
+        # ... and nothing after it
         with pytest.raises(AddressError):
-            PrefixPlanner(base_octet=0)
+            planner.next_slash16()
 
 
 @given(st.integers(min_value=0, max_value=0xFFFFFFFF))

@@ -161,6 +161,12 @@ class TestTcpTransport:
         assert flow.metadata["payload"] == b"A" * 256
         assert flow.payload_size == 500
 
+    def test_tcp_metadata_is_the_payload_excerpt(self, network):
+        network.register_tcp_host("10.1.1.1", _Echo())
+        with network.capturing(TrafficCapture()) as capture:
+            network.connect_tcp("10.9.9.9", "10.1.1.1", 80, b"x")
+        assert capture.flows[-1].metadata == {"payload": b"x"}
+
     def test_protocol_tagging(self, network):
         network.register_tcp_host("10.1.1.1", _Echo())
         with network.capturing(TrafficCapture()) as capture:
@@ -168,14 +174,6 @@ class TestTcpTransport:
                 "10.9.9.9", "10.1.1.1", 25, b"EHLO", protocol=Protocol.SMTP
             )
         assert capture.flows[-1].protocol is Protocol.SMTP
-
-    def test_custom_metadata_preserved(self, network):
-        network.register_tcp_host("10.1.1.1", _Echo())
-        with network.capturing(TrafficCapture()) as capture:
-            network.connect_tcp(
-                "10.9.9.9", "10.1.1.1", 80, b"x", metadata={"k": "v"}
-            )
-        assert capture.flows[-1].metadata["k"] == "v"
 
 
 def _fault_query():

@@ -144,16 +144,13 @@ def test_detonation_views_equal_the_eager_list():
     for report in reports:
         flows = list(report.capture)
         assert flows == report.capture.flows
-        assert set(report.capture.destinations(exclude=Protocol.DNS)) == {
-            flow.dst for flow in flows if flow.protocol is not Protocol.DNS
-        }
+        assert report.capture.destinations() == list(
+            dict.fromkeys(flow.dst for flow in flows)
+        )
         lookups = [flow for flow in flows if flow.protocol is Protocol.DNS]
         assert [qname for _, qname in report.capture.dns_questions()] == [
             str(flow.metadata.get("qname")) for flow in lookups
         ]
-        assert set(report.capture.destinations(Protocol.DNS)) == {
-            flow.dst for flow in lookups
-        }
     every_flow = [flow for report in reports for flow in report.capture]
     failures = [flow for flow in every_flow if not flow.success]
     assert failures, "no failure row exercised"
@@ -309,15 +306,8 @@ def test_random_operations_match_a_list_model(operations):
     assert capture.destinations() == list(
         dict.fromkeys(flow.dst for flow in model)
     )
-    assert capture.destinations(exclude=Protocol.DNS) == list(
-        dict.fromkeys(
-            flow.dst for flow in model if flow.protocol is not Protocol.DNS
-        )
-    )
     lookups = [flow for flow in model if flow.protocol is Protocol.DNS]
-    assert capture.filter(protocol=Protocol.DNS, src="10.0.0.1") == [
-        flow for flow in lookups if flow.src == "10.0.0.1"
-    ]
+    assert capture.filter(protocol=Protocol.DNS) == lookups
     assert capture.filter(dst={"10.0.0.1", "10.0.0.2"}) == [
         flow for flow in model if flow.dst != "10.0.0.3"
     ]

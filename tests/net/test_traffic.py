@@ -52,19 +52,27 @@ class TestTrafficCapture:
         capture.record(_flow(protocol=Protocol.SMTP))
         assert len(capture.filter(protocol=Protocol.SMTP)) == 1
 
-    def test_filter_by_endpoints(self):
+    def test_filter_by_destination(self):
         capture = TrafficCapture()
         capture.record(_flow(dst="1.1.1.1"))
         capture.record(_flow(dst="2.2.2.2"))
         assert len(capture.filter(dst="1.1.1.1")) == 1
-        assert len(capture.filter(src="10.9.9.9")) == 2
 
-    def test_filter_by_predicate(self):
+    def test_filter_by_endpoints(self):
         capture = TrafficCapture()
-        capture.record(_flow(ts=1.0))
-        capture.record(_flow(ts=5.0))
-        late = capture.filter(predicate=lambda flow: flow.timestamp > 2)
-        assert len(late) == 1
+        for dst in ("1.1.1.1", "2.2.2.2", "3.3.3.3"):
+            capture.record(_flow(dst=dst))
+        matched = capture.filter(dst={"1.1.1.1", "3.3.3.3"})
+        assert [flow.dst for flow in matched] == ["1.1.1.1", "3.3.3.3"]
+
+    def test_filter_combines_protocol_and_destination(self):
+        capture = TrafficCapture()
+        capture.record(_flow(dst="1.1.1.1", protocol=Protocol.DNS))
+        capture.record(_flow(dst="1.1.1.1", protocol=Protocol.TCP))
+        capture.record(_flow(dst="2.2.2.2", protocol=Protocol.DNS))
+        matched = capture.filter(protocol=Protocol.DNS, dst="1.1.1.1")
+        assert len(matched) == 1
+        assert matched[0].protocol is Protocol.DNS
 
     def test_destinations_deduped_in_order(self):
         capture = TrafficCapture()
@@ -73,11 +81,11 @@ class TestTrafficCapture:
         capture.record(_flow(dst="1.1.1.1"))
         assert capture.destinations() == ["1.1.1.1", "2.2.2.2"]
 
-    def test_destinations_filtered_by_protocol(self):
+    def test_destinations_span_every_protocol(self):
         capture = TrafficCapture()
         capture.record(_flow(dst="1.1.1.1", protocol=Protocol.DNS))
         capture.record(_flow(dst="2.2.2.2", protocol=Protocol.TCP))
-        assert capture.destinations(Protocol.DNS) == ["1.1.1.1"]
+        assert capture.destinations() == ["1.1.1.1", "2.2.2.2"]
 
     def test_dns_lookups(self):
         capture = TrafficCapture()

@@ -24,6 +24,8 @@ from repro.dns.wire import _message_key, decode_message, encode_message
 from repro.dns.zone import Zone, ZoneError
 from repro.net.network import MAX_UDP_PAYLOAD, SimulatedInternet
 
+from ..conftest import query_with_id
+
 SERVER_IP = "10.0.0.1"
 
 _LABELS = ("ns", "mail", "www", "a", "cdn")
@@ -159,9 +161,7 @@ def test_transact_returns_the_decode_of_the_wire(exchanges, first_id):
         exchanges + exchanges
     ):
         producer.body = body
-        query = Message.make_query(
-            qname, qtype, message_id=(first_id + 7919 * step) & 0xFFFF
-        )
+        query = query_with_id(qname, qtype, (first_id + 7919 * step) & 0xFFFF)
         got = network.query_dns("192.0.2.53", SERVER_IP, query, transport)
         _same(got, _expected(_respond(query, body), transport))
         returned.append(got)
@@ -202,7 +202,7 @@ def test_compiled_answers_are_the_decode_of_the_wire(records, questions):
         server.load_zone(zone)
         network.register_dns_host(SERVER_IP, server)
     for step, (qname, qtype) in enumerate(questions + questions):
-        query = Message.make_query(qname, qtype, message_id=step)
+        query = query_with_id(qname, qtype, step)
         got = fast.query_dns("192.0.2.53", SERVER_IP, query, "tcp")
         _same(got, naive.query_dns("192.0.2.53", SERVER_IP, query, "tcp"))
     assert fast.scanpath.compiled_hits >= len(questions)

@@ -210,18 +210,6 @@ class TestRunEndFields:
         assert fields["status"] == "degraded"
         assert fields["unaccounted"] == 1
 
-    def test_explicit_status_wins(self):
-        class Report:
-            scan_metrics = None
-            is_degraded = False
-            classified = []
-            suspicious = []
-            queries_sent = 0
-            responses_seen = 0
-            timeouts = 0
-
-        assert run_end_fields(Report(), status="stopped")["status"] == "stopped"
-
 
 class TestTraceEvent:
     def test_to_dict_omits_stage_when_unset(self):

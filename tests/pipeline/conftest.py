@@ -11,6 +11,7 @@ import os
 import pytest
 
 from repro.core import URHunter
+from repro.pipeline import FaultPlan
 from repro.scenario import build_world, small_config
 
 #: seeds the chaos tests parametrize over
@@ -23,6 +24,21 @@ CHAOS_SEEDS = [
 def make_world(seed: int = 7):
     """A fresh small world (never shared: chaos tests mutate them)."""
     return build_world(small_config(seed=seed))
+
+
+class FailingPlan(FaultPlan):
+    """A fault plan that fails every call, or only its first ``first``
+    calls (a transient outage that retries ride out)."""
+
+    def __init__(self, first=None):
+        super().__init__(error_rate=1.0)
+        self.first = first
+
+    def check(self, source):
+        if self.first is not None and self.calls >= self.first:
+            self.calls += 1
+            return
+        super().check(source)
 
 
 @pytest.fixture

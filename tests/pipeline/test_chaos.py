@@ -18,7 +18,7 @@ from repro.pipeline import (
     FlakyVendor,
 )
 
-from .conftest import CHAOS_SEEDS, make_world
+from .conftest import CHAOS_SEEDS, FailingPlan, make_world
 
 
 def unverifiable(entry) -> bool:
@@ -60,7 +60,7 @@ class TestDeadVendorQuorum:
         world = make_world()
         dead_name = world.vendors[0].name
         hunter = URHunter.from_world(world)
-        vendors = [FlakyVendor(world.vendors[0], FaultPlan(dead=True))]
+        vendors = [FlakyVendor(world.vendors[0], FailingPlan())]
         vendors.extend(world.vendors[1:])
         hunter.intel = ThreatIntelAggregator(vendors)
         return world, dead_name, hunter.run()

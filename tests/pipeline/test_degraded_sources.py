@@ -25,9 +25,9 @@ from repro.dns.name import name
 from repro.dns.rdata import RRType
 from repro.intel.ipinfo import IpInfoDatabase
 from repro.intel.pdns import PassiveDnsStore
-from repro.pipeline import FaultPlan, FlakyIPInfo, FlakyPassiveDNS
+from repro.pipeline import FlakyIPInfo, FlakyPassiveDNS
 
-from .conftest import make_world
+from .conftest import FailingPlan, make_world
 
 
 def make_ipinfo():
@@ -86,7 +86,7 @@ class TestRecoverPdnsSubdomains:
     def test_dead_store_raises_source_error(self):
         from repro.pipeline import SourceError
 
-        pdns = FlakyPassiveDNS(PassiveDnsStore(), FaultPlan(dead=True))
+        pdns = FlakyPassiveDNS(PassiveDnsStore(), FailingPlan())
         with pytest.raises(SourceError):
             recover_pdns_subdomains(pdns, self.TARGETS, 1000.0)
 
@@ -96,7 +96,7 @@ class TestCheckerDegradedPdns:
         ipinfo = make_ipinfo()
         checker = UniformityChecker(
             make_database(ipinfo),
-            pdns=FlakyPassiveDNS(PassiveDnsStore(), FaultPlan(dead=True)),
+            pdns=FlakyPassiveDNS(PassiveDnsStore(), FailingPlan()),
         )
         verdict = checker.check(a_record(), now=1000.0)
         assert not verdict.is_correct
@@ -108,7 +108,7 @@ class TestCheckerDegradedPdns:
         ipinfo = make_ipinfo()
         checker = UniformityChecker(
             make_database(ipinfo),
-            pdns=FlakyPassiveDNS(PassiveDnsStore(), FaultPlan(dead=True)),
+            pdns=FlakyPassiveDNS(PassiveDnsStore(), FailingPlan()),
         )
         verdict = checker.check(txt_record(), now=1000.0)
         assert not verdict.is_correct
@@ -139,7 +139,7 @@ class TestCheckerDegradedPdns:
         )
         checker = UniformityChecker(
             make_database(ipinfo),
-            pdns=FlakyPassiveDNS(pdns, FaultPlan(fail_first=2)),
+            pdns=FlakyPassiveDNS(pdns, FailingPlan(first=2)),
         )
         verdict = checker.check(a_record(), now=1000.0)
         # two failures, then the retry budget lands the real answer
@@ -153,7 +153,7 @@ class TestCheckerDegradedIpinfo:
         ipinfo = make_ipinfo()
         checker = UniformityChecker(
             make_database(ipinfo),
-            ipinfo=FlakyIPInfo(ipinfo, FaultPlan(dead=True)),
+            ipinfo=FlakyIPInfo(ipinfo, FailingPlan()),
         )
         verdict = checker.check(a_record(), now=1000.0)
         assert not verdict.is_correct
@@ -171,7 +171,7 @@ class TestCheckerDegradedIpinfo:
         ipinfo = make_ipinfo()
         checker = UniformityChecker(
             make_database(ipinfo),
-            ipinfo=FlakyIPInfo(ipinfo, FaultPlan(dead=True)),
+            ipinfo=FlakyIPInfo(ipinfo, FailingPlan()),
         )
         verdict = checker.check(a_record(rdata="10.0.0.1"), now=1000.0)
         assert verdict.is_correct
@@ -190,8 +190,8 @@ class TestSuspicionDegradation:
         ipinfo = make_ipinfo()
         checker = UniformityChecker(
             make_database(ipinfo),
-            pdns=FlakyPassiveDNS(PassiveDnsStore(), FaultPlan(dead=True)),
-            ipinfo=FlakyIPInfo(ipinfo, FaultPlan(dead=True)),
+            pdns=FlakyPassiveDNS(PassiveDnsStore(), FailingPlan()),
+            ipinfo=FlakyIPInfo(ipinfo, FailingPlan()),
         )
         outcome = SuspicionFilter(checker, {}).classify(
             [a_record()], now=1000.0
@@ -215,7 +215,7 @@ class TestPipelineDegradedPdnsExpansion:
         hunter = URHunter.from_world(
             world, HunterConfig(expand_pdns_subdomains=True)
         )
-        hunter.pdns = FlakyPassiveDNS(world.pdns, FaultPlan(dead=True))
+        hunter.pdns = FlakyPassiveDNS(world.pdns, FailingPlan())
         report = hunter.run()
         assert report.is_degraded
         assert "pdns-expansion-skipped:pdns" in report.degraded.notes

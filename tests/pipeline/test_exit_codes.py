@@ -61,6 +61,51 @@ class TestExitCodes:
         assert main(SMALL + ["--resume", "run"]) == EXIT_USAGE
         assert "requires --checkpoint-dir" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            "--chaos-script",
+            "--checkpoint-dir",
+            "--result-store",
+            "--trace-out",
+            "--metrics-out",
+        ],
+    )
+    def test_unusable_path_is_usage_error_before_any_work(
+        self, flag, tmp_path, monkeypatch, capsys
+    ):
+        def no_world(scenario):
+            raise AssertionError("a world was built")
+
+        monkeypatch.setattr("repro.runspec.build_world", no_world)
+        regular = tmp_path / "regular-file"
+        regular.write_text("")
+        value = {
+            "--chaos-script": tmp_path,
+            "--checkpoint-dir": regular,
+            "--result-store": regular,
+            "--trace-out": regular / "trace.jsonl",
+            "--metrics-out": regular / "metrics.json",
+        }[flag]
+        assert main(SMALL + [flag, str(value), "run"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["plan", "table2"])
+    def test_read_only_command_creates_no_directory(
+        self, command, tmp_path
+    ):
+        absent = tmp_path / "absent"
+        paths = [
+            "--checkpoint-dir", str(absent / "checkpoints"),
+            "--result-store", str(absent / "store"),
+            "--trace-out", str(absent / "out" / "trace.jsonl"),
+            "--metrics-out", str(absent / "out" / "metrics.json"),
+        ]
+        assert main(SMALL + paths + [command]) == EXIT_OK
+        assert not absent.exists()
+
     def test_bad_engine_config_is_usage_error(self, capsys):
         code = main(SMALL + ["--timeout", "0", "run"])
         assert code == EXIT_USAGE

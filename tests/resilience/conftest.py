@@ -8,6 +8,7 @@ from repro.dns.rdata import RRType
 from repro.dns.server import AuthoritativeServer
 from repro.dns.zone import zone_from_records
 from repro.engine import BatchedEngine, EnginePolicy, QueryTask
+from repro.engine.breaker import CircuitBreaker
 from repro.net.network import SimulatedInternet
 
 SCANNER = "203.0.113.53"
@@ -49,14 +50,11 @@ def run_lane(
     engine = BatchedEngine(
         network,
         SCANNER,
-        # the breaker re-opens on the clock, which every wait moves:
-        # keep it out of properties about the waits alone
-        EnginePolicy(
-            per_server_interval=interval,
-            retries=2,
-            circuit_failure_threshold=10**6,
-        ),
+        EnginePolicy(per_server_interval=interval, retries=2),
     )
+    # the breaker re-opens on the clock, which every wait moves: keep it
+    # out of properties about the waits alone
+    engine.breaker = CircuitBreaker(failure_threshold=10**6)
     engine.hedge_delay = hedge_delay
     engine.aimd = aimd
     outcomes = engine.execute(

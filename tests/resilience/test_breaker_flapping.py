@@ -9,7 +9,7 @@ from repro.core import HunterConfig, URHunter
 from repro.dns.name import name
 from repro.dns.rdata import RRType
 from repro.engine import BatchedEngine, EnginePolicy, QueryTask
-from repro.engine.breaker import CircuitState
+from repro.engine.breaker import CircuitBreaker, CircuitState
 from repro.obs import RunTrace
 from repro.scenario import build_world, small_config
 
@@ -43,22 +43,19 @@ class TestHalfOpenRetrip:
         # by the time we query it, it is in its long dead phase
         network.set_server_faults(NS_LIVE, flap_up=1.0, flap_down=1e6)
         network.tick(2.0)
-        engine = BatchedEngine(
-            network,
-            SCANNER,
-            EnginePolicy(circuit_failure_threshold=3, retries=2),
-        )
+        engine = BatchedEngine(network, SCANNER, EnginePolicy(retries=2))
+        engine.breaker = CircuitBreaker(failure_threshold=3)
         trace = RunTrace()
         engine.trace = trace
         # 3 attempts on one task reach the threshold: first trip
         engine.execute([_task()])
-        assert engine.circuit_state(NS_LIVE) is CircuitState.OPEN
+        assert engine.breaker.state(NS_LIVE) is CircuitState.OPEN
         assert len(_trip_events(trace, NS_LIVE)) == 1
         # past the reset interval the breaker half-opens; the probe
         # lands in the same dead phase and must RE-trip, not linger
         network.tick(61.0)
         engine.execute([_task(RRType.TXT)])
-        assert engine.circuit_state(NS_LIVE) is CircuitState.OPEN
+        assert engine.breaker.state(NS_LIVE) is CircuitState.OPEN
         assert len(_trip_events(trace, NS_LIVE)) == 2
 
     def test_probe_in_up_phase_closes_circuit(self, make_network):
@@ -67,20 +64,17 @@ class TestHalfOpenRetrip:
         # half-open probe fires
         network.set_server_faults(NS_LIVE, flap_up=30.0, flap_down=40.0)
         network.tick(30.0)  # into the dead phase
-        engine = BatchedEngine(
-            network,
-            SCANNER,
-            EnginePolicy(circuit_failure_threshold=3, retries=2),
-        )
+        engine = BatchedEngine(network, SCANNER, EnginePolicy(retries=2))
+        engine.breaker = CircuitBreaker(failure_threshold=3)
         trace = RunTrace()
         engine.trace = trace
         engine.execute([_task()])
-        assert engine.circuit_state(NS_LIVE) is CircuitState.OPEN
+        assert engine.breaker.state(NS_LIVE) is CircuitState.OPEN
         # clock ~46s: the next up phase spans [70, 100); the breaker
         # half-opens after 60s of open time, inside that up window
         network.tick(70.0 - (network.now % 70.0) + 75.0)
         engine.execute([_task(RRType.TXT)])
-        assert engine.circuit_state(NS_LIVE) is CircuitState.CLOSED
+        assert engine.breaker.state(NS_LIVE) is CircuitState.CLOSED
         assert len(_trip_events(trace, NS_LIVE)) == 1
 
 

@@ -100,6 +100,10 @@ class TestLoadScenario:
         path.write_text(json.dumps(dataclasses.asdict(BUNDLED_SCENARIOS[0])))
         assert load_scenario(str(path)) == BUNDLED_SCENARIOS[0]
 
+    def test_unreadable_path_is_a_scenario_error(self, tmp_path):
+        with pytest.raises(ScenarioError, match="cannot read scenario"):
+            load_scenario(str(tmp_path))
+
 
 class TestCompilation:
     def test_unknown_params_rejected_at_load_time(self):

@@ -29,6 +29,18 @@ UR_NS = "10.0.0.1"
 EMER_NS = "10.0.0.2"
 
 
+def contacted(report, dns=False):
+    """Distinct destinations of a report's DNS flows (``dns``) or of all
+    its other flows, in first-seen order."""
+    return list(
+        dict.fromkeys(
+            flow.dst
+            for flow in report.capture
+            if (flow.protocol is Protocol.DNS) == dns
+        )
+    )
+
+
 class _C2:
     def handle_tcp_connect(self, src, port, payload, network):
         if payload.startswith(b"EHLO"):
@@ -97,7 +109,7 @@ class TestDarkIot:
         report = sandbox.run(samples[0])
         questions = {qname for _, qname in report.capture.dns_questions()}
         assert "api.gitlab.com" in questions
-        assert C2_IP in report.capture.destinations(exclude=Protocol.DNS)
+        assert C2_IP in contacted(report)
         assert report.actionable_alerts
 
     def test_2021_falls_back_to_emerdns(self, world):
@@ -106,8 +118,8 @@ class TestDarkIot:
         sandbox = Sandbox(world, victim_ip="10.99.0.1")
         samples = make_darkiot_2021_variants(ur("api.gitlab.com"), EMER_NS)
         report = sandbox.run(samples[0])
-        assert EMER_NS in report.capture.destinations(Protocol.DNS)
-        assert C2_IP in report.capture.destinations(exclude=Protocol.DNS)
+        assert EMER_NS in contacted(report, dns=True)
+        assert C2_IP in contacted(report)
         assert any("EmerDNS" in note for note in report.notes)
 
     def test_2023_variant_abandons_emerdns(self, sandbox):
@@ -115,8 +127,8 @@ class TestDarkIot:
             ur("raw.pastebin.com"), ur("dark.libre")
         )
         report = sandbox.run(sample)
-        assert EMER_NS not in report.capture.destinations(Protocol.DNS)
-        assert C2_IP in report.capture.destinations(exclude=Protocol.DNS)
+        assert EMER_NS not in contacted(report, dns=True)
+        assert C2_IP in contacted(report)
 
     def test_2023_opennic_via_cloudns_when_pastebin_gone(self, world):
         # Remove the pastebin zone; the OpenNIC UR on the same provider
@@ -128,7 +140,7 @@ class TestDarkIot:
             ur("raw.pastebin.com"), ur("dark.libre")
         )
         report = sandbox.run(sample)
-        assert C2_IP in report.capture.destinations(exclude=Protocol.DNS)
+        assert C2_IP in contacted(report)
         assert any("EmerDNS abandoned" in note for note in report.notes)
 
     def test_dormant_without_any_c2(self, world):
@@ -139,7 +151,7 @@ class TestDarkIot:
         report = sandbox.run(
             make_darkiot_2023_variant(ur("raw.pastebin.com"), ur("dark.libre"))
         )
-        assert report.capture.destinations(exclude=Protocol.DNS) == []
+        assert contacted(report) == []
         assert any("dormant" in note for note in report.notes)
 
 
@@ -161,7 +173,7 @@ class TestSpfCampaign:
     def test_micropsia_reads_spf_and_beacons(self, sandbox):
         samples = make_micropsia_samples(ur("speedtest.net"))
         report = sandbox.run(samples[0])
-        assert C2_IP in report.capture.destinations(exclude=Protocol.DNS)
+        assert C2_IP in contacted(report)
         categories = [a.category for a in report.actionable_alerts]
         assert AlertCategory.CC in categories
 
@@ -182,7 +194,7 @@ class TestSpfCampaign:
         world.dns_hosts()[UR_NS].unload_zone("speedtest.net")
         sandbox = Sandbox(world, victim_ip="10.99.0.1")
         report = sandbox.run(make_micropsia_samples(ur("speedtest.net"))[0])
-        assert report.capture.destinations(exclude=Protocol.DNS) == []
+        assert contacted(report) == []
 
 
 class TestGenericFamilies:
@@ -192,11 +204,9 @@ class TestGenericFamilies:
         assert AlertCategory.TROJAN in categories
 
     def test_scanner_sweeps_and_reports(self, sandbox):
-        report = sandbox.run(
-            make_generic_scanner(1, ur("trusted.com"), sweep_size=10)
-        )
+        report = sandbox.run(make_generic_scanner(1, ur("trusted.com")))
         # The sweep plus the report connection.
-        assert len(report.capture.destinations(exclude=Protocol.DNS)) == 11
+        assert len(contacted(report)) == 11
         categories = [a.category for a in report.actionable_alerts]
         assert AlertCategory.OTHER in categories
 
@@ -219,7 +229,7 @@ class TestGenericFamilies:
         world.dns_hosts()[UR_NS].unload_zone("trusted.com")
         sandbox = Sandbox(world, victim_ip="10.99.0.1")
         report = sandbox.run(make_generic_trojan(1, ur("trusted.com")))
-        assert report.capture.destinations(exclude=Protocol.DNS) == []
+        assert contacted(report) == []
 
     def test_benign_updater_no_actionable_alerts(self, world):
         from repro.dns.resolver import RecursiveResolver

@@ -30,7 +30,11 @@ def _observed(report, victim=None):
     questions = (
         list(report.capture.dns_questions()) if victim is None else None
     )
-    contacted = set(report.capture.destinations(exclude=Protocol.DNS))
+    contacted = {
+        flow.dst
+        for flow in report.capture
+        if flow.protocol is not Protocol.DNS
+    }
     return flows, alerts, contacted, questions
 
 

@@ -174,8 +174,6 @@ class TestPlanting:
         first = attacker.account_at(provider)
         second = attacker.account_at(provider)
         assert first is second
-        paid = attacker.account_at(provider, paid=True)
-        assert paid is not first
 
     def test_campaign_nameserver_ips(self, env):
         _, provider, _, attacker = env

@@ -50,10 +50,11 @@ class TestPins:
         assert "pastebin.com" in top
         assert "speedtest.net" in top
 
-    def test_custom_pins(self):
-        top = generate_tranco(10, pins={"custom.org": 4})
-        assert top.rank_of("custom.org") == 4
-        assert "github.com" not in top
+    def test_overflow_pins_land_in_the_last_decile(self):
+        top = generate_tranco(300)
+        for domain in ("speedtest.net", "gitlab.com", "pastebin.com"):
+            assert top.rank_of(domain) > 270
+        assert top.rank_of("github.com") == 30
 
 
 class TestListApi:
