@@ -32,7 +32,7 @@ from pathlib import Path
 from repro.core import URHunter
 from repro.dns.rdata import RRType
 from repro.incremental import GroupResultStore, PlanDiffer, server_fingerprint
-from repro.plan.shards import run_group_isolated
+from repro.plan.shards import run_group
 from repro.scenario import ScenarioConfig, build_world, small_config
 
 from .conftest import banner
@@ -83,11 +83,11 @@ def _cacheable_servers(hunter):
 
 def _group_costs(hunter):
     """Virtual elapsed per nameserver group, keyed by group index."""
-    plan = hunter.plan
+    plan, collector = hunter.plan, hunter.collector
     epoch = hunter.network.now
     return {
-        group.index: run_group_isolated(
-            hunter, plan, group, epoch, epoch
+        group.index: run_group(
+            collector, plan, "ur", group, epoch, epoch, collector.reduce_ur
         ).elapsed
         for group in plan.groups
     }

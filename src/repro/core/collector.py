@@ -12,18 +12,21 @@ Three collections feed the pipeline:
    nowhere) is queried at every target nameserver; whatever comes back is
    that server's protective-record fingerprint.
 
-The collector only *interprets* responses.  The query matrix — which
-queries, in which randomized (ethics, Appendix A) order — is a
-:class:`~repro.plan.scanplan.ScanPlan` every collection takes as input;
-per-server pacing, retries, and failure accounting belong to the
-:class:`~repro.engine.batched.BatchedEngine` (see :mod:`repro.engine`); and
-every collection is executed by the plan's group runner
-(:mod:`repro.plan.shards`) as isolated per-server groups — the
-protective and correct collections through
-:func:`~repro.plan.shards.run_collection_groups`, the UR scan through
-:func:`~repro.plan.shards.run_shard_scan`, which the hunter hands to
-:meth:`ResponseCollector.collect_urs`.  The collector's own engine
-sends nothing: it is the ledger the groups merge into.
+The collector *interprets* responses and keeps stage 1's ledger.  The
+query matrix — which queries, in which randomized (ethics, Appendix A)
+order — is a :class:`~repro.plan.scanplan.ScanPlan` every collection
+takes as input; per-server pacing, retries, and failure accounting
+belong to the :class:`~repro.engine.batched.BatchedEngine` (see
+:mod:`repro.engine`); and every collection is executed as isolated
+per-server groups by :func:`~repro.plan.shards.run_group`, each on a
+fresh one-lane engine built from the run's
+:class:`~repro.core.hunter.HunterConfig` — the protective and correct
+collections through :meth:`ResponseCollector.run_phase`, the UR scan
+through :func:`~repro.plan.shards.run_shard_scan`, which the hunter
+hands to :meth:`ResponseCollector.collect_urs`.  The collector itself
+sends nothing: its ``metrics`` and ``resilience`` are the ledger the
+groups merge into, its ``budget`` anchors the run deadline, and its
+``query_cache`` is the query messages every group engine shares.
 """
 
 from __future__ import annotations
@@ -34,11 +37,20 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from ..dns.message import Message, Rcode
 from ..dns.name import Name
 from ..dns.rdata import A, MX, TXT, RRType
-from ..engine import BatchedEngine, QueryOutcome, ScanMetrics
+from ..engine import QueryOutcome, ScanMetrics
+from ..net.network import SimulatedInternet
 from ..obs.events import STAGE1 as OBS_STAGE1
 from ..pipeline.errors import StageFailed
-from ..plan.scanplan import ScanPlan
-from ..plan.shards import ScanFold, run_collection_groups
+from ..plan.scanplan import NameserverGroup, ScanPlan
+from ..plan.shards import (
+    GroupResult,
+    ReducedOutcome,
+    ScanFold,
+    isolated_phase,
+    run_group,
+    run_origin,
+)
+from ..resilience import DeadlineBudget, ResilienceMetrics
 from .correctness import CorrectRecordDatabase
 from .records import UndelegatedRecord, URTable
 
@@ -46,7 +58,7 @@ from .records import UndelegatedRecord, URTable
 class CollectionFailure(StageFailed):
     """Stage-1 collection died mid-flight.
 
-    The engine's partial :class:`~repro.engine.metrics.ScanMetrics` ride
+    The partial :class:`~repro.engine.metrics.ScanMetrics` ride
     along so a checkpointing caller can preserve the retry/timeout
     accounting of the attempts that *did* happen before the crash —
     without this, a failed collection silently discarded everything the
@@ -62,7 +74,7 @@ class CollectionFailure(StageFailed):
         super().__init__(f"stage1-collect/{collection}", cause)
         #: which of the three collections broke ("protective"/"correct"/"ur")
         self.collection = collection
-        #: partial engine accounting up to the failure (may be None)
+        #: partial scan accounting up to the failure (may be None)
         self.metrics = metrics
 
 
@@ -105,7 +117,7 @@ class CollectionResult:
     Returned by :meth:`ResponseCollector.collect_urs`: the unique URs
     (a :class:`~repro.core.records.URTable`) and wire counters of the
     scan, with the preamble's protective fingerprints and
-    correct-record database and the engine's scan metrics folded in.
+    correct-record database and the ledger's scan metrics folded in.
     """
 
     undelegated: Sequence[UndelegatedRecord] = field(default_factory=URTable)
@@ -118,7 +130,7 @@ class CollectionResult:
     timeouts: int = 0
     #: successful responses folded into ``correct_db`` by the preamble
     correct_successes: int = 0
-    #: engine observability for the whole collection run
+    #: scan observability for the whole collection run
     metrics: Optional[ScanMetrics] = None
     #: the scan start — virtual time after the protective probes, where
     #: the correct collection and the UR scan are both pinned — and
@@ -159,17 +171,31 @@ DEFAULT_QUERY_TYPES = (RRType.A, RRType.TXT)
 
 
 class ResponseCollector:
-    """Drives a scan plan's collections and interprets the responses."""
+    """Drives a scan plan's collections, interprets the responses and
+    keeps stage 1's ledger."""
 
-    def __init__(
-        self,
-        engine: BatchedEngine,
-        query_types: Sequence[int] = DEFAULT_QUERY_TYPES,
-    ):
-        self.engine = engine
-        self.network = engine.network
-        self.query_types = tuple(query_types)
-        self.network.register_stub(engine.scanner_ip)
+    def __init__(self, network: SimulatedInternet, config):
+        self.network = network
+        #: the run's HunterConfig: every group engine's policy and
+        #: controllers, and the record types to measure
+        self.config = config
+        self.query_types = tuple(config.query_types)
+        network.register_stub(config.scanner_ip)
+        #: the scan metrics every group merges into
+        self.metrics = ScanMetrics()
+        #: the resilience counters every group merges into
+        self.resilience = ResilienceMetrics()
+        #: the run's deadline budget; it only anchors the run origin
+        #: each group's own budget measures from
+        self.budget: Optional[DeadlineBudget] = None
+        if config.run_deadline > 0 or config.stage_deadline > 0:
+            self.budget = DeadlineBudget(
+                run_deadline=config.run_deadline,
+                stage_deadline=config.stage_deadline,
+            )
+        #: query messages every group engine shares (see
+        #: :meth:`~repro.engine.batched.BatchedEngine._query_for`)
+        self.query_cache: Dict[Tuple[object, int, bool], Message] = {}
         #: optional repro.obs.RunTrace — each completed collection phase
         #: is emitted as a deterministic ``collect.phase`` event
         self.trace = None
@@ -179,13 +205,13 @@ class ResponseCollector:
 
         Emitted *here* (not by the hunter after the fact) so breaker
         trips raised mid-phase land before their phase marker.  The
-        counters come from the engine's per-phase ledger, once the
-        phase's groups have been merged into it.
+        counters come from the per-phase ledger, once the phase's
+        groups have been merged into it.
         """
         if self.trace is None:
             return
         fields = {}
-        counters = self.engine.metrics.stages.get(phase)
+        counters = self.metrics.stages.get(phase)
         if counters is not None:
             fields = {
                 "queries": counters.queries,
@@ -209,14 +235,14 @@ class ResponseCollector:
 
         Protective fingerprints and correct-record profiles must be
         complete before the first UR can be classified.  Resets the
-        engine metrics, so the UR scan that follows accumulates into
-        the same ledger.  The protective probes end at the *scan start*
+        scan metrics, so the UR scan that follows accumulates into the
+        same ledger.  The protective probes end at the *scan start*
         ``origin + makespan(protective)`` — the classification epoch —
         and the correct collection starts there; the UR scan is pinned
         to it too, side by side with the correct collection (open
         resolvers and target nameservers are disjoint servers).
         """
-        self.engine.metrics = ScanMetrics()
+        self.metrics = ScanMetrics()
         protective = self._guarded(
             "protective", self.collect_protective_records, plan
         )
@@ -246,8 +272,39 @@ class ResponseCollector:
             raise
         except Exception as error:
             raise CollectionFailure(
-                collection, error, self.engine.metrics
+                collection, error, self.metrics
             ) from error
+
+    def run_phase(
+        self,
+        plan: ScanPlan,
+        collection: str,
+        fold: Callable[[int, QueryOutcome], None],
+    ) -> List[GroupResult]:
+        """Execute a preamble collection (``"protective"``/``"correct"``)
+        as one isolated group per server, in server-table order; returns
+        the groups' results, merged into the ledger.
+
+        The groups are the lanes of the collection's server column (unit
+        indices only — a task exists while its outcome is being folded).
+        ``fold`` takes each outcome, with its unit index, as it
+        completes.  The phase starts at the clock and ends at ``start +
+        makespan`` (:func:`~repro.plan.shards.isolated_phase`): the
+        correct collection starts where the protective probes ended,
+        the scan start the UR scan is pinned to as well.
+        """
+        start = self.network.now
+        origin = run_origin(self, start)
+        lanes = plan.units(collection).lanes().items()
+        with isolated_phase(self, collection, start) as finished:
+            for index, (server_ip, lane) in enumerate(lanes):
+                group = NameserverGroup(index, server_ip, lane)
+                finished.append(
+                    run_group(
+                        self, plan, collection, group, start, origin, fold
+                    )
+                )
+        return finished
 
     # -- undelegated records ----------------------------------------------
 
@@ -259,7 +316,7 @@ class ResponseCollector:
 
         ``scan`` is the plan's group runner bound to its run
         (:func:`repro.plan.shards.run_shard_scan`); it merges the
-        groups' accounting into this collector's engine ledger, so a
+        groups' accounting into this collector's ledger, so a
         scan that dies mid-group raises :class:`CollectionFailure`
         carrying the ledger up to the last completed group.
         """
@@ -271,29 +328,37 @@ class ResponseCollector:
             responses_seen=fold.responses,
             # every sent attempt either produced the answer or timed out
             timeouts=fold.attempts - fold.responses,
-            metrics=self.engine.metrics,
+            metrics=self.metrics,
         )
         return preamble.fold_into(result)
 
-    def urs_from_outcome(
-        self, outcome: QueryOutcome
-    ) -> List[UndelegatedRecord]:
-        """Candidate URs of one outcome (empty unless NOERROR answered)."""
+    def reduce_ur(self, index: int, outcome: QueryOutcome) -> ReducedOutcome:
+        """One UR outcome reduced to what the pipeline keeps — its unit
+        index, wire counters and candidate URs (none unless NOERROR
+        answered) — so its response message can be dropped."""
         response = outcome.response
-        if response is None:
-            return []
-        if response.header.rcode != Rcode.NOERROR:
-            return []
-        nameserver = outcome.task.tag
-        assert isinstance(nameserver, NameserverTarget)
-        return self._extract_urs(nameserver, outcome.task.qname, response)
+        urs: Tuple[UndelegatedRecord, ...] = ()
+        if response is not None and response.header.rcode == Rcode.NOERROR:
+            nameserver = outcome.task.tag
+            assert isinstance(nameserver, NameserverTarget)
+            urs = tuple(
+                self.extract_urs(nameserver, outcome.task.qname, response)
+            )
+        return ReducedOutcome(
+            index=index,
+            attempts=outcome.attempts,
+            answered=outcome.answered,
+            urs=urs,
+        )
 
-    def _extract_urs(
+    def extract_urs(
         self,
         nameserver: NameserverTarget,
         domain: Name,
         response: Message,
     ) -> List[UndelegatedRecord]:
+        """The answers of ``response`` in the measured record types, as
+        records ``nameserver`` served for ``domain``."""
         records: List[UndelegatedRecord] = []
         for answer in response.answers:
             if answer.rrtype not in self.query_types:
@@ -332,7 +397,7 @@ class ResponseCollector:
 
         # folded as each outcome completes: the profile is a union of
         # sets, so completion order cannot show
-        def fold(outcome: QueryOutcome) -> None:
+        def fold(index: int, outcome: QueryOutcome) -> None:
             nonlocal successes
             response = outcome.response
             if response is None:
@@ -349,7 +414,7 @@ class ResponseCollector:
                 elif isinstance(answer.rdata, MX):
                     correct_db.observe_mx(domain, answer.rdata.to_text())
 
-        run_collection_groups(self, plan, "correct", fold)
+        self.run_phase(plan, "correct", fold)
         return successes
 
     # -- protective records ------------------------------------------------------
@@ -367,7 +432,7 @@ class ResponseCollector:
             for address in plan.protective_units.servers
         }
 
-        def fold(outcome: QueryOutcome) -> None:
+        def fold(index: int, outcome: QueryOutcome) -> None:
             response = outcome.response
             if response is None:
                 return
@@ -384,5 +449,5 @@ class ResponseCollector:
                         (RRType.TXT, answer.rdata.value)
                     )
 
-        run_collection_groups(self, plan, "protective", fold)
+        self.run_phase(plan, "protective", fold)
         return fingerprints

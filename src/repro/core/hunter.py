@@ -5,7 +5,7 @@ Wires the three stages together exactly as §4 describes:
 1. :class:`~repro.core.collector.ResponseCollector` gathers URs, correct
    records (open resolvers + passive DNS) and protective fingerprints —
    every collection as isolated per-server groups
-   (:mod:`repro.plan.shards`), each on a fresh
+   (:mod:`repro.plan.shards`), each on a fresh one-lane
    :class:`~repro.engine.batched.BatchedEngine`;
 2. :class:`~repro.core.suspicion.SuspicionFilter` excludes correct and
    protective records;
@@ -33,8 +33,8 @@ from typing import (
 
 from ..dns.message import Message, Rcode
 from ..dns.name import Name
-from ..dns.rdata import A, TXT, RRType
-from ..engine import BatchedEngine, EnginePolicy
+from ..dns.rdata import RRType
+from ..engine import EnginePolicy
 from ..intel.aggregator import ThreatIntelAggregator
 from ..intel.ipinfo import IpInfoDatabase
 from ..intel.pdns import PassiveDnsStore
@@ -57,7 +57,6 @@ from ..plan.shards import (
     pin_group,
     run_shard_scan,
 )
-from ..resilience import AimdController, DeadlineBudget
 from ..sandbox.ids import Severity
 from ..sandbox.sandbox import SandboxReport
 from .analysis import MaliciousAnalysisResult, MaliciousBehaviorAnalyzer
@@ -332,27 +331,12 @@ class URHunter:
         self.pdns = pdns
         self.sandbox_reports = list(sandbox_reports)
         self.config = config or HunterConfig()
-        self.engine = BatchedEngine(
-            network,
-            self.config.scanner_ip,
-            policy=self.config.engine_policy(),
-        )
-        # Every resilience mechanism is a deterministic no-op on a
-        # healthy world (clean runs are byte-identical to a config with
-        # all of these off).
-        if self.config.run_deadline > 0 or self.config.stage_deadline > 0:
-            self.engine.budget = DeadlineBudget(
-                run_deadline=self.config.run_deadline,
-                stage_deadline=self.config.stage_deadline,
-            )
-        self.engine.hedge_delay = self.config.hedge_delay
-        if self.config.aimd:
-            self.engine.aimd = AimdController()
-        #: the engine's resilience counters
-        self.resilience = self.engine.resilience
-        self.collector = ResponseCollector(
-            self.engine, query_types=self.config.query_types
-        )
+        #: stage 1's collector, which is also its ledger: the scan and
+        #: resilience metrics every group merges into, the run's
+        #: deadline budget and the shared query messages
+        self.collector = ResponseCollector(network, self.config)
+        #: the stage-1 resilience counters
+        self.resilience = self.collector.resilience
         #: the stage-1 scan plan of the *configured* targets; a pure
         #: value of (world, config), built before any packet moves —
         #: its hash is the identity checkpoints and traces stamp.
@@ -387,9 +371,8 @@ class URHunter:
         self.trace: Optional[RunTrace] = None
 
     def attach_trace(self, trace: Optional[RunTrace]) -> None:
-        """Wire one event bus through the hunter, engine, and collector."""
+        """Wire one event bus through the hunter and its collector."""
         self.trace = trace
-        self.engine.trace = trace
         self.collector.trace = trace
         if trace is not None:
             trace.bind_plan(self.plan.plan_hash)
@@ -680,6 +663,7 @@ class URHunter:
         ``start + makespan``.  The sample keeps the targets' order.
         """
         network = self.network
+        collector = self.collector
         scanner_ip = self.config.scanner_ip
         nameserver_by_ip = {
             target.address: target for target in self.nameservers
@@ -695,11 +679,12 @@ class URHunter:
             by_server.setdefault(address, []).append(position)
         answered: Dict[int, List[UndelegatedRecord]] = {}
         start = network.now
-        with isolated_phase(self, "sample", start) as finished:
+        with isolated_phase(collector, "sample", start) as finished:
             for group, (address, positions) in enumerate(by_server.items()):
                 pin_group(network, start, "sample", address)
-                info = nameserver_by_ip.get(address)
-                provider = info.provider if info is not None else "unknown"
+                nameserver = nameserver_by_ip.get(address)
+                if nameserver is None:
+                    nameserver = NameserverTarget(address, "unknown")
                 for position in positions:
                     domain, _, qtype = queries[position]
                     query = Message.make_query(
@@ -713,21 +698,9 @@ class URHunter:
                         continue
                     if response.header.rcode != Rcode.NOERROR:
                         continue
-                    answered[position] = [
-                        UndelegatedRecord(
-                            domain=domain,
-                            nameserver_ip=address,
-                            provider=provider,
-                            rrtype=answer.rrtype,
-                            rdata_text=(
-                                answer.rdata.address
-                                if isinstance(answer.rdata, A)
-                                else answer.rdata.value
-                            ),
-                        )
-                        for answer in response.answers
-                        if isinstance(answer.rdata, (A, TXT))
-                    ]
+                    answered[position] = collector.extract_urs(
+                        nameserver, domain, response
+                    )
                 end_group(network, address)
                 # no engine, so no ledger: only the elapsed time merges
                 finished.append(

@@ -1,27 +1,27 @@
-"""The scan engine: one task after another over the virtual clock.
+"""The scan engine: one server's lane, one task after another.
 
-:meth:`BatchedEngine.execute_iter` drives its tasks strictly in order —
-the next task is not read before the previous outcome was yielded — and
-is handed one nameserver's tasks at a time: a stage-1 phase runs every
-server as its own isolated group and lasts as long as its slowest one
-(:func:`repro.plan.shards.isolated_phase`), so overlap *across* servers
-is the phase's clock rule, not this loop's.  A mixed-server task list
-is still legal — pacing, breaker and AIMD state are keyed by server —
-it just never overlaps anything.
+A :class:`BatchedEngine` is built for one server in one stage-1 phase
+and drives that lane's tasks strictly in order over the virtual clock —
+the next task is not read before the previous outcome was yielded.  A
+phase runs every server as its own isolated group on a fresh engine and
+lasts as long as its slowest one (:func:`repro.plan.shards.run_group`,
+:func:`repro.plan.shards.isolated_phase`), so overlap across servers is
+the phase's clock rule, not this loop's.  The lane's pacing bucket,
+round-trip estimator and AIMD credit are one value each.
 
 Each task goes through the same steps, re-entered from the top after
 every wait:
 
 * **budget** — a spent run or stage deadline sheds the task (``SHED``)
   without touching the wire;
-* **pacing** — the per-server token bucket and, when attached, the AIMD
-  send credit say when the next send may go; the loop waits for the
-  later of the two.  AIMD stretches the lane's own healthy interval —
-  the larger of ``policy.per_server_interval`` and the server's
-  smoothed round trip — never a fraction of the timeout: the retry
-  timer is already waited out below, once;
+* **pacing** — the token bucket and, when attached, the AIMD send
+  credit say when the next send may go; the loop waits for the later
+  of the two.  AIMD stretches the lane's own healthy interval — the
+  larger of ``policy.per_server_interval`` and the server's smoothed
+  round trip — never a fraction of the timeout: the retry timer is
+  already waited out below, once;
 * **circuit breaker** — after the breaker's ``failure_threshold``
-  consecutive failures a server's circuit opens and its tasks are
+  consecutive failures the server's circuit opens and its tasks are
   ``SKIPPED``; after its ``reset_interval`` virtual seconds one
   half-open probe decides whether sending resumes;
 * **send** — an answer ends the task; a timeout is retried up to
@@ -41,10 +41,10 @@ left would shed, so waiting out timers would only inflate the clock.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from ..dns.message import Message
-from ..net.network import DnsChannel, NetworkError, SimulatedInternet
+from ..net.network import NetworkError, SimulatedInternet
 from ..obs.events import STAGE1 as OBS_STAGE1
 from ..resilience.metrics import ResilienceMetrics
 from .api import (
@@ -57,50 +57,55 @@ from .api import (
 from .breaker import CircuitBreaker
 from .latency import ServerLatency
 from .metrics import ScanMetrics
-from .ratelimit import RateLimiter
+from .ratelimit import TokenBucket
 
 
 class BatchedEngine:
-    """Drive query tasks over the simulated internet, one at a time."""
+    """Drive one server's query tasks in one phase, one at a time."""
 
     def __init__(
         self,
         network: SimulatedInternet,
         scanner_ip: str,
+        server_ip: str,
+        phase: str,
         policy: Optional[EnginePolicy] = None,
     ):
         self.network = network
         self.scanner_ip = scanner_ip
+        #: the one server every task is sent to ...
+        self.server_ip = server_ip
+        #: ... and the stage-1 phase every task is counted under
+        self.phase = phase
         self.policy = policy or EnginePolicy()
-        #: cumulative observability counters across execute() calls
+        #: observability counters, cumulative across drives
         self.metrics = ScanMetrics()
-        self._limiter = RateLimiter(self.policy.per_server_interval)
+        self._bucket = TokenBucket(self.policy.per_server_interval)
         self.breaker = CircuitBreaker()
+        #: the lane's DNS path — host/fault lookups are resolved once
+        #: per topology generation, not once per query
+        self._channel = network.open_channel(scanner_ip, server_ip)
         #: query messages by (qname, qtype, rd), built once and re-sent;
-        #: engines scanning the same names may share one dict (the group
-        #: runner hands every group engine the parent's)
+        #: engines scanning the same names may share one dict (every
+        #: group engine gets the collector's)
         self.query_cache: Dict[Tuple[object, int, bool], Message] = {}
         #: optional repro.obs.RunTrace — breaker trips, hedges, AIMD cuts
         #: and budget exhaustion are emitted as deterministic events
         #: when attached
         self.trace = None
-        #: optional resilience controllers (attached by URHunter; all
-        #: are strict no-ops when None, and deterministic no-ops on a
-        #: healthy world when attached)
+        #: optional resilience controllers (all are strict no-ops when
+        #: None, and deterministic no-ops on a healthy world when
+        #: attached)
         self.budget = None  # repro.resilience.DeadlineBudget
         self.aimd = None    # repro.resilience.AimdController
         #: the hedge timer of an unmeasured server and its ceiling
         #: afterwards (0 = hedging off: bare timeout + backoff)
         self.hedge_delay = 0.0
-        #: each server's round-trip estimate, fed on every answer while
+        #: the server's round-trip estimate, fed on every answer while
         #: hedging or AIMD is on; both read their waits from it
         self.observed = ServerLatency()
         #: deterministic counters for the resilience layer
         self.resilience = ResilienceMetrics()
-
-    def execute(self, tasks: Sequence[QueryTask]) -> List[QueryOutcome]:
-        """Drive every task to completion; outcomes in task order."""
-        return [outcome for _, outcome in self.execute_iter(tasks)]
 
     def execute_iter(
         self, tasks: Sequence[QueryTask]
@@ -108,20 +113,26 @@ class BatchedEngine:
         """Drive ``tasks`` lazily, yielding one ``(task_index, outcome)``
         pair per task, in task order: the indices are 0, 1, 2, ...
 
-        ``tasks`` is any ``Sequence[QueryTask]`` — a list, or a lazy view
-        such as :class:`repro.plan.scanplan.PlannedTasks` that builds a
-        task when read; a task is read only after the previous outcome
-        was yielded, so at most one exists at a time.  The generator
-        only advances (and the virtual clock only ticks) when the
-        consumer pulls: not pulling pauses the scan.
+        ``tasks`` is any ``Sequence[QueryTask]`` of this engine's lane —
+        a list, or a lazy view such as
+        :class:`repro.plan.scanplan.PlannedTasks` that builds a task
+        when read; a task is read only after the previous outcome was
+        yielded, so at most one exists at a time.  The generator only
+        advances (and the virtual clock only ticks) when the consumer
+        pulls: not pulling pauses the scan.
         """
         if not tasks:
             return
         network = self.network
         policy = self.policy
-        limiter = self._limiter
-        pacing = limiter.enabled
+        interval = policy.per_server_interval
+        bucket = self._bucket
+        pacing = interval > 0
         breaker = self.breaker
+        server_ip = self.server_ip
+        phase = self.phase
+        channel = self._channel
+        counters = self.metrics.stage(phase)
         latency = self.metrics.latency
         budget = self.budget
         # a task that may not retry has no hedge to fire
@@ -129,31 +140,13 @@ class BatchedEngine:
         timeout = policy.timeout
         aimd = self.aimd
         observed = self.observed
-        interval = policy.per_server_interval
         resilience = self.resilience
         wait_until = self._wait_until
         if budget is not None:
             budget.begin(network.now)
-
-        #: one pinned DNS path per server — host/fault lookups are
-        #: resolved once per topology generation, not once per query
-        channels: Dict[str, DnsChannel] = {}
-        # per-stage counter cache (task streams are usually single-stage)
-        stage_name: Optional[str] = None
-        counters = None
+            budget.enter_phase(phase, network.now)
 
         for index, task in enumerate(tasks):
-            if task.stage != stage_name:
-                stage_name = task.stage
-                counters = self.metrics.stage(stage_name)
-                if budget is not None:
-                    budget.enter_phase(stage_name, network.now)
-            server_ip = task.server_ip
-            channel = channels.get(server_ip)
-            if channel is None:
-                channel = channels[server_ip] = network.open_channel(
-                    self.scanner_ip, server_ip
-                )
             #: attempts already sent for this task
             attempts = 0
             #: the in-flight attempt is the hedge
@@ -166,17 +159,17 @@ class BatchedEngine:
                 # not been sent yet (a pure function of the virtual
                 # clock, so every replay sheds identically)
                 if budget is not None:
-                    reason = budget.check(now, stage_name)
+                    reason = budget.check(now, phase)
                     if reason is not None:
                         counters.shed += 1
                         resilience.note_shed(reason)
-                        if budget.announce(stage_name, reason) and (
+                        if budget.announce(phase, reason) and (
                             self.trace is not None
                         ):
                             self.trace.emit(
                                 "budget.exhausted",
                                 stage=OBS_STAGE1,
-                                phase=stage_name,
+                                phase=phase,
                                 reason=reason,
                             )
                         yield index, QueryOutcome(
@@ -188,17 +181,14 @@ class BatchedEngine:
                         break
 
                 if pacing or aimd is not None:
-                    token_ready = (
-                        limiter.ready_at(server_ip, now) if pacing else now
-                    )
+                    token_ready = bucket.ready_at(now) if pacing else now
                     send_ready = token_ready
                     if aimd is not None:
                         # what the lane does when healthy: its pacing,
                         # or unpaced the round trip it has seen answered
-                        healthy = max(interval, observed.srtt(server_ip))
+                        healthy = max(interval, observed.srtt())
                         send_ready = max(
-                            token_ready,
-                            aimd.ready_at(server_ip, now, healthy),
+                            token_ready, aimd.ready_at(now, healthy)
                         )
                     if send_ready > now:
                         pace_wait = token_ready - now
@@ -224,15 +214,15 @@ class BatchedEngine:
                     break
 
                 if pacing:
-                    limiter.take(server_ip, now)
+                    bucket.take(now)
                 if aimd is not None:
-                    aimd.note_send(server_ip, now)
+                    aimd.note_send(now)
                 attempts += 1
                 counters.queries += 1
                 # the retransmission timer in force for this attempt
                 timer = timeout
                 if hedge_delay:
-                    rto = observed.rto(server_ip)
+                    rto = observed.rto()
                     if attempts == 1:
                         timer = min(hedge_delay, rto)
                     else:
@@ -248,14 +238,14 @@ class BatchedEngine:
                 if response is not None:
                     breaker.record_success(server_ip)
                     if aimd is not None:
-                        aimd.on_success(server_ip)
+                        aimd.on_success()
                     if round_trip > timer:
                         resilience.spurious_retransmits += 1
                     if hedge_delay or aimd is not None:
-                        observed.observe(server_ip, round_trip)
+                        observed.observe(round_trip)
                     if hedging:
                         resilience.hedges_won += 1
-                        self._emit("hedge.won", task)
+                        self._emit("hedge.won")
                     counters.responses += 1
                     latency.record(round_trip)
                     yield index, QueryOutcome(
@@ -270,10 +260,10 @@ class BatchedEngine:
                 # timed out
                 counters.timeouts += 1
                 if breaker.record_failure(server_ip, now):
-                    self._emit("breaker.trip", task)
-                if aimd is not None and aimd.on_failure(server_ip):
+                    self._emit("breaker.trip")
+                if aimd is not None and aimd.on_failure():
                     resilience.aimd_cuts += 1
-                    self._emit("aimd.cut", task)
+                    self._emit("aimd.cut")
 
                 latency.record(round_trip + timer)
                 free_at = now + timer
@@ -284,13 +274,13 @@ class BatchedEngine:
                     counters.retries += 1
                     hedging = True
                     resilience.hedges_fired += 1
-                    self._emit("hedge.fired", task)
+                    self._emit("hedge.fired")
                     wait_until(free_at)
                     continue
                 if hedging:
                     hedging = False
                     resilience.hedges_wasted += 1
-                    self._emit("hedge.wasted", task)
+                    self._emit("hedge.wasted")
                 if attempts > policy.retries:
                     counters.giveups += 1
                     yield index, QueryOutcome(
@@ -319,16 +309,16 @@ class BatchedEngine:
         ):
             self.network.tick(ready_at - now)
 
-    def _emit(self, name: str, task: QueryTask) -> None:
-        """One deterministic per-server event (every engine-driven
+    def _emit(self, name: str) -> None:
+        """One deterministic event of this lane (every engine-driven
         collection belongs to stage 1), when a trace is attached."""
         if self.trace is not None:
             self.trace.emit(
                 name,
                 stage=OBS_STAGE1,
                 scope="nameserver",
-                server=task.server_ip,
-                phase=task.stage,
+                server=self.server_ip,
+                phase=self.phase,
             )
 
     def _query_for(self, task: QueryTask) -> Message:

@@ -1,9 +1,9 @@
 """Per-server pacing against the virtual clock.
 
 Appendix A of the paper commits to roughly one query per nameserver per
-130 seconds.  A token bucket per server enforces exactly that invariant
-for any engine: a query may only be sent when the server's bucket holds
-a token, and tokens refill at ``1 / interval`` per virtual second.
+130 seconds.  Each engine's token bucket enforces exactly that for the
+one server it drives: a query may only be sent when the bucket holds a
+token, and tokens refill at ``1 / interval`` per virtual second.
 """
 
 from __future__ import annotations
@@ -82,34 +82,23 @@ class TokenBucket:
 
 
 class RateLimiter:
-    """Token buckets keyed by server address."""
+    """Token buckets keyed by name: the per-source cool-downs of
+    :class:`~repro.pipeline.resilience.SourceGuard` (the scan engine
+    paces its one server with a single :class:`TokenBucket`)."""
 
     def __init__(self, interval: float):
         self.interval = interval
         self._buckets: Dict[str, TokenBucket] = {}
 
-    @property
-    def enabled(self) -> bool:
-        return self.interval > 0
-
-    def _bucket(self, server_ip: str) -> TokenBucket:
-        bucket = self._buckets.get(server_ip)
+    def _bucket(self, key: str) -> TokenBucket:
+        bucket = self._buckets.get(key)
         if bucket is None:
-            bucket = self._buckets[server_ip] = TokenBucket(self.interval)
+            bucket = self._buckets[key] = TokenBucket(self.interval)
         return bucket
 
-    def ready_at(self, server_ip: str, now: float) -> float:
-        if not self.enabled:
-            return now
-        return self._bucket(server_ip).ready_at(now)
+    def ready_at(self, key: str, now: float) -> float:
+        return self._bucket(key).ready_at(now)
 
-    def take(self, server_ip: str, now: float) -> None:
-        if not self.enabled:
-            return
-        self._bucket(server_ip).take(now)
-
-    def penalize(self, server_ip: str, now: float) -> None:
+    def penalize(self, key: str, now: float) -> None:
         """Debit without a readiness check (see :meth:`TokenBucket.penalize`)."""
-        if not self.enabled:
-            return
-        self._bucket(server_ip).penalize(now)
+        self._bucket(key).penalize(now)

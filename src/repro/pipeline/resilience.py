@@ -207,16 +207,18 @@ class SourceGuard:
         ledger = self.health(source)
         ledger.calls += 1
         was_degraded = ledger.degraded
-        if not self.breaker.allow(source, self._clock):
-            ledger.skipped += 1
-            self._note_degraded(
-                source, ledger, was_degraded, "circuit-open"
-            )
-            return False, None
+        # the cool-down first: a breaker that lets its half-open probe
+        # through must see it sent, or the circuit stays half-open
         if self.limiter.ready_at(source, self._clock) > self._clock:
             ledger.skipped += 1
             self._note_degraded(
                 source, ledger, was_degraded, "rate-limit-cooldown"
+            )
+            return False, None
+        if not self.breaker.allow(source, self._clock):
+            ledger.skipped += 1
+            self._note_degraded(
+                source, ledger, was_degraded, "circuit-open"
             )
             return False, None
         attempt = 0

@@ -26,7 +26,7 @@ from .shards import (
     decode_group_result,
     encode_group_result,
     fold_resilience,
-    run_group_isolated,
+    run_group,
     run_shard_scan,
 )
 
@@ -44,6 +44,6 @@ __all__ = [
     "decode_group_result",
     "encode_group_result",
     "fold_resilience",
-    "run_group_isolated",
+    "run_group",
     "run_shard_scan",
 ]

@@ -248,16 +248,18 @@ class PlannedTasks(Sequence[QueryTask]):
 
 @dataclass(frozen=True)
 class NameserverGroup:
-    """All UR units aimed at one nameserver — the unit of execution,
+    """All units of one collection aimed at one nameserver — the unit
+    of execution (:func:`repro.plan.shards.run_group`); the plan's
+    :attr:`ScanPlan.groups`, the UR scan's, are also the unit of
     storage and resumption.
 
-    ``unit_indices`` (an ``array('I')``) index into
-    :attr:`ScanPlan.ur_units` (the global, shuffled scan order), so
-    merging group results back into one sequence is a sort by index,
-    not a re-shuffle.  Groups are keyed by nameserver because
-    per-server pacing, circuit breaking, and fault profiles are all
-    server-scoped: a group is the largest slice that can run in
-    isolation without changing any engine decision.
+    ``unit_indices`` (an ``array('I')``) index into the collection's
+    units — :attr:`ScanPlan.ur_units` for a UR group (the global,
+    shuffled scan order), so merging group results back into one
+    sequence is a sort by index, not a re-shuffle.  Groups are keyed by
+    nameserver because per-server pacing, circuit breaking, and fault
+    profiles are all server-scoped: a group is the largest slice that
+    can run in isolation without changing any engine decision.
     """
 
     index: int

@@ -1,14 +1,17 @@
 """The stage-1 executor: every collection as per-server groups, in isolation.
 
-Every stage-1 query — the protective and correct collections
-(:func:`run_collection_groups`), the UR scan (:func:`run_shard_scan`)
-and the §4.2 delegated sample — runs in a *group*:
-the queries aimed at one server, which never wait on any other
-server's.  All groups run in this process, one after another; the
-virtual clock models them as parallel.  The guarantees rest on one
-invariant: **a group's outcome is a pure function of the static world,
-the run origin, the phase start, and the config** — never of what ran
-before it (:func:`isolated_phase`, :func:`pin_group`):
+Every stage-1 query — the protective and correct collections, the UR
+scan (:func:`run_shard_scan`) and the §4.2 delegated sample — runs in a
+*group*: the queries aimed at one server, which never wait on any other
+server's.  One function executes a group of any phase,
+:func:`run_group`: pin, build the group's engine, drive the server's
+lane, end the group; the caller passes the fold (the preamble's
+fingerprint and profile folds, the UR scan's reduction).  All groups
+run in this process, one after another; the virtual clock models them
+as parallel.  The guarantees rest on one invariant: **a group's
+outcome is a pure function of the static world, the run origin, the
+phase start, and the config** — never of what ran before it
+(:func:`isolated_phase`, :func:`pin_group`):
 
 * **one clock rule** — the virtual clock is pinned to the phase start
   before each group, and the parent clock ends the phase at
@@ -33,26 +36,25 @@ before it (:func:`isolated_phase`, :func:`pin_group`):
   authoritative server's compiled answers), since its next question
   may never come.  Every group of every phase starts cold, so the
   groups behind one shared resolver all pay the same, in any order;
-* every group gets a fresh engine, pacing/breaker state, round-trip
-  estimator and AIMD controller, and a deadline budget whose run
-  deadline is measured from the *run origin* the parent budget pinned
-  (the protective probes count against it; no group is granted the
-  whole budget again) — stage deadlines anchor at the group's first
-  task, as in any phase.
+* every group gets a fresh one-lane engine — pacing bucket, breaker,
+  round-trip estimator and AIMD credit — and a deadline budget whose
+  run deadline is measured from the *run origin* the ledger's budget
+  pinned (the protective probes count against it; no group is granted
+  the whole budget again) — stage deadlines anchor at the group's
+  first task, as in any phase.
 
-The parent engine sends nothing: it is the ledger the groups merge
-into, the origin of the run deadline, and the shared query-message
-cache.  A group is folded the moment it is in hand (the UR scan's
-:class:`ScanFold`: wire counters summed, the URs appended to one UR
-table, deduped per group; the preamble's fingerprint and profile
-folds, outcome by outcome); its small ledgers —
+The ledger is the hunter's collector: the metrics and resilience
+counters the groups merge into, the budget that anchors the run
+deadline, and the shared query-message cache.  A group is folded the
+moment it is in hand (the UR scan's :class:`ScanFold`: wire counters
+summed, the URs appended to one UR table, deduped per group; the
+preamble's folds, outcome by outcome); its small ledgers —
 ``ScanMetrics``, resilience counters, buffered engine trace events,
-elapsed time — wait for the merge into
-the parent objects in group order.  Only UR groups are stored; their
-results are JSON-encoded only at the persistence boundary (a
-result-store slot), and a stored slot is read and decoded into the
-same fold only when its group's turn comes.  The invariant is also
-the result store's key: :func:`repro.incremental.store.group_state`
+elapsed time — wait for the merge in group order.  Only UR groups are
+stored; their results are JSON-encoded only at the persistence
+boundary (a result-store slot), and a stored slot is read and decoded
+into the same fold only when its group's turn comes.  The invariant is
+also the result store's key: :func:`repro.incremental.store.group_state`
 spells out each input, so a stored group — from an earlier run, or
 from the run a ``--resume`` continues — replays whenever they all
 match.
@@ -98,8 +100,8 @@ __all__ = [
     "pin_group",
     "end_group",
     "isolated_phase",
-    "run_collection_groups",
-    "run_group_isolated",
+    "run_origin",
+    "run_group",
     "encode_record",
     "decode_record",
     "encode_metrics",
@@ -225,26 +227,26 @@ def pin_group(network, start: float, phase: str, server_ip: str) -> None:
 
 @contextmanager
 def isolated_phase(
-    scan, phase: str, start: float
+    ledger, phase: str, start: float
 ) -> Iterator[List[GroupResult]]:
     """One stage-1 phase of isolated groups, from ``start``.
 
-    ``scan`` is whoever owns the parent ``network``, ``engine`` and
-    ``trace`` (the hunter, or its collector).  The body pins each group
+    ``ledger`` is the stage-1 ledger — the hunter's collector — and
+    owns the ``network``, the ``metrics`` and ``resilience`` the groups
+    merge into, and the ``trace``.  The body pins each group
     (:func:`pin_group`) and appends every group it has in hand to the
     yielded list.  On the way out — also when a group raised, so a
     failure report carries the phase up to that point — the parent
     fault RNG is restored (whatever runs next sees an RNG the groups
-    did not draw from), the parent engine ledger, resilience
-    counters and trace absorb the groups in ``group`` order, the parent
-    clock ends at ``start + makespan`` or at the clock found on entry,
-    whichever is later (a phase that started side by side with an
-    earlier, longer one leaves that one's end in place), and one
-    ``phase.makespan`` timing event places the phase on the run's
-    clock — its ``start`` from the trace's run origin — and says which
-    server set its length.
+    did not draw from), the ledger and trace absorb the groups in
+    ``group`` order, the parent clock ends at ``start + makespan`` or
+    at the clock found on entry, whichever is later (a phase that
+    started side by side with an earlier, longer one leaves that one's
+    end in place), and one ``phase.makespan`` timing event places the
+    phase on the run's clock — its ``start`` from the trace's run
+    origin — and says which server set its length.
     """
-    network = scan.network
+    network = ledger.network
     entered = network.now
     rng_state = network._fault_rng.getstate()
     finished: List[GroupResult] = []
@@ -254,16 +256,16 @@ def isolated_phase(
         restored = random.Random()
         restored.setstate(rng_state)
         network._fault_rng = restored
-        engine, trace = scan.engine, scan.trace
+        trace = ledger.trace
         makespan, critical = 0.0, None
         finished.sort(key=attrgetter("group"))
         for result in finished:
             if trace is not None:
                 for event, stage, fields in result.events:
                     trace.emit(event, stage=stage, **fields)
-            engine.metrics.merge(result.metrics)
+            ledger.metrics.merge(result.metrics)
             if result.resilience:
-                fold_resilience(engine.resilience, result.resilience)
+                fold_resilience(ledger.resilience, result.resilience)
             if critical is None or result.elapsed > makespan:
                 makespan, critical = result.elapsed, result.server_ip
         network.set_clock(max(start + makespan, entered))
@@ -288,118 +290,86 @@ def end_group(network, server_ip: str) -> None:
         flush()
 
 
-def _group_engine(scan, origin: float):
-    """A fresh engine + resilience controllers for one group: the
-    parent engine's policy and controller settings, none of its state.
+def _group_engine(ledger, server_ip: str, phase: str, origin: float):
+    """A fresh engine for one group: the run's configured policy and
+    controllers (``ledger.config``, a
+    :class:`~repro.core.hunter.HunterConfig`), no state of any other
+    group.
 
-    The deadline budget is anchored at ``origin`` — where the parent
+    The deadline budget is anchored at ``origin`` — where the ledger's
     budget began the run — not at the phase start the group's clock is
-    pinned to.  Only the query messages are shared with the parent
-    engine: every group asks the same (qname, qtype) questions, and a
+    pinned to.  Only the query messages are shared, through the
+    ledger: every group asks the same (qname, qtype) questions, and a
     re-sent message keeps the servers' compiled answers on their
     cheapest path.
     """
-    parent = scan.engine
+    config = ledger.config
     engine = BatchedEngine(
-        scan.network, parent.scanner_ip, policy=parent.policy
+        ledger.network,
+        config.scanner_ip,
+        server_ip,
+        phase,
+        config.engine_policy(),
     )
-    engine.query_cache = parent.query_cache
+    engine.query_cache = ledger.query_cache
     engine.trace = RunTrace()
-    if parent.budget is not None:
+    if ledger.budget is not None:
         engine.budget = DeadlineBudget(
-            run_deadline=parent.budget.run_deadline,
-            stage_deadline=parent.budget.stage_deadline,
+            run_deadline=config.run_deadline,
+            stage_deadline=config.stage_deadline,
         )
         engine.budget.begin(origin)
-    engine.hedge_delay = parent.hedge_delay
-    if parent.aimd is not None:
+    engine.hedge_delay = config.hedge_delay
+    if config.aimd:
         engine.aimd = AimdController()
     return engine
 
 
-def _run_origin(engine, start: float) -> float:
+def run_origin(ledger, start: float) -> float:
     """Where group budgets measure the run deadline from: where the
     run began, not the phase start every group's clock is pinned to."""
-    return start if engine.budget is None else engine.budget.begin(start)
+    return start if ledger.budget is None else ledger.budget.begin(start)
 
 
-def _group_result(
-    engine, group: int, server_ip: str, elapsed: float, outcomes
+def run_group(
+    ledger,
+    plan: ScanPlan,
+    phase: str,
+    group: NameserverGroup,
+    start: float,
+    origin: float,
+    fold: Callable[[int, Any], Any],
 ) -> GroupResult:
+    """Execute one group of any phase in isolation: pin the clock and
+    fault RNG (:func:`pin_group`), drive the server's lane on a fresh
+    engine, end the group (:func:`end_group`).
+
+    ``group.unit_indices`` index ``plan.units(phase)``; only their
+    tasks are built, one while its outcome is folded.  ``fold`` takes
+    each outcome with its unit index the moment it completes — the
+    engine yields in task order — and whatever it returns other than
+    ``None`` (the UR scan's :class:`ReducedOutcome`) is kept, in that
+    order, as the group's outcomes; a preamble fold keeps nothing.
+    """
+    network = ledger.network
+    server_ip = group.server_ip
+    indices = group.unit_indices
+    pin_group(network, start, phase, server_ip)
+    engine = _group_engine(ledger, server_ip, phase, origin)
+    kept = []
+    for position, outcome in engine.execute_iter(plan.tasks(phase, indices)):
+        reduced = fold(indices[position], outcome)
+        if reduced is not None:
+            kept.append(reduced)
+    end_group(network, server_ip)
     return GroupResult(
-        group=group,
+        group=group.index,
         server_ip=server_ip,
-        elapsed=elapsed,
-        outcomes=outcomes,
+        elapsed=network.now - start,
+        outcomes=kept,
         metrics=engine.metrics,
         resilience=_encode_resilience(engine.resilience),
         events=engine.trace.raw_events(),
-    )
-
-
-def run_collection_groups(
-    scan, plan: ScanPlan, collection: str, fold: Callable[[Any], None]
-) -> None:
-    """Execute a preamble collection (``"protective"``/``"correct"``)
-    as one isolated group per server, in server-table order.
-
-    The groups are the lanes of the collection's server column (unit
-    indices only — a task exists while its outcome is being folded).
-    ``fold`` takes each :class:`~repro.engine.api.QueryOutcome` as it
-    completes.  The phase starts at the parent clock and ends at
-    ``start + makespan`` (:func:`isolated_phase`): the correct
-    collection starts where the protective probes ended, the scan
-    start the UR scan is pinned to as well.
-    """
-    network = scan.network
-    start = network.now
-    origin = _run_origin(scan.engine, start)
-    with isolated_phase(scan, collection, start) as finished:
-        for index, (server_ip, lane) in enumerate(
-            plan.units(collection).lanes().items()
-        ):
-            pin_group(network, start, collection, server_ip)
-            engine = _group_engine(scan, origin)
-            for _, outcome in engine.execute_iter(
-                plan.tasks(collection, lane)
-            ):
-                fold(outcome)
-            end_group(network, server_ip)
-            finished.append(
-                _group_result(
-                    engine, index, server_ip, network.now - start, []
-                )
-            )
-
-
-def run_group_isolated(
-    hunter, plan: ScanPlan, group: NameserverGroup, epoch: float, origin: float
-) -> GroupResult:
-    """Pin the clock and fault RNG for one UR group, then execute it.
-
-    Each outcome is reduced the moment it completes (its response
-    message is dropped before the next task is driven); the engine
-    yields in task order, so the reduced outcomes are in ``index`` order.
-    """
-    network = hunter.network
-    pin_group(network, epoch, "ur", group.server_ip)
-    engine = _group_engine(hunter, origin)
-    extract_urs = hunter.collector.urs_from_outcome
-    indices = group.unit_indices
-    reduced = [
-        ReducedOutcome(
-            index=indices[position],
-            attempts=outcome.attempts,
-            answered=outcome.answered,
-            urs=tuple(extract_urs(outcome)),
-        )
-        for position, outcome in engine.execute_iter(
-            plan.tasks("ur", indices)
-        )
-    ]
-    end_group(network, group.server_ip)
-    return _group_result(
-        engine, group.index, group.server_ip, network.now - epoch, reduced
     )
 
 
@@ -420,9 +390,9 @@ def _encode_resilience(resilience) -> Dict[str, Any]:
 
 
 def fold_resilience(target, data: Dict[str, Any]) -> None:
-    """Fold encoded group counters into the parent's metrics in place.
+    """Fold encoded group counters into the ledger's metrics in place.
 
-    In place because the hunter and its engine alias one
+    In place because the hunter and its collector alias one
     :class:`~repro.resilience.metrics.ResilienceMetrics` instance; a
     fold into a new object would silently break that aliasing.
     """
@@ -622,26 +592,32 @@ def run_shard_scan(hunter, plan: ScanPlan, epoch: float) -> ScanFold:
 
     The groups run in index order, the order the plan fixed.  Each one
     comes from exactly one source — a result-store hit, decoded from
-    its slot just before it folds, or an isolated execution — and is
-    folded, and stored if a result store is attached, as soon as it is
-    in hand: a killed run resumes from its stored groups, and no more
-    than one group's payload is held at a time.  The phase
+    its slot just before it folds, or an isolated execution
+    (:func:`run_group`, each outcome reduced by the collector's
+    ``reduce_ur`` the moment it completes: its response message is
+    dropped before the next task is driven) —
+    and is folded, and stored if a result store is attached, as soon as
+    it is in hand: a killed run resumes from its stored groups, and no
+    more than one group's payload is held at a time.  The phase
     (:func:`isolated_phase`) then merges the groups' ledgers into the
-    hunter's and ends the parent clock at ``epoch + makespan`` or where
-    the correct collection, which ran side by side from the same epoch,
-    left it, also when a group raises: the parent ledger a failure
+    collector's and ends the parent clock at ``epoch + makespan`` or
+    where the correct collection, which ran side by side from the same
+    epoch, left it, also when a group raises: the ledger a failure
     report carries is the scan up to that point.
     """
-    origin = _run_origin(hunter.engine, epoch)
+    ledger = hunter.collector
+    origin = run_origin(ledger, epoch)
     fold = ScanFold()
-    with isolated_phase(hunter, "ur", epoch) as finished:
+    with isolated_phase(ledger, "ur", epoch) as finished:
         for group, decision, payload in _stored_groups(
             hunter, plan, epoch, origin
         ):
             if payload is not None:
                 result = decode_group_result(payload)
             else:
-                result = run_group_isolated(hunter, plan, group, epoch, origin)
+                result = run_group(
+                    ledger, plan, "ur", group, epoch, origin, ledger.reduce_ur
+                )
                 if decision is not None and decision.identity is not None:
                     hunter.result_store.put(
                         decision.identity,

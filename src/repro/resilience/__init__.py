@@ -10,7 +10,7 @@ failure at runtime:
 * hedging is the engine's own timer rule, read from
   :class:`~repro.engine.latency.ServerLatency`;
 * :class:`~repro.resilience.aimd.AimdController` — additive-increase /
-  multiplicative-decrease send credit per server;
+  multiplicative-decrease send credit of one server's lane;
 * :class:`~repro.resilience.metrics.ResilienceMetrics` — the counters
   of all of it.
 

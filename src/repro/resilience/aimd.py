@@ -1,12 +1,12 @@
-"""AIMD adaptive send credit per nameserver.
+"""AIMD adaptive send credit of one nameserver's lane.
 
-The engine sends to a nameserver one query at a time, so there is no
-window to narrow; the continuous dual of a window is *send credit*: a
+Each engine drives one server's lane, one query at a time, so there is
+no window to narrow; the continuous dual of a window is *send credit*: a
 factor in ``[floor, 1.0]`` that divides the *rate* the lane sends at.
 Credit is cut multiplicatively on a timeout and restored additively on
 an answer — classic AIMD, expressed as pacing rather than parallelism.
 
-Below full credit the next send to a server may go no earlier than::
+Below full credit the next send may go no earlier than::
 
     last_send + interval / credit
 
@@ -34,7 +34,7 @@ task outright.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Optional
 
 __all__ = ["AimdController"]
 
@@ -46,49 +46,38 @@ _CREDIT_FLOOR = 1.0 / 16.0
 class AimdController:
     """Additive-increase / multiplicative-decrease send credit."""
 
-    __slots__ = ("_credit", "_last_send")
+    __slots__ = ("credit", "_last_send")
 
     def __init__(self) -> None:
-        # server -> credit; missing key means full credit (1.0)
-        self._credit: Dict[str, float] = {}
-        # server -> virtual time of its last send
-        self._last_send: Dict[str, float] = {}
+        #: the lane's send credit; 1.0 is full credit
+        self.credit = 1.0
+        #: virtual time of the lane's last send
+        self._last_send: Optional[float] = None
 
-    def credit(self, server_ip: str) -> float:
-        return self._credit.get(server_ip, 1.0)
-
-    def ready_at(self, server_ip: str, now: float, interval: float) -> float:
-        """Earliest virtual time the next send to ``server_ip`` may go,
-        ``interval`` being the lane's healthy gap between sends.
+    def ready_at(self, now: float, interval: float) -> float:
+        """Earliest virtual time the next send may go, ``interval``
+        being the lane's healthy gap between sends.
 
         Full credit ⇒ ``now`` (no delay).  Reduced credit stretches the
-        interval since the previous send to that server.
+        interval since the previous send.
         """
-        credit = self._credit.get(server_ip)
-        last = self._last_send.get(server_ip)
-        if credit is None or last is None:
+        last = self._last_send
+        if self.credit >= 1.0 or last is None:
             return now
-        return max(now, last + interval / credit)
+        return max(now, last + interval / self.credit)
 
-    def note_send(self, server_ip: str, now: float) -> None:
-        self._last_send[server_ip] = now
+    def note_send(self, now: float) -> None:
+        self._last_send = now
 
-    def on_success(self, server_ip: str) -> None:
-        """Additive increase toward full credit; drops the key at 1.0 so
-        a recovered server leaves no state behind."""
-        credit = self._credit.get(server_ip)
-        if credit is None:
-            return
-        if credit + _GROW_STEP >= 1.0:
-            del self._credit[server_ip]
-        else:
-            self._credit[server_ip] = credit + _GROW_STEP
+    def on_success(self) -> None:
+        """Additive increase toward full credit."""
+        if self.credit < 1.0:
+            self.credit = min(self.credit + _GROW_STEP, 1.0)
 
-    def on_failure(self, server_ip: str) -> bool:
+    def on_failure(self) -> bool:
         """Multiplicative decrease; returns True when a cut happened
         (i.e. credit was above the floor)."""
-        credit = self._credit.get(server_ip, 1.0)
-        if credit <= _CREDIT_FLOOR:
+        if self.credit <= _CREDIT_FLOOR:
             return False
-        self._credit[server_ip] = max(credit * _CUT_FACTOR, _CREDIT_FLOOR)
+        self.credit = max(self.credit * _CUT_FACTOR, _CREDIT_FLOOR)
         return True

@@ -56,14 +56,21 @@ def record_executed_groups(monkeypatch):
     import repro.plan.shards as shards
 
     executed = []
-    execute = shards.run_group_isolated
+    execute = shards.run_group
 
-    def recording(hunter, plan, group, *args):
-        executed.append(group)
-        return execute(hunter, plan, group, *args)
+    def recording(ledger, plan, phase, group, *args):
+        if phase == "ur":
+            executed.append(group)
+        return execute(ledger, plan, phase, group, *args)
 
-    monkeypatch.setattr(shards, "run_group_isolated", recording)
+    monkeypatch.setattr(shards, "run_group", recording)
     return executed
+
+
+def drive(engine, tasks):
+    """Every outcome of one drive of ``engine`` over ``tasks``, in task
+    order."""
+    return [outcome for _, outcome in engine.execute_iter(tasks)]
 
 
 def assert_only_uncacheable_groups_sent(hunter, executed):

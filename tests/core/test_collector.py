@@ -17,7 +17,7 @@ from repro.engine import BatchedEngine
 from repro.intel.ipinfo import IpInfoDatabase
 from repro.net.network import SimulatedInternet
 from repro.net.traffic import TrafficCapture
-from repro.plan import build_plan
+from repro.plan import build_plan, shards
 
 from ..conftest import bare_hunter
 
@@ -61,7 +61,7 @@ def setup():
         DomainTarget(name("victim.com"), 1),
         DomainTarget(name("squat.com"), 2),
     ]
-    collector = ResponseCollector(BatchedEngine(network, "203.0.113.53"))
+    collector = ResponseCollector(network, HunterConfig())
     return network, collector, nameservers, domains
 
 
@@ -275,8 +275,8 @@ class TestQueryTypesApi:
     def test_query_types_tracks_override(self, setup):
         network, _, _, _ = setup
         collector = ResponseCollector(
-            BatchedEngine(network, "203.0.113.53"),
-            query_types=(RRType.A, RRType.TXT, RRType.MX),
+            network,
+            HunterConfig(query_types=(RRType.A, RRType.TXT, RRType.MX)),
         )
         assert collector.query_types == (RRType.A, RRType.TXT, RRType.MX)
 
@@ -287,13 +287,18 @@ class TestEngineSelection:
         hunter = bare_hunter(
             network, nameservers, domains, per_server_interval=130.0
         )
-        assert type(hunter.collector.engine) is BatchedEngine
-        assert hunter.collector.engine is hunter.engine
-        assert hunter.engine.policy.per_server_interval == 130.0
+        engine = shards._group_engine(hunter.collector, NS_A, "ur", 0.0)
+        assert type(engine) is BatchedEngine
+        assert (engine.server_ip, engine.phase) == (NS_A, "ur")
+        assert engine.policy.per_server_interval == 130.0
+        assert engine.query_cache is hunter.collector.query_cache
 
-    def test_collector_drives_the_engine_it_is_given(self, setup):
+    def test_collector_is_the_ledger_on_its_network(self, setup):
         network, _, _, _ = setup
-        engine = BatchedEngine(network, "203.0.113.53")
-        collector = ResponseCollector(engine)
-        assert collector.engine is engine
+        config = HunterConfig(run_deadline=3.0)
+        collector = ResponseCollector(network, config)
         assert collector.network is network
+        assert network.knows(config.scanner_ip)
+        assert collector.budget.run_deadline == 3.0
+        assert not collector.metrics.stages
+        assert not collector.resilience.active

@@ -233,10 +233,8 @@ class TestWorldLikeProtocol:
 
         assert isinstance(small_world, WorldLike)
 
-    def test_default_engine_is_batched(self, small_world):
-        from repro.engine.batched import BatchedEngine
-
+    def test_collector_is_the_stage1_ledger(self, small_world):
         hunter = URHunter.from_world(small_world)
-        assert type(hunter.engine) is BatchedEngine
-        assert hunter.collector.engine is hunter.engine
-        assert hunter.resilience is hunter.engine.resilience
+        assert not hasattr(hunter, "engine")
+        assert hunter.collector.config is hunter.config
+        assert hunter.resilience is hunter.collector.resilience

@@ -1,8 +1,8 @@
 """The streamed stage-1 fold against the list-based fold it replaced.
 
 The UR scan used to park every ``QueryOutcome`` (response message
-attached) in a list and walk it once in task order.  ``run_group_isolated``
-now reduces each outcome as it completes, ``run_shard_scan`` folds each
+attached) in a list and walk it once in task order.  ``run_group``
+now reduces each UR outcome as it completes, ``run_shard_scan`` folds each
 group as it completes, and task order is restored from the index.  The
 list-based folds are kept here as the reference — every group's
 outcomes parked, then one walk in task order: same URs in the same
@@ -49,11 +49,13 @@ from repro.plan.shards import (
     ScanFold,
     encode_group_result,
     group_fault_seed,
-    run_group_isolated,
+    run_group,
     run_shard_scan,
 )
 from repro.resilience.scenario import apply_scenario, load_scenario
 from repro.scenario import build_world, small_config
+
+from ..conftest import drive
 
 SEED = 7
 #: servers taken offline for the circuit-open input
@@ -101,7 +103,7 @@ def _list_collect_urs(hunter, plan, epoch):
         )
         result = _list_execute_group(hunter, plan, group)
         outcomes.extend(result.outcomes)
-        hunter.engine.metrics.merge(result.metrics)
+        hunter.collector.metrics.merge(result.metrics)
         makespan = max(makespan, result.elapsed)
     network._fault_rng.setstate(rng_state)
     network.set_clock(epoch + makespan)
@@ -122,18 +124,15 @@ def _list_collect_urs(hunter, plan, epoch):
 def _list_execute_group(hunter, plan, group):
     """A pinned group's execution as it was before streaming."""
     network = hunter.network
-    extract_urs = hunter.collector.urs_from_outcome
-    engine = shards._group_engine(hunter, network.now)
+    collector = hunter.collector
+    engine = shards._group_engine(
+        collector, group.server_ip, "ur", network.now
+    )
     start = network.now
     tasks = list(plan.tasks("ur", group.unit_indices))
-    outcomes = engine.execute(tasks)
+    outcomes = drive(engine, tasks)
     reduced = [
-        ReducedOutcome(
-            index=index,
-            attempts=outcome.attempts,
-            answered=outcome.answered,
-            urs=tuple(extract_urs(outcome)),
-        )
+        collector.reduce_ur(index, outcome)
         for index, outcome in zip(group.unit_indices, outcomes)
     ]
     resilience = getattr(engine, "resilience", None)
@@ -173,10 +172,10 @@ def test_collect_urs_equals_the_list_fold(prepare):
     ) == (listed.queries_sent, listed.responses_seen, listed.timeouts)
     assert streamed_hunter.network.now == listed_hunter.network.now
     assert (
-        streamed_hunter.engine.metrics.to_dict()
-        == listed_hunter.engine.metrics.to_dict()
+        streamed_hunter.collector.metrics.to_dict()
+        == listed_hunter.collector.metrics.to_dict()
     )
-    counters = streamed_hunter.engine.metrics.stage("ur")
+    counters = streamed_hunter.collector.metrics.stage("ur")
     if prepare is _lossy:
         assert counters.retries > 0
     if prepare is _circuit_open:
@@ -200,8 +199,9 @@ def test_execute_group_equals_the_list_fold(prepare):
         group for group in plan.groups if group.server_ip not in dead
     ][:5]
     for group in groups:
-        streamed = run_group_isolated(
-            streamed_hunter, plan, group, epoch, epoch
+        collector = streamed_hunter.collector
+        streamed = run_group(
+            collector, plan, "ur", group, epoch, epoch, collector.reduce_ur
         )
         network = listed_hunter.network
         network.set_clock(epoch)
@@ -327,10 +327,12 @@ def _list_run_groups(collector, plan, collection):
         network._fault_rng = random.Random(
             group_fault_seed(network.fault_seed, server_ip, collection)
         )
-        engine = shards._group_engine(collector, start)
-        outcomes = engine.execute([units.task(index) for index in indices])
+        engine = shards._group_engine(
+            collector, server_ip, collection, start
+        )
+        outcomes = drive(engine, [units.task(index) for index in indices])
         parked.update(zip(indices, outcomes))
-        collector.engine.metrics.merge(engine.metrics)
+        collector.metrics.merge(engine.metrics)
         makespan = max(makespan, network.now - start)
     network._fault_rng.setstate(rng_state)
     network.set_clock(start + makespan)
@@ -402,11 +404,11 @@ def test_preamble_folds_leave_the_stage1_checkpoint_unchanged(prepare):
     )
     assert streamed_hunter.network.now == listed_hunter.network.now
     assert (
-        streamed_hunter.engine.metrics.to_dict()
-        == listed_hunter.engine.metrics.to_dict()
+        streamed_hunter.collector.metrics.to_dict()
+        == listed_hunter.collector.metrics.to_dict()
     )
     if prepare is _lossy:
-        assert streamed_hunter.engine.metrics.stage("correct").retries > 0
+        assert streamed_hunter.collector.metrics.stage("correct").retries > 0
 
 
 # -- memory ceiling ----------------------------------------------------------

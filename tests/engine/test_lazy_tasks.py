@@ -3,15 +3,16 @@
 The engine reads a task from the caller's sequence only after the
 previous outcome was yielded, so the plan's
 :class:`~repro.plan.scanplan.PlannedTasks` view is never materialized.
-Handing the engine the view or ``list(view)`` must give the same
-``(index, outcome)`` stream, clock and ledger — clean, under loss with
-hedging and AIMD pacing, and with circuits that open.
+Handing each UR lane's engine the view or ``list(view)`` must give the
+same ``(index, outcome)`` stream, clock and ledger — clean, under loss
+with hedging and AIMD pacing, and with circuits that open.
 """
 
 import pytest
 
 from repro.core import HunterConfig, URHunter
 from repro.dns.wire import encode_message
+from repro.plan import fold_resilience, shards
 from repro.scenario import build_world, small_config
 
 SEED = 7
@@ -41,30 +42,43 @@ INPUTS = [
 
 
 def _stream(prepare, materialize):
+    """Every UR lane driven one after another, each on its own group
+    engine: ``(group, index, ...)`` rows and the hunter."""
     world = build_world(small_config(seed=SEED))
     hunter = URHunter.from_world(world, HunterConfig(**prepare(world)))
-    tasks = hunter.plan.tasks("ur")
-    if materialize:
-        tasks = list(tasks)
-    stream = [
-        (
-            index,
-            outcome.task.server_ip,
-            outcome.task.qname,
-            outcome.task.qtype,
-            outcome.task.stage,
-            outcome.task.recursion_desired,
-            outcome.task.tag,
-            outcome.status,
-            outcome.attempts,
-            outcome.completed_at,
-            # the wire form minus the (process-global) message id
-            None
-            if outcome.response is None
-            else encode_message(outcome.response)[2:],
+    plan, ledger = hunter.plan, hunter.collector
+    stream = []
+    for group in plan.groups:
+        engine = shards._group_engine(
+            ledger, group.server_ip, "ur", hunter.network.now
         )
-        for index, outcome in hunter.engine.execute_iter(tasks)
-    ]
+        tasks = plan.tasks("ur", group.unit_indices)
+        if materialize:
+            tasks = list(tasks)
+        stream += [
+            (
+                group.index,
+                index,
+                outcome.task.server_ip,
+                outcome.task.qname,
+                outcome.task.qtype,
+                outcome.task.stage,
+                outcome.task.recursion_desired,
+                outcome.task.tag,
+                outcome.status,
+                outcome.attempts,
+                outcome.completed_at,
+                # the wire form minus the (process-global) message id
+                None
+                if outcome.response is None
+                else encode_message(outcome.response)[2:],
+            )
+            for index, outcome in engine.execute_iter(tasks)
+        ]
+        ledger.metrics.merge(engine.metrics)
+        fold_resilience(
+            ledger.resilience, shards._encode_resilience(engine.resilience)
+        )
     return stream, hunter
 
 
@@ -73,15 +87,17 @@ def test_lazy_sequence_and_list_give_identical_streams(prepare):
     lazy, lazy_hunter = _stream(prepare, materialize=False)
     listed, listed_hunter = _stream(prepare, materialize=True)
     assert lazy == listed
-    assert [row[0] for row in lazy] == list(
-        range(len(lazy_hunter.plan.ur_units))
-    )
+    assert [row[:2] for row in lazy] == [
+        (group.index, index)
+        for group in lazy_hunter.plan.groups
+        for index in range(len(group.unit_indices))
+    ]
     assert lazy_hunter.network.now == listed_hunter.network.now
     assert (
-        lazy_hunter.engine.metrics.to_dict()
-        == listed_hunter.engine.metrics.to_dict()
+        lazy_hunter.collector.metrics.to_dict()
+        == listed_hunter.collector.metrics.to_dict()
     )
-    counters = lazy_hunter.engine.metrics.stage("ur")
+    counters = lazy_hunter.collector.metrics.stage("ur")
     if prepare is _lossy:
         assert counters.retries > 0
         assert lazy_hunter.resilience.hedges_fired > 0
@@ -96,6 +112,8 @@ def test_tasks_are_read_one_at_a_time_in_task_order():
     world = build_world(small_config(seed=SEED))
     world.network.inject_faults(loss_rate=0.05, seed=SEED)
     hunter = URHunter.from_world(world, HunterConfig(hedge_delay=0.5))
+    group = max(hunter.plan.groups, key=lambda g: len(g.unit_indices))
+    lane = group.unit_indices
     built = []
 
     class Counting(type(hunter.plan.tasks("ur"))):
@@ -104,10 +122,13 @@ def test_tasks_are_read_one_at_a_time_in_task_order():
                 built.append(position)
                 yield task
 
-    stream = hunter.engine.execute_iter(Counting(hunter.plan.ur_units))
-    for expected in range(200):
+    engine = shards._group_engine(
+        hunter.collector, group.server_ip, "ur", hunter.network.now
+    )
+    stream = engine.execute_iter(Counting(hunter.plan.ur_units, lane))
+    for expected in range(len(lane)):
         index, outcome = next(stream)
         assert index == expected
         assert built == list(range(expected + 1))
-    assert hunter.engine.metrics.stage("ur").retries > 0
-    stream.close()
+    assert engine.metrics.stage("ur").retries > 0
+    assert next(stream, None) is None

@@ -171,7 +171,7 @@ class TestMutationInvalidates:
         assert (
             warm.resilience.shed_total
             == bare.resilience.shed_total
-            > bare.engine.metrics.stage("ur").shed
+            > bare.collector.metrics.stage("ur").shed
             == len(bare.plan.ur_units)
         )
         assert store.stats["hits"] == 0

@@ -67,4 +67,4 @@ def test_naive_path_reproduces_the_fast_lane(faulted):
     assert lane.compiled_hits > 0 and lane.query_hits > 0
     if faulted:
         assert fast_hunter.resilience.hedges_fired > 0
-        assert fast_hunter.engine.metrics.retries > 0
+        assert fast_hunter.collector.metrics.retries > 0

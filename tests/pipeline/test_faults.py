@@ -177,6 +177,29 @@ class TestSourceGuard:
         assert guard.try_call("src", lambda: "data") == (True, "data")
         assert not guard.snapshot()["src"].dead
 
+    def test_recovered_source_answers_after_its_cool_down(self):
+        """A cool-down that outlasts the reset interval must not eat the
+        half-open probe: once both have passed, a recovered source is
+        called again, and its circuit closes."""
+        guard = SourceGuard()
+
+        def down():
+            raise SourceTimeout("src")
+
+        def always_429():
+            raise SourceRateLimited("src")
+
+        for _ in range(FAILURE_THRESHOLD - 1):
+            guard.try_call("src", down)
+        # the last exhausted call opens the circuit; its RETRIES + 1
+        # rate limits cool the source down for 24 guarded calls, past
+        # the 16 the open circuit waits before its half-open probe
+        guard.try_call("src", always_429)
+        assert guard.snapshot()["src"].state == "open"
+        answers = [guard.try_call("src", lambda: "data") for _ in range(200)]
+        assert answers.count((True, "data")) == 200 - 23
+        assert guard.snapshot()["src"].state == "closed"
+
     def test_snapshot_copies_every_field(self):
         guard = SourceGuard()
         ledger = guard.health("src")

@@ -29,7 +29,7 @@ from repro.dns.resolver import RecursiveResolver
 from repro.dns.server import UnhostedPolicy
 from repro.net.network import SimulatedInternet
 from ..stage1_oracle import encode_stage1
-from repro.plan import shards
+from repro.plan import NameserverGroup, shards
 from repro.scenario import ScenarioConfig, build_world, small_config
 
 from ..conftest import bare_hunter
@@ -87,33 +87,28 @@ def _summary(outcome):
 def _record_groups(monkeypatch):
     """Every group result the runner builds, in build order."""
     results = []
-    build = shards._group_result
+    build = shards.GroupResult
 
-    def recording(*args):
-        result = build(*args)
+    def recording(*args, **kwargs):
+        result = build(*args, **kwargs)
         results.append(result)
         return result
 
-    monkeypatch.setattr(shards, "_group_result", recording)
+    monkeypatch.setattr(shards, "GroupResult", recording)
     return results
 
 
 @pytest.mark.parametrize("prepare", INPUTS)
-def test_resolver_group_alone_equals_its_slice(prepare, monkeypatch):
-    results = _record_groups(monkeypatch)
+def test_resolver_group_alone_equals_its_slice(prepare):
     full = _hunter(prepare)
     plan, collector, network = full.plan, full.collector, full.network
-    shards.run_collection_groups(
-        collector, plan, "protective", lambda outcome: None
-    )
+    collector.run_phase(plan, "protective", lambda index, outcome: None)
     start = network.now
-    del results[:]
     sliced = {}
-    shards.run_collection_groups(
-        collector,
+    results = collector.run_phase(
         plan,
         "correct",
-        lambda outcome: sliced.setdefault(
+        lambda index, outcome: sliced.setdefault(
             outcome.task.server_ip, []
         ).append(_summary(outcome)),
     )
@@ -126,7 +121,9 @@ def test_resolver_group_alone_equals_its_slice(prepare, monkeypatch):
     network = alone.network
     for server_ip in reversed(lanes):
         shards.pin_group(network, start, "correct", server_ip)
-        engine = shards._group_engine(alone.collector, start)
+        engine = shards._group_engine(
+            alone.collector, server_ip, "correct", start
+        )
         outcomes = [
             _summary(outcome)
             for _, outcome in engine.execute_iter(
@@ -140,7 +137,7 @@ def test_resolver_group_alone_equals_its_slice(prepare, monkeypatch):
             == ledgers[server_ip].metrics.to_dict()
         )
     if prepare is _lossy:
-        assert full.engine.metrics.stage("correct").retries > 0
+        assert full.collector.metrics.stage("correct").retries > 0
 
 
 @pytest.mark.parametrize(
@@ -181,24 +178,32 @@ def test_group_payloads_do_not_depend_on_execution_order(
     origin = network.now
     epoch = origin + 3.0
     lanes = plan.correct_units.lanes()
+    collector = hunter.collector
 
     def correct_group(server_ip):
-        shards.pin_group(network, origin, "correct", server_ip)
-        engine = shards._group_engine(hunter.collector, origin)
-        outcomes = [
-            _summary(outcome)
-            for _, outcome in engine.execute_iter(
-                plan.tasks("correct", lanes[server_ip])
-            )
-        ]
-        result = shards._group_result(
-            engine, 0, server_ip, network.now - origin, []
+        outcomes = []
+        result = shards.run_group(
+            collector,
+            plan,
+            "correct",
+            NameserverGroup(0, server_ip, lanes[server_ip]),
+            origin,
+            origin,
+            lambda index, outcome: outcomes.append(_summary(outcome)),
         )
         return [outcomes, shards.encode_group_result(result)]
 
     def ur_group(group):
         return shards.encode_group_result(
-            shards.run_group_isolated(hunter, plan, group, epoch, origin)
+            shards.run_group(
+                collector,
+                plan,
+                "ur",
+                group,
+                epoch,
+                origin,
+                collector.reduce_ur,
+            )
         )
 
     jobs = [
@@ -247,7 +252,7 @@ def _preamble(hunter):
         json.dumps(encoded, sort_keys=True),
         stage1.collection.correct_successes,
         stage1.collection.classification_epoch - origin,
-        json.dumps(hunter.engine.metrics.to_dict(), sort_keys=True),
+        json.dumps(hunter.collector.metrics.to_dict(), sort_keys=True),
     )
 
 
@@ -363,16 +368,15 @@ def test_correct_and_ur_groups_are_pinned_at_the_scan_start(monkeypatch):
     network = hunter.network
     for elapsed, end in ((1.0, 10.0), (7.0, 12.0)):
         network.set_clock(10.0)
-        with shards.isolated_phase(hunter, "ur", 5.0) as finished:
+        with shards.isolated_phase(hunter.collector, "ur", 5.0) as finished:
             finished.append(shards.GroupResult(0, "10.0.0.1", elapsed))
         assert network.now == end
 
 
-def test_dead_servers_time_out_side_by_side(monkeypatch):
+def test_dead_servers_time_out_side_by_side():
     """Overlap across servers is the phase's: eight dead nameservers
     cost one 5 s timeout of virtual time, though their groups spent
     40 s between them."""
-    results = _record_groups(monkeypatch)
     network = SimulatedInternet()
     nameservers = []
     for index in range(8):
@@ -388,13 +392,13 @@ def test_dead_servers_time_out_side_by_side(monkeypatch):
         retries=0,
     )
     start = network.now
-    shards.run_collection_groups(
-        hunter.collector, hunter.plan, "protective", lambda outcome: None
+    results = hunter.collector.run_phase(
+        hunter.plan, "protective", lambda index, outcome: None
     )
     assert len(results) == 8
     assert network.now - start == pytest.approx(5.0, abs=0.2)
     assert sum(r.elapsed for r in results) == pytest.approx(40.0, abs=0.5)
-    assert hunter.engine.metrics.stage("protective").giveups == 8
+    assert hunter.collector.metrics.stage("protective").giveups == 8
 
 
 def _pinned_run(prepare=_clean, **knobs):
@@ -426,7 +430,7 @@ def test_lossy_hedged_aimd_run_keeps_its_pinned_schedule():
     collection: 7.276227 sim-s before, the AIMD wait and every count
     unmoved — the clean run takes 2.93.)"""
     hunter, virtual_s = _pinned_run(_lossy, hedge_delay=0.5, aimd=True)
-    metrics = hunter.engine.metrics
+    metrics = hunter.collector.metrics
     assert virtual_s == 4.8253
     assert hunter.resilience.aimd_wait == 4.1640487088589
     assert hunter.resilience.aimd_cuts == 788
@@ -450,7 +454,7 @@ def test_paced_run_accounts_its_pinned_rate_limit_wait():
     # while every lookup walked from the root (96676.77 / 1733543.50)
     assert {
         phase: counters.rate_limit_wait
-        for phase, counters in hunter.engine.metrics.stages.items()
+        for phase, counters in hunter.collector.metrics.stages.items()
     } == {
         "protective": 18978.51999999862,
         "correct": 96683.04999996559,
@@ -492,7 +496,7 @@ def test_unhedged_lossy_runs_keep_the_bare_retry_path():
     assert paced.resilience.aimd_wait == 3.5168944731121883
     assert paced.resilience.aimd_cuts == 788
     for hunter in (bare, paced):
-        metrics = hunter.engine.metrics
+        metrics = hunter.collector.metrics
         assert (metrics.queries, metrics.retries) == (15310, 784)
         assert hunter.resilience.spurious_retransmits == 0
 
@@ -510,9 +514,9 @@ def test_run_deadline_sheds_its_pinned_count():
     # shed, 5,546 sent, with the 3 s deadline before.)
     hunter, virtual_s = _pinned_run(run_deadline=0.36)
     assert virtual_s == 0.62
-    assert hunter.engine.metrics.stage("ur").shed == 8980
-    assert hunter.engine.metrics.stage("correct").shed == 695
-    assert hunter.engine.metrics.queries == 4851
+    assert hunter.collector.metrics.stage("ur").shed == 8980
+    assert hunter.collector.metrics.stage("correct").shed == 695
+    assert hunter.collector.metrics.queries == 4851
     assert hunter.resilience.shed == {"shed:deadline-run": 9675}
     assert _pinned_run(run_deadline=3.0)[0].resilience.shed == {}
 

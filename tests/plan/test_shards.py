@@ -17,6 +17,7 @@ from repro.incremental import GroupResultStore
 from repro.obs import RunTrace
 from repro.obs.metrics import build_metrics_document
 from repro.pipeline import CheckpointStore, PipelineRunner
+from repro.plan import NameserverGroup
 from repro.plan import shards as shard_runner
 from repro.scenario import build_world, small_config
 
@@ -136,8 +137,8 @@ class TestGroupFailure:
         build_engine = shard_runner._group_engine
         started = itertools.count()
 
-        def dying_engine(scan, origin):
-            engine = build_engine(scan, origin)
+        def dying_engine(ledger, server_ip, phase, origin):
+            engine = build_engine(ledger, server_ip, phase, origin)
             execute_iter = engine.execute_iter
 
             def counted(tasks):
@@ -251,3 +252,38 @@ class TestShardResume:
         assert not (tmp_path / "ckpt" / "groups").exists()
         # a fresh run wipes the checkpoint directory, not the caller's store
         assert checkpointed()["hits"] == 145
+
+
+def test_one_function_runs_a_group_of_every_phase():
+    """``run_group`` executes a group of any phase on a one-lane engine:
+    its ledger counts that phase alone, every outcome reaches the fold
+    with its unit index, and only what the fold returns other than
+    ``None`` is kept."""
+    world = build_world(small_config(seed=SEED))
+    hunter = URHunter.from_world(world, HunterConfig())
+    plan, collector = hunter.plan, hunter.collector
+    start = hunter.network.now
+    for phase in ("protective", "correct"):
+        server_ip, lane = next(iter(plan.units(phase).lanes().items()))
+        seen = []
+        result = shard_runner.run_group(
+            collector,
+            plan,
+            phase,
+            NameserverGroup(0, server_ip, lane),
+            start,
+            start,
+            lambda index, outcome: seen.append(index),
+        )
+        assert seen == list(lane)
+        assert result.outcomes == []
+        assert list(result.metrics.stages) == [phase]
+        assert result.metrics.stage(phase).queries >= len(lane)
+    group = plan.groups[0]
+    result = shard_runner.run_group(
+        collector, plan, "ur", group, start, start, collector.reduce_ur
+    )
+    assert [outcome.index for outcome in result.outcomes] == list(
+        group.unit_indices
+    )
+    assert list(result.metrics.stages) == ["ur"]

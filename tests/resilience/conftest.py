@@ -11,6 +11,8 @@ from repro.engine import BatchedEngine, EnginePolicy, QueryTask
 from repro.engine.breaker import CircuitBreaker
 from repro.net.network import SimulatedInternet
 
+from ..conftest import drive
+
 SCANNER = "203.0.113.53"
 NS_LIVE = "10.0.0.1"
 NS_LIVE2 = "10.0.0.2"
@@ -50,6 +52,8 @@ def run_lane(
     engine = BatchedEngine(
         network,
         SCANNER,
+        NS_LIVE,
+        "ur",
         EnginePolicy(per_server_interval=interval, retries=2),
     )
     # the breaker re-opens on the clock, which every wait moves: keep it
@@ -57,11 +61,12 @@ def run_lane(
     engine.breaker = CircuitBreaker(failure_threshold=10**6)
     engine.hedge_delay = hedge_delay
     engine.aimd = aimd
-    outcomes = engine.execute(
+    outcomes = drive(
+        engine,
         [
             QueryTask(NS_LIVE, name("example.test"), RRType.A)
             for _ in range(tasks)
-        ]
+        ],
     )
     return engine, server, outcomes
 

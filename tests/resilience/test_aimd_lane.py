@@ -1,7 +1,7 @@
 """AIMD on the lane it paces: a property over generated loss patterns,
 and the storm decomposition the resilience gate rests on.
 
-The engine is one stop-and-wait lane per server, so AIMD may only ever
+Each engine is one server's stop-and-wait lane, so AIMD may only ever
 *space* that lane's sends — by the lane's own healthy interval divided
 by the credit it holds — and must never change what is sent or how a
 task ends.  A timeout is paid once: by the timeout park or the hedge
@@ -40,15 +40,15 @@ class _LoggedAimd(AimdController):
         self.cleared = []
         self._asked = None
 
-    def ready_at(self, server_ip, now, interval):
-        ready = super().ready_at(server_ip, now, interval)
-        self._asked = (self.credit(server_ip), interval)
+    def ready_at(self, now, interval):
+        ready = super().ready_at(now, interval)
+        self._asked = (self.credit, interval)
         self.waits.append((ready - now, interval))
         return ready
 
-    def note_send(self, server_ip, now):
+    def note_send(self, now):
         self.cleared.append(self._asked)
-        super().note_send(server_ip, now)
+        super().note_send(now)
 
 
 def _lane(losses, tasks, hedged, interval, aimd):
@@ -191,7 +191,7 @@ def _storm_run(**knobs):
     apply_scenario(load_scenario("tail-latency-storm"), world, hunter)
     start = world.network.now
     report = hunter.run()
-    metrics = hunter.engine.metrics
+    metrics = hunter.collector.metrics
     return (
         world.network.now - start,
         (

@@ -13,6 +13,7 @@ from repro.engine.breaker import CircuitBreaker, CircuitState
 from repro.obs import RunTrace
 from repro.scenario import build_world, small_config
 
+from ..conftest import drive
 from .conftest import NS_LIVE, SCANNER
 
 
@@ -43,18 +44,20 @@ class TestHalfOpenRetrip:
         # by the time we query it, it is in its long dead phase
         network.set_server_faults(NS_LIVE, flap_up=1.0, flap_down=1e6)
         network.tick(2.0)
-        engine = BatchedEngine(network, SCANNER, EnginePolicy(retries=2))
+        engine = BatchedEngine(
+            network, SCANNER, NS_LIVE, "ur", EnginePolicy(retries=2)
+        )
         engine.breaker = CircuitBreaker(failure_threshold=3)
         trace = RunTrace()
         engine.trace = trace
         # 3 attempts on one task reach the threshold: first trip
-        engine.execute([_task()])
+        drive(engine, [_task()])
         assert engine.breaker.state(NS_LIVE) is CircuitState.OPEN
         assert len(_trip_events(trace, NS_LIVE)) == 1
         # past the reset interval the breaker half-opens; the probe
         # lands in the same dead phase and must RE-trip, not linger
         network.tick(61.0)
-        engine.execute([_task(RRType.TXT)])
+        drive(engine, [_task(RRType.TXT)])
         assert engine.breaker.state(NS_LIVE) is CircuitState.OPEN
         assert len(_trip_events(trace, NS_LIVE)) == 2
 
@@ -64,16 +67,18 @@ class TestHalfOpenRetrip:
         # half-open probe fires
         network.set_server_faults(NS_LIVE, flap_up=30.0, flap_down=40.0)
         network.tick(30.0)  # into the dead phase
-        engine = BatchedEngine(network, SCANNER, EnginePolicy(retries=2))
+        engine = BatchedEngine(
+            network, SCANNER, NS_LIVE, "ur", EnginePolicy(retries=2)
+        )
         engine.breaker = CircuitBreaker(failure_threshold=3)
         trace = RunTrace()
         engine.trace = trace
-        engine.execute([_task()])
+        drive(engine, [_task()])
         assert engine.breaker.state(NS_LIVE) is CircuitState.OPEN
         # clock ~46s: the next up phase spans [70, 100); the breaker
         # half-opens after 60s of open time, inside that up window
         network.tick(70.0 - (network.now % 70.0) + 75.0)
-        engine.execute([_task(RRType.TXT)])
+        drive(engine, [_task(RRType.TXT)])
         assert engine.breaker.state(NS_LIVE) is CircuitState.CLOSED
         assert len(_trip_events(trace, NS_LIVE)) == 1
 

@@ -15,6 +15,7 @@ from repro.engine import (
 from repro.obs import RunTrace
 from repro.resilience import DeadlineBudget
 
+from ..conftest import drive
 from .conftest import NS_LIVE, SCANNER
 
 
@@ -83,12 +84,12 @@ class TestEngineShedding:
 
     def _run(self, network, **budget_knobs):
         engine = BatchedEngine(
-            network, SCANNER, EnginePolicy(per_server_interval=0.0)
+            network, SCANNER, NS_LIVE, "ur", EnginePolicy()
         )
         engine.budget = DeadlineBudget(**budget_knobs)
         trace = RunTrace()
         engine.trace = trace
-        outcomes = engine.execute([_task(NS_LIVE) for _ in range(5)])
+        outcomes = drive(engine, [_task(NS_LIVE) for _ in range(5)])
         return engine, outcomes, trace
 
     def test_exhausted_budget_sheds_the_tail(self, make_network):

@@ -17,7 +17,8 @@ from repro.engine.latency import CLOCK_GRANULARITY, ServerLatency
 from repro.net.network import FaultProfile
 from repro.obs import RunTrace
 
-from .conftest import NS_LIVE, NS_LIVE2, SCANNER, run_lane
+from ..conftest import drive
+from .conftest import NS_LIVE, SCANNER, run_lane
 
 
 def _task(server_ip, qtype=RRType.A, stage="ur"):
@@ -59,9 +60,9 @@ class TestHedgeControllerUnit:
         )
         observed = ServerLatency()
         for _ in range(4):
-            observed.observe(NS_LIVE, 0.2)
-        assert observed.srtt(NS_LIVE) == pytest.approx(0.2)
-        assert observed.rto(NS_LIVE) == pytest.approx(rto)
+            observed.observe(0.2)
+        assert observed.srtt() == pytest.approx(0.2)
+        assert observed.rto() == pytest.approx(rto)
         # the hedge fires at the timer, the retry waits it again, and
         # the give-up its double: the doubling is the backoff
         assert _parks(engine, server)[4:] == pytest.approx([rto, rto])
@@ -91,14 +92,12 @@ class TestHedgeControllerUnit:
 
     def test_steady_server_keeps_the_granularity_margin(self):
         observed = ServerLatency()
-        for _ in range(64):
-            observed.observe(NS_LIVE, 0.025)
-        assert observed.rto(NS_LIVE) == pytest.approx(
-            0.025 + CLOCK_GRANULARITY
-        )
         # nothing observed: no estimate, so any ceiling wins the min
-        assert observed.rto(NS_LIVE2) == float("inf")
-        assert observed.srtt(NS_LIVE2) == 0.0
+        assert observed.rto() == float("inf")
+        assert observed.srtt() == 0.0
+        for _ in range(64):
+            observed.observe(0.025)
+        assert observed.rto() == pytest.approx(0.025 + CLOCK_GRANULARITY)
 
 
 class _HedgeHarness:
@@ -114,12 +113,14 @@ class _HedgeHarness:
         self.engine = BatchedEngine(
             self.network,
             SCANNER,
+            NS_LIVE,
+            "ur",
             EnginePolicy(per_server_interval=0.0, retries=2),
         )
         self.engine.hedge_delay = delay
         self.trace = RunTrace()
         self.engine.trace = self.trace
-        self.outcomes = self.engine.execute([_task(NS_LIVE)])
+        self.outcomes = drive(self.engine, [_task(NS_LIVE)])
 
     def events(self, event_name):
         return [
