@@ -24,9 +24,10 @@ fresh one-lane engine built from the run's
 collections through :meth:`ResponseCollector.run_phase`, the UR scan
 through :func:`~repro.plan.shards.run_shard_scan`, which the hunter
 hands to :meth:`ResponseCollector.collect_urs`.  The collector itself
-sends nothing: its ``metrics`` and ``resilience`` are the ledger the
-groups merge into, its ``budget`` anchors the run deadline, and its
-``query_cache`` is the query messages every group engine shares.
+sends nothing: its ``metrics`` are the one ledger the groups merge
+into, wire and resilience counters alike, its ``origin`` is where the
+run deadline is measured from, and its ``query_cache`` is the query
+messages every group engine shares.
 """
 
 from __future__ import annotations
@@ -48,9 +49,7 @@ from ..plan.shards import (
     ScanFold,
     isolated_phase,
     run_group,
-    run_origin,
 )
-from ..resilience import DeadlineBudget, ResilienceMetrics
 from .correctness import CorrectRecordDatabase
 from .records import UndelegatedRecord, URTable
 
@@ -181,18 +180,11 @@ class ResponseCollector:
         self.config = config
         self.query_types = tuple(config.query_types)
         network.register_stub(config.scanner_ip)
-        #: the scan metrics every group merges into
+        #: the ledger every group merges into; each run starts a new one
         self.metrics = ScanMetrics()
-        #: the resilience counters every group merges into
-        self.resilience = ResilienceMetrics()
-        #: the run's deadline budget; it only anchors the run origin
-        #: each group's own budget measures from
-        self.budget: Optional[DeadlineBudget] = None
-        if config.run_deadline > 0 or config.stage_deadline > 0:
-            self.budget = DeadlineBudget(
-                run_deadline=config.run_deadline,
-                stage_deadline=config.stage_deadline,
-            )
+        #: the clock where the current run's stage 1 began: every
+        #: group budget measures the run deadline from it
+        self.origin = network.now
         #: query messages every group engine shares (see
         #: :meth:`~repro.engine.batched.BatchedEngine._query_for`)
         self.query_cache: Dict[Tuple[object, int, bool], Message] = {}
@@ -228,21 +220,27 @@ class ResponseCollector:
     # -- the eager prefix ---------------------------------------------------
 
     def collect_preamble(
-        self, plan: ScanPlan, correct_db: CorrectRecordDatabase
+        self,
+        plan: ScanPlan,
+        correct_db: CorrectRecordDatabase,
+        origin: float,
     ) -> "CollectionPreamble":
         """The prefix of stage 1: protective + correct collections, in
         the paper's §4.1 order.
 
         Protective fingerprints and correct-record profiles must be
-        complete before the first UR can be classified.  Resets the
-        scan metrics, so the UR scan that follows accumulates into the
-        same ledger.  The protective probes end at the *scan start*
+        complete before the first UR can be classified.  Starts the
+        run's ledger — a new one, so the UR scan that follows
+        accumulates into it and an earlier run's report keeps its
+        own — and fixes the run ``origin``, the clock where this run's
+        stage 1 began.  The protective probes end at the *scan start*
         ``origin + makespan(protective)`` — the classification epoch —
         and the correct collection starts there; the UR scan is pinned
         to it too, side by side with the correct collection (open
         resolvers and target nameservers are disjoint servers).
         """
         self.metrics = ScanMetrics()
+        self.origin = origin
         protective = self._guarded(
             "protective", self.collect_protective_records, plan
         )
@@ -294,7 +292,7 @@ class ResponseCollector:
         the scan start the UR scan is pinned to as well.
         """
         start = self.network.now
-        origin = run_origin(self, start)
+        origin = self.origin
         lanes = plan.units(collection).lanes().items()
         with isolated_phase(self, collection, start) as finished:
             for index, (server_ip, lane) in enumerate(lanes):

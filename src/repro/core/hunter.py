@@ -57,6 +57,7 @@ from ..plan.shards import (
     pin_group,
     run_shard_scan,
 )
+from ..resilience import ResilienceMetrics
 from ..sandbox.ids import Severity
 from ..sandbox.sandbox import SandboxReport
 from .analysis import MaliciousAnalysisResult, MaliciousBehaviorAnalyzer
@@ -331,12 +332,10 @@ class URHunter:
         self.pdns = pdns
         self.sandbox_reports = list(sandbox_reports)
         self.config = config or HunterConfig()
-        #: stage 1's collector, which is also its ledger: the scan and
-        #: resilience metrics every group merges into, the run's
-        #: deadline budget and the shared query messages
+        #: stage 1's collector, which is also its ledger: the metrics
+        #: every group merges into, the run origin and the shared query
+        #: messages
         self.collector = ResponseCollector(network, self.config)
-        #: the stage-1 resilience counters
-        self.resilience = self.collector.resilience
         #: the stage-1 scan plan of the *configured* targets; a pure
         #: value of (world, config), built before any packet moves —
         #: its hash is the identity checkpoints and traces stamp.
@@ -369,6 +368,12 @@ class URHunter:
         #: collection progress, and degradation transitions are emitted
         #: through it when attached (:meth:`attach_trace`)
         self.trace: Optional[RunTrace] = None
+
+    @property
+    def resilience(self) -> ResilienceMetrics:
+        """A snapshot of the resilience counters in the collector's
+        ledger — the current run's, or the last one's."""
+        return ResilienceMetrics(self.collector.metrics)
 
     def attach_trace(self, trace: Optional[RunTrace]) -> None:
         """Wire one event bus through the hunter and its collector."""
@@ -478,11 +483,12 @@ class URHunter:
             nameservers=len(self.nameservers),
             domains=len(self.domains),
         )
+        origin = self.network.now
         notes: List[str] = []
         plan = self._executed_plan(self._expanded_domains(notes))
         self._plan_built(plan)
         correct_db = CorrectRecordDatabase(self.ipinfo)
-        preamble = self.collector.collect_preamble(plan, correct_db)
+        preamble = self.collector.collect_preamble(plan, correct_db, origin)
         collection = self.collector.collect_urs(
             lambda: run_shard_scan(
                 self, plan, preamble.classification_epoch
@@ -600,7 +606,9 @@ class URHunter:
         # The resilience snapshot only joins the report once a mechanism
         # actually fired — a healthy run renders byte-identically to a
         # run without resilience configured.
-        resilience = self.resilience if self.resilience.active else None
+        resilience = ResilienceMetrics(stage1.collection.metrics)
+        if not resilience.active:
+            resilience = None
         notes = stage1.notes
         if resilience is not None and resilience.shed_total:
             # shed queries degrade coverage: surface them next to the

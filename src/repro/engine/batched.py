@@ -41,12 +41,11 @@ left would shed, so waiting out timers would only inflate the clock.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..dns.message import Message
 from ..net.network import NetworkError, SimulatedInternet
 from ..obs.events import STAGE1 as OBS_STAGE1
-from ..resilience.metrics import ResilienceMetrics
 from .api import (
     EnginePolicy,
     OutcomeStatus,
@@ -78,7 +77,8 @@ class BatchedEngine:
         #: ... and the stage-1 phase every task is counted under
         self.phase = phase
         self.policy = policy or EnginePolicy()
-        #: observability counters, cumulative across drives
+        #: the lane's ledger — wire and resilience counters, cumulative
+        #: across drives
         self.metrics = ScanMetrics()
         self._bucket = TokenBucket(self.policy.per_server_interval)
         self.breaker = CircuitBreaker()
@@ -89,10 +89,10 @@ class BatchedEngine:
         #: engines scanning the same names may share one dict (every
         #: group engine gets the collector's)
         self.query_cache: Dict[Tuple[object, int, bool], Message] = {}
-        #: optional repro.obs.RunTrace — breaker trips, hedges, AIMD cuts
-        #: and budget exhaustion are emitted as deterministic events
-        #: when attached
-        self.trace = None
+        #: the lane's deterministic events — breaker trips, hedges, AIMD
+        #: cuts and budget exhaustion — as (name, stage, fields), in
+        #: emission order
+        self.events: List[Tuple[str, Optional[str], Dict[str, Any]]] = []
         #: optional resilience controllers (all are strict no-ops when
         #: None, and deterministic no-ops on a healthy world when
         #: attached)
@@ -104,8 +104,6 @@ class BatchedEngine:
         #: the server's round-trip estimate, fed on every answer while
         #: hedging or AIMD is on; both read their waits from it
         self.observed = ServerLatency()
-        #: deterministic counters for the resilience layer
-        self.resilience = ResilienceMetrics()
 
     def execute_iter(
         self, tasks: Sequence[QueryTask]
@@ -132,18 +130,17 @@ class BatchedEngine:
         server_ip = self.server_ip
         phase = self.phase
         channel = self._channel
-        counters = self.metrics.stage(phase)
-        latency = self.metrics.latency
+        metrics = self.metrics
+        counters = metrics.stage(phase)
+        latency = metrics.latency
         budget = self.budget
         # a task that may not retry has no hedge to fire
         hedge_delay = self.hedge_delay if policy.retries >= 1 else 0.0
         timeout = policy.timeout
         aimd = self.aimd
         observed = self.observed
-        resilience = self.resilience
         wait_until = self._wait_until
         if budget is not None:
-            budget.begin(network.now)
             budget.enter_phase(phase, network.now)
 
         for index, task in enumerate(tasks):
@@ -162,15 +159,10 @@ class BatchedEngine:
                     reason = budget.check(now, phase)
                     if reason is not None:
                         counters.shed += 1
-                        resilience.note_shed(reason)
-                        if budget.announce(phase, reason) and (
-                            self.trace is not None
-                        ):
-                            self.trace.emit(
-                                "budget.exhausted",
-                                stage=OBS_STAGE1,
-                                phase=phase,
-                                reason=reason,
+                        metrics.note_shed(reason)
+                        if budget.announce(phase, reason):
+                            self._emit(
+                                "budget.exhausted", phase=phase, reason=reason
                             )
                         yield index, QueryOutcome(
                             task=task,
@@ -195,7 +187,7 @@ class BatchedEngine:
                         if pace_wait > 0:
                             counters.rate_limit_wait += pace_wait
                         if send_ready - now > pace_wait:
-                            resilience.aimd_wait += (
+                            metrics.aimd_wait += (
                                 send_ready - now - pace_wait
                             )
                         wait_until(send_ready)
@@ -240,11 +232,11 @@ class BatchedEngine:
                     if aimd is not None:
                         aimd.on_success()
                     if round_trip > timer:
-                        resilience.spurious_retransmits += 1
+                        metrics.spurious_retransmits += 1
                     if hedge_delay or aimd is not None:
                         observed.observe(round_trip)
                     if hedging:
-                        resilience.hedges_won += 1
+                        metrics.hedges_won += 1
                         self._emit("hedge.won")
                     counters.responses += 1
                     latency.record(round_trip)
@@ -262,7 +254,7 @@ class BatchedEngine:
                 if breaker.record_failure(server_ip, now):
                     self._emit("breaker.trip")
                 if aimd is not None and aimd.on_failure():
-                    resilience.aimd_cuts += 1
+                    metrics.aimd_cuts += 1
                     self._emit("aimd.cut")
 
                 latency.record(round_trip + timer)
@@ -273,13 +265,13 @@ class BatchedEngine:
                 if hedge_delay and attempts == 1:
                     counters.retries += 1
                     hedging = True
-                    resilience.hedges_fired += 1
+                    metrics.hedges_fired += 1
                     self._emit("hedge.fired")
                     wait_until(free_at)
                     continue
                 if hedging:
                     hedging = False
-                    resilience.hedges_wasted += 1
+                    metrics.hedges_wasted += 1
                     self._emit("hedge.wasted")
                 if attempts > policy.retries:
                     counters.giveups += 1
@@ -309,17 +301,16 @@ class BatchedEngine:
         ):
             self.network.tick(ready_at - now)
 
-    def _emit(self, name: str) -> None:
-        """One deterministic event of this lane (every engine-driven
-        collection belongs to stage 1), when a trace is attached."""
-        if self.trace is not None:
-            self.trace.emit(
-                name,
-                stage=OBS_STAGE1,
-                scope="nameserver",
-                server=self.server_ip,
-                phase=self.phase,
-            )
+    def _emit(self, name: str, **fields: Any) -> None:
+        """One deterministic event (every engine-driven collection
+        belongs to stage 1); its fields name the lane unless given."""
+        if not fields:
+            fields = {
+                "scope": "nameserver",
+                "server": self.server_ip,
+                "phase": self.phase,
+            }
+        self.events.append((name, OBS_STAGE1, fields))
 
     def _query_for(self, task: QueryTask) -> Message:
         key = (task.qname, task.qtype, task.recursion_desired)

@@ -5,7 +5,11 @@ quality: a silent 2% giveup rate on one provider skews every per-provider
 statistic downstream.  :class:`ScanMetrics` therefore tallies, per
 stage-1 collection, everything the engine did — queries, responses,
 timeouts, retries, giveups, circuit-breaker skips, pacing waits — plus a
-histogram of per-query virtual latency.
+histogram of per-query virtual latency and the run-level counters of
+the resilience layer (hedges, AIMD, spurious retransmits, shed by
+reason).  It is the one ledger an engine writes and a group hands back;
+:class:`~repro.resilience.metrics.ResilienceMetrics` is a read-only
+view of its resilience counters.
 """
 
 from __future__ import annotations
@@ -129,15 +133,29 @@ class StageCounters:
 
 @dataclass
 class ScanMetrics:
-    """Per-stage counters plus a global latency histogram.
+    """Per-stage counters, a global latency histogram and the
+    resilience counters.
 
     ``to_dict()`` exposes only deterministic counters (latency is over
     *virtual* seconds, so it is deterministic too) and ``summary()``
-    renders the block the byte-compared report embeds.
+    renders the block the byte-compared report embeds; neither shows
+    the resilience counters, which the report renders through
+    :class:`~repro.resilience.metrics.ResilienceMetrics`.
     """
 
     stages: Dict[str, StageCounters] = field(default_factory=dict)
     latency: LatencyHistogram = field(default_factory=LatencyHistogram)
+    hedges_fired: int = field(default=0, init=False)
+    hedges_won: int = field(default=0, init=False)
+    hedges_wasted: int = field(default=0, init=False)
+    aimd_cuts: int = field(default=0, init=False)
+    #: virtual seconds AIMD held a send back beyond the pacing gap
+    aimd_wait: float = field(default=0.0, init=False)
+    #: answered attempts whose round trip outlasted the timer they
+    #: were sent under — a real scanner would have re-sent
+    spurious_retransmits: int = field(default=0, init=False)
+    #: tasks a deadline shed, keyed ``shed:<reason>``
+    shed_by_reason: Dict[str, int] = field(default_factory=dict, init=False)
 
     def stage(self, name: str) -> StageCounters:
         counters = self.stages.get(name)
@@ -185,10 +203,22 @@ class ScanMetrics:
         """Fraction of sent attempts that timed out."""
         return self.timeouts / self.queries if self.queries else 0.0
 
+    def note_shed(self, reason: str) -> None:
+        key = f"shed:{reason}"
+        self.shed_by_reason[key] = self.shed_by_reason.get(key, 0) + 1
+
     def merge(self, other: "ScanMetrics") -> None:
         for name, counters in other.stages.items():
             self.stage(name).merge(counters)
         self.latency.merge(other.latency)
+        self.hedges_fired += other.hedges_fired
+        self.hedges_won += other.hedges_won
+        self.hedges_wasted += other.hedges_wasted
+        self.aimd_cuts += other.aimd_cuts
+        self.aimd_wait += other.aimd_wait
+        self.spurious_retransmits += other.spurious_retransmits
+        for key, count in other.shed_by_reason.items():
+            self.shed_by_reason[key] = self.shed_by_reason.get(key, 0) + count
 
     def to_dict(self) -> Dict[str, Any]:
         """Deterministic counters for the consolidated metrics document.

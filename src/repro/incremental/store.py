@@ -4,7 +4,7 @@ A longitudinal deployment re-runs the same scan plan over a slowly
 changing world: most nameserver groups answer exactly as they did last
 round.  :class:`GroupResultStore` persists each group's merged outcome
 (the encoded :class:`~repro.plan.shards.GroupResult`: reduced
-responses, buffered trace events, ScanMetrics/resilience slices) under
+responses, the engine's deterministic events, its ScanMetrics) under
 a two-level key:
 
 * the **identity** — a digest over the group's :class:`QueryUnit`
@@ -21,9 +21,9 @@ A stored digest equal to the current one is a **hit** (replay, no
 queries); a stored file under a different digest is an **invalidate**
 (the world moved — re-execute and overwrite); no file is a **miss**.
 The classification epoch (the scan start every UR group is pinned to)
-joins the digest only where the group reads the clock (a flap, a
-bounded fault window, a run deadline): everything else a group result
-carries is epoch-relative (elapsed times, latency deltas, clock-free
+joins the digest only where the group reads the clock (a bounded
+fault window, a run deadline): everything else a group result carries
+is epoch-relative (elapsed times, latency deltas, clock-free
 deterministic events), so a clean or uniformly lossy group replayed
 thirty virtual days later, or pinned at any other epoch, composes
 byte-identically — that is the whole point of the warm run.
@@ -64,8 +64,10 @@ __all__ = [
 #: identity and digest hashes it in, so no slot of another version can
 #: ever match (2: the scan-shaping knobs went from 13 to 11; 3: fault
 #: profiles and time anchors joined the state digest; 4: a hedged
-#: group's ``elapsed`` and latency histogram hold estimator-timed waits)
-STORE_FORMAT_VERSION = 4
+#: group's ``elapsed`` and latency histogram hold estimator-timed waits;
+#: 5: the resilience counters moved into the group's ScanMetrics, and
+#: fault profiles lost their flap shape)
+STORE_FORMAT_VERSION = 5
 
 #: per-group result files: ``group-<identity>.json``
 GROUP_PREFIX = "group-"
@@ -228,10 +230,10 @@ def group_state(
       against (:meth:`SimulatedInternet.fault_profiles`).  Empty when
       none is installed: the fault RNG is then never drawn, so the group
       shares its slot with a clean run whatever faults other servers
-      carry.  A profile that reads the clock — a flap phase, a window
-      that opens or closes — is keyed with its ``start`` relative to
-      ``epoch``, where the group's clock is pinned; uniform loss and
-      jitter never read it, so their slots are epoch-free;
+      carry.  A profile that reads the clock — a window that opens or
+      closes — is keyed with its ``start`` relative to ``epoch``, where
+      the group's clock is pinned; uniform loss and jitter never read
+      it, so their slots are epoch-free;
     * ``deadline_offset`` — ``epoch - origin`` under a run deadline: how
       much of the budget the protective probes had spent when the group
       started.
@@ -250,8 +252,7 @@ def group_state(
         return None, "uncacheable"
     profiles = network.fault_profiles(server_ip)
     timed = [
-        profile.flap_down > 0 or profile.start > 0 or profile.duration > 0
-        for profile in profiles
+        profile.start > 0 or profile.duration > 0 for profile in profiles
     ]
     if epoch is None and (config.run_deadline > 0 or any(timed)):
         return None, "time-anchored"
@@ -268,7 +269,6 @@ def group_state(
                 {
                     "loss": profile.loss_rate,
                     "jitter": profile.latency_jitter,
-                    "flap": [profile.flap_up, profile.flap_down],
                     "duration": profile.duration,
                     "start": profile.start - epoch if reads_clock else None,
                 }

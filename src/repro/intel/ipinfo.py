@@ -162,17 +162,14 @@ class IpInfoDatabase:
         address: str,
         cert_org: Optional[str] = None,
         http: Optional[HttpPage] = None,
-        asn: Optional[int] = None,
-        as_name: Optional[str] = None,
-        country: Optional[str] = None,
     ) -> IpMetadata:
-        """Record host-level facts, inheriting prefix defaults."""
-        base = self._prefix_defaults(address)
+        """Record host-level facts; AS and country are the prefix's."""
+        asn, as_name, country = self._prefix_defaults(address)
         meta = IpMetadata(
             address=address,
-            asn=asn if asn is not None else base[0],
-            as_name=as_name if as_name is not None else base[1],
-            country=country if country is not None else base[2],
+            asn=asn,
+            as_name=as_name,
+            country=country,
             cert_org=cert_org,
             http=http if http is not None else HttpPage.none(),
         )
@@ -240,6 +237,3 @@ class IpInfoDatabase:
 
     def http(self, address: str) -> HttpPage:
         return self.lookup(address).http
-
-    def known_hosts(self) -> List[str]:
-        return list(self._hosts)

@@ -188,15 +188,6 @@ class PassiveDnsStore:
         """Appendix B condition 5: was this exact record ever served?"""
         return rdata_text in self.historical_rdata(domain, rrtype, now)
 
-    def historical_nameservers(
-        self, domain: Union[str, Name], now: float
-    ) -> Set[Name]:
-        """Every nameserver the domain was ever delegated to (in window)."""
-        return {
-            name(observation.rdata_text)
-            for observation in self.history(domain, now, RRType.NS)
-        }
-
     def domains(self) -> Set[Name]:
         return set(self._by_domain)
 

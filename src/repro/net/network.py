@@ -79,24 +79,16 @@ class FaultProfile:
     * ``loss_rate`` — fraction of DNS queries silently dropped;
     * ``latency_jitter`` — extra per-query latency, uniform in
       ``[0, latency_jitter)`` virtual seconds;
-    * ``flap_up`` / ``flap_down`` — when both are set the host cycles
-      online for ``flap_up`` seconds then dead for ``flap_down``
-      seconds, phase-locked to the virtual clock (deterministic);
     * ``start`` / ``duration`` — optional activity window: the profile
       only applies from ``start`` for ``duration`` virtual seconds
-      (``duration == 0`` means open-ended).  Flap phase is measured
-      relative to ``start``.
+      (``duration == 0`` means open-ended).
 
-    ``flap_down > 0`` with ``flap_up == 0`` is rejected: that shape is
-    a permanently-dead host disguised as a flapping one — use
-    :meth:`SimulatedInternet.set_online` (or ``loss_rate=1.0``) to
-    model a dead host explicitly.
+    A host that goes down and comes back is a ``loss_rate=1.0`` window
+    over its down phase.
     """
 
     loss_rate: float = 0.0
     latency_jitter: float = 0.0
-    flap_up: float = 0.0
-    flap_down: float = 0.0
     start: float = 0.0
     duration: float = 0.0
 
@@ -109,37 +101,18 @@ class FaultProfile:
             raise ValueError(
                 f"latency_jitter must be >= 0, got {self.latency_jitter}"
             )
-        if self.flap_up < 0 or self.flap_down < 0:
-            raise ValueError("flap durations must be >= 0")
-        if self.flap_down > 0 and self.flap_up <= 0:
-            raise ValueError(
-                "flap_down > 0 requires flap_up > 0: a host that never "
-                "comes back up is dead, not flapping (use set_online or "
-                "loss_rate=1.0)"
-            )
         if self.start < 0 or self.duration < 0:
             raise ValueError("start/duration must be >= 0")
 
     @property
     def active(self) -> bool:
-        return (
-            self.loss_rate > 0
-            or self.latency_jitter > 0
-            or (self.flap_up > 0 and self.flap_down > 0)
-        )
+        return self.loss_rate > 0 or self.latency_jitter > 0
 
     def active_at(self, now: float) -> bool:
         """Is the profile's activity window open at ``now``?"""
         if now < self.start:
             return False
         return self.duration <= 0 or now < self.start + self.duration
-
-    def flapped_down(self, now: float) -> bool:
-        """Is a flapping host inside its dead window at ``now``?"""
-        period = self.flap_up + self.flap_down
-        if self.flap_down <= 0 or period <= 0:
-            return False
-        return ((now - self.start) % period) >= self.flap_up
 
 
 class SimulatedInternet:
@@ -182,12 +155,10 @@ class SimulatedInternet:
             "tcp_failures": 0,
             "wire_errors": 0,
             "injected_losses": 0,
-            "flap_drops": 0,
             "truncated_responses": 0,
         }
         #: failure injection (None / empty = zero overhead)
         self._global_faults: Optional[FaultProfile] = None
-        self._server_faults: Dict[str, FaultProfile] = {}
         self._fault_windows: Dict[str, List[FaultProfile]] = {}
         self._fault_rng = random.Random(0)
         #: the base seed the fault RNG was last (re)seeded from — the
@@ -200,36 +171,11 @@ class SimulatedInternet:
     # -- failure injection --------------------------------------------------
 
     def inject_faults(self, loss_rate: float = 0.0, seed: int = 0) -> None:
-        """Apply a network-wide loss rate (deterministic via ``seed``).
-
-        Per-server profiles from :meth:`set_server_faults` take
-        precedence over the global one.
-        """
+        """Apply a network-wide loss rate (deterministic via ``seed``)."""
         profile = FaultProfile(loss_rate=loss_rate)
         self._global_faults = profile if profile.active else None
         self._fault_rng = random.Random(seed)
         self.fault_seed = seed
-        self._topology_generation += 1
-
-    def set_server_faults(
-        self,
-        address: str,
-        loss_rate: float = 0.0,
-        latency_jitter: float = 0.0,
-        flap_up: float = 0.0,
-        flap_down: float = 0.0,
-    ) -> None:
-        """Attach a fault profile to one host (zeros clear it)."""
-        profile = FaultProfile(
-            loss_rate=loss_rate,
-            latency_jitter=latency_jitter,
-            flap_up=flap_up,
-            flap_down=flap_down,
-        )
-        if profile.active:
-            self._server_faults[address] = profile
-        else:
-            self._server_faults.pop(address, None)
         self._topology_generation += 1
 
     def add_fault_window(self, address: str, profile: FaultProfile) -> None:
@@ -237,8 +183,7 @@ class SimulatedInternet:
 
         Windows stack: several may target the same address (chaos
         scenarios compile onto this hook) and each active window is
-        evaluated, in insertion order, before the static per-server /
-        global profile.
+        evaluated, in insertion order, before the network-wide profile.
         """
         if profile.active:
             self._fault_windows.setdefault(address, []).append(profile)
@@ -252,25 +197,18 @@ class SimulatedInternet:
     def clear_faults(self) -> None:
         """Remove every injected fault profile."""
         self._global_faults = None
-        self._server_faults.clear()
         self._fault_windows.clear()
         self._topology_generation += 1
-
-    def _fault_profile(self, address: str) -> Optional[FaultProfile]:
-        if not self._server_faults and self._global_faults is None:
-            return None
-        return self._server_faults.get(address, self._global_faults)
 
     def fault_profiles(self, address: str) -> List[FaultProfile]:
         """Every profile a query to ``address`` is evaluated against, in
         evaluation order: its windows (insertion order; each applies
-        while :meth:`FaultProfile.active_at`), then the static profile
-        (per-server, else global).  Empty means the fault RNG is never
-        drawn for this address."""
+        while :meth:`FaultProfile.active_at`), then the network-wide
+        profile.  Empty means the fault RNG is never drawn for this
+        address."""
         profiles = list(self._fault_windows.get(address, ()))
-        static = self._fault_profile(address)
-        if static is not None:
-            profiles.append(static)
+        if self._global_faults is not None:
+            profiles.append(self._global_faults)
         return profiles
 
     # -- clock ------------------------------------------------------------
@@ -393,7 +331,7 @@ class SimulatedInternet:
             dst_ip,
             self._hosts.get(dst_ip),
             self._fault_windows.get(dst_ip, ()),
-            self._fault_profile(dst_ip),
+            self._global_faults,
             query,
             transport,
         )
@@ -410,9 +348,10 @@ class SimulatedInternet:
     ) -> Message:
         """One DNS transaction with the destination lookups hoisted out.
 
-        ``entry``/``windows``/``static`` are the per-destination host
-        entry and fault profiles — resolved by :meth:`query_dns` per
-        call, or cached across a burst by a :class:`DnsChannel`.  The
+        ``entry``/``windows`` are the destination's host entry and
+        fault windows and ``static`` the network-wide profile — resolved
+        by :meth:`query_dns` per call, or cached across a burst by a
+        :class:`DnsChannel`.  The
         clock charge, fault dice, truncation check, and loss accounting
         are identical on both entry paths and on both sides of the
         ``scan_cache_enabled`` switch.
@@ -435,11 +374,6 @@ class SimulatedInternet:
             if static is not None:
                 profiles.append(static)
             for faults in profiles:
-                if faults.flapped_down(self._clock):
-                    stats["flap_drops"] += 1
-                    raise self._unanswered(
-                        flow, f"host {dst_ip} is flapping (down)"
-                    )
                 if (
                     faults.loss_rate > 0
                     and self._fault_rng.random() < faults.loss_rate
@@ -639,7 +573,7 @@ class DnsChannel:
         network = self.network
         self._entry = network._hosts.get(self.dst_ip)
         self._windows = network._fault_windows.get(self.dst_ip, ())
-        self._static = network._fault_profile(self.dst_ip)
+        self._static = network._global_faults
         self._generation = network._topology_generation
 
     def query(self, query: Message, transport: str = "udp") -> Message:

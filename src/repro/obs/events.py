@@ -184,20 +184,6 @@ class RunTrace:
             out.append(payload)
         return out
 
-    def raw_events(
-        self,
-    ) -> List[Tuple[str, Optional[str], Dict[str, Any]]]:
-        """Deterministic events as (name, stage, fields), emission order.
-
-        The group runner buffers a group engine's events on a private
-        trace and replays them into the parent via :meth:`emit`; raw
-        tuples (not canonicalized dicts) keep the replay loss-free.
-        """
-        return [
-            (event.name, event.stage, dict(event.fields))
-            for event in self._events
-        ]
-
     def counters(self) -> Dict[str, int]:
         """Occurrence count per deterministic event name."""
         counts: Dict[str, int] = {}

@@ -48,8 +48,10 @@ from .errors import CheckpointError
 #: stage's ``end`` is added; v8: the stage-2 metrics drop ``workers``
 #: and stream segments are gone; the ``stage1-collect.json`` and
 #: stage-2/3 snapshots a v8 run wrote are never read; v9: the manifest
-#: fingerprint digests the run spec, a chaos script's content included)
-FORMAT_VERSION = 9
+#: fingerprint digests the run spec, a chaos script's content included;
+#: v10: the group slots are store format 5, whose ScanMetrics carry the
+#: resilience counters — a v9 directory is refused before a slot is read)
+FORMAT_VERSION = 10
 
 
 # -- generic json helpers ---------------------------------------------------

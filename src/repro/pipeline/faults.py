@@ -7,15 +7,15 @@ raises :class:`~repro.pipeline.errors.SourceTimeout` /
 seeded schedule.  The chaos harness composes these with network loss to
 fault all three stages at once.
 
-The wrappers are *transparent proxies*: reads are fault-injected, writes
-(``flag``, ``observe`` — scenario setup, not measurement traffic) pass
-through untouched, and everything else delegates.
+The wrappers proxy exactly the reads the pipeline makes of each
+source, and every lookup consults the fault plan (a vendor's ``name``
+and ``version`` are passed through).
 """
 
 from __future__ import annotations
 
 import random
-from typing import FrozenSet, List, Optional, Set, Union
+from typing import FrozenSet
 
 from .errors import SourceRateLimited, SourceTimeout
 
@@ -82,9 +82,8 @@ class _Flaky:
 class FlakyVendor(_Flaky):
     """A :class:`~repro.intel.vendor.SecurityVendor` that sometimes fails.
 
-    Read paths (``is_malicious``, ``tags``, ``verdict``)
-    consult the fault plan; write paths used by world construction
-    (``flag``, ``clear``) pass through.
+    ``is_malicious`` and ``tags`` consult the fault plan; ``name`` and
+    ``version`` are the vendor's.
     """
 
     @property
@@ -107,57 +106,19 @@ class FlakyVendor(_Flaky):
         self.plan.check(self._source)
         return self.inner.tags(address)
 
-    def verdict(self, address: str):
-        self.plan.check(self._source)
-        return self.inner.verdict(address)
-
-    def flag(self, address: str, tags=(), timestamp: float = 0.0) -> None:
-        self.inner.flag(address, tags, timestamp=timestamp)
-
-    def clear(self, address: str) -> None:
-        self.inner.clear(address)
-
-    def __len__(self) -> int:
-        return len(self.inner)
-
 
 class FlakyPassiveDNS(_Flaky):
     """A :class:`~repro.intel.pdns.PassiveDnsStore` behind a flaky API."""
 
     SOURCE = "pdns"
 
-    # reads: fault-injected ------------------------------------------------
-
-    def history(self, domain, now, rrtype=None):
-        self.plan.check(self.SOURCE)
-        return self.inner.history(domain, now, rrtype)
-
-    def historical_rdata(self, domain, rrtype, now) -> Set[str]:
-        self.plan.check(self.SOURCE)
-        return self.inner.historical_rdata(domain, rrtype, now)
-
     def record_in_history(self, domain, rrtype, rdata_text, now) -> bool:
         self.plan.check(self.SOURCE)
         return self.inner.record_in_history(domain, rrtype, rdata_text, now)
 
-    def historical_nameservers(self, domain, now):
-        self.plan.check(self.SOURCE)
-        return self.inner.historical_nameservers(domain, now)
-
     def domains(self):
         self.plan.check(self.SOURCE)
         return self.inner.domains()
-
-    # writes: world setup, pass through ------------------------------------
-
-    def observe(self, domain, rrtype, rdata_text, timestamp) -> None:
-        self.inner.observe(domain, rrtype, rdata_text, timestamp)
-
-    def observe_delegation(self, domain, ns_targets, timestamp) -> None:
-        self.inner.observe_delegation(domain, ns_targets, timestamp)
-
-    def __len__(self) -> int:
-        return len(self.inner)
 
 
 class FlakyIPInfo(_Flaky):
@@ -168,26 +129,3 @@ class FlakyIPInfo(_Flaky):
     def lookup(self, address: str):
         self.plan.check(self.SOURCE)
         return self.inner.lookup(address)
-
-    def asn(self, address: str) -> int:
-        return self.lookup(address).asn
-
-    def country(self, address: str) -> str:
-        return self.lookup(address).country
-
-    def cert_org(self, address: str) -> Optional[str]:
-        return self.lookup(address).cert_org
-
-    def http(self, address: str):
-        return self.lookup(address).http
-
-    # population + inventory: pass through ---------------------------------
-
-    def register_prefix(self, cidr, asn, as_name, country) -> None:
-        self.inner.register_prefix(cidr, asn, as_name, country)
-
-    def register_host(self, address, **kwargs):
-        return self.inner.register_host(address, **kwargs)
-
-    def known_hosts(self) -> List[str]:
-        return self.inner.known_hosts()

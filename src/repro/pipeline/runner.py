@@ -139,12 +139,6 @@ class PipelineRunner:
 
     def run(self, validate: bool = True) -> PipelineResult:
         """Execute (or resume) the pipeline."""
-        # Anchor any deadline budget at the runner's start so "run
-        # deadline" measures the whole pipeline, not just stage 1 (the
-        # budget's begin() is idempotent).
-        budget = self.hunter.collector.budget
-        if budget is not None:
-            budget.begin(self.hunter.network.now)
         if self.store is not None:
             self.store.prepare(self._fingerprint(), resume=self.resume)
             if self.hunter.result_store is None:

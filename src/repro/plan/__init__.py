@@ -25,7 +25,6 @@ from .shards import (
     ReducedOutcome,
     decode_group_result,
     encode_group_result,
-    fold_resilience,
     run_group,
     run_shard_scan,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "ReducedOutcome",
     "decode_group_result",
     "encode_group_result",
-    "fold_resilience",
     "run_group",
     "run_shard_scan",
 ]

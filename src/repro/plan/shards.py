@@ -38,23 +38,23 @@ phase start, and the config** — never of what ran before it
   groups behind one shared resolver all pay the same, in any order;
 * every group gets a fresh one-lane engine — pacing bucket, breaker,
   round-trip estimator and AIMD credit — and a deadline budget whose
-  run deadline is measured from the *run origin* the ledger's budget
-  pinned (the protective probes count against it; no group is granted
-  the whole budget again) — stage deadlines anchor at the group's
-  first task, as in any phase.
+  run deadline is measured from the *run origin*, the clock where the
+  run's stage 1 began (the protective probes count against it; no
+  group is granted the whole budget again) — stage deadlines anchor at
+  the group's first task, as in any phase.
 
-The ledger is the hunter's collector: the metrics and resilience
-counters the groups merge into, the budget that anchors the run
-deadline, and the shared query-message cache.  A group is folded the
-moment it is in hand (the UR scan's :class:`ScanFold`: wire counters
-summed, the URs appended to one UR table, deduped per group; the
-preamble's folds, outcome by outcome); its small ledgers —
-``ScanMetrics``, resilience counters, buffered engine trace events,
-elapsed time — wait for the merge in group order.  Only UR groups are
-stored; their results are JSON-encoded only at the persistence
-boundary (a result-store slot), and a stored slot is read and decoded
-into the same fold only when its group's turn comes.  The invariant is
-also the result store's key: :func:`repro.incremental.store.group_state`
+The ledger is the hunter's collector: the one
+:class:`~repro.engine.metrics.ScanMetrics` the groups merge into (wire
+and resilience counters alike), the run origin, and the shared
+query-message cache.  A group is folded the moment it is in hand (the
+UR scan's :class:`ScanFold`: wire counters summed, the URs appended to
+one UR table, deduped per group; the preamble's folds, outcome by
+outcome); its small ledger — one ``ScanMetrics``, the engine's
+deterministic events, elapsed time — waits for the merge in group
+order.  Only UR groups are stored; their results are JSON-encoded only
+at the persistence boundary (a result-store slot), and a stored slot
+is read and decoded into the same fold only when its group's turn
+comes.  The invariant is also the result store's key: :func:`repro.incremental.store.group_state`
 spells out each input, so a stored group — from an earlier run, or
 from the run a ``--resume`` continues — replays whenever they all
 match.
@@ -88,7 +88,7 @@ from ..engine import (
     ScanMetrics,
     StageCounters,
 )
-from ..obs.events import RunTrace, _json_safe
+from ..obs.events import _json_safe
 from ..resilience import AimdController, DeadlineBudget
 from .scanplan import NameserverGroup, ScanPlan
 
@@ -100,7 +100,6 @@ __all__ = [
     "pin_group",
     "end_group",
     "isolated_phase",
-    "run_origin",
     "run_group",
     "encode_record",
     "decode_record",
@@ -108,7 +107,6 @@ __all__ = [
     "decode_metrics",
     "encode_group_result",
     "decode_group_result",
-    "fold_resilience",
     "run_shard_scan",
 ]
 
@@ -185,15 +183,14 @@ class ScanFold:
 class GroupResult:
     """Everything one isolated server-group execution produced: how
     long it took, and — for a group driven by an engine — its UR
-    outcomes and the engine's ledger (empty by default)."""
+    outcomes, the engine's ledger and its events (empty by default)."""
 
     group: int
     server_ip: str
     elapsed: float
     outcomes: List[ReducedOutcome] = field(default_factory=list)
     metrics: Any = field(default_factory=ScanMetrics)
-    resilience: Optional[Dict[str, Any]] = None
-    #: buffered deterministic engine events as (name, stage, fields)
+    #: the engine's deterministic events as (name, stage, fields)
     events: List[Tuple[str, Optional[str], Dict[str, Any]]] = field(
         default_factory=list
     )
@@ -232,8 +229,8 @@ def isolated_phase(
     """One stage-1 phase of isolated groups, from ``start``.
 
     ``ledger`` is the stage-1 ledger — the hunter's collector — and
-    owns the ``network``, the ``metrics`` and ``resilience`` the groups
-    merge into, and the ``trace``.  The body pins each group
+    owns the ``network``, the ``metrics`` the groups merge into, and
+    the ``trace``.  The body pins each group
     (:func:`pin_group`) and appends every group it has in hand to the
     yielded list.  On the way out — also when a group raised, so a
     failure report carries the phase up to that point — the parent
@@ -264,8 +261,6 @@ def isolated_phase(
                 for event, stage, fields in result.events:
                     trace.emit(event, stage=stage, **fields)
             ledger.metrics.merge(result.metrics)
-            if result.resilience:
-                fold_resilience(ledger.resilience, result.resilience)
             if critical is None or result.elapsed > makespan:
                 makespan, critical = result.elapsed, result.server_ip
         network.set_clock(max(start + makespan, entered))
@@ -296,12 +291,12 @@ def _group_engine(ledger, server_ip: str, phase: str, origin: float):
     :class:`~repro.core.hunter.HunterConfig`), no state of any other
     group.
 
-    The deadline budget is anchored at ``origin`` — where the ledger's
-    budget began the run — not at the phase start the group's clock is
-    pinned to.  Only the query messages are shared, through the
-    ledger: every group asks the same (qname, qtype) questions, and a
-    re-sent message keeps the servers' compiled answers on their
-    cheapest path.
+    The deadline budget measures the run deadline from ``origin`` —
+    where the run's stage 1 began — not from the phase start the
+    group's clock is pinned to.  Only the query messages are shared,
+    through the ledger: every group asks the same (qname, qtype)
+    questions, and a re-sent message keeps the servers' compiled
+    answers on their cheapest path.
     """
     config = ledger.config
     engine = BatchedEngine(
@@ -312,23 +307,14 @@ def _group_engine(ledger, server_ip: str, phase: str, origin: float):
         config.engine_policy(),
     )
     engine.query_cache = ledger.query_cache
-    engine.trace = RunTrace()
-    if ledger.budget is not None:
+    if config.run_deadline > 0 or config.stage_deadline > 0:
         engine.budget = DeadlineBudget(
-            run_deadline=config.run_deadline,
-            stage_deadline=config.stage_deadline,
+            origin, config.run_deadline, config.stage_deadline
         )
-        engine.budget.begin(origin)
     engine.hedge_delay = config.hedge_delay
     if config.aimd:
         engine.aimd = AimdController()
     return engine
-
-
-def run_origin(ledger, start: float) -> float:
-    """Where group budgets measure the run deadline from: where the
-    run began, not the phase start every group's clock is pinned to."""
-    return start if ledger.budget is None else ledger.budget.begin(start)
 
 
 def run_group(
@@ -368,42 +354,11 @@ def run_group(
         elapsed=network.now - start,
         outcomes=kept,
         metrics=engine.metrics,
-        resilience=_encode_resilience(engine.resilience),
-        events=engine.trace.raw_events(),
+        events=engine.events,
     )
 
 
 # -- serialization ---------------------------------------------------------
-
-
-def _encode_resilience(resilience) -> Dict[str, Any]:
-    """Raw (unrounded) resilience counters for lossless folding."""
-    return {
-        "hedges_fired": resilience.hedges_fired,
-        "hedges_won": resilience.hedges_won,
-        "hedges_wasted": resilience.hedges_wasted,
-        "shed": dict(resilience.shed),
-        "aimd_cuts": resilience.aimd_cuts,
-        "aimd_wait": resilience.aimd_wait,
-        "spurious_retransmits": resilience.spurious_retransmits,
-    }
-
-
-def fold_resilience(target, data: Dict[str, Any]) -> None:
-    """Fold encoded group counters into the ledger's metrics in place.
-
-    In place because the hunter and its collector alias one
-    :class:`~repro.resilience.metrics.ResilienceMetrics` instance; a
-    fold into a new object would silently break that aliasing.
-    """
-    target.hedges_fired += data.get("hedges_fired", 0)
-    target.hedges_won += data.get("hedges_won", 0)
-    target.hedges_wasted += data.get("hedges_wasted", 0)
-    target.aimd_cuts += data.get("aimd_cuts", 0)
-    target.aimd_wait += data.get("aimd_wait", 0.0)
-    target.spurious_retransmits += data.get("spurious_retransmits", 0)
-    for key, count in data.get("shed", {}).items():
-        target.shed[key] = target.shed.get(key, 0) + count
 
 
 def encode_record(record) -> Dict[str, Any]:
@@ -442,6 +397,17 @@ def decode_record(payload: Dict[str, Any]):
     )
 
 
+#: the scalar run-level counters of a :class:`ScanMetrics`
+_RUN_COUNTERS = (
+    "hedges_fired",
+    "hedges_won",
+    "hedges_wasted",
+    "aimd_cuts",
+    "aimd_wait",
+    "spurious_retransmits",
+)
+
+
 def encode_metrics(metrics: ScanMetrics) -> Dict[str, Any]:
     return {
         "stages": {
@@ -463,6 +429,8 @@ def encode_metrics(metrics: ScanMetrics) -> Dict[str, Any]:
             "total": metrics.latency.total,
             "sum": metrics.latency.sum,
         },
+        **{counter: getattr(metrics, counter) for counter in _RUN_COUNTERS},
+        "shed_by_reason": dict(metrics.shed_by_reason),
     }
 
 
@@ -475,6 +443,9 @@ def decode_metrics(payload: Dict[str, Any]) -> ScanMetrics:
     latency.total = payload["latency"]["total"]
     latency.sum = payload["latency"]["sum"]
     metrics.latency = latency
+    for counter in _RUN_COUNTERS:
+        setattr(metrics, counter, payload[counter])
+    metrics.shed_by_reason = dict(payload["shed_by_reason"])
     return metrics
 
 
@@ -494,7 +465,6 @@ def encode_group_result(result: GroupResult) -> Dict[str, Any]:
             for outcome in result.outcomes
         ],
         "metrics": encode_metrics(result.metrics),
-        "resilience": result.resilience,
         "events": [
             [event, stage, _json_safe(fields)]
             for event, stage, fields in result.events
@@ -519,10 +489,9 @@ def decode_group_result(payload: Dict[str, Any]) -> GroupResult:
             for outcome in payload["outcomes"]
         ],
         metrics=decode_metrics(payload["metrics"]),
-        resilience=payload.get("resilience"),
         events=[
             (event, stage, dict(fields))
-            for event, stage, fields in payload.get("events", [])
+            for event, stage, fields in payload["events"]
         ],
     )
 
@@ -606,7 +575,7 @@ def run_shard_scan(hunter, plan: ScanPlan, epoch: float) -> ScanFold:
     report carries is the scan up to that point.
     """
     ledger = hunter.collector
-    origin = run_origin(ledger, epoch)
+    origin = ledger.origin
     fold = ScanFold()
     with isolated_phase(ledger, "ur", epoch) as finished:
         for group, decision, payload in _stored_groups(

@@ -11,8 +11,9 @@ failure at runtime:
   :class:`~repro.engine.latency.ServerLatency`;
 * :class:`~repro.resilience.aimd.AimdController` — additive-increase /
   multiplicative-decrease send credit of one server's lane;
-* :class:`~repro.resilience.metrics.ResilienceMetrics` — the counters
-  of all of it.
+* :class:`~repro.resilience.metrics.ResilienceMetrics` — a snapshot
+  of the counters of all of it, which the scan ledger
+  (:class:`~repro.engine.metrics.ScanMetrics`) keeps.
 
 The chaos-scenario harness lives in the heavier submodules
 :mod:`repro.resilience.scenario` (declarative time-windowed fault

@@ -9,8 +9,8 @@ replay of a run sheds the exact same tasks — and a budget of ``0.0``
 (the default) never exhausts.
 
 Shed queries are *not* silently dropped: the engine counts them in a
-dedicated ``shed`` stage counter and the per-reason ledger of
-:class:`~repro.resilience.metrics.ResilienceMetrics`, keeping the
+dedicated ``shed`` stage counter and the per-reason ledger of its
+:class:`~repro.engine.metrics.ScanMetrics`, keeping the
 ``unaccounted == 0`` loss-accounting gate intact.
 """
 
@@ -26,40 +26,33 @@ class DeadlineBudget:
 
     Parameters
     ----------
+    origin:
+        The virtual time the run began at — the clock at the start of
+        its stage 1 — which the run deadline is measured from.
     run_deadline:
-        Maximum virtual seconds for the whole run, measured from the
-        first :meth:`begin` call.  ``0.0`` disables the run deadline.
+        Maximum virtual seconds for the whole run, measured from
+        ``origin``.  ``0.0`` disables the run deadline.
     stage_deadline:
         Maximum virtual seconds per pipeline phase, measured from the
         first task of that phase.  ``0.0`` disables stage deadlines.
 
-    The budget is anchored lazily: :meth:`begin` pins the run origin
-    (idempotently, so the runner and the engine may both call it) and
     :meth:`enter_phase` pins each phase at the moment the engine first
     sees one of its tasks.  All checks are strict ``>=`` comparisons on
     the virtual clock — no wall time, no randomness.
     """
 
-    __slots__ = ("run_deadline", "stage_deadline", "_run_start",
+    __slots__ = ("origin", "run_deadline", "stage_deadline",
                  "_phase_starts", "_announced")
 
-    def __init__(self, run_deadline: float = 0.0,
+    def __init__(self, origin: float, run_deadline: float = 0.0,
                  stage_deadline: float = 0.0) -> None:
         if run_deadline < 0 or stage_deadline < 0:
             raise ValueError("deadlines must be >= 0")
+        self.origin = origin
         self.run_deadline = float(run_deadline)
         self.stage_deadline = float(stage_deadline)
-        self._run_start: Optional[float] = None
         self._phase_starts: Dict[str, float] = {}
         self._announced: Set[str] = set()
-
-    def begin(self, now: float) -> float:
-        """Anchor the run origin at ``now`` unless an earlier call already
-        did; returns the origin (the group runner anchors its per-group
-        budgets there)."""
-        if self._run_start is None:
-            self._run_start = now
-        return self._run_start
 
     def enter_phase(self, phase: str, now: float) -> None:
         """Anchor ``phase`` at its first task; later calls are ignored."""
@@ -67,9 +60,9 @@ class DeadlineBudget:
 
     def run_exhausted(self, now: float) -> bool:
         """True once the whole-run deadline has passed."""
-        if self.run_deadline <= 0 or self._run_start is None:
+        if self.run_deadline <= 0:
             return False
-        return now - self._run_start >= self.run_deadline
+        return now - self.origin >= self.run_deadline
 
     def check(self, now: float, phase: str) -> Optional[str]:
         """Reason string if sends must stop, else ``None``.

@@ -1,35 +1,40 @@
 """Resilience metrics: hedges, sheds, AIMD activity.
 
-:class:`ResilienceMetrics` is attached to the report (and rendered,
-and included in the metrics document) only when :attr:`active` — a
-healthy run with resilience enabled produces no counters and therefore
-byte-identical reports to a run without resilience.
+The counters live in the stage-1 ledger,
+:class:`~repro.engine.metrics.ScanMetrics`, which every engine writes
+and every group merges.  :class:`ResilienceMetrics` is a read-only
+snapshot of them, taken from a merged ledger: it is attached to the
+report (and rendered, and included in the metrics document) only when
+:attr:`active` — a healthy run with resilience enabled produces no
+counters and therefore byte-identical reports to a run without
+resilience.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import Dict
 
 __all__ = ["ResilienceMetrics"]
 
 
 class ResilienceMetrics:
-    """Deterministic counters for the adaptive resilience layer."""
+    """Deterministic counters of the adaptive resilience layer, copied
+    from a :class:`~repro.engine.metrics.ScanMetrics` when built."""
 
     __slots__ = ("hedges_fired", "hedges_won", "hedges_wasted", "shed",
                  "aimd_cuts", "aimd_wait", "spurious_retransmits")
 
-    def __init__(self) -> None:
-        self.hedges_fired = 0
-        self.hedges_won = 0
-        self.hedges_wasted = 0
+    def __init__(self, metrics) -> None:
+        self.hedges_fired = metrics.hedges_fired
+        self.hedges_won = metrics.hedges_won
+        self.hedges_wasted = metrics.hedges_wasted
         #: loss-accounting ledger keyed ``shed:<reason>``
-        self.shed: Dict[str, int] = {}
-        self.aimd_cuts = 0
-        self.aimd_wait = 0.0
+        self.shed: Dict[str, int] = dict(metrics.shed_by_reason)
+        self.aimd_cuts = metrics.aimd_cuts
+        self.aimd_wait = metrics.aimd_wait
         #: answered attempts whose round trip outlasted the timer they
         #: were sent under — a real scanner would have re-sent
-        self.spurious_retransmits = 0
+        self.spurious_retransmits = metrics.spurious_retransmits
 
     @property
     def active(self) -> bool:
@@ -48,10 +53,6 @@ class ResilienceMetrics:
     @property
     def shed_total(self) -> int:
         return sum(self.shed.values())
-
-    def note_shed(self, reason: str) -> None:
-        key = f"shed:{reason}"
-        self.shed[key] = self.shed.get(key, 0) + 1
 
     def to_dict(self) -> Dict[str, object]:
         return {

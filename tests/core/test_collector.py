@@ -18,6 +18,7 @@ from repro.intel.ipinfo import IpInfoDatabase
 from repro.net.network import SimulatedInternet
 from repro.net.traffic import TrafficCapture
 from repro.plan import build_plan, shards
+from repro.resilience import ResilienceMetrics
 
 from ..conftest import bare_hunter
 
@@ -299,6 +300,6 @@ class TestEngineSelection:
         collector = ResponseCollector(network, config)
         assert collector.network is network
         assert network.knows(config.scanner_ip)
-        assert collector.budget.run_deadline == 3.0
+        assert collector.origin == network.now
         assert not collector.metrics.stages
-        assert not collector.resilience.active
+        assert not ResilienceMetrics(collector.metrics).active

@@ -237,4 +237,4 @@ class TestWorldLikeProtocol:
         hunter = URHunter.from_world(small_world)
         assert not hasattr(hunter, "engine")
         assert hunter.collector.config is hunter.config
-        assert hunter.resilience is hunter.collector.resilience
+        assert not hunter.resilience.active

@@ -135,19 +135,13 @@ def _list_execute_group(hunter, plan, group):
         collector.reduce_ur(index, outcome)
         for index, outcome in zip(group.unit_indices, outcomes)
     ]
-    resilience = getattr(engine, "resilience", None)
     return GroupResult(
         group=group.index,
         server_ip=group.server_ip,
         elapsed=network.now - start,
         outcomes=reduced,
         metrics=engine.metrics,
-        resilience=(
-            shards._encode_resilience(resilience)
-            if resilience is not None
-            else None
-        ),
-        events=engine.trace.raw_events(),
+        events=engine.events,
     )
 
 

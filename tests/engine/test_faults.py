@@ -29,13 +29,12 @@ class TestFaultProfile:
         with pytest.raises(ValueError):
             FaultProfile(latency_jitter=-1.0)
 
-    def test_flap_windows_phase_locked(self):
-        profile = FaultProfile(flap_up=20.0, flap_down=40.0)
-        assert not profile.flapped_down(0.0)
-        assert not profile.flapped_down(19.9)
-        assert profile.flapped_down(20.0)
-        assert profile.flapped_down(59.9)
-        assert not profile.flapped_down(60.0)
+    def test_window_opens_and_closes(self):
+        profile = FaultProfile(loss_rate=1.0, start=20.0, duration=40.0)
+        assert not profile.active_at(19.9)
+        assert profile.active_at(20.0)
+        assert profile.active_at(59.9)
+        assert not profile.active_at(60.0)
 
 
 class TestInjectedLoss:
@@ -66,32 +65,38 @@ class TestInjectedLoss:
         network.clear_faults()
         assert network.query_dns(SCANNER, NS_LIVE, _query()) is not None
 
-    def test_per_server_profile_takes_precedence(self, network):
+    def test_windows_stack_ahead_of_the_network_wide_profile(
+        self, network
+    ):
         network.inject_faults(loss_rate=0.999999, seed=1)
-        network.set_server_faults(NS_LIVE2, latency_jitter=0.001)
-        # NS_LIVE2 has its own (lossless) profile; NS_LIVE drops.
-        assert network.query_dns(SCANNER, NS_LIVE2, _query()) is not None
+        window = FaultProfile(latency_jitter=0.001)
+        network.add_fault_window(NS_LIVE2, window)
+        (lossy,) = network.fault_profiles(NS_LIVE)
+        assert network.fault_profiles(NS_LIVE2) == [window, lossy]
+        # the window does not shield NS_LIVE2 from the loss
         with pytest.raises(NetworkError):
-            network.query_dns(SCANNER, NS_LIVE, _query())
+            network.query_dns(SCANNER, NS_LIVE2, _query())
 
 
 class TestLatencyJitter:
     def test_jitter_stretches_the_clock(self, make_network):
         plain, jittered = make_network(), make_network()
         plain.query_dns(SCANNER, NS_LIVE, _query())
-        jittered.set_server_faults(NS_LIVE, latency_jitter=2.0)
+        jittered.add_fault_window(NS_LIVE, FaultProfile(latency_jitter=2.0))
         jittered.query_dns(SCANNER, NS_LIVE, _query())
         assert jittered.now > plain.now
 
 
 class TestFlappingServer:
     def test_down_window_rejects_queries(self, network):
-        network.set_server_faults(NS_LIVE, flap_up=20.0, flap_down=40.0)
+        network.add_fault_window(
+            NS_LIVE, FaultProfile(loss_rate=1.0, start=20.0, duration=40.0)
+        )
         assert network.query_dns(SCANNER, NS_LIVE, _query()) is not None
         network.tick(25.0)  # into the dead window
         with pytest.raises(NetworkError):
             network.query_dns(SCANNER, NS_LIVE, _query())
-        assert network.stats["flap_drops"] == 1
+        assert network.stats["injected_losses"] == 1
         network.tick(40.0)  # back into the up window
         assert network.query_dns(SCANNER, NS_LIVE, _query()) is not None
 

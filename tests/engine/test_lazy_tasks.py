@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import HunterConfig, URHunter
 from repro.dns.wire import encode_message
-from repro.plan import fold_resilience, shards
+from repro.plan import shards
 from repro.scenario import build_world, small_config
 
 SEED = 7
@@ -76,9 +76,6 @@ def _stream(prepare, materialize):
             for index, outcome in engine.execute_iter(tasks)
         ]
         ledger.metrics.merge(engine.metrics)
-        fold_resilience(
-            ledger.resilience, shards._encode_resilience(engine.resilience)
-        )
     return stream, hunter
 
 

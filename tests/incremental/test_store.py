@@ -88,6 +88,29 @@ FORMAT_3_STATS = (
     '"stored":145,"uncacheable":1}'
 )
 
+#: and as the format-4 build (the parent of format 5) left one, its
+#: resilience counters beside the ScanMetrics (outcomes and events cut
+#: to one each)
+FORMAT_4_SLOT = (
+    '{"format":4,"identity":"ae3c6436287d10f61ab0a2a03a8ff78be44c8b534735e5'
+    'f6e89170e9d829522e","digest":"ececf364dbab19237af6a783e7df5a69dba00ce3'
+    '5f8010c5cd764fee30232791","group":{"group":98,"server":"10.12.0.2",'
+    '"elapsed":0.833333333954215,"outcomes":[{"index":178,"attempts":1,'
+    '"answered":true,"urs":[]}],"metrics":{"stages":{"ur":{"queries":74,'
+    '"responses":70,"timeouts":4,"retries":4,"giveups":0,"skipped":0,'
+    '"shed":0,"rate_limit_wait":0.0}},"latency":{"bounds":[0.001,0.005,'
+    '0.01,0.025,0.05,0.1,0.25,0.5,1.0,2.5,5.0,10.0,30.0],"counts":[0,0,0,'
+    '70,4,0,0,0,0,0,0,0,0,0],"total":74,"sum":0.8200000007264316}},'
+    '"resilience":{"hedges_fired":4,"hedges_won":4,"hedges_wasted":0,'
+    '"shed":{},"aimd_cuts":4,"aimd_wait":0.013333333190530539,'
+    '"spurious_retransmits":0},"events":[["aimd.cut","stage1-collect",'
+    '{"scope":"nameserver","server":"10.12.0.2","phase":"ur"}]]}}'
+)
+FORMAT_4_STATS = (
+    '{"format":4,"slots":145,"hits":0,"misses":145,"invalidated":0,'
+    '"stored":145,"uncacheable":1}'
+)
+
 
 @pytest.fixture(scope="module")
 def world():
@@ -228,7 +251,7 @@ class TestStateDigest:
         moved()
         # faults on another server only: the fault RNG is never drawn
         # for this group, whatever its seed
-        network.set_server_faults(other.server_ip, loss_rate=0.5)
+        network.add_fault_window(other.server_ip, FaultProfile(loss_rate=0.5))
         network.add_fault_window(
             other.server_ip, FaultProfile(loss_rate=0.5, start=10.0)
         )
@@ -243,13 +266,15 @@ class TestStateDigest:
         moved()
         network.inject_faults(loss_rate=0.05, seed=SEED + 1)
         moved()
-        # a per-server profile replaces the global one for this server
-        network.set_server_faults(server, loss_rate=0.25)
+        # a window on this server stacks on the global profile
+        network.add_fault_window(server, FaultProfile(loss_rate=0.25))
         moved()
-        network.set_server_faults(server, loss_rate=0.25, latency_jitter=0.01)
+        network.add_fault_window(server, FaultProfile(latency_jitter=0.01))
         moved()
         # a profile that reads the clock anchors the key at the epoch
-        network.set_server_faults(server, flap_up=5.0, flap_down=1.0)
+        network.add_fault_window(
+            server, FaultProfile(loss_rate=1.0, start=5.0, duration=1.0)
+        )
         assert group_state(network, HunterConfig(), server, "GoDaddy") == (
             None,
             "time-anchored",
@@ -321,11 +346,15 @@ class TestKeysOfTheParentBuild:
     configuration fingerprint its manifest carries: the fields that
     stopped being fields were the ones it already excluded.  v9 moved
     the format alone again: the CLI's scenario fingerprint became a
-    digest of the run spec, and a bare config digest did not move."""
+    digest of the run spec, and a bare config digest did not move.
+    Store format 5 (checkpoint v10) moved every store key on purpose —
+    each hashes the store format — when the resilience counters moved
+    into the group's ScanMetrics; the configuration fingerprint did not
+    move."""
 
-    def test_formats_did_not_move(self):
-        assert STORE_FORMAT_VERSION == 4
-        assert FORMAT_VERSION == 9
+    def test_formats_are_pinned(self):
+        assert STORE_FORMAT_VERSION == 5
+        assert FORMAT_VERSION == 10
 
     def test_config_fingerprint(self, hunter, tmp_path):
         assert config_fingerprint(HunterConfig()) == (
@@ -335,14 +364,14 @@ class TestKeysOfTheParentBuild:
             HunterConfig(), extra={"plan": hunter.plan.plan_hash}
         )
         (tmp_path / "manifest.json").write_text(
-            '{"format":9,"fingerprint":"bb99dcbbbbca00a1a519b660d232bb9f'
+            '{"format":10,"fingerprint":"bb99dcbbbbca00a1a519b660d232bb9f'
             'e1856140a0d9766e2ed7b972abf53711"}\n'
         )
         CheckpointStore(tmp_path).prepare(stamped, resume=True)
 
     def test_scan_config_fingerprint(self):
         assert scan_config_fingerprint(HunterConfig()) == (
-            "48819f44f69b9b8052288b9136891bf389dcef062a8a66f41f7e71ea7718a0f8"
+            "e63bc56f9b3c7ca51ad55c3278012df98d68dcb0c2f0924c7393d73f2467c88a"
         )
 
     def test_group_identity_and_state_digest(self, world, hunter):
@@ -350,14 +379,14 @@ class TestKeysOfTheParentBuild:
         identity = group_identity(hunter.plan, group)
         assert (group.server_ip, identity) == (
             "10.0.0.4",
-            "872bf6fdeab690ba7125ad3996d1c965e202318d210dd2f2a9a6a5653bfb0a35",
+            "241ec22fb243c9202cab0a0a965570140617272d75384b1628349abaa6b809c6",
         )
         state, reason = group_state(
             world.network, HunterConfig(), group.server_ip, "GoDaddy"
         )
         assert reason is None
         assert state_digest(identity, state) == (
-            "d14ba6d7f679a02aca7f3dc4af2594761c0a525f873d4fa2ebbcce33889fd178"
+            "84f7dc0947241a9ac0e06a640bd9da396897c5d4240f29a69f53906fa2bf6716"
         )
 
 
@@ -365,30 +394,39 @@ class TestFormatRefusal:
     @pytest.mark.parametrize(
         "files, written",
         [
+            ({"group-ae3c6436287d10f6.json": FORMAT_4_SLOT}, 4),
+            ({"store-stats.json": FORMAT_4_STATS}, 4),
             ({"group-0092313204e3f520.json": FORMAT_3_SLOT}, 3),
             ({"store-stats.json": FORMAT_3_STATS}, 3),
             ({"group-0c9d2c4a.json": FORMAT_2_SLOT}, 2),
             ({"store-stats.json": FORMAT_2_STATS}, 2),
         ],
-        ids=["slot", "stats", "format-2-slot", "format-2-stats"],
+        ids=[
+            "slot",
+            "stats",
+            "format-3-slot",
+            "format-3-stats",
+            "format-2-slot",
+            "format-2-stats",
+        ],
     )
     def test_parent_format_store_is_refused_at_open(
         self, tmp_path, files, written
     ):
-        assert STORE_FORMAT_VERSION == 4
+        assert STORE_FORMAT_VERSION == 5
         for name, text in files.items():
             (tmp_path / name).write_text(text)
         with pytest.raises(StoreFormatError) as refusal:
             GroupResultStore(tmp_path)
         message = str(refusal.value)
         assert str(tmp_path) in message
-        assert f"format {written}" in message and "format 4" in message
+        assert f"format {written}" in message and "format 5" in message
 
     def test_cli_exits_as_unusable_input_and_leaves_the_store_alone(
         self, tmp_path, capsys
     ):
-        (tmp_path / "group-0092313204e3f520.json").write_text(FORMAT_3_SLOT)
-        (tmp_path / "store-stats.json").write_text(FORMAT_3_STATS)
+        (tmp_path / "group-ae3c6436287d10f6.json").write_text(FORMAT_4_SLOT)
+        (tmp_path / "store-stats.json").write_text(FORMAT_4_STATS)
         argv = ["--scale", "small", "--result-store", str(tmp_path)]
         for command in ("run", "plan"):
             assert main(argv + [command]) == EXIT_USAGE
@@ -398,22 +436,22 @@ class TestFormatRefusal:
         assert {
             path.name: path.read_text() for path in tmp_path.iterdir()
         } == {
-            "group-0092313204e3f520.json": FORMAT_3_SLOT,
-            "store-stats.json": FORMAT_3_STATS,
+            "group-ae3c6436287d10f6.json": FORMAT_4_SLOT,
+            "store-stats.json": FORMAT_4_STATS,
         }
 
     def test_parent_checkpoint_groups_are_refused_never_all_missed(
         self, tmp_path, capsys
     ):
-        """``<checkpoint-dir>/groups`` as the last store-format-3 build
-        left it: the manifest refuses the resume before a slot is
-        looked at, and the slots refuse to open as a store on their
-        own."""
+        """``<checkpoint-dir>/groups`` as the last store-format-4 build
+        (checkpoint v9) left it: the manifest refuses the resume before
+        a slot is looked at, and the slots refuse to open as a store on
+        their own."""
         groups = tmp_path / "groups"
         groups.mkdir()
         files = {
-            tmp_path / "manifest.json": '{"format":5,"fingerprint":"fp"}',
-            groups / "group-0092313204e3f520.json": FORMAT_3_SLOT,
+            tmp_path / "manifest.json": '{"format":9,"fingerprint":"fp"}',
+            groups / "group-ae3c6436287d10f6.json": FORMAT_4_SLOT,
         }
         for path, text in files.items():
             path.write_text(text)
@@ -421,9 +459,9 @@ class TestFormatRefusal:
         assert main(argv + ["--resume", "run"]) == EXIT_ABORTED
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "cannot resume: checkpoint format 5 != 9" in captured.err
+        assert "cannot resume: checkpoint format 9 != 10" in captured.err
         assert all(path.read_text() == text for path, text in files.items())
-        with pytest.raises(StoreFormatError, match="store format 3"):
+        with pytest.raises(StoreFormatError, match="store format 4"):
             GroupResultStore(groups)
 
     def test_own_format_store_reopens(self, tmp_path):

@@ -47,15 +47,13 @@ class TestHostOverrides:
         assert meta.cert_org == "Example Inc"
         assert meta.asn == 64501
 
-    def test_register_host_explicit_overrides(self, db):
-        db.register_host(
-            "10.1.5.6", asn=65000, as_name="Custom", country="SC"
-        )
-        meta = db.lookup("10.1.5.6")
+    def test_register_host_takes_as_and_country_from_its_prefix(self, db):
+        db.register_host("10.2.5.6", cert_org="Custom")
+        meta = db.lookup("10.2.5.6")
         assert (meta.asn, meta.as_name, meta.country) == (
-            65000,
-            "Custom",
-            "SC",
+            64502,
+            "RheinHosting",
+            "DE",
         )
 
     def test_accessors(self, db):
@@ -66,10 +64,6 @@ class TestHostOverrides:
         assert db.cert_org("10.2.1.1") == "X"
         assert db.http("10.2.1.1").kind is PageKind.PARKED
         assert db.cert_org("10.2.9.9") is None
-
-    def test_known_hosts(self, db):
-        db.register_host("10.1.0.1")
-        assert "10.1.0.1" in db.known_hosts()
 
 
 class TestHttpPage:

@@ -191,16 +191,6 @@ class TestIndexedQueryInterface:
                 "dom2.example", RRType.TXT, rdata, 100.0
             )
 
-    def test_historical_nameservers_matches_naive(self):
-        indexed, naive = _mirror_stores()
-        for store in (indexed, naive):
-            store.observe_delegation(
-                "dom3.example", ["ns1.host.example", "ns2.host.example"], 7.0
-            )
-        assert indexed.historical_nameservers(
-            "dom3.example", 100.0
-        ) == naive.historical_nameservers("dom3.example", 100.0)
-
     def test_returned_collections_are_copies(self):
         store = PassiveDnsStore()
         store.observe("dom4.example", RRType.A, "198.51.100.9", 1.0)

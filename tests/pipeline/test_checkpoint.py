@@ -84,6 +84,9 @@ class TestCodecs:
     def test_group_result_round_trips_through_its_slot_json(self):
         metrics = ScanMetrics()
         metrics.stage("ur").queries = 3
+        metrics.hedges_fired = 1
+        metrics.aimd_wait = 0.1 + 0.2
+        metrics.note_shed("deadline-run")
         result = GroupResult(
             group=4,
             server_ip="192.0.2.1",
@@ -93,13 +96,17 @@ class TestCodecs:
                 ReducedOutcome(9, 2, False, ()),
             ],
             metrics=metrics,
-            resilience={"hedges_fired": 1, "shed": {"ur": 2}},
             events=[("breaker.trip", STAGE1, {"server": "192.0.2.1"})],
         )
         payload = encode_group_result(result)
         decoded = decode_group_result(json.loads(json.dumps(payload)))
         assert encode_group_result(decoded) == payload
         assert decoded.outcomes == result.outcomes
+        assert (
+            decoded.metrics.hedges_fired,
+            decoded.metrics.aimd_wait,
+            decoded.metrics.shed_by_reason,
+        ) == (1, 0.1 + 0.2, {"shed:deadline-run": 1})
         assert decoded.events == result.events
 
 
@@ -167,7 +174,7 @@ class TestCheckpointStore:
         }
         for name, text in files.items():
             (tmp_path / name).write_text(text)
-        with pytest.raises(CheckpointError, match="checkpoint format 6 != 9"):
+        with pytest.raises(CheckpointError, match="checkpoint format 6 != 10"):
             CheckpointStore(tmp_path).prepare("fp", resume=True)
         assert {
             path.name: path.read_text() for path in tmp_path.iterdir()
@@ -175,7 +182,7 @@ class TestCheckpointStore:
         (tmp_path / "manifest.json").write_text(
             '{"format":5,"fingerprint":"fp"}'
         )
-        with pytest.raises(CheckpointError, match="checkpoint format 5 != 9"):
+        with pytest.raises(CheckpointError, match="checkpoint format 5 != 10"):
             CheckpointStore(tmp_path).prepare("fp", resume=True)
 
     def test_resume_without_manifest_fails(self, tmp_path):

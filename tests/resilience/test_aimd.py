@@ -1,15 +1,12 @@
 """AIMD adaptive send credit: unit behaviour plus engine composition."""
 
-import json
-
 import pytest
 
 from repro.dns.name import name
 from repro.dns.rdata import RRType
 from repro.engine import BatchedEngine, EnginePolicy, QueryTask
 from repro.net.network import FaultProfile
-from repro.obs import RunTrace
-from repro.resilience import AimdController
+from repro.resilience import AimdController, ResilienceMetrics
 
 from ..conftest import drive
 from .conftest import NS_LIVE, SCANNER
@@ -89,16 +86,15 @@ class TestEngineComposition:
             EnginePolicy(per_server_interval=interval, retries=1),
         )
         engine.aimd = AimdController()
-        engine.trace = RunTrace()
         return engine
 
     def test_clean_run_is_untouched(self, make_network):
         network = make_network()
         engine = self._engine(network)
         drive(engine, [_task(NS_LIVE) for _ in range(6)])
-        assert engine.resilience.aimd_cuts == 0
-        assert engine.resilience.aimd_wait == 0.0
-        assert not engine.resilience.active
+        assert engine.metrics.aimd_cuts == 0
+        assert engine.metrics.aimd_wait == 0.0
+        assert not ResilienceMetrics(engine.metrics).active
 
     def test_timeouts_cut_and_delay(self, make_network):
         network = make_network()
@@ -107,15 +103,15 @@ class TestEngineComposition:
         )
         engine = self._engine(network)
         drive(engine, [_task(NS_LIVE) for _ in range(4)])
-        resilience = engine.resilience
-        assert resilience.aimd_cuts > 0
-        assert resilience.aimd_wait > 0.0
+        metrics = engine.metrics
+        assert metrics.aimd_cuts > 0
+        assert metrics.aimd_wait > 0.0
         events = [
-            json.loads(line)
-            for line in engine.trace.deterministic_lines()
-            if json.loads(line).get("event") == "aimd.cut"
+            fields
+            for event, _, fields in engine.events
+            if event == "aimd.cut"
         ]
-        assert len(events) == resilience.aimd_cuts
+        assert len(events) == metrics.aimd_cuts
         assert all(event["server"] == NS_LIVE for event in events)
 
     def test_aimd_composes_with_pacing(self, make_network):
@@ -158,6 +154,6 @@ class TestEngineComposition:
         network.tick(12.0)
         drive(engine, [_task(NS_LIVE) for _ in range(4)])
         assert engine.aimd.credit == 1.0
-        waited = engine.resilience.aimd_wait
+        waited = engine.metrics.aimd_wait
         drive(engine, [_task(NS_LIVE) for _ in range(4)])
-        assert engine.resilience.aimd_wait == waited
+        assert engine.metrics.aimd_wait == waited

@@ -101,11 +101,11 @@ def test_aimd_only_spaces_the_lane(losses, tasks, hedged, interval):
             # of a timeout, nor of the hedge delay it is composed with
             assert wait <= healthy / _CREDIT_FLOOR + EPS
     if interval == 0.0:
-        assert engine.resilience.aimd_wait == pytest.approx(
+        assert engine.metrics.aimd_wait == pytest.approx(
             sum(wait for wait, _ in aimd.waits)
         )
     if not any(losses[: len(server.arrivals)]):
-        assert engine.resilience.aimd_wait == 0.0
+        assert engine.metrics.aimd_wait == 0.0
 
 
 @settings(max_examples=100, deadline=None)
@@ -176,10 +176,10 @@ def test_retry_timer_follows_the_round_trip_estimator(script, tasks):
                 previous = timer
             send += 1
     assert send == len(arrivals)
-    assert certain <= engine.resilience.spurious_retransmits <= possible
+    assert certain <= engine.metrics.spurious_retransmits <= possible
     if not any(delays[: len(arrivals)]):
         # pure loss: a steady server never outruns its own timer
-        assert engine.resilience.spurious_retransmits == 0
+        assert engine.metrics.spurious_retransmits == 0
 
 
 STORM_SEED = 7

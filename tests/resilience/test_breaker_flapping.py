@@ -1,5 +1,6 @@
 """Circuit breaker vs flapping hosts: half-open probes must re-trip,
-and the behaviour must be identical in every replay."""
+and the behaviour must be identical in every replay.  A host's down
+phase is a ``loss_rate=1.0`` fault window."""
 
 import json
 
@@ -10,6 +11,7 @@ from repro.dns.name import name
 from repro.dns.rdata import RRType
 from repro.engine import BatchedEngine, EnginePolicy, QueryTask
 from repro.engine.breaker import CircuitBreaker, CircuitState
+from repro.net.network import FaultProfile
 from repro.obs import RunTrace
 from repro.scenario import build_world, small_config
 
@@ -26,61 +28,62 @@ def _task(qtype=RRType.A):
     )
 
 
-def _trip_events(trace, server=None):
-    events = [
-        json.loads(line)
-        for line in trace.deterministic_lines()
-        if json.loads(line).get("event") == "breaker.trip"
+def _trips(engine):
+    return [
+        fields
+        for event, _, fields in engine.events
+        if event == "breaker.trip"
     ]
-    if server is not None:
-        events = [event for event in events if event["server"] == server]
-    return events
+
+
+def _down(network, start, duration=0.0):
+    """Take ``NS_LIVE`` down from ``start`` for ``duration`` virtual
+    seconds (0: for good)."""
+    network.add_fault_window(
+        NS_LIVE, FaultProfile(loss_rate=1.0, start=start, duration=duration)
+    )
 
 
 class TestHalfOpenRetrip:
     def test_failed_probe_trips_again(self, make_network):
         network = make_network()
-        # a flapping host: up for the first second, then down for ages —
-        # by the time we query it, it is in its long dead phase
-        network.set_server_faults(NS_LIVE, flap_up=1.0, flap_down=1e6)
+        # up for the first second, then down for good — by the time we
+        # query it, it is in its dead phase
+        _down(network, start=1.0)
         network.tick(2.0)
         engine = BatchedEngine(
             network, SCANNER, NS_LIVE, "ur", EnginePolicy(retries=2)
         )
         engine.breaker = CircuitBreaker(failure_threshold=3)
-        trace = RunTrace()
-        engine.trace = trace
         # 3 attempts on one task reach the threshold: first trip
         drive(engine, [_task()])
         assert engine.breaker.state(NS_LIVE) is CircuitState.OPEN
-        assert len(_trip_events(trace, NS_LIVE)) == 1
+        assert len(_trips(engine)) == 1
         # past the reset interval the breaker half-opens; the probe
         # lands in the same dead phase and must RE-trip, not linger
         network.tick(61.0)
         drive(engine, [_task(RRType.TXT)])
         assert engine.breaker.state(NS_LIVE) is CircuitState.OPEN
-        assert len(_trip_events(trace, NS_LIVE)) == 2
+        assert len(_trips(engine)) == 2
 
     def test_probe_in_up_phase_closes_circuit(self, make_network):
         network = make_network()
-        # dead phase first, then a recovery window right when the
-        # half-open probe fires
-        network.set_server_faults(NS_LIVE, flap_up=30.0, flap_down=40.0)
+        # a dead phase over [30, 70), then up again when the half-open
+        # probe fires
+        _down(network, start=30.0, duration=40.0)
         network.tick(30.0)  # into the dead phase
         engine = BatchedEngine(
             network, SCANNER, NS_LIVE, "ur", EnginePolicy(retries=2)
         )
         engine.breaker = CircuitBreaker(failure_threshold=3)
-        trace = RunTrace()
-        engine.trace = trace
         drive(engine, [_task()])
         assert engine.breaker.state(NS_LIVE) is CircuitState.OPEN
-        # clock ~46s: the next up phase spans [70, 100); the breaker
-        # half-opens after 60s of open time, inside that up window
-        network.tick(70.0 - (network.now % 70.0) + 75.0)
+        # clock ~46 s: the breaker half-opens after 60 s of open time,
+        # by when the host is back up
+        network.tick(75.0)
         drive(engine, [_task(RRType.TXT)])
         assert engine.breaker.state(NS_LIVE) is CircuitState.CLOSED
-        assert len(_trip_events(trace, NS_LIVE)) == 1
+        assert len(_trips(engine)) == 1
 
 
 class TestBatchStreamParity:
@@ -95,11 +98,10 @@ class TestBatchStreamParity:
         for execution in ("batch", "stream"):
             world = build_world(small_config(seed=7))
             flapper = world.nameserver_targets[0].address
-            # the UR phase starts 2.69 sim-s in (0.05 protective + 2.64
-            # correct) and the flapper's own 94-query group lasts 0.94:
-            # it goes down for good a third of the way through it
-            world.network.set_server_faults(
-                flapper, flap_up=3.0, flap_down=1e6
+            # down for good from the run's start: its protective probe
+            # gives up, and its UR group trips the breaker
+            world.network.add_fault_window(
+                flapper, FaultProfile(loss_rate=1.0, start=world.network.now)
             )
             hunter = URHunter.from_world(
                 world, HunterConfig(execution=execution)

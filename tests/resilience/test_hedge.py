@@ -1,8 +1,6 @@
 """Hedged retries: the timer read off the lane, plus engine-level
 fire/win/waste."""
 
-import json
-
 import pytest
 
 from repro.dns.name import name
@@ -15,7 +13,7 @@ from repro.engine import (
 )
 from repro.engine.latency import CLOCK_GRANULARITY, ServerLatency
 from repro.net.network import FaultProfile
-from repro.obs import RunTrace
+from repro.resilience import ResilienceMetrics
 
 from ..conftest import drive
 from .conftest import NS_LIVE, SCANNER, run_lane
@@ -118,15 +116,13 @@ class _HedgeHarness:
             EnginePolicy(per_server_interval=0.0, retries=2),
         )
         self.engine.hedge_delay = delay
-        self.trace = RunTrace()
-        self.engine.trace = self.trace
         self.outcomes = drive(self.engine, [_task(NS_LIVE)])
 
     def events(self, event_name):
         return [
-            json.loads(line)
-            for line in self.trace.deterministic_lines()
-            if json.loads(line).get("event") == event_name
+            fields
+            for event, _, fields in self.engine.events
+            if event == event_name
         ]
 
 
@@ -137,7 +133,7 @@ class TestEngineHedging:
         harness = _HedgeHarness(make_network, outage=0.1)
         [outcome] = harness.outcomes
         assert outcome.status is OutcomeStatus.ANSWERED
-        resilience = harness.engine.resilience
+        resilience = harness.engine.metrics
         assert resilience.hedges_fired == 1
         assert resilience.hedges_won == 1
         assert resilience.hedges_wasted == 0
@@ -161,7 +157,7 @@ class TestEngineHedging:
         harness = _HedgeHarness(make_network, outage=4.0)
         [outcome] = harness.outcomes
         assert outcome.status is OutcomeStatus.ANSWERED
-        resilience = harness.engine.resilience
+        resilience = harness.engine.metrics
         assert resilience.hedges_fired == 1
         assert resilience.hedges_won == 0
         assert resilience.hedges_wasted == 1
@@ -169,8 +165,8 @@ class TestEngineHedging:
 
     def test_no_hedge_on_healthy_server(self, make_network):
         harness = _HedgeHarness(make_network, outage=0.0)
-        assert harness.engine.resilience.hedges_fired == 0
-        assert not harness.engine.resilience.active
+        assert harness.engine.metrics.hedges_fired == 0
+        assert not ResilienceMetrics(harness.engine.metrics).active
 
     def test_pure_loss_counts_no_spurious_retransmit(self):
         # a steady server under loss alone: hedges fire, and no answer
@@ -178,5 +174,5 @@ class TestEngineHedging:
         losses = [send % 3 == 1 for send in range(60)]
         engine, _, outcomes = run_lane(losses, tasks=30, hedge_delay=0.25)
         assert all(outcome.answered for outcome in outcomes)
-        assert engine.resilience.hedges_fired > 0
-        assert engine.resilience.spurious_retransmits == 0
+        assert engine.metrics.hedges_fired > 0
+        assert engine.metrics.spurious_retransmits == 0

@@ -32,7 +32,9 @@ def test_paper_scale_seed_builds_with_fn_rate_zero(seed):
     # only, so the UR scan (most of a paper-scale run) is left out
     hunter = URHunter.from_world(world)
     correct_db = CorrectRecordDatabase(hunter.ipinfo)
-    preamble = hunter.collector.collect_preamble(hunter.plan, correct_db)
+    preamble = hunter.collector.collect_preamble(
+        hunter.plan, correct_db, hunter.network.now
+    )
     hunter.correct_db = correct_db
     stage1 = Stage1Result(
         collection=preamble.fold_into(CollectionResult()),

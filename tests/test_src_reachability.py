@@ -48,9 +48,6 @@ ALLOWED = {
     "src/repro/hosting/registry.py:registrations": (
         "test tool: the world digest hashes every delegation"
     ),
-    "src/repro/net/network.py:set_server_faults": (
-        "test tool: per-server fault injection"
-    ),
     "src/repro/net/network.py:clear_faults": "test tool: fault reset",
     "src/repro/net/network.py:set_online": "test tool: takes a host down",
     "src/repro/net/network.py:knows": "test tool: host registration check",
@@ -79,18 +76,6 @@ OPTIONS_ALLOWED = {
     "src/repro/obs/reporter.py:Reporter.__init__(stream)": (
         "deployment setting: where operator messages go"
     ),
-    **{
-        f"src/repro/net/network.py:SimulatedInternet.set_server_faults"
-        f"({parameter})": (
-            "test tool parameter: set_server_faults is on ALLOWED"
-        )
-        for parameter in (
-            "loss_rate",
-            "latency_jitter",
-            "flap_up",
-            "flap_down",
-        )
-    },
     **{
         f"src/repro/scenario/config.py:ScenarioConfig({field})": (
             "persisted key: digested into the run-spec fingerprint and the "
