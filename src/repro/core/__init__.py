@@ -2,7 +2,6 @@
 
 from .analysis import MaliciousAnalysisResult, MaliciousBehaviorAnalyzer
 from .collector import (
-    CollectionResult,
     DomainTarget,
     NameserverTarget,
     ProtectiveFingerprint,
@@ -21,19 +20,13 @@ from .correctness import (
     DomainProfile,
     UniformityChecker,
 )
-from .hunter import (
-    HunterConfig,
-    URHunter,
-    WorldLike,
-    recover_pdns_subdomains,
-)
+from .hunter import HunterConfig, URHunter, WorldLike
 from .longitudinal import (
     LongitudinalStudy,
     ReportDiff,
     Snapshot,
     diff_reports,
 )
-from .parallel import Stage2Metrics
 from .records import (
     ClassifiedUR,
     IpVerdict,
@@ -45,7 +38,7 @@ from .records import (
     dedupe_urs,
 )
 from .report import MeasurementReport, TypeStats
-from .suspicion import SuspicionFilter, SuspicionOutcome
+from .suspicion import Stage2Metrics, SuspicionFilter, SuspicionOutcome
 from .txt import (
     TxtCategory,
     classify_txt,
@@ -61,7 +54,6 @@ __all__ = [
     "COND_IP",
     "COND_PDNS",
     "ClassifiedUR",
-    "CollectionResult",
     "CorrectRecordDatabase",
     "CorrectnessVerdict",
     "DomainProfile",
@@ -94,5 +86,4 @@ __all__ = [
     "dedupe_urs",
     "diff_reports",
     "extract_ips",
-    "recover_pdns_subdomains",
 ]

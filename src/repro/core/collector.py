@@ -33,7 +33,7 @@ messages every group engine shares.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..dns.message import Message, Rcode
 from ..dns.name import Name
@@ -57,24 +57,16 @@ from .records import UndelegatedRecord, URTable
 class CollectionFailure(StageFailed):
     """Stage-1 collection died mid-flight.
 
-    The partial :class:`~repro.engine.metrics.ScanMetrics` ride
-    along so a checkpointing caller can preserve the retry/timeout
-    accounting of the attempts that *did* happen before the crash —
-    without this, a failed collection silently discarded everything the
-    scan had already measured.
+    Its stage names the collection that broke
+    (``stage1-collect/<collection>``), the name a checkpoint's failure
+    record keeps; the collector's ledger holds the accounting of the
+    groups that completed before the crash.
     """
 
-    def __init__(
-        self,
-        collection: str,
-        cause: BaseException,
-        metrics: Optional[ScanMetrics],
-    ):
+    def __init__(self, collection: str, cause: BaseException):
         super().__init__(f"stage1-collect/{collection}", cause)
         #: which of the three collections broke ("protective"/"correct"/"ur")
         self.collection = collection
-        #: partial scan accounting up to the failure (may be None)
-        self.metrics = metrics
 
 
 @dataclass(frozen=True)
@@ -107,60 +99,6 @@ class ProtectiveFingerprint:
 
     def matches(self, rrtype: int, rdata_text: str) -> bool:
         return (rrtype, rdata_text) in self.records
-
-
-@dataclass
-class CollectionResult:
-    """Everything stage 1 produced.
-
-    Returned by :meth:`ResponseCollector.collect_urs`: the unique URs
-    (a :class:`~repro.core.records.URTable`) and wire counters of the
-    scan, with the preamble's protective fingerprints and
-    correct-record database and the ledger's scan metrics folded in.
-    """
-
-    undelegated: Sequence[UndelegatedRecord] = field(default_factory=URTable)
-    correct_db: Optional[CorrectRecordDatabase] = None
-    protective: Dict[str, ProtectiveFingerprint] = field(
-        default_factory=dict
-    )
-    responses_seen: int = 0
-    queries_sent: int = 0
-    timeouts: int = 0
-    #: successful responses folded into ``correct_db`` by the preamble
-    correct_successes: int = 0
-    #: scan observability for the whole collection run
-    metrics: Optional[ScanMetrics] = None
-    #: the scan start — virtual time after the protective probes, where
-    #: the correct collection and the UR scan are both pinned — and
-    #: stage 2's classification clock (the clock cannot depend on when
-    #: the scan *ends*)
-    classification_epoch: float = 0.0
-
-
-@dataclass
-class CollectionPreamble:
-    """Stage 1's eager prefix: everything the UR scan does not produce.
-
-    Protective fingerprints and correct-record profiles are whole-corpus
-    inputs to classification, so they are collected up front; the UR
-    scan then completes the :class:`CollectionResult` via
-    :meth:`fold_into`.
-    """
-
-    protective: Dict[str, ProtectiveFingerprint]
-    correct_db: CorrectRecordDatabase
-    correct_successes: int
-    #: the scan start (after the protective probes) — the classification
-    #: clock
-    classification_epoch: float
-
-    def fold_into(self, result: CollectionResult) -> CollectionResult:
-        result.protective = self.protective
-        result.correct_db = self.correct_db
-        result.correct_successes = self.correct_successes
-        result.classification_epoch = self.classification_epoch
-        return result
 
 
 #: the record types the paper measures; MX is the §6 future-work
@@ -224,20 +162,21 @@ class ResponseCollector:
         plan: ScanPlan,
         correct_db: CorrectRecordDatabase,
         origin: float,
-    ) -> "CollectionPreamble":
+    ) -> Tuple[Dict[str, ProtectiveFingerprint], float]:
         """The prefix of stage 1: protective + correct collections, in
-        the paper's §4.1 order.
+        the paper's §4.1 order; returns the protective fingerprints and
+        the *scan start*, and fills ``correct_db``.
 
         Protective fingerprints and correct-record profiles must be
         complete before the first UR can be classified.  Starts the
         run's ledger — a new one, so the UR scan that follows
         accumulates into it and an earlier run's report keeps its
         own — and fixes the run ``origin``, the clock where this run's
-        stage 1 began.  The protective probes end at the *scan start*
-        ``origin + makespan(protective)`` — the classification epoch —
-        and the correct collection starts there; the UR scan is pinned
-        to it too, side by side with the correct collection (open
-        resolvers and target nameservers are disjoint servers).
+        stage 1 began.  The protective probes end at the scan start
+        ``origin + makespan(protective)`` — stage 2's classification
+        clock — and the correct collection starts there; the UR scan is
+        pinned to it too, side by side with the correct collection
+        (open resolvers and target nameservers are disjoint servers).
         """
         self.metrics = ScanMetrics()
         self.origin = origin
@@ -246,32 +185,21 @@ class ResponseCollector:
         )
         self.emit_phase("protective")
         scan_start = self.network.now
-        successes = self._guarded(
+        self._guarded(
             "correct", self.collect_correct_records, plan, correct_db
         )
         self.emit_phase("correct")
-        return CollectionPreamble(
-            protective=protective,
-            correct_db=correct_db,
-            correct_successes=successes,
-            classification_epoch=scan_start,
-        )
+        return protective, scan_start
 
     def _guarded(self, collection: str, fn, *args):
-        """Run one collection; on failure, attach the partial metrics.
-
-        Retry/timeout counts accumulated before the crash would
-        otherwise vanish with the exception; :class:`CollectionFailure`
-        carries them so checkpoints preserve the accounting.
-        """
+        """Run one collection; a failure is raised as a
+        :class:`CollectionFailure` naming it."""
         try:
             return fn(*args)
         except CollectionFailure:
             raise
         except Exception as error:
-            raise CollectionFailure(
-                collection, error, self.metrics
-            ) from error
+            raise CollectionFailure(collection, error) from error
 
     def run_phase(
         self,
@@ -306,48 +234,35 @@ class ResponseCollector:
 
     # -- undelegated records ----------------------------------------------
 
-    def collect_urs(
-        self, scan: Callable[[], ScanFold], preamble: CollectionPreamble
-    ) -> CollectionResult:
+    def collect_urs(self, scan: Callable[[], ScanFold]) -> URTable:
         """The UR phase: every nameserver queried for every domain not
-        exactly delegated to it, completing the stage-1 result.
+        exactly delegated to it; returns the unique URs in scan order.
 
         ``scan`` is the plan's group runner bound to its run
         (:func:`repro.plan.shards.run_shard_scan`); it merges the
-        groups' accounting into this collector's ledger, so a
-        scan that dies mid-group raises :class:`CollectionFailure`
-        carrying the ledger up to the last completed group.
+        groups' accounting into this collector's ledger — the only
+        count of the scan's queries, responses and timeouts — so a
+        scan that dies mid-group raises :class:`CollectionFailure` with
+        the ledger holding every completed group.
         """
         fold = self._guarded("ur", scan)
         self.emit_phase("ur")
-        result = CollectionResult(
-            undelegated=fold.records(),
-            queries_sent=fold.attempts,
-            responses_seen=fold.responses,
-            # every sent attempt either produced the answer or timed out
-            timeouts=fold.attempts - fold.responses,
-            metrics=self.metrics,
-        )
-        return preamble.fold_into(result)
+        return fold.records()
 
-    def reduce_ur(self, index: int, outcome: QueryOutcome) -> ReducedOutcome:
-        """One UR outcome reduced to what the pipeline keeps — its unit
-        index, wire counters and candidate URs (none unless NOERROR
-        answered) — so its response message can be dropped."""
+    def reduce_ur(
+        self, index: int, outcome: QueryOutcome
+    ) -> Optional[ReducedOutcome]:
+        """One UR outcome reduced to its unit index and candidate URs,
+        so its response message can be dropped — or ``None`` when it
+        carried no UR (no NOERROR answer in a measured type): the
+        group's ledger already counted what it did on the wire."""
         response = outcome.response
-        urs: Tuple[UndelegatedRecord, ...] = ()
-        if response is not None and response.header.rcode == Rcode.NOERROR:
-            nameserver = outcome.task.tag
-            assert isinstance(nameserver, NameserverTarget)
-            urs = tuple(
-                self.extract_urs(nameserver, outcome.task.qname, response)
-            )
-        return ReducedOutcome(
-            index=index,
-            attempts=outcome.attempts,
-            answered=outcome.answered,
-            urs=urs,
-        )
+        if response is None or response.header.rcode != Rcode.NOERROR:
+            return None
+        nameserver = outcome.task.tag
+        assert isinstance(nameserver, NameserverTarget)
+        urs = self.extract_urs(nameserver, outcome.task.qname, response)
+        return ReducedOutcome(index, tuple(urs)) if urs else None
 
     def extract_urs(
         self,
@@ -384,25 +299,22 @@ class ResponseCollector:
 
     def collect_correct_records(
         self, plan: ScanPlan, correct_db: CorrectRecordDatabase
-    ) -> int:
-        """Resolve each domain's A and TXT through every open resolver.
+    ) -> None:
+        """Resolve each domain's A and TXT through every open resolver,
+        folding the answers into ``correct_db``.
 
-        Returns the number of successful responses folded into the
-        database.  Manipulated resolvers contribute noise — exactly the
+        Manipulated resolvers contribute noise — exactly the
         imperfection the paper's vantage-point selection tolerates.
         """
-        successes = 0
 
         # folded as each outcome completes: the profile is a union of
         # sets, so completion order cannot show
         def fold(index: int, outcome: QueryOutcome) -> None:
-            nonlocal successes
             response = outcome.response
             if response is None:
                 return
             if response.header.rcode != Rcode.NOERROR:
                 return
-            successes += 1
             domain = outcome.task.qname
             for answer in response.answers:
                 if isinstance(answer.rdata, A):
@@ -413,7 +325,6 @@ class ResponseCollector:
                     correct_db.observe_mx(domain, answer.rdata.to_text())
 
         self.run_phase(plan, "correct", fold)
-        return successes
 
     # -- protective records ------------------------------------------------------
 

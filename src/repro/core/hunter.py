@@ -34,7 +34,7 @@ from typing import (
 from ..dns.message import Message, Rcode
 from ..dns.name import Name
 from ..dns.rdata import RRType
-from ..engine import EnginePolicy
+from ..engine import EnginePolicy, ScanMetrics, StageCounters
 from ..intel.aggregator import ThreatIntelAggregator
 from ..intel.ipinfo import IpInfoDatabase
 from ..intel.pdns import PassiveDnsStore
@@ -47,7 +47,6 @@ from ..obs.events import (
     run_end_fields,
 )
 from ..pipeline.checkpoint import config_fingerprint
-from ..pipeline.errors import SourceError
 from ..pipeline.resilience import SourceHealth, merge_health
 from ..plan.scanplan import ScanPlan, build_plan
 from ..plan.shards import (
@@ -63,9 +62,9 @@ from ..sandbox.sandbox import SandboxReport
 from .analysis import MaliciousAnalysisResult, MaliciousBehaviorAnalyzer
 from .collector import (
     DEFAULT_QUERY_TYPES,
-    CollectionResult,
     DomainTarget,
     NameserverTarget,
+    ProtectiveFingerprint,
     ResponseCollector,
 )
 from .correctness import (
@@ -73,7 +72,6 @@ from .correctness import (
     CorrectRecordDatabase,
     UniformityChecker,
 )
-from .parallel import Stage2Metrics
 from .records import (
     ReportEntries,
     UndelegatedRecord,
@@ -81,23 +79,38 @@ from .records import (
     reasons_of,
 )
 from .report import DegradedSources, MeasurementReport
-from .suspicion import SuspicionFilter, SuspicionOutcome
+from .suspicion import Stage2Metrics, SuspicionFilter, SuspicionOutcome
 
 
 @dataclass
 class Stage1Result:
     """Everything stage 1 (collection) handed to stage 2."""
 
-    collection: CollectionResult
-    #: the scan start (the collection's classification epoch) — stage
-    #: 2's pdns window and classification clock
+    #: the unique URs in scan order (a
+    #: :class:`~repro.core.records.URTable`)
+    undelegated: Sequence[UndelegatedRecord]
+    #: each target nameserver's protective-record fingerprint
+    protective: Dict[str, ProtectiveFingerprint]
+    #: the correct-record profiles (open resolvers + passive DNS)
+    correct_db: CorrectRecordDatabase
+    #: the stage-1 ledger: every collection's wire and resilience
+    #: counters — the only count of what stage 1 sent and heard
+    metrics: ScanMetrics
+    #: the scan start, after the protective probes, where the correct
+    #: collection and the UR scan are both pinned — stage 2's pdns
+    #: window and classification clock (the clock cannot depend on when
+    #: the scan *ends*)
     now: float
     #: virtual time when collection finished, ``now`` plus the longer of
     #: the correct collection and the UR scan — where stage 2's §4.2
     #: sample starts
     end: float
-    #: degradation notes accumulated during collection
-    notes: Tuple[str, ...] = ()
+
+    @property
+    def ur(self) -> StageCounters:
+        """The UR scan's wire counters, read from the ledger without
+        adding a stage to it."""
+        return self.metrics.stages.get("ur") or StageCounters()
 
 
 @dataclass
@@ -180,9 +193,6 @@ class HunterConfig:
     seed: int = 1
     #: record types to measure (add RRType.MX for the future-work sweep)
     query_types: Tuple[int, ...] = DEFAULT_QUERY_TYPES
-    #: expand the target set with subdomains recovered from passive DNS
-    #: (the paper's §6 future-work direction)
-    expand_pdns_subdomains: bool = False
     #: per-query retry budget after a timeout
     retries: int = 2
     #: virtual seconds a lost query costs before giving up
@@ -266,13 +276,14 @@ class HunterConfig:
         )
 
 
-def _stage1_end(collection: CollectionResult) -> Dict[str, object]:
+def _stage1_end(stage1: Stage1Result) -> Dict[str, object]:
     """stage.end fields for stage 1."""
+    ur = stage1.ur
     return {
-        "records": len(collection.undelegated),
-        "queries": collection.queries_sent,
-        "responses": collection.responses_seen,
-        "timeouts": collection.timeouts,
+        "records": len(stage1.undelegated),
+        "queries": ur.queries,
+        "responses": ur.responses,
+        "timeouts": ur.timeouts,
     }
 
 
@@ -336,11 +347,9 @@ class URHunter:
         #: every group merges into, the run origin and the shared query
         #: messages
         self.collector = ResponseCollector(network, self.config)
-        #: the stage-1 scan plan of the *configured* targets; a pure
-        #: value of (world, config), built before any packet moves —
-        #: its hash is the identity checkpoints and traces stamp.
-        #: (pdns expansion may grow the executed plan at run time; see
-        #: :meth:`_executed_plan`)
+        #: the stage-1 scan plan; a pure value of (world, config), built
+        #: before any packet moves — its hash is the identity
+        #: checkpoints and traces stamp, and it is the plan stage 1 runs
         self.plan: ScanPlan = build_plan(
             self.nameservers,
             self.domains,
@@ -356,7 +365,6 @@ class URHunter:
         #: :mod:`repro.incremental`
         self.result_store = None
         # Populated by run(); kept for inspection and tests.
-        self.correct_db: Optional[CorrectRecordDatabase] = None
         self.last_filter: Optional[SuspicionFilter] = None
         self.last_checker: Optional[UniformityChecker] = None
         self.last_analyzer: Optional[MaliciousBehaviorAnalyzer] = None
@@ -413,43 +421,29 @@ class URHunter:
 
     # -- pipeline --------------------------------------------------------
 
-    def _expanded_domains(self, notes: List[str]) -> List[DomainTarget]:
-        """The target domains, optionally expanded from passive DNS.
+    def stage1_collect(self) -> Stage1Result:
+        """Stage 1: the protective probes, then the correct collection
+        and the UR scan side by side — each through the plan's group
+        runner (:mod:`repro.plan.shards`), one isolated group per server.
 
-        Expansion is best-effort: a dead pdns source degrades the run to
-        the configured targets (noted) instead of aborting.
+        The protective and correct collections are whole-corpus inputs
+        to classification, so they run once, eagerly; the UR scan is
+        :func:`repro.plan.shards.run_shard_scan`.
+
+        ``now`` is the scan start: the run origin plus the protective
+        makespan, where every correct and UR group's clock is pinned.
+        Stage 1 ends at ``now + max(makespan(correct), makespan(ur))``,
+        ``end``.  A resumed run executes this same method, its stored UR
+        groups replaying, so it reaches the same ``now`` and ``end``.
         """
-        domains = list(self.domains)
-        if self.config.expand_pdns_subdomains and self.pdns is not None:
-            try:
-                domains.extend(
-                    recover_pdns_subdomains(
-                        self.pdns, domains, self.network.now
-                    )
-                )
-            except SourceError as error:
-                notes.append(f"pdns-expansion-skipped:{error.source}")
-        return domains
-
-    def _executed_plan(self, domains: Sequence[DomainTarget]) -> ScanPlan:
-        """The plan stage 1 actually executes.
-
-        Identical to :attr:`plan` unless pdns expansion grew the target
-        list at run time — in which case the plan is rebuilt over the
-        expanded targets (still a pure function of the expanded world).
-        """
-        if list(domains) == self.domains:
-            return self.plan
-        return build_plan(
-            self.nameservers,
-            domains,
-            self.delegated_to,
-            self.open_resolver_ips,
-            self.config,
+        self._emit(
+            "stage.start",
+            stage=OBS_STAGE1,
+            nameservers=len(self.nameservers),
+            domains=len(self.domains),
         )
-
-    def _plan_built(self, plan: ScanPlan) -> None:
-        """Emit the deterministic ``plan.built`` event."""
+        origin = self.network.now
+        plan = self.plan
         counts = plan.unit_counts()
         self._emit(
             "plan.built",
@@ -460,49 +454,24 @@ class URHunter:
             correct=counts["correct"],
             ur=counts["ur"],
         )
-
-    def stage1_collect(self) -> Stage1Result:
-        """Stage 1: the protective probes, then the correct collection
-        and the UR scan side by side — each through the plan's group
-        runner (:mod:`repro.plan.shards`), one isolated group per server.
-
-        The protective and correct collections are whole-corpus inputs
-        to classification, so they run once, eagerly; the UR scan is
-        :func:`repro.plan.shards.run_shard_scan`.
-
-        ``now`` is the collection's *classification epoch*, the scan
-        start: the run origin plus the protective makespan, where every
-        correct and UR group's clock is pinned.  Stage 1 ends at
-        ``now + max(makespan(correct), makespan(ur))``, ``end``.  A
-        resumed run executes this same method, its stored UR groups
-        replaying, so it reaches the same ``now`` and ``end``.
-        """
-        self._emit(
-            "stage.start",
-            stage=OBS_STAGE1,
-            nameservers=len(self.nameservers),
-            domains=len(self.domains),
-        )
-        origin = self.network.now
-        notes: List[str] = []
-        plan = self._executed_plan(self._expanded_domains(notes))
-        self._plan_built(plan)
+        collector = self.collector
         correct_db = CorrectRecordDatabase(self.ipinfo)
-        preamble = self.collector.collect_preamble(plan, correct_db, origin)
-        collection = self.collector.collect_urs(
-            lambda: run_shard_scan(
-                self, plan, preamble.classification_epoch
-            ),
-            preamble,
+        protective, scan_start = collector.collect_preamble(
+            plan, correct_db, origin
         )
-        self.correct_db = correct_db
-        self._emit("stage.end", stage=OBS_STAGE1, **_stage1_end(collection))
-        return Stage1Result(
-            collection=collection,
-            now=collection.classification_epoch,
+        undelegated = collector.collect_urs(
+            lambda: run_shard_scan(self, plan, scan_start)
+        )
+        stage1 = Stage1Result(
+            undelegated=undelegated,
+            protective=protective,
+            correct_db=correct_db,
+            metrics=collector.metrics,
+            now=scan_start,
             end=self.network.now,
-            notes=tuple(notes),
         )
+        self._emit("stage.end", stage=OBS_STAGE1, **_stage1_end(stage1))
+        return stage1
 
     def stage2_exclude(
         self, stage1: Stage1Result, validate: bool = True
@@ -510,18 +479,15 @@ class URHunter:
         """Stage 2: exclusion of correct and protective records.
 
         Both classification and the §4.2 false-negative validation use
-        ``stage1.now``, the collection's classification epoch, as the
-        clock.
+        ``stage1.now``, the scan start, as the clock.
         """
         self._emit(
             "stage.start",
             stage=OBS_STAGE2,
-            records=len(stage1.collection.undelegated),
+            records=len(stage1.undelegated),
         )
-        suspicion = self._stage2_filter(stage1.collection.protective)
-        outcome = suspicion.classify(
-            stage1.collection.undelegated, now=stage1.now
-        )
+        suspicion = self._stage2_filter(stage1)
+        outcome = suspicion.classify(stage1.undelegated, now=stage1.now)
         # snapshot before the FN validation below reruns classify()
         metrics = suspicion.last_metrics
         fn_rate: Optional[float] = None
@@ -542,20 +508,17 @@ class URHunter:
             metrics=metrics,
         )
 
-    def _stage2_filter(self, protective) -> SuspicionFilter:
-        """Build the stage-2 checker + filter."""
-        if self.correct_db is None:
-            raise RuntimeError(
-                "stage 2 requires correct_db; run stage1_collect first"
-            )
+    def _stage2_filter(self, stage1: Stage1Result) -> SuspicionFilter:
+        """Build the stage-2 checker + filter over stage 1's correct
+        records and protective fingerprints."""
         checker = UniformityChecker(
-            self.correct_db,
+            stage1.correct_db,
             pdns=self.pdns,
             enabled_conditions=self.config.enabled_conditions,
             ipinfo=self.stage2_ipinfo,
         )
         self.last_checker = checker
-        suspicion = SuspicionFilter(checker, protective)
+        suspicion = SuspicionFilter(checker, stage1.protective)
         self.last_filter = suspicion
         if self.trace is not None:
             checker.guard.bind_trace(self.trace, OBS_STAGE2)
@@ -606,15 +569,15 @@ class URHunter:
         # The resilience snapshot only joins the report once a mechanism
         # actually fired — a healthy run renders byte-identically to a
         # run without resilience configured.
-        resilience = ResilienceMetrics(stage1.collection.metrics)
+        resilience = ResilienceMetrics(stage1.metrics)
         if not resilience.active:
             resilience = None
-        notes = stage1.notes
+        notes: Tuple[str, ...] = ()
         if resilience is not None and resilience.shed_total:
             # shed queries degrade coverage: surface them next to the
             # other degradation provenance (drives the degraded-mode
             # exit contract)
-            notes = notes + (f"shed-queries:{resilience.shed_total}",)
+            notes = (f"shed-queries:{resilience.shed_total}",)
         degraded = DegradedSources(
             sources=merge_health(
                 stage2.source_health, stage3.source_health
@@ -624,16 +587,16 @@ class URHunter:
             partial_ip_verdicts=stage3.analysis.partial_ip_verdicts,
             notes=notes,
         )
-        collection = stage1.collection
+        ur = stage1.ur
         return MeasurementReport(
             classified=classified,
             ip_verdicts=stage3.analysis.ip_verdicts,
-            queries_sent=collection.queries_sent,
-            responses_seen=collection.responses_seen,
-            timeouts=collection.timeouts,
+            queries_sent=ur.queries,
+            responses_seen=ur.responses,
+            timeouts=ur.timeouts,
             txt_without_ip=stage3.analysis.txt_without_ip,
             false_negative_rate=stage2.fn_rate,
-            scan_metrics=collection.metrics,
+            scan_metrics=stage1.metrics,
             stage2_metrics=stage2.metrics,
             resilience_metrics=resilience,
             degraded=degraded if degraded.is_degraded else None,
@@ -719,39 +682,3 @@ class URHunter:
             for position in sorted(answered)
             for record in answered[position]
         ]
-
-
-def recover_pdns_subdomains(
-    pdns: PassiveDnsStore,
-    targets: Sequence[DomainTarget],
-    now: float,
-) -> List[DomainTarget]:
-    """Recover legitimate subdomains of the targets from passive DNS.
-
-    The paper's future work: "we can recover legitimate subdomains from
-    PDNS data and measure whether they appear in URs."  Any historically
-    observed name strictly under a target domain joins the sweep with its
-    parent's rank.
-    """
-    known = {target.domain for target in targets}
-    rank_of = {target.domain: target.rank for target in targets}
-    recovered: List[DomainTarget] = []
-    for observed in pdns.domains():
-        if observed in known:
-            continue
-        parent = next(
-            (
-                target.domain
-                for target in targets
-                if observed.is_proper_subdomain_of(target.domain)
-            ),
-            None,
-        )
-        if parent is None:
-            continue
-        recovered.append(
-            DomainTarget(domain=observed, rank=rank_of[parent])
-        )
-        known.add(observed)
-    recovered.sort(key=lambda target: (target.rank, target.domain))
-    return recovered

@@ -19,7 +19,6 @@ from ..dns.name import Name
 from ..dns.rdata import RRType
 from ..engine.metrics import ScanMetrics
 from ..pipeline.resilience import SourceHealth
-from .parallel import Stage2Metrics
 from .records import (
     ClassifiedUR,
     IpVerdict,
@@ -29,6 +28,7 @@ from .records import (
     reasons_of,
     select,
 )
+from .suspicion import Stage2Metrics
 from .txt import TxtCategory
 
 
@@ -50,7 +50,7 @@ class DegradedSources:
     unverifiable_urs: int = 0
     #: IPs whose intel verdict covers only part of the vendor fleet
     partial_ip_verdicts: int = 0
-    #: free-form pipeline notes (e.g. "pdns-expansion-skipped")
+    #: free-form pipeline notes (e.g. "shed-queries:N")
     notes: Tuple[str, ...] = ()
 
     @property

@@ -576,7 +576,3 @@ class WireCodecCache:
         encoded answer's decode is its :meth:`encode` template, and the
         transport decodes truncated and naive-lane wires itself."""
         return decode_message(wire)
-
-    def clear(self) -> None:
-        self._query_cache.clear()
-        self._answer_cache.clear()

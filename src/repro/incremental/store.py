@@ -66,8 +66,10 @@ __all__ = [
 #: profiles and time anchors joined the state digest; 4: a hedged
 #: group's ``elapsed`` and latency histogram hold estimator-timed waits;
 #: 5: the resilience counters moved into the group's ScanMetrics, and
-#: fault profiles lost their flap shape)
-STORE_FORMAT_VERSION = 5
+#: fault profiles lost their flap shape; 6: a slot keeps only the UR
+#: outcomes that carried URs, each as ``[index, urs]`` — the wire
+#: counters are the group's ScanMetrics alone)
+STORE_FORMAT_VERSION = 6
 
 #: per-group result files: ``group-<identity>.json``
 GROUP_PREFIX = "group-"
@@ -169,7 +171,7 @@ def server_fingerprint(network: Any, server_ip: str) -> Optional[Dict[str, Any]]
 
 
 #: config knobs that shape what a group's scan computes — anything that
-#: can change a single query's outcome or the group's reduced counters.
+#: can change a single query's outcome or the group's ledger.
 #: Over-keying is safe (a spurious re-execute); under-keying is not.
 SCAN_SHAPING_KNOBS = (
     "seed",
@@ -191,7 +193,6 @@ SCAN_SHAPING_KNOBS = (
 #: by a test), so a new one cannot be left out of the fingerprint by
 #: forgetting it.
 PLAN_OR_LATER_STAGE_KNOBS = (
-    "expand_pdns_subdomains",
     "enabled_conditions",
     "min_severity",
     "use_intel",

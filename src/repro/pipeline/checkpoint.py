@@ -50,8 +50,10 @@ from .errors import CheckpointError
 #: stage-2/3 snapshots a v8 run wrote are never read; v9: the manifest
 #: fingerprint digests the run spec, a chaos script's content included;
 #: v10: the group slots are store format 5, whose ScanMetrics carry the
-#: resilience counters — a v9 directory is refused before a slot is read)
-FORMAT_VERSION = 10
+#: resilience counters — a v9 directory is refused before a slot is read;
+#: v11: the group slots are store format 6, which keep only the UR
+#: outcomes that carried URs)
+FORMAT_VERSION = 11
 
 
 # -- generic json helpers ---------------------------------------------------

@@ -47,11 +47,13 @@ The ledger is the hunter's collector: the one
 :class:`~repro.engine.metrics.ScanMetrics` the groups merge into (wire
 and resilience counters alike), the run origin, and the shared
 query-message cache.  A group is folded the moment it is in hand (the
-UR scan's :class:`ScanFold`: wire counters summed, the URs appended to
-one UR table, deduped per group; the preamble's folds, outcome by
-outcome); its small ledger — one ``ScanMetrics``, the engine's
-deterministic events, elapsed time — waits for the merge in group
-order.  Only UR groups are stored; their results are JSON-encoded only
+UR scan's :class:`ScanFold`: the URs appended to one UR table, deduped
+per group; the preamble's folds, outcome by outcome); its small ledger
+— one ``ScanMetrics``, the engine's deterministic events, elapsed time
+— waits for the merge in group order.  The merged ledger is the only
+count of what stage 1 sent and heard: a UR outcome is kept only if it
+carried URs, and then only as its index and its URs.  Only UR groups
+are stored; their results are JSON-encoded only
 at the persistence boundary (a result-store slot), and a stored slot
 is read and decoded into the same fold only when its group's turn
 comes.  The invariant is also the result store's key: :func:`repro.incremental.store.group_state`
@@ -117,33 +119,31 @@ CRASH_GROUP_ENV = "URHUNTER_CRASH_GROUP"
 
 @dataclass(frozen=True, slots=True)
 class ReducedOutcome:
-    """One UR query outcome, reduced to what the pipeline consumes.
+    """One UR query outcome that carried URs, reduced to them.
 
     ``index`` is the unit's position in :attr:`ScanPlan.ur_units` (the
     global scan order), so sorting reduced outcomes by it restores the
-    planned record order whatever order the groups ran in.
+    planned record order whatever order the groups ran in.  An outcome
+    without a UR is not kept: what it did on the wire is in the group's
+    ledger.
     """
 
     index: int
-    attempts: int
-    answered: bool
     urs: Tuple[Any, ...]
 
 
 class ScanFold:
     """The UR scan's running fold over completed groups, in any order:
-    wire counters are summed and each group's unique URs are appended
-    to one :class:`~repro.core.records.URTable` as they are folded,
-    with the planned index of the outcome that carried them."""
+    each group's unique URs are appended to one
+    :class:`~repro.core.records.URTable` as they are folded, with the
+    planned index of the outcome that carried them."""
 
-    __slots__ = ("attempts", "responses", "_table", "_indices")
+    __slots__ = ("_table", "_indices")
 
     def __init__(self) -> None:
         # inside: repro.core imports this module
         from ..core.records import URTable
 
-        self.attempts = 0
-        self.responses = 0
         self._table = URTable()
         self._indices = array("I")
 
@@ -159,9 +159,6 @@ class ScanFold:
         table = self._table
         indices = self._indices
         for outcome in outcomes:
-            self.attempts += outcome.attempts
-            if outcome.answered:
-                self.responses += 1
             for record in outcome.urs:
                 key = record.key
                 if key not in seen:
@@ -183,7 +180,8 @@ class ScanFold:
 class GroupResult:
     """Everything one isolated server-group execution produced: how
     long it took, and — for a group driven by an engine — its UR
-    outcomes, the engine's ledger and its events (empty by default)."""
+    outcomes that carried URs, the engine's ledger and its events
+    (empty by default)."""
 
     group: int
     server_ip: str
@@ -334,8 +332,9 @@ def run_group(
     tasks are built, one while its outcome is folded.  ``fold`` takes
     each outcome with its unit index the moment it completes — the
     engine yields in task order — and whatever it returns other than
-    ``None`` (the UR scan's :class:`ReducedOutcome`) is kept, in that
-    order, as the group's outcomes; a preamble fold keeps nothing.
+    ``None`` (the UR scan's :class:`ReducedOutcome` of an outcome that
+    carried URs) is kept, in that order, as the group's outcomes; a
+    preamble fold keeps nothing.
     """
     network = ledger.network
     server_ip = group.server_ip
@@ -456,12 +455,7 @@ def encode_group_result(result: GroupResult) -> Dict[str, Any]:
         "server": result.server_ip,
         "elapsed": result.elapsed,
         "outcomes": [
-            {
-                "index": outcome.index,
-                "attempts": outcome.attempts,
-                "answered": outcome.answered,
-                "urs": [encode_record(record) for record in outcome.urs],
-            }
+            [outcome.index, [encode_record(record) for record in outcome.urs]]
             for outcome in result.outcomes
         ],
         "metrics": encode_metrics(result.metrics),
@@ -478,15 +472,8 @@ def decode_group_result(payload: Dict[str, Any]) -> GroupResult:
         server_ip=payload["server"],
         elapsed=payload["elapsed"],
         outcomes=[
-            ReducedOutcome(
-                index=outcome["index"],
-                attempts=outcome["attempts"],
-                answered=outcome["answered"],
-                urs=tuple(
-                    decode_record(record) for record in outcome["urs"]
-                ),
-            )
-            for outcome in payload["outcomes"]
+            ReducedOutcome(index, tuple(map(decode_record, urs)))
+            for index, urs in payload["outcomes"]
         ],
         metrics=decode_metrics(payload["metrics"]),
         events=[
@@ -571,8 +558,8 @@ def run_shard_scan(hunter, plan: ScanPlan, epoch: float) -> ScanFold:
     (:func:`isolated_phase`) then merges the groups' ledgers into the
     collector's and ends the parent clock at ``epoch + makespan`` or
     where the correct collection, which ran side by side from the same
-    epoch, left it, also when a group raises: the ledger a failure
-    report carries is the scan up to that point.
+    epoch, left it, also when a group raises: the ledger then holds the
+    scan up to that point.
     """
     ledger = hunter.collector
     origin = ledger.origin

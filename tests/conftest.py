@@ -41,8 +41,8 @@ def naive_stage2(hunter: URHunter) -> URHunter:
     evaluated on its own, no verdict memo."""
     build = hunter._stage2_filter
 
-    def build_naive(protective):
-        suspicion = build(protective)
+    def build_naive(stage1):
+        suspicion = build(stage1)
         suspicion.memoize = False
         return suspicion
 

@@ -9,11 +9,13 @@ from repro.core.collector import (
     ResponseCollector,
 )
 from repro.core.correctness import CorrectRecordDatabase
+from repro.core.hunter import Stage1Result
 from repro.dns.name import name
 from repro.dns.rdata import A, TXT, RRType
 from repro.dns.server import AuthoritativeServer, UnhostedPolicy
 from repro.dns.zone import zone_from_records
 from repro.engine import BatchedEngine
+from repro.engine.metrics import ScanMetrics, StageCounters
 from repro.intel.ipinfo import IpInfoDatabase
 from repro.net.network import SimulatedInternet
 from repro.net.traffic import TrafficCapture
@@ -73,11 +75,9 @@ def plan_for(nameservers=(), domains=(), resolvers=(), **knobs):
 
 
 def stage1(network, nameservers, domains, delegated_to=None, **knobs):
-    return (
-        bare_hunter(network, nameservers, domains, delegated_to, **knobs)
-        .stage1_collect()
-        .collection
-    )
+    return bare_hunter(
+        network, nameservers, domains, delegated_to, **knobs
+    ).stage1_collect()
 
 
 class TestUrCollection:
@@ -89,7 +89,7 @@ class TestUrCollection:
         assert ("squat.com", NS_A, RRType.A) in keys
         assert ("squat.com", NS_A, RRType.TXT) in keys
         assert ("victim.com", NS_A, RRType.A) in keys
-        assert result.timeouts == 0
+        assert result.ur.timeouts == 0
 
     def test_delegated_pairs_skipped(self, setup):
         network, _, nameservers, domains = setup
@@ -129,7 +129,7 @@ class TestUrCollection:
         network.set_online(NS_A, False)
         result = stage1(network, [NameserverTarget(NS_A, "HostA")], domains)
         assert result.undelegated == []
-        assert result.timeouts == result.queries_sent > 0
+        assert result.ur.timeouts == result.ur.queries > 0
 
     def test_unique_urs_deduped(self, setup):
         network, _, nameservers, domains = setup
@@ -191,23 +191,23 @@ class TestCorrectRecordCollection:
 
         ipinfo = IpInfoDatabase()
         database = CorrectRecordDatabase(ipinfo)
-        successes = collector.collect_correct_records(
+        collector.collect_correct_records(
             plan_for(
                 domains=[DomainTarget(name("victim.com"), 1)],
                 resolvers=["10.50.0.1"],
             ),
             database,
         )
-        assert successes >= 1
         assert "10.1.0.1" in database.profile("victim.com").ips
 
     def test_dead_resolver_tolerated(self, setup):
         _, collector, _, domains = setup
         database = CorrectRecordDatabase(IpInfoDatabase())
-        successes = collector.collect_correct_records(
+        collector.collect_correct_records(
             plan_for(domains=domains, resolvers=["10.200.0.1"]), database
         )
-        assert successes == 0
+        assert list(database.domains()) == []
+        assert collector.metrics.stage("correct").responses == 0
 
 
 class TestRateLimiting:
@@ -231,7 +231,7 @@ class TestRateLimiting:
         assert network.now - before < 1.0
 
 
-class TestTypedCollectionResult:
+class TestStage1Result:
     def test_tuple_unpacking_shim_is_gone(self, setup):
         """The deprecated 4-tuple unpacking was removed: the typed
         result is deliberately not iterable."""
@@ -245,10 +245,9 @@ class TestTypedCollectionResult:
         network, _, nameservers, domains = setup
         result = stage1(network, nameservers, domains)
         assert result.undelegated
-        assert result.queries_sent >= result.responses_seen > 0
-        assert result.timeouts == (
-            result.queries_sent - result.responses_seen
-        )
+        ur = result.ur
+        assert ur.queries >= ur.responses > 0
+        assert ur.timeouts == ur.queries - ur.responses
 
     def test_collect_all_folds_everything(self, setup):
         network, _, nameservers, domains = setup
@@ -259,12 +258,31 @@ class TestTypedCollectionResult:
         assert result.metrics.stage("ur").queries > 0
         assert result.metrics.stage("protective").queries > 0
 
-    def test_collect_all_pins_classification_epoch(self, setup):
-        """The classification clock is pinned after the protective +
-        correct collections, before the UR scan starts."""
+    def test_collect_all_pins_the_scan_start(self, setup):
+        """The classification clock is the scan start: after the
+        protective probes, before the correct collection and the UR
+        scan end."""
         network, _, nameservers, domains = setup
         result = stage1(network, nameservers, domains)
-        assert 0.0 < result.classification_epoch < network.now
+        assert 0.0 < result.now < result.end == network.now
+
+    def test_ur_counters_read_without_adding_a_stage(self):
+        """A ledger without a UR stage reads as zero counters, and the
+        read leaves no empty ``"ur"`` stage in its ``to_dict()``."""
+        metrics = ScanMetrics()
+        metrics.stage("protective").queries = 3
+        before = metrics.to_dict()
+        result = Stage1Result(
+            undelegated=[],
+            protective={},
+            correct_db=CorrectRecordDatabase(IpInfoDatabase()),
+            metrics=metrics,
+            now=0.0,
+            end=0.0,
+        )
+        assert result.ur == StageCounters()
+        assert "ur" not in metrics.stages
+        assert metrics.to_dict() == before
 
 
 class TestQueryTypesApi:

@@ -1,14 +1,11 @@
-"""Tests for the future-work extensions: MX sweep + PDNS subdomain
-recovery (paper §6, "Limitations and future work")."""
+"""Tests for the future-work extension the CLI exposes: the MX sweep
+(paper §6, "Limitations and future work")."""
 
 import pytest
 
 from repro.core import HunterConfig, URCategory, URHunter
-from repro.core.collector import DEFAULT_QUERY_TYPES, DomainTarget
-from repro.core.hunter import recover_pdns_subdomains
-from repro.dns.name import name
+from repro.core.collector import DEFAULT_QUERY_TYPES
 from repro.dns.rdata import RRType
-from repro.intel.pdns import PassiveDnsStore
 
 MX_CONFIG = HunterConfig(
     query_types=(RRType.A, RRType.TXT, RRType.MX)
@@ -79,62 +76,3 @@ class TestMxSweep:
 
     def test_default_query_types(self):
         assert DEFAULT_QUERY_TYPES == (RRType.A, RRType.TXT)
-
-
-class TestPdnsSubdomainRecovery:
-    def _targets(self):
-        return [
-            DomainTarget(name("victim.com"), 1),
-            DomainTarget(name("other.net"), 2),
-        ]
-
-    def test_recovers_historical_subdomains(self):
-        pdns = PassiveDnsStore()
-        pdns.observe("www.victim.com", RRType.A, "10.1.0.1", 100.0)
-        pdns.observe("api.victim.com", RRType.A, "10.1.0.2", 100.0)
-        recovered = recover_pdns_subdomains(pdns, self._targets(), now=200.0)
-        names = {str(target.domain) for target in recovered}
-        assert names == {"www.victim.com", "api.victim.com"}
-
-    def test_inherits_parent_rank(self):
-        pdns = PassiveDnsStore()
-        pdns.observe("cdn.other.net", RRType.A, "10.1.0.1", 100.0)
-        (recovered,) = recover_pdns_subdomains(
-            pdns, self._targets(), now=200.0
-        )
-        assert recovered.rank == 2
-
-    def test_ignores_unrelated_domains(self):
-        pdns = PassiveDnsStore()
-        pdns.observe("www.elsewhere.org", RRType.A, "10.1.0.1", 100.0)
-        assert recover_pdns_subdomains(pdns, self._targets(), 200.0) == []
-
-    def test_ignores_targets_themselves(self):
-        pdns = PassiveDnsStore()
-        pdns.observe("victim.com", RRType.A, "10.1.0.1", 100.0)
-        assert recover_pdns_subdomains(pdns, self._targets(), 200.0) == []
-
-    def test_deterministic_order(self):
-        pdns = PassiveDnsStore()
-        for sub in ("zz", "aa", "mm"):
-            pdns.observe(f"{sub}.victim.com", RRType.A, "10.1.0.1", 100.0)
-        recovered = recover_pdns_subdomains(pdns, self._targets(), 200.0)
-        names = [str(target.domain) for target in recovered]
-        assert names == sorted(names)
-
-    def test_end_to_end_expansion(self, small_world):
-        """With expansion on, the sweep covers the recovered www/api/mail
-        subdomains and classifies their URs."""
-        config = HunterConfig(expand_pdns_subdomains=True)
-        report = URHunter.from_world(small_world, config).run(validate=False)
-        subdomain_entries = [
-            entry
-            for entry in report.classified
-            if str(entry.record.domain).startswith(("www.", "api."))
-        ]
-        assert subdomain_entries
-        # Legit subdomain answers from fleet-wide servers are excluded.
-        assert any(
-            entry.category is URCategory.CORRECT
-            for entry in subdomain_entries
-        )

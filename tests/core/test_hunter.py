@@ -212,8 +212,14 @@ class TestHunterConfigValidation:
         for knob in ({"stage2_workers": 2}, {"channel_depth": 8}):
             with pytest.raises(TypeError, match="unexpected keyword"):
                 HunterConfig(**knob)
-        assert len(dataclasses.fields(HunterConfig)) == 17
+        assert len(dataclasses.fields(HunterConfig)) == 16
         assert not hasattr(HunterConfig, "FINGERPRINT_EXCLUDE")
+
+    def test_pdns_expansion_knob_is_gone(self):
+        """Stage 1 runs the plan it hashes: there is no run-time target
+        expansion to rebuild it."""
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            HunterConfig(expand_pdns_subdomains=True)
 
     def test_engine_policy_carries_knobs(self):
         config = HunterConfig(

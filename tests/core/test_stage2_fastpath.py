@@ -8,8 +8,7 @@ chaos-degraded — produces the same classifications.
 import pytest
 
 from repro.core import HunterConfig, URHunter
-from repro.core.parallel import Stage2Metrics
-from repro.core.suspicion import SuspicionFilter
+from repro.core.suspicion import Stage2Metrics, SuspicionFilter
 from repro.core.txt import _CLASSIFIERS, TxtCategory, classify_txt
 from repro.pipeline import FaultPlan, FlakyIPInfo, FlakyPassiveDNS
 from repro.pipeline.checkpoint import config_fingerprint

@@ -6,8 +6,9 @@ now reduces each UR outcome as it completes, ``run_shard_scan`` folds each
 group as it completes, and task order is restored from the index.  The
 list-based folds are kept here as the reference — every group's
 outcomes parked, then one walk in task order: same URs in the same
-order, same wire counters, same clock and engine ledger — on a clean
-network, under 5 % loss, and with servers whose circuit opens.
+order, same clock and engine ledger, whose UR counters equal the sums
+over the raw outcomes — on a clean network, under 5 % loss, and with
+servers whose circuit opens.
 
 The fold dedupes each group's URs as it folds them; the whole-scan
 ``dedupe_urs`` over every record in index order is the reference, on
@@ -31,11 +32,7 @@ from operator import attrgetter
 import pytest
 
 from repro.core import HunterConfig, URHunter
-from repro.core.collector import (
-    CollectionPreamble,
-    CollectionResult,
-    ProtectiveFingerprint,
-)
+from repro.core.collector import ProtectiveFingerprint
 from repro.core.records import UndelegatedRecord, dedupe_urs
 from repro.dns.message import Rcode
 from repro.dns.name import name
@@ -91,18 +88,21 @@ def _hunter(prepare):
 def _list_collect_urs(hunter, plan, epoch):
     """The UR scan as one list: every group executed under the runner's
     clock and RNG rules with its outcomes parked, then a single walk in
-    task order."""
+    task order.  The wire counters are summed over the raw outcomes."""
     network = hunter.network
     rng_state = network._fault_rng.getstate()
     outcomes = []
+    attempts = responses = 0
     makespan = 0.0
     for group in plan.groups:
         network.set_clock(epoch)
         network._fault_rng = random.Random(
             group_fault_seed(network.fault_seed, group.server_ip)
         )
-        result = _list_execute_group(hunter, plan, group)
+        result, raw = _list_execute_group(hunter, plan, group)
         outcomes.extend(result.outcomes)
+        attempts += sum(outcome.attempts for outcome in raw)
+        responses += sum(1 for outcome in raw if outcome.answered)
         hunter.collector.metrics.merge(result.metrics)
         makespan = max(makespan, result.elapsed)
     network._fault_rng.setstate(rng_state)
@@ -111,18 +111,12 @@ def _list_collect_urs(hunter, plan, epoch):
     collected = []
     for outcome in outcomes:
         collected.extend(outcome.urs)
-    attempts = sum(outcome.attempts for outcome in outcomes)
-    responses = sum(1 for outcome in outcomes if outcome.answered)
-    return CollectionResult(
-        undelegated=dedupe_urs(collected),
-        queries_sent=attempts,
-        responses_seen=responses,
-        timeouts=attempts - responses,
-    )
+    return dedupe_urs(collected), (attempts, responses, attempts - responses)
 
 
 def _list_execute_group(hunter, plan, group):
-    """A pinned group's execution as it was before streaming."""
+    """A pinned group's execution as it was before streaming, with its
+    raw outcomes."""
     network = hunter.network
     collector = hunter.collector
     engine = shards._group_engine(
@@ -135,14 +129,15 @@ def _list_execute_group(hunter, plan, group):
         collector.reduce_ur(index, outcome)
         for index, outcome in zip(group.unit_indices, outcomes)
     ]
-    return GroupResult(
+    result = GroupResult(
         group=group.index,
         server_ip=group.server_ip,
         elapsed=network.now - start,
-        outcomes=reduced,
+        outcomes=[outcome for outcome in reduced if outcome is not None],
         metrics=engine.metrics,
         events=engine.events,
     )
+    return result, outcomes
 
 
 @pytest.mark.parametrize("prepare", INPUTS)
@@ -151,19 +146,16 @@ def test_collect_urs_equals_the_list_fold(prepare):
     listed_hunter = _hunter(prepare)
     epoch = streamed_hunter.network.now
     streamed = streamed_hunter.collector.collect_urs(
-        lambda: run_shard_scan(
-            streamed_hunter, streamed_hunter.plan, epoch
-        ),
-        CollectionPreamble({}, None, 0, epoch),
+        lambda: run_shard_scan(streamed_hunter, streamed_hunter.plan, epoch)
     )
-    listed = _list_collect_urs(listed_hunter, listed_hunter.plan, epoch)
-    assert streamed.undelegated == listed.undelegated
-    assert streamed.undelegated, "the scan found no UR to order"
-    assert (
-        streamed.queries_sent,
-        streamed.responses_seen,
-        streamed.timeouts,
-    ) == (listed.queries_sent, listed.responses_seen, listed.timeouts)
+    listed, wire = _list_collect_urs(
+        listed_hunter, listed_hunter.plan, epoch
+    )
+    assert streamed == listed
+    assert streamed, "the scan found no UR to order"
+    # the ledger alone counts the wire: it equals the raw outcomes' sums
+    ur = streamed_hunter.collector.metrics.stages["ur"]
+    assert (ur.queries, ur.responses, ur.timeouts) == wire
     assert streamed_hunter.network.now == listed_hunter.network.now
     assert (
         streamed_hunter.collector.metrics.to_dict()
@@ -202,11 +194,12 @@ def test_execute_group_equals_the_list_fold(prepare):
         network._fault_rng = random.Random(
             group_fault_seed(network.fault_seed, group.server_ip)
         )
-        listed = _list_execute_group(listed_hunter, plan, group)
+        listed, _ = _list_execute_group(listed_hunter, plan, group)
         assert streamed.outcomes == listed.outcomes
-        assert [outcome.index for outcome in streamed.outcomes] == list(
-            group.unit_indices
-        )
+        indices = [outcome.index for outcome in streamed.outcomes]
+        assert indices == sorted(set(indices))
+        assert set(indices) <= set(group.unit_indices)
+        assert all(outcome.urs for outcome in streamed.outcomes)
         assert encode_group_result(streamed) == encode_group_result(listed)
         skipped += streamed.metrics.stage("ur").skipped
     if prepare is _circuit_open:
@@ -243,7 +236,7 @@ def test_per_group_dedupe_equals_the_whole_scan_dedupe(mode, monkeypatch):
         add(fold, outcomes)
 
     monkeypatch.setattr(ScanFold, "add", capturing)
-    undelegated = hunter.stage1_collect().collection.undelegated
+    undelegated = hunter.stage1_collect().undelegated
     folded.sort(key=attrgetter("index"))
     collected = [record for outcome in folded for record in outcome.urs]
     assert len(collected) > len(undelegated), "no duplicate was dropped"
@@ -260,11 +253,9 @@ def test_fold_keeps_each_groups_first_occurrences_in_index_order():
     fold = ScanFold()
     fold.add(
         [
-            ReducedOutcome(3, 1, True, (record("a.example", two, "1.1.1.1"),)),
+            ReducedOutcome(3, (record("a.example", two, "1.1.1.1"),)),
             ReducedOutcome(
                 5,
-                2,
-                True,
                 (
                     record("b.example", two, "2.2.2.2"),
                     record("A.example", two, "1.1.1.1"),
@@ -274,17 +265,14 @@ def test_fold_keeps_each_groups_first_occurrences_in_index_order():
     )
     fold.add(
         [
-            ReducedOutcome(0, 1, False, ()),
             ReducedOutcome(
                 1,
-                1,
-                True,
                 (
                     record("a.example", one, "1.1.1.1"),
                     record("a.example", one, "1.1.1.1"),
                 ),
             ),
-            ReducedOutcome(4, 1, True, (record("a.example", one, "1.1.1.1"),)),
+            ReducedOutcome(4, (record("a.example", one, "1.1.1.1"),)),
         ]
     )
     everything = [
@@ -297,7 +285,6 @@ def test_fold_keeps_each_groups_first_occurrences_in_index_order():
     ]
     assert fold.records() == dedupe_urs(everything)
     assert [r.domain.labels[0] for r in fold.records()] == ["a", "a", "b"]
-    assert (fold.attempts, fold.responses) == (6, 4)
 
 
 def _list_run_groups(collector, plan, collection):
@@ -356,14 +343,12 @@ def _list_collect_protective(collector, plan):
 
 def _list_collect_correct(collector, plan, correct_db):
     """``collect_correct_records`` as it was before streaming."""
-    successes = 0
     for outcome in _list_run_groups(collector, plan, "correct"):
         response = outcome.response
         if response is None:
             continue
         if response.header.rcode != Rcode.NOERROR:
             continue
-        successes += 1
         domain = outcome.task.qname
         for answer in response.answers:
             if isinstance(answer.rdata, A):
@@ -372,7 +357,6 @@ def _list_collect_correct(collector, plan, correct_db):
                 correct_db.observe_txt(domain, answer.rdata.value)
             elif isinstance(answer.rdata, MX):
                 correct_db.observe_mx(domain, answer.rdata.to_text())
-    return successes
 
 
 @pytest.mark.parametrize("prepare", INPUTS[:2])
@@ -388,11 +372,7 @@ def test_preamble_folds_leave_the_stage1_checkpoint_unchanged(prepare):
     )
     streamed = streamed_hunter.stage1_collect()
     listed = listed_hunter.stage1_collect()
-    assert streamed.collection.correct_successes > 0
-    assert (
-        streamed.collection.correct_successes
-        == listed.collection.correct_successes
-    )
+    assert list(streamed.correct_db.domains()), "no correct record folded"
     assert json.dumps(encode_stage1(streamed)) == json.dumps(
         encode_stage1(listed)
     )
@@ -435,6 +415,6 @@ def test_small_scale_stage1_peak_stays_under_its_ceiling():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert stage1.collection.undelegated
+    assert stage1.undelegated
     assert peak <= STAGE1_PEAK_CEILING
     assert retained <= STAGE1_RETAINED_CEILING

@@ -292,17 +292,17 @@ def test_views_equal_the_object_path_row_for_row(mode):
     hunter = _hunter(mode)
     reference = _hunter(mode)
     stage1 = hunter.stage1_collect()
-    table = stage1.collection.undelegated
+    table = stage1.undelegated
     assert isinstance(table, URTable)
     records = list(table)
     reference_stage1 = reference.stage1_collect()
-    assert reference_stage1.collection.undelegated == records
+    assert reference_stage1.undelegated == records
 
     stage2 = hunter.stage2_exclude(stage1)
     verdicts = stage2.outcome.classified
     assert isinstance(verdicts, URVerdicts) and verdicts.table is table
     expected = _object_classify(
-        reference._stage2_filter(reference_stage1.collection.protective),
+        reference._stage2_filter(reference_stage1),
         records,
         reference_stage1.now,
     )

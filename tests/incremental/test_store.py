@@ -111,6 +111,32 @@ FORMAT_4_STATS = (
     '"stored":145,"uncacheable":1}'
 )
 
+#: and as the format-5 build (the parent of format 6) left one, every
+#: UR outcome with its wire counters beside its URs (outcomes, URs and
+#: events cut to one each)
+FORMAT_5_SLOT = (
+    '{"format":5,"identity":"8e95bc190bc42050617b8d6de3f75bf033b9343d9f384e'
+    'ad2ba18650a7a482d9","digest":"04d5073db28c3767562618bd435a40676e5b69c7'
+    'f2881af606afb9a8f734e9ab","group":{"group":98,"server":"10.12.0.2",'
+    '"elapsed":0.833333333954215,"outcomes":[{"index":9314,"attempts":1,'
+    '"answered":true,"urs":[{"domain":"api.github.com","nameserver_ip":'
+    '"10.12.0.2","provider":"Provider-001","rrtype":1,"rdata_text":'
+    '"10.19.0.9","nameserver_name":"ns2.ns-pool-001.net","ttl":300}]}],'
+    '"metrics":{"stages":{"ur":{"queries":74,"responses":70,"timeouts":4,'
+    '"retries":4,"giveups":0,"skipped":0,"shed":0,"rate_limit_wait":0.0}},'
+    '"latency":{"bounds":[0.001,0.005,0.01,0.025,0.05,0.1,0.25,0.5,1.0,2.5,'
+    '5.0,10.0,30.0],"counts":[0,0,0,70,4,0,0,0,0,0,0,0,0,0],"total":74,'
+    '"sum":0.8200000007264316},"hedges_fired":4,"hedges_won":4,'
+    '"hedges_wasted":0,"aimd_cuts":4,"aimd_wait":0.013333333190530539,'
+    '"spurious_retransmits":0,"shed_by_reason":{}},"events":[["aimd.cut",'
+    '"stage1-collect",{"scope":"nameserver","server":"10.12.0.2","phase":'
+    '"ur"}]]}}'
+)
+FORMAT_5_STATS = (
+    '{"format":5,"slots":145,"hits":0,"misses":145,"invalidated":0,'
+    '"stored":145,"uncacheable":1}'
+)
+
 
 @pytest.fixture(scope="module")
 def world():
@@ -324,7 +350,7 @@ class TestConfigPartition:
         assert set(listed) == {field.name for field in fields(HunterConfig)}
         assert len(SCAN_SHAPING_KNOBS) == 11
         assert not hasattr(HunterConfig, "FINGERPRINT_EXCLUDE")
-        assert len(fields(HunterConfig)) == 17
+        assert len(fields(HunterConfig)) == 16
 
     def test_fingerprint_reads_knobs_strictly(self):
         """A knob the config does not carry raises; it is never hashed
@@ -350,28 +376,31 @@ class TestKeysOfTheParentBuild:
     Store format 5 (checkpoint v10) moved every store key on purpose —
     each hashes the store format — when the resilience counters moved
     into the group's ScanMetrics; the configuration fingerprint did not
-    move."""
+    move.  Store format 6 (checkpoint v11) moved every store key again,
+    when a slot came to keep only the UR outcomes that carry URs; the
+    configuration fingerprint moved with it, because
+    ``expand_pdns_subdomains`` stopped being a field."""
 
     def test_formats_are_pinned(self):
-        assert STORE_FORMAT_VERSION == 5
-        assert FORMAT_VERSION == 10
+        assert STORE_FORMAT_VERSION == 6
+        assert FORMAT_VERSION == 11
 
     def test_config_fingerprint(self, hunter, tmp_path):
         assert config_fingerprint(HunterConfig()) == (
-            "3bc0ff15970ecaa51e926def5cf8186af5780c837adbe91061dc2571e015e823"
+            "4b13e2ff0d765f534625b22ab045e48d25808be0c6a526a4375a6d78b3e4476d"
         )
         stamped = config_fingerprint(
             HunterConfig(), extra={"plan": hunter.plan.plan_hash}
         )
         (tmp_path / "manifest.json").write_text(
-            '{"format":10,"fingerprint":"bb99dcbbbbca00a1a519b660d232bb9f'
-            'e1856140a0d9766e2ed7b972abf53711"}\n'
+            '{"format":11,"fingerprint":"c57e6d4f41a6b24ae8afc1240a08d4d1'
+            'dc1499f225f20a5ef59129cf82ebb16a"}\n'
         )
         CheckpointStore(tmp_path).prepare(stamped, resume=True)
 
     def test_scan_config_fingerprint(self):
         assert scan_config_fingerprint(HunterConfig()) == (
-            "e63bc56f9b3c7ca51ad55c3278012df98d68dcb0c2f0924c7393d73f2467c88a"
+            "1af8307158a2a568caae786357abe02aea6e99c58cb4763ddf6c13c7b2b67a26"
         )
 
     def test_group_identity_and_state_digest(self, world, hunter):
@@ -379,14 +408,14 @@ class TestKeysOfTheParentBuild:
         identity = group_identity(hunter.plan, group)
         assert (group.server_ip, identity) == (
             "10.0.0.4",
-            "241ec22fb243c9202cab0a0a965570140617272d75384b1628349abaa6b809c6",
+            "4f9417f048ae1df161acd0e6a6ec842320a8cbad73313f3a11c66cac2b440f1c",
         )
         state, reason = group_state(
             world.network, HunterConfig(), group.server_ip, "GoDaddy"
         )
         assert reason is None
         assert state_digest(identity, state) == (
-            "84f7dc0947241a9ac0e06a640bd9da396897c5d4240f29a69f53906fa2bf6716"
+            "01c8548e3f3e4585431ea417aac93338caa9de97410593255d77d99544f939ef"
         )
 
 
@@ -394,6 +423,8 @@ class TestFormatRefusal:
     @pytest.mark.parametrize(
         "files, written",
         [
+            ({"group-8e95bc190bc42050.json": FORMAT_5_SLOT}, 5),
+            ({"store-stats.json": FORMAT_5_STATS}, 5),
             ({"group-ae3c6436287d10f6.json": FORMAT_4_SLOT}, 4),
             ({"store-stats.json": FORMAT_4_STATS}, 4),
             ({"group-0092313204e3f520.json": FORMAT_3_SLOT}, 3),
@@ -404,6 +435,8 @@ class TestFormatRefusal:
         ids=[
             "slot",
             "stats",
+            "format-4-slot",
+            "format-4-stats",
             "format-3-slot",
             "format-3-stats",
             "format-2-slot",
@@ -413,20 +446,20 @@ class TestFormatRefusal:
     def test_parent_format_store_is_refused_at_open(
         self, tmp_path, files, written
     ):
-        assert STORE_FORMAT_VERSION == 5
+        assert STORE_FORMAT_VERSION == 6
         for name, text in files.items():
             (tmp_path / name).write_text(text)
         with pytest.raises(StoreFormatError) as refusal:
             GroupResultStore(tmp_path)
         message = str(refusal.value)
         assert str(tmp_path) in message
-        assert f"format {written}" in message and "format 5" in message
+        assert f"format {written}" in message and "format 6" in message
 
     def test_cli_exits_as_unusable_input_and_leaves_the_store_alone(
         self, tmp_path, capsys
     ):
-        (tmp_path / "group-ae3c6436287d10f6.json").write_text(FORMAT_4_SLOT)
-        (tmp_path / "store-stats.json").write_text(FORMAT_4_STATS)
+        (tmp_path / "group-8e95bc190bc42050.json").write_text(FORMAT_5_SLOT)
+        (tmp_path / "store-stats.json").write_text(FORMAT_5_STATS)
         argv = ["--scale", "small", "--result-store", str(tmp_path)]
         for command in ("run", "plan"):
             assert main(argv + [command]) == EXIT_USAGE
@@ -436,22 +469,22 @@ class TestFormatRefusal:
         assert {
             path.name: path.read_text() for path in tmp_path.iterdir()
         } == {
-            "group-ae3c6436287d10f6.json": FORMAT_4_SLOT,
-            "store-stats.json": FORMAT_4_STATS,
+            "group-8e95bc190bc42050.json": FORMAT_5_SLOT,
+            "store-stats.json": FORMAT_5_STATS,
         }
 
     def test_parent_checkpoint_groups_are_refused_never_all_missed(
         self, tmp_path, capsys
     ):
-        """``<checkpoint-dir>/groups`` as the last store-format-4 build
-        (checkpoint v9) left it: the manifest refuses the resume before
+        """``<checkpoint-dir>/groups`` as the last store-format-5 build
+        (checkpoint v10) left it: the manifest refuses the resume before
         a slot is looked at, and the slots refuse to open as a store on
         their own."""
         groups = tmp_path / "groups"
         groups.mkdir()
         files = {
-            tmp_path / "manifest.json": '{"format":9,"fingerprint":"fp"}',
-            groups / "group-ae3c6436287d10f6.json": FORMAT_4_SLOT,
+            tmp_path / "manifest.json": '{"format":10,"fingerprint":"fp"}',
+            groups / "group-8e95bc190bc42050.json": FORMAT_5_SLOT,
         }
         for path, text in files.items():
             path.write_text(text)
@@ -459,9 +492,9 @@ class TestFormatRefusal:
         assert main(argv + ["--resume", "run"]) == EXIT_ABORTED
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "cannot resume: checkpoint format 9 != 10" in captured.err
+        assert "cannot resume: checkpoint format 10 != 11" in captured.err
         assert all(path.read_text() == text for path, text in files.items())
-        with pytest.raises(StoreFormatError, match="store format 4"):
+        with pytest.raises(StoreFormatError, match="store format 5"):
             GroupResultStore(groups)
 
     def test_own_format_store_reopens(self, tmp_path):

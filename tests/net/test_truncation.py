@@ -74,7 +74,7 @@ class TestPipelineWithBigRecords:
             [NameserverTarget("10.0.0.1", "BigHost")],
             [DomainTarget(name("big.example"), 1)],
         )
-        result = hunter.stage1_collect().collection
+        result = hunter.stage1_collect()
         txt_urs = [
             record
             for record in result.undelegated

@@ -92,8 +92,8 @@ class TestCodecs:
             server_ip="192.0.2.1",
             elapsed=0.25,
             outcomes=[
-                ReducedOutcome(3, 1, True, (sample_record(),)),
-                ReducedOutcome(9, 2, False, ()),
+                ReducedOutcome(3, (sample_record(),)),
+                ReducedOutcome(9, (sample_record(), sample_record())),
             ],
             metrics=metrics,
             events=[("breaker.trip", STAGE1, {"server": "192.0.2.1"})],
@@ -174,7 +174,7 @@ class TestCheckpointStore:
         }
         for name, text in files.items():
             (tmp_path / name).write_text(text)
-        with pytest.raises(CheckpointError, match="checkpoint format 6 != 10"):
+        with pytest.raises(CheckpointError, match="checkpoint format 6 != 11"):
             CheckpointStore(tmp_path).prepare("fp", resume=True)
         assert {
             path.name: path.read_text() for path in tmp_path.iterdir()
@@ -182,7 +182,7 @@ class TestCheckpointStore:
         (tmp_path / "manifest.json").write_text(
             '{"format":5,"fingerprint":"fp"}'
         )
-        with pytest.raises(CheckpointError, match="checkpoint format 5 != 10"):
+        with pytest.raises(CheckpointError, match="checkpoint format 5 != 11"):
             CheckpointStore(tmp_path).prepare("fp", resume=True)
 
     def test_resume_without_manifest_fails(self, tmp_path):

@@ -1,13 +1,9 @@
 """Degraded-source behaviour at the component level (satellite 3).
 
-Covers ``recover_pdns_subdomains`` and ``UniformityChecker`` under empty
-and failing passive-DNS / IP-metadata backends.
+Covers ``UniformityChecker`` under empty and failing passive-DNS /
+IP-metadata backends.
 """
 
-import pytest
-
-from repro.core import HunterConfig, URHunter
-from repro.core.collector import DomainTarget
 from repro.core.correctness import (
     COND_AS,
     COND_CERT,
@@ -18,7 +14,6 @@ from repro.core.correctness import (
     CorrectRecordDatabase,
     UniformityChecker,
 )
-from repro.core.hunter import recover_pdns_subdomains
 from repro.core.records import UndelegatedRecord
 from repro.core.suspicion import SuspicionFilter
 from repro.dns.name import name
@@ -27,7 +22,7 @@ from repro.intel.ipinfo import IpInfoDatabase
 from repro.intel.pdns import PassiveDnsStore
 from repro.pipeline import FlakyIPInfo, FlakyPassiveDNS
 
-from .conftest import FailingPlan, make_world
+from .conftest import FailingPlan
 
 
 def make_ipinfo():
@@ -62,33 +57,6 @@ def txt_record(rdata="v=rogue token"):
         rrtype=RRType.TXT,
         rdata_text=rdata,
     )
-
-
-class TestRecoverPdnsSubdomains:
-    TARGETS = [DomainTarget(domain=name("victim.example"), rank=3)]
-
-    def test_empty_store_recovers_nothing(self):
-        assert (
-            recover_pdns_subdomains(PassiveDnsStore(), self.TARGETS, 1000.0)
-            == []
-        )
-
-    def test_recovers_observed_subdomain_with_parent_rank(self):
-        pdns = PassiveDnsStore()
-        pdns.observe("mail.victim.example", RRType.A, "10.0.0.2", 100.0)
-        pdns.observe("other.example", RRType.A, "10.0.0.3", 100.0)
-        recovered = recover_pdns_subdomains(pdns, self.TARGETS, 1000.0)
-        assert [target.domain for target in recovered] == [
-            name("mail.victim.example")
-        ]
-        assert recovered[0].rank == 3
-
-    def test_dead_store_raises_source_error(self):
-        from repro.pipeline import SourceError
-
-        pdns = FlakyPassiveDNS(PassiveDnsStore(), FailingPlan())
-        with pytest.raises(SourceError):
-            recover_pdns_subdomains(pdns, self.TARGETS, 1000.0)
 
 
 class TestCheckerDegradedPdns:
@@ -207,25 +175,3 @@ class TestSuspicionDegradation:
         for condition in (COND_AS, COND_PDNS):
             assert condition in tagged[0]
         assert outcome.unverifiable == [entry]
-
-
-class TestPipelineDegradedPdnsExpansion:
-    def test_dead_pdns_skips_expansion_with_note(self):
-        world = make_world()
-        hunter = URHunter.from_world(
-            world, HunterConfig(expand_pdns_subdomains=True)
-        )
-        hunter.pdns = FlakyPassiveDNS(world.pdns, FailingPlan())
-        report = hunter.run()
-        assert report.is_degraded
-        assert "pdns-expansion-skipped:pdns" in report.degraded.notes
-        # the run still measured the configured targets
-        assert report.classified
-
-    def test_healthy_pdns_expansion_has_no_note(self):
-        world = make_world()
-        hunter = URHunter.from_world(
-            world, HunterConfig(expand_pdns_subdomains=True)
-        )
-        report = hunter.run()
-        assert report.degraded is None or not report.degraded.notes

@@ -211,15 +211,15 @@ class TestExitCodes:
     def test_previous_format_checkpoint_is_refused(
         self, checkpointed, tmp_path, capsys
     ):
-        """A directory stamped with format 9, whose group slots are
-        store format 4 (the resilience counters kept beside each
-        group's ScanMetrics), is refused whole before a slot is opened:
-        exit 3, one ``error:`` line."""
+        """A directory stamped with format 10, whose group slots are
+        store format 5 (every UR outcome kept with its wire counters),
+        is refused whole before a slot is opened: exit 3, one
+        ``error:`` line."""
         directory = tmp_path / "ckpt"
         shutil.copytree(checkpointed, directory)
         manifest_path = directory / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["format"] = 9
+        manifest["format"] = 10
         manifest_path.write_text(json.dumps(manifest))
         code = main(
             SMALL + ["--checkpoint-dir", str(directory), "--resume", "run"]
@@ -227,7 +227,7 @@ class TestExitCodes:
         assert code == EXIT_ABORTED
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "checkpoint format 9 != 10" in captured.err
+        assert "checkpoint format 10 != 11" in captured.err
         assert "Traceback" not in captured.err
 
     def test_checkpointed_run_then_resume_both_exit_zero(

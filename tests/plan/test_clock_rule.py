@@ -250,8 +250,7 @@ def _preamble(hunter):
     )
     return (
         json.dumps(encoded, sort_keys=True),
-        stage1.collection.correct_successes,
-        stage1.collection.classification_epoch - origin,
+        stage1.now - origin,
         json.dumps(hunter.collector.metrics.to_dict(), sort_keys=True),
     )
 
@@ -312,8 +311,8 @@ def test_preamble_invariant_under_server_order(reference, permute):
     baseline, baseline_sum = _latency_buckets_folded(reference[0])
     assert encoded == baseline
     assert latency_sum == pytest.approx(baseline_sum, rel=1e-12)
-    assert permuted[1:3] == reference[1:3]
-    ledger, baseline = json.loads(permuted[3]), json.loads(reference[3])
+    assert permuted[1] == reference[1]
+    ledger, baseline = json.loads(permuted[2]), json.loads(reference[2])
     for document in (ledger, baseline):
         # bucket-upper-bound estimates: they follow the bucket counts
         for estimate in ("p50", "p90", "p99"):
@@ -358,7 +357,7 @@ def test_correct_and_ur_groups_are_pinned_at_the_scan_start(monkeypatch):
     assert {start for start, _ in phases["protective"]} == {origin}
     assert {start for start, _ in phases["correct"]} == {scan_start}
     assert {start for start, _ in phases["ur"]} == {scan_start}
-    assert stage1.now == stage1.collection.classification_epoch == scan_start
+    assert stage1.now == scan_start
     assert 0 < makespan["protective"] < makespan["ur"] < makespan["correct"]
     assert stage1.end == hunter.network.now == scan_start + max(
         makespan["correct"], makespan["ur"]

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.core import HunterConfig, URHunter
+from repro.core import hunter as hunter_module
 from repro.core.collector import CollectionFailure
 from repro.incremental import GroupResultStore
 from repro.obs import RunTrace
@@ -90,6 +91,26 @@ class TestCleanEquivalence:
         assert built["groups"] == len(hunter.plan.groups)
         assert built["ur"] == len(hunter.plan.ur_units)
 
+    def test_stage1_runs_the_plan_it_hashes(self, monkeypatch):
+        """The plan whose hash the trace header and the config
+        fingerprint stamp is the plan object the UR scan runs: stage 1
+        never rebuilds it."""
+        world = build_world(small_config(seed=SEED))
+        hunter = URHunter.from_world(world)
+        trace = RunTrace()
+        hunter.attach_trace(trace)
+        ran = []
+        scan = hunter_module.run_shard_scan
+
+        def recording(scanner, plan, start):
+            ran.append(plan)
+            return scan(scanner, plan, start)
+
+        monkeypatch.setattr(hunter_module, "run_shard_scan", recording)
+        hunter.stage1_collect()
+        assert ran == [hunter.plan] and ran[0] is hunter.plan
+        assert trace.header()["plan"] == hunter.plan.plan_hash
+
     def test_run_end_accounts_for_every_query(self, clean):
         (run_end,) = [
             json.loads(line)
@@ -160,16 +181,18 @@ class TestGroupFailure:
         assert failure.stage == f"stage1-collect/{collection}"
         assert failure.collection == collection
         assert isinstance(failure.cause, RuntimeError)
-        # clean network: one query per unit of the groups that finished
+        # clean network: the collector's ledger holds one query per
+        # unit of the groups that finished
         plan = hunter.plan
+        ledger = hunter.collector.metrics
         if collection == "ur":
             groups = [group.unit_indices for group in plan.groups]
         else:
             groups = list(plan.correct_units.lanes().values())
-            assert "ur" not in failure.metrics.stages
+            assert "ur" not in ledger.stages
         finished = sum(len(group) for group in groups[: self.COMPLETED])
-        assert failure.metrics.stage(collection).queries == finished > 0
-        assert failure.metrics.stage("protective").queries == len(
+        assert ledger.stage(collection).queries == finished > 0
+        assert ledger.stage("protective").queries == len(
             plan.protective_units
         )
         recorded = json.loads((tmp_path / "failure.json").read_text())
@@ -283,7 +306,9 @@ def test_one_function_runs_a_group_of_every_phase():
     result = shard_runner.run_group(
         collector, plan, "ur", group, start, start, collector.reduce_ur
     )
-    assert [outcome.index for outcome in result.outcomes] == list(
-        group.unit_indices
-    )
+    # a UR group keeps only the outcomes that carried URs, in unit order
+    indices = [outcome.index for outcome in result.outcomes]
+    assert indices == [index for index in group.unit_indices if index in indices]
+    assert 0 < len(indices) < len(group.unit_indices)
+    assert all(outcome.urs for outcome in result.outcomes)
     assert list(result.metrics.stages) == ["ur"]

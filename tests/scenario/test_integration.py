@@ -134,13 +134,13 @@ class TestManipulatedResolverPollution:
         from repro.scenario.world import AD_SERVER_IP
 
         assert small_report.false_negative_rate == 0.0
-        hunter = URHunter.from_world(small_world)
-        hunter.run(validate=False)
-        assert hunter.correct_db is not None
+        correct_db = (
+            URHunter.from_world(small_world).stage1_collect().correct_db
+        )
         polluted = [
             domain
-            for domain in hunter.correct_db.domains()
-            if AD_SERVER_IP in hunter.correct_db.profile(domain).ips
+            for domain in correct_db.domains()
+            if AD_SERVER_IP in correct_db.profile(domain).ips
         ]
         manipulated = [
             resolver

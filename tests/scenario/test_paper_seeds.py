@@ -11,9 +11,9 @@ among them.  The case study now rides the account's existing zone.
 import pytest
 
 from repro.core import HunterConfig, URHunter
-from repro.core.collector import CollectionResult
 from repro.core.correctness import CorrectRecordDatabase
 from repro.core.hunter import Stage1Result
+from repro.core.records import URTable
 from repro.scenario import (
     ScenarioError,
     build_world,
@@ -32,13 +32,15 @@ def test_paper_scale_seed_builds_with_fn_rate_zero(seed):
     # only, so the UR scan (most of a paper-scale run) is left out
     hunter = URHunter.from_world(world)
     correct_db = CorrectRecordDatabase(hunter.ipinfo)
-    preamble = hunter.collector.collect_preamble(
+    protective, scan_start = hunter.collector.collect_preamble(
         hunter.plan, correct_db, hunter.network.now
     )
-    hunter.correct_db = correct_db
     stage1 = Stage1Result(
-        collection=preamble.fold_into(CollectionResult()),
-        now=preamble.classification_epoch,
+        undelegated=URTable(),
+        protective=protective,
+        correct_db=correct_db,
+        metrics=hunter.collector.metrics,
+        now=scan_start,
         end=hunter.network.now,
     )
     assert hunter.stage2_exclude(stage1, validate=True).fn_rate == 0.0

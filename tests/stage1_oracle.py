@@ -3,8 +3,8 @@
 Two stage-1 runs that should agree — streamed and listed folds, any
 group order, a warm and a cold store — are compared through
 :func:`encode_stage1`: every UR in scan order, the protective
-fingerprints, the correct-record profiles, the counters, the scan
-metrics and both timestamps.  Set-valued fields are written as sorted
+fingerprints, the correct-record profiles, the scan metrics (every wire
+counter) and both timestamps.  Set-valued fields are written as sorted
 lists, since set order is hash-seed dependent.
 """
 
@@ -41,22 +41,16 @@ def encode_profiles(database) -> List[Dict[str, Any]]:
 
 
 def encode_stage1(stage1) -> Dict[str, Any]:
-    collection = stage1.collection
     return {
         "undelegated": [
-            encode_record(record) for record in collection.undelegated
+            encode_record(record) for record in stage1.undelegated
         ],
         "protective": [
             encode_fingerprint(fingerprint)
-            for fingerprint in collection.protective.values()
+            for fingerprint in stage1.protective.values()
         ],
-        "profiles": encode_profiles(collection.correct_db),
-        "responses_seen": collection.responses_seen,
-        "queries_sent": collection.queries_sent,
-        "timeouts": collection.timeouts,
-        "correct_successes": collection.correct_successes,
-        "metrics": encode_metrics(collection.metrics),
+        "profiles": encode_profiles(stage1.correct_db),
+        "metrics": encode_metrics(stage1.metrics),
         "now": stage1.now,
         "end": stage1.end,
-        "notes": list(stage1.notes),
     }

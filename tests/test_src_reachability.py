@@ -11,8 +11,11 @@ Two AST scans over the same readers -- ``src``, ``examples/`` and
   dataclass field with a scalar default -- must be passed by some call
   in a reader.  A call matches by callee name: ``cls(...)`` and
   ``super().__init__(...)`` resolve to their class, a
-  ``replace(x, f=...)`` passes field ``f``, and a ``*``/``**`` argument
-  passes everything.  A ``field(default_factory=...)`` container, and a
+  ``replace(x, f=...)`` passes field ``f``, and a ``*`` argument passes
+  everything.  A ``**`` argument passes the string keys of the dict
+  displays inside it -- ``**({"f": v} if c else {})`` passes ``f`` --
+  unless it forwards the enclosing function's own ``**`` parameter,
+  which passes everything.  A ``field(default_factory=...)`` container, and a
   field the program assigns through an attribute (state the object
   accumulates), are not options.
 
@@ -75,6 +78,36 @@ OPTIONS_ALLOWED = {
     ),
     "src/repro/obs/reporter.py:Reporter.__init__(stream)": (
         "deployment setting: where operator messages go"
+    ),
+    **{
+        f"src/repro/core/hunter.py:HunterConfig({field})": (
+            "test tool parameter: an ablation hook "
+            "benchmarks/test_bench_ablation.py sets (DESIGN §5, ROADMAP 4(b))"
+        )
+        for field in (
+            "enabled_conditions",
+            "min_severity",
+            "use_intel",
+            "use_ids",
+            "use_cohost_join",
+        )
+    },
+    "src/repro/core/hunter.py:HunterConfig(per_server_interval)": (
+        "test tool parameter: benchmarks/test_bench_overview.py runs the "
+        "paper's Appendix-A 130 s pacing with it"
+    ),
+    "src/repro/core/hunter.py:HunterConfig(probe_domain)": (
+        "deployment setting: the measurer's own probe domain"
+    ),
+    "src/repro/core/hunter.py:HunterConfig(scanner_ip)": (
+        "deployment setting: the scanner's source address"
+    ),
+    "src/repro/core/hunter.py:HunterConfig(seed)": (
+        "persisted key: the plan hash digests it"
+    ),
+    "src/repro/core/hunter.py:HunterConfig(execution)": (
+        "test tool parameter: benchmarks/e2e passes it, and ROADMAP item 2 "
+        "deletes it"
     ),
     **{
         f"src/repro/scenario/config.py:ScenarioConfig({field})": (
@@ -263,14 +296,31 @@ def _options(tree):
                 yield callee, owner, parameter, position, False
 
 
-def _calls(node, klass=None, bases=()):
+def _dict_keys(node):
+    """The string keys of every dict display under ``node``."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Dict):
+            for key in child.keys:
+                if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                    yield key.value
+
+
+def _calls(node, klass=None, bases=(), forwarded=None):
     """``(callee, keywords, positional count)`` of every call under
-    ``node``; a call unpacking ``*``/``**`` counts as passing
-    everything (count None)."""
+    ``node``.  A call unpacking ``*``, or ``**`` of ``forwarded`` (the
+    enclosing function's own ``**`` parameter), counts as passing
+    everything (count None); any other ``**`` passes the string keys of
+    the dict displays inside it."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.ClassDef):
             yield from _calls(
                 child, child.name, tuple(_name(base) for base in child.bases)
+            )
+            continue
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            kwarg = child.args.kwarg
+            yield from _calls(
+                child, klass, bases, kwarg.arg if kwarg else forwarded
             )
             continue
         if isinstance(child, ast.Call):
@@ -285,15 +335,23 @@ def _calls(node, klass=None, bases=()):
                 callees = bases
             else:
                 callees = (_name(function),)
+            spread = [
+                keyword.value
+                for keyword in child.keywords
+                if keyword.arg is None
+            ]
             unpacks = any(
                 isinstance(arg, ast.Starred) for arg in child.args
-            ) or any(keyword.arg is None for keyword in child.keywords)
+            ) or any(
+                isinstance(value, ast.Name) and value.id == forwarded
+                for value in spread
+            )
             keywords = frozenset(
                 keyword.arg for keyword in child.keywords if keyword.arg
-            )
+            ).union(*(_dict_keys(value) for value in spread))
             for callee in callees:
                 yield callee, keywords, None if unpacks else len(child.args)
-        yield from _calls(child, klass, bases)
+        yield from _calls(child, klass, bases, forwarded)
 
 
 def _attribute_stores(node, in_init=False):
