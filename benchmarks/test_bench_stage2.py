@@ -4,10 +4,11 @@ Builds a synthetic stage-2 workload — many candidate URs duplicated
 across nameservers, a prefix-heavy IP-metadata database, a deep
 passive-DNS history — and times classification twice per size:
 
-* **naive**: linear prefix scans, full-history scans, no verdict memo
-  (the equivalence tests' reference stores + ``memoize=False`` filter);
-* **indexed**: the length-bucketed prefix index, the generation-cached
-  pdns store, and per-key verdict memoization.
+* **naive**: linear prefix scans, full-history scans, every record
+  evaluated on its own (the equivalence tests' reference stores +
+  ``memoize=False`` filter);
+* **indexed**: the length-bucketed prefix index, the per-domain pdns
+  index, and one evaluation per distinct UR key (per-key dedup).
 
 Both paths must classify identically (asserted), and the trajectory is
 written to ``BENCH_stage2.json`` at the repo root so CI can track the

@@ -72,10 +72,6 @@ class CorrectRecordDatabase:
     def __init__(self, ipinfo: IpInfoDatabase):
         self.ipinfo = ipinfo
         self._profiles: Dict[Name, DomainProfile] = {}
-        # domains() is called on hot report paths; re-sorting every call
-        # is wasted work, so the sorted view is cached and invalidated
-        # whenever a new profile appears
-        self._domains_cache: Optional[List[Name]] = None
 
     def profile(self, domain: Union[str, Name]) -> DomainProfile:
         domain = name(domain)
@@ -83,7 +79,6 @@ class CorrectRecordDatabase:
         if existing is None:
             existing = DomainProfile(domain=domain)
             self._profiles[domain] = existing
-            self._domains_cache = None
         return existing
 
     def observe_a(self, domain: Union[str, Name], address: str) -> None:
@@ -96,9 +91,7 @@ class CorrectRecordDatabase:
         self.profile(domain).mx_values.add(value)
 
     def domains(self) -> List[Name]:
-        if self._domains_cache is None:
-            self._domains_cache = sorted(self._profiles)
-        return list(self._domains_cache)
+        return sorted(self._profiles)
 
 
 #: the conditions that need IP metadata (AS, geo, cert, HTTP content)
@@ -154,17 +147,10 @@ class UniformityChecker:
         self.guard = SourceGuard()
         #: condition name -> number of records it could not be checked for
         self.skipped_conditions: Dict[str, int] = {}
-        # verdict memo: distinct (domain, rrtype, rdata) keys repeat once
-        # per nameserver serving them, so each is evaluated once and the
-        # verdict fanned back out (see check_cached)
-        self._memo: Dict[Tuple, CorrectnessVerdict] = {}
-        #: memo accounting, read by Stage2Metrics
-        self.memo_hits = 0
-        self.memo_misses = 0
 
     @property
     def memoizable(self) -> bool:
-        """May repeat evaluations be answered from the verdict memo?
+        """May one evaluation per distinct UR key answer all its rows?
 
         Only when every consulted source is *deterministic* — repeat
         calls provably return the same answer and carry no call-count
@@ -180,34 +166,6 @@ class UniformityChecker:
         ):
             return False
         return True
-
-    def check_cached(
-        self, record: UndelegatedRecord, now: float = 0.0
-    ) -> CorrectnessVerdict:
-        """Like :meth:`check`, but memoized per distinct UR key.
-
-        The cache key folds in the guard's degraded-event counter: any
-        change in source availability invalidates verdicts cached under
-        the previous state, so a memoized answer is always one the live
-        path would have produced under the current conditions.
-        """
-        if not self.memoizable:
-            return self.check(record, now)
-        key = (
-            record.domain,
-            record.rrtype,
-            record.rdata_text,
-            now,
-            self.guard.degraded_events,
-        )
-        hit = self._memo.get(key)
-        if hit is not None:
-            self.memo_hits += 1
-            return hit
-        verdict = self.check(record, now)
-        self.memo_misses += 1
-        self._memo[key] = verdict
-        return verdict
 
     def _note_skips(self, conditions: Tuple[str, ...]) -> None:
         for condition in conditions:

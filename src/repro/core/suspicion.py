@@ -35,12 +35,12 @@ from .txt import classify_txt
 
 @dataclass
 class Stage2Metrics:
-    """What stage 2 did: volume, dedup, caching, timing.
+    """What stage 2 did: volume, dedup, timing.
 
     The deterministic/timing split is load-bearing: ``to_dict()`` and
     ``summary()`` carry only counters that are byte-identical between a
     live and a resumed run, while ``timing_dict()`` carries the wall
-    clock and the store-cache counters.
+    clock.
     """
 
     #: candidate URs classified (including protective short-circuits)
@@ -49,22 +49,18 @@ class Stage2Metrics:
     protective_matches: int = 0
     #: distinct (domain, rrtype, rdata) keys among the checked records
     distinct_keys: int = 0
-    #: verdicts served from the memo instead of re-evaluated
+    #: checked records answered by their key's one evaluation:
+    #: checked records minus ``distinct_keys`` on the grouped path
     cache_hits: int = 0
-    #: distinct evaluations actually performed
+    #: evaluations performed on the grouped path: ``distinct_keys``
     cache_misses: int = 0
-    #: whether the memoized fast path was eligible (deterministic sources)
+    #: whether the grouped path was eligible (deterministic sources)
     memoized: bool = False
     #: wall-clock seconds of the whole classification pass
     wall_s: float = 0.0
     #: wall-clock seconds attributed per matched Appendix-B condition
     #: (plus ``survived-exclusion`` for records no condition excluded)
     condition_s: Dict[str, float] = field(default_factory=dict)
-    #: auxiliary-store cache accounting, when the stores expose it
-    pdns_cache_hits: int = 0
-    pdns_cache_misses: int = 0
-    ipinfo_cache_hits: int = 0
-    ipinfo_cache_misses: int = 0
 
     @property
     def dedup_factor(self) -> float:
@@ -102,23 +98,18 @@ class Stage2Metrics:
         }
 
     def timing_dict(self) -> Dict[str, Any]:
-        """Wall-clock and store-cache counters — never byte-compared."""
+        """Wall-clock figures — never byte-compared."""
         return {
             "wall_s": self.wall_s,
             "records_per_s": self.records_per_s,
             "condition_s": dict(sorted(self.condition_s.items())),
-            "pdns_cache_hits": self.pdns_cache_hits,
-            "pdns_cache_misses": self.pdns_cache_misses,
-            "ipinfo_cache_hits": self.ipinfo_cache_hits,
-            "ipinfo_cache_misses": self.ipinfo_cache_misses,
         }
 
     def summary(self, indent: str = "") -> str:
         """Deterministic counters only — safe for byte-compared reports.
 
-        Wall-clock figures and the store-cache counters live in
-        :meth:`timing_dict` instead, so this text is byte-identical
-        across live and resumed runs.
+        Wall-clock figures live in :meth:`timing_dict` instead, so this
+        text is byte-identical across live and resumed runs.
         """
         mode = "on" if self.memoized else "off"
         return "\n".join(
@@ -179,7 +170,7 @@ _SUSPICIOUS = tuple(
 )
 _PROTECTIVE = (URCategory.PROTECTIVE, ("protective-fingerprint",))
 
-#: the memoization identity of one UR: every record sharing it receives
+#: the dedup identity of one UR: every record sharing it receives
 #: the same uniformity verdict (the nameserver is deliberately absent —
 #: protective fingerprints are checked per server, before this key)
 UrKey = Tuple[Name, int, str]
@@ -246,7 +237,6 @@ class SuspicionFilter:
             verdicts.rows_in((URCategory.PROTECTIVE,))
         )
         metrics.wall_s = time.perf_counter() - started
-        self._harvest_store_caches(metrics)
         self.last_metrics = metrics
         return SuspicionOutcome(classified=verdicts)
 
@@ -293,24 +283,18 @@ class SuspicionFilter:
             pending.setdefault((domain_keys[domain], rrtype, rdata), row)
         metrics.distinct_keys = len(pending)
 
-        # pass 2: one evaluation per distinct key, in first-occurrence
-        # order; cross-call memo hits (e.g. the FN validation re-using
-        # the main pass's verdicts) are counted by the checker itself
-        hits_before = self.checker.memo_hits
-        misses_before = self.checker.memo_misses
+        # pass 2: one evaluation per distinct key, in first-occurrence order
         by_key: Dict[Tuple[int, int, int], Tuple] = {}
         for key, row in pending.items():
             started = time.perf_counter()
-            verdict = self.checker.check_cached(table[row], now)
+            verdict = self.checker.check(table[row], now)
             metrics.attribute(
                 verdict.matched_condition or "survived-exclusion",
                 time.perf_counter() - started,
             )
             by_key[key] = self._from_verdict(verdict)
-        metrics.cache_misses = self.checker.memo_misses - misses_before
-        metrics.cache_hits = (self.checker.memo_hits - hits_before) + (
-            len(protective) - sum(protective) - len(pending)
-        )
+        metrics.cache_misses = len(pending)
+        metrics.cache_hits = len(protective) - sum(protective) - len(pending)
 
         # pass 3: fan-out in row order
         txt_categories: Dict[int, str] = {}
@@ -330,16 +314,6 @@ class SuspicionFilter:
                 else by_key[(domain_keys[domain], rrtype, rdata)]
             )
             verdicts.append(category, reasons, txt_category)
-
-    def _harvest_store_caches(self, metrics: Stage2Metrics) -> None:
-        """Copy auxiliary-store cache counters when the stores keep them."""
-        pdns = self.checker.pdns
-        if pdns is not None:
-            metrics.pdns_cache_hits = getattr(pdns, "cache_hits", 0)
-            metrics.pdns_cache_misses = getattr(pdns, "cache_misses", 0)
-        ipinfo = self.checker.ipinfo
-        metrics.ipinfo_cache_hits = getattr(ipinfo, "cache_hits", 0)
-        metrics.ipinfo_cache_misses = getattr(ipinfo, "cache_misses", 0)
 
     # -- the naive per-record path -----------------------------------------
 

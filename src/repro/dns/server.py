@@ -103,9 +103,6 @@ class AuthoritativeServer:
         #: the zone map changes and when a group that queried this
         #: server ends (:meth:`flush_cache`)
         self._compiled: Dict[object, _CompiledAnswer] = {}
-        #: REFUSED-template pool used only when the network offers no
-        #: shared ``refused_pool`` (bare-harness tests)
-        self._refused_fallback: Dict[object, tuple] = {}
         #: bumped on load_zone/unload_zone — observable by tests as the
         #: generation stamp behind compiled-cache invalidation
         self.generation = 0
@@ -133,7 +130,6 @@ class AuthoritativeServer:
         that can change an answer changed, so no result-store key
         moves."""
         self._compiled.clear()
-        self._refused_fallback.clear()
 
     def zone_for(self, qname: Union[str, Name]) -> Optional[Zone]:
         """The closest enclosing hosted zone for ``qname``, if any."""
@@ -307,9 +303,7 @@ class AuthoritativeServer:
         a server whose policy changes away from REFUSED simply stops
         consulting the pool.
         """
-        pool = getattr(network, "refused_pool", None)
-        if pool is None:
-            pool = self._refused_fallback  # network without a pool
+        pool = network.refused_pool
         cached = pool.get(key)
         if cached is not None:
             if metrics is not None:

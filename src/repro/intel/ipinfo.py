@@ -9,18 +9,17 @@ exactly how AS/geo data behaves (prefix-granular) versus cert/HTTP data
 Performance: stage 2 resolves metadata for every candidate A record, so
 ``lookup`` must not linear-scan the registered prefixes.  The database
 keeps an interval index bucketed by prefix length (longest-prefix match
-becomes ≤ 33 dict probes, one per distinct registered length) plus an
-LRU cache of assembled :class:`IpMetadata`, so the four per-field
-helpers (``asn``/``country``/``cert_org``/``http``) share one cached
-lookup instead of four scans (``cache_size=0`` turns the cache off).
-The O(prefixes) reference scan lives in the equivalence tests.
+becomes ≤ 33 dict probes, one per distinct registered length).  There
+is no result cache: every address stage 2 looks up is a registered
+host, answered from the host table before the index.  Callers read the
+fields of one :meth:`IpInfoDatabase.lookup`.  The O(prefixes) reference
+scan lives in the equivalence tests.
 """
 
 from __future__ import annotations
 
 import enum
 import ipaddress
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -119,25 +118,17 @@ class IpInfoDatabase:
 
     UNKNOWN_ASN = 0
 
-    #: repeat lookups always return the same answer — memoization-safe
+    #: repeat lookups always return the same answer — safe to dedup
     #: (fault-injecting wrappers advertise ``False`` instead)
     deterministic = True
 
-    def __init__(self, cache_size: int = 4096) -> None:
-        if cache_size < 0:
-            raise ValueError(f"cache_size must be >= 0, got {cache_size}")
+    def __init__(self) -> None:
         self._prefixes: List[_PrefixInfo] = []
         self._hosts: Dict[str, IpMetadata] = {}
         # lazy longest-prefix-match index: {prefixlen: {masked_int: info}},
         # rebuilt on first lookup after a register_prefix
         self._prefix_index: Optional[Dict[int, Dict[int, _PrefixInfo]]] = None
         self._index_lengths: Tuple[int, ...] = ()
-        # LRU of assembled metadata for non-host addresses
-        self._cache_size = cache_size
-        self._cache: "OrderedDict[str, IpMetadata]" = OrderedDict()
-        #: metadata-cache accounting (stage-2 observability)
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     # -- population --------------------------------------------------------
 
@@ -153,9 +144,8 @@ class IpInfoDatabase:
                 country=country,
             )
         )
-        # a new prefix can change any cached or indexed answer
+        # a new prefix can change any indexed answer
         self._prefix_index = None
-        self._cache.clear()
 
     def register_host(
         self,
@@ -174,8 +164,6 @@ class IpInfoDatabase:
             http=http if http is not None else HttpPage.none(),
         )
         self._hosts[address] = meta
-        # the host override supersedes any cached prefix-derived answer
-        self._cache.pop(address, None)
         return meta
 
     # -- lookup ---------------------------------------------------------
@@ -209,31 +197,7 @@ class IpInfoDatabase:
         hit = self._hosts.get(address)
         if hit is not None:
             return hit
-        if self._cache_size:
-            cached = self._cache.get(address)
-            if cached is not None:
-                self.cache_hits += 1
-                self._cache.move_to_end(address)
-                return cached
-            self.cache_misses += 1
         asn, as_name, country = self._prefix_defaults(address)
-        meta = IpMetadata(
+        return IpMetadata(
             address=address, asn=asn, as_name=as_name, country=country
         )
-        if self._cache_size:
-            self._cache[address] = meta
-            while len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
-        return meta
-
-    def asn(self, address: str) -> int:
-        return self.lookup(address).asn
-
-    def country(self, address: str) -> str:
-        return self.lookup(address).country
-
-    def cert_org(self, address: str) -> Optional[str]:
-        return self.lookup(address).cert_org
-
-    def http(self, address: str) -> HttpPage:
-        return self.lookup(address).http

@@ -15,8 +15,9 @@ scale (~8,941 nameservers × 2K domains) a full scan of every observation
 per query dominates exclusion wall-clock time.  The store therefore
 keeps one index, ``domain → observations`` in first-sighting order (a
 paper-scale world's largest bucket holds 17), and filters a domain's
-bucket by rrtype and window per query, behind a generation-stamped
-cache of query results (lazily invalidated on ingest).  Each
+bucket by rrtype and window per query.  There is no result cache:
+stage 2 asks once per distinct (domain, rrtype, rdata) key, and no
+run's traffic repeats a (domain, rrtype, now) question.  Each
 observation is held once; the O(observations) reference scan lives in
 the equivalence tests, not here.
 """
@@ -24,7 +25,7 @@ the equivalence tests, not here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..dns.name import Name, name
 from ..dns.rdata import RRType
@@ -46,7 +47,7 @@ class PdnsObservation:
 class PassiveDnsStore:
     """An append-only passive-DNS database with windowed queries."""
 
-    #: repeat queries always return the same answer — memoization-safe
+    #: repeat queries always return the same answer — safe to dedup
     #: (fault-injecting wrappers advertise ``False`` instead)
     deterministic = True
 
@@ -55,17 +56,6 @@ class PassiveDnsStore:
         #: order, one per distinct (rrtype, rdata_text)
         self._by_domain: Dict[Name, Tuple[PdnsObservation, ...]] = {}
         self._count = 0
-        # lazy invalidation: ingest bumps the generation, the next query
-        # notices the mismatch and drops the stale result cache
-        self._generation = 0
-        self._cache_generation = 0
-        self._history_cache: Dict[
-            Tuple[Name, Optional[int], float], Tuple[PdnsObservation, ...]
-        ] = {}
-        self._rdata_cache: Dict[Tuple[Name, int, float], FrozenSet[str]] = {}
-        #: result-cache accounting (stage-2 observability)
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     def observe(
         self,
@@ -107,7 +97,6 @@ class PassiveDnsStore:
         self._by_domain[domain] = (
             bucket[:position] + (observation,) + bucket[position + 1 :]
         )
-        self._generation += 1
 
     def observe_delegation(
         self,
@@ -131,13 +120,6 @@ class PassiveDnsStore:
             and observation.first_seen <= now
         )
 
-    def _fresh_cache(self) -> None:
-        """Lazily drop memoized query results after an ingest."""
-        if self._cache_generation != self._generation:
-            self._history_cache.clear()
-            self._rdata_cache.clear()
-            self._cache_generation = self._generation
-
     def history(
         self,
         domain: Union[str, Name],
@@ -145,38 +127,21 @@ class PassiveDnsStore:
         rrtype: Optional[int] = None,
     ) -> List[PdnsObservation]:
         """Observations for ``domain`` within the horizon ending at ``now``."""
-        domain = name(domain)
-        self._fresh_cache()
-        cache_key = (domain, rrtype, now)
-        cached = self._history_cache.get(cache_key)
-        if cached is not None:
-            self.cache_hits += 1
-            return list(cached)
-        self.cache_misses += 1
-        result: Tuple[PdnsObservation, ...] = tuple(
+        return [
             observation
-            for observation in self._by_domain.get(domain, ())
+            for observation in self._by_domain.get(name(domain), ())
             if (rrtype is None or observation.rrtype == rrtype)
             and self._in_window(observation, now)
-        )
-        self._history_cache[cache_key] = result
-        return list(result)
+        ]
 
     def historical_rdata(
         self, domain: Union[str, Name], rrtype: int, now: float
     ) -> Set[str]:
         """The set of historical rdata texts for (domain, rrtype)."""
-        domain = name(domain)
-        self._fresh_cache()
-        cache_key = (domain, rrtype, now)
-        cached = self._rdata_cache.get(cache_key)
-        if cached is None:
-            cached = frozenset(
-                observation.rdata_text
-                for observation in self.history(domain, now, rrtype)
-            )
-            self._rdata_cache[cache_key] = cached
-        return set(cached)
+        return {
+            observation.rdata_text
+            for observation in self.history(domain, now, rrtype)
+        }
 
     def record_in_history(
         self,

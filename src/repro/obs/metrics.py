@@ -28,8 +28,10 @@ from typing import Any, Dict, Optional
 #: byte-compared section; v4: optional
 #: ``incremental`` timing block with the group-result-store counters —
 #: hit/miss tallies depend on what an earlier run left in the store,
-#: so they can never join the byte-compared section)
-METRICS_FORMAT_VERSION = 4
+#: so they can never join the byte-compared section; v5: the
+#: ``stage2_exclusion`` timing block loses the passive-DNS and
+#: IP-metadata cache counters, whose caches are gone)
+METRICS_FORMAT_VERSION = 5
 
 
 def build_metrics_document(

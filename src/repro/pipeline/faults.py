@@ -65,9 +65,9 @@ class _Flaky:
 
     @property
     def deterministic(self) -> bool:
-        """Memoization-safe only when the plan can never fault: only
-        then is the wrapped source call-count independent, which stage
-        2's verdict memo requires before it may skip repeat calls."""
+        """Deterministic only when the plan can never fault: only then
+        is the wrapped source call-count independent, which stage 2's
+        grouped path requires before it asks once per distinct key."""
         return self.plan.error_rate == 0.0 and getattr(
             self.inner, "deterministic", False
         )
@@ -115,10 +115,6 @@ class FlakyPassiveDNS(_Flaky):
     def record_in_history(self, domain, rrtype, rdata_text, now) -> bool:
         self.plan.check(self.SOURCE)
         return self.inner.record_in_history(domain, rrtype, rdata_text, now)
-
-    def domains(self):
-        self.plan.check(self.SOURCE)
-        return self.inner.domains()
 
 
 class FlakyIPInfo(_Flaky):

@@ -135,11 +135,6 @@ class SourceGuard:
         self.limiter = RateLimiter(interval=RATELIMIT_COOLDOWN)
         self._clock = 0.0
         self._health: Dict[str, SourceHealth] = {}
-        #: monotone counter of degradation events (failures, skips,
-        #: rate-limits).  Stage 2's verdict memo folds this into its
-        #: cache key: any change in source availability invalidates
-        #: every verdict cached under the previous state.
-        self.degraded_events = 0
         #: optional repro.obs.RunTrace + the logical stage tag its
         #: events carry; bound by the hunter before each guarded stage
         self.trace = None
@@ -151,8 +146,8 @@ class SourceGuard:
 
         Emission order is deterministic because every degradation
         producer runs the record-ordered path: fault injection makes the
-        sources non-deterministic, which disables the memoized stage-2
-        fast path.
+        sources non-deterministic, which disables the grouped stage-2
+        path.
         """
         self.trace = trace
         self.trace_stage = stage
@@ -164,8 +159,7 @@ class SourceGuard:
     def _note_degraded(
         self, source: str, ledger: SourceHealth, was_degraded: bool, reason: str
     ) -> None:
-        """Count one degradation event; emit on the first transition."""
-        self.degraded_events += 1
+        """Emit ``source.degraded`` on a source's first transition."""
         if not was_degraded and ledger.degraded:
             self._emit("source.degraded", source=source, reason=reason)
 

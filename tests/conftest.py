@@ -38,7 +38,7 @@ def query_with_id(qname, qtype, message_id):
 def naive_stage2(hunter: URHunter) -> URHunter:
     """Route the hunter's stage 2 (batch or stream) through the
     reference path, ``SuspicionFilter(memoize=False)``: every record
-    evaluated on its own, no verdict memo."""
+    evaluated on its own, no per-key dedup."""
     build = hunter._stage2_filter
 
     def build_naive(stage1):

@@ -1,6 +1,6 @@
-"""Stage-2 fast path: memoization and byte-identity.
+"""Stage-2 fast path: per-key dedup and byte-identity.
 
-The optimized exclusion stage (indexed stores + verdict memo) must be
+The optimized exclusion stage (indexed stores + per-key dedup) must be
 invisible in the output: every configuration — naive, memoized,
 chaos-degraded — produces the same classifications.
 """
@@ -119,6 +119,11 @@ class TestMetrics:
         assert metrics.distinct_keys > 0
         assert metrics.dedup_factor >= 1.0
         assert metrics.cache_misses == metrics.distinct_keys
+        assert metrics.cache_hits == (
+            metrics.records
+            - metrics.protective_matches
+            - metrics.distinct_keys
+        )
         assert "stage-2 exclusion metrics:" in report.summary()
         assert "dedup" in report.summary()
 

@@ -132,6 +132,24 @@ class TestUnhostedBehaviour:
         assert network.scanpath.encode_misses == 0
         assert network.codec._answer_cache == {}
 
+    def test_flush_cache_keeps_the_networks_refused_pool(self):
+        """A group's end clears the server's compiled answers only: the
+        network's REFUSED pool is no server's state, so the same
+        question after the flush is still served from it."""
+        network = SimulatedInternet()
+        server = AuthoritativeServer("ns1.host.net")
+        network.register_dns_host("192.0.2.1", server)
+        for message_id in (7, 8):
+            query = query_with_id("unhosted.net", RRType.A, message_id)
+            response = network.query_dns("198.51.100.9", "192.0.2.1", query)
+            assert response.header.rcode == Rcode.REFUSED
+            assert response.header.message_id == message_id
+            server.flush_cache()
+            assert server._compiled == {}
+            assert len(network.refused_pool) == 1
+        assert network.scanpath.compiled_misses == 1
+        assert network.scanpath.compiled_hits == 1
+
     def test_protective_records(self):
         srv = protective_server("ns1.prot.net", "203.0.113.200")
         response = ask(srv, "any-domain.org")

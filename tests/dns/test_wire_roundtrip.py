@@ -462,7 +462,9 @@ def _sections(message):
 
 
 def _fast_network():
-    return SimpleNamespace(scan_cache_enabled=True, scanpath=ScanPathMetrics())
+    return SimpleNamespace(
+        scan_cache_enabled=True, scanpath=ScanPathMetrics(), refused_pool={}
+    )
 
 
 class TestCompiledAnswerCache:

@@ -32,8 +32,8 @@ class TestPrefixDefaults:
 
     def test_longest_prefix_wins(self, db):
         db.register_prefix("10.1.7.0/24", 64999, "SubTenant", "NL")
-        assert db.asn("10.1.7.9") == 64999
-        assert db.asn("10.1.8.9") == 64501
+        assert db.lookup("10.1.7.9").asn == 64999
+        assert db.lookup("10.1.8.9").asn == 64501
 
     def test_invalid_address_raises(self, db):
         with pytest.raises(Exception):
@@ -60,10 +60,10 @@ class TestHostOverrides:
         db.register_host(
             "10.2.1.1", cert_org="X", http=HttpPage.parked()
         )
-        assert db.country("10.2.1.1") == "DE"
-        assert db.cert_org("10.2.1.1") == "X"
-        assert db.http("10.2.1.1").kind is PageKind.PARKED
-        assert db.cert_org("10.2.9.9") is None
+        assert db.lookup("10.2.1.1").country == "DE"
+        assert db.lookup("10.2.1.1").cert_org == "X"
+        assert db.lookup("10.2.1.1").http.kind is PageKind.PARKED
+        assert db.lookup("10.2.9.9").cert_org is None
 
 
 class TestHttpPage:

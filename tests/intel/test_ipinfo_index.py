@@ -1,9 +1,9 @@
 """Equivalence tests: the indexed IpInfoDatabase vs a naive prefix scan.
 
-Longest-prefix match through the length-bucketed index, the metadata
-LRU, and the registration-invalidates-cache rules must all be invisible:
-every lookup returns exactly what the O(prefixes) reference scan below
-does, including the first-registration tie-break for duplicate networks.
+Longest-prefix match through the length-bucketed index and the
+registration-invalidates-index rule must be invisible: every lookup
+returns exactly what the O(prefixes) reference scan below does,
+including the first-registration tie-break for duplicate networks.
 """
 
 import ipaddress
@@ -33,12 +33,12 @@ def _random_address(rng):
 
 
 class NaiveIpInfoDatabase(IpInfoDatabase):
-    """The reference model: no metadata cache, and every prefix lookup
-    a scan of all registrations (a later one replaces the best match
-    only when strictly longer)."""
+    """The reference model: every prefix lookup a scan of all
+    registrations (a later one replaces the best match only when
+    strictly longer)."""
 
     def __init__(self):
-        super().__init__(cache_size=0)
+        super().__init__()
 
     def _prefix_defaults(self, address):
         packed = ipaddress.IPv4Address(address)
@@ -88,10 +88,10 @@ class TestPrefixIndexEquivalence:
             db.register_prefix("10.1.2.0/24", 300, "NARROW", "JP")
         for address in ("10.9.9.9", "10.1.9.9", "10.1.2.9", "192.0.2.1"):
             assert indexed.lookup(address) == naive.lookup(address)
-        assert indexed.asn("10.1.2.9") == 300
-        assert indexed.asn("10.1.9.9") == 200
-        assert indexed.asn("10.9.9.9") == 100
-        assert indexed.asn("192.0.2.1") == IpInfoDatabase.UNKNOWN_ASN
+        assert indexed.lookup("10.1.2.9").asn == 300
+        assert indexed.lookup("10.1.9.9").asn == 200
+        assert indexed.lookup("10.9.9.9").asn == 100
+        assert indexed.lookup("192.0.2.1").asn == IpInfoDatabase.UNKNOWN_ASN
 
     def test_duplicate_network_keeps_first_registration(self):
         indexed, naive = _mirror_databases()
@@ -99,71 +99,79 @@ class TestPrefixIndexEquivalence:
             db.register_prefix("10.0.0.0/8", 111, "FIRST", "US")
             db.register_prefix("10.0.0.0/8", 222, "SECOND", "DE")
         assert indexed.lookup("10.5.5.5") == naive.lookup("10.5.5.5")
-        assert indexed.asn("10.5.5.5") == 111
+        assert indexed.lookup("10.5.5.5").asn == 111
 
     def test_registration_after_lookup_invalidates_index_and_cache(self):
         indexed, naive = _mirror_databases()
         for db in (indexed, naive):
             db.register_prefix("10.0.0.0/8", 100, "WIDE", "US")
         assert indexed.lookup("10.1.2.3") == naive.lookup("10.1.2.3")
-        # a longer prefix arriving later must supersede the cached answer
+        # a longer prefix arriving later must supersede the indexed answer
         for db in (indexed, naive):
             db.register_prefix("10.1.0.0/16", 200, "MID", "DE")
         assert indexed.lookup("10.1.2.3") == naive.lookup("10.1.2.3")
-        assert indexed.asn("10.1.2.3") == 200
+        assert indexed.lookup("10.1.2.3").asn == 200
 
     def test_host_registration_supersedes_cached_prefix_answer(self):
         indexed, naive = _mirror_databases()
         for db in (indexed, naive):
             db.register_prefix("10.0.0.0/8", 100, "WIDE", "US")
-        assert indexed.cert_org("10.1.2.3") is None
+        assert indexed.lookup("10.1.2.3").cert_org is None
         for db in (indexed, naive):
             db.register_host(
                 "10.1.2.3", cert_org="Org X", http=HttpPage.parked()
             )
         assert indexed.lookup("10.1.2.3") == naive.lookup("10.1.2.3")
-        assert indexed.cert_org("10.1.2.3") == "Org X"
+        assert indexed.lookup("10.1.2.3").cert_org == "Org X"
 
 
-class TestMetadataCache:
-    def test_four_helpers_share_one_lookup(self):
-        db = IpInfoDatabase()
-        db.register_prefix("10.0.0.0/8", 100, "WIDE", "US")
-        db.asn("10.1.2.3")
-        db.country("10.1.2.3")
-        db.cert_org("10.1.2.3")
-        db.http("10.1.2.3")
-        # one miss assembled the metadata; the other three helpers hit
-        assert db.cache_misses == 1
-        assert db.cache_hits == 3
-
-    def test_lru_evicts_oldest_entry(self):
-        db = IpInfoDatabase(cache_size=2)
-        db.register_prefix("10.0.0.0/8", 100, "WIDE", "US")
-        db.lookup("10.0.0.1")
-        db.lookup("10.0.0.2")
-        db.lookup("10.0.0.1")  # refresh 1 -> 2 becomes the eviction victim
-        db.lookup("10.0.0.3")  # evicts 2
-        hits_before = db.cache_hits
-        db.lookup("10.0.0.1")
-        assert db.cache_hits == hits_before + 1
-        misses_before = db.cache_misses
-        db.lookup("10.0.0.2")
-        assert db.cache_misses == misses_before + 1
-
-    def test_cache_disabled_still_correct(self):
-        db = IpInfoDatabase(cache_size=0)
-        db.register_prefix("10.0.0.0/8", 100, "WIDE", "US")
-        assert db.asn("10.1.2.3") == 100
-        assert db.cache_hits == 0
-        assert db.cache_misses == 0
-
-    def test_negative_cache_size_rejected(self):
-        with pytest.raises(ValueError):
-            IpInfoDatabase(cache_size=-1)
-
+class TestLookup:
     def test_invalid_address_still_raises(self):
         db = IpInfoDatabase()
         db.register_prefix("10.0.0.0/8", 100, "WIDE", "US")
         with pytest.raises(ValueError):
             db.lookup("not-an-ip")
+
+    def test_registered_host_is_answered_from_the_host_table(self):
+        indexed, naive = _mirror_databases()
+        for db in (indexed, naive):
+            db.register_prefix("10.0.0.0/8", 100, "WIDE", "US")
+        meta = indexed.register_host("10.1.2.3", cert_org="Org X")
+        naive.register_host("10.1.2.3", cert_org="Org X")
+        # a longer prefix arriving later rebuilds the index but does not
+        # reach the host entry: AS and country are fixed at registration
+        for db in (indexed, naive):
+            db.register_prefix("10.1.0.0/16", 200, "MID", "DE")
+        assert indexed.lookup("10.1.2.3") is meta
+        assert indexed.lookup("10.1.2.3") == naive.lookup("10.1.2.3")
+        assert (meta.asn, meta.country) == (100, "US")
+        assert indexed.lookup("10.1.2.4").asn == 200
+
+    def test_prefix_answer_carries_no_host_facts(self):
+        db = IpInfoDatabase()
+        db.register_prefix("10.0.0.0/8", 100, "WIDE", "US")
+        db.register_host(
+            "10.1.2.3", cert_org="Org X", http=HttpPage.parked()
+        )
+        meta = db.lookup("10.1.2.4")
+        assert (meta.address, meta.asn, meta.country) == (
+            "10.1.2.4",
+            100,
+            "US",
+        )
+        assert meta.cert_org is None
+        assert meta.http == HttpPage.none()
+
+    @pytest.mark.parametrize("seed", [3, 29])
+    def test_repeat_lookups_return_equal_answers(self, seed):
+        """``deterministic = True`` is what lets stage 2 ask once per
+        key: with no result cache, every repeat is a fresh equal answer."""
+        rng = random.Random(seed)
+        db = IpInfoDatabase()
+        for asn in range(1, 41):
+            db.register_prefix(_random_cidr(rng), asn, f"AS{asn}", "US")
+        addresses = [_random_address(rng) for _ in range(60)]
+        first = {address: db.lookup(address) for address in addresses}
+        rng.shuffle(addresses)
+        for address in addresses:
+            assert db.lookup(address) == first[address]

@@ -2,8 +2,8 @@
 
 The indexed store must return *exactly* what a reference
 O(observations) model returns — same elements, same order — under any
-interleaving of ingest and query, including queries whose cached
-results an ingest must invalidate.  The model below is that reference:
+interleaving of ingest and query, including a query repeated after an
+ingest changed its answer.  The model below is that reference:
 one flat observation list, widened in place, filtered by a full scan.
 """
 
@@ -106,7 +106,7 @@ class TestRandomizedInterleavings:
         assert indexed.domains() == naive.domains()
 
     @pytest.mark.parametrize("seed", [5, 41])
-    def test_repeated_queries_hit_the_cache(self, seed):
+    def test_repeated_queries_match_naive(self, seed):
         rng = random.Random(seed)
         indexed, naive = _mirror_stores()
         for _ in range(80):
@@ -120,22 +120,14 @@ class TestRandomizedInterleavings:
             domain = rng.choice(DOMAINS)
             rrtype = rng.choice(RRTYPES)
             _assert_equivalent(indexed, naive, domain, 950.0, rrtype)
-        assert indexed.cache_hits > 0
-        # the cache must never change answers, only skip rescans
-        assert indexed.cache_hits + indexed.cache_misses > 0
 
 
 class TestIngestAfterQueryInvalidation:
-    def test_ingest_invalidates_cached_history(self):
+    def test_ingest_after_query_changes_history(self):
         indexed, naive = _mirror_stores()
         for store in (indexed, naive):
             store.observe("dom0.example", RRType.A, "198.51.100.1", 10.0)
         _assert_equivalent(indexed, naive, "dom0.example", 100.0, RRType.A)
-        # same key queried again -> served from cache
-        before = indexed.cache_hits
-        _assert_equivalent(indexed, naive, "dom0.example", 100.0, RRType.A)
-        assert indexed.cache_hits > before
-        # an ingest for a *different* domain still drops the whole cache
         for store in (indexed, naive):
             store.observe("dom1.example", RRType.A, "198.51.100.2", 20.0)
             store.observe("dom0.example", RRType.A, "198.51.100.3", 30.0)
@@ -146,6 +138,23 @@ class TestIngestAfterQueryInvalidation:
             "198.51.100.1",
             "198.51.100.3",
         ]
+
+    def test_record_in_history_follows_an_ingest_after_query(self):
+        """Appendix B condition 5 reads the store as it stands: a record
+        ingested after a negative answer turns the next answer true."""
+        indexed, naive = _mirror_stores()
+        for store in (indexed, naive):
+            store.observe("dom3.example", RRType.A, "198.51.100.1", 10.0)
+        args = ("dom3.example", RRType.A, "198.51.100.2", 100.0)
+        assert not indexed.record_in_history(*args)
+        assert not naive.record_in_history(*args)
+        for store in (indexed, naive):
+            store.observe("dom3.example", RRType.A, "198.51.100.2", 20.0)
+        assert indexed.record_in_history(*args)
+        assert naive.record_in_history(*args)
+        assert indexed.historical_rdata(
+            "dom3.example", RRType.A, 100.0
+        ) == {"198.51.100.1", "198.51.100.2"}
 
     def test_widening_timestamps_refreshes_window_answers(self):
         indexed, naive = _mirror_stores()

@@ -30,9 +30,10 @@ from repro.obs import METRICS_FORMAT_VERSION, TRACE_FORMAT_VERSION
 #: metrics v4: optional "incremental" timing block — group-result-store
 #: hit/miss counters depend on prior-run state, so timing, never
 #: deterministic; trace v4: no checkpoint or stage-resumed events, and
-#: "run.end" without "resumed"/"executed")
+#: "run.end" without "resumed"/"executed"; metrics v5: the
+#: "stage2_exclusion" timing block without pdns/ipinfo cache counters)
 PINNED_TRACE_FORMAT = 4
-PINNED_METRICS_FORMAT = 4
+PINNED_METRICS_FORMAT = 5
 
 #: every run.end must account for queries with exactly these counters
 RUN_END_REQUIRED = {

@@ -100,8 +100,6 @@ class TestFlakyWrappers:
         flaky = FlakyPassiveDNS(store, FailingPlan())
         with pytest.raises(SourceError):
             flaky.record_in_history("example.com", 1, "10.0.0.1", 200.0)
-        with pytest.raises(SourceError):
-            flaky.domains()
 
     def test_ipinfo_lookup_faults(self):
         info = IpInfoDatabase()

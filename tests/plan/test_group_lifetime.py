@@ -28,7 +28,7 @@ SEED = 7
 def _held(service) -> int:
     """Entries a service still holds for a later question."""
     if isinstance(service, AuthoritativeServer):
-        return len(service._compiled) + len(service._refused_fallback)
+        return len(service._compiled)
     if isinstance(service, RecursiveResolver):
         return len(service._cache) + len(service._cuts)
     return 0

@@ -29,7 +29,7 @@ COUNTER_RUNS = {
     "clean": [],
     "lossy-hedged-aimd": LOSSY_HEDGED,
     "run-deadline-0.36": ["--run-deadline", "0.36"],
-    "lossy-run-deadline-3": ["--loss-rate", "0.05", "--run-deadline", "3"],
+    "lossy-run-deadline-20": ["--loss-rate", "0.05", "--run-deadline", "20"],
     "tail-latency-storm": ["--chaos-script", "tail-latency-storm"],
 }
 
@@ -52,9 +52,9 @@ def test_report_counters_are_the_ledgers_and_the_raw_outcomes_sums(flags):
     attempts = sum(sent for sent, _ in raw)
     answered = sum(1 for _, ok in raw if ok)
     assert len(raw) == len(hunter.plan.ur_units)
-    # with 5 % loss the protective probes outlast a 3 s run deadline,
-    # so that run sheds every UR query before it is sent
-    assert attempts > 0 or ur.shed == len(raw)
+    assert attempts > 0
+    if "--run-deadline" in flags:
+        assert 0 < ur.shed < len(raw)
     assert (
         report.queries_sent,
         report.responses_seen,

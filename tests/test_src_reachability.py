@@ -69,10 +69,6 @@ OPTIONS_ALLOWED = {
         "reference path: the uncached resolver the caches are tested "
         "against"
     ),
-    "src/repro/intel/ipinfo.py:IpInfoDatabase.__init__(cache_size)": (
-        "reference path: the uncached prefix scan the index and its LRU "
-        "are tested against"
-    ),
     "src/repro/cli.py:main(argv)": (
         "deployment setting: the command line, read from sys.argv"
     ),
