@@ -25,9 +25,11 @@ collections through :meth:`ResponseCollector.run_phase`, the UR scan
 through :func:`~repro.plan.shards.run_shard_scan`, which the hunter
 hands to :meth:`ResponseCollector.collect_urs`.  The collector itself
 sends nothing: its ``metrics`` are the one ledger the groups merge
-into, wire and resilience counters alike, its ``origin`` is where the
-run deadline is measured from, and its ``query_cache`` is the query
-messages every group engine shares.
+into, wire and resilience counters alike, and its ``origin`` is where
+the run deadline is measured from.  A fold reads what it needs of a
+unit — its qname, its server — off the plan's columns by its unit
+index; the UR reduce reads the unit's :class:`NameserverTarget` off
+the targets the hunter binds with its plan (``ur_targets``).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from ..engine import QueryOutcome, ScanMetrics
 from ..net.network import SimulatedInternet
 from ..obs.events import STAGE1 as OBS_STAGE1
 from ..pipeline.errors import StageFailed
-from ..plan.scanplan import NameserverGroup, ScanPlan
+from ..plan.scanplan import NameserverGroup, ScanPlan, UnitColumns
 from ..plan.shards import (
     GroupResult,
     ReducedOutcome,
@@ -123,12 +125,14 @@ class ResponseCollector:
         #: the clock where the current run's stage 1 began: every
         #: group budget measures the run deadline from it
         self.origin = network.now
-        #: query messages every group engine shares (see
-        #: :meth:`~repro.engine.batched.BatchedEngine._query_for`)
-        self.query_cache: Dict[Tuple[object, int, bool], Message] = {}
         #: optional repro.obs.RunTrace — each completed collection phase
         #: is emitted as a deterministic ``collect.phase`` event
         self.trace = None
+        #: the plan's UR columns and the target of each of their server
+        #: rows (``build_plan`` keeps the targets' order), bound by the
+        #: hunter with its plan: :meth:`reduce_ur` reads them
+        self.ur_units: Optional[UnitColumns] = None
+        self.ur_targets: Tuple[NameserverTarget, ...] = ()
 
     def emit_phase(self, phase: str) -> None:
         """Emit the completion event of one collection phase.
@@ -212,11 +216,10 @@ class ResponseCollector:
         the groups' results, merged into the ledger.
 
         The groups are the lanes of the collection's server column (unit
-        indices only — a task exists while its outcome is being folded).
-        ``fold`` takes each outcome, with its unit index, as it
-        completes.  The phase starts at the clock and ends at ``start +
-        makespan`` (:func:`~repro.plan.shards.isolated_phase`): the
-        correct collection starts where the protective probes ended,
+        indices only).  ``fold`` takes each outcome, with its unit
+        index, as it completes.  The phase starts at the clock and ends
+        at ``start + makespan`` (:func:`~repro.plan.shards.isolated_phase`):
+        the correct collection starts where the protective probes ended,
         the scan start the UR scan is pinned to as well.
         """
         start = self.network.now
@@ -255,13 +258,15 @@ class ResponseCollector:
         """One UR outcome reduced to its unit index and candidate URs,
         so its response message can be dropped — or ``None`` when it
         carried no UR (no NOERROR answer in a measured type): the
-        group's ledger already counted what it did on the wire."""
+        group's ledger already counted what it did on the wire.  The
+        unit's qname and nameserver are read off ``ur_units`` and
+        ``ur_targets``."""
         response = outcome.response
         if response is None or response.header.rcode != Rcode.NOERROR:
             return None
-        nameserver = outcome.task.tag
-        assert isinstance(nameserver, NameserverTarget)
-        urs = self.extract_urs(nameserver, outcome.task.qname, response)
+        units = self.ur_units
+        nameserver = self.ur_targets[units.server_index[index]]
+        urs = self.extract_urs(nameserver, units.qname(index), response)
         return ReducedOutcome(index, tuple(urs)) if urs else None
 
     def extract_urs(
@@ -307,6 +312,8 @@ class ResponseCollector:
         imperfection the paper's vantage-point selection tolerates.
         """
 
+        units = plan.correct_units
+
         # folded as each outcome completes: the profile is a union of
         # sets, so completion order cannot show
         def fold(index: int, outcome: QueryOutcome) -> None:
@@ -315,7 +322,7 @@ class ResponseCollector:
                 return
             if response.header.rcode != Rcode.NOERROR:
                 return
-            domain = outcome.task.qname
+            domain = units.qname(index)
             for answer in response.answers:
                 if isinstance(answer.rdata, A):
                     correct_db.observe_a(domain, answer.rdata.address)
@@ -341,22 +348,21 @@ class ResponseCollector:
             for address in plan.protective_units.servers
         }
 
+        units = plan.protective_units
+        servers, server_index = units.servers, units.server_index
+
         def fold(index: int, outcome: QueryOutcome) -> None:
             response = outcome.response
             if response is None:
                 return
             if response.header.rcode != Rcode.NOERROR:
                 return
-            fingerprint = fingerprints[outcome.task.server_ip]
+            records = fingerprints[servers[server_index[index]]].records
             for answer in response.answers:
                 if isinstance(answer.rdata, A):
-                    fingerprint.records.add(
-                        (RRType.A, answer.rdata.address)
-                    )
+                    records.add((RRType.A, answer.rdata.address))
                 elif isinstance(answer.rdata, TXT):
-                    fingerprint.records.add(
-                        (RRType.TXT, answer.rdata.value)
-                    )
+                    records.add((RRType.TXT, answer.rdata.value))
 
         self.run_phase(plan, "protective", fold)
         return fingerprints

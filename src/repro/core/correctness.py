@@ -90,9 +90,6 @@ class CorrectRecordDatabase:
     def observe_mx(self, domain: Union[str, Name], value: str) -> None:
         self.profile(domain).mx_values.add(value)
 
-    def domains(self) -> List[Name]:
-        return sorted(self._profiles)
-
 
 #: the conditions that need IP metadata (AS, geo, cert, HTTP content)
 META_CONDITIONS = (COND_AS, COND_GEO, COND_CERT, COND_HTTP)

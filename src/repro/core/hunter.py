@@ -31,7 +31,7 @@ from typing import (
     runtime_checkable,
 )
 
-from ..dns.message import Message, Rcode
+from ..dns.message import Rcode
 from ..dns.name import Name
 from ..dns.rdata import RRType
 from ..engine import EnginePolicy, ScanMetrics, StageCounters
@@ -47,7 +47,7 @@ from ..obs.events import (
     run_end_fields,
 )
 from ..pipeline.checkpoint import config_fingerprint
-from ..pipeline.resilience import SourceHealth, merge_health
+from ..pipeline.resilience import SourceGuard, SourceHealth, merge_health
 from ..plan.scanplan import ScanPlan, build_plan
 from ..plan.shards import (
     GroupResult,
@@ -344,8 +344,7 @@ class URHunter:
         self.sandbox_reports = list(sandbox_reports)
         self.config = config or HunterConfig()
         #: stage 1's collector, which is also its ledger: the metrics
-        #: every group merges into, the run origin and the shared query
-        #: messages
+        #: every group merges into and the run origin
         self.collector = ResponseCollector(network, self.config)
         #: the stage-1 scan plan; a pure value of (world, config), built
         #: before any packet moves — its hash is the identity
@@ -357,6 +356,8 @@ class URHunter:
             self.open_resolver_ips,
             self.config,
         )
+        self.collector.ur_units = self.plan.ur_units
+        self.collector.ur_targets = tuple(self.nameservers)
         #: group result store (set by the CLI's ``--result-store``, a
         #: longitudinal study, or — under ``<checkpoint-dir>/groups`` —
         #: by a checkpointing pipeline runner); every executed group is
@@ -540,6 +541,9 @@ class URHunter:
             use_cohost_join=self.config.use_cohost_join,
         )
         self.last_analyzer = analyzer
+        # a new vendor ledger each run, as stage 2's checker has: the
+        # report's source health counts only this run's calls
+        self.intel.guard = SourceGuard()
         if self.trace is not None:
             self.intel.guard.bind_trace(self.trace, OBS_STAGE3)
         analysis = analyzer.analyze(stage2.outcome.suspicious)
@@ -658,9 +662,7 @@ class URHunter:
                     nameserver = NameserverTarget(address, "unknown")
                 for position in positions:
                     domain, _, qtype = queries[position]
-                    query = Message.make_query(
-                        domain, qtype, recursion_desired=False
-                    )
+                    query = network.query_message(domain, qtype, False)
                     try:
                         response = network.query_dns_auto(
                             scanner_ip, address, query

@@ -158,12 +158,6 @@ class SuspicionOutcome:
             if is_unverifiable(entry.reasons)
         ]
 
-    def counts(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for category in self.classified.categories():
-            out[category.value] = out.get(category.value, 0) + 1
-        return out
-
 
 _SUSPICIOUS = tuple(
     category for category in URCategory if category.is_suspicious

@@ -107,12 +107,6 @@ class RecursiveResolver:
         self._cuts: Dict[Tuple[str, ...], ZoneCut] = {}
         #: the network clock generation the caches were filled under
         self._clock_generation = network.clock_generation
-        #: upstream query messages by (qname, qtype), built once and
-        #: re-sent: a repeated message keeps the authoritative servers'
-        #: compiled answers on their cheapest path.  Resolvers walking
-        #: the same names may share one dict (the world builder hands
-        #: the open resolvers one)
-        self.query_cache: Dict[Tuple[Name, int], Message] = {}
         #: one pinned DNS path per upstream server
         self._channels: Dict[str, _net.DnsChannel] = {}
         self.stats = ResolverStats()
@@ -347,11 +341,10 @@ class RecursiveResolver:
     def _query_any(
         self, servers: List[str], qname: Name, qtype: int
     ) -> Optional[Message]:
-        query = self.query_cache.get((qname, qtype))
-        if query is None:
-            query = self.query_cache[(qname, qtype)] = Message.make_query(
-                qname, qtype, recursion_desired=False
-            )
+        # the network's one message per question: a re-sent message
+        # keeps the authoritative servers' compiled answers on their
+        # cheapest path
+        query = self.network.query_message(qname, qtype, False)
         channels = self._channels
         for server in servers:
             channel = channels.get(server)

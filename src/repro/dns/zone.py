@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from .message import ResourceRecord
 from .name import Name, name
@@ -246,14 +246,6 @@ class Zone:
         return LookupResult(LookupStatus.NXDOMAIN)
 
     # -- convenience -------------------------------------------------------
-
-    def nameserver_targets(self) -> List[Name]:
-        """Targets of the apex NS RRset."""
-        return [
-            record.rdata.target
-            for record in self.rrset(self.origin, RRType.NS)
-            if isinstance(record.rdata, NS)
-        ]
 
     def copy(self) -> "Zone":
         """An independent copy sharing the immutable record tuples."""

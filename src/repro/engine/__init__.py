@@ -1,14 +1,14 @@
 """The stage-1 scan engine.
 
-:class:`~repro.engine.batched.BatchedEngine` drives the collector's
-:class:`~repro.engine.api.QueryTask` values over the simulated internet
-— pacing, retries, circuit breaking and accounting — so the collector
-only says *what* to ask and interprets the outcomes.
+:class:`~repro.engine.batched.BatchedEngine` drives one server's query
+messages over the simulated internet — pacing, retries, circuit
+breaking and accounting — so the collector only says *what* to ask and
+interprets the outcomes.
 """
 
 from __future__ import annotations
 
-from .api import EnginePolicy, OutcomeStatus, QueryOutcome, QueryTask
+from .api import EnginePolicy, OutcomeStatus, QueryOutcome
 from .batched import BatchedEngine
 from .breaker import CircuitBreaker, CircuitState
 from .latency import ServerLatency
@@ -23,7 +23,6 @@ __all__ = [
     "LatencyHistogram",
     "OutcomeStatus",
     "QueryOutcome",
-    "QueryTask",
     "RateLimiter",
     "ScanMetrics",
     "ServerLatency",

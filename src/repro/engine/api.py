@@ -1,10 +1,11 @@
-"""The scan engine's task, outcome and policy types.
+"""The scan engine's outcome and policy types.
 
 Stage 1 of the pipeline is, at heart, a work matrix: (nameserver ×
 domain × qtype) cells, each one DNS query.  The paper's URHunter pushed
 ~17.8M such cells through 8,941 nameservers under strict pacing.  The
-collector says *what* to ask as :class:`QueryTask` values and reads one
-:class:`QueryOutcome` per task back; *how* a query is paced, retried
+group runner hands an engine one server's query messages, one per
+planned cell, and reads one :class:`QueryOutcome` per query back; *how*
+a query is paced, retried
 and accounted is :class:`~repro.engine.batched.BatchedEngine`'s, under
 the knobs of :class:`EnginePolicy` (retries, timeout, pacing) and the
 fixed :func:`backoff_delay`, with observability in
@@ -18,42 +19,25 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..dns.message import Message
-from ..dns.name import Name
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class QueryTask:
-    """One cell of the scan matrix: a single question for a single server."""
-
-    server_ip: str
-    qname: Name
-    qtype: int
-    #: which stage-1 collection the task belongs to ("protective",
-    #: "correct", "ur", ...); keys the per-stage metrics bucket
-    stage: str = "ur"
-    recursion_desired: bool = False
-    #: opaque caller context carried through to the outcome
-    tag: Optional[object] = None
 
 
 class OutcomeStatus(enum.Enum):
-    """How a task ended."""
+    """How a query ended."""
 
     #: a response (of any rcode) came back
     ANSWERED = "answered"
     #: every attempt timed out
     GAVE_UP = "gave_up"
-    #: the task was never sent — the server's circuit was open
+    #: the query was never sent — the server's circuit was open
     SKIPPED = "skipped"
-    #: the task was never sent — a deadline budget shed it
+    #: the query was never sent — a deadline budget shed it
     SHED = "shed"
 
 
 @dataclass(slots=True)
 class QueryOutcome:
-    """The result of driving one :class:`QueryTask` to completion."""
+    """The result of driving one query to completion."""
 
-    task: QueryTask
     status: OutcomeStatus
     response: Optional[Message] = None
     #: attempts actually sent on the wire (0 for SKIPPED)

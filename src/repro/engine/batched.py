@@ -1,18 +1,19 @@
-"""The scan engine: one server's lane, one task after another.
+"""The scan engine: one server's lane, one query after another.
 
 A :class:`BatchedEngine` is built for one server in one stage-1 phase
-and drives that lane's tasks strictly in order over the virtual clock —
-the next task is not read before the previous outcome was yielded.  A
-phase runs every server as its own isolated group on a fresh engine and
-lasts as long as its slowest one (:func:`repro.plan.shards.run_group`,
+and drives that lane's query messages strictly in order over the
+virtual clock — the next query is not read before the previous outcome
+was yielded.  A phase runs every server as its own isolated group on a
+fresh engine and lasts as long as its slowest one
+(:func:`repro.plan.shards.run_group`,
 :func:`repro.plan.shards.isolated_phase`), so overlap across servers is
 the phase's clock rule, not this loop's.  The lane's pacing bucket,
 round-trip estimator and AIMD credit are one value each.
 
-Each task goes through the same steps, re-entered from the top after
+Each query goes through the same steps, re-entered from the top after
 every wait:
 
-* **budget** — a spent run or stage deadline sheds the task (``SHED``)
+* **budget** — a spent run or stage deadline sheds the query (``SHED``)
   without touching the wire;
 * **pacing** — the token bucket and, when attached, the AIMD send
   credit say when the next send may go; the loop waits for the later
@@ -21,11 +22,11 @@ every wait:
   round trip — never a fraction of the timeout: the retry timer is
   already waited out below, once;
 * **circuit breaker** — after the breaker's ``failure_threshold``
-  consecutive failures the server's circuit opens and its tasks are
+  consecutive failures the server's circuit opens and its queries are
   ``SKIPPED``; after its ``reset_interval`` virtual seconds one
   half-open probe decides whether sending resumes;
-* **send** — an answer ends the task; a timeout is retried up to
-  ``policy.retries`` times, and a task out of retries is yielded as
+* **send** — an answer ends the query; a timeout is retried up to
+  ``policy.retries`` times, and a query out of retries is yielded as
   ``GAVE_UP`` *before* its last timer is waited out.  Bare, every
   expiry waits ``policy.timeout`` and a retry its exponential backoff
   on top.  With ``hedge_delay`` set there is one timer, the server's
@@ -41,7 +42,7 @@ left would shed, so waiting out timers would only inflate the clock.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..dns.message import Message
 from ..net.network import NetworkError, SimulatedInternet
@@ -50,7 +51,6 @@ from .api import (
     EnginePolicy,
     OutcomeStatus,
     QueryOutcome,
-    QueryTask,
     backoff_delay,
 )
 from .breaker import CircuitBreaker
@@ -60,7 +60,7 @@ from .ratelimit import TokenBucket
 
 
 class BatchedEngine:
-    """Drive one server's query tasks in one phase, one at a time."""
+    """Drive one server's queries in one phase, one at a time."""
 
     def __init__(
         self,
@@ -72,9 +72,9 @@ class BatchedEngine:
     ):
         self.network = network
         self.scanner_ip = scanner_ip
-        #: the one server every task is sent to ...
+        #: the one server every query is sent to ...
         self.server_ip = server_ip
-        #: ... and the stage-1 phase every task is counted under
+        #: ... and the stage-1 phase every query is counted under
         self.phase = phase
         self.policy = policy or EnginePolicy()
         #: the lane's ledger — wire and resilience counters, cumulative
@@ -85,10 +85,6 @@ class BatchedEngine:
         #: the lane's DNS path — host/fault lookups are resolved once
         #: per topology generation, not once per query
         self._channel = network.open_channel(scanner_ip, server_ip)
-        #: query messages by (qname, qtype, rd), built once and re-sent;
-        #: engines scanning the same names may share one dict (every
-        #: group engine gets the collector's)
-        self.query_cache: Dict[Tuple[object, int, bool], Message] = {}
         #: the lane's deterministic events — breaker trips, hedges, AIMD
         #: cuts and budget exhaustion — as (name, stage, fields), in
         #: emission order
@@ -106,21 +102,19 @@ class BatchedEngine:
         self.observed = ServerLatency()
 
     def execute_iter(
-        self, tasks: Sequence[QueryTask]
+        self, queries: Iterable[Message]
     ) -> Iterator[Tuple[int, QueryOutcome]]:
-        """Drive ``tasks`` lazily, yielding one ``(task_index, outcome)``
-        pair per task, in task order: the indices are 0, 1, 2, ...
+        """Send ``queries`` to this engine's server lazily, yielding one
+        ``(query_index, outcome)`` pair per query, in query order: the
+        indices are 0, 1, 2, ...
 
-        ``tasks`` is any ``Sequence[QueryTask]`` of this engine's lane —
-        a list, or a lazy view such as
-        :class:`repro.plan.scanplan.PlannedTasks` that builds a task
-        when read; a task is read only after the previous outcome was
-        yielded, so at most one exists at a time.  The generator only
+        ``queries`` is any iterable of query messages — a list, or a
+        generator that reads each from a planned row
+        (:func:`repro.plan.shards.lane_queries`); a query is read only
+        after the previous outcome was yielded.  The generator only
         advances (and the virtual clock only ticks) when the consumer
         pulls: not pulling pauses the scan.
         """
-        if not tasks:
-            return
         network = self.network
         policy = self.policy
         interval = policy.per_server_interval
@@ -134,7 +128,7 @@ class BatchedEngine:
         counters = metrics.stage(phase)
         latency = metrics.latency
         budget = self.budget
-        # a task that may not retry has no hedge to fire
+        # a query that may not retry has no hedge to fire
         hedge_delay = self.hedge_delay if policy.retries >= 1 else 0.0
         timeout = policy.timeout
         aimd = self.aimd
@@ -143,8 +137,8 @@ class BatchedEngine:
         if budget is not None:
             budget.enter_phase(phase, network.now)
 
-        for index, task in enumerate(tasks):
-            #: attempts already sent for this task
+        for index, query in enumerate(queries):
+            #: attempts already sent for this query
             attempts = 0
             #: the in-flight attempt is the hedge
             hedging = False
@@ -152,7 +146,7 @@ class BatchedEngine:
             while True:
                 now = network.now
 
-                # deadline budgets: shed a task whose next attempt has
+                # deadline budgets: shed a query whose next attempt has
                 # not been sent yet (a pure function of the virtual
                 # clock, so every replay sheds identically)
                 if budget is not None:
@@ -165,7 +159,6 @@ class BatchedEngine:
                                 "budget.exhausted", phase=phase, reason=reason
                             )
                         yield index, QueryOutcome(
-                            task=task,
                             status=OutcomeStatus.SHED,
                             attempts=attempts,
                             completed_at=now,
@@ -198,7 +191,6 @@ class BatchedEngine:
                 if not breaker.allow(server_ip, now):
                     counters.skipped += 1
                     yield index, QueryOutcome(
-                        task=task,
                         status=OutcomeStatus.SKIPPED,
                         attempts=attempts,
                         completed_at=now,
@@ -221,7 +213,7 @@ class BatchedEngine:
                         timer = min(timeout, rto * 2 ** (attempts - 2))
                 sent_at = now
                 try:
-                    response = channel.query_auto(self._query_for(task))
+                    response = channel.query_auto(query)
                 except NetworkError:
                     response = None
                 now = network.now
@@ -241,7 +233,6 @@ class BatchedEngine:
                     counters.responses += 1
                     latency.record(round_trip)
                     yield index, QueryOutcome(
-                        task=task,
                         status=OutcomeStatus.ANSWERED,
                         response=response,
                         attempts=attempts,
@@ -276,7 +267,6 @@ class BatchedEngine:
                 if attempts > policy.retries:
                     counters.giveups += 1
                     yield index, QueryOutcome(
-                        task=task,
                         status=OutcomeStatus.GAVE_UP,
                         attempts=attempts,
                         completed_at=free_at,
@@ -311,15 +301,3 @@ class BatchedEngine:
                 "phase": self.phase,
             }
         self.events.append((name, OBS_STAGE1, fields))
-
-    def _query_for(self, task: QueryTask) -> Message:
-        key = (task.qname, task.qtype, task.recursion_desired)
-        query = self.query_cache.get(key)
-        if query is None:
-            query = Message.make_query(
-                task.qname,
-                task.qtype,
-                recursion_desired=task.recursion_desired,
-            )
-            self.query_cache[key] = query
-        return query

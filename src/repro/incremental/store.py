@@ -7,7 +7,7 @@ round.  :class:`GroupResultStore` persists each group's merged outcome
 responses, the engine's deterministic events, its ScanMetrics) under
 a two-level key:
 
-* the **identity** — a digest over the group's :class:`QueryUnit`
+* the **identity** — a digest over the group's planned unit
   identities (server, qname, qtype, RD bit) — names the file, so one
   group maps to one slot across runs of the same plan;
 * the **state digest** — a digest over the identity *plus*
@@ -116,7 +116,7 @@ def _digest(payload: Any) -> str:
 def group_identity(plan: Any, group: Any) -> str:
     """The content address of one nameserver group.
 
-    Derived from the group's :class:`QueryUnit` identities in planned
+    Derived from the group's planned unit identities in planned
     scan order — the same structural tuple the plan hash covers — so it
     is invariant under the order groups run in and dict iteration
     order, and stable across runs of

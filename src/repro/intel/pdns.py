@@ -153,8 +153,5 @@ class PassiveDnsStore:
         """Appendix B condition 5: was this exact record ever served?"""
         return rdata_text in self.historical_rdata(domain, rrtype, now)
 
-    def domains(self) -> Set[Name]:
-        return set(self._by_domain)
-
     def __len__(self) -> int:
         return self._count

@@ -27,8 +27,6 @@ class SecurityVendor:
     def __init__(self, vendor_name: str):
         self.name = vendor_name
         self._verdicts: Dict[str, VendorVerdict] = {}
-        #: bumped on every feed update; lets aggregator caches revalidate
-        self.version = 0
 
     def flag(
         self,
@@ -37,7 +35,6 @@ class SecurityVendor:
         timestamp: float = 0.0,
     ) -> None:
         """Blacklist ``address``, merging tags with any prior verdict."""
-        self.version += 1
         existing = self._verdicts.get(address)
         merged = frozenset(tags) | (
             existing.tags if existing is not None else frozenset()
@@ -51,7 +48,6 @@ class SecurityVendor:
 
     def clear(self, address: str) -> None:
         """Remove ``address`` from the blacklist (delisting)."""
-        self.version += 1
         self._verdicts.pop(address, None)
 
     def is_malicious(self, address: str) -> bool:

@@ -16,9 +16,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import (
     Dict, Iterator, List, Optional, Protocol as TypingProtocol, Sequence,
+    Tuple,
 )  # fmt: skip
 
 from ..dns.message import Message, Rcode
+from ..dns.name import Name
 from ..dns.wire import (
     WireCodecCache,
     WireError,
@@ -146,6 +148,10 @@ class SimulatedInternet:
         #: answers: the same REFUSED body goes out whichever server is
         #: probed, so the per-server compiled caches share one pool
         self.refused_pool: Dict[object, tuple] = {}
+        #: query messages by (qname, qtype, recursion desired), built
+        #: once and re-sent by every scanner and resolver on this
+        #: network (:meth:`query_message`)
+        self._queries: Dict[Tuple[Name, int, bool], Message] = {}
         #: counters for observability / benchmarks — all preinitialized
         #: so the schema is stable for tests and metrics documents
         self.stats: Dict[str, int] = {
@@ -481,6 +487,20 @@ class SimulatedInternet:
             )  # fmt: skip
         )
         self.scanpath.flows_recorded += 1
+
+    def query_message(
+        self, qname: Name, qtype: int, recursion_desired: bool
+    ) -> Message:
+        """The one query message for a question: built on first use and
+        re-sent ever after, so a repeated question keeps the codec and
+        the servers' compiled answers on their cheapest path."""
+        key = (qname, qtype, recursion_desired)
+        query = self._queries.get(key)
+        if query is None:
+            query = self._queries[key] = Message.make_query(
+                qname, qtype, recursion_desired
+            )
+        return query
 
     def open_channel(self, src_ip: str, dst_ip: str) -> "DnsChannel":
         """A reusable (src, dst) query path with cached destination

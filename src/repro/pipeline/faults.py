@@ -82,17 +82,13 @@ class _Flaky:
 class FlakyVendor(_Flaky):
     """A :class:`~repro.intel.vendor.SecurityVendor` that sometimes fails.
 
-    ``is_malicious`` and ``tags`` consult the fault plan; ``name`` and
-    ``version`` are the vendor's.
+    ``is_malicious`` and ``tags`` consult the fault plan; ``name`` is
+    the vendor's.
     """
 
     @property
     def name(self) -> str:
         return self.inner.name
-
-    @property
-    def version(self) -> int:
-        return getattr(self.inner, "version", 0)
 
     @property
     def _source(self) -> str:

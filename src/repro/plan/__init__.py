@@ -2,8 +2,7 @@
 
 ``build_plan`` turns ``(world targets, HunterConfig)`` into a pure
 :class:`ScanPlan` — every stage-1 query enumerated as a row of a
-:class:`UnitColumns` (read back as a typed :class:`QueryUnit`, or as an
-engine task through the lazy :class:`PlannedTasks`), UR units grouped
+:class:`UnitColumns`, UR units grouped
 per nameserver, the whole plan content-hashed so checkpoints and traces
 can prove which scan they belong to.  :mod:`repro.plan.shards` executes
 the plan's groups in isolation, in this process, each one run or
@@ -13,8 +12,6 @@ replayed from a result store.
 from .scanplan import (
     PLAN_FORMAT_VERSION,
     NameserverGroup,
-    PlannedTasks,
-    QueryUnit,
     ScanPlan,
     UnitColumns,
     build_plan,
@@ -32,8 +29,6 @@ from .shards import (
 __all__ = [
     "PLAN_FORMAT_VERSION",
     "NameserverGroup",
-    "PlannedTasks",
-    "QueryUnit",
     "ScanPlan",
     "UnitColumns",
     "build_plan",

@@ -3,8 +3,8 @@
 A :class:`ScanPlan` is a *pure, deterministic* value computed from the
 measurement world and the :class:`~repro.core.hunter.HunterConfig`
 before a single packet moves: every stage-1 query — protective probe,
-correct-record resolution, UR scan — is enumerated as a typed
-:class:`QueryUnit`, UR units are grouped per target nameserver into
+correct-record resolution, UR scan — is enumerated as a planned unit,
+UR units are grouped per target nameserver into
 :class:`NameserverGroup`\\ s, and the whole plan carries a stable
 content hash that checkpoints and traces stamp so a resumed or replayed
 run can prove it is executing the *same* scan.
@@ -28,13 +28,14 @@ three columns*, not an object: each collection is a
 :class:`UnitColumns` — a server table, a qname table, and one ``array``
 per column (server row, qname row, query-type row) in the
 already-shuffled scan order — and a group holds its unit indices as an
-``array('I')``.  :class:`QueryUnit` and
-:class:`~repro.engine.api.QueryTask` instances are built on demand from
-a row; they are values, not identities.
+``array('I')``.  No object per unit exists: the group runner reads each
+row's question off the columns as it sends it
+(:func:`repro.plan.shards.lane_queries`), and a collector fold reads a
+row's qname by its unit index (:meth:`UnitColumns.qname`).
 
-This module is a leaf: it imports only the DNS name type and the
-engine task type, so every other layer (collector, hunter, pipeline,
-CLI) can import it without cycles.
+This module is a leaf: it imports only the DNS name type, so every
+other layer (collector, hunter, pipeline, CLI) can import it without
+cycles.
 """
 
 from __future__ import annotations
@@ -47,13 +48,10 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..dns.name import Name, name
-from ..engine.api import QueryTask
 
 __all__ = [
     "PLAN_FORMAT_VERSION",
-    "QueryUnit",
     "UnitColumns",
-    "PlannedTasks",
     "NameserverGroup",
     "ScanPlan",
     "build_plan",
@@ -69,37 +67,14 @@ COLLECTIONS = ("protective", "correct", "ur")
 _JSON_CHUNK = 4096
 
 
-@dataclass(frozen=True, slots=True)
-class QueryUnit:
-    """One planned stage-1 query, as a view of one :class:`UnitColumns`
-    row (built on demand: equal rows give equal, not identical, units).
-
-    ``collection`` names which of the three collections the unit
-    belongs to and doubles as the engine stage label.  ``tag`` carries
-    the interpretation context the collector's response handlers expect
-    (the :class:`~repro.core.collector.NameserverTarget` for UR units,
-    the :class:`~repro.core.collector.DomainTarget` for correct units);
-    it is derived from the world and therefore excluded from the hash.
-    """
-
-    collection: str
-    server_ip: str
-    qname: Name
-    qtype: int
-    recursion_desired: bool = False
-    tag: Any = None
-
-
-class UnitColumns(Sequence[QueryUnit]):
+class UnitColumns:
     """One collection's units, column-wise, in planned scan order.
 
     ``servers``/``qnames``/``query_types`` are the row tables (one
     entry per *input position*, so duplicate inputs stay distinct);
     ``server_index``/``qname_index`` (``array('I')``) and
     ``qtype_index`` (``array('B')``) hold one table row per unit.
-    ``tags`` optionally parallels the server table (``tags_by_server``)
-    or the qname table.  Reading a unit or a task builds it from its
-    row; nothing per unit is kept but the 9 column bytes.
+    Nothing per unit is kept but the 9 column bytes.
     """
 
     __slots__ = (
@@ -111,8 +86,6 @@ class UnitColumns(Sequence[QueryUnit]):
         "server_index",
         "qname_index",
         "qtype_index",
-        "tags",
-        "_tag_index",
         "_json_tables",
     )
 
@@ -126,8 +99,6 @@ class UnitColumns(Sequence[QueryUnit]):
         server_index: array,
         qname_index: array,
         qtype_index: array,
-        tags: Optional[Tuple[Any, ...]] = None,
-        tags_by_server: bool = False,
     ):
         self.collection = collection
         self.recursion_desired = recursion_desired
@@ -137,37 +108,11 @@ class UnitColumns(Sequence[QueryUnit]):
         self.server_index = server_index
         self.qname_index = qname_index
         self.qtype_index = qtype_index
-        self.tags = tags
-        self._tag_index = server_index if tags_by_server else qname_index
         self._json_tables: Optional[Tuple[List[str], ...]] = None
 
-    def __len__(self) -> int:
-        return len(self.qtype_index)
-
-    def __getitem__(self, index: int) -> QueryUnit:
-        task = self.task(index)
-        return QueryUnit(
-            task.stage,
-            task.server_ip,
-            task.qname,
-            task.qtype,
-            task.recursion_desired,
-            task.tag,
-        )
-
-    def __iter__(self) -> Iterator[QueryUnit]:
-        return map(self.__getitem__, range(len(self)))
-
-    def task(self, index: int) -> QueryTask:
-        """Materialize the engine task unit ``index`` stands for."""
-        return QueryTask(
-            self.servers[self.server_index[index]],
-            self.qnames[self.qname_index[index]],
-            self.query_types[self.qtype_index[index]],
-            self.collection,
-            self.recursion_desired,
-            None if self.tags is None else self.tags[self._tag_index[index]],
-        )
+    def qname(self, index: int) -> Name:
+        """The qname unit ``index`` asks for."""
+        return self.qnames[self.qname_index[index]]
 
     def lanes(self) -> Dict[str, array]:
         """Unit indices per server address, read off the server column
@@ -185,8 +130,8 @@ class UnitColumns(Sequence[QueryUnit]):
     def identity_json(
         self, indices: Optional[Sequence[int]] = None
     ) -> Iterator[str]:
-        """The hashed structural identities (no tags, no world objects)
-        of ``indices`` (default: every unit) as canonical JSON.
+        """The hashed structural identities (no world objects) of
+        ``indices`` (default: every unit) as canonical JSON.
 
         Yields the comma-joined ``[server_ip, qname, qtype,
         recursion_desired]`` elements in pieces — the body of the JSON
@@ -203,7 +148,7 @@ class UnitColumns(Sequence[QueryUnit]):
             )
         servers, qnames, qtypes = self._json_tables
         if indices is None:
-            indices = range(len(self))
+            indices = range(len(self.qtype_index))
         separator = ""
         for start in range(0, len(indices), _JSON_CHUNK):
             chunk = indices[start : start + _JSON_CHUNK]
@@ -218,32 +163,6 @@ class UnitColumns(Sequence[QueryUnit]):
                 ]
             )
             separator = ","
-
-
-class PlannedTasks(Sequence[QueryTask]):
-    """A lazy ``Sequence[QueryTask]`` over planned units.
-
-    Position ``i`` is unit ``indices[i]`` (default: every unit, in
-    scan order).  A task exists only while its reader holds it, so
-    handing the engine 36M planned queries costs nothing up front.
-    """
-
-    __slots__ = ("units", "indices")
-
-    def __init__(
-        self, units: UnitColumns, indices: Optional[Sequence[int]] = None
-    ):
-        self.units = units
-        self.indices = range(len(units)) if indices is None else indices
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __getitem__(self, position: int) -> QueryTask:
-        return self.units.task(self.indices[position])
-
-    def __iter__(self) -> Iterator[QueryTask]:
-        return map(self.units.task, self.indices)
 
 
 @dataclass(frozen=True)
@@ -291,18 +210,10 @@ class ScanPlan:
             return self.ur_units
         raise KeyError(f"unknown collection {collection!r}")
 
-    def tasks(
-        self, collection: str, indices: Optional[Sequence[int]] = None
-    ) -> PlannedTasks:
-        """Engine tasks for one collection, in planned scan order —
-        or, given a group's ``unit_indices``, for just those units."""
-        return PlannedTasks(self.units(collection), indices)
-
     def unit_counts(self) -> Dict[str, int]:
         return {
-            "protective": len(self.protective_units),
-            "correct": len(self.correct_units),
-            "ur": len(self.ur_units),
+            collection: len(self.units(collection).qtype_index)
+            for collection in COLLECTIONS
         }
 
     def summary(self) -> str:
@@ -438,7 +349,6 @@ def build_plan(
         *_matrix(
             [(row, every_qname) for row in range(len(resolvers))], width, rng
         ),
-        tags=domains,
     )
 
     # "excludes the domains exactly delegated to the nameserver"
@@ -464,8 +374,6 @@ def build_plan(
         qnames,
         query_types,
         *_matrix(ur_rows, width, rng),  # ethics: randomized query order
-        tags=nameservers,
-        tags_by_server=True,
     )
 
     # one UR group per nameserver lane, numbered in first-appearance

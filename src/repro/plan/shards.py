@@ -41,14 +41,16 @@ phase start, and the config** — never of what ran before it
   run deadline is measured from the *run origin*, the clock where the
   run's stage 1 began (the protective probes count against it; no
   group is granted the whole budget again) — stage deadlines anchor at
-  the group's first task, as in any phase.
+  the group's first query, as in any phase.
 
 The ledger is the hunter's collector: the one
 :class:`~repro.engine.metrics.ScanMetrics` the groups merge into (wire
-and resilience counters alike), the run origin, and the shared
-query-message cache.  A group is folded the moment it is in hand (the
-UR scan's :class:`ScanFold`: the URs appended to one UR table, deduped
-per group; the preamble's folds, outcome by outcome); its small ledger
+and resilience counters alike) and the run origin.  A group's engine
+is handed its query messages one planned row at a time
+(:func:`lane_queries`), each from the network's one memo.  A group is
+folded the moment it is in hand (the UR scan's :class:`ScanFold`: the
+URs appended to one UR table, deduped per group; the preamble's folds,
+outcome by outcome); its small ledger
 — one ``ScanMetrics``, the engine's deterministic events, elapsed time
 — waits for the merge in group order.  The merged ledger is the only
 count of what stage 1 sent and heard: a UR outcome is kept only if it
@@ -80,9 +82,11 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
 )
 
+from ..dns.message import Message
 from ..dns.name import name
 from ..engine import (
     BatchedEngine,
@@ -92,7 +96,7 @@ from ..engine import (
 )
 from ..obs.events import _json_safe
 from ..resilience import AimdController, DeadlineBudget
-from .scanplan import NameserverGroup, ScanPlan
+from .scanplan import NameserverGroup, ScanPlan, UnitColumns
 
 __all__ = [
     "CRASH_GROUP_ENV",
@@ -102,6 +106,7 @@ __all__ = [
     "pin_group",
     "end_group",
     "isolated_phase",
+    "lane_queries",
     "run_group",
     "encode_record",
     "decode_record",
@@ -291,10 +296,7 @@ def _group_engine(ledger, server_ip: str, phase: str, origin: float):
 
     The deadline budget measures the run deadline from ``origin`` —
     where the run's stage 1 began — not from the phase start the
-    group's clock is pinned to.  Only the query messages are shared,
-    through the ledger: every group asks the same (qname, qtype)
-    questions, and a re-sent message keeps the servers' compiled
-    answers on their cheapest path.
+    group's clock is pinned to.
     """
     config = ledger.config
     engine = BatchedEngine(
@@ -304,7 +306,6 @@ def _group_engine(ledger, server_ip: str, phase: str, origin: float):
         phase,
         config.engine_policy(),
     )
-    engine.query_cache = ledger.query_cache
     if config.run_deadline > 0 or config.stage_deadline > 0:
         engine.budget = DeadlineBudget(
             origin, config.run_deadline, config.stage_deadline
@@ -313,6 +314,25 @@ def _group_engine(ledger, server_ip: str, phase: str, origin: float):
     if config.aimd:
         engine.aimd = AimdController()
     return engine
+
+
+def lane_queries(
+    network, units: UnitColumns, indices: Sequence[int]
+) -> Iterator[Message]:
+    """The query message of each unit in ``indices``, in order, read
+    off its row only when the engine asks for the next one — the
+    network's one message per question
+    (:meth:`~repro.net.network.SimulatedInternet.query_message`)."""
+    query = network.query_message
+    qnames, qname_index = units.qnames, units.qname_index
+    query_types, qtype_index = units.query_types, units.qtype_index
+    recursion_desired = units.recursion_desired
+    for index in indices:
+        yield query(
+            qnames[qname_index[index]],
+            query_types[qtype_index[index]],
+            recursion_desired,
+        )
 
 
 def run_group(
@@ -328,13 +348,13 @@ def run_group(
     fault RNG (:func:`pin_group`), drive the server's lane on a fresh
     engine, end the group (:func:`end_group`).
 
-    ``group.unit_indices`` index ``plan.units(phase)``; only their
-    tasks are built, one while its outcome is folded.  ``fold`` takes
-    each outcome with its unit index the moment it completes — the
-    engine yields in task order — and whatever it returns other than
-    ``None`` (the UR scan's :class:`ReducedOutcome` of an outcome that
-    carried URs) is kept, in that order, as the group's outcomes; a
-    preamble fold keeps nothing.
+    ``group.unit_indices`` index ``plan.units(phase)``; the engine
+    reads their query messages one at a time (:func:`lane_queries`).
+    ``fold`` takes each outcome with its unit index the moment it
+    completes — the engine yields in query order — and whatever it
+    returns other than ``None`` (the UR scan's :class:`ReducedOutcome`
+    of an outcome that carried URs) is kept, in that order, as the
+    group's outcomes; a preamble fold keeps nothing.
     """
     network = ledger.network
     server_ip = group.server_ip
@@ -342,7 +362,8 @@ def run_group(
     pin_group(network, start, phase, server_ip)
     engine = _group_engine(ledger, server_ip, phase, origin)
     kept = []
-    for position, outcome in engine.execute_iter(plan.tasks(phase, indices)):
+    queries = lane_queries(network, plan.units(phase), indices)
+    for position, outcome in engine.execute_iter(queries):
         reduced = fold(indices[position], outcome)
         if reduced is not None:
             kept.append(reduced)
@@ -551,7 +572,7 @@ def run_shard_scan(hunter, plan: ScanPlan, epoch: float) -> ScanFold:
     its slot just before it folds, or an isolated execution
     (:func:`run_group`, each outcome reduced by the collector's
     ``reduce_ur`` the moment it completes: its response message is
-    dropped before the next task is driven) —
+    dropped before the next query is sent) —
     and is folded, and stored if a result store is attached, as soon as
     it is in hand: a killed run resumes from its stored groups, and no
     more than one group's payload is held at a time.  The phase

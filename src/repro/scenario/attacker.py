@@ -74,12 +74,6 @@ class AttackerCampaign:
     def planted_identities(self) -> Set[Tuple[Name, int, str]]:
         return {record.identity for record in self.planted}
 
-    def nameserver_ips(self) -> List[str]:
-        seen: Dict[str, None] = {}
-        for hosted in self.hosted_zones:
-            for address in hosted.nameserver_addresses():
-                seen.setdefault(address, None)
-        return list(seen)
 
 
 class Attacker:

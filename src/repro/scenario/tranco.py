@@ -92,9 +92,6 @@ class TrancoList:
     def __contains__(self, domain: Union[str, Name]) -> bool:
         return name(domain) in self._by_domain
 
-    def domains(self) -> List[Name]:
-        return [entry.domain for entry in self.entries]
-
 
 def generate_tranco(
     size: int, rng: Optional[random.Random] = None

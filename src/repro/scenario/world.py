@@ -459,9 +459,6 @@ class _WorldBuilder:
         countries = ("US", "DE", "BR", "IN", "JP", "ZA", "FR", "KR")
         resolvers: List[OpenResolver] = []
         addresses: List[str] = []
-        # every vantage point walks the same names: one upstream query
-        # message per question for the lot, not one per resolver
-        query_cache: Dict[Tuple[Name, int], Message] = {}
         self.ipinfo.register_host(AD_SERVER_IP, cert_org="AdTech Inc")
         manipulated_budget = int(
             round(
@@ -481,7 +478,6 @@ class _WorldBuilder:
                 rewriter=rewriter,
                 country=countries[index % len(countries)],
             )
-            resolver.query_cache = query_cache
             self.network.register_dns_host(address, resolver)
             resolvers.append(resolver)
             addresses.append(address)

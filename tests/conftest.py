@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import HunterConfig, URHunter
 from repro.dns.message import Message
+from repro.dns.rdata import RRType
 from repro.intel.aggregator import ThreatIntelAggregator
 from repro.intel.ipinfo import IpInfoDatabase
 from repro.intel.vendor import SecurityVendor
@@ -67,10 +68,30 @@ def record_executed_groups(monkeypatch):
     return executed
 
 
-def drive(engine, tasks):
-    """Every outcome of one drive of ``engine`` over ``tasks``, in task
-    order."""
-    return [outcome for _, outcome in engine.execute_iter(tasks)]
+def drive(engine, queries):
+    """Every outcome of one drive of ``engine`` over ``queries``, in
+    query order."""
+    return [outcome for _, outcome in engine.execute_iter(queries)]
+
+
+def planned_rows(units, indices=None):
+    """``(server_ip, qname, qtype)`` of each planned unit in ``indices``
+    (default: every unit, in scan order), read off the plan's columns."""
+    if indices is None:
+        indices = range(len(units.qtype_index))
+    return [
+        (
+            units.servers[units.server_index[index]],
+            units.qnames[units.qname_index[index]],
+            units.query_types[units.qtype_index[index]],
+        )
+        for index in indices
+    ]
+
+
+def query(qtype=RRType.A, qname="example.test"):
+    """A scanner's query (no recursion) for ``qname``/``qtype``."""
+    return Message.make_query(qname, qtype, recursion_desired=False)
 
 
 def assert_only_uncacheable_groups_sent(hunter, executed):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import HunterConfig
+from repro.core import HunterConfig, URHunter
 from repro.core.collector import (
     DomainTarget,
     NameserverTarget,
@@ -10,6 +10,7 @@ from repro.core.collector import (
 )
 from repro.core.correctness import CorrectRecordDatabase
 from repro.core.hunter import Stage1Result
+from repro.dns.message import Message
 from repro.dns.name import name
 from repro.dns.rdata import A, TXT, RRType
 from repro.dns.server import AuthoritativeServer, UnhostedPolicy
@@ -21,6 +22,7 @@ from repro.net.network import SimulatedInternet
 from repro.net.traffic import TrafficCapture
 from repro.plan import build_plan, shards
 from repro.resilience import ResilienceMetrics
+from repro.scenario import build_world, small_config
 
 from ..conftest import bare_hunter
 
@@ -206,7 +208,9 @@ class TestCorrectRecordCollection:
         collector.collect_correct_records(
             plan_for(domains=domains, resolvers=["10.200.0.1"]), database
         )
-        assert list(database.domains()) == []
+        for target in domains:
+            profile = database.profile(target.domain)
+            assert not profile.ips and not profile.txt_values
         assert collector.metrics.stage("correct").responses == 0
 
 
@@ -310,7 +314,6 @@ class TestEngineSelection:
         assert type(engine) is BatchedEngine
         assert (engine.server_ip, engine.phase) == (NS_A, "ur")
         assert engine.policy.per_server_interval == 130.0
-        assert engine.query_cache is hunter.collector.query_cache
 
     def test_collector_is_the_ledger_on_its_network(self, setup):
         network, _, _, _ = setup
@@ -321,3 +324,26 @@ class TestEngineSelection:
         assert collector.origin == network.now
         assert not collector.metrics.stages
         assert not ResilienceMetrics(collector.metrics).active
+
+
+class TestOneMessagePerQuestion:
+    def test_a_run_builds_each_questions_query_message_once(
+        self, monkeypatch
+    ):
+        """One ``hunter.run()`` at small seed 7 — protective probes,
+        correct collection, UR scan, the open and misconfigured
+        resolvers' upstream walks and the §4.2 sample — builds one
+        query message per ``(qname, qtype, rd)`` question: every sender
+        draws from the network's memo."""
+        hunter = URHunter.from_world(build_world(small_config(seed=7)))
+        built = []
+        make_query = Message.make_query.__func__
+
+        def counting(cls, qname, qtype, recursion_desired=True):
+            built.append((name(qname), int(qtype), recursion_desired))
+            return make_query(cls, qname, qtype, recursion_desired)
+
+        monkeypatch.setattr(Message, "make_query", classmethod(counting))
+        hunter.run()
+        assert len(built) > 100
+        assert len(built) == len(set(built))

@@ -204,8 +204,3 @@ class TestDatabase:
         assert 64501 in profile.asns
         assert "US" in profile.countries
         assert "victim.com Inc" in profile.cert_orgs
-
-    def test_domains_sorted(self, database):
-        database.observe_a("aaa.com", LEGIT_IP)
-        domains = database.domains()
-        assert domains == sorted(domains)

@@ -52,7 +52,7 @@ from repro.plan.shards import (
 from repro.resilience.scenario import apply_scenario, load_scenario
 from repro.scenario import build_world, small_config
 
-from ..conftest import drive
+from ..conftest import drive, planned_rows
 
 SEED = 7
 #: servers taken offline for the circuit-open input
@@ -123,8 +123,10 @@ def _list_execute_group(hunter, plan, group):
         collector, group.server_ip, "ur", network.now
     )
     start = network.now
-    tasks = list(plan.tasks("ur", group.unit_indices))
-    outcomes = drive(engine, tasks)
+    queries = list(
+        shards.lane_queries(network, plan.ur_units, group.unit_indices)
+    )
+    outcomes = drive(engine, queries)
     reduced = [
         collector.reduce_ur(index, outcome)
         for index, outcome in zip(group.unit_indices, outcomes)
@@ -290,12 +292,13 @@ def test_fold_keeps_each_groups_first_occurrences_in_index_order():
 def _list_run_groups(collector, plan, collection):
     """A preamble collection as one list: every server group executed
     under the runner's clock and RNG rules with its outcomes parked,
-    then handed back in planned scan order."""
+    then handed back in planned scan order as ``(unit index, outcome)``
+    pairs."""
     network = collector.network
     units = plan.units(collection)
     by_server = {}
-    for index, unit in enumerate(units):
-        by_server.setdefault(unit.server_ip, []).append(index)
+    for index, (server_ip, _, _) in enumerate(planned_rows(units)):
+        by_server.setdefault(server_ip, []).append(index)
     start = network.now
     rng_state = network._fault_rng.getstate()
     parked = {}
@@ -311,13 +314,15 @@ def _list_run_groups(collector, plan, collection):
         engine = shards._group_engine(
             collector, server_ip, collection, start
         )
-        outcomes = drive(engine, [units.task(index) for index in indices])
+        outcomes = drive(
+            engine, shards.lane_queries(network, units, indices)
+        )
         parked.update(zip(indices, outcomes))
         collector.metrics.merge(engine.metrics)
         makespan = max(makespan, network.now - start)
     network._fault_rng.setstate(rng_state)
     network.set_clock(start + makespan)
-    return [parked[index] for index in sorted(parked)]
+    return [(index, parked[index]) for index in sorted(parked)]
 
 
 def _list_collect_protective(collector, plan):
@@ -326,13 +331,14 @@ def _list_collect_protective(collector, plan):
         address: ProtectiveFingerprint(nameserver_ip=address)
         for address in plan.protective_units.servers
     }
-    for outcome in _list_run_groups(collector, plan, "protective"):
+    units = plan.protective_units
+    for index, outcome in _list_run_groups(collector, plan, "protective"):
         response = outcome.response
         if response is None:
             continue
         if response.header.rcode != Rcode.NOERROR:
             continue
-        fingerprint = fingerprints[outcome.task.server_ip]
+        fingerprint = fingerprints[units.servers[units.server_index[index]]]
         for answer in response.answers:
             if isinstance(answer.rdata, A):
                 fingerprint.records.add((RRType.A, answer.rdata.address))
@@ -343,13 +349,13 @@ def _list_collect_protective(collector, plan):
 
 def _list_collect_correct(collector, plan, correct_db):
     """``collect_correct_records`` as it was before streaming."""
-    for outcome in _list_run_groups(collector, plan, "correct"):
+    for index, outcome in _list_run_groups(collector, plan, "correct"):
         response = outcome.response
         if response is None:
             continue
         if response.header.rcode != Rcode.NOERROR:
             continue
-        domain = outcome.task.qname
+        domain = plan.correct_units.qname(index)
         for answer in response.answers:
             if isinstance(answer.rdata, A):
                 correct_db.observe_a(domain, answer.rdata.address)
@@ -372,7 +378,7 @@ def test_preamble_folds_leave_the_stage1_checkpoint_unchanged(prepare):
     )
     streamed = streamed_hunter.stage1_collect()
     listed = listed_hunter.stage1_collect()
-    assert list(streamed.correct_db.domains()), "no correct record folded"
+    assert encode_stage1(streamed)["profiles"], "no correct record folded"
     assert json.dumps(encode_stage1(streamed)) == json.dumps(
         encode_stage1(listed)
     )

@@ -1,5 +1,7 @@
 """Tests for repro.core.suspicion: stage-2 exclusion pipeline."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.collector import ProtectiveFingerprint
@@ -95,7 +97,9 @@ class TestClassification:
         assert len(outcome.protective) == 1
         assert len(outcome.correct) == 1
         assert len(outcome.suspicious) == 1
-        assert outcome.counts() == {
+        assert Counter(
+            category.value for category in outcome.classified.categories()
+        ) == {
             "protective": 1,
             "correct": 1,
             "unknown": 1,

@@ -25,9 +25,11 @@ from repro.dns.resolver import (
 from repro.dns.server import AuthoritativeServer
 from repro.dns.zone import zone_from_records
 from repro.hosting.registry import DnsRoot
-from repro.net.network import SimulatedInternet
+from repro.net.network import DnsChannel, SimulatedInternet
 from ..stage1_oracle import encode_stage1
 from repro.scenario import ScenarioConfig, build_world, small_config
+
+from ..conftest import planned_rows
 
 
 @pytest.fixture
@@ -601,9 +603,9 @@ class TestCachedEqualsUncached:
         world = build_world(scenario)
         plan = URHunter.from_world(world).plan
         questions = {
-            (unit.qname, unit.qtype)
+            (qname, qtype)
             for collection in ("protective", "correct", "ur")
-            for unit in plan.units(collection)
+            for _, qname, qtype in planned_rows(plan.units(collection))
         }
         hints = world.root.root_addresses
         cached = RecursiveResolver("10.123.0.1", world.network, hints)
@@ -713,17 +715,20 @@ class TestUpstreamFastLane:
         resolver = RecursiveResolver(
             "10.99.0.2", network, root.root_addresses, cache_enabled=False
         )
+        known = dict(network._queries)
         resolver.resolve("example.com", RRType.A)
         walk = resolver.stats.upstream_queries
         exchanges = network.stats["dns_queries"]
-        messages = dict(resolver.query_cache)
-        assert list(messages) == [(name("example.com"), RRType.A)]
+        messages = dict(network._queries)
+        assert [key for key in messages if key not in known] == [
+            (name("example.com"), RRType.A, False)
+        ]
         assert len(resolver._channels) == walk == 3  # root, TLD, zone
         resolver.resolve("example.com", RRType.A)
         # the second walk costs exactly what the first did
         assert resolver.stats.upstream_queries == 2 * walk
         assert network.stats["dns_queries"] == 2 * exchanges
-        assert resolver.query_cache == messages
+        assert network._queries == messages
         assert len(resolver._channels) == walk
 
     def test_channels_follow_host_changes(self, tree):
@@ -743,16 +748,25 @@ class TestUpstreamFastLane:
         network.set_online("10.10.0.1", True)
         assert resolver.lookup_a("example.com") == ["192.0.2.99"]
 
-    def test_a_worlds_open_resolvers_share_their_messages(
-        self, small_world
+    def test_resolvers_on_one_network_send_the_same_messages(
+        self, tree, monkeypatch
     ):
-        hosts = small_world.network.dns_hosts()
-        caches = {
-            id(hosts[address].query_cache)
-            for address in small_world.open_resolver_ips
-        }
-        assert len(small_world.open_resolver_ips) > 1
-        assert len(caches) == 1
+        network, root, _ = tree
+        sent = {}
+        query = DnsChannel.query
+
+        def recording(channel, message, transport="udp"):
+            sent.setdefault(channel.src_ip, []).append(message)
+            return query(channel, message, transport)
+
+        monkeypatch.setattr(DnsChannel, "query", recording)
+        for address in ("10.99.0.3", "10.99.0.4"):
+            RecursiveResolver(address, network, root.root_addresses).resolve(
+                "example.com", RRType.A
+            )
+        first, second = sent["10.99.0.3"], sent["10.99.0.4"]
+        assert len(first) == 3
+        assert list(map(id, first)) == list(map(id, second))
 
 
 class TestAsDnsService:

@@ -230,12 +230,6 @@ class TestIntrospection:
     def test_len_counts_records(self, zone):
         assert len(zone) == len(list(zone.records()))
 
-    def test_nameserver_targets(self):
-        z = Zone("example.com")
-        z.add("example.com", NS(name("ns1.example.com")))
-        z.add("example.com", NS(name("ns2.example.com")))
-        assert len(z.nameserver_targets()) == 2
-
     def test_copy_is_independent(self, zone):
         clone = zone.copy()
         clone.add("new", A("10.9.9.9"))

@@ -3,28 +3,17 @@
 import pytest
 
 from repro.dns.message import Rcode
-from repro.dns.name import name
 from repro.dns.rdata import RRType
 from repro.engine import (
     BatchedEngine,
     EnginePolicy,
     OutcomeStatus,
-    QueryTask,
 )
 from repro.engine.breaker import CircuitBreaker, CircuitState
 from repro.net.traffic import Protocol, TrafficCapture
 
-from ..conftest import drive
+from ..conftest import drive, query
 from .conftest import NS_DEAD, NS_LIVE, SCANNER
-
-
-def _task(server_ip, qtype=RRType.A, stage="ur"):
-    return QueryTask(
-        server_ip=server_ip,
-        qname=name("example.test"),
-        qtype=qtype,
-        stage=stage,
-    )
 
 
 def _engine(network, server_ip, phase="ur", **policy):
@@ -36,7 +25,7 @@ def _engine(network, server_ip, phase="ur", **policy):
 class TestAnsweredPath:
     def test_single_answer(self, network):
         engine = _engine(network, NS_LIVE)
-        [outcome] = drive(engine, [_task(NS_LIVE)])
+        [outcome] = drive(engine, [query()])
         assert outcome.status is OutcomeStatus.ANSWERED
         assert outcome.answered
         assert outcome.attempts == 1
@@ -46,27 +35,31 @@ class TestAnsweredPath:
         assert counters.responses == 1
         assert engine.metrics.latency.total == 1
 
-    def test_outcomes_in_task_order(self, network):
+    def test_outcomes_in_query_order(self, network):
         engine = _engine(network, NS_LIVE)
-        tasks = [
-            _task(NS_LIVE),
-            _task(NS_LIVE, qtype=RRType.TXT),
-            _task(NS_LIVE),
-            _task(NS_LIVE, qtype=RRType.TXT),
+        queries = [
+            query(),
+            query(RRType.TXT),
+            query(),
+            query(RRType.TXT),
         ]
-        outcomes = drive(engine, tasks)
-        assert [outcome.task for outcome in outcomes] == tasks
+        outcomes = drive(engine, queries)
+        assert [outcome.response.question for outcome in outcomes] == [
+            sent.question for sent in queries
+        ]
         assert all(outcome.answered for outcome in outcomes)
 
-    def test_empty_task_list(self, network):
+    def test_empty_query_list(self, network):
         engine = _engine(network, NS_LIVE)
+        before = network.now
         assert drive(engine, []) == []
-        assert engine.metrics.stages == {}
+        assert engine.metrics.stage(engine.phase).queries == 0
+        assert network.now == before
 
     def test_one_engine_counts_one_phase(self, network):
         engine = _engine(network, NS_LIVE, phase="protective")
-        drive(engine, [_task(NS_LIVE, stage="protective")] * 2)
-        drive(engine, [_task(NS_LIVE, stage="protective")])
+        drive(engine, [query()] * 2)
+        drive(engine, [query()])
         assert list(engine.metrics.stages) == ["protective"]
         assert engine.metrics.stage("protective").queries == 3
 
@@ -76,7 +69,7 @@ class TestRetryAndTimeout:
         """A dead server costs (retries+1) timeouts plus the backoffs."""
         engine = _engine(network, NS_DEAD, retries=2, timeout=5.0)
         before = network.now
-        [outcome] = drive(engine, [_task(NS_DEAD)])
+        [outcome] = drive(engine, [query()])
         assert outcome.status is OutcomeStatus.GAVE_UP
         assert outcome.attempts == 3
         # 3 x 5s timeouts + 0.5s + 1.0s backoffs (plus wire latency)
@@ -85,7 +78,7 @@ class TestRetryAndTimeout:
     def test_timeouts_counted_per_attempt(self, network):
         engine = _engine(network, NS_DEAD, retries=1)
         engine.breaker = CircuitBreaker(failure_threshold=100)
-        drive(engine, [_task(NS_DEAD), _task(NS_DEAD, qtype=RRType.TXT)])
+        drive(engine, [query(), query(RRType.TXT)])
         counters = engine.metrics.stage("ur")
         assert counters.queries == 4
         assert counters.timeouts == 4
@@ -98,13 +91,13 @@ class TestRetryAndTimeout:
         engine = _engine(network, NS_DEAD, retries=0, timeout=5.0)
         before = network.now
         stream = engine.execute_iter(
-            [_task(NS_DEAD), _task(NS_DEAD, qtype=RRType.TXT)]
+            [query(), query(RRType.TXT)]
         )
         index, outcome = next(stream)
         assert (index, outcome.status) == (0, OutcomeStatus.GAVE_UP)
         assert network.now - before < 1.0
         assert outcome.completed_at == pytest.approx(before + 5.0, abs=0.1)
-        # the lane's next task is sent once the timeout has passed
+        # the lane's next query is sent once the timeout has passed
         index, outcome = next(stream)
         assert (index, outcome.status) == (1, OutcomeStatus.GAVE_UP)
         assert network.now - before == pytest.approx(5.0, abs=0.1)
@@ -115,12 +108,12 @@ class TestCircuitBreaking:
     def test_circuit_opens_and_skips(self, network):
         engine = _engine(network, NS_DEAD, retries=0)
         assert engine.breaker.failure_threshold == 5
-        tasks = [
-            _task(NS_DEAD, qtype=qtype)
+        queries = [
+            query(qtype)
             for qtype in (RRType.A, RRType.TXT)
             for _ in range(5)
         ]
-        outcomes = drive(engine, tasks)
+        outcomes = drive(engine, queries)
         statuses = [outcome.status for outcome in outcomes]
         assert statuses.count(OutcomeStatus.GAVE_UP) == 5
         assert statuses.count(OutcomeStatus.SKIPPED) == 5
@@ -136,7 +129,7 @@ class TestCircuitBreaking:
             failure_threshold=3, reset_interval=60.0
         )
         network.set_online(NS_LIVE, False)
-        first = drive(engine, [_task(NS_LIVE) for _ in range(5)])
+        first = drive(engine, [query() for _ in range(5)])
         assert engine.breaker.state(NS_LIVE) is CircuitState.OPEN
         assert [outcome.status for outcome in first[3:]] == [
             OutcomeStatus.SKIPPED,
@@ -145,7 +138,7 @@ class TestCircuitBreaking:
 
         network.set_online(NS_LIVE, True)
         network.tick(60.0)
-        second = drive(engine, [_task(NS_LIVE) for _ in range(3)])
+        second = drive(engine, [query() for _ in range(3)])
         assert all(outcome.answered for outcome in second)
         assert engine.breaker.state(NS_LIVE) is CircuitState.CLOSED
 
@@ -154,13 +147,13 @@ class TestPacing:
     def test_per_server_gap_never_violated(self, network):
         interval = 130.0
         engine = _engine(network, NS_LIVE, per_server_interval=interval)
-        tasks = [
-            _task(NS_LIVE, qtype=qtype)
+        queries = [
+            query(qtype)
             for qtype in (RRType.A, RRType.TXT)
             for _ in range(2)
         ]
         with network.capturing(TrafficCapture()) as capture:
-            drive(engine, tasks)
+            drive(engine, queries)
         stamps = sorted(
             flow.timestamp
             for flow in capture.filter(protocol=Protocol.DNS)
@@ -175,7 +168,7 @@ class TestPacing:
         goes at once — and every second of it is accounted."""
         engine = _engine(network, NS_LIVE, per_server_interval=130.0)
         before = network.now
-        drive(engine, [_task(NS_LIVE)] * 3)
+        drive(engine, [query()] * 3)
         assert network.now - before == pytest.approx(260.0, abs=1.0)
         assert engine.metrics.stage("ur").rate_limit_wait == pytest.approx(
             260.0, abs=1.0
@@ -186,8 +179,8 @@ class TestPacing:
         after the first waits out the interval from the last send."""
         engine = _engine(network, NS_LIVE, per_server_interval=130.0)
         before = network.now
-        drive(engine, [_task(NS_LIVE)])
-        drive(engine, [_task(NS_LIVE)])
+        drive(engine, [query()])
+        drive(engine, [query()])
         assert network.now - before == pytest.approx(130.0, abs=1.0)
         assert engine.metrics.stage("ur").rate_limit_wait == pytest.approx(
             130.0, abs=1.0
@@ -197,10 +190,10 @@ class TestPacing:
         """A lane idle for longer than its interval has refilled its
         token: the next drive sends without a pacing wait."""
         engine = _engine(network, NS_LIVE, per_server_interval=130.0)
-        drive(engine, [_task(NS_LIVE)])
+        drive(engine, [query()])
         network.tick(200.0)
         before = network.now
-        [outcome] = drive(engine, [_task(NS_LIVE)])
+        [outcome] = drive(engine, [query()])
         assert outcome.answered
         assert network.now - before < 1.0
         assert engine.metrics.stage("ur").rate_limit_wait == 0.0

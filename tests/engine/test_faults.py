@@ -3,13 +3,12 @@
 import pytest
 
 from repro.dns.message import Message
-from repro.dns.name import name
 from repro.dns.rdata import RRType
-from repro.engine import BatchedEngine, EnginePolicy, QueryTask
+from repro.engine import BatchedEngine, EnginePolicy
 from repro.engine.breaker import CircuitBreaker
 from repro.net.network import FaultProfile, NetworkError
 
-from ..conftest import drive
+from ..conftest import drive, query
 from .conftest import NS_LIVE, NS_LIVE2, SCANNER
 
 
@@ -112,17 +111,7 @@ class TestEnginesUnderLoss:
                 net, SCANNER, server, "ur", EnginePolicy(retries=4)
             )
             engine.breaker = CircuitBreaker(failure_threshold=50)
-            outcomes += drive(
-                engine,
-                [
-                    QueryTask(
-                        server_ip=server,
-                        qname=name("example.test"),
-                        qtype=RRType.A,
-                    )
-                    for _ in range(20)
-                ],
-            )
+            outcomes += drive(engine, [query() for _ in range(20)])
             counters = engine.metrics.stage("ur")
             queries += counters.queries
             retries += counters.retries
@@ -139,17 +128,7 @@ class TestEnginesUnderLoss:
             engine = BatchedEngine(
                 net, SCANNER, NS_LIVE, "ur", EnginePolicy(retries=2)
             )
-            outcomes = drive(
-                engine,
-                [
-                    QueryTask(
-                        server_ip=NS_LIVE,
-                        qname=name("example.test"),
-                        qtype=RRType.A,
-                    )
-                    for _ in range(15)
-                ],
-            )
+            outcomes = drive(engine, [query() for _ in range(15)])
             counters = engine.metrics.stage("ur")
             return (
                 [outcome.status for outcome in outcomes],

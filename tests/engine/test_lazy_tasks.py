@@ -1,11 +1,12 @@
-"""A lazy task sequence drives the engine exactly as its list does.
+"""A lazy query stream drives the engine exactly as its list does.
 
-The engine reads a task from the caller's sequence only after the
-previous outcome was yielded, so the plan's
-:class:`~repro.plan.scanplan.PlannedTasks` view is never materialized.
-Handing each UR lane's engine the view or ``list(view)`` must give the
-same ``(index, outcome)`` stream, clock and ledger — clean, under loss
-with hedging and AIMD pacing, and with circuits that open.
+The engine reads a query from the caller's iterable only after the
+previous outcome was yielded, so a lane's planned rows
+(:func:`~repro.plan.shards.lane_queries`) are read one at a time and
+never materialized.  Handing each UR lane's engine the generator or
+its ``list`` must give the same ``(index, outcome)`` stream, clock and
+ledger — clean, under loss with hedging and AIMD pacing, and with
+circuits that open.
 """
 
 import pytest
@@ -52,19 +53,16 @@ def _stream(prepare, materialize):
         engine = shards._group_engine(
             ledger, group.server_ip, "ur", hunter.network.now
         )
-        tasks = plan.tasks("ur", group.unit_indices)
+        queries = shards.lane_queries(
+            hunter.network, plan.ur_units, group.unit_indices
+        )
         if materialize:
-            tasks = list(tasks)
+            queries = list(queries)
         stream += [
             (
                 group.index,
                 index,
-                outcome.task.server_ip,
-                outcome.task.qname,
-                outcome.task.qtype,
-                outcome.task.stage,
-                outcome.task.recursion_desired,
-                outcome.task.tag,
+                plan.ur_units.qname(group.unit_indices[index]),
                 outcome.status,
                 outcome.attempts,
                 outcome.completed_at,
@@ -73,7 +71,7 @@ def _stream(prepare, materialize):
                 if outcome.response is None
                 else encode_message(outcome.response)[2:],
             )
-            for index, outcome in engine.execute_iter(tasks)
+            for index, outcome in engine.execute_iter(queries)
         ]
         ledger.metrics.merge(engine.metrics)
     return stream, hunter
@@ -102,27 +100,34 @@ def test_lazy_sequence_and_list_give_identical_streams(prepare):
         assert counters.skipped > 0
 
 
-def test_tasks_are_read_one_at_a_time_in_task_order():
-    """``execute_iter`` yields index 0, 1, 2, ... and reads task ``n``
-    only once outcome ``n - 1`` was pulled: a paused consumer pauses
-    the scan, and no second task exists while one is being driven."""
+def test_queries_are_read_one_at_a_time_in_planned_order():
+    """``execute_iter`` yields index 0, 1, 2, ... and reads planned row
+    ``n`` only once outcome ``n - 1`` was pulled: a paused consumer
+    pauses the scan.  Each row read is the planned question."""
     world = build_world(small_config(seed=SEED))
     world.network.inject_faults(loss_rate=0.05, seed=SEED)
     hunter = URHunter.from_world(world, HunterConfig(hedge_delay=0.5))
+    units = hunter.plan.ur_units
     group = max(hunter.plan.groups, key=lambda g: len(g.unit_indices))
     lane = group.unit_indices
     built = []
 
-    class Counting(type(hunter.plan.tasks("ur"))):
-        def __iter__(self):
-            for position, task in enumerate(super().__iter__()):
-                built.append(position)
-                yield task
+    def counting():
+        queries = shards.lane_queries(hunter.network, units, lane)
+        for position, query in enumerate(queries):
+            built.append(position)
+            question = query.question
+            assert question.qname == units.qname(lane[position])
+            assert question.qtype == units.query_types[
+                units.qtype_index[lane[position]]
+            ]
+            assert not query.header.recursion_desired
+            yield query
 
     engine = shards._group_engine(
         hunter.collector, group.server_ip, "ur", hunter.network.now
     )
-    stream = engine.execute_iter(Counting(hunter.plan.ur_units, lane))
+    stream = engine.execute_iter(counting())
     for expected in range(len(lane)):
         index, outcome = next(stream)
         assert index == expected

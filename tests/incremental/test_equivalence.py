@@ -172,7 +172,7 @@ class TestMutationInvalidates:
             warm.resilience.shed_total
             == bare.resilience.shed_total
             > bare.collector.metrics.stage("ur").shed
-            == len(bare.plan.ur_units)
+            == bare.plan.unit_counts()["ur"]
         )
         assert store.stats["hits"] == 0
         assert store.stats["invalidated"] == store.stats["stored"] > 0

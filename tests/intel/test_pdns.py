@@ -88,9 +88,3 @@ class TestQueries:
             name(server).to_text(True)
             for server in ("ns1.old.net", "ns2.old.net")
         }
-
-    def test_domains(self):
-        store = PassiveDnsStore()
-        store.observe("a.com", RRType.A, "1.1.1.1", 1.0)
-        store.observe("b.com", RRType.A, "1.1.1.1", 1.0)
-        assert store.domains() == {name("a.com"), name("b.com")}

@@ -63,9 +63,6 @@ class NaivePassiveDnsStore(PassiveDnsStore):
     def historical_rdata(self, domain, rrtype, now):
         return {obs.rdata_text for obs in self.history(domain, now, rrtype)}
 
-    def domains(self):
-        return {observation.domain for observation in self._observations}
-
     def __len__(self):
         return len(self._observations)
 
@@ -103,7 +100,6 @@ class TestRandomizedInterleavings:
                 rrtype = rng.choice(RRTYPES + (None,))
                 _assert_equivalent(indexed, naive, domain, now, rrtype)
         assert len(indexed) == len(naive)
-        assert indexed.domains() == naive.domains()
 
     @pytest.mark.parametrize("seed", [5, 41])
     def test_repeated_queries_match_naive(self, seed):
@@ -210,15 +206,4 @@ class TestIndexedQueryInterface:
         rdata.add("garbage")
         assert store.historical_rdata("dom4.example", RRType.A, 10.0) == {
             "198.51.100.9"
-        }
-
-    def test_domains_view_matches_naive(self):
-        indexed, naive = _mirror_stores()
-        for store in (indexed, naive):
-            store.observe("dom5.example", RRType.A, "198.51.100.4", 1.0)
-            store.observe("dom6.example", RRType.NS, "ns.h.example.", 2.0)
-        assert indexed.domains() == naive.domains()
-        assert indexed.domains() == {
-            name("dom5.example"),
-            name("dom6.example"),
         }

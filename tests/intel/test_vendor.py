@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.intel.aggregator import CACHE_ENTRIES, ThreatIntelAggregator
+from repro.intel.aggregator import ThreatIntelAggregator
 from repro.intel.vendor import (
     SecurityVendor,
     default_vendor_fleet,
 )
+from repro.pipeline import FaultPlan, FlakyVendor, SourceTimeout
 
 
 class TestSecurityVendor:
@@ -95,15 +96,14 @@ class TestAggregator:
         assert not report.is_malicious
         assert report.vendor_count == 0
 
-    def test_is_flagged_and_count(self, fleet):
+    def test_is_flagged(self, fleet):
         aggregator = ThreatIntelAggregator(fleet)
         assert aggregator.is_flagged("7.7.7.7")
-        assert aggregator.vendor_count("7.7.7.7") == 1
         assert not aggregator.is_flagged("9.9.9.9")
 
 
 class CountingVendor(SecurityVendor):
-    """A vendor that counts its read traffic (cache verification)."""
+    """A vendor that counts its read traffic."""
 
     def __init__(self, name):
         super().__init__(name)
@@ -114,59 +114,53 @@ class CountingVendor(SecurityVendor):
         return super().is_malicious(address)
 
 
-class TestAggregatorCache:
+class SwitchedPlan:
+    """A fault plan whose source is down until switched back up."""
+
+    down = True
+
+    def check(self, source):
+        if self.down:
+            raise SourceTimeout(source)
+
+
+class TestAggregatorReads:
     @pytest.fixture
     def vendor(self):
         vendor = CountingVendor("VT")
         vendor.flag("6.6.6.6", ["Trojan"])
         return vendor
 
-    def test_report_is_memoized(self, vendor):
+    def test_every_report_asks_the_fleet(self, vendor):
         aggregator = ThreatIntelAggregator([vendor])
         first = aggregator.report("6.6.6.6")
         second = aggregator.report("6.6.6.6")
         assert first == second
-        assert vendor.reads == 1
-        assert aggregator.cache_hits == 1
-        assert aggregator.cache_misses == 1
+        assert vendor.reads == 2
 
-    def test_query_helpers_share_one_probe(self, vendor):
-        # is_flagged + vendor_count + tags used to cost three vendor
-        # round-trips each; they now share one cached report
-        aggregator = ThreatIntelAggregator([vendor])
-        assert aggregator.is_flagged("6.6.6.6")
-        assert aggregator.vendor_count("6.6.6.6") == 1
-        assert aggregator.tags("6.6.6.6") == {"Trojan"}
-        assert vendor.reads == 1
+    def test_a_report_after_a_vendor_failure_asks_it_again(self, vendor):
+        plan = SwitchedPlan()
+        aggregator = ThreatIntelAggregator([FlakyVendor(vendor, plan)])
+        degraded = aggregator.report("6.6.6.6")
+        assert degraded.failed_vendors == {"VT"}
+        assert not degraded.is_malicious
+        plan.down = False
+        healed = aggregator.report("6.6.6.6")
+        assert healed.failed_vendors == frozenset()
+        assert healed.flagging_vendors == {"VT"}
+        assert aggregator.source_health()["vendor:VT"].calls == 2
 
-    def test_flag_invalidates_cached_verdict(self, vendor):
+    def test_flag_after_a_report_is_seen(self, vendor):
         aggregator = ThreatIntelAggregator([vendor])
         assert not aggregator.is_flagged("9.9.9.9")
         vendor.flag("9.9.9.9")
-        # the fleet version bumped: the stale entry must not be served
         assert aggregator.is_flagged("9.9.9.9")
 
-    def test_clear_invalidates_cached_verdict(self, vendor):
+    def test_clear_after_a_report_is_seen(self, vendor):
         aggregator = ThreatIntelAggregator([vendor])
         assert aggregator.is_flagged("6.6.6.6")
         vendor.clear("6.6.6.6")
         assert not aggregator.is_flagged("6.6.6.6")
-
-    def test_lru_eviction_bounds_the_cache(self, vendor):
-        aggregator = ThreatIntelAggregator([vendor])
-        addresses = [
-            f"10.{index >> 16}.{(index >> 8) & 255}.{index & 255}"
-            for index in range(CACHE_ENTRIES + 1)
-        ]
-        for address in addresses:
-            aggregator.report(address)
-        # the newest entry stays: re-reading it is a hit
-        reads_before = vendor.reads
-        aggregator.report(addresses[-1])
-        assert vendor.reads == reads_before
-        # the oldest entry was evicted: re-reading it is a miss
-        aggregator.report(addresses[0])
-        assert vendor.reads == reads_before + 1
 
     def test_each_aggregator_has_its_own_guard(self, vendor):
         first = ThreatIntelAggregator([vendor])
@@ -177,8 +171,6 @@ class TestAggregatorCache:
         assert not second.source_health()
 
     def test_failed_vendor_excluded_from_quorum(self):
-        from repro.pipeline import FaultPlan, FlakyVendor
-
         healthy = SecurityVendor("QAX")
         healthy.flag("6.6.6.6")
         broken = SecurityVendor("VT")

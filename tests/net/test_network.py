@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dns.message import Message, Rcode
+from repro.dns.name import name
 from repro.dns.rdata import A, RRType
 from repro.dns.server import AuthoritativeServer
 from repro.dns.zone import zone_from_records
@@ -129,6 +130,57 @@ class TestDnsTransport:
         assert network.is_online("10.0.0.1")
         assert not network.knows("10.0.0.99")
         assert network.dns_hosts() == {"10.0.0.1": server}
+
+
+class TestQueryMessage:
+    """``query_message`` keeps one message per (qname, qtype, rd)."""
+
+    def test_an_equal_question_gets_the_same_message(self, network):
+        first = network.query_message(name("test.net"), RRType.A, False)
+        again = network.query_message(name("TEST.net."), RRType.A, False)
+        assert again is first
+        assert first.question.qname == name("test.net")
+        assert first.question.qtype == RRType.A
+        assert not first.header.recursion_desired
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            pytest.param(("other.net", RRType.A, False), id="qname"),
+            pytest.param(("test.net", RRType.NS, False), id="qtype"),
+            pytest.param(("test.net", RRType.A, True), id="rd"),
+        ],
+    )
+    def test_each_part_of_the_question_keys_its_message(
+        self, network, other
+    ):
+        qname, qtype, recursion_desired = other
+        base = network.query_message(name("test.net"), RRType.A, False)
+        query = network.query_message(name(qname), qtype, recursion_desired)
+        assert query is not base
+        assert query.question.qname == name(qname)
+        assert query.question.qtype == qtype
+        assert query.header.recursion_desired is recursion_desired
+        again = network.query_message(name(qname), qtype, recursion_desired)
+        assert again is query
+
+    def test_a_resent_message_is_answered_each_time(
+        self, network_with_server
+    ):
+        network, _ = network_with_server
+        query = network.query_message(name("test.net"), RRType.A, False)
+        for _ in range(2):
+            response = network.query_dns("10.9.9.9", "10.0.0.1", query)
+            assert response.header.message_id == query.header.message_id
+            assert response.answers[0].rdata == A("192.0.2.1")
+        assert network.stats["dns_queries"] == 2
+
+    def test_each_network_builds_its_own_messages(self, network):
+        other = SimulatedInternet()
+        mine = network.query_message(name("test.net"), RRType.A, True)
+        theirs = other.query_message(name("test.net"), RRType.A, True)
+        assert theirs is not mine
+        assert theirs.question == mine.question
 
 
 class _Echo:

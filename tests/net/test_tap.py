@@ -71,8 +71,16 @@ def detonate_generic_families(world):
     """One sample of each generic family — a small world does not draw
     them all — on a fresh sandbox at the world's victim address."""
     built = world.sandbox
+    specter = world.case_studies["Specter"]
     target = UrTarget(
-        "ibm.com", world.case_studies["Specter"].nameserver_ips()
+        "ibm.com",
+        list(
+            dict.fromkeys(
+                address
+                for hosted in specter.hosted_zones
+                for address in hosted.nameserver_addresses()
+            )
+        ),
     )
     sandbox = Sandbox(
         world.network,

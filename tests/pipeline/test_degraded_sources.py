@@ -1,9 +1,12 @@
 """Degraded-source behaviour at the component level (satellite 3).
 
 Covers ``UniformityChecker`` under empty and failing passive-DNS /
-IP-metadata backends.
+IP-metadata backends, and stage 3's vendor ledger across runs.
 """
 
+from collections import Counter
+
+from repro.cli import build_parser
 from repro.core.correctness import (
     COND_AS,
     COND_CERT,
@@ -20,7 +23,8 @@ from repro.dns.name import name
 from repro.dns.rdata import RRType
 from repro.intel.ipinfo import IpInfoDatabase
 from repro.intel.pdns import PassiveDnsStore
-from repro.pipeline import FlakyIPInfo, FlakyPassiveDNS
+from repro.pipeline import FlakyIPInfo, FlakyPassiveDNS, FlakyVendor
+from repro.runspec import RunSpec
 
 from .conftest import FailingPlan
 
@@ -175,3 +179,48 @@ class TestSuspicionDegradation:
         for condition in (COND_AS, COND_PDNS):
             assert condition in tagged[0]
         assert outcome.unverifiable == [entry]
+
+
+class TestStage3LedgerPerRun:
+    def test_second_run_asks_the_vendors_again_and_counts_only_its_calls(
+        self, monkeypatch
+    ):
+        """Small seed 7 under a 0.3 intel fault rate, one hunter run
+        twice: each run's stage 3 asks every vendor once per report,
+        and its ledger counts only that run's calls."""
+        spec = RunSpec.from_args(
+            build_parser().parse_args(
+                ["--scale", "small", "--intel-fault-rate", "0.3", "run"]
+            )
+        )
+        _, hunter = spec.build()
+        sent = Counter()
+        reports = []
+        is_malicious = FlakyVendor.is_malicious
+        report = hunter.intel.report
+
+        def counted_is_malicious(vendor, address):
+            sent[vendor.name] += 1
+            return is_malicious(vendor, address)
+
+        def counted_report(address):
+            reports.append(address)
+            return report(address)
+
+        monkeypatch.setattr(FlakyVendor, "is_malicious", counted_is_malicious)
+        monkeypatch.setattr(hunter.intel, "report", counted_report)
+        for _ in range(2):
+            sent.clear()
+            reports.clear()
+            degraded = hunter.run(validate=False).degraded
+            assert degraded is not None and reports
+            vendors = {
+                source: ledger
+                for source, ledger in degraded.sources.items()
+                if source.startswith("vendor:")
+            }
+            assert len(vendors) == len(hunter.intel.vendors)
+            for vendor in hunter.intel.vendors:
+                ledger = vendors[f"vendor:{vendor.name}"]
+                assert ledger.calls == len(reports)
+                assert sent[vendor.name] >= ledger.successes > 0

@@ -90,7 +90,6 @@ class TestFlakyWrappers:
         vendor.flag("6.6.6.6", tags=("c2",))
         flaky = FlakyVendor(vendor, FaultPlan())
         assert flaky.name == "VT"
-        assert flaky.version == vendor.version
         assert flaky.is_malicious("6.6.6.6")
         assert flaky.tags("6.6.6.6") == vendor.tags("6.6.6.6")
 

@@ -6,7 +6,8 @@ each), shuffled the *lists of units*, hashed the whole plan through one
 ``json.dumps`` of every unit's identity list, and ``group_identity``
 digested a group the same way.  Everything below is that code, verbatim
 (imports aside — the format versions are unchanged and come from
-``src`` — and less the shard partition, deleted from both), so the
+``src`` — and less the shard partition, deleted from both, and the
+engine-task view, whose type is gone), so the
 columnar plan can be compared with it unit for unit, group for group,
 and digest for digest.
 """
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.dns.name import Name, name
-from repro.engine.api import QueryTask
 from repro.incremental.store import STORE_FORMAT_VERSION
 from repro.plan.scanplan import PLAN_FORMAT_VERSION
 
@@ -43,17 +43,6 @@ class QueryUnit:
     qtype: int
     recursion_desired: bool = False
     tag: Any = None
-
-    def to_task(self) -> QueryTask:
-        """Materialize the engine task this unit stands for."""
-        return QueryTask(
-            server_ip=self.server_ip,
-            qname=self.qname,
-            qtype=self.qtype,
-            stage=self.collection,
-            recursion_desired=self.recursion_desired,
-            tag=self.tag,
-        )
 
     def identity(self) -> List[Any]:
         """The hashed structural identity (no tags, no world objects)."""
@@ -104,10 +93,6 @@ class ScanPlan:
         if collection == "ur":
             return self.ur_units
         raise KeyError(f"unknown collection {collection!r}")
-
-    def tasks(self, collection: str) -> List[QueryTask]:
-        """Engine tasks for one collection, in planned scan order."""
-        return [unit.to_task() for unit in self.units(collection)]
 
     def unit_counts(self) -> Dict[str, int]:
         return {

@@ -67,11 +67,12 @@ def _hunter(prepare=_clean, permute=None, **knobs):
     return URHunter.from_world(world, HunterConfig(**knobs))
 
 
-def _summary(outcome):
+def _summary(units, index, outcome):
+    """One outcome of unit ``index``, with the question its row names."""
     response = outcome.response
     return (
-        outcome.task.qname.to_text(),
-        outcome.task.qtype,
+        units.qname(index).to_text(),
+        units.query_types[units.qtype_index[index]],
         outcome.status.value,
         outcome.attempts,
         outcome.completed_at,
@@ -104,14 +105,15 @@ def test_resolver_group_alone_equals_its_slice(prepare):
     plan, collector, network = full.plan, full.collector, full.network
     collector.run_phase(plan, "protective", lambda index, outcome: None)
     start = network.now
+    units = plan.correct_units
     sliced = {}
-    results = collector.run_phase(
-        plan,
-        "correct",
-        lambda index, outcome: sliced.setdefault(
-            outcome.task.server_ip, []
-        ).append(_summary(outcome)),
-    )
+
+    def fold(index, outcome):
+        server_ip = units.servers[units.server_index[index]]
+        lane = sliced.setdefault(server_ip, [])
+        lane.append(_summary(units, index, outcome))
+
+    results = collector.run_phase(plan, "correct", fold)
     ledgers = {result.server_ip: result for result in results}
     lanes = plan.correct_units.lanes()
     assert list(ledgers) == list(lanes) == list(full.open_resolver_ips)
@@ -124,10 +126,11 @@ def test_resolver_group_alone_equals_its_slice(prepare):
         engine = shards._group_engine(
             alone.collector, server_ip, "correct", start
         )
+        lane = lanes[server_ip]
         outcomes = [
-            _summary(outcome)
-            for _, outcome in engine.execute_iter(
-                alone.plan.tasks("correct", lanes[server_ip])
+            _summary(units, lane[position], outcome)
+            for position, outcome in engine.execute_iter(
+                shards.lane_queries(network, alone.plan.correct_units, lane)
             )
         ]
         assert outcomes == sliced[server_ip]
@@ -189,7 +192,9 @@ def test_group_payloads_do_not_depend_on_execution_order(
             NameserverGroup(0, server_ip, lanes[server_ip]),
             origin,
             origin,
-            lambda index, outcome: outcomes.append(_summary(outcome)),
+            lambda index, outcome: outcomes.append(
+                _summary(plan.correct_units, index, outcome)
+            ),
         )
         return [outcomes, shards.encode_group_result(result)]
 

@@ -24,28 +24,11 @@ from repro.dns.name import name
 from repro.dns.rdata import RRType
 from repro.incremental import differ
 from repro.incremental.store import group_identity
-from repro.plan.scanplan import (
-    COLLECTIONS,
-    QueryUnit,
-    _canonical_json,
-    build_plan,
-)
+from repro.plan.scanplan import COLLECTIONS, _canonical_json, build_plan
 from repro.scenario import ScenarioConfig, build_world, small_config
 
+from ..conftest import planned_rows
 from . import oracle
-
-FIELDS = (
-    "collection",
-    "server_ip",
-    "qname",
-    "qtype",
-    "recursion_desired",
-    "tag",
-)
-
-
-def _fields(unit):
-    return tuple(getattr(unit, field) for field in FIELDS)
 
 
 def assert_same_plan(plan, expected, monkeypatch=None):
@@ -54,33 +37,31 @@ def assert_same_plan(plan, expected, monkeypatch=None):
     for collection in COLLECTIONS:
         units = plan.units(collection)
         old_units = expected.units(collection)
-        assert len(units) == len(old_units)
-        for index, old in enumerate(old_units):
-            unit = units[index]
-            assert type(unit) is QueryUnit
-            assert _fields(unit) == _fields(old)
-            # the very objects the collector's handlers will be handed
-            assert unit.tag is old.tag
-            assert unit.qtype is old.qtype
-        # the lazy task view stands for the same engine tasks
-        tasks = plan.tasks(collection)
-        assert len(tasks) == len(old_units)
-        for task, old in zip(tasks, old_units):
-            wanted = old.to_task()
+        assert units.collection == collection
+        rows = planned_rows(units)
+        assert len(rows) == len(old_units)
+        for (server_ip, qname, qtype), old in zip(rows, old_units):
             assert (
-                task.server_ip,
-                task.qname,
-                task.qtype,
-                task.stage,
-                task.recursion_desired,
+                collection,
+                server_ip,
+                qname,
+                qtype,
+                units.recursion_desired,
             ) == (
-                wanted.server_ip,
-                wanted.qname,
-                wanted.qtype,
-                wanted.stage,
-                wanted.recursion_desired,
+                old.collection,
+                old.server_ip,
+                old.qname,
+                old.qtype,
+                old.recursion_desired,
             )
-            assert task.tag is wanted.tag
+            # the very object the engine's question will carry
+            assert qtype is old.qtype
+            # what the old tag column carried, the row names: a UR
+            # unit's nameserver by its address, a correct unit's domain
+            if collection == "ur":
+                assert old.tag.address == server_ip
+            elif collection == "correct":
+                assert old.tag.domain == qname
     assert [
         (group.index, group.server_ip, list(group.unit_indices))
         for group in plan.groups
@@ -92,16 +73,14 @@ def assert_same_plan(plan, expected, monkeypatch=None):
         assert group_identity(plan, group) == oracle.group_identity(
             expected, old_group
         )
-        group_tasks = plan.tasks("ur", group.unit_indices)
-        assert [
-            (task.server_ip, task.qname, task.qtype) for task in group_tasks
-        ] == [
+        group_rows = planned_rows(plan.ur_units, group.unit_indices)
+        assert group_rows == [
             (unit.server_ip, unit.qname, unit.qtype)
             for unit in map(
                 expected.ur_units.__getitem__, old_group.unit_indices
             )
         ]
-        assert {task.server_ip for task in group_tasks} == {group.server_ip}
+        assert {row[0] for row in group_rows} == {group.server_ip}
     assert plan.summary() == expected.summary()
     if monkeypatch is not None:
         document = differ.plan_summary_json(plan)
@@ -159,13 +138,16 @@ def test_streamed_document_is_the_canonical_json():
         json.dumps(document, sort_keys=True, separators=(",", ":"))
         == streamed
     )
+    [(server_ip, qname, qtype)] = planned_rows(plan.ur_units, [0])
     assert document["units"]["ur"][0] == [
-        plan.ur_units[0].server_ip,
-        plan.ur_units[0].qname.to_text(),
-        int(plan.ur_units[0].qtype),
+        server_ip,
+        qname.to_text(),
+        int(qtype),
         False,
     ]
-    assert len(document["units"]["correct"]) == len(plan.correct_units)
+    assert (
+        len(document["units"]["correct"]) == plan.unit_counts()["correct"]
+    )
 
 
 # -- generated inputs --------------------------------------------------------
@@ -237,23 +219,17 @@ def test_generated_plan_equals_the_object_plan(
     assert_same_plan(build_plan(*args), oracle.build_plan(*args))
 
 
-def test_views_are_values_not_identities():
+def test_a_rows_qname_is_read_off_its_column():
     hunter = URHunter.from_world(
         build_world(small_config(seed=7)), HunterConfig()
     )
     units = hunter.plan.ur_units
-    assert units[5] == units[5]
-    assert units[5] is not units[5]
-    assert units[-1] == units[len(units) - 1]
+    last = len(units.qtype_index) - 1
+    assert units.qname(last) is units.qnames[units.qname_index[last]]
     with pytest.raises(IndexError):
-        units[len(units)]
-    tasks = hunter.plan.tasks("ur")
-    assert tasks[5] is not tasks[5]
-    assert tasks[5].tag is tasks[5].tag
-    with pytest.raises(IndexError):
-        tasks[len(tasks)]
+        units.qname(last + 1)
     with pytest.raises(KeyError):
-        hunter.plan.tasks("nope")
+        hunter.plan.units("nope")
 
 
 # -- memory ceilings ---------------------------------------------------------

@@ -19,6 +19,8 @@ from repro.dns.name import name
 from repro.plan.scanplan import build_plan
 from repro.scenario import build_world, small_config
 
+from ..conftest import planned_rows
+
 SEED = 7
 
 
@@ -79,7 +81,9 @@ class TestHashInvariance:
                 hunter.config,
             )
             assert rebuilt.plan_hash == plan.plan_hash
-            assert list(rebuilt.ur_units) == list(plan.ur_units)
+            assert planned_rows(rebuilt.ur_units) == planned_rows(
+                plan.ur_units
+            )
 
 
 class TestEnumerationContract:
@@ -106,12 +110,12 @@ class TestEnumerationContract:
         ]
         rng.shuffle(ur)
         assert [
-            (u.server_ip, u.qname.to_text(), int(u.qtype))
-            for u in plan.correct_units
+            (server_ip, qname.to_text(), int(qtype))
+            for server_ip, qname, qtype in planned_rows(plan.correct_units)
         ] == correct
         assert [
-            (u.server_ip, u.qname.to_text(), int(u.qtype))
-            for u in plan.ur_units
+            (server_ip, qname.to_text(), int(qtype))
+            for server_ip, qname, qtype in planned_rows(plan.ur_units)
         ] == ur
 
     def test_protective_units_are_unshuffled(self, hunter, plan):
@@ -121,14 +125,14 @@ class TestEnumerationContract:
             for qtype in hunter.config.query_types
         ]
         assert [
-            (u.server_ip, int(u.qtype)) for u in plan.protective_units
+            (server_ip, int(qtype))
+            for server_ip, _, qtype in planned_rows(plan.protective_units)
         ] == expected
 
-    def test_only_ur_units_carry_nameserver_tags(self, plan):
-        assert all(u.tag is not None for u in plan.ur_units)
-        assert all(u.tag is None for u in plan.protective_units)
-        assert all(not u.recursion_desired for u in plan.ur_units)
-        assert all(u.recursion_desired for u in plan.correct_units)
+    def test_only_correct_units_ask_for_recursion(self, plan):
+        assert not plan.protective_units.recursion_desired
+        assert not plan.ur_units.recursion_desired
+        assert plan.correct_units.recursion_desired
 
 
 class TestShardPartition:
@@ -149,13 +153,15 @@ class TestShardPartition:
             for group in plan.groups
             for index in group.unit_indices
         )
-        assert indices == list(range(len(plan.ur_units)))
+        assert indices == list(range(plan.unit_counts()["ur"]))
 
     def test_groups_are_single_nameserver(self, plan):
         for group in plan.groups:
             servers = {
-                task.server_ip
-                for task in plan.tasks("ur", group.unit_indices)
+                server_ip
+                for server_ip, _, _ in planned_rows(
+                    plan.ur_units, group.unit_indices
+                )
             }
             assert servers == {group.server_ip}
 

@@ -22,6 +22,7 @@ from repro.plan import NameserverGroup
 from repro.plan import shards as shard_runner
 from repro.scenario import build_world, small_config
 
+
 SEED = 7
 LOSS = 0.15
 
@@ -89,7 +90,7 @@ class TestCleanEquivalence:
         ]
         assert built["hash"] == hunter.plan.plan_hash
         assert built["groups"] == len(hunter.plan.groups)
-        assert built["ur"] == len(hunter.plan.ur_units)
+        assert built["ur"] == hunter.plan.unit_counts()["ur"]
 
     def test_stage1_runs_the_plan_it_hashes(self, monkeypatch):
         """The plan whose hash the trace header and the config
@@ -162,13 +163,13 @@ class TestGroupFailure:
             engine = build_engine(ledger, server_ip, phase, origin)
             execute_iter = engine.execute_iter
 
-            def counted(tasks):
+            def counted(queries):
                 if (
-                    tasks.units.collection == collection
+                    engine.phase == collection
                     and next(started) == self.COMPLETED
                 ):
                     raise RuntimeError("engine blew up")
-                return execute_iter(tasks)
+                return execute_iter(queries)
 
             engine.execute_iter = counted
             return engine
@@ -192,8 +193,9 @@ class TestGroupFailure:
             assert "ur" not in ledger.stages
         finished = sum(len(group) for group in groups[: self.COMPLETED])
         assert ledger.stage(collection).queries == finished > 0
-        assert ledger.stage("protective").queries == len(
-            plan.protective_units
+        assert (
+            ledger.stage("protective").queries
+            == plan.unit_counts()["protective"]
         )
         recorded = json.loads((tmp_path / "failure.json").read_text())
         assert recorded["stage"] == f"stage1-collect/{collection}"

@@ -3,15 +3,13 @@ scripted single-server lane."""
 
 import pytest
 
-from repro.dns.name import name
-from repro.dns.rdata import RRType
 from repro.dns.server import AuthoritativeServer
 from repro.dns.zone import zone_from_records
-from repro.engine import BatchedEngine, EnginePolicy, QueryTask
+from repro.engine import BatchedEngine, EnginePolicy
 from repro.engine.breaker import CircuitBreaker
 from repro.net.network import SimulatedInternet
 
-from ..conftest import drive
+from ..conftest import drive, query
 
 SCANNER = "203.0.113.53"
 NS_LIVE = "10.0.0.1"
@@ -61,13 +59,7 @@ def run_lane(
     engine.breaker = CircuitBreaker(failure_threshold=10**6)
     engine.hedge_delay = hedge_delay
     engine.aimd = aimd
-    outcomes = drive(
-        engine,
-        [
-            QueryTask(NS_LIVE, name("example.test"), RRType.A)
-            for _ in range(tasks)
-        ],
-    )
+    outcomes = drive(engine, [query() for _ in range(tasks)])
     return engine, server, outcomes
 
 

@@ -2,23 +2,12 @@
 
 import pytest
 
-from repro.dns.name import name
-from repro.dns.rdata import RRType
-from repro.engine import BatchedEngine, EnginePolicy, QueryTask
+from repro.engine import BatchedEngine, EnginePolicy
 from repro.net.network import FaultProfile
 from repro.resilience import AimdController, ResilienceMetrics
 
-from ..conftest import drive
+from ..conftest import drive, query
 from .conftest import NS_LIVE, SCANNER
-
-
-def _task(server_ip, qtype=RRType.A, stage="ur"):
-    return QueryTask(
-        server_ip=server_ip,
-        qname=name("example.test"),
-        qtype=qtype,
-        stage=stage,
-    )
 
 
 class TestAimdControllerUnit:
@@ -91,7 +80,7 @@ class TestEngineComposition:
     def test_clean_run_is_untouched(self, make_network):
         network = make_network()
         engine = self._engine(network)
-        drive(engine, [_task(NS_LIVE) for _ in range(6)])
+        drive(engine, [query() for _ in range(6)])
         assert engine.metrics.aimd_cuts == 0
         assert engine.metrics.aimd_wait == 0.0
         assert not ResilienceMetrics(engine.metrics).active
@@ -102,7 +91,7 @@ class TestEngineComposition:
             NS_LIVE, FaultProfile(loss_rate=1.0, duration=12.0)
         )
         engine = self._engine(network)
-        drive(engine, [_task(NS_LIVE) for _ in range(4)])
+        drive(engine, [query() for _ in range(4)])
         metrics = engine.metrics
         assert metrics.aimd_cuts > 0
         assert metrics.aimd_wait > 0.0
@@ -131,7 +120,7 @@ class TestEngineComposition:
             )
             if with_aimd:
                 engine.aimd = AimdController()
-            drive(engine, [_task(NS_LIVE) for _ in range(4)])
+            drive(engine, [query() for _ in range(4)])
             return network.now, engine.metrics.stage("ur").rate_limit_wait
 
         paced_clock, paced_wait = run(with_aimd=False)
@@ -147,13 +136,13 @@ class TestEngineComposition:
             NS_LIVE, FaultProfile(loss_rate=1.0, duration=12.0)
         )
         engine = self._engine(network)
-        drive(engine, [_task(NS_LIVE) for _ in range(4)])
+        drive(engine, [query() for _ in range(4)])
         assert engine.aimd.credit < 1.0
         # past the window every answer adds credit back, and at full
         # credit the lane sends back to back again
         network.tick(12.0)
-        drive(engine, [_task(NS_LIVE) for _ in range(4)])
+        drive(engine, [query() for _ in range(4)])
         assert engine.aimd.credit == 1.0
         waited = engine.metrics.aimd_wait
-        drive(engine, [_task(NS_LIVE) for _ in range(4)])
+        drive(engine, [query() for _ in range(4)])
         assert engine.metrics.aimd_wait == waited

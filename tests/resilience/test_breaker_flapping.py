@@ -7,25 +7,15 @@ import json
 import pytest
 
 from repro.core import HunterConfig, URHunter
-from repro.dns.name import name
 from repro.dns.rdata import RRType
-from repro.engine import BatchedEngine, EnginePolicy, QueryTask
+from repro.engine import BatchedEngine, EnginePolicy
 from repro.engine.breaker import CircuitBreaker, CircuitState
 from repro.net.network import FaultProfile
 from repro.obs import RunTrace
 from repro.scenario import build_world, small_config
 
-from ..conftest import drive
+from ..conftest import drive, query
 from .conftest import NS_LIVE, SCANNER
-
-
-def _task(qtype=RRType.A):
-    return QueryTask(
-        server_ip=NS_LIVE,
-        qname=name("example.test"),
-        qtype=qtype,
-        stage="ur",
-    )
 
 
 def _trips(engine):
@@ -56,13 +46,13 @@ class TestHalfOpenRetrip:
         )
         engine.breaker = CircuitBreaker(failure_threshold=3)
         # 3 attempts on one task reach the threshold: first trip
-        drive(engine, [_task()])
+        drive(engine, [query()])
         assert engine.breaker.state(NS_LIVE) is CircuitState.OPEN
         assert len(_trips(engine)) == 1
         # past the reset interval the breaker half-opens; the probe
         # lands in the same dead phase and must RE-trip, not linger
         network.tick(61.0)
-        drive(engine, [_task(RRType.TXT)])
+        drive(engine, [query(RRType.TXT)])
         assert engine.breaker.state(NS_LIVE) is CircuitState.OPEN
         assert len(_trips(engine)) == 2
 
@@ -76,12 +66,12 @@ class TestHalfOpenRetrip:
             network, SCANNER, NS_LIVE, "ur", EnginePolicy(retries=2)
         )
         engine.breaker = CircuitBreaker(failure_threshold=3)
-        drive(engine, [_task()])
+        drive(engine, [query()])
         assert engine.breaker.state(NS_LIVE) is CircuitState.OPEN
         # clock ~46 s: the breaker half-opens after 60 s of open time,
         # by when the host is back up
         network.tick(75.0)
-        drive(engine, [_task(RRType.TXT)])
+        drive(engine, [query(RRType.TXT)])
         assert engine.breaker.state(NS_LIVE) is CircuitState.CLOSED
         assert len(_trips(engine)) == 1
 

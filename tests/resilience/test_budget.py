@@ -2,27 +2,15 @@
 
 import pytest
 
-from repro.dns.name import name
-from repro.dns.rdata import RRType
 from repro.engine import (
     BatchedEngine,
     EnginePolicy,
     OutcomeStatus,
-    QueryTask,
 )
 from repro.resilience import DeadlineBudget, ResilienceMetrics
 
-from ..conftest import drive
+from ..conftest import drive, query
 from .conftest import NS_LIVE, SCANNER
-
-
-def _task(server_ip, qtype=RRType.A, stage="ur"):
-    return QueryTask(
-        server_ip=server_ip,
-        qname=name("example.test"),
-        qtype=qtype,
-        stage=stage,
-    )
 
 
 class TestDeadlineBudgetUnit:
@@ -79,7 +67,7 @@ class TestEngineShedding:
             network, SCANNER, NS_LIVE, "ur", EnginePolicy()
         )
         engine.budget = DeadlineBudget(network.now, **budget_knobs)
-        outcomes = drive(engine, [_task(NS_LIVE) for _ in range(5)])
+        outcomes = drive(engine, [query() for _ in range(5)])
         return engine, outcomes
 
     def test_exhausted_budget_sheds_the_tail(self, make_network):

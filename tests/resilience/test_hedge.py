@@ -3,29 +3,17 @@ fire/win/waste."""
 
 import pytest
 
-from repro.dns.name import name
-from repro.dns.rdata import RRType
 from repro.engine import (
     BatchedEngine,
     EnginePolicy,
     OutcomeStatus,
-    QueryTask,
 )
 from repro.engine.latency import CLOCK_GRANULARITY, ServerLatency
 from repro.net.network import FaultProfile
 from repro.resilience import ResilienceMetrics
 
-from ..conftest import drive
+from ..conftest import drive, query
 from .conftest import NS_LIVE, SCANNER, run_lane
-
-
-def _task(server_ip, qtype=RRType.A, stage="ur"):
-    return QueryTask(
-        server_ip=server_ip,
-        qname=name("example.test"),
-        qtype=qtype,
-        stage=stage,
-    )
 
 
 def _parks(engine, server):
@@ -116,7 +104,7 @@ class _HedgeHarness:
             EnginePolicy(per_server_interval=0.0, retries=2),
         )
         self.engine.hedge_delay = delay
-        self.outcomes = drive(self.engine, [_task(NS_LIVE)])
+        self.outcomes = drive(self.engine, [query()])
 
     def events(self, event_name):
         return [

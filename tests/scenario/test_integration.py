@@ -138,9 +138,9 @@ class TestManipulatedResolverPollution:
             URHunter.from_world(small_world).stage1_collect().correct_db
         )
         polluted = [
-            domain
-            for domain in correct_db.domains()
-            if AD_SERVER_IP in correct_db.profile(domain).ips
+            target.domain
+            for target in small_world.domain_targets
+            if AD_SERVER_IP in correct_db.profile(target.domain).ips
         ]
         manipulated = [
             resolver

@@ -21,18 +21,18 @@ class TestGeneration:
 
     def test_domains_unique(self):
         top = generate_tranco(500)
-        domains = top.domains()
+        domains = [entry.domain for entry in top]
         assert len(domains) == len(set(domains))
 
     def test_deterministic_for_seed(self):
         first = generate_tranco(100, random.Random(5))
         second = generate_tranco(100, random.Random(5))
-        assert first.domains() == second.domains()
+        assert list(first) == list(second)
 
     def test_different_seeds_differ(self):
         first = generate_tranco(100, random.Random(5))
         second = generate_tranco(100, random.Random(6))
-        assert first.domains() != second.domains()
+        assert list(first) != list(second)
 
 
 class TestPins:
@@ -68,7 +68,7 @@ class TestListApi:
 
     def test_contains(self):
         top = generate_tranco(50)
-        assert top.domains()[0] in top
+        assert top.top(1)[0].domain in top
 
     def test_entries_sorted_regardless_of_input(self):
         entries = [

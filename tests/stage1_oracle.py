@@ -24,7 +24,7 @@ def encode_fingerprint(fingerprint) -> Dict[str, Any]:
 
 def encode_profiles(database) -> List[Dict[str, Any]]:
     out: List[Dict[str, Any]] = []
-    for domain in database.domains():
+    for domain in sorted(database._profiles):
         profile = database.profile(domain)
         out.append(
             {

@@ -1,6 +1,7 @@
 """Command-line flags, modules and file paths spelled in prose exist."""
 
 import argparse
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -90,3 +91,44 @@ def test_every_file_path_in_prose_exists(document):
         and not (ROOT / "src" / "repro" / path).is_file()
     ]
     assert sorted(missing) == []
+
+
+#: a test file, directory or node id the CI workflow names
+_CI_TARGET = re.compile(
+    r"(?<![\w/.-])((?:tests|benchmarks)(?:/[\w.-]+)*)((?:::\w+)*)"
+)
+
+
+def _ci_targets():
+    workflow = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    return sorted(set(_CI_TARGET.findall(workflow)))
+
+
+def test_ci_names_only_tests_that_exist():
+    """Every path and ``::test`` node id ``ci.yml`` hands pytest exists:
+    a renamed test fails here, not only when CI runs."""
+    targets = _ci_targets()
+    assert any(nodes for _, nodes in targets)
+    missing = []
+    for path, nodes in targets:
+        target = ROOT / path
+        if not target.exists():
+            missing.append(path)
+            continue
+        if not nodes:
+            continue
+        scope = ast.parse(target.read_text()).body
+        for node_name in nodes.split("::")[1:]:
+            found = [
+                node
+                for node in scope
+                if isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                )
+                and node.name == node_name
+            ]
+            if not found:
+                missing.append(path + nodes)
+                break
+            scope = getattr(found[0], "body", [])
+    assert missing == []

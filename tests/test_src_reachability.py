@@ -7,6 +7,10 @@ Two AST scans over the same readers -- ``src``, ``examples/`` and
 * a function, class or method defined in ``src/repro`` must have its
   name appear in a reader -- as a name, an attribute, an import or a
   string.  A package ``__init__`` re-exporting a name does not count.
+  A method (not a property) named like a data attribute some reader
+  assigns (``x.name = ...``) or declares (an annotated class field)
+  counts only where a reader calls that name: ``world.domains`` read
+  as a list does not reach a ``domains()`` method.
 * an option -- a defaulted function or method parameter, or a
   dataclass field with a scalar default -- must be passed by some call
   in a reader.  A call matches by callee name: ``cls(...)`` and
@@ -54,6 +58,10 @@ ALLOWED = {
     "src/repro/net/network.py:clear_faults": "test tool: fault reset",
     "src/repro/net/network.py:set_online": "test tool: takes a host down",
     "src/repro/net/network.py:knows": "test tool: host registration check",
+    "src/repro/flow/nodes.py:step": (
+        "fenced: the benchmarks/e2e harness rebinds it on a traced run, "
+        "and ROADMAP item 2 deletes it"
+    ),
 }
 
 
@@ -153,15 +161,21 @@ def _parsed():
 
 
 def _definitions(tree):
+    """``(name, is_method)`` of each top-level definition and each
+    definition in a class body; a property is not a method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name
+            yield node.name, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(
-                    item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-                ):
-                    yield item.name
+                if isinstance(item, ast.ClassDef):
+                    yield item.name, False
+                elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield item.name, not any(
+                        "property" in ast.unparse(decorator)
+                        or _name(decorator) == "setter"
+                        for decorator in item.decorator_list
+                    )
 
 
 def _references(tree, reexports_only):
@@ -180,19 +194,44 @@ def _references(tree, reexports_only):
                 yield node.value
 
 
+def _data_attributes(tree):
+    """Names some reader assigns as an attribute or declares as an
+    annotated class field."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            yield node.attr
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(
+                    item.target, ast.Name
+                ):
+                    yield item.target.id
+
+
+def _called(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            yield _name(node.func)
+
+
 def _unreached():
     sources, trees = _parsed()
-    referenced = set()
+    referenced, data, called = set(), set(), set()
     for path, tree in trees.items():
         referenced.update(
             _references(tree, reexports_only=path.name == "__init__.py")
         )
+        data.update(_data_attributes(tree))
+        called.update(_called(tree))
     return {
         f"{path.relative_to(ROOT).as_posix()}:{definition}"
         for path in sources
-        for definition in _definitions(trees[path])
+        for definition, is_method in _definitions(trees[path])
         if not (definition.startswith("__") and definition.endswith("__"))
-        and definition not in referenced
+        and (
+            definition not in referenced
+            or (is_method and definition in data and definition not in called)
+        )
     }
 
 
