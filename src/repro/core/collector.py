@@ -27,7 +27,7 @@ hands to :meth:`ResponseCollector.collect_urs`.  The collector itself
 sends nothing: its ``metrics`` are the one ledger the groups merge
 into, wire and resilience counters alike, and its ``origin`` is where
 the run deadline is measured from.  A fold reads what it needs of a
-unit — its qname, its server — off the plan's columns by its unit
+unit — its qname, its server — from the plan by its unit
 index; the UR reduce reads the unit's :class:`NameserverTarget` off
 the targets the hunter binds with its plan (``ur_targets``).
 """
@@ -128,7 +128,7 @@ class ResponseCollector:
         #: optional repro.obs.RunTrace — each completed collection phase
         #: is emitted as a deterministic ``collect.phase`` event
         self.trace = None
-        #: the plan's UR columns and the target of each of their server
+        #: the plan's UR units and the target of each of their server
         #: rows (``build_plan`` keeps the targets' order), bound by the
         #: hunter with its plan: :meth:`reduce_ur` reads them
         self.ur_units: Optional[UnitColumns] = None
@@ -215,9 +215,10 @@ class ResponseCollector:
         as one isolated group per server, in server-table order; returns
         the groups' results, merged into the ledger.
 
-        The groups are the lanes of the collection's server column (unit
-        indices only).  ``fold`` takes each outcome, with its unit
-        index, as it completes.  The phase starts at the clock and ends
+        The groups are the lanes of the collection's servers (unit
+        indices only, :meth:`~repro.plan.scanplan.UnitColumns.lanes`).
+        ``fold`` takes each outcome, with its unit index, as it
+        completes.  The phase starts at the clock and ends
         at ``start + makespan`` (:func:`~repro.plan.shards.isolated_phase`):
         the correct collection starts where the protective probes ended,
         the scan start the UR scan is pinned to as well.
@@ -265,8 +266,10 @@ class ResponseCollector:
         if response is None or response.header.rcode != Rcode.NOERROR:
             return None
         units = self.ur_units
-        nameserver = self.ur_targets[units.server_index[index]]
-        urs = self.extract_urs(nameserver, units.qname(index), response)
+        server, qname, _ = units.row(index)
+        urs = self.extract_urs(
+            self.ur_targets[server], units.qnames[qname], response
+        )
         return ReducedOutcome(index, tuple(urs)) if urs else None
 
     def extract_urs(
@@ -349,7 +352,7 @@ class ResponseCollector:
         }
 
         units = plan.protective_units
-        servers, server_index = units.servers, units.server_index
+        servers = units.servers
 
         def fold(index: int, outcome: QueryOutcome) -> None:
             response = outcome.response
@@ -357,7 +360,7 @@ class ResponseCollector:
                 return
             if response.header.rcode != Rcode.NOERROR:
                 return
-            records = fingerprints[servers[server_index[index]]].records
+            records = fingerprints[servers[units.row(index)[0]]].records
             for answer in response.answers:
                 if isinstance(answer.rdata, A):
                     records.add((RRType.A, answer.rdata.address))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, List, Optional, Tuple, Union
 
 from .name import Name, name
-from .rdata import NS, A, Rdata, RRClass, RRType
+from .rdata import NS, Rdata, RRClass, RRType
 
 
 class Rcode:

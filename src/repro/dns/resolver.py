@@ -26,7 +26,6 @@ from ..net import network as _net
 from .message import Message, Rcode, ResourceRecord
 from .name import ROOT, Name, name
 from .rdata import A, CNAME, NS, RRType
-from .zone import LookupStatus  # noqa: F401  (re-exported for tests)
 
 MAX_REFERRALS = 24
 MAX_CNAME_DEPTH = 8

@@ -18,7 +18,7 @@ from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from .message import ResourceRecord
 from .name import Name, name
-from .rdata import CNAME, NS, SOA, Rdata, RRType, rdata_from_text
+from .rdata import CNAME, SOA, Rdata, RRType, rdata_from_text
 
 WILDCARD_LABEL = "*"
 

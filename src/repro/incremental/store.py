@@ -33,13 +33,13 @@ store).  A directory written under another
 :data:`STORE_FORMAT_VERSION` is refused when it is opened
 (:class:`StoreFormatError`): its slots are named and keyed differently,
 so reading on would be a silent all-miss run.  This module is a leaf:
-it imports nothing from the rest of :mod:`repro`, so the plan layer can
-import it lazily without cycles.
+it imports nothing from the rest of :mod:`repro` but the leaf
+:mod:`repro.digest`, so the plan layer can import it lazily without
+cycles.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -47,6 +47,8 @@ import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, TextIO, Tuple, Union
+
+from ..digest import json_digest, sha256
 
 __all__ = [
     "STORE_FORMAT_VERSION",
@@ -108,11 +110,6 @@ def atomic_write(path: Path) -> Iterator[TextIO]:
         raise
 
 
-def _digest(payload: Any) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 def group_identity(plan: Any, group: Any) -> str:
     """The content address of one nameserver group.
 
@@ -120,11 +117,12 @@ def group_identity(plan: Any, group: Any) -> str:
     scan order — the same structural tuple the plan hash covers — so it
     is invariant under the order groups run in and dict iteration
     order, and stable across runs of
-    the same plan.  The digest is streamed from the plan's unit columns; its
-    input is byte-for-byte :func:`_digest` of ``{version, server,
-    units: [identity, ...]}`` (keys below are in sorted order).
+    the same plan.  The digest is streamed from the plan's units; its
+    input is byte-for-byte :func:`~repro.digest.json_digest` of
+    ``{version, server, units: [identity, ...]}`` (keys below are in
+    sorted order).
     """
-    digest = hashlib.sha256()
+    digest = sha256()
     digest.update(
         f'{{"server":{json.dumps(group.server_ip)},"units":['.encode()
     )
@@ -209,7 +207,7 @@ def scan_config_fingerprint(config: Any) -> str:
         if isinstance(value, tuple):
             value = [int(item) for item in value]
         knobs[knob] = value
-    return _digest({"version": STORE_FORMAT_VERSION, "knobs": knobs})
+    return json_digest({"version": STORE_FORMAT_VERSION, "knobs": knobs})
 
 
 def group_state(
@@ -284,7 +282,7 @@ def group_state(
 def state_digest(identity: str, state: Dict[str, Any]) -> str:
     """The full replay-safety digest of one group slot: its identity
     plus its :func:`group_state`."""
-    return _digest(
+    return json_digest(
         {"version": STORE_FORMAT_VERSION, "identity": identity, **state}
     )
 

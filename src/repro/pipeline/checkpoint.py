@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import hashlib
 import json
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
+from ..digest import json_digest
 from ..dns.name import Name
 from ..incremental.store import atomic_write
 from .errors import CheckpointError
@@ -87,9 +87,9 @@ def config_fingerprint(
     ``extra`` lets callers fold in anything else that must match between
     the checkpointing run and the resuming run (e.g. a scenario seed).
     """
-    payload = {"config": _jsonify(config), "extra": _jsonify(extra or {})}
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return json_digest(
+        {"config": _jsonify(config), "extra": _jsonify(extra or {})}
+    )
 
 
 # -- the store --------------------------------------------------------------

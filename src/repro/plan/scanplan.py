@@ -23,30 +23,48 @@ and sets.
 
 Storage
 -------
-The paper's stage 1 is a 36M-cell work matrix, so a unit is a *row of
-three columns*, not an object: each collection is a
-:class:`UnitColumns` — a server table, a qname table, and one ``array``
-per column (server row, qname row, query-type row) in the
-already-shuffled scan order — and a group holds its unit indices as an
-``array('I')``.  No object per unit exists: the group runner reads each
-row's question off the columns as it sends it
-(:func:`repro.plan.shards.lane_queries`), and a collector fold reads a
-row's qname by its unit index (:meth:`UnitColumns.qname`).
+The paper's stage 1 is a 36M-cell work matrix, so a unit is a *cell*,
+not an object.  Each collection is a :class:`UnitColumns`: a server
+table, a qname table and the query types — the rows of a ``server x
+qname x query type`` grid — and one array holding each planned unit's
+cell, in planned order.  The cells are enumerated server-major (a UR
+server's row skips the domains delegated to it) and shuffled once, so
+a unit's cell names its question: ``divmod`` by the block
+``len(qnames) * width`` gives its server row, and ``divmod`` of the
+rest by ``width`` its qname and qtype rows.  A UR group holds its
+unit indices.  Each array is the narrowest unsigned type that holds
+its values (2 bytes up to 65,536, 4 above), so a UR unit costs 4 or 8
+bytes and any other 2 or 4.  No object and no column per unit exists:
+the group runner decodes each row's question as it sends it
+(:func:`repro.plan.shards.lane_queries`), and a collector fold decodes
+a row by its unit index (:meth:`UnitColumns.row`).
 
-This module is a leaf: it imports only the DNS name type, so every
-other layer (collector, hunter, pipeline, CLI) can import it without
-cycles.
+This module is a leaf: it imports only the DNS name type and the
+digest, so every other layer (collector, hunter, pipeline, CLI) can
+import it without cycles.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from array import array
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from itertools import islice
+from typing import (
+    Any,
+    Collection,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
+from ..digest import sha256
 from ..dns.name import Name, name
 
 __all__ = [
@@ -63,18 +81,30 @@ PLAN_FORMAT_VERSION = 1
 #: the three stage-1 collections, in §4.1 execution order
 COLLECTIONS = ("protective", "correct", "ur")
 
-#: units rendered per piece of streamed canonical JSON
-_JSON_CHUNK = 4096
+#: units rendered per piece of streamed canonical JSON: small, so a
+#: piece stays a few tens of KiB however large the plan
+_JSON_CHUNK = 256
+
+
+def _index_array(size: int, items: Iterable[int]) -> array:
+    """``items`` as an array of the narrowest unsigned type that holds
+    every value below ``size``: 2 bytes an entry up to 65,536, 4
+    above."""
+    return array("H" if size <= 1 << 16 else "I", items)
 
 
 class UnitColumns:
-    """One collection's units, column-wise, in planned scan order.
+    """One collection's units, in planned scan order, as cells of its
+    ``server x qname x query type`` grid.
 
-    ``servers``/``qnames``/``query_types`` are the row tables (one
-    entry per *input position*, so duplicate inputs stay distinct);
-    ``server_index``/``qname_index`` (``array('I')``) and
-    ``qtype_index`` (``array('B')``) hold one table row per unit.
-    Nothing per unit is kept but the 9 column bytes.
+    ``servers``/``qnames``/``query_types`` are the grid's row tables
+    (one entry per *input position*, so duplicate inputs stay
+    distinct); cell ``(s * len(qnames) + q) * width + t`` asks server
+    row ``s`` for qname row ``q`` in query type ``t``.  Server row ``s``
+    asks every qname row but the ones in ``skipped[s]``, each in every
+    query type, server-major — the enumeration ``rng`` (if given)
+    shuffles once.  Nothing per unit is kept but its cell, one
+    :func:`_index_array` entry: 2 or 4 bytes.
     """
 
     __slots__ = (
@@ -83,9 +113,7 @@ class UnitColumns:
         "servers",
         "qnames",
         "query_types",
-        "server_index",
-        "qname_index",
-        "qtype_index",
+        "_cells",
         "_json_tables",
     )
 
@@ -96,35 +124,67 @@ class UnitColumns:
         servers: Tuple[str, ...],
         qnames: Tuple[Name, ...],
         query_types: Tuple[int, ...],
-        server_index: array,
-        qname_index: array,
-        qtype_index: array,
+        skipped: Sequence[Collection[int]],
+        rng: Optional[random.Random],
     ):
         self.collection = collection
         self.recursion_desired = recursion_desired
         self.servers = servers
         self.qnames = qnames
         self.query_types = query_types
-        self.server_index = server_index
-        self.qname_index = qname_index
-        self.qtype_index = qtype_index
-        self._json_tables: Optional[Tuple[List[str], ...]] = None
+        width = len(query_types)
+        block = len(qnames) * width
+        cells = _index_array(len(servers) * block, ())
+        for server, rows in enumerate(skipped):
+            start = server * block
+            for row in (*sorted(rows), len(qnames)):
+                end = server * block + row * width
+                cells.extend(range(start, end))
+                start = end + width
+        # ``random.shuffle`` draws ``randbelow(i + 1)`` for ``i`` from
+        # ``n - 1`` down to 1 and swaps — a function of the length
+        # alone — so shuffling the cells puts every unit exactly where
+        # shuffling a list of unit objects would have
+        if rng is not None:
+            rng.shuffle(cells)
+        self._cells = cells
+        self._json_tables: Optional[Tuple[List[str], List[str]]] = None
+
+    def __len__(self) -> int:
+        return len(self._cells)
+
+    def _decode(self, cell: int) -> Tuple[int, int, int]:
+        """``(server row, qname row, qtype row)`` of ``cell``."""
+        width = len(self.query_types)
+        server, question = divmod(cell, len(self.qnames) * width)
+        return (server, *divmod(question, width))
+
+    def rows(self, indices: Iterable[int]) -> Iterator[Tuple[int, int, int]]:
+        """``(server row, qname row, qtype row)`` of each unit in
+        ``indices``, decoded only when asked for."""
+        return map(self._decode, map(self._cells.__getitem__, indices))
+
+    def row(self, index: int) -> Tuple[int, int, int]:
+        """``(server row, qname row, qtype row)`` of unit ``index``."""
+        if index < 0:
+            raise IndexError(f"unit {index} out of range")
+        return self._decode(self._cells[index])
 
     def qname(self, index: int) -> Name:
         """The qname unit ``index`` asks for."""
-        return self.qnames[self.qname_index[index]]
+        return self.qnames[self.row(index)[1]]
 
     def lanes(self) -> Dict[str, array]:
-        """Unit indices per server address, read off the server column
-        alone: keyed in server-table order (table rows naming one
-        address share its lane), each lane in planned scan order.
-        Servers without a unit have no lane."""
-        lanes: Dict[str, array] = {
-            address: array("I") for address in self.servers
+        """Unit indices per server address: keyed in server-table order
+        (table rows naming one address share its lane), each lane in
+        planned scan order.  Servers without a unit have no lane."""
+        lanes = {
+            address: _index_array(len(self), ()) for address in self.servers
         }
-        servers = self.servers
-        for index, row in enumerate(self.server_index):
-            lanes[servers[row]].append(index)
+        by_row = [lanes[address] for address in self.servers]
+        block = len(self.qnames) * len(self.query_types)
+        for index, cell in enumerate(self._cells):
+            by_row[cell // block].append(index)
         return {address: lane for address, lane in lanes.items() if lane}
 
     def identity_json(
@@ -136,43 +196,52 @@ class UnitColumns:
         Yields the comma-joined ``[server_ip, qname, qtype,
         recursion_desired]`` elements in pieces — the body of the JSON
         array ``json.dumps(..., separators=(",", ":"))`` would write for
-        them, assembled from per-row pre-encoded fragments so no
+        them, each assembled from two pre-encoded fragments, one per
+        server row and one per ``(qname, qtype)`` question, so no
         per-unit list and no whole-document string ever exists.
         """
-        if self._json_tables is None:
+        tables = self._json_tables
+        if tables is None:
             flag = "true" if self.recursion_desired else "false"
-            self._json_tables = (
+            tables = (
                 ["[" + json.dumps(server) + "," for server in self.servers],
-                [json.dumps(qname.to_text()) for qname in self.qnames],
-                [f",{int(qtype)},{flag}]" for qtype in self.query_types],
-            )
-        servers, qnames, qtypes = self._json_tables
-        if indices is None:
-            indices = range(len(self.qtype_index))
-        separator = ""
-        for start in range(0, len(indices), _JSON_CHUNK):
-            chunk = indices[start : start + _JSON_CHUNK]
-            yield separator + ",".join(
                 [
-                    servers[s] + qnames[q] + qtypes[t]
-                    for s, q, t in zip(
-                        map(self.server_index.__getitem__, chunk),
-                        map(self.qname_index.__getitem__, chunk),
-                        map(self.qtype_index.__getitem__, chunk),
-                    )
-                ]
+                    f"{json.dumps(qname.to_text())},{int(qtype)},{flag}]"
+                    for qname in self.qnames
+                    for qtype in self.query_types
+                ],
             )
+            # kept for the next group's units, which read the same rows;
+            # the whole collection (the plan hash) is read only once
+            if indices is not None:
+                self._json_tables = tables
+        servers, questions = tables
+        block = len(questions)
+        cells = iter(
+            self._cells
+            if indices is None
+            else map(self._cells.__getitem__, indices)
+        )
+        separator = ""
+        while True:
+            chunk = [
+                servers[cell // block] + questions[cell % block]
+                for cell in islice(cells, _JSON_CHUNK)
+            ]
+            if not chunk:
+                return
+            yield separator + ",".join(chunk)
             separator = ","
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NameserverGroup:
     """All units of one collection aimed at one nameserver — the unit
     of execution (:func:`repro.plan.shards.run_group`); the plan's
     :attr:`ScanPlan.groups`, the UR scan's, are also the unit of
     storage and resumption.
 
-    ``unit_indices`` (an ``array('I')``) index into the collection's
+    ``unit_indices`` (an unsigned ``array``) index into the collection's
     units — :attr:`ScanPlan.ur_units` for a UR group (the global,
     shuffled scan order), so merging group results back into one
     sequence is a sort by index, not a re-shuffle.  Groups are keyed by
@@ -212,7 +281,7 @@ class ScanPlan:
 
     def unit_counts(self) -> Dict[str, int]:
         return {
-            collection: len(self.units(collection).qtype_index)
+            collection: len(self.units(collection))
             for collection in COLLECTIONS
         }
 
@@ -269,40 +338,6 @@ def _canonical_json(
     yield f']}},"version":{PLAN_FORMAT_VERSION}}}'
 
 
-def _matrix(
-    rows: Sequence[Tuple[int, Sequence[int]]],
-    width: int,
-    rng: Optional[random.Random],
-) -> Tuple[array, array, array]:
-    """Enumerate ``server row x qname rows x query types`` as the three
-    unit columns, then put them in ``rng``'s shuffled order.
-
-    ``random.shuffle`` draws ``randbelow(i + 1)`` for ``i`` from
-    ``n - 1`` down to 1 and swaps — a function of the length alone — so
-    shuffling the positions ``0..n-1`` and gathering each column
-    through them lands every unit exactly where shuffling a list of
-    unit objects would have.
-    """
-    server_index = array("I")
-    qname_index = array("I")
-    qtype_index = array("B")
-    pattern = array("B", range(width))
-    for server_row, qname_rows in rows:
-        server_index.extend(
-            array("I", [server_row]) * (len(qname_rows) * width)
-        )
-        qname_index.extend([row for row in qname_rows for _ in pattern])
-        qtype_index.extend(pattern * len(qname_rows))
-    if rng is None:
-        return server_index, qname_index, qtype_index
-    order = array("I", range(len(qtype_index)))
-    rng.shuffle(order)
-    return tuple(  # type: ignore[return-value]
-        array(column.typecode, map(column.__getitem__, order))
-        for column in (server_index, qname_index, qtype_index)
-    )
-
-
 def build_plan(
     nameservers: Sequence[Any],
     domains: Sequence[Any],
@@ -322,13 +357,11 @@ def build_plan(
     """
     rng = random.Random(config.seed)
     query_types = tuple(config.query_types)
-    width = len(query_types)
     probe = name(config.probe_domain)
     nameservers = tuple(nameservers)
     domains = tuple(domains)
     addresses = tuple(nameserver.address for nameserver in nameservers)
     qnames = tuple(target.domain for target in domains)
-    every_qname = range(len(qnames))
 
     protective = UnitColumns(
         "protective",
@@ -336,7 +369,8 @@ def build_plan(
         addresses,
         (probe,),
         query_types,
-        *_matrix([(row, (0,)) for row in range(len(addresses))], width, None),
+        [()] * len(addresses),
+        None,
     )
 
     resolvers = tuple(open_resolver_ips)
@@ -346,9 +380,8 @@ def build_plan(
         resolvers,
         qnames,
         query_types,
-        *_matrix(
-            [(row, every_qname) for row in range(len(resolvers))], width, rng
-        ),
+        [()] * len(resolvers),
+        rng,
     )
 
     # "excludes the domains exactly delegated to the nameserver"
@@ -356,24 +389,14 @@ def build_plan(
     for qname_row, qname in enumerate(qnames):
         for address in delegated_to.get(qname, ()):
             delegated_rows.setdefault(address, set()).add(qname_row)
-    ur_rows = []
-    for server_row, address in enumerate(addresses):
-        skipped = delegated_rows.get(address)
-        ur_rows.append(
-            (
-                server_row,
-                every_qname
-                if not skipped
-                else [row for row in every_qname if row not in skipped],
-            )
-        )
     ur = UnitColumns(
         "ur",
         False,
         addresses,
         qnames,
         query_types,
-        *_matrix(ur_rows, width, rng),  # ethics: randomized query order
+        [delegated_rows.get(address, ()) for address in addresses],
+        rng,  # ethics: randomized query order
     )
 
     # one UR group per nameserver lane, numbered in first-appearance
@@ -399,7 +422,7 @@ def build_plan(
             f"{', '.join(shared)} are also target nameservers"
         )
 
-    digest = hashlib.sha256()
+    digest = sha256()
     for piece in _canonical_json(
         protective,
         correct,

@@ -66,7 +66,6 @@ match.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import random
 import signal
@@ -86,6 +85,7 @@ from typing import (
     Tuple,
 )
 
+from ..digest import sha256
 from ..dns.message import Message
 from ..dns.name import name
 from ..engine import (
@@ -209,7 +209,7 @@ def group_fault_seed(
     spelling, salt included (stored UR groups replay under it).
     """
     salt = "" if phase == "ur" else f"{phase}:"
-    digest = hashlib.sha256(
+    digest = sha256(
         f"urhunter-shard-group:{base_seed}:{salt}{server_ip}".encode()
     ).digest()
     return int.from_bytes(digest[:8], "big")
@@ -319,20 +319,15 @@ def _group_engine(ledger, server_ip: str, phase: str, origin: float):
 def lane_queries(
     network, units: UnitColumns, indices: Sequence[int]
 ) -> Iterator[Message]:
-    """The query message of each unit in ``indices``, in order, read
-    off its row only when the engine asks for the next one — the
-    network's one message per question
+    """The query message of each unit in ``indices``, in order,
+    decoded from its row only when the engine asks for the next one —
+    the network's one message per question
     (:meth:`~repro.net.network.SimulatedInternet.query_message`)."""
     query = network.query_message
-    qnames, qname_index = units.qnames, units.qname_index
-    query_types, qtype_index = units.query_types, units.qtype_index
+    qnames, query_types = units.qnames, units.query_types
     recursion_desired = units.recursion_desired
-    for index in indices:
-        yield query(
-            qnames[qname_index[index]],
-            query_types[qtype_index[index]],
-            recursion_desired,
-        )
+    for _, qname, qtype in units.rows(indices):
+        yield query(qnames[qname], query_types[qtype], recursion_desired)
 
 
 def run_group(

@@ -19,7 +19,7 @@ the README.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from ..dns.name import Name, name
 from ..dns.resolver import RecursiveResolver

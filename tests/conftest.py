@@ -76,16 +76,12 @@ def drive(engine, queries):
 
 def planned_rows(units, indices=None):
     """``(server_ip, qname, qtype)`` of each planned unit in ``indices``
-    (default: every unit, in scan order), read off the plan's columns."""
+    (default: every unit, in scan order), decoded by the plan."""
     if indices is None:
-        indices = range(len(units.qtype_index))
+        indices = range(len(units))
     return [
-        (
-            units.servers[units.server_index[index]],
-            units.qnames[units.qname_index[index]],
-            units.query_types[units.qtype_index[index]],
-        )
-        for index in indices
+        (units.servers[server], units.qnames[qname], units.query_types[qtype])
+        for server, qname, qtype in units.rows(indices)
     ]
 
 

@@ -338,7 +338,7 @@ def _list_collect_protective(collector, plan):
             continue
         if response.header.rcode != Rcode.NOERROR:
             continue
-        fingerprint = fingerprints[units.servers[units.server_index[index]]]
+        fingerprint = fingerprints[units.servers[units.row(index)[0]]]
         for answer in response.answers:
             if isinstance(answer.rdata, A):
                 fingerprint.records.add((RRType.A, answer.rdata.address))

@@ -119,7 +119,7 @@ def test_queries_are_read_one_at_a_time_in_planned_order():
             question = query.question
             assert question.qname == units.qname(lane[position])
             assert question.qtype == units.query_types[
-                units.qtype_index[lane[position]]
+                units.row(lane[position])[2]
             ]
             assert not query.header.recursion_desired
             yield query

@@ -72,7 +72,7 @@ def _summary(units, index, outcome):
     response = outcome.response
     return (
         units.qname(index).to_text(),
-        units.query_types[units.qtype_index[index]],
+        units.query_types[units.row(index)[2]],
         outcome.status.value,
         outcome.attempts,
         outcome.completed_at,
@@ -109,7 +109,7 @@ def test_resolver_group_alone_equals_its_slice(prepare):
     sliced = {}
 
     def fold(index, outcome):
-        server_ip = units.servers[units.server_index[index]]
+        server_ip = units.servers[units.row(index)[0]]
         lane = sliced.setdefault(server_ip, [])
         lane.append(_summary(units, index, outcome))
 

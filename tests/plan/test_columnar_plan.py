@@ -219,34 +219,44 @@ def test_generated_plan_equals_the_object_plan(
     assert_same_plan(build_plan(*args), oracle.build_plan(*args))
 
 
-def test_a_rows_qname_is_read_off_its_column():
+def test_a_rows_qname_is_decoded_from_its_cell():
     hunter = URHunter.from_world(
         build_world(small_config(seed=7)), HunterConfig()
     )
     units = hunter.plan.ur_units
-    last = len(units.qtype_index) - 1
-    assert units.qname(last) is units.qnames[units.qname_index[last]]
-    with pytest.raises(IndexError):
-        units.qname(last + 1)
+    last = len(units) - 1
+    assert units.qname(last) is units.qnames[units.row(last)[1]]
+    for index in (last + 1, -1):
+        with pytest.raises(IndexError):
+            units.qname(index)
     with pytest.raises(KeyError):
         hunter.plan.units("nope")
 
 
 # -- memory ceilings ---------------------------------------------------------
 
-#: bytes a planned unit may retain (the object plan kept ~165)
-PLAN_BYTES_PER_UNIT = 16
+#: bytes a planned unit may retain (the object plan kept ~165, the
+#: three shuffled columns ~14)
+PLAN_BYTES_PER_UNIT = 8
 #: bytes per unit ``build_plan`` may hold at its transient peak (the
-#: object plan plus its one-shot canonical JSON peaked at ~450)
-PLAN_PEAK_BYTES_PER_UNIT = 64
+#: object plan plus its one-shot canonical JSON peaked at ~450, the
+#: gathered columns ~33)
+PLAN_PEAK_BYTES_PER_UNIT = 20
 
 
-def test_default_scale_plan_stays_under_its_byte_ceilings():
+@pytest.mark.parametrize(
+    "scenario, minimum",
+    [
+        pytest.param(small_config, 10_000, id="small"),
+        pytest.param(ScenarioConfig, 40_000, id="default"),
+    ],
+)
+def test_plan_stays_under_its_byte_ceilings(scenario, minimum):
     hunter = URHunter.from_world(
-        build_world(ScenarioConfig(seed=7)), HunterConfig()
+        build_world(scenario(seed=7)), HunterConfig()
     )
     units = sum(hunter.plan.unit_counts().values())
-    assert units > 40_000
+    assert units > minimum
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()

@@ -23,6 +23,9 @@ Two AST scans over the same readers -- ``src``, ``examples/`` and
   field the program assigns through an attribute (state the object
   accumulates), are not options.
 
+And one scan over ``src`` alone: every name a module imports must be
+read in that module -- as a name, or listed in its ``__all__``.
+
 What only tests reach stays on purpose; each such definition or option
 is listed below with its reason, and both lists are checked in both
 directions.
@@ -465,3 +468,41 @@ def test_every_src_option_is_set_by_the_program_or_allowed():
         for option, reason in OPTIONS_ALLOWED.items()
         if reason.split(":")[0] not in OPTION_REASONS
     ] == []
+
+
+def _unread_imports(tree):
+    """Each name ``tree`` imports (``from __future__`` aside) that it
+    neither reads as a name nor lists in ``__all__``, with its line."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported[bound] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and "__all__" in map(
+            _name, node.targets
+        ):
+            read.update(
+                item.value
+                for item in node.value.elts
+                if isinstance(item, ast.Constant)
+            )
+    return {
+        (imported_name, line)
+        for imported_name, line in imported.items()
+        if imported_name not in read
+    }
+
+
+def test_every_src_import_is_read():
+    sources, trees = _parsed()
+    assert {
+        f"{path.relative_to(ROOT).as_posix()}:{line}: {imported_name}"
+        for path in sources
+        for imported_name, line in _unread_imports(trees[path])
+    } == set(), "delete these imports, or read them"
