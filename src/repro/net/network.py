@@ -148,10 +148,10 @@ class SimulatedInternet:
         #: answers: the same REFUSED body goes out whichever server is
         #: probed, so the per-server compiled caches share one pool
         self.refused_pool: Dict[object, tuple] = {}
-        #: query messages by (qname, qtype, recursion desired), built
-        #: once and re-sent by every scanner and resolver on this
-        #: network (:meth:`query_message`)
-        self._queries: Dict[Tuple[Name, int, bool], Message] = {}
+        #: query messages by (qname labels as spelled, qtype, recursion
+        #: desired), built once and re-sent by every scanner and resolver
+        #: on this network (:meth:`query_message`)
+        self._queries: Dict[Tuple[Tuple[str, ...], int, bool], Message] = {}
         #: counters for observability / benchmarks — all preinitialized
         #: so the schema is stable for tests and metrics documents
         self.stats: Dict[str, int] = {
@@ -493,8 +493,10 @@ class SimulatedInternet:
     ) -> Message:
         """The one query message for a question: built on first use and
         re-sent ever after, so a repeated question keeps the codec and
-        the servers' compiled answers on their cheapest path."""
-        key = (qname, qtype, recursion_desired)
+        the servers' compiled answers on their cheapest path.  Keyed on
+        the exact labels: a question spelled ``Ex.COM`` goes out as
+        spelled, not as an earlier ``ex.com``."""
+        key = (qname.labels, qtype, recursion_desired)
         query = self._queries.get(key)
         if query is None:
             query = self._queries[key] = Message.make_query(

@@ -52,8 +52,11 @@ from .errors import CheckpointError
 #: v10: the group slots are store format 5, whose ScanMetrics carry the
 #: resilience counters — a v9 directory is refused before a slot is read;
 #: v11: the group slots are store format 6, which keep only the UR
-#: outcomes that carried URs)
-FORMAT_VERSION = 11
+#: outcomes that carried URs; v12: the run spec's scenario keeps only
+#: its seed and scale knobs, so the fingerprint digests a smaller
+#: document — a v11 directory is refused by its format, not as a
+#: different configuration)
+FORMAT_VERSION = 12
 
 
 # -- generic json helpers ---------------------------------------------------

@@ -4,17 +4,67 @@ One :class:`ScenarioConfig` fully determines a simulated world — every
 random draw flows from ``seed``.  The defaults produce a laptop-scale
 world (~10^2 domains x ~10^2 nameservers) whose *shapes* match the
 paper's measurement; the benchmarks scale these knobs.
+
+The shape itself — the constants below, calibrated to the paper's
+figures — is the same in every world.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+
+# -- topology -----------------------------------------------------------------
+#: fraction of open resolvers that manipulate answers
+MANIPULATED_RESOLVER_FRACTION = 0.08
+
+# -- legitimate hosting -------------------------------------------------------
+#: fraction of top domains hosted on one of the headline providers
+HEADLINE_HOSTING_FRACTION = 0.55
+#: fraction of top domains that switched providers in the past,
+#: leaving a stale (still-served) zone at the old provider
+PAST_DELEGATION_FRACTION = 0.10
+#: fraction of provider nameservers misconfigured as open recursives
+MISCONFIGURED_RECURSIVE_FRACTION = 0.05
+#: IPs per domain's legitimate origin set
+ORIGINS_PER_DOMAIN = (1, 3)
+
+# -- attacker activity --------------------------------------------------------
+#: (min, max) domains targeted per campaign
+DOMAINS_PER_CAMPAIGN = (2, 6)
+#: (min, max) providers used per campaign
+PROVIDERS_PER_CAMPAIGN = (1, 3)
+#: probability a campaign also plants TXT (command / SPF-shaped) URs
+TXT_CAMPAIGN_PROBABILITY = 0.35
+#: probability an attacker C2 IP is observable at all (threat intel
+#: or a sandboxed sample); the rest stay "unknown" — the paper's
+#: under-reporting discussion
+C2_OBSERVABLE_PROBABILITY = 0.30
+#: split of observed C2s: (intel only, ids only, both) — Figure 3(a)
+OBSERVATION_SPLIT = (0.342, 0.366, 0.292)
+#: generic-sample behaviour mix, shaped to Figure 3(c):
+#: (trojan, scanner/other, exfil, c2, bad-traffic)
+BEHAVIOUR_MIX = (0.42, 0.24, 0.21, 0.10, 0.03)
+
+# -- threat intel -------------------------------------------------------------
+#: number of vendors in the fleet (paper: up to 11 flag one IP)
+VENDOR_COUNT = 11
+#: Figure 3(b) bucket weights for how many vendors flag an IP
+VENDOR_COUNT_WEIGHTS = (0.779, 0.163, 0.020, 0.038)
+#: Figure 3(d) per-tag probabilities (multi-label)
+TAG_PROBABILITIES = (
+    ("Trojan", 0.89),
+    ("Scanner", 0.41),
+    ("Other", 0.33),
+    ("Malware", 0.19),
+    ("C&C", 0.16),
+    ("Botnet", 0.10),
+)
 
 
 @dataclass
 class ScenarioConfig:
-    """All knobs of the simulated internet."""
+    """The knobs a caller sets: the seed, the scale, and whether the
+    providers' post-disclosure mitigations apply."""
 
     seed: int = 7
 
@@ -27,75 +77,16 @@ class ScenarioConfig:
     longtail_providers: int = 8
     #: open resolvers available as vantage points (the paper: 3K)
     open_resolvers: int = 24
-    #: fraction of open resolvers that manipulate answers
-    manipulated_resolver_fraction: float = 0.08
-
-    # -- legitimate hosting -----------------------------------------------------
-    #: fraction of top domains hosted on one of the headline providers
-    headline_hosting_fraction: float = 0.55
-    #: fraction of top domains that switched providers in the past,
-    #: leaving a stale (still-served) zone at the old provider
-    past_delegation_fraction: float = 0.10
-    #: fraction of provider nameservers misconfigured as open recursives
-    misconfigured_recursive_fraction: float = 0.05
-    #: IPs per domain's legitimate origin set
-    origins_per_domain: Tuple[int, int] = (1, 3)
 
     # -- attacker activity --------------------------------------------------------
     #: independent generic campaigns planting URs
     attacker_campaigns: int = 26
-    #: (min, max) domains targeted per campaign
-    domains_per_campaign: Tuple[int, int] = (2, 6)
-    #: (min, max) providers used per campaign
-    providers_per_campaign: Tuple[int, int] = (1, 3)
-    #: probability a campaign also plants TXT (command / SPF-shaped) URs
-    txt_campaign_probability: float = 0.35
-    #: probability an attacker C2 IP is observable at all (threat intel
-    #: or a sandboxed sample); the rest stay "unknown" — the paper's
-    #: under-reporting discussion
-    c2_observable_probability: float = 0.30
-    #: split of observed C2s: (intel only, ids only, both) — Figure 3(a)
-    observation_split: Tuple[float, float, float] = (0.342, 0.366, 0.292)
-    #: generic-sample behaviour mix, shaped to Figure 3(c):
-    #: (trojan, scanner/other, exfil, c2, bad-traffic)
-    behaviour_mix: Tuple[float, float, float, float, float] = (
-        0.42,
-        0.24,
-        0.21,
-        0.10,
-        0.03,
-    )
     #: benign sandbox samples (false-positive pressure)
     benign_samples: int = 6
 
-    # -- threat intel -------------------------------------------------------------
-    #: number of vendors in the fleet (paper: up to 11 flag one IP)
-    vendor_count: int = 11
-    #: Figure 3(b) bucket weights for how many vendors flag an IP
-    vendor_count_weights: Tuple[float, float, float, float] = (
-        0.779,
-        0.163,
-        0.020,
-        0.038,
-    )
-    #: Figure 3(d) per-tag probabilities (multi-label)
-    tag_probabilities: Tuple[Tuple[str, float], ...] = (
-        ("Trojan", 0.89),
-        ("Scanner", 0.41),
-        ("Other", 0.33),
-        ("Malware", 0.19),
-        ("C&C", 0.16),
-        ("Botnet", 0.10),
-    )
-
     # -- measurement ---------------------------------------------------------------
-    #: a nameserver must host at least this many top-list domains to be
-    #: targeted (the paper: >50 of the top 1M)
-    min_hosted_domains: int = 1
     #: include the post-disclosure provider mitigations
     post_disclosure: bool = False
-    #: include the three §5.3 case-study campaigns
-    include_case_studies: bool = True
 
     def __post_init__(self) -> None:
         if self.target_domains > self.top_list_size:
@@ -103,12 +94,6 @@ class ScenarioConfig:
                 "target_domains cannot exceed top_list_size "
                 f"({self.target_domains} > {self.top_list_size})"
             )
-        if abs(sum(self.observation_split) - 1.0) > 1e-6:
-            raise ValueError("observation_split must sum to 1")
-        if abs(sum(self.behaviour_mix) - 1.0) > 1e-6:
-            raise ValueError("behaviour_mix must sum to 1")
-        if abs(sum(self.vendor_count_weights) - 1.0) > 1e-6:
-            raise ValueError("vendor_count_weights must sum to 1")
 
 
 def small_config(seed: int = 7) -> ScenarioConfig:

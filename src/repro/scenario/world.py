@@ -54,7 +54,23 @@ from ..sandbox.malware import MalwareSample
 from ..sandbox.sandbox import Sandbox, SandboxReport
 from ..core.collector import DomainTarget, NameserverTarget
 from .attacker import Attacker, AttackerCampaign, PlantedRecord
-from .config import ScenarioConfig
+from .config import (
+    BEHAVIOUR_MIX,
+    C2_OBSERVABLE_PROBABILITY,
+    DOMAINS_PER_CAMPAIGN,
+    HEADLINE_HOSTING_FRACTION,
+    MANIPULATED_RESOLVER_FRACTION,
+    MISCONFIGURED_RECURSIVE_FRACTION,
+    OBSERVATION_SPLIT,
+    ORIGINS_PER_DOMAIN,
+    PAST_DELEGATION_FRACTION,
+    PROVIDERS_PER_CAMPAIGN,
+    TAG_PROBABILITIES,
+    TXT_CAMPAIGN_PROBABILITY,
+    VENDOR_COUNT,
+    VENDOR_COUNT_WEIGHTS,
+    ScenarioConfig,
+)
 from .tranco import TrancoList, generate_tranco
 
 #: legitimate-hosting weights across the headline providers (Cloudflare
@@ -132,7 +148,6 @@ class World:
     config: ScenarioConfig
     network: SimulatedInternet
     root: DnsRoot
-    planner: PrefixPlanner
     providers: Dict[str, HostingProvider]
     tranco: TrancoList
     domain_targets: List[DomainTarget]
@@ -171,7 +186,7 @@ class _WorldBuilder:
         self.planner = PrefixPlanner()
         self.ipinfo = IpInfoDatabase()
         self.pdns = PassiveDnsStore()
-        self.vendors = default_vendor_fleet(config.vendor_count)
+        self.vendors = default_vendor_fleet(VENDOR_COUNT)
         self.intel = ThreatIntelAggregator(self.vendors)
         self.providers: Dict[str, HostingProvider] = {}
         self.tranco: Optional[TrancoList] = None
@@ -179,7 +194,6 @@ class _WorldBuilder:
         self.samples: List[MalwareSample] = []
         self.case_studies: Dict[str, AttackerCampaign] = {}
         self._operator_pools: List[Tuple[AddressPool, str, str, int]] = []
-        self._owner_accounts: Dict[str, object] = {}
         # Simulated epoch: "now" sits well past zero so past-delegation
         # history has somewhere to live.
         self.network.tick(1_000_000.0)
@@ -214,7 +228,7 @@ class _WorldBuilder:
     # -- step 3: legitimate hosting ------------------------------------------------
 
     def _provider_for_rank(self) -> HostingProvider:
-        if self.rng.random() < self.config.headline_hosting_fraction:
+        if self.rng.random() < HEADLINE_HOSTING_FRACTION:
             names = list(HEADLINE_HOSTING_WEIGHTS)
             weights = [HEADLINE_HOSTING_WEIGHTS[key] for key in names]
             return self.providers[self.rng.choices(names, weights)[0]]
@@ -263,7 +277,7 @@ class _WorldBuilder:
             operator_pool, operator, country, asn = self.rng.choice(
                 self._operator_pools
             )
-            origin_count = self.rng.randint(*self.config.origins_per_domain)
+            origin_count = self.rng.randint(*ORIGINS_PER_DOMAIN)
             origin_ips = []
             for _ in range(origin_count):
                 address = operator_pool.allocate()
@@ -285,12 +299,9 @@ class _WorldBuilder:
             # was a full infrastructure change (different operator, no
             # TLS anymore), so only the passive-DNS condition can
             # recognise these as correct records.
-            if self.rng.random() < self.config.past_delegation_fraction:
+            if self.rng.random() < PAST_DELEGATION_FRACTION:
                 old_provider = self._provider_for_rank()
-                if (
-                    self.config.include_case_studies
-                    and str(domain) in CASE_STUDY_DOMAINS
-                ):
+                if str(domain) in CASE_STUDY_DOMAINS:
                     while old_provider.name in CASE_STUDY_PROVIDERS:
                         old_provider = self._provider_for_rank()
                 old_operator_pool, _, old_country, _ = self.rng.choice(
@@ -326,10 +337,7 @@ class _WorldBuilder:
                     pass  # old provider refused (reserved list etc.)
 
             provider = self._provider_for_rank()
-            if (
-                self.config.include_case_studies
-                and str(domain) in CASE_STUDY_DOMAINS
-            ):
+            if str(domain) in CASE_STUDY_DOMAINS:
                 while provider.name in CASE_STUDY_PROVIDERS:
                     provider = self._provider_for_rank()
             try:
@@ -346,8 +354,7 @@ class _WorldBuilder:
                     if fallback is provider:
                         continue
                     if (
-                        self.config.include_case_studies
-                        and str(domain) in CASE_STUDY_DOMAINS
+                        str(domain) in CASE_STUDY_DOMAINS
                         and fallback.name in CASE_STUDY_PROVIDERS
                     ):
                         continue
@@ -403,10 +410,7 @@ class _WorldBuilder:
         for entry in self.tranco.top(self.config.target_domains):
             if self.rng.random() >= 0.35:
                 continue
-            if (
-                self.config.include_case_studies
-                and str(entry.domain) in CASE_STUDY_DOMAINS
-            ):
+            if str(entry.domain) in CASE_STUDY_DOMAINS:
                 continue
             provider = self.providers[
                 self.rng.choices(names, [weights[key] for key in names])[0]
@@ -444,8 +448,7 @@ class _WorldBuilder:
                 continue
             for entry in provider.pool:
                 if (
-                    self.rng.random()
-                    < self.config.misconfigured_recursive_fraction
+                    self.rng.random() < MISCONFIGURED_RECURSIVE_FRACTION
                     and entry.server.unhosted_policy
                     is UnhostedPolicy.REFUSED
                 ):
@@ -461,10 +464,7 @@ class _WorldBuilder:
         addresses: List[str] = []
         self.ipinfo.register_host(AD_SERVER_IP, cert_org="AdTech Inc")
         manipulated_budget = int(
-            round(
-                self.config.open_resolvers
-                * self.config.manipulated_resolver_fraction
-            )
+            round(self.config.open_resolvers * MANIPULATED_RESOLVER_FRACTION)
         )
         for index in range(self.config.open_resolvers):
             address = pool.allocate()
@@ -507,15 +507,13 @@ class _WorldBuilder:
     def _flag_ip_in_intel(self, address: str) -> None:
         """Blacklist ``address`` with Figure 3(b)/3(d)-calibrated noise."""
         buckets = ((1, 2), (3, 4), (5, 6), (7, 11))
-        low, high = self.rng.choices(
-            buckets, weights=self.config.vendor_count_weights
-        )[0]
+        low, high = self.rng.choices(buckets, weights=VENDOR_COUNT_WEIGHTS)[0]
         high = min(high, len(self.vendors))
         low = min(low, high)
         count = self.rng.randint(low, high)
         tags = [
             tag
-            for tag, probability in self.config.tag_probabilities
+            for tag, probability in TAG_PROBABILITIES
             if self.rng.random() < probability
         ]
         if not tags:
@@ -525,11 +523,11 @@ class _WorldBuilder:
             vendor.flag(address, tags, timestamp=self.network.now)
 
     def _behaviour_plan(self, total: int) -> List[str]:
-        """Apportion ``total`` samples across behaviours per the config
-        mix, deterministically (largest-remainder), so small worlds still
-        land on the Figure 3(c) proportions."""
+        """Apportion ``total`` samples across behaviours per
+        :data:`BEHAVIOUR_MIX`, deterministically (largest-remainder), so
+        small worlds still land on the Figure 3(c) proportions."""
         kinds = ("trojan", "scanner", "exfil", "c2", "badtraffic")
-        quotas = [weight * total for weight in self.config.behaviour_mix]
+        quotas = [weight * total for weight in BEHAVIOUR_MIX]
         counts = [int(quota) for quota in quotas]
         remainders = sorted(
             range(len(kinds)),
@@ -568,9 +566,7 @@ class _WorldBuilder:
         # C2 address.
         campaign_of_c2: Dict[str, AttackerCampaign] = {}
         for campaign_index in range(self.config.attacker_campaigns):
-            provider_count = self.rng.randint(
-                *self.config.providers_per_campaign
-            )
+            provider_count = self.rng.randint(*PROVIDERS_PER_CAMPAIGN)
             campaign_providers: List[HostingProvider] = []
             while len(campaign_providers) < provider_count:
                 candidate = self._attacker_provider()
@@ -584,9 +580,7 @@ class _WorldBuilder:
             for address in c2_ips:
                 self.ipinfo.register_host(address, cert_org=None)
                 campaign_of_c2[address] = campaign
-            domain_count = self.rng.randint(
-                *self.config.domains_per_campaign
-            )
+            domain_count = self.rng.randint(*DOMAINS_PER_CAMPAIGN)
             domains = self.rng.sample(
                 target_domains, min(domain_count, len(target_domains))
             )
@@ -629,7 +623,7 @@ class _WorldBuilder:
             # maliciousness analysis, so they stay "unknown"); a minority
             # masquerade as SPF/DMARC with the C2 embedded.
             for domain in txt_domains:
-                if self.rng.random() >= self.config.txt_campaign_probability:
+                if self.rng.random() >= TXT_CAMPAIGN_PROBABILITY:
                     continue
                 c2_ip = self.rng.choice(c2_ips)
                 provider = self.rng.choice(campaign_providers)
@@ -665,17 +659,14 @@ class _WorldBuilder:
         # fraction of generic C2s is observable, split per Figure 3(a).
         all_c2s = sorted(campaign_of_c2)
         self.rng.shuffle(all_c2s)
-        observable_count = int(
-            round(len(all_c2s) * self.config.c2_observable_probability)
-        )
+        observable_count = int(round(len(all_c2s) * C2_OBSERVABLE_PROBABILITY))
         observable = all_c2s[:observable_count]
-        intel_share, ids_share, both_share = self.config.observation_split
+        intel_share, ids_share, _ = OBSERVATION_SPLIT
         # The case studies contribute fixed provenance (Dark.IoT and the
         # SPF campaign are intel+IDS "both"; Specter is IDS-only), which
         # would skew Figure 3(a) at small scale — compensate by shifting
-        # the generic allocation so the *overall* split tracks the config.
-        case_both = 5 if self.config.include_case_studies else 0
-        case_ids = 1 if self.config.include_case_studies else 0
+        # the generic allocation so the *overall* split tracks the paper's.
+        case_both, case_ids = 5, 1
         grand_total = len(observable) + case_both + case_ids
         intel_count = round(grand_total * intel_share)
         ids_count = max(round(grand_total * ids_share) - case_ids, 0)
@@ -876,55 +867,42 @@ class _WorldBuilder:
         # all FQDNs of the top Tranco 2K sites"); at small scales some of
         # their SLD ranks fall past the target cut, so they are added
         # explicitly.
-        if self.config.include_case_studies:
-            targeted = {target.domain for target in domain_targets}
-            for extra in (
-                "api.gitlab.com",
-                "raw.pastebin.com",
-                "api.github.com",
-                "github.com",
-                "gitlab.com",
-                "pastebin.com",
-                "ibm.com",
-                "speedtest.net",
-            ):
-                extra_name = name(extra)
-                if extra_name in targeted:
-                    continue
-                sld = (
-                    extra_name
-                    if self.tranco.rank_of(extra_name) is not None
-                    else extra_name.parent()
-                )
-                rank = self.tranco.rank_of(sld) or 0
-                domain_targets.append(
-                    DomainTarget(domain=extra_name, rank=rank)
-                )
-                targeted.add(extra_name)
-        # Nameserver selection: hosted-domain counts over the full list.
-        hosting_counts: Dict[str, int] = {}
-        for domain, addresses in self.delegated_to.items():
-            for address in addresses:
-                hosting_counts[address] = hosting_counts.get(address, 0) + 1
-        nameserver_targets: List[NameserverTarget] = []
-        for provider in self.providers.values():
-            for entry in provider.pool:
-                count = hosting_counts.get(entry.address, 0)
-                provider_hosts = sum(
-                    hosting_counts.get(item.address, 0)
-                    for item in provider.pool
-                )
-                if (
-                    count >= self.config.min_hosted_domains
-                    or provider_hosts >= self.config.min_hosted_domains
-                ):
-                    nameserver_targets.append(
-                        NameserverTarget(
-                            address=entry.address,
-                            provider=provider.name,
-                            hostname=entry.hostname,
-                        )
-                    )
+        targeted = {target.domain for target in domain_targets}
+        for extra in (
+            "api.gitlab.com",
+            "raw.pastebin.com",
+            "api.github.com",
+            "github.com",
+            "gitlab.com",
+            "pastebin.com",
+            "ibm.com",
+            "speedtest.net",
+        ):
+            extra_name = name(extra)
+            if extra_name in targeted:
+                continue
+            sld = (
+                extra_name
+                if self.tranco.rank_of(extra_name) is not None
+                else extra_name.parent()
+            )
+            rank = self.tranco.rank_of(sld) or 0
+            domain_targets.append(DomainTarget(domain=extra_name, rank=rank))
+            targeted.add(extra_name)
+        # Nameserver selection (the paper: a nameserver hosting >50 of
+        # the top 1M): every nameserver of a provider whose pool serves
+        # at least one delegated domain of the full list.
+        delegated = set().union(*self.delegated_to.values())
+        nameserver_targets = [
+            NameserverTarget(
+                address=entry.address,
+                provider=provider.name,
+                hostname=entry.hostname,
+            )
+            for provider in self.providers.values()
+            if any(entry.address in delegated for entry in provider.pool)
+            for entry in provider.pool
+        ]
         return domain_targets, nameserver_targets
 
     # -- orchestration ---------------------------------------------------------------
@@ -940,15 +918,13 @@ class _WorldBuilder:
         open_resolver_ips, open_resolvers = self._build_open_resolvers()
         attacker = self._build_attacker()
         self._build_generic_campaigns(attacker)
-        if self.config.include_case_studies:
-            self._build_case_studies(attacker)
+        self._build_case_studies(attacker)
         sandbox = self._detonate(open_resolver_ips)
         domain_targets, nameserver_targets = self._build_targets()
         return World(
             config=self.config,
             network=self.network,
             root=self.root,
-            planner=self.planner,
             providers=self.providers,
             tranco=self.tranco,
             domain_targets=domain_targets,

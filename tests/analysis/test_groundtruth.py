@@ -6,7 +6,9 @@ from repro.analysis.groundtruth import (
     GroundTruthScore,
     score_against_ground_truth,
 )
+from repro.core import URHunter
 from repro.core.records import URCategory
+from repro.scenario import build_world, small_config
 
 
 class TestScoreMath:
@@ -62,10 +64,14 @@ class TestAgainstSmallWorld:
         assert score.under_reported > 0
         assert 0.0 < score.recall <= 1.0
 
-    def test_stage2_misses_are_geo_exclusions(
-        self, small_world, small_report
-    ):
-        score = score_against_ground_truth(small_report, small_world)
+    @pytest.mark.parametrize("seed", [1, 8])
+    def test_stage2_misses_are_geo_exclusions(self, seed):
+        """The seed-7 world has no stage-2 miss; seeds 1 and 8 have
+        46 and 44, and every one is a geo-condition coincidence."""
+        world = build_world(small_config(seed=seed))
+        report = URHunter.from_world(world).run()
+        score = score_against_ground_truth(report, world)
+        assert score.stage2_misses > 0
         for entry in score.missed_entries:
             assert entry.reasons == ("geo-subset",)
             assert entry.category in (

@@ -721,7 +721,7 @@ class TestUpstreamFastLane:
         exchanges = network.stats["dns_queries"]
         messages = dict(network._queries)
         assert [key for key in messages if key not in known] == [
-            (name("example.com"), RRType.A, False)
+            (("example", "com"), RRType.A, False)
         ]
         assert len(resolver._channels) == walk == 3  # root, TLD, zone
         resolver.resolve("example.com", RRType.A)

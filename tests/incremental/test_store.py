@@ -379,11 +379,13 @@ class TestKeysOfTheParentBuild:
     move.  Store format 6 (checkpoint v11) moved every store key again,
     when a slot came to keep only the UR outcomes that carry URs; the
     configuration fingerprint moved with it, because
-    ``expand_pdns_subdomains`` stopped being a field."""
+    ``expand_pdns_subdomains`` stopped being a field.  Checkpoint v12
+    moved the format alone: the CLI's run-spec fingerprint digests a
+    scenario with fewer fields, and a bare config digest did not move."""
 
     def test_formats_are_pinned(self):
         assert STORE_FORMAT_VERSION == 6
-        assert FORMAT_VERSION == 11
+        assert FORMAT_VERSION == 12
 
     def test_config_fingerprint(self, hunter, tmp_path):
         assert config_fingerprint(HunterConfig()) == (
@@ -393,7 +395,7 @@ class TestKeysOfTheParentBuild:
             HunterConfig(), extra={"plan": hunter.plan.plan_hash}
         )
         (tmp_path / "manifest.json").write_text(
-            '{"format":11,"fingerprint":"c57e6d4f41a6b24ae8afc1240a08d4d1'
+            '{"format":12,"fingerprint":"c57e6d4f41a6b24ae8afc1240a08d4d1'
             'dc1499f225f20a5ef59129cf82ebb16a"}\n'
         )
         CheckpointStore(tmp_path).prepare(stamped, resume=True)
@@ -492,7 +494,7 @@ class TestFormatRefusal:
         assert main(argv + ["--resume", "run"]) == EXIT_ABORTED
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "cannot resume: checkpoint format 10 != 11" in captured.err
+        assert "cannot resume: checkpoint format 10 != 12" in captured.err
         assert all(path.read_text() == text for path, text in files.items())
         with pytest.raises(StoreFormatError, match="store format 5"):
             GroupResultStore(groups)

@@ -133,15 +133,25 @@ class TestDnsTransport:
 
 
 class TestQueryMessage:
-    """``query_message`` keeps one message per (qname, qtype, rd)."""
+    """``query_message`` keeps one message per (qname as spelled, qtype,
+    rd)."""
 
     def test_an_equal_question_gets_the_same_message(self, network):
         first = network.query_message(name("test.net"), RRType.A, False)
-        again = network.query_message(name("TEST.net."), RRType.A, False)
+        again = network.query_message(name("test.net."), RRType.A, False)
         assert again is first
         assert first.question.qname == name("test.net")
         assert first.question.qtype == RRType.A
         assert not first.header.recursion_desired
+
+    def test_a_respelled_question_goes_out_as_spelled(self, network):
+        first = network.query_message(name("ex.com"), RRType.A, False)
+        respelled = network.query_message(name("Ex.COM"), RRType.A, False)
+        assert respelled is not first
+        assert respelled.question.qname.labels == ("Ex", "COM")
+        assert first.question.qname.labels == ("ex", "com")
+        again = network.query_message(name("Ex.COM"), RRType.A, False)
+        assert again is respelled
 
     @pytest.mark.parametrize(
         "other",

@@ -174,7 +174,7 @@ class TestCheckpointStore:
         }
         for name, text in files.items():
             (tmp_path / name).write_text(text)
-        with pytest.raises(CheckpointError, match="checkpoint format 6 != 11"):
+        with pytest.raises(CheckpointError, match="checkpoint format 6 != 12"):
             CheckpointStore(tmp_path).prepare("fp", resume=True)
         assert {
             path.name: path.read_text() for path in tmp_path.iterdir()
@@ -182,7 +182,7 @@ class TestCheckpointStore:
         (tmp_path / "manifest.json").write_text(
             '{"format":5,"fingerprint":"fp"}'
         )
-        with pytest.raises(CheckpointError, match="checkpoint format 5 != 11"):
+        with pytest.raises(CheckpointError, match="checkpoint format 5 != 12"):
             CheckpointStore(tmp_path).prepare("fp", resume=True)
 
     def test_resume_without_manifest_fails(self, tmp_path):

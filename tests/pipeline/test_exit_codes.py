@@ -211,15 +211,15 @@ class TestExitCodes:
     def test_previous_format_checkpoint_is_refused(
         self, checkpointed, tmp_path, capsys
     ):
-        """A directory stamped with format 10, whose group slots are
-        store format 5 (every UR outcome kept with its wire counters),
-        is refused whole before a slot is opened: exit 3, one
-        ``error:`` line."""
+        """A directory stamped with format 11, whose manifest
+        fingerprint digests the scenario's old calibration fields, is
+        refused by its format before a slot is opened: exit 3, one
+        ``error:`` line that names the format."""
         directory = tmp_path / "ckpt"
         shutil.copytree(checkpointed, directory)
         manifest_path = directory / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["format"] = 10
+        manifest["format"] = 11
         manifest_path.write_text(json.dumps(manifest))
         code = main(
             SMALL + ["--checkpoint-dir", str(directory), "--resume", "run"]
@@ -227,7 +227,11 @@ class TestExitCodes:
         assert code == EXIT_ABORTED
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "checkpoint format 10 != 11" in captured.err
+        errors = [
+            line for line in captured.err.splitlines()
+            if line.startswith("error:")
+        ]
+        assert len(errors) == 1 and "checkpoint format 11 != 12" in errors[0]
         assert "Traceback" not in captured.err
 
     def test_checkpointed_run_then_resume_both_exit_zero(

@@ -17,7 +17,6 @@ before it.
 import hashlib
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -31,6 +30,7 @@ from repro.net.network import SimulatedInternet
 from ..stage1_oracle import encode_stage1
 from repro.plan import NameserverGroup, shards
 from repro.scenario import ScenarioConfig, build_world, small_config
+from repro.scenario import world as world_module
 
 from ..conftest import bare_hunter
 
@@ -162,7 +162,7 @@ def test_resolver_group_alone_equals_its_slice(prepare):
     ],
 )
 def test_group_payloads_do_not_depend_on_execution_order(
-    scenario, prepare, knobs
+    scenario, prepare, knobs, monkeypatch
 ):
     """One world, one process: every correct-collection and UR group
     executed in plan order, reversed, and shuffled across the two
@@ -174,7 +174,8 @@ def test_group_payloads_do_not_depend_on_execution_order(
     fallback resolver, whose caches the first such group used to warm
     for all the others.
     """
-    world = build_world(replace(scenario, misconfigured_recursive_fraction=0.5))
+    monkeypatch.setattr(world_module, "MISCONFIGURED_RECURSIVE_FRACTION", 0.5)
+    world = build_world(scenario)
     prepare(world)
     hunter = URHunter.from_world(world, HunterConfig(**knobs))
     plan, network = hunter.plan, hunter.network

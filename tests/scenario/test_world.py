@@ -6,6 +6,7 @@ from repro.dns.name import name
 from repro.dns.rdata import RRType
 from repro.dns.resolver import RecursiveResolver
 from repro.scenario import ScenarioConfig, build_world, small_config
+from repro.scenario.config import MANIPULATED_RESOLVER_FRACTION, VENDOR_COUNT
 
 
 class TestWorldAssembly:
@@ -77,8 +78,7 @@ class TestWorldAssembly:
             if resolver.is_manipulated
         ]
         expected = round(
-            small_world.config.open_resolvers
-            * small_world.config.manipulated_resolver_fraction
+            small_world.config.open_resolvers * MANIPULATED_RESOLVER_FRACTION
         )
         assert len(manipulated) == expected
 
@@ -114,7 +114,7 @@ class TestWorldAssembly:
         assert len(small_world.pdns) > 0
 
     def test_vendor_fleet_size(self, small_world):
-        assert len(small_world.vendors) == small_world.config.vendor_count
+        assert len(small_world.vendors) == VENDOR_COUNT
 
 
 
@@ -141,14 +141,6 @@ class TestConfigValidation:
     def test_target_exceeds_top_list(self):
         with pytest.raises(ValueError):
             ScenarioConfig(top_list_size=10, target_domains=20)
-
-    def test_split_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            ScenarioConfig(observation_split=(0.5, 0.5, 0.5))
-
-    def test_behaviour_mix_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            ScenarioConfig(behaviour_mix=(1.0, 1.0, 0.0, 0.0, 0.0))
 
 
 class TestPostDisclosure:
