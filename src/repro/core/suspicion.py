@@ -50,11 +50,11 @@ class Stage2Metrics:
     #: distinct (domain, rrtype, rdata) keys among the checked records
     distinct_keys: int = 0
     #: checked records answered by their key's one evaluation:
-    #: checked records minus ``distinct_keys`` on the grouped path
+    #: checked records minus ``distinct_keys`` with the memo
     cache_hits: int = 0
-    #: evaluations performed on the grouped path: ``distinct_keys``
+    #: evaluations performed with the memo: ``distinct_keys``
     cache_misses: int = 0
-    #: whether the grouped path was eligible (deterministic sources)
+    #: whether the memo was kept (deterministic sources)
     memoized: bool = False
     #: wall-clock seconds of the whole classification pass
     wall_s: float = 0.0
@@ -164,33 +164,28 @@ _SUSPICIOUS = tuple(
 )
 _PROTECTIVE = (URCategory.PROTECTIVE, ("protective-fingerprint",))
 
-#: the dedup identity of one UR: every record sharing it receives
-#: the same uniformity verdict (the nameserver is deliberately absent —
+#: the dedup identity of one UR row: its domain's Name-equality class
+#: (the table row of the first domain equal to it), its rrtype and its
+#: rdata's table index.  Every row sharing it receives the same
+#: uniformity verdict (the nameserver is deliberately absent —
 #: protective fingerprints are checked per server, before this key)
-UrKey = Tuple[Name, int, str]
-
-#: one row's verdict: category, reasons, TXT category
-_Verdict = Tuple[URCategory, Tuple[str, ...], Optional[str]]
+UrKey = Tuple[int, int, int]
 
 
 class SuspicionFilter:
     """Applies the exclusion pipeline to collected URs.
 
-    Two execution strategies produce byte-identical output:
-
-    * the **naive path** evaluates every record independently — always
-      used when a data source is fault-injected (non-deterministic), so
-      chaos runs behave exactly as they would without the fast path;
-    * the **grouped path** (``memoize=True`` and deterministic sources)
-      deduplicates the table's rows by :data:`UrKey`, evaluates each
-      distinct key once, in first-occurrence order, and fans the
-      verdict back out in row order (every row of one key shares its
-      reasons tuple).
-
-    A run selects between them from what it can observe
-    (``checker.memoizable``); ``memoize=False`` forces the naive path —
-    the reference tests hold the grouped one to.  Either fills the
-    verdict columns of one :class:`~repro.core.records.URVerdicts`.
+    One pass labels the table's rows in order.  A protective-fingerprint
+    match short-circuits a row; any other row needs a uniformity
+    verdict.  With ``memoize=True`` and deterministic sources
+    (``checker.memoizable``) the pass keeps a memo by :data:`UrKey`:
+    each distinct key is checked once, at its first row, and every row
+    of one key shares its reasons tuple.  Otherwise every row is checked
+    on its own: when a data source is fault-injected, so a chaos run
+    behaves exactly as it would without the memo, and with
+    ``memoize=False``, the reference the tests hold the memo to.  Either
+    way the pass fills the verdict columns of one
+    :class:`~repro.core.records.URVerdicts`.
 
     ``last_metrics`` carries the :class:`Stage2Metrics` of the most
     recent :meth:`classify` call.
@@ -218,31 +213,11 @@ class SuspicionFilter:
         """
         table = records if isinstance(records, URTable) else URTable(records)
         verdicts = URVerdicts(table)
-        metrics = Stage2Metrics()
-        started = time.perf_counter()
-        if self.memoize and self.checker.memoizable:
-            metrics.memoized = True
-            self._classify_grouped(table, verdicts, now, metrics)
-        else:
-            for record in table:
-                verdicts.append(*self._classify_one(record, now))
-        metrics.records = len(table)
-        metrics.protective_matches = len(
-            verdicts.rows_in((URCategory.PROTECTIVE,))
+        metrics = Stage2Metrics(
+            records=len(table),
+            memoized=self.memoize and self.checker.memoizable,
         )
-        metrics.wall_s = time.perf_counter() - started
-        self.last_metrics = metrics
-        return SuspicionOutcome(classified=verdicts)
-
-    # -- the grouped fast path ---------------------------------------------
-
-    def _classify_grouped(
-        self,
-        table: URTable,
-        verdicts: URVerdicts,
-        now: float,
-        metrics: Stage2Metrics,
-    ) -> None:
+        started = time.perf_counter()
         rdatas = table.rdatas
         fingerprints = [
             self.protective.get(address) for address, _, _ in table.servers
@@ -255,45 +230,17 @@ class SuspicionFilter:
             canonical.setdefault(domain, row)
             for row, domain in enumerate(table.domains)
         ]
-        columns = (
-            table.domain_index,
-            table.server_index,
-            table.rrtypes,
-            table.rdata_index,
+        memo: Optional[Dict[UrKey, Tuple]] = (
+            {} if metrics.memoized else None
         )
-
-        # pass 1: protective short-circuits, and the distinct keys that
-        # still need a uniformity verdict (first-occurrence rows)
-        pending: Dict[Tuple[int, int, int], int] = {}
-        protective = bytearray()
-        for row, (domain, server, rrtype, rdata) in enumerate(zip(*columns)):
-            fingerprint = fingerprints[server]
-            if fingerprint is not None and fingerprint.matches(
-                rrtype, rdatas[rdata]
-            ):
-                protective.append(1)
-                continue
-            protective.append(0)
-            pending.setdefault((domain_keys[domain], rrtype, rdata), row)
-        metrics.distinct_keys = len(pending)
-
-        # pass 2: one evaluation per distinct key, in first-occurrence order
-        by_key: Dict[Tuple[int, int, int], Tuple] = {}
-        for key, row in pending.items():
-            started = time.perf_counter()
-            verdict = self.checker.check(table[row], now)
-            metrics.attribute(
-                verdict.matched_condition or "survived-exclusion",
-                time.perf_counter() - started,
-            )
-            by_key[key] = self._from_verdict(verdict)
-        metrics.cache_misses = len(pending)
-        metrics.cache_hits = len(protective) - sum(protective) - len(pending)
-
-        # pass 3: fan-out in row order
         txt_categories: Dict[int, str] = {}
-        for (domain, _, rrtype, rdata), is_protective in zip(
-            zip(*columns), protective
+        for row, (domain, server, rrtype, rdata) in enumerate(
+            zip(
+                table.domain_index,
+                table.server_index,
+                table.rrtypes,
+                table.rdata_index,
+            )
         ):
             txt_category: Optional[str] = None
             if rrtype == RRType.TXT:
@@ -302,37 +249,40 @@ class SuspicionFilter:
                     txt_category = txt_categories[rdata] = classify_txt(
                         rdatas[rdata]
                     )
-            category, reasons = (
-                _PROTECTIVE
-                if is_protective
-                else by_key[(domain_keys[domain], rrtype, rdata)]
+            fingerprint = fingerprints[server]
+            if fingerprint is not None and fingerprint.matches(
+                rrtype, rdatas[rdata]
+            ):
+                metrics.protective_matches += 1
+                verdicts.append(*_PROTECTIVE, txt_category)
+                continue
+            key = (domain_keys[domain], rrtype, rdata)
+            verdict = None if memo is None else memo.get(key)
+            if verdict is None:
+                checked = time.perf_counter()
+                correctness = self.checker.check(table[row], now)
+                metrics.attribute(
+                    correctness.matched_condition or "survived-exclusion",
+                    time.perf_counter() - checked,
+                )
+                verdict = self._from_verdict(correctness)
+                if memo is not None:
+                    memo[key] = verdict
+            verdicts.append(*verdict, txt_category)
+        if memo is not None:
+            metrics.distinct_keys = metrics.cache_misses = len(memo)
+            metrics.cache_hits = (
+                metrics.records - metrics.protective_matches - len(memo)
             )
-            verdicts.append(category, reasons, txt_category)
-
-    # -- the naive per-record path -----------------------------------------
-
-    def _classify_one(
-        self, record: UndelegatedRecord, now: float
-    ) -> _Verdict:
-        txt_category: Optional[str] = None
-        if record.rrtype == RRType.TXT:
-            txt_category = classify_txt(record.rdata_text)
-
-        fingerprint = self.protective.get(record.nameserver_ip)
-        if fingerprint is not None and fingerprint.matches(
-            record.rrtype, record.rdata_text
-        ):
-            return (*_PROTECTIVE, txt_category)
-
-        verdict = self.checker.check(record, now)
-        return (*self._from_verdict(verdict), txt_category)
+        metrics.wall_s = time.perf_counter() - started
+        self.last_metrics = metrics
+        return SuspicionOutcome(classified=verdicts)
 
     @staticmethod
     def _from_verdict(
         verdict: CorrectnessVerdict,
     ) -> Tuple[URCategory, Tuple[str, ...]]:
-        """One verdict → a category and its reasons (shared by both
-        paths)."""
+        """One verdict → a category and its reasons."""
         if verdict.is_correct:
             return (
                 URCategory.CORRECT,

@@ -15,7 +15,7 @@ view of its resilience counters.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 #: histogram bucket upper bounds in seconds (last bucket is +inf)
@@ -121,14 +121,21 @@ class StageCounters:
     rate_limit_wait: float = 0.0
 
     def merge(self, other: "StageCounters") -> None:
-        self.queries += other.queries
-        self.responses += other.responses
-        self.timeouts += other.timeouts
-        self.retries += other.retries
-        self.giveups += other.giveups
-        self.skipped += other.skipped
-        self.shed += other.shed
-        self.rate_limit_wait += other.rate_limit_wait
+        for counter in fields(self):
+            name = counter.name
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+
+#: the run-level resilience counters of :class:`ScanMetrics` — summed by
+#: a merge, kept by a result-store slot
+RUN_COUNTERS = (
+    "hedges_fired",
+    "hedges_won",
+    "hedges_wasted",
+    "aimd_cuts",
+    "aimd_wait",
+    "spurious_retransmits",
+)
 
 
 @dataclass
@@ -211,12 +218,8 @@ class ScanMetrics:
         for name, counters in other.stages.items():
             self.stage(name).merge(counters)
         self.latency.merge(other.latency)
-        self.hedges_fired += other.hedges_fired
-        self.hedges_won += other.hedges_won
-        self.hedges_wasted += other.hedges_wasted
-        self.aimd_cuts += other.aimd_cuts
-        self.aimd_wait += other.aimd_wait
-        self.spurious_retransmits += other.spurious_retransmits
+        for name in RUN_COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         for key, count in other.shed_by_reason.items():
             self.shed_by_reason[key] = self.shed_by_reason.get(key, 0) + count
 
@@ -240,16 +243,7 @@ class ScanMetrics:
             "shed": self.shed,
             "loss_rate": self.loss_rate,
             "stages": {
-                name: {
-                    "queries": counters.queries,
-                    "responses": counters.responses,
-                    "timeouts": counters.timeouts,
-                    "retries": counters.retries,
-                    "giveups": counters.giveups,
-                    "skipped": counters.skipped,
-                    "shed": counters.shed,
-                    "rate_limit_wait": counters.rate_limit_wait,
-                }
+                name: asdict(counters)
                 for name, counters in sorted(self.stages.items())
             },
             "latency": {

@@ -44,8 +44,8 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 #: snapshot, and ``run.end`` drops ``resumed`` and ``executed``)
 TRACE_FORMAT_VERSION = 4
 
-#: logical stage tags — string-equal to the pipeline runner's stage
-#: names so checkpoints, failure provenance, and trace events share one
+#: logical stage tags — the pipeline runner's stage names too, so
+#: checkpoints, failure provenance, and trace events share one
 #: vocabulary
 STAGE1 = "stage1-collect"
 STAGE2 = "stage2-exclude"

@@ -32,6 +32,7 @@ from typing import Any, Dict, Optional, Union
 from ..digest import json_digest
 from ..dns.name import Name
 from ..incremental.store import atomic_write
+from ..obs.events import STAGE1, STAGE2, STAGE3
 from .errors import CheckpointError
 
 #: checkpoint format version; bump when the payload schema changes
@@ -106,6 +107,14 @@ class CheckpointStore:
     #: the runner-owned group result store, stage 1's resume medium
     #: (:class:`repro.incremental.GroupResultStore` slots)
     GROUPS = "groups"
+    #: the files a checkpoint run writes beside ``groups/`` — with the
+    #: stage snapshots older builds wrote — and a fresh run removes;
+    #: nothing else in the directory is touched
+    OWNED = (
+        MANIFEST,
+        FAILURE,
+        *(f"{stage}.json" for stage in (STAGE1, STAGE2, STAGE3)),
+    )
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
@@ -119,7 +128,7 @@ class CheckpointStore:
     def prepare(self, fingerprint: str, resume: bool) -> None:
         """Open the store for a run.
 
-        A fresh run wipes every file an earlier run left — the group
+        A fresh run removes every file an earlier run wrote — the group
         slots, and any stage snapshot an older build wrote — and stamps
         a new manifest; a resumed run demands an existing manifest with
         a matching configuration fingerprint, and keeps the slots.
@@ -145,10 +154,10 @@ class CheckpointStore:
             self.clear_failure()
             return
         for stale in (
-            *self.path.glob("*.json"),
-            *self.groups_path.glob("*.json"),
+            *(self.path / owned for owned in self.OWNED),
+            *self.groups_path.glob("group-*.json"),
         ):
-            stale.unlink()
+            stale.unlink(missing_ok=True)
         self.save(
             self.MANIFEST,
             {"format": FORMAT_VERSION, "fingerprint": fingerprint},

@@ -67,7 +67,7 @@ class _Flaky:
     def deterministic(self) -> bool:
         """Deterministic only when the plan can never fault: only then
         is the wrapped source call-count independent, which stage 2's
-        grouped path requires before it asks once per distinct key."""
+        memo requires before it asks once per distinct key."""
         return self.plan.error_rate == 0.0 and getattr(
             self.inner, "deterministic", False
         )

@@ -40,13 +40,9 @@ from typing import Any, Dict, Optional
 from ..core.hunter import URHunter
 from ..core.report import MeasurementReport
 from ..incremental import GroupResultStore
-from ..obs.events import run_end_fields
+from ..obs.events import STAGE1, STAGE2, STAGE3, run_end_fields
 from .checkpoint import CheckpointStore, config_fingerprint
 from .errors import StageFailed
-
-STAGE1 = "stage1-collect"
-STAGE2 = "stage2-exclude"
-STAGE3 = "stage3-analyze"
 
 #: set this to a stage name to make the runner kill its own process at
 #: that stage's start — the kill-and-resume smoke test's crash hook

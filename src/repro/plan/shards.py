@@ -71,7 +71,7 @@ import random
 import signal
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from operator import attrgetter
 from typing import (
     Any,
@@ -94,6 +94,7 @@ from ..engine import (
     ScanMetrics,
     StageCounters,
 )
+from ..engine.metrics import RUN_COUNTERS
 from ..obs.events import _json_safe
 from ..resilience import AimdController, DeadlineBudget
 from .scanplan import NameserverGroup, ScanPlan, UnitColumns
@@ -412,30 +413,10 @@ def decode_record(payload: Dict[str, Any]):
     )
 
 
-#: the scalar run-level counters of a :class:`ScanMetrics`
-_RUN_COUNTERS = (
-    "hedges_fired",
-    "hedges_won",
-    "hedges_wasted",
-    "aimd_cuts",
-    "aimd_wait",
-    "spurious_retransmits",
-)
-
-
 def encode_metrics(metrics: ScanMetrics) -> Dict[str, Any]:
     return {
         "stages": {
-            stage: {
-                "queries": counters.queries,
-                "responses": counters.responses,
-                "timeouts": counters.timeouts,
-                "retries": counters.retries,
-                "giveups": counters.giveups,
-                "skipped": counters.skipped,
-                "shed": counters.shed,
-                "rate_limit_wait": counters.rate_limit_wait,
-            }
+            stage: asdict(counters)
             for stage, counters in sorted(metrics.stages.items())
         },
         "latency": {
@@ -444,7 +425,7 @@ def encode_metrics(metrics: ScanMetrics) -> Dict[str, Any]:
             "total": metrics.latency.total,
             "sum": metrics.latency.sum,
         },
-        **{counter: getattr(metrics, counter) for counter in _RUN_COUNTERS},
+        **{counter: getattr(metrics, counter) for counter in RUN_COUNTERS},
         "shed_by_reason": dict(metrics.shed_by_reason),
     }
 
@@ -458,7 +439,7 @@ def decode_metrics(payload: Dict[str, Any]) -> ScanMetrics:
     latency.total = payload["latency"]["total"]
     latency.sum = payload["latency"]["sum"]
     metrics.latency = latency
-    for counter in _RUN_COUNTERS:
+    for counter in RUN_COUNTERS:
         setattr(metrics, counter, payload[counter])
     metrics.shed_by_reason = dict(payload["shed_by_reason"])
     return metrics

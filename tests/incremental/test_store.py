@@ -675,8 +675,10 @@ class TestAtomicWrites:
         checkpoints = CheckpointStore(tmp_path)
         checkpoints.prepare("fp", resume=False)
         checkpoints.prepare("fp", resume=True)
-        assert [path.name for path in tmp_path.glob("*.json")] == [
-            "manifest.json"
+        # the stats file is the store's, not the checkpoint run's
+        assert sorted(path.name for path in tmp_path.glob("*.json")) == [
+            "manifest.json",
+            "store-stats.json",
         ]
         assert GroupResultStore(groups).identities() == []
 

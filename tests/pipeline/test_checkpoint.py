@@ -149,6 +149,22 @@ class TestCheckpointStore:
         assert not slot.exists()
         assert (tmp_path / "manifest.json").exists()
 
+    def test_fresh_prepare_keeps_files_it_does_not_own(self, tmp_path):
+        """A fresh run removes what checkpoint runs write, and nothing
+        else a user keeps in the directory or in ``groups/``."""
+        for owned in ("failure.json", "stage2-exclude.json"):
+            (tmp_path / owned).write_text("{}")
+        (tmp_path / "precious.json").write_text("{}")
+        (tmp_path / "groups").mkdir()
+        (tmp_path / "groups" / "notes.json").write_text("{}")
+        CheckpointStore(tmp_path).prepare("fp", resume=False)
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "groups",
+            "manifest.json",
+            "precious.json",
+        ]
+        assert (tmp_path / "groups" / "notes.json").exists()
+
     def test_resume_keeps_the_group_slots(self, tmp_path):
         CheckpointStore(tmp_path).prepare("fp", resume=False)
         slot = tmp_path / "groups" / "group-abc.json"

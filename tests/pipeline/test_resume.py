@@ -7,16 +7,14 @@ a byte-identical report and deterministic trace; every cacheable UR
 group replays from its slot, and only the preamble and the uncacheable
 groups send.  A checkpoint directory holds ``manifest.json`` and
 ``groups/``; a stage snapshot an older build left in it is never read.
+A SIGTERM'd CLI run and its ``--resume`` are the golden table's
+``*-crash-*`` rows (``tests/golden/runs.json``).
 """
 
 import contextlib
 import io
 import json
-import os
 import shutil
-import signal
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -33,7 +31,6 @@ from repro.pipeline import (
     STAGE3,
     StageFailed,
 )
-from repro.plan import CRASH_GROUP_ENV
 from repro.resilience.scenario import (
     FaultWindow,
     ScenarioScript,
@@ -46,51 +43,7 @@ from ..conftest import (
 )
 from .conftest import make_world
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
 SMALL = ["--scale", "small"]
-CLI = [sys.executable, "-m", "repro", *SMALL]
-#: the windows ``--loss-rate 0.05 --intel-fault-rate 0.2
-#: --pdns-fault-rate 0.2`` compile to, as a chaos script
-FLAG_FAULTS_SCRIPT = REPO_ROOT / "examples" / "chaos" / "flag-faults.json"
-#: loss on the scan plus every data-source fault knob
-FAULTED = [
-    "--loss-rate", "0.05",
-    "--intel-fault-rate", "0.2",
-    "--pdns-fault-rate", "0.2",
-    "--ipinfo-fault-rate", "0.2",
-]
-
-
-def cli_env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    env.pop("URHUNTER_CRASH_STAGE", None)
-    env.pop(CRASH_GROUP_ENV, None)
-    return env
-
-
-def cli(*args, env=None):
-    return subprocess.run(
-        CLI + list(args),
-        capture_output=True,
-        env=env or cli_env(),
-        cwd=REPO_ROOT,
-        timeout=120,
-    )
-
-
-def traced(tmp_path, directory, *args, env=None):
-    """``repro --scale small ARGS run`` checkpointing into
-    ``tmp_path/directory`` and tracing to ``tmp_path/directory.jsonl``."""
-    return cli(
-        *args,
-        "--checkpoint-dir",
-        str(tmp_path / directory),
-        "--trace-out",
-        str(tmp_path / f"{directory}.jsonl"),
-        "run",
-        env=env,
-    )
 
 
 def in_process(*args):
@@ -106,15 +59,6 @@ def in_process(*args):
 
 def checkpoint_files(directory: Path):
     return sorted(path.name for path in directory.iterdir())
-
-
-def deterministic_trace(path: Path):
-    """The byte-compared section of a ``--trace-out`` file."""
-    return [
-        line
-        for line in path.read_text().splitlines()
-        if '"section":"timing"' not in line
-    ]
 
 
 def group_slots(directory: Path):
@@ -358,142 +302,6 @@ class TestStrayStageFiles:
         assert stdout == baseline
         for stage, body in files.items():
             assert (directory / f"{stage}.json").read_text() == body
-
-
-class TestKillAndResumeSubprocess:
-    """The CI smoke test, in miniature: SIGTERM at a stage's start,
-    resume, compare stdout byte-for-byte against an uninterrupted run."""
-
-    @staticmethod
-    def _kill_and_resume(tmp_path, stage, *flags):
-        """Kill at ``stage``'s start, resume, and compare stdout and the
-        deterministic trace with an uninterrupted checkpointed run's."""
-
-        baseline = traced(tmp_path, "base", *flags)
-        assert baseline.returncode == 0, baseline.stderr.decode()
-        ckpt = tmp_path / "ckpt"
-        crashed = traced(
-            tmp_path,
-            "ckpt",
-            *flags,
-            env={**cli_env(), "URHUNTER_CRASH_STAGE": stage},
-        )
-        # killed by SIGTERM: raw -15 or shell-style 143
-        assert crashed.returncode in (-signal.SIGTERM, 143)
-        assert list((ckpt / "groups").glob("group-*.json"))
-        resumed = traced(tmp_path, "ckpt", *flags, "--resume")
-        assert resumed.returncode == 0, resumed.stderr.decode()
-        assert resumed.stdout == baseline.stdout
-        assert deterministic_trace(tmp_path / "ckpt.jsonl") == (
-            deterministic_trace(tmp_path / "base.jsonl")
-        )
-        assert b"resumed from checkpoint" in resumed.stderr
-        assert checkpoint_files(ckpt) == checkpoint_files(tmp_path / "base")
-        return ckpt, baseline
-
-    def test_sigterm_then_resume_byte_identical(self, tmp_path):
-        self._kill_and_resume(tmp_path, STAGE2)
-
-    def test_sigterm_in_stage3_then_resume_byte_identical(self, tmp_path):
-        self._kill_and_resume(tmp_path, STAGE3)
-
-    def test_faulted_resume_is_byte_identical(self, tmp_path):
-        """Loss on the scan and faults on every data source: stage 2
-        draws its source faults afresh on the resume and must draw the
-        uninterrupted run's; a second resume of the now-complete
-        directory reads the same."""
-        ckpt, baseline = self._kill_and_resume(tmp_path, STAGE2, *FAULTED)
-        again = cli(*FAULTED, "--checkpoint-dir", str(ckpt), "--resume", "run")
-        assert again.returncode == 0, again.stderr.decode()
-        assert again.stdout == baseline.stdout
-
-    @pytest.mark.parametrize(
-        "flags, same_as",
-        [
-            pytest.param(
-                ["--chaos-script", "tail-latency-storm"], None, id="chaos"
-            ),
-            pytest.param(
-                ["--loss-rate", "0.05", "--hedge-delay", "0.5", "--aimd"],
-                None,
-                id="hedged-aimd",
-            ),
-            pytest.param(["--run-deadline", "0.36"], None, id="deadline"),
-            # the committed script of the windows these flags compile to
-            pytest.param(
-                ["--chaos-script", str(FLAG_FAULTS_SCRIPT)],
-                [
-                    "--loss-rate", "0.05",
-                    "--intel-fault-rate", "0.2",
-                    "--pdns-fault-rate", "0.2",
-                ],
-                id="flags-as-script",
-            ),
-        ],
-    )
-    def test_shaped_run_resumes_byte_identical(
-        self, tmp_path, flags, same_as
-    ):
-        """``same_as``: flags whose plain run prints the same stdout."""
-        _, baseline = self._kill_and_resume(tmp_path, STAGE2, *flags)
-        if same_as is not None:
-            twin = cli(*same_as, "run")
-            assert twin.returncode == 0, twin.stderr.decode()
-            assert twin.stdout == baseline.stdout
-
-    @staticmethod
-    def _kill_after_group(tmp_path, group, *flags):
-        """SIGTERM once UR group ``group`` is folded and stored; the
-        resumed run replays the groups from ``<checkpoint-dir>/groups``
-        and must print the uninterrupted run's stdout and deterministic
-        trace.  Returns the resume's ``incremental.plan`` event."""
-
-        def timing(directory):
-            lines = (tmp_path / f"{directory}.jsonl").read_text().splitlines()
-            return [line for line in lines if '"section":"timing"' in line]
-
-        baseline = traced(tmp_path, "base", *flags)
-        assert baseline.returncode == 0, baseline.stderr.decode()
-        crashed = traced(
-            tmp_path,
-            "ckpt",
-            *flags,
-            env={**cli_env(), CRASH_GROUP_ENV: str(group)},
-        )
-        assert crashed.returncode in (-signal.SIGTERM, 143)
-        assert list((tmp_path / "ckpt" / "groups").glob("group-*.json"))
-        resumed = traced(tmp_path, "ckpt", *flags, "--resume")
-        assert resumed.returncode == 0, resumed.stderr.decode()
-        assert resumed.stdout == baseline.stdout
-        deterministic = deterministic_trace(tmp_path / "ckpt.jsonl")
-        assert deterministic == deterministic_trace(tmp_path / "base.jsonl")
-        assert '"unaccounted":0' in deterministic[-1]
-        assert checkpoint_files(tmp_path / "ckpt") == checkpoint_files(
-            tmp_path / "base"
-        )
-        (planned,) = [
-            json.loads(line)
-            for line in timing("ckpt")
-            if '"event":"incremental.plan"' in line
-        ]
-        return planned
-
-    def test_sigterm_after_the_scan_then_resume_replays_its_groups(
-        self, tmp_path
-    ):
-        """Killed after the last UR group, on a lossy run: every group
-        but the recursive nameserver's replays."""
-        last = len(URHunter.from_world(make_world()).plan.groups) - 1
-        planned = self._kill_after_group(
-            tmp_path, last, "--loss-rate", "0.05"
-        )
-        assert planned["hits"] == planned["groups"] - 1 > 0
-
-    def test_faulted_sigterm_after_first_group_then_resume(self, tmp_path):
-        """Killed after UR group 0 with every fault knob on: one group
-        replays, and stages 2 and 3 draw the same source faults."""
-        planned = self._kill_after_group(tmp_path, 0, *FAULTED)
-        assert planned["hits"] == 1
 
 
 class TestPrunedEvent:

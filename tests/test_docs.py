@@ -14,10 +14,10 @@ ROOT = Path(__file__).resolve().parent.parent
 DOCUMENTS = ["README.md", ".claude/skills/verify/SKILL.md"]
 
 #: flags of other command lines the documents show
-#: (``python -m benchmarks.e2e``, pytest-benchmark)
+#: (``python -m benchmarks.e2e``, pytest-benchmark, ``tests/golden/runs.py``)
 OTHER_PROGRAMS = {
     "--smoke", "--out", "--workload", "--seconds", "--trace",
-    "--benchmark-only",
+    "--benchmark-only", "--tier", "--write",
 }  # fmt: skip
 #: flags a document names to say they are gone (PR 17: exit 2)
 REMOVED = {
